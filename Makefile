@@ -7,13 +7,15 @@
 # lap, the degraded ensemble lap (one member permanently failed, quorum
 # 3/4), the serve-race lap (concurrent query storm against a live
 # ingesting forecast store), the mixed-kernel-precision race lap plus its
-# audited CLI gate, and the eight benchmarks (BENCH_1.json through
-# BENCH_8.json).
+# audited CLI gate, the eight benchmarks (BENCH_1.json through
+# BENCH_8.json), and a smoke lap of the repo's one benchmark (bench/: every
+# workload path once plus its own tests, no measurement — to measure, run
+# bench/run.sh as bench/README.md describes).
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race race-conc race-decomp race-ocn-decomp race-ensemble race-wire race-kernels serve-race fuzz budget resilient ensemble check bench bench2 bench3 bench4 bench5 bench6 bench7 bench8 clean
+.PHONY: all build vet test race race-conc race-decomp race-ocn-decomp race-ensemble race-wire race-kernels serve-race fuzz budget resilient ensemble check bench bench2 bench3 bench4 bench5 bench6 bench7 bench8 bench-smoke clean
 
 all: check
 
@@ -26,8 +28,10 @@ vet:
 test:
 	$(GO) test ./...
 
+# The core lap alone takes ≈20 min under -race on a 2-core host, past go
+# test's 10-minute default.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 45m ./...
 
 race-conc:
 	$(GO) test -race ./internal/core -run 'TestConcScheduleRaceStress|TestConcSeqBitForBit' -count 1
@@ -96,7 +100,11 @@ bench7:
 bench8:
 	$(GO) run ./cmd/bench8 -out BENCH_8.json
 
-check: vet build race race-conc race-decomp race-ocn-decomp race-ensemble race-wire race-kernels serve-race fuzz budget resilient ensemble bench bench2 bench3 bench4 bench5 bench6 bench7 bench8
+bench-smoke:
+	bash bench/run.sh -smoke
+	cd bench && $(GO) test -short ./...
+
+check: vet build race race-conc race-decomp race-ocn-decomp race-ensemble race-wire race-kernels serve-race fuzz budget resilient ensemble bench bench2 bench3 bench4 bench5 bench6 bench7 bench8 bench-smoke
 
 clean:
 	rm -f BENCH_1.json BENCH_2.json BENCH_3.json BENCH_4.json BENCH_5.json BENCH_6.json BENCH_7.json BENCH_8.json

@@ -459,6 +459,20 @@ func TestSuiteSaveLoadRoundTrip(t *testing.T) {
 	if a.GSW != b.GSW || a.GLW != b.GLW {
 		t.Fatal("loaded radiation diverges")
 	}
+	// A column marked SkipRad keeps the caller's held radiation and every
+	// tendency.
+	in.SkipRad = true
+	held := mk()
+	held.GSW, held.GLW = -1, -2
+	suite.Column(in, 480, held)
+	if held.GSW != -1 || held.GLW != -2 {
+		t.Errorf("SkipRad column overwrote the held radiation: %v/%v", held.GSW, held.GLW)
+	}
+	for k := 0; k < nlev; k++ {
+		if held.DT[k] != a.DT[k] || held.DQ[k] != a.DQ[k] {
+			t.Fatalf("SkipRad changed the tendencies at level %d", k)
+		}
+	}
 	// Corrupt/missing files rejected.
 	if _, _, _, err := LoadWeights(path + ".nope"); err == nil {
 		t.Error("missing file accepted")

@@ -84,6 +84,9 @@ func (s *Suite) Column(in atmos.ColumnIn, dt float64, out *atmos.ColumnOut) {
 		out.DQ[k] = s.Norm.denorm(nvDQ, pred.At(3, k))
 	}
 
+	if in.SkipRad {
+		return // nothing will read this column's diagnosis; out.GSW/GLW stay as they are
+	}
 	radIn := make([]float32, 5*nlev+2)
 	copy(radIn, x.Data)
 	radIn[5*nlev] = s.Norm.norm(nvTSkin, in.TSkin)

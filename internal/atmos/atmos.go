@@ -16,6 +16,7 @@ package atmos
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/grid"
 	"repro/internal/par"
@@ -100,7 +101,41 @@ type Model struct {
 	dec     *grid.IcosDecomp
 	kprec   pp.Prec // kernel precision, derived from the execution space
 	dy      *dyScratch
+	cols    colPool
+
+	// Radiation demand (see DemandRadiation): the cells whose GSW/GLW are
+	// read after every step, whether this step's diagnosis of the other
+	// owned cells will be read, and the running count of columns diagnosed
+	// (atomic: columns may run concurrently).
+	radEvery []bool
+	radOwned bool
+	radCols  atomic.Int64
 }
+
+// DemandRadiation makes the next physics step's surface-radiation diagnosis
+// demand-driven. GSW/GLW are pure diagnoses — nothing in the atmosphere
+// reads them back — so a column is swept only when something outside will
+// read the result before the following step replaces it: every cell marked
+// in everyStep, plus, when owned is set, every other cell this rank owns
+// (halo columns outside everyStep are never read locally). A column that is
+// not swept keeps its previous GSW/GLW. A nil everyStep — the state of a
+// model nobody has called this on — diagnoses every column every step.
+func (m *Model) DemandRadiation(everyStep []bool, owned bool) {
+	m.radEvery, m.radOwned = everyStep, owned
+}
+
+// radSkipped reports whether cell c's radiation diagnosis is dead work this
+// step.
+func (m *Model) radSkipped(c int) bool {
+	if m.radEvery == nil || m.radEvery[c] {
+		return false
+	}
+	return !m.radOwned || (m.dec != nil && (c < m.dec.C0 || c >= m.dec.C1))
+}
+
+// RadiationColumns returns the number of columns whose surface radiation
+// this model has diagnosed so far.
+func (m *Model) RadiationColumns() int { return int(m.radCols.Load()) }
 
 // SetDecomp switches the model to decomposed stepping: every sweep covers
 // only this rank's patch (owned cells plus the ring-1 halo required by the
@@ -193,6 +228,7 @@ func New(level, nlev int, cfg Config, sp pp.Space) (*Model, error) {
 		sp = pp.Serial{}
 	}
 	m := &Model{Mesh: mesh, Cfg: cfg, Sp: sp, NLev: nlev, kprec: pp.PrecOf(sp)}
+	m.cols = make(colPool, sp.Concurrency())
 
 	// Sigma layers: uniform interfaces from σ=0.05 (model top) to 1.
 	m.Sig = make([]float64, nlev)
@@ -262,8 +298,21 @@ func (m *Model) InitBaroclinicRest() {
 // equilibriumT is the Held–Suarez radiative-equilibrium temperature used
 // both for initialization and by the conventional suite's radiation.
 func equilibriumT(lat, sig float64) float64 {
+	logP, powP := eqLevel(sig)
+	return eqT(sinSq(lat), cosSq(lat), logP, powP)
+}
+
+// eqLevel returns the two factors of equilibriumT that depend on the level
+// only, ln(p/p0) and (p/p0)^κ.
+func eqLevel(sig float64) (logP, powP float64) {
 	p := sig * P0
-	t := (315 - 60*sinSq(lat) - 10*math.Log(p/P0)*cosSq(lat)) * math.Pow(p/P0, Kappa)
+	return math.Log(p / P0), math.Pow(p/P0, Kappa)
+}
+
+// eqT combines equilibriumT's latitude factors sin²φ, cos²φ with its level
+// factors.
+func eqT(sin2, cos2, logP, powP float64) float64 {
+	t := (315 - 60*sin2 - 10*logP*cos2) * powP
 	if t < 200 {
 		t = 200
 	}

@@ -143,15 +143,14 @@ func (m *Model) dynamicsSubstep(dt float64) {
 	// Virtual temperature and geopotential at full levels — the Log-based
 	// vertical integral stays float64 at every kernel precision.
 	tv, phi := s.tv, s.phi
+	lnMid, lnLayer := s.lnMid, s.lnLayer
 	m.forExtCells(func(c int) {
 		below := 0.0 // geopotential at the interface below the current layer
 		for k := nlev - 1; k >= 0; k-- {
 			i := k*nc + c
 			tv[i] = m.T[i] * (1 + 0.608*m.Qv[i])
-			sTop := m.sigInt(k)
-			sBot := m.sigInt(k + 1)
-			phi[i] = below + Rd*tv[i]*math.Log(sBot/m.Sig[k])
-			below += Rd * tv[i] * math.Log(sBot/sTop)
+			phi[i] = below + Rd*tv[i]*lnMid[k]
+			below += Rd * tv[i] * lnLayer[k]
 		}
 	})
 	// Per-cell ln(ps), hoisted out of the per-edge momentum loop: the same
@@ -278,13 +277,14 @@ func (m *Model) tracerStep() {
 	// Pre-update masses: ps before this tracer window = Ps - accumulated dps.
 	// The full-range loop is kept in both modes: outside the extended patch
 	// the inputs are stale-but-finite and the result is never read.
-	psOld := make([]float64, nc)
+	s := m.dyEnsure()
+	psOld := s.lnPs
 	for c := 0; c < nc; c++ {
 		psOld[c] = m.Ps[c] - m.flux.dps[c]
 	}
 
 	// θ and qv as mass-weighted quantities.
-	theta := make([]float64, nlev*nc)
+	theta := s.tv
 	m.forExtCells(func(c int) {
 		for k := 0; k < nlev; k++ {
 			i := k*nc + c
@@ -292,8 +292,9 @@ func (m *Model) tracerStep() {
 		}
 	})
 
-	newTheta := m.transport(theta, psOld)
-	newQv := m.transport(m.Qv, psOld)
+	newTheta, newQv := s.phi, s.ke
+	m.transport(theta, psOld, newTheta)
+	m.transport(m.Qv, psOld, newQv)
 
 	m.forOwnedCells(func(c int) {
 		for k := 0; k < nlev; k++ {
@@ -317,14 +318,14 @@ func (m *Model) tracerStep() {
 }
 
 // transport advances one tracer with the accumulated horizontal mass fluxes
-// plus the implied vertical redistribution, conserving Σ M·X exactly.
-func (m *Model) transport(x []float64, psOld []float64) []float64 {
+// plus the implied vertical redistribution, conserving Σ M·X exactly. The
+// result lands in out on owned cells; the rest of out is left alone.
+func (m *Model) transport(x, psOld, out []float64) {
 	mesh := m.Mesh
 	nc, ne := mesh.NCells(), mesh.NEdges()
 	nlev := m.NLev
 	re := grid.EarthRadius
 
-	out := make([]float64, len(x))
 	// Per-cell: new mass content = old content − horizontal flux divergence
 	// − vertical flux divergence, then divide by new mass. Owned cells only:
 	// the upwind stencil reads x on the ring-1 halo, and the caller
@@ -332,9 +333,11 @@ func (m *Model) transport(x []float64, psOld []float64) []float64 {
 	m.forOwnedCells(func(c int) {
 		area := mesh.AreaCell[c] * re * re
 		// Horizontal: per-level content change (kg·X).
-		dContent := make([]float64, nlev)
-		hdiv := make([]float64, nlev) // accumulated mass divergence per level (kg)
+		cw := m.cols.get(nlev)
+		dContent := cw.lev[:nlev]
+		hdiv := cw.lev[nlev : 2*nlev] // accumulated mass divergence per level (kg)
 		for k := 0; k < nlev; k++ {
+			dContent[k], hdiv[k] = 0, 0
 			for j, e := range mesh.EdgesOnCell[c] {
 				sign := float64(mesh.EdgeSignOnCell[c][j])
 				fm := sign * m.flux.edge[k*ne+e] // kg leaving through e if > 0
@@ -378,8 +381,39 @@ func (m *Model) transport(x []float64, psOld []float64) []float64 {
 			out[k*nc+c] = (x[k*nc+c]*oldMass + dContent[k]) / newMass
 			w = wBot
 		}
+		m.cols.put(cw)
 	})
-	return out
+}
+
+// colWork is one column's work space in the tracer and physics steps: nine
+// level windows (physics: U V T Q P in, DT DQ DU DV out; transport uses the
+// first two) and the ColumnOut handed to the suite, which escapes through
+// the Suite interface and so cannot live on the stack.
+type colWork struct {
+	lev []float64 // [9·nlev]
+	out ColumnOut
+}
+
+// colPool recycles colWork buffers between columns, which may run
+// concurrently under the model's pp.Space: buffered to the space's
+// concurrency, it holds every buffer that can be in flight, so the column
+// sweeps stop allocating without the model holding storage per cell.
+type colPool chan *colWork
+
+func (p colPool) get(nlev int) *colWork {
+	select {
+	case w := <-p:
+		return w
+	default:
+		return &colWork{lev: make([]float64, 9*nlev)}
+	}
+}
+
+func (p colPool) put(w *colWork) {
+	select {
+	case p <- w:
+	default:
+	}
 }
 
 // physicsStep runs the pluggable suite column by column and applies its
@@ -389,23 +423,29 @@ func (m *Model) physicsStep(dt float64) {
 	nc, ne := mesh.NCells(), mesh.NEdges()
 	nlev := m.NLev
 
-	duCell := make([]float64, nc)
-	dvCell := make([]float64, nc)
+	s := m.dyEnsure()
+	duCell, dvCell := s.lnPs, s.dpsDt
 
 	// Physics columns run on the extended patch: the halo columns are
 	// recomputed redundantly from inputs the exchanges keep bit-identical to
 	// their owners', so the column outputs (T, Qv, and the seven export
 	// fields) are halo-valid without any post-physics cell exchange.
 	m.forExtCells(func(c int) {
+		cw := m.cols.get(nlev)
+		w := cw.lev
+		for i := 5 * nlev; i < len(w); i++ {
+			w[i] = 0 // the suite accumulates into the tendencies; the inputs are assigned below
+		}
 		in := ColumnIn{
-			U: make([]float64, nlev), V: make([]float64, nlev),
-			T: make([]float64, nlev), Q: make([]float64, nlev),
-			P:     make([]float64, nlev),
-			Lat:   mesh.LatCell[c],
-			TSkin: m.SST[c],
-			CosZ:  m.cosZenith(c),
-			Land:  m.IsLand[c],
-			Ice:   m.IceFrac[c],
+			U: w[0:nlev], V: w[nlev : 2*nlev],
+			T: w[2*nlev : 3*nlev], Q: w[3*nlev : 4*nlev],
+			P:       w[4*nlev : 5*nlev],
+			Lat:     mesh.LatCell[c],
+			TSkin:   m.SST[c],
+			CosZ:    m.cosZenith(c),
+			Land:    m.IsLand[c],
+			Ice:     m.IceFrac[c],
+			SkipRad: m.radSkipped(c),
 		}
 		for k := 0; k < nlev; k++ {
 			uLvl := m.U[k*ne : (k+1)*ne]
@@ -414,12 +454,12 @@ func (m *Model) physicsStep(dt float64) {
 			in.Q[k] = m.Qv[k*nc+c]
 			in.P[k] = m.Sig[k] * m.Ps[c]
 		}
-		var out ColumnOut
-		out.DT = make([]float64, nlev)
-		out.DQ = make([]float64, nlev)
-		out.DU = make([]float64, nlev)
-		out.DV = make([]float64, nlev)
-		m.Physics.Column(in, dt, &out)
+		out := &cw.out
+		*out = ColumnOut{
+			DT: w[5*nlev : 6*nlev], DQ: w[6*nlev : 7*nlev],
+			DU: w[7*nlev : 8*nlev], DV: w[8*nlev : 9*nlev],
+		}
+		m.Physics.Column(in, dt, out)
 		for k := 0; k < nlev; k++ {
 			i := k*nc + c
 			m.T[i] += dt * out.DT[k]
@@ -435,13 +475,17 @@ func (m *Model) physicsStep(dt float64) {
 		m.TauY[c] = out.TauY
 		m.SHF[c] = out.SHF
 		m.LHF[c] = out.LHF
-		m.GSW[c] = out.GSW
-		m.GLW[c] = out.GLW
+		if !in.SkipRad {
+			m.GSW[c] = out.GSW
+			m.GLW[c] = out.GLW
+			m.radCols.Add(1)
+		}
 
 		// Upper-level momentum tendencies applied through the cell pair
 		// averaging below need per-level storage; the conventional and AI
 		// suites only produce boundary-layer drag, so the lowest level
 		// carries the signal.
+		m.cols.put(cw)
 	})
 
 	// Project the boundary-layer momentum tendency onto lowest-level edges.

@@ -42,19 +42,19 @@ type atmGeom[T pp.Float] struct {
 	re               T
 
 	// Cell sweeps: ragged EdgesOnCell flattened to [ceStart[c], ceStart[c+1]).
-	ceStart       []int32 // [nc+1]
-	ceEdge        []int32 // per slot: edge index
-	wX, wY, wZ    []T     // per slot: reconstruction weight vector
-	sdv           []T     // per slot: sign·Dv
-	areaRR        []T     // per cell: (AreaCell·re)·re
+	ceStart    []int32 // [nc+1]
+	ceEdge     []int32 // per slot: edge index
+	wX, wY, wZ []T     // per slot: reconstruction weight vector
+	sdv        []T     // per slot: sign·Dv
+	areaRR     []T     // per cell: (AreaCell·re)·re
 	// Vertex sweeps: fixed degree 3.
-	veEdge        []int32 // [3*nv]
-	sdc           []T     // [3*nv]: sign·Dc
-	dualRR        []T     // per vertex: (AreaDual·re)·re
+	veEdge []int32 // [3*nv]
+	sdc    []T     // [3*nv]: sign·Dc
+	dualRR []T     // per vertex: (AreaDual·re)·re
 	// Edge sweeps.
-	ec1, ec2     []int32 // cells on edge
-	ev1, ev2     []int32 // vertices on edge
-	tX, tY, tZ   []T     // edge tangent t = mid × n̂ (ẑ×n̂ direction)
+	ec1, ec2   []int32 // cells on edge
+	ev1, ev2   []int32 // vertices on edge
+	tX, tY, tZ []T     // edge tangent t = mid × n̂ (ẑ×n̂ direction)
 }
 
 // edgeGeomF is the float64 per-edge geometry shared by both momentum
@@ -401,9 +401,19 @@ func atmMomentumKernel(s pp.Space, args any) {
 // pre-bound argument bundles. Externally visible buffers (newU, dpsDt) are
 // zero-filled each substep so decomposed runs see exactly the fresh-
 // allocation semantics the rank-invariance test pins.
+//
+// Every diagnostic array is dead between substeps — each is rebuilt (or
+// zero-filled) before the next substep reads it — so the tracer and physics
+// steps, which run only there, borrow tv, phi, ke, lnPs and dpsDt as their
+// whole-field scratch instead of holding arrays of their own.
 type dyScratch struct {
 	geo *atmGeom[float64]
 	eg  *edgeGeomF
+
+	// Level constants of the hydrostatic integral: ln(σ_bot/σ_k) from the
+	// interface below level k up to its mid-point, and ln(σ_bot/σ_top) across
+	// the layer.
+	lnMid, lnLayer []float64
 
 	tv, phi, lnPs []float64 // thermodynamic diagnostics (always float64)
 	vcx, vcy, vcz []float64
@@ -441,19 +451,27 @@ func (m *Model) dyEnsure() *dyScratch {
 	nlev := m.NLev
 	geo, eg := newAtmGeomF(mesh, m.recon, nlev)
 	s := &dyScratch{
-		geo:  geo,
-		eg:   eg,
-		tv:   make([]float64, nlev*nc),
-		phi:  make([]float64, nlev*nc),
-		lnPs: make([]float64, nc),
-		vcx:  make([]float64, nlev*nc),
-		vcy:  make([]float64, nlev*nc),
-		vcz:  make([]float64, nlev*nc),
-		ke:   make([]float64, nlev*nc),
-		div:  make([]float64, nlev*nc),
-		vort: make([]float64, nlev*nv),
-		newU: make([]float64, nlev*ne),
+		geo:   geo,
+		eg:    eg,
+		tv:    make([]float64, nlev*nc),
+		phi:   make([]float64, nlev*nc),
+		lnPs:  make([]float64, nc),
+		vcx:   make([]float64, nlev*nc),
+		vcy:   make([]float64, nlev*nc),
+		vcz:   make([]float64, nlev*nc),
+		ke:    make([]float64, nlev*nc),
+		div:   make([]float64, nlev*nc),
+		vort:  make([]float64, nlev*nv),
+		newU:  make([]float64, nlev*ne),
 		dpsDt: make([]float64, nc),
+
+		lnMid:   make([]float64, nlev),
+		lnLayer: make([]float64, nlev),
+	}
+	for k := 0; k < nlev; k++ {
+		sTop, sBot := m.sigInt(k), m.sigInt(k+1)
+		s.lnMid[k] = math.Log(sBot / m.Sig[k])
+		s.lnLayer[k] = math.Log(sBot / sTop)
 	}
 	s.bKeDiv = &keDivArgs[float64]{g: geo, vcx: s.vcx, vcy: s.vcy, vcz: s.vcz, ke: s.ke, div: s.div}
 	s.bKeDiv.rowF = s.bKeDiv.cell
@@ -521,9 +539,16 @@ func (m *Model) dyEnsure() *dyScratch {
 // cosine of the solar zenith angle, swK/lwK the g-point absorption tables.
 func twoStreamRad[T pp.Float](q, tcol, dsig []float64, ps, mu0, s0 float64, swK, lwK []float64) (gsw, glw float64) {
 	nlev := len(tcol)
+	// The two per-level work arrays live on the stack for any realistic
+	// level count; nothing below lets them escape.
+	var stack [2 * 64]T
+	work := stack[:]
+	if 2*nlev > len(stack) {
+		work = make([]T, 2*nlev)
+	}
 	// Per-layer absorber path: water vapour mass (kg/m²) plus a small dry
 	// (well-mixed gas) contribution.
-	path := make([]T, nlev)
+	path := work[:nlev]
 	for k := 0; k < nlev; k++ {
 		lm := ps * dsig[k] / Gravity
 		path[k] = T(q[k]*lm + 1e-4*lm)
@@ -546,7 +571,7 @@ func twoStreamRad[T pp.Float](q, tcol, dsig []float64, ps, mu0, s0 float64, swK,
 
 	// --- Longwave: emissivity sweep per g-point, top down ---
 	const sb = 5.67e-8
-	planck := make([]T, nlev)
+	planck := work[nlev : 2*nlev]
 	for k := 0; k < nlev; k++ {
 		tk := T(tcol[k])
 		planck[k] = T(sb) * tk * tk * tk * tk

@@ -20,6 +20,10 @@ type ColumnIn struct {
 	CosZ          float64 // cosine of solar zenith angle
 	Land          bool
 	Ice           float64 // sea-ice fraction
+	// SkipRad marks a column whose surface-radiation diagnosis nothing will
+	// read before the next physics step replaces it: the suite leaves
+	// ColumnOut.GSW/GLW alone and the caller keeps its held values.
+	SkipRad bool
 }
 
 // ColumnOut carries the suite's tendencies and diagnosed surface fields.
@@ -74,11 +78,13 @@ type ConventionalSuite struct {
 	DisableRadiation bool
 
 	// Cached per-g-point absorption coefficients, rebuilt when the g-point
-	// counts change. Columns run concurrently under ParallelFor, so the
-	// lazy build is mutex-guarded; after the first column it is a
-	// check-and-return.
-	kMu      sync.Mutex
-	swK, lwK []float64
+	// counts change, and the per-level factors of the equilibrium
+	// temperature, ln(σ) and σ^κ. Columns run concurrently under
+	// ParallelFor, so the lazy builds are mutex-guarded; after the first
+	// column they are a check-and-return.
+	kMu          sync.Mutex
+	swK, lwK     []float64
+	eqLog, eqPow []float64
 }
 
 // NewConventionalSuite returns the suite with standard coefficients.
@@ -114,9 +120,11 @@ func (s *ConventionalSuite) Column(in ColumnIn, dt float64, out *ColumnOut) {
 	// temperature (≈1 K warmer air aloft), the usual aquaplanet correction:
 	// without it the analytic tropics sit ~6 K above the SST, inverting the
 	// sensible heat flux and shutting off evaporation. ---
+	eqLog, eqPow := s.eqTables()
+	sin2, cos2 := sinSq(in.Lat), cosSq(in.Lat)
 	for k := 0; k < nlev; k++ {
 		sig := m.Sig[k]
-		teq := equilibriumT(in.Lat, sig)
+		teq := eqT(sin2, cos2, eqLog[k], eqPow[k])
 		if sig > 0.85 && in.TSkin > 0 {
 			w := (sig - 0.85) / 0.15
 			teq = w*(in.TSkin-1) + (1-w)*teq
@@ -125,7 +133,7 @@ func (s *ConventionalSuite) Column(in ColumnIn, dt float64, out *ColumnOut) {
 		kt := 1 / s.TauRad
 		if sig > s.SigmaB {
 			frac := (sig - s.SigmaB) / (1 - s.SigmaB)
-			kt += (1/s.TauRadT - 1/s.TauRad) * frac * cosSq(in.Lat) * cosSq(in.Lat)
+			kt += (1/s.TauRadT - 1/s.TauRad) * frac * cos2 * cos2
 		}
 		out.DT[k] = -kt * (in.T[k] - teq)
 	}
@@ -191,7 +199,7 @@ func (s *ConventionalSuite) Column(in ColumnIn, dt float64, out *ColumnOut) {
 	// module estimates for the land model and surface layer (§5.2.1).
 	// Computed with a real multi-g-point two-stream sweep, the dominant
 	// cost of a conventional physics suite.
-	if !s.DisableRadiation {
+	if !s.DisableRadiation && !in.SkipRad {
 		out.GSW, out.GLW = s.TwoStreamRadiation(in)
 	}
 }
@@ -241,4 +249,20 @@ func (s *ConventionalSuite) gTables() (swK, lwK []float64) {
 		}
 	}
 	return s.swK, s.lwK
+}
+
+// eqTables returns the level-only factors of equilibriumT on the model's
+// sigma levels — the identical expressions equilibriumT evaluates, so a
+// table entry carries the same bits as the call it replaces.
+func (s *ConventionalSuite) eqTables() (eqLog, eqPow []float64) {
+	s.kMu.Lock()
+	defer s.kMu.Unlock()
+	if sig := s.m.Sig; len(s.eqLog) != len(sig) {
+		s.eqLog = make([]float64, len(sig))
+		s.eqPow = make([]float64, len(sig))
+		for k := range sig {
+			s.eqLog[k], s.eqPow[k] = eqLevel(sig[k])
+		}
+	}
+	return s.eqLog, s.eqPow
 }

@@ -253,20 +253,6 @@ func TestMeasureSYPDPositive(t *testing.T) {
 	})
 }
 
-func TestFactorize(t *testing.T) {
-	for _, tc := range []struct{ n, nx, ny, px, py int }{
-		{1, 48, 24, 1, 1},
-		{4, 48, 24, 2, 2},
-		{6, 48, 24, 3, 2},
-		{2, 48, 24, 2, 1},
-	} {
-		px, py := factorize(tc.n, tc.nx, tc.ny)
-		if px*py != tc.n || tc.nx%px != 0 || tc.ny%py != 0 {
-			t.Errorf("factorize(%d) = %dx%d", tc.n, px, py)
-		}
-	}
-}
-
 func TestTimingReport(t *testing.T) {
 	par.Run(2, func(c *par.Comm) {
 		e := newESM(t, "25v10", c, 1)

@@ -85,6 +85,10 @@ type ESM struct {
 	stepSlots []int
 	ownSlots  []int
 	u10, v10  []float64
+
+	// radEvery marks the cells landStep forces on this rank, the only ones
+	// whose GSW/GLW are read after every atmosphere step (see atmosphereStep).
+	radEvery []bool
 }
 
 // atmFluxes holds the per-atmosphere-cell air–sea flux parts, positive into
@@ -246,6 +250,9 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 		}
 	}
 
+	e.radEvery = make([]bool, atm.Mesh.NCells())
+	e.forLandStepped(func(c int) { e.radEvery[c] = true })
+
 	// Ocean steps per ocean coupling interval.
 	ocnInterval := 86400.0 / float64(cfg.OcnCouplingsPerDay)
 	e.ocnStepsPer = int(math.Round(ocnInterval / ocn.Cfg.DtBaroclinic))
@@ -269,33 +276,6 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 	e.refreshOceanSurface()
 	e.applySurfaceToAtmos()
 	return e, nil
-}
-
-// factorize picks a process grid (px, py) with px·py = n that divides the
-// ocean grid.
-func factorize(n, nx, ny int) (int, int) {
-	best := [2]int{1, n}
-	for px := 1; px <= n; px++ {
-		if n%px != 0 {
-			continue
-		}
-		py := n / px
-		if nx%px == 0 && ny%py == 0 {
-			best = [2]int{px, py}
-			// Prefer near-square factorizations.
-			if abs(px-py) <= abs(best[0]-best[1]) {
-				best = [2]int{px, py}
-			}
-		}
-	}
-	return best[0], best[1]
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Step advances one coupling interval; returns false when the clock is done.
@@ -395,7 +375,14 @@ func (e *ESM) RunDays(days float64) int {
 // it once on rank 0 and broadcasts the step's outputs, which is bit-for-bit
 // the same state on every rank while freeing the other ranks' time inside
 // the overlap window.
+//
+// The radiation diagnosis is demand-driven (DESIGN.md): landStep reads
+// GSW/GLW on its cells right after this step; every other reader sits in
+// oceanImport, at the start of the next base step and only if the ocean
+// alarm rings there. In between, the other columns hold their last diagnosis.
 func (e *ESM) atmosphereStep() {
+	e.Atm.DemandRadiation(e.radEvery, e.Clock.Due("ocn"))
+	swept := e.Atm.RadiationColumns()
 	switch {
 	case e.dec != nil:
 		e.Atm.StepModel()
@@ -407,6 +394,7 @@ func (e *ESM) atmosphereStep() {
 	default:
 		e.Atm.StepModel()
 	}
+	e.obs.AddCount("atm.rad.columns", int64(e.Atm.RadiationColumns()-swept))
 	e.landStep()
 }
 
@@ -438,14 +426,21 @@ func (e *ESM) landStep() {
 			e.Atm.SST[c] = resp.TSkin
 		}
 	}
+	e.forLandStepped(step)
+}
+
+// forLandStepped visits the atmosphere cells whose land column this rank
+// steps: every land cell when replicated, the extended patch's when
+// decomposed.
+func (e *ESM) forLandStepped(fn func(c int)) {
 	if e.dec == nil {
 		for _, c := range e.Lnd.Cells {
-			step(c)
+			fn(c)
 		}
 		return
 	}
 	for _, slot := range e.stepSlots {
-		step(e.Lnd.Cells[slot])
+		fn(e.Lnd.Cells[slot])
 	}
 }
 

@@ -84,6 +84,15 @@ func (c *Clock) Advance() ([]string, bool) {
 	return ringing, true
 }
 
+// Due reports whether the named alarm would ring on the next Advance. It is
+// a read-only peek: it moves neither the clock nor the alarm, and it ignores
+// the stop time, so a run that ends (or checkpoints) on the step before a
+// ring still answers true. An unknown alarm is never due.
+func (c *Clock) Due(name string) bool {
+	a, ok := c.alarms[name]
+	return ok && !a.next.After(c.Current)
+}
+
 // Done reports whether the clock reached its stop time.
 func (c *Clock) Done() bool { return !c.Current.Before(c.Stop) }
 

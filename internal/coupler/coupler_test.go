@@ -475,6 +475,63 @@ func TestClockAlarmsAndAdvance(t *testing.T) {
 	}
 }
 
+// Due is a peek at the next Advance: it must agree with what Advance then
+// rings, move nothing, and stay answerable at the stop time.
+func TestClockDue(t *testing.T) {
+	start := time.Date(2023, 7, 23, 0, 0, 0, 0, time.UTC)
+	clk, err := NewClock(start, start.Add(80*time.Minute), 8*time.Minute) // 10 steps
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, period := range map[string]time.Duration{"atm": 8 * time.Minute, "ocn": 40 * time.Minute} {
+		if err := clk.AddAlarm(name, period); err != nil {
+			t.Fatal(err)
+		}
+	}
+	advances := 0
+	for _, tc := range []struct {
+		advances int // Advance calls made before asking
+		name     string
+		want     bool
+	}{
+		{0, "ocn", true}, // before the first Advance every alarm is due
+		{0, "atm", true},
+		{0, "lnd", false}, // unknown alarm
+		{1, "ocn", false}, // inside the 5-step cycle
+		{4, "ocn", false}, // step 4 is the last of the cycle...
+		{5, "ocn", true},  // ...and step 5 rings again
+		{5, "atm", true},  // a base-step alarm is always due
+		{6, "ocn", false},
+		{10, "ocn", true}, // at the stop time: Advance refuses, Due still answers
+		{10, "lnd", false},
+	} {
+		for ; advances < tc.advances; advances++ {
+			due := clk.Due("ocn")
+			ringing, ok := clk.Advance()
+			if !ok {
+				t.Fatalf("clock stopped after %d advances", advances)
+			}
+			rang := false
+			for _, n := range ringing {
+				rang = rang || n == "ocn"
+			}
+			if rang != due {
+				t.Errorf("advance %d rang %v after Due(ocn) = %v", advances, ringing, due)
+			}
+		}
+		now := clk.Current
+		if got := clk.Due(tc.name); got != tc.want {
+			t.Errorf("after %d advances Due(%q) = %v, want %v", tc.advances, tc.name, got, tc.want)
+		}
+		if clk.Due(tc.name) != tc.want || clk.Current != now {
+			t.Errorf("Due(%q) is not a pure peek", tc.name)
+		}
+	}
+	if _, ok := clk.Advance(); ok {
+		t.Error("clock advanced past its stop time")
+	}
+}
+
 func TestClockValidation(t *testing.T) {
 	now := time.Now()
 	if _, err := NewClock(now, now, time.Minute); err == nil {

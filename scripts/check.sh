@@ -12,8 +12,9 @@
 # failed, quorum 3/4), a serve-race lap storming the forecast store's
 # query paths while it ingests live, a short fuzz of the store's manifest
 # decoder, a mixed-kernel-precision race lap plus its audited CLI gate,
-# and the eight benchmarks writing BENCH_1.json through BENCH_8.json at
-# the repo root.
+# the eight benchmarks writing BENCH_1.json through BENCH_8.json at
+# the repo root, and a smoke lap of the repo's one benchmark under bench/
+# (every workload path once plus its own short tests; no measurement).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -23,8 +24,8 @@ echo "== go vet"
 go vet ./...
 echo "== go build"
 go build ./...
-echo "== go test -race"
-go test -race ./...
+echo "== go test -race (the core lap alone is ≈20 min on a 2-core host)"
+go test -race -timeout 45m ./...
 echo "== conc schedule race stress (2 ranks, p2p rearrange)"
 go test -race ./internal/core -run 'TestConcScheduleRaceStress|TestConcSeqBitForBit' -count 1
 echo "== decomposed atmosphere race lap (4 ranks, both schedules, halo p2p)"
@@ -99,3 +100,6 @@ go run ./cmd/bench8 -steps 6 -out /tmp/bench8_smoke.json
 rm -f /tmp/bench8_smoke.json
 echo "== bench8"
 go run ./cmd/bench8 -out BENCH_8.json
+echo "== bench smoke (bench/run.sh -smoke + the bench module's short tests)"
+bash bench/run.sh -smoke
+(cd bench && go test -short ./...)
