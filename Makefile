@@ -1,7 +1,8 @@
 # Developer entry points. `make check` is the full local gate: vet, build,
 # race-enabled tests (including the concurrent-schedule and decomposed-
-# atmosphere/ocean stress laps, plus the multi-world ensemble isolation
-# lap and the compressed-wire lap), the restart-decoder and group-scaled
+# atmosphere/ocean stress laps, the par receive-progress and atmosphere
+# partition laps, plus the multi-world ensemble isolation lap and the
+# compressed-wire lap), the restart-decoder and group-scaled
 # round-trip fuzz smokes, the conservation-budget gate on four decomposed
 # ranks (plus its compressed-wire twin), the two-rank resilient rollback
 # lap, the degraded ensemble lap (one member permanently failed, quorum
@@ -15,7 +16,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race race-conc race-decomp race-ocn-decomp race-ensemble race-wire race-kernels serve-race fuzz budget resilient ensemble check bench bench2 bench3 bench4 bench5 bench6 bench7 bench8 bench-smoke clean
+.PHONY: all build vet test race race-conc race-par race-decomp race-ocn-decomp race-ensemble race-wire race-kernels serve-race fuzz budget resilient ensemble check bench bench2 bench3 bench4 bench5 bench6 bench7 bench8 bench-smoke clean
 
 all: check
 
@@ -36,7 +37,13 @@ race:
 race-conc:
 	$(GO) test -race ./internal/core -run 'TestConcScheduleRaceStress|TestConcSeqBitForBit' -count 1
 
+# -count 10: the poll-then-park receive has three phases a message can land
+# in, and which one a run exercises is up to the scheduler.
+race-par:
+	$(GO) test -race ./internal/par -count 10
+
 race-decomp:
+	$(GO) test -race ./internal/grid -run 'TestIcosDecomp' -count 1
 	$(GO) test -race ./internal/core -run 'TestDecompRankCountInvariance|TestDecompRestartRoundTrip' -count 1
 
 race-ocn-decomp:
@@ -104,7 +111,7 @@ bench-smoke:
 	bash bench/run.sh -smoke
 	cd bench && $(GO) test -short ./...
 
-check: vet build race race-conc race-decomp race-ocn-decomp race-ensemble race-wire race-kernels serve-race fuzz budget resilient ensemble bench bench2 bench3 bench4 bench5 bench6 bench7 bench8 bench-smoke
+check: vet build race race-conc race-par race-decomp race-ocn-decomp race-ensemble race-wire race-kernels serve-race fuzz budget resilient ensemble bench bench2 bench3 bench4 bench5 bench6 bench7 bench8 bench-smoke
 
 clean:
 	rm -f BENCH_1.json BENCH_2.json BENCH_3.json BENCH_4.json BENCH_5.json BENCH_6.json BENCH_7.json BENCH_8.json

@@ -171,6 +171,14 @@ func main() {
 			fmt.Printf("completed %.2f simulated days in %.1f s wall -> %.2f SYPD (miniature configuration)\n",
 				daysRun, elapsed, sypd)
 		}
+		if d := e.Atm.Decomp(); d != nil {
+			// Physics and cell diagnostics run on ext = owned + ring-1 halo,
+			// so ext/owned is the redundant-column factor of the partition.
+			worst := c.Allreduce(float64(len(d.ExtCells))/float64(d.NOwned()), par.OpMax)
+			if c.Rank() == 0 {
+				fmt.Printf("atmosphere partition: max ext/owned %.2f over %d ranks\n", worst, c.Size())
+			}
+		}
 		if l := e.Budget(); l != nil {
 			// The ledger terms are identical on every rank (the audit
 			// allreduces all partials, owned-range or replicated): rank 0

@@ -172,8 +172,8 @@ func runDataflow(cfg core.Config, sched core.Schedule, remap core.RemapMode, ran
 			r.stepsPerSec = float64(steps) / elapsed
 		}
 		reg := handle.Registry()
-		r.haloMsgs = reg.Counter("cpl.atm.halo.msgs").Value()
-		r.haloBytes = reg.Counter("cpl.atm.halo.bytes").Value()
+		r.haloMsgs = reg.Counter(obs.Labeled("cpl.halo.msgs", "component", "atm")).Value()
+		r.haloBytes = reg.Counter(obs.Labeled("cpl.halo.bytes", "component", "atm")).Value()
 	})
 	return r
 }

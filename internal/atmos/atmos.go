@@ -130,7 +130,7 @@ func (m *Model) radSkipped(c int) bool {
 	if m.radEvery == nil || m.radEvery[c] {
 		return false
 	}
-	return !m.radOwned || (m.dec != nil && (c < m.dec.C0 || c >= m.dec.C1))
+	return !m.radOwned || (m.dec != nil && m.dec.Owner(c) != m.dec.Comm().Rank())
 }
 
 // RadiationColumns returns the number of columns whose surface radiation
@@ -178,15 +178,15 @@ func (m *Model) forExtCells(fn func(c int)) {
 	m.Sp.ParallelFor(len(ext), func(i int) { fn(ext[i]) })
 }
 
-// forOwnedCells sweeps only the owned contiguous range — prognostic
-// writebacks (Ps, T, Qv) whose halo copies arrive by exchange.
+// forOwnedCells sweeps only the owned cells — prognostic writebacks
+// (Ps, T, Qv) whose halo copies arrive by exchange.
 func (m *Model) forOwnedCells(fn func(c int)) {
 	if m.dec == nil {
 		m.Sp.ParallelFor(m.Mesh.NCells(), fn)
 		return
 	}
-	c0 := m.dec.C0
-	m.Sp.ParallelFor(m.dec.NOwned(), func(i int) { fn(c0 + i) })
+	own := m.dec.Owned
+	m.Sp.ParallelFor(len(own), func(i int) { fn(own[i]) })
 }
 
 // forCompEdges sweeps the computed edges: every edge with at least one owned

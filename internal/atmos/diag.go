@@ -102,7 +102,7 @@ func (m *Model) Wind10mInto(u, v []float64) {
 func (m *Model) MaxWindLocal() float64 {
 	ne := m.Mesh.NEdges()
 	var worst float64
-	scan := func(c int) {
+	m.eachOwnedCell(func(c int) {
 		for k := 0; k < m.NLev; k++ {
 			uLvl := m.U[k*ne : (k+1)*ne]
 			u, v := m.recon.CellUV(uLvl, c)
@@ -110,17 +110,23 @@ func (m *Model) MaxWindLocal() float64 {
 				worst = s
 			}
 		}
-	}
+	})
+	return worst
+}
+
+// eachOwnedCell calls fn serially, in ascending cell order, for every cell
+// this rank owns (every cell when replicated) — the iteration of the local
+// halves of the cross-rank reductions.
+func (m *Model) eachOwnedCell(fn func(c int)) {
 	if m.dec == nil {
 		for c := 0; c < m.Mesh.NCells(); c++ {
-			scan(c)
+			fn(c)
 		}
-		return worst
+		return
 	}
-	for c := m.dec.C0; c < m.dec.C1; c++ {
-		scan(c)
+	for _, c := range m.dec.Owned {
+		fn(c)
 	}
-	return worst
 }
 
 // TotalMoistureLocal returns the water-vapour mass over this rank's owned
@@ -128,17 +134,13 @@ func (m *Model) MaxWindLocal() float64 {
 func (m *Model) TotalMoistureLocal() float64 {
 	nc := m.Mesh.NCells()
 	re2 := grid.EarthRadius * grid.EarthRadius
-	c0, c1 := 0, nc
-	if m.dec != nil {
-		c0, c1 = m.dec.C0, m.dec.C1
-	}
 	var sum float64
-	for c := c0; c < c1; c++ {
+	m.eachOwnedCell(func(c int) {
 		colMass := m.Ps[c] / Gravity * m.Mesh.AreaCell[c] * re2
 		for k := 0; k < m.NLev; k++ {
 			sum += m.Qv[k*nc+c] * colMass * m.DSig[k]
 		}
-	}
+	})
 	return sum
 }
 
@@ -193,15 +195,11 @@ func (m *Model) MinPs() (float64, int) {
 // min-allreduce of the local values reproduces MinPs.
 func (m *Model) MinPsLocal() float64 {
 	best := math.Inf(1)
-	c0, c1 := 0, m.Mesh.NCells()
-	if m.dec != nil {
-		c0, c1 = m.dec.C0, m.dec.C1
-	}
-	for c := c0; c < c1; c++ {
+	m.eachOwnedCell(func(c int) {
 		if m.Ps[c] < best {
 			best = m.Ps[c]
 		}
-	}
+	})
 	return best
 }
 

@@ -88,7 +88,7 @@ func TestDemandRadiationSkipsHalo(t *testing.T) {
 		every[d.HaloCells[0]] = true
 		m.DemandRadiation(every, true)
 		m.StepModel()
-		for cell := d.C0; cell < d.C1; cell++ {
+		for _, cell := range d.Owned {
 			if m.GLW[cell] == 0 {
 				t.Errorf("rank %d: owned cell %d not diagnosed", c.Rank(), cell)
 				return
@@ -100,7 +100,7 @@ func TestDemandRadiationSkipsHalo(t *testing.T) {
 				return
 			}
 		}
-		if got, want := m.RadiationColumns(), d.C1-d.C0+1; got != want {
+		if got, want := m.RadiationColumns(), d.NOwned()+1; got != want {
 			t.Errorf("rank %d diagnosed %d columns, want %d", c.Rank(), got, want)
 		}
 	})

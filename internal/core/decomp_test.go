@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"repro/internal/grid"
 	"repro/internal/par"
+	"repro/internal/pario"
 	"repro/internal/pp"
 )
 
@@ -162,54 +164,42 @@ func TestDecompMatchesReplicatedSameRanks(t *testing.T) {
 	}
 }
 
-// A decomposed run checkpoints through per-rank owned chunks; the restored
-// run — on the same rank count or on a single replicated rank — must
-// continue bit-for-bit. (The converse direction, a replicated checkpoint
-// restored onto a decomposed run, is pinned by TestRestartAcrossRankCounts.)
+// A decomposed run checkpoints through per-rank owned chunks — scattered
+// cell, edge and land-slot runs under the compact partition — at a dividing
+// (2) and a non-dividing (3) rank count. The written global image must be
+// bit-identical to the 1-rank image, and the restored run — on the same rank
+// count or on a single replicated rank — must continue bit-for-bit. (The
+// converse direction, a replicated checkpoint restored onto a decomposed
+// run, is pinned by TestRestartAcrossRankCounts.)
 func TestDecompRestartRoundTrip(t *testing.T) {
 	start := time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC)
 	cfg, err := ConfigForLabel("25v10")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
 	const stepsA, stepsB = 10, 8
 
-	var ref []float64
-	par.Run(2, func(c *par.Comm) {
-		e, err := NewWithOptions(cfg, c, WithInterval(start, start.Add(24*time.Hour)))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		for i := 0; i < stepsA; i++ {
-			e.Step()
-		}
-		if err := e.WriteRestart(dir, 2); err != nil {
-			t.Error(err)
-			return
-		}
-		for i := 0; i < stepsB; i++ {
-			e.Step()
-		}
-		st := globalCoupledState(e)
-		if c.Rank() == 0 {
-			ref = st
-		}
-	})
-	if ref == nil {
-		t.Fatal("no reference state")
-	}
-
-	check := func(name string, ranks int) {
-		var got []float64
+	// run advances a fresh model on ranks ranks — restored from dir when
+	// resume is set, else stepped stepsA and checkpointed into dir — then
+	// stepsB further, and returns the final global state.
+	run := func(name string, ranks, nGroups int, dir string, resume bool) []float64 {
+		t.Helper()
+		var state []float64
 		par.Run(ranks, func(c *par.Comm) {
 			e, err := NewWithOptions(cfg, c, WithInterval(start, start.Add(24*time.Hour)))
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if err := e.ReadRestart(dir, 2); err != nil {
+			if resume {
+				err = e.ReadRestart(dir, nGroups)
+			} else {
+				for i := 0; i < stepsA; i++ {
+					e.Step()
+				}
+				err = e.WriteRestart(dir, nGroups)
+			}
+			if err != nil {
 				t.Error(err)
 				return
 			}
@@ -218,20 +208,58 @@ func TestDecompRestartRoundTrip(t *testing.T) {
 			}
 			st := globalCoupledState(e)
 			if c.Rank() == 0 {
-				got = st
+				state = st
 			}
 		})
-		if got == nil {
+		if state == nil {
 			t.Fatalf("%s: no state", name)
 		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("%s: state[%d] = %v, want %v", name, i, got[i], ref[i])
+		return state
+	}
+	image := func(dir string, nGroups int) map[string][]float64 {
+		t.Helper()
+		img, err := pario.ReadGlobal(pario.SubfilePaths(dir, nGroups))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return img
+	}
+
+	dir1 := t.TempDir()
+	ref := run("1-rank reference", 1, 1, dir1, false)
+	img1 := image(dir1, 1)
+
+	for _, ranks := range []int{2, 3} {
+		dir := t.TempDir()
+		same := func(name string, got []float64) {
+			t.Helper()
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("%d ranks, %s: state[%d] = %v, want %v", ranks, name, i, got[i], ref[i])
+				}
 			}
 		}
+		same("checkpointing run", run("checkpointing run", ranks, 2, dir, false))
+
+		img := image(dir, 2)
+		if len(img) != len(img1) {
+			t.Fatalf("%d ranks: image has %d fields, 1-rank image %d", ranks, len(img), len(img1))
+		}
+		for name, want := range img1 {
+			got := img[name]
+			if len(got) != len(want) {
+				t.Fatalf("%d ranks: field %q has %d values, 1-rank image %d", ranks, name, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%d ranks: image %s[%d] = %v, 1-rank image %v", ranks, name, i, got[i], want[i])
+				}
+			}
+		}
+
+		same("same-rank-count resume", run("same-rank-count resume", ranks, 2, dir, true))
+		same("replicated resume of decomposed checkpoint", run("replicated resume", 1, 2, dir, true))
 	}
-	check("same-rank-count resume", 2)
-	check("replicated resume of decomposed checkpoint", 1)
 }
 
 // The distributed coupling hot path — pack, icos rearrange, consume — must

@@ -325,18 +325,3 @@ func (e *ESM) iceForcingDistributed() {
 		}
 	}
 }
-
-// ownedLandRuns computes the RLE runs (start slot, length) of a sorted slot
-// list — the contiguous chunks a decomposed restart writes per rank.
-func ownedLandRuns(slots []int) [][2]int {
-	var runs [][2]int
-	for i := 0; i < len(slots); {
-		j := i
-		for j+1 < len(slots) && slots[j+1] == slots[j]+1 {
-			j++
-		}
-		runs = append(runs, [2]int{slots[i], j - i + 1})
-		i = j + 1
-	}
-	return runs
-}

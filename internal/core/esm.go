@@ -228,7 +228,7 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 	}
 
 	// Atmosphere + land domain decomposition: partition the icosahedral
-	// cells into contiguous owned ranges, register the halo-exchange plans
+	// cells into compact owned patches, register the halo-exchange plans
 	// with the atmosphere, split the land columns with the same ownership
 	// map (after Adopt, so adopted cells are partitioned too), and build
 	// the distributed-coupling routers. Replicated operation — one rank, or
@@ -243,6 +243,11 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 		d.SetObserver(ob)
 		d.SetWire(opt.wire)
 		e.dec = d
+		// Columns stepped (ext) against columns owned: the redundancy the
+		// partition costs this rank, on the record from assembly on.
+		patch := atm.Decomp()
+		ob.SetGauge("atm.decomp.owned", float64(patch.NOwned()))
+		ob.SetGauge("atm.decomp.ext", float64(len(patch.ExtCells)))
 		e.stepSlots = lnd.Slots(d.InExt)
 		e.ownSlots = lnd.Slots(func(cell int) bool { return d.Owner(cell) == c.Rank() })
 		if err := e.initDistribute(); err != nil {

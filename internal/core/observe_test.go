@@ -13,7 +13,8 @@ import (
 // TestObservedRun drives the acceptance scenario of the observability layer:
 // a two-rank quickstart-config run into a shared JSONL sink must produce
 // span events for every component section on every rank, plus nonzero par
-// traffic counters after FlushMetrics.
+// traffic counters and each rank's atm.decomp.{owned,ext} partition gauges
+// after FlushMetrics.
 func TestObservedRun(t *testing.T) {
 	cfg, err := ConfigForLabel("25v10")
 	if err != nil {
@@ -50,6 +51,7 @@ func TestObservedRun(t *testing.T) {
 	}
 	spans := map[string]map[int]int{} // section -> rank -> count
 	counters := map[string]float64{}
+	gauges := map[string]map[int]float64{} // name -> rank -> value
 	for _, e := range events {
 		switch e.Kind {
 		case "span":
@@ -59,6 +61,19 @@ func TestObservedRun(t *testing.T) {
 			spans[e.Name][e.Rank]++
 		case "counter":
 			counters[e.Name] += e.Value
+		case "gauge":
+			if gauges[e.Name] == nil {
+				gauges[e.Name] = map[int]float64{}
+			}
+			gauges[e.Name][e.Rank] = e.Value
+		}
+	}
+	// The partition is on the record per rank: 321 of 642 cells owned, and a
+	// stepped patch (owned + ring-1 halo) well short of the whole sphere.
+	for rank := 0; rank < 2; rank++ {
+		owned, ext := gauges["atm.decomp.owned"][rank], gauges["atm.decomp.ext"][rank]
+		if owned != 321 || ext <= owned || ext > 1.25*owned {
+			t.Errorf("rank %d: atm.decomp.owned = %v, atm.decomp.ext = %v, want 321 owned and owned < ext ≤ 1.25·owned", rank, owned, ext)
 		}
 	}
 	for _, sec := range []string{"atm", "ice", "ocn"} {

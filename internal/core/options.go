@@ -75,7 +75,7 @@ func WithAudit(on bool) Option {
 // across the communicator (the default) or computed redundantly on every
 // rank (the historical replicated dataflow, kept as the 1-rank degenerate
 // case and for A/B measurement). Decomposition partitions the icosahedral
-// cells into contiguous ranges, keeps a one-ring halo current through
+// cells into compact patches, keeps a one-ring halo current through
 // point-to-point exchanges, and routes the atm→ocn coupling through the
 // offline-scheduled rearranger; the prognostic state is bit-for-bit
 // identical to the replicated dataflow at any rank count.

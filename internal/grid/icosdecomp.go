@@ -2,20 +2,25 @@ package grid
 
 import (
 	"fmt"
+	"math"
+	"sort"
 
 	"repro/internal/par"
 	"repro/internal/precision"
 )
 
 // IcosDecomp is the icosahedral-mesh analogue of the tripolar Block: a
-// contiguous-range domain decomposition of the atmosphere's cells across the
-// communicator, with precomputed halo adjacency and an allocation-free halo
-// exchange over par point-to-point messages.
+// spatially compact domain decomposition of the atmosphere's cells across
+// the communicator, with precomputed halo adjacency and an allocation-free
+// halo exchange over par point-to-point messages.
 //
-// Ownership is by contiguous cell range: rank r owns cells
-// [Starts[r], Starts[r+1]), with Starts[r] = ⌊r·N/size⌋, so every cell is
-// owned by exactly one rank and no rank holds more than ⌈N/size⌉ cells for
-// any rank count, dividing or not.
+// Ownership is by recursive coordinate bisection of the cell centers (see
+// rcbOwners): every cell is owned by exactly one rank, owned counts differ
+// by at most one for any rank count, dividing or not, and each rank's patch
+// is a compact cap or band of the sphere, so its ring-1 halo grows with the
+// patch perimeter (∝ √owned) rather than with the patch. The mesh's own
+// bisection-ordered numbering is left alone: fields stay in global layout
+// and a rank's owned cells are a scattered ascending id list, not a range.
 //
 // The stencil closure of the dycore fixes the derived sets:
 //
@@ -44,8 +49,8 @@ type IcosDecomp struct {
 	M    *IcosMesh
 	comm *par.Comm
 
-	Starts []int // len size+1; rank r owns [Starts[r], Starts[r+1])
-	C0, C1 int   // this rank's owned cell range
+	owner []int32 // [nCells] owning rank, identical on every rank
+	Owned []int   // this rank's owned cells, ascending
 
 	ExtCells  []int // owned ∪ ring-1 halo, ascending
 	HaloCells []int // ring-1 halo only, ascending
@@ -89,7 +94,7 @@ type IcosDecomp struct {
 	edgeGS [2][]*precision.GroupScaled
 	rbuf   []float64
 
-	ownedRanges [][2]int // cached single {C0, C1-C0} run for Decomp
+	ownedRanges [][2]int // Owned as {start, length} runs, cached for Decomp
 
 	obs HaloObserver
 }
@@ -128,12 +133,13 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 	if size > nc {
 		return nil, fmt.Errorf("grid: %d ranks exceed %d cells", size, nc)
 	}
-	d := &IcosDecomp{M: mesh, comm: comm}
-	d.Starts = make([]int, size+1)
-	for r := 0; r <= size; r++ {
-		d.Starts[r] = r * nc / size
+	d := &IcosDecomp{M: mesh, comm: comm, owner: rcbOwners(mesh.CellCenter, size)}
+	ownedOf := make([][]int, size) // every rank's owned cells, ascending
+	for c, o := range d.owner {
+		ownedOf[o] = append(ownedOf[o], c)
 	}
-	d.C0, d.C1 = d.Starts[rank], d.Starts[rank+1]
+	d.Owned = ownedOf[rank]
+	d.ownedRanges = Runs(d.Owned)
 
 	owner := d.Owner
 	// Per-rank ring-1 halo cells, from one pass over the cross-owner
@@ -141,7 +147,7 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 	halo := make([][]int, size)
 	seen := make([]int, nc) // rank+1 markers, avoids clearing between ranks
 	for r := 0; r < size; r++ {
-		for c := d.Starts[r]; c < d.Starts[r+1]; c++ {
+		for _, c := range ownedOf[r] {
 			for _, nb := range mesh.CellsOnCell[c] {
 				if owner(nb) != r && seen[nb] != r+1 {
 					seen[nb] = r + 1
@@ -154,7 +160,7 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 		sortInts(halo[r])
 	}
 	d.HaloCells = halo[rank]
-	d.ExtCells = mergeSorted(rangeInts(d.C0, d.C1), d.HaloCells)
+	d.ExtCells = mergeSorted(d.Owned, d.HaloCells)
 	d.inExtCell = make([]bool, nc)
 	for _, c := range d.ExtCells {
 		d.inExtCell[c] = true
@@ -163,7 +169,7 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 	ne := mesh.NEdges()
 	// Edge sets for this rank.
 	inComp := make([]bool, ne)
-	for c := d.C0; c < d.C1; c++ {
+	for _, c := range d.Owned {
 		for _, e := range mesh.EdgesOnCell[c] {
 			inComp[e] = true
 		}
@@ -234,7 +240,7 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 				}
 			}
 		}
-		for c := d.Starts[r]; c < d.Starts[r+1]; c++ {
+		for _, c := range ownedOf[r] {
 			collect(c)
 		}
 		for _, c := range halo[r] {
@@ -287,7 +293,6 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 		d.cellGS[pb] = make([]*precision.GroupScaled, len(d.Peers))
 		d.edgeGS[pb] = make([]*precision.GroupScaled, len(d.Peers))
 	}
-	d.ownedRanges = [][2]int{{d.C0, d.C1 - d.C0}}
 	return d, nil
 }
 
@@ -297,36 +302,38 @@ func (d *IcosDecomp) Comm() *par.Comm { return d.comm }
 // NGlobal implements Decomp: the global cell count.
 func (d *IcosDecomp) NGlobal() int { return d.M.NCells() }
 
-// OwnedRanges implements Decomp: one contiguous {C0, C1-C0} run. The slice
-// is cached; callers must not mutate it.
+// OwnedRanges implements Decomp: Owned as maximal {start, length} runs of
+// consecutive cell ids. The slice is cached; callers must not mutate it.
 func (d *IcosDecomp) OwnedRanges() [][2]int { return d.ownedRanges }
 
 // OwnedEdgeList implements EdgeDecomp: the ascending edges whose first cell
 // is owned — a partition of the edge set across ranks.
 func (d *IcosDecomp) OwnedEdgeList() []int { return d.OwnEdges }
 
-// Gather implements Decomp: it assembles the owned ranges of a one-level
-// global-layout cell field onto rank 0 (nil elsewhere). Because ownership is
-// a single contiguous range per rank, the gathered chunks concatenate in
-// rank order.
+// Gather implements Decomp: it assembles the owned cells of a one-level
+// global-layout cell field onto rank 0 (nil elsewhere). Each rank ships its
+// values in Owned (ascending) order, so one ascending pass over the owner
+// table puts every chunk back in place.
 func (d *IcosDecomp) Gather(f []float64) []float64 {
-	chunk := append([]float64(nil), f[d.C0:d.C1]...)
+	chunk := make([]float64, len(d.Owned))
+	for i, c := range d.Owned {
+		chunk[i] = f[c]
+	}
 	chunks := par.Gather(d.comm, 0, chunk)
 	if d.comm.Rank() != 0 {
 		return nil
 	}
-	out := make([]float64, d.M.NCells())
-	for r, ch := range chunks {
-		copy(out[d.Starts[r]:d.Starts[r+1]], ch)
+	out := make([]float64, len(d.owner))
+	next := make([]int, len(chunks))
+	for c, o := range d.owner {
+		out[c] = chunks[o][next[o]]
+		next[o]++
 	}
 	return out
 }
 
-// Owner returns the rank owning cell c under the contiguous-range rule.
-func (d *IcosDecomp) Owner(c int) int {
-	n := len(d.Starts) - 1
-	return (n*(c+1) - 1) / d.M.NCells()
-}
+// Owner returns the rank owning cell c.
+func (d *IcosDecomp) Owner(c int) int { return int(d.owner[c]) }
 
 // InExt reports whether cell c is in this rank's extended (owned + halo)
 // region.
@@ -336,11 +343,10 @@ func (d *IcosDecomp) InExt(c int) bool { return d.inExtCell[c] }
 func (d *IcosDecomp) InExtEdge(e int) bool { return d.inExtEdge[e] }
 
 // NOwned returns the number of owned cells.
-func (d *IcosDecomp) NOwned() int { return d.C1 - d.C0 }
+func (d *IcosDecomp) NOwned() int { return len(d.Owned) }
 
 // SetObserver attaches the halo traffic counters:
-// cpl.halo.{msgs,bytes} with component="atm", plus the deprecated
-// cpl.atm.halo.* aliases for one release.
+// cpl.halo.{msgs,bytes} with component="atm".
 func (d *IcosDecomp) SetObserver(o HaloObserver) { d.obs = o }
 
 // SetWire selects the halo wire format. Under par.WireGS32 every halo
@@ -454,10 +460,6 @@ func (d *IcosDecomp) exchange(f []float64, nlev, stride, tag int, send, recv [][
 	if d.obs != nil && len(d.Peers) > 0 {
 		d.obs.AddCount(ctrHaloMsgsAtm, int64(len(d.Peers)))
 		d.obs.AddCount(ctrHaloBytesAtm, wireBytes)
-		// Deprecated aliases, kept one release: the pre-unification flat
-		// names, so dashboards keyed on cpl.atm.halo.* keep reading.
-		d.obs.AddCount("cpl.atm.halo.msgs", int64(len(d.Peers)))
-		d.obs.AddCount("cpl.atm.halo.bytes", wireBytes)
 		d.obs.AddCount(ctrWireRawBytes, rawBytes)
 		d.obs.AddCount(ctrWireBytes, wireBytes)
 	}
@@ -483,13 +485,67 @@ const (
 	ctrWireBytes    = "cpl.wire.bytes"
 )
 
-// rangeInts returns [lo, hi) as a slice.
-func rangeInts(lo, hi int) []int {
-	out := make([]int, hi-lo)
-	for i := range out {
-		out[i] = lo + i
+// rcbOwners assigns each point to one of size ranks by recursive coordinate
+// bisection: halve the rank set, order the points along the axis of largest
+// extent (ties by point id, so the order is total and every rank derives the
+// same table), hand the lower rank half its proportional share of them, and
+// recurse. The shares are ⌊m·nl/n⌋ of m points for nl of n ranks, which
+// keeps every rank within one point of pts/size at any depth.
+func rcbOwners(pts []Vec3, size int) []int32 {
+	owner := make([]int32, len(pts))
+	ids := make([]int, len(pts))
+	for i := range ids {
+		ids[i] = i
 	}
-	return out
+	var split func(ids []int, r0, n int)
+	split = func(ids []int, r0, n int) {
+		if n == 1 {
+			for _, id := range ids {
+				owner[id] = int32(r0)
+			}
+			return
+		}
+		lo, hi := pts[ids[0]], pts[ids[0]]
+		for _, id := range ids[1:] {
+			p := pts[id]
+			lo = Vec3{math.Min(lo.X, p.X), math.Min(lo.Y, p.Y), math.Min(lo.Z, p.Z)}
+			hi = Vec3{math.Max(hi.X, p.X), math.Max(hi.Y, p.Y), math.Max(hi.Z, p.Z)}
+		}
+		ext := hi.Sub(lo)
+		axis, widest := func(p Vec3) float64 { return p.X }, ext.X
+		if ext.Y > widest {
+			axis, widest = func(p Vec3) float64 { return p.Y }, ext.Y
+		}
+		if ext.Z > widest {
+			axis = func(p Vec3) float64 { return p.Z }
+		}
+		sort.Slice(ids, func(i, j int) bool {
+			a, b := axis(pts[ids[i]]), axis(pts[ids[j]])
+			return a < b || (a == b && ids[i] < ids[j])
+		})
+		nl := n / 2
+		cut := len(ids) * nl / n
+		split(ids[:cut], r0, nl)
+		split(ids[cut:], r0+nl, n-nl)
+	}
+	split(ids, 0, size)
+	return owner
+}
+
+// Runs returns an ascending id list as maximal {start, length} runs of
+// consecutive ids — the contiguous chunks a scattered owned set contributes
+// to a global-layout array (restart and snapshot writes, OwnedRanges).
+func Runs(ids []int) [][2]int {
+	var runs [][2]int
+	for i := 0; i < len(ids); {
+		j := i + 1
+		for j < len(ids) && ids[j] == ids[j-1]+1 {
+			j++
+		}
+		runs = append(runs, [2]int{ids[i], j - i})
+		i = j
+	}
+	return runs
 }
 
 // mergeSorted merges two ascending, disjoint int slices.

@@ -56,7 +56,7 @@ func TestIcosExchangeGS32WithinBudget(t *testing.T) {
 				fc := make([]float64, nlev*nc)
 				fe := make([]float64, nlev*ne)
 				for k := 0; k < nlev; k++ {
-					for cell := d.C0; cell < d.C1; cell++ {
+					for _, cell := range d.Owned {
 						fc[k*nc+cell] = cellVal(k, cell)
 					}
 					for _, e := range d.CompEdges {
@@ -196,13 +196,11 @@ func TestTripolarGS32MatchesF64(t *testing.T) {
 	})
 }
 
-// TestHaloAliasMatchesLabeled pins the deprecated cpl.atm.halo.* aliases to
-// the labeled cpl.halo.*{component="atm"} counters under BOTH wire formats
-// — the alias must report exactly what the canonical counter reports,
-// compressed bytes included — and checks the wire accounting: actual wire
-// bytes equal the halo bytes, raw bytes exceed them under gs32 by at least
-// the 1.6× reduction the bench gates, and match them exactly under f64.
-func TestHaloAliasMatchesLabeled(t *testing.T) {
+// TestIcosWireCounters checks the atmosphere decomposition's wire accounting
+// under both wire formats: actual wire bytes equal the halo bytes, raw bytes
+// exceed them under gs32 by at least the 1.6× reduction the bench gates, and
+// match them exactly under f64.
+func TestIcosWireCounters(t *testing.T) {
 	m := icosMesh(t, 2)
 	nc := m.NCells()
 	for _, w := range []par.WireFormat{par.WireF64, par.WireGS32} {
@@ -222,16 +220,13 @@ func TestHaloAliasMatchesLabeled(t *testing.T) {
 			for i := 0; i < 4; i++ {
 				d.ExchangeCells(fc, 3)
 			}
-			if got, want := ob.get("cpl.atm.halo.msgs"), ob.get(ctrHaloMsgsAtm); got != want || want == 0 {
-				t.Errorf("wire=%v: alias msgs %d, labeled %d (want equal, nonzero)", w, got, want)
+			if got, want := ob.get(ctrHaloMsgsAtm), int64(4*len(d.Peers)); got != want || want == 0 {
+				t.Errorf("wire=%v: halo msgs %d, want %d (nonzero)", w, got, want)
 			}
-			labeledBytes := ob.get(ctrHaloBytesAtm)
-			if got := ob.get("cpl.atm.halo.bytes"); got != labeledBytes || labeledBytes == 0 {
-				t.Errorf("wire=%v: alias bytes %d, labeled %d (want equal, nonzero)", w, got, labeledBytes)
-			}
+			haloBytes := ob.get(ctrHaloBytesAtm)
 			raw, wire := ob.get("cpl.wire.raw.bytes"), ob.get("cpl.wire.bytes")
-			if wire != labeledBytes {
-				t.Errorf("wire=%v: cpl.wire.bytes %d != halo bytes %d", w, wire, labeledBytes)
+			if wire != haloBytes || haloBytes == 0 {
+				t.Errorf("wire=%v: cpl.wire.bytes %d != halo bytes %d (want equal, nonzero)", w, wire, haloBytes)
 			}
 			switch w {
 			case par.WireF64:

@@ -40,7 +40,6 @@ func TestPromRenderSplitsLabeledCounters(t *testing.T) {
 	o := New(3, sink)
 	o.AddCount(Labeled("cpl.halo.msgs", "component", "ocn"), 7)
 	o.AddCount(Labeled("cpl.halo.msgs", "component", "atm"), 5)
-	o.AddCount("cpl.atm.halo.msgs", 5) // deprecated alias stays a plain series
 	o.FlushMetrics()
 	var b strings.Builder
 	sink.Render(&b)
@@ -48,7 +47,6 @@ func TestPromRenderSplitsLabeledCounters(t *testing.T) {
 	for _, want := range []string{
 		`ap3esm_cpl_halo_msgs{component="ocn",rank="3"} 7`,
 		`ap3esm_cpl_halo_msgs{component="atm",rank="3"} 5`,
-		`ap3esm_cpl_atm_halo_msgs{rank="3"} 5`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered exposition missing %q:\n%s", want, out)

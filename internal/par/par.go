@@ -21,6 +21,7 @@ package par
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -68,24 +69,63 @@ func (mb *mailbox) put(m message) {
 	mb.mu.Unlock()
 }
 
-// take removes and returns the first message matching (src, tag),
-// blocking until one arrives.
+// pop removes and returns the first queued message matching (src, tag);
+// the caller holds mb.mu.
+func (mb *mailbox) pop(src, tag int) (message, bool) {
+	for i, m := range mb.queue {
+		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
+			mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
+			return m, true
+		}
+	}
+	return message{}, false
+}
+
+// pollBudget is how long a blocking receive polls its mailbox, yielding the
+// processor between looks, before it parks on the condition variable. The
+// messages of a halo exchange arrive within microseconds of each other, and
+// waking a parked goroutine costs more than that (a futex round trip, tens
+// of µs on a virtualized host), so parking on each of the ~85 receives of a
+// coupling step idles a third of a 2-rank run. The budget is wall time, not
+// iterations, so it limits itself when ranks outnumber cores: one yield to
+// a runnable rank outlasts it and the receiver parks as before.
+const pollBudget = 50 * time.Microsecond
+
+// take removes and returns the first message matching (src, tag), blocking
+// until one arrives: the one receive-progress rule under Recv, RecvF64E and
+// RecvGS. It polls for pollBudget, then parks.
 func (mb *mailbox) take(src, tag int) message {
+	if m, ok := mb.poll(src, tag, pollBudget); ok {
+		return m
+	}
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for {
-		for i, m := range mb.queue {
-			if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
-				mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
-				return m
-			}
+		if m, ok := mb.pop(src, tag); ok {
+			return m
 		}
 		mb.cond.Wait()
 	}
 }
 
+// poll looks for a matching message until one arrives or budget elapses,
+// yielding to other runnable goroutines between looks.
+func (mb *mailbox) poll(src, tag int, budget time.Duration) (message, bool) {
+	start := time.Now()
+	for {
+		if m, ok := mb.tryTake(src, tag); ok {
+			return m, true
+		}
+		if time.Since(start) >= budget {
+			return message{}, false
+		}
+		runtime.Gosched()
+	}
+}
+
 // takeTimeout is take with a deadline; ok reports whether a matching message
-// arrived in time. The deadline wakeup rides the same condition variable as
+// arrived in time. It parks at once — a caller that set a deadline expects
+// to wait — and the deadline wakeup rides the same condition variable as
 // deliveries, so the cost is one timer per wait iteration and nothing on the
 // delivery path.
 func (mb *mailbox) takeTimeout(src, tag int, d time.Duration) (message, bool) {
@@ -93,11 +133,8 @@ func (mb *mailbox) takeTimeout(src, tag int, d time.Duration) (message, bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	for {
-		for i, m := range mb.queue {
-			if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
-				mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
-				return m, true
-			}
+		if m, ok := mb.pop(src, tag); ok {
+			return m, true
 		}
 		rem := time.Until(deadline)
 		if rem <= 0 {
@@ -118,13 +155,7 @@ func (mb *mailbox) takeTimeout(src, tag int, d time.Duration) (message, bool) {
 func (mb *mailbox) tryTake(src, tag int) (message, bool) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	for i, m := range mb.queue {
-		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
-			mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
-			return m, true
-		}
-	}
-	return message{}, false
+	return mb.pop(src, tag)
 }
 
 // commState is the shared state of one communicator: mailboxes for every
@@ -446,8 +477,6 @@ type splitEntry struct {
 // Ranks passing a negative color receive a nil communicator.
 func (c *Comm) Split(color, key int) *Comm {
 	cs := c.state
-	gid := fmt.Sprintf("split-%d", key) // key participates only in ordering
-	_ = gid
 	cs.splitMu.Lock()
 	g, ok := cs.gathers["split"]
 	if !ok {

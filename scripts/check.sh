@@ -1,7 +1,8 @@
 #!/bin/sh
 # Full local gate, equivalent to `make check`: vet, build, race-enabled
 # tests, dedicated race stress laps over the concurrent component
-# schedule, the decomposed atmosphere and ocean, the multi-world
+# schedule, par's poll-then-park receive, the atmosphere partition and the
+# decomposed atmosphere and ocean, the multi-world
 # ensemble isolation paths, and the group-scaled compressed wire format,
 # short fuzzes of the restart-file decoder and the group-scaled encoder
 # round trip, the coupled conservation-budget gate on four decomposed
@@ -28,7 +29,10 @@ echo "== go test -race (the core lap alone is ≈20 min on a 2-core host)"
 go test -race -timeout 45m ./...
 echo "== conc schedule race stress (2 ranks, p2p rearrange)"
 go test -race ./internal/core -run 'TestConcScheduleRaceStress|TestConcSeqBitForBit' -count 1
-echo "== decomposed atmosphere race lap (4 ranks, both schedules, halo p2p)"
+echo "== par race lap (poll-then-park receive: before/during/after the poll, oversubscribed ring)"
+go test -race ./internal/par -count 10
+echo "== decomposed atmosphere race lap (partition properties; 4 ranks, both schedules, halo p2p)"
+go test -race ./internal/grid -run 'TestIcosDecomp' -count 1
 go test -race ./internal/core -run 'TestDecompRankCountInvariance|TestDecompRestartRoundTrip' -count 1
 echo "== decomposed ocean/ice race lap (tripolar halos, serial-parallel equivalence)"
 go test -race ./internal/grid -run 'TestTripolar' -count 1
