@@ -26,7 +26,7 @@ func BenchmarkAblationBarotropicSubsteps(b *testing.B) {
 		b.Run(fmt.Sprintf("nsub-%d", nsub), func(b *testing.B) {
 			g, _ := grid.NewTripolar(96, 48, 10)
 			par.Run(1, func(c *par.Comm) {
-				blk, _ := grid.NewTripolarReplicated(g, c, 1)
+				blk, _ := grid.NewTripolarDecomp(g, c, 1)
 				cfg := ocean.DefaultConfig()
 				cfg.NBarotropicSub = nsub
 				o, err := ocean.New(g, blk, cfg, pp.Serial{})
@@ -123,7 +123,7 @@ func BenchmarkAblationRiMixing(b *testing.B) {
 		b.Run("rimixing-"+name, func(b *testing.B) {
 			g, _ := grid.NewTripolar(96, 48, 10)
 			par.Run(1, func(c *par.Comm) {
-				blk, _ := grid.NewTripolarReplicated(g, c, 1)
+				blk, _ := grid.NewTripolarDecomp(g, c, 1)
 				cfg := ocean.DefaultConfig()
 				cfg.RiMixing = enabled
 				o, err := ocean.New(g, blk, cfg, pp.Serial{})

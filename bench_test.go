@@ -209,7 +209,7 @@ func BenchmarkFigure7Track(b *testing.B) {
 				b.Fatal(err)
 			}
 			start := time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC)
-			e, err := core.New(cfg, c, start, start.Add(48*time.Hour), pp.NewHost(0))
+			e, err := core.NewWithOptions(cfg, c, core.WithInterval(start, start.Add(48*time.Hour)), core.WithSpace(pp.NewHost(0)))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -293,7 +293,7 @@ func BenchmarkOceanCompaction(b *testing.B) {
 		b.Fatal(err)
 	}
 	par.Run(1, func(c *par.Comm) {
-		blk, _ := grid.NewTripolarReplicated(g, c, 1)
+		blk, _ := grid.NewTripolarDecomp(g, c, 1)
 		o, err := ocean.New(g, blk, ocean.DefaultConfig(), pp.Serial{})
 		if err != nil {
 			b.Fatal(err)
@@ -326,7 +326,7 @@ func BenchmarkMixedPrecision(b *testing.B) {
 	run := func(b *testing.B, pol precision.Policy) {
 		g, _ := grid.NewTripolar(96, 48, 10)
 		par.Run(1, func(c *par.Comm) {
-			blk, _ := grid.NewTripolarReplicated(g, c, 1)
+			blk, _ := grid.NewTripolarDecomp(g, c, 1)
 			cfg := ocean.DefaultConfig()
 			cfg.Policy = pol
 			o, err := ocean.New(g, blk, cfg, pp.Serial{})
@@ -507,7 +507,7 @@ func BenchmarkCoupledESM(b *testing.B) {
 			b.Fatal(err)
 		}
 		start := time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC)
-		e, err := core.New(cfg, c, start, start.Add(1000*time.Hour), pp.NewHost(0))
+		e, err := core.NewWithOptions(cfg, c, core.WithInterval(start, start.Add(1000*time.Hour)), core.WithSpace(pp.NewHost(0)))
 		if err != nil {
 			b.Fatal(err)
 		}

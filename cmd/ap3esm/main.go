@@ -35,8 +35,6 @@ func main() {
 	ckDir := flag.String("restart-dir", "restart", "restart-set directory for -checkpoint-every")
 	maxRetries := flag.Int("max-retries", 3, "consecutive failed recoveries before giving up")
 	schedName := flag.String("schedule", "seq", "component schedule: seq (sequential groups) or conc (overlapped ocean/atmosphere)")
-	atmDecomp := flag.Bool("atm-decomp", true, "domain-decompose the atmosphere and land across ranks (false = replicated baseline dataflow)")
-	ocnDecomp := flag.Bool("ocn-decomp", true, "domain-decompose the ocean and sea ice across ranks (false = replicated baseline dataflow)")
 	remapName := flag.String("remap", "nn", "air-sea flux remap: nn (nearest-neighbour) or cons (first-order conservative)")
 	audit := flag.Bool("audit", false, "record the per-coupling-interval conservation budget and print the ledger report")
 	auditGate := flag.Float64("audit-gate", 0, "fail if the max relative heat/freshwater residual exceeds this (0 = report only; implies -audit)")
@@ -118,8 +116,6 @@ func main() {
 				core.WithSchedule(sched),
 				core.WithRemap(remap),
 				core.WithAudit(*audit),
-				core.WithAtmDecomp(*atmDecomp),
-				core.WithOcnDecomp(*ocnDecomp),
 				core.WithWireCompression(wire),
 				core.WithKernelPrecision(kprec))
 		}
@@ -181,8 +177,8 @@ func main() {
 		}
 		if l := e.Budget(); l != nil {
 			// The ledger terms are identical on every rank (the audit
-			// allreduces all partials, owned-range or replicated): rank 0
-			// reports, every rank agrees on the gate verdict.
+			// allreduces every owned-range partial): rank 0 reports, every
+			// rank agrees on the gate verdict.
 			s := l.Summary()
 			if c.Rank() == 0 {
 				fmt.Printf("conservation budget (%s remap):\n%s", remap, l.Report())

@@ -43,7 +43,7 @@ func main() {
 	stop := start.Add(time.Duration(*hours+1) * time.Hour)
 
 	par.Run(1, func(c *par.Comm) {
-		e, err := core.New(cfg, c, start, stop, sp)
+		e, err := core.NewWithOptions(cfg, c, core.WithInterval(start, stop), core.WithSpace(sp))
 		if err != nil {
 			log.Fatal(err)
 		}

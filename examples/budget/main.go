@@ -42,8 +42,8 @@ func main() {
 			for i := 0; i < steps; i++ {
 				e.Step()
 			}
-			// The ledger is identical on every rank (replicated atmosphere
-			// sums, allreduced ocean sums); take rank 0's copy.
+			// The ledger is identical on every rank (every term is
+			// allreduced); take rank 0's copy.
 			if c.Rank() == 0 {
 				s = e.Budget().Summary()
 				report = e.Budget().Report()

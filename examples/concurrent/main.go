@@ -2,8 +2,7 @@
 // sequential and the concurrent component schedule and show what the
 // overlap buys — the paper's concurrent-components lever (§5.1) at
 // miniature scale. The concurrent schedule overlaps the ocean's
-// baroclinic substeps with the atmosphere + land group and computes the
-// replicated atmosphere once instead of on every rank, bit-for-bit
+// baroclinic substeps with the atmosphere + land group, bit-for-bit
 // reproducing the sequential answer.
 package main
 

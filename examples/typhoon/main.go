@@ -25,7 +25,7 @@ func runCase(label string, hours int) (fix typhoon.Fix, rmw, fsv, roMax float64)
 	}
 	start := typhoon.BestTrackDoksuri()[0].Time
 	par.Run(1, func(c *par.Comm) {
-		esm, err := core.New(cfg, c, start, start.Add(48*time.Hour), pp.NewHost(0))
+		esm, err := core.NewWithOptions(cfg, c, core.WithInterval(start, start.Add(48*time.Hour)), core.WithSpace(pp.NewHost(0)))
 		if err != nil {
 			log.Fatal(err)
 		}

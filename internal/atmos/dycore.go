@@ -69,19 +69,6 @@ func (m *Model) DtModel() float64 {
 	return m.Cfg.DtDycore * float64(m.Cfg.PhysicsEvery)
 }
 
-// StepOutputs returns, in a fixed order, every externally visible array
-// StepModel mutates: the prognostics and the physics export fields. A
-// single-writer schedule replicates one rank's step by copying these
-// between ranks. The internal flux accumulators and substep counter are
-// deliberately excluded — they are consumed only by the rank that computes
-// StepModel and by rank-0-written restart files.
-func (m *Model) StepOutputs() [][]float64 {
-	return [][]float64{
-		m.U, m.T, m.Qv, m.Ps,
-		m.Precip, m.TauX, m.TauY, m.SHF, m.LHF, m.GSW, m.GLW,
-	}
-}
-
 // accFlux accumulates time-integrated per-level edge mass fluxes between
 // tracer steps (kg/s · s = kg), and the per-level cell mass divergence
 // integrals for the vertical redistribution.

@@ -61,10 +61,8 @@ func TestConsBudgetCloses(t *testing.T) {
 						t.Errorf("rank %d: max freshwater residual %.3e exceeds 1e-10", rank, s.MaxFWResid)
 					}
 					// The ledger is identical on every rank by construction:
-					// replicated runs pair replicated atm-side terms with
-					// allreduced ocn-side terms, and decomposed runs (the
-					// multi-rank default) batch both sides' owned-range
-					// partials through one allreduce.
+					// multi-rank runs batch both sides' owned-range partials
+					// through one allreduce.
 					if s != sums[0] {
 						t.Errorf("rank %d: summary differs from rank 0", rank)
 					}

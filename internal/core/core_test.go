@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -51,11 +52,30 @@ func newESM(t *testing.T, label string, c *par.Comm, days float64) *ESM {
 	}
 	start := time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC)
 	stop := start.Add(time.Duration(days * 24 * float64(time.Hour)))
-	e, err := New(cfg, c, start, stop, pp.Serial{})
+	e, err := NewWithOptions(cfg, c, WithInterval(start, stop), WithSpace(pp.Serial{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// More ranks than atmosphere cells would leave a rank owning no column:
+// assembly refuses on every rank with the typed error, before any collective
+// a rank could hang in.
+func TestAssembleRejectsMoreRanksThanCells(t *testing.T) {
+	cfg, err := ConfigForLabel("25v10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.AtmLevel = 0 // 12 cells
+	const ranks = 13
+	par.Run(ranks, func(c *par.Comm) {
+		_, err := NewWithOptions(cfg, c)
+		var re *RanksExceedCellsError
+		if !errors.As(err, &re) || re.Ranks != ranks || re.Cells != 12 {
+			t.Errorf("rank %d: err = %v, want RanksExceedCellsError{%d, 12}", c.Rank(), err, ranks)
+		}
+	})
 }
 
 func TestRegridderMapsAreTotal(t *testing.T) {
@@ -184,7 +204,7 @@ func TestMixedPrecisionCoupledRun(t *testing.T) {
 		cfg, _ := ConfigForLabel("25v10")
 		cfg.Policy = precision.Mixed
 		start := time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC)
-		e, err := New(cfg, c, start, start.Add(24*time.Hour), pp.Serial{})
+		e, err := NewWithOptions(cfg, c, WithInterval(start, start.Add(24*time.Hour)), WithSpace(pp.Serial{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +328,7 @@ func TestTyphoonColdWakeMechanisms(t *testing.T) {
 	boxFlux := func(seed bool) float64 {
 		var q float64
 		par.Run(1, func(c *par.Comm) {
-			e, err := New(cfg, c, start, start.Add(48*time.Hour), pp.Serial{})
+			e, err := NewWithOptions(cfg, c, WithInterval(start, start.Add(48*time.Hour)), WithSpace(pp.Serial{}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -359,7 +379,7 @@ func TestTyphoonColdWakeMechanisms(t *testing.T) {
 			t.Fatal(err)
 		}
 		par.Run(1, func(c *par.Comm) {
-			b, _ := grid.NewTripolarReplicated(g, c, 1)
+			b, _ := grid.NewTripolarDecomp(g, c, 1)
 			oc := cfg.OcnCfg
 			oc.RiMixing = mix
 			o, err := ocean.New(g, b, oc, pp.Serial{})

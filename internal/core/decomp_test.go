@@ -14,7 +14,7 @@ import (
 
 // globalCoupledState assembles the rank-count-independent coupled state into
 // one flat global image: atmosphere Ps/T/Qv/U/SST plus the land stores.
-// Replicated, the local arrays already are that image; decomposed, each rank
+// On 1 rank the local arrays already are that image; decomposed, each rank
 // contributes exactly its owned cells, edges, and land slots to a zeroed
 // buffer and a sum-allreduce places every value once (the owned sets
 // partition their index spaces), so the result is bit-exact, not averaged.
@@ -66,7 +66,7 @@ func globalCoupledState(e *ESM) []float64 {
 // runDecomp advances a fresh audited conservative-remap model and returns
 // the assembled global state, rank 0's gathered sea-surface height, and the
 // worst audited residuals.
-func runDecomp(t *testing.T, ranks int, sched Schedule, decomp bool, steps int) (state, eta []float64, maxHeat, maxFW float64) {
+func runDecomp(t *testing.T, ranks int, sched Schedule, steps int) (state, eta []float64, maxHeat, maxFW float64) {
 	t.Helper()
 	cfg, err := ConfigForLabel("25v10")
 	if err != nil {
@@ -74,18 +74,13 @@ func runDecomp(t *testing.T, ranks int, sched Schedule, decomp bool, steps int) 
 	}
 	par.Run(ranks, func(c *par.Comm) {
 		e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}),
-			WithSchedule(sched), WithRemap(RemapCons), WithAudit(true),
-			WithAtmDecomp(decomp))
+			WithSchedule(sched), WithRemap(RemapCons), WithAudit(true))
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if decomp && ranks > 1 && e.dec == nil {
-			t.Error("decomposition requested but not active")
-			return
-		}
-		if (!decomp || ranks == 1) && e.dec != nil {
-			t.Error("decomposition active but not requested")
+		if (e.dec != nil) != (ranks > 1) {
+			t.Errorf("%d ranks: decomposition active = %v", ranks, e.dec != nil)
 			return
 		}
 		for i := 0; i < steps; i++ {
@@ -107,23 +102,23 @@ func runDecomp(t *testing.T, ranks int, sched Schedule, decomp bool, steps int) 
 
 // The tentpole acceptance test: the decomposed atmosphere + land, the 2D
 // block-decomposed ocean + ice, and the distributed conservative coupling
-// path reproduce the 1-rank replicated run bit-for-bit at 2, 4, 8, and 16
-// ranks, under both schedules, while the conservation audit stays
-// gate-clean at every rank count.
+// path reproduce the 1-rank run bit-for-bit at 2, 3, 4, 8, and 16 ranks,
+// under both schedules, while the conservation audit stays gate-clean at
+// every rank count.
 func TestDecompRankCountInvariance(t *testing.T) {
 	const steps = 25 // five audited ocean couplings
-	refState, refEta, refHeat, refFW := runDecomp(t, 1, ScheduleSeq, true, steps)
+	refState, refEta, refHeat, refFW := runDecomp(t, 1, ScheduleSeq, steps)
 	if refHeat > 1e-10 || refFW > 1e-10 {
 		t.Fatalf("1-rank residuals %.3e/%.3e exceed the 1e-10 gate", refHeat, refFW)
 	}
-	counts := []int{2, 4, 8, 16}
+	counts := []int{2, 3, 4, 8, 16}
 	if testing.Short() {
 		counts = []int{2, 8}
 	}
 	for _, ranks := range counts {
 		for _, sched := range []Schedule{ScheduleSeq, ScheduleConc} {
 			t.Run(fmt.Sprintf("ranks=%d/%v", ranks, sched), func(t *testing.T) {
-				state, eta, maxHeat, maxFW := runDecomp(t, ranks, sched, true, steps)
+				state, eta, maxHeat, maxFW := runDecomp(t, ranks, sched, steps)
 				if maxHeat > 1e-10 || maxFW > 1e-10 {
 					t.Errorf("residuals %.3e/%.3e exceed the 1e-10 gate", maxHeat, maxFW)
 				}
@@ -145,32 +140,13 @@ func TestDecompRankCountInvariance(t *testing.T) {
 	}
 }
 
-// WithAtmDecomp(false) keeps the historical replicated dataflow — and it
-// must agree bit-for-bit with the decomposed dataflow at the same rank
-// count, the A/B the bench harness relies on.
-func TestDecompMatchesReplicatedSameRanks(t *testing.T) {
-	const steps = 15
-	repState, repEta, _, _ := runDecomp(t, 2, ScheduleSeq, false, steps)
-	decState, decEta, _, _ := runDecomp(t, 2, ScheduleSeq, true, steps)
-	for i := range decState {
-		if decState[i] != repState[i] {
-			t.Fatalf("state[%d]: decomposed %v vs replicated %v", i, decState[i], repState[i])
-		}
-	}
-	for i := range decEta {
-		if decEta[i] != repEta[i] {
-			t.Fatalf("eta[%d]: decomposed %v vs replicated %v", i, decEta[i], repEta[i])
-		}
-	}
-}
-
 // A decomposed run checkpoints through per-rank owned chunks — scattered
 // cell, edge and land-slot runs under the compact partition — at a dividing
 // (2) and a non-dividing (3) rank count. The written global image must be
 // bit-identical to the 1-rank image, and the restored run — on the same rank
-// count or on a single replicated rank — must continue bit-for-bit. (The
-// converse direction, a replicated checkpoint restored onto a decomposed
-// run, is pinned by TestRestartAcrossRankCounts.)
+// count or on 1 rank — must continue bit-for-bit. (The converse direction,
+// a 1-rank checkpoint restored onto a decomposed run, is pinned by
+// TestRestartAcrossRankCounts.)
 func TestDecompRestartRoundTrip(t *testing.T) {
 	start := time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC)
 	cfg, err := ConfigForLabel("25v10")
@@ -258,7 +234,7 @@ func TestDecompRestartRoundTrip(t *testing.T) {
 		}
 
 		same("same-rank-count resume", run("same-rank-count resume", ranks, 2, dir, true))
-		same("replicated resume of decomposed checkpoint", run("replicated resume", 1, 2, dir, true))
+		same("1-rank resume of decomposed checkpoint", run("1-rank resume", 1, 2, dir, true))
 	}
 }
 

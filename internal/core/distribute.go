@@ -18,7 +18,7 @@ import (
 //     (u10, v10, tair, qair, gsw, glw, precip) from the atmosphere's cell
 //     ownership to the ocean's block ownership over the global ocean-column
 //     index space, and the bulk formulas then run unchanged on the ocean
-//     side — bit-identical to the replicated path because the formulas see
+//     side — bit-identical to the one-rank path because the formulas see
 //     the same operands;
 //   - conservative mode rearranges the CSR weight products w_p·f(col_p)
 //     over the global index space of CSR entries, so each owned wet column
@@ -167,11 +167,11 @@ func (e *ESM) rearrObs() coupler.Observer {
 }
 
 // importNearestDistributed is importNearest with the atmosphere inputs
-// arriving by rearrange instead of by replicated-array lookup. The packed
+// arriving by rearrange instead of by local-array lookup. The packed
 // values are read at owned atmosphere cells only, and the consuming loop
 // walks owned columns in ascending global order — the destination vector's
 // layout — with a running position, so the bulk formulas see exactly the
-// operands the replicated path reads.
+// operands the one-rank path reads.
 func (e *ESM) importNearestDistributed() {
 	ds := e.dst
 	a := e.Atm
@@ -239,7 +239,7 @@ func (e *ESM) importNearestDistributed() {
 // the CSR-entry router: each rank packs w_p·f(col_p) for the entries whose
 // atmosphere column it owns, and each owned wet ocean column sums its row's
 // delivered terms in ascending-p order — the same left-to-right order
-// ConsRemap uses, so the result is bit-identical to the replicated remap.
+// ConsRemap uses, so the result is bit-identical to the one-rank remap.
 func (e *ESM) importConservativeDistributed() {
 	ds := e.dst
 	f := e.af
@@ -290,7 +290,7 @@ func (e *ESM) importConservativeDistributed() {
 
 // iceForcingDistributed routes the ice model's atmosphere forcing (air
 // temperature and 10 m wind at each column's nearest atmosphere cell)
-// through the nearest-neighbour router, replacing iceStep's replicated
+// through the nearest-neighbour router, replacing iceStep's local
 // lookups.
 func (e *ESM) iceForcingDistributed() {
 	ds := e.dst

@@ -18,15 +18,14 @@ import (
 	"repro/internal/seaice"
 )
 
-// ESM is the assembled coupled model. It runs SPMD over a communicator:
-// by default both task domains are domain-decomposed — the ocean and sea
-// ice over a 2D tripolar block partition with land-block elimination
-// (the paper's second task domain), the atmosphere and land over an
-// icosahedral cell partition (the first). Either side can instead run
-// replicated (WithAtmDecomp(false) / WithOcnDecomp(false)): every rank
-// computes it redundantly at miniature scale, which gives bit-identical
-// coupling without the rearrangers and serves as the scaling baseline.
-// Both decompositions are driven through the shared grid.Decomp contract.
+// ESM is the assembled coupled model. It runs SPMD over a communicator with
+// both task domains domain-decomposed — the ocean and sea ice over a 2D
+// tripolar block partition with land-block elimination (the paper's second
+// task domain), the atmosphere and land over an icosahedral cell partition
+// (the first) — both driven through the shared grid.Decomp contract. On one
+// rank the partitions are the whole grids, so the atmosphere side runs
+// global loops and local coupling look-ups instead of owned patches and
+// routers (dec == nil; DESIGN.md "Unified domain decomposition").
 // The component exchange contract, field names, coupling clock, and
 // per-component alarms follow CPL7 (§5.1.1): 180 atmosphere, 36 ocean,
 // and 180 sea-ice couplings per simulated day.
@@ -53,11 +52,9 @@ type ESM struct {
 	ocnStepsPer   int
 
 	// Component schedule state (see schedule.go): the schedule selector,
-	// the persistent atmosphere-broadcast buffer of the concurrent
-	// schedule's single-writer atmosphere, the join channel of the ocean
-	// goroutine, and the overlap-fraction accumulator.
+	// the join channel of the ocean goroutine, and the overlap-fraction
+	// accumulator.
 	schedule   Schedule
-	atmPack    []float64
 	ocnDone    chan time.Duration
 	overlapSum float64
 	overlapN   int
@@ -75,7 +72,7 @@ type ESM struct {
 	// and always ships f64 — see initDistribute.
 	wire par.WireFormat
 
-	// Atmosphere + land domain decomposition (nil / empty when replicated):
+	// Atmosphere + land domain decomposition (nil / empty on one rank):
 	// the icosahedral partition behind the shared Decomp contract, the
 	// distributed coupling rearrange state, the land slots this rank steps
 	// (extended patch) and audits (owned range), and the persistent 10 m
@@ -108,11 +105,14 @@ func newAtmFluxes(n int) *atmFluxes {
 	}
 }
 
-// New assembles the coupled model over the communicator for the simulated
-// interval [start, stop). It is the positional wrapper over NewWithOptions
-// kept for existing call sites.
-func New(cfg Config, c *par.Comm, start, stop time.Time, sp pp.Space) (*ESM, error) {
-	return NewWithOptions(cfg, c, WithInterval(start, stop), WithSpace(sp))
+// RanksExceedCellsError is the assembly error for a communicator with more
+// ranks than the atmosphere has cells: some rank would own no column.
+type RanksExceedCellsError struct {
+	Ranks, Cells int
+}
+
+func (e *RanksExceedCellsError) Error() string {
+	return fmt.Sprintf("core: %d ranks exceed the atmosphere's %d cells", e.Ranks, e.Cells)
 }
 
 // assemble builds the model from resolved options.
@@ -139,22 +139,12 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: ocean grid: %w", err)
 	}
+	if c.Size() > atm.Mesh.NCells() {
+		return nil, &RanksExceedCellsError{Ranks: c.Size(), Cells: atm.Mesh.NCells()}
+	}
 	// Ocean + sea-ice decomposition: a 2D tripolar block partition with
-	// land-block elimination by default, or the fully-replicated baseline
-	// (every rank holds the whole grid) under WithOcnDecomp(false). The
-	// distributed atmosphere's coupling routers address ocean columns by
-	// owner, which a replicated ocean does not define — that combination
-	// is rejected rather than silently misrouted.
-	atmDistributed := opt.atmDecomp && c.Size() > 1 && c.Size() <= atm.Mesh.NCells()
-	if atmDistributed && !opt.ocnDecomp {
-		return nil, fmt.Errorf("core: the decomposed atmosphere requires the decomposed ocean at %d ranks (enable -ocn-decomp or disable -atm-decomp)", c.Size())
-	}
-	var blk *grid.TripolarDecomp
-	if opt.ocnDecomp && c.Size() > 1 {
-		blk, err = grid.NewTripolarDecomp(g, c, 1)
-	} else {
-		blk, err = grid.NewTripolarReplicated(g, c, 1)
-	}
+	// land-block elimination (the 1×1 layout on one rank).
+	blk, err := grid.NewTripolarDecomp(g, c, 1)
 	if err != nil {
 		return nil, fmt.Errorf("core: ocean decomposition: %w", err)
 	}
@@ -231,11 +221,11 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 	// cells into compact owned patches, register the halo-exchange plans
 	// with the atmosphere, split the land columns with the same ownership
 	// map (after Adopt, so adopted cells are partitioned too), and build
-	// the distributed-coupling routers. Replicated operation — one rank, or
-	// WithAtmDecomp(false) — leaves dec nil and every legacy path intact.
+	// the distributed-coupling routers. One rank leaves dec nil: the patch
+	// would be the whole mesh and every router a local copy.
 	e.u10 = make([]float64, atm.Mesh.NCells())
 	e.v10 = make([]float64, atm.Mesh.NCells())
-	if atmDistributed {
+	if c.Size() > 1 {
 		d, err := atm.Decompose(c)
 		if err != nil {
 			return nil, fmt.Errorf("core: atmosphere decomposition: %w", err)
@@ -372,14 +362,9 @@ func (e *ESM) RunDays(days float64) int {
 }
 
 // atmosphereStep runs one atmosphere model step plus the direct land
-// exchange (the land model bypasses the coupler, §5.1.1). Decomposed, every
-// rank steps its own patch and the halo exchanges inside StepModel are the
-// only cross-rank traffic — there is no atmosphere broadcast any more.
-// Replicated under the sequential schedule every rank computes the
-// atmosphere redundantly; replicated under the concurrent schedule computes
-// it once on rank 0 and broadcasts the step's outputs, which is bit-for-bit
-// the same state on every rank while freeing the other ranks' time inside
-// the overlap window.
+// exchange (the land model bypasses the coupler, §5.1.1). Every rank steps
+// its own patch and the halo exchanges inside StepModel are the only
+// cross-rank traffic.
 //
 // The radiation diagnosis is demand-driven (DESIGN.md): landStep reads
 // GSW/GLW on its cells right after this step; every other reader sits in
@@ -388,26 +373,15 @@ func (e *ESM) RunDays(days float64) int {
 func (e *ESM) atmosphereStep() {
 	e.Atm.DemandRadiation(e.radEvery, e.Clock.Due("ocn"))
 	swept := e.Atm.RadiationColumns()
-	switch {
-	case e.dec != nil:
-		e.Atm.StepModel()
-	case e.schedule == ScheduleConc && e.Comm.Size() > 1:
-		if e.Comm.Rank() == 0 {
-			e.Atm.StepModel()
-		}
-		e.bcastAtmStep()
-	default:
-		e.Atm.StepModel()
-	}
+	e.Atm.StepModel()
 	e.obs.AddCount("atm.rad.columns", int64(e.Atm.RadiationColumns()-swept))
 	e.landStep()
 }
 
-// landStep runs the direct atmosphere ↔ land exchange on land cells.
-// Replicated, every rank steps every land column from the (identical)
-// atmosphere state. Decomposed, each rank steps the land columns of its
-// extended patch: owned cells for real, halo cells redundantly — the halo's
-// atmosphere forcing is bit-identical to the owner's, so the skin
+// landStep runs the direct atmosphere ↔ land exchange on land cells. One
+// rank steps every land column. Decomposed, each rank steps the land columns
+// of its extended patch: owned cells for real, halo cells redundantly — the
+// halo's atmosphere forcing is bit-identical to the owner's, so the skin
 // temperature the redundant physics columns read matches the owner exactly.
 func (e *ESM) landStep() {
 	nc := e.Atm.Mesh.NCells()
@@ -435,8 +409,7 @@ func (e *ESM) landStep() {
 }
 
 // forLandStepped visits the atmosphere cells whose land column this rank
-// steps: every land cell when replicated, the extended patch's when
-// decomposed.
+// steps: every land cell on one rank, the extended patch's when decomposed.
 func (e *ESM) forLandStepped(fn func(c int)) {
 	if e.dec == nil {
 		for _, c := range e.Lnd.Cells {
@@ -452,7 +425,7 @@ func (e *ESM) forLandStepped(fn func(c int)) {
 // iceStep imports atmosphere and ocean state into the ice model, steps it,
 // and refreshes the global ice fraction. Decomposed, the atmosphere forcing
 // arrives through the nearest-neighbour rearranger (no rank holds the whole
-// atmosphere); replicated, it is read from the local (identical) arrays.
+// atmosphere); on one rank it is read from the local arrays.
 func (e *ESM) iceStep() {
 	if e.dec != nil {
 		e.iceForcingDistributed()
@@ -649,13 +622,10 @@ func (e *ESM) importConservative() {
 	}
 }
 
-// auditRecord tallies one coupling interval into the ledger. Replicated,
-// the atmosphere-side export integrals over the overlap areas Ã_c need no
-// reduction, and only the ocean-side import integrals and storage terms
-// cross ranks (one batched reduction). Decomposed, the atmosphere-side
-// terms, the land water, and the atmosphere water are owned-range partial
-// sums too, and every term — both sides of every interface plus every
-// store — travels in a single batched AllreduceSlice.
+// auditRecord tallies one coupling interval into the ledger. On one rank
+// every local sum already is the global integral. Decomposed, every term —
+// both sides of every interface plus every store — is an owned-range
+// partial sum and travels in a single batched AllreduceSlice.
 func (e *ESM) auditRecord() {
 	o := e.Ocn
 	b := o.B
@@ -697,22 +667,9 @@ func (e *ESM) auditRecord() {
 			iv.FWAtmCpl += ar * f.emp[c]
 			iv.FWGross += ar * math.Abs(f.emp[c])
 		}
-		if o.B.Replicated() {
-			// Fully replicated: every term above and below is already the
-			// global integral on every rank — a reduction would count the
-			// domain once per rank.
-			iv.HeatCplOcn, iv.FWCplOcn, iv.HeatIceOcn = heatIn, fwIn, iceHeat
-			iv.OcnHeat, iv.OcnSalt = o.HeatContentLocal(), o.SaltContentLocal()
-			iv.IceFW = seaice.RhoIce * e.Ice.LocalVolume()
-		} else {
-			sums := e.Comm.AllreduceSlice([]float64{
-				heatIn, fwIn, iceHeat,
-				o.HeatContentLocal(), o.SaltContentLocal(), e.Ice.LocalVolume(),
-			}, par.OpSum)
-			iv.HeatCplOcn, iv.FWCplOcn, iv.HeatIceOcn = sums[0], sums[1], sums[2]
-			iv.OcnHeat, iv.OcnSalt = sums[3], sums[4]
-			iv.IceFW = seaice.RhoIce * sums[5]
-		}
+		iv.HeatCplOcn, iv.FWCplOcn, iv.HeatIceOcn = heatIn, fwIn, iceHeat
+		iv.OcnHeat, iv.OcnSalt = o.HeatContentLocal(), o.SaltContentLocal()
+		iv.IceFW = seaice.RhoIce * e.Ice.LocalVolume()
 		for slot, c := range e.Lnd.Cells {
 			iv.LndWater += e.Lnd.Bucket[slot] * e.Atm.Mesh.AreaCell[c] *
 				grid.EarthRadius * grid.EarthRadius * rhoWater
@@ -723,7 +680,7 @@ func (e *ESM) auditRecord() {
 	}
 	// Decomposed: atmosphere-side partials over this rank's owned cells (the
 	// owned ranges partition the mesh, so the sum over ranks reproduces the
-	// replicated integrals up to summation order), batched with the
+	// one-rank integrals up to summation order), batched with the
 	// ocean-side terms into one 16-term reduction.
 	var aSW, aLW, aSens, aLat, aCpl, aGross, aFW, aFWGross float64
 	for _, rng := range e.dec.OwnedRanges() {
@@ -793,9 +750,7 @@ func (e *ESM) ocnIdx2(li, lj int) int {
 }
 
 // refreshOceanSurface gathers SST and ice fraction into global arrays and
-// broadcasts them so every rank's (redundant) atmosphere sees the same
-// surface. In the replicated-ocean mode every rank assembles the globals
-// locally and no traffic is needed.
+// broadcasts them so every rank's atmosphere patch sees the same surface.
 func (e *ESM) refreshOceanSurface() {
 	b := e.Ocn.B
 	n2 := b.LNI() * b.LNJ()
@@ -805,10 +760,6 @@ func (e *ESM) refreshOceanSurface() {
 	copy(iceLoc, e.Ice.Conc)
 	sstG := b.GatherGlobal(sstLoc)
 	iceG := b.GatherGlobal(iceLoc)
-	if b.Replicated() {
-		e.sstGlobal, e.iceGlobal = sstG, iceG
-		return
-	}
 	e.sstGlobal = par.Bcast(e.Comm, 0, sstG)
 	e.iceGlobal = par.Bcast(e.Comm, 0, iceG)
 }

@@ -108,7 +108,7 @@ func TestNewWithOptionsDefaults(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		b, err := New(cfg, c, start, start.Add(24*time.Hour), pp.Serial{})
+		b, err := NewWithOptions(cfg, c, WithInterval(start, start.Add(24*time.Hour)), WithSpace(pp.Serial{}))
 		if err != nil {
 			t.Error(err)
 			return

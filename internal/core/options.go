@@ -16,8 +16,6 @@ type options struct {
 	schedule    Schedule
 	remap       RemapMode
 	audit       bool
-	atmDecomp   bool
-	ocnDecomp   bool
 	wire        par.WireFormat
 	kprec       pp.Prec
 }
@@ -48,8 +46,7 @@ func WithObserver(o obs.Observer) Option {
 // WithSchedule selects how the component groups advance within a coupling
 // interval: ScheduleSeq (default) runs them strictly in sequence on every
 // rank, ScheduleConc overlaps the ocean's baroclinic substeps with the
-// atmosphere + land group and computes the replicated atmosphere once
-// instead of redundantly. Both schedules are bit-for-bit identical.
+// atmosphere + land group. Both schedules are bit-for-bit identical.
 func WithSchedule(s Schedule) Option {
 	return func(opt *options) { opt.schedule = s }
 }
@@ -69,31 +66,6 @@ func WithRemap(m RemapMode) Option {
 // per coupling interval.
 func WithAudit(on bool) Option {
 	return func(opt *options) { opt.audit = on }
-}
-
-// WithAtmDecomp selects whether the atmosphere + land are domain-decomposed
-// across the communicator (the default) or computed redundantly on every
-// rank (the historical replicated dataflow, kept as the 1-rank degenerate
-// case and for A/B measurement). Decomposition partitions the icosahedral
-// cells into compact patches, keeps a one-ring halo current through
-// point-to-point exchanges, and routes the atm→ocn coupling through the
-// offline-scheduled rearranger; the prognostic state is bit-for-bit
-// identical to the replicated dataflow at any rank count.
-func WithAtmDecomp(on bool) Option {
-	return func(opt *options) { opt.atmDecomp = on }
-}
-
-// WithOcnDecomp selects whether the ocean + sea ice are domain-decomposed
-// across the communicator (the default) or replicated on every rank (the
-// no-decomposition scaling baseline, mirroring WithAtmDecomp(false)).
-// Decomposition partitions the tripolar grid into uniform 2D blocks —
-// eliminating all-land blocks from the layout — and keeps a one-ring halo
-// current through batched point-to-point exchanges; the prognostic state is
-// bit-for-bit identical to the replicated dataflow at any rank count. The
-// replicated ocean cannot be combined with the decomposed atmosphere at
-// multi-rank (the coupling routers address ocean columns by owner).
-func WithOcnDecomp(on bool) Option {
-	return func(opt *options) { opt.ocnDecomp = on }
 }
 
 // WithWireCompression selects the wire format of the hot communication
@@ -127,17 +99,14 @@ func WithKernelPrecision(p pp.Prec) Option {
 func defaultOptions() options {
 	start := time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC)
 	return options{
-		start:     start,
-		stop:      start.Add(24 * time.Hour),
-		sp:        pp.Serial{},
-		atmDecomp: true,
-		ocnDecomp: true,
+		start: start,
+		stop:  start.Add(24 * time.Hour),
+		sp:    pp.Serial{},
 	}
 }
 
 // NewWithOptions assembles the coupled model over the communicator with
-// functional options — the redesigned entry point; New remains as a
-// positional wrapper so call sites migrate incrementally.
+// functional options.
 func NewWithOptions(cfg Config, c *par.Comm, opts ...Option) (*ESM, error) {
 	opt := defaultOptions()
 	for _, apply := range opts {

@@ -81,8 +81,8 @@ func (e *ESM) WriteSnapshot(path string) error {
 	return pario.WriteSingleTo(e.Comm, path, fields, e.obs)
 }
 
-// assembleAtmField builds a global atmosphere-cell field. Replicated, every
-// rank's arrays already hold the global state and fill runs over all cells;
+// assembleAtmField builds a global atmosphere-cell field. On one rank the
+// arrays already hold the global state and fill runs over all cells;
 // decomposed, each rank fills only its owned cells (halo and farther cells
 // are stale at multi-rank) and a sum-allreduce assembles the global field —
 // the owned ranges partition the mesh, so the sum places each value exactly

@@ -11,7 +11,7 @@ import (
 )
 
 // ownedAtmCells calls fn on every atmosphere cell this rank owns (all of
-// them when replicated).
+// them on 1 rank).
 func ownedAtmCells(e *ESM, fn func(c int)) {
 	if e.dec == nil {
 		for c := 0; c < e.Atm.Mesh.NCells(); c++ {

@@ -24,7 +24,7 @@ func mkESM(t *testing.T, c *par.Comm) func() (*ESM, error) {
 	}
 	start := resilientStart()
 	return func() (*ESM, error) {
-		e, err := New(cfg, c, start, start.Add(24*time.Hour), pp.Serial{})
+		e, err := NewWithOptions(cfg, c, WithInterval(start, start.Add(24*time.Hour)), WithSpace(pp.Serial{}))
 		if err != nil {
 			return nil, err
 		}

@@ -14,13 +14,12 @@ import (
 // Restart support: the coupled model checkpoints through the §5.2.5
 // subfile-partitioned parallel I/O and resumes bit-for-bit. Distributed
 // ocean/ice fields are written as per-row chunks of the global index space
-// by every rank. Replicated atmosphere and land states are written by rank 0
-// only; decomposed, every rank writes the chunks it owns — the runs of its
+// by every rank. One rank writes the atmosphere and land states whole;
+// decomposed, every rank writes the chunks it owns — the runs of its
 // owned cells, the per-level runs of its owned edges, and the runs of its
 // owned land slots — so the checkpoint is a rank-count-independent global image
 // either way. Each rank reads the whole (small) restart set back and keeps
-// its own region, which also makes restarts valid across rank counts and
-// across the replicated/decomposed dataflows.
+// its own region, which also makes restarts valid across rank counts.
 
 // restartMeta packs the counters a resumed run must reinstate.
 const metaField = "meta"
@@ -104,18 +103,16 @@ func commitRestartSet(staging, dir string) error {
 	return nil
 }
 
-// restartFields flattens the coupled state into pario fields: distributed
-// ocean/ice rows from every rank, replicated atmosphere/land from rank 0.
+// restartFields flattens the coupled state into pario fields: ocean/ice
+// rows and the owned atmosphere/land chunks from every rank.
 func (e *ESM) restartFields() []pario.Field {
 	var fields []pario.Field
 
 	// --- Distributed ocean and ice fields, one chunk per local row ---
-	// Replicated, rank 0's copy spans the whole grid and writes alone (the
-	// other ranks hold identical state that would double-write the same
-	// elements). Decomposed, every rank writes its owned rows, and rank 0
-	// additionally writes zero-filled rows for the land-eliminated blocks no
-	// rank owns — ocean and ice fields are identically zero over land, and
-	// pario.ReadGlobal requires every element covered exactly once.
+	// Every rank writes its owned rows, and rank 0 additionally writes
+	// zero-filled rows for the land-eliminated blocks no rank owns — ocean
+	// and ice fields are identically zero over land, and pario.ReadGlobal
+	// requires every element covered exactly once.
 	o := e.Ocn
 	b := o.B
 	g := o.G
@@ -146,20 +143,18 @@ func (e *ESM) restartFields() []pario.Field {
 		{"ice.conc", e.Ice.Conc}, {"ice.thick", e.Ice.Thick},
 		{"ice.freezeheat", e.Ice.FreezeHeat},
 	}
-	if !b.Replicated() || e.Comm.Rank() == 0 {
-		for _, f3 := range ocnF3 {
-			for k := 0; k < o.NL; k++ {
-				for lj := 0; lj < b.NJ; lj++ {
-					gStart := (k*g.NY+(b.J0+lj))*g.NX + b.I0
-					addRow(f3.name, o.NL*n2g, gStart, rowOf(f3.data, k, lj))
-				}
+	for _, f3 := range ocnF3 {
+		for k := 0; k < o.NL; k++ {
+			for lj := 0; lj < b.NJ; lj++ {
+				gStart := (k*g.NY+(b.J0+lj))*g.NX + b.I0
+				addRow(f3.name, o.NL*n2g, gStart, rowOf(f3.data, k, lj))
 			}
 		}
-		for _, f2 := range ocnF2 {
-			for lj := 0; lj < b.NJ; lj++ {
-				gStart := (b.J0+lj)*g.NX + b.I0
-				addRow(f2.name, n2g, gStart, rowOf(f2.data, 0, lj))
-			}
+	}
+	for _, f2 := range ocnF2 {
+		for lj := 0; lj < b.NJ; lj++ {
+			gStart := (b.J0+lj)*g.NX + b.I0
+			addRow(f2.name, n2g, gStart, rowOf(f2.data, 0, lj))
 		}
 	}
 	if e.Comm.Rank() == 0 {
@@ -183,40 +178,38 @@ func (e *ESM) restartFields() []pario.Field {
 	// --- Atmosphere + land ---
 	m := e.Atm
 	if e.dec == nil {
-		// Replicated: rank 0 writes the whole arrays.
-		if e.Comm.Rank() == 0 {
-			whole := func(name string, data []float64) {
-				cp := append([]float64(nil), data...)
-				fields = append(fields, pario.Field{Name: name, Global: len(cp), Start: 0, Data: cp})
-			}
-			whole("atm.ps", m.Ps)
-			whole("atm.t", m.T)
-			whole("atm.qv", m.Qv)
-			whole("atm.u", m.U)
-			whole("atm.sst", m.SST)
-			whole("atm.icefrac", m.IceFrac)
-			whole("atm.gsw", m.GSW)
-			whole("atm.glw", m.GLW)
-			whole("atm.precip", m.Precip)
-			whole("atm.taux", m.TauX)
-			whole("atm.tauy", m.TauY)
-			whole("atm.shf", m.SHF)
-			whole("atm.lhf", m.LHF)
-			edge, dps := m.FluxAccumulators()
-			if edge != nil {
-				whole("atm.fluxedge", edge)
-				whole("atm.fluxdps", dps)
-			}
-			whole("lnd.tsoil", e.Lnd.TSoil)
-			whole("lnd.bucket", e.Lnd.Bucket)
+		// One rank: the local arrays are the global image.
+		whole := func(name string, data []float64) {
+			cp := append([]float64(nil), data...)
+			fields = append(fields, pario.Field{Name: name, Global: len(cp), Start: 0, Data: cp})
 		}
+		whole("atm.ps", m.Ps)
+		whole("atm.t", m.T)
+		whole("atm.qv", m.Qv)
+		whole("atm.u", m.U)
+		whole("atm.sst", m.SST)
+		whole("atm.icefrac", m.IceFrac)
+		whole("atm.gsw", m.GSW)
+		whole("atm.glw", m.GLW)
+		whole("atm.precip", m.Precip)
+		whole("atm.taux", m.TauX)
+		whole("atm.tauy", m.TauY)
+		whole("atm.shf", m.SHF)
+		whole("atm.lhf", m.LHF)
+		edge, dps := m.FluxAccumulators()
+		if edge != nil {
+			whole("atm.fluxedge", edge)
+			whole("atm.fluxdps", dps)
+		}
+		whole("lnd.tsoil", e.Lnd.TSoil)
+		whole("lnd.bucket", e.Lnd.Bucket)
 	} else {
 		// Decomposed: every rank writes what it owns. Owned cells, owned
 		// edges, and owned land slots each partition their global index
 		// space across ranks and are scattered id lists, written as their
 		// grid.Runs chunks (the cells' are cached as OwnedRanges), so the
 		// union of chunks is exactly one global image — bit-identical to
-		// what a replicated rank 0 would write.
+		// what one rank writes.
 		d := e.dec
 		nc := m.Mesh.NCells()
 		ne := m.Mesh.NEdges()
@@ -327,7 +320,7 @@ func (e *ESM) ReadRestart(dir string, nGroups int) error {
 	atmSteps := int(meta[1])
 	ocnSteps := int(meta[2])
 
-	// --- Atmosphere + land (replicated) ---
+	// --- Atmosphere + land (every rank restores the whole arrays) ---
 	m := e.Atm
 	for _, spec := range []struct {
 		name string

@@ -41,7 +41,7 @@ func TestRestartBitIdentical(t *testing.T) {
 	// Uninterrupted reference run.
 	var ref map[string][]float64
 	par.Run(1, func(c *par.Comm) {
-		e, err := New(cfg, c, start, start.Add(24*time.Hour), pp.Serial{})
+		e, err := NewWithOptions(cfg, c, WithInterval(start, start.Add(24*time.Hour)), WithSpace(pp.Serial{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestRestartBitIdentical(t *testing.T) {
 	// Interrupted run with a checkpoint in the middle.
 	dir := t.TempDir()
 	par.Run(1, func(c *par.Comm) {
-		e, err := New(cfg, c, start, start.Add(24*time.Hour), pp.Serial{})
+		e, err := NewWithOptions(cfg, c, WithInterval(start, start.Add(24*time.Hour)), WithSpace(pp.Serial{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestRestartBitIdentical(t *testing.T) {
 	})
 	var got map[string][]float64
 	par.Run(1, func(c *par.Comm) {
-		e, err := New(cfg, c, start, start.Add(24*time.Hour), pp.Serial{})
+		e, err := NewWithOptions(cfg, c, WithInterval(start, start.Add(24*time.Hour)), WithSpace(pp.Serial{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestRestartAcrossRankCounts(t *testing.T) {
 
 	var ref []float64
 	par.Run(1, func(c *par.Comm) {
-		e, _ := New(cfg, c, start, start.Add(24*time.Hour), pp.Serial{})
+		e, _ := NewWithOptions(cfg, c, WithInterval(start, start.Add(24*time.Hour)), WithSpace(pp.Serial{}))
 		for i := 0; i < stepsA; i++ {
 			e.Step()
 		}
@@ -130,7 +130,7 @@ func TestRestartAcrossRankCounts(t *testing.T) {
 
 	var got []float64
 	par.Run(4, func(c *par.Comm) {
-		e, err := New(cfg, c, start, start.Add(24*time.Hour), pp.Serial{})
+		e, err := NewWithOptions(cfg, c, WithInterval(start, start.Add(24*time.Hour)), WithSpace(pp.Serial{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestRestartErrors(t *testing.T) {
 	start := time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC)
 	cfg, _ := ConfigForLabel("25v10")
 	par.Run(1, func(c *par.Comm) {
-		e, _ := New(cfg, c, start, start.Add(time.Hour), pp.Serial{})
+		e, _ := NewWithOptions(cfg, c, WithInterval(start, start.Add(time.Hour)), WithSpace(pp.Serial{}))
 		// Reading a nonexistent restart fails.
 		if err := e.ReadRestart(t.TempDir(), 1); err == nil {
 			t.Error("missing restart accepted")
@@ -179,7 +179,7 @@ func TestWriteSnapshot(t *testing.T) {
 	cfg, _ := ConfigForLabel("25v10")
 	path := t.TempDir() + "/snap.bin"
 	par.Run(2, func(c *par.Comm) {
-		e, err := New(cfg, c, start, start.Add(time.Hour), pp.Serial{})
+		e, err := NewWithOptions(cfg, c, WithInterval(start, start.Add(time.Hour)), WithSpace(pp.Serial{}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"time"
-
-	"repro/internal/par"
 )
 
 // Schedule selects how the component groups advance within one coupling
@@ -15,13 +13,10 @@ type Schedule int
 
 const (
 	// ScheduleSeq runs the ocean group, then the atmosphere + land group,
-	// then the ice/export phase strictly in sequence on every rank, with
-	// the atmosphere computed redundantly everywhere.
+	// then the ice/export phase strictly in sequence on every rank.
 	ScheduleSeq Schedule = iota
 	// ScheduleConc overlaps the ocean group's baroclinic substeps with the
-	// atmosphere + land group inside each coupling interval, and computes
-	// the replicated atmosphere once (on rank 0, broadcasting the step's
-	// outputs) instead of redundantly on every rank.
+	// atmosphere + land group inside each coupling interval.
 	ScheduleConc
 )
 
@@ -69,10 +64,9 @@ type sectionAdder interface {
 // Concurrency discipline on the shared communicator: the ocean goroutine
 // performs only point-to-point halo traffic on the tripolar decomposition's
 // tag range, and during the overlap window the driver goroutine performs
-// either the replicated atmosphere's broadcast collective or — decomposed —
-// the atmosphere's own point-to-point halo exchanges on the disjoint
-// icosahedral tag range. Point-to-point matching is per (source, tag), so neither
-// goroutine can consume the other's messages, and the decomposed halo
+// only the atmosphere's own point-to-point halo exchanges on the disjoint
+// icosahedral tag range. Point-to-point matching is per (source, tag), so
+// neither goroutine can consume the other's messages, and the halo
 // exchanges are barrier-free by design so no collective runs concurrently
 // with the ocean's traffic. The coupling rearranges, which do end in a
 // barrier, run only on the driver goroutine outside the overlap window: in
@@ -131,37 +125,4 @@ func (e *ESM) OverlapFraction() float64 {
 		return 0
 	}
 	return e.overlapSum / float64(e.overlapN)
-}
-
-// bcastAtmStep replicates rank 0's atmosphere step outputs to every rank
-// through one persistent flat buffer — the replicated concurrent schedule's
-// single-writer path; decomposed runs never call it (each rank owns its
-// patch and there is nothing to broadcast). par.Bcast shares the root's slice by
-// reference, so non-root ranks copy out immediately; rank 0's next repack
-// of the buffer is ordered after those copies by the surface-export
-// collectives every base step performs before the next atmosphere step.
-func (e *ESM) bcastAtmStep() {
-	fields := e.Atm.StepOutputs()
-	var pack []float64
-	if e.Comm.Rank() == 0 {
-		if e.atmPack == nil {
-			total := 0
-			for _, f := range fields {
-				total += len(f)
-			}
-			e.atmPack = make([]float64, total)
-		}
-		off := 0
-		for _, f := range fields {
-			off += copy(e.atmPack[off:], f)
-		}
-		pack = e.atmPack
-	}
-	pack = par.Bcast(e.Comm, 0, pack)
-	if e.Comm.Rank() != 0 {
-		off := 0
-		for _, f := range fields {
-			off += copy(f, pack[off:off+len(f)])
-		}
-	}
 }

@@ -156,7 +156,7 @@ func TestWireF64DefaultBitIdentical(t *testing.T) {
 	if ratio != 0 {
 		t.Errorf("cpl.wire.ratio published under f64: %v", ratio)
 	}
-	baseState, _, _, _ := runDecomp(t, 2, ScheduleSeq, true, steps)
+	baseState, _, _, _ := runDecomp(t, 2, ScheduleSeq, steps)
 	var base map[string][]float64
 	{
 		cfg, err := ConfigForLabel("25v10")

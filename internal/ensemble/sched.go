@@ -10,10 +10,10 @@ const (
 
 // The dispatch path is the ensemble's hot loop under faults: a slowed group
 // cycles members back through the queue while healthy groups drain it, so
-// next/requeue/finish must not allocate in steady state (BENCH_5's alloc
-// audit pins this). Both schedulers are a fixed-capacity ring of member
-// indices under a mutex+cond — no channels (channel ops allocate sudog on
-// contention), no interface boxing, no fmt.
+// next/requeue/finish must not allocate in steady state
+// (TestDispatchPathDoesNotAllocate pins this). Both schedulers are a
+// fixed-capacity ring of member indices under a mutex+cond — no channels
+// (channel ops allocate sudog on contention), no interface boxing, no fmt.
 
 // memberQueue is a fixed-capacity FIFO ring of member indices.
 type memberQueue struct {
@@ -129,8 +129,7 @@ func (s *stealSched) finish()       { s.tc.finish() }
 
 // staticSched: the baseline partitioning — member i belongs to group
 // i mod groups and nobody else may run it, so a slow group strands its
-// share of the ensemble while the others idle. BENCH_5 measures exactly
-// that gap.
+// share of the ensemble while the others idle.
 type staticSched struct {
 	qs []*memberQueue
 	tc terminalCount
@@ -167,14 +166,3 @@ func newScheduler(kind string, members, groups int) scheduler {
 	}
 	return newStealSched(members, groups)
 }
-
-// BenchScheduler exposes the dispatch-path primitives to the external alloc
-// audit (cmd/bench5) without exporting the scheduler internals.
-type BenchScheduler struct{ s scheduler }
-
-func NewSchedulerForBench(members, groups int) BenchScheduler {
-	return BenchScheduler{s: newStealSched(members, groups)}
-}
-
-func (b BenchScheduler) Next(group int) (member int, stolen, ok bool) { return b.s.next(group) }
-func (b BenchScheduler) Requeue(member int)                           { b.s.requeue(member) }

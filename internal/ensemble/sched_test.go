@@ -66,8 +66,7 @@ func TestSchedulerRequeueAndSteal(t *testing.T) {
 }
 
 // The dispatch path must not allocate in steady state: a slow group cycling
-// members through next/requeue and the disarmed fault hook are the ops the
-// BENCH_5 alloc audit gates.
+// members through next/requeue and the disarmed fault hook are its ops.
 func TestDispatchPathDoesNotAllocate(t *testing.T) {
 	fault.Disarm()
 	s := newStealSched(4, 2)

@@ -41,8 +41,7 @@ type Decomp interface {
 	ExchangeCells(f []float64, nlev int)
 
 	// Gather assembles one level of a local field into the full global
-	// array on rank 0 (nil on the other ranks; a replicated
-	// decomposition may return it everywhere). Collective.
+	// array on rank 0 (nil on the other ranks). Collective.
 	Gather(f []float64) []float64
 
 	// SetObserver attaches the halo traffic counters

@@ -25,9 +25,8 @@ import (
 //
 // It implements the shared Decomp contract, so core's coupler, budget,
 // restart, and snapshot paths treat the ocean exactly like the decomposed
-// atmosphere. A replicated variant (NewTripolarReplicated) gives every rank
-// the full grid as one local block with no communication — the historical
-// baseline the scaling benchmarks compare against.
+// atmosphere. One rank gets the 1×1 layout: the whole grid as one block whose
+// every boundary resolves locally.
 type TripolarDecomp struct {
 	G *Tripolar
 
@@ -42,8 +41,7 @@ type TripolarDecomp struct {
 	bx, by   int   // this rank's block coordinates
 	rankOf   []int // block (by*PBX+bx) -> owning rank; -1 = eliminated
 
-	comm       *par.Comm
-	replicated bool
+	comm *par.Comm
 
 	// Geometric neighbours (-1 = none assigned). southBoundary and atFold
 	// mark the physical boundaries; a -1 rank on an interior side means
@@ -196,31 +194,6 @@ func NewTripolarDecompLayout(g *Tripolar, c *par.Comm, pbx, pby, halo int) (*Tri
 	return newTripolarFromLayout(g, c, halo, pbx, pby, loads)
 }
 
-// NewTripolarReplicated gives every rank the whole grid as one local block:
-// no ownership split, no communication — every exchange resolves locally
-// with the identical boundary semantics. Owner reports rank 0 as the
-// canonical owner and OwnedRanges is empty off rank 0, so collective writers
-// emit each element exactly once.
-func NewTripolarReplicated(g *Tripolar, c *par.Comm, halo int) (*TripolarDecomp, error) {
-	if halo < 1 {
-		return nil, fmt.Errorf("grid: halo width must be >= 1, got %d", halo)
-	}
-	if halo > g.NX || halo > g.NY {
-		return nil, fmt.Errorf("grid: halo %d exceeds grid %dx%d", halo, g.NX, g.NY)
-	}
-	d := &TripolarDecomp{
-		G: g, comm: c, H: halo,
-		PBX: 1, PBY: 1, BNI: g.NX, BNJ: g.NY,
-		rankOf: []int{0}, replicated: true,
-	}
-	d.finishGeometry()
-	// Every replicated rank folds onto its own copy of the grid, whatever
-	// its rank number (finishGeometry derives foldRank from the block map,
-	// which names rank 0).
-	d.foldRank = c.Rank()
-	return d, nil
-}
-
 // blockLoads returns the per-block active-point count (ΣKMT) of a layout;
 // zero marks an all-land block.
 func blockLoads(g *Tripolar, pbx, pby int) []int {
@@ -283,16 +256,9 @@ func (d *TripolarDecomp) finishGeometry() {
 		d.eastRank = d.rankOf[d.by*d.PBX+(d.bx+1)%d.PBX]
 	}
 
-	switch {
-	case d.replicated && d.comm.Rank() != 0:
-		d.ownedRanges = [][2]int{}
-	case d.replicated:
-		d.ownedRanges = [][2]int{{0, d.G.NX * d.G.NY}}
-	default:
-		d.ownedRanges = make([][2]int, 0, d.NJ)
-		for lj := 0; lj < d.NJ; lj++ {
-			d.ownedRanges = append(d.ownedRanges, [2]int{(d.J0+lj)*d.G.NX + d.I0, d.NI})
-		}
+	d.ownedRanges = make([][2]int, 0, d.NJ)
+	for lj := 0; lj < d.NJ; lj++ {
+		d.ownedRanges = append(d.ownedRanges, [2]int{(d.J0+lj)*d.G.NX + d.I0, d.NI})
 	}
 }
 
@@ -320,11 +286,6 @@ func (d *TripolarDecomp) AtNorthFold() bool { return d.atFold }
 // AtSouth reports whether this block touches the closed southern boundary.
 func (d *TripolarDecomp) AtSouth() bool { return d.southBoundary }
 
-// Replicated reports whether every rank holds the full grid (the
-// no-decomposition baseline): collectives over the decomposition reduce to
-// local reads and restart/snapshot writers emit from rank 0 only.
-func (d *TripolarDecomp) Replicated() bool { return d.replicated }
-
 // DryBlocks returns the land-eliminated blocks (identical on every rank;
 // callers must not mutate).
 func (d *TripolarDecomp) DryBlocks() []DryBlock { return d.dryBlocks }
@@ -341,9 +302,6 @@ func (d *TripolarDecomp) NGlobal() int { return d.G.NX * d.G.NY }
 // column inside a wet block is owned by that block's rank, while columns of
 // eliminated blocks are owned by nobody (-1).
 func (d *TripolarDecomp) Owner(gi int) int {
-	if d.replicated {
-		return 0
-	}
 	i, j := gi%d.G.NX, gi/d.G.NX
 	return d.rankOf[(j/d.BNJ)*d.PBX+i/d.BNI]
 }
@@ -352,9 +310,6 @@ func (d *TripolarDecomp) Owner(gi int) int {
 // available after an exchange — owned, inside the halo ring (periodic in
 // x), or a fold image row of a fold-touching block.
 func (d *TripolarDecomp) InExt(gi int) bool {
-	if d.replicated {
-		return true
-	}
 	nx := d.G.NX
 	i, j := gi%nx, gi/nx
 	if d.xNear(i) {
@@ -381,8 +336,7 @@ func (d *TripolarDecomp) xNear(i int) bool {
 	return dl <= d.H || dr <= d.H
 }
 
-// OwnedRanges implements Decomp: one {start, NI} run per owned row
-// (replicated: the full index space on rank 0, empty elsewhere). Cached;
+// OwnedRanges implements Decomp: one {start, NI} run per owned row. Cached;
 // callers must not mutate.
 func (d *TripolarDecomp) OwnedRanges() [][2]int { return d.ownedRanges }
 
@@ -409,39 +363,21 @@ func (d *TripolarDecomp) ExchangeCells(f []float64, nlev int) {
 // Gather implements Decomp: GatherGlobal on one level.
 func (d *TripolarDecomp) Gather(f []float64) []float64 { return d.GatherGlobal(f) }
 
-// AllreduceSum reduces a scalar over the decomposition's ranks. In the
-// replicated mode every rank already holds the global value, so the
-// collective is skipped (summing would count the domain once per rank).
+// AllreduceSum reduces a scalar over the decomposition's ranks.
 func (d *TripolarDecomp) AllreduceSum(v float64) float64 {
-	if d.replicated {
-		return v
-	}
 	return d.comm.Allreduce(v, par.OpSum)
 }
 
 // AllreduceMax is AllreduceSum's max counterpart.
 func (d *TripolarDecomp) AllreduceMax(v float64) float64 {
-	if d.replicated {
-		return v
-	}
 	return d.comm.Allreduce(v, par.OpMax)
 }
 
 // GatherGlobal assembles the owned regions of a local field from all ranks
 // into a global NY×NX array on rank 0 (nil elsewhere). Eliminated blocks
-// stay zero — their exact field value. In the replicated mode the block is
-// the grid, so the result is assembled locally on every rank.
+// stay zero — their exact field value.
 func (d *TripolarDecomp) GatherGlobal(f []float64) []float64 {
 	nx := d.G.NX
-	if d.replicated {
-		out := make([]float64, nx*d.G.NY)
-		for lj := 0; lj < d.NJ; lj++ {
-			for li := 0; li < d.NI; li++ {
-				out[(d.J0+lj)*nx+d.I0+li] = f[d.LIdx(li, lj)]
-			}
-		}
-		return out
-	}
 	type patch struct {
 		I0, J0, NI, NJ int
 		Data           []float64

@@ -225,7 +225,7 @@ func TestTripolarEliminatedNeighborZeroHalos(t *testing.T) {
 
 // TestTripolarExchangeZeroAllocs pins the batched halo exchange hot path to
 // zero steady-state allocations at 2 ranks — the real multi-rank path
-// through par.SendF64/RecvF64, not a replicated short-circuit. AllocsPerRun
+// through par.SendF64/RecvF64, not the 1×1 local resolution. AllocsPerRun
 // measures global mallocs, so the peer's matching exchanges must be
 // allocation-free too; it runs exactly runs+1 of them (AllocsPerRun's
 // warm-up call plus runs measured calls).

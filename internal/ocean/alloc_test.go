@@ -16,7 +16,7 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 	par.Run(1, func(c *par.Comm) {
-		b, err := grid.NewTripolarReplicated(g, c, 1)
+		b, err := grid.NewTripolarDecomp(g, c, 1)
 		if err != nil {
 			t.Error(err)
 			return

@@ -7,10 +7,9 @@
 // forcing imported through the coupler.
 //
 // The model runs distributed over a grid.TripolarDecomp (one 2-D block per
-// rank; a 1×1 layout is the serial case, and the replicated decomposition
-// gives every rank the full grid), exchanges halos through the par runtime
-// in batched split-phase calls that overlap with interior compute, executes
-// its kernels through a pp execution space, honours the FP64 /
+// rank; a 1×1 layout is the serial case), exchanges halos through the par
+// runtime in batched split-phase calls that overlap with interior compute,
+// executes its kernels through a pp execution space, honours the FP64 /
 // group-scaled-FP32 precision policy of §5.2.3, and supports the 3-D
 // non-ocean-point exclusion of §5.2.2 via the compact subpackage types.
 package ocean

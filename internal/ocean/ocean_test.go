@@ -19,7 +19,7 @@ func testOcean(t *testing.T, nx, ny, nl int, cfg Config) *Ocean {
 	}
 	var oc *Ocean
 	par.Run(1, func(c *par.Comm) {
-		b, err := grid.NewTripolarReplicated(g, c, 1)
+		b, err := grid.NewTripolarDecomp(g, c, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func runSerial(t *testing.T, nx, ny, nl int, cfg Config, f func(o *Ocean)) {
 		t.Fatal(err)
 	}
 	par.Run(1, func(c *par.Comm) {
-		b, err := grid.NewTripolarReplicated(g, c, 1)
+		b, err := grid.NewTripolarDecomp(g, c, 1)
 		if err != nil {
 			t.Error(err)
 			return
@@ -56,7 +56,7 @@ func runSerial(t *testing.T, nx, ny, nl int, cfg Config, f func(o *Ocean)) {
 func TestNewValidation(t *testing.T) {
 	g, _ := grid.NewTripolar(24, 12, 5)
 	par.Run(1, func(c *par.Comm) {
-		b, _ := grid.NewTripolarReplicated(g, c, 1)
+		b, _ := grid.NewTripolarDecomp(g, c, 1)
 		bad := DefaultConfig()
 		bad.DtBaroclinic = 0
 		if _, err := New(g, b, bad, nil); err == nil {
@@ -404,7 +404,7 @@ func TestMixedPrecisionRMSD(t *testing.T) {
 	run := func(pol precision.Policy) (tt, ss, ee, area []float64, mask []bool) {
 		g, _ := grid.NewTripolar(48, 24, 6)
 		par.Run(1, func(c *par.Comm) {
-			b, _ := grid.NewTripolarReplicated(g, c, 1)
+			b, _ := grid.NewTripolarDecomp(g, c, 1)
 			cfg := DefaultConfig()
 			cfg.Policy = pol
 			o, _ := New(g, b, cfg, pp.Serial{})
@@ -502,7 +502,7 @@ func TestOceanPPBackendEquivalence(t *testing.T) {
 		var out []float64
 		g, _ := grid.NewTripolar(48, 24, 5)
 		par.Run(1, func(c *par.Comm) {
-			b, _ := grid.NewTripolarReplicated(g, c, 1)
+			b, _ := grid.NewTripolarDecomp(g, c, 1)
 			o, _ := New(g, b, DefaultConfig(), sp)
 			for lj := 0; lj < b.NJ; lj++ {
 				for li := 0; li < b.NI; li++ {

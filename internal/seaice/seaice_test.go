@@ -15,7 +15,7 @@ func withIce(t *testing.T, nx, ny int, f func(m *Model)) {
 		t.Fatal(err)
 	}
 	par.Run(1, func(c *par.Comm) {
-		b, err := grid.NewTripolarReplicated(g, c, 1)
+		b, err := grid.NewTripolarDecomp(g, c, 1)
 		if err != nil {
 			t.Error(err)
 			return
@@ -32,7 +32,7 @@ func withIce(t *testing.T, nx, ny int, f func(m *Model)) {
 func TestValidation(t *testing.T) {
 	g, _ := grid.NewTripolar(24, 12, 3)
 	par.Run(1, func(c *par.Comm) {
-		b, _ := grid.NewTripolarReplicated(g, c, 1)
+		b, _ := grid.NewTripolarDecomp(g, c, 1)
 		if _, err := New(g, b, Config{Dt: 0}); err == nil {
 			t.Error("zero dt accepted")
 		}

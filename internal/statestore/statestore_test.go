@@ -72,6 +72,13 @@ func TestRoundTripMatchesQuantizer(t *testing.T) {
 	if st.Group() != DefaultGroup {
 		t.Fatalf("Group() = %d, want %d", st.Group(), DefaultGroup)
 	}
+	// The archive exists to be cheaper than the float64 fields it holds.
+	raw := int64(8 * snaps * (2*nAtm + nOcn))
+	if fi, err := os.Stat(filepath.Join(dir, DataFile)); err != nil {
+		t.Fatal(err)
+	} else if fi.Size() >= raw {
+		t.Fatalf("%s holds %d bytes, want fewer than the raw %d", DataFile, fi.Size(), raw)
+	}
 	for s := 0; s < snaps; s++ {
 		orig := synthSnapshot(s, nAtm, nOcn)
 		step, sim, err := st.Meta(s)

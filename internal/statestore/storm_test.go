@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// TestConcurrentQueryStorm is the serve-race lap: a live store ingesting
+// TestConcurrentQueryStorm is the serving race lap: a live store ingesting
 // snapshots on a side goroutine while a pack of query goroutines hammers
 // every read path — point, region, full decode, analogs, diagnostics, and
 // manifest refreshes — under the race detector. It also pins the
