@@ -12,7 +12,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race race-par budget budget-wire budget-kprec fuzz resilient ensemble check bench-smoke clean
+.PHONY: all build vet test race race-par budget budget-wire budget-kprec fuzz resilient ensemble check bench-smoke profile clean
 
 all: check
 
@@ -64,6 +64,15 @@ ensemble:
 bench-smoke:
 	bash bench/run.sh -smoke
 	cd bench && $(GO) test -short ./...
+
+# Where the coupled step's CPU time goes: the benchmark's model configuration
+# for 135 coupling steps, top 15 functions by self time. Not part of check.
+profile:
+	dir=$$(mktemp -d) && { \
+	  $(GO) build -o "$$dir/ap3esm" ./cmd/ap3esm && \
+	  "$$dir/ap3esm" -config 25v10 -days 0.75 -remap cons -cpuprofile "$$dir/cpu.prof" && \
+	  $(GO) tool pprof -top -nodecount=15 "$$dir/ap3esm" "$$dir/cpu.prof"; \
+	  rc=$$?; rm -rf "$$dir"; exit $$rc; }
 
 check: vet build race race-par budget budget-wire budget-kprec fuzz resilient ensemble bench-smoke
 

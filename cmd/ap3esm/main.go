@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime/pprof"
 	"time"
 
 	"repro/internal/core"
@@ -40,6 +41,7 @@ func main() {
 	auditGate := flag.Float64("audit-gate", 0, "fail if the max relative heat/freshwater residual exceeds this (0 = report only; implies -audit)")
 	wireName := flag.String("wire", "f64", "halo/rearranger wire format: f64 (exact) or gs32 (group-scaled FP32 compression)")
 	kprecName := flag.String("kprec", "f64", "kernel precision: f64 (bit-for-bit) or mixed (float32 vectorized kernels, float64 accumulations)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run loop (all ranks, model assembly and reports excluded) to this file")
 	flag.Parse()
 
 	cfg, err := core.ConfigForLabel(*label)
@@ -123,6 +125,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		stopProfile := startCPUProfile(c, *cpuProfile)
 		wall := time.Now()
 		daysRun := 0.0
 		if *ckEvery > 0 {
@@ -161,6 +164,7 @@ func main() {
 				}
 			}
 		}
+		stopProfile()
 		if c.Rank() == 0 {
 			elapsed := time.Since(wall).Seconds()
 			sypd := (e.SimulatedSeconds() / elapsed) * 86400 / (365 * 86400)
@@ -203,6 +207,36 @@ func main() {
 		}
 		if err := sink.Close(); err != nil {
 			log.Fatal(err)
+		}
+	}
+}
+
+// startCPUProfile begins one CPU profile for every rank goroutine once all
+// ranks have assembled their model, and returns the call that ends it once
+// all have left the run loop. Collective when path is set; with no path it
+// does nothing.
+func startCPUProfile(c *par.Comm, path string) (stop func()) {
+	if path == "" {
+		return func() {}
+	}
+	var f *os.File
+	c.Barrier()
+	if c.Rank() == 0 {
+		var err error
+		if f, err = os.Create(path); err != nil {
+			log.Fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			log.Fatal(err)
+		}
+	}
+	return func() {
+		c.Barrier()
+		if c.Rank() == 0 {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				log.Fatal(err)
+			}
 		}
 	}
 }

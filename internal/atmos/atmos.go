@@ -10,7 +10,9 @@
 // Parallelism follows the paper's division of labour: the atmosphere's
 // heavy lifting is thread-level (OpenMP/SWGOMP on the CPEs), which the
 // reproduction expresses by running every mesh sweep through a pp execution
-// space; the distributed-memory layer is exercised by the ocean component.
+// space; across ranks the mesh is partitioned by grid.IcosDecomp (SetDecomp),
+// each rank sweeping its owned cells plus a ring-1 halo and exchanging halos
+// at the substep boundaries, bit-for-bit the 1-rank answer.
 package atmos
 
 import (
@@ -157,59 +159,6 @@ func (m *Model) Decompose(c *par.Comm) (grid.Decomp, error) {
 	}
 	m.dec = d
 	return d, nil
-}
-
-// The loop helpers below pick the iteration set for each sweep class. In the
-// replicated case they are exactly the original full-range ParallelFor, so
-// the 1-rank answer is bit-identical by construction; decomposed, they visit
-// the listed subset through the same execution space. Per-cell arithmetic is
-// identical either way, which is what makes the decomposed answer
-// rank-count-invariant bit-for-bit.
-
-// forExtCells sweeps the extended patch: owned cells plus the ring-1 halo.
-// Cell diagnostics (tv, phi, ke, div, θ) and physics columns run here so
-// that edge and ownership stencils never read a stale cell.
-func (m *Model) forExtCells(fn func(c int)) {
-	if m.dec == nil {
-		m.Sp.ParallelFor(m.Mesh.NCells(), fn)
-		return
-	}
-	ext := m.dec.ExtCells
-	m.Sp.ParallelFor(len(ext), func(i int) { fn(ext[i]) })
-}
-
-// forOwnedCells sweeps only the owned cells — prognostic writebacks
-// (Ps, T, Qv) whose halo copies arrive by exchange.
-func (m *Model) forOwnedCells(fn func(c int)) {
-	if m.dec == nil {
-		m.Sp.ParallelFor(m.Mesh.NCells(), fn)
-		return
-	}
-	own := m.dec.Owned
-	m.Sp.ParallelFor(len(own), func(i int) { fn(own[i]) })
-}
-
-// forCompEdges sweeps the computed edges: every edge with at least one owned
-// endpoint. Adjacent ranks compute the shared boundary edges redundantly
-// from identical inputs, so no edge-tendency exchange is needed.
-func (m *Model) forCompEdges(fn func(e int)) {
-	if m.dec == nil {
-		m.Sp.ParallelFor(m.Mesh.NEdges(), fn)
-		return
-	}
-	ce := m.dec.CompEdges
-	m.Sp.ParallelFor(len(ce), func(i int) { fn(ce[i]) })
-}
-
-// forCompVerts sweeps the vertices of the computed edges; their three-cell
-// and three-edge stencils stay inside the extended sets.
-func (m *Model) forCompVerts(fn func(v int)) {
-	if m.dec == nil {
-		m.Sp.ParallelFor(m.Mesh.NVertices(), fn)
-		return
-	}
-	cv := m.dec.CompVerts
-	m.Sp.ParallelFor(len(cv), func(i int) { fn(cv[i]) })
 }
 
 // New builds the model at the given mesh refinement level with nlev levels.

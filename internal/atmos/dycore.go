@@ -1,9 +1,9 @@
 package atmos
 
 import (
+	"fmt"
 	"math"
 
-	"repro/internal/grid"
 	"repro/internal/pp"
 	"repro/internal/precision"
 )
@@ -88,33 +88,80 @@ func (m *Model) FluxAccumulators() (edge, dps []float64) {
 
 // RestoreState reinstates the substep counter and flux accumulators from a
 // restart file, so a restarted run fires its tracer and physics steps on
-// exactly the original schedule.
-func (m *Model) RestoreState(steps int, edge, dps []float64) {
+// exactly the original schedule. The accumulator lengths come straight from
+// the file; a mismatch is reported and leaves the model untouched.
+func (m *Model) RestoreState(steps int, edge, dps []float64) error {
+	if edge != nil || dps != nil {
+		ne, nc := m.Mesh.NEdges(), m.Mesh.NCells()
+		if len(edge) != m.NLev*ne || len(dps) != nc {
+			return fmt.Errorf("atmos: restart flux accumulators have %d edge and %d cell values, want %d and %d",
+				len(edge), len(dps), m.NLev*ne, nc)
+		}
+		m.flux = &accFlux{
+			edge: append([]float64(nil), edge...),
+			dps:  append([]float64(nil), dps...),
+		}
+	}
 	m.steps = steps
-	if edge == nil && dps == nil {
-		return
+	return nil
+}
+
+// Every mesh sweep runs over one of four iteration sets. Replicated (no
+// decomposition) each is the full index range, exactly the original
+// ParallelFor, so the 1-rank answer is bit-identical by construction;
+// decomposed, the sweep visits the listed subset through the same execution
+// space. Per-row arithmetic is identical either way, which is what makes the
+// decomposed answer rank-count-invariant bit-for-bit.
+//
+//   - extended cells: owned plus the ring-1 halo. Cell diagnostics (tv, phi,
+//     ke, div, θ) and physics columns run here so that edge and ownership
+//     stencils never read a stale cell.
+//   - owned cells: prognostic writebacks (Ps, T, Qv) whose halo copies
+//     arrive by exchange.
+//   - computed edges: every edge with at least one owned endpoint. Adjacent
+//     ranks compute the shared boundary edges redundantly from identical
+//     inputs, so no edge-tendency exchange is needed.
+//   - computed vertices: the vertices of the computed edges; their three-cell
+//     and three-edge stencils stay inside the extended sets.
+//
+// sweep launches a row body over such a set: the listed indices when
+// decomposed, the full range [0, n) when set is nil. The body resolves its
+// row with at(set, i).
+func (m *Model) sweep(set []int, n int, body func(i int)) {
+	if set != nil {
+		n = len(set)
 	}
-	ne, nc := m.Mesh.NEdges(), m.Mesh.NCells()
-	if len(edge) != m.NLev*ne || len(dps) != nc {
-		panic("atmos: restart flux accumulator size mismatch")
+	m.Sp.ParallelFor(n, body)
+}
+
+func at(set []int, i int) int {
+	if set != nil {
+		return set[i]
 	}
-	m.flux = &accFlux{
-		edge: append([]float64(nil), edge...),
-		dps:  append([]float64(nil), dps...),
+	return i
+}
+
+// bindSets refreshes the iteration sets from the model's current
+// decomposition.
+func (s *dyScratch) bindSets() {
+	s.ext, s.owned, s.comp, s.verts = nil, nil, nil, nil
+	if d := s.m.dec; d != nil {
+		s.ext, s.owned, s.comp, s.verts = d.ExtCells, d.Owned, d.CompEdges, d.CompVerts
 	}
 }
 
 // dynamicsSubstep is the thin driver over the registered kernels in
-// kernels.go: it refreshes the float64 thermodynamic diagnostics, launches
-// the cell/vertex/edge kernels at the configured precision, and keeps the
-// continuity update (exact conservation) in float64. The float64 path is
-// bit-for-bit the pre-refactor sweep; the mixed path runs the same kernel
-// bodies at float32 with the sensitive differences still formed in float64.
+// kernels.go: it refreshes the float64 thermodynamic diagnostics, advances
+// the continuity equation (exact conservation, always float64) from the
+// pre-update velocity, and launches the cell/vertex/edge kernels at the
+// configured precision. The float64 path is bit-for-bit the pre-refactor
+// sweep (reference_test.go keeps that sweep as an oracle); the mixed path
+// runs the same kernel bodies at float32 with the sensitive differences
+// still formed in float64.
 func (m *Model) dynamicsSubstep(dt float64) {
 	mesh := m.Mesh
 	nc, ne := mesh.NCells(), mesh.NEdges()
 	nlev := m.NLev
-	re := grid.EarthRadius
 
 	if m.flux == nil {
 		m.flux = &accFlux{
@@ -124,111 +171,52 @@ func (m *Model) dynamicsSubstep(dt float64) {
 	}
 	s := m.dyEnsure()
 	s.eg.bindStep(dt, m.Cfg.Div4, m.Cfg.KhMomentum)
+	s.bindSets()
 
-	// --- Diagnostics needed by the momentum equation ---
+	// --- Diagnostics needed by the momentum equation: tv, phi, ln(ps) ---
+	m.sweep(s.ext, nc, s.thermoF)
 
-	// Virtual temperature and geopotential at full levels — the Log-based
-	// vertical integral stays float64 at every kernel precision.
-	tv, phi := s.tv, s.phi
-	lnMid, lnLayer := s.lnMid, s.lnLayer
-	m.forExtCells(func(c int) {
-		below := 0.0 // geopotential at the interface below the current layer
-		for k := nlev - 1; k >= 0; k-- {
-			i := k*nc + c
-			tv[i] = m.T[i] * (1 + 0.608*m.Qv[i])
-			phi[i] = below + Rd*tv[i]*lnMid[k]
-			below += Rd * tv[i] * lnLayer[k]
-		}
-	})
-	// Per-cell ln(ps), hoisted out of the per-edge momentum loop: the same
-	// math.Log on the same input, so every edge reads identical bits.
-	lnPs := s.lnPs
-	m.forExtCells(func(c int) { lnPs[c] = math.Log(m.Ps[c]) })
+	// --- Continuity: per-level mass fluxes and surface pressure ---
+	// Mass per area of layer k is ps·Δσ_k/g; the flux through an edge uses
+	// upwind ps, evaluated with the *pre-update* velocity for consistency
+	// with the accumulated tracer fluxes. It runs ahead of the kernels — it
+	// reads only the pre-update U and Ps, and ln(ps) is already taken — so
+	// the edge pass can park its terms in newU before that is zero-filled.
+	// Edge flux accumulation runs over edges (each edge once); decomposed,
+	// every edge of an owned cell is a computed edge, so the terms the cell
+	// gather sums and the accumulators the tracer step reads are always
+	// locally valid.
+	m.sweep(s.comp, ne, s.contEdgeF)
+	m.sweep(s.owned, nc, s.contCellF)
 
 	// --- Cell diagnostics, vorticity, momentum: registered kernels ---
-	var cells, verts, edges []int
-	if m.dec != nil {
-		cells, verts, edges = m.dec.ExtCells, m.dec.CompVerts, m.dec.CompEdges
-	}
 	if m.kprec == pp.PrecMixed {
 		m32 := s.m32
 		pp.Convert32(m32.u, m.U)
 		for i := range m32.newU {
 			m32.newU[i] = 0
 		}
-		m32.bKeDiv.cells = cells
+		m32.bKeDiv.cells = s.ext
 		pp.Kernels.MustLaunch(hAtmKeDiv, m.Sp, m32.bKeDiv)
-		m32.bVort.verts = verts
+		m32.bVort.verts = s.verts
 		pp.Kernels.MustLaunch(hAtmVort, m.Sp, m32.bVort)
-		m32.bMom.edges = edges
+		m32.bMom.edges = s.comp
 		pp.Kernels.MustLaunch(hAtmMomentum, m.Sp, m32.bMom)
+		// Publish: widen the float32 result back into the model state.
+		pp.Convert64(m.U, m32.newU)
 	} else {
 		for i := range s.newU {
 			s.newU[i] = 0
 		}
-		s.bKeDiv.u, s.bKeDiv.cells = m.U, cells
+		s.bKeDiv.u, s.bKeDiv.cells = m.U, s.ext
 		pp.Kernels.MustLaunch(hAtmKeDiv, m.Sp, s.bKeDiv)
-		s.bVort.u, s.bVort.verts = m.U, verts
+		s.bVort.u, s.bVort.verts = m.U, s.verts
 		pp.Kernels.MustLaunch(hAtmVort, m.Sp, s.bVort)
-		s.bMom.u, s.bMom.newU, s.bMom.edges = m.U, s.newU, edges
+		s.bMom.u, s.bMom.newU, s.bMom.edges = m.U, s.newU, s.comp
 		pp.Kernels.MustLaunch(hAtmMomentum, m.Sp, s.bMom)
 		s.bKeDiv.u, s.bVort.u, s.bMom.u, s.bMom.newU = nil, nil, nil, nil
-	}
-
-	// --- Continuity: per-level mass fluxes and surface pressure ---
-	// Mass per area of layer k is ps·Δσ_k/g; the flux through an edge uses
-	// upwind ps, evaluated with the *pre-update* velocity for consistency
-	// with the accumulated tracer fluxes.
-	dpsDt := s.dpsDt
-	for i := range dpsDt {
-		dpsDt[i] = 0
-	}
-	m.forOwnedCells(func(c int) {
-		var sum float64
-		for k := 0; k < nlev; k++ {
-			uLvl := m.U[k*ne : (k+1)*ne]
-			for j, e := range mesh.EdgesOnCell[c] {
-				sign := float64(mesh.EdgeSignOnCell[c][j])
-				u := uLvl[e]
-				// Upwind surface pressure.
-				var psUp float64
-				if sign*u >= 0 {
-					psUp = m.Ps[c]
-				} else {
-					psUp = m.Ps[mesh.CellsOnCell[c][j]]
-				}
-				sum += sign * u * psUp * m.DSig[k] * mesh.Dv[e] * re
-			}
-		}
-		dpsDt[c] = -sum / (mesh.AreaCell[c] * re * re)
-	})
-	// Edge flux accumulation runs over edges (each edge once); decomposed,
-	// every edge of an owned cell is a computed edge, so the accumulators the
-	// tracer step reads are always locally valid.
-	m.forCompEdges(func(e int) {
-		c1, c2 := mesh.CellsOnEdge[e][0], mesh.CellsOnEdge[e][1]
-		for k := 0; k < nlev; k++ {
-			u := m.U[k*ne+e]
-			var psUp float64
-			if u >= 0 {
-				psUp = m.Ps[c1]
-			} else {
-				psUp = m.Ps[c2]
-			}
-			// kg/s through the edge (positive c1→c2), times dt.
-			m.flux.edge[k*ne+e] += dt * u * psUp * m.DSig[k] / Gravity * m.Mesh.Dv[e] * re
-		}
-	})
-	m.forOwnedCells(func(c int) {
-		m.Ps[c] += dt * dpsDt[c]
-		m.flux.dps[c] += dt * dpsDt[c]
-	})
-	// Publish the momentum update. The float64 path swaps the persistent
-	// scratch in (the retired array becomes next substep's scratch); the
-	// mixed path widens the float32 result back into the model state.
-	if m.kprec == pp.PrecMixed {
-		pp.Convert64(m.U, s.m32.newU)
-	} else {
+		// Publish: swap the persistent scratch in (the retired array becomes
+		// next substep's scratch).
 		m.U, s.newU = s.newU, m.U
 	}
 	if m.dec != nil {
@@ -240,11 +228,90 @@ func (m *Model) dynamicsSubstep(dt float64) {
 	}
 }
 
+// thermoCell fills one column of the virtual temperature and geopotential
+// at full levels — the Log-based vertical integral stays float64 at every
+// kernel precision — and the cell's ln(ps), hoisted out of the per-edge
+// momentum loop: the same math.Log on the same input, so every edge reads
+// identical bits.
+func (s *dyScratch) thermoCell(i int) {
+	c := at(s.ext, i)
+	m := s.m
+	nc, nlev := s.geo.nc, s.geo.nlev
+	th := s.th[c*nlev : (c+1)*nlev]
+	below := 0.0 // geopotential at the interface below the current layer
+	for k := nlev - 1; k >= 0; k-- {
+		j := k*nc + c
+		tv := m.T[j] * (1 + 0.608*m.Qv[j])
+		th[k] = thermo{phi: below + Rd*tv*s.lnMid[k], tv: tv}
+		below += Rd * tv * s.lnLayer[k]
+	}
+	s.lnPs[c] = math.Log(m.Ps[c])
+}
+
+// contEdge selects one edge's upwind ps once per level and forms both
+// products that need it: the continuity term the two adjacent cells sum
+// (unsigned — positive c1→c2 — into newU, edge-major) and the tracer
+// window's accumulated mass flux.
+func (s *dyScratch) contEdge(i int) {
+	e := at(s.comp, i)
+	m := s.m
+	g := s.geo
+	ne, nlev := g.ne, g.nlev
+	ps1, ps2 := m.Ps[g.ec1[e]], m.Ps[g.ec2[e]]
+	dv, re, dt := m.Mesh.Dv[e], g.re, s.eg.dt
+	term := s.newU[e*nlev : (e+1)*nlev]
+	dsig := m.DSig[:len(term)]
+	u, acc := m.U, m.flux.edge
+	for k := range term {
+		j := k*ne + e
+		uE := u[j]
+		psUp := ps2
+		if uE >= 0 {
+			psUp = ps1
+		}
+		term[k] = uE * psUp * dsig[k] * dv * re
+		// kg/s through the edge (positive c1→c2), times dt.
+		acc[j] += dt * uE * psUp * dsig[k] / Gravity * dv * re
+	}
+}
+
+// contCell gathers a cell's edge terms into its surface-pressure tendency
+// and applies it. sign is ±1, so sign·(u·psUp·Δσ·Dv·re) carries the same
+// bits as the original (sign·u)·psUp·… chain; where u is ±0 the two sides
+// of the edge may have picked different upwind ps, but the term is a signed
+// zero either way. Levels outer, slots inner: the original summation order.
+func (s *dyScratch) contCell(i int) {
+	c := at(s.owned, i)
+	m := s.m
+	g := s.geo
+	nlev := g.nlev
+	lo, hi := g.ceStart[c], g.ceStart[c+1]
+	edges := g.ceEdge[lo:hi]
+	sgn := g.sgn[lo:hi][:len(edges)]
+	term := s.newU
+	var sum float64
+	for k := 0; k < nlev; k++ {
+		for j, e := range edges {
+			sum += float64(sgn[j]) * term[int(e)*nlev+k]
+		}
+	}
+	d := s.eg.dt * (-sum / g.areaRR[c])
+	m.Ps[c] += d
+	m.flux.dps[c] += d
+}
+
 // sigInt returns the sigma value of interface k (k = 0 is the model top).
 func (m *Model) sigInt(k int) float64 {
 	const top = 0.05
 	return top + (1-top)*float64(k)/float64(m.NLev)
 }
+
+// powKappa is x^κ for finite positive x. With a fractional exponent below
+// one half math.Pow reduces to exactly this Exp(κ·Log x), wrapped in a
+// Modf/Frexp/Ldexp frame that costs as much again;
+// TestPowKappaMatchesMathPow pins the bit equality, so a toolchain that
+// changes pow.go fails loudly instead of shifting bits.
+func powKappa(x float64) float64 { return math.Exp(Kappa * math.Log(x)) }
 
 // tracerStep transports potential-temperature-carrying T and moisture with
 // the accumulated mass fluxes. Transport is formulated on θ = T·(p0/pσ)^κ
@@ -265,31 +332,17 @@ func (m *Model) tracerStep() {
 	// The full-range loop is kept in both modes: outside the extended patch
 	// the inputs are stale-but-finite and the result is never read.
 	s := m.dyEnsure()
+	s.bindSets()
 	psOld := s.lnPs
 	for c := 0; c < nc; c++ {
 		psOld[c] = m.Ps[c] - m.flux.dps[c]
 	}
 
-	// θ and qv as mass-weighted quantities.
-	theta := s.tv
-	m.forExtCells(func(c int) {
-		for k := 0; k < nlev; k++ {
-			i := k*nc + c
-			theta[i] = m.T[i] * math.Pow(P0/(m.Sig[k]*psOld[c]), Kappa)
-		}
-	})
-
-	newTheta, newQv := s.phi, s.ke
-	m.transport(theta, psOld, newTheta)
-	m.transport(m.Qv, psOld, newQv)
-
-	m.forOwnedCells(func(c int) {
-		for k := 0; k < nlev; k++ {
-			i := k*nc + c
-			m.T[i] = newTheta[i] * math.Pow(m.Sig[k]*m.Ps[c]/P0, Kappa)
-			m.Qv[i] = math.Max(newQv[i], 0)
-		}
-	})
+	// θ on the extended patch, both tracers transported in one sweep, then
+	// θ mapped back to T at the new pressure.
+	m.sweep(s.ext, nc, s.thetaF)
+	m.sweep(s.owned, nc, s.transportF)
+	m.sweep(s.owned, nc, s.tracerStoreF)
 	if m.dec != nil {
 		m.dec.ExchangeCells(m.T, nlev)
 		m.dec.ExchangeCells(m.Qv, nlev)
@@ -304,78 +357,135 @@ func (m *Model) tracerStep() {
 	}
 }
 
-// transport advances one tracer with the accumulated horizontal mass fluxes
-// plus the implied vertical redistribution, conserving Σ M·X exactly. The
-// result lands in out on owned cells; the rest of out is left alone.
-func (m *Model) transport(x, psOld, out []float64) {
-	mesh := m.Mesh
-	nc, ne := mesh.NCells(), mesh.NEdges()
-	nlev := m.NLev
-	re := grid.EarthRadius
-
-	// Per-cell: new mass content = old content − horizontal flux divergence
-	// − vertical flux divergence, then divide by new mass. Owned cells only:
-	// the upwind stencil reads x on the ring-1 halo, and the caller
-	// exchanges the written-back tracers afterwards.
-	m.forOwnedCells(func(c int) {
-		area := mesh.AreaCell[c] * re * re
-		// Horizontal: per-level content change (kg·X).
-		cw := m.cols.get(nlev)
-		dContent := cw.lev[:nlev]
-		hdiv := cw.lev[nlev : 2*nlev] // accumulated mass divergence per level (kg)
-		for k := 0; k < nlev; k++ {
-			dContent[k], hdiv[k] = 0, 0
-			for j, e := range mesh.EdgesOnCell[c] {
-				sign := float64(mesh.EdgeSignOnCell[c][j])
-				fm := sign * m.flux.edge[k*ne+e] // kg leaving through e if > 0
-				var xUp float64
-				if fm >= 0 {
-					xUp = x[k*nc+c]
-				} else {
-					xUp = x[k*nc+mesh.CellsOnCell[c][j]]
-				}
-				dContent[k] -= fm * xUp
-				hdiv[k] -= fm
-			}
-		}
-		// Vertical redistribution: layer k's target mass is ps_new·Δσ/g·A.
-		// The interface mass flux W (downward positive, kg over the window)
-		// follows from per-layer continuity; upwind X across interfaces.
-		dpsA := (m.Ps[c] - psOld[c]) * area / Gravity
-		w := 0.0 // flux through the top of the current layer
-		for k := 0; k < nlev; k++ {
-			// Mass balance of layer k: ΔM_k = hdiv_k + w_top − w_bot
-			// with ΔM_k = Δσ_k·Δps·A/g  ⇒  w_bot = hdiv_k + w_top − ΔM_k.
-			wBot := hdiv[k] + w - m.DSig[k]*dpsA
-			if k == nlev-1 {
-				wBot = 0 // closed lower boundary (telescopes exactly)
-			}
-			// Upwind interface values.
-			if w > 0 { // mass entering from above
-				if k > 0 {
-					dContent[k] += w * x[(k-1)*nc+c]
-				}
-			} else if k > 0 {
-				dContent[k] += w * x[k*nc+c]
-			}
-			if wBot > 0 { // mass leaving downward
-				dContent[k] -= wBot * x[k*nc+c]
-			} else if k < nlev-1 {
-				dContent[k] -= wBot * x[(k+1)*nc+c]
-			}
-			oldMass := psOld[c] * m.DSig[k] / Gravity * area
-			newMass := m.Ps[c] * m.DSig[k] / Gravity * area
-			out[k*nc+c] = (x[k*nc+c]*oldMass + dContent[k]) / newMass
-			w = wBot
-		}
-		m.cols.put(cw)
-	})
+// tracerFields are the tracer step's three level-major whole fields — θ at
+// the window's old pressure, transported θ, transported qv — borrowed from
+// dycore scratch that is dead between substeps.
+func (s *dyScratch) tracerFields() (theta, newTheta, newQv []float64) {
+	n := s.geo.nlev * s.geo.nc
+	return s.newU[:n], s.newU[n : 2*n], s.vort[:n]
 }
 
-// colWork is one column's work space in the tracer and physics steps: nine
-// level windows (physics: U V T Q P in, DT DQ DU DV out; transport uses the
-// first two) and the ColumnOut handed to the suite, which escapes through
-// the Suite interface and so cannot live on the stack.
+// thetaCell converts one column of T to θ at the window's old pressure.
+func (s *dyScratch) thetaCell(i int) {
+	c := at(s.ext, i)
+	m := s.m
+	nc := s.geo.nc
+	theta, _, _ := s.tracerFields()
+	psOld := s.lnPs[c]
+	for k, sig := range m.Sig {
+		j := k*nc + c
+		theta[j] = m.T[j] * powKappa(P0/(sig*psOld))
+	}
+}
+
+// tracerStore writes one transported column back: θ to T at the new
+// pressure, and moisture clipped at zero.
+func (s *dyScratch) tracerStore(i int) {
+	c := at(s.owned, i)
+	m := s.m
+	nc := s.geo.nc
+	_, newTheta, newQv := s.tracerFields()
+	ps := m.Ps[c]
+	for k, sig := range m.Sig {
+		j := k*nc + c
+		m.T[j] = newTheta[j] * powKappa(sig*ps/P0)
+		m.Qv[j] = math.Max(newQv[j], 0)
+	}
+}
+
+// transport2 advances one column of θ and qv with the accumulated
+// horizontal mass fluxes plus the implied vertical redistribution,
+// conserving Σ M·X exactly for each. The signed edge masses, their
+// divergence, the interface fluxes and the layer masses depend on the flow
+// only, so they are formed once and drive two content accumulators; each
+// tracer's arithmetic is term for term what a sweep of its own would do.
+// Owned cells only: the upwind stencil reads both tracers on the ring-1
+// halo, and the caller exchanges the written-back fields afterwards.
+func (s *dyScratch) transport2(i int) {
+	c := at(s.owned, i)
+	m := s.m
+	g := s.geo
+	nc, ne, nlev := g.nc, g.ne, g.nlev
+	var stack [3 * 64]float64
+	work := stack[:]
+	if 3*nlev > len(stack) {
+		work = make([]float64, 3*nlev)
+	}
+	// Per-level content change of each tracer (kg·X) and accumulated mass
+	// divergence (kg).
+	dTh, dQv, hdiv := work[:nlev], work[nlev:2*nlev], work[2*nlev:3*nlev]
+	lo, hi := g.ceStart[c], g.ceStart[c+1]
+	edges := g.ceEdge[lo:hi]
+	nbrs := g.ceNbr[lo:hi][:len(edges)]
+	sgn := g.sgn[lo:hi][:len(edges)]
+	theta, newTheta, newQv := s.tracerFields()
+	qv, fluxE := m.Qv, m.flux.edge
+
+	// Horizontal: new mass content = old content − flux divergence, upwind.
+	for k := 0; k < nlev; k++ {
+		th, q := theta[k*nc:(k+1)*nc], qv[k*nc:(k+1)*nc]
+		fl := fluxE[k*ne : (k+1)*ne]
+		thC, qC := th[c], q[c]
+		var cTh, cQv, h float64
+		for j, e := range edges {
+			fm := float64(sgn[j]) * fl[e] // kg leaving through e if > 0
+			thUp, qUp := thC, qC
+			if !(fm >= 0) {
+				thUp, qUp = th[nbrs[j]], q[nbrs[j]]
+			}
+			cTh -= fm * thUp
+			cQv -= fm * qUp
+			h -= fm
+		}
+		dTh[k], dQv[k], hdiv[k] = cTh, cQv, h
+	}
+
+	// Vertical redistribution: layer k's target mass is ps_new·Δσ/g·A. The
+	// interface mass flux W (downward positive, kg over the window) follows
+	// from per-layer continuity; upwind X across interfaces.
+	area := g.areaRR[c]
+	psOld, psNew := s.lnPs[c], m.Ps[c]
+	dpsA := (psNew - psOld) * area / Gravity
+	w := 0.0 // flux through the top of the current layer
+	for k := 0; k < nlev; k++ {
+		j := k*nc + c
+		dsig := m.DSig[k]
+		// Mass balance of layer k: ΔM_k = hdiv_k + w_top − w_bot
+		// with ΔM_k = Δσ_k·Δps·A/g  ⇒  w_bot = hdiv_k + w_top − ΔM_k.
+		wBot := hdiv[k] + w - dsig*dpsA
+		if k == nlev-1 {
+			wBot = 0 // closed lower boundary (telescopes exactly)
+		}
+		cTh, cQv := dTh[k], dQv[k]
+		// Upwind interface values.
+		if k > 0 {
+			if w > 0 { // mass entering from above
+				cTh += w * theta[j-nc]
+				cQv += w * qv[j-nc]
+			} else {
+				cTh += w * theta[j]
+				cQv += w * qv[j]
+			}
+		}
+		if wBot > 0 { // mass leaving downward
+			cTh -= wBot * theta[j]
+			cQv -= wBot * qv[j]
+		} else if k < nlev-1 {
+			cTh -= wBot * theta[j+nc]
+			cQv -= wBot * qv[j+nc]
+		}
+		oldMass := psOld * dsig / Gravity * area
+		newMass := psNew * dsig / Gravity * area
+		newTheta[j] = (theta[j]*oldMass + cTh) / newMass
+		newQv[j] = (qv[j]*oldMass + cQv) / newMass
+		w = wBot
+	}
+}
+
+// colWork is one column's work space in the physics step: nine level
+// windows (U V T Q P in, DT DQ DU DV out) and the ColumnOut handed to the
+// suite, which escapes through the Suite interface and so cannot live on
+// the stack.
 type colWork struct {
 	lev []float64 // [9·nlev]
 	out ColumnOut
@@ -411,13 +521,15 @@ func (m *Model) physicsStep(dt float64) {
 	nlev := m.NLev
 
 	s := m.dyEnsure()
-	duCell, dvCell := s.lnPs, s.dpsDt
+	s.bindSets()
+	duCell, dvCell := s.lnPs, s.vort[:nc]
 
 	// Physics columns run on the extended patch: the halo columns are
 	// recomputed redundantly from inputs the exchanges keep bit-identical to
 	// their owners', so the column outputs (T, Qv, and the seven export
 	// fields) are halo-valid without any post-physics cell exchange.
-	m.forExtCells(func(c int) {
+	m.sweep(s.ext, nc, func(i int) {
+		c := at(s.ext, i)
 		cw := m.cols.get(nlev)
 		w := cw.lev
 		for i := 5 * nlev; i < len(w); i++ {
@@ -477,7 +589,8 @@ func (m *Model) physicsStep(dt float64) {
 
 	// Project the boundary-layer momentum tendency onto lowest-level edges.
 	kB := nlev - 1
-	m.forCompEdges(func(e int) {
+	m.sweep(s.comp, ne, func(i int) {
+		e := at(s.comp, i)
 		c1, c2 := mesh.CellsOnEdge[e][0], mesh.CellsOnEdge[e][1]
 		n := m.recon.normal3[e]
 		add := func(c int) float64 {

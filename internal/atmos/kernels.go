@@ -44,6 +44,8 @@ type atmGeom[T pp.Float] struct {
 	// Cell sweeps: ragged EdgesOnCell flattened to [ceStart[c], ceStart[c+1]).
 	ceStart    []int32 // [nc+1]
 	ceEdge     []int32 // per slot: edge index
+	ceNbr      []int32 // per slot: the cell across that edge
+	sgn        []int8  // per slot: ±1, +1 where the edge normal points out of the cell
 	wX, wY, wZ []T     // per slot: reconstruction weight vector
 	sdv        []T     // per slot: sign·Dv
 	areaRR     []T     // per cell: (AreaCell·re)·re
@@ -97,6 +99,8 @@ func newAtmGeomF(mesh *grid.IcosMesh, r *reconstructor, nlev int) (*atmGeom[floa
 	}
 	nslot := int(g.ceStart[nc])
 	g.ceEdge = make([]int32, nslot)
+	g.ceNbr = make([]int32, nslot)
+	g.sgn = make([]int8, nslot)
 	g.wX = make([]float64, nslot)
 	g.wY = make([]float64, nslot)
 	g.wZ = make([]float64, nslot)
@@ -106,6 +110,8 @@ func newAtmGeomF(mesh *grid.IcosMesh, r *reconstructor, nlev int) (*atmGeom[floa
 		o := int(g.ceStart[c])
 		for j, e := range mesh.EdgesOnCell[c] {
 			g.ceEdge[o+j] = int32(e)
+			g.ceNbr[o+j] = int32(mesh.CellsOnCell[c][j])
+			g.sgn[o+j] = int8(mesh.EdgeSignOnCell[c][j])
 			w := r.weights[c][j]
 			g.wX[o+j], g.wY[o+j], g.wZ[o+j] = w.X, w.Y, w.Z
 			g.sdv[o+j] = float64(mesh.EdgeSignOnCell[c][j]) * mesh.Dv[e]
@@ -162,7 +168,7 @@ func narrowGeom(g *atmGeom[float64]) *atmGeom[float32] {
 	}
 	return &atmGeom[float32]{
 		nc: g.nc, ne: g.ne, nv: g.nv, nlev: g.nlev, re: float32(g.re),
-		ceStart: g.ceStart, ceEdge: g.ceEdge,
+		ceStart: g.ceStart, ceEdge: g.ceEdge, ceNbr: g.ceNbr, sgn: g.sgn,
 		wX: n32(g.wX), wY: n32(g.wY), wZ: n32(g.wZ),
 		sdv: n32(g.sdv), areaRR: n32(g.areaRR),
 		veEdge: g.veEdge, sdc: n32(g.sdc), dualRR: n32(g.dualRR),
@@ -173,16 +179,29 @@ func narrowGeom(g *atmGeom[float64]) *atmGeom[float32] {
 
 // --- cell diagnostics: reconstruction, kinetic energy, divergence ---
 
+// cellDiag is one (cell, level) of the cell diagnostics the momentum kernel
+// reads together: the reconstructed tangent-plane velocity, its kinetic
+// energy, and the divergence. Dycore scratch is cell-major, level-inner
+// (index c·nlev+k), so an edge update streams two contiguous columns.
+type cellDiag[T pp.Float] struct {
+	vx, vy, vz, ke, div T
+}
+
+// thermo is one (cell, level) of the float64 thermodynamic diagnostics:
+// geopotential and virtual temperature at the full level.
+type thermo struct {
+	phi, tv float64
+}
+
 // keDivArgs is the cell-diagnostics bundle. The reconstructed tangent-plane
-// velocity is stored per (level, cell) so the momentum kernel reuses it for
+// velocity is stored per (cell, level) so the momentum kernel reuses it for
 // the edge tangential wind instead of re-reconstructing both endpoint cells
 // per edge per level — the same accumulation on the same inputs, so the
 // reuse is bit-identical to the original nested calls.
 type keDivArgs[T pp.Float] struct {
-	g             *atmGeom[T]
-	u             []T // [nlev*ne] edge-normal velocity
-	vcx, vcy, vcz []T // [nlev*nc] reconstructed cell vector (out)
-	ke, div       []T // [nlev*nc] (out)
+	g  *atmGeom[T]
+	u  []T           // [nlev*ne] edge-normal velocity, level-major model state
+	cd []cellDiag[T] // [nc*nlev] (out)
 
 	cells []int // iteration set; nil sweeps every cell
 	rowF  func(i int)
@@ -195,41 +214,52 @@ func (a *keDivArgs[T]) n() int {
 	return a.g.nc
 }
 
+// cell runs one column: v = Σ w_e·u_e, ke = ½|v|², div = Σ s·u·Dv·re over
+// the cell area. The cell's slots are walked once per pair of levels with
+// one set of accumulators per level; each level's accumulators start at
+// zero and add in edge order, matching the original CellVector/divergence
+// loops term for term.
 func (a *keDivArgs[T]) cell(i int) {
-	c := i
-	if a.cells != nil {
-		c = a.cells[i]
-	}
-	nlev := a.g.nlev
+	c := at(a.cells, i)
+	g := a.g
+	nlev, ne, re := g.nlev, g.ne, g.re
+	lo, hi := g.ceStart[c], g.ceStart[c+1]
+	edges := g.ceEdge[lo:hi]
+	wX, wY, wZ, sdv := g.wX[lo:hi], g.wY[lo:hi], g.wZ[lo:hi], g.sdv[lo:hi]
+	wX, wY, wZ, sdv = wX[:len(edges)], wY[:len(edges)], wZ[:len(edges)], sdv[:len(edges)]
+	area := g.areaRR[c]
+	out := a.cd[c*nlev : (c+1)*nlev]
+	half := T(0.5)
 	k := 0
 	for ; k+2 <= nlev; k += 2 {
-		a.level(c, k)
-		a.level(c, k+1)
+		u0, u1 := a.u[k*ne:(k+1)*ne], a.u[(k+1)*ne:(k+2)*ne]
+		var vx0, vy0, vz0, d0, vx1, vy1, vz1, d1 T
+		for j, e := range edges {
+			uE0, uE1 := u0[e], u1[e]
+			vx0 += wX[j] * uE0
+			vy0 += wY[j] * uE0
+			vz0 += wZ[j] * uE0
+			d0 += sdv[j] * uE0 * re
+			vx1 += wX[j] * uE1
+			vy1 += wY[j] * uE1
+			vz1 += wZ[j] * uE1
+			d1 += sdv[j] * uE1 * re
+		}
+		out[k] = cellDiag[T]{vx0, vy0, vz0, half * (vx0*vx0 + vy0*vy0 + vz0*vz0), d0 / area}
+		out[k+1] = cellDiag[T]{vx1, vy1, vz1, half * (vx1*vx1 + vy1*vy1 + vz1*vz1), d1 / area}
 	}
 	if k < nlev {
-		a.level(c, k)
+		u0 := a.u[k*ne : (k+1)*ne]
+		var vx, vy, vz, d T
+		for j, e := range edges {
+			uE := u0[e]
+			vx += wX[j] * uE
+			vy += wY[j] * uE
+			vz += wZ[j] * uE
+			d += sdv[j] * uE * re
+		}
+		out[k] = cellDiag[T]{vx, vy, vz, half * (vx*vx + vy*vy + vz*vz), d / area}
 	}
-}
-
-// level runs one (cell, level): v = Σ w_e·u_e, ke = ½|v|², div = Σ s·u·Dv·re
-// over the cell area. The accumulators start at zero and add in edge order,
-// matching the original CellVector/divergence loops term for term.
-func (a *keDivArgs[T]) level(c, k int) {
-	g := a.g
-	kn := k * g.ne
-	re := g.re
-	var vx, vy, vz, d T
-	for o := g.ceStart[c]; o < g.ceStart[c+1]; o++ {
-		uE := a.u[kn+int(g.ceEdge[o])]
-		vx += g.wX[o] * uE
-		vy += g.wY[o] * uE
-		vz += g.wZ[o] * uE
-		d += g.sdv[o] * uE * re
-	}
-	ic := k*g.nc + c
-	a.vcx[ic], a.vcy[ic], a.vcz[ic] = vx, vy, vz
-	a.ke[ic] = T(0.5) * (vx*vx + vy*vy + vz*vz)
-	a.div[ic] = d / g.areaRR[c]
 }
 
 func keDivKernel(s pp.Space, args any) {
@@ -248,7 +278,7 @@ func keDivKernel(s pp.Space, args any) {
 type vortArgs[T pp.Float] struct {
 	g    *atmGeom[T]
 	u    []T // [nlev*ne]
-	vort []T // [nlev*nv] (out)
+	vort []T // [nv*nlev] (out), vertex-major
 
 	verts []int // iteration set; nil sweeps every vertex
 	rowF  func(i int)
@@ -261,33 +291,25 @@ func (a *vortArgs[T]) n() int {
 	return a.g.nv
 }
 
+// vertex accumulates the circulation over the vertex's three edges in the
+// original += order (the leading 0 + t₀ matters for the sign of zero), the
+// three edge indices and sign·Dc loaded once for the whole column.
 func (a *vortArgs[T]) vertex(i int) {
-	v := i
-	if a.verts != nil {
-		v = a.verts[i]
-	}
-	nlev := a.g.nlev
-	k := 0
-	for ; k+2 <= nlev; k += 2 {
-		a.level(v, k)
-		a.level(v, k+1)
-	}
-	if k < nlev {
-		a.level(v, k)
-	}
-}
-
-// level accumulates the circulation over the vertex's three edges in the
-// original += order (the leading 0 + t₀ matters for the sign of zero).
-func (a *vortArgs[T]) level(v, k int) {
+	v := at(a.verts, i)
 	g := a.g
-	kn := k * g.ne
-	re := g.re
-	var circ T
-	circ += g.sdc[3*v] * a.u[kn+int(g.veEdge[3*v])] * re
-	circ += g.sdc[3*v+1] * a.u[kn+int(g.veEdge[3*v+1])] * re
-	circ += g.sdc[3*v+2] * a.u[kn+int(g.veEdge[3*v+2])] * re
-	a.vort[k*g.nv+v] = circ / g.dualRR[v]
+	ne, re := g.ne, g.re
+	e0, e1, e2 := int(g.veEdge[3*v]), int(g.veEdge[3*v+1]), int(g.veEdge[3*v+2])
+	s0, s1, s2 := g.sdc[3*v], g.sdc[3*v+1], g.sdc[3*v+2]
+	dual := g.dualRR[v]
+	out := a.vort[v*g.nlev : (v+1)*g.nlev]
+	for k := range out {
+		uL := a.u[k*ne : (k+1)*ne]
+		var circ T
+		circ += s0 * uL[e0] * re
+		circ += s1 * uL[e1] * re
+		circ += s2 * uL[e2] * re
+		out[k] = circ / dual
+	}
 }
 
 func vortKernel(s pp.Space, args any) {
@@ -305,20 +327,19 @@ func vortKernel(s pp.Space, args any) {
 
 // momentumArgs carries the momentum kernel's inputs: the T-typed dynamic
 // fields produced by the diagnostics kernels plus the float64 thermodynamic
-// state (tv, phi, lnPs) the driver computes, with the step parameters
-// explicit in the shared edge geometry. Each tendency term is formed in
-// float64 — exact widenings of the T inputs, so float64 stays bit-for-bit —
-// and folded into the T-typed du chain with one conversion per term.
+// state (th, lnPs) the driver computes, with the step parameters explicit in
+// the shared edge geometry. Each tendency term is formed in float64 — exact
+// widenings of the T inputs, so float64 stays bit-for-bit — and folded into
+// the T-typed du chain with one conversion per term.
 type momentumArgs[T pp.Float] struct {
 	g  *atmGeom[T]
 	eg *edgeGeomF
 
-	u, newU       []T // [nlev*ne]
-	vcx, vcy, vcz []T // [nlev*nc] from atm.kediv
-	ke, div       []T // [nlev*nc] from atm.kediv
-	vort          []T // [nlev*nv] from atm.vort
-	tv, phi       []float64
-	lnPs          []float64 // per-cell ln(ps), hoisted out of the edge loop
+	u, newU []T           // [nlev*ne]
+	cd      []cellDiag[T] // [nc*nlev] from atm.kediv
+	vort    []T           // [nv*nlev] from atm.vort
+	th      []thermo      // [nc*nlev]
+	lnPs    []float64     // per-cell ln(ps), hoisted out of the edge loop
 
 	edges []int // iteration set; nil sweeps every edge
 	rowF  func(i int)
@@ -331,56 +352,53 @@ func (a *momentumArgs[T]) n() int {
 	return a.g.ne
 }
 
+// edge is one edge's momentum update over the column, term order exactly as
+// the original sweep: Coriolis on the tangential wind, KE+geopotential
+// gradient, surface-pressure gradient, divergence damping, vector Laplacian
+// viscosity. The two endpoint columns and two vertex columns are sliced
+// once; the level loop keeps the per-edge constants in registers.
 func (a *momentumArgs[T]) edge(i int) {
-	e := i
-	if a.edges != nil {
-		e = a.edges[i]
-	}
+	e := at(a.edges, i)
 	g := a.g
+	nlev, ne := g.nlev, g.ne
 	c1, c2 := int(g.ec1[e]), int(g.ec2[e])
 	v1, v2 := int(g.ev1[e]), int(g.ev2[e])
 	eg := a.eg
 	dcm, dvm := eg.dcm[e], eg.dvm[e]
-	f, damp := eg.fE[e], eg.damp[e]
+	f, damp, kh := eg.fE[e], eg.damp[e], eg.kh
 	psd := a.lnPs[c2] - a.lnPs[c1]
 	tx, ty, tz := g.tX[e], g.tY[e], g.tZ[e]
 	dtT := T(eg.dt)
-	nlev := g.nlev
-	k := 0
-	for ; k+2 <= nlev; k += 2 {
-		a.level(e, k, c1, c2, v1, v2, tx, ty, tz, dtT, f, psd, dcm, dvm, damp)
-		a.level(e, k+1, c1, c2, v1, v2, tx, ty, tz, dtT, f, psd, dcm, dvm, damp)
-	}
-	if k < nlev {
-		a.level(e, k, c1, c2, v1, v2, tx, ty, tz, dtT, f, psd, dcm, dvm, damp)
-	}
-}
-
-// level is one (edge, level) momentum update, term order exactly as the
-// original sweep: Coriolis on the tangential wind, KE+geopotential
-// gradient, surface-pressure gradient, divergence damping, vector
-// Laplacian viscosity.
-func (a *momentumArgs[T]) level(e, k, c1, c2, v1, v2 int, tx, ty, tz, dtT T, f, psd, dcm, dvm, damp float64) {
-	g := a.g
-	ic1, ic2 := k*g.nc+c1, k*g.nc+c2
-	iv1, iv2 := k*g.nv+v1, k*g.nv+v2
 	half := T(0.5)
-	// Tangential wind from the stored cell reconstructions: the mean of the
-	// two endpoint vectors projected on t = mid × n̂.
-	ut := half*(a.vcx[ic1]+a.vcx[ic2])*tx +
-		half*(a.vcy[ic1]+a.vcy[ic2])*ty +
-		half*(a.vcz[ic1]+a.vcz[ic2])*tz
-	eta := f + 0.5*(float64(a.vort[iv1])+float64(a.vort[iv2]))
-	du := T(eta) * ut
-	du -= T((float64(a.ke[ic2]) - float64(a.ke[ic1]) + a.phi[ic2] - a.phi[ic1]) / dcm)
-	tvb := 0.5 * (a.tv[ic1] + a.tv[ic2])
-	du -= T(Rd * tvb * psd / dcm)
-	dd := float64(a.div[ic2]) - float64(a.div[ic1])
-	du += T(damp * dd / dcm)
-	lap := dd/dcm - (float64(a.vort[iv2])-float64(a.vort[iv1]))/dvm
-	du += T(a.eg.kh * lap)
-	i := k*g.ne + e
-	a.newU[i] = a.u[i] + dtT*du
+	// Re-slicing every column to the common length lets the compiler drop
+	// the per-level bounds checks.
+	cd1 := a.cd[c1*nlev : (c1+1)*nlev]
+	cd2 := a.cd[c2*nlev : (c2+1)*nlev][:len(cd1)]
+	th1 := a.th[c1*nlev : (c1+1)*nlev][:len(cd1)]
+	th2 := a.th[c2*nlev : (c2+1)*nlev][:len(cd1)]
+	w1 := a.vort[v1*nlev : (v1+1)*nlev][:len(cd1)]
+	w2 := a.vort[v2*nlev : (v2+1)*nlev][:len(cd1)]
+	u, newU := a.u, a.newU
+	for k := range cd1 {
+		p1, p2 := &cd1[k], &cd2[k]
+		t1, t2 := &th1[k], &th2[k]
+		// Tangential wind from the stored cell reconstructions: the mean of the
+		// two endpoint vectors projected on t = mid × n̂.
+		ut := half*(p1.vx+p2.vx)*tx +
+			half*(p1.vy+p2.vy)*ty +
+			half*(p1.vz+p2.vz)*tz
+		eta := f + 0.5*(float64(w1[k])+float64(w2[k]))
+		du := T(eta) * ut
+		du -= T((float64(p2.ke) - float64(p1.ke) + t2.phi - t1.phi) / dcm)
+		tvb := 0.5 * (t1.tv + t2.tv)
+		du -= T(Rd * tvb * psd / dcm)
+		dd := float64(p2.div) - float64(p1.div)
+		du += T(damp * dd / dcm)
+		lap := dd/dcm - (float64(w2[k])-float64(w1[k]))/dvm
+		du += T(kh * lap)
+		i := k*ne + e
+		newU[i] = u[i] + dtT*du
+	}
 }
 
 func atmMomentumKernel(s pp.Space, args any) {
@@ -397,16 +415,22 @@ func atmMomentumKernel(s pp.Space, args any) {
 // --- driver scratch ---
 
 // dyScratch is the persistent per-model dycore state: the arrays the
-// original dynamicsSubstep allocated per call, the geometry tables, and the
-// pre-bound argument bundles. Externally visible buffers (newU, dpsDt) are
-// zero-filled each substep so decomposed runs see exactly the fresh-
-// allocation semantics the rank-invariance test pins.
+// original dynamicsSubstep allocated per call, the geometry tables, the
+// pre-bound kernel argument bundles, and the float64-only row bodies of
+// dycore.go bound once as method values (so a substep allocates no
+// closure). The externally visible buffer newU is zero-filled each substep
+// so decomposed runs see exactly the fresh-allocation semantics the
+// rank-invariance test pins.
 //
-// Every diagnostic array is dead between substeps — each is rebuilt (or
-// zero-filled) before the next substep reads it — so the tracer and physics
-// steps, which run only there, borrow tv, phi, ke, lnPs and dpsDt as their
-// whole-field scratch instead of holding arrays of their own.
+// Every scratch array is dead between substeps — each is rebuilt (or
+// zero-filled) before the next substep reads it — so the work that runs only
+// there borrows it instead of holding arrays of its own: the continuity
+// edge terms take newU ahead of its zero-fill; the tracer step takes
+// newU[:2·nlev·nc] and vort[:nlev·nc] (ne = 3nc−6, nv = 2nc−4) for θ and
+// the two transported fields, and lnPs for the window's old ps; the physics
+// step takes lnPs and vort[:nc] for the cell momentum tendencies.
 type dyScratch struct {
+	m   *Model
 	geo *atmGeom[float64]
 	eg  *edgeGeomF
 
@@ -415,14 +439,24 @@ type dyScratch struct {
 	// the layer.
 	lnMid, lnLayer []float64
 
-	tv, phi, lnPs []float64 // thermodynamic diagnostics (always float64)
-	vcx, vcy, vcz []float64
-	ke, div, vort []float64
-	newU, dpsDt   []float64
+	th   []thermo            // [nc*nlev] thermodynamic diagnostics (always float64)
+	lnPs []float64           // [nc]
+	cd   []cellDiag[float64] // [nc*nlev]
+	vort []float64           // [nv*nlev]
+	newU []float64           // [nlev*ne]
 
 	bKeDiv *keDivArgs[float64]
 	bVort  *vortArgs[float64]
 	bMom   *momentumArgs[float64]
+
+	// Iteration sets (see sweep): extended cells, owned cells, computed edges
+	// and vertices, refreshed from the model's decomposition at the top of
+	// each step; all nil when replicated.
+	ext, owned, comp, verts []int
+
+	// The float64-only row bodies of dycore.go, bound once.
+	thermoF, contEdgeF, contCellF    func(i int)
+	thetaF, transportF, tracerStoreF func(i int)
 
 	m32 *dyMixed32
 }
@@ -431,10 +465,10 @@ type dyScratch struct {
 type dyMixed32 struct {
 	geo *atmGeom[float32]
 
-	u             []float32
-	vcx, vcy, vcz []float32
-	ke, div, vort []float32
-	newU          []float32
+	u    []float32
+	cd   []cellDiag[float32]
+	vort []float32
+	newU []float32
 
 	bKeDiv *keDivArgs[float32]
 	bVort  *vortArgs[float32]
@@ -451,19 +485,14 @@ func (m *Model) dyEnsure() *dyScratch {
 	nlev := m.NLev
 	geo, eg := newAtmGeomF(mesh, m.recon, nlev)
 	s := &dyScratch{
-		geo:   geo,
-		eg:    eg,
-		tv:    make([]float64, nlev*nc),
-		phi:   make([]float64, nlev*nc),
-		lnPs:  make([]float64, nc),
-		vcx:   make([]float64, nlev*nc),
-		vcy:   make([]float64, nlev*nc),
-		vcz:   make([]float64, nlev*nc),
-		ke:    make([]float64, nlev*nc),
-		div:   make([]float64, nlev*nc),
-		vort:  make([]float64, nlev*nv),
-		newU:  make([]float64, nlev*ne),
-		dpsDt: make([]float64, nc),
+		m:    m,
+		geo:  geo,
+		eg:   eg,
+		th:   make([]thermo, nc*nlev),
+		lnPs: make([]float64, nc),
+		cd:   make([]cellDiag[float64], nc*nlev),
+		vort: make([]float64, nv*nlev),
+		newU: make([]float64, nlev*ne),
 
 		lnMid:   make([]float64, nlev),
 		lnLayer: make([]float64, nlev),
@@ -473,38 +502,31 @@ func (m *Model) dyEnsure() *dyScratch {
 		s.lnMid[k] = math.Log(sBot / m.Sig[k])
 		s.lnLayer[k] = math.Log(sBot / sTop)
 	}
-	s.bKeDiv = &keDivArgs[float64]{g: geo, vcx: s.vcx, vcy: s.vcy, vcz: s.vcz, ke: s.ke, div: s.div}
+	s.bKeDiv = &keDivArgs[float64]{g: geo, cd: s.cd}
 	s.bKeDiv.rowF = s.bKeDiv.cell
 	s.bVort = &vortArgs[float64]{g: geo, vort: s.vort}
 	s.bVort.rowF = s.bVort.vertex
-	s.bMom = &momentumArgs[float64]{
-		g: geo, eg: eg,
-		vcx: s.vcx, vcy: s.vcy, vcz: s.vcz, ke: s.ke, div: s.div, vort: s.vort,
-		tv: s.tv, phi: s.phi, lnPs: s.lnPs,
-	}
+	s.bMom = &momentumArgs[float64]{g: geo, eg: eg, cd: s.cd, vort: s.vort, th: s.th, lnPs: s.lnPs}
 	s.bMom.rowF = s.bMom.edge
+	s.thermoF, s.contEdgeF, s.contCellF = s.thermoCell, s.contEdge, s.contCell
+	s.thetaF, s.transportF, s.tracerStoreF = s.thetaCell, s.transport2, s.tracerStore
 	if m.kprec == pp.PrecMixed {
 		g32 := narrowGeom(geo)
 		m32 := &dyMixed32{
 			geo:  g32,
 			u:    make([]float32, nlev*ne),
-			vcx:  make([]float32, nlev*nc),
-			vcy:  make([]float32, nlev*nc),
-			vcz:  make([]float32, nlev*nc),
-			ke:   make([]float32, nlev*nc),
-			div:  make([]float32, nlev*nc),
-			vort: make([]float32, nlev*nv),
+			cd:   make([]cellDiag[float32], nc*nlev),
+			vort: make([]float32, nv*nlev),
 			newU: make([]float32, nlev*ne),
 		}
-		m32.bKeDiv = &keDivArgs[float32]{g: g32, u: m32.u, vcx: m32.vcx, vcy: m32.vcy, vcz: m32.vcz, ke: m32.ke, div: m32.div}
+		m32.bKeDiv = &keDivArgs[float32]{g: g32, u: m32.u, cd: m32.cd}
 		m32.bKeDiv.rowF = m32.bKeDiv.cell
 		m32.bVort = &vortArgs[float32]{g: g32, u: m32.u, vort: m32.vort}
 		m32.bVort.rowF = m32.bVort.vertex
 		m32.bMom = &momentumArgs[float32]{
 			g: g32, eg: eg,
 			u: m32.u, newU: m32.newU,
-			vcx: m32.vcx, vcy: m32.vcy, vcz: m32.vcz, ke: m32.ke, div: m32.div, vort: m32.vort,
-			tv: s.tv, phi: s.phi, lnPs: s.lnPs,
+			cd: m32.cd, vort: m32.vort, th: s.th, lnPs: s.lnPs,
 		}
 		m32.bMom.rowF = m32.bMom.edge
 		s.m32 = m32
@@ -526,10 +548,11 @@ func (m *Model) dyEnsure() *dyScratch {
 //
 // Bit-for-bit contract of the float64 instantiation: path, tau, the
 // attenuation/emissivity recurrences, and the final flux expressions keep
-// the historical operand grouping exactly; the per-g-point kAbs tables and
-// the per-level Planck emission are hoisted out of their loops, but every
-// hoisted entry is the identical expression the inner loop computed, so
-// the values (and therefore every downstream bit) are unchanged.
+// the historical operand grouping exactly; the per-g-point kAbs tables, the
+// per-level Planck emission and each long-wave g-point's column of
+// transmissivities are hoisted out of their loops, but every hoisted entry
+// is the identical expression the inner loop computed, so the values (and
+// therefore every downstream bit) are unchanged.
 // ---------------------------------------------------------------------------
 
 // twoStreamRad attenuates each shortwave g-point's direct beam down the
@@ -539,12 +562,12 @@ func (m *Model) dyEnsure() *dyScratch {
 // cosine of the solar zenith angle, swK/lwK the g-point absorption tables.
 func twoStreamRad[T pp.Float](q, tcol, dsig []float64, ps, mu0, s0 float64, swK, lwK []float64) (gsw, glw float64) {
 	nlev := len(tcol)
-	// The two per-level work arrays live on the stack for any realistic
+	// The three per-level work arrays live on the stack for any realistic
 	// level count; nothing below lets them escape.
-	var stack [2 * 64]T
+	var stack [3 * 64]T
 	work := stack[:]
-	if 2*nlev > len(stack) {
-		work = make([]T, 2*nlev)
+	if 3*nlev > len(stack) {
+		work = make([]T, 3*nlev)
 	}
 	// Per-layer absorber path: water vapour mass (kg/m²) plus a small dry
 	// (well-mixed gas) contribution.
@@ -577,13 +600,19 @@ func twoStreamRad[T pp.Float](q, tcol, dsig []float64, ps, mu0, s0 float64, swK,
 		planck[k] = T(sb) * tk * tk * tk * tk
 	}
 	lit := T(1.66) // diffusivity factor
+	trans := work[2*nlev : 3*nlev]
 	var glwSum T
 	for g := range lwK {
 		kAbs := T(lwK[g])
+		// The column's transmissivities in one ExpInto call: the generic sweep
+		// pays the type dispatch once per g-point instead of once per level.
+		for k := 0; k < nlev; k++ {
+			trans[k] = -kAbs * path[k] * lit
+		}
+		pp.ExpInto(trans, trans)
 		var d T // downward flux of this g-point (normalized weight 1)
 		for k := 0; k < nlev; k++ {
-			trans := pp.Exp(-kAbs * path[k] * lit)
-			d = d*trans + planck[k]*(1-trans)
+			d = d*trans[k] + planck[k]*(1-trans[k])
 		}
 		glwSum += d
 	}

@@ -366,10 +366,8 @@ func (e *ESM) ReadRestart(dir string, nGroups int) error {
 	if eok != dok {
 		return fmt.Errorf("core: restart has partial flux accumulators")
 	}
-	if eok {
-		m.RestoreState(atmSteps, edge, dps)
-	} else {
-		m.RestoreState(atmSteps, nil, nil)
+	if err := m.RestoreState(atmSteps, edge, dps); err != nil {
+		return fmt.Errorf("core: restart fields \"atm.fluxedge\"/\"atm.fluxdps\": %w", err)
 	}
 
 	// --- Ocean + ice (each rank keeps its block) ---

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/par"
 	"repro/internal/pario"
 	"repro/internal/pp"
@@ -172,6 +175,101 @@ func TestRestartErrors(t *testing.T) {
 			t.Error("restart into non-fresh model accepted")
 		}
 	})
+}
+
+// shortenFluxEdge rewrites a 1-rank restart set with its last atm.fluxedge
+// value dropped: a well-formed file (checksums and all) whose accumulator no
+// longer fits the model it is read into.
+func shortenFluxEdge(c *par.Comm, dir string) error {
+	global, err := pario.ReadGlobal(pario.SubfilePaths(dir, 1))
+	if err != nil {
+		return err
+	}
+	var fields []pario.Field
+	for name, data := range global {
+		if name == "atm.fluxedge" {
+			data = data[:len(data)-1]
+		}
+		fields = append(fields, pario.Field{Name: name, Global: len(data), Data: data})
+	}
+	return pario.WriteSubfiles(c, dir, 1, fields)
+}
+
+// A restart whose flux accumulator is the wrong length is an error from
+// ReadRestart — it used to panic inside the atmosphere — and RunResilient
+// answers a rollback onto such a set the way it answers any corrupt
+// checkpoint: restart from the initial state, finishing bit-for-bit.
+func TestRestartShortFluxAccumulators(t *testing.T) {
+	const steps = 20
+	days := float64(steps) / 180
+
+	refDir := t.TempDir()
+	par.Run(1, func(c *par.Comm) {
+		mk := mkESM(t, c)
+		e, _ := mk()
+		for i := 0; i < steps; i++ {
+			e.Step()
+		}
+		if err := e.WriteRestart(refDir, 1); err != nil {
+			t.Fatal(err)
+		}
+		// The direct path: a fresh model refuses the shortened copy.
+		short := t.TempDir()
+		if err := e.WriteRestart(short, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := shortenFluxEdge(c, short); err != nil {
+			t.Fatal(err)
+		}
+		fresh, _ := mk()
+		err := fresh.ReadRestart(short, 1)
+		if err == nil || !strings.Contains(err.Error(), "atm.fluxedge") {
+			t.Errorf("short atm.fluxedge: ReadRestart returned %v, want an error naming the field", err)
+		}
+	})
+
+	// The supervised path: the first checkpoint is shortened once committed,
+	// and the NaN at step 12 forces a rollback onto it.
+	plan, err := fault.Parse("nan@esm.step:12", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Arm(plan)
+	defer fault.Disarm()
+	ckDir := filepath.Join(t.TempDir(), "ck")
+	gotDir := t.TempDir()
+	par.Run(1, func(c *par.Comm) {
+		shortened := false
+		e, rep, err := RunResilient(mkESM(t, c), ResilientConfig{
+			Days: days, CheckpointEvery: 8, MaxRetries: 5,
+			Dir: ckDir, Backoff: time.Millisecond,
+			OnCheckpoint: func(*ESM) {
+				if shortened {
+					return
+				}
+				shortened = true
+				if err := shortenFluxEdge(c, ckDir); err != nil {
+					t.Error(err)
+				}
+			},
+		})
+		if err != nil {
+			t.Fatalf("resilient run failed: %v (recoveries %+v)", err, rep.Recoveries)
+		}
+		if len(rep.Recoveries) == 0 || rep.Recoveries[0].Resumed != 0 {
+			t.Fatalf("expected a restart from scratch, got %+v", rep.Recoveries)
+		}
+		fault.Disarm()
+		if err := e.WriteRestart(gotDir, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	ref, got := readSet(t, refDir, 1), readSet(t, gotDir, 1)
+	for name := range ref {
+		if string(ref[name]) != string(got[name]) {
+			t.Fatalf("%s differs from the fault-free run after the short-checkpoint fallback", name)
+		}
+	}
 }
 
 func TestWriteSnapshot(t *testing.T) {

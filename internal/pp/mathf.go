@@ -21,6 +21,29 @@ func Exp[T Float](x T) T {
 	return T(math.Exp(float64(x)))
 }
 
+// ExpInto sets dst[i] = Exp(src[i]) for every element of src; dst must be at
+// least as long and may be src itself. Each element gets exactly the bits
+// Exp returns, but the element type is resolved once per call rather than
+// once per element, which is what a generic kernel body pays for calling Exp
+// in its inner loop.
+func ExpInto[T Float](dst, src []T) {
+	dst = dst[:len(src)]
+	switch d := any(dst).(type) {
+	case []float64:
+		for i, x := range any(src).([]float64) {
+			d[i] = math.Exp(x)
+		}
+	case []float32:
+		for i, x := range any(src).([]float32) {
+			d[i] = FastExpf(x)
+		}
+	default: // a named float type: no fast path to pick
+		for i, x := range src {
+			dst[i] = Exp(x)
+		}
+	}
+}
+
 // FastExpf computes e^x in float32 with a branch-light polynomial: reduce
 // x = n·ln2 + r with r in [-ln2/2, ln2/2] (Cody–Waite two-part ln2, so the
 // reduction stays exact for |n| up to 128), evaluate e^r by a degree-6

@@ -58,3 +58,48 @@ func TestFastExpfEdges(t *testing.T) {
 		t.Errorf("Exp[float32](-3.25) = %v, want FastExpf = %v", got, want)
 	}
 }
+
+// ExpInto must hand every element exactly the bits Exp returns, at both
+// element types, in place or not, for empty, single, one-column and odd
+// lengths — that is what lets a kernel batch its exponentials and stay
+// bit-for-bit.
+func TestExpIntoMatchesExp(t *testing.T) {
+	for _, n := range []int{0, 1, 8, 257} {
+		src64 := make([]float64, n)
+		src32 := make([]float32, n)
+		for i := range src64 {
+			x := -90 + 100*float64(i)/float64(n) + 0.137*float64(i%7)
+			src64[i], src32[i] = x, float32(x)
+		}
+		dst64 := make([]float64, n+1) // longer than src: the tail must be left alone
+		dst32 := make([]float32, n+1)
+		dst64[n], dst32[n] = -1, -1
+		ExpInto(dst64, src64)
+		ExpInto(dst32, src32)
+		for i := range src64 {
+			if got, want := dst64[i], Exp(src64[i]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d: ExpInto[float64][%d] = %v, want Exp = %v", n, i, got, want)
+			}
+			if got, want := dst32[i], Exp(src32[i]); math.Float32bits(got) != math.Float32bits(want) {
+				t.Fatalf("n=%d: ExpInto[float32][%d] = %v, want Exp = %v", n, i, got, want)
+			}
+		}
+		if dst64[n] != -1 || dst32[n] != -1 {
+			t.Fatalf("n=%d: ExpInto wrote past len(src)", n)
+		}
+		// In place.
+		ExpInto(src64, src64)
+		ExpInto(src32, src32)
+		for i := range src64 {
+			if src64[i] != dst64[i] || src32[i] != dst32[i] {
+				t.Fatalf("n=%d: in-place ExpInto differs at %d", n, i)
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() {
+		var buf [8]float64
+		ExpInto(buf[:], buf[:])
+	}); a != 0 {
+		t.Errorf("ExpInto allocates %v objects per call", a)
+	}
+}
