@@ -3,7 +3,8 @@
 # repetitions of par's receive-progress lap, the restart-decoder,
 # group-scaled round-trip and store-manifest fuzz smokes, the three audited
 # CLI gates (conservation budget on four decomposed ranks, its
-# compressed-wire twin, its mixed-kernel-precision twin), the two-rank
+# compressed-wire twin, its mixed-kernel-precision twin), the one-day
+# radiation-hold drift budget against the every-step twin, the two-rank
 # resilient rollback lap, the degraded ensemble lap (one member permanently
 # failed, quorum 3/4), and a smoke lap of the repo's one benchmark (bench/:
 # every workload path once plus its own tests, no measurement — to measure,
@@ -12,7 +13,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race race-par budget budget-wire budget-kprec fuzz resilient ensemble check bench-smoke profile clean
+.PHONY: all build vet test race race-par budget budget-wire budget-kprec budget-rad fuzz resilient ensemble check bench-smoke profile clean
 
 all: check
 
@@ -46,6 +47,13 @@ budget-wire:
 budget-kprec:
 	$(GO) run ./cmd/ap3esm -config 25v10 -days 0.31 -ranks 2 -schedule conc -remap cons -kprec mixed -audit-gate 1e-10
 
+# One simulated day of the model beside a twin that diagnoses surface
+# radiation on every column every step: what holding GSW/GLW over the
+# ocean-coupling interval costs, against the budget in DESIGN.md "Radiation
+# step and hold". -v prints the measured drift.
+budget-rad:
+	$(GO) test ./internal/core -run '^TestRadiationHoldDrift$$' -count 1 -v
+
 fuzz:
 	$(GO) test ./internal/pario -run '^$$' -fuzz FuzzReadSubfile -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/precision -run '^$$' -fuzz FuzzGroupScaledRoundTrip -fuzztime $(FUZZTIME)
@@ -74,7 +82,7 @@ profile:
 	  $(GO) tool pprof -top -nodecount=15 "$$dir/ap3esm" "$$dir/cpu.prof"; \
 	  rc=$$?; rm -rf "$$dir"; exit $$rc; }
 
-check: vet build race race-par budget budget-wire budget-kprec fuzz resilient ensemble bench-smoke
+check: vet build race race-par budget budget-wire budget-kprec budget-rad fuzz resilient ensemble bench-smoke
 
 clean:
 	rm -rf .bench_build/

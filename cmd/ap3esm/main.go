@@ -193,6 +193,16 @@ func main() {
 			}
 		}
 		if sink != nil {
+			// Surface radiation runs on its own step, the ocean-coupling
+			// interval: columns as the registry counted them (redone steps
+			// included), steps as the clock dealt them.
+			cols := c.Allreduce(float64(handle.Registry().Counter("atm.rad.columns").Value()), par.OpSum)
+			if c.Rank() == 0 {
+				steps := e.CouplingSteps()
+				radSteps := steps * cfg.OcnCouplingsPerDay / cfg.AtmCouplingsPerDay
+				fmt.Printf("surface radiation: %.0f columns diagnosed, %d radiation steps, %d steps held\n",
+					cols, radSteps, steps-radSteps)
+			}
 			rows := e.TimingReport() // collective: every rank participates
 			if c.Rank() == 0 {
 				fmt.Print(core.FormatTiming(rows))

@@ -105,31 +105,31 @@ type Model struct {
 	dy      *dyScratch
 	cols    colPool
 
-	// Radiation demand (see DemandRadiation): the cells whose GSW/GLW are
-	// read after every step, whether this step's diagnosis of the other
-	// owned cells will be read, and the running count of columns diagnosed
-	// (atomic: columns may run concurrently).
-	radEvery []bool
-	radOwned bool
-	radCols  atomic.Int64
+	// Radiation step (see DemandRadiation): the mask of cells a reader outside
+	// the model consumes, which of the two column sets the next physics step
+	// diagnoses, and the running count of columns diagnosed (atomic: columns
+	// may run concurrently).
+	radMask             []bool
+	radMarked, radOwned bool
+	radCols             atomic.Int64
 }
 
-// DemandRadiation makes the next physics step's surface-radiation diagnosis
-// demand-driven. GSW/GLW are pure diagnoses — nothing in the atmosphere
-// reads them back — so a column is swept only when something outside will
-// read the result before the following step replaces it: every cell marked
-// in everyStep, plus, when owned is set, every other cell this rank owns
-// (halo columns outside everyStep are never read locally). A column that is
-// not swept keeps its previous GSW/GLW. A nil everyStep — the state of a
-// model nobody has called this on — diagnoses every column every step.
-func (m *Model) DemandRadiation(everyStep []bool, owned bool) {
-	m.radEvery, m.radOwned = everyStep, owned
+// DemandRadiation gives surface radiation its own time step. GSW/GLW are pure
+// diagnoses — nothing in the atmosphere reads them back — so the caller says
+// which columns the next physics step sweeps and every other column holds
+// its last diagnosis: with marked, the cells set in mask; with owned, every
+// cell this rank owns. A radiation step passes both, and the mask is then
+// what lets halo cells ride along (a halo column is swept only if marked:
+// nothing else on this rank reads it); a held step passes neither. A nil
+// mask — the state of a model nobody has called this on — diagnoses every
+// column every step.
+func (m *Model) DemandRadiation(mask []bool, marked, owned bool) {
+	m.radMask, m.radMarked, m.radOwned = mask, marked, owned
 }
 
-// radSkipped reports whether cell c's radiation diagnosis is dead work this
-// step.
+// radSkipped reports whether cell c holds its surface radiation this step.
 func (m *Model) radSkipped(c int) bool {
-	if m.radEvery == nil || m.radEvery[c] {
+	if m.radMask == nil || (m.radMarked && m.radMask[c]) {
 		return false
 	}
 	return !m.radOwned || (m.dec != nil && m.dec.Owner(c) != m.dec.Comm().Rank())

@@ -2,6 +2,7 @@ package atmos
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/grid"
@@ -278,6 +279,69 @@ func TestPhysicsSuiteContract(t *testing.T) {
 	// Friction decelerates the surface wind.
 	if out.DU[nlev-1] >= 0 {
 		t.Errorf("DU = %v with positive wind", out.DU[nlev-1])
+	}
+}
+
+// The suite's tables are published lock-free: columns racing through a fresh
+// suite's first use (run under -race) all read one consistent snapshot and
+// agree with a suite that built its tables alone, and a changed g-point
+// count is picked up by the next column, not served from the stale snapshot.
+func TestSuiteTablesConcurrentFirstUse(t *testing.T) {
+	m := newTestModel(t, 2, 6)
+	nlev := m.NLev
+	column := func(s *ConventionalSuite) (gsw, glw, dt0 float64) {
+		in := ColumnIn{
+			U: make([]float64, nlev), V: make([]float64, nlev),
+			T: make([]float64, nlev), Q: make([]float64, nlev),
+			P:   make([]float64, nlev),
+			Lat: 0.2, TSkin: 300, CosZ: 0.8,
+		}
+		for k := 0; k < nlev; k++ {
+			in.T[k], in.P[k], in.Q[k] = 250+5*float64(k), m.Sig[k]*P0, 0.002
+		}
+		out := ColumnOut{
+			DT: make([]float64, nlev), DQ: make([]float64, nlev),
+			DU: make([]float64, nlev), DV: make([]float64, nlev),
+		}
+		s.Column(in, 600, &out)
+		return out.GSW, out.GLW, out.DT[0]
+	}
+	alone := NewConventionalSuite(m)
+	wantSW, wantLW, wantDT := column(alone)
+
+	shared := NewConventionalSuite(m)
+	const workers = 8
+	var wg sync.WaitGroup
+	got := make([][3]float64, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				got[w][0], got[w][1], got[w][2] = column(shared)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		if got[w] != [3]float64{wantSW, wantLW, wantDT} {
+			t.Errorf("worker %d: GSW/GLW/DT = %v, a suite used alone gives %v", w, got[w], [3]float64{wantSW, wantLW, wantDT})
+		}
+	}
+
+	before := shared.tab.Load()
+	shared.LWGPoints, alone.LWGPoints = 70, 70
+	sharedSW, sharedLW, _ := column(shared)
+	if shared.tab.Load() == before || len(shared.tab.Load().lwK) != 70 {
+		t.Error("changing LWGPoints did not rebuild the tables")
+	}
+	if sw, lw, _ := column(alone); sw != sharedSW || lw != sharedLW || lw == wantLW {
+		t.Errorf("after LWGPoints = 70: GSW/GLW %v/%v vs %v/%v (140 g-points gave GLW %v)", sharedSW, sharedLW, sw, lw, wantLW)
+	}
+	same := shared.tab.Load()
+	column(shared)
+	if shared.tab.Load() != same {
+		t.Error("an unchanged suite rebuilt its tables")
 	}
 }
 

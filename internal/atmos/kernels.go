@@ -538,21 +538,24 @@ func (m *Model) dyEnsure() *dyScratch {
 // ---------------------------------------------------------------------------
 // Radiation: the single-source two-stream sweep.
 //
-// Profiling the coupled model puts the conventional suite's correlated-k
-// radiation at ~45% of total CPU — nearly all of it math.Exp — which makes
-// it the one physics loop worth porting into the kernel layer. Unlike the
-// row kernels above it is a per-column body invoked from inside the physics
-// column sweep (already a ParallelFor), so it is a generic function rather
-// than a registered launch: one body, two instantiations, selected by the
-// suite from the model's kernel precision.
+// The conventional suite's correlated-k radiation is the one physics loop
+// ported into the kernel layer: 1 232 exponentials per sunlit column made it
+// 29 % of coupled CPU when it ran on 1 386 columns per ocean-coupling
+// interval (EXPERIMENTS.md "Radiation step and hold"); on its own time step it
+// runs on 642. Unlike the row kernels above it is a per-column body invoked
+// from inside the physics column sweep (already a ParallelFor), so it is a
+// generic function rather than a registered launch: one body, two
+// instantiations, selected by the suite from the model's kernel precision.
 //
-// Bit-for-bit contract of the float64 instantiation: path, tau, the
-// attenuation/emissivity recurrences, and the final flux expressions keep
-// the historical operand grouping exactly; the per-g-point kAbs tables, the
-// per-level Planck emission and each long-wave g-point's column of
-// transmissivities are hoisted out of their loops, but every hoisted entry
-// is the identical expression the inner loop computed, so the values (and
-// therefore every downstream bit) are unchanged.
+// Contract of the float64 instantiation: path, tau, the attenuation and
+// emissivity recurrences and the final flux expressions keep the historical
+// operand grouping exactly; the per-g-point kAbs tables, the per-level Planck
+// emission and the column's exponential arguments are hoisted out of their
+// loops, each hoisted entry the identical expression the inner loop
+// computed. The exponential itself is pp's table-driven one (≤ 0.51 ulp, the
+// same bits on every host), not math.Exp, so GSW/GLW differ from the
+// pre-table history in the last places — the one exception to "the float64
+// instantiation is the historical code" (DESIGN.md).
 // ---------------------------------------------------------------------------
 
 // twoStreamRad attenuates each shortwave g-point's direct beam down the
@@ -562,12 +565,19 @@ func (m *Model) dyEnsure() *dyScratch {
 // cosine of the solar zenith angle, swK/lwK the g-point absorption tables.
 func twoStreamRad[T pp.Float](q, tcol, dsig []float64, ps, mu0, s0 float64, swK, lwK []float64) (gsw, glw float64) {
 	nlev := len(tcol)
-	// The three per-level work arrays live on the stack for any realistic
-	// level count; nothing below lets them escape.
-	var stack [3 * 64]T
+	nsw := len(swK)
+	if mu0 <= 0 {
+		nsw = 0 // no sun, no short-wave arguments
+	}
+	// Two per-level arrays and every exponential argument of the column —
+	// one per short-wave g-point, one per long-wave (g-point, level) — in one
+	// block: on the stack at the default g-point counts up to 8 levels, and
+	// nothing below lets it escape.
+	nexp := nsw + len(lwK)*nlev
+	var stack [2*8 + 112 + 140*8]T
 	work := stack[:]
-	if 3*nlev > len(stack) {
-		work = make([]T, 3*nlev)
+	if 2*nlev+nexp > len(stack) {
+		work = make([]T, 2*nlev+nexp)
 	}
 	// Per-layer absorber path: water vapour mass (kg/m²) plus a small dry
 	// (well-mixed gas) contribution.
@@ -576,43 +586,52 @@ func twoStreamRad[T pp.Float](q, tcol, dsig []float64, ps, mu0, s0 float64, swK,
 		lm := ps * dsig[k] / Gravity
 		path[k] = T(q[k]*lm + 1e-4*lm)
 	}
-
-	// --- Shortwave: direct-beam attenuation per g-point ---
-	if mu0 > 0 {
-		mu := T(mu0)
-		var down T
-		for g := range swK {
-			kAbs := T(swK[g])
-			var tau T
-			for k := 0; k < nlev; k++ {
-				tau += kAbs * path[k]
-			}
-			down += pp.Exp(-tau / mu)
-		}
-		gsw = s0 * mu0 * (float64(down) / float64(len(swK))) * (1 - 0.15) // 15% Rayleigh/aerosol loss
-	}
-
-	// --- Longwave: emissivity sweep per g-point, top down ---
 	const sb = 5.67e-8
 	planck := work[nlev : 2*nlev]
 	for k := 0; k < nlev; k++ {
 		tk := T(tcol[k])
 		planck[k] = T(sb) * tk * tk * tk * tk
 	}
+
+	// Every optical depth first, then one ExpInto over the lot: the generic
+	// sweep pays the type dispatch once per column, and the exponential's
+	// loop runs without the recurrences' dependency chains in its way.
+	trans := work[2*nlev : 2*nlev+nexp]
+	swT, lwT := trans[:nsw], trans[nsw:]
+	mu := T(mu0)
+	for g := range swT {
+		kAbs := T(swK[g])
+		var tau T
+		for k := 0; k < nlev; k++ {
+			tau += kAbs * path[k]
+		}
+		swT[g] = -tau / mu
+	}
 	lit := T(1.66) // diffusivity factor
-	trans := work[2*nlev : 3*nlev]
-	var glwSum T
 	for g := range lwK {
 		kAbs := T(lwK[g])
-		// The column's transmissivities in one ExpInto call: the generic sweep
-		// pays the type dispatch once per g-point instead of once per level.
-		for k := 0; k < nlev; k++ {
-			trans[k] = -kAbs * path[k] * lit
+		col := lwT[g*nlev : (g+1)*nlev]
+		for k := range col {
+			col[k] = -kAbs * path[k] * lit
 		}
-		pp.ExpInto(trans, trans)
+	}
+	pp.ExpInto(trans, trans)
+
+	// --- Shortwave: direct-beam attenuation per g-point ---
+	if nsw > 0 {
+		var down T
+		for _, tr := range swT {
+			down += tr
+		}
+		gsw = s0 * mu0 * (float64(down) / float64(nsw)) * (1 - 0.15) // 15% Rayleigh/aerosol loss
+	}
+
+	// --- Longwave: emissivity sweep per g-point, top down ---
+	var glwSum T
+	for g := range lwK {
 		var d T // downward flux of this g-point (normalized weight 1)
-		for k := 0; k < nlev; k++ {
-			d = d*trans[k] + planck[k]*(1-trans[k])
+		for k, tr := range lwT[g*nlev : (g+1)*nlev] {
+			d = d*tr + planck[k]*(1-tr)
 		}
 		glwSum += d
 	}

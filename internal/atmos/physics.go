@@ -2,7 +2,7 @@ package atmos
 
 import (
 	"math"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/pp"
 )
@@ -20,9 +20,9 @@ type ColumnIn struct {
 	CosZ          float64 // cosine of solar zenith angle
 	Land          bool
 	Ice           float64 // sea-ice fraction
-	// SkipRad marks a column whose surface-radiation diagnosis nothing will
-	// read before the next physics step replaces it: the suite leaves
-	// ColumnOut.GSW/GLW alone and the caller keeps its held values.
+	// SkipRad marks a column that holds its surface radiation this step (see
+	// Model.DemandRadiation): the suite leaves ColumnOut.GSW/GLW alone and
+	// the caller keeps its held values.
 	SkipRad bool
 }
 
@@ -77,12 +77,17 @@ type ConventionalSuite struct {
 	// radiation module replaces exactly that computation (§5.2.1).
 	DisableRadiation bool
 
-	// Cached per-g-point absorption coefficients, rebuilt when the g-point
-	// counts change, and the per-level factors of the equilibrium
-	// temperature, ln(σ) and σ^κ. Columns run concurrently under
-	// ParallelFor, so the lazy builds are mutex-guarded; after the first
-	// column they are a check-and-return.
-	kMu          sync.Mutex
+	// The suite's lookup tables, built on first use and rebuilt when the
+	// g-point or level counts change. Columns run concurrently under
+	// ParallelFor, so the tables are published as one immutable snapshot: a
+	// column pays an atomic load, never a lock.
+	tab atomic.Pointer[suiteTables]
+}
+
+// suiteTables are the per-g-point absorption coefficients, window to
+// saturated, and the per-level factors of the equilibrium temperature, ln(σ)
+// and σ^κ. Never written after publication.
+type suiteTables struct {
 	swK, lwK     []float64
 	eqLog, eqPow []float64
 }
@@ -120,7 +125,8 @@ func (s *ConventionalSuite) Column(in ColumnIn, dt float64, out *ColumnOut) {
 	// temperature (≈1 K warmer air aloft), the usual aquaplanet correction:
 	// without it the analytic tropics sit ~6 K above the SST, inverting the
 	// sensible heat flux and shutting off evaporation. ---
-	eqLog, eqPow := s.eqTables()
+	tab := s.tables()
+	eqLog, eqPow := tab.eqLog, tab.eqPow
 	sin2, cos2 := sinSq(in.Lat), cosSq(in.Lat)
 	for k := 0; k < nlev; k++ {
 		sig := m.Sig[k]
@@ -214,55 +220,47 @@ func (s *ConventionalSuite) Column(in ColumnIn, dt float64, out *ColumnOut) {
 // distribution radiation codes (RRTMG) have, at the same per-column cost
 // scale.
 // The sweep itself is the single-source twoStreamRad body in kernels.go:
-// the float64 instantiation reproduces the historical arithmetic bit-for-
-// bit (the g-point coefficient tables are hoisted out of the column loop,
-// but each table entry is the identical expression the loop computed); the
-// float32 instantiation is the mixed-precision path, whose win comes from
-// pp.FastExpf replacing the ~1200 math.Exp calls per column that dominate
-// the conventional suite's cost.
+// the float64 instantiation keeps the historical operand grouping around
+// pp's table-driven exponential (1 232 exponentials per sunlit column at the
+// default g-point counts, about half the column's cost); the float32
+// instantiation is the mixed-precision path, whose exponential is
+// pp.FastExpf.
 func (s *ConventionalSuite) TwoStreamRadiation(in ColumnIn) (gsw, glw float64) {
 	nlev := len(in.T)
 	m := s.m
 	ps := in.P[nlev-1] / m.Sig[nlev-1]
-	swK, lwK := s.gTables()
+	tab := s.tables()
 	if m.kprec == pp.PrecMixed {
-		return twoStreamRad[float32](in.Q, in.T, m.DSig, ps, in.CosZ, s.S0, swK, lwK)
+		return twoStreamRad[float32](in.Q, in.T, m.DSig, ps, in.CosZ, s.S0, tab.swK, tab.lwK)
 	}
-	return twoStreamRad[float64](in.Q, in.T, m.DSig, ps, in.CosZ, s.S0, swK, lwK)
+	return twoStreamRad[float64](in.Q, in.T, m.DSig, ps, in.CosZ, s.S0, tab.swK, tab.lwK)
 }
 
-// gTables returns the log-spaced absorption coefficient tables, window to
-// saturated, building them on first use or when the g-point counts change.
-func (s *ConventionalSuite) gTables() (swK, lwK []float64) {
-	s.kMu.Lock()
-	defer s.kMu.Unlock()
-	if len(s.swK) != s.SWGPoints {
-		s.swK = make([]float64, s.SWGPoints)
-		for g := range s.swK {
-			s.swK[g] = 2e-4 * math.Exp(9*float64(g)/float64(s.SWGPoints-1))
-		}
-	}
-	if len(s.lwK) != s.LWGPoints {
-		s.lwK = make([]float64, s.LWGPoints)
-		for g := range s.lwK {
-			s.lwK[g] = 5e-4 * math.Exp(8*float64(g)/float64(s.LWGPoints-1))
-		}
-	}
-	return s.swK, s.lwK
-}
-
-// eqTables returns the level-only factors of equilibriumT on the model's
-// sigma levels — the identical expressions equilibriumT evaluates, so a
+// tables returns the current snapshot, building a new one when none exists
+// or SWGPoints, LWGPoints or the level count no longer match it. Columns
+// that race to build publish identical tables, so whichever store lands last
+// changes nothing a reader can see. The g-point tables are log-spaced; the
+// level factors are the identical expressions equilibriumT evaluates, so a
 // table entry carries the same bits as the call it replaces.
-func (s *ConventionalSuite) eqTables() (eqLog, eqPow []float64) {
-	s.kMu.Lock()
-	defer s.kMu.Unlock()
-	if sig := s.m.Sig; len(s.eqLog) != len(sig) {
-		s.eqLog = make([]float64, len(sig))
-		s.eqPow = make([]float64, len(sig))
-		for k := range sig {
-			s.eqLog[k], s.eqPow[k] = eqLevel(sig[k])
-		}
+func (s *ConventionalSuite) tables() *suiteTables {
+	sig := s.m.Sig
+	t := s.tab.Load()
+	if t != nil && len(t.swK) == s.SWGPoints && len(t.lwK) == s.LWGPoints && len(t.eqLog) == len(sig) {
+		return t
 	}
-	return s.eqLog, s.eqPow
+	t = &suiteTables{
+		swK: make([]float64, s.SWGPoints), lwK: make([]float64, s.LWGPoints),
+		eqLog: make([]float64, len(sig)), eqPow: make([]float64, len(sig)),
+	}
+	for g := range t.swK {
+		t.swK[g] = 2e-4 * math.Exp(9*float64(g)/float64(s.SWGPoints-1))
+	}
+	for g := range t.lwK {
+		t.lwK[g] = 5e-4 * math.Exp(8*float64(g)/float64(s.LWGPoints-1))
+	}
+	for k := range sig {
+		t.eqLog[k], t.eqPow[k] = eqLevel(sig[k])
+	}
+	s.tab.Store(t)
+	return t
 }

@@ -8,10 +8,11 @@ import (
 )
 
 // A model nobody has called DemandRadiation on diagnoses every column every
-// step; with a demand set, exactly the demanded columns are diagnosed, the
-// others hold their last value, and no prognostic notices the difference.
+// step. With a radiation step set, a held step diagnoses nothing, a marked
+// step exactly the masked columns, a radiation step every column; whatever is
+// not swept holds its last value, and no prognostic notices the difference.
 func TestDemandRadiation(t *testing.T) {
-	const level, nlev, modelSteps = 2, 6, 6
+	const level, nlev, modelSteps = 2, 6, 9
 	all, err := New(level, nlev, DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -21,55 +22,61 @@ func TestDemandRadiation(t *testing.T) {
 		t.Fatal(err)
 	}
 	nc := all.Mesh.NCells()
-	every := make([]bool, nc)
-	nEvery := 0
+	mask := make([]bool, nc)
+	nMask := 0
 	for c := 0; c < nc; c += 3 {
-		every[c] = true
-		nEvery++
+		mask[c] = true
+		nMask++
 	}
-	held := make([]float64, nc)
+	heldSW, heldLW := make([]float64, nc), make([]float64, nc)
 	wantCols := 0
 	for step := 0; step < modelSteps; step++ {
-		owned := step%3 == 2
-		copy(held, dem.GSW)
+		// A cold start's shape: marked first, then hold, hold, radiation step.
+		marked, owned := step%4 == 0, step%4 == 3
+		copy(heldSW, dem.GSW)
+		copy(heldLW, dem.GLW)
 		all.StepModel()
-		dem.DemandRadiation(every, owned)
+		dem.DemandRadiation(mask, marked || owned, owned)
+		before := dem.RadiationColumns()
 		dem.StepModel()
-		wantCols += nEvery
-		if owned {
-			wantCols += nc - nEvery
+		switch {
+		case owned:
+			wantCols += nc
+		case marked:
+			wantCols += nMask
+		}
+		if got := dem.RadiationColumns(); got != wantCols {
+			t.Fatalf("step %d (marked=%v owned=%v): diagnosed %d columns, want %d", step, marked, owned, got-before, wantCols-before)
 		}
 		for c := 0; c < nc; c++ {
-			want := all.GSW[c]
-			if !every[c] && !owned {
-				want = held[c]
+			wantSW, wantLW := all.GSW[c], all.GLW[c]
+			if !owned && !(marked && mask[c]) {
+				wantSW, wantLW = heldSW[c], heldLW[c]
 			}
-			if dem.GSW[c] != want {
-				t.Fatalf("step %d cell %d (every=%v owned=%v): GSW = %v, want %v", step, c, every[c], owned, dem.GSW[c], want)
+			if dem.GSW[c] != wantSW || dem.GLW[c] != wantLW {
+				t.Fatalf("step %d cell %d (mask=%v marked=%v owned=%v): GSW/GLW = %v/%v, want %v/%v",
+					step, c, mask[c], marked, owned, dem.GSW[c], dem.GLW[c], wantSW, wantLW)
 			}
 		}
 		for i := range all.T {
 			if dem.T[i] != all.T[i] || dem.Qv[i] != all.Qv[i] {
-				t.Fatalf("step %d: T/Qv[%d] differ under demand", step, i)
+				t.Fatalf("step %d: T/Qv[%d] differ under the radiation step", step, i)
 			}
 		}
 		for i := range all.U {
 			if dem.U[i] != all.U[i] {
-				t.Fatalf("step %d: U[%d] differs under demand", step, i)
+				t.Fatalf("step %d: U[%d] differs under the radiation step", step, i)
 			}
 		}
 	}
-	if got := dem.RadiationColumns(); got != wantCols {
-		t.Errorf("demand-driven model diagnosed %d columns, want %d", got, wantCols)
-	}
 	if got, want := all.RadiationColumns(), modelSteps*nc; got != want {
-		t.Errorf("model without a demand diagnosed %d columns, want %d", got, want)
+		t.Errorf("model without a radiation step diagnosed %d columns, want %d", got, want)
 	}
 }
 
-// Decomposed, the owned flag reaches owned columns only: a halo column
-// outside the every-step set is never diagnosed, because nothing on this
-// rank reads it.
+// Decomposed, the owned flag reaches owned columns only: on a radiation step
+// a halo column rides along if the mask marks it and is never diagnosed
+// otherwise, because nothing on this rank reads it.
 func TestDemandRadiationSkipsHalo(t *testing.T) {
 	const level, nlev = 2, 6
 	par.Run(2, func(c *par.Comm) {
@@ -84,9 +91,9 @@ func TestDemandRadiationSkipsHalo(t *testing.T) {
 			return
 		}
 		m.SetDecomp(d)
-		every := make([]bool, m.Mesh.NCells())
-		every[d.HaloCells[0]] = true
-		m.DemandRadiation(every, true)
+		mask := make([]bool, m.Mesh.NCells())
+		mask[d.HaloCells[0]] = true
+		m.DemandRadiation(mask, true, true)
 		m.StepModel()
 		for _, cell := range d.Owned {
 			if m.GLW[cell] == 0 {
@@ -102,6 +109,11 @@ func TestDemandRadiationSkipsHalo(t *testing.T) {
 		}
 		if got, want := m.RadiationColumns(), d.NOwned()+1; got != want {
 			t.Errorf("rank %d diagnosed %d columns, want %d", c.Rank(), got, want)
+		}
+		m.DemandRadiation(mask, false, false)
+		m.StepModel()
+		if got, want := m.RadiationColumns(), d.NOwned()+1; got != want {
+			t.Errorf("rank %d: a held step diagnosed %d columns", c.Rank(), got-want)
 		}
 	})
 }

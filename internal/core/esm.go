@@ -83,9 +83,9 @@ type ESM struct {
 	ownSlots  []int
 	u10, v10  []float64
 
-	// radEvery marks the cells landStep forces on this rank, the only ones
-	// whose GSW/GLW are read after every atmosphere step (see atmosphereStep).
-	radEvery []bool
+	// radLand marks the cells landStep forces on this rank — the readers of
+	// held surface radiation, halo cells included (see atmosphereStep).
+	radLand []bool
 }
 
 // atmFluxes holds the per-atmosphere-cell air–sea flux parts, positive into
@@ -245,8 +245,8 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 		}
 	}
 
-	e.radEvery = make([]bool, atm.Mesh.NCells())
-	e.forLandStepped(func(c int) { e.radEvery[c] = true })
+	e.radLand = make([]bool, atm.Mesh.NCells())
+	e.forLandStepped(func(c int) { e.radLand[c] = true })
 
 	// Ocean steps per ocean coupling interval.
 	ocnInterval := 86400.0 / float64(cfg.OcnCouplingsPerDay)
@@ -366,12 +366,16 @@ func (e *ESM) RunDays(days float64) int {
 // its own patch and the halo exchanges inside StepModel are the only
 // cross-rank traffic.
 //
-// The radiation diagnosis is demand-driven (DESIGN.md): landStep reads
-// GSW/GLW on its cells right after this step; every other reader sits in
-// oceanImport, at the start of the next base step and only if the ocean
-// alarm rings there. In between, the other columns hold their last diagnosis.
+// Surface radiation has its own time step, the ocean-coupling interval
+// (DESIGN.md "Radiation step and hold"): GSW/GLW are diagnosed on the step
+// whose result oceanImport reads — the one before the ocean alarm rings — for
+// the owned cells plus the halo cells landStep reads here, and held in
+// between. The first step of a cold start diagnoses the land-stepped cells,
+// so landStep never reads the initial zeros; a restart brings the held
+// values with it.
 func (e *ESM) atmosphereStep() {
-	e.Atm.DemandRadiation(e.radEvery, e.Clock.Due("ocn"))
+	radStep := e.Clock.Due("ocn")
+	e.Atm.DemandRadiation(e.radLand, radStep || e.couplingSteps == 0, radStep)
 	swept := e.Atm.RadiationColumns()
 	e.Atm.StepModel()
 	e.obs.AddCount("atm.rad.columns", int64(e.Atm.RadiationColumns()-swept))

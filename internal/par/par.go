@@ -86,10 +86,17 @@ func (mb *mailbox) pop(src, tag int) (message, bool) {
 // messages of a halo exchange arrive within microseconds of each other, and
 // waking a parked goroutine costs more than that (a futex round trip, tens
 // of µs on a virtualized host), so parking on each of the ~85 receives of a
-// coupling step idles a third of a 2-rank run. The budget is wall time, not
-// iterations, so it limits itself when ranks outnumber cores: one yield to
-// a runnable rank outlasts it and the receiver parks as before.
-const pollBudget = 50 * time.Microsecond
+// coupling step idles a third of a 2-rank run. The budget covers the waits
+// inside a coupling step (a rank whose partner runs a few hundred µs behind
+// at an exchange), not just back-to-back messages: with a 50 µs budget those
+// waits parked or not by the luck of the timing, one wake-up's latency made
+// the partner wait and park in turn, and on a loud host few steps came
+// through without a park (EXPERIMENTS.md "coupled_r2 spread"). Longer waits —
+// assembly, I/O on another rank, the conc schedule's joins — still park. The
+// budget is wall time, not iterations, so it limits itself when ranks
+// outnumber cores: a yield to a runnable rank uses it up and the receiver
+// parks as before.
+const pollBudget = time.Millisecond
 
 // take removes and returns the first message matching (src, tag), blocking
 // until one arrives: the one receive-progress rule under Recv, RecvF64E and
