@@ -1,8 +1,8 @@
 # Developer entry points. `make check` is the one local gate: vet, build,
 # the full race-enabled test suite (every package, not -short), ten extra
 # repetitions of par's receive-progress lap, the restart-decoder,
-# group-scaled round-trip and store-manifest fuzz smokes, the three audited
-# CLI gates (conservation budget on four decomposed ranks, its
+# group-scaled round-trip, store-manifest and serve-query fuzz smokes, the
+# three audited CLI gates (conservation budget on four decomposed ranks, its
 # compressed-wire twin, its mixed-kernel-precision twin), the one-day
 # radiation-hold drift budget against the every-step twin, the two-rank
 # resilient rollback lap, the degraded ensemble lap (one member permanently
@@ -58,6 +58,7 @@ fuzz:
 	$(GO) test ./internal/pario -run '^$$' -fuzz FuzzReadSubfile -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/precision -run '^$$' -fuzz FuzzGroupScaledRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/statestore -run '^$$' -fuzz FuzzManifestDecode -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/statestore -run '^$$' -fuzz FuzzServeQuery -fuzztime $(FUZZTIME)
 
 resilient:
 	dir=$$(mktemp -d) && { \

@@ -1,6 +1,8 @@
 package statestore
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -68,6 +70,47 @@ func FuzzManifestDecode(f *testing.F) {
 		}
 		if len(again.Snaps) != len(m.Snaps) || len(again.Fields) != len(m.Fields) || again.Group != m.Group {
 			t.Fatalf("round trip changed shape: %+v vs %+v", again, m)
+		}
+	})
+}
+
+// FuzzServeQuery throws arbitrary raw query strings at every endpoint of a
+// healthy store: whatever the client sends, the handler must not panic and
+// must not blame the store (no 5xx) — a hostile query is a 400 at worst.
+func FuzzServeQuery(f *testing.F) {
+	endpoints := []string{"/v1/meta", "/v1/point", "/v1/region", "/v1/analogs", "/v1/diag"}
+	for _, seed := range []string{
+		"",
+		"field=atm.ps&cell=3",
+		"field=atm.ps&cell=3&snap=2",
+		"field=atm.wind10m&lo=10&hi=90",
+		"field=ocn.sst&snap=1&k=3&workers=2",
+		"field=atm.ps&snap=0&k=9223372036854775807&workers=1000000",
+		"field=atm.ps&snap=0&k=-1&workers=-1",
+		"snap=4",
+		"snap=99999999999999999999",
+		"field=atm.ps&lo=-5&hi=0x10",
+		"field=%zz&cell=1;snap=2",
+		"field=atm.ps&field=ocn.sst&cell=1&cell=2",
+	} {
+		for e := range endpoints {
+			f.Add(uint8(e), seed)
+		}
+	}
+	st, err := Open(buildStore(f, 5, 140, 50), nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { st.Close() })
+	h := (&Server{st: st}).Handler()
+
+	f.Fuzz(func(t *testing.T, endpoint uint8, raw string) {
+		req := httptest.NewRequest(http.MethodGet, endpoints[int(endpoint)%len(endpoints)], nil)
+		req.URL.RawQuery = raw
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code >= 500 {
+			t.Fatalf("GET %s?%s on a healthy store: status %d: %s", req.URL.Path, raw, rec.Code, rec.Body)
 		}
 	})
 }

@@ -1,20 +1,24 @@
 package statestore
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 )
 
 // Server is the HTTP query front end over a Store. Every handler is a thin
-// JSON shim over the concurrent query API; the heavy lifting (group-granular
-// decode, cache, analog pipeline) lives in Store, so programmatic consumers
-// can skip HTTP entirely. The server carries a ReadHeaderTimeout (slow
-// clients must not pin handler goroutines) and Close joins the serve
-// goroutine, so a stopped server leaves no listener or goroutine behind.
+// JSON shim over the concurrent query API; the heavy lifting (verified
+// blobs, quantized-domain kernels, analog search) lives in Store, so
+// programmatic consumers can skip HTTP entirely. The server carries a
+// ReadHeaderTimeout (slow clients must not pin handler goroutines) and Close
+// joins the serve goroutine, so a stopped server leaves no listener or
+// goroutine behind.
 type Server struct {
 	st   *Store
 	obs  Observer
@@ -67,15 +71,16 @@ func (s *Server) Handler() http.Handler {
 }
 
 // instrument wraps a handler with the serve.* request/error/latency
-// telemetry.
-func (s *Server) instrument(name string, h func(*http.Request) (any, error)) http.HandlerFunc {
+// telemetry. The raw query is parsed once here; handlers get the values and
+// the request's context, which the store's scans honour.
+func (s *Server) instrument(name string, h func(context.Context, url.Values) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		count(s.obs, "serve.http.requests", 1)
-		v, err := h(r)
+		v, err := h(r.Context(), r.URL.Query())
 		if err != nil {
 			count(s.obs, "serve.http.errors", 1)
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			http.Error(w, err.Error(), errorStatus(err))
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -84,10 +89,22 @@ func (s *Server) instrument(name string, h func(*http.Request) (any, error)) htt
 	}
 }
 
-// intParam parses an integer query parameter, with def when absent (def < 0
-// and absent is an error unless allowAbsent).
-func intParam(r *http.Request, name string, def int) (int, error) {
-	raw := r.URL.Query().Get(name)
+// errorStatus tells the store's faults from the client's: a corrupt,
+// truncated or closed store is a 500, a request its client abandoned a 503,
+// and everything else is a parameter the store rejected.
+func errorStatus(err error) int {
+	switch {
+	case errors.Is(err, ErrCorrupt), errors.Is(err, ErrTruncated), errors.Is(err, ErrClosed):
+		return http.StatusInternalServerError
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusBadRequest
+}
+
+// intParam parses an integer query parameter, def when absent.
+func intParam(q url.Values, name string, def int) (int, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return def, nil
 	}
@@ -107,7 +124,7 @@ type metaReply struct {
 	LastStep  int         `json:"last_step"`
 }
 
-func (s *Server) handleMeta(*http.Request) (any, error) {
+func (s *Server) handleMeta(context.Context, url.Values) (any, error) {
 	// Meta doubles as the liveness probe of a live-ingesting store: refresh
 	// first so the reply reflects the newest committed snapshot.
 	if err := s.st.Refresh(); err != nil {
@@ -121,16 +138,16 @@ func (s *Server) handleMeta(*http.Request) (any, error) {
 	return rep, nil
 }
 
-func (s *Server) handlePoint(r *http.Request) (any, error) {
-	field := r.URL.Query().Get("field")
-	cell, err := intParam(r, "cell", -1)
+func (s *Server) handlePoint(ctx context.Context, q url.Values) (any, error) {
+	field := q.Get("field")
+	cell, err := intParam(q, "cell", -1)
 	if err != nil {
 		return nil, err
 	}
 	if field == "" || cell < 0 {
 		return nil, fmt.Errorf("statestore: /v1/point needs field= and cell=")
 	}
-	if snap, err := intParam(r, "snap", -1); err != nil {
+	if snap, err := intParam(q, "snap", -1); err != nil {
 		return nil, err
 	} else if snap >= 0 {
 		v, err := s.st.Point(snap, field, cell)
@@ -143,36 +160,36 @@ func (s *Server) handlePoint(r *http.Request) (any, error) {
 		}
 		return Sample{Snap: snap, Step: step, SimTime: sim, Value: v}, nil
 	}
-	return s.st.PointSeries(field, cell)
+	return s.st.pointSeries(ctx, field, cell)
 }
 
-func (s *Server) handleRegion(r *http.Request) (any, error) {
-	field := r.URL.Query().Get("field")
-	lo, err := intParam(r, "lo", -1)
+func (s *Server) handleRegion(ctx context.Context, q url.Values) (any, error) {
+	field := q.Get("field")
+	lo, err := intParam(q, "lo", -1)
 	if err != nil {
 		return nil, err
 	}
-	hi, err := intParam(r, "hi", -1)
+	hi, err := intParam(q, "hi", -1)
 	if err != nil {
 		return nil, err
 	}
 	if field == "" || lo < 0 || hi < 0 {
 		return nil, fmt.Errorf("statestore: /v1/region needs field=, lo= and hi=")
 	}
-	return s.st.RegionSeries(field, lo, hi)
+	return s.st.regionSeries(ctx, field, lo, hi)
 }
 
-func (s *Server) handleAnalogs(r *http.Request) (any, error) {
-	field := r.URL.Query().Get("field")
-	snap, err := intParam(r, "snap", -1)
+func (s *Server) handleAnalogs(ctx context.Context, q url.Values) (any, error) {
+	field := q.Get("field")
+	snap, err := intParam(q, "snap", -1)
 	if err != nil {
 		return nil, err
 	}
-	k, err := intParam(r, "k", 5)
+	k, err := intParam(q, "k", 5)
 	if err != nil {
 		return nil, err
 	}
-	workers, err := intParam(r, "workers", 0)
+	workers, err := intParam(q, "workers", 0)
 	if err != nil {
 		return nil, err
 	}
@@ -183,11 +200,11 @@ func (s *Server) handleAnalogs(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.st.NearestAnalogs(field, query, k, workers)
+	return s.st.nearestAnalogs(ctx, field, query, k, workers)
 }
 
-func (s *Server) handleDiag(r *http.Request) (any, error) {
-	snap, err := intParam(r, "snap", -1)
+func (s *Server) handleDiag(ctx context.Context, q url.Values) (any, error) {
+	snap, err := intParam(q, "snap", -1)
 	if err != nil {
 		return nil, err
 	}
@@ -195,14 +212,5 @@ func (s *Server) handleDiag(r *http.Request) (any, error) {
 		return s.st.Diagnostics(snap)
 	}
 	// No snap: the whole diagnostic series (min-Ps / max-wind trajectory).
-	n := s.st.Snapshots()
-	out := make([]Diag, 0, n)
-	for i := 0; i < n; i++ {
-		d, err := s.st.Diagnostics(i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, d)
-	}
-	return out, nil
+	return s.st.diagSeries(ctx)
 }

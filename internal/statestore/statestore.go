@@ -1,11 +1,10 @@
 // Package statestore is the forecast-state serving layer: it persists
 // per-interval model state as group-scaled quantized encodings
-// (internal/precision §5.2.3) into an indexed, ReaderAt-backed store and
-// serves concurrent queries against it — point and region time-series
-// extraction with on-demand decode of only the touched groups,
-// nearest-analog search over compressed state vectors via a staged
-// scan → distance → top-k pipeline, and derived diagnostics (min surface
-// pressure, max wind, conservation residuals).
+// (internal/precision §5.2.3) into an indexed store and serves concurrent
+// queries from the data file's own mapped bytes — point and region
+// time-series extraction that dequantizes only the touched groups,
+// nearest-analog search scored in the quantized domain, and derived
+// diagnostics (min surface pressure, max wind, conservation residuals).
 //
 // The store is the "millions of users" front door of the ROADMAP: a
 // year-scale simulation only matters if its state reaches consumers, so the
@@ -60,6 +59,8 @@ var (
 	// ErrTruncated reports a manifest or data file that ends before its own
 	// declared structure does.
 	ErrTruncated = errors.New("truncated state store")
+	// ErrClosed reports a query or Refresh on a Store after its Close.
+	ErrClosed = errors.New("state store is closed")
 )
 
 // Field is one named global field of a snapshot.

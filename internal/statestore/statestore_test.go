@@ -1,6 +1,7 @@
 package statestore
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -37,7 +38,7 @@ func synthSnapshot(s, nAtm, nOcn int) Snapshot {
 
 // buildStore writes n synthetic snapshots into a fresh store under t's
 // temp dir and returns the directory.
-func buildStore(t *testing.T, n, nAtm, nOcn int) string {
+func buildStore(t testing.TB, n, nAtm, nOcn int) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "store")
 	w, err := Create(dir, 0, nil)
@@ -214,34 +215,70 @@ func TestManifestCorruptionTable(t *testing.T) {
 	st.Close()
 }
 
-// TestDataCorruptionDetected flips a byte in the data file: the full-field
-// decode must fail its CRC with ErrCorrupt.
+// TestDataCorruptionDetected flips one byte of one blob in the data file:
+// every query class that touches the blob must fail its CRC with ErrCorrupt,
+// whether it is the first to touch it or not, and queries that stay clear of
+// it must still answer.
 func TestDataCorruptionDetected(t *testing.T) {
-	dir := buildStore(t, 2, 80, 40)
+	const snaps, nAtm, nOcn = 3, 80, 40
+	dir := buildStore(t, snaps, nAtm, nOcn)
+	probe, err := Open(dir, nil)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	// The victim: atm.wind10m of snapshot 1, a byte in the middle of its values.
+	const badSnap, badField = 1, 1
+	man := probe.v.Load().man
+	off := man.Snaps[badSnap].Off[badField] + blobLen(nAtm, man.Group)/2
+	probe.Close()
 	data := filepath.Join(dir, DataFile)
 	b, err := os.ReadFile(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[len(b)/3] ^= 0x40
+	b[off] ^= 0x40
 	if err := os.WriteFile(data, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
+
+	query := make([]float64, nAtm)
+	touching := map[string]func(*Store) error{
+		"Point":             func(st *Store) error { _, err := st.Point(badSnap, WindField, 3); return err },
+		"PointSeries":       func(st *Store) error { _, err := st.PointSeries(WindField, 3); return err },
+		"RegionSeries":      func(st *Store) error { _, err := st.RegionSeries(WindField, 0, 10); return err },
+		"DecodeField":       func(st *Store) error { _, err := st.DecodeField(badSnap, WindField); return err },
+		"Diagnostics":       func(st *Store) error { _, err := st.Diagnostics(badSnap); return err },
+		"diagSeries":        func(st *Store) error { _, err := st.diagSeries(context.Background()); return err },
+		"NearestAnalogs":    func(st *Store) error { _, err := st.NearestAnalogs(WindField, query, 2, 2); return err },
+		"BruteForceAnalogs": func(st *Store) error { _, err := st.BruteForceAnalogs(WindField, query, 2); return err },
+	}
+	for name, q := range touching {
+		// A fresh Store each, so every class is once the first to touch the blob.
+		st, err := Open(dir, nil)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		for attempt := 0; attempt < 2; attempt++ {
+			if err := q(st); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s, attempt %d: error %v, want ErrCorrupt", name, attempt, err)
+			}
+		}
+		st.Close()
+	}
+
 	st, err := Open(dir, nil)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	defer st.Close()
-	var sawCorrupt bool
-	for s := 0; s < st.Snapshots(); s++ {
-		for _, f := range st.Fields() {
-			if _, err := st.DecodeField(s, f.Name); errors.Is(err, ErrCorrupt) {
-				sawCorrupt = true
-			}
-		}
+	if _, err := st.Point(0, WindField, 3); err != nil {
+		t.Errorf("Point on an intact snapshot: %v", err)
 	}
-	if !sawCorrupt {
-		t.Fatal("no decode detected the flipped data byte")
+	if _, err := st.PointSeries(PsField, 3); err != nil {
+		t.Errorf("PointSeries on an intact field: %v", err)
+	}
+	if _, err := st.Diagnostics(badSnap + 1); err != nil {
+		t.Errorf("Diagnostics on an intact snapshot: %v", err)
 	}
 }
 

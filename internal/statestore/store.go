@@ -1,35 +1,54 @@
 package statestore
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Store serves concurrent queries against a store directory through an
-// io.ReaderAt over the data file. All query methods are safe for concurrent
-// use; Refresh may run concurrently with queries (live ingest), swapping in
-// a newer manifest without invalidating the decode cache — committed
-// snapshots are immutable, so cached decodes stay valid forever.
+// Store serves concurrent queries straight from the data file's own bytes:
+// store.dat is mapped read-only and every query is a function over the
+// mapped window. All query methods are safe for concurrent use and hold mu
+// shared for their duration, so Close (exclusive) never unmaps memory a query
+// is reading. Refresh may run concurrently with queries (live ingest): it
+// publishes a new view and never invalidates an earlier one — committed
+// snapshots are immutable and an outgrown mapping stays valid until Close.
 type Store struct {
 	dir  string
 	obs  Observer
 	data *os.File
 
-	mu  sync.RWMutex
-	man *manifest
+	mu     sync.RWMutex // shared: queries and Refresh; exclusive: Close
+	closed bool
 
-	cache *fieldCache
+	refresh sync.Mutex // serializes Refresh; guards windows
+	windows [][]byte   // every reservation mapFile has made, released by Close
+	v       atomic.Pointer[view]
 }
 
-// Open loads the manifest and opens the data file. o may be nil.
+// view is what one query sees: an index and the window holding the bytes it
+// points into. Views are immutable apart from the verified bits.
+type view struct {
+	man *manifest
+	// win is the data file from offset 0 to its size when the view was
+	// built; cap(win) is how far the file can grow inside this reservation.
+	win []byte
+	// verified has one bit per (snapshot, field) blob, set once the blob's
+	// CRC32C has matched the manifest's. A Refresh copies the bits forward;
+	// a bit set on the old view after the copy only costs one more check.
+	verified []atomic.Uint32
+}
+
+// Open loads the manifest and maps the data file. o may be nil.
 func Open(dir string, o Observer) (*Store, error) {
-	s := &Store{dir: dir, obs: o, cache: newFieldCache(defaultCacheEntries)}
 	man, err := readManifest(dir)
 	if err != nil {
 		return nil, err
@@ -38,8 +57,11 @@ func Open(dir string, o Observer) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("statestore: %w", err)
 	}
-	s.man = man
-	s.data = f
+	s := &Store{dir: dir, obs: o, data: f}
+	if err := s.publish(man, &view{}); err != nil {
+		f.Close()
+		return nil, err
+	}
 	return s, nil
 }
 
@@ -56,57 +78,274 @@ func readManifest(dir string) (*manifest, error) {
 	return man, nil
 }
 
+// minReserve is the smallest reservation: address space, not memory.
+const minReserve = 1 << 20
+
+// reserveFor returns how many bytes to reserve for a file of size bytes: the
+// power of two that leaves it room to double, so a store growing to n bytes
+// is mapped O(log n) times.
+func reserveFor(size int64) (int, error) {
+	r := int64(minReserve)
+	for r < 2*size {
+		r *= 2
+	}
+	if r > math.MaxInt {
+		return 0, fmt.Errorf("statestore: a %d-byte data file cannot be mapped on this platform", size)
+	}
+	return int(r), nil
+}
+
+// loadFile is mapFile where there is no mmap: the window is a heap copy of
+// the file, extended in place while the file grows inside the reservation
+// (the new bytes lie past every earlier view's window, so no reader sees
+// them being written) and copied into a larger one when it outgrows it.
+func loadFile(f *os.File, prev []byte, size int64) ([]byte, error) {
+	if size <= int64(len(prev)) {
+		return prev[:size], nil
+	}
+	win := prev
+	if size > int64(cap(prev)) {
+		reserve, err := reserveFor(size)
+		if err != nil {
+			return nil, err
+		}
+		win = make([]byte, len(prev), reserve)
+		copy(win, prev)
+	}
+	if _, err := f.ReadAt(win[len(prev):size], int64(len(prev))); err != nil {
+		return nil, fmt.Errorf("statestore: loading %s: %w (%w)", f.Name(), err, ErrTruncated)
+	}
+	return win[:size], nil
+}
+
+// publish builds the view of man over the data file as it is now and makes
+// it current. The caller holds s.refresh (or is Open).
+func (s *Store) publish(man *manifest, prev *view) error {
+	fi, err := s.data.Stat()
+	if err != nil {
+		return fmt.Errorf("statestore: %w", err)
+	}
+	win, err := mapFile(s.data, prev.win, fi.Size())
+	if err != nil {
+		return err
+	}
+	if cap(win) != cap(prev.win) {
+		s.windows = append(s.windows, win[:cap(win)])
+	}
+	v := &view{man: man, win: win, verified: make([]atomic.Uint32, (len(man.Snaps)*len(man.Fields)+31)/32)}
+	for i := range prev.verified {
+		v.verified[i].Store(prev.verified[i].Load())
+	}
+	s.v.Store(v)
+	return nil
+}
+
 // Refresh re-reads the manifest, picking up snapshots a live Writer has
-// committed since Open (or the last Refresh). The data file handle is
-// shared: committed offsets only ever grow, so readers never see holes.
+// committed since Open (or the last Refresh). Committed offsets only ever
+// grow, so the window is extended — inside its reservation when the file
+// still fits, by a new and larger mapping when it does not — and readers
+// never see holes.
 func (s *Store) Refresh() error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.closed {
+		return fmt.Errorf("statestore: Refresh: %w", ErrClosed)
+	}
 	man, err := readManifest(s.dir)
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
+	s.refresh.Lock()
+	defer s.refresh.Unlock()
 	// Never move backwards: a torn manifest replaced by an older commit
 	// (impossible under the atomic-rename discipline, but cheap to guard)
 	// must not shrink the index under a concurrent query.
-	if len(man.Snaps) >= len(s.man.Snaps) {
-		s.man = man
+	if cur := s.v.Load(); len(man.Snaps) > len(cur.man.Snaps) {
+		if err := s.publish(man, cur); err != nil {
+			return err
+		}
 	}
-	s.mu.Unlock()
 	count(s.obs, "serve.refresh", 1)
 	return nil
 }
 
-// manifestView returns the current manifest under the read lock.
-func (s *Store) manifestView() *manifest {
+// Close unmaps the data file and releases its handle once every query in
+// flight has returned; queries that arrive later get ErrClosed.
+func (s *Store) Close() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil
+	}
+	s.closed = true
+	err := s.data.Close()
+	for _, w := range s.windows {
+		if uerr := unmapFile(w); err == nil {
+			err = uerr
+		}
+	}
+	s.windows = nil
+	return err
+}
+
+// begin pins the store open for one query and returns the view it runs
+// against; the caller releases with s.mu.RUnlock.
+func (s *Store) begin() (*view, error) {
 	s.mu.RLock()
-	m := s.man
-	s.mu.RUnlock()
-	return m
+	if s.closed {
+		s.mu.RUnlock()
+		return nil, ErrClosed
+	}
+	return s.v.Load(), nil
 }
 
 // Snapshots returns the number of committed snapshots visible to queries.
-func (s *Store) Snapshots() int { return len(s.manifestView().Snaps) }
+func (s *Store) Snapshots() int { return len(s.v.Load().man.Snaps) }
 
 // Group returns the quantization group size of the stored encodings.
-func (s *Store) Group() int { return s.manifestView().Group }
+func (s *Store) Group() int { return s.v.Load().man.Group }
 
 // Fields returns the store schema.
 func (s *Store) Fields() []FieldInfo {
-	m := s.manifestView()
-	return append([]FieldInfo(nil), m.Fields...)
+	return append([]FieldInfo(nil), s.v.Load().man.Fields...)
 }
 
 // Meta returns a snapshot's identity.
 func (s *Store) Meta(snap int) (step int, simTime float64, err error) {
-	m := s.manifestView()
-	if snap < 0 || snap >= len(m.Snaps) {
-		return 0, 0, fmt.Errorf("statestore: snapshot %d outside [0, %d)", snap, len(m.Snaps))
+	m := s.v.Load().man
+	if err := m.checkSnap(snap); err != nil {
+		return 0, 0, err
 	}
 	return int(m.Snaps[snap].Step), m.Snaps[snap].SimTime, nil
 }
 
-// Close releases the data file handle.
-func (s *Store) Close() error { return s.data.Close() }
+// cellField resolves a field name and checks that cell is one of its cells.
+func (m *manifest) cellField(field string, cell int) (fi int, err error) {
+	fi, err = fieldIndex(m.Fields, field)
+	if err != nil {
+		return 0, err
+	}
+	if elems := m.Fields[fi].Elems; cell < 0 || cell >= elems {
+		return 0, fmt.Errorf("statestore: cell %d outside field %q [0, %d)", cell, field, elems)
+	}
+	return fi, nil
+}
+
+func (m *manifest) checkSnap(snap int) error {
+	if snap < 0 || snap >= len(m.Snaps) {
+		return fmt.Errorf("statestore: snapshot %d outside [0, %d)", snap, len(m.Snaps))
+	}
+	return nil
+}
+
+// blob returns the bytes of one field of one snapshot: bounds-checked
+// against the file size the view was built at, and CRC-verified the first
+// time anything touches them. The serve.cache counters keep their names
+// from the decoded-field cache this replaced: a hit is a blob already
+// verified, a miss one that had to be checksummed.
+func (s *Store) blob(v *view, snap, fi int) ([]byte, error) {
+	f, sm := &v.man.Fields[fi], &v.man.Snaps[snap]
+	off, end := sm.Off[fi], sm.Off[fi]+blobLen(f.Elems, v.man.Group)
+	if end > int64(len(v.win)) {
+		return nil, fmt.Errorf("statestore: %q of snapshot %d ends at byte %d of a %d-byte data file: %w",
+			f.Name, snap, end, len(v.win), ErrTruncated)
+	}
+	b := v.win[off:end:end]
+	bit := snap*len(v.man.Fields) + fi
+	word, mask := &v.verified[bit/32], uint32(1)<<(bit%32)
+	if word.Load()&mask != 0 {
+		count(s.obs, "serve.cache.hits", 1)
+		return b, nil
+	}
+	count(s.obs, "serve.cache.misses", 1)
+	if got := crc32.Checksum(b, crcTable); got != sm.CRC[fi] {
+		return nil, fmt.Errorf("statestore: %q of snapshot %d checksum %#x, manifest says %#x: %w",
+			f.Name, snap, got, sm.CRC[fi], ErrCorrupt)
+	}
+	for old := word.Load(); !word.CompareAndSwap(old, old|mask); old = word.Load() {
+	}
+	return b, nil
+}
+
+// Every function that walks a window starts with
+//
+//	defer recoverFault(debug.SetPanicOnFault(true), &err)
+//
+// so that a read of mapped bytes the file no longer backs — store.dat
+// truncated under an open Store — panics on the calling goroutine instead of
+// killing the process, and the panic comes back as ErrTruncated.
+func recoverFault(restore bool, err *error) {
+	debug.SetPanicOnFault(restore)
+	r := recover()
+	if r == nil {
+		return
+	}
+	fault, ok := r.(interface{ Addr() uintptr })
+	if !ok {
+		panic(r)
+	}
+	*err = fmt.Errorf("statestore: data file no longer backs mapped address %#x: %w", fault.Addr(), ErrTruncated)
+}
+
+// The kernels below dequantize as they read. A blob is groups(elems, g)
+// float64 scales followed by elems float32 values; each kernel walks the
+// groups its cell range overlaps, hoists the group's scale, and forms
+// float64(value)*scale — exactly precision.GroupScaled.DecodeInto's
+// arithmetic, in ascending cell order.
+
+func scaleAt(b []byte, gi int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(b[8*gi:]))
+}
+
+// value reads the quantized value at the head of vs.
+func value(vs []byte) float64 {
+	return float64(math.Float32frombits(binary.LittleEndian.Uint32(vs)))
+}
+
+func pointOf(b []byte, elems, g, cell int) float64 {
+	return value(b[8*groups(elems, g)+4*cell:]) * scaleAt(b, cell/g)
+}
+
+func dequantize(dst []float64, b []byte, g int) {
+	vals := b[8*groups(len(dst), g):]
+	for c0, c1 := 0, 0; c0 < len(dst); c0 = c1 {
+		c1 = min(c0+g, len(dst))
+		scale, vs := scaleAt(b, c0/g), vals[4*c0:4*c1]
+		for c := range dst[c0:c1] {
+			dst[c0+c] = value(vs[4*c:]) * scale
+		}
+	}
+}
+
+// span is what one pass over a cell range yields: the sum, and the smallest
+// and largest values with the first cell each occurs at.
+type span struct {
+	sum, lowest, highest    float64
+	lowestCell, highestCell int
+}
+
+// spanOf scans cells [lo, hi) of a blob, touching only the groups the range
+// overlaps.
+func spanOf(b []byte, elems, g, lo, hi int) span {
+	sum, lowest, highest := 0.0, math.Inf(1), math.Inf(-1)
+	lowestCell, highestCell := -1, -1
+	vals := b[8*groups(elems, g):]
+	for c0, c1 := lo, 0; c0 < hi; c0 = c1 {
+		c1 = min((c0/g+1)*g, hi)
+		scale, c := scaleAt(b, c0/g), c0
+		for vs := vals[4*c0 : 4*c1]; len(vs) >= 4; vs, c = vs[4:], c+1 {
+			x := value(vs) * scale
+			sum += x
+			if x < lowest {
+				lowest, lowestCell = x, c
+			}
+			if x > highest {
+				highest, highestCell = x, c
+			}
+		}
+	}
+	return span{sum, lowest, highest, lowestCell, highestCell}
+}
 
 // Sample is one snapshot's contribution to a time series.
 type Sample struct {
@@ -116,55 +355,64 @@ type Sample struct {
 	Value   float64 `json:"value"`
 }
 
-// Point decodes a single cell of a single snapshot — one 8-byte read for
-// the group's scale and one 4-byte read for the quantized value, exactly
-// the group-granular decode the layout was designed for. The decode matches
-// precision.GroupScaled.DecodeInto bit-for-bit.
-func (s *Store) Point(snap int, field string, cell int) (float64, error) {
-	m := s.manifestView()
-	fi, err := fieldIndex(m.Fields, field)
+// Point decodes a single cell of a single snapshot from its group's scale
+// and its own quantized value, matching precision.GroupScaled.DecodeInto
+// bit-for-bit.
+func (s *Store) Point(snap int, field string, cell int) (val float64, err error) {
+	v, err := s.begin()
 	if err != nil {
 		return 0, err
 	}
-	if snap < 0 || snap >= len(m.Snaps) {
-		return 0, fmt.Errorf("statestore: snapshot %d outside [0, %d)", snap, len(m.Snaps))
+	defer s.mu.RUnlock()
+	defer recoverFault(debug.SetPanicOnFault(true), &err)
+	m := v.man
+	fi, err := m.cellField(field, cell)
+	if err != nil {
+		return 0, err
 	}
-	elems := m.Fields[fi].Elems
-	if cell < 0 || cell >= elems {
-		return 0, fmt.Errorf("statestore: cell %d outside field %q [0, %d)", cell, field, elems)
+	if err := m.checkSnap(snap); err != nil {
+		return 0, err
 	}
-	off := m.Snaps[snap].Off[fi]
-	ng := groups(elems, m.Group)
-	var sb [8]byte
-	if _, err := s.data.ReadAt(sb[:], off+int64(8*(cell/m.Group))); err != nil {
-		return 0, fmt.Errorf("statestore: reading %q scale: %w (%w)", field, err, ErrTruncated)
+	b, err := s.blob(v, snap, fi)
+	if err != nil {
+		return 0, err
 	}
-	var vb [4]byte
-	if _, err := s.data.ReadAt(vb[:], off+int64(8*ng)+int64(4*cell)); err != nil {
-		return 0, fmt.Errorf("statestore: reading %q value: %w (%w)", field, err, ErrTruncated)
-	}
-	scale := math.Float64frombits(binary.LittleEndian.Uint64(sb[:]))
-	val := math.Float32frombits(binary.LittleEndian.Uint32(vb[:]))
 	count(s.obs, "serve.point.queries", 1)
-	return float64(val) * scale, nil
+	return pointOf(b, m.Fields[fi].Elems, m.Group, cell), nil
 }
 
 // PointSeries extracts one cell's value across every snapshot.
 func (s *Store) PointSeries(field string, cell int) ([]Sample, error) {
+	return s.pointSeries(context.Background(), field, cell)
+}
+
+func (s *Store) pointSeries(ctx context.Context, field string, cell int) (out []Sample, err error) {
 	t0 := time.Now()
-	n := s.Snapshots()
-	out := make([]Sample, 0, n)
-	for i := 0; i < n; i++ {
-		v, err := s.Point(i, field, cell)
-		if err != nil {
-			return nil, err
-		}
-		step, sim, err := s.Meta(i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, Sample{Snap: i, Step: step, SimTime: sim, Value: v})
+	v, err := s.begin()
+	if err != nil {
+		return nil, err
 	}
+	defer s.mu.RUnlock()
+	defer recoverFault(debug.SetPanicOnFault(true), &err)
+	m := v.man
+	fi, err := m.cellField(field, cell)
+	if err != nil {
+		return nil, err
+	}
+	elems := m.Fields[fi].Elems
+	out = make([]Sample, len(m.Snaps))
+	for i := range m.Snaps {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		b, err := s.blob(v, i, fi)
+		if err != nil {
+			return nil, err
+		}
+		sm := &m.Snaps[i]
+		out[i] = Sample{Snap: i, Step: int(sm.Step), SimTime: sm.SimTime, Value: pointOf(b, elems, m.Group, cell)}
+	}
+	count(s.obs, "serve.point.queries", int64(len(out)))
 	observe(s.obs, "serve.point.latency_us", float64(time.Since(t0).Microseconds()))
 	return out, nil
 }
@@ -180,10 +428,20 @@ type RegionSample struct {
 }
 
 // RegionSeries aggregates cells [lo, hi) of one field across every
-// snapshot, decoding only the quantization groups the range touches.
+// snapshot, dequantizing only the groups the range touches.
 func (s *Store) RegionSeries(field string, lo, hi int) ([]RegionSample, error) {
+	return s.regionSeries(context.Background(), field, lo, hi)
+}
+
+func (s *Store) regionSeries(ctx context.Context, field string, lo, hi int) (out []RegionSample, err error) {
 	t0 := time.Now()
-	m := s.manifestView()
+	v, err := s.begin()
+	if err != nil {
+		return nil, err
+	}
+	defer s.mu.RUnlock()
+	defer recoverFault(debug.SetPanicOnFault(true), &err)
+	m := v.man
 	fi, err := fieldIndex(m.Fields, field)
 	if err != nil {
 		return nil, err
@@ -192,116 +450,41 @@ func (s *Store) RegionSeries(field string, lo, hi int) ([]RegionSample, error) {
 	if lo < 0 || hi > elems || lo >= hi {
 		return nil, fmt.Errorf("statestore: region [%d, %d) outside field %q [0, %d)", lo, hi, field, elems)
 	}
-	g := m.Group
-	ng := groups(elems, g)
-	gLo, gHi := lo/g, (hi-1)/g+1
-	scales := make([]byte, 8*(gHi-gLo))
-	vals := make([]byte, 4*(hi-lo))
-	out := make([]RegionSample, 0, len(m.Snaps))
-	for i, sm := range m.Snaps {
-		off := sm.Off[fi]
-		if _, err := s.data.ReadAt(scales, off+int64(8*gLo)); err != nil {
-			return nil, fmt.Errorf("statestore: reading %q scales: %w (%w)", field, err, ErrTruncated)
+	out = make([]RegionSample, len(m.Snaps))
+	for i := range m.Snaps {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		if _, err := s.data.ReadAt(vals, off+int64(8*ng)+int64(4*lo)); err != nil {
-			return nil, fmt.Errorf("statestore: reading %q values: %w (%w)", field, err, ErrTruncated)
+		b, err := s.blob(v, i, fi)
+		if err != nil {
+			return nil, err
 		}
-		rs := RegionSample{Snap: i, Step: int(sm.Step), SimTime: sm.SimTime, Min: math.Inf(1), Max: math.Inf(-1)}
-		var sum float64
-		for c := lo; c < hi; c++ {
-			scale := math.Float64frombits(binary.LittleEndian.Uint64(scales[8*(c/g-gLo):]))
-			v := float64(math.Float32frombits(binary.LittleEndian.Uint32(vals[4*(c-lo):]))) * scale
-			sum += v
-			if v < rs.Min {
-				rs.Min = v
-			}
-			if v > rs.Max {
-				rs.Max = v
-			}
-		}
-		rs.Mean = sum / float64(hi-lo)
-		out = append(out, rs)
+		sm := &m.Snaps[i]
+		sp := spanOf(b, elems, m.Group, lo, hi)
+		out[i] = RegionSample{Snap: i, Step: int(sm.Step), SimTime: sm.SimTime,
+			Min: sp.lowest, Mean: sp.sum / float64(hi-lo), Max: sp.highest}
 	}
 	count(s.obs, "serve.region.queries", 1)
 	observe(s.obs, "serve.region.latency_us", float64(time.Since(t0).Microseconds()))
 	return out, nil
 }
 
-// DecodeField decodes one whole field of one snapshot, verifying its CRC32C,
-// through the store's bounded decode cache. The returned slice is shared
-// with the cache: callers must not mutate it.
-func (s *Store) DecodeField(snap int, field string) ([]float64, error) {
-	m := s.manifestView()
-	fi, err := fieldIndex(m.Fields, field)
+// DecodeField dequantizes one whole field of one snapshot into a fresh
+// slice the caller owns.
+func (s *Store) DecodeField(snap int, field string) (out []float64, err error) {
+	v, err := s.begin()
 	if err != nil {
 		return nil, err
 	}
-	if snap < 0 || snap >= len(m.Snaps) {
-		return nil, fmt.Errorf("statestore: snapshot %d outside [0, %d)", snap, len(m.Snaps))
+	defer s.mu.RUnlock()
+	defer recoverFault(debug.SetPanicOnFault(true), &err)
+	b, elems, err := s.fieldBlob(v, snap, field)
+	if err != nil {
+		return nil, err
 	}
-	if v, ok := s.cache.get(snap, fi); ok {
-		count(s.obs, "serve.cache.hits", 1)
-		return v, nil
-	}
-	count(s.obs, "serve.cache.misses", 1)
-	elems := m.Fields[fi].Elems
-	g := m.Group
-	ng := groups(elems, g)
-	blob := make([]byte, blobLen(elems, g))
-	off := m.Snaps[snap].Off[fi]
-	if _, err := s.data.ReadAt(blob, off); err != nil {
-		return nil, fmt.Errorf("statestore: reading %q of snapshot %d: %w (%w)", field, snap, err, ErrTruncated)
-	}
-	if got := crc32.Checksum(blob, crcTable); got != m.Snaps[snap].CRC[fi] {
-		return nil, fmt.Errorf("statestore: %q of snapshot %d checksum %#x, manifest says %#x: %w",
-			field, snap, got, m.Snaps[snap].CRC[fi], ErrCorrupt)
-	}
-	out := make([]float64, elems)
-	for c := 0; c < elems; c++ {
-		scale := math.Float64frombits(binary.LittleEndian.Uint64(blob[8*(c/g):]))
-		v := math.Float32frombits(binary.LittleEndian.Uint32(blob[8*ng+4*c:]))
-		out[c] = float64(v) * scale
-	}
-	s.cache.put(snap, fi, out)
+	out = make([]float64, elems)
+	dequantize(out, b, v.man.Group)
 	return out, nil
-}
-
-// defaultCacheEntries bounds the decode cache: full-field decodes are the
-// expensive queries (analog search, diagnostics), and 256 entries of the
-// largest runnable fields stay well under 100 MB.
-const defaultCacheEntries = 256
-
-// fieldCache is a bounded concurrent map of decoded fields keyed by
-// (snapshot, field index). Eviction discards an arbitrary entry — committed
-// snapshots are immutable, so any policy is correct, and the serving mix
-// (scans touch every snapshot once per query) defeats recency anyway.
-type fieldCache struct {
-	mu      sync.RWMutex
-	max     int
-	entries map[[2]int][]float64
-}
-
-func newFieldCache(max int) *fieldCache {
-	return &fieldCache{max: max, entries: make(map[[2]int][]float64)}
-}
-
-func (c *fieldCache) get(snap, field int) ([]float64, bool) {
-	c.mu.RLock()
-	v, ok := c.entries[[2]int{snap, field}]
-	c.mu.RUnlock()
-	return v, ok
-}
-
-func (c *fieldCache) put(snap, field int, v []float64) {
-	c.mu.Lock()
-	if len(c.entries) >= c.max {
-		for k := range c.entries {
-			delete(c.entries, k)
-			break
-		}
-	}
-	c.entries[[2]int{snap, field}] = v
-	c.mu.Unlock()
 }
 
 // Diag is the derived-diagnostic record of one snapshot: the minimum
@@ -331,42 +514,83 @@ const (
 	FWResidField   = "budget.fw_resid"
 )
 
-// Diagnostics derives one snapshot's serving diagnostics from the decoded
+// Diagnostics derives one snapshot's serving diagnostics from its quantized
 // state.
-func (s *Store) Diagnostics(snap int) (Diag, error) {
+func (s *Store) Diagnostics(snap int) (d Diag, err error) {
+	v, err := s.begin()
+	if err != nil {
+		return Diag{}, err
+	}
+	defer s.mu.RUnlock()
+	defer recoverFault(debug.SetPanicOnFault(true), &err)
+	return s.diagnostics(v, snap)
+}
+
+// diagSeries is Diagnostics of every snapshot: the min-Ps / max-wind
+// trajectory.
+func (s *Store) diagSeries(ctx context.Context) (out []Diag, err error) {
+	v, err := s.begin()
+	if err != nil {
+		return nil, err
+	}
+	defer s.mu.RUnlock()
+	defer recoverFault(debug.SetPanicOnFault(true), &err)
+	out = make([]Diag, len(v.man.Snaps))
+	for i := range out {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if out[i], err = s.diagnostics(v, i); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// fieldBlob is blob by field name, with the field's length.
+func (s *Store) fieldBlob(v *view, snap int, field string) (b []byte, elems int, err error) {
+	fi, err := fieldIndex(v.man.Fields, field)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := v.man.checkSnap(snap); err != nil {
+		return nil, 0, err
+	}
+	b, err = s.blob(v, snap, fi)
+	return b, v.man.Fields[fi].Elems, err
+}
+
+func (s *Store) diagnostics(v *view, snap int) (Diag, error) {
 	t0 := time.Now()
-	step, sim, err := s.Meta(snap)
+	m := v.man
+	if err := m.checkSnap(snap); err != nil {
+		return Diag{}, err
+	}
+	d := Diag{Snap: snap, Step: int(m.Snaps[snap].Step), SimTime: m.Snaps[snap].SimTime}
+	ps, elems, err := s.fieldBlob(v, snap, PsField)
 	if err != nil {
 		return Diag{}, err
 	}
-	d := Diag{Snap: snap, Step: step, SimTime: sim}
-	ps, err := s.DecodeField(snap, PsField)
+	sp := spanOf(ps, elems, m.Group, 0, elems)
+	d.MinPs, d.MinPsCell = sp.lowest, sp.lowestCell
+	wind, elems, err := s.fieldBlob(v, snap, WindField)
 	if err != nil {
 		return Diag{}, err
 	}
-	d.MinPs, d.MinPsCell = math.Inf(1), -1
-	for c, v := range ps {
-		if v < d.MinPs {
-			d.MinPs, d.MinPsCell = v, c
+	sp = spanOf(wind, elems, m.Group, 0, elems)
+	d.MaxWind, d.MaxWindCell = sp.highest, sp.highestCell
+	for _, resid := range []struct {
+		field string
+		dst   *float64
+	}{{HeatResidField, &d.HeatResid}, {FWResidField, &d.FWResid}} {
+		if _, err := fieldIndex(m.Fields, resid.field); err != nil {
+			continue // the capture ran without the audit
 		}
-	}
-	wind, err := s.DecodeField(snap, WindField)
-	if err != nil {
-		return Diag{}, err
-	}
-	d.MaxWind, d.MaxWindCell = math.Inf(-1), -1
-	for c, v := range wind {
-		if v > d.MaxWind {
-			d.MaxWind, d.MaxWindCell = v, c
+		b, elems, err := s.fieldBlob(v, snap, resid.field)
+		if err != nil {
+			return Diag{}, err
 		}
-	}
-	if _, err := fieldIndex(s.manifestView().Fields, HeatResidField); err == nil {
-		if hr, err := s.DecodeField(snap, HeatResidField); err == nil && len(hr) > 0 {
-			d.HeatResid = hr[0]
-		}
-		if fw, err := s.DecodeField(snap, FWResidField); err == nil && len(fw) > 0 {
-			d.FWResid = fw[0]
-		}
+		*resid.dst = pointOf(b, elems, m.Group, 0)
 	}
 	count(s.obs, "serve.diag.queries", 1)
 	observe(s.obs, "serve.diag.latency_us", float64(time.Since(t0).Microseconds()))
