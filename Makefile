@@ -4,7 +4,8 @@
 # group-scaled round-trip, store-manifest and serve-query fuzz smokes, the
 # three audited CLI gates (conservation budget on four decomposed ranks, its
 # compressed-wire twin, its mixed-kernel-precision twin), the one-day
-# radiation-hold drift budget against the every-step twin, the two-rank
+# radiation-hold drift budget against the every-step twin, the dycore
+# regrouping drift budget against the parent-arithmetic twin, the two-rank
 # resilient rollback lap, the degraded ensemble lap (one member permanently
 # failed, quorum 3/4), and a smoke lap of the repo's one benchmark (bench/:
 # every workload path once plus its own tests, no measurement — to measure,
@@ -13,7 +14,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race race-par budget budget-wire budget-kprec budget-rad fuzz resilient ensemble check bench-smoke profile clean
+.PHONY: all build vet test race race-par budget budget-wire budget-kprec budget-rad budget-dycore fuzz resilient ensemble check bench-smoke profile clean
 
 all: check
 
@@ -54,6 +55,14 @@ budget-kprec:
 budget-rad:
 	$(GO) test ./internal/core -run '^TestRadiationHoldDrift$$' -count 1 -v
 
+# The live dycore beside a twin that keeps the arithmetic PR 24 regrouped (a
+# division in every level loop, 48 continuity terms per cell, a pow per
+# level): one model step and 180, against the budgets in DESIGN.md "Operand
+# grouping, re-baselined at PR 24", plus the conservation sums over a tracer
+# window. -v prints the measured drift.
+budget-dycore:
+	$(GO) test ./internal/atmos -run '^TestDycoreRegroupingDrift$$' -count 1 -v
+
 fuzz:
 	$(GO) test ./internal/pario -run '^$$' -fuzz FuzzReadSubfile -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/precision -run '^$$' -fuzz FuzzGroupScaledRoundTrip -fuzztime $(FUZZTIME)
@@ -75,15 +84,20 @@ bench-smoke:
 	cd bench && $(GO) test -short ./...
 
 # Where the coupled step's CPU time goes: the benchmark's model configuration
-# for 135 coupling steps, top 15 functions by self time. Not part of check.
+# for 135 coupling steps, five times over, top 15 functions by self time of
+# the five profiles merged (pprof sums the profiles it is handed). One run is
+# ≈180 samples at 100 Hz, and two single runs have disagreed on a 5 % function's
+# share by 2×. Not part of check.
 profile:
 	dir=$$(mktemp -d) && { \
 	  $(GO) build -o "$$dir/ap3esm" ./cmd/ap3esm && \
-	  "$$dir/ap3esm" -config 25v10 -days 0.75 -remap cons -cpuprofile "$$dir/cpu.prof" && \
-	  $(GO) tool pprof -top -nodecount=15 "$$dir/ap3esm" "$$dir/cpu.prof"; \
+	  ( for i in 1 2 3 4 5; do \
+	      "$$dir/ap3esm" -config 25v10 -days 0.75 -remap cons -cpuprofile "$$dir/cpu$$i.prof" >/dev/null || exit 1; \
+	    done ) && \
+	  $(GO) tool pprof -top -nodecount=15 "$$dir/ap3esm" "$$dir"/cpu[1-5].prof; \
 	  rc=$$?; rm -rf "$$dir"; exit $$rc; }
 
-check: vet build race race-par budget budget-wire budget-kprec budget-rad fuzz resilient ensemble bench-smoke
+check: vet build race race-par budget budget-wire budget-kprec budget-rad budget-dycore fuzz resilient ensemble bench-smoke
 
 clean:
 	rm -rf .bench_build/

@@ -166,8 +166,12 @@ func New(level, nlev int, cfg Config, sp pp.Space) (*Model, error) {
 	if nlev < 2 {
 		return nil, fmt.Errorf("atmos: need at least 2 levels, got %d", nlev)
 	}
-	if cfg.DtDycore <= 0 || cfg.TracerEvery <= 0 || cfg.PhysicsEvery <= 0 {
-		return nil, fmt.Errorf("atmos: non-positive stepping configuration")
+	if !(cfg.DtDycore > 0) || cfg.TracerEvery <= 0 || cfg.PhysicsEvery <= 0 {
+		return nil, fmt.Errorf("atmos: DtDycore, TracerEvery and PhysicsEvery must be positive, got %v, %d and %d",
+			cfg.DtDycore, cfg.TracerEvery, cfg.PhysicsEvery)
+	}
+	if cfg.Policy == precision.Mixed && cfg.PrecGroup <= 0 {
+		return nil, fmt.Errorf("atmos: the Mixed policy quantizes in groups of PrecGroup values, got %d", cfg.PrecGroup)
 	}
 	mesh, err := grid.NewIcosMesh(level)
 	if err != nil {

@@ -2,6 +2,7 @@ package atmos
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -23,13 +24,34 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(3, 1, DefaultConfig(), nil); err == nil {
 		t.Error("single level accepted")
 	}
-	bad := DefaultConfig()
-	bad.DtDycore = 0
-	if _, err := New(3, 5, bad, nil); err == nil {
-		t.Error("zero dt accepted")
-	}
 	if _, err := New(99, 5, DefaultConfig(), nil); err == nil {
 		t.Error("bogus level accepted")
+	}
+	// A rejected configuration shows the value at fault.
+	for _, c := range []struct {
+		set  func(*Config)
+		want string
+	}{
+		{func(c *Config) { c.DtDycore = 0 }, "must be positive, got 0, 4 and 15"},
+		{func(c *Config) { c.DtDycore = math.NaN() }, "must be positive, got NaN, 4 and 15"},
+		{func(c *Config) { c.TracerEvery = -4 }, "must be positive, got 120, -4 and 15"},
+		{func(c *Config) { c.PhysicsEvery = 0 }, "must be positive, got 120, 4 and 0"},
+		// Mixed with no group size used to pass construction and panic in the
+		// first physics step's quantization.
+		{func(c *Config) { c.Policy, c.PrecGroup = precision.Mixed, 0 }, "PrecGroup values, got 0"},
+		{func(c *Config) { c.Policy, c.PrecGroup = precision.Mixed, -8 }, "PrecGroup values, got -8"},
+	} {
+		bad := DefaultConfig()
+		c.set(&bad)
+		if _, err := New(2, 5, bad, nil); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("New with a bad configuration: error %v, want one containing %q", err, c.want)
+		}
+	}
+	// The group size is the Mixed policy's alone.
+	fp64 := DefaultConfig()
+	fp64.PrecGroup = 0
+	if _, err := New(2, 5, fp64, nil); err != nil {
+		t.Errorf("FP64 model with no group size rejected: %v", err)
 	}
 }
 

@@ -38,6 +38,8 @@ func (m *Model) Step() {
 		if m.Cfg.Policy == precision.Mixed {
 			for _, f := range [][]float64{m.U, m.T, m.Qv, m.Ps} {
 				if err := precision.QuantizeInPlace(f, m.Cfg.PrecGroup); err != nil {
+					// Unreachable: the only error is a non-positive group, which
+					// New rejects for a Mixed-policy model.
 					panic(err)
 				}
 			}
@@ -154,10 +156,10 @@ func (s *dyScratch) bindSets() {
 // kernels.go: it refreshes the float64 thermodynamic diagnostics, advances
 // the continuity equation (exact conservation, always float64) from the
 // pre-update velocity, and launches the cell/vertex/edge kernels at the
-// configured precision. The float64 path is bit-for-bit the pre-refactor
-// sweep (reference_test.go keeps that sweep as an oracle); the mixed path
-// runs the same kernel bodies at float32 with the sensitive differences
-// still formed in float64.
+// configured precision. reference_test.go pins the float64 path bit-for-bit
+// against plain loops in the same operand grouping; the mixed path runs the
+// same kernel bodies at float32 with the sensitive differences still formed
+// in float64.
 func (m *Model) dynamicsSubstep(dt float64) {
 	mesh := m.Mesh
 	nc, ne := mesh.NCells(), mesh.NEdges()
@@ -181,11 +183,10 @@ func (m *Model) dynamicsSubstep(dt float64) {
 	// upwind ps, evaluated with the *pre-update* velocity for consistency
 	// with the accumulated tracer fluxes. It runs ahead of the kernels — it
 	// reads only the pre-update U and Ps, and ln(ps) is already taken — so
-	// the edge pass can park its terms in newU before that is zero-filled.
-	// Edge flux accumulation runs over edges (each edge once); decomposed,
-	// every edge of an owned cell is a computed edge, so the terms the cell
-	// gather sums and the accumulators the tracer step reads are always
-	// locally valid.
+	// the edge pass can park its column totals in newU before that is
+	// zero-filled. Edge flux accumulation runs over edges (each edge once);
+	// decomposed, every edge of an owned cell is a computed edge, so the totals
+	// the cell gather sums and the tracer step's accumulators are locally valid.
 	m.sweep(s.comp, ne, s.contEdgeF)
 	m.sweep(s.owned, nc, s.contCellF)
 
@@ -248,54 +249,50 @@ func (s *dyScratch) thermoCell(i int) {
 	s.lnPs[c] = math.Log(m.Ps[c])
 }
 
-// contEdge selects one edge's upwind ps once per level and forms both
-// products that need it: the continuity term the two adjacent cells sum
-// (unsigned — positive c1→c2 — into newU, edge-major) and the tracer
-// window's accumulated mass flux.
+// contEdge selects one edge's upwind ps once per level and forms the level's
+// mass-flux term u·psUp·Δσ·Dv·re (unsigned — positive c1→c2): times dt/g it
+// joins the tracer window's accumulated flux, and the terms' column total,
+// parked in newU[:ne], is all the two adjacent cells' ps tendencies need.
 func (s *dyScratch) contEdge(i int) {
 	e := at(s.comp, i)
 	m := s.m
 	g := s.geo
-	ne, nlev := g.ne, g.nlev
+	ne := g.ne
 	ps1, ps2 := m.Ps[g.ec1[e]], m.Ps[g.ec2[e]]
-	dv, re, dt := m.Mesh.Dv[e], g.re, s.eg.dt
-	term := s.newU[e*nlev : (e+1)*nlev]
-	dsig := m.DSig[:len(term)]
+	dvm, dtG := m.Mesh.Dv[e]*g.re, s.eg.dtG
+	dsig := m.DSig[:g.nlev]
 	u, acc := m.U, m.flux.edge
-	for k := range term {
+	var total float64
+	for k, ds := range dsig {
 		j := k*ne + e
 		uE := u[j]
 		psUp := ps2
 		if uE >= 0 {
 			psUp = ps1
 		}
-		term[k] = uE * psUp * dsig[k] * dv * re
-		// kg/s through the edge (positive c1→c2), times dt.
-		acc[j] += dt * uE * psUp * dsig[k] / Gravity * dv * re
+		term := uE * psUp * ds * dvm
+		total += term
+		acc[j] += dtG * term // kg through the edge over the substep
 	}
+	s.newU[e] = total
 }
 
-// contCell gathers a cell's edge terms into its surface-pressure tendency
-// and applies it. sign is ±1, so sign·(u·psUp·Δσ·Dv·re) carries the same
-// bits as the original (sign·u)·psUp·… chain; where u is ±0 the two sides
-// of the edge may have picked different upwind ps, but the term is a signed
-// zero either way. Levels outer, slots inner: the original summation order.
+// contCell gathers a cell's signed edge totals into its surface-pressure
+// tendency and applies it. Both cells of an edge read the same total with
+// opposite signs, so what leaves one column enters the other to the bit.
 func (s *dyScratch) contCell(i int) {
 	c := at(s.owned, i)
 	m := s.m
 	g := s.geo
-	nlev := g.nlev
 	lo, hi := g.ceStart[c], g.ceStart[c+1]
 	edges := g.ceEdge[lo:hi]
 	sgn := g.sgn[lo:hi][:len(edges)]
-	term := s.newU
+	total := s.newU[:g.ne]
 	var sum float64
-	for k := 0; k < nlev; k++ {
-		for j, e := range edges {
-			sum += float64(sgn[j]) * term[int(e)*nlev+k]
-		}
+	for j, e := range edges {
+		sum += float64(sgn[j]) * total[e]
 	}
-	d := s.eg.dt * (-sum / g.areaRR[c])
+	d := s.eg.dt * (-sum * g.areaRR[c])
 	m.Ps[c] += d
 	m.flux.dps[c] += d
 }
@@ -305,13 +302,6 @@ func (m *Model) sigInt(k int) float64 {
 	const top = 0.05
 	return top + (1-top)*float64(k)/float64(m.NLev)
 }
-
-// powKappa is x^κ for finite positive x. With a fractional exponent below
-// one half math.Pow reduces to exactly this Exp(κ·Log x), wrapped in a
-// Modf/Frexp/Ldexp frame that costs as much again;
-// TestPowKappaMatchesMathPow pins the bit equality, so a toolchain that
-// changes pow.go fails loudly instead of shifting bits.
-func powKappa(x float64) float64 { return math.Exp(Kappa * math.Log(x)) }
 
 // tracerStep transports potential-temperature-carrying T and moisture with
 // the accumulated mass fluxes. Transport is formulated on θ = T·(p0/pσ)^κ
@@ -365,16 +355,18 @@ func (s *dyScratch) tracerFields() (theta, newTheta, newQv []float64) {
 	return s.newU[:n], s.newU[n : 2*n], s.vort[:n]
 }
 
-// thetaCell converts one column of T to θ at the window's old pressure.
+// thetaCell converts one column of T to θ at the window's old pressure. The
+// Exner function factorises, (σ_k·ps/P0)^κ = σ_k^κ · (ps/P0)^κ: the level
+// factors are tables and the column factor is one e^(±κ·ln(ps/P0)).
 func (s *dyScratch) thetaCell(i int) {
 	c := at(s.ext, i)
 	m := s.m
 	nc := s.geo.nc
 	theta, _, _ := s.tracerFields()
-	psOld := s.lnPs[c]
-	for k, sig := range m.Sig {
+	rExner := pp.Exp(-Kappa * math.Log(s.lnPs[c]/P0))
+	for k, rsig := range s.rsigK {
 		j := k*nc + c
-		theta[j] = m.T[j] * powKappa(P0/(sig*psOld))
+		theta[j] = m.T[j] * (rsig * rExner)
 	}
 }
 
@@ -385,10 +377,10 @@ func (s *dyScratch) tracerStore(i int) {
 	m := s.m
 	nc := s.geo.nc
 	_, newTheta, newQv := s.tracerFields()
-	ps := m.Ps[c]
-	for k, sig := range m.Sig {
+	exner := pp.Exp(Kappa * math.Log(m.Ps[c]/P0))
+	for k, sig := range s.sigK {
 		j := k*nc + c
-		m.T[j] = newTheta[j] * powKappa(sig*ps/P0)
+		m.T[j] = newTheta[j] * (sig * exner)
 		m.Qv[j] = math.Max(newQv[j], 0)
 	}
 }
@@ -443,9 +435,9 @@ func (s *dyScratch) transport2(i int) {
 	// Vertical redistribution: layer k's target mass is ps_new·Δσ/g·A. The
 	// interface mass flux W (downward positive, kg over the window) follows
 	// from per-layer continuity; upwind X across interfaces.
-	area := g.areaRR[c]
+	areaG := m.Mesh.AreaCell[c] * g.re * g.re / Gravity // column mass per unit ps·Δσ
 	psOld, psNew := s.lnPs[c], m.Ps[c]
-	dpsA := (psNew - psOld) * area / Gravity
+	dpsA := (psNew - psOld) * areaG
 	w := 0.0 // flux through the top of the current layer
 	for k := 0; k < nlev; k++ {
 		j := k*nc + c
@@ -474,10 +466,11 @@ func (s *dyScratch) transport2(i int) {
 			cTh -= wBot * theta[j+nc]
 			cQv -= wBot * qv[j+nc]
 		}
-		oldMass := psOld * dsig / Gravity * area
-		newMass := psNew * dsig / Gravity * area
-		newTheta[j] = (theta[j]*oldMass + cTh) / newMass
-		newQv[j] = (qv[j]*oldMass + cQv) / newMass
+		layer := dsig * areaG
+		oldMass := psOld * layer
+		rNew := 1 / (psNew * layer)
+		newTheta[j] = (theta[j]*oldMass + cTh) * rNew
+		newQv[j] = (qv[j]*oldMass + cQv) * rNew
 		w = wBot
 	}
 }

@@ -12,17 +12,22 @@ import (
 // reconstruction, kinetic energy, divergence), vertex vorticity, and the
 // edge momentum update — live here as free kernel bodies over explicit
 // argument bundles, registered in pp.Kernels and launched by the thin
-// driver in dycore.go. The bodies are generic over pp.Float: the float64
-// instantiation is bit-for-bit the pre-refactor arithmetic (expression
-// structure and evaluation order preserved; every T() conversion is the
-// identity at float64), and the float32 instantiation is the Vec-space
-// mixed-precision path. Sensitive sub-expressions — the KE+geopotential
-// gradient, the ln(ps) pressure-gradient term, the damping and viscosity
+// driver in dycore.go. The bodies are generic over pp.Float: every T()
+// conversion is the identity at float64, and the float32 instantiation is
+// the Vec-space mixed-precision path. Sensitive sub-expressions — the
+// KE+geopotential and ln(ps) pressure gradients, the damping and viscosity
 // differences — are evaluated in float64 inside the momentum kernel and
 // converted once, so mixed precision never differences large float32
 // values. The virtual-temperature/geopotential integral, continuity, tracer
 // transport, and physics stay float64-only by policy (DESIGN.md
 // "single-source kernels").
+//
+// Operand grouping (DESIGN.md "Operand grouping, re-baselined at PR 24"): a
+// level or slot loop multiplies by a tabulated reciprocal where the equations
+// divide, and constant factors are folded into the tables. What is written
+// here is the model's arithmetic — reference_test.go pins it bit-for-bit,
+// drift_test.go bounds its distance from the dividing form — so regrouping
+// it is a re-baseline, not a refactor.
 
 // Registered kernel hashes, one registration per process.
 var (
@@ -33,10 +38,10 @@ var (
 
 // atmGeom is the precision-typed mesh geometry the kernels read, flattened
 // out of the reconstructor and IcosMesh ragged arrays into contiguous
-// per-slot tables so the inner loops index raw storage. Products that the
-// original sweeps formed per iteration are prefolded only where bit-safe:
-// sign·Dv and sign·Dc (sign = ±1, exact), and the left-associated area
-// denominators (AreaCell·re)·re.
+// per-slot tables so the inner loops index raw storage, with every factor a
+// loop would apply per iteration folded in: the signed metric lengths carry
+// the Earth radius, the areas are reciprocals, and the edge tangent carries
+// the ½ of the two-cell mean (a power of two, so that fold is exact).
 type atmGeom[T pp.Float] struct {
 	nc, ne, nv, nlev int
 	re               T
@@ -47,41 +52,40 @@ type atmGeom[T pp.Float] struct {
 	ceNbr      []int32 // per slot: the cell across that edge
 	sgn        []int8  // per slot: ±1, +1 where the edge normal points out of the cell
 	wX, wY, wZ []T     // per slot: reconstruction weight vector
-	sdv        []T     // per slot: sign·Dv
-	areaRR     []T     // per cell: (AreaCell·re)·re
+	sdv        []T     // per slot: sign·Dv·re
+	areaRR     []T     // per cell: 1/((AreaCell·re)·re)
 	// Vertex sweeps: fixed degree 3.
 	veEdge []int32 // [3*nv]
-	sdc    []T     // [3*nv]: sign·Dc
-	dualRR []T     // per vertex: (AreaDual·re)·re
+	sdc    []T     // [3*nv]: sign·Dc·re
+	dualRR []T     // per vertex: 1/((AreaDual·re)·re)
 	// Edge sweeps.
 	ec1, ec2   []int32 // cells on edge
 	ev1, ev2   []int32 // vertices on edge
-	tX, tY, tZ []T     // edge tangent t = mid × n̂ (ẑ×n̂ direction)
+	tX, tY, tZ []T     // half the edge tangent, ½·(mid × n̂) (ẑ×n̂ direction)
 }
 
 // edgeGeomF is the float64 per-edge geometry shared by both momentum
-// instantiations: the metric lengths, Coriolis parameter, and the
+// instantiations: the reciprocal metric lengths, Coriolis parameter, and the
 // step-dependent divergence-damping coefficient. The sensitive momentum
 // terms are formed from these in float64 regardless of T.
 type edgeGeomF struct {
-	dcm, dvm []float64 // Dc·re, Dv·re
-	fE       []float64 // 2Ω·sin(lat) at the edge midpoint
+	rdcm, rdvm []float64 // 1/(Dc·re), 1/(Dv·re)
+	fE         []float64 // 2Ω·sin(lat) at the edge midpoint
 
-	damp           []float64 // Div4·dcm·dcm/dt, rebuilt when dt or Div4 changes
+	damp           []float64 // Div4·(Dc·re)²/dt · 1/(Dc·re), rebuilt when dt or Div4 changes
 	dampDt, dampD4 float64
-	dt, kh         float64 // current substep parameters
+	dt, dtG, kh    float64 // current substep parameters; dtG = dt/g
 }
 
 // bindStep fixes the substep parameters, rebuilding the damping table only
 // when dt or the damping coefficient actually changed.
 func (eg *edgeGeomF) bindStep(dt, div4, kh float64) {
-	eg.dt, eg.kh = dt, kh
+	eg.dt, eg.dtG, eg.kh = dt, dt/Gravity, kh
 	if eg.dampDt == dt && eg.dampD4 == div4 {
 		return
 	}
-	for e := range eg.damp {
-		dcm := eg.dcm[e]
-		eg.damp[e] = div4 * dcm * dcm / dt
+	for e, rdcm := range eg.rdcm {
+		eg.damp[e] = div4 / (rdcm * dt)
 	}
 	eg.dampDt, eg.dampD4 = dt, div4
 }
@@ -114,9 +118,9 @@ func newAtmGeomF(mesh *grid.IcosMesh, r *reconstructor, nlev int) (*atmGeom[floa
 			g.sgn[o+j] = int8(mesh.EdgeSignOnCell[c][j])
 			w := r.weights[c][j]
 			g.wX[o+j], g.wY[o+j], g.wZ[o+j] = w.X, w.Y, w.Z
-			g.sdv[o+j] = float64(mesh.EdgeSignOnCell[c][j]) * mesh.Dv[e]
+			g.sdv[o+j] = float64(mesh.EdgeSignOnCell[c][j]) * mesh.Dv[e] * re
 		}
-		g.areaRR[c] = mesh.AreaCell[c] * re * re
+		g.areaRR[c] = 1 / (mesh.AreaCell[c] * re * re)
 	}
 
 	g.veEdge = make([]int32, 3*nv)
@@ -126,9 +130,9 @@ func newAtmGeomF(mesh *grid.IcosMesh, r *reconstructor, nlev int) (*atmGeom[floa
 		for j := 0; j < 3; j++ {
 			e := mesh.EdgesOnVertex[v][j]
 			g.veEdge[3*v+j] = int32(e)
-			g.sdc[3*v+j] = float64(mesh.EdgeSignOnVtx[v][j]) * mesh.Dc[e]
+			g.sdc[3*v+j] = float64(mesh.EdgeSignOnVtx[v][j]) * mesh.Dc[e] * re
 		}
-		g.dualRR[v] = mesh.AreaDual[v] * re * re
+		g.dualRR[v] = 1 / (mesh.AreaDual[v] * re * re)
 	}
 
 	g.ec1 = make([]int32, ne)
@@ -139,20 +143,20 @@ func newAtmGeomF(mesh *grid.IcosMesh, r *reconstructor, nlev int) (*atmGeom[floa
 	g.tY = make([]float64, ne)
 	g.tZ = make([]float64, ne)
 	eg := &edgeGeomF{
-		dcm: make([]float64, ne),
-		dvm: make([]float64, ne),
-		fE:  make([]float64, ne),
+		rdcm: make([]float64, ne),
+		rdvm: make([]float64, ne),
+		fE:   make([]float64, ne),
+		damp: make([]float64, ne),
 	}
-	eg.damp = make([]float64, ne)
 	for e := 0; e < ne; e++ {
 		g.ec1[e] = int32(mesh.CellsOnEdge[e][0])
 		g.ec2[e] = int32(mesh.CellsOnEdge[e][1])
 		g.ev1[e] = int32(mesh.VerticesOnEdge[e][0])
 		g.ev2[e] = int32(mesh.VerticesOnEdge[e][1])
 		t := mesh.EdgeMidpoint[e].Cross(r.normal3[e])
-		g.tX[e], g.tY[e], g.tZ[e] = t.X, t.Y, t.Z
-		eg.dcm[e] = mesh.Dc[e] * re
-		eg.dvm[e] = mesh.Dv[e] * re
+		g.tX[e], g.tY[e], g.tZ[e] = 0.5*t.X, 0.5*t.Y, 0.5*t.Z
+		eg.rdcm[e] = 1 / (mesh.Dc[e] * re)
+		eg.rdvm[e] = 1 / (mesh.Dv[e] * re)
 		_, latE := grid.LonLat(mesh.EdgeMidpoint[e])
 		eg.fE[e] = 2 * 7.292e-5 * math.Sin(latE)
 	}
@@ -214,20 +218,19 @@ func (a *keDivArgs[T]) n() int {
 	return a.g.nc
 }
 
-// cell runs one column: v = Σ w_e·u_e, ke = ½|v|², div = Σ s·u·Dv·re over
+// cell runs one column: v = Σ w_e·u_e, ke = ½|v|², div = (Σ s·Dv·re·u) over
 // the cell area. The cell's slots are walked once per pair of levels with
 // one set of accumulators per level; each level's accumulators start at
-// zero and add in edge order, matching the original CellVector/divergence
-// loops term for term.
+// zero and add in edge order.
 func (a *keDivArgs[T]) cell(i int) {
 	c := at(a.cells, i)
 	g := a.g
-	nlev, ne, re := g.nlev, g.ne, g.re
+	nlev, ne := g.nlev, g.ne
 	lo, hi := g.ceStart[c], g.ceStart[c+1]
 	edges := g.ceEdge[lo:hi]
 	wX, wY, wZ, sdv := g.wX[lo:hi], g.wY[lo:hi], g.wZ[lo:hi], g.sdv[lo:hi]
 	wX, wY, wZ, sdv = wX[:len(edges)], wY[:len(edges)], wZ[:len(edges)], sdv[:len(edges)]
-	area := g.areaRR[c]
+	rArea := g.areaRR[c]
 	out := a.cd[c*nlev : (c+1)*nlev]
 	half := T(0.5)
 	k := 0
@@ -239,14 +242,14 @@ func (a *keDivArgs[T]) cell(i int) {
 			vx0 += wX[j] * uE0
 			vy0 += wY[j] * uE0
 			vz0 += wZ[j] * uE0
-			d0 += sdv[j] * uE0 * re
+			d0 += sdv[j] * uE0
 			vx1 += wX[j] * uE1
 			vy1 += wY[j] * uE1
 			vz1 += wZ[j] * uE1
-			d1 += sdv[j] * uE1 * re
+			d1 += sdv[j] * uE1
 		}
-		out[k] = cellDiag[T]{vx0, vy0, vz0, half * (vx0*vx0 + vy0*vy0 + vz0*vz0), d0 / area}
-		out[k+1] = cellDiag[T]{vx1, vy1, vz1, half * (vx1*vx1 + vy1*vy1 + vz1*vz1), d1 / area}
+		out[k] = cellDiag[T]{vx0, vy0, vz0, half * (vx0*vx0 + vy0*vy0 + vz0*vz0), d0 * rArea}
+		out[k+1] = cellDiag[T]{vx1, vy1, vz1, half * (vx1*vx1 + vy1*vy1 + vz1*vz1), d1 * rArea}
 	}
 	if k < nlev {
 		u0 := a.u[k*ne : (k+1)*ne]
@@ -256,9 +259,9 @@ func (a *keDivArgs[T]) cell(i int) {
 			vx += wX[j] * uE
 			vy += wY[j] * uE
 			vz += wZ[j] * uE
-			d += sdv[j] * uE * re
+			d += sdv[j] * uE
 		}
-		out[k] = cellDiag[T]{vx, vy, vz, half * (vx*vx + vy*vy + vz*vz), d / area}
+		out[k] = cellDiag[T]{vx, vy, vz, half * (vx*vx + vy*vy + vz*vz), d * rArea}
 	}
 }
 
@@ -291,24 +294,24 @@ func (a *vortArgs[T]) n() int {
 	return a.g.nv
 }
 
-// vertex accumulates the circulation over the vertex's three edges in the
-// original += order (the leading 0 + t₀ matters for the sign of zero), the
-// three edge indices and sign·Dc loaded once for the whole column.
+// vertex accumulates the circulation over the vertex's three edges in +=
+// order (the leading 0 + t₀ matters for the sign of zero), the three edge
+// indices and sign·Dc·re loaded once for the whole column.
 func (a *vortArgs[T]) vertex(i int) {
 	v := at(a.verts, i)
 	g := a.g
-	ne, re := g.ne, g.re
+	ne := g.ne
 	e0, e1, e2 := int(g.veEdge[3*v]), int(g.veEdge[3*v+1]), int(g.veEdge[3*v+2])
 	s0, s1, s2 := g.sdc[3*v], g.sdc[3*v+1], g.sdc[3*v+2]
-	dual := g.dualRR[v]
+	rDual := g.dualRR[v]
 	out := a.vort[v*g.nlev : (v+1)*g.nlev]
 	for k := range out {
 		uL := a.u[k*ne : (k+1)*ne]
 		var circ T
-		circ += s0 * uL[e0] * re
-		circ += s1 * uL[e1] * re
-		circ += s2 * uL[e2] * re
-		out[k] = circ / dual
+		circ += s0 * uL[e0]
+		circ += s1 * uL[e1]
+		circ += s2 * uL[e2]
+		out[k] = circ * rDual
 	}
 }
 
@@ -328,9 +331,9 @@ func vortKernel(s pp.Space, args any) {
 // momentumArgs carries the momentum kernel's inputs: the T-typed dynamic
 // fields produced by the diagnostics kernels plus the float64 thermodynamic
 // state (th, lnPs) the driver computes, with the step parameters explicit in
-// the shared edge geometry. Each tendency term is formed in float64 — exact
-// widenings of the T inputs, so float64 stays bit-for-bit — and folded into
-// the T-typed du chain with one conversion per term.
+// the shared edge geometry. Each tendency term is formed in float64 from
+// exact widenings of the T inputs and folded into the T-typed du chain with
+// one conversion per term.
 type momentumArgs[T pp.Float] struct {
 	g  *atmGeom[T]
 	eg *edgeGeomF
@@ -352,11 +355,10 @@ func (a *momentumArgs[T]) n() int {
 	return a.g.ne
 }
 
-// edge is one edge's momentum update over the column, term order exactly as
-// the original sweep: Coriolis on the tangential wind, KE+geopotential
-// gradient, surface-pressure gradient, divergence damping, vector Laplacian
-// viscosity. The two endpoint columns and two vertex columns are sliced
-// once; the level loop keeps the per-edge constants in registers.
+// edge is one edge's momentum update over the column: Coriolis on the
+// tangential wind, the KE+geopotential and surface-pressure gradients (one
+// sum, one 1/(Dc·re)), divergence damping, vector Laplacian viscosity. The
+// endpoint and vertex columns are sliced once; the level loop never divides.
 func (a *momentumArgs[T]) edge(i int) {
 	e := at(a.edges, i)
 	g := a.g
@@ -364,12 +366,11 @@ func (a *momentumArgs[T]) edge(i int) {
 	c1, c2 := int(g.ec1[e]), int(g.ec2[e])
 	v1, v2 := int(g.ev1[e]), int(g.ev2[e])
 	eg := a.eg
-	dcm, dvm := eg.dcm[e], eg.dvm[e]
+	rdcm, rdvm := eg.rdcm[e], eg.rdvm[e]
 	f, damp, kh := eg.fE[e], eg.damp[e], eg.kh
 	psd := a.lnPs[c2] - a.lnPs[c1]
 	tx, ty, tz := g.tX[e], g.tY[e], g.tZ[e]
 	dtT := T(eg.dt)
-	half := T(0.5)
 	// Re-slicing every column to the common length lets the compiler drop
 	// the per-level bounds checks.
 	cd1 := a.cd[c1*nlev : (c1+1)*nlev]
@@ -382,19 +383,15 @@ func (a *momentumArgs[T]) edge(i int) {
 	for k := range cd1 {
 		p1, p2 := &cd1[k], &cd2[k]
 		t1, t2 := &th1[k], &th2[k]
-		// Tangential wind from the stored cell reconstructions: the mean of the
-		// two endpoint vectors projected on t = mid × n̂.
-		ut := half*(p1.vx+p2.vx)*tx +
-			half*(p1.vy+p2.vy)*ty +
-			half*(p1.vz+p2.vz)*tz
+		// Tangential wind: the two stored cell vectors summed, on the half tangent.
+		ut := (p1.vx+p2.vx)*tx + (p1.vy+p2.vy)*ty + (p1.vz+p2.vz)*tz
 		eta := f + 0.5*(float64(w1[k])+float64(w2[k]))
 		du := T(eta) * ut
-		du -= T((float64(p2.ke) - float64(p1.ke) + t2.phi - t1.phi) / dcm)
 		tvb := 0.5 * (t1.tv + t2.tv)
-		du -= T(Rd * tvb * psd / dcm)
+		du -= T((float64(p2.ke) - float64(p1.ke) + t2.phi - t1.phi + Rd*tvb*psd) * rdcm)
 		dd := float64(p2.div) - float64(p1.div)
-		du += T(damp * dd / dcm)
-		lap := dd/dcm - (float64(w2[k])-float64(w1[k]))/dvm
+		du += T(damp * dd)
+		lap := dd*rdcm - (float64(w2[k])-float64(w1[k]))*rdvm
 		du += T(kh * lap)
 		i := k*ne + e
 		newU[i] = u[i] + dtT*du
@@ -425,7 +422,7 @@ func atmMomentumKernel(s pp.Space, args any) {
 // Every scratch array is dead between substeps — each is rebuilt (or
 // zero-filled) before the next substep reads it — so the work that runs only
 // there borrows it instead of holding arrays of its own: the continuity
-// edge terms take newU ahead of its zero-fill; the tracer step takes
+// edge totals take newU[:ne] ahead of its zero-fill; the tracer step takes
 // newU[:2·nlev·nc] and vort[:nlev·nc] (ne = 3nc−6, nv = 2nc−4) for θ and
 // the two transported fields, and lnPs for the window's old ps; the physics
 // step takes lnPs and vort[:nc] for the cell momentum tendencies.
@@ -436,8 +433,9 @@ type dyScratch struct {
 
 	// Level constants of the hydrostatic integral: ln(σ_bot/σ_k) from the
 	// interface below level k up to its mid-point, and ln(σ_bot/σ_top) across
-	// the layer.
+	// the layer; and the Exner function's level factor σ_k^κ with its reciprocal.
 	lnMid, lnLayer []float64
+	sigK, rsigK    []float64
 
 	th   []thermo            // [nc*nlev] thermodynamic diagnostics (always float64)
 	lnPs []float64           // [nc]
@@ -496,11 +494,15 @@ func (m *Model) dyEnsure() *dyScratch {
 
 		lnMid:   make([]float64, nlev),
 		lnLayer: make([]float64, nlev),
+		sigK:    make([]float64, nlev),
+		rsigK:   make([]float64, nlev),
 	}
 	for k := 0; k < nlev; k++ {
 		sTop, sBot := m.sigInt(k), m.sigInt(k+1)
 		s.lnMid[k] = math.Log(sBot / m.Sig[k])
 		s.lnLayer[k] = math.Log(sBot / sTop)
+		s.sigK[k] = math.Pow(m.Sig[k], Kappa)
+		s.rsigK[k] = 1 / s.sigK[k]
 	}
 	s.bKeDiv = &keDivArgs[float64]{g: geo, cd: s.cd}
 	s.bKeDiv.rowF = s.bKeDiv.cell
@@ -554,8 +556,7 @@ func (m *Model) dyEnsure() *dyScratch {
 // loops, each hoisted entry the identical expression the inner loop
 // computed. The exponential itself is pp's table-driven one (≤ 0.51 ulp, the
 // same bits on every host), not math.Exp, so GSW/GLW differ from the
-// pre-table history in the last places — the one exception to "the float64
-// instantiation is the historical code" (DESIGN.md).
+// pre-table history in the last places (DESIGN.md "Single-source kernels").
 // ---------------------------------------------------------------------------
 
 // twoStreamRad attenuates each shortwave g-point's direct beam down the

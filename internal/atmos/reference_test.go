@@ -11,40 +11,12 @@ import (
 	"repro/internal/pp"
 )
 
-// refStepper advances a Model with the plain loops the restructured dycore
-// replaced — level-major scratch, one (row, level) body per call, the
-// continuity cell loop over the ragged mesh tables, one transport sweep per
-// tracer, math.Pow for the θ↔T conversions — kept verbatim as the oracle
-// TestStepMatchesReferenceLoops steps the live code against. Nothing outside
-// this file may call it. The physics step is the model's own: it is not part
-// of the restructure.
-type refStepper struct {
-	m *Model
+// rowSets runs plain row loops over the model's four iteration sets: the
+// listed indices when decomposed, [0, n) otherwise. Both test-only steppers —
+// the oracle below and the drift twin in drift_test.go — sweep through it.
+type rowSets struct{ m *Model }
 
-	tv, phi, lnPs []float64
-	vcx, vcy, vcz []float64
-	ke, div, vort []float64
-	newU, dpsDt   []float64
-	newTheta      []float64
-	newQv         []float64
-}
-
-func newRefStepper(m *Model) *refStepper {
-	nc, ne, nv := m.Mesh.NCells(), m.Mesh.NEdges(), m.Mesh.NVertices()
-	n := m.NLev * nc
-	f := func(n int) []float64 { return make([]float64, n) }
-	return &refStepper{
-		m:  m,
-		tv: f(n), phi: f(n), lnPs: f(nc),
-		vcx: f(n), vcy: f(n), vcz: f(n), ke: f(n), div: f(n),
-		vort: f(m.NLev * nv), newU: f(m.NLev * ne), dpsDt: f(nc),
-		newTheta: f(n), newQv: f(n),
-	}
-}
-
-// sweepSet runs fn over the listed indices, or over [0, n) when the model is
-// not decomposed — the four for* helpers the original sweeps went through.
-func (r *refStepper) sweepSet(set func(*grid.IcosDecomp) []int, n int, fn func(i int)) {
+func (r rowSets) sweepSet(set func(*grid.IcosDecomp) []int, n int, fn func(i int)) {
 	m := r.m
 	if m.dec == nil {
 		m.Sp.ParallelFor(n, fn)
@@ -54,31 +26,31 @@ func (r *refStepper) sweepSet(set func(*grid.IcosDecomp) []int, n int, fn func(i
 	m.Sp.ParallelFor(len(idx), func(i int) { fn(idx[i]) })
 }
 
-func (r *refStepper) forExtCells(fn func(c int)) {
+func (r rowSets) forExtCells(fn func(c int)) {
 	r.sweepSet(func(d *grid.IcosDecomp) []int { return d.ExtCells }, r.m.Mesh.NCells(), fn)
 }
 
-func (r *refStepper) forOwnedCells(fn func(c int)) {
+func (r rowSets) forOwnedCells(fn func(c int)) {
 	r.sweepSet(func(d *grid.IcosDecomp) []int { return d.Owned }, r.m.Mesh.NCells(), fn)
 }
 
-func (r *refStepper) forCompEdges(fn func(e int)) {
+func (r rowSets) forCompEdges(fn func(e int)) {
 	r.sweepSet(func(d *grid.IcosDecomp) []int { return d.CompEdges }, r.m.Mesh.NEdges(), fn)
 }
 
-func (r *refStepper) forCompVerts(fn func(v int)) {
+func (r rowSets) forCompVerts(fn func(v int)) {
 	r.sweepSet(func(d *grid.IcosDecomp) []int { return d.CompVerts }, r.m.Mesh.NVertices(), fn)
 }
 
-// stepModel is Model.StepModel over the reference substep and tracer step.
-func (r *refStepper) stepModel() {
-	m := r.m
+// stepModelLoops is Model.StepModel over a test stepper's substep and tracer
+// step. The physics step is the model's own: no test stepper replaces it.
+func stepModelLoops(m *Model, dynamicsSubstep func(dt float64), tracerStep func()) {
 	for i := 0; i < m.Cfg.PhysicsEvery; i++ {
 		dt := m.Cfg.DtDycore
-		r.dynamicsSubstep(dt)
+		dynamicsSubstep(dt)
 		m.steps++
 		if m.steps%m.Cfg.TracerEvery == 0 {
-			r.tracerStep()
+			tracerStep()
 		}
 		if m.steps%m.Cfg.PhysicsEvery == 0 {
 			m.physicsStep(dt * float64(m.Cfg.PhysicsEvery))
@@ -86,12 +58,84 @@ func (r *refStepper) stepModel() {
 	}
 }
 
+// refStepper advances a Model with plain loops — level-major scratch, one
+// (row, level) body per call, the ragged mesh tables, one transport sweep per
+// tracer — in the operand grouping of the live dycore (DESIGN.md "Operand
+// grouping, re-baselined at PR 24"), the oracle TestStepMatchesReferenceLoops
+// steps the live code against. Every metric factor is derived here from the
+// IcosMesh, and every level constant from the sigma levels: nothing is read
+// from the live model's dyScratch, so a wrong table there is wrong on one
+// side only. Nothing outside this file may call it.
+type refStepper struct {
+	rowSets
+
+	// Per cell and per vertex: reciprocal areas in m⁻².
+	rArea, rDual []float64
+	// Per edge: Dv·re, the reciprocal metric lengths, Div4·(Dc·re)/dt, the
+	// Coriolis parameter and half the tangent vector.
+	dvm, rdcm, rdvm, damp, fE []float64
+	halfT                     []grid.Vec3
+	// Per level: the hydrostatic integral's logarithms and the Exner
+	// function's level factor with its reciprocal.
+	lnMid, lnLayer, sigK, rsigK []float64
+
+	tv, phi, lnPs []float64
+	vcx, vcy, vcz []float64
+	ke, div, vort []float64
+	newU, total   []float64
+	newTheta      []float64
+	newQv         []float64
+}
+
+func newRefStepper(m *Model) *refStepper {
+	mesh := m.Mesh
+	nc, ne, nv := mesh.NCells(), mesh.NEdges(), mesh.NVertices()
+	nlev := m.NLev
+	n := nlev * nc
+	re := grid.EarthRadius
+	f := func(n int) []float64 { return make([]float64, n) }
+	r := &refStepper{
+		rowSets: rowSets{m},
+		rArea:   f(nc), rDual: f(nv),
+		dvm: f(ne), rdcm: f(ne), rdvm: f(ne), damp: f(ne), fE: f(ne),
+		halfT: make([]grid.Vec3, ne),
+		lnMid: f(nlev), lnLayer: f(nlev), sigK: f(nlev), rsigK: f(nlev),
+		tv: f(n), phi: f(n), lnPs: f(nc),
+		vcx: f(n), vcy: f(n), vcz: f(n), ke: f(n), div: f(n),
+		vort: f(nlev * nv), newU: f(nlev * ne), total: f(ne),
+		newTheta: f(n), newQv: f(n),
+	}
+	for c := range r.rArea {
+		r.rArea[c] = 1 / (mesh.AreaCell[c] * re * re)
+	}
+	for v := range r.rDual {
+		r.rDual[v] = 1 / (mesh.AreaDual[v] * re * re)
+	}
+	for e := 0; e < ne; e++ {
+		r.dvm[e] = mesh.Dv[e] * re
+		r.rdcm[e] = 1 / (mesh.Dc[e] * re)
+		r.rdvm[e] = 1 / (mesh.Dv[e] * re)
+		_, lat := grid.LonLat(mesh.EdgeMidpoint[e])
+		r.fE[e] = 2 * 7.292e-5 * math.Sin(lat)
+		r.halfT[e] = mesh.EdgeMidpoint[e].Cross(m.recon.normal3[e]).Scale(0.5)
+	}
+	for k := 0; k < nlev; k++ {
+		sTop, sBot := m.sigInt(k), m.sigInt(k+1)
+		r.lnMid[k] = math.Log(sBot / m.Sig[k])
+		r.lnLayer[k] = math.Log(sBot / sTop)
+		r.sigK[k] = math.Pow(m.Sig[k], Kappa)
+		r.rsigK[k] = 1 / r.sigK[k]
+	}
+	return r
+}
+
+func (r *refStepper) stepModel() { stepModelLoops(r.m, r.dynamicsSubstep, r.tracerStep) }
+
 func (r *refStepper) dynamicsSubstep(dt float64) {
 	m := r.m
 	mesh := m.Mesh
 	nc, ne := mesh.NCells(), mesh.NEdges()
 	nlev := m.NLev
-	re := grid.EarthRadius
 
 	if m.flux == nil {
 		m.flux = &accFlux{
@@ -99,22 +143,21 @@ func (r *refStepper) dynamicsSubstep(dt float64) {
 			dps:  make([]float64, nc),
 		}
 	}
-	s := m.dyEnsure()
-	s.eg.bindStep(dt, m.Cfg.Div4, m.Cfg.KhMomentum)
+	for e, rdcm := range r.rdcm {
+		r.damp[e] = m.Cfg.Div4 / (rdcm * dt)
+	}
 
-	tv, phi := r.tv, r.phi
-	lnMid, lnLayer := s.lnMid, s.lnLayer
+	tv, phi, lnPs := r.tv, r.phi, r.lnPs
 	r.forExtCells(func(c int) {
 		below := 0.0 // geopotential at the interface below the current layer
 		for k := nlev - 1; k >= 0; k-- {
 			i := k*nc + c
 			tv[i] = m.T[i] * (1 + 0.608*m.Qv[i])
-			phi[i] = below + Rd*tv[i]*lnMid[k]
-			below += Rd * tv[i] * lnLayer[k]
+			phi[i] = below + Rd*tv[i]*r.lnMid[k]
+			below += Rd * tv[i] * r.lnLayer[k]
 		}
+		lnPs[c] = math.Log(m.Ps[c])
 	})
-	lnPs := r.lnPs
-	r.forExtCells(func(c int) { lnPs[c] = math.Log(m.Ps[c]) })
 
 	for i := range r.newU {
 		r.newU[i] = 0
@@ -130,60 +173,39 @@ func (r *refStepper) dynamicsSubstep(dt float64) {
 		}
 	})
 	r.forCompEdges(func(e int) {
-		g := s.geo
-		c1, c2 := int(g.ec1[e]), int(g.ec2[e])
-		v1, v2 := int(g.ev1[e]), int(g.ev2[e])
-		eg := s.eg
-		dcm, dvm := eg.dcm[e], eg.dvm[e]
-		f, damp := eg.fE[e], eg.damp[e]
-		psd := lnPs[c2] - lnPs[c1]
-		tx, ty, tz := g.tX[e], g.tY[e], g.tZ[e]
 		for k := 0; k < nlev; k++ {
-			r.momentumLevel(e, k, c1, c2, v1, v2, tx, ty, tz, eg.dt, f, psd, dcm, dvm, damp)
+			r.momentumLevel(e, k, dt)
 		}
 	})
 
-	// --- Continuity: per-level mass fluxes and surface pressure ---
-	dpsDt := r.dpsDt
-	for i := range dpsDt {
-		dpsDt[i] = 0
-	}
-	r.forOwnedCells(func(c int) {
-		var sum float64
-		for k := 0; k < nlev; k++ {
-			uLvl := m.U[k*ne : (k+1)*ne]
-			for j, e := range mesh.EdgesOnCell[c] {
-				sign := float64(mesh.EdgeSignOnCell[c][j])
-				u := uLvl[e]
-				// Upwind surface pressure.
-				var psUp float64
-				if sign*u >= 0 {
-					psUp = m.Ps[c]
-				} else {
-					psUp = m.Ps[mesh.CellsOnCell[c][j]]
-				}
-				sum += sign * u * psUp * m.DSig[k] * mesh.Dv[e] * re
-			}
-		}
-		dpsDt[c] = -sum / (mesh.AreaCell[c] * re * re)
-	})
+	// --- Continuity: per-level mass fluxes, one column total per edge, and
+	// the surface pressure from the signed totals ---
+	dtG := dt / Gravity
 	r.forCompEdges(func(e int) {
 		c1, c2 := mesh.CellsOnEdge[e][0], mesh.CellsOnEdge[e][1]
+		var total float64
 		for k := 0; k < nlev; k++ {
 			u := m.U[k*ne+e]
-			var psUp float64
+			// Upwind surface pressure.
+			psUp := m.Ps[c2]
 			if u >= 0 {
 				psUp = m.Ps[c1]
-			} else {
-				psUp = m.Ps[c2]
 			}
-			// kg/s through the edge (positive c1→c2), times dt.
-			m.flux.edge[k*ne+e] += dt * u * psUp * m.DSig[k] / Gravity * m.Mesh.Dv[e] * re
+			term := u * psUp * m.DSig[k] * r.dvm[e]
+			total += term
+			// kg through the edge (positive c1→c2) over the substep.
+			m.flux.edge[k*ne+e] += dtG * term
 		}
+		r.total[e] = total
 	})
 	r.forOwnedCells(func(c int) {
-		m.Ps[c] += dt * dpsDt[c]
-		m.flux.dps[c] += dt * dpsDt[c]
+		var sum float64
+		for j, e := range mesh.EdgesOnCell[c] {
+			sum += float64(mesh.EdgeSignOnCell[c][j]) * r.total[e]
+		}
+		d := dt * (-sum * r.rArea[c])
+		m.Ps[c] += d
+		m.flux.dps[c] += d
 	})
 	m.U, r.newU = r.newU, m.U
 	if m.dec != nil {
@@ -193,60 +215,64 @@ func (r *refStepper) dynamicsSubstep(dt float64) {
 }
 
 // keDivLevel runs one (cell, level): v = Σ w_e·u_e, ke = ½|v|², div =
-// Σ s·u·Dv·re over the cell area.
+// (Σ s·Dv·re·u) times the reciprocal cell area.
 func (r *refStepper) keDivLevel(c, k int) {
-	g := r.m.dy.geo
-	u := r.m.U
-	kn := k * g.ne
-	re := g.re
+	m := r.m
+	mesh := m.Mesh
+	nc, ne := mesh.NCells(), mesh.NEdges()
+	re := grid.EarthRadius
 	var vx, vy, vz, d float64
-	for o := g.ceStart[c]; o < g.ceStart[c+1]; o++ {
-		uE := u[kn+int(g.ceEdge[o])]
-		vx += g.wX[o] * uE
-		vy += g.wY[o] * uE
-		vz += g.wZ[o] * uE
-		d += g.sdv[o] * uE * re
+	for j, e := range mesh.EdgesOnCell[c] {
+		uE := m.U[k*ne+e]
+		w := m.recon.weights[c][j]
+		vx += w.X * uE
+		vy += w.Y * uE
+		vz += w.Z * uE
+		d += float64(mesh.EdgeSignOnCell[c][j]) * mesh.Dv[e] * re * uE
 	}
-	ic := k*g.nc + c
+	ic := k*nc + c
 	r.vcx[ic], r.vcy[ic], r.vcz[ic] = vx, vy, vz
 	r.ke[ic] = 0.5 * (vx*vx + vy*vy + vz*vz)
-	r.div[ic] = d / g.areaRR[c]
+	r.div[ic] = d * r.rArea[c]
 }
 
 func (r *refStepper) vortLevel(v, k int) {
-	g := r.m.dy.geo
-	u := r.m.U
-	kn := k * g.ne
-	re := g.re
+	mesh := r.m.Mesh
+	ne, nv := mesh.NEdges(), mesh.NVertices()
+	re := grid.EarthRadius
 	var circ float64
-	circ += g.sdc[3*v] * u[kn+int(g.veEdge[3*v])] * re
-	circ += g.sdc[3*v+1] * u[kn+int(g.veEdge[3*v+1])] * re
-	circ += g.sdc[3*v+2] * u[kn+int(g.veEdge[3*v+2])] * re
-	r.vort[k*g.nv+v] = circ / g.dualRR[v]
+	for j, e := range mesh.EdgesOnVertex[v] {
+		circ += float64(mesh.EdgeSignOnVtx[v][j]) * mesh.Dc[e] * re * r.m.U[k*ne+e]
+	}
+	r.vort[k*nv+v] = circ * r.rDual[v]
 }
 
 // momentumLevel is one (edge, level) momentum update: Coriolis on the
-// tangential wind, KE+geopotential gradient, surface-pressure gradient,
-// divergence damping, vector Laplacian viscosity.
-func (r *refStepper) momentumLevel(e, k, c1, c2, v1, v2 int, tx, ty, tz, dtT, f, psd, dcm, dvm, damp float64) {
-	g := r.m.dy.geo
-	ic1, ic2 := k*g.nc+c1, k*g.nc+c2
-	iv1, iv2 := k*g.nv+v1, k*g.nv+v2
-	half := 0.5
-	ut := half*(r.vcx[ic1]+r.vcx[ic2])*tx +
-		half*(r.vcy[ic1]+r.vcy[ic2])*ty +
-		half*(r.vcz[ic1]+r.vcz[ic2])*tz
-	eta := f + 0.5*(r.vort[iv1]+r.vort[iv2])
+// tangential wind, the KE+geopotential and surface-pressure gradients under
+// one reciprocal length, divergence damping, vector Laplacian viscosity.
+func (r *refStepper) momentumLevel(e, k int, dt float64) {
+	m := r.m
+	mesh := m.Mesh
+	nc, ne, nv := mesh.NCells(), mesh.NEdges(), mesh.NVertices()
+	c1, c2 := mesh.CellsOnEdge[e][0], mesh.CellsOnEdge[e][1]
+	v1, v2 := mesh.VerticesOnEdge[e][0], mesh.VerticesOnEdge[e][1]
+	ic1, ic2 := k*nc+c1, k*nc+c2
+	iv1, iv2 := k*nv+v1, k*nv+v2
+	t := r.halfT[e]
+	rdcm, rdvm := r.rdcm[e], r.rdvm[e]
+	psd := r.lnPs[c2] - r.lnPs[c1]
+
+	ut := (r.vcx[ic1]+r.vcx[ic2])*t.X + (r.vcy[ic1]+r.vcy[ic2])*t.Y + (r.vcz[ic1]+r.vcz[ic2])*t.Z
+	eta := r.fE[e] + 0.5*(r.vort[iv1]+r.vort[iv2])
 	du := eta * ut
-	du -= (r.ke[ic2] - r.ke[ic1] + r.phi[ic2] - r.phi[ic1]) / dcm
 	tvb := 0.5 * (r.tv[ic1] + r.tv[ic2])
-	du -= Rd * tvb * psd / dcm
+	du -= (r.ke[ic2] - r.ke[ic1] + r.phi[ic2] - r.phi[ic1] + Rd*tvb*psd) * rdcm
 	dd := r.div[ic2] - r.div[ic1]
-	du += damp * dd / dcm
-	lap := dd/dcm - (r.vort[iv2]-r.vort[iv1])/dvm
-	du += r.m.dy.eg.kh * lap
-	i := k*g.ne + e
-	r.newU[i] = r.m.U[i] + dtT*du
+	du += r.damp[e] * dd
+	lap := dd*rdcm - (r.vort[iv2]-r.vort[iv1])*rdvm
+	du += m.Cfg.KhMomentum * lap
+	i := k*ne + e
+	r.newU[i] = m.U[i] + dt*du
 }
 
 func (r *refStepper) tracerStep() {
@@ -262,12 +288,13 @@ func (r *refStepper) tracerStep() {
 		psOld[c] = m.Ps[c] - m.flux.dps[c]
 	}
 
-	// θ and qv as mass-weighted quantities.
+	// θ = T·σ_k^−κ·(ps/P0)^−κ, the column factor taken once per column.
 	theta := r.tv
 	r.forExtCells(func(c int) {
+		rExner := pp.Exp(-Kappa * math.Log(psOld[c]/P0))
 		for k := 0; k < nlev; k++ {
 			i := k*nc + c
-			theta[i] = m.T[i] * math.Pow(P0/(m.Sig[k]*psOld[c]), Kappa)
+			theta[i] = m.T[i] * (r.rsigK[k] * rExner)
 		}
 	})
 
@@ -276,9 +303,10 @@ func (r *refStepper) tracerStep() {
 	r.transport(m.Qv, psOld, newQv)
 
 	r.forOwnedCells(func(c int) {
+		exner := pp.Exp(Kappa * math.Log(m.Ps[c]/P0))
 		for k := 0; k < nlev; k++ {
 			i := k*nc + c
-			m.T[i] = newTheta[i] * math.Pow(m.Sig[k]*m.Ps[c]/P0, Kappa)
+			m.T[i] = newTheta[i] * (r.sigK[k] * exner)
 			m.Qv[i] = math.Max(newQv[i], 0)
 		}
 	})
@@ -296,7 +324,7 @@ func (r *refStepper) tracerStep() {
 }
 
 // transport advances one tracer with the accumulated horizontal mass fluxes
-// plus the implied vertical redistribution, conserving Σ M·X exactly.
+// plus the implied vertical redistribution, conserving Σ M·X.
 func (r *refStepper) transport(x, psOld, out []float64) {
 	m := r.m
 	mesh := m.Mesh
@@ -305,12 +333,11 @@ func (r *refStepper) transport(x, psOld, out []float64) {
 	re := grid.EarthRadius
 
 	r.forOwnedCells(func(c int) {
-		area := mesh.AreaCell[c] * re * re
+		areaG := mesh.AreaCell[c] * re * re / Gravity
 		// Horizontal: per-level content change (kg·X).
 		dContent := make([]float64, nlev)
 		hdiv := make([]float64, nlev) // accumulated mass divergence per level (kg)
 		for k := 0; k < nlev; k++ {
-			dContent[k], hdiv[k] = 0, 0
 			for j, e := range mesh.EdgesOnCell[c] {
 				sign := float64(mesh.EdgeSignOnCell[c][j])
 				fm := sign * m.flux.edge[k*ne+e] // kg leaving through e if > 0
@@ -324,7 +351,7 @@ func (r *refStepper) transport(x, psOld, out []float64) {
 				hdiv[k] -= fm
 			}
 		}
-		dpsA := (m.Ps[c] - psOld[c]) * area / Gravity
+		dpsA := (m.Ps[c] - psOld[c]) * areaG
 		w := 0.0 // flux through the top of the current layer
 		for k := 0; k < nlev; k++ {
 			wBot := hdiv[k] + w - m.DSig[k]*dpsA
@@ -344,9 +371,9 @@ func (r *refStepper) transport(x, psOld, out []float64) {
 			} else if k < nlev-1 {
 				dContent[k] -= wBot * x[(k+1)*nc+c]
 			}
-			oldMass := psOld[c] * m.DSig[k] / Gravity * area
-			newMass := m.Ps[c] * m.DSig[k] / Gravity * area
-			out[k*nc+c] = (x[k*nc+c]*oldMass + dContent[k]) / newMass
+			layer := m.DSig[k] * areaG
+			oldMass := psOld[c] * layer
+			out[k*nc+c] = (x[k*nc+c]*oldMass + dContent[k]) * (1 / (m.Ps[c] * layer))
 			w = wBot
 		}
 	})
@@ -355,8 +382,8 @@ func (r *refStepper) transport(x, psOld, out []float64) {
 // perturb draws a rough but stable state from the seed: ps, T and qv jittered
 // around the resting initial condition, a random wind of a few m/s, and one
 // edge in eight pinned to exactly +0 or −0 on every level (the case where the
-// two sides of an edge may disagree on the upwind cell). Seed 0 leaves the
-// model at rest: every edge exactly +0.
+// upwind choice rests on the sign of zero). Seed 0 leaves the model at rest:
+// every edge exactly +0.
 func perturb(m *Model, seed int64) {
 	if seed == 0 {
 		return
@@ -382,6 +409,19 @@ func perturb(m *Model, seed int64) {
 			m.U[k*ne+e] = zero
 		}
 	}
+}
+
+// modelPair builds two identical default-configuration models, perturbed
+// from the same seed: one for the live dycore, one for a test stepper.
+func modelPair(level, nlev int, sp pp.Space, seed int64) (a, b *Model, err error) {
+	var ms [2]*Model
+	for i := range ms {
+		if ms[i], err = New(level, nlev, DefaultConfig(), sp); err != nil {
+			return nil, nil, err
+		}
+		perturb(ms[i], seed)
+	}
+	return ms[0], ms[1], nil
 }
 
 // sameBits reports the first index in idx (every index when idx is nil, the
@@ -418,28 +458,15 @@ func sameBits(t *testing.T, what string, got, want []float64, idx []int, stride 
 	}
 }
 
-// TestStepMatchesReferenceLoops is the bit-for-bit contract against history:
-// from seeded random states, one full model step (15 substeps, three tracer
-// steps, one physics step) through the live dycore and through the reference
-// loops above must leave identical bits in every prognostic and in the flux
-// accumulators — on the global sets under Serial and Host, and decomposed
-// over 2, 3 and 4 ranks. Odd level counts exercise the tail of the pairwise
-// cell-diagnostics walk.
+// TestStepMatchesReferenceLoops is the bit-for-bit contract of the dycore's
+// restructuring: from seeded random states, one full model step (15
+// substeps, three tracer steps, one physics step) through the live dycore
+// and through the reference loops above must leave identical bits in every
+// prognostic and in the flux accumulators — on the global sets under Serial
+// and Host, and decomposed over 2, 3 and 4 ranks. Odd level counts exercise
+// the tail of the pairwise cell-diagnostics walk.
 func TestStepMatchesReferenceLoops(t *testing.T) {
 	const level = 2
-	cfg := DefaultConfig()
-	// build returns two identical models; the error path is unreachable for
-	// these arguments but may not t.Fatal from a rank goroutine.
-	build := func(nlev int, sp pp.Space, seed int64) (live, ref *Model, err error) {
-		var ms [2]*Model
-		for i := range ms {
-			if ms[i], err = New(level, nlev, cfg, sp); err != nil {
-				return nil, nil, err
-			}
-			perturb(ms[i], seed)
-		}
-		return ms[0], ms[1], nil
-	}
 	// compare checks the state on the given cell/edge sets (nil: everywhere).
 	compare := func(t *testing.T, live, ref *Model, cells, edges, fluxEdges []int) {
 		t.Helper()
@@ -456,7 +483,7 @@ func TestStepMatchesReferenceLoops(t *testing.T) {
 		for _, nlev := range []int{7, 8} {
 			for seed := int64(0); seed < 4; seed++ {
 				t.Run(fmt.Sprintf("%s/nlev%d/seed%d", sp.Name(), nlev, seed), func(t *testing.T) {
-					live, ref, err := build(nlev, sp, seed)
+					live, ref, err := modelPair(level, nlev, sp, seed)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -473,8 +500,8 @@ func TestStepMatchesReferenceLoops(t *testing.T) {
 			for seed := int64(0); seed < 3; seed++ {
 				t.Run(fmt.Sprintf("ranks%d/nlev%d/seed%d", ranks, nlev, seed), func(t *testing.T) {
 					par.Run(ranks, func(c *par.Comm) {
-						live, ref, err := build(nlev, nil, seed)
-						if err != nil {
+						live, ref, err := modelPair(level, nlev, nil, seed)
+						if err != nil { // unreachable, and may not t.Fatal from a rank goroutine
 							t.Error(err)
 							return
 						}
@@ -493,47 +520,6 @@ func TestStepMatchesReferenceLoops(t *testing.T) {
 					})
 				})
 			}
-		}
-	}
-}
-
-// powKappa replaces math.Pow(x, Kappa) in the θ↔T conversions on the
-// strength of an identity of math.Pow's implementation, not of its contract:
-// for 0 < y < ½ and finite positive x it computes Ldexp(Exp(y·Log x), 0).
-// This pins the identity over both reachable argument ranges — σ_k·ps/p0 for
-// ps from 300 to 1200 hPa, and its reciprocal — on a dense grid and on seeded
-// random draws, so a toolchain whose pow.go differs fails here instead of
-// shifting the model's bits.
-func TestPowKappaMatchesMathPow(t *testing.T) {
-	const sigMin, sigMax = 0.05, 1.0 // model top to surface
-	lo, hi := sigMin*3e4/P0, sigMax*1.2e5/P0
-	check := func(x float64) {
-		t.Helper()
-		if got, want := powKappa(x), math.Pow(x, Kappa); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("powKappa(%v) = %v (%#x), math.Pow gives %v (%#x)",
-				x, got, math.Float64bits(got), want, math.Float64bits(want))
-		}
-	}
-	const dense = 200000
-	for i := 0; i <= dense; i++ {
-		x := lo + (hi-lo)*float64(i)/dense
-		check(x)
-		check(1 / x)
-	}
-	rng := rand.New(rand.NewSource(21))
-	for i := 0; i < 1_000_000; i++ {
-		// Log-uniform over the forward range, so the thin upper levels are
-		// sampled as densely as the surface.
-		x := lo * math.Exp(rng.Float64()*math.Log(hi/lo))
-		check(x)
-		check(1 / x)
-	}
-	// The model's own arguments: every level at a spread of surface pressures.
-	m := newTestModel(t, 1, 30)
-	for _, sig := range m.Sig {
-		for ps := 3e4; ps <= 1.2e5; ps += 37.3 {
-			check(sig * ps / P0)
-			check(P0 / (sig * ps))
 		}
 	}
 }
