@@ -14,7 +14,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race race-par budget budget-wire budget-kprec budget-rad budget-dycore fuzz resilient ensemble check bench-smoke profile clean
+.PHONY: all build vet test race race-par budget budget-wire budget-kprec budget-rad budget-dycore fuzz resilient ensemble check bench-smoke bench-atmos profile clean
 
 all: check
 
@@ -96,6 +96,14 @@ profile:
 	    done ) && \
 	  $(GO) tool pprof -top -nodecount=15 "$$dir/ap3esm" "$$dir"/cpu[1-5].prof; \
 	  rc=$$?; rm -rf "$$dir"; exit $$rc; }
+
+# The atmosphere's sizing benchmark (internal/atmos/step_bench_test.go): a
+# whole model step and the sweeps the dycore's layout work moves — the four
+# U-reading sweeps, transport, the hydrostatic integral — on a level-3 × 8
+# state spun up in-process. Six runs on one core; compare minima across two
+# trees. Not part of check.
+bench-atmos:
+	$(GO) test ./internal/atmos -run '^$$' -bench . -count 6 -cpu 1
 
 check: vet build race race-par budget budget-wire budget-kprec budget-rad budget-dycore fuzz resilient ensemble bench-smoke
 

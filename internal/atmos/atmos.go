@@ -13,6 +13,13 @@
 // space; across ranks the mesh is partitioned by grid.IcosDecomp (SetDecomp),
 // each rank sweeping its owned cells plus a ring-1 halo and exchanging halos
 // at the substep boundaries, bit-for-bit the 1-rank answer.
+//
+// Every 3-D field — state and dycore scratch — is column-major, level-inner
+// (Model.Idx), so the column loops that dominate the step read contiguous
+// memory. The dycore scratch that is dead between substeps is borrowed by
+// the tracer and physics steps; its tv/φ array (dyScratch.th) is never
+// borrowed, because the hydrostatic integral is carried from substep to
+// substep until T or qv changes.
 package atmos
 
 import (
@@ -74,12 +81,13 @@ type Model struct {
 	Sig  []float64
 	DSig []float64
 
-	// Prognostics. Cell-centred scalars are [k*nCells + c]; the normal
-	// velocity is [k*nEdges + e].
+	// Prognostics. Every 3-D field is column-major, level-inner: level k of
+	// cell c is [c*nlev + k], of edge e [e*nlev + k] (Idx). Code outside the
+	// package indexes them through Idx, SurfaceAir and CloudProxy.
 	Ps []float64 // surface pressure [nCells]
-	T  []float64 // temperature [nlev*nCells]
-	Qv []float64 // specific humidity [nlev*nCells]
-	U  []float64 // edge-normal velocity [nlev*nEdges]
+	T  []float64 // temperature [nCells*nlev]
+	Qv []float64 // specific humidity [nCells*nlev]
+	U  []float64 // edge-normal velocity [nEdges*nlev]
 
 	// Surface boundary conditions (imported from ocean/ice via the coupler,
 	// or from the land model directly).
@@ -104,6 +112,12 @@ type Model struct {
 	kprec   pp.Prec // kernel precision, derived from the execution space
 	dy      *dyScratch
 	cols    colPool
+
+	// thFresh reports that the dycore scratch's tv/φ are the hydrostatic
+	// integral of the current T and qv (see dynamicsSubstep); hydroSweeps
+	// counts the integrals taken.
+	thFresh     bool
+	hydroSweeps int
 
 	// Radiation step (see DemandRadiation): the mask of cells a reader outside
 	// the model consumes, which of the two column sets the next physics step
@@ -230,7 +244,7 @@ func (m *Model) InitBaroclinicRest() {
 		lat := m.Mesh.LatCell[c]
 		tSkin := 273.15 + 28*math.Cos(lat)*math.Cos(lat)
 		for k := 0; k < m.NLev; k++ {
-			i := k*nc + c
+			i := m.Idx(c, k)
 			m.T[i] = equilibriumT(lat, m.Sig[k])
 			if sig := m.Sig[k]; sig > 0.85 {
 				w := (sig - 0.85) / 0.15
@@ -288,3 +302,19 @@ func (m *Model) Steps() int { return m.steps }
 
 // SigmaP returns the pressure at full level k of column c.
 func (m *Model) SigmaP(k, c int) float64 { return m.Sig[k] * m.Ps[c] }
+
+// Idx returns the index of level k of column i — cell i of T and Qv, edge i
+// of U and the flux accumulator — in the model's column-major 3-D fields.
+func (m *Model) Idx(i, k int) int { return i*m.NLev + k }
+
+// Columns returns columns [i, i+n) of a 3-D field: n·nlev contiguous values.
+func (m *Model) Columns(f []float64, i, n int) []float64 {
+	return f[i*m.NLev : (i+n)*m.NLev]
+}
+
+// SurfaceAir returns the lowest-level temperature and specific humidity of
+// cell c, the air the surface models and the air–sea fluxes see.
+func (m *Model) SurfaceAir(c int) (t, qv float64) {
+	i := m.Idx(c, m.NLev-1)
+	return m.T[i], m.Qv[i]
+}

@@ -84,11 +84,11 @@ func TestInitialStateSane(t *testing.T) {
 			t.Fatal("ps not P0")
 		}
 		for k := 0; k < m.NLev; k++ {
-			tt := m.T[k*nc+c]
+			tt := m.T[m.Idx(c, k)]
 			if tt < 150 || tt > 340 {
 				t.Fatalf("T = %v", tt)
 			}
-			q := m.Qv[k*nc+c]
+			q := m.Qv[m.Idx(c, k)]
 			if q < 0 || q > 0.05 {
 				t.Fatalf("q = %v", q)
 			}
@@ -110,7 +110,7 @@ func TestReconstructionExactForUniformField(t *testing.T) {
 		u[e] = w.Dot(m.recon.normal3[e])
 	}
 	for c := 0; c < mesh.NCells(); c++ {
-		got := m.recon.CellVector(u, c)
+		got := m.recon.CellVector(u, 1, 0, c)
 		p := mesh.CellCenter[c]
 		want := w.Sub(p.Scale(w.Dot(p)))
 		if got.Sub(want).Norm() > 0.15*want.Norm()+1e-9 {
@@ -136,7 +136,7 @@ func TestReconstructionZonalFlow(t *testing.T) {
 		if math.Abs(lat) > 1.2 {
 			continue // skip near-pole cells where cos(lat) is small
 		}
-		uz, vm := m.recon.CellUV(u, c)
+		uz, vm := m.recon.CellUV(u, 1, 0, c)
 		want := math.Cos(lat) // |Ω×r| along east
 		if math.Abs(uz-want) > 0.12*want+0.02 {
 			t.Fatalf("cell %d: zonal %v, want %v", c, uz, want)
@@ -192,12 +192,9 @@ func TestRestStateStaysBalanced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nc := m.Mesh.NCells()
-	for c := 0; c < nc; c++ {
-		for k := 0; k < m.NLev; k++ {
-			m.T[k*nc+c] = 260 // isothermal
-			m.Qv[k*nc+c] = 0.001
-		}
+	for i := range m.T {
+		m.T[i] = 260 // isothermal
+		m.Qv[i] = 0.001
 	}
 	for s := 0; s < 10; s++ {
 		m.Step()

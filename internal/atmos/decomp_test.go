@@ -39,14 +39,13 @@ func TestDecomposedMatchesReplicated(t *testing.T) {
 			for i := 0; i < modelSteps; i++ {
 				m.StepModel()
 			}
-			nc, ne := m.Mesh.NCells(), m.Mesh.NEdges()
 			for _, c2 := range d.Owned {
 				if m.Ps[c2] != ref.Ps[c2] {
 					t.Errorf("ranks=%d rank %d: Ps[%d] = %v, want %v", ranks, c.Rank(), c2, m.Ps[c2], ref.Ps[c2])
 					return
 				}
 				for k := 0; k < nlev; k++ {
-					i := k*nc + c2
+					i := m.Idx(c2, k)
 					if m.T[i] != ref.T[i] || m.Qv[i] != ref.Qv[i] {
 						t.Errorf("ranks=%d rank %d: T/Qv mismatch at cell %d lev %d", ranks, c.Rank(), c2, k)
 						return
@@ -64,8 +63,8 @@ func TestDecomposedMatchesReplicated(t *testing.T) {
 			}
 			for _, e := range d.OwnEdges {
 				for k := 0; k < nlev; k++ {
-					if m.U[k*ne+e] != ref.U[k*ne+e] {
-						t.Errorf("ranks=%d rank %d: U[%d] lev %d = %v, want %v", ranks, c.Rank(), e, k, m.U[k*ne+e], ref.U[k*ne+e])
+					if i := m.Idx(e, k); m.U[i] != ref.U[i] {
+						t.Errorf("ranks=%d rank %d: U[%d] lev %d = %v, want %v", ranks, c.Rank(), e, k, m.U[i], ref.U[i])
 						return
 					}
 				}

@@ -25,8 +25,8 @@ func (m *Model) TotalMoisture() float64 {
 	var sum float64
 	for c := 0; c < nc; c++ {
 		colMass := m.Ps[c] / Gravity * m.Mesh.AreaCell[c] * re2
-		for k := 0; k < m.NLev; k++ {
-			sum += m.Qv[k*nc+c] * colMass * m.DSig[k]
+		for k, qv := range m.Columns(m.Qv, c, 1) {
+			sum += qv * colMass * m.DSig[k]
 		}
 	}
 	return sum
@@ -41,8 +41,8 @@ func (m *Model) MassWeightedTheta() float64 {
 	var sum float64
 	for c := 0; c < nc; c++ {
 		colMass := m.Ps[c] / Gravity * m.Mesh.AreaCell[c] * re2
-		for k := 0; k < m.NLev; k++ {
-			theta := m.T[k*nc+c] * math.Pow(P0/(m.Sig[k]*m.Ps[c]), Kappa)
+		for k, t := range m.Columns(m.T, c, 1) {
+			theta := t * math.Pow(P0/(m.Sig[k]*m.Ps[c]), Kappa)
 			sum += theta * colMass * m.DSig[k]
 		}
 	}
@@ -52,15 +52,23 @@ func (m *Model) MassWeightedTheta() float64 {
 // MaxWind returns the largest reconstructed wind speed at any cell on any
 // level (m/s) — the stability canary.
 func (m *Model) MaxWind() float64 {
-	nc, ne := m.Mesh.NCells(), m.Mesh.NEdges()
+	var worst float64
+	for c := 0; c < m.Mesh.NCells(); c++ {
+		if s := m.columnMaxWind(c); s > worst {
+			worst = s
+		}
+	}
+	return worst
+}
+
+// columnMaxWind returns the largest reconstructed wind speed on any level of
+// cell c.
+func (m *Model) columnMaxWind(c int) float64 {
 	var worst float64
 	for k := 0; k < m.NLev; k++ {
-		uLvl := m.U[k*ne : (k+1)*ne]
-		for c := 0; c < nc; c++ {
-			u, v := m.recon.CellUV(uLvl, c)
-			if s := math.Hypot(u, v); s > worst {
-				worst = s
-			}
+		u, v := m.recon.CellUV(m.U, m.NLev, k, c)
+		if s := math.Hypot(u, v); s > worst {
+			worst = s
 		}
 	}
 	return worst
@@ -81,10 +89,8 @@ func (m *Model) Wind10m() (u, v []float64) {
 // extended patch (owned + halo), the cells whose edges are locally valid;
 // everything the surface-flux and coupling loops read lies inside it.
 func (m *Model) Wind10mInto(u, v []float64) {
-	ne := m.Mesh.NEdges()
-	kb := m.NLev - 1
-	uLvl := m.U[kb*ne : (kb+1)*ne]
-	fill := func(c int) { u[c], v[c] = m.recon.CellUV(uLvl, c) }
+	nlev := m.NLev
+	fill := func(c int) { u[c], v[c] = m.recon.CellUV(m.U, nlev, nlev-1, c) }
 	if m.dec == nil {
 		for c := 0; c < m.Mesh.NCells(); c++ {
 			fill(c)
@@ -100,15 +106,10 @@ func (m *Model) Wind10mInto(u, v []float64) {
 // owned cells (all cells when replicated). Owned regions partition the mesh,
 // so a max-allreduce of the local values reproduces MaxWind exactly.
 func (m *Model) MaxWindLocal() float64 {
-	ne := m.Mesh.NEdges()
 	var worst float64
 	m.eachOwnedCell(func(c int) {
-		for k := 0; k < m.NLev; k++ {
-			uLvl := m.U[k*ne : (k+1)*ne]
-			u, v := m.recon.CellUV(uLvl, c)
-			if s := math.Hypot(u, v); s > worst {
-				worst = s
-			}
+		if s := m.columnMaxWind(c); s > worst {
+			worst = s
 		}
 	})
 	return worst
@@ -132,13 +133,12 @@ func (m *Model) eachOwnedCell(fn func(c int)) {
 // TotalMoistureLocal returns the water-vapour mass over this rank's owned
 // cells; summed across ranks it equals TotalMoisture on a replicated run.
 func (m *Model) TotalMoistureLocal() float64 {
-	nc := m.Mesh.NCells()
 	re2 := grid.EarthRadius * grid.EarthRadius
 	var sum float64
 	m.eachOwnedCell(func(c int) {
 		colMass := m.Ps[c] / Gravity * m.Mesh.AreaCell[c] * re2
-		for k := 0; k < m.NLev; k++ {
-			sum += m.Qv[k*nc+c] * colMass * m.DSig[k]
+		for k, qv := range m.Columns(m.Qv, c, 1) {
+			sum += qv * colMass * m.DSig[k]
 		}
 	})
 	return sum
@@ -148,9 +148,8 @@ func (m *Model) TotalMoistureLocal() float64 {
 // to cells (1/s), used by the storm tracker.
 func (m *Model) SurfaceVorticity() []float64 {
 	mesh := m.Mesh
-	nc, ne, nv := mesh.NCells(), mesh.NEdges(), mesh.NVertices()
+	nc, nv := mesh.NCells(), mesh.NVertices()
 	kb := m.NLev - 1
-	uLvl := m.U[kb*ne : (kb+1)*ne]
 	re := grid.EarthRadius
 
 	vortV := make([]float64, nv)
@@ -158,7 +157,7 @@ func (m *Model) SurfaceVorticity() []float64 {
 		var circ float64
 		for j := 0; j < 3; j++ {
 			e := mesh.EdgesOnVertex[v][j]
-			circ += float64(mesh.EdgeSignOnVtx[v][j]) * uLvl[e] * mesh.Dc[e] * re
+			circ += float64(mesh.EdgeSignOnVtx[v][j]) * m.U[m.Idx(e, kb)] * mesh.Dc[e] * re
 		}
 		vortV[v] = circ / (mesh.AreaDual[v] * re * re)
 	}
@@ -217,14 +216,19 @@ func (m *Model) GlobalPrecipRate() float64 {
 // TotalCloudProxy returns a 0–1 cloud-fraction-like field from column
 // moisture, the Fig 1b visualization quantity.
 func (m *Model) TotalCloudProxy() []float64 {
-	nc := m.Mesh.NCells()
-	out := make([]float64, nc)
-	for c := 0; c < nc; c++ {
-		var w float64
-		for k := 0; k < m.NLev; k++ {
-			w += m.Qv[k*nc+c] * m.Ps[c] * m.DSig[k] / Gravity
-		}
-		out[c] = math.Min(1, w/50)
+	out := make([]float64, m.Mesh.NCells())
+	for c := range out {
+		out[c] = m.CloudProxy(c)
 	}
 	return out
+}
+
+// CloudProxy returns cell c's 0–1 cloud proxy: its column water (kg/m²)
+// over 50, capped at 1.
+func (m *Model) CloudProxy(c int) float64 {
+	var w float64
+	for k, qv := range m.Columns(m.Qv, c, 1) {
+		w += qv * m.Ps[c] * m.DSig[k] / Gravity
+	}
+	return math.Min(1, w/50)
 }

@@ -16,9 +16,11 @@ import (
 // θ↔T conversions — kept verbatim as the twin TestDycoreRegroupingDrift
 // measures the live model against. Like the oracle in reference_test.go it
 // builds its metric factors from the IcosMesh itself (the parent's tables:
-// lengths and areas, not reciprocals). Nothing outside this file may call it.
+// lengths and areas, not reciprocals) and steps a private level-major copy of
+// the state. Nothing outside this file may call it.
 type parentStepper struct {
 	rowSets
+	levelState
 
 	areaRR, dualRR     []float64 // (Area·re)·re per cell, per vertex
 	dcm, dvm, damp, fE []float64 // per edge: Dc·re, Dv·re, Div4·dcm²/dt, Coriolis
@@ -41,8 +43,9 @@ func newParentStepper(m *Model) *parentStepper {
 	re := grid.EarthRadius
 	f := func(n int) []float64 { return make([]float64, n) }
 	r := &parentStepper{
-		rowSets: rowSets{m},
-		areaRR:  f(nc), dualRR: f(nv),
+		rowSets:    rowSets{m},
+		levelState: newLevelState(m),
+		areaRR:     f(nc), dualRR: f(nv),
 		dcm: f(ne), dvm: f(ne), damp: f(ne), fE: f(ne),
 		tan:   make([]grid.Vec3, ne),
 		lnMid: f(nlev), lnLayer: f(nlev),
@@ -90,6 +93,7 @@ func (r *parentStepper) dynamicsSubstep(dt float64) {
 	for e, dcm := range r.dcm {
 		r.damp[e] = m.Cfg.Div4 * dcm * dcm / dt
 	}
+	r.enter(m)
 
 	tv, phi := r.tv, r.phi
 	lnMid, lnLayer := r.lnMid, r.lnLayer
@@ -97,7 +101,7 @@ func (r *parentStepper) dynamicsSubstep(dt float64) {
 		below := 0.0 // geopotential at the interface below the current layer
 		for k := nlev - 1; k >= 0; k-- {
 			i := k*nc + c
-			tv[i] = m.T[i] * (1 + 0.608*m.Qv[i])
+			tv[i] = r.t[i] * (1 + 0.608*r.qv[i])
 			phi[i] = below + Rd*tv[i]*lnMid[k]
 			below += Rd * tv[i] * lnLayer[k]
 		}
@@ -136,7 +140,7 @@ func (r *parentStepper) dynamicsSubstep(dt float64) {
 	r.forOwnedCells(func(c int) {
 		var sum float64
 		for k := 0; k < nlev; k++ {
-			uLvl := m.U[k*ne : (k+1)*ne]
+			uLvl := r.u[k*ne : (k+1)*ne]
 			for j, e := range mesh.EdgesOnCell[c] {
 				sign := float64(mesh.EdgeSignOnCell[c][j])
 				u := uLvl[e]
@@ -155,7 +159,7 @@ func (r *parentStepper) dynamicsSubstep(dt float64) {
 	r.forCompEdges(func(e int) {
 		c1, c2 := mesh.CellsOnEdge[e][0], mesh.CellsOnEdge[e][1]
 		for k := 0; k < nlev; k++ {
-			u := m.U[k*ne+e]
+			u := r.u[k*ne+e]
 			var psUp float64
 			if u >= 0 {
 				psUp = m.Ps[c1]
@@ -163,14 +167,15 @@ func (r *parentStepper) dynamicsSubstep(dt float64) {
 				psUp = m.Ps[c2]
 			}
 			// kg/s through the edge (positive c1→c2), times dt.
-			m.flux.edge[k*ne+e] += dt * u * psUp * m.DSig[k] / Gravity * m.Mesh.Dv[e] * re
+			r.fluxEdge[k*ne+e] += dt * u * psUp * m.DSig[k] / Gravity * m.Mesh.Dv[e] * re
 		}
 	})
 	r.forOwnedCells(func(c int) {
 		m.Ps[c] += dt * dpsDt[c]
 		m.flux.dps[c] += dt * dpsDt[c]
 	})
-	m.U, r.newU = r.newU, m.U
+	r.u, r.newU = r.newU, r.u
+	r.exit(m)
 	if m.dec != nil {
 		m.dec.ExchangeCells(m.Ps, 1)
 		m.dec.ExchangeEdges(m.U, nlev)
@@ -186,7 +191,7 @@ func (r *parentStepper) keDivLevel(c, k int) {
 	re := grid.EarthRadius
 	var vx, vy, vz, d float64
 	for j, e := range mesh.EdgesOnCell[c] {
-		uE := m.U[kn+e]
+		uE := r.u[kn+e]
 		w := m.recon.weights[c][j]
 		vx += w.X * uE
 		vy += w.Y * uE
@@ -205,7 +210,7 @@ func (r *parentStepper) vortLevel(v, k int) {
 	re := grid.EarthRadius
 	var circ float64
 	for j, e := range mesh.EdgesOnVertex[v] {
-		circ += float64(mesh.EdgeSignOnVtx[v][j]) * mesh.Dc[e] * r.m.U[kn+e] * re
+		circ += float64(mesh.EdgeSignOnVtx[v][j]) * mesh.Dc[e] * r.u[kn+e] * re
 	}
 	r.vort[k*mesh.NVertices()+v] = circ / r.dualRR[v]
 }
@@ -232,7 +237,7 @@ func (r *parentStepper) momentumLevel(e, k, c1, c2, v1, v2 int, tx, ty, tz, dtT,
 	lap := dd/dcm - (r.vort[iv2]-r.vort[iv1])/dvm
 	du += r.m.Cfg.KhMomentum * lap
 	i := k*ne + e
-	r.newU[i] = r.m.U[i] + dtT*du
+	r.newU[i] = r.u[i] + dtT*du
 }
 
 func (r *parentStepper) tracerStep() {
@@ -243,6 +248,7 @@ func (r *parentStepper) tracerStep() {
 	if m.dec != nil {
 		m.dec.ExchangeCells(m.flux.dps, 1)
 	}
+	r.enter(m)
 	psOld := r.lnPs
 	for c := 0; c < nc; c++ {
 		psOld[c] = m.Ps[c] - m.flux.dps[c]
@@ -253,21 +259,22 @@ func (r *parentStepper) tracerStep() {
 	r.forExtCells(func(c int) {
 		for k := 0; k < nlev; k++ {
 			i := k*nc + c
-			theta[i] = m.T[i] * math.Pow(P0/(m.Sig[k]*psOld[c]), Kappa)
+			theta[i] = r.t[i] * math.Pow(P0/(m.Sig[k]*psOld[c]), Kappa)
 		}
 	})
 
 	newTheta, newQv := r.newTheta, r.newQv
 	r.transport(theta, psOld, newTheta)
-	r.transport(m.Qv, psOld, newQv)
+	r.transport(r.qv, psOld, newQv)
 
 	r.forOwnedCells(func(c int) {
 		for k := 0; k < nlev; k++ {
 			i := k*nc + c
-			m.T[i] = newTheta[i] * math.Pow(m.Sig[k]*m.Ps[c]/P0, Kappa)
-			m.Qv[i] = math.Max(newQv[i], 0)
+			r.t[i] = newTheta[i] * math.Pow(m.Sig[k]*m.Ps[c]/P0, Kappa)
+			r.qv[i] = math.Max(newQv[i], 0)
 		}
 	})
+	r.exit(m)
 	if m.dec != nil {
 		m.dec.ExchangeCells(m.T, nlev)
 		m.dec.ExchangeCells(m.Qv, nlev)
@@ -299,7 +306,7 @@ func (r *parentStepper) transport(x, psOld, out []float64) {
 			dContent[k], hdiv[k] = 0, 0
 			for j, e := range mesh.EdgesOnCell[c] {
 				sign := float64(mesh.EdgeSignOnCell[c][j])
-				fm := sign * m.flux.edge[k*ne+e] // kg leaving through e if > 0
+				fm := sign * r.fluxEdge[k*ne+e] // kg leaving through e if > 0
 				var xUp float64
 				if fm >= 0 {
 					xUp = x[k*nc+c]

@@ -25,15 +25,35 @@ import (
 // Step runs one dycore substep and fires the tracer and physics steps at
 // the configured multiples — GRIST's 8 s / 30 s / 120 s hierarchy.
 
-// Step advances the model by one dycore substep.
+// Step advances the model by one dycore substep. Callers may have written
+// the exported fields since the last call, so the substep retakes the
+// hydrostatic integral.
 func (m *Model) Step() {
+	m.thFresh = false
+	m.step()
+}
+
+// StepModel advances one full model step (PhysicsEvery dycore substeps),
+// the unit the coupler drives.
+func (m *Model) StepModel() {
+	m.thFresh = false
+	for i := 0; i < m.Cfg.PhysicsEvery; i++ {
+		m.step()
+	}
+}
+
+// step is one dycore substep plus the tracer and physics steps it fires;
+// each of those two changes T and qv, so the next substep retakes tv/φ.
+func (m *Model) step() {
 	dt := m.Cfg.DtDycore
 	m.dynamicsSubstep(dt)
 	m.steps++
 	if m.steps%m.Cfg.TracerEvery == 0 {
 		m.tracerStep()
+		m.thFresh = false
 	}
 	if m.steps%m.Cfg.PhysicsEvery == 0 {
+		m.thFresh = false
 		m.physicsStep(dt * float64(m.Cfg.PhysicsEvery))
 		if m.Cfg.Policy == precision.Mixed {
 			for _, f := range [][]float64{m.U, m.T, m.Qv, m.Ps} {
@@ -58,14 +78,6 @@ func (m *Model) Step() {
 	}
 }
 
-// StepModel advances one full model step (PhysicsEvery dycore substeps),
-// the unit the coupler drives.
-func (m *Model) StepModel() {
-	for i := 0; i < m.Cfg.PhysicsEvery; i++ {
-		m.Step()
-	}
-}
-
 // DtModel returns the model (physics) step length in seconds.
 func (m *Model) DtModel() float64 {
 	return m.Cfg.DtDycore * float64(m.Cfg.PhysicsEvery)
@@ -75,7 +87,7 @@ func (m *Model) DtModel() float64 {
 // tracer steps (kg/s · s = kg), and the per-level cell mass divergence
 // integrals for the vertical redistribution.
 type accFlux struct {
-	edge []float64 // [nlev*nEdges] ∫ F_e dt
+	edge []float64 // [nEdges*nlev] ∫ F_e dt, column-major like U
 	dps  []float64 // [nCells] ∫ dps/dt dt (pressure change since last tracer step)
 }
 
@@ -176,7 +188,18 @@ func (m *Model) dynamicsSubstep(dt float64) {
 	s.bindSets()
 
 	// --- Diagnostics needed by the momentum equation: tv, phi, ln(ps) ---
-	m.sweep(s.ext, nc, s.thermoF)
+	// tv and φ depend on T and qv only (the σ logarithms are constants), so
+	// the integral is retaken only when those may have changed: after a
+	// tracer or physics step, and on entry through Step or StepModel, since
+	// callers write the exported fields between calls. ln(ps) changes every
+	// substep.
+	if m.thFresh {
+		m.sweep(s.ext, nc, s.lnPsF)
+	} else {
+		m.sweep(s.ext, nc, s.thermoF)
+		m.thFresh = true
+		m.hydroSweeps++
+	}
 
 	// --- Continuity: per-level mass fluxes and surface pressure ---
 	// Mass per area of layer k is ps·Δσ_k/g; the flux through an edge uses
@@ -231,22 +254,29 @@ func (m *Model) dynamicsSubstep(dt float64) {
 
 // thermoCell fills one column of the virtual temperature and geopotential
 // at full levels — the Log-based vertical integral stays float64 at every
-// kernel precision — and the cell's ln(ps), hoisted out of the per-edge
-// momentum loop: the same math.Log on the same input, so every edge reads
-// identical bits.
+// kernel precision — and takes the cell's ln(ps) (lnPsCell).
 func (s *dyScratch) thermoCell(i int) {
 	c := at(s.ext, i)
 	m := s.m
-	nc, nlev := s.geo.nc, s.geo.nlev
+	nlev := s.geo.nlev
 	th := s.th[c*nlev : (c+1)*nlev]
+	t := m.T[c*nlev : (c+1)*nlev][:len(th)]
+	qv := m.Qv[c*nlev : (c+1)*nlev][:len(th)]
 	below := 0.0 // geopotential at the interface below the current layer
 	for k := nlev - 1; k >= 0; k-- {
-		j := k*nc + c
-		tv := m.T[j] * (1 + 0.608*m.Qv[j])
+		tv := t[k] * (1 + 0.608*qv[k])
 		th[k] = thermo{phi: below + Rd*tv*s.lnMid[k], tv: tv}
 		below += Rd * tv * s.lnLayer[k]
 	}
 	s.lnPs[c] = math.Log(m.Ps[c])
+}
+
+// lnPsCell takes the cell's ln(ps), hoisted out of the per-edge momentum
+// loop: the same math.Log on the same input, so every edge reads identical
+// bits.
+func (s *dyScratch) lnPsCell(i int) {
+	c := at(s.ext, i)
+	s.lnPs[c] = math.Log(s.m.Ps[c])
 }
 
 // contEdge selects one edge's upwind ps once per level and forms the level's
@@ -257,22 +287,22 @@ func (s *dyScratch) contEdge(i int) {
 	e := at(s.comp, i)
 	m := s.m
 	g := s.geo
-	ne := g.ne
+	nlev := g.nlev
 	ps1, ps2 := m.Ps[g.ec1[e]], m.Ps[g.ec2[e]]
 	dvm, dtG := m.Mesh.Dv[e]*g.re, s.eg.dtG
-	dsig := m.DSig[:g.nlev]
-	u, acc := m.U, m.flux.edge
+	dsig := m.DSig[:nlev]
+	u := m.U[e*nlev : (e+1)*nlev][:len(dsig)]
+	acc := m.flux.edge[e*nlev : (e+1)*nlev][:len(dsig)]
 	var total float64
 	for k, ds := range dsig {
-		j := k*ne + e
-		uE := u[j]
+		uE := u[k]
 		psUp := ps2
 		if uE >= 0 {
 			psUp = ps1
 		}
 		term := uE * psUp * ds * dvm
 		total += term
-		acc[j] += dtG * term // kg through the edge over the substep
+		acc[k] += dtG * term // kg through the edge over the substep
 	}
 	s.newU[e] = total
 }
@@ -347,7 +377,7 @@ func (m *Model) tracerStep() {
 	}
 }
 
-// tracerFields are the tracer step's three level-major whole fields — θ at
+// tracerFields are the tracer step's three column-major whole fields — θ at
 // the window's old pressure, transported θ, transported qv — borrowed from
 // dycore scratch that is dead between substeps.
 func (s *dyScratch) tracerFields() (theta, newTheta, newQv []float64) {
@@ -360,13 +390,13 @@ func (s *dyScratch) tracerFields() (theta, newTheta, newQv []float64) {
 // factors are tables and the column factor is one e^(±κ·ln(ps/P0)).
 func (s *dyScratch) thetaCell(i int) {
 	c := at(s.ext, i)
-	m := s.m
-	nc := s.geo.nc
+	nlev := s.geo.nlev
 	theta, _, _ := s.tracerFields()
+	th := theta[c*nlev : (c+1)*nlev][:len(s.rsigK)]
+	t := s.m.T[c*nlev : (c+1)*nlev][:len(th)]
 	rExner := pp.Exp(-Kappa * math.Log(s.lnPs[c]/P0))
 	for k, rsig := range s.rsigK {
-		j := k*nc + c
-		theta[j] = m.T[j] * (rsig * rExner)
+		th[k] = t[k] * (rsig * rExner)
 	}
 }
 
@@ -375,13 +405,16 @@ func (s *dyScratch) thetaCell(i int) {
 func (s *dyScratch) tracerStore(i int) {
 	c := at(s.owned, i)
 	m := s.m
-	nc := s.geo.nc
+	nlev := s.geo.nlev
 	_, newTheta, newQv := s.tracerFields()
+	t := m.T[c*nlev : (c+1)*nlev][:len(s.sigK)]
+	qv := m.Qv[c*nlev : (c+1)*nlev][:len(t)]
+	nth := newTheta[c*nlev : (c+1)*nlev][:len(t)]
+	nqv := newQv[c*nlev : (c+1)*nlev][:len(t)]
 	exner := pp.Exp(Kappa * math.Log(m.Ps[c]/P0))
 	for k, sig := range s.sigK {
-		j := k*nc + c
-		m.T[j] = newTheta[j] * (sig * exner)
-		m.Qv[j] = math.Max(newQv[j], 0)
+		t[k] = nth[k] * (sig * exner)
+		qv[k] = math.Max(nqv[k], 0)
 	}
 }
 
@@ -397,7 +430,7 @@ func (s *dyScratch) transport2(i int) {
 	c := at(s.owned, i)
 	m := s.m
 	g := s.geo
-	nc, ne, nlev := g.nc, g.ne, g.nlev
+	nlev := g.nlev
 	var stack [3 * 64]float64
 	work := stack[:]
 	if 3*nlev > len(stack) {
@@ -406,30 +439,36 @@ func (s *dyScratch) transport2(i int) {
 	// Per-level content change of each tracer (kg·X) and accumulated mass
 	// divergence (kg).
 	dTh, dQv, hdiv := work[:nlev], work[nlev:2*nlev], work[2*nlev:3*nlev]
+	for k := range dTh {
+		dTh[k], dQv[k], hdiv[k] = 0, 0, 0
+	}
 	lo, hi := g.ceStart[c], g.ceStart[c+1]
 	edges := g.ceEdge[lo:hi]
 	nbrs := g.ceNbr[lo:hi][:len(edges)]
 	sgn := g.sgn[lo:hi][:len(edges)]
 	theta, newTheta, newQv := s.tracerFields()
-	qv, fluxE := m.Qv, m.flux.edge
+	th := theta[c*nlev : (c+1)*nlev][:nlev]
+	qv := m.Qv[c*nlev : (c+1)*nlev][:nlev]
 
 	// Horizontal: new mass content = old content − flux divergence, upwind.
-	for k := 0; k < nlev; k++ {
-		th, q := theta[k*nc:(k+1)*nc], qv[k*nc:(k+1)*nc]
-		fl := fluxE[k*ne : (k+1)*ne]
-		thC, qC := th[c], q[c]
-		var cTh, cQv, h float64
-		for j, e := range edges {
-			fm := float64(sgn[j]) * fl[e] // kg leaving through e if > 0
-			thUp, qUp := thC, qC
+	// Each slot is visited once with the levels inner; every level's three
+	// accumulators still start at zero and add the slots in edge order.
+	for j, e := range edges {
+		sj := float64(sgn[j])
+		nb := int(nbrs[j])
+		fl := m.flux.edge[int(e)*nlev : (int(e)+1)*nlev][:nlev]
+		thN := theta[nb*nlev : (nb+1)*nlev][:nlev]
+		qN := m.Qv[nb*nlev : (nb+1)*nlev][:nlev]
+		for k := range fl {
+			fm := sj * fl[k] // kg leaving through e if > 0
+			thUp, qUp := th[k], qv[k]
 			if !(fm >= 0) {
-				thUp, qUp = th[nbrs[j]], q[nbrs[j]]
+				thUp, qUp = thN[k], qN[k]
 			}
-			cTh -= fm * thUp
-			cQv -= fm * qUp
-			h -= fm
+			dTh[k] -= fm * thUp
+			dQv[k] -= fm * qUp
+			hdiv[k] -= fm
 		}
-		dTh[k], dQv[k], hdiv[k] = cTh, cQv, h
 	}
 
 	// Vertical redistribution: layer k's target mass is ps_new·Δσ/g·A. The
@@ -438,9 +477,10 @@ func (s *dyScratch) transport2(i int) {
 	areaG := m.Mesh.AreaCell[c] * g.re * g.re / Gravity // column mass per unit ps·Δσ
 	psOld, psNew := s.lnPs[c], m.Ps[c]
 	dpsA := (psNew - psOld) * areaG
+	nth := newTheta[c*nlev : (c+1)*nlev][:nlev]
+	nqv := newQv[c*nlev : (c+1)*nlev][:nlev]
 	w := 0.0 // flux through the top of the current layer
 	for k := 0; k < nlev; k++ {
-		j := k*nc + c
 		dsig := m.DSig[k]
 		// Mass balance of layer k: ΔM_k = hdiv_k + w_top − w_bot
 		// with ΔM_k = Δσ_k·Δps·A/g  ⇒  w_bot = hdiv_k + w_top − ΔM_k.
@@ -452,25 +492,25 @@ func (s *dyScratch) transport2(i int) {
 		// Upwind interface values.
 		if k > 0 {
 			if w > 0 { // mass entering from above
-				cTh += w * theta[j-nc]
-				cQv += w * qv[j-nc]
+				cTh += w * th[k-1]
+				cQv += w * qv[k-1]
 			} else {
-				cTh += w * theta[j]
-				cQv += w * qv[j]
+				cTh += w * th[k]
+				cQv += w * qv[k]
 			}
 		}
 		if wBot > 0 { // mass leaving downward
-			cTh -= wBot * theta[j]
-			cQv -= wBot * qv[j]
+			cTh -= wBot * th[k]
+			cQv -= wBot * qv[k]
 		} else if k < nlev-1 {
-			cTh -= wBot * theta[j+nc]
-			cQv -= wBot * qv[j+nc]
+			cTh -= wBot * th[k+1]
+			cQv -= wBot * qv[k+1]
 		}
 		layer := dsig * areaG
 		oldMass := psOld * layer
 		rNew := 1 / (psNew * layer)
-		newTheta[j] = (theta[j]*oldMass + cTh) * rNew
-		newQv[j] = (qv[j]*oldMass + cQv) * rNew
+		nth[k] = (th[k]*oldMass + cTh) * rNew
+		nqv[k] = (qv[k]*oldMass + cQv) * rNew
 		w = wBot
 	}
 }
@@ -539,11 +579,11 @@ func (m *Model) physicsStep(dt float64) {
 			Ice:     m.IceFrac[c],
 			SkipRad: m.radSkipped(c),
 		}
+		t, qv := m.Columns(m.T, c, 1), m.Columns(m.Qv, c, 1)
 		for k := 0; k < nlev; k++ {
-			uLvl := m.U[k*ne : (k+1)*ne]
-			in.U[k], in.V[k] = m.recon.CellUV(uLvl, c)
-			in.T[k] = m.T[k*nc+c]
-			in.Q[k] = m.Qv[k*nc+c]
+			in.U[k], in.V[k] = m.recon.CellUV(m.U, nlev, k, c)
+			in.T[k] = t[k]
+			in.Q[k] = qv[k]
 			in.P[k] = m.Sig[k] * m.Ps[c]
 		}
 		out := &cw.out
@@ -553,9 +593,8 @@ func (m *Model) physicsStep(dt float64) {
 		}
 		m.Physics.Column(in, dt, out)
 		for k := 0; k < nlev; k++ {
-			i := k*nc + c
-			m.T[i] += dt * out.DT[k]
-			m.Qv[i] = math.Max(m.Qv[i]+dt*out.DQ[k], 0)
+			t[k] += dt * out.DT[k]
+			qv[k] = math.Max(qv[k]+dt*out.DQ[k], 0)
 		}
 		// Lowest-level momentum tendency represents surface drag; store the
 		// cell tendency for edge projection of the whole column via the
@@ -590,12 +629,13 @@ func (m *Model) physicsStep(dt float64) {
 			vec := m.recon.east[c].Scale(duCell[c]).Add(m.recon.north[c].Scale(dvCell[c]))
 			return vec.Dot(n)
 		}
-		m.U[kB*ne+e] += dt * 0.5 * (add(c1) + add(c2))
+		m.U[m.Idx(e, kB)] += dt * 0.5 * (add(c1) + add(c2))
 	})
 	if m.dec != nil {
-		// Only the lowest level changed; exchange just that contiguous window
-		// to refresh the received extended edges the projection left stale.
-		m.dec.ExchangeEdges(m.U[kB*ne:(kB+1)*ne], 1)
+		// Only the lowest level changed; exchange just that level of each
+		// column to refresh the received extended edges the projection left
+		// stale.
+		m.dec.ExchangeEdgeLevels(m.U, nlev, kB, kB+1)
 	}
 }
 

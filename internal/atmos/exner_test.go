@@ -151,17 +151,15 @@ func TestExnerFactorAccuracy(t *testing.T) {
 				m.Ps[c] = ps()
 				s.lnPs[c] = m.Ps[c] // thetaCell reads the window's old ps here
 			}
-			for k := 0; k < nlev; k++ {
-				for c := 0; c < nc; c++ {
-					m.T[k*nc+c], newTheta[k*nc+c] = 1, 1
-				}
+			for j := range m.T {
+				m.T[j], newTheta[j] = 1, 1
 			}
 			for c := 0; c < nc; c++ {
 				s.thetaCell(c)   // θ ← 1 · (σ_k·ps/P0)^−κ
 				s.tracerStore(c) // T ← 1 · (σ_k·ps/P0)^κ
 				col := b.pow(b160().Quo(b160().SetFloat64(m.Ps[c]), p0), Kappa)
 				for k := 0; k < nlev; k++ {
-					j := k*nc + c
+					j := m.Idx(c, k)
 					ref := b160().Mul(sigK[k], col)
 					if u := ulpsOff(m.T[j], ref); u > worstF {
 						worstF = u

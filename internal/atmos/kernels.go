@@ -186,7 +186,8 @@ func narrowGeom(g *atmGeom[float64]) *atmGeom[float32] {
 // cellDiag is one (cell, level) of the cell diagnostics the momentum kernel
 // reads together: the reconstructed tangent-plane velocity, its kinetic
 // energy, and the divergence. Dycore scratch is cell-major, level-inner
-// (index c·nlev+k), so an edge update streams two contiguous columns.
+// (index c·nlev+k) like the model state, so an edge update streams two
+// contiguous columns.
 type cellDiag[T pp.Float] struct {
 	vx, vy, vz, ke, div T
 }
@@ -204,7 +205,7 @@ type thermo struct {
 // reuse is bit-identical to the original nested calls.
 type keDivArgs[T pp.Float] struct {
 	g  *atmGeom[T]
-	u  []T           // [nlev*ne] edge-normal velocity, level-major model state
+	u  []T           // [ne*nlev] edge-normal velocity, edge-major model state
 	cd []cellDiag[T] // [nc*nlev] (out)
 
 	cells []int // iteration set; nil sweeps every cell
@@ -225,20 +226,21 @@ func (a *keDivArgs[T]) n() int {
 func (a *keDivArgs[T]) cell(i int) {
 	c := at(a.cells, i)
 	g := a.g
-	nlev, ne := g.nlev, g.ne
+	nlev := g.nlev
 	lo, hi := g.ceStart[c], g.ceStart[c+1]
 	edges := g.ceEdge[lo:hi]
 	wX, wY, wZ, sdv := g.wX[lo:hi], g.wY[lo:hi], g.wZ[lo:hi], g.sdv[lo:hi]
 	wX, wY, wZ, sdv = wX[:len(edges)], wY[:len(edges)], wZ[:len(edges)], sdv[:len(edges)]
 	rArea := g.areaRR[c]
 	out := a.cd[c*nlev : (c+1)*nlev]
+	u := a.u
 	half := T(0.5)
 	k := 0
 	for ; k+2 <= nlev; k += 2 {
-		u0, u1 := a.u[k*ne:(k+1)*ne], a.u[(k+1)*ne:(k+2)*ne]
 		var vx0, vy0, vz0, d0, vx1, vy1, vz1, d1 T
 		for j, e := range edges {
-			uE0, uE1 := u0[e], u1[e]
+			ie := int(e)*nlev + k
+			uE0, uE1 := u[ie], u[ie+1]
 			vx0 += wX[j] * uE0
 			vy0 += wY[j] * uE0
 			vz0 += wZ[j] * uE0
@@ -252,10 +254,9 @@ func (a *keDivArgs[T]) cell(i int) {
 		out[k+1] = cellDiag[T]{vx1, vy1, vz1, half * (vx1*vx1 + vy1*vy1 + vz1*vz1), d1 * rArea}
 	}
 	if k < nlev {
-		u0 := a.u[k*ne : (k+1)*ne]
 		var vx, vy, vz, d T
 		for j, e := range edges {
-			uE := u0[e]
+			uE := u[int(e)*nlev+k]
 			vx += wX[j] * uE
 			vy += wY[j] * uE
 			vz += wZ[j] * uE
@@ -280,7 +281,7 @@ func keDivKernel(s pp.Space, args any) {
 
 type vortArgs[T pp.Float] struct {
 	g    *atmGeom[T]
-	u    []T // [nlev*ne]
+	u    []T // [ne*nlev], edge-major
 	vort []T // [nv*nlev] (out), vertex-major
 
 	verts []int // iteration set; nil sweeps every vertex
@@ -300,17 +301,19 @@ func (a *vortArgs[T]) n() int {
 func (a *vortArgs[T]) vertex(i int) {
 	v := at(a.verts, i)
 	g := a.g
-	ne := g.ne
+	nlev := g.nlev
 	e0, e1, e2 := int(g.veEdge[3*v]), int(g.veEdge[3*v+1]), int(g.veEdge[3*v+2])
 	s0, s1, s2 := g.sdc[3*v], g.sdc[3*v+1], g.sdc[3*v+2]
 	rDual := g.dualRR[v]
-	out := a.vort[v*g.nlev : (v+1)*g.nlev]
+	out := a.vort[v*nlev : (v+1)*nlev]
+	u0 := a.u[e0*nlev : (e0+1)*nlev][:len(out)]
+	u1 := a.u[e1*nlev : (e1+1)*nlev][:len(out)]
+	u2 := a.u[e2*nlev : (e2+1)*nlev][:len(out)]
 	for k := range out {
-		uL := a.u[k*ne : (k+1)*ne]
 		var circ T
-		circ += s0 * uL[e0]
-		circ += s1 * uL[e1]
-		circ += s2 * uL[e2]
+		circ += s0 * u0[k]
+		circ += s1 * u1[k]
+		circ += s2 * u2[k]
 		out[k] = circ * rDual
 	}
 }
@@ -338,7 +341,7 @@ type momentumArgs[T pp.Float] struct {
 	g  *atmGeom[T]
 	eg *edgeGeomF
 
-	u, newU []T           // [nlev*ne]
+	u, newU []T           // [ne*nlev], edge-major
 	cd      []cellDiag[T] // [nc*nlev] from atm.kediv
 	vort    []T           // [nv*nlev] from atm.vort
 	th      []thermo      // [nc*nlev]
@@ -362,7 +365,7 @@ func (a *momentumArgs[T]) n() int {
 func (a *momentumArgs[T]) edge(i int) {
 	e := at(a.edges, i)
 	g := a.g
-	nlev, ne := g.nlev, g.ne
+	nlev := g.nlev
 	c1, c2 := int(g.ec1[e]), int(g.ec2[e])
 	v1, v2 := int(g.ev1[e]), int(g.ev2[e])
 	eg := a.eg
@@ -379,7 +382,8 @@ func (a *momentumArgs[T]) edge(i int) {
 	th2 := a.th[c2*nlev : (c2+1)*nlev][:len(cd1)]
 	w1 := a.vort[v1*nlev : (v1+1)*nlev][:len(cd1)]
 	w2 := a.vort[v2*nlev : (v2+1)*nlev][:len(cd1)]
-	u, newU := a.u, a.newU
+	u := a.u[e*nlev : (e+1)*nlev][:len(cd1)]
+	newU := a.newU[e*nlev : (e+1)*nlev][:len(cd1)]
 	for k := range cd1 {
 		p1, p2 := &cd1[k], &cd2[k]
 		t1, t2 := &th1[k], &th2[k]
@@ -393,8 +397,7 @@ func (a *momentumArgs[T]) edge(i int) {
 		du += T(damp * dd)
 		lap := dd*rdcm - (float64(w2[k])-float64(w1[k]))*rdvm
 		du += T(kh * lap)
-		i := k*ne + e
-		newU[i] = u[i] + dtT*du
+		newU[k] = u[k] + dtT*du
 	}
 }
 
@@ -419,13 +422,15 @@ func atmMomentumKernel(s pp.Space, args any) {
 // so decomposed runs see exactly the fresh-allocation semantics the
 // rank-invariance test pins.
 //
-// Every scratch array is dead between substeps — each is rebuilt (or
+// Every scratch array but th is dead between substeps — each is rebuilt (or
 // zero-filled) before the next substep reads it — so the work that runs only
 // there borrows it instead of holding arrays of its own: the continuity
 // edge totals take newU[:ne] ahead of its zero-fill; the tracer step takes
 // newU[:2·nlev·nc] and vort[:nlev·nc] (ne = 3nc−6, nv = 2nc−4) for θ and
 // the two transported fields, and lnPs for the window's old ps; the physics
-// step takes lnPs and vort[:nc] for the cell momentum tendencies.
+// step takes lnPs and vort[:nc] for the cell momentum tendencies. th is never
+// borrowed: it carries tv/φ from one substep to the next until T or qv
+// changes (Model.thFresh).
 type dyScratch struct {
 	m   *Model
 	geo *atmGeom[float64]
@@ -441,7 +446,7 @@ type dyScratch struct {
 	lnPs []float64           // [nc]
 	cd   []cellDiag[float64] // [nc*nlev]
 	vort []float64           // [nv*nlev]
-	newU []float64           // [nlev*ne]
+	newU []float64           // [ne*nlev]
 
 	bKeDiv *keDivArgs[float64]
 	bVort  *vortArgs[float64]
@@ -453,8 +458,8 @@ type dyScratch struct {
 	ext, owned, comp, verts []int
 
 	// The float64-only row bodies of dycore.go, bound once.
-	thermoF, contEdgeF, contCellF    func(i int)
-	thetaF, transportF, tracerStoreF func(i int)
+	thermoF, lnPsF, contEdgeF, contCellF func(i int)
+	thetaF, transportF, tracerStoreF     func(i int)
 
 	m32 *dyMixed32
 }
@@ -490,7 +495,7 @@ func (m *Model) dyEnsure() *dyScratch {
 		lnPs: make([]float64, nc),
 		cd:   make([]cellDiag[float64], nc*nlev),
 		vort: make([]float64, nv*nlev),
-		newU: make([]float64, nlev*ne),
+		newU: make([]float64, ne*nlev),
 
 		lnMid:   make([]float64, nlev),
 		lnLayer: make([]float64, nlev),
@@ -510,16 +515,16 @@ func (m *Model) dyEnsure() *dyScratch {
 	s.bVort.rowF = s.bVort.vertex
 	s.bMom = &momentumArgs[float64]{g: geo, eg: eg, cd: s.cd, vort: s.vort, th: s.th, lnPs: s.lnPs}
 	s.bMom.rowF = s.bMom.edge
-	s.thermoF, s.contEdgeF, s.contCellF = s.thermoCell, s.contEdge, s.contCell
+	s.thermoF, s.lnPsF, s.contEdgeF, s.contCellF = s.thermoCell, s.lnPsCell, s.contEdge, s.contCell
 	s.thetaF, s.transportF, s.tracerStoreF = s.thetaCell, s.transport2, s.tracerStore
 	if m.kprec == pp.PrecMixed {
 		g32 := narrowGeom(geo)
 		m32 := &dyMixed32{
 			geo:  g32,
-			u:    make([]float32, nlev*ne),
+			u:    make([]float32, ne*nlev),
 			cd:   make([]cellDiag[float32], nc*nlev),
 			vort: make([]float32, nv*nlev),
-			newU: make([]float32, nlev*ne),
+			newU: make([]float32, ne*nlev),
 		}
 		m32.bKeDiv = &keDivArgs[float32]{g: g32, u: m32.u, cd: m32.cd}
 		m32.bKeDiv.rowF = m32.bKeDiv.cell

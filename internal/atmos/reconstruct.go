@@ -111,31 +111,19 @@ func invert3(a [3][3]float64) [3][3]float64 {
 	return inv
 }
 
-// CellVector reconstructs the 3-D tangent velocity at cell c from one
-// level's edge field.
-func (r *reconstructor) CellVector(uEdge []float64, c int) grid.Vec3 {
+// CellVector reconstructs the 3-D tangent velocity at cell c from level k of
+// a column-major edge field with nlev levels (u[e·nlev+k]).
+func (r *reconstructor) CellVector(u []float64, nlev, k, c int) grid.Vec3 {
 	var v grid.Vec3
 	for i, e := range r.mesh.EdgesOnCell[c] {
-		v = v.Add(r.weights[c][i].Scale(uEdge[e]))
+		v = v.Add(r.weights[c][i].Scale(u[e*nlev+k]))
 	}
 	return v
 }
 
-// CellUV reconstructs the zonal and meridional velocity components at cell c.
-func (r *reconstructor) CellUV(uEdge []float64, c int) (u, v float64) {
-	vec := r.CellVector(uEdge, c)
+// CellUV reconstructs the zonal and meridional velocity components at cell c
+// on level k of a column-major edge field.
+func (r *reconstructor) CellUV(u []float64, nlev, k, c int) (east, north float64) {
+	vec := r.CellVector(u, nlev, k, c)
 	return vec.Dot(r.east[c]), vec.Dot(r.north[c])
-}
-
-// TangentAtEdge estimates the velocity component perpendicular to the edge
-// normal (the "tangential wind" needed by the Coriolis term): the mean of
-// the two adjacent cells' reconstructed vectors projected on ẑ×n̂.
-func (r *reconstructor) TangentAtEdge(uEdge []float64, e int) float64 {
-	c1, c2 := r.mesh.CellsOnEdge[e][0], r.mesh.CellsOnEdge[e][1]
-	v1 := r.CellVector(uEdge, c1)
-	v2 := r.CellVector(uEdge, c2)
-	v := v1.Add(v2).Scale(0.5)
-	mid := r.mesh.EdgeMidpoint[e]
-	t := mid.Cross(r.normal3[e]) // 90° counterclockwise from the normal
-	return v.Dot(t)
 }

@@ -42,6 +42,57 @@ func (r rowSets) forCompVerts(fn func(v int)) {
 	r.sweepSet(func(d *grid.IcosDecomp) []int { return d.CompVerts }, r.m.Mesh.NVertices(), fn)
 }
 
+// levelState is a test stepper's private level-major copy of the model's
+// column-major 3-D state, so the steppers keep their plain level-major loops
+// verbatim: enter transposes T, qv, U and the flux accumulator in at the top
+// of a substep or tracer step, exit transposes them back before its halo
+// exchanges.
+type levelState struct {
+	t, qv, u, fluxEdge []float64
+}
+
+func newLevelState(m *Model) levelState {
+	nc, ne, nlev := m.Mesh.NCells(), m.Mesh.NEdges(), m.NLev
+	return levelState{
+		t: make([]float64, nlev*nc), qv: make([]float64, nlev*nc),
+		u: make([]float64, nlev*ne), fluxEdge: make([]float64, nlev*ne),
+	}
+}
+
+func (s *levelState) enter(m *Model) {
+	nc, ne, nlev := m.Mesh.NCells(), m.Mesh.NEdges(), m.NLev
+	toLevelMajor(s.t, m.T, nc, nlev)
+	toLevelMajor(s.qv, m.Qv, nc, nlev)
+	toLevelMajor(s.u, m.U, ne, nlev)
+	toLevelMajor(s.fluxEdge, m.flux.edge, ne, nlev)
+}
+
+func (s *levelState) exit(m *Model) {
+	nc, ne, nlev := m.Mesh.NCells(), m.Mesh.NEdges(), m.NLev
+	toColumnMajor(m.T, s.t, nc, nlev)
+	toColumnMajor(m.Qv, s.qv, nc, nlev)
+	toColumnMajor(m.U, s.u, ne, nlev)
+	toColumnMajor(m.flux.edge, s.fluxEdge, ne, nlev)
+}
+
+// toLevelMajor transposes a field of n columns of nlev levels from the
+// model's [i·nlev+k] into [k·n+i]; toColumnMajor is its inverse.
+func toLevelMajor(dst, src []float64, n, nlev int) {
+	for i := 0; i < n; i++ {
+		for k := 0; k < nlev; k++ {
+			dst[k*n+i] = src[i*nlev+k]
+		}
+	}
+}
+
+func toColumnMajor(dst, src []float64, n, nlev int) {
+	for i := 0; i < n; i++ {
+		for k := 0; k < nlev; k++ {
+			dst[i*nlev+k] = src[k*n+i]
+		}
+	}
+}
+
 // stepModelLoops is Model.StepModel over a test stepper's substep and tracer
 // step. The physics step is the model's own: no test stepper replaces it.
 func stepModelLoops(m *Model, dynamicsSubstep func(dt float64), tracerStep func()) {
@@ -58,16 +109,18 @@ func stepModelLoops(m *Model, dynamicsSubstep func(dt float64), tracerStep func(
 	}
 }
 
-// refStepper advances a Model with plain loops — level-major scratch, one
-// (row, level) body per call, the ragged mesh tables, one transport sweep per
-// tracer — in the operand grouping of the live dycore (DESIGN.md "Operand
-// grouping, re-baselined at PR 24"), the oracle TestStepMatchesReferenceLoops
-// steps the live code against. Every metric factor is derived here from the
-// IcosMesh, and every level constant from the sigma levels: nothing is read
-// from the live model's dyScratch, so a wrong table there is wrong on one
-// side only. Nothing outside this file may call it.
+// refStepper advances a Model with plain loops — level-major state and
+// scratch, one (row, level) body per call, the ragged mesh tables, one
+// transport sweep per tracer, tv/φ integrated on every substep — in the
+// operand grouping of the live dycore (DESIGN.md "Operand grouping,
+// re-baselined at PR 24"), the oracle TestStepMatchesReferenceLoops steps the
+// live code against. Every metric factor is derived here from the IcosMesh,
+// and every level constant from the sigma levels: nothing is read from the
+// live model's dyScratch, so a wrong table there is wrong on one side only.
+// Nothing outside this file may call it.
 type refStepper struct {
 	rowSets
+	levelState
 
 	// Per cell and per vertex: reciprocal areas in m⁻².
 	rArea, rDual []float64
@@ -95,8 +148,9 @@ func newRefStepper(m *Model) *refStepper {
 	re := grid.EarthRadius
 	f := func(n int) []float64 { return make([]float64, n) }
 	r := &refStepper{
-		rowSets: rowSets{m},
-		rArea:   f(nc), rDual: f(nv),
+		rowSets:    rowSets{m},
+		levelState: newLevelState(m),
+		rArea:      f(nc), rDual: f(nv),
 		dvm: f(ne), rdcm: f(ne), rdvm: f(ne), damp: f(ne), fE: f(ne),
 		halfT: make([]grid.Vec3, ne),
 		lnMid: f(nlev), lnLayer: f(nlev), sigK: f(nlev), rsigK: f(nlev),
@@ -146,13 +200,14 @@ func (r *refStepper) dynamicsSubstep(dt float64) {
 	for e, rdcm := range r.rdcm {
 		r.damp[e] = m.Cfg.Div4 / (rdcm * dt)
 	}
+	r.enter(m)
 
 	tv, phi, lnPs := r.tv, r.phi, r.lnPs
 	r.forExtCells(func(c int) {
 		below := 0.0 // geopotential at the interface below the current layer
 		for k := nlev - 1; k >= 0; k-- {
 			i := k*nc + c
-			tv[i] = m.T[i] * (1 + 0.608*m.Qv[i])
+			tv[i] = r.t[i] * (1 + 0.608*r.qv[i])
 			phi[i] = below + Rd*tv[i]*r.lnMid[k]
 			below += Rd * tv[i] * r.lnLayer[k]
 		}
@@ -185,7 +240,7 @@ func (r *refStepper) dynamicsSubstep(dt float64) {
 		c1, c2 := mesh.CellsOnEdge[e][0], mesh.CellsOnEdge[e][1]
 		var total float64
 		for k := 0; k < nlev; k++ {
-			u := m.U[k*ne+e]
+			u := r.u[k*ne+e]
 			// Upwind surface pressure.
 			psUp := m.Ps[c2]
 			if u >= 0 {
@@ -194,7 +249,7 @@ func (r *refStepper) dynamicsSubstep(dt float64) {
 			term := u * psUp * m.DSig[k] * r.dvm[e]
 			total += term
 			// kg through the edge (positive c1→c2) over the substep.
-			m.flux.edge[k*ne+e] += dtG * term
+			r.fluxEdge[k*ne+e] += dtG * term
 		}
 		r.total[e] = total
 	})
@@ -207,7 +262,8 @@ func (r *refStepper) dynamicsSubstep(dt float64) {
 		m.Ps[c] += d
 		m.flux.dps[c] += d
 	})
-	m.U, r.newU = r.newU, m.U
+	r.u, r.newU = r.newU, r.u
+	r.exit(m)
 	if m.dec != nil {
 		m.dec.ExchangeCells(m.Ps, 1)
 		m.dec.ExchangeEdges(m.U, nlev)
@@ -223,7 +279,7 @@ func (r *refStepper) keDivLevel(c, k int) {
 	re := grid.EarthRadius
 	var vx, vy, vz, d float64
 	for j, e := range mesh.EdgesOnCell[c] {
-		uE := m.U[k*ne+e]
+		uE := r.u[k*ne+e]
 		w := m.recon.weights[c][j]
 		vx += w.X * uE
 		vy += w.Y * uE
@@ -242,7 +298,7 @@ func (r *refStepper) vortLevel(v, k int) {
 	re := grid.EarthRadius
 	var circ float64
 	for j, e := range mesh.EdgesOnVertex[v] {
-		circ += float64(mesh.EdgeSignOnVtx[v][j]) * mesh.Dc[e] * re * r.m.U[k*ne+e]
+		circ += float64(mesh.EdgeSignOnVtx[v][j]) * mesh.Dc[e] * re * r.u[k*ne+e]
 	}
 	r.vort[k*nv+v] = circ * r.rDual[v]
 }
@@ -272,7 +328,7 @@ func (r *refStepper) momentumLevel(e, k int, dt float64) {
 	lap := dd*rdcm - (r.vort[iv2]-r.vort[iv1])*rdvm
 	du += m.Cfg.KhMomentum * lap
 	i := k*ne + e
-	r.newU[i] = m.U[i] + dt*du
+	r.newU[i] = r.u[i] + dt*du
 }
 
 func (r *refStepper) tracerStep() {
@@ -283,6 +339,7 @@ func (r *refStepper) tracerStep() {
 	if m.dec != nil {
 		m.dec.ExchangeCells(m.flux.dps, 1)
 	}
+	r.enter(m)
 	psOld := r.lnPs
 	for c := 0; c < nc; c++ {
 		psOld[c] = m.Ps[c] - m.flux.dps[c]
@@ -294,22 +351,23 @@ func (r *refStepper) tracerStep() {
 		rExner := pp.Exp(-Kappa * math.Log(psOld[c]/P0))
 		for k := 0; k < nlev; k++ {
 			i := k*nc + c
-			theta[i] = m.T[i] * (r.rsigK[k] * rExner)
+			theta[i] = r.t[i] * (r.rsigK[k] * rExner)
 		}
 	})
 
 	newTheta, newQv := r.newTheta, r.newQv
 	r.transport(theta, psOld, newTheta)
-	r.transport(m.Qv, psOld, newQv)
+	r.transport(r.qv, psOld, newQv)
 
 	r.forOwnedCells(func(c int) {
 		exner := pp.Exp(Kappa * math.Log(m.Ps[c]/P0))
 		for k := 0; k < nlev; k++ {
 			i := k*nc + c
-			m.T[i] = newTheta[i] * (r.sigK[k] * exner)
-			m.Qv[i] = math.Max(newQv[i], 0)
+			r.t[i] = newTheta[i] * (r.sigK[k] * exner)
+			r.qv[i] = math.Max(newQv[i], 0)
 		}
 	})
+	r.exit(m)
 	if m.dec != nil {
 		m.dec.ExchangeCells(m.T, nlev)
 		m.dec.ExchangeCells(m.Qv, nlev)
@@ -340,7 +398,7 @@ func (r *refStepper) transport(x, psOld, out []float64) {
 		for k := 0; k < nlev; k++ {
 			for j, e := range mesh.EdgesOnCell[c] {
 				sign := float64(mesh.EdgeSignOnCell[c][j])
-				fm := sign * m.flux.edge[k*ne+e] // kg leaving through e if > 0
+				fm := sign * r.fluxEdge[k*ne+e] // kg leaving through e if > 0
 				var xUp float64
 				if fm >= 0 {
 					xUp = x[k*nc+c]
@@ -406,7 +464,7 @@ func perturb(m *Model, seed int64) {
 		}
 		zero := math.Copysign(0, float64(rng.Intn(2))-0.5)
 		for k := 0; k < m.NLev; k++ {
-			m.U[k*ne+e] = zero
+			m.U[m.Idx(e, k)] = zero
 		}
 	}
 }
@@ -424,10 +482,10 @@ func modelPair(level, nlev int, sp pp.Space, seed int64) (a, b *Model, err error
 	return ms[0], ms[1], nil
 }
 
-// sameBits reports the first index in idx (every index when idx is nil, the
-// fields being level-major with the given stride) where got and want differ
-// in any bit.
-func sameBits(t *testing.T, what string, got, want []float64, idx []int, stride int) {
+// sameBits reports the first value where got and want differ in any bit:
+// everywhere when idx is nil, else in the listed columns of fields holding
+// nlev values per column.
+func sameBits(t *testing.T, what string, got, want []float64, idx []int, nlev int) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Errorf("%s: %d values, want %d", what, len(got), len(want))
@@ -449,9 +507,9 @@ func sameBits(t *testing.T, what string, got, want []float64, idx []int, stride 
 		}
 		return
 	}
-	for k := 0; k*stride < len(got); k++ {
-		for _, j := range idx {
-			if !check(k*stride + j) {
+	for _, j := range idx {
+		for k := 0; k < nlev; k++ {
+			if !check(j*nlev + k) {
 				return
 			}
 		}
@@ -460,23 +518,25 @@ func sameBits(t *testing.T, what string, got, want []float64, idx []int, stride 
 
 // TestStepMatchesReferenceLoops is the bit-for-bit contract of the dycore's
 // restructuring: from seeded random states, one full model step (15
-// substeps, three tracer steps, one physics step) through the live dycore
-// and through the reference loops above must leave identical bits in every
-// prognostic and in the flux accumulators — on the global sets under Serial
-// and Host, and decomposed over 2, 3 and 4 ranks. Odd level counts exercise
-// the tail of the pairwise cell-diagnostics walk.
+// substeps, three tracer steps, one physics step) through the live dycore —
+// column-major state, tv/φ carried between substeps — and through the
+// reference loops above — level-major copies, tv/φ integrated every substep
+// — must leave identical bits in every prognostic and in the flux
+// accumulators, on the global sets under Serial and Host, and decomposed
+// over 2, 3 and 4 ranks. Odd level counts exercise the tail of the pairwise
+// cell-diagnostics walk.
 func TestStepMatchesReferenceLoops(t *testing.T) {
 	const level = 2
 	// compare checks the state on the given cell/edge sets (nil: everywhere).
 	compare := func(t *testing.T, live, ref *Model, cells, edges, fluxEdges []int) {
 		t.Helper()
-		nc, ne := live.Mesh.NCells(), live.Mesh.NEdges()
-		sameBits(t, "Ps", live.Ps, ref.Ps, cells, nc)
-		sameBits(t, "T", live.T, ref.T, cells, nc)
-		sameBits(t, "Qv", live.Qv, ref.Qv, cells, nc)
-		sameBits(t, "U", live.U, ref.U, edges, ne)
-		sameBits(t, "flux.edge", live.flux.edge, ref.flux.edge, fluxEdges, ne)
-		sameBits(t, "flux.dps", live.flux.dps, ref.flux.dps, cells, nc)
+		nlev := live.NLev
+		sameBits(t, "Ps", live.Ps, ref.Ps, cells, 1)
+		sameBits(t, "T", live.T, ref.T, cells, nlev)
+		sameBits(t, "Qv", live.Qv, ref.Qv, cells, nlev)
+		sameBits(t, "U", live.U, ref.U, edges, nlev)
+		sameBits(t, "flux.edge", live.flux.edge, ref.flux.edge, fluxEdges, nlev)
+		sameBits(t, "flux.dps", live.flux.dps, ref.flux.dps, cells, 1)
 	}
 
 	for _, sp := range []pp.Space{pp.Serial{}, pp.NewHost(4)} {

@@ -16,6 +16,7 @@ import (
 type atmComp struct{ e *ESM }
 
 func (a *atmComp) Name() string { return "atm" }
+
 // atmExchangeFields is the atmosphere's export list: the split air–sea flux
 // parts (the budget ledger's per-interface terms) replace the former
 // aggregate qheat_parts/fwflux_parts placeholders.
@@ -46,8 +47,10 @@ func (a *atmComp) Export() (*coupler.AttrVect, error) {
 	copy(av.MustField("qsens"), a.e.af.sens)
 	copy(av.MustField("qlat"), a.e.af.lat)
 	copy(av.MustField("fwflux"), a.e.af.emp)
-	kb := m.NLev - 1
-	copy(av.MustField("tair"), m.T[kb*nc:(kb+1)*nc])
+	tair := av.MustField("tair")
+	for c := range tair {
+		tair[c], _ = m.SurfaceAir(c)
+	}
 	u, v := m.Wind10m()
 	copy(av.MustField("uwind"), u)
 	copy(av.MustField("vwind"), v)

@@ -46,14 +46,16 @@ func globalCoupledState(e *ESM) []float64 {
 			buf[oPs+c] = m.Ps[c]
 			buf[oSST+c] = m.SST[c]
 			for k := 0; k < nl; k++ {
-				buf[oT+k*nc+c] = m.T[k*nc+c]
-				buf[oQv+k*nc+c] = m.Qv[k*nc+c]
+				i := m.Idx(c, k)
+				buf[oT+i] = m.T[i]
+				buf[oQv+i] = m.Qv[i]
 			}
 		}
 	}
 	for _, eg := range d.(grid.EdgeDecomp).OwnedEdgeList() {
 		for k := 0; k < nl; k++ {
-			buf[oU+k*ne+eg] = m.U[k*ne+eg]
+			i := m.Idx(eg, k)
+			buf[oU+i] = m.U[i]
 		}
 	}
 	for _, slot := range e.ownSlots {

@@ -175,8 +175,6 @@ func (e *ESM) rearrObs() coupler.Observer {
 func (e *ESM) importNearestDistributed() {
 	ds := e.dst
 	a := e.Atm
-	nc := a.Mesh.NCells()
-	kb := a.NLev - 1
 	a.Wind10mInto(e.u10, e.v10)
 	pu, pv := ds.nnSrc.MustField("u10"), ds.nnSrc.MustField("v10")
 	pt, pq := ds.nnSrc.MustField("tair"), ds.nnSrc.MustField("qair")
@@ -185,7 +183,7 @@ func (e *ESM) importNearestDistributed() {
 	for i, gi := range ds.nnSrcIdx {
 		ac := e.Rg.OcnToAtm[gi]
 		pu[i], pv[i] = e.u10[ac], e.v10[ac]
-		pt[i], pq[i] = a.T[kb*nc+ac], a.Qv[kb*nc+ac]
+		pt[i], pq[i] = a.SurfaceAir(ac)
 		psw[i], plw[i] = a.GSW[ac], a.GLW[ac]
 		ppr[i] = a.Precip[ac]
 	}
@@ -295,14 +293,12 @@ func (e *ESM) importConservativeDistributed() {
 func (e *ESM) iceForcingDistributed() {
 	ds := e.dst
 	a := e.Atm
-	nc := a.Mesh.NCells()
-	kb := a.NLev - 1
 	a.Wind10mInto(e.u10, e.v10)
 	pt := ds.iceSrc.MustField("tair")
 	pu, pv := ds.iceSrc.MustField("u10"), ds.iceSrc.MustField("v10")
 	for i, gi := range ds.nnSrcIdx {
 		ac := e.Rg.OcnToAtm[gi]
-		pt[i] = a.T[kb*nc+ac]
+		pt[i], _ = a.SurfaceAir(ac)
 		pu[i], pv[i] = e.u10[ac], e.v10[ac]
 	}
 	if err := coupler.RearrangeInto(e.Comm, ds.nnRouter, ds.iceSrc, ds.iceDst, coupler.ModeP2P, e.rearrObs()); err != nil {

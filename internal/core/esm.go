@@ -388,17 +388,16 @@ func (e *ESM) atmosphereStep() {
 // halo's atmosphere forcing is bit-identical to the owner's, so the skin
 // temperature the redundant physics columns read matches the owner exactly.
 func (e *ESM) landStep() {
-	nc := e.Atm.Mesh.NCells()
-	kb := e.Atm.NLev - 1
 	e.Atm.Wind10mInto(e.u10, e.v10)
 	u10, v10 := e.u10, e.v10
 	dt := 86400.0 / float64(e.Cfg.AtmCouplingsPerDay)
 	step := func(c int) {
+		tair, qair := e.Atm.SurfaceAir(c)
 		f := land.Forcing{
 			GSW:    e.Atm.GSW[c],
 			GLW:    e.Atm.GLW[c],
-			TAir:   e.Atm.T[kb*nc+c],
-			QAir:   e.Atm.Qv[kb*nc+c],
+			TAir:   tair,
+			QAir:   qair,
 			Wind:   math.Hypot(u10[c], v10[c]),
 			Precip: e.Atm.Precip[c],
 			PSfc:   e.Atm.Ps[c],
@@ -436,15 +435,13 @@ func (e *ESM) iceStep() {
 	} else {
 		ice := e.Ice
 		b := ice.B
-		nc := e.Atm.Mesh.NCells()
 		e.Atm.Wind10mInto(e.u10, e.v10)
-		kb := e.Atm.NLev - 1
 		for lj := 0; lj < b.NJ; lj++ {
 			for li := 0; li < b.NI; li++ {
 				idx := b.LIdx(li, lj)
 				gi := b.GIdx(li, lj)
 				ac := e.Rg.OcnToAtm[gi]
-				ice.TAir[idx] = e.Atm.T[kb*nc+ac]
+				ice.TAir[idx], _ = e.Atm.SurfaceAir(ac)
 				ice.WindU[idx] = e.u10[ac]
 				ice.WindV[idx] = e.v10[ac]
 				ice.SST[idx] = e.Ocn.T[e.ocnIdx2(li, lj)] + 273.15
@@ -505,8 +502,6 @@ func (e *ESM) oceanImport() {
 func (e *ESM) importNearest() {
 	o := e.Ocn
 	b := o.B
-	nc := e.Atm.Mesh.NCells()
-	kb := e.Atm.NLev - 1
 	u10, v10 := e.Atm.Wind10m()
 	for lj := 0; lj < b.NJ; lj++ {
 		for li := 0; li < b.NI; li++ {
@@ -519,8 +514,7 @@ func (e *ESM) importNearest() {
 			open := 1 - e.Ice.Conc[idx]
 			sstK := o.T[idx] + 273.15
 			wind := math.Hypot(u10[ac], v10[ac])
-			tair := e.Atm.T[kb*nc+ac]
-			qair := e.Atm.Qv[kb*nc+ac]
+			tair, qair := e.Atm.SurfaceAir(ac)
 
 			// Momentum: bulk stress from the local wind, attenuated by ice.
 			o.TauX[idx] = rhoAirSfc * bulkCd * wind * u10[ac] * open
@@ -570,8 +564,6 @@ func (e *ESM) computeAtmFluxes() {
 // atmFluxCell fills one atmosphere cell's flux parts (see computeAtmFluxes).
 func (e *ESM) atmFluxCell(c int) {
 	a := e.Atm
-	nc := a.Mesh.NCells()
-	kb := a.NLev - 1
 	u10, v10 := e.u10, e.v10
 	f := e.af
 	if a.IsLand[c] || e.Rg.AtmOverlapArea[c] == 0 {
@@ -582,8 +574,7 @@ func (e *ESM) atmFluxCell(c int) {
 	open := 1 - a.IceFrac[c]
 	sstK := a.SST[c]
 	wind := math.Hypot(u10[c], v10[c])
-	tair := a.T[kb*nc+c]
-	qair := a.Qv[kb*nc+c]
+	tair, qair := a.SurfaceAir(c)
 
 	shf := rhoAirSfc * atmos.Cpd * bulkCh * wind * (sstK - tair)
 	evap := rhoAirSfc * bulkCe * wind * (qsatSea(sstK) - qair)

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"repro/internal/atmos"
 	"repro/internal/par"
 	"repro/internal/pario"
 )
@@ -45,18 +44,11 @@ func (e *ESM) WriteSnapshot(path string) error {
 	// Atmosphere-cell diagnostics, assembled collectively (see
 	// assembleAtmField).
 	m := e.Atm
-	nc := m.Mesh.NCells()
 	m.Wind10mInto(e.u10, e.v10)
 	speed := e.assembleAtmField(func(c int, out []float64) { out[c] = math.Hypot(e.u10[c], e.v10[c]) })
 	ps := e.assembleAtmField(func(c int, out []float64) { out[c] = m.Ps[c] })
 	precip := e.assembleAtmField(func(c int, out []float64) { out[c] = m.Precip[c] })
-	cloud := e.assembleAtmField(func(c int, out []float64) {
-		var w float64
-		for k := 0; k < m.NLev; k++ {
-			w += m.Qv[k*nc+c] * m.Ps[c] * m.DSig[k] / atmos.Gravity
-		}
-		out[c] = math.Min(1, w/50)
-	})
+	cloud := e.assembleAtmField(func(c int, out []float64) { out[c] = m.CloudProxy(c) })
 
 	if e.Comm.Rank() == 0 {
 		whole := func(name string, data []float64) {

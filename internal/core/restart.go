@@ -16,13 +16,25 @@ import (
 // ocean/ice fields are written as per-row chunks of the global index space
 // by every rank. One rank writes the atmosphere and land states whole;
 // decomposed, every rank writes the chunks it owns — the runs of its
-// owned cells, the per-level runs of its owned edges, and the runs of its
-// owned land slots — so the checkpoint is a rank-count-independent global image
+// owned cells, the runs of its owned edges, and the runs of its owned land
+// slots — so the checkpoint is a rank-count-independent global image
 // either way. Each rank reads the whole (small) restart set back and keeps
 // its own region, which also makes restarts valid across rank counts.
 
 // restartMeta packs the counters a resumed run must reinstate.
 const metaField = "meta"
+
+// The atmosphere's 3-D fields are written in the model's own column-major
+// order (a run of owned cells or edges is one chunk of whole columns). They
+// carry names of their own: a checkpoint written level-major before the
+// layout changed has the same lengths, and must fail with a missing field
+// rather than be read into the wrong levels.
+const (
+	atmTField        = "atm.t.col"
+	atmQvField       = "atm.qv.col"
+	atmUField        = "atm.u.col"
+	atmFluxEdgeField = "atm.fluxedge.col"
+)
 
 // WriteRestart checkpoints the full coupled state into dir as nGroups
 // binary subfiles. It must be called at a coupling boundary (between Step
@@ -184,9 +196,9 @@ func (e *ESM) restartFields() []pario.Field {
 			fields = append(fields, pario.Field{Name: name, Global: len(cp), Start: 0, Data: cp})
 		}
 		whole("atm.ps", m.Ps)
-		whole("atm.t", m.T)
-		whole("atm.qv", m.Qv)
-		whole("atm.u", m.U)
+		whole(atmTField, m.T)
+		whole(atmQvField, m.Qv)
+		whole(atmUField, m.U)
 		whole("atm.sst", m.SST)
 		whole("atm.icefrac", m.IceFrac)
 		whole("atm.gsw", m.GSW)
@@ -198,7 +210,7 @@ func (e *ESM) restartFields() []pario.Field {
 		whole("atm.lhf", m.LHF)
 		edge, dps := m.FluxAccumulators()
 		if edge != nil {
-			whole("atm.fluxedge", edge)
+			whole(atmFluxEdgeField, edge)
 			whole("atm.fluxdps", dps)
 		}
 		whole("lnd.tsoil", e.Lnd.TSoil)
@@ -212,7 +224,6 @@ func (e *ESM) restartFields() []pario.Field {
 		// what one rank writes.
 		d := e.dec
 		nc := m.Mesh.NCells()
-		ne := m.Mesh.NEdges()
 		ranges := d.OwnedRanges()
 		chunk := func(name string, global, start int, data []float64) {
 			cp := append([]float64(nil), data...)
@@ -232,37 +243,25 @@ func (e *ESM) restartFields() []pario.Field {
 				chunk(fc.name, nc, r[0], fc.data[r[0]:r[0]+r[1]])
 			}
 		}
-		// Per-level cell fields: one chunk per owned range per level.
-		for _, f3 := range []struct {
-			name string
-			data []float64
-		}{{"atm.t", m.T}, {"atm.qv", m.Qv}} {
-			for k := 0; k < m.NLev; k++ {
-				for _, r := range ranges {
-					chunk(f3.name, m.NLev*nc, k*nc+r[0], f3.data[k*nc+r[0]:k*nc+r[0]+r[1]])
-				}
+		// Column fields: one chunk of whole columns per owned run.
+		columns := func(name string, data []float64, runs [][2]int) {
+			for _, r := range runs {
+				chunk(name, len(data), m.Idx(r[0], 0), m.Columns(data, r[0], r[1]))
 			}
 		}
-		// Edge fields: the runs of this rank's owned edges, per level. Any
-		// decomposition with edge state must expose its owned edge list for
-		// checkpointing.
+		columns(atmTField, m.T, ranges)
+		columns(atmQvField, m.Qv, ranges)
+		// Edge fields: the runs of this rank's owned edges. Any decomposition
+		// with edge state must expose its owned edge list for checkpointing.
 		ed, ok := d.(grid.EdgeDecomp)
 		if !ok {
 			panic("core: decomposed atmosphere restart requires an edge-aware decomposition")
 		}
 		edgeRuns := grid.Runs(ed.OwnedEdgeList())
-		edgeField := func(name string, data []float64) {
-			for k := 0; k < m.NLev; k++ {
-				for _, r := range edgeRuns {
-					s := k*ne + r[0]
-					chunk(name, m.NLev*ne, s, data[s:s+r[1]])
-				}
-			}
-		}
-		edgeField("atm.u", m.U)
+		columns(atmUField, m.U, edgeRuns)
 		edge, dps := m.FluxAccumulators()
 		if edge != nil {
-			edgeField("atm.fluxedge", edge)
+			columns(atmFluxEdgeField, edge, edgeRuns)
 			for _, r := range ranges {
 				chunk("atm.fluxdps", nc, r[0], dps[r[0]:r[0]+r[1]])
 			}
@@ -326,7 +325,7 @@ func (e *ESM) ReadRestart(dir string, nGroups int) error {
 		name string
 		dst  []float64
 	}{
-		{"atm.ps", m.Ps}, {"atm.t", m.T}, {"atm.qv", m.Qv}, {"atm.u", m.U},
+		{"atm.ps", m.Ps}, {atmTField, m.T}, {atmQvField, m.Qv}, {atmUField, m.U},
 		{"atm.sst", m.SST}, {"atm.icefrac", m.IceFrac},
 		{"atm.gsw", m.GSW}, {"atm.glw", m.GLW}, {"atm.precip", m.Precip},
 		{"atm.taux", m.TauX}, {"atm.tauy", m.TauY},
@@ -361,13 +360,13 @@ func (e *ESM) ReadRestart(dir string, nGroups int) error {
 		}
 		*spec.dst = append([]float64(nil), f...)
 	}
-	edge, eok := global["atm.fluxedge"]
+	edge, eok := global[atmFluxEdgeField]
 	dps, dok := global["atm.fluxdps"]
 	if eok != dok {
 		return fmt.Errorf("core: restart has partial flux accumulators")
 	}
 	if err := m.RestoreState(atmSteps, edge, dps); err != nil {
-		return fmt.Errorf("core: restart fields \"atm.fluxedge\"/\"atm.fluxdps\": %w", err)
+		return fmt.Errorf("core: restart fields %q/\"atm.fluxdps\": %w", atmFluxEdgeField, err)
 	}
 
 	// --- Ocean + ice (each rank keeps its block) ---

@@ -181,18 +181,76 @@ func TestRestartErrors(t *testing.T) {
 // value dropped: a well-formed file (checksums and all) whose accumulator no
 // longer fits the model it is read into.
 func shortenFluxEdge(c *par.Comm, dir string) error {
+	return rewriteRestart(c, dir, func(name string, data []float64) (string, []float64) {
+		if name == atmFluxEdgeField {
+			data = data[:len(data)-1]
+		}
+		return name, data
+	})
+}
+
+// rewriteRestart rewrites a 1-rank restart set field by field through edit,
+// which may rename or replace each field.
+func rewriteRestart(c *par.Comm, dir string, edit func(name string, data []float64) (string, []float64)) error {
 	global, err := pario.ReadGlobal(pario.SubfilePaths(dir, 1))
 	if err != nil {
 		return err
 	}
 	var fields []pario.Field
 	for name, data := range global {
-		if name == "atm.fluxedge" {
-			data = data[:len(data)-1]
-		}
+		name, data = edit(name, data)
 		fields = append(fields, pario.Field{Name: name, Global: len(data), Data: data})
 	}
 	return pario.WriteSubfiles(c, dir, 1, fields)
+}
+
+// A checkpoint from before the atmosphere's state went column-major holds
+// the same lengths under the old names, level-major. Read into today's
+// model it would put every value on the wrong level, so ReadRestart must
+// refuse it by name instead.
+func TestRestartRejectsLevelMajorCheckpoint(t *testing.T) {
+	start := time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC)
+	cfg, _ := ConfigForLabel("25v10")
+	old := map[string]string{
+		atmTField: "atm.t", atmQvField: "atm.qv", atmUField: "atm.u", atmFluxEdgeField: "atm.fluxedge",
+	}
+	par.Run(1, func(c *par.Comm) {
+		e, _ := NewWithOptions(cfg, c, WithInterval(start, start.Add(time.Hour)), WithSpace(pp.Serial{}))
+		for i := 0; i < 2; i++ {
+			e.Step()
+		}
+		dir := t.TempDir()
+		if err := e.WriteRestart(dir, 1); err != nil {
+			t.Fatal(err)
+		}
+		m := e.Atm
+		nc, ne := m.Mesh.NCells(), m.Mesh.NEdges()
+		err := rewriteRestart(c, dir, func(name string, data []float64) (string, []float64) {
+			prev, ok := old[name]
+			if !ok {
+				return name, data
+			}
+			n := nc // columns of the field
+			if len(data) == m.NLev*ne {
+				n = ne
+			}
+			lm := make([]float64, len(data))
+			for i := 0; i < n; i++ {
+				for k := 0; k < m.NLev; k++ {
+					lm[k*n+i] = data[m.Idx(i, k)]
+				}
+			}
+			return prev, lm
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, _ := NewWithOptions(cfg, c, WithInterval(start, start.Add(time.Hour)), WithSpace(pp.Serial{}))
+		err = fresh.ReadRestart(dir, 1)
+		if err == nil || !strings.Contains(err.Error(), "core: restart missing field") {
+			t.Errorf("level-major checkpoint: ReadRestart returned %v, want a missing-field error", err)
+		}
+	})
 }
 
 // A restart whose flux accumulator is the wrong length is an error from

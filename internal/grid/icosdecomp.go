@@ -358,47 +358,53 @@ func (d *IcosDecomp) SetWire(w par.WireFormat) { d.wire = w }
 // Wire returns the active halo wire format.
 func (d *IcosDecomp) Wire() par.WireFormat { return d.wire }
 
-// ExchangeCells fills the ring-1 halo of a cell-centred field with nlev
-// levels laid out [k*nCells + c]: each peer receives this rank's owned
-// boundary cells and contributes the halo cells it owns. Zero steady-state
-// allocations; safe concurrently with the ocean's halo traffic (disjoint
-// tags).
+// ExchangeCells fills the ring-1 halo of a cell-centred field of nlev-value
+// columns laid out [c*nlev + k]: each peer receives this rank's owned
+// boundary columns and contributes the halo columns it owns. Zero
+// steady-state allocations; safe concurrently with the ocean's halo traffic
+// (disjoint tags).
 func (d *IcosDecomp) ExchangeCells(f []float64, nlev int) {
 	d.cellPar ^= 1
-	d.exchange(f, nlev, d.M.NCells(), tagHaloCells, d.cellSend, d.cellRecv,
+	d.exchange(f, nlev, 0, nlev, d.M.NCells(), tagHaloCells, d.cellSend, d.cellRecv,
 		d.cellBuf[d.cellPar], d.cellGS[d.cellPar])
 }
 
-// ExchangeEdges fills the stale extended edges of an edge field with nlev
-// levels laid out [k*nEdges + e] from the edges' owning ranks. The slice may
-// be a single-level window (nlev = 1) of a larger field, e.g. the lowest
-// level after the physics' surface-drag projection.
+// ExchangeEdges fills the stale extended edges of an edge field of
+// nlev-value columns laid out [e*nlev + k] from the edges' owning ranks.
 func (d *IcosDecomp) ExchangeEdges(f []float64, nlev int) {
+	d.ExchangeEdgeLevels(f, nlev, 0, nlev)
+}
+
+// ExchangeEdgeLevels is ExchangeEdges restricted to levels [lo, hi) of every
+// column, e.g. the lowest level after the physics' surface-drag projection:
+// the messages carry hi−lo values per edge.
+func (d *IcosDecomp) ExchangeEdgeLevels(f []float64, nlev, lo, hi int) {
 	d.edgePar ^= 1
-	d.exchange(f, nlev, d.M.NEdges(), tagHaloEdges, d.edgeSend, d.edgeRecv,
+	d.exchange(f, nlev, lo, hi, d.M.NEdges(), tagHaloEdges, d.edgeSend, d.edgeRecv,
 		d.edgeBuf[d.edgePar], d.edgeGS[d.edgePar])
 }
 
-func (d *IcosDecomp) exchange(f []float64, nlev, stride, tag int, send, recv [][]int, bufs [][]float64, gsBufs []*precision.GroupScaled) {
-	if len(f) < nlev*stride {
-		panic(fmt.Sprintf("grid: halo exchange on %d values, want ≥ %d", len(f), nlev*stride))
+// exchange ships levels [lo, hi) of the listed columns of an n-column field:
+// a peer's payload is each listed column's window in list order, packed and
+// unpacked as contiguous runs.
+func (d *IcosDecomp) exchange(f []float64, nlev, lo, hi, n, tag int, send, recv [][]int, bufs [][]float64, gsBufs []*precision.GroupScaled) {
+	if len(f) < nlev*n || lo < 0 || hi > nlev || lo >= hi {
+		panic(fmt.Sprintf("grid: halo exchange of levels [%d, %d) on %d values, want ≥ %d in %d-level columns",
+			lo, hi, len(f), nlev*n, nlev))
 	}
+	w := hi - lo
 	var rawBytes, wireBytes int64
 	for pi, p := range d.Peers {
 		list := send[pi]
-		need := nlev * len(list)
+		need := w * len(list)
 		buf := bufs[pi]
 		if cap(buf) < need {
 			buf = make([]float64, need)
 			bufs[pi] = buf
 		}
 		buf = buf[:need]
-		for k := 0; k < nlev; k++ {
-			base := k * stride
-			out := buf[k*len(list) : (k+1)*len(list)]
-			for i, idx := range list {
-				out[i] = f[base+idx]
-			}
+		for i, idx := range list {
+			copy(buf[i*w:(i+1)*w], f[idx*nlev+lo:idx*nlev+hi])
 		}
 		rawBytes += int64(8 * need)
 		if d.wire == par.WireGS32 {
@@ -419,7 +425,7 @@ func (d *IcosDecomp) exchange(f []float64, nlev, stride, tag int, send, recv [][
 	}
 	for pi, p := range d.Peers {
 		list := recv[pi]
-		want := nlev * len(list)
+		want := w * len(list)
 		var msg []float64
 		if d.wire == par.WireGS32 {
 			gs, _, err := par.RecvGS(d.comm, p, tag)
@@ -449,12 +455,8 @@ func (d *IcosDecomp) exchange(f []float64, nlev, stride, tag int, send, recv [][
 			}
 			msg = m
 		}
-		for k := 0; k < nlev; k++ {
-			base := k * stride
-			in := msg[k*len(list) : (k+1)*len(list)]
-			for i, idx := range list {
-				f[base+idx] = in[i]
-			}
+		for i, idx := range list {
+			copy(f[idx*nlev+lo:idx*nlev+hi], msg[i*w:(i+1)*w])
 		}
 	}
 	if d.obs != nil && len(d.Peers) > 0 {

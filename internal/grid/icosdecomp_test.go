@@ -279,24 +279,41 @@ func TestIcosExchangeMatchesGlobal(t *testing.T) {
 			}
 			for k := 0; k < nlev; k++ {
 				for _, cell := range d.Owned {
-					fc[k*nc+cell] = cellVal(k, cell)
+					fc[cell*nlev+k] = cellVal(k, cell)
 				}
 				for _, e := range d.CompEdges {
-					fe[k*ne+e] = edgeVal(k, e)
+					fe[e*nlev+k] = edgeVal(k, e)
 				}
 			}
 			d.ExchangeCells(fc, nlev)
 			d.ExchangeEdges(fe, nlev)
 			for k := 0; k < nlev; k++ {
 				for _, cell := range d.ExtCells {
-					if got, want := fc[k*nc+cell], cellVal(k, cell); got != want {
+					if got, want := fc[cell*nlev+k], cellVal(k, cell); got != want {
 						t.Errorf("ranks=%d rank %d: cell %d lev %d = %v, want %v", ranks, c.Rank(), cell, k, got, want)
 						return
 					}
 				}
 				for _, e := range d.ExtEdges {
-					if got, want := fe[k*ne+e], edgeVal(k, e); got != want {
+					if got, want := fe[e*nlev+k], edgeVal(k, e); got != want {
 						t.Errorf("ranks=%d rank %d: edge %d lev %d = %v, want %v", ranks, c.Rank(), e, k, got, want)
+						return
+					}
+				}
+			}
+
+			// A level window refreshes that window of every received column
+			// and leaves the other levels alone.
+			for _, e := range d.RecvEdges {
+				for k := 0; k < nlev; k++ {
+					fe[e*nlev+k] = math.NaN()
+				}
+			}
+			d.ExchangeEdgeLevels(fe, nlev, 1, 2)
+			for _, e := range d.RecvEdges {
+				for k := 0; k < nlev; k++ {
+					if got := fe[e*nlev+k]; (k == 1) != (got == edgeVal(k, e)) {
+						t.Errorf("ranks=%d rank %d: after the level-1 window, edge %d lev %d = %v", ranks, c.Rank(), e, k, got)
 						return
 					}
 				}

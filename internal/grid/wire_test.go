@@ -57,10 +57,10 @@ func TestIcosExchangeGS32WithinBudget(t *testing.T) {
 				fe := make([]float64, nlev*ne)
 				for k := 0; k < nlev; k++ {
 					for _, cell := range d.Owned {
-						fc[k*nc+cell] = cellVal(k, cell)
+						fc[cell*nlev+k] = cellVal(k, cell)
 					}
 					for _, e := range d.CompEdges {
-						fe[k*ne+e] = edgeVal(k, e)
+						fe[e*nlev+k] = edgeVal(k, e)
 					}
 				}
 				d.ExchangeCells(fc, nlev)
@@ -73,21 +73,21 @@ func TestIcosExchangeGS32WithinBudget(t *testing.T) {
 			budget := gs32Budget(float64(nlev*10000 + ne))
 			for k := 0; k < nlev; k++ {
 				for _, cell := range d.ExtCells {
-					if got, want := fc64[k*nc+cell], cellVal(k, cell); got != want {
+					if got, want := fc64[cell*nlev+k], cellVal(k, cell); got != want {
 						t.Errorf("f64 cell %d lev %d = %v, want %v", cell, k, got, want)
 						return
 					}
-					if d := math.Abs(fcGS[k*nc+cell] - cellVal(k, cell)); d > budget {
+					if d := math.Abs(fcGS[cell*nlev+k] - cellVal(k, cell)); d > budget {
 						t.Errorf("gs32 cell %d lev %d off by %v, budget %v", cell, k, d, budget)
 						return
 					}
 				}
 				for _, e := range d.ExtEdges {
-					if got, want := fe64[k*ne+e], edgeVal(k, e); got != want {
+					if got, want := fe64[e*nlev+k], edgeVal(k, e); got != want {
 						t.Errorf("f64 edge %d lev %d = %v, want %v", e, k, got, want)
 						return
 					}
-					if d := math.Abs(feGS[k*ne+e] - edgeVal(k, e)); d > budget {
+					if d := math.Abs(feGS[e*nlev+k] - edgeVal(k, e)); d > budget {
 						t.Errorf("gs32 edge %d lev %d off by %v, budget %v", e, k, d, budget)
 						return
 					}

@@ -86,7 +86,7 @@ func Seed(m *atmos.Model, cfg SeedConfig) error {
 		if cfg.Moisten && r < 3*rm {
 			kb := m.NLev - 1
 			for k := kb; k >= m.NLev*2/3; k-- {
-				i := k*nc + c
+				i := m.Idx(c, k)
 				p := m.SigmaP(k, c)
 				m.Qv[i] = math.Min(0.95*qsatLocal(m.T[i], p), m.Qv[i]*4+0.004)
 			}
@@ -94,7 +94,7 @@ func Seed(m *atmos.Model, cfg SeedConfig) error {
 		// Warm core in the mid troposphere.
 		if r < 3*rm {
 			for k := m.NLev / 3; k < m.NLev*2/3; k++ {
-				m.T[k*nc+c] += 2 * math.Exp(-pow15(r/rm))
+				m.T[m.Idx(c, k)] += 2 * math.Exp(-pow15(r/rm))
 			}
 		}
 	}
@@ -124,7 +124,7 @@ func Seed(m *atmos.Model, cfg SeedConfig) error {
 		proj := v * az.Dot(nrm)
 		for k := 0; k < m.NLev; k++ {
 			depth := float64(k+1) / float64(m.NLev) // stronger near the surface
-			m.U[k*ne+e] += proj * depth
+			m.U[m.Idx(e, k)] += proj * depth
 		}
 	}
 	return nil
