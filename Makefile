@@ -1,6 +1,8 @@
 # Developer entry points. `make check` is the one local gate: vet, build,
 # the full race-enabled test suite (every package, not -short), ten extra
-# repetitions of par's receive-progress lap, the restart-decoder,
+# repetitions of par's receive-progress lap, five of the checkpoint
+# protocol's (capture on the step, commit on a writer goroutine), the
+# restart-decoder,
 # group-scaled round-trip, store-manifest and serve-query fuzz smokes, the
 # three audited CLI gates (conservation budget on four decomposed ranks, its
 # compressed-wire twin, its mixed-kernel-precision twin), the one-day
@@ -14,7 +16,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race race-par budget budget-wire budget-kprec budget-rad budget-dycore fuzz resilient ensemble check bench-smoke bench-atmos profile clean
+.PHONY: all build vet test race race-par race-resilient budget budget-wire budget-kprec budget-rad budget-dycore fuzz resilient ensemble check bench-smoke bench-atmos profile clean
 
 all: check
 
@@ -38,6 +40,14 @@ race:
 # in, and which one a run exercises is up to the scheduler.
 race-par:
 	$(GO) test -race ./internal/par -count 10
+
+# The checkpoint protocol under the race detector, five times over: the
+# writer goroutine commits each captured image while the model steps on, and
+# where a fault lands against the write in flight is up to the scheduler.
+# One pass takes ≈2.5 min on a 2-core host, so five pass go test's 10-minute
+# default.
+race-resilient:
+	$(GO) test -race -count 5 -timeout 45m -run 'Resilient|Restart|ServeLive' ./internal/core
 
 budget:
 	$(GO) run ./cmd/ap3esm -config 25v10 -days 0.31 -ranks 4 -schedule conc -remap cons -audit-gate 1e-10
@@ -105,7 +115,7 @@ profile:
 bench-atmos:
 	$(GO) test ./internal/atmos -run '^$$' -bench . -count 6 -cpu 1
 
-check: vet build race race-par budget budget-wire budget-kprec budget-rad budget-dycore fuzz resilient ensemble bench-smoke
+check: vet build race race-par race-resilient budget budget-wire budget-kprec budget-rad budget-dycore fuzz resilient ensemble bench-smoke
 
 clean:
 	rm -rf .bench_build/

@@ -7,7 +7,7 @@
 //	serve -live -config 25v10 -days 0.2 -store out/store     (ingest while serving)
 //
 // In live mode the coupled model runs under the resilient supervisor and
-// hands every committed checkpoint to the store's persistence goroutine;
+// hands every checkpoint to the store's persistence goroutine;
 // queries see each snapshot as soon as its manifest commit lands.
 package main
 
@@ -107,7 +107,7 @@ func main() {
 }
 
 // runLive starts the coupled run on a background goroutine, ingesting every
-// committed checkpoint, and returns once the store's first snapshot is
+// checkpoint, and returns once the store's first snapshot is
 // committed (so the caller can open it).
 func runLive(store, label string, days float64, ranks, ckEvery int, ckDir string, depth int, audit bool, handle *obs.Obs, done chan<- error) error {
 	cfg, err := core.ConfigForLabel(label)

@@ -1,11 +1,12 @@
 // Resilient: run the coupled model under an armed fault plan and let the
 // supervising driver absorb the failures. The plan drops an I/O error into
 // the second checkpoint write and a NaN into the ocean temperature mid-run;
-// RunResilient checkpoints every 8 coupling steps, catches both faults
-// through the health guardrails and the v2 checkpoint checksums, rolls back
-// to the last good set, and still finishes — bit-for-bit identical to a
-// fault-free run, because one-shot injections never refire on the replayed
-// steps.
+// RunResilient checkpoints every 8 coupling steps, committing each set on a
+// writer goroutine while the model steps on. It learns of the failed write
+// at the next checkpoint and of the NaN through the health guardrails, rolls
+// back to the last committed set each time, and still finishes — bit-for-bit
+// identical to a fault-free run, because one-shot injections never refire on
+// the replayed steps.
 package main
 
 import (
@@ -60,7 +61,7 @@ func main() {
 	})
 
 	// The same run under an armed fault plan.
-	plan, err := fault.Parse("io-error@pario.write:2;nan@esm.step:21", 42)
+	plan, err := fault.Parse("io-error@pario.write:2;nan@esm.step:29", 42)
 	if err != nil {
 		log.Fatal(err)
 	}

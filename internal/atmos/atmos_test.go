@@ -1,7 +1,9 @@
 package atmos
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -144,6 +146,47 @@ func TestReconstructionZonalFlow(t *testing.T) {
 		if math.Abs(vm) > 0.08 {
 			t.Fatalf("cell %d: meridional %v, want ~0", c, vm)
 		}
+	}
+}
+
+// WindSpeedBound × max|U| bounds MaxWindLocal for any edge field: random
+// ones, and for every cell the field that pushes that cell's reconstructed
+// speed hardest (each of its edges at ±1 along its weight's eastward
+// component).
+func TestWindSpeedBound(t *testing.T) {
+	m := newTestModel(t, 3, 2)
+	mesh := m.Mesh
+	bound := m.WindSpeedBound()
+	check := func(name string) {
+		t.Helper()
+		maxU := 0.0
+		for _, v := range m.U {
+			maxU = math.Max(maxU, math.Abs(v))
+		}
+		if w := m.MaxWindLocal(); w > bound*maxU {
+			t.Fatalf("%s: max wind %v exceeds the bound %v × max|U| %v", name, w, bound, maxU)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		scale := math.Pow(10, float64(rng.Intn(8)-2))
+		for i := range m.U {
+			m.U[i] = scale * (2*rng.Float64() - 1)
+		}
+		check(fmt.Sprintf("random field %d", trial))
+	}
+	for c := 0; c < mesh.NCells(); c++ {
+		clear(m.U)
+		for i, e := range mesh.EdgesOnCell[c] {
+			s := 1.0
+			if m.recon.weights[c][i].Dot(m.recon.east[c]) < 0 {
+				s = -1
+			}
+			for k := 0; k < m.NLev; k++ {
+				m.U[m.Idx(e, k)] = 250 * s
+			}
+		}
+		check(fmt.Sprintf("field aimed at cell %d", c))
 	}
 }
 

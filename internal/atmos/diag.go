@@ -102,6 +102,12 @@ func (m *Model) Wind10mInto(u, v []float64) {
 	}
 }
 
+// WindSpeedBound bounds the reconstructed winds by the edge winds: for any
+// U, neither MaxWind nor MaxWindLocal exceeds WindSpeedBound() × max |U|.
+// A guardrail can therefore clear the wind limit with one pass over U and
+// reconstruct only when that pass does not.
+func (m *Model) WindSpeedBound() float64 { return m.recon.speedBound }
+
 // MaxWindLocal returns the largest reconstructed wind speed over this rank's
 // owned cells (all cells when replicated). Owned regions partition the mesh,
 // so a max-allreduce of the local values reproduces MaxWind exactly.

@@ -22,6 +22,9 @@ type reconstructor struct {
 	// east and north are the local unit vectors at each cell center, used
 	// to express reconstructed vectors as (zonal, meridional) components.
 	east, north []grid.Vec3
+	// speedBound is the largest Σ_e |w_e| over cells, widened past rounding:
+	// no reconstructed speed exceeds speedBound × max |u_e|.
+	speedBound float64
 }
 
 func newReconstructor(mesh *grid.IcosMesh) *reconstructor {
@@ -76,6 +79,7 @@ func newReconstructor(mesh *grid.IcosMesh) *reconstructor {
 
 		inv := invert3(a)
 		w := make([]grid.Vec3, len(edges))
+		norm := 0.0
 		for i, e := range edges {
 			n := r.normal3[e]
 			w[i] = grid.Vec3{
@@ -83,9 +87,16 @@ func newReconstructor(mesh *grid.IcosMesh) *reconstructor {
 				Y: inv[1][0]*n.X + inv[1][1]*n.Y + inv[1][2]*n.Z,
 				Z: inv[2][0]*n.X + inv[2][1]*n.Y + inv[2][2]*n.Z,
 			}
+			norm += math.Sqrt(w[i].Dot(w[i]))
 		}
 		r.weights[c] = w
+		r.speedBound = math.Max(r.speedBound, norm)
 	}
+	// |Σ w_e u_e| ≤ Σ |w_e| |u_e|, and the (east, north) pair is a
+	// projection of the vector, so the exact speed is within the bound; the
+	// margin covers the rounding of the few dozen operations behind a
+	// computed speed.
+	r.speedBound *= 1 + 1e-9
 	return r
 }
 

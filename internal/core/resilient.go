@@ -9,6 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/pario"
 )
 
 // Resilient driving (§5.2.5's restart path promoted to a supervisor): at
@@ -42,12 +43,16 @@ type ResilientConfig struct {
 	// world's par.RunNamed member name.)
 	Member string
 
-	// OnCheckpoint, when non-nil, runs on every rank after each committed
-	// checkpoint — the natural cadence for in-flight diagnostics (track
-	// fixes, spread inputs). It must be collective-safe: every rank calls it
-	// at the same step, so collective gathers (GlobalAtmPs, GlobalWind10m)
-	// are fine inside. Work re-done after a rollback re-invokes it for
-	// re-committed checkpoints; callbacks must tolerate replayed steps.
+	// OnCheckpoint, when non-nil, runs on every rank right after each
+	// checkpoint is captured, with e holding exactly the checkpointed state
+	// — the natural cadence for in-flight diagnostics (track fixes, spread
+	// inputs). The checkpoint's commit is still in flight: it is confirmed at
+	// the next checkpoint or at the end of the run, and one that fails is
+	// rolled back and replayed like any fault. It must be collective-safe:
+	// every rank calls it at the same step, so collective gathers
+	// (GlobalAtmPs, GlobalWind10m) are fine inside. Work re-done after a
+	// rollback re-invokes it for replayed checkpoints; callbacks must
+	// tolerate replayed steps.
 	OnCheckpoint func(e *ESM)
 }
 
@@ -63,17 +68,26 @@ type RecoveryEvent struct {
 // ResilientReport summarizes a resilient run.
 type ResilientReport struct {
 	Steps       int // coupling steps completed
-	Checkpoints int // successful checkpoint commits
+	Checkpoints int // checkpoint commits confirmed, replays included
 	Recoveries  []RecoveryEvent
 }
 
 // RunResilient integrates rc.Days simulated days, surviving faults. mk must
-// build a fresh ESM in its initial state (including any seeding); it is
-// called once up front and once per rollback, because ReadRestart requires a
-// freshly constructed model. Collective: every rank runs the same loop and
-// the health/checkpoint verdicts are allreduced, so all ranks roll back
-// together. Returns the final model and the recovery report; err is non-nil
-// only when MaxRetries consecutive recoveries failed or a rebuild failed.
+// build a fresh ESM in its initial state (including any seeding) on the same
+// communicator; it is called once up front and once per rollback, because
+// ReadRestart requires a freshly constructed model. Collective: every rank
+// runs the same loop and the health/checkpoint verdicts are allreduced, so
+// all ranks roll back together. Returns the final model and the recovery
+// report; err is non-nil only when MaxRetries consecutive recoveries failed
+// or a rebuild failed.
+//
+// A checkpoint is captured on the step and committed off it: at each
+// checkpoint boundary the run takes the previous write's verdict, captures
+// the state into its image and hands the image to a writer goroutine, which
+// commits it on an I/O communicator of its own while the model steps on
+// (DESIGN.md "Fault tolerance"). The rollback point moves only when a
+// commit is confirmed. Every rollback and every return waits for the write
+// in flight first, so on return rc.Dir holds the final committed set.
 func RunResilient(mk func() (*ESM, error), rc ResilientConfig) (*ESM, *ResilientReport, error) {
 	if rc.CheckpointEvery < 1 {
 		return nil, nil, fmt.Errorf("core: RunResilient needs CheckpointEvery ≥ 1, got %d", rc.CheckpointEvery)
@@ -91,34 +105,71 @@ func RunResilient(mk func() (*ESM, error), rc ResilientConfig) (*ESM, *Resilient
 	if err != nil {
 		return nil, nil, err
 	}
+	layout, err := newRestartLayout(e)
+	if err != nil {
+		return nil, nil, err
+	}
+	w := newCheckpointWriter(e.Comm, rc, layout)
+	defer w.stop()
 	target := int(rc.Days * float64(e.Cfg.AtmCouplingsPerDay))
 	rep := &ResilientReport{}
-	goodStep := -1 // step of the last committed checkpoint; -1 = none yet
+	goodStep := -1 // step of the last confirmed commit; -1 = none yet
 	attempt := 0
 	rng := rand.New(rand.NewSource(rc.Seed))
-	for e.CouplingSteps() < target {
-		done, err := e.stepChecked()
-		if done {
-			// The clock interval ended before the step target — e.g. a
+	// settle takes the verdict of the write in flight, if any: a confirmed
+	// commit moves the rollback point, a failed one is returned.
+	settle := func() error {
+		step, werr, ok := w.wait(e.obs)
+		switch {
+		case !ok:
+		case werr != nil:
+			return fmt.Errorf("checkpoint at step %d: %w", step, werr)
+		default:
+			goodStep = step
+			rep.Checkpoints++
+			attempt = 0
+		}
+		return nil
+	}
+	for {
+		var err error
+		end := e.CouplingSteps() >= target
+		if !end {
+			// The clock interval may end before the step target — e.g. a
 			// coupling period that does not divide the requested days. That
 			// is completion, not a fault.
-			break
+			end, err = e.stepChecked()
 		}
-		if err == nil && e.CouplingSteps()%rc.CheckpointEvery == 0 {
-			if cerr := e.checkpoint(rc); cerr != nil {
-				err = fmt.Errorf("checkpoint at step %d: %w", e.CouplingSteps(), cerr)
-			} else {
-				goodStep = e.CouplingSteps()
-				rep.Checkpoints++
-				attempt = 0
-				if rc.OnCheckpoint != nil {
-					rc.OnCheckpoint(e)
+		switch {
+		case err != nil:
+		case end:
+			// The run ends only on a confirmed final commit; a failed one is
+			// rolled back and redone like any other fault.
+			if err = settle(); err == nil {
+				rep.Steps = e.CouplingSteps()
+				e.obs.SetGauge("recovery.completed_steps", float64(rep.Steps))
+				if rc.Member != "" {
+					e.obs.SetGauge(obs.Labeled("recovery.completed_steps", "member", rc.Member), float64(rep.Steps))
+				}
+				return e, rep, nil
+			}
+		case e.CouplingSteps()%rc.CheckpointEvery == 0:
+			if err = e.checkpointFault(); err == nil {
+				if err = settle(); err == nil {
+					w.start(e)
+					if rc.OnCheckpoint != nil {
+						rc.OnCheckpoint(e)
+					}
 				}
 			}
 		}
 		if err == nil {
 			continue
 		}
+		// The rollback reads the restart set, so the write in flight lands
+		// (or fails) first. Its verdict only decides where to resume, which
+		// settle records; the fault being answered is err.
+		_ = settle()
 		attempt++
 		ev := RecoveryEvent{Step: e.CouplingSteps(), Reason: err.Error(), Attempt: attempt}
 		e.countRecovery("recovery.rollbacks", rc.Member)
@@ -153,12 +204,6 @@ func RunResilient(mk func() (*ESM, error), rc ResilientConfig) (*ESM, *Resilient
 		rep.Recoveries = append(rep.Recoveries, ev)
 		e = fresh
 	}
-	rep.Steps = e.CouplingSteps()
-	e.obs.SetGauge("recovery.completed_steps", float64(rep.Steps))
-	if rc.Member != "" {
-		e.obs.SetGauge(obs.Labeled("recovery.completed_steps", "member", rc.Member), float64(rep.Steps))
-	}
-	return e, rep, nil
 }
 
 // countRecovery emits a recovery counter on the plain series and, when the
@@ -170,20 +215,102 @@ func (e *ESM) countRecovery(name, member string) {
 	}
 }
 
-// checkpoint commits a restart set, first consulting the "core.checkpoint"
-// fault site scoped to the world's member name (like esm.step — fault scope
+// checkpointFault consults the "core.checkpoint" fault site at a checkpoint
+// boundary, scoped to the world's member name (like esm.step — fault scope
 // always follows the world, while rc.Member only labels telemetry). The
 // injected verdict is allreduced so a rank-targeted io-error rolls every
-// rank back together instead of desynchronizing the collective WriteRestart.
-func (e *ESM) checkpoint(rc ResilientConfig) error {
+// rank back together instead of desynchronizing the checkpoint.
+func (e *ESM) checkpointFault() error {
 	bad := 0.0
 	if f := fault.PointScoped(e.Comm.Member(), "core.checkpoint", e.Comm.Rank()); f != nil && f.Kind == fault.IOError {
 		bad = 1
 	}
 	if e.Comm.Allreduce(bad, par.OpMax) != 0 {
-		return fmt.Errorf("injected checkpoint io-error")
+		return fmt.Errorf("checkpoint at step %d: injected checkpoint io-error", e.couplingSteps)
 	}
-	return e.WriteRestart(rc.Dir, rc.NGroups)
+	return nil
+}
+
+// checkpointWriter commits captured restart images off the model's step, on
+// one writer goroutine per run. At most one write is in flight, so one image
+// serves the whole run; it lives only as long as the run. The writer runs
+// commitRestart on comm, split once from the model's communicator: a split
+// communicator is a message space of its own, so the writers' collectives
+// never meet the model's, and the verdict a write returns is already agreed
+// by every rank.
+type checkpointWriter struct {
+	comm    *par.Comm
+	dir     string
+	nGroups int
+	img     *restartImage
+
+	busy   bool
+	step   int // the step the write in flight holds
+	writes chan commitRequest
+	done   chan error    // the verdict of each write, in order
+	exited chan struct{} // closed when the writer goroutine returns
+}
+
+type commitRequest struct {
+	fields []pario.Field
+	o      obs.Observer
+}
+
+// newCheckpointWriter starts the writer goroutine. Collective: it splits c.
+func newCheckpointWriter(c *par.Comm, rc ResilientConfig, l *restartLayout) *checkpointWriter {
+	w := &checkpointWriter{
+		comm: c.Split(0, c.Rank()), dir: rc.Dir, nGroups: rc.NGroups, img: newRestartImage(l),
+		writes: make(chan commitRequest), done: make(chan error, 1), exited: make(chan struct{}),
+	}
+	go w.run()
+	return w
+}
+
+func (w *checkpointWriter) run() {
+	defer close(w.exited)
+	for req := range w.writes {
+		w.done <- w.commit(req)
+	}
+}
+
+// commit writes one captured image. A panic becomes the write's verdict
+// rather than a crash of the process from outside any rank.
+func (w *checkpointWriter) commit(req commitRequest) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("core: checkpoint writer panicked: %v", p)
+		}
+	}()
+	return commitRestart(w.comm, w.dir, w.nGroups, req.fields, req.o)
+}
+
+// stop ends the writer goroutine once the write in flight, if any, is done.
+func (w *checkpointWriter) stop() {
+	close(w.writes)
+	<-w.exited
+}
+
+// start captures e into the image and hands it to the writer. The writer
+// must be idle (wait has returned).
+func (w *checkpointWriter) start(e *ESM) {
+	t0 := time.Now()
+	fields := w.img.capture(e)
+	addSection(e.obs, "ckpt.capture", time.Since(t0))
+	w.busy, w.step = true, e.CouplingSteps()
+	w.writes <- commitRequest{fields, e.obs}
+}
+
+// wait blocks until the write in flight has its verdict and returns it with
+// the step it holds; ok is false when no write was in flight.
+func (w *checkpointWriter) wait(o obs.Observer) (step int, err error, ok bool) {
+	if !w.busy {
+		return 0, nil, false
+	}
+	t0 := time.Now()
+	err = <-w.done
+	addSection(o, "ckpt.wait", time.Since(t0))
+	w.busy = false
+	return w.step, err, true
 }
 
 // rollback rebuilds the model at the last good checkpoint. A checkpoint that
@@ -261,6 +388,61 @@ const (
 )
 
 func (e *ESM) healthLocal() error {
+	if e.healthClear() {
+		return nil
+	}
+	return e.healthDiagnose()
+}
+
+// healthClear answers the common case, "every guardrail holds", in one
+// branch-light pass per field. Each field's test is at least as strict as
+// healthDiagnose's (the atmosphere's wind through Atm.WindSpeedBound, one
+// pass over U instead of a reconstruction), so a clear verdict means
+// healthDiagnose would find nothing; anything else is left to it, which
+// names what tripped.
+func (e *ESM) healthClear() bool {
+	m, o, ice := e.Atm, e.Ocn, e.Ice
+	edgeWind := healthMaxWind / m.WindSpeedBound()
+	return within(m.Ps, healthMinPs, healthMaxPs) &&
+		within(m.T, math.SmallestNonzeroFloat64, healthMaxTemp) && // t > 0
+		allFinite(m.Qv) &&
+		within(m.U, -edgeWind, edgeWind) &&
+		within(o.U, -healthMaxCur, healthMaxCur) &&
+		allFinite(o.V) && allFinite(o.T) && allFinite(o.S) &&
+		within(o.Eta, -healthMaxEta, healthMaxEta) &&
+		within(ice.Conc, -1e-9, 1+1e-9) &&
+		allFinite(ice.Thick) && allFinite(e.Lnd.TSoil)
+}
+
+// within reports whether every value lies in [lo, hi]; NaN never does.
+func within(vals []float64, lo, hi float64) bool {
+	for _, v := range vals {
+		if !(v >= lo && v <= hi) {
+			return false
+		}
+	}
+	return true
+}
+
+// allFinite reports whether no value is NaN or ±Inf, without a branch per
+// value: v−v is 0 for every finite v and NaN otherwise, and a NaN survives
+// the sum.
+func allFinite(vals []float64) bool {
+	var s0, s1 float64
+	i := 0
+	for ; i+1 < len(vals); i += 2 {
+		s0 += vals[i] - vals[i]
+		s1 += vals[i+1] - vals[i+1]
+	}
+	if i < len(vals) {
+		s0 += vals[i] - vals[i]
+	}
+	return s0+s1 == 0
+}
+
+// healthDiagnose scans every guardrail in order and describes the first
+// that trips.
+func (e *ESM) healthDiagnose() error {
 	step := e.couplingSteps
 	finite := func(comp, field string, vals []float64) error {
 		for i, v := range vals {

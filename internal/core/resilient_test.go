@@ -16,15 +16,16 @@ import (
 
 func resilientStart() time.Time { return time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC) }
 
-func mkESM(t *testing.T, c *par.Comm) func() (*ESM, error) {
+func mkESM(t *testing.T, c *par.Comm, opts ...Option) func() (*ESM, error) {
 	t.Helper()
 	cfg, err := ConfigForLabel("25v10")
 	if err != nil {
 		t.Fatal(err)
 	}
 	start := resilientStart()
+	opts = append([]Option{WithInterval(start, start.Add(24*time.Hour)), WithSpace(pp.Serial{})}, opts...)
 	return func() (*ESM, error) {
-		e, err := NewWithOptions(cfg, c, WithInterval(start, start.Add(24*time.Hour)), WithSpace(pp.Serial{}))
+		e, err := NewWithOptions(cfg, c, opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -69,9 +70,12 @@ func TestRunResilientRecoversBitForBit(t *testing.T) {
 		}
 	})
 
-	// Faulted resilient run: the 2nd checkpoint write fails with an I/O
-	// error, and a NaN lands in the ocean temperature at the 21st step call.
-	plan, err := fault.Parse("io-error@pario.write:2;nan@esm.step:21", 42)
+	// Faulted resilient run: the 2nd checkpoint write (step 16) fails with
+	// an I/O error, which the run learns at the step-24 boundary and answers
+	// by resuming from step 8; then a NaN lands in the ocean temperature at
+	// the 29th step call (step 13 of the replay) and is answered the same
+	// way.
+	plan, err := fault.Parse("io-error@pario.write:2;nan@esm.step:29", 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,6 +248,76 @@ func TestRunResilientGivesUp(t *testing.T) {
 		}
 		if len(rep.Recoveries) != 3 {
 			t.Errorf("recoveries %+v, want MaxRetries+1 = 3", rep.Recoveries)
+		}
+	})
+}
+
+// healthClear is the fast path of Health: it must never clear a state
+// healthDiagnose would flag, and must clear a healthy model (or Health would
+// pay for both scans every step). Each guarded field is poked with values
+// on and just past its bounds, NaN, ±Inf and -0, at its first, last and a
+// middle element; the scans themselves at every position of short arrays
+// of either parity.
+func TestHealthClearImpliesDiagnoseClean(t *testing.T) {
+	for n := 1; n <= 5; n++ {
+		for i := 0; i < n; i++ {
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				vals := make([]float64, n)
+				vals[i] = bad
+				if allFinite(vals) || within(vals, -1, 1) {
+					t.Errorf("%v at %d of %d values passed the scans", bad, i, n)
+				}
+			}
+		}
+	}
+	par.Run(1, func(c *par.Comm) {
+		e, err := mkESM(t, c)()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			e.Step()
+		}
+		if !e.healthClear() {
+			t.Fatalf("healthy model not cleared by the fast path: %v", e.healthDiagnose())
+		}
+		edgeWind := healthMaxWind / e.Atm.WindSpeedBound()
+		up, down := func(v float64) float64 { return math.Nextafter(v, math.Inf(1)) }, func(v float64) float64 { return math.Nextafter(v, math.Inf(-1)) }
+		bounds := func(lo, hi float64) []float64 { return []float64{lo, hi, down(lo), up(hi)} }
+		fields := []struct {
+			name  string
+			vals  []float64
+			edges []float64
+		}{
+			{"atm.ps", e.Atm.Ps, bounds(healthMinPs, healthMaxPs)},
+			{"atm.t", e.Atm.T, bounds(math.SmallestNonzeroFloat64, healthMaxTemp)},
+			{"atm.qv", e.Atm.Qv, nil},
+			{"atm.u", e.Atm.U, bounds(-edgeWind, edgeWind)},
+			{"ocn.u", e.Ocn.U, bounds(-healthMaxCur, healthMaxCur)},
+			{"ocn.v", e.Ocn.V, nil},
+			{"ocn.t", e.Ocn.T, nil},
+			{"ocn.s", e.Ocn.S, nil},
+			{"ocn.eta", e.Ocn.Eta, bounds(-healthMaxEta, healthMaxEta)},
+			{"ice.conc", e.Ice.Conc, bounds(-1e-9, 1+1e-9)},
+			{"ice.thick", e.Ice.Thick, nil},
+			{"lnd.tsoil", e.Lnd.TSoil, nil},
+		}
+		for _, f := range fields {
+			pokes := append([]float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 3 * healthMaxWind}, f.edges...)
+			for _, i := range []int{0, len(f.vals) / 2, len(f.vals) - 1} {
+				for _, v := range pokes {
+					old := f.vals[i]
+					f.vals[i] = v
+					clear, diag := e.healthClear(), e.healthDiagnose()
+					f.vals[i] = old
+					if clear && diag != nil {
+						t.Errorf("%s[%d] = %v: fast path cleared a state the scan flags: %v", f.name, i, v, diag)
+					}
+					if math.IsNaN(v) && clear {
+						t.Errorf("%s[%d] = NaN cleared", f.name, i)
+					}
+				}
+			}
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/grid"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/pario"
 )
@@ -40,24 +41,36 @@ const (
 // binary subfiles. It must be called at a coupling boundary (between Step
 // calls), which is the only time the driver is quiescent.
 //
-// The write is atomic end-to-end: subfiles land in a staging directory that
-// is swapped into place only after every writer group has succeeded, so a
-// crash or injected I/O error mid-checkpoint never clobbers the previous
-// good restart set. Collective: all ranks participate and agree on the
-// outcome.
+// A checkpoint is a capture followed by a commit. The capture copies every
+// value this rank owns into one flat image; the commit encodes and writes
+// that image and swaps it into place. WriteRestart runs the two back to
+// back; RunResilient runs the commit on a writer goroutine while the model
+// steps on. Collective: all ranks participate and agree on the outcome.
 func (e *ESM) WriteRestart(dir string, nGroups int) error {
-	fields := e.restartFields()
+	l, err := newRestartLayout(e)
+	if err != nil {
+		return err
+	}
+	return commitRestart(e.Comm, dir, nGroups, newRestartImage(l).capture(e), e.obs)
+}
+
+// commitRestart writes captured restart fields as the set in dir. The write
+// is atomic end-to-end: subfiles land in a staging directory that is swapped
+// into place only after every writer group has succeeded, so a crash or
+// injected I/O error mid-checkpoint never clobbers the previous good restart
+// set. Collective over c; every rank returns the same verdict.
+func commitRestart(c *par.Comm, dir string, nGroups int, fields []pario.Field, o obs.Observer) error {
 	staging := dir + ".staging"
 	var prep error
-	if e.Comm.Rank() == 0 {
+	if c.Rank() == 0 {
 		os.RemoveAll(staging)
 		prep = os.MkdirAll(staging, 0o755)
 	}
-	e.Comm.Barrier()
+	c.Barrier()
 
 	werr := prep
 	if werr == nil {
-		werr = pario.WriteSubfilesTo(e.Comm, staging, nGroups, fields, e.obs)
+		werr = pario.WriteSubfilesTo(c, staging, nGroups, fields, o)
 	}
 	// Collective agreement: the swap happens only if every group leader
 	// succeeded, and every rank reports the same verdict.
@@ -65,33 +78,31 @@ func (e *ESM) WriteRestart(dir string, nGroups int) error {
 	if werr != nil {
 		bad = 1
 	}
-	if e.Comm.Allreduce(bad, par.OpMax) != 0 {
-		if e.Comm.Rank() == 0 {
+	if c.Allreduce(bad, par.OpMax) != 0 {
+		if c.Rank() == 0 {
 			os.RemoveAll(staging)
 		}
-		e.Comm.Barrier()
+		c.Barrier()
 		if werr != nil {
 			return werr
 		}
 		return fmt.Errorf("core: checkpoint to %s failed on another rank", dir)
 	}
 	var cerr error
-	if e.Comm.Rank() == 0 {
+	if c.Rank() == 0 {
 		cerr = commitRestartSet(staging, dir)
 	}
 	bad = 0
 	if cerr != nil {
 		bad = 1
 	}
-	if e.Comm.Allreduce(bad, par.OpMax) != 0 {
+	if c.Allreduce(bad, par.OpMax) != 0 {
 		if cerr != nil {
 			return cerr
 		}
 		return fmt.Errorf("core: checkpoint commit to %s failed on rank 0", dir)
 	}
-	if e.obs != nil {
-		e.obs.AddCount("restart.checkpoints", 1)
-	}
+	o.AddCount("restart.checkpoints", 1)
 	return nil
 }
 
@@ -115,177 +126,236 @@ func commitRestartSet(staging, dir string) error {
 	return nil
 }
 
-// restartFields flattens the coupled state into pario fields: ocean/ice
-// rows and the owned atmosphere/land chunks from every rank.
-func (e *ESM) restartFields() []pario.Field {
-	var fields []pario.Field
+// restartVar names one restart field and the model array it holds.
+type restartVar struct {
+	name string
+	arr  func(e *ESM) []float64
+}
 
-	// --- Distributed ocean and ice fields, one chunk per local row ---
-	// Every rank writes its owned rows, and rank 0 additionally writes
-	// zero-filled rows for the land-eliminated blocks no rank owns — ocean
-	// and ice fields are identically zero over land, and pario.ReadGlobal
-	// requires every element covered exactly once.
-	o := e.Ocn
-	b := o.B
-	g := o.G
+// The restart fields by shape. The ocean and ice ones share the ocean
+// block's local layout: levels of LNI×LNJ with a halo ring.
+var (
+	ocnVars3 = []restartVar{
+		{"ocn.u", func(e *ESM) []float64 { return e.Ocn.U }},
+		{"ocn.v", func(e *ESM) []float64 { return e.Ocn.V }},
+		{"ocn.t", func(e *ESM) []float64 { return e.Ocn.T }},
+		{"ocn.s", func(e *ESM) []float64 { return e.Ocn.S }},
+	}
+	ocnVars2 = []restartVar{
+		{"ocn.eta", func(e *ESM) []float64 { return e.Ocn.Eta }},
+		{"ocn.ubar", func(e *ESM) []float64 { return e.Ocn.Ubar }},
+		{"ocn.vbar", func(e *ESM) []float64 { return e.Ocn.Vbar }},
+		{"ocn.taux", func(e *ESM) []float64 { return e.Ocn.TauX }},
+		{"ocn.tauy", func(e *ESM) []float64 { return e.Ocn.TauY }},
+		{"ocn.qheat", func(e *ESM) []float64 { return e.Ocn.QHeat }},
+		{"ocn.fw", func(e *ESM) []float64 { return e.Ocn.FWFlux }},
+		{"ice.conc", func(e *ESM) []float64 { return e.Ice.Conc }},
+		{"ice.thick", func(e *ESM) []float64 { return e.Ice.Thick }},
+		{"ice.freezeheat", func(e *ESM) []float64 { return e.Ice.FreezeHeat }},
+	}
+	// One value per atmosphere cell.
+	atmCellVars = []restartVar{
+		{"atm.ps", func(e *ESM) []float64 { return e.Atm.Ps }},
+		{"atm.sst", func(e *ESM) []float64 { return e.Atm.SST }},
+		{"atm.icefrac", func(e *ESM) []float64 { return e.Atm.IceFrac }},
+		{"atm.gsw", func(e *ESM) []float64 { return e.Atm.GSW }},
+		{"atm.glw", func(e *ESM) []float64 { return e.Atm.GLW }},
+		{"atm.precip", func(e *ESM) []float64 { return e.Atm.Precip }},
+		{"atm.taux", func(e *ESM) []float64 { return e.Atm.TauX }},
+		{"atm.tauy", func(e *ESM) []float64 { return e.Atm.TauY }},
+		{"atm.shf", func(e *ESM) []float64 { return e.Atm.SHF }},
+		{"atm.lhf", func(e *ESM) []float64 { return e.Atm.LHF }},
+	}
+	// Whole cell columns.
+	atmColVars = []restartVar{
+		{atmTField, func(e *ESM) []float64 { return e.Atm.T }},
+		{atmQvField, func(e *ESM) []float64 { return e.Atm.Qv }},
+	}
+	atmUVar = restartVar{atmUField, func(e *ESM) []float64 { return e.Atm.U }}
+	// The tracer-window accumulators, absent (nil) before the first substep.
+	atmFluxEdgeVar = restartVar{atmFluxEdgeField, func(e *ESM) []float64 { edge, _ := e.Atm.FluxAccumulators(); return edge }}
+	atmFluxDpsVar  = restartVar{"atm.fluxdps", func(e *ESM) []float64 { _, dps := e.Atm.FluxAccumulators(); return dps }}
+	lndVars        = []restartVar{
+		{"lnd.tsoil", func(e *ESM) []float64 { return e.Lnd.TSoil }},
+		{"lnd.bucket", func(e *ESM) []float64 { return e.Lnd.Bucket }},
+	}
+	// Held identically by every rank; rank 0 writes them.
+	sfcVars = []restartVar{
+		{"sfc.sstglobal", func(e *ESM) []float64 { return e.sstGlobal }},
+		{"sfc.iceglobal", func(e *ESM) []float64 { return e.iceGlobal }},
+		{metaField, func(e *ESM) []float64 {
+			return []float64{float64(e.couplingSteps), float64(e.Atm.Steps()), float64(e.Ocn.Steps())}
+		}},
+	}
+)
+
+// restartLayout is which restart chunks this rank contributes, derived once
+// from the decompositions: a handful of parts, each one field's share as the
+// rows of an ocean block or as runs of a global index space. It holds no
+// state, so it serves any model assembled with the same configuration on the
+// same communicator — every model RunResilient rebuilds.
+//
+// Ocean and ice fields go out one chunk per local row: every rank writes its
+// owned rows, and rank 0 also writes zero rows for the land-eliminated
+// blocks no rank owns (ocean and ice fields are identically zero over land,
+// and pario.ReadGlobal requires every element covered exactly once). The
+// atmosphere and land go out as runs. On one rank a run is the whole array;
+// decomposed, owned cells, owned edges and owned land slots each partition
+// their global index space across ranks and are scattered id lists, written
+// as their grid.Runs chunks — so the union of chunks is one global image,
+// bit-identical to what one rank writes.
+type restartLayout struct {
+	parts []restartPart
+	size  int // values captured when every part is present
+
+	nx, ny, lni, lnj, halo int       // ocean grid and local block geometry
+	zero                   []float64 // the rows of land-eliminated blocks
+}
+
+// restartPart is one field's share of this rank's image. Ocean parts cover
+// rows [j0, j0+nj) × columns [i0, i0+ni) on nlev levels (dry: zeros, read
+// from no array); the others cover runs of the global index space, stride
+// values per index.
+type restartPart struct {
+	v      restartVar
+	global int
+
+	i0, j0, ni, nj, nlev int
+	dry                  bool
+
+	runs   [][2]int
+	stride int
+}
+
+func (p *restartPart) values() int {
+	if p.runs == nil {
+		return p.nlev * p.nj * p.ni
+	}
+	n := 0
+	for _, r := range p.runs {
+		n += r[1] * p.stride
+	}
+	return n
+}
+
+// newRestartLayout derives the layout of e's decompositions. A decomposed
+// atmosphere must expose its owned edges: the U columns are written by
+// their owners.
+func newRestartLayout(e *ESM) (*restartLayout, error) {
+	o, m := e.Ocn, e.Atm
+	b, g := o.B, o.G
+	l := &restartLayout{nx: g.NX, ny: g.NY, lni: o.LNI, lnj: o.LNJ, halo: b.H}
 	n2g := g.NX * g.NY
-	addRow := func(name string, global int, gStart int, data []float64) {
-		fields = append(fields, pario.Field{Name: name, Global: global, Start: gStart, Data: data})
-	}
-	rowOf := func(src []float64, k, lj int) []float64 {
-		out := make([]float64, b.NI)
-		for li := 0; li < b.NI; li++ {
-			out[li] = src[k*o.LNI*o.LNJ+e.ocnIdx2(li, lj)]
+	rows := func(i0, j0, ni, nj int, dry bool) {
+		for _, v := range ocnVars3 {
+			l.parts = append(l.parts, restartPart{v: v, global: o.NL * n2g, i0: i0, j0: j0, ni: ni, nj: nj, nlev: o.NL, dry: dry})
 		}
-		return out
-	}
-	ocnF3 := []struct {
-		name string
-		data []float64
-	}{
-		{"ocn.u", o.U}, {"ocn.v", o.V}, {"ocn.t", o.T}, {"ocn.s", o.S},
-	}
-	ocnF2 := []struct {
-		name string
-		data []float64
-	}{
-		{"ocn.eta", o.Eta}, {"ocn.ubar", o.Ubar}, {"ocn.vbar", o.Vbar},
-		{"ocn.taux", o.TauX}, {"ocn.tauy", o.TauY},
-		{"ocn.qheat", o.QHeat}, {"ocn.fw", o.FWFlux},
-		{"ice.conc", e.Ice.Conc}, {"ice.thick", e.Ice.Thick},
-		{"ice.freezeheat", e.Ice.FreezeHeat},
-	}
-	for _, f3 := range ocnF3 {
-		for k := 0; k < o.NL; k++ {
-			for lj := 0; lj < b.NJ; lj++ {
-				gStart := (k*g.NY+(b.J0+lj))*g.NX + b.I0
-				addRow(f3.name, o.NL*n2g, gStart, rowOf(f3.data, k, lj))
-			}
+		for _, v := range ocnVars2 {
+			l.parts = append(l.parts, restartPart{v: v, global: n2g, i0: i0, j0: j0, ni: ni, nj: nj, nlev: 1, dry: dry})
 		}
 	}
-	for _, f2 := range ocnF2 {
-		for lj := 0; lj < b.NJ; lj++ {
-			gStart := (b.J0+lj)*g.NX + b.I0
-			addRow(f2.name, n2g, gStart, rowOf(f2.data, 0, lj))
-		}
-	}
+	rows(b.I0, b.J0, b.NI, b.NJ, false)
 	if e.Comm.Rank() == 0 {
 		for _, db := range b.DryBlocks() {
-			zero := make([]float64, db.NI)
-			for _, f3 := range ocnF3 {
-				for k := 0; k < o.NL; k++ {
-					for lj := 0; lj < db.NJ; lj++ {
-						addRow(f3.name, o.NL*n2g, (k*g.NY+(db.J0+lj))*g.NX+db.I0, zero)
-					}
-				}
-			}
-			for _, f2 := range ocnF2 {
-				for lj := 0; lj < db.NJ; lj++ {
-					addRow(f2.name, n2g, (db.J0+lj)*g.NX+db.I0, zero)
-				}
-			}
+			rows(db.I0, db.J0, db.NI, db.NJ, true)
+			l.zero = make([]float64, max(len(l.zero), db.NI))
 		}
 	}
 
-	// --- Atmosphere + land ---
-	m := e.Atm
-	if e.dec == nil {
-		// One rank: the local arrays are the global image.
-		whole := func(name string, data []float64) {
-			cp := append([]float64(nil), data...)
-			fields = append(fields, pario.Field{Name: name, Global: len(cp), Start: 0, Data: cp})
-		}
-		whole("atm.ps", m.Ps)
-		whole(atmTField, m.T)
-		whole(atmQvField, m.Qv)
-		whole(atmUField, m.U)
-		whole("atm.sst", m.SST)
-		whole("atm.icefrac", m.IceFrac)
-		whole("atm.gsw", m.GSW)
-		whole("atm.glw", m.GLW)
-		whole("atm.precip", m.Precip)
-		whole("atm.taux", m.TauX)
-		whole("atm.tauy", m.TauY)
-		whole("atm.shf", m.SHF)
-		whole("atm.lhf", m.LHF)
-		edge, dps := m.FluxAccumulators()
-		if edge != nil {
-			whole(atmFluxEdgeField, edge)
-			whole("atm.fluxdps", dps)
-		}
-		whole("lnd.tsoil", e.Lnd.TSoil)
-		whole("lnd.bucket", e.Lnd.Bucket)
-	} else {
-		// Decomposed: every rank writes what it owns. Owned cells, owned
-		// edges, and owned land slots each partition their global index
-		// space across ranks and are scattered id lists, written as their
-		// grid.Runs chunks (the cells' are cached as OwnedRanges), so the
-		// union of chunks is exactly one global image — bit-identical to
-		// what one rank writes.
-		d := e.dec
-		nc := m.Mesh.NCells()
-		ranges := d.OwnedRanges()
-		chunk := func(name string, global, start int, data []float64) {
-			cp := append([]float64(nil), data...)
-			fields = append(fields, pario.Field{Name: name, Global: global, Start: start, Data: cp})
-		}
-		// Per-cell surface fields: one chunk per owned range.
-		for _, fc := range []struct {
-			name string
-			data []float64
-		}{
-			{"atm.ps", m.Ps}, {"atm.sst", m.SST}, {"atm.icefrac", m.IceFrac},
-			{"atm.gsw", m.GSW}, {"atm.glw", m.GLW}, {"atm.precip", m.Precip},
-			{"atm.taux", m.TauX}, {"atm.tauy", m.TauY},
-			{"atm.shf", m.SHF}, {"atm.lhf", m.LHF},
-		} {
-			for _, r := range ranges {
-				chunk(fc.name, nc, r[0], fc.data[r[0]:r[0]+r[1]])
-			}
-		}
-		// Column fields: one chunk of whole columns per owned run.
-		columns := func(name string, data []float64, runs [][2]int) {
-			for _, r := range runs {
-				chunk(name, len(data), m.Idx(r[0], 0), m.Columns(data, r[0], r[1]))
-			}
-		}
-		columns(atmTField, m.T, ranges)
-		columns(atmQvField, m.Qv, ranges)
-		// Edge fields: the runs of this rank's owned edges. Any decomposition
-		// with edge state must expose its owned edge list for checkpointing.
-		ed, ok := d.(grid.EdgeDecomp)
+	nc, ne, nlev, nslot := m.Mesh.NCells(), m.Mesh.NEdges(), m.NLev, len(e.Lnd.TSoil)
+	cells, edges, slots := [][2]int{{0, nc}}, [][2]int{{0, ne}}, [][2]int{{0, nslot}}
+	if e.dec != nil {
+		ed, ok := e.dec.(grid.EdgeDecomp)
 		if !ok {
-			panic("core: decomposed atmosphere restart requires an edge-aware decomposition")
+			return nil, fmt.Errorf("core: decomposed atmosphere restart requires an edge-aware decomposition, got %T", e.dec)
 		}
-		edgeRuns := grid.Runs(ed.OwnedEdgeList())
-		columns(atmUField, m.U, edgeRuns)
-		edge, dps := m.FluxAccumulators()
-		if edge != nil {
-			columns(atmFluxEdgeField, edge, edgeRuns)
-			for _, r := range ranges {
-				chunk("atm.fluxdps", nc, r[0], dps[r[0]:r[0]+r[1]])
-			}
-		}
-		// Land: the runs of this rank's owned slots.
-		for _, r := range grid.Runs(e.ownSlots) {
-			chunk("lnd.tsoil", len(e.Lnd.TSoil), r[0], e.Lnd.TSoil[r[0]:r[0]+r[1]])
-			chunk("lnd.bucket", len(e.Lnd.Bucket), r[0], e.Lnd.Bucket[r[0]:r[0]+r[1]])
-		}
+		cells, edges, slots = e.dec.OwnedRanges(), grid.Runs(ed.OwnedEdgeList()), grid.Runs(e.ownSlots)
+	}
+	runs := func(v restartVar, global int, rs [][2]int, stride int) {
+		l.parts = append(l.parts, restartPart{v: v, global: global, runs: rs, stride: stride})
+	}
+	for _, v := range atmCellVars {
+		runs(v, nc, cells, 1)
+	}
+	for _, v := range atmColVars {
+		runs(v, nlev*nc, cells, nlev)
+	}
+	runs(atmUVar, nlev*ne, edges, nlev)
+	runs(atmFluxEdgeVar, nlev*ne, edges, nlev)
+	runs(atmFluxDpsVar, nc, cells, 1)
+	for _, v := range lndVars {
+		runs(v, nslot, slots, 1)
 	}
 	if e.Comm.Rank() == 0 {
-		whole := func(name string, data []float64) {
-			cp := append([]float64(nil), data...)
-			fields = append(fields, pario.Field{Name: name, Global: len(cp), Start: 0, Data: cp})
+		for _, v := range sfcVars {
+			n := len(v.arr(e))
+			runs(v, n, [][2]int{{0, n}}, 1)
 		}
-		whole("sfc.sstglobal", e.sstGlobal)
-		whole("sfc.iceglobal", e.iceGlobal)
-		whole(metaField, []float64{
-			float64(e.couplingSteps),
-			float64(m.Steps()),
-			float64(o.Steps()),
-		})
 	}
-	return fields
+	for i := range l.parts {
+		if !l.parts[i].dry {
+			l.size += l.parts[i].values()
+		}
+	}
+	return l, nil
+}
+
+// restartImage is one rank's captured restart state: every value it owns in
+// one flat buffer, and the pario fields that slice it.
+type restartImage struct {
+	l      *restartLayout
+	buf    []float64
+	fields []pario.Field
+}
+
+func newRestartImage(l *restartLayout) *restartImage {
+	return &restartImage{l: l, buf: make([]float64, l.size)}
+}
+
+// capture copies e's restart state into the image and returns the fields
+// over it, valid until the next capture. It must run at a coupling
+// boundary; the copy is the only part of a checkpoint that reads the model.
+func (img *restartImage) capture(e *ESM) []pario.Field {
+	l := img.l
+	img.fields = img.fields[:0]
+	off := 0
+	add := func(p *restartPart, start int, data []float64) {
+		img.fields = append(img.fields, pario.Field{Name: p.v.name, Global: p.global, Start: start, Data: data})
+	}
+	take := func(p *restartPart, start int, src []float64) {
+		data := img.buf[off : off+len(src) : off+len(src)]
+		off += copy(data, src)
+		add(p, start, data)
+	}
+	for i := range l.parts {
+		p := &l.parts[i]
+		if p.dry {
+			for k := 0; k < p.nlev; k++ {
+				for lj := 0; lj < p.nj; lj++ {
+					add(p, (k*l.ny+p.j0+lj)*l.nx+p.i0, l.zero[:p.ni])
+				}
+			}
+			continue
+		}
+		arr := p.v.arr(e)
+		if arr == nil {
+			continue // flux accumulators before the first substep
+		}
+		if p.runs != nil {
+			for _, r := range p.runs {
+				lo, n := r[0]*p.stride, r[1]*p.stride
+				take(p, lo, arr[lo:lo+n])
+			}
+			continue
+		}
+		for k := 0; k < p.nlev; k++ {
+			for lj := 0; lj < p.nj; lj++ {
+				s := k*l.lni*l.lnj + (lj+l.halo)*l.lni + l.halo
+				take(p, (k*l.ny+p.j0+lj)*l.nx+p.i0, arr[s:s+p.ni])
+			}
+		}
+	}
+	return img.fields
 }
 
 // ReadRestart loads a checkpoint written by WriteRestart into a freshly
@@ -321,25 +391,20 @@ func (e *ESM) ReadRestart(dir string, nGroups int) error {
 
 	// --- Atmosphere + land (every rank restores the whole arrays) ---
 	m := e.Atm
-	for _, spec := range []struct {
-		name string
-		dst  []float64
-	}{
-		{"atm.ps", m.Ps}, {atmTField, m.T}, {atmQvField, m.Qv}, {atmUField, m.U},
-		{"atm.sst", m.SST}, {"atm.icefrac", m.IceFrac},
-		{"atm.gsw", m.GSW}, {"atm.glw", m.GLW}, {"atm.precip", m.Precip},
-		{"atm.taux", m.TauX}, {"atm.tauy", m.TauY},
-		{"atm.shf", m.SHF}, {"atm.lhf", m.LHF},
-		{"lnd.tsoil", e.Lnd.TSoil}, {"lnd.bucket", e.Lnd.Bucket},
-	} {
-		f, err := need(spec.name)
+	var whole []restartVar
+	for _, vs := range [][]restartVar{atmCellVars, atmColVars, {atmUVar}, lndVars} {
+		whole = append(whole, vs...)
+	}
+	for _, v := range whole {
+		f, err := need(v.name)
 		if err != nil {
 			return err
 		}
-		if len(f) != len(spec.dst) {
-			return fmt.Errorf("core: restart field %q has %d values, want %d", spec.name, len(f), len(spec.dst))
+		dst := v.arr(e)
+		if len(f) != len(dst) {
+			return fmt.Errorf("core: restart field %q has %d values, want %d", v.name, len(f), len(dst))
 		}
-		copy(spec.dst, f)
+		copy(dst, f)
 	}
 	// The surface caches are Bcast-shared across the rank goroutines (one
 	// backing array for all ranks), so restoring them in place would race
@@ -374,15 +439,16 @@ func (e *ESM) ReadRestart(dir string, nGroups int) error {
 	b := o.B
 	g := o.G
 	n2g := g.NX * g.NY
-	put3 := func(name string, dst []float64) error {
-		f, err := need(name)
+	put := func(v restartVar, nlev int) error {
+		f, err := need(v.name)
 		if err != nil {
 			return err
 		}
-		if len(f) != o.NL*n2g {
-			return fmt.Errorf("core: restart field %q size %d", name, len(f))
+		if len(f) != nlev*n2g {
+			return fmt.Errorf("core: restart field %q size %d", v.name, len(f))
 		}
-		for k := 0; k < o.NL; k++ {
+		dst := v.arr(e)
+		for k := 0; k < nlev; k++ {
 			for lj := 0; lj < b.NJ; lj++ {
 				for li := 0; li < b.NI; li++ {
 					dst[k*o.LNI*o.LNJ+e.ocnIdx2(li, lj)] = f[(k*g.NY+(b.J0+lj))*g.NX+b.I0+li]
@@ -391,40 +457,13 @@ func (e *ESM) ReadRestart(dir string, nGroups int) error {
 		}
 		return nil
 	}
-	put2 := func(name string, dst []float64) error {
-		f, err := need(name)
-		if err != nil {
-			return err
-		}
-		if len(f) != n2g {
-			return fmt.Errorf("core: restart field %q size %d", name, len(f))
-		}
-		for lj := 0; lj < b.NJ; lj++ {
-			for li := 0; li < b.NI; li++ {
-				dst[e.ocnIdx2(li, lj)] = f[(b.J0+lj)*g.NX+b.I0+li]
-			}
-		}
-		return nil
-	}
-	for _, s3 := range []struct {
-		name string
-		dst  []float64
-	}{{"ocn.u", o.U}, {"ocn.v", o.V}, {"ocn.t", o.T}, {"ocn.s", o.S}} {
-		if err := put3(s3.name, s3.dst); err != nil {
+	for _, v := range ocnVars3 {
+		if err := put(v, o.NL); err != nil {
 			return err
 		}
 	}
-	for _, s2 := range []struct {
-		name string
-		dst  []float64
-	}{
-		{"ocn.eta", o.Eta}, {"ocn.ubar", o.Ubar}, {"ocn.vbar", o.Vbar},
-		{"ocn.taux", o.TauX}, {"ocn.tauy", o.TauY},
-		{"ocn.qheat", o.QHeat}, {"ocn.fw", o.FWFlux},
-		{"ice.conc", e.Ice.Conc}, {"ice.thick", e.Ice.Thick},
-		{"ice.freezeheat", e.Ice.FreezeHeat},
-	} {
-		if err := put2(s2.name, s2.dst); err != nil {
+	for _, v := range ocnVars2 {
+		if err := put(v, 1); err != nil {
 			return err
 		}
 	}

@@ -286,8 +286,9 @@ func TestRestartShortFluxAccumulators(t *testing.T) {
 		}
 	})
 
-	// The supervised path: the first checkpoint is shortened once committed,
-	// and the NaN at step 12 forces a rollback onto it.
+	// The supervised path: the NaN at step 12 forces a rollback onto the
+	// step-8 set, which the rollback's rebuild (the second mk call) shortens
+	// just before the rollback reads it.
 	plan, err := fault.Parse("nan@esm.step:12", 7)
 	if err != nil {
 		t.Fatal(err)
@@ -297,19 +298,17 @@ func TestRestartShortFluxAccumulators(t *testing.T) {
 	ckDir := filepath.Join(t.TempDir(), "ck")
 	gotDir := t.TempDir()
 	par.Run(1, func(c *par.Comm) {
-		shortened := false
-		e, rep, err := RunResilient(mkESM(t, c), ResilientConfig{
-			Days: days, CheckpointEvery: 8, MaxRetries: 5,
-			Dir: ckDir, Backoff: time.Millisecond,
-			OnCheckpoint: func(*ESM) {
-				if shortened {
-					return
-				}
-				shortened = true
+		mk, calls := mkESM(t, c), 0
+		e, rep, err := RunResilient(func() (*ESM, error) {
+			if calls++; calls == 2 {
 				if err := shortenFluxEdge(c, ckDir); err != nil {
 					t.Error(err)
 				}
-			},
+			}
+			return mk()
+		}, ResilientConfig{
+			Days: days, CheckpointEvery: 8, MaxRetries: 5,
+			Dir: ckDir, Backoff: time.Millisecond,
 		})
 		if err != nil {
 			t.Fatalf("resilient run failed: %v (recoveries %+v)", err, rep.Recoveries)

@@ -47,14 +47,6 @@ func ParseSchedule(name string) (Schedule, error) {
 // Schedule returns the component schedule the model runs under.
 func (e *ESM) Schedule() Schedule { return e.schedule }
 
-// sectionAdder is the structural subset of *obs.Obs the concurrent
-// schedule uses to report the ocean group's idle time: that duration is
-// measured at the join rather than bracketing a region on the driver
-// goroutine, so it cannot be a span.
-type sectionAdder interface {
-	AddSection(name string, d time.Duration)
-}
-
 // stepConcurrent advances one base step on which the ocean couples,
 // overlapping the ocean group's baroclinic substeps with the atmosphere +
 // land group. The two groups read and write disjoint state between the
@@ -95,9 +87,7 @@ func (e *ESM) stepConcurrent(atmRings, iceRings bool) {
 	if atmDur > ocnDur {
 		// The ocean group finished first and idled until the join — the
 		// load-imbalance signal the overlap instrumentation exists to show.
-		if h, ok := e.obs.(sectionAdder); ok {
-			h.AddSection("cpl.wait.atm", atmDur-ocnDur)
-		}
+		addSection(e.obs, "cpl.wait.atm", atmDur-ocnDur)
 	}
 	longer, shorter := atmDur, ocnDur
 	if ocnDur > longer {

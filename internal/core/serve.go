@@ -11,7 +11,7 @@ import (
 // goroutine persists it without perturbing the step loop. The capture
 // itself is collective (it reuses the WriteSnapshot gathers), so it runs
 // inside the RunResilient OnCheckpoint hook where every rank is already at
-// the same committed step.
+// the same checkpointed step.
 
 // CaptureServeSnapshot assembles the serving-layer field set: surface
 // pressure and 10 m wind speed on atmosphere cells, SST and ice
@@ -62,11 +62,12 @@ func (e *ESM) CaptureServeSnapshot() (snap statestore.Snapshot, ok bool) {
 }
 
 // ServeCaptureHook adapts a statestore.Ingester into a RunResilient
-// OnCheckpoint callback: every committed checkpoint is captured collectively
-// and offered — non-blocking, drop-newest — to the store's persistence
-// goroutine by rank 0. Checkpoints replayed after a rollback are filtered by
-// step number, so the store's committed sequence stays strictly increasing
-// even across recoveries.
+// OnCheckpoint callback: every checkpoint is captured collectively and
+// offered — non-blocking, drop-newest — to the store's persistence goroutine
+// by rank 0. Checkpoints replayed after a rollback (a failed commit, or a
+// fault after it) are filtered by step number: the replay is bit-for-bit, so
+// the store's committed sequence stays strictly increasing even across
+// recoveries.
 func ServeCaptureHook(in *statestore.Ingester) func(e *ESM) {
 	last := -1
 	return func(e *ESM) {

@@ -96,3 +96,19 @@ func (e *ESM) timed(name string, f func()) {
 	f()
 	sp.End()
 }
+
+// sectionAdder is the structural subset of *obs.Obs that folds a duration
+// into a section outside the span stack: the concurrent schedule's ocean
+// idle time, measured at the join, and the checkpoint's capture and writer
+// waits, measured beside a writer goroutine.
+type sectionAdder interface {
+	AddSection(name string, d time.Duration)
+}
+
+// addSection folds d into the named section when the observer keeps
+// sections (obs.Nop does not).
+func addSection(o obs.Observer, name string, d time.Duration) {
+	if h, ok := o.(sectionAdder); ok {
+		h.AddSection(name, d)
+	}
+}

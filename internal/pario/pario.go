@@ -81,6 +81,8 @@ type chunk struct {
 // CRC32C after each field's encoded bytes and a (magic, payload length,
 // CRC32C) trailer over the whole payload. Field names and chunks are sorted,
 // so the encoding is deterministic: identical state yields identical bytes.
+// The exact size is summed first and the image filled in place, so encoding
+// a restart set costs one allocation and no copies.
 func encodeFile(global map[string]int, chunks map[string][]chunk, version int) []byte {
 	names := make([]string, 0, len(chunks))
 	for n := range chunks {
@@ -88,33 +90,52 @@ func encodeFile(global map[string]int, chunks map[string][]chunk, version int) [
 	}
 	sort.Strings(names)
 
-	var buf []byte
-	u32 := func(v uint32) { buf = binary.LittleEndian.AppendUint32(buf, v) }
-	u64 := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
+	size := 12
+	for _, name := range names {
+		cs := chunks[name]
+		sort.Slice(cs, func(i, j int) bool { return cs[i].Start < cs[j].Start })
+		size += 4 + len(name) + 8 + 4
+		for _, c := range cs {
+			size += 16 + 8*len(c.Data)
+		}
+		if version >= 2 {
+			size += 4
+		}
+	}
+	if version >= 2 {
+		size += 16
+	}
+
+	le := binary.LittleEndian
+	buf := make([]byte, size)
+	off := 0
+	u32 := func(v uint32) { le.PutUint32(buf[off:], v); off += 4 }
+	u64 := func(v uint64) { le.PutUint64(buf[off:], v); off += 8 }
 	u32(Magic)
 	u32(uint32(version))
 	u32(uint32(len(names)))
 	for _, name := range names {
-		fieldStart := len(buf)
+		fieldStart := off
 		u32(uint32(len(name)))
-		buf = append(buf, name...)
+		off += copy(buf[off:], name)
 		u64(uint64(global[name]))
 		cs := chunks[name]
-		sort.Slice(cs, func(i, j int) bool { return cs[i].Start < cs[j].Start })
 		u32(uint32(len(cs)))
 		for _, c := range cs {
 			u64(uint64(c.Start))
 			u64(uint64(len(c.Data)))
-			for _, v := range c.Data {
-				u64(math.Float64bits(v))
+			dst := buf[off : off+8*len(c.Data)]
+			for i, v := range c.Data {
+				le.PutUint64(dst[8*i:], math.Float64bits(v))
 			}
+			off += len(dst)
 		}
 		if version >= 2 {
-			u32(crc32.Checksum(buf[fieldStart:], crcTable))
+			u32(crc32.Checksum(buf[fieldStart:off], crcTable))
 		}
 	}
 	if version >= 2 {
-		payload := len(buf)
+		payload := off
 		u32(TrailerMagic)
 		u64(uint64(payload))
 		u32(crc32.Checksum(buf[:payload], crcTable))
@@ -127,13 +148,14 @@ func encodeFile(global map[string]int, chunks map[string][]chunk, version int) [
 // into place, so a crash mid-write never leaves a partial file under the
 // final name. The "pario.write" fault site covers the whole operation:
 // io-error fails it, torn and bitflip corrupt the bytes that reach disk
-// (which the v2 checksums then catch on read).
+// (which the v2 checksums then catch on read), and stall delays it.
 func writeFile(path string, global map[string]int, chunks map[string][]chunk) error {
 	data := encodeFile(global, chunks, Version)
 	if f := fault.Point("pario.write", fault.AnyRank); f != nil {
 		if f.Kind == fault.IOError {
 			return fmt.Errorf("pario: writing %s: %w", path, f.Error())
 		}
+		f.Sleep()
 		data = f.Corrupt(data)
 	}
 	tmp := path + ".tmp"

@@ -183,7 +183,7 @@ func (w *Writer) Close() error {
 // hands a snapshot to a side goroutine that quantizes and persists it, so
 // the caller — the core.RunResilient OnCheckpoint hook, on the coupled
 // driver's critical path — pays only a channel send. The queue bounds the
-// staleness: at most Depth committed checkpoints can be waiting for
+// staleness: at most Depth checkpoints can be waiting for
 // persistence at any moment, and when the queue is full the newest snapshot
 // is dropped (counted on serve.ingest.dropped) rather than blocking the
 // model.
