@@ -2,7 +2,8 @@
 // configurations (scale-mapped to runnable grids) and reports diagnostics
 // and the measured SYPD.
 //
-//	ap3esm -config 25v10 -days 1 -ranks 2 -backend Host -mixed -schedule conc
+//	ap3esm -config 25v10 -days 1 -ranks 2 -backend Host -schedule conc
+//	ap3esm -config 25v10 -days 1 -remap cons -mixed   # §5.2.3 group-scaled FP32 state
 package main
 
 import (
@@ -40,7 +41,6 @@ func main() {
 	audit := flag.Bool("audit", false, "record the per-coupling-interval conservation budget and print the ledger report")
 	auditGate := flag.Float64("audit-gate", 0, "fail if the max relative heat/freshwater residual exceeds this (0 = report only; implies -audit)")
 	wireName := flag.String("wire", "f64", "halo/rearranger wire format: f64 (exact) or gs32 (group-scaled FP32 compression)")
-	kprecName := flag.String("kprec", "f64", "kernel precision: f64 (bit-for-bit) or mixed (float32 vectorized kernels, float64 accumulations)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run loop (all ranks, model assembly and reports excluded) to this file")
 	flag.Parse()
 
@@ -57,10 +57,6 @@ func main() {
 		log.Fatal(err)
 	}
 	wire, err := par.ParseWireFormat(*wireName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	kprec, err := pp.ParsePrec(*kprecName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -96,9 +92,9 @@ func main() {
 	start := time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC)
 	stop := start.Add(time.Duration(*days*24) * time.Hour)
 
-	fmt.Printf("AP3ESM %s (stands for %d km atm / %d km ocn): atm icos level %d, ocean %dx%dx%d, %d ranks, %s backend, %v, %s schedule, %s kernels\n",
+	fmt.Printf("AP3ESM %s (stands for %d km atm / %d km ocn): atm icos level %d, ocean %dx%dx%d, %d ranks, %s backend, %v, %s schedule\n",
 		cfg.Label, cfg.PaperAtmKm, cfg.PaperOcnKm, cfg.AtmLevel,
-		cfg.OcnNX, cfg.OcnNY, cfg.OcnNLev, *ranks, sp.Name(), cfg.Policy, sched, kprec)
+		cfg.OcnNX, cfg.OcnNY, cfg.OcnNLev, *ranks, sp.Name(), cfg.Policy, sched)
 
 	par.Run(*ranks, func(c *par.Comm) {
 		var observer obs.Observer = obs.Nop{}
@@ -118,8 +114,7 @@ func main() {
 				core.WithSchedule(sched),
 				core.WithRemap(remap),
 				core.WithAudit(*audit),
-				core.WithWireCompression(wire),
-				core.WithKernelPrecision(kprec))
+				core.WithWireCompression(wire))
 		}
 		e, err := mk()
 		if err != nil {

@@ -109,7 +109,6 @@ type Model struct {
 	flux    *accFlux
 	steps   int
 	dec     *grid.IcosDecomp
-	kprec   pp.Prec // kernel precision, derived from the execution space
 	dy      *dyScratch
 	cols    colPool
 
@@ -194,7 +193,7 @@ func New(level, nlev int, cfg Config, sp pp.Space) (*Model, error) {
 	if sp == nil {
 		sp = pp.Serial{}
 	}
-	m := &Model{Mesh: mesh, Cfg: cfg, Sp: sp, NLev: nlev, kprec: pp.PrecOf(sp)}
+	m := &Model{Mesh: mesh, Cfg: cfg, Sp: sp, NLev: nlev}
 	m.cols = make(colPool, sp.Concurrency())
 
 	// Sigma layers: uniform interfaces from σ=0.05 (model top) to 1.

@@ -165,13 +165,10 @@ func (s *dyScratch) bindSets() {
 }
 
 // dynamicsSubstep is the thin driver over the registered kernels in
-// kernels.go: it refreshes the float64 thermodynamic diagnostics, advances
-// the continuity equation (exact conservation, always float64) from the
-// pre-update velocity, and launches the cell/vertex/edge kernels at the
-// configured precision. reference_test.go pins the float64 path bit-for-bit
-// against plain loops in the same operand grouping; the mixed path runs the
-// same kernel bodies at float32 with the sensitive differences still formed
-// in float64.
+// kernels.go: it refreshes the thermodynamic diagnostics, advances the
+// continuity equation (exactly conservative) from the pre-update velocity,
+// and launches the cell/vertex/edge kernels. reference_test.go pins it
+// bit-for-bit against plain loops in the same operand grouping.
 func (m *Model) dynamicsSubstep(dt float64) {
 	mesh := m.Mesh
 	nc, ne := mesh.NCells(), mesh.NEdges()
@@ -214,35 +211,19 @@ func (m *Model) dynamicsSubstep(dt float64) {
 	m.sweep(s.owned, nc, s.contCellF)
 
 	// --- Cell diagnostics, vorticity, momentum: registered kernels ---
-	if m.kprec == pp.PrecMixed {
-		m32 := s.m32
-		pp.Convert32(m32.u, m.U)
-		for i := range m32.newU {
-			m32.newU[i] = 0
-		}
-		m32.bKeDiv.cells = s.ext
-		pp.Kernels.MustLaunch(hAtmKeDiv, m.Sp, m32.bKeDiv)
-		m32.bVort.verts = s.verts
-		pp.Kernels.MustLaunch(hAtmVort, m.Sp, m32.bVort)
-		m32.bMom.edges = s.comp
-		pp.Kernels.MustLaunch(hAtmMomentum, m.Sp, m32.bMom)
-		// Publish: widen the float32 result back into the model state.
-		pp.Convert64(m.U, m32.newU)
-	} else {
-		for i := range s.newU {
-			s.newU[i] = 0
-		}
-		s.bKeDiv.u, s.bKeDiv.cells = m.U, s.ext
-		pp.Kernels.MustLaunch(hAtmKeDiv, m.Sp, s.bKeDiv)
-		s.bVort.u, s.bVort.verts = m.U, s.verts
-		pp.Kernels.MustLaunch(hAtmVort, m.Sp, s.bVort)
-		s.bMom.u, s.bMom.newU, s.bMom.edges = m.U, s.newU, s.comp
-		pp.Kernels.MustLaunch(hAtmMomentum, m.Sp, s.bMom)
-		s.bKeDiv.u, s.bVort.u, s.bMom.u, s.bMom.newU = nil, nil, nil, nil
-		// Publish: swap the persistent scratch in (the retired array becomes
-		// next substep's scratch).
-		m.U, s.newU = s.newU, m.U
+	for i := range s.newU {
+		s.newU[i] = 0
 	}
+	s.bKeDiv.u, s.bKeDiv.cells = m.U, s.ext
+	pp.Kernels.MustLaunch(hAtmKeDiv, m.Sp, s.bKeDiv)
+	s.bVort.u, s.bVort.verts = m.U, s.verts
+	pp.Kernels.MustLaunch(hAtmVort, m.Sp, s.bVort)
+	s.bMom.u, s.bMom.newU, s.bMom.edges = m.U, s.newU, s.comp
+	pp.Kernels.MustLaunch(hAtmMomentum, m.Sp, s.bMom)
+	s.bKeDiv.u, s.bVort.u, s.bMom.u, s.bMom.newU = nil, nil, nil, nil
+	// Publish: swap the persistent scratch in (the retired array becomes
+	// next substep's scratch).
+	m.U, s.newU = s.newU, m.U
 	if m.dec != nil {
 		// Halo barrier: refresh Ps on the ring-1 halo and U on the extended
 		// edges the neighbours own, so the next substep's stencils read the
@@ -253,8 +234,7 @@ func (m *Model) dynamicsSubstep(dt float64) {
 }
 
 // thermoCell fills one column of the virtual temperature and geopotential
-// at full levels — the Log-based vertical integral stays float64 at every
-// kernel precision — and takes the cell's ln(ps) (lnPsCell).
+// at full levels and takes the cell's ln(ps) (lnPsCell).
 func (s *dyScratch) thermoCell(i int) {
 	c := at(s.ext, i)
 	m := s.m

@@ -7,20 +7,14 @@ import (
 	"repro/internal/pp"
 )
 
-// This file is the atmosphere's half of the single-source kernel layer: the
+// This file is the atmosphere's half of the registered kernel layer: the
 // three top-profiled dycore sweeps — cell diagnostics (velocity
 // reconstruction, kinetic energy, divergence), vertex vorticity, and the
 // edge momentum update — live here as free kernel bodies over explicit
 // argument bundles, registered in pp.Kernels and launched by the thin
-// driver in dycore.go. The bodies are generic over pp.Float: every T()
-// conversion is the identity at float64, and the float32 instantiation is
-// the Vec-space mixed-precision path. Sensitive sub-expressions — the
-// KE+geopotential and ln(ps) pressure gradients, the damping and viscosity
-// differences — are evaluated in float64 inside the momentum kernel and
-// converted once, so mixed precision never differences large float32
-// values. The virtual-temperature/geopotential integral, continuity, tracer
-// transport, and physics stay float64-only by policy (DESIGN.md
-// "single-source kernels").
+// driver in dycore.go; continuity, tracer transport and the hydrostatic
+// integral are dyScratch methods in dycore.go instead (DESIGN.md
+// "Registered kernels").
 //
 // Operand grouping (DESIGN.md "Operand grouping, re-baselined at PR 24"): a
 // level or slot loop multiplies by a tabulated reciprocal where the equations
@@ -36,38 +30,37 @@ var (
 	hAtmMomentum = pp.Kernels.MustRegister("atm.momentum", atmMomentumKernel)
 )
 
-// atmGeom is the precision-typed mesh geometry the kernels read, flattened
-// out of the reconstructor and IcosMesh ragged arrays into contiguous
-// per-slot tables so the inner loops index raw storage, with every factor a
-// loop would apply per iteration folded in: the signed metric lengths carry
-// the Earth radius, the areas are reciprocals, and the edge tangent carries
-// the ½ of the two-cell mean (a power of two, so that fold is exact).
-type atmGeom[T pp.Float] struct {
+// atmGeom is the mesh geometry the kernels read, flattened out of the
+// reconstructor and IcosMesh ragged arrays into contiguous per-slot tables
+// so the inner loops index raw storage, with every factor a loop would apply
+// per iteration folded in: the signed metric lengths carry the Earth radius,
+// the areas are reciprocals, and the edge tangent carries the ½ of the
+// two-cell mean (a power of two, so that fold is exact).
+type atmGeom struct {
 	nc, ne, nv, nlev int
-	re               T
+	re               float64
 
 	// Cell sweeps: ragged EdgesOnCell flattened to [ceStart[c], ceStart[c+1]).
-	ceStart    []int32 // [nc+1]
-	ceEdge     []int32 // per slot: edge index
-	ceNbr      []int32 // per slot: the cell across that edge
-	sgn        []int8  // per slot: ±1, +1 where the edge normal points out of the cell
-	wX, wY, wZ []T     // per slot: reconstruction weight vector
-	sdv        []T     // per slot: sign·Dv·re
-	areaRR     []T     // per cell: 1/((AreaCell·re)·re)
+	ceStart    []int32   // [nc+1]
+	ceEdge     []int32   // per slot: edge index
+	ceNbr      []int32   // per slot: the cell across that edge
+	sgn        []int8    // per slot: ±1, +1 where the edge normal points out of the cell
+	wX, wY, wZ []float64 // per slot: reconstruction weight vector
+	sdv        []float64 // per slot: sign·Dv·re
+	areaRR     []float64 // per cell: 1/((AreaCell·re)·re)
 	// Vertex sweeps: fixed degree 3.
-	veEdge []int32 // [3*nv]
-	sdc    []T     // [3*nv]: sign·Dc·re
-	dualRR []T     // per vertex: 1/((AreaDual·re)·re)
+	veEdge []int32   // [3*nv]
+	sdc    []float64 // [3*nv]: sign·Dc·re
+	dualRR []float64 // per vertex: 1/((AreaDual·re)·re)
 	// Edge sweeps.
-	ec1, ec2   []int32 // cells on edge
-	ev1, ev2   []int32 // vertices on edge
-	tX, tY, tZ []T     // half the edge tangent, ½·(mid × n̂) (ẑ×n̂ direction)
+	ec1, ec2   []int32   // cells on edge
+	ev1, ev2   []int32   // vertices on edge
+	tX, tY, tZ []float64 // half the edge tangent, ½·(mid × n̂) (ẑ×n̂ direction)
 }
 
-// edgeGeomF is the float64 per-edge geometry shared by both momentum
-// instantiations: the reciprocal metric lengths, Coriolis parameter, and the
-// step-dependent divergence-damping coefficient. The sensitive momentum
-// terms are formed from these in float64 regardless of T.
+// edgeGeomF is the per-edge geometry of the momentum kernel: the reciprocal
+// metric lengths, Coriolis parameter, and the step-dependent
+// divergence-damping coefficient.
 type edgeGeomF struct {
 	rdcm, rdvm []float64 // 1/(Dc·re), 1/(Dv·re)
 	fE         []float64 // 2Ω·sin(lat) at the edge midpoint
@@ -90,12 +83,12 @@ func (eg *edgeGeomF) bindStep(dt, div4, kh float64) {
 	eg.dampDt, eg.dampD4 = dt, div4
 }
 
-// newAtmGeomF builds the canonical float64 geometry from the mesh and the
-// reconstructor; the float32 table is derived from it by narrowing.
-func newAtmGeomF(mesh *grid.IcosMesh, r *reconstructor, nlev int) (*atmGeom[float64], *edgeGeomF) {
+// newAtmGeomF builds the geometry tables from the mesh and the
+// reconstructor.
+func newAtmGeomF(mesh *grid.IcosMesh, r *reconstructor, nlev int) (*atmGeom, *edgeGeomF) {
 	nc, ne, nv := mesh.NCells(), mesh.NEdges(), mesh.NVertices()
 	re := grid.EarthRadius
-	g := &atmGeom[float64]{nc: nc, ne: ne, nv: nv, nlev: nlev, re: re}
+	g := &atmGeom{nc: nc, ne: ne, nv: nv, nlev: nlev, re: re}
 
 	g.ceStart = make([]int32, nc+1)
 	for c := 0; c < nc; c++ {
@@ -163,24 +156,6 @@ func newAtmGeomF(mesh *grid.IcosMesh, r *reconstructor, nlev int) (*atmGeom[floa
 	return g, eg
 }
 
-// narrowGeom derives the float32 geometry table from the float64 one.
-func narrowGeom(g *atmGeom[float64]) *atmGeom[float32] {
-	n32 := func(src []float64) []float32 {
-		dst := make([]float32, len(src))
-		pp.Convert32(dst, src)
-		return dst
-	}
-	return &atmGeom[float32]{
-		nc: g.nc, ne: g.ne, nv: g.nv, nlev: g.nlev, re: float32(g.re),
-		ceStart: g.ceStart, ceEdge: g.ceEdge, ceNbr: g.ceNbr, sgn: g.sgn,
-		wX: n32(g.wX), wY: n32(g.wY), wZ: n32(g.wZ),
-		sdv: n32(g.sdv), areaRR: n32(g.areaRR),
-		veEdge: g.veEdge, sdc: n32(g.sdc), dualRR: n32(g.dualRR),
-		ec1: g.ec1, ec2: g.ec2, ev1: g.ev1, ev2: g.ev2,
-		tX: n32(g.tX), tY: n32(g.tY), tZ: n32(g.tZ),
-	}
-}
-
 // --- cell diagnostics: reconstruction, kinetic energy, divergence ---
 
 // cellDiag is one (cell, level) of the cell diagnostics the momentum kernel
@@ -188,8 +163,8 @@ func narrowGeom(g *atmGeom[float64]) *atmGeom[float32] {
 // energy, and the divergence. Dycore scratch is cell-major, level-inner
 // (index c·nlev+k) like the model state, so an edge update streams two
 // contiguous columns.
-type cellDiag[T pp.Float] struct {
-	vx, vy, vz, ke, div T
+type cellDiag struct {
+	vx, vy, vz, ke, div float64
 }
 
 // thermo is one (cell, level) of the float64 thermodynamic diagnostics:
@@ -203,16 +178,16 @@ type thermo struct {
 // the edge tangential wind instead of re-reconstructing both endpoint cells
 // per edge per level — the same accumulation on the same inputs, so the
 // reuse is bit-identical to the original nested calls.
-type keDivArgs[T pp.Float] struct {
-	g  *atmGeom[T]
-	u  []T           // [ne*nlev] edge-normal velocity, edge-major model state
-	cd []cellDiag[T] // [nc*nlev] (out)
+type keDivArgs struct {
+	g  *atmGeom
+	u  []float64  // [ne*nlev] edge-normal velocity, edge-major model state
+	cd []cellDiag // [nc*nlev] (out)
 
 	cells []int // iteration set; nil sweeps every cell
 	rowF  func(i int)
 }
 
-func (a *keDivArgs[T]) n() int {
+func (a *keDivArgs) n() int {
 	if a.cells != nil {
 		return len(a.cells)
 	}
@@ -223,7 +198,7 @@ func (a *keDivArgs[T]) n() int {
 // the cell area. The cell's slots are walked once per pair of levels with
 // one set of accumulators per level; each level's accumulators start at
 // zero and add in edge order.
-func (a *keDivArgs[T]) cell(i int) {
+func (a *keDivArgs) cell(i int) {
 	c := at(a.cells, i)
 	g := a.g
 	nlev := g.nlev
@@ -234,10 +209,10 @@ func (a *keDivArgs[T]) cell(i int) {
 	rArea := g.areaRR[c]
 	out := a.cd[c*nlev : (c+1)*nlev]
 	u := a.u
-	half := T(0.5)
+	half := 0.5
 	k := 0
 	for ; k+2 <= nlev; k += 2 {
-		var vx0, vy0, vz0, d0, vx1, vy1, vz1, d1 T
+		var vx0, vy0, vz0, d0, vx1, vy1, vz1, d1 float64
 		for j, e := range edges {
 			ie := int(e)*nlev + k
 			uE0, uE1 := u[ie], u[ie+1]
@@ -250,11 +225,11 @@ func (a *keDivArgs[T]) cell(i int) {
 			vz1 += wZ[j] * uE1
 			d1 += sdv[j] * uE1
 		}
-		out[k] = cellDiag[T]{vx0, vy0, vz0, half * (vx0*vx0 + vy0*vy0 + vz0*vz0), d0 * rArea}
-		out[k+1] = cellDiag[T]{vx1, vy1, vz1, half * (vx1*vx1 + vy1*vy1 + vz1*vz1), d1 * rArea}
+		out[k] = cellDiag{vx0, vy0, vz0, half * (vx0*vx0 + vy0*vy0 + vz0*vz0), d0 * rArea}
+		out[k+1] = cellDiag{vx1, vy1, vz1, half * (vx1*vx1 + vy1*vy1 + vz1*vz1), d1 * rArea}
 	}
 	if k < nlev {
-		var vx, vy, vz, d T
+		var vx, vy, vz, d float64
 		for j, e := range edges {
 			uE := u[int(e)*nlev+k]
 			vx += wX[j] * uE
@@ -262,33 +237,30 @@ func (a *keDivArgs[T]) cell(i int) {
 			vz += wZ[j] * uE
 			d += sdv[j] * uE
 		}
-		out[k] = cellDiag[T]{vx, vy, vz, half * (vx*vx + vy*vy + vz*vz), d * rArea}
+		out[k] = cellDiag{vx, vy, vz, half * (vx*vx + vy*vy + vz*vz), d * rArea}
 	}
 }
 
 func keDivKernel(s pp.Space, args any) {
-	switch a := args.(type) {
-	case *keDivArgs[float64]:
-		s.ParallelFor(a.n(), a.rowF)
-	case *keDivArgs[float32]:
-		s.ParallelFor(a.n(), a.rowF)
-	default:
+	a, ok := args.(*keDivArgs)
+	if !ok {
 		panic("atmos: atm.kediv launched with wrong argument bundle")
 	}
+	s.ParallelFor(a.n(), a.rowF)
 }
 
 // --- vertex vorticity ---
 
-type vortArgs[T pp.Float] struct {
-	g    *atmGeom[T]
-	u    []T // [ne*nlev], edge-major
-	vort []T // [nv*nlev] (out), vertex-major
+type vortArgs struct {
+	g    *atmGeom
+	u    []float64 // [ne*nlev], edge-major
+	vort []float64 // [nv*nlev] (out), vertex-major
 
 	verts []int // iteration set; nil sweeps every vertex
 	rowF  func(i int)
 }
 
-func (a *vortArgs[T]) n() int {
+func (a *vortArgs) n() int {
 	if a.verts != nil {
 		return len(a.verts)
 	}
@@ -298,7 +270,7 @@ func (a *vortArgs[T]) n() int {
 // vertex accumulates the circulation over the vertex's three edges in +=
 // order (the leading 0 + t₀ matters for the sign of zero), the three edge
 // indices and sign·Dc·re loaded once for the whole column.
-func (a *vortArgs[T]) vertex(i int) {
+func (a *vortArgs) vertex(i int) {
 	v := at(a.verts, i)
 	g := a.g
 	nlev := g.nlev
@@ -310,7 +282,7 @@ func (a *vortArgs[T]) vertex(i int) {
 	u1 := a.u[e1*nlev : (e1+1)*nlev][:len(out)]
 	u2 := a.u[e2*nlev : (e2+1)*nlev][:len(out)]
 	for k := range out {
-		var circ T
+		var circ float64
 		circ += s0 * u0[k]
 		circ += s1 * u1[k]
 		circ += s2 * u2[k]
@@ -319,39 +291,34 @@ func (a *vortArgs[T]) vertex(i int) {
 }
 
 func vortKernel(s pp.Space, args any) {
-	switch a := args.(type) {
-	case *vortArgs[float64]:
-		s.ParallelFor(a.n(), a.rowF)
-	case *vortArgs[float32]:
-		s.ParallelFor(a.n(), a.rowF)
-	default:
+	a, ok := args.(*vortArgs)
+	if !ok {
 		panic("atmos: atm.vort launched with wrong argument bundle")
 	}
+	s.ParallelFor(a.n(), a.rowF)
 }
 
 // --- edge momentum update ---
 
-// momentumArgs carries the momentum kernel's inputs: the T-typed dynamic
-// fields produced by the diagnostics kernels plus the float64 thermodynamic
-// state (th, lnPs) the driver computes, with the step parameters explicit in
-// the shared edge geometry. Each tendency term is formed in float64 from
-// exact widenings of the T inputs and folded into the T-typed du chain with
-// one conversion per term.
-type momentumArgs[T pp.Float] struct {
-	g  *atmGeom[T]
+// momentumArgs carries the momentum kernel's inputs: the dynamic fields
+// produced by the diagnostics kernels plus the thermodynamic state (th,
+// lnPs) the driver computes, with the step parameters explicit in the edge
+// geometry.
+type momentumArgs struct {
+	g  *atmGeom
 	eg *edgeGeomF
 
-	u, newU []T           // [ne*nlev], edge-major
-	cd      []cellDiag[T] // [nc*nlev] from atm.kediv
-	vort    []T           // [nv*nlev] from atm.vort
-	th      []thermo      // [nc*nlev]
-	lnPs    []float64     // per-cell ln(ps), hoisted out of the edge loop
+	u, newU []float64  // [ne*nlev], edge-major
+	cd      []cellDiag // [nc*nlev] from atm.kediv
+	vort    []float64  // [nv*nlev] from atm.vort
+	th      []thermo   // [nc*nlev]
+	lnPs    []float64  // per-cell ln(ps), hoisted out of the edge loop
 
 	edges []int // iteration set; nil sweeps every edge
 	rowF  func(i int)
 }
 
-func (a *momentumArgs[T]) n() int {
+func (a *momentumArgs) n() int {
 	if a.edges != nil {
 		return len(a.edges)
 	}
@@ -362,7 +329,9 @@ func (a *momentumArgs[T]) n() int {
 // tangential wind, the KE+geopotential and surface-pressure gradients (one
 // sum, one 1/(Dc·re)), divergence damping, vector Laplacian viscosity. The
 // endpoint and vertex columns are sliced once; the level loop never divides.
-func (a *momentumArgs[T]) edge(i int) {
+// Each of the three gradient terms is rounded on its own (the float64
+// conversions) before it joins du, so no compiler may fuse it into du's sum.
+func (a *momentumArgs) edge(i int) {
 	e := at(a.edges, i)
 	g := a.g
 	nlev := g.nlev
@@ -373,7 +342,7 @@ func (a *momentumArgs[T]) edge(i int) {
 	f, damp, kh := eg.fE[e], eg.damp[e], eg.kh
 	psd := a.lnPs[c2] - a.lnPs[c1]
 	tx, ty, tz := g.tX[e], g.tY[e], g.tZ[e]
-	dtT := T(eg.dt)
+	dt := eg.dt
 	// Re-slicing every column to the common length lets the compiler drop
 	// the per-level bounds checks.
 	cd1 := a.cd[c1*nlev : (c1+1)*nlev]
@@ -389,35 +358,32 @@ func (a *momentumArgs[T]) edge(i int) {
 		t1, t2 := &th1[k], &th2[k]
 		// Tangential wind: the two stored cell vectors summed, on the half tangent.
 		ut := (p1.vx+p2.vx)*tx + (p1.vy+p2.vy)*ty + (p1.vz+p2.vz)*tz
-		eta := f + 0.5*(float64(w1[k])+float64(w2[k]))
-		du := T(eta) * ut
+		eta := f + 0.5*(w1[k]+w2[k])
+		du := eta * ut
 		tvb := 0.5 * (t1.tv + t2.tv)
-		du -= T((float64(p2.ke) - float64(p1.ke) + t2.phi - t1.phi + Rd*tvb*psd) * rdcm)
-		dd := float64(p2.div) - float64(p1.div)
-		du += T(damp * dd)
-		lap := dd*rdcm - (float64(w2[k])-float64(w1[k]))*rdvm
-		du += T(kh * lap)
-		newU[k] = u[k] + dtT*du
+		du -= float64((p2.ke - p1.ke + t2.phi - t1.phi + Rd*tvb*psd) * rdcm)
+		dd := p2.div - p1.div
+		du += float64(damp * dd)
+		lap := dd*rdcm - (w2[k]-w1[k])*rdvm
+		du += float64(kh * lap)
+		newU[k] = u[k] + dt*du
 	}
 }
 
 func atmMomentumKernel(s pp.Space, args any) {
-	switch a := args.(type) {
-	case *momentumArgs[float64]:
-		s.ParallelFor(a.n(), a.rowF)
-	case *momentumArgs[float32]:
-		s.ParallelFor(a.n(), a.rowF)
-	default:
+	a, ok := args.(*momentumArgs)
+	if !ok {
 		panic("atmos: atm.momentum launched with wrong argument bundle")
 	}
+	s.ParallelFor(a.n(), a.rowF)
 }
 
 // --- driver scratch ---
 
 // dyScratch is the persistent per-model dycore state: the arrays the
 // original dynamicsSubstep allocated per call, the geometry tables, the
-// pre-bound kernel argument bundles, and the float64-only row bodies of
-// dycore.go bound once as method values (so a substep allocates no
+// pre-bound kernel argument bundles, and the row bodies of dycore.go bound
+// once as method values (so a substep allocates no
 // closure). The externally visible buffer newU is zero-filled each substep
 // so decomposed runs see exactly the fresh-allocation semantics the
 // rank-invariance test pins.
@@ -433,7 +399,7 @@ func atmMomentumKernel(s pp.Space, args any) {
 // changes (Model.thFresh).
 type dyScratch struct {
 	m   *Model
-	geo *atmGeom[float64]
+	geo *atmGeom
 	eg  *edgeGeomF
 
 	// Level constants of the hydrostatic integral: ln(σ_bot/σ_k) from the
@@ -442,40 +408,24 @@ type dyScratch struct {
 	lnMid, lnLayer []float64
 	sigK, rsigK    []float64
 
-	th   []thermo            // [nc*nlev] thermodynamic diagnostics (always float64)
-	lnPs []float64           // [nc]
-	cd   []cellDiag[float64] // [nc*nlev]
-	vort []float64           // [nv*nlev]
-	newU []float64           // [ne*nlev]
+	th   []thermo   // [nc*nlev] thermodynamic diagnostics
+	lnPs []float64  // [nc]
+	cd   []cellDiag // [nc*nlev]
+	vort []float64  // [nv*nlev]
+	newU []float64  // [ne*nlev]
 
-	bKeDiv *keDivArgs[float64]
-	bVort  *vortArgs[float64]
-	bMom   *momentumArgs[float64]
+	bKeDiv *keDivArgs
+	bVort  *vortArgs
+	bMom   *momentumArgs
 
 	// Iteration sets (see sweep): extended cells, owned cells, computed edges
 	// and vertices, refreshed from the model's decomposition at the top of
 	// each step; all nil when replicated.
 	ext, owned, comp, verts []int
 
-	// The float64-only row bodies of dycore.go, bound once.
+	// The row bodies of dycore.go, bound once.
 	thermoF, lnPsF, contEdgeF, contCellF func(i int)
 	thetaF, transportF, tracerStoreF     func(i int)
-
-	m32 *dyMixed32
-}
-
-// dyMixed32 is the float32 mirror state for the mixed-precision path.
-type dyMixed32 struct {
-	geo *atmGeom[float32]
-
-	u    []float32
-	cd   []cellDiag[float32]
-	vort []float32
-	newU []float32
-
-	bKeDiv *keDivArgs[float32]
-	bVort  *vortArgs[float32]
-	bMom   *momentumArgs[float32]
 }
 
 // dyEnsure builds the scratch on first use.
@@ -493,7 +443,7 @@ func (m *Model) dyEnsure() *dyScratch {
 		eg:   eg,
 		th:   make([]thermo, nc*nlev),
 		lnPs: make([]float64, nc),
-		cd:   make([]cellDiag[float64], nc*nlev),
+		cd:   make([]cellDiag, nc*nlev),
 		vort: make([]float64, nv*nlev),
 		newU: make([]float64, ne*nlev),
 
@@ -509,41 +459,20 @@ func (m *Model) dyEnsure() *dyScratch {
 		s.sigK[k] = math.Pow(m.Sig[k], Kappa)
 		s.rsigK[k] = 1 / s.sigK[k]
 	}
-	s.bKeDiv = &keDivArgs[float64]{g: geo, cd: s.cd}
+	s.bKeDiv = &keDivArgs{g: geo, cd: s.cd}
 	s.bKeDiv.rowF = s.bKeDiv.cell
-	s.bVort = &vortArgs[float64]{g: geo, vort: s.vort}
+	s.bVort = &vortArgs{g: geo, vort: s.vort}
 	s.bVort.rowF = s.bVort.vertex
-	s.bMom = &momentumArgs[float64]{g: geo, eg: eg, cd: s.cd, vort: s.vort, th: s.th, lnPs: s.lnPs}
+	s.bMom = &momentumArgs{g: geo, eg: eg, cd: s.cd, vort: s.vort, th: s.th, lnPs: s.lnPs}
 	s.bMom.rowF = s.bMom.edge
 	s.thermoF, s.lnPsF, s.contEdgeF, s.contCellF = s.thermoCell, s.lnPsCell, s.contEdge, s.contCell
 	s.thetaF, s.transportF, s.tracerStoreF = s.thetaCell, s.transport2, s.tracerStore
-	if m.kprec == pp.PrecMixed {
-		g32 := narrowGeom(geo)
-		m32 := &dyMixed32{
-			geo:  g32,
-			u:    make([]float32, ne*nlev),
-			cd:   make([]cellDiag[float32], nc*nlev),
-			vort: make([]float32, nv*nlev),
-			newU: make([]float32, ne*nlev),
-		}
-		m32.bKeDiv = &keDivArgs[float32]{g: g32, u: m32.u, cd: m32.cd}
-		m32.bKeDiv.rowF = m32.bKeDiv.cell
-		m32.bVort = &vortArgs[float32]{g: g32, u: m32.u, vort: m32.vort}
-		m32.bVort.rowF = m32.bVort.vertex
-		m32.bMom = &momentumArgs[float32]{
-			g: g32, eg: eg,
-			u: m32.u, newU: m32.newU,
-			cd: m32.cd, vort: m32.vort, th: s.th, lnPs: s.lnPs,
-		}
-		m32.bMom.rowF = m32.bMom.edge
-		s.m32 = m32
-	}
 	m.dy = s
 	return s
 }
 
 // ---------------------------------------------------------------------------
-// Radiation: the single-source two-stream sweep.
+// Radiation: the two-stream sweep.
 //
 // The conventional suite's correlated-k radiation is the one physics loop
 // ported into the kernel layer: 1 232 exponentials per sunlit column made it
@@ -551,17 +480,16 @@ func (m *Model) dyEnsure() *dyScratch {
 // interval (EXPERIMENTS.md "Radiation step and hold"); on its own time step it
 // runs on 642. Unlike the row kernels above it is a per-column body invoked
 // from inside the physics column sweep (already a ParallelFor), so it is a
-// generic function rather than a registered launch: one body, two
-// instantiations, selected by the suite from the model's kernel precision.
+// plain function rather than a registered launch.
 //
-// Contract of the float64 instantiation: path, tau, the attenuation and
+// Contract: path, tau, the attenuation and
 // emissivity recurrences and the final flux expressions keep the historical
 // operand grouping exactly; the per-g-point kAbs tables, the per-level Planck
 // emission and the column's exponential arguments are hoisted out of their
 // loops, each hoisted entry the identical expression the inner loop
 // computed. The exponential itself is pp's table-driven one (≤ 0.51 ulp, the
 // same bits on every host), not math.Exp, so GSW/GLW differ from the
-// pre-table history in the last places (DESIGN.md "Single-source kernels").
+// pre-table history in the last places (DESIGN.md "Registered kernels").
 // ---------------------------------------------------------------------------
 
 // twoStreamRad attenuates each shortwave g-point's direct beam down the
@@ -569,7 +497,7 @@ func (m *Model) dyEnsure() *dyScratch {
 // q and tcol are the column's specific humidity and temperature, dsig the
 // sigma-layer thicknesses, ps the diagnosed surface pressure, mu0 the
 // cosine of the solar zenith angle, swK/lwK the g-point absorption tables.
-func twoStreamRad[T pp.Float](q, tcol, dsig []float64, ps, mu0, s0 float64, swK, lwK []float64) (gsw, glw float64) {
+func twoStreamRad(q, tcol, dsig []float64, ps, mu0, s0 float64, swK, lwK []float64) (gsw, glw float64) {
 	nlev := len(tcol)
 	nsw := len(swK)
 	if mu0 <= 0 {
@@ -580,42 +508,42 @@ func twoStreamRad[T pp.Float](q, tcol, dsig []float64, ps, mu0, s0 float64, swK,
 	// block: on the stack at the default g-point counts up to 8 levels, and
 	// nothing below lets it escape.
 	nexp := nsw + len(lwK)*nlev
-	var stack [2*8 + 112 + 140*8]T
+	var stack [2*8 + 112 + 140*8]float64
 	work := stack[:]
 	if 2*nlev+nexp > len(stack) {
-		work = make([]T, 2*nlev+nexp)
+		work = make([]float64, 2*nlev+nexp)
 	}
 	// Per-layer absorber path: water vapour mass (kg/m²) plus a small dry
 	// (well-mixed gas) contribution.
 	path := work[:nlev]
 	for k := 0; k < nlev; k++ {
 		lm := ps * dsig[k] / Gravity
-		path[k] = T(q[k]*lm + 1e-4*lm)
+		path[k] = q[k]*lm + 1e-4*lm
 	}
 	const sb = 5.67e-8
 	planck := work[nlev : 2*nlev]
 	for k := 0; k < nlev; k++ {
-		tk := T(tcol[k])
-		planck[k] = T(sb) * tk * tk * tk * tk
+		tk := tcol[k]
+		planck[k] = sb * tk * tk * tk * tk
 	}
 
-	// Every optical depth first, then one ExpInto over the lot: the generic
-	// sweep pays the type dispatch once per column, and the exponential's
-	// loop runs without the recurrences' dependency chains in its way.
+	// Every optical depth first, then one ExpInto over the lot: the
+	// exponential's loop runs without the recurrences' dependency chains in
+	// its way.
 	trans := work[2*nlev : 2*nlev+nexp]
 	swT, lwT := trans[:nsw], trans[nsw:]
-	mu := T(mu0)
+	mu := mu0
 	for g := range swT {
-		kAbs := T(swK[g])
-		var tau T
+		kAbs := swK[g]
+		var tau float64
 		for k := 0; k < nlev; k++ {
 			tau += kAbs * path[k]
 		}
 		swT[g] = -tau / mu
 	}
-	lit := T(1.66) // diffusivity factor
+	lit := 1.66 // diffusivity factor
 	for g := range lwK {
-		kAbs := T(lwK[g])
+		kAbs := lwK[g]
 		col := lwT[g*nlev : (g+1)*nlev]
 		for k := range col {
 			col[k] = -kAbs * path[k] * lit
@@ -625,22 +553,22 @@ func twoStreamRad[T pp.Float](q, tcol, dsig []float64, ps, mu0, s0 float64, swK,
 
 	// --- Shortwave: direct-beam attenuation per g-point ---
 	if nsw > 0 {
-		var down T
+		var down float64
 		for _, tr := range swT {
 			down += tr
 		}
-		gsw = s0 * mu0 * (float64(down) / float64(nsw)) * (1 - 0.15) // 15% Rayleigh/aerosol loss
+		gsw = s0 * mu0 * (down / float64(nsw)) * (1 - 0.15) // 15% Rayleigh/aerosol loss
 	}
 
 	// --- Longwave: emissivity sweep per g-point, top down ---
-	var glwSum T
+	var glwSum float64
 	for g := range lwK {
-		var d T // downward flux of this g-point (normalized weight 1)
+		var d float64 // downward flux of this g-point (normalized weight 1)
 		for k, tr := range lwT[g*nlev : (g+1)*nlev] {
 			d = d*tr + planck[k]*(1-tr)
 		}
 		glwSum += d
 	}
-	glw = float64(glwSum) / float64(len(lwK))
+	glw = glwSum / float64(len(lwK))
 	return gsw, glw
 }

@@ -3,8 +3,6 @@ package atmos
 import (
 	"math"
 	"sync/atomic"
-
-	"repro/internal/pp"
 )
 
 // ColumnIn is the physics–dynamics coupling interface input (§5.2.1): the
@@ -219,21 +217,16 @@ func (s *ConventionalSuite) Column(in ColumnIn, dt float64, out *ColumnOut) {
 // window g-points carry flux to the surface — the structure real k-
 // distribution radiation codes (RRTMG) have, at the same per-column cost
 // scale.
-// The sweep itself is the single-source twoStreamRad body in kernels.go:
-// the float64 instantiation keeps the historical operand grouping around
-// pp's table-driven exponential (1 232 exponentials per sunlit column at the
-// default g-point counts, about half the column's cost); the float32
-// instantiation is the mixed-precision path, whose exponential is
-// pp.FastExpf.
+// The sweep itself is the twoStreamRad body in kernels.go, which keeps the
+// historical operand grouping around pp's table-driven exponential (1 232
+// exponentials per sunlit column at the default g-point counts, about half
+// the column's cost).
 func (s *ConventionalSuite) TwoStreamRadiation(in ColumnIn) (gsw, glw float64) {
 	nlev := len(in.T)
 	m := s.m
 	ps := in.P[nlev-1] / m.Sig[nlev-1]
 	tab := s.tables()
-	if m.kprec == pp.PrecMixed {
-		return twoStreamRad[float32](in.Q, in.T, m.DSig, ps, in.CosZ, s.S0, tab.swK, tab.lwK)
-	}
-	return twoStreamRad[float64](in.Q, in.T, m.DSig, ps, in.CosZ, s.S0, tab.swK, tab.lwK)
+	return twoStreamRad(in.Q, in.T, m.DSig, ps, in.CosZ, s.S0, tab.swK, tab.lwK)
 }
 
 // tables returns the current snapshot, building a new one when none exists

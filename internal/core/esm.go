@@ -119,12 +119,6 @@ func (e *RanksExceedCellsError) Error() string {
 func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 	start, stop := opt.start, opt.stop
 	sp, ob := opt.sp, opt.obs
-	if opt.kprec == pp.PrecMixed {
-		// The Vec wrapper goes on before instrumentation so components derive
-		// their kernel precision from pp.PrecOf(sp) through the Instrumented
-		// shell at construction time.
-		sp = pp.NewVec(sp)
-	}
 	if _, disabled := ob.(obs.Nop); !disabled {
 		// Live instrumentation: the communicator forwards traffic counts and
 		// the execution space reports kernel launches to the same observer.

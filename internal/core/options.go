@@ -17,7 +17,6 @@ type options struct {
 	remap       RemapMode
 	audit       bool
 	wire        par.WireFormat
-	kprec       pp.Prec
 }
 
 // Option configures model assembly.
@@ -79,19 +78,6 @@ func WithAudit(on bool) Option {
 // travel f64, whatever this option says.
 func WithWireCompression(w par.WireFormat) Option {
 	return func(opt *options) { opt.wire = w }
-}
-
-// WithKernelPrecision selects the precision the registered hot kernels run
-// at. pp.PrecF64 (default) is bit-for-bit identical to all prior behaviour.
-// pp.PrecMixed wraps the execution space in pp.Vec: the same kernel bodies
-// run their float32 instantiations with unrolled inner loops, while
-// accumulations, pressure integrals, and flux sums stay float64 — accepted
-// because the conservation audit stays within its 1e-10 gate and the
-// per-field error is bounded by the kernel-precision budget test. Distinct
-// from the precision.Mixed state-quantization policy, which composes with
-// either setting.
-func WithKernelPrecision(p pp.Prec) Option {
-	return func(opt *options) { opt.kprec = p }
 }
 
 // defaultOptions mirrors the quickstart setup: one simulated day from the

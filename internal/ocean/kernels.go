@@ -5,18 +5,11 @@ import (
 	"repro/internal/pp"
 )
 
-// This file is the ocean's half of the single-source kernel layer: the five
+// This file is the ocean's half of the registered kernel layer: the five
 // hot row kernels (baroclinic momentum, barotropic continuity and momentum,
 // split correction, tracer advection–diffusion) live here as free kernel
 // bodies over explicit argument bundles, registered in pp.Kernels and
-// launched by the thin drivers in step.go. The dynamical kernels are generic
-// over pp.Float — the float64 instantiation is bit-for-bit the pre-refactor
-// arithmetic (every T() conversion is the identity at float64, expression
-// structure and evaluation order are preserved), and the float32
-// instantiation is the Vec-space mixed-precision path. The split correction
-// and tracer transport stay float64-only by policy: depth-mean and flux
-// accumulations are exactly what mixed precision must not touch (§5.2.3 and
-// DESIGN.md "single-source kernels").
+// launched by the thin drivers in step.go (DESIGN.md "Registered kernels").
 
 // Registered kernel hashes, one registration per process.
 var (
@@ -42,24 +35,23 @@ type kernGeom struct {
 // idx2 is the local 2-D offset of owned cell (li, lj).
 func (g kernGeom) idx2(li, lj int) int { return (lj+g.H)*g.LNI + li + g.H }
 
-// lapT is the 5-point Laplacian at flat offset i3, the generic transcription
-// of Ocean.lap — identical operation order, so float64 is bit-for-bit.
-func lapT[T pp.Float](f []T, i3, lni int, dx, dy T) T {
+// lap is the 5-point Laplacian at flat offset i3.
+func lap(f []float64, i3, lni int, dx, dy float64) float64 {
 	c := f[i3]
 	lapx := (f[i3+1] - 2*c + f[i3-1]) / (dx * dx)
 	lapy := (f[i3+lni] - 2*c + f[i3-lni]) / (dy * dy)
 	return lapx + lapy
 }
 
-// faceDepthT is the depth at a velocity face: the shallower neighbour.
-func faceDepthT[T pp.Float](a, b T) T {
+// faceDepth is the depth at a velocity face: the shallower neighbour.
+func faceDepth(a, b float64) float64 {
 	if a < b {
 		return a
 	}
 	return b
 }
 
-func maxT[T pp.Float](a, b T) T {
+func maxFloat(a, b float64) float64 {
 	if a > b {
 		return a
 	}
@@ -70,26 +62,25 @@ func maxT[T pp.Float](a, b T) T {
 
 // momentumArgs carries everything the baroclinic momentum kernel reads and
 // writes — step parameters are explicit arguments, replacing the former
-// struct-scratch side channel. Views bind the caller-owned 3-D state; the
-// pressure integral stays float64 in both instantiations.
-type momentumArgs[T pp.Float] struct {
+// struct-scratch side channel. Views bind the caller-owned 3-D state.
+type momentumArgs struct {
 	g   kernGeom
 	kmt []int
 
-	dt, dy, grav, ah, bdrag T
+	dt, dy, grav, ah, bdrag float64
 	rhoDz0                  float64   // Rho0*dz[0]
 	rhoDy                   float64   // Rho0*dy
 	cor, corMid             []float64 // per global row: f, 0.5*(f+f_north)
 	dx, rhoDx               []float64 // per global row: DX, Rho0*DX
 
-	pr               []float64 // hydrostatic pressure integral (always f64)
-	u, v, newU, newV pp.View3Of[T]
-	eta, tauX, tauY  []T
+	pr               []float64 // hydrostatic pressure integral
+	u, v, newU, newV pp.View3
+	eta, tauX, tauY  []float64
 
 	rowF func(lj int) // bound once; launched via s.ParallelFor
 }
 
-func (a *momentumArgs[T]) bind(u, v, newU, newV, eta, tauX, tauY []T, pr []float64) {
+func (a *momentumArgs) bind(u, v, newU, newV, eta, tauX, tauY, pr []float64) {
 	g := a.g
 	a.u = pp.BindView3("ocn.u", u, g.NL, g.LNJ, g.LNI)
 	a.v = pp.BindView3("ocn.v", v, g.NL, g.LNJ, g.LNI)
@@ -100,16 +91,16 @@ func (a *momentumArgs[T]) bind(u, v, newU, newV, eta, tauX, tauY []T, pr []float
 
 // row updates one owned row. The level loop is split per face — wetness is
 // monotone in k (wet exactly for k < min(kmt) of the adjacent columns), so
-// each face sweeps a branch-bounded range that the Vec path unrolls 2-way.
-// U- and V-face updates write disjoint outputs from pure inputs, so the
-// face-major order is bit-identical to the original level-major order.
-func (a *momentumArgs[T]) row(lj int) {
+// each face sweeps a branch-bounded range, unrolled 2-way. U- and V-face
+// updates write disjoint outputs from pure inputs, so the face-major order
+// is bit-identical to the original level-major order.
+func (a *momentumArgs) row(lj int) {
 	g := a.g
 	u, v := a.u.Data, a.v.Data
 	jg := g.J0 + lj
-	f := T(a.cor[jg])
-	fm := T(a.corMid[jg])
-	dxT := T(a.dx[jg])
+	f := a.cor[jg]
+	fm := a.corMid[jg]
+	dxT := a.dx[jg]
 	rhoDx := a.rhoDx[jg]
 	vWetRow := jg != g.NY-1
 	for li := 0; li < g.NI; li++ {
@@ -142,18 +133,18 @@ func (a *momentumArgs[T]) row(lj int) {
 
 // uFace updates the U point east of cell c at level k (k < kU, the wet
 // range). Arithmetic is the exact transcription of the scalar original.
-func (a *momentumArgs[T]) uFace(u []T, c, e, k, kU int, f, dxT T, rhoDx float64) {
+func (a *momentumArgs) uFace(u []float64, c, e, k, kU int, f, dxT, rhoDx float64) {
 	g := a.g
 	v := a.v.Data
 	i3 := k*g.n2 + c
-	vav := T(0.25) * (v[i3] + v[i3+1] + v[i3-g.LNI] + v[i3-g.LNI+1])
+	vav := 0.25 * (v[i3] + v[i3+1] + v[i3-g.LNI] + v[i3-g.LNI+1])
 	du := f * vav
 	du -= a.grav * (a.eta[e] - a.eta[c]) / dxT
-	du -= T((a.pr[k*g.n2+e] - a.pr[k*g.n2+c]) / rhoDx)
-	du += a.ah * lapT(u, i3, g.LNI, dxT, a.dy)
+	du -= (a.pr[k*g.n2+e] - a.pr[k*g.n2+c]) / rhoDx
+	du += a.ah * lap(u, i3, g.LNI, dxT, a.dy)
 	if k == 0 {
-		tau := T(0.5) * (a.tauX[c] + a.tauX[e])
-		du += tau / T(a.rhoDz0)
+		tau := 0.5 * (a.tauX[c] + a.tauX[e])
+		du += tau / a.rhoDz0
 	}
 	if k == kU-1 {
 		du -= a.bdrag * u[i3]
@@ -162,18 +153,18 @@ func (a *momentumArgs[T]) uFace(u []T, c, e, k, kU int, f, dxT T, rhoDx float64)
 }
 
 // vFace updates the V point north of cell c at level k (k < kV).
-func (a *momentumArgs[T]) vFace(v []T, c, n, k, kV int, dxT, fm T) {
+func (a *momentumArgs) vFace(v []float64, c, n, k, kV int, dxT, fm float64) {
 	g := a.g
 	u := a.u.Data
 	i3 := k*g.n2 + c
-	uav := T(0.25) * (u[i3] + u[i3-1] + u[k*g.n2+n] + u[k*g.n2+n-1])
+	uav := 0.25 * (u[i3] + u[i3-1] + u[k*g.n2+n] + u[k*g.n2+n-1])
 	dv := -fm * uav
 	dv -= a.grav * (a.eta[n] - a.eta[c]) / a.dy
-	dv -= T((a.pr[k*g.n2+n] - a.pr[k*g.n2+c]) / a.rhoDy)
-	dv += a.ah * lapT(v, i3, g.LNI, dxT, a.dy)
+	dv -= (a.pr[k*g.n2+n] - a.pr[k*g.n2+c]) / a.rhoDy
+	dv += a.ah * lap(v, i3, g.LNI, dxT, a.dy)
 	if k == 0 {
-		tau := T(0.5) * (a.tauY[c] + a.tauY[n])
-		dv += tau / T(a.rhoDz0)
+		tau := 0.5 * (a.tauY[c] + a.tauY[n])
+		dv += tau / a.rhoDz0
 	}
 	if k == kV-1 {
 		dv -= a.bdrag * v[i3]
@@ -182,41 +173,38 @@ func (a *momentumArgs[T]) vFace(v []T, c, n, k, kV int, dxT, fm T) {
 }
 
 func momentumKernel(s pp.Space, args any) {
-	switch a := args.(type) {
-	case *momentumArgs[float64]:
-		s.ParallelFor(a.g.NJ, a.rowF)
-	case *momentumArgs[float32]:
-		s.ParallelFor(a.g.NJ, a.rowF)
-	default:
+	a, ok := args.(*momentumArgs)
+	if !ok {
 		panic("ocean: momentum kernel launched with foreign args")
 	}
+	s.ParallelFor(a.g.NJ, a.rowF)
 }
 
 // --- barotropic continuity ---
 
-type continuityArgs[T pp.Float] struct {
+type continuityArgs struct {
 	g     kernGeom
 	kmt   []int
 	maskT []bool
 
-	dtb, dy     T
+	dtb, dy     float64
 	dx, dxSouth []float64 // per global row: DX[jg], DX at jg-1 (clamped)
 
-	depth                   []T
-	eta, newEta, ubar, vbar []T
+	depth                   []float64
+	eta, newEta, ubar, vbar []float64
 
 	rowF func(lj int)
 }
 
-func (a *continuityArgs[T]) bind(eta, newEta, ubar, vbar []T) {
+func (a *continuityArgs) bind(eta, newEta, ubar, vbar []float64) {
 	a.eta, a.newEta, a.ubar, a.vbar = eta, newEta, ubar, vbar
 }
 
-func (a *continuityArgs[T]) row(lj int) {
+func (a *continuityArgs) row(lj int) {
 	g := a.g
 	jg := g.J0 + lj
-	dxT := T(a.dx[jg])
-	dxS := T(a.dxSouth[jg])
+	dxT := a.dx[jg]
+	dxS := a.dxSouth[jg]
 	vWetRow := jg != g.NY-1
 	southOpen := jg != 0
 	for li := 0; li < g.NI; li++ {
@@ -225,17 +213,17 @@ func (a *continuityArgs[T]) row(lj int) {
 			continue
 		}
 		e, w, n, sIdx := c+1, c-1, c+g.LNI, c-g.LNI
-		he := faceDepthT(a.depth[c], a.depth[e])
-		hw := faceDepthT(a.depth[w], a.depth[c])
-		hn := faceDepthT(a.depth[c], a.depth[n])
-		hs := faceDepthT(a.depth[sIdx], a.depth[c])
+		he := faceDepth(a.depth[c], a.depth[e])
+		hw := faceDepth(a.depth[w], a.depth[c])
+		hn := faceDepth(a.depth[c], a.depth[n])
+		hs := faceDepth(a.depth[sIdx], a.depth[c])
 		fe := a.ubar[c] * he * a.dy
 		fw := a.ubar[w] * hw * a.dy
-		fn := T(0)
+		fn := 0.0
 		if vWetRow && a.kmt[c] > 0 && a.kmt[n] > 0 {
 			fn = a.vbar[c] * hn * dxT
 		}
-		fs := T(0)
+		fs := 0.0
 		if southOpen {
 			fs = a.vbar[sIdx] * hs * dxS
 		}
@@ -245,43 +233,40 @@ func (a *continuityArgs[T]) row(lj int) {
 }
 
 func continuityKernel(s pp.Space, args any) {
-	switch a := args.(type) {
-	case *continuityArgs[float64]:
-		s.ParallelFor(a.g.NJ, a.rowF)
-	case *continuityArgs[float32]:
-		s.ParallelFor(a.g.NJ, a.rowF)
-	default:
+	a, ok := args.(*continuityArgs)
+	if !ok {
 		panic("ocean: continuity kernel launched with foreign args")
 	}
+	s.ParallelFor(a.g.NJ, a.rowF)
 }
 
 // --- barotropic momentum ---
 
-type btMomentumArgs[T pp.Float] struct {
+type btMomentumArgs struct {
 	g     kernGeom
 	kmt   []int
 	maskT []bool
 
-	dtb, dy, grav, bdrag, rho0 T
+	dtb, dy, grav, bdrag, rho0 float64
 	cor, dx                    []float64
 
-	depth                                            []T
-	eta, ubar, vbar, newUbar, newVbar, tauX, tauY []T
+	depth                                         []float64
+	eta, ubar, vbar, newUbar, newVbar, tauX, tauY []float64
 
 	rowF func(lj int)
 }
 
-func (a *btMomentumArgs[T]) bind(eta, ubar, vbar, newUbar, newVbar, tauX, tauY []T) {
+func (a *btMomentumArgs) bind(eta, ubar, vbar, newUbar, newVbar, tauX, tauY []float64) {
 	a.eta, a.ubar, a.vbar = eta, ubar, vbar
 	a.newUbar, a.newVbar = newUbar, newVbar
 	a.tauX, a.tauY = tauX, tauY
 }
 
-func (a *btMomentumArgs[T]) row(lj int) {
+func (a *btMomentumArgs) row(lj int) {
 	g := a.g
 	jg := g.J0 + lj
-	f := T(a.cor[jg])
-	dxT := T(a.dx[jg])
+	f := a.cor[jg]
+	dxT := a.dx[jg]
 	vWetRow := jg != g.NY-1
 	for li := 0; li < g.NI; li++ {
 		c := g.idx2(li, lj)
@@ -289,19 +274,19 @@ func (a *btMomentumArgs[T]) row(lj int) {
 			continue
 		}
 		e, w, n, sIdx := c+1, c-1, c+g.LNI, c-g.LNI
-		he := faceDepthT(a.depth[c], a.depth[e])
-		hn := faceDepthT(a.depth[c], a.depth[n])
+		he := faceDepth(a.depth[c], a.depth[e])
+		hn := faceDepth(a.depth[c], a.depth[n])
 		if a.kmt[c] > 0 && a.kmt[e] > 0 { // faceWetU at the surface
-			vav := T(0.25) * (a.vbar[c] + a.vbar[e] + a.vbar[sIdx] + a.vbar[sIdx+1])
+			vav := 0.25 * (a.vbar[c] + a.vbar[e] + a.vbar[sIdx] + a.vbar[sIdx+1])
 			du := f*vav - a.grav*(a.eta[e]-a.eta[c])/dxT
-			du += T(0.5) * (a.tauX[c] + a.tauX[e]) / (a.rho0 * maxT(he, 1))
+			du += 0.5 * (a.tauX[c] + a.tauX[e]) / (a.rho0 * maxFloat(he, 1))
 			du -= a.bdrag * a.ubar[c]
 			a.newUbar[c] = a.ubar[c] + a.dtb*du
 		}
 		if vWetRow && a.kmt[c] > 0 && a.kmt[n] > 0 { // faceWetV at the surface
-			uav := T(0.25) * (a.ubar[c] + a.ubar[w] + a.ubar[n] + a.ubar[n-1])
+			uav := 0.25 * (a.ubar[c] + a.ubar[w] + a.ubar[n] + a.ubar[n-1])
 			dv := -f*uav - a.grav*(a.eta[n]-a.eta[c])/a.dy
-			dv += T(0.5) * (a.tauY[c] + a.tauY[n]) / (a.rho0 * maxT(hn, 1))
+			dv += 0.5 * (a.tauY[c] + a.tauY[n]) / (a.rho0 * maxFloat(hn, 1))
 			dv -= a.bdrag * a.vbar[c]
 			a.newVbar[c] = a.vbar[c] + a.dtb*dv
 		}
@@ -309,24 +294,21 @@ func (a *btMomentumArgs[T]) row(lj int) {
 }
 
 func btMomentumKernel(s pp.Space, args any) {
-	switch a := args.(type) {
-	case *btMomentumArgs[float64]:
-		s.ParallelFor(a.g.NJ, a.rowF)
-	case *btMomentumArgs[float32]:
-		s.ParallelFor(a.g.NJ, a.rowF)
-	default:
+	a, ok := args.(*btMomentumArgs)
+	if !ok {
 		panic("ocean: btmomentum kernel launched with foreign args")
 	}
+	s.ParallelFor(a.g.NJ, a.rowF)
 }
 
-// --- split correction (float64 by policy: depth-mean accumulation) ---
+// --- split correction ---
 
 type splitArgs struct {
-	g    kernGeom
-	kmt  []int
-	dz   []float64
+	g                kernGeom
+	kmt              []int
+	dz               []float64
 	u, v, ubar, vbar []float64
-	rowF func(lj int)
+	rowF             func(lj int)
 }
 
 func (a *splitArgs) row(lj int) {
@@ -339,8 +321,7 @@ func (a *splitArgs) row(lj int) {
 }
 
 // imposeMeanCol shifts a velocity column so its depth mean equals the
-// barotropic value. The sum runs in float64 always — this is the split
-// correction's conservation-critical accumulation.
+// barotropic value.
 func imposeMeanCol(f, bar, dz []float64, c, kmax, n2 int) {
 	if kmax <= 0 {
 		return
@@ -364,7 +345,7 @@ func splitKernel(s pp.Space, args any) {
 	s.ParallelFor(a.g.NJ, a.rowF)
 }
 
-// --- tracer advection–diffusion (float64 by policy: flux-form transport) ---
+// --- tracer advection–diffusion ---
 
 type advectArgs struct {
 	g     kernGeom

@@ -97,11 +97,6 @@ type Ocean struct {
 
 	steps int
 
-	// kprec is derived from the execution space at New: a pp.Vec space
-	// selects the float32 kernel instantiations (mixed precision), anything
-	// else the bit-for-bit float64 path.
-	kprec pp.Prec
-
 	// Persistent stepping scratch (lazily built on the first Step) holding
 	// the double buffers and the bound kernel argument bundles, so
 	// steady-state stepping performs zero heap allocations: buffers are
@@ -120,36 +115,17 @@ type stepScratch struct {
 	t, s            []float64 // tracer double buffers
 	eta, ubar, vbar []float64 // barotropic double buffers
 
-	// Bound float64 kernel argument bundles.
-	mom   *momentumArgs[float64]
-	cont  *continuityArgs[float64]
-	bt    *btMomentumArgs[float64]
+	// Bound kernel argument bundles.
+	mom   *momentumArgs
+	cont  *continuityArgs
+	bt    *btMomentumArgs
 	split *splitArgs
 	adv   *advectArgs
-
-	// Float32 mirrors and bundles, built only under mixed precision.
-	m32 *mixed32
 
 	// ex is the reusable halo-batch descriptor slice: each exchange site
 	// rebuilds it in place (the state arrays swap with the double buffers
 	// every step) without allocating.
 	ex []grid.HaloField
-}
-
-// mixed32 is the float32 mirror state of the Vec (mixed-precision) path:
-// the dynamical kernels read and write these, and the drivers convert to
-// and from the float64 model state at phase boundaries (full planes once
-// per phase, H-wide rings inside the barotropic subcycle).
-type mixed32 struct {
-	u, v, newU, newV             []float32
-	eta, newEta                  []float32
-	ubar, vbar, newUbar, newVbar []float32
-	tauX, tauY                   []float32
-	depth                        []float32
-
-	mom  *momentumArgs[float32]
-	cont *continuityArgs[float32]
-	bt   *btMomentumArgs[float32]
 }
 
 // idx2 returns the local 2-D offset of (li, lj) in owned coordinates.
@@ -164,6 +140,9 @@ func New(g *grid.Tripolar, b *grid.TripolarDecomp, cfg Config, sp pp.Space) (*Oc
 	if cfg.DtBaroclinic <= 0 || cfg.NBarotropicSub <= 0 {
 		return nil, fmt.Errorf("ocean: non-positive timestep configuration")
 	}
+	if cfg.Policy == precision.Mixed && cfg.PrecisionGroup <= 0 {
+		return nil, fmt.Errorf("ocean: the Mixed policy quantizes in groups of PrecisionGroup values, got %d", cfg.PrecisionGroup)
+	}
 	if sp == nil {
 		sp = pp.Serial{}
 	}
@@ -171,7 +150,6 @@ func New(g *grid.Tripolar, b *grid.TripolarDecomp, cfg Config, sp pp.Space) (*Oc
 		G: g, B: b, Cfg: cfg, Sp: sp,
 		NL:  g.NLevel,
 		LNI: b.LNI(), LNJ: b.LNJ(),
-		kprec: pp.PrecOf(sp),
 	}
 	n2 := o.LNI * o.LNJ
 	n3 := o.NL * n2

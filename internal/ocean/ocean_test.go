@@ -1,7 +1,9 @@
 package ocean
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/grid"
@@ -61,6 +63,22 @@ func TestNewValidation(t *testing.T) {
 		bad.DtBaroclinic = 0
 		if _, err := New(g, b, bad, nil); err == nil {
 			t.Error("zero dt accepted")
+		}
+		// Mixed with no group size used to pass construction and panic in the
+		// first step's quantization.
+		for _, group := range []int{0, -8} {
+			mixed := DefaultConfig()
+			mixed.Policy, mixed.PrecisionGroup = precision.Mixed, group
+			want := fmt.Sprintf("PrecisionGroup values, got %d", group)
+			if _, err := New(g, b, mixed, nil); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("Mixed with group %d: error %v, want one containing %q", group, err, want)
+			}
+		}
+		// The group size is the Mixed policy's alone.
+		fp64 := DefaultConfig()
+		fp64.PrecisionGroup = 0
+		if _, err := New(g, b, fp64, nil); err != nil {
+			t.Errorf("FP64 ocean with no group size rejected: %v", err)
 		}
 	})
 }

@@ -12,12 +12,7 @@ import (
 // under the mixed-precision policy.
 //
 // The numerics live in kernels.go as registered pp kernels; Step and its
-// phase drivers only bind views, run halo exchanges, and launch. Under
-// pp.PrecF64 (any Serial/Host/CPE space) the float64 instantiations run and
-// the results are bit-for-bit with the pre-kernel-layer code; under a Vec
-// space (pp.PrecMixed) the dynamical kernels run their float32
-// instantiations against mirror buffers while the pressure integral, split
-// correction, and tracer transport stay float64.
+// phase drivers only bind views, run halo exchanges, and launch.
 //
 // After the first call warms the persistent scratch buffers, Step performs
 // zero heap allocations in the default (FP64, no Ri mixing) configuration
@@ -36,6 +31,8 @@ func (o *Ocean) Step() {
 		// accumulations above stayed FP64.
 		for _, f := range [][]float64{o.U, o.V, o.T, o.S, o.Eta} {
 			if err := precision.QuantizeInPlace(f, o.Cfg.PrecisionGroup); err != nil {
+				// Unreachable: the only error is a non-positive group, which
+				// New rejects for a Mixed-policy ocean.
 				panic(err)
 			}
 		}
@@ -83,19 +80,19 @@ func (o *Ocean) scrEnsure() *stepScratch {
 		dxSouth[j] = dxAt(o.G, j-1)
 	}
 
-	s.mom = &momentumArgs[float64]{
+	s.mom = &momentumArgs{
 		g: geo, kmt: o.kmt,
 		dy: o.G.DY, grav: Gravity, ah: o.Cfg.AH, bdrag: o.Cfg.BottomDrag,
 		rhoDz0: Rho0 * o.dz[0], rhoDy: Rho0 * o.G.DY,
 		cor: cor, corMid: corMid, dx: o.G.DX, rhoDx: rhoDx,
 	}
 	s.mom.rowF = s.mom.row
-	s.cont = &continuityArgs[float64]{
+	s.cont = &continuityArgs{
 		g: geo, kmt: o.kmt, maskT: o.maskT,
 		dy: o.G.DY, dx: o.G.DX, dxSouth: dxSouth, depth: o.depth,
 	}
 	s.cont.rowF = s.cont.row
-	s.bt = &btMomentumArgs[float64]{
+	s.bt = &btMomentumArgs{
 		g: geo, kmt: o.kmt, maskT: o.maskT,
 		dy: o.G.DY, grav: Gravity, bdrag: o.Cfg.BottomDrag, rho0: Rho0,
 		cor: cor, dx: o.G.DX, depth: o.depth,
@@ -113,37 +110,6 @@ func (o *Ocean) scrEnsure() *stepScratch {
 	}
 	s.adv.rowF = s.adv.row
 
-	if o.kprec == pp.PrecMixed {
-		m := &mixed32{
-			u: make([]float32, n3), v: make([]float32, n3),
-			newU: make([]float32, n3), newV: make([]float32, n3),
-			eta: make([]float32, n2), newEta: make([]float32, n2),
-			ubar: make([]float32, n2), vbar: make([]float32, n2),
-			newUbar: make([]float32, n2), newVbar: make([]float32, n2),
-			tauX: make([]float32, n2), tauY: make([]float32, n2),
-			depth: make([]float32, n2),
-		}
-		pp.Convert32(m.depth, o.depth) // static bathymetry, converted once
-		m.mom = &momentumArgs[float32]{
-			g: geo, kmt: o.kmt,
-			dy: float32(o.G.DY), grav: Gravity, ah: float32(o.Cfg.AH), bdrag: float32(o.Cfg.BottomDrag),
-			rhoDz0: Rho0 * o.dz[0], rhoDy: Rho0 * o.G.DY,
-			cor: cor, corMid: corMid, dx: o.G.DX, rhoDx: rhoDx,
-		}
-		m.mom.rowF = m.mom.row
-		m.cont = &continuityArgs[float32]{
-			g: geo, kmt: o.kmt, maskT: o.maskT,
-			dy: float32(o.G.DY), dx: o.G.DX, dxSouth: dxSouth, depth: m.depth,
-		}
-		m.cont.rowF = m.cont.row
-		m.bt = &btMomentumArgs[float32]{
-			g: geo, kmt: o.kmt, maskT: o.maskT,
-			dy: float32(o.G.DY), grav: Gravity, bdrag: float32(o.Cfg.BottomDrag), rho0: Rho0,
-			cor: cor, dx: o.G.DX, depth: m.depth,
-		}
-		m.bt.rowF = m.bt.row
-		s.m32 = m
-	}
 	o.scr = s
 	return s
 }
@@ -178,24 +144,6 @@ func (o *Ocean) baroclinicMomentum(dt float64) {
 	o.pressureCells(s, h, h+o.B.NJ, 0, h)            // west halo columns
 	o.pressureCells(s, h, h+o.B.NJ, h+o.B.NI, o.LNI) // east halo columns
 
-	if o.kprec == pp.PrecMixed {
-		m := s.m32
-		pp.Convert32(m.u, o.U)
-		pp.Convert32(m.v, o.V)
-		copy(m.newU, m.u) // dry faces keep their (converted) values
-		copy(m.newV, m.v)
-		pp.Convert32(m.eta, o.Eta)
-		pp.Convert32(m.tauX, o.TauX)
-		pp.Convert32(m.tauY, o.TauY)
-		a := m.mom
-		a.dt = float32(dt)
-		a.bind(m.u, m.v, m.newU, m.newV, m.eta, m.tauX, m.tauY, s.pr)
-		pp.Kernels.MustLaunch(hOcnMomentum, o.Sp, a)
-		pp.Convert64(o.U, m.newU)
-		pp.Convert64(o.V, m.newV)
-		return
-	}
-
 	copy(s.u, o.U)
 	copy(s.v, o.V)
 	a := s.mom
@@ -211,9 +159,7 @@ func (o *Ocean) baroclinicMomentum(dt float64) {
 // [i0, i1) — halo offsets included, not owned coordinates. The persistent
 // buffer is not zeroed between calls: the momentum kernel only reads pr at
 // wet faces, i.e. within the kmt range of both adjacent columns, and exactly
-// those entries are rewritten here every call. The integral stays float64
-// under every precision mode — it is the accumulation the mixed policy
-// protects.
+// those entries are rewritten here every call.
 func (o *Ocean) pressureCells(s *stepScratch, j0, j1, i0, i1 int) {
 	n2 := o.LNI * o.LNJ
 	for j := j0; j < j1; j++ {
@@ -242,158 +188,45 @@ func (o *Ocean) barotropicCycle(dt float64) {
 	nsub := o.Cfg.NBarotropicSub
 	dtb := dt / float64(nsub)
 
-	if o.kprec == pp.PrecMixed {
-		o.barotropicCycleMixed(s, dtb, nsub)
-	} else {
-		for sub := 0; sub < nsub; sub++ {
-			s.ex = append(s.ex[:0],
-				grid.HaloField{Data: o.Ubar, NLev: 1, Vec: true},
-				grid.HaloField{Data: o.Vbar, NLev: 1, Vec: true},
-				grid.HaloField{Data: o.Eta, NLev: 1},
-			)
-			o.B.ExchangeFields(s.ex)
-
-			// --- Continuity (forward): η from the current transports ---
-			copy(s.eta, o.Eta)
-			c := s.cont
-			c.dtb = dtb
-			c.bind(o.Eta, s.eta, o.Ubar, o.Vbar)
-			pp.Kernels.MustLaunch(hOcnContinuity, o.Sp, c)
-			o.Eta, s.eta = s.eta, o.Eta
-			o.B.Exchange(o.Eta)
-
-			// --- Momentum (backward): transports from the new η ---
-			copy(s.ubar, o.Ubar)
-			copy(s.vbar, o.Vbar)
-			b := s.bt
-			b.dtb = dtb
-			b.bind(o.Eta, o.Ubar, o.Vbar, s.ubar, s.vbar, o.TauX, o.TauY)
-			pp.Kernels.MustLaunch(hOcnBtMomentum, o.Sp, b)
-			o.Ubar, s.ubar = s.ubar, o.Ubar
-			o.Vbar, s.vbar = s.vbar, o.Vbar
-		}
-	}
-
-	// Split correction: impose the barotropic depth-mean on the 3-D field.
-	// Always float64 — the depth-mean accumulation is conservation-critical.
-	sp := s.split
-	sp.u, sp.v, sp.ubar, sp.vbar = o.U, o.V, o.Ubar, o.Vbar
-	pp.Kernels.MustLaunch(hOcnSplit, o.Sp, sp)
-}
-
-// barotropicCycleMixed runs the subcycle on float32 mirrors. Halo exchanges
-// stay on the float64 fields; between kernel launches only the H-wide rings
-// convert — the owned boundary ring float32→float64 before neighbours read
-// it, the halo frame float64→float32 after it is written — so the per-substep
-// conversion cost is O(perimeter), not O(area).
-func (o *Ocean) barotropicCycleMixed(s *stepScratch, dtb float64, nsub int) {
-	m := s.m32
-	pp.Convert32(m.ubar, o.Ubar)
-	pp.Convert32(m.vbar, o.Vbar)
-	pp.Convert32(m.eta, o.Eta)
-	// Land and dry-face cells are never written by the kernels; seed the
-	// double buffers so they carry the same values across swaps.
-	copy(m.newEta, m.eta)
-	copy(m.newUbar, m.ubar)
-	copy(m.newVbar, m.vbar)
 	for sub := 0; sub < nsub; sub++ {
-		o.syncOwnedRing64(o.Ubar, m.ubar)
-		o.syncOwnedRing64(o.Vbar, m.vbar)
-		o.syncOwnedRing64(o.Eta, m.eta)
 		s.ex = append(s.ex[:0],
 			grid.HaloField{Data: o.Ubar, NLev: 1, Vec: true},
 			grid.HaloField{Data: o.Vbar, NLev: 1, Vec: true},
 			grid.HaloField{Data: o.Eta, NLev: 1},
 		)
 		o.B.ExchangeFields(s.ex)
-		o.syncHaloRing32(m.ubar, o.Ubar)
-		o.syncHaloRing32(m.vbar, o.Vbar)
-		o.syncHaloRing32(m.eta, o.Eta)
 
-		c := m.cont
-		c.dtb = float32(dtb)
-		c.bind(m.eta, m.newEta, m.ubar, m.vbar)
+		// --- Continuity (forward): η from the current transports ---
+		copy(s.eta, o.Eta)
+		c := s.cont
+		c.dtb = dtb
+		c.bind(o.Eta, s.eta, o.Ubar, o.Vbar)
 		pp.Kernels.MustLaunch(hOcnContinuity, o.Sp, c)
-		m.eta, m.newEta = m.newEta, m.eta
-		o.syncOwnedRing64(o.Eta, m.eta)
+		o.Eta, s.eta = s.eta, o.Eta
 		o.B.Exchange(o.Eta)
-		o.syncHaloRing32(m.eta, o.Eta)
 
-		b := m.bt
-		b.dtb = float32(dtb)
-		b.bind(m.eta, m.ubar, m.vbar, m.newUbar, m.newVbar, m.tauX, m.tauY)
+		// --- Momentum (backward): transports from the new η ---
+		copy(s.ubar, o.Ubar)
+		copy(s.vbar, o.Vbar)
+		b := s.bt
+		b.dtb = dtb
+		b.bind(o.Eta, o.Ubar, o.Vbar, s.ubar, s.vbar, o.TauX, o.TauY)
 		pp.Kernels.MustLaunch(hOcnBtMomentum, o.Sp, b)
-		m.ubar, m.newUbar = m.newUbar, m.ubar
-		m.vbar, m.newVbar = m.newVbar, m.vbar
+		o.Ubar, s.ubar = s.ubar, o.Ubar
+		o.Vbar, s.vbar = s.vbar, o.Vbar
 	}
-	pp.Convert64(o.Ubar, m.ubar)
-	pp.Convert64(o.Vbar, m.vbar)
-	pp.Convert64(o.Eta, m.eta)
-}
 
-// syncOwnedRing64 copies the H-wide owned boundary ring from the float32
-// mirror into the float64 field — exactly the cells a halo exchange reads
-// (what neighbours, the zonal wrap, and the pole fold receive).
-func (o *Ocean) syncOwnedRing64(dst []float64, src []float32) {
-	H, NI, NJ := o.B.H, o.B.NI, o.B.NJ
-	top := H
-	if top > NJ {
-		top = NJ
-	}
-	for r := 0; r < top; r++ {
-		o.convRow64(dst, src, r)
-		if NJ-1-r > r {
-			o.convRow64(dst, src, NJ-1-r)
-		}
-	}
-	side := H
-	if side > NI {
-		side = NI
-	}
-	for lj := H; lj < NJ-H; lj++ {
-		for ci := 0; ci < side; ci++ {
-			a := o.idx2(ci, lj)
-			dst[a] = float64(src[a])
-			if NI-1-ci > ci {
-				b := o.idx2(NI-1-ci, lj)
-				dst[b] = float64(src[b])
-			}
-		}
-	}
-}
-
-func (o *Ocean) convRow64(dst []float64, src []float32, lj int) {
-	base := o.idx2(0, lj)
-	for i := 0; i < o.B.NI; i++ {
-		dst[base+i] = float64(src[base+i])
-	}
-}
-
-// syncHaloRing32 refreshes the float32 mirror's halo frame (including
-// corners) from the float64 field after an exchange wrote it.
-func (o *Ocean) syncHaloRing32(dst []float32, src []float64) {
-	H, LNI, LNJ := o.B.H, o.LNI, o.LNJ
-	for jr := 0; jr < LNJ; jr++ {
-		base := jr * LNI
-		if jr < H || jr >= LNJ-H {
-			for i := 0; i < LNI; i++ {
-				dst[base+i] = float32(src[base+i])
-			}
-			continue
-		}
-		for i := 0; i < H; i++ {
-			dst[base+i] = float32(src[base+i])
-			dst[base+LNI-1-i] = float32(src[base+LNI-1-i])
-		}
-	}
+	// Split correction: impose the barotropic depth-mean on the 3-D field.
+	sp := s.split
+	sp.u, sp.v, sp.ubar, sp.vbar = o.U, o.V, o.Ubar, o.Vbar
+	pp.Kernels.MustLaunch(hOcnSplit, o.Sp, sp)
 }
 
 // tracerStep advances temperature and salinity with conservative upwind
 // flux-form advection, Laplacian diffusion, explicit vertical diffusion,
-// and the surface heat / freshwater forcing. Tracer transport is float64
-// under every precision mode: the flux-form update telescopes exactly, which
-// is what keeps the 1e-10 conservation audit closed even when the advecting
-// velocities came through the float32 kernels.
+// and the surface heat / freshwater forcing. The flux-form update telescopes
+// exactly, which is what keeps the 1e-10 conservation audit closed; under
+// the -mixed policy it still runs in float64 on the quantized state.
 func (o *Ocean) tracerStep(dt float64) {
 	s := o.scrEnsure()
 	s.ex = append(s.ex[:0],

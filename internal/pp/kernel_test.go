@@ -5,71 +5,6 @@ import (
 	"testing"
 )
 
-func TestParsePrec(t *testing.T) {
-	for in, want := range map[string]Prec{
-		"f64": PrecF64, "float64": PrecF64, "": PrecF64,
-		"mixed": PrecMixed, "f32": PrecMixed, "float32": PrecMixed,
-	} {
-		got, err := ParsePrec(in)
-		if err != nil || got != want {
-			t.Errorf("ParsePrec(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParsePrec("f16"); err == nil {
-		t.Error("expected error for unknown precision")
-	}
-	if PrecF64.String() != "f64" || PrecMixed.String() != "mixed" {
-		t.Errorf("Prec strings = %q/%q", PrecF64, PrecMixed)
-	}
-}
-
-func TestVecSignalsMixedAndDelegates(t *testing.T) {
-	inner := NewCPE(16)
-	v := NewVec(inner)
-	if v.Name() != "Vec(CPE)" || v.Concurrency() != inner.Concurrency() {
-		t.Fatalf("Vec identity: name=%q conc=%d", v.Name(), v.Concurrency())
-	}
-	if v.Unwrap() != Space(inner) {
-		t.Fatal("Unwrap must return the inner space")
-	}
-	if NewVec(v) != v {
-		t.Fatal("NewVec must be idempotent on a Vec")
-	}
-	// PrecOf sees through instrumentation in either wrap order.
-	o := newRecordObserver()
-	if PrecOf(Serial{}) != PrecF64 || PrecOf(Instrument(Serial{}, o)) != PrecF64 {
-		t.Error("plain spaces must report f64")
-	}
-	if PrecOf(v) != PrecMixed || PrecOf(Instrument(v, o)) != PrecMixed {
-		t.Error("Vec (instrumented or not) must report mixed")
-	}
-	// Scheduling delegates: the inner CPE order and results are preserved.
-	out := make([]float64, 100)
-	v.ParallelFor(100, func(i int) { out[i] = float64(i) })
-	for i := range out {
-		if out[i] != float64(i) {
-			t.Fatalf("out[%d] = %g", i, out[i])
-		}
-	}
-	sum := v.ParallelReduce(10, 0, func(i int) float64 { return float64(i) },
-		func(a, b float64) float64 { return a + b })
-	if sum != 45 {
-		t.Fatalf("reduce = %g", sum)
-	}
-}
-
-func TestDefaultSpaceVecAlias(t *testing.T) {
-	for _, name := range []string{"Vec", "vec"} {
-		s, err := DefaultSpace(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if PrecOf(s) != PrecMixed {
-			t.Errorf("DefaultSpace(%q) is not mixed precision", name)
-		}
-	}
-}
-
 // Satellite: hash-collision and double-registration behavior, pinned.
 // Real FNV-1a collisions are infeasible to mine, so the collision branch is
 // driven through registerHashed with a forced hash.
@@ -114,7 +49,7 @@ func TestLaunchCountsOnInstrumentedSpace(t *testing.T) {
 	h := reg.MustRegister("ocn.continuity", func(s Space, _ any) {
 		s.ParallelFor(4, func(int) {})
 	})
-	sp := Instrument(NewVec(Serial{}), spObs)
+	sp := Instrument(Serial{}, spObs)
 	for i := 0; i < 2; i++ {
 		if err := reg.Launch(h, sp, nil); err != nil {
 			t.Fatal(err)
@@ -171,10 +106,9 @@ func TestMDLaunchesCounted(t *testing.T) {
 }
 
 // Satellite: MDRange edge tiles — non-divisible extents, empty ranges, and
-// single-tile ranges — on every backend including Vec.
+// single-tile ranges — on every backend.
 func TestMDRangeEdgeTiles(t *testing.T) {
-	backends := []Space{Serial{}, NewHost(4), NewCPE(16), NewCPE(1),
-		NewVec(Serial{}), NewVec(NewHost(4)), NewVec(NewCPE(16))}
+	backends := []Space{Serial{}, NewHost(4), NewCPE(16), NewCPE(1)}
 	cases := []struct {
 		name         string
 		lo, hi, tile []int
@@ -218,7 +152,7 @@ func TestMDRangeEdgeTiles(t *testing.T) {
 			}
 		}
 	}
-	// Rank-3 edge tiles: non-divisible in every dimension, on Vec too.
+	// Rank-3 edge tiles: non-divisible in every dimension.
 	r3, err := NewMDRange([]int{0, 1, 0}, []int{5, 8, 7}, []int{2, 3, 4})
 	if err != nil {
 		t.Fatal(err)
@@ -245,32 +179,8 @@ func TestMDRangeEdgeTiles(t *testing.T) {
 	}
 }
 
-func TestConvertRoundTrip(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 4, 5, 7, 8, 1023} {
-		src := make([]float64, n)
-		for i := range src {
-			src[i] = float64(i)*0.5 - 100
-		}
-		dst32 := make([]float32, n)
-		Convert32(dst32, src)
-		back := make([]float64, n)
-		Convert64(back, dst32)
-		for i := range src {
-			if dst32[i] != float32(src[i]) || back[i] != float64(float32(src[i])) {
-				t.Fatalf("n=%d i=%d: %g -> %g -> %g", n, i, src[i], dst32[i], back[i])
-			}
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("length mismatch must panic")
-		}
-	}()
-	Convert32(make([]float32, 3), make([]float64, 4))
-}
-
 func TestBindView3(t *testing.T) {
-	buf := make([]float32, 2*3*4)
+	buf := make([]float64, 2*3*4)
 	v := BindView3("u", buf, 2, 3, 4)
 	v.Set(1, 2, 3, 42)
 	if buf[v.Index(1, 2, 3)] != 42 || v.At(1, 2, 3) != 42 {

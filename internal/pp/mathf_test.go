@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// TestExpFloat64BitForBit is retired: it pinned Exp[float64] to math.Exp bit
-// for bit, and the float64 body is now the table-driven expInto64, which differs
+// TestExpFloat64BitForBit is retired: it pinned Exp to math.Exp bit for bit,
+// and the body is now the table-driven ExpInto, which differs
 // from math.Exp in the last place by design (math.Exp on amd64 is an assembly
 // routine whose result depends on whether the host has FMA). Its successors
 // are TestExpAccuracy, TestExpEdges and TestExpTableMatchesBig below.
@@ -189,88 +189,37 @@ func TestExpTableMatchesBig(t *testing.T) {
 	}
 }
 
-// FastExpf must track math.Exp within a few float32 ulps across the range
-// the radiation and kernel sweeps use (attenuation arguments are negative;
-// moderate positive arguments ride along for generality).
-func TestFastExpfAccuracy(t *testing.T) {
-	worst := 0.0
-	for x := -86.0; x <= 60.0; x += 0.0173 {
-		got := float64(FastExpf(float32(x)))
-		want := math.Exp(float64(float32(x)))
-		rel := math.Abs(got-want) / want
-		if rel > worst {
-			worst = rel
-		}
-		if rel > 1e-6 {
-			t.Fatalf("FastExpf(%v) = %v, want %v (rel err %.3e)", x, got, want, rel)
-		}
-	}
-	t.Logf("worst relative error %.3e", worst)
-	if worst > 5e-7 {
-		t.Errorf("worst relative error %.3e exceeds the 5e-7 design envelope", worst)
-	}
-}
-
-// The edge behaviour the kernels rely on: saturated attenuation underflows
-// cleanly to zero, overflow saturates to +Inf, NaN propagates, and the
-// float32 instantiation of the generic Exp routes through FastExpf.
-func TestFastExpfEdges(t *testing.T) {
-	if got := FastExpf(-200); got != 0 {
-		t.Errorf("FastExpf(-200) = %v, want 0", got)
-	}
-	if got := FastExpf(200); !math.IsInf(float64(got), 1) {
-		t.Errorf("FastExpf(200) = %v, want +Inf", got)
-	}
-	if got := FastExpf(float32(math.NaN())); got == got {
-		t.Errorf("FastExpf(NaN) = %v, want NaN", got)
-	}
-	if got := FastExpf(0); got != 1 {
-		t.Errorf("FastExpf(0) = %v, want 1", got)
-	}
-	if got, want := Exp(float32(-3.25)), FastExpf(-3.25); got != want {
-		t.Errorf("Exp[float32](-3.25) = %v, want FastExpf = %v", got, want)
-	}
-}
-
-// ExpInto must hand every element exactly the bits Exp returns, at both
-// element types, in place or not, for empty, single, one-column and odd
-// lengths, fallback arguments included — that is what lets a kernel batch
-// its exponentials without changing a number.
+// ExpInto must hand every element exactly the bits Exp returns, in place or
+// not, for empty, single, one-column and odd lengths, fallback arguments
+// included — that is what lets a kernel batch its exponentials without
+// changing a number.
 func TestExpIntoMatchesExp(t *testing.T) {
 	for _, n := range []int{0, 1, 8, 257} {
-		src64 := make([]float64, n)
-		src32 := make([]float32, n)
-		for i := range src64 {
-			x := -90 + 100*float64(i)/float64(n) + 0.137*float64(i%7)
-			src64[i], src32[i] = x, float32(x)
+		src := make([]float64, n)
+		for i := range src {
+			src[i] = -90 + 100*float64(i)/float64(n) + 0.137*float64(i%7)
 		}
-		// The arguments the float64 table path hands to its fallback.
+		// The arguments the table path hands to its fallback.
 		for i, x := range []float64{-800, 705, math.NaN(), math.Inf(1), math.Inf(-1), -700, 700} {
 			if 3+i < n {
-				src64[3+i], src32[3+i] = x, float32(x)
+				src[3+i] = x
 			}
 		}
-		dst64 := make([]float64, n+1) // longer than src: the tail must be left alone
-		dst32 := make([]float32, n+1)
-		dst64[n], dst32[n] = -1, -1
-		ExpInto(dst64, src64)
-		ExpInto(dst32, src32)
-		for i := range src64 {
-			if got, want := dst64[i], Exp(src64[i]); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("n=%d: ExpInto[float64][%d] = %v, want Exp = %v", n, i, got, want)
-			}
-			if got, want := dst32[i], Exp(src32[i]); math.Float32bits(got) != math.Float32bits(want) {
-				t.Fatalf("n=%d: ExpInto[float32][%d] = %v, want Exp = %v", n, i, got, want)
+		dst := make([]float64, n+1) // longer than src: the tail must be left alone
+		dst[n] = -1
+		ExpInto(dst, src)
+		for i := range src {
+			if got, want := dst[i], Exp(src[i]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d: ExpInto[%d] = %v, want Exp = %v", n, i, got, want)
 			}
 		}
-		if dst64[n] != -1 || dst32[n] != -1 {
+		if dst[n] != -1 {
 			t.Fatalf("n=%d: ExpInto wrote past len(src)", n)
 		}
 		// In place.
-		ExpInto(src64, src64)
-		ExpInto(src32, src32)
-		for i := range src64 {
-			if math.Float64bits(src64[i]) != math.Float64bits(dst64[i]) || math.Float32bits(src32[i]) != math.Float32bits(dst32[i]) {
+		ExpInto(src, src)
+		for i := range src {
+			if math.Float64bits(src[i]) != math.Float64bits(dst[i]) {
 				t.Fatalf("n=%d: in-place ExpInto differs at %d", n, i)
 			}
 		}

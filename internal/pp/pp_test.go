@@ -3,6 +3,7 @@ package pp
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -124,6 +125,11 @@ func TestDefaultSpace(t *testing.T) {
 	}
 	if _, err := DefaultSpace("CUDA9000"); err == nil {
 		t.Error("expected error for unknown space")
+	}
+	// Vec was the mixed-kernel-precision wrapper; its name is now rejected
+	// with the accepted names in the message.
+	if _, err := DefaultSpace("Vec"); err == nil || !strings.Contains(err.Error(), "Serial") {
+		t.Errorf("DefaultSpace(Vec) error = %v, want a rejection naming Serial", err)
 	}
 }
 

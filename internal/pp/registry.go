@@ -13,9 +13,9 @@ import (
 // are C++ templates that the TMP-constrained device toolchain cannot
 // instantiate; the paper's workaround (§5.3) registers each concrete kernel
 // under a hash at host-compile time and dispatches on the device through a
-// callback table. Registry reproduces that mechanism. Kernel bodies select
-// their precision instantiation from PrecOf(s) and read typed arguments out
-// of the bundle, so one registration covers every backend × precision.
+// callback table. Registry reproduces that mechanism. Kernel bodies read
+// typed arguments out of the bundle and schedule on s, so one registration
+// covers every backend.
 type Kernel func(s Space, args any)
 
 // kernelEntry is one registered kernel. The observer metric name is

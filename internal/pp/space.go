@@ -10,10 +10,7 @@
 //   - Host: a goroutine worker pool, the OpenMP-threads analogue;
 //   - CPE: a simulated Sunway compute-processing-element cluster — a fixed
 //     64-worker gang with block-cyclic scheduling and per-worker scratch,
-//     mirroring the athread/LDM programming model;
-//   - Vec: a wrapper over any of the above that keeps the inner schedule but
-//     signals mixed precision — registered kernels run their float32
-//     instantiations with unrolled inner loops (see kernel.go, vec.go).
+//     mirroring the athread/LDM programming model.
 //
 // The package also provides the hash-based kernel registration and callback
 // mechanism the paper introduces for template-metaprogramming-constrained
@@ -29,7 +26,7 @@ import (
 
 // Space is an execution space: a place where parallel kernels run.
 type Space interface {
-	// Name identifies the backend ("Serial", "Host", "CPE", "Vec(...)").
+	// Name identifies the backend ("Serial", "Host", "CPE").
 	Name() string
 	// Concurrency is the number of workers the space schedules onto.
 	Concurrency() int
@@ -328,10 +325,7 @@ func DefaultSpace(name string) (Space, error) {
 		return NewHost(0), nil
 	case "CPE", "cpe", "Athread", "athread":
 		return NewCPE(0), nil
-	case "Vec", "vec":
-		// Mixed-precision vectorized space scheduling on the host pool.
-		return NewVec(NewHost(0)), nil
 	default:
-		return nil, fmt.Errorf("pp: unknown execution space %q", name)
+		return nil, fmt.Errorf("pp: unknown execution space %q (want Serial, Host or CPE; aliases MPE, OpenMP, Athread)", name)
 	}
 }

@@ -12,8 +12,7 @@ import (
 // multi-gang sizes.
 func TestSmallNAllBackends(t *testing.T) {
 	sizes := []int{0, 1, 3, 15, 16, 17, 63, 64, 65, 128, 129, 1024, 1057}
-	backends := []Space{Serial{}, NewHost(4), NewCPE(16), NewCPE(64), NewCPE(1),
-		NewVec(Serial{}), NewVec(NewHost(4)), NewVec(NewCPE(16))}
+	backends := []Space{Serial{}, NewHost(4), NewCPE(16), NewCPE(64), NewCPE(1)}
 	for _, n := range sizes {
 		in := make([]float64, n)
 		for i := range in {

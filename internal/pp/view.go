@@ -58,75 +58,16 @@ func (v *View3) CopyFrom(src *View3) {
 // Size returns the total element count.
 func (v *View3) Size() int { return len(v.Data) }
 
-// View3Of is the generic counterpart of View3 for the single-source kernel
-// layer: it binds a caller-owned buffer (no allocation, no copy) and carries
-// the extents so binding validates shape once, outside the hot loop. Kernel
-// bodies grab Data and index flat — the Kokkos-subview idiom where the view
-// is the binding/extent contract and the inner loop works on raw storage.
-type View3Of[T Float] struct {
-	Data       []T
-	NK, NJ, NI int
-	Label      string
-}
-
-// BindView3 wraps data as an nk × nj × ni view over the caller's buffer,
-// panicking on an extent/length mismatch — shape errors surface at bind
-// time, not as silent out-of-range math inside a kernel.
-func BindView3[T Float](label string, data []T, nk, nj, ni int) View3Of[T] {
+// BindView3 wraps data as an nk × nj × ni view over the caller's buffer (no
+// allocation, no copy), panicking on an extent/length mismatch — shape
+// errors surface at bind time, not as silent out-of-range math inside a
+// kernel. Kernel bodies grab Data and index flat: the Kokkos-subview idiom
+// where the view is the binding/extent contract and the inner loop works on
+// raw storage.
+func BindView3(label string, data []float64, nk, nj, ni int) View3 {
 	if nk < 0 || nj < 0 || ni < 0 || len(data) != nk*nj*ni {
 		panic(fmt.Sprintf("pp: view %s binds %d elements to extents (%d,%d,%d)",
 			label, len(data), nk, nj, ni))
 	}
-	return View3Of[T]{Data: data, NK: nk, NJ: nj, NI: ni, Label: label}
-}
-
-// Index returns the flat offset of (k, j, i).
-func (v View3Of[T]) Index(k, j, i int) int { return (k*v.NJ+j)*v.NI + i }
-
-// At returns the element at (k, j, i).
-func (v View3Of[T]) At(k, j, i int) T { return v.Data[(k*v.NJ+j)*v.NI+i] }
-
-// Set stores x at (k, j, i).
-func (v View3Of[T]) Set(k, j, i int, x T) { v.Data[(k*v.NJ+j)*v.NI+i] = x }
-
-// Level returns the contiguous nj × ni plane of level k.
-func (v View3Of[T]) Level(k int) []T {
-	base := k * v.NJ * v.NI
-	return v.Data[base : base+v.NJ*v.NI]
-}
-
-// Convert32 narrows src into dst with a 4-way unrolled loop — the mirror
-// refresh on the mixed-precision path. Lengths must match.
-func Convert32(dst []float32, src []float64) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("pp: convert32 length mismatch %d != %d", len(dst), len(src)))
-	}
-	n := len(src) &^ 3
-	for i := 0; i < n; i += 4 {
-		dst[i] = float32(src[i])
-		dst[i+1] = float32(src[i+1])
-		dst[i+2] = float32(src[i+2])
-		dst[i+3] = float32(src[i+3])
-	}
-	for i := n; i < len(src); i++ {
-		dst[i] = float32(src[i])
-	}
-}
-
-// Convert64 widens src into dst with a 4-way unrolled loop — publishing
-// mixed-precision kernel results back into the float64 model state.
-func Convert64(dst []float64, src []float32) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("pp: convert64 length mismatch %d != %d", len(dst), len(src)))
-	}
-	n := len(src) &^ 3
-	for i := 0; i < n; i += 4 {
-		dst[i] = float64(src[i])
-		dst[i+1] = float64(src[i+1])
-		dst[i+2] = float64(src[i+2])
-		dst[i+3] = float64(src[i+3])
-	}
-	for i := n; i < len(src); i++ {
-		dst[i] = float64(src[i])
-	}
+	return View3{Data: data, NK: nk, NJ: nj, NI: ni, Label: label}
 }
