@@ -22,8 +22,11 @@ all: check
 build:
 	$(GO) build ./...
 
+# bench/ is its own module, invisible to ./... from the root, and it calls
+# into par and grid: vet it too so a signature change there shows up here.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # bench/ is its own module, invisible to ./... from the root.
 test:

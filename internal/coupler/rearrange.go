@@ -77,8 +77,9 @@ func RearrangeTo(c *par.Comm, r *Router, src *AttrVect, mode RearrangeMode, o Ob
 // src) through the router's persistent per-peer pack buffers. In steady
 // state — after the first call has grown the buffers — a single-rank
 // rearrange performs zero heap allocations in either mode, and multi-rank
-// calls reuse every pack buffer. par.Send shares payloads by reference, so
-// a closing barrier orders buffer reuse after every peer has unpacked.
+// calls reuse every pack buffer. par.SendF64 and par.SendGS share payloads
+// by reference, so a closing barrier orders buffer reuse after every peer
+// has unpacked.
 func RearrangeInto(c *par.Comm, r *Router, src, dst *AttrVect, mode RearrangeMode, o Observer) error {
 	if src.LSize != r.NSrc {
 		return fmt.Errorf("coupler: rearrange source size %d, router expects %d", src.LSize, r.NSrc)
@@ -175,7 +176,7 @@ func RearrangeInto(c *par.Comm, r *Router, src, dst *AttrVect, mode RearrangeMod
 			firstErr = unpackFrom(dst, r.RecvFrom[me], buf)
 		}
 		// Blocking receives in ascending peer order; the sends above are
-		// buffered (par.Send never blocks), so there is no cycle. Drain
+		// buffered (par.SendF64/SendGS never block), so there is no cycle. Drain
 		// every expected message even after an unpack or decode error, so
 		// the closing barrier is reached on all ranks; decode faults come
 		// back as returned errors (typed *par.PayloadTypeError or
@@ -186,7 +187,7 @@ func RearrangeInto(c *par.Comm, r *Router, src, dst *AttrVect, mode RearrangeMod
 			}
 			var data []float64
 			if compressed {
-				gs, _, err := par.RecvGS(c, pe, rearrangeTag)
+				gs, err := par.RecvGS(c, pe, rearrangeTag)
 				if err != nil {
 					if firstErr == nil {
 						firstErr = err
@@ -205,7 +206,7 @@ func RearrangeInto(c *par.Comm, r *Router, src, dst *AttrVect, mode RearrangeMod
 				}
 			} else {
 				var err error
-				data, _, err = par.RecvF64E(c, pe, rearrangeTag)
+				data, err = par.RecvF64(c, pe, rearrangeTag)
 				if err != nil {
 					if firstErr == nil {
 						firstErr = err

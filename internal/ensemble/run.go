@@ -161,8 +161,11 @@ type attemptOut struct {
 // runAttempt launches one member attempt as its own par world and supervises
 // it against the wall-clock deadline. The world name carries both the member
 // and the attempt ("m03#a2"): it scopes the member's fault plan, labels
-// par timeouts, and — because each attempt's name and restart directory are
-// unique — fences a deadline-expired attempt completely. Go cannot kill the
+// par BarrierTimeout errors and who-waits dumps, and — because each
+// attempt's name and restart directory are unique — fences a
+// deadline-expired attempt completely. The deadline is also what ends an
+// attempt whose rank waits on a lost message: par receives have no
+// deadline of their own. Go cannot kill the
 // zombie world's goroutines, so they are deliberately leaked: their scoped
 // plan is disarmed, their restart set is in a directory no retry reads, and
 // their result lands in a buffered channel nobody receives from.

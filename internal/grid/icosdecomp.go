@@ -9,7 +9,7 @@ import (
 	"repro/internal/precision"
 )
 
-// IcosDecomp is the icosahedral-mesh analogue of the tripolar Block: a
+// IcosDecomp is the icosahedral-mesh analogue of TripolarDecomp: a
 // spatially compact domain decomposition of the atmosphere's cells across
 // the communicator, with precomputed halo adjacency and an allocation-free
 // halo exchange over par point-to-point messages.
@@ -114,7 +114,7 @@ type HaloObserver interface {
 	AddCount(name string, delta int64)
 }
 
-// exchange message tags: disjoint from the tripolar Block's 1000–1004 and
+// exchange message tags: disjoint from TripolarDecomp's 2000–2004 and
 // the coupler rearranger's 7100, so the concurrent schedule can run the
 // atmosphere halo on the driver goroutine while the ocean goroutine drains
 // its own halo traffic on the same mailboxes.
@@ -428,7 +428,7 @@ func (d *IcosDecomp) exchange(f []float64, nlev, lo, hi, n, tag int, send, recv 
 		want := w * len(list)
 		var msg []float64
 		if d.wire == par.WireGS32 {
-			gs, _, err := par.RecvGS(d.comm, p, tag)
+			gs, err := par.RecvGS(d.comm, p, tag)
 			if err != nil {
 				// ExchangeCells cannot return errors (the Decomp contract);
 				// the typed error panics into core's stepChecked recover,
@@ -446,7 +446,7 @@ func (d *IcosDecomp) exchange(f []float64, nlev, lo, hi, n, tag int, send, recv 
 				panic(err)
 			}
 		} else {
-			m, _, err := par.RecvF64E(d.comm, p, tag)
+			m, err := par.RecvF64(d.comm, p, tag)
 			if err != nil {
 				panic(err)
 			}

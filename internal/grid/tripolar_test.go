@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -133,20 +134,19 @@ func TestFoldPartnerInvolution(t *testing.T) {
 func TestBlockDecompositionIndices(t *testing.T) {
 	g, _ := NewTripolar(48, 24, 5)
 	par.Run(4, func(c *par.Comm) {
-		ct := par.NewCart(c, 2, 2, true, false)
-		b, err := NewBlock(g, ct, 2)
+		d, err := NewTripolarDecompLayout(g, c, 2, 2, 2)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if b.NI != 24 || b.NJ != 12 {
-			t.Errorf("block %dx%d", b.NI, b.NJ)
+		if d.NI != 24 || d.NJ != 12 {
+			t.Errorf("block %dx%d", d.NI, d.NJ)
 		}
 		// Global index of local origin.
-		if b.GIdx(0, 0) != b.J0*48+b.I0 {
+		if d.GIdx(0, 0) != d.J0*48+d.I0 {
 			t.Error("GIdx origin mismatch")
 		}
-		if b.LIdx(0, 0) != 2*b.LNI()+2 {
+		if d.LIdx(0, 0) != 2*d.LNI()+2 {
 			t.Error("LIdx origin mismatch")
 		}
 	})
@@ -155,77 +155,122 @@ func TestBlockDecompositionIndices(t *testing.T) {
 func TestBlockValidation(t *testing.T) {
 	g, _ := NewTripolar(48, 24, 5)
 	par.Run(4, func(c *par.Comm) {
-		ct := par.NewCart(c, 4, 1, true, false)
-		if _, err := NewBlock(g, ct, 0); err == nil {
+		if _, err := NewTripolarDecompLayout(g, c, 4, 1, 0); err == nil {
 			t.Error("halo 0 accepted")
 		}
-		if _, err := NewBlock(g, ct, 30); err == nil {
+		if _, err := NewTripolarDecompLayout(g, c, 4, 1, 30); err == nil {
 			t.Error("oversized halo accepted")
 		}
 	})
 	par.Run(5, func(c *par.Comm) {
-		ct := par.NewCart(c, 5, 1, true, false)
-		if _, err := NewBlock(g, ct, 1); err == nil {
+		if _, err := NewTripolarDecompLayout(g, c, 5, 1, 1); err == nil {
 			t.Error("non-divisible layout accepted")
 		}
 	})
 }
 
-// haloReference fills ghost cells of a global field according to the grid's
-// boundary rules, for comparison against the distributed exchange.
-func globalAt(g *Tripolar, f []float64, i, j int) float64 {
-	// periodic x
+// globalIJ maps global coordinates, ghosts included, to the owned cell whose
+// value the halo exchange delivers there: periodic in x, zero-gradient at
+// the closed south, and across the fold row NY+r maps to row NY-1-r with
+// mirrored longitude.
+func globalIJ(g *Tripolar, i, j int) (int, int) {
 	i = ((i % g.NX) + g.NX) % g.NX
 	if j < 0 {
-		j = 0 // zero-gradient south
+		j = 0
 	}
 	if j >= g.NY {
-		// fold: row NY+r maps to row NY-1-r with mirrored longitude
 		r := j - g.NY
 		j = g.NY - 1 - r
 		i = g.NX - 1 - i
 	}
+	return i, j
+}
+
+// globalAt is the reference value of global field f at (i, j), ghosts
+// included.
+func globalAt(g *Tripolar, f []float64, i, j int) float64 {
+	i, j = globalIJ(g, i, j)
 	return f[j*g.NX+i]
 }
 
+// TestHaloExchangeMatchesGlobalReference fills every owned cell of the live
+// ocean decomposition from one global field, exchanges, and checks every
+// ghost — south boundary, fold, periodic wrap and corners — against the
+// global reference. A ghost whose value comes from a land-eliminated block
+// must read 0, and so must an x ghost the exchange relays through one (the
+// x phase carries the corner ghosts from the x neighbour's own halo).
 func TestHaloExchangeMatchesGlobalReference(t *testing.T) {
-	g, err := NewTripolar(24, 12, 3)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		pbx, pby, halo int
+		dry            []int // (bx, by) of a block dried out to land, if any
+	}{
+		{pbx: 1, pby: 1, halo: 1},
+		{pbx: 2, pby: 2, halo: 1},
+		{pbx: 4, pby: 1, halo: 1},
+		{pbx: 1, pby: 4, halo: 1},
+		{pbx: 2, pby: 3, halo: 1},
+		{pbx: 2, pby: 3, halo: 2},
+		{pbx: 2, pby: 2, halo: 1, dry: []int{0, 0}}, // dry south-west block
+		{pbx: 3, pby: 3, halo: 1, dry: []int{1, 1}}, // dry interior block
+		{pbx: 2, pby: 3, halo: 1, dry: []int{1, 2}}, // dry fold partner
 	}
-	global := make([]float64, g.NX*g.NY)
-	for idx := range global {
-		global[idx] = float64(idx)*1.5 + 3
-	}
-	for _, layout := range [][2]int{{1, 1}, {2, 2}, {4, 1}, {1, 4}, {2, 3}} {
-		nx, ny := layout[0], layout[1]
-		par.Run(nx*ny, func(c *par.Comm) {
-			ct := par.NewCart(c, nx, ny, true, false)
-			b, err := NewBlock(g, ct, 1)
+	for _, tc := range cases {
+		g, err := NewTripolar(24, 12, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.dry != nil {
+			g = tripolarWithDryBlock(t, 24, 12, 3, tc.pbx, tc.pby, tc.dry[0], tc.dry[1])
+		}
+		global := make([]float64, g.NX*g.NY)
+		for idx := range global {
+			global[idx] = float64(idx)*1.5 + 3
+		}
+		ranks := 0
+		for _, l := range blockLoads(g, tc.pbx, tc.pby) {
+			if l > 0 {
+				ranks++
+			}
+		}
+		if tc.dry == nil && ranks != tc.pbx*tc.pby {
+			t.Fatalf("layout %dx%d: the analytic mask dries a block", tc.pbx, tc.pby)
+		}
+		name := fmt.Sprintf("%dx%d/h%d/dry%v", tc.pbx, tc.pby, tc.halo, tc.dry)
+		par.Run(ranks, func(c *par.Comm) {
+			d, err := NewTripolarDecompLayout(g, c, tc.pbx, tc.pby, tc.halo)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			f := b.Alloc()
-			for lj := 0; lj < b.NJ; lj++ {
-				for li := 0; li < b.NI; li++ {
-					f[b.LIdx(li, lj)] = global[b.GIdx(li, lj)]
+			h, lni := d.H, d.LNI()
+			eliminated := func(bx, by int) bool {
+				bx = (bx + d.PBX) % d.PBX
+				return d.rankOf[by*d.PBX+bx] < 0
+			}
+			f := d.Alloc()
+			for i := range f {
+				f[i] = -999 // sentinel: every ghost must be overwritten
+			}
+			for lj := 0; lj < d.NJ; lj++ {
+				for li := 0; li < d.NI; li++ {
+					f[d.LIdx(li, lj)] = global[d.GIdx(li, lj)]
 				}
 			}
-			b.Exchange(f)
-			// Every local cell including ghosts must match the reference.
-			for lj := -1; lj <= b.NJ; lj++ {
-				for li := -1; li <= b.NI; li++ {
-					// Skip the four corners at the fold row: the fold and
-					// periodic wrap interact there and the reproduction's
-					// two-phase exchange defines corners via post-fold x
-					// exchange, which matches the reference too.
-					gi, gj := b.I0+li, b.J0+lj
-					want := globalAt(g, global, gi, gj)
-					got := f[(lj+1)*b.LNI()+li+1]
-					if math.Abs(got-want) > 1e-12 {
-						t.Errorf("layout %dx%d rank %d: ghost (%d,%d) global (%d,%d) = %v, want %v",
-							nx, ny, c.Rank(), li, lj, gi, gj, got, want)
+			d.Exchange(f)
+			for lj := -h; lj < d.NJ+h; lj++ {
+				for li := -h; li < d.NI+h; li++ {
+					gi, gj := d.I0+li, d.J0+lj
+					mi, mj := globalIJ(g, gi, gj)
+					want := global[mj*g.NX+mi]
+					if eliminated(mi/d.BNI, mj/d.BNJ) {
+						want = 0
+					}
+					if li < 0 && eliminated(d.bx-1, d.by) || li >= d.NI && eliminated(d.bx+1, d.by) {
+						want = 0
+					}
+					if got := f[(lj+h)*lni+li+h]; got != want {
+						t.Errorf("%s rank %d: ghost (%d,%d) global (%d,%d) = %v, want %v",
+							name, c.Rank(), li, lj, gi, gj, got, want)
 						return
 					}
 				}
@@ -237,15 +282,18 @@ func TestHaloExchangeMatchesGlobalReference(t *testing.T) {
 func TestGatherGlobalReassembles(t *testing.T) {
 	g, _ := NewTripolar(24, 12, 3)
 	par.Run(6, func(c *par.Comm) {
-		ct := par.NewCart(c, 3, 2, true, false)
-		b, _ := NewBlock(g, ct, 1)
-		f := b.Alloc()
-		for lj := 0; lj < b.NJ; lj++ {
-			for li := 0; li < b.NI; li++ {
-				f[b.LIdx(li, lj)] = float64(b.GIdx(li, lj))
+		d, err := NewTripolarDecompLayout(g, c, 3, 2, 1)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		f := d.Alloc()
+		for lj := 0; lj < d.NJ; lj++ {
+			for li := 0; li < d.NI; li++ {
+				f[d.LIdx(li, lj)] = float64(d.GIdx(li, lj))
 			}
 		}
-		out := b.GatherGlobal(f)
+		out := d.GatherGlobal(f)
 		if c.Rank() == 0 {
 			for idx := range out {
 				if out[idx] != float64(idx) {

@@ -9,8 +9,8 @@ import (
 
 // TripolarDecomp is the 2D tripolar block decomposition of the ocean (and
 // sea-ice) grid: one uniform rectangular block per rank with halo storage,
-// periodic in x, closed at the south, folded at the tripolar north — the
-// same halo semantics as Block — plus the two capabilities Block lacks:
+// periodic in x, closed at the south, folded at the tripolar north, with
+// two further capabilities:
 //
 //   - land-block elimination: the layout search may choose a process grid
 //     with more blocks than ranks and leave the all-land blocks unassigned
@@ -30,7 +30,7 @@ import (
 type TripolarDecomp struct {
 	G *Tripolar
 
-	// Geometry of this rank's patch, Block-compatible: local arrays are
+	// Geometry of this rank's patch: local arrays are
 	// (NJ+2H) × (NI+2H), row-major, owned region at offset (H, H).
 	I0, J0 int // global origin of the owned region
 	NI, NJ int // owned extents
@@ -93,15 +93,15 @@ type DryBlock struct {
 // LNI()*LNJ() local storage laid out [k*LNI*LNJ + idx]. Vec marks velocity
 // components: the cell-centred fold mirroring is misaligned for staggered
 // fields, so they skip the fold message and take free-slip (zero-gradient)
-// copies of the top owned row instead, exactly as Block.ExchangeVec.
+// copies of the top owned row instead (see ExchangeVec).
 type HaloField struct {
 	Data []float64
 	NLev int
 	Vec  bool
 }
 
-// Halo exchange message tags: disjoint from Block's 1000–1004, the
-// icosahedral decomposition's 6000–6001, and the coupler rearranger's 7100,
+// Halo exchange message tags: disjoint from the icosahedral
+// decomposition's 6000–6001 and the coupler rearranger's 7100,
 // so the concurrent schedule can drain ocean halo traffic on the component
 // goroutine while the atmosphere exchanges on the driver.
 const (
@@ -262,7 +262,7 @@ func (d *TripolarDecomp) finishGeometry() {
 	}
 }
 
-// --- Block-compatible geometry ---
+// --- Block geometry ---
 
 // LNI returns the local array width including halos.
 func (d *TripolarDecomp) LNI() int { return d.NI + 2*d.H }
@@ -424,7 +424,7 @@ func (d *TripolarDecomp) ExchangeVec(f []float64) {
 // (scalar) or free-slip (vec) at the tripolar north, zero against
 // land-eliminated neighbours. All ranks must pass identical batch shapes
 // (field order, levels, vec flags); the halo values are identical to
-// per-field Block exchanges on any layout.
+// per-field exchanges on any layout.
 func (d *TripolarDecomp) ExchangeFields(fields []HaloField) {
 	d.StartExchange(fields)
 	d.FinishExchange(fields)
@@ -485,7 +485,7 @@ func (d *TripolarDecomp) sendWire(dst, tag, dir int, buf []float64) {
 // decode scratch, valid until the next recvWire call.
 func (d *TripolarDecomp) recvWire(src, tag int) []float64 {
 	if d.wire == par.WireGS32 {
-		gs, _, err := par.RecvGS(d.comm, src, tag)
+		gs, err := par.RecvGS(d.comm, src, tag)
 		if err != nil {
 			panic(err)
 		}
@@ -498,7 +498,7 @@ func (d *TripolarDecomp) recvWire(src, tag int) []float64 {
 		}
 		return msg
 	}
-	msg, _, err := par.RecvF64E(d.comm, src, tag)
+	msg, err := par.RecvF64(d.comm, src, tag)
 	if err != nil {
 		panic(err)
 	}

@@ -211,7 +211,8 @@ func (co *ColumnOwner) LoadImbalance(g *grid.Tripolar) float64 {
 
 // HaloNeighbors rebuilds the communication topology after remapping: for
 // each rank, the sorted set of other ranks owning columns adjacent (4-way,
-// with zonal periodicity) to its columns. The result feeds par.NewGraph.
+// with zonal periodicity) to its columns: the halo partners a compacted
+// decomposition would exchange with (§5.2.2).
 func (co *ColumnOwner) HaloNeighbors(g *grid.Tripolar) [][]int {
 	sets := make([]map[int]bool, co.NRanks)
 	for i := range sets {

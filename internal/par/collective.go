@@ -105,54 +105,19 @@ func Allgather[T any](c *Comm, v T) []T {
 	return out
 }
 
-// Scatter distributes vals[i] from root to rank i. Only root's vals are
-// consulted; it must have exactly Size elements.
-func Scatter[T any](c *Comm, root int, vals []T) T {
-	var payload any
-	if c.rank == root {
-		if len(vals) != c.state.size {
-			panic(fmt.Sprintf("par: Scatter needs %d values, got %d", c.state.size, len(vals)))
-		}
-		payload = vals
-	}
-	c.countCollective("scatter", payload)
-	all := c.exchange(payload)
-	rv := all[root].([]T)
-	return rv[c.rank]
-}
-
-// Alltoall sends send[i] to rank i and returns the values received from each
-// rank, ordered by source rank. send must have Size elements.
-func Alltoall[T any](c *Comm, send []T) []T {
-	if len(send) != c.state.size {
-		panic(fmt.Sprintf("par: Alltoall needs %d values, got %d", c.state.size, len(send)))
-	}
-	c.countCollective("alltoall", any(send))
-	all := c.exchange(any(send))
-	out := make([]T, c.state.size)
-	for src, x := range all {
-		out[src] = x.([]T)[c.rank]
-	}
-	return out
-}
-
 // AlltoallvF64 exchanges variable-length float64 blocks: send[i] goes to
 // rank i. The returned slice holds, per source rank, the block that rank
 // sent here. This is the communication core of the coupler's baseline
-// rearranger (§5.2.4).
+// rearranger (§5.2.4). send must have Size elements.
 func (c *Comm) AlltoallvF64(send [][]float64) [][]float64 {
-	return Alltoall(c, send)
-}
-
-// ExclusiveScanInt returns the exclusive prefix sum of v across ranks:
-// rank r receives sum of values from ranks 0..r-1 (0 on rank 0). Used for
-// global offset computation in I/O and GSMap construction.
-func (c *Comm) ExclusiveScanInt(v int) int {
-	c.countCollective("scan", v)
-	all := c.exchange(v)
-	sum := 0
-	for r := 0; r < c.rank; r++ {
-		sum += all[r].(int)
+	if len(send) != c.state.size {
+		panic(fmt.Sprintf("par: AlltoallvF64 needs %d blocks, got %d", c.state.size, len(send)))
 	}
-	return sum
+	c.countCollective("alltoall", send)
+	all := c.exchange(send)
+	out := make([][]float64, c.state.size)
+	for src, x := range all {
+		out[src] = x.([][]float64)[c.rank]
+	}
+	return out
 }

@@ -1,9 +1,13 @@
 // Package par is an in-process message-passing runtime that substitutes for
 // MPI in this reproduction. Ranks are goroutines sharing a World; each World
-// provides communicators with point-to-point messaging (blocking and
-// nonblocking), collectives, and topology helpers.
+// provides communicators with typed point-to-point messaging and
+// collectives.
 //
-// Semantics follow MPI where it matters to the ported code:
+// Point-to-point traffic has one path per payload kind: SendF64/RecvF64 for
+// raw float64 slices and SendGS/RecvGS for group-scaled compressed payloads.
+// Both receives name their source and tag exactly and return an error, never
+// panic, on a payload of the other kind. Semantics follow MPI where it
+// matters to the ported code:
 //
 //   - messages between a (source, destination, tag) triple are delivered in
 //     FIFO order;
@@ -13,10 +17,9 @@
 //   - collectives synchronize all ranks of the communicator.
 //
 // The runtime is deliberately simple: it exists so that the coupler,
-// rearranger, halo-exchange, and I/O-aggregation code in this repository is
-// structured exactly like the MPI code in the paper's models, and so the
-// communication-pattern experiments (alltoall vs nonblocking point-to-point,
-// §5.2.4) measure real message traffic.
+// rearranger and halo-exchange code in this repository moves its data as
+// real messages, and so the communication-pattern experiments (alltoall vs
+// point-to-point, §5.2.4) measure real message traffic.
 package par
 
 import (
@@ -30,22 +33,14 @@ import (
 	"repro/internal/precision"
 )
 
-// AnyTag matches any message tag in Recv.
-const AnyTag = -1
-
-// AnySource matches any source rank in Recv.
-const AnySource = -1
-
 type message struct {
-	src  int
-	tag  int
-	data any
-	// f64 is the boxing-free payload slot used by SendF64/RecvF64: storing
-	// the slice in a typed field instead of `any` keeps the halo-exchange
-	// hot path free of the interface-conversion allocation.
+	src int
+	tag int
+	// f64 is the payload of SendF64/RecvF64: a typed field, not `any`, so
+	// the halo-exchange hot path pays no interface-conversion allocation.
 	f64 []float64
-	// gs is the boxing-free slot for group-scaled compressed payloads
-	// (SendGS/RecvGS) — the WireGS32 format's counterpart of f64.
+	// gs is the payload of SendGS/RecvGS — the WireGS32 format's
+	// counterpart of f64.
 	gs *precision.GroupScaled
 }
 
@@ -73,7 +68,7 @@ func (mb *mailbox) put(m message) {
 // the caller holds mb.mu.
 func (mb *mailbox) pop(src, tag int) (message, bool) {
 	for i, m := range mb.queue {
-		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
+		if m.src == src && m.tag == tag {
 			mb.queue = append(mb.queue[:i], mb.queue[i+1:]...)
 			return m, true
 		}
@@ -99,8 +94,8 @@ func (mb *mailbox) pop(src, tag int) (message, bool) {
 const pollBudget = time.Millisecond
 
 // take removes and returns the first message matching (src, tag), blocking
-// until one arrives: the one receive-progress rule under Recv, RecvF64E and
-// RecvGS. It polls for pollBudget, then parks.
+// until one arrives: the one receive-progress rule under RecvF64 and RecvGS.
+// It polls for pollBudget, then parks.
 func (mb *mailbox) take(src, tag int) message {
 	if m, ok := mb.poll(src, tag, pollBudget); ok {
 		return m
@@ -127,33 +122,6 @@ func (mb *mailbox) poll(src, tag int, budget time.Duration) (message, bool) {
 			return message{}, false
 		}
 		runtime.Gosched()
-	}
-}
-
-// takeTimeout is take with a deadline; ok reports whether a matching message
-// arrived in time. It parks at once — a caller that set a deadline expects
-// to wait — and the deadline wakeup rides the same condition variable as
-// deliveries, so the cost is one timer per wait iteration and nothing on the
-// delivery path.
-func (mb *mailbox) takeTimeout(src, tag int, d time.Duration) (message, bool) {
-	deadline := time.Now().Add(d)
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for {
-		if m, ok := mb.pop(src, tag); ok {
-			return m, true
-		}
-		rem := time.Until(deadline)
-		if rem <= 0 {
-			return message{}, false
-		}
-		t := time.AfterFunc(rem, func() {
-			mb.mu.Lock()
-			mb.cond.Broadcast()
-			mb.mu.Unlock()
-		})
-		mb.cond.Wait()
-		t.Stop()
 	}
 }
 
@@ -317,60 +285,22 @@ func RunNamed(n int, name string, body func(c *Comm)) {
 	}
 }
 
-// Send delivers data to rank dst with the given tag. Sends are buffered and
-// never block. The payload is shared by reference, matching the zero-copy
-// behaviour of intra-node MPI; callers that reuse buffers must copy first,
-// exactly as with MPI_Isend ownership rules.
-func Send[T any](c *Comm, dst int, tag int, data T) {
-	if dst < 0 || dst >= c.state.size {
-		panic(fmt.Sprintf("par: Send to invalid rank %d (size %d)", dst, c.state.size))
-	}
-	c.countSend(data)
-	if f := fault.PointScoped(c.state.member, "par.send", c.rank); f != nil && f.Kind == fault.Stall {
-		// The message is lost in flight — the interconnect failure whose only
-		// remedy on the receiving side is a deadline (RecvTimeout).
-		f.Sleep()
-		if c.obs != nil {
-			c.obs.AddCount("par.send.dropped", 1)
-		}
-		return
-	}
-	c.state.boxes[dst].put(message{src: c.rank, tag: tag, data: data})
-}
-
-// Recv blocks until a message from src with the given tag arrives and
-// returns its payload. src may be AnySource and tag may be AnyTag.
-func Recv[T any](c *Comm, src int, tag int) (T, Status) {
-	c.state.setWaiting(c.rank, fmt.Sprintf("Recv(src=%d, tag=%d)", src, tag))
-	m := c.state.boxes[c.rank].take(src, tag)
-	c.state.clearWaiting(c.rank)
-	if m.data == nil && m.f64 != nil {
-		// A SendF64 message read through the generic path: box it here, on
-		// the slow path, so the typed fast path never pays for it.
-		m.data = m.f64
-	}
-	if m.data == nil && m.gs != nil {
-		// Likewise for a SendGS message read through the generic path.
-		m.data = m.gs
-	}
-	c.countRecv(m.data)
-	v, ok := m.data.(T)
-	if !ok {
-		panic(fmt.Sprintf("par: Recv type mismatch from rank %d tag %d: got %T", m.src, m.tag, m.data))
-	}
-	return v, Status{Source: m.src, Tag: m.tag}
-}
-
-// SendF64 is Send specialized to []float64 payloads with no interface
-// boxing: the slice lands in the message's typed field, so a steady-state
-// halo exchange over persistent buffers performs zero allocations. The
-// payload is shared by reference, exactly like Send.
+// SendF64 delivers a []float64 payload to rank dst with the given tag.
+// Sends are buffered and never block. The slice lands in the message's typed
+// field, so a steady-state halo exchange over persistent buffers performs
+// zero allocations. The payload is shared by reference, matching the
+// zero-copy behaviour of intra-node MPI: a caller that reuses the buffer must
+// know the receiver has drained it first (the parity-buffer discipline).
 func SendF64(c *Comm, dst int, tag int, data []float64) {
 	if dst < 0 || dst >= c.state.size {
 		panic(fmt.Sprintf("par: SendF64 to invalid rank %d (size %d)", dst, c.state.size))
 	}
 	c.countP2PF64(&c.stats.SendMsgs, &c.stats.SendBytes, "par.send.msgs", "par.send.bytes", len(data))
 	if f := fault.PointScoped(c.state.member, "par.send", c.rank); f != nil && f.Kind == fault.Stall {
+		// The message is lost in flight. Nothing on the receiving side times
+		// out: the receiver blocks, and the stall surfaces as the blocked
+		// rank in a BarrierTimeout who-waits dump or as the ensemble's
+		// wall-clock deadline expiring on the member.
 		f.Sleep()
 		if c.obs != nil {
 			c.obs.AddCount("par.send.dropped", 1)
@@ -380,37 +310,20 @@ func SendF64(c *Comm, dst int, tag int, data []float64) {
 	c.state.boxes[dst].put(message{src: c.rank, tag: tag, f64: data})
 }
 
-// RecvF64 is Recv specialized to []float64 payloads sent with SendF64: no
-// boxing, no per-call formatting, zero allocations on the receive path. It
-// also accepts a plain Send of a []float64. A payload of any other kind
-// panics with the typed *PayloadTypeError; wire-decode paths use RecvF64E
-// to get the error returned instead.
-func RecvF64(c *Comm, src int, tag int) ([]float64, Status) {
-	v, st, err := RecvF64E(c, src, tag)
-	if err != nil {
-		panic(err)
+// RecvF64 blocks until a message from src with the given tag arrives and
+// returns its []float64 payload, with no per-call formatting and zero
+// allocations. A group-scaled payload comes back as a *PayloadTypeError (the
+// message is consumed), so a mis-tagged or corrupt message from a faulty
+// peer surfaces through the fault-tolerance layer instead of a panic.
+func RecvF64(c *Comm, src int, tag int) ([]float64, error) {
+	c.state.setWaiting(c.rank, "RecvF64")
+	m := c.state.boxes[c.rank].take(src, tag)
+	c.state.clearWaiting(c.rank)
+	if m.gs != nil {
+		return nil, &PayloadTypeError{Src: m.src, Tag: m.tag, Got: payloadKind(m), Want: "[]float64"}
 	}
-	return v, st
-}
-
-// Status describes a received message.
-type Status struct {
-	Source int
-	Tag    int
-}
-
-// Probe reports whether a message matching (src, tag) is waiting, without
-// consuming it.
-func (c *Comm) Probe(src, tag int) (Status, bool) {
-	mb := c.state.boxes[c.rank]
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	for _, m := range mb.queue {
-		if (src == AnySource || m.src == src) && (tag == AnyTag || m.tag == tag) {
-			return Status{Source: m.src, Tag: m.tag}, true
-		}
-	}
-	return Status{}, false
+	c.countP2PF64(&c.stats.RecvMsgs, &c.stats.RecvBytes, "par.recv.msgs", "par.recv.bytes", len(m.f64))
+	return m.f64, nil
 }
 
 // Barrier blocks until all ranks of the communicator have entered it.

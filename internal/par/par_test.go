@@ -3,7 +3,6 @@ package par
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -28,11 +27,11 @@ func TestRunLaunchesAllRanks(t *testing.T) {
 func TestSendRecvRoundTrip(t *testing.T) {
 	Run(2, func(c *Comm) {
 		if c.Rank() == 0 {
-			Send(c, 1, 42, []float64{1, 2, 3})
+			SendF64(c, 1, 42, []float64{1, 2, 3})
 		} else {
-			v, st := Recv[[]float64](c, 0, 42)
-			if st.Source != 0 || st.Tag != 42 {
-				t.Errorf("status = %+v", st)
+			v, err := RecvF64(c, 0, 42)
+			if err != nil {
+				t.Errorf("RecvF64: %v", err)
 			}
 			if !reflect.DeepEqual(v, []float64{1, 2, 3}) {
 				t.Errorf("payload = %v", v)
@@ -46,13 +45,13 @@ func TestFIFOOrderingPerPair(t *testing.T) {
 	Run(2, func(c *Comm) {
 		if c.Rank() == 0 {
 			for i := 0; i < n; i++ {
-				Send(c, 1, 7, i)
+				SendF64(c, 1, 7, []float64{float64(i)})
 			}
 		} else {
 			for i := 0; i < n; i++ {
-				v, _ := Recv[int](c, 0, 7)
-				if v != i {
-					t.Errorf("message %d arrived out of order: got %d", i, v)
+				v, _ := RecvF64(c, 0, 7)
+				if v[0] != float64(i) {
+					t.Errorf("message %d arrived out of order: got %v", i, v[0])
 				}
 			}
 		}
@@ -62,58 +61,15 @@ func TestFIFOOrderingPerPair(t *testing.T) {
 func TestTagSelectivity(t *testing.T) {
 	Run(2, func(c *Comm) {
 		if c.Rank() == 0 {
-			Send(c, 1, 1, "first")
-			Send(c, 1, 2, "second")
+			SendF64(c, 1, 1, []float64{1})
+			SendF64(c, 1, 2, []float64{2})
 		} else {
 			// Receive in reverse tag order: tags must select, not FIFO.
-			v2, _ := Recv[string](c, 0, 2)
-			v1, _ := Recv[string](c, 0, 1)
-			if v1 != "first" || v2 != "second" {
-				t.Errorf("got %q, %q", v1, v2)
+			v2, _ := RecvF64(c, 0, 2)
+			v1, _ := RecvF64(c, 0, 1)
+			if v1[0] != 1 || v2[0] != 2 {
+				t.Errorf("got %v, %v", v1, v2)
 			}
-		}
-	})
-}
-
-func TestAnySourceAnyTag(t *testing.T) {
-	Run(4, func(c *Comm) {
-		if c.Rank() != 0 {
-			Send(c, 0, c.Rank(), c.Rank()*10)
-		} else {
-			got := map[int]int{}
-			for i := 0; i < 3; i++ {
-				v, st := Recv[int](c, AnySource, AnyTag)
-				got[st.Source] = v
-			}
-			for r := 1; r < 4; r++ {
-				if got[r] != r*10 {
-					t.Errorf("from rank %d got %d, want %d", r, got[r], r*10)
-				}
-			}
-		}
-	})
-}
-
-func TestProbe(t *testing.T) {
-	Run(2, func(c *Comm) {
-		if c.Rank() == 0 {
-			Send(c, 1, 5, 99)
-			Send(c, 1, 6, 0) // release message
-		} else {
-			// Wait until something with tag 5 is queued.
-			for {
-				if st, ok := c.Probe(0, 5); ok {
-					if st.Tag != 5 {
-						t.Errorf("probe tag = %d", st.Tag)
-					}
-					break
-				}
-			}
-			v, _ := Recv[int](c, 0, 5)
-			if v != 99 {
-				t.Errorf("got %d", v)
-			}
-			Recv[int](c, 0, 6)
 		}
 	})
 }
@@ -183,7 +139,7 @@ func TestAllreduceSlice(t *testing.T) {
 	})
 }
 
-func TestGatherScatter(t *testing.T) {
+func TestGather(t *testing.T) {
 	Run(4, func(c *Comm) {
 		g := Gather(c, 0, c.Rank()*c.Rank())
 		if c.Rank() == 0 {
@@ -192,14 +148,6 @@ func TestGatherScatter(t *testing.T) {
 			}
 		} else if g != nil {
 			t.Errorf("non-root gather = %v", g)
-		}
-		var vals []int
-		if c.Rank() == 1 {
-			vals = []int{10, 11, 12, 13}
-		}
-		got := Scatter(c, 1, vals)
-		if got != 10+c.Rank() {
-			t.Errorf("scatter rank %d got %d", c.Rank(), got)
 		}
 	})
 }
@@ -215,14 +163,14 @@ func TestAllgather(t *testing.T) {
 
 func TestAlltoall(t *testing.T) {
 	Run(3, func(c *Comm) {
-		send := make([]int, 3)
+		send := make([][]float64, 3)
 		for d := range send {
-			send[d] = c.Rank()*10 + d
+			send[d] = []float64{float64(c.Rank()*10 + d)}
 		}
-		got := Alltoall(c, send)
+		got := c.AlltoallvF64(send)
 		for s, v := range got {
-			if v != s*10+c.Rank() {
-				t.Errorf("from %d got %d, want %d", s, v, s*10+c.Rank())
+			if want := float64(s*10 + c.Rank()); len(v) != 1 || v[0] != want {
+				t.Errorf("from %d got %v, want [%v]", s, v, want)
 			}
 		}
 	})
@@ -250,62 +198,6 @@ func TestAlltoallvF64(t *testing.T) {
 					t.Errorf("from %d [%d] = %v, want %v", s, i, v, want)
 				}
 			}
-		}
-	})
-}
-
-func TestExclusiveScanInt(t *testing.T) {
-	Run(5, func(c *Comm) {
-		got := c.ExclusiveScanInt(c.Rank() + 1)
-		want := 0
-		for r := 0; r < c.Rank(); r++ {
-			want += r + 1
-		}
-		if got != want {
-			t.Errorf("rank %d scan = %d, want %d", c.Rank(), got, want)
-		}
-	})
-}
-
-func TestIsendIrecvWaitall(t *testing.T) {
-	Run(4, func(c *Comm) {
-		n := c.Size()
-		reqs := make([]*Request, 0, 2*n)
-		recvs := make([]*Request, n)
-		for d := 0; d < n; d++ {
-			if d == c.Rank() {
-				continue
-			}
-			reqs = append(reqs, Isend(c, d, 3, []float64{float64(c.Rank())}))
-			r := Irecv[[]float64](c, d, 3)
-			recvs[d] = r
-			reqs = append(reqs, r)
-		}
-		WaitAll(reqs)
-		for d := 0; d < n; d++ {
-			if d == c.Rank() {
-				continue
-			}
-			v := recvs[d].Data().([]float64)
-			if v[0] != float64(d) {
-				t.Errorf("from %d got %v", d, v)
-			}
-		}
-	})
-}
-
-func TestRequestTest(t *testing.T) {
-	Run(2, func(c *Comm) {
-		if c.Rank() == 0 {
-			r := Irecv[int](c, 1, 9)
-			// Eventually completes after rank 1 sends.
-			for !r.Test() {
-			}
-			if r.Data().(int) != 77 {
-				t.Errorf("got %v", r.Data())
-			}
-		} else {
-			Send(c, 0, 9, 77)
 		}
 	})
 }
@@ -367,81 +259,20 @@ func TestSplitRepeatedly(t *testing.T) {
 	})
 }
 
-func TestCartTopology(t *testing.T) {
-	Run(6, func(c *Comm) {
-		ct := NewCart(c, 3, 2, true, false)
-		if ct.CX != c.Rank()%3 || ct.CY != c.Rank()/3 {
-			t.Errorf("coords (%d,%d)", ct.CX, ct.CY)
-		}
-		w, e, s, n := ct.Neighbors()
-		// Periodic in x:
-		if w != ct.CY*3+(ct.CX+2)%3 || e != ct.CY*3+(ct.CX+1)%3 {
-			t.Errorf("w,e = %d,%d", w, e)
-		}
-		// Non-periodic in y:
-		if ct.CY == 0 && s != -1 {
-			t.Errorf("south = %d at bottom row", s)
-		}
-		if ct.CY == 1 && n != -1 {
-			t.Errorf("north = %d at top row", n)
-		}
-	})
-}
-
-func TestCartShift(t *testing.T) {
-	Run(4, func(c *Comm) {
-		ct := NewCart(c, 4, 1, true, false)
-		src, dst := ct.Shift(0, 1)
-		if src != (c.Rank()+3)%4 || dst != (c.Rank()+1)%4 {
-			t.Errorf("shift = %d,%d", src, dst)
-		}
-	})
-}
-
-func TestGraphNeighborExchange(t *testing.T) {
-	// Ring of 4 with symmetric neighbour lists.
-	Run(4, func(c *Comm) {
-		left := (c.Rank() + 3) % 4
-		right := (c.Rank() + 1) % 4
-		g := NewGraph(c, []int{left, right})
-		send := [][]float64{{float64(c.Rank())}, {float64(c.Rank())}}
-		got := g.NeighborAlltoallF64(11, send)
-		if got[0][0] != float64(left) || got[1][0] != float64(right) {
-			t.Errorf("got %v", got)
-		}
-	})
-}
-
-func TestGraphRejectsSelf(t *testing.T) {
-	Run(2, func(c *Comm) {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic for self neighbour")
-			}
-		}()
-		NewGraph(c, []int{c.Rank()})
-	})
-}
-
-// Property: Alltoall is a transpose — applying it twice with the values
+// Property: AlltoallvF64 is a transpose — applying it twice with the values
 // tagged by (src,dst) recovers the original layout.
 func TestAlltoallTransposeProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(6)
-		orig := make([][]int, n)
 		ok := true
 		Run(n, func(c *Comm) {
-			send := make([]int, n)
+			send := make([][]float64, n)
 			for d := range send {
-				send[d] = int(seed%1000)*100 + c.Rank()*10 + d
+				send[d] = []float64{float64(int(seed%1000)*100 + c.Rank()*10 + d)}
 			}
-			if c.Rank() == 0 {
-				// record is only to keep the compiler honest about orig
-				orig[0] = send
-			}
-			recv := Alltoall(c, send)
-			back := Alltoall(c, recv)
+			recv := c.AlltoallvF64(send)
+			back := c.AlltoallvF64(recv)
 			if !reflect.DeepEqual(back, send) {
 				ok = false
 			}
@@ -499,24 +330,7 @@ func TestSendInvalidRankPanics(t *testing.T) {
 					t.Error("expected panic")
 				}
 			}()
-			Send(c, 5, 0, 1)
+			SendF64(c, 5, 0, []float64{1})
 		}
-	})
-}
-
-func sortedCopy(v []int) []int {
-	out := append([]int(nil), v...)
-	sort.Ints(out)
-	return out
-}
-
-func TestGraphDedupesNeighbors(t *testing.T) {
-	Run(3, func(c *Comm) {
-		other := (c.Rank() + 1) % 3
-		g := NewGraph(c, []int{other, other})
-		if len(g.Neighbors) != 1 {
-			t.Errorf("neighbours = %v", g.Neighbors)
-		}
-		_ = sortedCopy(g.Neighbors)
 	})
 }

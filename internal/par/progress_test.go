@@ -23,18 +23,28 @@ func waitBlocked(c *Comm, waiter string) {
 	time.Sleep(40 * pollBudget)
 }
 
+// queued reports how many undelivered messages the mailbox holds.
+func queued(mb *mailbox) int {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	return len(mb.queue)
+}
+
+// msg is a test message from rank 0 with tag 5 carrying the value i.
+func msg(i int) message { return message{src: 0, tag: 5, f64: []float64{float64(i)}} }
+
 func TestTakeBeforePoll(t *testing.T) {
 	mb := newMailbox()
 	for i := 1; i <= 3; i++ {
-		mb.put(message{src: 0, tag: 5, data: i})
+		mb.put(msg(i))
 	}
 	for want := 1; want <= 3; want++ {
-		if got := mb.take(0, 5).data; got != want {
+		if got := mb.take(0, 5).f64[0]; got != float64(want) {
 			t.Fatalf("queued message %d arrived as %v", want, got)
 		}
 	}
-	if _, ok := mb.tryTake(AnySource, AnyTag); ok {
-		t.Fatal("a message was delivered twice")
+	if n := queued(mb); n != 0 {
+		t.Fatalf("%d messages left after every one was taken", n)
 	}
 }
 
@@ -51,64 +61,64 @@ func TestTakeDuringPoll(t *testing.T) {
 	}()
 	<-started
 	for i := 1; i <= 3; i++ {
-		mb.put(message{src: 0, tag: 5, data: i})
+		mb.put(msg(i))
 	}
-	if got := (<-first).data; got != 1 {
+	if got := (<-first).f64[0]; got != 1 {
 		t.Fatalf("poll returned message %v first, want 1", got)
 	}
 	for want := 2; want <= 3; want++ {
-		if got := mb.take(0, 5).data; got != want {
+		if got := mb.take(0, 5).f64[0]; got != float64(want) {
 			t.Fatalf("message %d arrived as %v", want, got)
 		}
 	}
-	if _, ok := mb.tryTake(AnySource, AnyTag); ok {
-		t.Fatal("a message was delivered twice")
+	if n := queued(mb); n != 0 {
+		t.Fatalf("%d messages left after every one was taken", n)
 	}
 }
 
 func TestRecvAfterPark(t *testing.T) {
 	Run(2, func(c *Comm) {
 		if c.Rank() == 1 {
-			waitBlocked(c, "rank 0: Recv(src=1, tag=5)")
+			waitBlocked(c, "rank 0: RecvF64")
 			for i := 1; i <= 3; i++ {
-				Send(c, 0, 5, i)
+				SendF64(c, 0, 5, []float64{float64(i)})
 			}
 			return
 		}
 		for want := 1; want <= 3; want++ {
-			if got, _ := Recv[int](c, 1, 5); got != want {
-				t.Errorf("message %d arrived as %d", want, got)
+			if got, _ := RecvF64(c, 1, 5); got[0] != float64(want) {
+				t.Errorf("message %d arrived as %v", want, got[0])
 			}
 		}
-		if _, ok := c.Probe(AnySource, AnyTag); ok {
-			t.Error("a message was delivered twice")
+		if n := queued(c.state.boxes[c.rank]); n != 0 {
+			t.Errorf("%d messages left after every one was received", n)
 		}
 	})
 }
 
-// A deadline receive still parks at once and times out, and its who-waits
-// dump names a peer that has polled out and parked in a plain Recv.
-func TestRecvTimeoutNamesParkedRank(t *testing.T) {
+// A barrier deadline's who-waits dump names a peer that has polled out and
+// parked in RecvF64: the diagnostic a lost message leaves behind.
+func TestBarrierTimeoutNamesParkedRank(t *testing.T) {
 	Run(2, func(c *Comm) {
 		if c.Rank() == 1 {
-			if v, _ := Recv[string](c, 0, 9); v != "release" {
-				t.Errorf("parked receive got %q", v)
+			if v, err := RecvF64(c, 0, 9); err != nil || len(v) != 1 || v[0] != 1 {
+				t.Errorf("parked receive got %v, %v", v, err)
 			}
 			return
 		}
-		waitBlocked(c, "rank 1: Recv(src=0, tag=9)")
-		_, _, err := RecvTimeout[int](c, 1, 7, 30*time.Millisecond)
+		waitBlocked(c, "rank 1: RecvF64")
+		err := c.BarrierTimeout(30 * time.Millisecond)
 		var te *TimeoutError
 		if !errors.As(err, &te) {
-			t.Errorf("receive of a message nobody sends returned %v", err)
+			t.Errorf("barrier rank 1 never enters returned %v", err)
 		} else {
-			for _, want := range []string{"rank 0: RecvTimeout(src=1, tag=7)", "rank 1: Recv(src=0, tag=9)"} {
+			for _, want := range []string{"rank 0: BarrierTimeout(30ms)", "rank 1: RecvF64"} {
 				if !strings.Contains(te.WhoWaits, want) {
 					t.Errorf("who-waits dump %q does not name %q", te.WhoWaits, want)
 				}
 			}
 		}
-		Send(c, 1, 9, "release")
+		SendF64(c, 1, 9, []float64{1})
 	})
 }
 

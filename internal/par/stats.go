@@ -38,21 +38,9 @@ func (c *Comm) Stats() *CommStats { return c.stats }
 // disables forwarding; the atomic CommStats are always maintained.
 func (c *Comm) SetObserver(o Observer) { c.obs = o }
 
-// countSend records one outgoing point-to-point message.
-func (c *Comm) countSend(payload any) {
-	n := payloadBytes(payload)
-	c.stats.SendMsgs.Add(1)
-	c.stats.SendBytes.Add(n)
-	if c.obs != nil {
-		c.obs.AddCount("par.send.msgs", 1)
-		c.obs.AddCount("par.send.bytes", n)
-	}
-}
-
-// countP2PF64 records one SendF64/RecvF64 message of n float64 values with
-// the exact byte accounting of the generic path but no payloadBytes call
-// (whose `any` parameter would re-introduce the boxing the typed path
-// removes).
+// countP2PF64 records one SendF64/RecvF64 message of n float64 values (8n
+// bytes). It takes the count, not the slice, so the typed path never boxes
+// its payload into payloadBytes's `any`.
 func (c *Comm) countP2PF64(msgs, bytes *atomic.Int64, msgName, byteName string, n int) {
 	msgs.Add(1)
 	bytes.Add(int64(8 * n))
@@ -74,17 +62,6 @@ func (c *Comm) countP2PBytes(msgs, bytes *atomic.Int64, msgName, byteName string
 	}
 }
 
-// countRecv records one delivered point-to-point message.
-func (c *Comm) countRecv(payload any) {
-	n := payloadBytes(payload)
-	c.stats.RecvMsgs.Add(1)
-	c.stats.RecvBytes.Add(n)
-	if c.obs != nil {
-		c.obs.AddCount("par.recv.msgs", 1)
-		c.obs.AddCount("par.recv.bytes", n)
-	}
-}
-
 // countCollective records one collective invocation and this rank's
 // contributed payload.
 func (c *Comm) countCollective(op string, payload any) {
@@ -98,8 +75,8 @@ func (c *Comm) countCollective(op string, payload any) {
 	}
 }
 
-// payloadBytes estimates the wire size of a message payload. The common
-// payload types of the model (float64 slices and blocks) are sized exactly
+// payloadBytes estimates the wire size of a collective's contribution. The
+// common payload types of the model (float64 slices and blocks) are sized exactly
 // on a fast path; everything else is walked reflectively, which only
 // happens for the coupler's and I/O layer's small struct payloads.
 func payloadBytes(v any) int64 {

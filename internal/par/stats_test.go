@@ -43,8 +43,8 @@ func TestP2PTrafficCounters(t *testing.T) {
 				// from the left.
 				next := (c.Rank() + 1) % c.Size()
 				prev := (c.Rank() - 1 + c.Size()) % c.Size()
-				Send(c, next, 1, make([]float64, tc.payload))
-				Recv[[]float64](c, prev, 1)
+				SendF64(c, next, 1, make([]float64, tc.payload))
+				RecvF64(c, prev, 1)
 
 				st := c.Stats()
 				wantBytes := int64(8 * tc.payload)
@@ -103,8 +103,8 @@ func TestSplitGetsFreshCountersAndInheritsObserver(t *testing.T) {
 			t.Errorf("rank %d: Split shares parent CommStats", c.Rank())
 		}
 		peer := 1 - sub.Rank()
-		Send(sub, peer, 9, []float64{1, 2})
-		Recv[[]float64](sub, peer, 9)
+		SendF64(sub, peer, 9, []float64{1, 2})
+		RecvF64(sub, peer, 9)
 		if got := sub.Stats().SendBytes.Load(); got != 16 {
 			t.Errorf("rank %d: sub SendBytes = %d, want 16", c.Rank(), got)
 		}
@@ -127,9 +127,9 @@ func TestObserverForwarding(t *testing.T) {
 		c.SetObserver(obs)
 		c.Allreduce(float64(c.Rank()), OpSum)
 		if c.Rank() == 0 {
-			Send(c, 1, 3, []float64{1, 2, 3})
+			SendF64(c, 1, 3, []float64{1, 2, 3})
 		} else {
-			Recv[[]float64](c, 0, 3)
+			RecvF64(c, 0, 3)
 		}
 	})
 	if got := obs.get("par.collective.allreduce"); got != 2 {

@@ -7,17 +7,17 @@ import (
 
 // Deadline support: a lost message (dead rank, dropped packet) must surface
 // as an error carrying a who-waits-on-whom diagnostic, not as a silent
-// deadlock. RecvTimeout and BarrierTimeout are the deadline-carrying
-// variants of the blocking primitives; on expiry they withdraw cleanly,
-// snapshot the communicator's blocked ranks, and count the event on the
-// observer ("par.timeout.*").
+// deadlock. BarrierTimeout is the deadline-carrying barrier; on expiry it
+// withdraws cleanly, snapshots the communicator's blocked ranks — including
+// any rank parked in RecvF64 or RecvGS on a message that never came — and
+// counts the event on the observer ("par.timeout.*").
 
 // TimeoutError reports a blocking operation that expired. WhoWaits is the
 // communicator-wide stall diagnostic at expiry time; Member is the ensemble
 // member label of the world the operation ran in ("" outside an ensemble),
 // so fleet telemetry attributes the stall to a member.
 type TimeoutError struct {
-	Op       string        // the operation that expired, e.g. "Recv(src=1, tag=8200)"
+	Op       string        // the operation that expired, e.g. "BarrierTimeout(40ms)"
 	Comm     string        // communicator id
 	Rank     int           // the rank that timed out
 	Member   string        // ensemble member label, "" outside a RunNamed world
@@ -53,45 +53,6 @@ func (c *Comm) timeout(op string, d time.Duration, counter string) *TimeoutError
 		Waited:   d,
 		WhoWaits: c.state.whoWaits(),
 	}
-}
-
-// RecvTimeout is Recv with a deadline: it blocks until a message from src
-// with the given tag arrives or d elapses, whichever is first. On expiry the
-// returned *TimeoutError carries the who-waits diagnostic; the mailbox is
-// left untouched, so a late message remains receivable.
-func RecvTimeout[T any](c *Comm, src int, tag int, d time.Duration) (T, Status, error) {
-	op := fmt.Sprintf("RecvTimeout(src=%d, tag=%d)", src, tag)
-	c.state.setWaiting(c.rank, op)
-	m, ok := c.state.boxes[c.rank].takeTimeout(src, tag, d)
-	if !ok {
-		// Leave the registration in place long enough to appear in our own
-		// diagnostic, then withdraw.
-		err := c.timeout(op, d, "par.timeout.recv")
-		c.state.clearWaiting(c.rank)
-		var zero T
-		return zero, Status{}, err
-	}
-	c.state.clearWaiting(c.rank)
-	if m.data == nil && m.f64 != nil {
-		// A SendF64 message read through the generic path: box it here, on
-		// the slow path, so the typed fast path never pays for it.
-		m.data = m.f64
-	}
-	if m.data == nil && m.gs != nil {
-		// Likewise for a SendGS message read through the generic path.
-		m.data = m.gs
-	}
-	c.countRecv(m.data)
-	v, cast := m.data.(T)
-	if !cast {
-		// RecvTimeout already has an error return for the deadline path, so a
-		// payload mismatch surfaces the same way — the typed *PayloadTypeError
-		// the wire-decode receives return — never a rank-killing panic.
-		var zero T
-		return zero, Status{Source: m.src, Tag: m.tag},
-			&PayloadTypeError{Src: m.src, Tag: m.tag, Got: payloadKind(m), Want: fmt.Sprintf("%T", zero)}
-	}
-	return v, Status{Source: m.src, Tag: m.tag}, nil
 }
 
 // BarrierTimeout enters the barrier but gives up after d, withdrawing its

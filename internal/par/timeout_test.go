@@ -9,87 +9,9 @@ import (
 	"repro/internal/fault"
 )
 
-// The headline stall property: a receive whose message never comes must
-// expire with a who-waits diagnostic, never deadlock.
-func TestRecvTimeoutFiresOnStall(t *testing.T) {
-	Run(2, func(c *Comm) {
-		if c.Rank() != 0 {
-			return // rank 1 is the dead rank: it never sends
-		}
-		_, _, err := RecvTimeout[[]float64](c, 1, 7, 50*time.Millisecond)
-		var te *TimeoutError
-		if !errors.As(err, &te) {
-			t.Fatalf("stalled receive returned %v", err)
-		}
-		if te.Rank != 0 || te.Waited != 50*time.Millisecond {
-			t.Errorf("timeout detail %+v", te)
-		}
-		if !strings.Contains(te.WhoWaits, "rank 0: RecvTimeout(src=1, tag=7)") {
-			t.Errorf("diagnostic %q does not name the blocked rank", te.WhoWaits)
-		}
-	})
-}
-
-func TestRecvTimeoutDeliversLateMessage(t *testing.T) {
-	Run(2, func(c *Comm) {
-		if c.Rank() == 1 {
-			time.Sleep(20 * time.Millisecond)
-			Send(c, 0, 3, []float64{1, 2, 3})
-			return
-		}
-		v, st, err := RecvTimeout[[]float64](c, 1, 3, 2*time.Second)
-		if err != nil {
-			t.Fatalf("in-deadline message lost: %v", err)
-		}
-		if st.Source != 1 || len(v) != 3 {
-			t.Errorf("got %v from %+v", v, st)
-		}
-	})
-}
-
-// TestRecvTimeoutPayloadMismatch injects wrong payload kinds across a 2-rank
-// communicator: RecvTimeout must return the typed *PayloadTypeError — with
-// src, tag, and got/want kinds — instead of dying on a bare type assertion.
-func TestRecvTimeoutPayloadMismatch(t *testing.T) {
-	Run(2, func(c *Comm) {
-		switch c.Rank() {
-		case 0:
-			// A string where the peer expects []float64, an int where it
-			// expects string, and a typed f64 send read as the wrong type.
-			Send(c, 1, 41, "not a field")
-			Send(c, 1, 42, 12345)
-			SendF64(c, 1, 43, []float64{1, 2})
-		case 1:
-			var pt *PayloadTypeError
-			if _, st, err := RecvTimeout[[]float64](c, 0, 41, time.Second); !errors.As(err, &pt) {
-				t.Errorf("RecvTimeout on string payload: err = %v, want *PayloadTypeError", err)
-			} else {
-				if pt.Src != 0 || pt.Tag != 41 {
-					t.Errorf("PayloadTypeError src/tag = %d/%d, want 0/41", pt.Src, pt.Tag)
-				}
-				if pt.Got != "string" || pt.Want != "[]float64" {
-					t.Errorf("PayloadTypeError got/want = %q/%q", pt.Got, pt.Want)
-				}
-				if st.Source != 0 || st.Tag != 41 {
-					t.Errorf("status = %+v", st)
-				}
-			}
-			if _, _, err := RecvTimeout[string](c, 0, 42, time.Second); !errors.As(err, &pt) {
-				t.Errorf("RecvTimeout on int payload: err = %v, want *PayloadTypeError", err)
-			} else if pt.Got != "int" || pt.Want != "string" {
-				t.Errorf("PayloadTypeError got/want = %q/%q", pt.Got, pt.Want)
-			}
-			// The f64 fast-path message boxes through the generic slow path,
-			// so the right type still succeeds after the mismatches above.
-			if v, _, err := RecvTimeout[[]float64](c, 0, 43, time.Second); err != nil || len(v) != 2 {
-				t.Errorf("RecvTimeout on boxed f64 payload = %v, %v", v, err)
-			}
-		}
-	})
-}
-
-// An injected send stall (lost message) is caught by the receive deadline,
-// and the diagnostic shows every rank blocked at expiry.
+// An injected send stall (lost message) leaves the receiver parked in
+// RecvF64; the sender's barrier deadline fires and its diagnostic names the
+// parked rank, and a retry sent after detection is still received.
 func TestInjectedStallDetected(t *testing.T) {
 	plan, err := fault.New(1, fault.Injection{Kind: fault.Stall, Site: "par.send", Hit: 1, Rank: 1})
 	if err != nil {
@@ -98,24 +20,23 @@ func TestInjectedStallDetected(t *testing.T) {
 	fault.Arm(plan)
 	defer fault.Disarm()
 	Run(2, func(c *Comm) {
-		if c.Rank() == 1 {
-			Send(c, 0, 9, []float64{4, 5}) // dropped by the armed plan
-			Recv[bool](c, 0, 10)           // wait for rank 0 to observe the loss
-			Send(c, 0, 9, []float64{6, 7}) // the retry goes through
+		if c.Rank() == 0 {
+			v, err := RecvF64(c, 1, 9)
+			if err != nil || len(v) != 2 || v[0] != 6 {
+				t.Errorf("retry lost: %v %v", v, err)
+			}
 			return
 		}
-		// The message was lost in flight: the deadline fires; a retry sent
-		// after detection is still receivable.
-		_, _, err := RecvTimeout[[]float64](c, 1, 9, 40*time.Millisecond)
+		SendF64(c, 0, 9, []float64{4, 5}) // dropped by the armed plan
+		waitBlocked(c, "rank 0: RecvF64")
+		err := c.BarrierTimeout(40 * time.Millisecond)
 		var te *TimeoutError
 		if !errors.As(err, &te) {
-			t.Fatalf("lost message not detected: %v", err)
+			t.Errorf("lost message not detected: %v", err)
+		} else if !strings.Contains(te.WhoWaits, "rank 0: RecvF64") {
+			t.Errorf("diagnostic %q does not name the starved receiver", te.WhoWaits)
 		}
-		Send(c, 1, 10, true)
-		v, _, err := RecvTimeout[[]float64](c, 1, 9, 2*time.Second)
-		if err != nil || v[0] != 6 {
-			t.Fatalf("retry lost: %v %v", v, err)
-		}
+		SendF64(c, 0, 9, []float64{6, 7}) // the retry goes through
 	})
 	if c := plan.Counts(); c[fault.Stall] != 1 {
 		t.Errorf("stall fired %d times", c[fault.Stall])
@@ -157,11 +78,14 @@ func (o *timeoutObs) AddCount(name string, d int64) { o.counts[name] += d }
 
 func TestTimeoutCounters(t *testing.T) {
 	o := &timeoutObs{counts: make(map[string]int64)}
-	Run(1, func(c *Comm) {
+	Run(2, func(c *Comm) {
+		if c.Rank() != 0 {
+			return // never enters the barrier
+		}
 		c.SetObserver(o)
-		RecvTimeout[int](c, 0, 1, time.Millisecond)
+		c.BarrierTimeout(time.Millisecond)
 	})
-	if o.counts["par.timeout.recv"] != 1 || o.counts["par.timeout.total"] != 1 {
+	if o.counts["par.timeout.barrier"] != 1 || o.counts["par.timeout.total"] != 1 {
 		t.Errorf("counters %v", o.counts)
 	}
 }
@@ -178,7 +102,7 @@ func TestTimeoutMemberAttribution(t *testing.T) {
 			return
 		}
 		c.SetObserver(o)
-		_, _, err := RecvTimeout[int](c, 1, 4, 10*time.Millisecond)
+		err := c.BarrierTimeout(10 * time.Millisecond)
 		var te *TimeoutError
 		if !errors.As(err, &te) {
 			t.Fatalf("got %v", err)
@@ -190,7 +114,7 @@ func TestTimeoutMemberAttribution(t *testing.T) {
 			t.Errorf("message %q does not attribute the member", te.Error())
 		}
 	})
-	if o.counts[`par.timeout.recv{member="m03"}`] != 1 || o.counts["par.timeout.recv"] != 1 {
+	if o.counts[`par.timeout.barrier{member="m03"}`] != 1 || o.counts["par.timeout.barrier"] != 1 {
 		t.Errorf("labeled timeout counters %v", o.counts)
 	}
 }

@@ -79,16 +79,13 @@ func payloadKind(m message) string {
 		return "[]float64"
 	case m.gs != nil:
 		return "*precision.GroupScaled"
-	case m.data != nil:
-		return fmt.Sprintf("%T", m.data)
 	default:
 		return "<empty>"
 	}
 }
 
-// SendGS is Send specialized to group-scaled compressed payloads with no
-// interface boxing: the encoding lands in the message's typed slot beside
-// f64, so the compressed halo-exchange hot path over persistent per-peer
+// SendGS is SendF64 for group-scaled compressed payloads: the encoding
+// lands in the message's typed slot beside f64, so the compressed halo-exchange hot path over persistent per-peer
 // encodings performs zero allocations. The payload is shared by reference,
 // exactly like SendF64 — senders must not repack the encoding until the
 // receiver is known to have drained it (the parity-buffer discipline).
@@ -111,45 +108,13 @@ func SendGS(c *Comm, dst int, tag int, data *precision.GroupScaled) {
 // returns its group-scaled payload. A payload of any other kind returns a
 // *PayloadTypeError (the message is consumed), so the compressed wire path
 // can route the fault through the recovery layer instead of panicking.
-func RecvGS(c *Comm, src int, tag int) (*precision.GroupScaled, Status, error) {
+func RecvGS(c *Comm, src int, tag int) (*precision.GroupScaled, error) {
 	c.state.setWaiting(c.rank, "RecvGS")
 	m := c.state.boxes[c.rank].take(src, tag)
 	c.state.clearWaiting(c.rank)
-	v := m.gs
-	if v == nil {
-		if g, ok := m.data.(*precision.GroupScaled); ok {
-			v = g
-		} else {
-			return nil, Status{Source: m.src, Tag: m.tag},
-				&PayloadTypeError{Src: m.src, Tag: m.tag, Got: payloadKind(m), Want: "*precision.GroupScaled"}
-		}
+	if m.gs == nil {
+		return nil, &PayloadTypeError{Src: m.src, Tag: m.tag, Got: payloadKind(m), Want: "*precision.GroupScaled"}
 	}
-	c.countP2PBytes(&c.stats.RecvMsgs, &c.stats.RecvBytes, "par.recv.msgs", "par.recv.bytes", int64(v.Bytes()))
-	return v, Status{Source: m.src, Tag: m.tag}, nil
-}
-
-// RecvF64E is the error-returning form of RecvF64: a payload that is neither
-// a typed []float64 nor a plain Send of one comes back as a
-// *PayloadTypeError instead of a panic. The wire-decode paths (halo
-// exchanges, rearranger) use this form so a mis-tagged or corrupt message
-// from a faulty peer surfaces through the fault-tolerance layer.
-func RecvF64E(c *Comm, src int, tag int) ([]float64, Status, error) {
-	c.state.setWaiting(c.rank, "RecvF64")
-	m := c.state.boxes[c.rank].take(src, tag)
-	c.state.clearWaiting(c.rank)
-	v := m.f64
-	if v == nil && m.data != nil {
-		var ok bool
-		v, ok = m.data.([]float64)
-		if !ok {
-			return nil, Status{Source: m.src, Tag: m.tag},
-				&PayloadTypeError{Src: m.src, Tag: m.tag, Got: payloadKind(m), Want: "[]float64"}
-		}
-	}
-	if v == nil && m.gs != nil {
-		return nil, Status{Source: m.src, Tag: m.tag},
-			&PayloadTypeError{Src: m.src, Tag: m.tag, Got: payloadKind(m), Want: "[]float64"}
-	}
-	c.countP2PF64(&c.stats.RecvMsgs, &c.stats.RecvBytes, "par.recv.msgs", "par.recv.bytes", len(v))
-	return v, Status{Source: m.src, Tag: m.tag}, nil
+	c.countP2PBytes(&c.stats.RecvMsgs, &c.stats.RecvBytes, "par.recv.msgs", "par.recv.bytes", int64(m.gs.Bytes()))
+	return m.gs, nil
 }
