@@ -3,9 +3,9 @@
 # repetitions of par's receive-progress lap, five of the checkpoint
 # protocol's (capture on the step, commit on a writer goroutine), the
 # restart-decoder, group-scaled round-trip, store-manifest and serve-query
-# fuzz smokes, the two audited CLI gates (conservation budget on four
-# decomposed ranks and its compressed-wire twin), the one-day
-# radiation-hold drift budget against the every-step twin, the dycore
+# fuzz smokes, the audited CLI gate (conservation budget on four
+# decomposed ranks), the one-day radiation-hold drift budget against the
+# every-step twin, the dycore
 # regrouping drift budget against the parent-arithmetic twin, the two-rank
 # resilient rollback lap, the degraded ensemble lap (one member permanently
 # failed, quorum 3/4), and a smoke lap of the repo's one benchmark (bench/:
@@ -15,7 +15,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race race-par race-resilient budget budget-wire budget-rad budget-dycore fuzz resilient ensemble check bench-smoke bench-atmos profile clean
+.PHONY: all build vet test race race-par race-resilient budget budget-rad budget-dycore fuzz resilient ensemble check bench-smoke bench-atmos profile clean
 
 all: check
 
@@ -53,9 +53,6 @@ race-resilient:
 
 budget:
 	$(GO) run ./cmd/ap3esm -config 25v10 -days 0.31 -ranks 4 -schedule conc -remap cons -audit-gate 1e-10
-
-budget-wire:
-	$(GO) run ./cmd/ap3esm -config 25v10 -days 0.31 -ranks 2 -schedule conc -remap cons -wire gs32 -audit-gate 1e-10
 
 # One simulated day of the model beside a twin that diagnoses surface
 # radiation on every column every step: what holding GSW/GLW over the
@@ -114,7 +111,7 @@ profile:
 bench-atmos:
 	$(GO) test ./internal/atmos -run '^$$' -bench . -count 6 -cpu 1
 
-check: vet build race race-par race-resilient budget budget-wire budget-rad budget-dycore fuzz resilient ensemble bench-smoke
+check: vet build race race-par race-resilient budget budget-rad budget-dycore fuzz resilient ensemble bench-smoke
 
 clean:
 	rm -rf .bench_build/

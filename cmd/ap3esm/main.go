@@ -40,7 +40,6 @@ func main() {
 	remapName := flag.String("remap", "nn", "air-sea flux remap: nn (nearest-neighbour) or cons (first-order conservative)")
 	audit := flag.Bool("audit", false, "record the per-coupling-interval conservation budget and print the ledger report")
 	auditGate := flag.Float64("audit-gate", 0, "fail if the max relative heat/freshwater residual exceeds this (0 = report only; implies -audit)")
-	wireName := flag.String("wire", "f64", "halo/rearranger wire format: f64 (exact) or gs32 (group-scaled FP32 compression)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run loop (all ranks, model assembly and reports excluded) to this file")
 	flag.Parse()
 
@@ -53,10 +52,6 @@ func main() {
 		log.Fatal(err)
 	}
 	remap, err := core.ParseRemap(*remapName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	wire, err := par.ParseWireFormat(*wireName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -113,8 +108,7 @@ func main() {
 				core.WithObserver(observer),
 				core.WithSchedule(sched),
 				core.WithRemap(remap),
-				core.WithAudit(*audit),
-				core.WithWireCompression(wire))
+				core.WithAudit(*audit))
 		}
 		e, err := mk()
 		if err != nil {

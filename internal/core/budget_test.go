@@ -42,10 +42,11 @@ func runAudited(t *testing.T, ranks int, sched Schedule, remap RemapMode) ([]bud
 
 // The acceptance gate: under the conservative remap the globally reduced
 // heat and freshwater residuals close to round-off (≤ 1e-10 relative) over
-// ≥ 10 coupling intervals, on 1 and 2 ranks, both schedules — and seq/conc
-// remain bit-for-bit identical with the conservative flux path active.
+// ≥ 10 coupling intervals, on 1, 2, 4 and 8 ranks, both schedules — and
+// seq/conc remain bit-for-bit identical with the conservative flux path
+// active.
 func TestConsBudgetCloses(t *testing.T) {
-	for _, ranks := range []int{1, 2} {
+	for _, ranks := range []int{1, 2, 4, 8} {
 		var ref [][]float64
 		for _, sched := range []Schedule{ScheduleSeq, ScheduleConc} {
 			t.Run(fmt.Sprintf("ranks=%d/%v", ranks, sched), func(t *testing.T) {

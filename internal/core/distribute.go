@@ -93,9 +93,8 @@ func (e *ESM) initDistribute() error {
 	if err != nil {
 		return fmt.Errorf("core: nn router: %w", err)
 	}
-	// The nearest-neighbour router (shared by the nn flux inputs and the ice
-	// forcing) follows the session wire format.
-	rt.SetWire(e.wire)
+	// The nearest-neighbour router is shared by the nn flux inputs and the
+	// ice forcing.
 	ds := &distState{nnRouter: rt, nnSrcIdx: srcMap.LocalIndices(c.Rank())}
 	if ds.nnSrc, err = coupler.NewAttrVect(nnFields, rt.NSrc); err != nil {
 		return err
@@ -138,13 +137,6 @@ func (e *ESM) initDistribute() error {
 		if err != nil {
 			return fmt.Errorf("core: cons router: %w", err)
 		}
-		// The conservative router is EXEMPT from wire compression, whatever
-		// WithWireCompression selected: its payloads are the weight products
-		// w_p·f(col_p) whose delivered sums must reproduce the atm-side
-		// integrals to round-off — quantizing them would surface as an
-		// O(1e-7) relative residual in the conservation audit, far past its
-		// 1e-10 gate. Flux deliveries participating in the conservation
-		// identity always travel f64.
 		ds.consRouter = crt
 		ds.consSrcIdx = csrc.LocalIndices(c.Rank())
 		if ds.consSrc, err = coupler.NewAttrVect(consFields, crt.NSrc); err != nil {

@@ -67,11 +67,6 @@ type ESM struct {
 	ledger *budget.Ledger
 	af     *atmFluxes
 
-	// Wire format of the hot communication paths (halo exchanges, nn and
-	// ice-forcing rearrangers). The conservative flux rearranger is exempt
-	// and always ships f64 — see initDistribute.
-	wire par.WireFormat
-
 	// Atmosphere + land domain decomposition (nil / empty on one rank):
 	// the icosahedral partition behind the shared Decomp contract, the
 	// distributed coupling rearrange state, the land slots this rank steps
@@ -143,7 +138,6 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 		return nil, fmt.Errorf("core: ocean decomposition: %w", err)
 	}
 	blk.SetObserver(ob)
-	blk.SetWire(opt.wire)
 	ocnCfg := cfg.OcnCfg
 	ocnCfg.Policy = cfg.Policy
 	ocn, err := ocean.New(g, blk, ocnCfg, sp)
@@ -191,7 +185,6 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 		schedule: opt.schedule,
 		ocnDone:  make(chan time.Duration, 1),
 		remap:    opt.remap,
-		wire:     opt.wire,
 	}
 
 	// Route the unmapped atmosphere cells — non-land cells whose spiral
@@ -225,7 +218,6 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 			return nil, fmt.Errorf("core: atmosphere decomposition: %w", err)
 		}
 		d.SetObserver(ob)
-		d.SetWire(opt.wire)
 		e.dec = d
 		// Columns stepped (ext) against columns owned: the redundancy the
 		// partition costs this rank, on the record from assembly on.
@@ -312,34 +304,12 @@ func (e *ESM) Step() bool {
 		}
 	}
 	e.couplingSteps++
-	e.publishWireRatio()
 	if f := fault.PointScoped(e.Comm.Member(), "esm.step", e.Comm.Rank()); f != nil && f.Kind == fault.NaN {
 		// Silent data corruption in a coupled prognostic field — the failure
 		// mode the per-step health guardrails exist to catch.
 		e.Ocn.T[e.ocnIdx2(0, 0)] = math.NaN()
 	}
 	return true
-}
-
-// publishWireRatio updates the cpl.wire.ratio gauge — cumulative raw bytes
-// over cumulative on-the-wire bytes across every compressed-capable path
-// (both halo exchanges and the rearrangers, the exempt conservative router
-// included at ratio 1). Only published under the compressed wire format and
-// only when the observer carries a readable registry; under WireF64 the
-// ratio is identically 1 and the gauge stays absent.
-func (e *ESM) publishWireRatio() {
-	if e.wire != par.WireGS32 {
-		return
-	}
-	o, ok := e.obs.(*obs.Obs)
-	if !ok {
-		return
-	}
-	raw := o.Registry().Counter("cpl.wire.raw.bytes").Value()
-	wireB := o.Registry().Counter("cpl.wire.bytes").Value()
-	if wireB > 0 {
-		e.obs.SetGauge("cpl.wire.ratio", float64(raw)/float64(wireB))
-	}
 }
 
 // RunDays integrates n simulated days (or until the clock stops).

@@ -16,7 +16,6 @@ type options struct {
 	schedule    Schedule
 	remap       RemapMode
 	audit       bool
-	wire        par.WireFormat
 }
 
 // Option configures model assembly.
@@ -65,19 +64,6 @@ func WithRemap(m RemapMode) Option {
 // per coupling interval.
 func WithAudit(on bool) Option {
 	return func(opt *options) { opt.audit = on }
-}
-
-// WithWireCompression selects the wire format of the hot communication
-// paths — both halo exchanges and the coupler rearranger's point-to-point
-// path. par.WireF64 (default) ships raw float64 payloads, bit-for-bit
-// identical to all prior behaviour; par.WireGS32 ships group-scaled FP32
-// encodings (≈ 1.94× smaller), accepted because the conservation audit
-// stays within its 1e-10 gate: halo quantization perturbs only redundantly
-// recomputed overlap state, and the conservative flux rearranger is exempt
-// — flux deliveries participating in the conservation identity always
-// travel f64, whatever this option says.
-func WithWireCompression(w par.WireFormat) Option {
-	return func(opt *options) { opt.wire = w }
 }
 
 // defaultOptions mirrors the quickstart setup: one simulated day from the

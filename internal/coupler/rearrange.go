@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/par"
-	"repro/internal/precision"
 )
 
 // RearrangeMode selects the communication pattern of the rearranger.
@@ -77,8 +76,7 @@ func RearrangeTo(c *par.Comm, r *Router, src *AttrVect, mode RearrangeMode, o Ob
 // src) through the router's persistent per-peer pack buffers. In steady
 // state — after the first call has grown the buffers — a single-rank
 // rearrange performs zero heap allocations in either mode, and multi-rank
-// calls reuse every pack buffer. par.SendF64 and par.SendGS share payloads
-// by reference, so a closing barrier orders buffer reuse after every peer
+// calls reuse every pack buffer. par.SendF64 shares payloads by reference, so a closing barrier orders buffer reuse after every peer
 // has unpacked.
 func RearrangeInto(c *par.Comm, r *Router, src, dst *AttrVect, mode RearrangeMode, o Observer) error {
 	if src.LSize != r.NSrc {
@@ -93,20 +91,13 @@ func RearrangeInto(c *par.Comm, r *Router, src, dst *AttrVect, mode RearrangeMod
 	nf := src.NFields()
 	n := c.Size()
 	me := c.Rank()
-	compressed := mode == ModeP2P && r.wire == par.WireGS32
 	if o != nil {
-		var rawBytes, sentBytes, msgs int64
+		var sentBytes, msgs int64
 		for pe, offs := range r.SendTo {
 			if len(offs) == 0 || (mode == ModeP2P && pe == me) {
 				continue
 			}
-			nvals := nf * len(offs)
-			rawBytes += int64(8 * nvals)
-			if compressed {
-				sentBytes += gsWireBytes(nvals)
-			} else {
-				sentBytes += int64(8 * nvals)
-			}
+			sentBytes += int64(8 * nf * len(offs))
 			msgs++
 		}
 		if mode == ModeAlltoall {
@@ -115,10 +106,6 @@ func RearrangeInto(c *par.Comm, r *Router, src, dst *AttrVect, mode RearrangeMod
 		o.AddCount("coupler.rearrange.calls", 1)
 		o.AddCount("coupler.rearrange.bytes", sentBytes)
 		o.AddCount("coupler.rearrange.msgs", msgs)
-		// Wire-compression accounting, shared with the halo exchanges: raw
-		// vs actual payload bytes, from which core publishes cpl.wire.ratio.
-		o.AddCount("cpl.wire.raw.bytes", rawBytes)
-		o.AddCount("cpl.wire.bytes", sentBytes)
 	}
 	r.ensurePeers(n)
 
@@ -149,71 +136,31 @@ func RearrangeInto(c *par.Comm, r *Router, src, dst *AttrVect, mode RearrangeMod
 		}
 	case ModeP2P:
 		// Post sends only to ranks with data; local copy short-circuits.
-		// Under the compressed wire format each pack buffer is re-encoded
-		// into the peer's persistent group-scaled payload; the closing
-		// barrier (not parity double-buffering) orders its reuse.
+		// The closing barrier (not parity double-buffering) orders reuse of
+		// the pack buffers.
 		for pe := 0; pe < n; pe++ {
 			if pe == me || len(r.SendTo[pe]) == 0 {
 				continue
 			}
 			buf := r.pbuf(pe, nf*len(r.SendTo[pe]))
 			packInto(buf, src, r.SendTo[pe])
-			if compressed {
-				gs := r.gsbuf(pe)
-				if err := precision.EncodeGroupScaledInto(gs, buf, par.WireGroup); err != nil {
-					return err // group size is a package constant; unreachable
-				}
-				par.SendGS(c, pe, rearrangeTag, gs)
-			} else {
-				par.SendF64(c, pe, rearrangeTag, buf)
-			}
+			par.SendF64(c, pe, rearrangeTag, buf)
 		}
 		if offs := r.SendTo[me]; len(offs) > 0 {
-			// The self block never touches the wire and stays bit-exact in
-			// both formats.
+			// The self block never touches the wire.
 			buf := r.pbuf(me, nf*len(offs))
 			packInto(buf, src, offs)
 			firstErr = unpackFrom(dst, r.RecvFrom[me], buf)
 		}
 		// Blocking receives in ascending peer order; the sends above are
-		// buffered (par.SendF64/SendGS never block), so there is no cycle. Drain
-		// every expected message even after an unpack or decode error, so
-		// the closing barrier is reached on all ranks; decode faults come
-		// back as returned errors (typed *par.PayloadTypeError or
-		// *precision.ErrShape), never panics.
+		// buffered (par.SendF64 never blocks), so there is no cycle. Drain
+		// every expected message even after an unpack error, so the closing
+		// barrier is reached on all ranks.
 		for pe := 0; pe < n; pe++ {
 			if pe == me || len(r.RecvFrom[pe]) == 0 {
 				continue
 			}
-			var data []float64
-			if compressed {
-				gs, err := par.RecvGS(c, pe, rearrangeTag)
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					continue
-				}
-				if cap(r.rbuf) < gs.N {
-					r.rbuf = make([]float64, gs.N)
-				}
-				data = r.rbuf[:gs.N]
-				if err := gs.DecodeInto(data); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					continue
-				}
-			} else {
-				var err error
-				data, err = par.RecvF64(c, pe, rearrangeTag)
-				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					continue
-				}
-			}
+			data := par.RecvF64(c, pe, rearrangeTag)
 			if err := unpackFrom(dst, r.RecvFrom[pe], data); err != nil && firstErr == nil {
 				firstErr = err
 			}
@@ -235,25 +182,6 @@ func (r *Router) ensurePeers(n int) {
 	if len(r.sendTable) < n {
 		r.sendTable = make([][]float64, n)
 	}
-	if len(r.gsbufs) < n {
-		r.gsbufs = make([]*precision.GroupScaled, n)
-	}
-}
-
-// gsbuf returns the persistent group-scaled send payload for peer pe,
-// allocated on first use.
-func (r *Router) gsbuf(pe int) *precision.GroupScaled {
-	if r.gsbufs[pe] == nil {
-		r.gsbufs[pe] = &precision.GroupScaled{}
-	}
-	return r.gsbufs[pe]
-}
-
-// gsWireBytes returns the wire size of a group-scaled encoding of n values
-// under the par.WireGroup group size: 4 bytes per value plus one 8-byte
-// scale per group.
-func gsWireBytes(n int) int64 {
-	return int64(4*n + 8*((n+par.WireGroup-1)/par.WireGroup))
 }
 
 // pbuf returns the persistent pack buffer for peer pe with exactly n

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"repro/internal/par"
-	"repro/internal/precision"
 )
 
 // Router is MCT's M×N transfer table: given a source decomposition (GSMap)
@@ -34,25 +33,7 @@ type Router struct {
 	// unexported, so gob snapshots and plan comparisons see only the plan.
 	pbufs     [][]float64
 	sendTable [][]float64
-
-	// Compressed wire format state of the P2P rearrange path: per-peer
-	// persistent group-scaled encodings of the pack buffers and one decode
-	// scratch. Unexported for the same reason — the wire format is runtime
-	// configuration, not part of the plan.
-	wire   par.WireFormat
-	gsbufs []*precision.GroupScaled
-	rbuf   []float64
 }
-
-// SetWire selects the rearranger's wire format for this router. Under
-// par.WireGS32 the ModeP2P path ships group-scaled FP32 encodings of the
-// pack buffers; the self-rank block (never on the wire) and the alltoall
-// collective stay exact. Every rank must set the same format on the routers
-// of one transfer — the sender's encoding must match the receiver's decode.
-func (r *Router) SetWire(w par.WireFormat) { r.wire = w }
-
-// Wire returns the router's active wire format.
-func (r *Router) Wire() par.WireFormat { return r.wire }
 
 // BuildRouter constructs the plan for the calling rank, which participates
 // on both sides of the transfer (the usual CPL7 arrangement where the

@@ -47,11 +47,6 @@ type Decomp interface {
 	// SetObserver attaches the halo traffic counters
 	// (cpl.halo.{msgs,bytes} with a component label).
 	SetObserver(o HaloObserver)
-
-	// SetWire selects the halo wire format: par.WireF64 (default) ships
-	// raw float64 payloads bit-exactly, par.WireGS32 ships group-scaled
-	// FP32 encodings. Every rank must select the same format.
-	SetWire(w par.WireFormat)
 }
 
 // EdgeDecomp is the optional extension implemented by decompositions that

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/par"
-	"repro/internal/precision"
 )
 
 // IcosDecomp is the icosahedral-mesh analogue of TripolarDecomp: a
@@ -83,16 +82,6 @@ type IcosDecomp struct {
 	edgeBuf [2][][]float64
 	cellPar int
 	edgePar int
-
-	// Compressed wire format state: persistent per-peer group-scaled
-	// encodings under the same parity discipline as the f64 staging buffers
-	// (the peer has drained parity-p's previous encoding before we re-encode
-	// into it), plus one decode scratch reused across the sequential receive
-	// loop. All lazily grown, zero steady-state allocations.
-	wire   par.WireFormat
-	cellGS [2][]*precision.GroupScaled
-	edgeGS [2][]*precision.GroupScaled
-	rbuf   []float64
 
 	ownedRanges [][2]int // Owned as {start, length} runs, cached for Decomp
 
@@ -290,8 +279,6 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 	for pb := 0; pb < 2; pb++ {
 		d.cellBuf[pb] = make([][]float64, len(d.Peers))
 		d.edgeBuf[pb] = make([][]float64, len(d.Peers))
-		d.cellGS[pb] = make([]*precision.GroupScaled, len(d.Peers))
-		d.edgeGS[pb] = make([]*precision.GroupScaled, len(d.Peers))
 	}
 	return d, nil
 }
@@ -349,15 +336,6 @@ func (d *IcosDecomp) NOwned() int { return len(d.Owned) }
 // cpl.halo.{msgs,bytes} with component="atm".
 func (d *IcosDecomp) SetObserver(o HaloObserver) { d.obs = o }
 
-// SetWire selects the halo wire format. Under par.WireGS32 every halo
-// message ships as a group-scaled FP32 encoding of the packed staging
-// buffer (≈ 1.94× smaller); the default par.WireF64 is bit-exact. Must not
-// change mid-exchange; the core layer sets it once at assembly.
-func (d *IcosDecomp) SetWire(w par.WireFormat) { d.wire = w }
-
-// Wire returns the active halo wire format.
-func (d *IcosDecomp) Wire() par.WireFormat { return d.wire }
-
 // ExchangeCells fills the ring-1 halo of a cell-centred field of nlev-value
 // columns laid out [c*nlev + k]: each peer receives this rank's owned
 // boundary columns and contributes the halo columns it owns. Zero
@@ -366,7 +344,7 @@ func (d *IcosDecomp) Wire() par.WireFormat { return d.wire }
 func (d *IcosDecomp) ExchangeCells(f []float64, nlev int) {
 	d.cellPar ^= 1
 	d.exchange(f, nlev, 0, nlev, d.M.NCells(), tagHaloCells, d.cellSend, d.cellRecv,
-		d.cellBuf[d.cellPar], d.cellGS[d.cellPar])
+		d.cellBuf[d.cellPar])
 }
 
 // ExchangeEdges fills the stale extended edges of an edge field of
@@ -381,19 +359,19 @@ func (d *IcosDecomp) ExchangeEdges(f []float64, nlev int) {
 func (d *IcosDecomp) ExchangeEdgeLevels(f []float64, nlev, lo, hi int) {
 	d.edgePar ^= 1
 	d.exchange(f, nlev, lo, hi, d.M.NEdges(), tagHaloEdges, d.edgeSend, d.edgeRecv,
-		d.edgeBuf[d.edgePar], d.edgeGS[d.edgePar])
+		d.edgeBuf[d.edgePar])
 }
 
 // exchange ships levels [lo, hi) of the listed columns of an n-column field:
 // a peer's payload is each listed column's window in list order, packed and
 // unpacked as contiguous runs.
-func (d *IcosDecomp) exchange(f []float64, nlev, lo, hi, n, tag int, send, recv [][]int, bufs [][]float64, gsBufs []*precision.GroupScaled) {
+func (d *IcosDecomp) exchange(f []float64, nlev, lo, hi, n, tag int, send, recv [][]int, bufs [][]float64) {
 	if len(f) < nlev*n || lo < 0 || hi > nlev || lo >= hi {
 		panic(fmt.Sprintf("grid: halo exchange of levels [%d, %d) on %d values, want ≥ %d in %d-level columns",
 			lo, hi, len(f), nlev*n, nlev))
 	}
 	w := hi - lo
-	var rawBytes, wireBytes int64
+	var bytes int64
 	for pi, p := range d.Peers {
 		list := send[pi]
 		need := w * len(list)
@@ -406,54 +384,16 @@ func (d *IcosDecomp) exchange(f []float64, nlev, lo, hi, n, tag int, send, recv 
 		for i, idx := range list {
 			copy(buf[i*w:(i+1)*w], f[idx*nlev+lo:idx*nlev+hi])
 		}
-		rawBytes += int64(8 * need)
-		if d.wire == par.WireGS32 {
-			gs := gsBufs[pi]
-			if gs == nil {
-				gs = &precision.GroupScaled{}
-				gsBufs[pi] = gs
-			}
-			if err := precision.EncodeGroupScaledInto(gs, buf, par.WireGroup); err != nil {
-				panic(err) // group size is a package constant; unreachable
-			}
-			par.SendGS(d.comm, p, tag, gs)
-			wireBytes += int64(gs.Bytes())
-		} else {
-			par.SendF64(d.comm, p, tag, buf)
-			wireBytes += int64(8 * need)
-		}
+		par.SendF64(d.comm, p, tag, buf)
+		bytes += int64(8 * need)
 	}
 	for pi, p := range d.Peers {
 		list := recv[pi]
 		want := w * len(list)
-		var msg []float64
-		if d.wire == par.WireGS32 {
-			gs, err := par.RecvGS(d.comm, p, tag)
-			if err != nil {
-				// ExchangeCells cannot return errors (the Decomp contract);
-				// the typed error panics into core's stepChecked recover,
-				// which converts it into a rollback-able step failure.
-				panic(err)
-			}
-			if gs.N != want {
-				panic(fmt.Sprintf("grid: halo message from rank %d has %d values, want %d", p, gs.N, want))
-			}
-			if cap(d.rbuf) < want {
-				d.rbuf = make([]float64, want)
-			}
-			msg = d.rbuf[:want]
-			if err := gs.DecodeInto(msg); err != nil {
-				panic(err)
-			}
-		} else {
-			m, err := par.RecvF64(d.comm, p, tag)
-			if err != nil {
-				panic(err)
-			}
-			if len(m) != want {
-				panic(fmt.Sprintf("grid: halo message from rank %d has %d values, want %d", p, len(m), want))
-			}
-			msg = m
+		msg := par.RecvF64(d.comm, p, tag)
+		if len(msg) != want {
+			// Assert: both sides derive the length from the same decomposition.
+			panic(fmt.Sprintf("grid: halo message from rank %d has %d values, want %d", p, len(msg), want))
 		}
 		for i, idx := range list {
 			copy(f[idx*nlev+lo:idx*nlev+hi], msg[i*w:(i+1)*w])
@@ -461,9 +401,7 @@ func (d *IcosDecomp) exchange(f []float64, nlev, lo, hi, n, tag int, send, recv 
 	}
 	if d.obs != nil && len(d.Peers) > 0 {
 		d.obs.AddCount(ctrHaloMsgsAtm, int64(len(d.Peers)))
-		d.obs.AddCount(ctrHaloBytesAtm, wireBytes)
-		d.obs.AddCount(ctrWireRawBytes, rawBytes)
-		d.obs.AddCount(ctrWireBytes, wireBytes)
+		d.obs.AddCount(ctrHaloBytesAtm, bytes)
 	}
 }
 
@@ -475,16 +413,6 @@ const (
 	ctrHaloBytesAtm = `cpl.halo.bytes{component="atm"}`
 	ctrHaloMsgsOcn  = `cpl.halo.msgs{component="ocn"}`
 	ctrHaloBytesOcn = `cpl.halo.bytes{component="ocn"}`
-)
-
-// Wire-compression accounting: every compressed-capable path (both halo
-// exchanges, the coupler rearranger) adds the payload size it would have
-// shipped raw to cpl.wire.raw.bytes and the size it actually shipped to
-// cpl.wire.bytes; core's step loop publishes raw/actual as the
-// cpl.wire.ratio gauge. Under WireF64 the two advance in lockstep (ratio 1).
-const (
-	ctrWireRawBytes = "cpl.wire.raw.bytes"
-	ctrWireBytes    = "cpl.wire.bytes"
 )
 
 // rcbOwners assigns each point to one of size ranks by recursive coordinate

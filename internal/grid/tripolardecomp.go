@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/par"
-	"repro/internal/precision"
 )
 
 // TripolarDecomp is the 2D tripolar block decomposition of the ocean (and
@@ -61,22 +60,12 @@ type TripolarDecomp struct {
 	parity  int
 	one     [1]HaloField // scratch for the single-field Exchange wrappers
 
-	// Compressed wire format state, mirroring the f64 staging: one
-	// group-scaled encoding per parity and direction (repacked only after
-	// the neighbour has provably drained the previous message of that
-	// parity), and one decode scratch reused across the sequential receives
-	// of FinishExchange.
-	wire   par.WireFormat
-	sendGS [2][nTriDir]*precision.GroupScaled
-	rbuf   []float64
-
 	ownedRanges [][2]int
 	dryBlocks   []DryBlock
 
 	obs       HaloObserver
 	pendMsgs  int64
 	pendBytes int64
-	pendRaw   int64
 }
 
 // TripolarDecomp implements the shared Decomp contract.
@@ -344,14 +333,6 @@ func (d *TripolarDecomp) OwnedRanges() [][2]int { return d.ownedRanges }
 // (cpl.halo.{msgs,bytes} with component="ocn").
 func (d *TripolarDecomp) SetObserver(o HaloObserver) { d.obs = o }
 
-// SetWire selects the halo wire format (par.WireF64 bit-exact default,
-// par.WireGS32 group-scaled compression of every halo message). Must not
-// change between a StartExchange and its FinishExchange.
-func (d *TripolarDecomp) SetWire(w par.WireFormat) { d.wire = w }
-
-// Wire returns the active halo wire format.
-func (d *TripolarDecomp) Wire() par.WireFormat { return d.wire }
-
 // ExchangeCells implements Decomp: a batched scalar exchange of one
 // nlev-level field in local block layout.
 func (d *TripolarDecomp) ExchangeCells(f []float64, nlev int) {
@@ -441,68 +422,24 @@ func (d *TripolarDecomp) StartExchange(fields []HaloField) {
 		return // single block: every boundary resolves locally in Finish
 	}
 	if d.southRank >= 0 {
-		d.sendWire(d.southRank, tagTriSouth, dirSouth, d.packRows(fields, d.H, dirSouth, false))
+		d.send(d.southRank, tagTriSouth, d.packRows(fields, d.H, dirSouth, false))
 	}
 	if d.northRank >= 0 {
-		d.sendWire(d.northRank, tagTriNorth, dirNorth, d.packRows(fields, d.NJ, dirNorth, false))
+		d.send(d.northRank, tagTriNorth, d.packRows(fields, d.NJ, dirNorth, false))
 	}
 	if d.atFold && d.foldRank >= 0 && d.foldRank != d.comm.Rank() && hasScalar(fields) {
-		// The fold message compresses AFTER the pack: the packed buffer is
-		// the partner's top owned rows in natural column order, and the
-		// receiver mirrors columns only while unpacking the *decoded* values
-		// — so quantization groups span contiguous physical rows on both
-		// sides and the mirror never straddles a group boundary mid-flight.
-		d.sendWire(d.foldRank, tagTriFold, dirFold, d.packRows(fields, d.NJ, dirFold, true))
+		// The packed buffer is the partner's top owned rows in natural
+		// column order; the receiver mirrors columns while unpacking.
+		d.send(d.foldRank, tagTriFold, d.packRows(fields, d.NJ, dirFold, true))
 	}
 }
 
-// sendWire ships one packed staging buffer in the active wire format and
-// accrues the pending traffic counters (flushed once per exchange).
-func (d *TripolarDecomp) sendWire(dst, tag, dir int, buf []float64) {
+// send ships one packed staging buffer and accrues the pending traffic
+// counters (flushed once per exchange).
+func (d *TripolarDecomp) send(dst, tag int, buf []float64) {
 	d.pendMsgs++
-	d.pendRaw += int64(8 * len(buf))
-	if d.wire == par.WireGS32 {
-		gs := d.sendGS[d.parity][dir]
-		if gs == nil {
-			gs = &precision.GroupScaled{}
-			d.sendGS[d.parity][dir] = gs
-		}
-		if err := precision.EncodeGroupScaledInto(gs, buf, par.WireGroup); err != nil {
-			panic(err) // group size is a package constant; unreachable
-		}
-		par.SendGS(d.comm, dst, tag, gs)
-		d.pendBytes += int64(gs.Bytes())
-		return
-	}
-	par.SendF64(d.comm, dst, tag, buf)
 	d.pendBytes += int64(8 * len(buf))
-}
-
-// recvWire blocks for one halo message and returns its float64 values,
-// decoding through the error-returning forms: a mis-typed or corrupt message
-// panics with the typed error, which core's checked stepper converts into a
-// rollback-able failure. Under WireGS32 the returned slice aliases the shared
-// decode scratch, valid until the next recvWire call.
-func (d *TripolarDecomp) recvWire(src, tag int) []float64 {
-	if d.wire == par.WireGS32 {
-		gs, err := par.RecvGS(d.comm, src, tag)
-		if err != nil {
-			panic(err)
-		}
-		if cap(d.rbuf) < gs.N {
-			d.rbuf = make([]float64, gs.N)
-		}
-		msg := d.rbuf[:gs.N]
-		if err := gs.DecodeInto(msg); err != nil {
-			panic(err)
-		}
-		return msg
-	}
-	msg, err := par.RecvF64(d.comm, src, tag)
-	if err != nil {
-		panic(err)
-	}
-	return msg
+	par.SendF64(d.comm, dst, tag, buf)
 }
 
 // FinishExchange drains the y-phase receives, applies the boundary fills,
@@ -515,7 +452,7 @@ func (d *TripolarDecomp) FinishExchange(fields []HaloField) {
 	// --- Y direction: south ghost rows ---
 	switch {
 	case d.southRank >= 0:
-		d.unpackRows(fields, d.recvWire(d.southRank, tagTriNorth), 0)
+		d.unpackRows(fields, par.RecvF64(d.comm, d.southRank, tagTriNorth), 0)
 	case d.southBoundary:
 		// Closed south: zero-gradient full-row copies (the stale x halos
 		// they carry are overwritten by the x phase).
@@ -534,7 +471,7 @@ func (d *TripolarDecomp) FinishExchange(fields []HaloField) {
 	// --- Y direction: north ghost rows (plain neighbour or fold) ---
 	switch {
 	case !d.atFold && d.northRank >= 0:
-		d.unpackRows(fields, d.recvWire(d.northRank, tagTriSouth), h+d.NJ)
+		d.unpackRows(fields, par.RecvF64(d.comm, d.northRank, tagTriSouth), h+d.NJ)
 	case !d.atFold:
 		d.zeroRows(fields, h+d.NJ) // eliminated north neighbour
 	case d.foldRank == d.comm.Rank():
@@ -558,7 +495,7 @@ func (d *TripolarDecomp) FinishExchange(fields []HaloField) {
 		}
 	case d.foldRank >= 0:
 		if hasScalar(fields) {
-			d.unpackFold(fields, d.recvWire(d.foldRank, tagTriFold))
+			d.unpackFold(fields, par.RecvF64(d.comm, d.foldRank, tagTriFold))
 		}
 	default:
 		d.zeroRows(fields, h+d.NJ) // eliminated fold partner
@@ -578,18 +515,18 @@ func (d *TripolarDecomp) FinishExchange(fields []HaloField) {
 		}
 	} else {
 		if d.westRank >= 0 {
-			d.sendWire(d.westRank, tagTriWest, dirWest, d.packCols(fields, h, dirWest))
+			d.send(d.westRank, tagTriWest, d.packCols(fields, h, dirWest))
 		}
 		if d.eastRank >= 0 {
-			d.sendWire(d.eastRank, tagTriEast, dirEast, d.packCols(fields, d.NI, dirEast))
+			d.send(d.eastRank, tagTriEast, d.packCols(fields, d.NI, dirEast))
 		}
 		if d.eastRank >= 0 {
-			d.unpackCols(fields, d.recvWire(d.eastRank, tagTriWest), h+d.NI)
+			d.unpackCols(fields, par.RecvF64(d.comm, d.eastRank, tagTriWest), h+d.NI)
 		} else {
 			d.zeroCols(fields, h+d.NI)
 		}
 		if d.westRank >= 0 {
-			d.unpackCols(fields, d.recvWire(d.westRank, tagTriEast), 0)
+			d.unpackCols(fields, par.RecvF64(d.comm, d.westRank, tagTriEast), 0)
 		} else {
 			d.zeroCols(fields, 0)
 		}
@@ -615,10 +552,8 @@ func (d *TripolarDecomp) FinishExchange(fields []HaloField) {
 	if d.obs != nil && d.pendMsgs > 0 {
 		d.obs.AddCount(ctrHaloMsgsOcn, d.pendMsgs)
 		d.obs.AddCount(ctrHaloBytesOcn, d.pendBytes)
-		d.obs.AddCount(ctrWireRawBytes, d.pendRaw)
-		d.obs.AddCount(ctrWireBytes, d.pendBytes)
 	}
-	d.pendMsgs, d.pendBytes, d.pendRaw = 0, 0, 0
+	d.pendMsgs, d.pendBytes = 0, 0
 }
 
 // hasScalar reports whether the batch carries any non-vec field (the fold

@@ -3,11 +3,9 @@
 // provides communicators with typed point-to-point messaging and
 // collectives.
 //
-// Point-to-point traffic has one path per payload kind: SendF64/RecvF64 for
-// raw float64 slices and SendGS/RecvGS for group-scaled compressed payloads.
-// Both receives name their source and tag exactly and return an error, never
-// panic, on a payload of the other kind. Semantics follow MPI where it
-// matters to the ported code:
+// Point-to-point traffic has one path: SendF64/RecvF64 for float64 slices,
+// with the receive naming its source and tag exactly. Semantics follow MPI
+// where it matters to the ported code:
 //
 //   - messages between a (source, destination, tag) triple are delivered in
 //     FIFO order;
@@ -30,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/precision"
 )
 
 type message struct {
@@ -39,9 +36,6 @@ type message struct {
 	// f64 is the payload of SendF64/RecvF64: a typed field, not `any`, so
 	// the halo-exchange hot path pays no interface-conversion allocation.
 	f64 []float64
-	// gs is the payload of SendGS/RecvGS — the WireGS32 format's
-	// counterpart of f64.
-	gs *precision.GroupScaled
 }
 
 // mailbox holds undelivered messages for one rank of one communicator.
@@ -94,7 +88,7 @@ func (mb *mailbox) pop(src, tag int) (message, bool) {
 const pollBudget = time.Millisecond
 
 // take removes and returns the first message matching (src, tag), blocking
-// until one arrives: the one receive-progress rule under RecvF64 and RecvGS.
+// until one arrives: the one receive-progress rule under RecvF64.
 // It polls for pollBudget, then parks.
 func (mb *mailbox) take(src, tag int) message {
 	if m, ok := mb.poll(src, tag, pollBudget); ok {
@@ -312,18 +306,13 @@ func SendF64(c *Comm, dst int, tag int, data []float64) {
 
 // RecvF64 blocks until a message from src with the given tag arrives and
 // returns its []float64 payload, with no per-call formatting and zero
-// allocations. A group-scaled payload comes back as a *PayloadTypeError (the
-// message is consumed), so a mis-tagged or corrupt message from a faulty
-// peer surfaces through the fault-tolerance layer instead of a panic.
-func RecvF64(c *Comm, src int, tag int) ([]float64, error) {
+// allocations.
+func RecvF64(c *Comm, src int, tag int) []float64 {
 	c.state.setWaiting(c.rank, "RecvF64")
 	m := c.state.boxes[c.rank].take(src, tag)
 	c.state.clearWaiting(c.rank)
-	if m.gs != nil {
-		return nil, &PayloadTypeError{Src: m.src, Tag: m.tag, Got: payloadKind(m), Want: "[]float64"}
-	}
 	c.countP2PF64(&c.stats.RecvMsgs, &c.stats.RecvBytes, "par.recv.msgs", "par.recv.bytes", len(m.f64))
-	return m.f64, nil
+	return m.f64
 }
 
 // Barrier blocks until all ranks of the communicator have entered it.

@@ -29,10 +29,7 @@ func TestSendRecvRoundTrip(t *testing.T) {
 		if c.Rank() == 0 {
 			SendF64(c, 1, 42, []float64{1, 2, 3})
 		} else {
-			v, err := RecvF64(c, 0, 42)
-			if err != nil {
-				t.Errorf("RecvF64: %v", err)
-			}
+			v := RecvF64(c, 0, 42)
 			if !reflect.DeepEqual(v, []float64{1, 2, 3}) {
 				t.Errorf("payload = %v", v)
 			}
@@ -49,7 +46,7 @@ func TestFIFOOrderingPerPair(t *testing.T) {
 			}
 		} else {
 			for i := 0; i < n; i++ {
-				v, _ := RecvF64(c, 0, 7)
+				v := RecvF64(c, 0, 7)
 				if v[0] != float64(i) {
 					t.Errorf("message %d arrived out of order: got %v", i, v[0])
 				}
@@ -65,8 +62,8 @@ func TestTagSelectivity(t *testing.T) {
 			SendF64(c, 1, 2, []float64{2})
 		} else {
 			// Receive in reverse tag order: tags must select, not FIFO.
-			v2, _ := RecvF64(c, 0, 2)
-			v1, _ := RecvF64(c, 0, 1)
+			v2 := RecvF64(c, 0, 2)
+			v1 := RecvF64(c, 0, 1)
 			if v1[0] != 1 || v2[0] != 2 {
 				t.Errorf("got %v, %v", v1, v2)
 			}

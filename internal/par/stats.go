@@ -50,18 +50,6 @@ func (c *Comm) countP2PF64(msgs, bytes *atomic.Int64, msgName, byteName string, 
 	}
 }
 
-// countP2PBytes is countP2PF64 with an exact byte count, for payloads whose
-// wire size is not 8·len — the group-scaled compressed messages, whose size
-// mixes 4-byte values with 8-byte group scales.
-func (c *Comm) countP2PBytes(msgs, bytes *atomic.Int64, msgName, byteName string, n int64) {
-	msgs.Add(1)
-	bytes.Add(n)
-	if c.obs != nil {
-		c.obs.AddCount(msgName, 1)
-		c.obs.AddCount(byteName, n)
-	}
-}
-
 // countCollective records one collective invocation and this rank's
 // contributed payload.
 func (c *Comm) countCollective(op string, payload any) {

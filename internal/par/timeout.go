@@ -9,7 +9,7 @@ import (
 // as an error carrying a who-waits-on-whom diagnostic, not as a silent
 // deadlock. BarrierTimeout is the deadline-carrying barrier; on expiry it
 // withdraws cleanly, snapshots the communicator's blocked ranks — including
-// any rank parked in RecvF64 or RecvGS on a message that never came — and
+// any rank parked in RecvF64 on a message that never came — and
 // counts the event on the observer ("par.timeout.*").
 
 // TimeoutError reports a blocking operation that expired. WhoWaits is the

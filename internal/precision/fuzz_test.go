@@ -8,10 +8,10 @@ import (
 
 // FuzzGroupScaledRoundTrip drives the group-scaled encoder with arbitrary
 // field contents and group sizes: every finite input must encode without
-// error, decode through the error-returning wire form, land within the
+// error, decode through the error-returning form, land within the
 // representation's bit-error budget, and re-encode idempotently (the decoded
 // field re-encodes to bit-identical values and scales — the property that
-// keeps repeated wire hops from drifting).
+// keeps repeated quantization cycles from drifting).
 func FuzzGroupScaledRoundTrip(f *testing.F) {
 	seed := func(group int, vals ...float64) []byte {
 		b := make([]byte, 2+8*len(vals))

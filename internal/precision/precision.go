@@ -71,8 +71,8 @@ func EncodeGroupScaled(x []float64, group int) (*GroupScaled, error) {
 
 // EncodeGroupScaledInto re-encodes x into gs with the given group size,
 // reusing gs's scale and value storage when its capacity suffices — the
-// steady-state form the compressed wire paths use so that a persistent
-// per-peer GroupScaled performs zero allocations per exchange.
+// steady-state form the snapshot writer uses so that a persistent
+// GroupScaled performs zero allocations per encode.
 func EncodeGroupScaledInto(gs *GroupScaled, x []float64, group int) error {
 	if group <= 0 {
 		return fmt.Errorf("precision: group size must be positive, got %d", group)
@@ -145,10 +145,8 @@ func EncodeGroupScaledInto(gs *GroupScaled, x []float64, group int) error {
 
 // ErrShape reports a structurally invalid GroupScaled payload: a destination
 // length that does not match N, or an encoding whose own value/scale tables
-// disagree with its declared shape (a truncated or corrupted wire payload).
-// The wire-decode paths return it instead of panicking, so a faulty peer's
-// message surfaces through the fault-tolerance layer rather than killing the
-// receiving rank.
+// disagree with its declared shape (a truncated or corrupted payload).
+// DecodeInto returns it instead of panicking.
 type ErrShape struct {
 	Got, Want int
 	What      string // which length disagreed: "dst", "vals", "scales", "group"
@@ -160,8 +158,7 @@ func (e *ErrShape) Error() string {
 }
 
 // DecodeInto unpacks gs into dst, validating every length against the
-// declared shape before touching dst. It is the error-returning form the
-// compressed wire paths use; Decode keeps the historical panicking contract.
+// declared shape before touching dst. Decode is its panicking form.
 func (gs *GroupScaled) DecodeInto(dst []float64) error {
 	if len(dst) != gs.N {
 		return &ErrShape{Got: len(dst), Want: gs.N, What: "dst"}
@@ -183,7 +180,7 @@ func (gs *GroupScaled) DecodeInto(dst []float64) error {
 
 // Decode unpacks into dst (allocated if nil) and returns it. It panics on a
 // shape mismatch — the in-memory quantization contract, where the caller
-// built the encoding itself; wire receivers use DecodeInto instead.
+// built the encoding itself.
 func (gs *GroupScaled) Decode(dst []float64) []float64 {
 	if dst == nil {
 		dst = make([]float64, gs.N)
@@ -208,8 +205,7 @@ func QuantizeInPlace(x []float64, group int) error {
 	if err != nil {
 		return err
 	}
-	gs.Decode(x)
-	return nil
+	return gs.DecodeInto(x)
 }
 
 // RelL2 returns the relative L2 norm of (a - b) against b:

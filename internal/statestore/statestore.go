@@ -37,8 +37,8 @@ const TrailerMagic = 0x41503355 // "AP3U"
 const Version = 1
 
 // DefaultGroup is the default quantization group size: one shared
-// power-of-two scale per 64 consecutive values, matching par.WireGroup so
-// the storage footprint is 4 + 8/64 ≈ 4.125 bytes per value.
+// power-of-two scale per 64 consecutive values, so the storage footprint
+// is 4 + 8/64 ≈ 4.125 bytes per value.
 const DefaultGroup = 64
 
 // Decoder guardrails, mirroring pario's: a manifest declaring more than
