@@ -10,7 +10,8 @@
 # resilient rollback lap, the degraded ensemble lap (one member permanently
 # failed, quorum 3/4), and a smoke lap of the repo's one benchmark (bench/:
 # every workload path once plus its own tests, no measurement — to measure,
-# run bench/run.sh as bench/README.md describes).
+# run bench/run.sh as bench/README.md describes) and of every package
+# benchmark (one iteration each).
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -85,9 +86,13 @@ ensemble:
 	$(GO) run ./cmd/ensemble -members 4 -groups 2 -quorum 3 -attempts 2 -retries 1 \
 	  -member-faults '1=nan@esm.step:1:repeat' -expect-completed 3 -expect-quarantined 1
 
+# Also one pass of every package benchmark (the paper experiments' timing
+# generators, e.g. ./internal/aiphys's BenchmarkAIPhysicsSuite), so none of
+# them rots unrun.
 bench-smoke:
 	bash bench/run.sh -smoke
 	cd bench && $(GO) test -short ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Where the coupled step's CPU time goes: the benchmark's model configuration
 # for 135 coupling steps, five times over, top 15 functions by self time of

@@ -2,7 +2,7 @@
 // configurations (scale-mapped to runnable grids) and reports diagnostics
 // and the measured SYPD.
 //
-//	ap3esm -config 25v10 -days 1 -ranks 2 -backend Host -schedule conc
+//	ap3esm -config 25v10 -days 1 -ranks 2 -schedule conc
 //	ap3esm -config 25v10 -days 1 -remap cons -mixed   # §5.2.3 group-scaled FP32 state
 package main
 

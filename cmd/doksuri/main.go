@@ -30,6 +30,11 @@ func main() {
 	out := flag.String("out", "", "write a Fig 1-style surface snapshot (pario binary) to this path at the end")
 	flag.Parse()
 
+	// The storm is fixed every 6 simulated hours; a shorter forecast has no
+	// fix to diagnose or score.
+	if *hours < 6 {
+		log.Fatalf("-hours %d: the forecast needs at least 6 hours (one track fix)", *hours)
+	}
 	cfg, err := core.ConfigForLabel(*label)
 	if err != nil {
 		log.Fatal(err)
@@ -54,8 +59,6 @@ func main() {
 		fmt.Printf("seeded Doksuri at (%.1fE, %.1fN), deficit %.0f Pa, RMW %.0f km; config %s\n",
 			seed.LonDeg, seed.LatDeg, seed.DeltaPs, seed.RadiusKm, cfg.Label)
 
-		stepsPerHour := cfg.AtmCouplingsPerDay / 24 * 1 // 180/day = 7.5/h; use coupling steps
-		_ = stepsPerHour
 		prev := typhoon.Fix{Time: start, LonDeg: seed.LonDeg, LatDeg: seed.LatDeg}
 		var fixes []typhoon.Fix
 		perHour := float64(cfg.AtmCouplingsPerDay) / 24

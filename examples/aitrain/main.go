@@ -1,14 +1,14 @@
 // Aitrain: the §5.2.1 workflow end to end — generate a training corpus
 // from the conventional physics suite, train the AI tendency CNN and the
-// AI radiation MLP, report losses, swap the trained suite into the
-// atmosphere, and compare per-column throughput against the conventional
-// suite.
+// AI radiation MLP, report losses and the parameter count, and swap the
+// trained suite into the atmosphere. The per-column cost against the
+// conventional suite is `go test -run '^$' -bench AIPhysicsSuite
+// ./internal/aiphys`.
 package main
 
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"repro/internal/aiphys"
 	"repro/internal/atmos"
@@ -34,38 +34,6 @@ func main() {
 		res.InitialMLP, res.TestLossMLP)
 	fmt.Printf("  CNN parameters: %d (paper architecture at width 110 has ~5e5)\n",
 		suite.CNN.Params.Count())
-
-	// Throughput comparison on one column.
-	conv := atmos.NewConventionalSuite(m)
-	nlev := m.NLev
-	in := atmos.ColumnIn{
-		U: make([]float64, nlev), V: make([]float64, nlev),
-		T: make([]float64, nlev), Q: make([]float64, nlev),
-		P:   make([]float64, nlev),
-		Lat: 0.3, TSkin: 300, CosZ: 0.7,
-	}
-	for k := 0; k < nlev; k++ {
-		in.T[k] = 280
-		in.P[k] = m.Sig[k] * atmos.P0
-		in.Q[k] = 0.004
-	}
-	out := atmos.ColumnOut{
-		DT: make([]float64, nlev), DQ: make([]float64, nlev),
-		DU: make([]float64, nlev), DV: make([]float64, nlev),
-	}
-	const reps = 2000
-	t0 := time.Now()
-	for i := 0; i < reps; i++ {
-		conv.Column(in, 480, &out)
-	}
-	tConv := time.Since(t0)
-	t0 = time.Now()
-	for i := 0; i < reps; i++ {
-		suite.Column(in, 480, &out)
-	}
-	tAI := time.Since(t0)
-	fmt.Printf("per-column cost: conventional %v, AI suite %v (%.2fx)\n",
-		tConv/reps, tAI/reps, float64(tConv)/float64(tAI))
 
 	// Plug the trained suite into the model and integrate.
 	m.Physics = suite

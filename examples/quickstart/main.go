@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/par"
-	"repro/internal/pp"
 )
 
 func main() {
@@ -27,8 +26,7 @@ func main() {
 	start := time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC)
 	par.Run(2, func(c *par.Comm) {
 		esm, err := core.NewWithOptions(cfg, c,
-			core.WithInterval(start, start.Add(24*time.Hour)),
-			core.WithSpace(pp.NewHost(0)))
+			core.WithInterval(start, start.Add(24*time.Hour)))
 		if err != nil {
 			log.Fatal(err)
 		}

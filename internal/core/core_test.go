@@ -257,22 +257,6 @@ func TestDoksuriForecastExperiment(t *testing.T) {
 	})
 }
 
-func TestMeasureSYPDPositive(t *testing.T) {
-	par.Run(1, func(c *par.Comm) {
-		e := newESM(t, "25v10", c, 1)
-		sypd, err := e.MeasureSYPD(5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sypd <= 0 {
-			t.Errorf("SYPD = %v", sypd)
-		}
-		if _, err := e.MeasureSYPD(0); err == nil {
-			t.Error("zero steps accepted")
-		}
-	})
-}
-
 func TestTimingReport(t *testing.T) {
 	par.Run(2, func(c *par.Comm) {
 		e := newESM(t, "25v10", c, 1)

@@ -745,26 +745,3 @@ func (e *ESM) CouplingSteps() int { return e.couplingSteps }
 func (e *ESM) SimulatedSeconds() float64 {
 	return float64(e.couplingSteps) * 86400 / float64(e.Cfg.AtmCouplingsPerDay)
 }
-
-// MeasureSYPD runs n coupling steps and returns the measured
-// simulated-years-per-day of this (miniature) configuration — the same
-// metric the paper reports, computed the same way (§6.2), on the
-// reproduction's grids.
-func (e *ESM) MeasureSYPD(n int) (float64, error) {
-	if n < 1 {
-		return 0, fmt.Errorf("core: need at least one step")
-	}
-	startWall := time.Now()
-	simStart := e.SimulatedSeconds()
-	for i := 0; i < n; i++ {
-		if !e.Step() {
-			return 0, fmt.Errorf("core: clock exhausted after %d steps", i)
-		}
-	}
-	wall := time.Since(startWall).Seconds()
-	sim := e.SimulatedSeconds() - simStart
-	if wall <= 0 {
-		return math.Inf(1), nil
-	}
-	return (sim / wall) * 86400 / (365 * 86400), nil
-}

@@ -79,11 +79,6 @@ func Reduce(c *par.Comm, pts []Point) []ReducedPoint {
 	return out
 }
 
-// ReduceObserver is Reduce over an observer's full snapshot.
-func ReduceObserver(c *par.Comm, o Observer) []ReducedPoint {
-	return Reduce(c, o.Snapshot())
-}
-
 // pointKey orders points by kind then name with an unambiguous separator.
 func pointKey(k Kind, name string) string { return fmt.Sprintf("%d\x00%s", k, name) }
 
