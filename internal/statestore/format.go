@@ -192,6 +192,9 @@ func decodeManifest(data []byte) (*manifest, error) {
 		return nil, fmt.Errorf("statestore: %d snapshots declared in %d bytes: %w", nsnaps, r.remaining(), ErrCorrupt)
 	}
 	m.Snaps = make([]snapMeta, 0, nsnaps)
+	// Every snapshot's offsets and checksums share one allocation each.
+	offs := make([]int64, int(nsnaps)*int(nfields))
+	crcs := make([]uint32, int(nsnaps)*int(nfields))
 	for i := uint64(0); i < nsnaps; i++ {
 		step, err := r.u64("snapshot step")
 		if err != nil {
@@ -208,9 +211,10 @@ func decodeManifest(data []byte) (*manifest, error) {
 		s := snapMeta{
 			Step:    int64(step),
 			SimTime: simTime,
-			Off:     make([]int64, nfields),
-			CRC:     make([]uint32, nfields),
+			Off:     offs[:nfields:nfields],
+			CRC:     crcs[:nfields:nfields],
 		}
+		offs, crcs = offs[nfields:], crcs[nfields:]
 		if s.Step < 0 {
 			return nil, fmt.Errorf("statestore: snapshot %d declares step %d: %w", i, s.Step, ErrCorrupt)
 		}

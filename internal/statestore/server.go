@@ -2,13 +2,14 @@ package statestore
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
+	"sync"
 	"time"
 )
 
@@ -58,43 +59,75 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Handler returns the query mux — exposed so tests and embedders can drive
-// the endpoints without a real listener.
+// Handler returns the query endpoints — exposed so tests and embedders can
+// drive them without a real listener. A path that is not one of them is a
+// 404.
 func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/meta", s.instrument("meta", s.handleMeta))
-	mux.HandleFunc("/v1/point", s.instrument("point", s.handlePoint))
-	mux.HandleFunc("/v1/region", s.instrument("region", s.handleRegion))
-	mux.HandleFunc("/v1/analogs", s.instrument("analogs", s.handleAnalogs))
-	mux.HandleFunc("/v1/diag", s.instrument("diag", s.handleDiag))
-	return mux
+	routes := map[string]http.HandlerFunc{}
+	for endpoint, h := range map[string]func(context.Context, params, *reply) error{
+		"meta": s.handleMeta, "point": s.handlePoint, "region": s.handleRegion,
+		"analogs": s.handleAnalogs, "diag": s.handleDiag,
+	} {
+		routes["/v1/"+endpoint] = s.instrument(endpoint, h)
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if h, ok := routes[r.URL.Path]; ok {
+			h(w, r)
+			return
+		}
+		http.NotFound(w, r)
+	})
 }
 
-// instrument wraps a handler with the serve.* request/error/latency
-// telemetry. The raw query is parsed once here; handlers get the values and
-// the request's context, which the store's scans honour.
-func (s *Server) instrument(name string, h func(context.Context, url.Values) (any, error)) http.HandlerFunc {
+// replies recycles reply buffers across requests; one grown past
+// maxPooledReply is left to the collector rather than kept.
+var replies = sync.Pool{New: func() any { return new(reply) }}
+
+const maxPooledReply = 1 << 20
+
+// jsonContentType is every reply's Content-Type header value, shared and
+// never mutated.
+var jsonContentType = []string{"application/json"}
+
+// instrument wraps a handler with the serve.* request/error telemetry and
+// the endpoint's latency histogram. Handlers get the raw query and the
+// request's context, which the store's scans honour, and append their JSON
+// reply.
+func (s *Server) instrument(endpoint string, h func(context.Context, params, *reply) error) http.HandlerFunc {
+	latency := `serve.http.latency_us{endpoint="` + endpoint + `"}`
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		count(s.obs, "serve.http.requests", 1)
-		v, err := h(r.Context(), r.URL.Query())
+		rep := replies.Get().(*reply)
+		rep.b, rep.err = rep.b[:0], nil
+		defer func() {
+			if cap(rep.b) <= maxPooledReply {
+				replies.Put(rep)
+			}
+		}()
+		err := h(r.Context(), params(r.URL.RawQuery), rep)
+		if err == nil {
+			err = rep.err
+		}
 		if err != nil {
 			count(s.obs, "serve.http.errors", 1)
 			http.Error(w, err.Error(), errorStatus(err))
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(v)
-		observe(s.obs, "serve.http.latency_us", float64(time.Since(t0).Microseconds()))
+		w.Header()["Content-Type"] = jsonContentType
+		rep.b = append(rep.b, '\n')
+		w.Write(rep.b)
+		observe(s.obs, latency, float64(time.Since(t0).Microseconds()))
 	}
 }
 
 // errorStatus tells the store's faults from the client's: a corrupt,
-// truncated or closed store is a 500, a request its client abandoned a 503,
-// and everything else is a parameter the store rejected.
+// truncated or closed store, or a reply JSON cannot carry, is a 500, a
+// request its client abandoned a 503, and everything else is a parameter the
+// store rejected.
 func errorStatus(err error) int {
 	switch {
-	case errors.Is(err, ErrCorrupt), errors.Is(err, ErrTruncated), errors.Is(err, ErrClosed):
+	case errors.Is(err, ErrCorrupt), errors.Is(err, ErrTruncated), errors.Is(err, ErrClosed), errors.Is(err, errNonFinite):
 		return http.StatusInternalServerError
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return http.StatusServiceUnavailable
@@ -102,9 +135,39 @@ func errorStatus(err error) int {
 	return http.StatusBadRequest
 }
 
+// params is a request's raw query. get finds a parameter the way
+// url.Values.Get does on the parsed query — the first well-formed pair named
+// name, pairs holding a semicolon or a bad escape skipped — without building
+// the map. name must need no escaping, so a key without escapes matches only
+// if it is name itself.
+type params string
+
+func (p params) get(name string) string {
+	for q := string(p); q != ""; {
+		var pair string
+		pair, q, _ = strings.Cut(q, "&")
+		key, value, _ := strings.Cut(pair, "=")
+		if key != name {
+			if !strings.ContainsAny(key, "%+") {
+				continue
+			}
+			if k, err := url.QueryUnescape(key); err != nil || k != name {
+				continue
+			}
+		}
+		if strings.Contains(pair, ";") {
+			continue
+		}
+		if v, err := url.QueryUnescape(value); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
 // intParam parses an integer query parameter, def when absent.
-func intParam(q url.Values, name string, def int) (int, error) {
-	raw := q.Get(name)
+func intParam(p params, name string, def int) (int, error) {
+	raw := p.get(name)
 	if raw == "" {
 		return def, nil
 	}
@@ -124,93 +187,120 @@ type metaReply struct {
 	LastStep  int         `json:"last_step"`
 }
 
-func (s *Server) handleMeta(context.Context, url.Values) (any, error) {
+func (s *Server) handleMeta(_ context.Context, _ params, r *reply) error {
 	// Meta doubles as the liveness probe of a live-ingesting store: refresh
 	// first so the reply reflects the newest committed snapshot.
 	if err := s.st.Refresh(); err != nil {
-		return nil, err
+		return err
 	}
-	rep := metaReply{Snapshots: s.st.Snapshots(), Group: s.st.Group(), Fields: s.st.Fields()}
-	if rep.Snapshots > 0 {
-		rep.FirstStep, _, _ = s.st.Meta(0)
-		rep.LastStep, _, _ = s.st.Meta(rep.Snapshots - 1)
+	m := s.st.v.Load().man
+	rep := metaReply{Snapshots: len(m.Snaps), Group: m.Group, Fields: m.Fields}
+	if n := len(m.Snaps); n > 0 {
+		rep.FirstStep, rep.LastStep = int(m.Snaps[0].Step), int(m.Snaps[n-1].Step)
 	}
-	return rep, nil
+	rep.appendJSON(r)
+	return nil
 }
 
-func (s *Server) handlePoint(ctx context.Context, q url.Values) (any, error) {
-	field := q.Get("field")
-	cell, err := intParam(q, "cell", -1)
+func (s *Server) handlePoint(ctx context.Context, p params, r *reply) error {
+	field := p.get("field")
+	cell, err := intParam(p, "cell", -1)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if field == "" || cell < 0 {
-		return nil, fmt.Errorf("statestore: /v1/point needs field= and cell=")
+		return fmt.Errorf("statestore: /v1/point needs field= and cell=")
 	}
-	if snap, err := intParam(q, "snap", -1); err != nil {
-		return nil, err
+	if snap, err := intParam(p, "snap", -1); err != nil {
+		return err
 	} else if snap >= 0 {
 		v, err := s.st.Point(snap, field, cell)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		step, sim, err := s.st.Meta(snap)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return Sample{Snap: snap, Step: step, SimTime: sim, Value: v}, nil
+		Sample{Snap: snap, Step: step, SimTime: sim, Value: v}.appendJSON(r)
+		return nil
 	}
-	return s.st.pointSeries(ctx, field, cell)
+	series, err := s.st.pointSeries(ctx, field, cell)
+	if err != nil {
+		return err
+	}
+	list(r, series)
+	return nil
 }
 
-func (s *Server) handleRegion(ctx context.Context, q url.Values) (any, error) {
-	field := q.Get("field")
-	lo, err := intParam(q, "lo", -1)
+func (s *Server) handleRegion(ctx context.Context, p params, r *reply) error {
+	field := p.get("field")
+	lo, err := intParam(p, "lo", -1)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	hi, err := intParam(q, "hi", -1)
+	hi, err := intParam(p, "hi", -1)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if field == "" || lo < 0 || hi < 0 {
-		return nil, fmt.Errorf("statestore: /v1/region needs field=, lo= and hi=")
+		return fmt.Errorf("statestore: /v1/region needs field=, lo= and hi=")
 	}
-	return s.st.regionSeries(ctx, field, lo, hi)
+	series, err := s.st.regionSeries(ctx, field, lo, hi)
+	if err != nil {
+		return err
+	}
+	list(r, series)
+	return nil
 }
 
-func (s *Server) handleAnalogs(ctx context.Context, q url.Values) (any, error) {
-	field := q.Get("field")
-	snap, err := intParam(q, "snap", -1)
+func (s *Server) handleAnalogs(ctx context.Context, p params, r *reply) error {
+	field := p.get("field")
+	snap, err := intParam(p, "snap", -1)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	k, err := intParam(q, "k", 5)
+	k, err := intParam(p, "k", 5)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	workers, err := intParam(q, "workers", 0)
+	workers, err := intParam(p, "workers", 0)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if field == "" || snap < 0 {
-		return nil, fmt.Errorf("statestore: /v1/analogs needs field= and snap= (the query snapshot)")
+		return fmt.Errorf("statestore: /v1/analogs needs field= and snap= (the query snapshot)")
 	}
 	query, err := s.st.DecodeField(snap, field)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return s.st.nearestAnalogs(ctx, field, query, k, workers)
+	analogs, err := s.st.nearestAnalogs(ctx, field, query, k, workers)
+	if err != nil {
+		return err
+	}
+	list(r, analogs)
+	return nil
 }
 
-func (s *Server) handleDiag(ctx context.Context, q url.Values) (any, error) {
-	snap, err := intParam(q, "snap", -1)
+func (s *Server) handleDiag(ctx context.Context, p params, r *reply) error {
+	snap, err := intParam(p, "snap", -1)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if snap >= 0 {
-		return s.st.Diagnostics(snap)
+		d, err := s.st.Diagnostics(snap)
+		if err != nil {
+			return err
+		}
+		d.appendJSON(r)
+		return nil
 	}
 	// No snap: the whole diagnostic series (min-Ps / max-wind trajectory).
-	return s.st.diagSeries(ctx)
+	series, err := s.st.diagSeries(ctx)
+	if err != nil {
+		return err
+	}
+	list(r, series)
+	return nil
 }

@@ -305,7 +305,7 @@ func TestSchemaEnforced(t *testing.T) {
 	}
 }
 
-// TestAnalogPipelineMatchesBruteForce runs the staged pipeline at several
+// TestAnalogPipelineMatchesBruteForce runs the pruned search at several
 // worker counts against the sequential float64 reference: snapshot ids,
 // order, and distances must match exactly.
 func TestAnalogPipelineMatchesBruteForce(t *testing.T) {

@@ -240,10 +240,9 @@ func (m *manifest) checkSnap(snap int) error {
 
 // blob returns the bytes of one field of one snapshot: bounds-checked
 // against the file size the view was built at, and CRC-verified the first
-// time anything touches them. The serve.cache counters keep their names
-// from the decoded-field cache this replaced: a hit is a blob already
+// time anything touches them. t tallies the touch: a hit is a blob already
 // verified, a miss one that had to be checksummed.
-func (s *Store) blob(v *view, snap, fi int) ([]byte, error) {
+func (s *Store) blob(v *view, snap, fi int, t *touches) ([]byte, error) {
 	f, sm := &v.man.Fields[fi], &v.man.Snaps[snap]
 	off, end := sm.Off[fi], sm.Off[fi]+blobLen(f.Elems, v.man.Group)
 	if end > int64(len(v.win)) {
@@ -254,10 +253,10 @@ func (s *Store) blob(v *view, snap, fi int) ([]byte, error) {
 	bit := snap*len(v.man.Fields) + fi
 	word, mask := &v.verified[bit/32], uint32(1)<<(bit%32)
 	if word.Load()&mask != 0 {
-		count(s.obs, "serve.cache.hits", 1)
+		t.hits++
 		return b, nil
 	}
-	count(s.obs, "serve.cache.misses", 1)
+	t.misses++
 	if got := crc32.Checksum(b, crcTable); got != sm.CRC[fi] {
 		return nil, fmt.Errorf("statestore: %q of snapshot %d checksum %#x, manifest says %#x: %w",
 			f.Name, snap, got, sm.CRC[fi], ErrCorrupt)
@@ -265,6 +264,20 @@ func (s *Store) blob(v *view, snap, fi int) ([]byte, error) {
 	for old := word.Load(); !word.CompareAndSwap(old, old|mask); old = word.Load() {
 	}
 	return b, nil
+}
+
+// touches counts one query's blob accesses, reported to the observer once
+// when the query returns. The serve.cache counters keep their names from the
+// decoded-field cache the verified bits replaced.
+type touches struct{ hits, misses int64 }
+
+func (t *touches) report(o Observer) {
+	if t.hits > 0 {
+		count(o, "serve.cache.hits", t.hits)
+	}
+	if t.misses > 0 {
+		count(o, "serve.cache.misses", t.misses)
+	}
 }
 
 // Every function that walks a window starts with
@@ -365,6 +378,8 @@ func (s *Store) Point(snap int, field string, cell int) (val float64, err error)
 	}
 	defer s.mu.RUnlock()
 	defer recoverFault(debug.SetPanicOnFault(true), &err)
+	var t touches
+	defer t.report(s.obs)
 	m := v.man
 	fi, err := m.cellField(field, cell)
 	if err != nil {
@@ -373,7 +388,7 @@ func (s *Store) Point(snap int, field string, cell int) (val float64, err error)
 	if err := m.checkSnap(snap); err != nil {
 		return 0, err
 	}
-	b, err := s.blob(v, snap, fi)
+	b, err := s.blob(v, snap, fi, &t)
 	if err != nil {
 		return 0, err
 	}
@@ -394,6 +409,8 @@ func (s *Store) pointSeries(ctx context.Context, field string, cell int) (out []
 	}
 	defer s.mu.RUnlock()
 	defer recoverFault(debug.SetPanicOnFault(true), &err)
+	var t touches
+	defer t.report(s.obs)
 	m := v.man
 	fi, err := m.cellField(field, cell)
 	if err != nil {
@@ -405,7 +422,7 @@ func (s *Store) pointSeries(ctx context.Context, field string, cell int) (out []
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		b, err := s.blob(v, i, fi)
+		b, err := s.blob(v, i, fi, &t)
 		if err != nil {
 			return nil, err
 		}
@@ -441,6 +458,8 @@ func (s *Store) regionSeries(ctx context.Context, field string, lo, hi int) (out
 	}
 	defer s.mu.RUnlock()
 	defer recoverFault(debug.SetPanicOnFault(true), &err)
+	var t touches
+	defer t.report(s.obs)
 	m := v.man
 	fi, err := fieldIndex(m.Fields, field)
 	if err != nil {
@@ -455,7 +474,7 @@ func (s *Store) regionSeries(ctx context.Context, field string, lo, hi int) (out
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		b, err := s.blob(v, i, fi)
+		b, err := s.blob(v, i, fi, &t)
 		if err != nil {
 			return nil, err
 		}
@@ -478,7 +497,9 @@ func (s *Store) DecodeField(snap int, field string) (out []float64, err error) {
 	}
 	defer s.mu.RUnlock()
 	defer recoverFault(debug.SetPanicOnFault(true), &err)
-	b, elems, err := s.fieldBlob(v, snap, field)
+	var t touches
+	defer t.report(s.obs)
+	b, elems, err := s.fieldBlob(v, snap, field, &t)
 	if err != nil {
 		return nil, err
 	}
@@ -517,38 +538,51 @@ const (
 // Diagnostics derives one snapshot's serving diagnostics from its quantized
 // state.
 func (s *Store) Diagnostics(snap int) (d Diag, err error) {
+	t0 := time.Now()
 	v, err := s.begin()
 	if err != nil {
 		return Diag{}, err
 	}
 	defer s.mu.RUnlock()
 	defer recoverFault(debug.SetPanicOnFault(true), &err)
-	return s.diagnostics(v, snap)
+	var t touches
+	defer t.report(s.obs)
+	if d, err = s.diagnostics(v, snap, &t); err != nil {
+		return Diag{}, err
+	}
+	count(s.obs, "serve.diag.queries", 1)
+	observe(s.obs, "serve.diag.latency_us", float64(time.Since(t0).Microseconds()))
+	return d, nil
 }
 
 // diagSeries is Diagnostics of every snapshot: the min-Ps / max-wind
 // trajectory.
 func (s *Store) diagSeries(ctx context.Context) (out []Diag, err error) {
+	t0 := time.Now()
 	v, err := s.begin()
 	if err != nil {
 		return nil, err
 	}
 	defer s.mu.RUnlock()
 	defer recoverFault(debug.SetPanicOnFault(true), &err)
+	var t touches
+	defer t.report(s.obs)
 	out = make([]Diag, len(v.man.Snaps))
 	for i := range out {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if out[i], err = s.diagnostics(v, i); err != nil {
+		if out[i], err = s.diagnostics(v, i, &t); err != nil {
 			return nil, err
 		}
 	}
+	count(s.obs, "serve.diag.queries", int64(len(out)))
+	observe(s.obs, "serve.diag.latency_us", float64(time.Since(t0).Microseconds()))
 	return out, nil
 }
 
 // fieldBlob is blob by field name, with the field's length.
-func (s *Store) fieldBlob(v *view, snap int, field string) (b []byte, elems int, err error) {
+func (s *Store) fieldBlob(v *view, snap int, field string, t *touches) (b []byte, elems int, err error) {
 	fi, err := fieldIndex(v.man.Fields, field)
 	if err != nil {
 		return nil, 0, err
@@ -556,24 +590,23 @@ func (s *Store) fieldBlob(v *view, snap int, field string) (b []byte, elems int,
 	if err := v.man.checkSnap(snap); err != nil {
 		return nil, 0, err
 	}
-	b, err = s.blob(v, snap, fi)
+	b, err = s.blob(v, snap, fi, t)
 	return b, v.man.Fields[fi].Elems, err
 }
 
-func (s *Store) diagnostics(v *view, snap int) (Diag, error) {
-	t0 := time.Now()
+func (s *Store) diagnostics(v *view, snap int, t *touches) (Diag, error) {
 	m := v.man
 	if err := m.checkSnap(snap); err != nil {
 		return Diag{}, err
 	}
 	d := Diag{Snap: snap, Step: int(m.Snaps[snap].Step), SimTime: m.Snaps[snap].SimTime}
-	ps, elems, err := s.fieldBlob(v, snap, PsField)
+	ps, elems, err := s.fieldBlob(v, snap, PsField, t)
 	if err != nil {
 		return Diag{}, err
 	}
 	sp := spanOf(ps, elems, m.Group, 0, elems)
 	d.MinPs, d.MinPsCell = sp.lowest, sp.lowestCell
-	wind, elems, err := s.fieldBlob(v, snap, WindField)
+	wind, elems, err := s.fieldBlob(v, snap, WindField, t)
 	if err != nil {
 		return Diag{}, err
 	}
@@ -586,13 +619,11 @@ func (s *Store) diagnostics(v *view, snap int) (Diag, error) {
 		if _, err := fieldIndex(m.Fields, resid.field); err != nil {
 			continue // the capture ran without the audit
 		}
-		b, elems, err := s.fieldBlob(v, snap, resid.field)
+		b, elems, err := s.fieldBlob(v, snap, resid.field, t)
 		if err != nil {
 			return Diag{}, err
 		}
 		*resid.dst = pointOf(b, elems, m.Group, 0)
 	}
-	count(s.obs, "serve.diag.queries", 1)
-	observe(s.obs, "serve.diag.latency_us", float64(time.Since(t0).Microseconds()))
 	return d, nil
 }
