@@ -237,46 +237,51 @@ func New(level, nlev int, cfg Config, sp pp.Space) (*Model, error) {
 // atmosphere with a latitude-dependent temperature structure near radiative
 // equilibrium, moist near the tropical surface, ps = P0 everywhere.
 func (m *Model) InitBaroclinicRest() {
+	// The level factors once per level, the latitude factors once per cell.
+	type level struct{ logP, powP, p, dry float64 }
+	lv := make([]level, m.NLev)
+	for k, sig := range m.Sig {
+		lv[k].logP, lv[k].powP = eqLevel(sig)
+		lv[k].p, lv[k].dry = sig*P0, math.Pow(sig, 3)
+	}
 	nc := m.Mesh.NCells()
 	for c := 0; c < nc; c++ {
 		m.Ps[c] = P0
 		lat := m.Mesh.LatCell[c]
-		tSkin := 273.15 + 28*math.Cos(lat)*math.Cos(lat)
-		for k := 0; k < m.NLev; k++ {
+		cl := math.Cos(lat)
+		tSkin := 273.15 + 28*cl*cl
+		sin2 := sinSq(lat)
+		for k, sig := range m.Sig {
 			i := m.Idx(c, k)
-			m.T[i] = equilibriumT(lat, m.Sig[k])
-			if sig := m.Sig[k]; sig > 0.85 {
+			m.T[i] = eqT(sin2, cl*cl, lv[k].logP, lv[k].powP)
+			if sig > 0.85 {
 				w := (sig - 0.85) / 0.15
 				m.T[i] = w*(tSkin-1) + (1-w)*m.T[i]
 			}
 			// Moisture: ~80 % of saturation in the lowest layers, drying
 			// upward.
-			p := m.Sig[k] * P0
-			m.Qv[i] = 0.8 * qsat(m.T[i], p) * math.Pow(m.Sig[k], 3)
+			m.Qv[i] = 0.8 * qsat(m.T[i], lv[k].p) * lv[k].dry
 		}
-		m.SST[c] = 273.15 + 28*math.Cos(lat)*math.Cos(lat)
+		m.SST[c] = tSkin
 	}
 	for i := range m.U {
 		m.U[i] = 0
 	}
 }
 
-// equilibriumT is the Held–Suarez radiative-equilibrium temperature used
-// both for initialization and by the conventional suite's radiation.
-func equilibriumT(lat, sig float64) float64 {
-	logP, powP := eqLevel(sig)
-	return eqT(sinSq(lat), cosSq(lat), logP, powP)
-}
+// The Held–Suarez radiative-equilibrium temperature, used both for
+// initialization and by the conventional suite's radiation, is
+// eqT(sin²φ, cos²φ, eqLevel(σ)).
 
-// eqLevel returns the two factors of equilibriumT that depend on the level
-// only, ln(p/p0) and (p/p0)^κ.
+// eqLevel returns the two factors of the equilibrium temperature that
+// depend on the level only, ln(p/p0) and (p/p0)^κ.
 func eqLevel(sig float64) (logP, powP float64) {
 	p := sig * P0
 	return math.Log(p / P0), math.Pow(p/P0, Kappa)
 }
 
-// eqT combines equilibriumT's latitude factors sin²φ, cos²φ with its level
-// factors.
+// eqT combines the equilibrium temperature's latitude factors sin²φ, cos²φ
+// with its level factors.
 func eqT(sin2, cos2, logP, powP float64) float64 {
 	t := (315 - 60*sin2 - 10*logP*cos2) * powP
 	if t < 200 {

@@ -314,7 +314,8 @@ func TestPhysicsSuiteContract(t *testing.T) {
 		Lat: 0.2, TSkin: 300, CosZ: 0.8,
 	}
 	for k := 0; k < nlev; k++ {
-		in.T[k] = equilibriumT(0.2, m.Sig[k])
+		logP, powP := eqLevel(m.Sig[k])
+		in.T[k] = eqT(sinSq(0.2), cosSq(0.2), logP, powP)
 		in.P[k] = m.Sig[k] * P0
 		in.Q[k] = 0.001
 	}

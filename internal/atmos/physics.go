@@ -233,8 +233,8 @@ func (s *ConventionalSuite) TwoStreamRadiation(in ColumnIn) (gsw, glw float64) {
 // or SWGPoints, LWGPoints or the level count no longer match it. Columns
 // that race to build publish identical tables, so whichever store lands last
 // changes nothing a reader can see. The g-point tables are log-spaced; the
-// level factors are the identical expressions equilibriumT evaluates, so a
-// table entry carries the same bits as the call it replaces.
+// level factors are eqLevel's, so a table entry carries the same bits as an
+// eqLevel call.
 func (s *ConventionalSuite) tables() *suiteTables {
 	sig := s.m.Sig
 	t := s.tab.Load()

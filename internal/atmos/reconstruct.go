@@ -44,15 +44,13 @@ func newReconstructor(mesh *grid.IcosMesh) *reconstructor {
 	r.weights = make([][]grid.Vec3, nc)
 	r.east = make([]grid.Vec3, nc)
 	r.north = make([]grid.Vec3, nc)
+	weights := make([]grid.Vec3, 2*ne) // every cell's rows, one per edge end
 	for c := 0; c < nc; c++ {
 		p := mesh.CellCenter[c]
 		lon, lat := mesh.LonCell[c], mesh.LatCell[c]
-		r.east[c] = grid.Vec3{X: -math.Sin(lon), Y: math.Cos(lon), Z: 0}
-		r.north[c] = grid.Vec3{
-			X: -math.Sin(lat) * math.Cos(lon),
-			Y: -math.Sin(lat) * math.Sin(lon),
-			Z: math.Cos(lat),
-		}
+		sinLon, cosLon, sinLat, cosLat := math.Sin(lon), math.Cos(lon), math.Sin(lat), math.Cos(lat)
+		r.east[c] = grid.Vec3{X: -sinLon, Y: cosLon, Z: 0}
+		r.north[c] = grid.Vec3{X: -sinLat * cosLon, Y: -sinLat * sinLon, Z: cosLat}
 
 		edges := mesh.EdgesOnCell[c]
 		// Solve min Σ_e (v·n_e − u_e)² for v in the tangent plane at p:
@@ -78,7 +76,8 @@ func newReconstructor(mesh *grid.IcosMesh) *reconstructor {
 		a[1][0], a[2][0], a[2][1] = a[0][1], a[0][2], a[1][2]
 
 		inv := invert3(a)
-		w := make([]grid.Vec3, len(edges))
+		w := weights[:len(edges):len(edges)]
+		weights = weights[len(edges):]
 		norm := 0.0
 		for i, e := range edges {
 			n := r.normal3[e]

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"repro/internal/grid"
 )
@@ -90,125 +92,72 @@ type Regridder struct {
 }
 
 // NewRegridder precomputes the nearest-neighbour maps and the conservative
-// overlap weights.
+// overlap weights, each nearest-cell query a short walk from the last answer.
 func NewRegridder(mesh *grid.IcosMesh, g *grid.Tripolar) *Regridder {
 	r := &Regridder{
 		OcnToAtm:       make([]int, g.NX*g.NY),
 		AtmToOcn:       make([]int, mesh.NCells()),
+		ConsPtr:        make([]int32, g.NX*g.NY+1),
 		AtmOverlapArea: make([]float64, mesh.NCells()),
 	}
+	walk := newCellWalk(mesh)
 
-	// Ocean columns → nearest atmosphere cell. A coarse latitude bucketing
-	// of atmosphere cells keeps this O(N·√M) instead of O(N·M).
-	const nBuckets = 64
-	bw := math.Pi / float64(nBuckets)
-	buckets := make([][]int, nBuckets)
-	for c := 0; c < mesh.NCells(); c++ {
-		b := bucketOf(mesh.LatCell[c], nBuckets)
-		buckets[b] = append(buckets[b], c)
+	// Query points: each ocean column's consSub×consSub lattice of samples
+	// and its centre (the last offset). FromLonLat is separable, so the
+	// cos/sin of every lattice longitude and latitude are taken once.
+	const nSub = consSub + 1
+	var off [nSub]float64 // in cell widths
+	for s := 0; s < consSub; s++ {
+		off[s] = (float64(s)+0.5)/consSub - 0.5
 	}
-	nearestAtm := func(p grid.Vec3, lat float64) int {
-		best, bestDot := -1, -2.0
-		b0 := bucketOf(lat, nBuckets)
-		for db := 0; ; db++ {
-			lo, hi := b0-db, b0+db
-			if lo < 0 && hi >= nBuckets {
-				break // every bucket searched
-			}
-			for _, b := range []int{lo, hi} {
-				if b < 0 || b >= nBuckets || (db == 0 && b != b0) {
-					continue
-				}
-				for _, c := range buckets[b] {
-					if d := p.Dot(mesh.CellCenter[c]); d > bestDot {
-						bestDot, best = d, c
-					}
-				}
-			}
-			if best < 0 {
-				continue
-			}
-			// Termination bound: any cell in a still-unsearched bucket ring
-			// is separated from p in latitude by at least the distance to
-			// the searched band's nearer edge, so its dot product cannot
-			// exceed cos(sep). Expanding stops only once the current best
-			// provably beats everything outside the band — the fix for the
-			// fixed two-ring cutoff, which could return a non-nearest cell
-			// when the true nearest sat more than one bucket away.
-			sep := math.Inf(1)
-			if lo-1 >= 0 {
-				sep = lat - (-math.Pi/2 + float64(lo)*bw)
-			}
-			if hi+1 < nBuckets {
-				if s := (-math.Pi/2 + float64(hi+1)*bw) - lat; s < sep {
-					sep = s
-				}
-			}
-			if math.IsInf(sep, 1) || math.Cos(sep) < bestDot {
-				break
-			}
-		}
-		return best
-	}
-
-	for j := 0; j < g.NY; j++ {
-		for i := 0; i < g.NX; i++ {
-			p := grid.FromLonLat(g.Lon[i], g.Lat[j])
-			r.OcnToAtm[j*g.NX+i] = nearestAtm(p, g.Lat[j])
-		}
-	}
-
-	// Conservative overlap weights: probe each wet ocean cell on a
-	// consSub×consSub lattice of sample points; each sample's containing
-	// atmosphere cell is its nearest Voronoi center (exact containment on
-	// the icosahedral Voronoi mesh), and the normalized weight of an
-	// atmosphere cell is its sample count over consSub². Sample points of
-	// land-masked atmosphere cells keep their weight (destination-area
-	// normalization), so coastal mask mismatch damps the delivered flux
-	// rather than breaking the conservation identity.
-	dlon := 2 * math.Pi / float64(g.NX)
-	dlat := 0.0
+	dlon, dlat := 2*math.Pi/float64(g.NX), 0.0
 	if g.NY > 1 {
 		dlat = g.Lat[1] - g.Lat[0]
 	}
-	r.ConsPtr = make([]int32, g.NX*g.NY+1)
-	var hitCells [consSub * consSub]int
-	var hitCounts [consSub * consSub]int
+	cosLon, sinLon := make([]float64, g.NX*nSub), make([]float64, g.NX*nSub)
+	for i, lon := range g.Lon {
+		for s, o := range off {
+			cosLon[i*nSub+s], sinLon[i*nSub+s] = math.Cos(lon+o*dlon), math.Sin(lon+o*dlon)
+		}
+	}
+	var latS, cosLat, sinLat [nSub]float64
+	at := func(i, s, t int) grid.Vec3 {
+		return grid.Vec3{X: cosLat[t] * cosLon[i*nSub+s], Y: cosLat[t] * sinLon[i*nSub+s], Z: sinLat[t]}
+	}
+
+	// Each sample's containing atmosphere cell is its nearest Voronoi center
+	// (exact containment on the icosahedral Voronoi mesh), and the
+	// normalized weight of an atmosphere cell is its sample count over
+	// consSub². Sample points of land-masked atmosphere cells keep their
+	// weight (destination-area normalization), so coastal mask mismatch
+	// damps the delivered flux rather than breaking the conservation
+	// identity.
+	c := 0
 	for j := 0; j < g.NY; j++ {
+		for t, o := range off {
+			latS[t] = g.Lat[j] + o*dlat
+			cosLat[t], sinLat[t] = math.Cos(latS[t]), math.Sin(latS[t])
+		}
 		for i := 0; i < g.NX; i++ {
 			idx := j*g.NX + i
-			if !g.Mask[idx] {
-				r.ConsPtr[idx+1] = r.ConsPtr[idx]
-				continue
-			}
-			nHit := 0
-			for t := 0; t < consSub; t++ {
-				latS := g.Lat[j] + ((float64(t)+0.5)/consSub-0.5)*dlat
+			c = walk.nearest(at(i, consSub, consSub), g.Lat[j], c)
+			r.OcnToAtm[idx] = c
+			cs, row := c, len(r.ConsCol)
+			for t := 0; t < consSub && g.Mask[idx]; t++ {
 				for s := 0; s < consSub; s++ {
-					lonS := g.Lon[i] + ((float64(s)+0.5)/consSub-0.5)*dlon
-					c := nearestAtm(grid.FromLonLat(lonS, latS), latS)
-					found := false
-					for h := 0; h < nHit; h++ {
-						if hitCells[h] == c {
-							hitCounts[h]++
-							found = true
-							break
-						}
+					cs = walk.nearest(at(i, s, t), latS[t], cs)
+					h := slices.Index(r.ConsCol[row:], int32(cs))
+					if h < 0 {
+						h = len(r.ConsCol) - row
+						r.ConsCol, r.ConsW = append(r.ConsCol, int32(cs)), append(r.ConsW, 0)
 					}
-					if !found {
-						hitCells[nHit] = c
-						hitCounts[nHit] = 1
-						nHit++
-					}
+					r.ConsW[row+h] += 1.0 / (consSub * consSub) // exact: counts of 1/16
 				}
 			}
-			for h := 0; h < nHit; h++ {
-				w := float64(hitCounts[h]) / (consSub * consSub)
-				r.ConsCol = append(r.ConsCol, int32(hitCells[h]))
-				r.ConsW = append(r.ConsW, w)
-				r.AtmOverlapArea[hitCells[h]] += w * g.Area[idx]
+			for p := row; p < len(r.ConsCol); p++ {
+				r.AtmOverlapArea[r.ConsCol[p]] += r.ConsW[p] * g.Area[idx]
 			}
-			r.ConsPtr[idx+1] = r.ConsPtr[idx] + int32(nHit)
+			r.ConsPtr[idx+1] = int32(len(r.ConsCol))
 		}
 	}
 
@@ -219,15 +168,13 @@ func NewRegridder(mesh *grid.IcosMesh, g *grid.Tripolar) *Regridder {
 		if lon < 0 {
 			lon += 2 * math.Pi
 		}
-		i := int(lon / (2 * math.Pi) * float64(g.NX))
-		i = clampInt(i, 0, g.NX-1)
-		j := nearestLatRow(g, lat)
-		idx := j*g.NX + i
+		i := min(max(int(lon/(2*math.Pi)*float64(g.NX)), 0), g.NX-1)
+		idx := nearestLatRow(g, lat)*g.NX + i
 		if g.Mask[idx] {
 			r.AtmToOcn[c] = idx
 			continue
 		}
-		r.AtmToOcn[c] = spiralWet(g, i, j, 6)
+		r.AtmToOcn[c] = spiralWet(g, i, idx/g.NX, 6)
 		if r.AtmToOcn[c] < 0 && !grid.IsLand(lon, lat) {
 			// Non-land cell with no reachable wet column: the driver routes
 			// its surface exchange to the land model instead of dropping it.
@@ -237,10 +184,9 @@ func NewRegridder(mesh *grid.IcosMesh, g *grid.Tripolar) *Regridder {
 	return r
 }
 
-// ConsRemap writes into dst (per owned wet ocean global column gi) the
-// conservative overlap average of the per-atmosphere-cell field src. The
-// caller iterates its block and asks one column at a time, keeping the loop
-// allocation-free.
+// ConsRemap returns the conservative overlap average of the
+// per-atmosphere-cell field src at global ocean column gi: one column per
+// call, so the caller's loop over its block allocates nothing.
 func (r *Regridder) ConsRemap(src []float64, gi int) float64 {
 	var acc float64
 	for p := r.ConsPtr[gi]; p < r.ConsPtr[gi+1]; p++ {
@@ -249,34 +195,100 @@ func (r *Regridder) ConsRemap(src []float64, gi int) float64 {
 	return acc
 }
 
-func bucketOf(lat float64, n int) int {
-	b := int((lat + math.Pi/2) / math.Pi * float64(n))
-	return clampInt(b, 0, n-1)
+// cellWalk finds nearest atmosphere cells by greedy walks over the mesh.
+// On a Delaunay triangulation a cell with no neighbour nearer the query is
+// the nearest of all (TestIcosMeshIsDelaunay), so a walk is exact from any
+// start and costs the cells between the start and the answer.
+type cellWalk struct {
+	mesh *grid.IcosMesh
+	// inner[c] is the cosine of 0.49 of c's shortest edge: a point whose dot
+	// product with c's centre reaches it is nearer c than any other centre
+	// (the nearest centre to c is a Delaunay neighbour), so the walk stops.
+	inner []float64
 }
 
-func clampInt(x, lo, hi int) int {
-	if x < lo {
-		return lo
+func newCellWalk(mesh *grid.IcosMesh) cellWalk {
+	w := cellWalk{mesh, make([]float64, mesh.NCells())}
+	for c, es := range mesh.EdgesOnCell {
+		dc := math.Inf(1)
+		for _, e := range es {
+			dc = min(dc, mesh.Dc[e])
+		}
+		w.inner[c] = math.Cos(0.49 * dc)
 	}
-	if x > hi {
-		return hi
-	}
-	return x
+	return w
 }
 
-// nearestLatRow finds the grid row whose center latitude is closest.
-func nearestLatRow(g *grid.Tripolar, lat float64) int {
-	best, bestD := 0, math.Inf(1)
-	for j := 0; j < g.NY; j++ {
-		if d := math.Abs(g.Lat[j] - lat); d < bestD {
-			best, bestD = j, d
+// nearest returns the cell whose centre has the largest dot product with p
+// (latitude lat), walking from cell c to its best neighbour until none is
+// better.
+func (w cellWalk) nearest(p grid.Vec3, lat float64, c int) int {
+	best := p.Dot(w.mesh.CellCenter[c])
+	for best < w.inner[c] {
+		next, tie := c, false
+		for _, n := range w.mesh.CellsOnCell[c] {
+			if d := p.Dot(w.mesh.CellCenter[n]); d > best {
+				best, next = d, n
+			} else if d == best {
+				tie = true
+			}
+		}
+		if next == c {
+			if tie {
+				return w.firstOfTie(p, lat, c, best)
+			}
+			break
+		}
+		c = next
+	}
+	return c
+}
+
+// firstOfTie settles an exact tie among the cells joined to c through cells
+// of the same dot product: the nearest latitude band (bucketOf) to the
+// query's, the southern of two equally near, then the lowest id. That is
+// the order a scan of latitude bands outward from the query's meets cells,
+// which built these maps before the walk, so they keep their bits
+// (TestRegridderMatchesBucketOracle).
+func (w cellWalk) firstOfTie(p grid.Vec3, lat float64, c int, best float64) int {
+	b0 := bucketOf(lat)
+	order := func(x int) int {
+		d := bucketOf(w.mesh.LatCell[x]) - b0
+		if d > 0 {
+			d = 2*d + 1
+		}
+		return max(d, -2*d)*w.mesh.NCells() + x
+	}
+	pick, tied := c, []int{c}
+	for k := 0; k < len(tied); k++ {
+		for _, n := range w.mesh.CellsOnCell[tied[k]] {
+			if p.Dot(w.mesh.CellCenter[n]) == best && !slices.Contains(tied, n) {
+				tied = append(tied, n)
+				if order(n) < order(pick) {
+					pick = n
+				}
+			}
 		}
 	}
-	return best
+	return pick
+}
+
+// bucketOf returns which of 64 equal latitude bands holds lat.
+func bucketOf(lat float64) int { return min(max(int((lat+math.Pi/2)/math.Pi*64), 0), 63) }
+
+// nearestLatRow finds the grid row whose center latitude is closest, the
+// southern one of two equally close (rows ascend south to north).
+func nearestLatRow(g *grid.Tripolar, lat float64) int {
+	j := sort.SearchFloat64s(g.Lat, lat)
+	if j == g.NY || j > 0 && math.Abs(g.Lat[j-1]-lat) <= math.Abs(g.Lat[j]-lat) {
+		j--
+	}
+	return j
 }
 
 // spiralWet searches outward for the nearest wet column; -1 if none within
 // the ring limit (deep-inland atmosphere cells, served by the land model).
+// Ring r is scanned row by row, south to north, west to east.
 func spiralWet(g *grid.Tripolar, i0, j0, rings int) int {
 	for r := 1; r <= rings; r++ {
 		for dj := -r; dj <= r; dj++ {
@@ -284,10 +296,11 @@ func spiralWet(g *grid.Tripolar, i0, j0, rings int) int {
 			if j < 0 || j >= g.NY {
 				continue
 			}
-			for di := -r; di <= r; di++ {
-				if maxAbs(di, dj) != r {
-					continue
-				}
+			step := 2 * r // the ring's side columns only, between its top and bottom rows
+			if dj == -r || dj == r {
+				step = 1
+			}
+			for di := -r; di <= r; di += step {
 				i := ((i0+di)%g.NX + g.NX) % g.NX
 				if g.Mask[j*g.NX+i] {
 					return j*g.NX + i
@@ -296,17 +309,4 @@ func spiralWet(g *grid.Tripolar, i0, j0, rings int) int {
 		}
 	}
 	return -1
-}
-
-func maxAbs(a, b int) int {
-	if a < 0 {
-		a = -a
-	}
-	if b < 0 {
-		b = -b
-	}
-	if a > b {
-		return a
-	}
-	return b
 }

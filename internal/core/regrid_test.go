@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/grid"
@@ -25,7 +27,223 @@ func TestParseRemap(t *testing.T) {
 	}
 }
 
-// bruteNearest is the O(M) reference for the bucketed nearest-cell search.
+// bucketScan is the nearest-cell query NewRegridder made before the
+// Delaunay walk: a scan of 64 latitude buckets outward from the query's for
+// the largest dot product, O(√cells) per query with a math.Cos per ring,
+// keeping the first cell met on an exact tie.
+func bucketScan(mesh *grid.IcosMesh) func(p grid.Vec3, lat float64) int {
+	const nBuckets = 64
+	bw := math.Pi / float64(nBuckets)
+	buckets := make([][]int, nBuckets)
+	for c := 0; c < mesh.NCells(); c++ {
+		b := bucketOf(mesh.LatCell[c])
+		buckets[b] = append(buckets[b], c)
+	}
+	return func(p grid.Vec3, lat float64) int {
+		best, bestDot := -1, -2.0
+		b0 := bucketOf(lat)
+		for db := 0; ; db++ {
+			lo, hi := b0-db, b0+db
+			if lo < 0 && hi >= nBuckets {
+				break // every bucket searched
+			}
+			for _, b := range []int{lo, hi} {
+				if b < 0 || b >= nBuckets || (db == 0 && b != b0) {
+					continue
+				}
+				for _, c := range buckets[b] {
+					if d := p.Dot(mesh.CellCenter[c]); d > bestDot {
+						bestDot, best = d, c
+					}
+				}
+			}
+			if best < 0 {
+				continue
+			}
+			// Termination bound: any cell in a still-unsearched bucket ring
+			// is separated from p in latitude by at least the distance to
+			// the searched band's nearer edge, so its dot product cannot
+			// exceed cos(sep). Expanding stops only once the current best
+			// provably beats everything outside the band — the fix for the
+			// fixed two-ring cutoff, which could return a non-nearest cell
+			// when the true nearest sat more than one bucket away.
+			sep := math.Inf(1)
+			if lo-1 >= 0 {
+				sep = lat - (-math.Pi/2 + float64(lo)*bw)
+			}
+			if hi+1 < nBuckets {
+				if s := (-math.Pi/2 + float64(hi+1)*bw) - lat; s < sep {
+					sep = s
+				}
+			}
+			if math.IsInf(sep, 1) || math.Cos(sep) < bestDot {
+				break
+			}
+		}
+		return best
+	}
+}
+
+// bucketRegridder is NewRegridder as it stood before the Delaunay walk,
+// over bucketScan: the oracle the walk must match field for field and bit
+// for bit, ties included.
+func bucketRegridder(mesh *grid.IcosMesh, g *grid.Tripolar) *Regridder {
+	r := &Regridder{
+		OcnToAtm:       make([]int, g.NX*g.NY),
+		AtmToOcn:       make([]int, mesh.NCells()),
+		AtmOverlapArea: make([]float64, mesh.NCells()),
+	}
+	nearestAtm := bucketScan(mesh)
+
+	for j := 0; j < g.NY; j++ {
+		for i := 0; i < g.NX; i++ {
+			p := grid.FromLonLat(g.Lon[i], g.Lat[j])
+			r.OcnToAtm[j*g.NX+i] = nearestAtm(p, g.Lat[j])
+		}
+	}
+
+	// Conservative overlap weights: probe each wet ocean cell on a
+	// consSub×consSub lattice of sample points; each sample's containing
+	// atmosphere cell is its nearest Voronoi center (exact containment on
+	// the icosahedral Voronoi mesh), and the normalized weight of an
+	// atmosphere cell is its sample count over consSub². Sample points of
+	// land-masked atmosphere cells keep their weight (destination-area
+	// normalization), so coastal mask mismatch damps the delivered flux
+	// rather than breaking the conservation identity.
+	dlon := 2 * math.Pi / float64(g.NX)
+	dlat := 0.0
+	if g.NY > 1 {
+		dlat = g.Lat[1] - g.Lat[0]
+	}
+	r.ConsPtr = make([]int32, g.NX*g.NY+1)
+	var hitCells [consSub * consSub]int
+	var hitCounts [consSub * consSub]int
+	for j := 0; j < g.NY; j++ {
+		for i := 0; i < g.NX; i++ {
+			idx := j*g.NX + i
+			if !g.Mask[idx] {
+				r.ConsPtr[idx+1] = r.ConsPtr[idx]
+				continue
+			}
+			nHit := 0
+			for t := 0; t < consSub; t++ {
+				latS := g.Lat[j] + ((float64(t)+0.5)/consSub-0.5)*dlat
+				for s := 0; s < consSub; s++ {
+					lonS := g.Lon[i] + ((float64(s)+0.5)/consSub-0.5)*dlon
+					c := nearestAtm(grid.FromLonLat(lonS, latS), latS)
+					found := false
+					for h := 0; h < nHit; h++ {
+						if hitCells[h] == c {
+							hitCounts[h]++
+							found = true
+							break
+						}
+					}
+					if !found {
+						hitCells[nHit] = c
+						hitCounts[nHit] = 1
+						nHit++
+					}
+				}
+			}
+			for h := 0; h < nHit; h++ {
+				w := float64(hitCounts[h]) / (consSub * consSub)
+				r.ConsCol = append(r.ConsCol, int32(hitCells[h]))
+				r.ConsW = append(r.ConsW, w)
+				r.AtmOverlapArea[hitCells[h]] += w * g.Area[idx]
+			}
+			r.ConsPtr[idx+1] = r.ConsPtr[idx] + int32(nHit)
+		}
+	}
+
+	// Atmosphere cells → nearest wet ocean column (grid-aligned lookup with
+	// a spiral search for coastal cells whose nearest column is land).
+	for c := 0; c < mesh.NCells(); c++ {
+		lon, lat := mesh.LonCell[c], mesh.LatCell[c]
+		if lon < 0 {
+			lon += 2 * math.Pi
+		}
+		i := int(lon / (2 * math.Pi) * float64(g.NX))
+		i = min(max(i, 0), g.NX-1)
+		j := scanLatRow(g, lat)
+		idx := j*g.NX + i
+		if g.Mask[idx] {
+			r.AtmToOcn[c] = idx
+			continue
+		}
+		r.AtmToOcn[c] = spiralWet(g, i, j, 6)
+		if r.AtmToOcn[c] < 0 && !grid.IsLand(lon, lat) {
+			// Non-land cell with no reachable wet column: the driver routes
+			// its surface exchange to the land model instead of dropping it.
+			r.Unmapped = append(r.Unmapped, c)
+		}
+	}
+	return r
+}
+
+// scanLatRow is nearestLatRow as a scan of every row, the first of equally
+// close rows winning.
+func scanLatRow(g *grid.Tripolar, lat float64) int {
+	best, bestD := 0, math.Inf(1)
+	for j := 0; j < g.NY; j++ {
+		if d := math.Abs(g.Lat[j] - lat); d < bestD {
+			best, bestD = j, d
+		}
+	}
+	return best
+}
+
+// The binary search must pick the scan's row everywhere: random latitudes
+// inside and beyond the grid, and the midpoints between rows, where the
+// southern row wins a tie.
+func TestNearestLatRowMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for _, cfg := range Configurations() {
+		g, err := grid.NewTripolar(cfg.OcnNX, cfg.OcnNY, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lats := []float64{-math.Pi / 2, math.Pi / 2}
+		for j := 0; j+1 < g.NY; j++ {
+			lats = append(lats, g.Lat[j], (g.Lat[j]+g.Lat[j+1])/2)
+		}
+		for k := 0; k < 1000; k++ {
+			lats = append(lats, (rng.Float64()-0.5)*math.Pi)
+		}
+		for _, lat := range lats {
+			if got, want := nearestLatRow(g, lat), scanLatRow(g, lat); got != want {
+				t.Fatalf("%s: latitude %v: row %d, scan %d", cfg.Label, lat, got, want)
+			}
+		}
+	}
+}
+
+// The walk must reproduce the bucket scan on every query the model makes:
+// every field of the Regridder, bit for bit, on every configuration.
+func TestRegridderMatchesBucketOracle(t *testing.T) {
+	for _, cfg := range Configurations() {
+		mesh, err := grid.NewIcosMesh(cfg.AtmLevel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := grid.NewTripolar(cfg.OcnNX, cfg.OcnNY, cfg.OcnNLev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := NewRegridder(mesh, g), bucketRegridder(mesh, g)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: walk and bucket scan disagree", cfg.Label)
+		}
+		for c, a := range want.AtmOverlapArea {
+			if math.Float64bits(got.AtmOverlapArea[c]) != math.Float64bits(a) {
+				t.Fatalf("%s: AtmOverlapArea[%d] %x, oracle %x", cfg.Label, c,
+					math.Float64bits(got.AtmOverlapArea[c]), math.Float64bits(a))
+			}
+		}
+	}
+}
+
+// bruteNearest is the O(M) reference for the nearest-cell walk.
 func bruteNearest(mesh *grid.IcosMesh, p grid.Vec3) (int, float64) {
 	best, bestDot := -1, -2.0
 	for c := 0; c < mesh.NCells(); c++ {
@@ -36,11 +254,13 @@ func bruteNearest(mesh *grid.IcosMesh, p grid.Vec3) (int, float64) {
 	return best, bestDot
 }
 
-// The bucketed search must return a true nearest cell for every ocean
-// column — the regression for the fixed two-ring early break, which could
-// stop before reaching the real nearest cell when it sat more than one
-// latitude bucket away. Ties are compared by dot product, which both
-// searches compute identically.
+// The walk must return a true nearest cell for every ocean column, for
+// seeded random points anywhere on the sphere from random starts, and — on
+// exact ties — the cell the bucket scan kept. Ties are made exact by the
+// mesh's bitwise mirror symmetries: a point on the plane x = 0 (or y = 0,
+// z = 0) has the same dot product with a cell and its mirror image. On
+// z = 0 the two lie in different latitude buckets, on x = 0 and y = 0 in
+// the same one.
 func TestNearestAtmMatchesBruteForce(t *testing.T) {
 	cases := []struct {
 		nx, ny, stride int
@@ -65,7 +285,7 @@ func TestNearestAtmMatchesBruteForce(t *testing.T) {
 				_, wantDot := bruteNearest(mesh, p)
 				got := r.OcnToAtm[j*g.NX+i]
 				if gotDot := p.Dot(mesh.CellCenter[got]); gotDot != wantDot {
-					t.Fatalf("%dx%d col (%d,%d): bucketed pick dot %.17g, brute force %.17g",
+					t.Fatalf("%dx%d col (%d,%d): walk's pick dot %.17g, brute force %.17g",
 						tc.nx, tc.ny, i, j, gotDot, wantDot)
 				}
 				checked++
@@ -73,6 +293,88 @@ func TestNearestAtmMatchesBruteForce(t *testing.T) {
 		}
 		if checked == 0 {
 			t.Fatal("no columns checked")
+		}
+	}
+
+	rng := rand.New(rand.NewSource(36))
+	for level := 0; level <= 5; level++ {
+		mesh, err := grid.NewIcosMesh(level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walk, scan := newCellWalk(mesh), bucketScan(mesh)
+		check := func(what string, p grid.Vec3) {
+			_, lat := grid.LonLat(p)
+			got := walk.nearest(p, lat, rng.Intn(mesh.NCells()))
+			_, wantDot := bruteNearest(mesh, p)
+			if gotDot := p.Dot(mesh.CellCenter[got]); gotDot != wantDot {
+				t.Fatalf("level %d %s %v: walk's pick dot %.17g, brute force %.17g", level, what, p, gotDot, wantDot)
+			}
+			if scanned := scan(p, lat); got != scanned {
+				t.Fatalf("level %d %s %v: walk picks %d, bucket scan %d", level, what, p, got, scanned)
+			}
+		}
+		for k := 0; k < 2000; k++ {
+			p := grid.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}.Normalize()
+			check("random point", p)
+		}
+		var ties [3]int // per mirror plane x = 0, y = 0, z = 0
+		for k := 0; k < 600; k++ {
+			a := rng.Float64() * 2 * math.Pi
+			ca, sa := math.Cos(a), math.Sin(a)
+			p := [3]grid.Vec3{{Y: ca, Z: sa}, {X: ca, Z: sa}, {X: ca, Y: sa}}[k%3]
+			_, best := bruteNearest(mesh, p)
+			tied := 0
+			for _, ctr := range mesh.CellCenter {
+				if p.Dot(ctr) == best {
+					tied++
+				}
+			}
+			if tied > 1 {
+				ties[k%3]++
+			}
+			check("mirror-plane point", p)
+		}
+		if min(ties[0], ties[1], ties[2]) < 20 {
+			t.Errorf("level %d: only %v of 200 points per mirror plane tie", level, ties)
+		}
+	}
+}
+
+// The tie order on its own: cells sharing one centre tie exactly on every
+// query, and their latitudes alone (random bands around the query's) decide
+// which one the bucket scan met first — nearest band, southern side of two
+// equally near, lowest id. The walk must pick the same from every start.
+func TestWalkTieOrderMatchesBucketScan(t *testing.T) {
+	const n = 6
+	m := &grid.IcosMesh{
+		CellCenter:  make([]grid.Vec3, n),
+		LatCell:     make([]float64, n),
+		CellsOnCell: make([][]int, n),
+		EdgesOnCell: make([][]int, n),
+		Dc:          []float64{0.1},
+	}
+	for c := range m.CellCenter {
+		m.CellCenter[c] = grid.Vec3{X: 1}
+		m.EdgesOnCell[c] = []int{0}
+		for o := 0; o < n; o++ {
+			if o != c {
+				m.CellsOnCell[c] = append(m.CellsOnCell[c], o)
+			}
+		}
+	}
+	p := grid.Vec3{X: 0.8, Y: 0.6} // dot 0.8 with every centre
+	const lat, band = 0.3, math.Pi / 64
+	rng := rand.New(rand.NewSource(36))
+	for trial := 0; trial < 500; trial++ {
+		for c := range m.LatCell {
+			m.LatCell[c] = lat + float64(rng.Intn(7)-3)*band
+		}
+		walk, want := newCellWalk(m), bucketScan(m)(p, lat)
+		for start := 0; start < n; start++ {
+			if got := walk.nearest(p, lat, start); got != want {
+				t.Fatalf("latitudes %v: walk from %d picks %d, bucket scan %d", m.LatCell, start, got, want)
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package grid
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // IcosMesh is a spherical centroidal mesh built by recursive bisection of
@@ -99,20 +98,12 @@ func NewIcosMesh(level int) (*IcosMesh, error) {
 
 // subdivide splits each triangle into four, deduplicating edge midpoints.
 func subdivide(nodes []Vec3, tris [][3]int) ([]Vec3, [][3]int) {
-	type key struct{ a, b int }
-	mid := make(map[key]int, len(tris)*3/2)
+	mid := newSideTable(len(nodes))
 	midpoint := func(a, b int) int {
-		k := key{a, b}
-		if a > b {
-			k = key{b, a}
+		id, fresh := mid.number(a, b, len(nodes))
+		if fresh {
+			nodes = append(nodes, nodes[a].Add(nodes[b]).Normalize())
 		}
-		if id, ok := mid[k]; ok {
-			return id
-		}
-		p := nodes[a].Add(nodes[b]).Normalize()
-		nodes = append(nodes, p)
-		id := len(nodes) - 1
-		mid[k] = id
 		return id
 	}
 	out := make([][3]int, 0, len(tris)*4)
@@ -128,6 +119,42 @@ func subdivide(nodes []Vec3, tris [][3]int) ([]Vec3, [][3]int) {
 		)
 	}
 	return nodes, out
+}
+
+// sideTable numbers the undirected sides of a triangulation in the order
+// they are first met, without a hash map: every node keeps the neighbours
+// of larger id it has been joined to, at most maxDegree of them (six on
+// this mesh), each with its side's number.
+type sideTable struct {
+	nb, id []int32 // [maxDegree·nodes]; id -1 marks a free slot
+}
+
+const maxDegree = 6
+
+func newSideTable(nodes int) sideTable {
+	t := sideTable{make([]int32, maxDegree*nodes), make([]int32, maxDegree*nodes)}
+	for i := range t.id {
+		t.id[i] = -1
+	}
+	return t
+}
+
+// number returns the number of side (a, b); a side met for the first time
+// is given next, and fresh reports that.
+func (t sideTable) number(a, b, next int) (id int, fresh bool) {
+	if a > b {
+		a, b = b, a
+	}
+	for k := a * maxDegree; k < (a+1)*maxDegree; k++ {
+		if t.id[k] < 0 {
+			t.nb[k], t.id[k] = int32(b), int32(next)
+			return next, true
+		}
+		if int(t.nb[k]) == b {
+			return int(t.id[k]), false
+		}
+	}
+	panic(fmt.Sprintf("grid: node %d has more than %d neighbours", a, maxDegree))
 }
 
 // assemble derives the full topology and geometry from nodes and triangles.
@@ -162,23 +189,18 @@ func assemble(level int, nodes []Vec3, tris [][3]int) *IcosMesh {
 	}
 
 	// Edges: deduplicate triangle sides. Each edge records the two cells it
-	// separates and the two triangles (dual nodes) it connects.
-	type ekey struct{ a, b int }
-	edgeID := make(map[ekey]int, 3*nVerts/2)
-	var cellsOnEdge [][2]int
-	var trisOnEdge [][2]int
+	// separates (lower id first) and the two triangles (dual nodes) it
+	// connects, numbered in the order the triangles first meet it.
+	sides := newSideTable(nCells)
+	cellsOnEdge := make([][2]int, 0, 3*nVerts/2)
+	trisOnEdge := make([][2]int, 0, 3*nVerts/2)
 	for t, tri := range tris {
 		for s := 0; s < 3; s++ {
 			a, b := tri[s], tri[(s+1)%3]
-			k := ekey{a, b}
-			if a > b {
-				k = ekey{b, a}
-			}
-			if id, ok := edgeID[k]; ok {
+			if id, fresh := sides.number(a, b, len(cellsOnEdge)); !fresh {
 				trisOnEdge[id][1] = t
 			} else {
-				edgeID[k] = len(cellsOnEdge)
-				cellsOnEdge = append(cellsOnEdge, [2]int{k.a, k.b})
+				cellsOnEdge = append(cellsOnEdge, [2]int{min(a, b), max(a, b)})
 				trisOnEdge = append(trisOnEdge, [2]int{t, -1})
 			}
 		}
@@ -207,10 +229,27 @@ func assemble(level int, nodes []Vec3, tris [][3]int) *IcosMesh {
 		m.Dv[e] = GreatCircleDist(m.VertexPos[t1], m.VertexPos[t2])
 	}
 
-	// Cell -> edges with outward signs, and neighbouring cells.
+	// Cell -> edges with outward signs, and neighbouring cells: the edges
+	// are visited in ascending order, so every cell's lists come out sorted
+	// by edge id, in three backing arrays cut at each cell's degree.
+	deg := make([]int, nCells+1)
+	for _, ce := range cellsOnEdge {
+		deg[ce[0]+1]++
+		deg[ce[1]+1]++
+	}
+	for c := 0; c < nCells; c++ {
+		deg[c+1] += deg[c] // now the offset of cell c's lists
+	}
+	edges, signs, nbrs := make([]int, 2*nEdges), make([]int, 2*nEdges), make([]int, 2*nEdges)
 	m.EdgesOnCell = make([][]int, nCells)
 	m.EdgeSignOnCell = make([][]int, nCells)
 	m.CellsOnCell = make([][]int, nCells)
+	for c := range m.EdgesOnCell {
+		lo, hi := deg[c], deg[c+1]
+		m.EdgesOnCell[c] = edges[lo:lo:hi]
+		m.EdgeSignOnCell[c] = signs[lo:lo:hi]
+		m.CellsOnCell[c] = nbrs[lo:lo:hi]
+	}
 	for e, ce := range cellsOnEdge {
 		c1, c2 := ce[0], ce[1]
 		m.EdgesOnCell[c1] = append(m.EdgesOnCell[c1], e)
@@ -219,22 +258,6 @@ func assemble(level int, nodes []Vec3, tris [][3]int) *IcosMesh {
 		m.EdgesOnCell[c2] = append(m.EdgesOnCell[c2], e)
 		m.EdgeSignOnCell[c2] = append(m.EdgeSignOnCell[c2], -1)
 		m.CellsOnCell[c2] = append(m.CellsOnCell[c2], c1)
-	}
-	// Deterministic ordering of the edge lists.
-	for c := range m.EdgesOnCell {
-		idx := make([]int, len(m.EdgesOnCell[c]))
-		for i := range idx {
-			idx[i] = i
-		}
-		ec, sc, cc := m.EdgesOnCell[c], m.EdgeSignOnCell[c], m.CellsOnCell[c]
-		sort.Slice(idx, func(i, j int) bool { return ec[idx[i]] < ec[idx[j]] })
-		ne := make([]int, len(idx))
-		ns := make([]int, len(idx))
-		nc := make([]int, len(idx))
-		for i, k := range idx {
-			ne[i], ns[i], nc[i] = ec[k], sc[k], cc[k]
-		}
-		m.EdgesOnCell[c], m.EdgeSignOnCell[c], m.CellsOnCell[c] = ne, ns, nc
 	}
 
 	// Vertex -> edges with circulation signs, and corner cells. The sign is

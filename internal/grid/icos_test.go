@@ -293,3 +293,41 @@ func TestLonLatRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestIcosMeshIsDelaunay checks the empty-circumcircle property locally on
+// every edge: the cell opposite an edge in one triangle lies outside the
+// circumcircle of the other, i.e. its centre's dot product with that
+// triangle's circumcenter is below the triangle's own corners'. Locally
+// Delaunay on every edge is Delaunay, which is what makes a greedy walk to
+// the nearest cell centre (core's regridder) exact from any start.
+func TestIcosMeshIsDelaunay(t *testing.T) {
+	for level := 0; level <= 6; level++ {
+		m := icosMesh(t, level)
+		margin := math.Inf(1)
+		for e, vs := range m.VerticesOnEdge {
+			ce := m.CellsOnEdge[e]
+			for k, v := range vs {
+				opp := -1
+				for _, c := range m.CellsOnVertex[vs[1-k]] {
+					if c != ce[0] && c != ce[1] {
+						opp = c
+					}
+				}
+				if opp < 0 {
+					t.Fatalf("level %d edge %d: no opposite corner", level, e)
+				}
+				cc := m.VertexPos[v]
+				r := cc.Dot(m.CellCenter[ce[0]]) // the circumcircle's cos-radius
+				margin = min(margin, r-cc.Dot(m.CellCenter[opp]))
+			}
+		}
+		// Not merely Delaunay: the closest opposite corner is ≈0.31·dc²
+		// outside at every level, far beyond round-off, so the mesh has no
+		// four cocircular centres and no point ties more than three cells.
+		dc := m.Dc[0]
+		if margin <= 0.1*dc*dc {
+			t.Errorf("level %d: smallest empty-circle margin %.3g (cell spacing %.3g)", level, margin, dc)
+		}
+		t.Logf("level %d: smallest empty-circle margin %.3g = %.3g·dc²", level, margin, margin/(dc*dc))
+	}
+}

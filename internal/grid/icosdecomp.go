@@ -123,32 +123,41 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 		return nil, fmt.Errorf("grid: %d ranks exceed %d cells", size, nc)
 	}
 	d := &IcosDecomp{M: mesh, comm: comm, owner: rcbOwners(mesh.CellCenter, size)}
-	ownedOf := make([][]int, size) // every rank's owned cells, ascending
 	for c, o := range d.owner {
-		ownedOf[o] = append(ownedOf[o], c)
+		if int(o) == rank {
+			d.Owned = append(d.Owned, c)
+		}
 	}
-	d.Owned = ownedOf[rank]
 	d.ownedRanges = Runs(d.Owned)
 
 	owner := d.Owner
-	// Per-rank ring-1 halo cells, from one pass over the cross-owner
-	// adjacencies. halo[r] is rank r's halo, identical on every rank.
-	halo := make([][]int, size)
-	seen := make([]int, nc) // rank+1 markers, avoids clearing between ranks
-	for r := 0; r < size; r++ {
-		for _, c := range ownedOf[r] {
-			for _, nb := range mesh.CellsOnCell[c] {
-				if owner(nb) != r && seen[nb] != r+1 {
-					seen[nb] = r + 1
-					halo[r] = append(halo[r], nb)
-				}
+	// Ring-1 halo cells and the cell exchange plan, from one ascending pass
+	// over the cells, so every list is sorted by construction. Cell c is in
+	// rank r's halo when r owns a neighbour of c but not c; its owner sends
+	// it to r, and both sides list it in ascending order, so the packed
+	// layouts agree.
+	var halo []int
+	cellSendTo := make([][]int, size)
+	cellRecvFrom := make([][]int, size)
+	listed := make([]int, size) // per rank: c+1 of the last cell listed
+	for c := 0; c < nc; c++ {
+		oc := owner(c)
+		for _, nb := range mesh.CellsOnCell[c] {
+			r := owner(nb)
+			if r == oc || listed[r] == c+1 {
+				continue
+			}
+			listed[r] = c + 1
+			if r == rank {
+				halo = append(halo, c)
+				cellRecvFrom[oc] = append(cellRecvFrom[oc], c)
+			}
+			if oc == rank {
+				cellSendTo[r] = append(cellSendTo[r], c)
 			}
 		}
 	}
-	for r := range halo {
-		sortInts(halo[r])
-	}
-	d.HaloCells = halo[rank]
+	d.HaloCells = halo
 	d.ExtCells = mergeSorted(d.Owned, d.HaloCells)
 	d.inExtCell = make([]bool, nc)
 	for _, c := range d.ExtCells {
@@ -194,59 +203,31 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 		}
 	}
 
-	// Cell exchange plan. Rank s sends owned cell c to rank r exactly when
-	// c ∈ halo[r]; both sides enumerate halo[r] in ascending order, so the
-	// packed layouts agree.
-	cellSendTo := make([][]int, size)
-	cellRecvFrom := make([][]int, size)
-	for r := 0; r < size; r++ {
-		for _, h := range halo[r] {
-			o := owner(h)
-			if r == rank {
-				cellRecvFrom[o] = append(cellRecvFrom[o], h)
-			}
-			if o == rank && r != rank {
-				cellSendTo[r] = append(cellSendTo[r], h)
-			}
-		}
-	}
-
 	// Edge exchange plan: rank r's RecvEdges are the edges of r's ExtCells
 	// with no endpoint owned by r; each is sent by the owner of its first
-	// cell. Derived for every rank from the same data, so the plan is
-	// symmetric by construction.
+	// cell. Edge e is an edge of r's ExtCells exactly when r owns one of its
+	// cells or one of their neighbours, so one ascending pass over the edges
+	// derives every rank's plan from the same data: symmetric and sorted by
+	// construction.
 	edgeSendTo := make([][]int, size)
 	edgeRecvFrom := make([][]int, size)
-	extEdgeOf := make([]int, 0, len(d.ExtEdges)) // scratch, reused per rank
-	inExtR := make([]int, ne)                    // rank+1 markers, avoids clearing
-	for r := 0; r < size; r++ {
-		extEdgeOf = extEdgeOf[:0]
-		collect := func(c int) {
-			for _, e := range mesh.EdgesOnCell[c] {
-				if inExtR[e] != r+1 {
-					inExtR[e] = r + 1
-					extEdgeOf = append(extEdgeOf, e)
+	seen := make([]int, size) // per rank: e+1 of the last edge it was met for
+	for e, ce := range mesh.CellsOnEdge {
+		src := owner(ce[0])
+		seen[src], seen[owner(ce[1])] = e+1, e+1 // they compute e themselves
+		for _, c := range ce {
+			for _, nb := range mesh.CellsOnCell[c] {
+				r := owner(nb)
+				if seen[r] == e+1 {
+					continue
 				}
-			}
-		}
-		for _, c := range ownedOf[r] {
-			collect(c)
-		}
-		for _, c := range halo[r] {
-			collect(c)
-		}
-		sortInts(extEdgeOf)
-		for _, e := range extEdgeOf {
-			c1, c2 := mesh.CellsOnEdge[e][0], mesh.CellsOnEdge[e][1]
-			if owner(c1) == r || owner(c2) == r {
-				continue // r computes this edge itself
-			}
-			src := owner(c1)
-			if r == rank {
-				edgeRecvFrom[src] = append(edgeRecvFrom[src], e)
-			}
-			if src == rank && r != rank {
-				edgeSendTo[r] = append(edgeSendTo[r], e)
+				seen[r] = e + 1
+				if r == rank {
+					edgeRecvFrom[src] = append(edgeRecvFrom[src], e)
+				}
+				if src == rank {
+					edgeSendTo[r] = append(edgeSendTo[r], e)
+				}
 			}
 		}
 	}
@@ -493,18 +474,4 @@ func mergeSorted(a, b []int) []int {
 	}
 	out = append(out, a[i:]...)
 	return append(out, b[j:]...)
-}
-
-func sortInts(s []int) {
-	// Insertion sort: the lists are short (ring-1 halos) and mostly sorted
-	// (generated in ascending owner-cell order).
-	for i := 1; i < len(s); i++ {
-		v := s[i]
-		j := i - 1
-		for j >= 0 && s[j] > v {
-			s[j+1] = s[j]
-			j--
-		}
-		s[j+1] = v
-	}
 }

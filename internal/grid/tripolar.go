@@ -115,10 +115,14 @@ func NewTripolar(nx, ny, nlevel int) (*Tripolar, error) {
 	g.Mask = make([]bool, nx*ny)
 	g.Depth = make([]float64, nx*ny)
 	g.KMT = make([]int, nx*ny)
+	cols := make([]basinLon, nx)
+	for i, lon := range g.Lon {
+		cols[i] = basinLonOf(lon)
+	}
 	for j := 0; j < ny; j++ {
+		row := basinLatOf(g.Lat[j])
 		for i := 0; i < nx; i++ {
-			lon, lat := g.Lon[i], g.Lat[j]
-			d := analyticDepth(lon, lat)
+			d := analyticDepth(cols[i], row)
 			idx := j*nx + i
 			if d > 0 {
 				g.Mask[idx] = true
@@ -163,15 +167,13 @@ func levelsFor(d float64, levels []float64) int {
 // analyticDepth is the synthetic bathymetry: a smooth basin structure with
 // idealized continents, tuned so the global ocean fraction is ≈71 %.
 // Returns 0 over land, positive depth in metres over ocean.
-func analyticDepth(lon, lat float64) float64 {
-	if landFunction(lon, lat) > 0 {
+func analyticDepth(x basinLon, y basinLat) float64 {
+	if landFunction(x.land, y.land) > 0 {
 		return 0
 	}
 	// Basin depth: deep mid-basin, shallower near the (smooth) coasts and
 	// along a mid-ocean-ridge-like feature.
-	ridge := math.Exp(-squared((math.Mod(lon+math.Pi, 2*math.Pi)-math.Pi)*2)) * 1500
-	base := 4200 + 800*math.Cos(3*lon)*math.Cos(2*lat)
-	d := base - ridge
+	d := 4200 + x.wave*y.wave - x.ridge
 	if d < 100 {
 		d = 100
 	}
@@ -181,52 +183,102 @@ func analyticDepth(lon, lat float64) float64 {
 // IsLand reports whether the analytic continents cover (lon, lat), both in
 // radians. The atmosphere and land components share this mask so that
 // surface types agree across components without a remapping file.
-func IsLand(lon, lat float64) bool { return landFunction(lon, lat) > 0 }
+func IsLand(lon, lat float64) bool { return landFunction(landLonOf(lon), landLatOf(lat)) > 0 }
 
-// landFunction is positive over land. Idealized continents: two meridional
-// "americas/afro-eurasia" bands widening to the north, an antarctic cap, and
-// an australia-like blob; tuned to ≈29 % land.
-func landFunction(lon, lat float64) float64 {
-	deg := 180 / math.Pi
-	lonD := lon * deg
-	latD := lat * deg
+// The idealized continents: two meridional "americas/afro-eurasia" bands
+// widening to the north and an "east Asia extension", each centred at lonC
+// with half-width halfW (degrees) between latitudes latS and latN, with a
+// wavy coastline; "australia" and "greenland" elliptical blobs centred at
+// (lonC, latC) with semi-axes a (lon degrees) and b (lat degrees); and an
+// antarctic cap. Tuned to ≈29 % land.
+var (
+	landBands = [...]struct{ lonC, halfW, latS, latN float64 }{
+		{280, 14, -55, 75}, {45, 30, -35, 75}, {105, 18, 5, 72},
+	}
+	landBlobs = [...]struct{ lonC, latC, a, b float64 }{
+		{133, -25, 20, 12}, {318, 72, 14, 10},
+	}
+)
 
+// landLon and landLat are the factors of landFunction that depend on the
+// longitude alone and on the latitude alone, and basinLon and basinLat add
+// analyticDepth's: the analytic land and bathymetry are separable, so a grid
+// takes them once per column and once per row.
+type landLon struct {
+	band [len(landBands)]float64 // degrees from each band's centre line
+	blob [len(landBlobs)]float64 // each blob's (Δlon/a)²
+}
+
+type landLat struct {
+	south bool                    // on the antarctic cap
+	in    [len(landBands)]bool    // between each band's latitudes
+	band  [len(landBands)]float64 // each band's wavy half-width, degrees
+	blob  [len(landBlobs)]float64 // each blob's (Δlat/b)²
+}
+
+type basinLon struct {
+	land  landLon
+	ridge float64 // the mid-ocean ridge's depth, metres
+	wave  float64 // 800·cos 3λ
+}
+
+type basinLat struct {
+	land landLat
+	wave float64 // cos 2φ
+}
+
+func basinLonOf(lon float64) basinLon {
+	ridge := math.Exp(-squared((math.Mod(lon+math.Pi, 2*math.Pi)-math.Pi)*2)) * 1500
+	return basinLon{landLonOf(lon), ridge, 800 * math.Cos(3*lon)}
+}
+
+func basinLatOf(lat float64) basinLat { return basinLat{landLatOf(lat), math.Cos(2 * lat)} }
+
+func landLonOf(lon float64) landLon {
+	lonD := lon * (180 / math.Pi)
+	var x landLon
+	for k, b := range landBands {
+		x.band[k] = math.Abs(math.Mod(lonD-b.lonC+540, 360) - 180)
+	}
+	for k, b := range landBlobs {
+		dl := math.Mod(lonD-b.lonC+540, 360) - 180
+		x.blob[k] = dl * dl / (b.a * b.a)
+	}
+	return x
+}
+
+func landLatOf(lat float64) landLat {
+	latD := lat * (180 / math.Pi)
+	y := landLat{south: latD < -70}
+	wavy := 1 + 0.25*math.Sin(latD/9) + 0.15*math.Cos(latD/5)
+	for k, b := range landBands {
+		y.in[k] = latD >= b.latS && latD <= b.latN
+		y.band[k] = b.halfW * wavy
+	}
+	for k, b := range landBlobs {
+		dla := latD - b.latC
+		y.blob[k] = dla * dla / (b.b * b.b)
+	}
+	return y
+}
+
+// landFunction is positive over land: the largest of the bands' and blobs'
+// memberships, each positive inside its shape, and of the antarctic cap
+// (the grid starts at 78.5°S, so only its fringe appears).
+func landFunction(x landLon, y landLat) float64 {
 	v := -1.0
-	// Antarctic cap (grid starts at 78.5°S so only its fringe appears).
-	if latD < -70 {
+	if y.south {
 		v = 1
 	}
-	// "Americas": band near lon 280°, widening with latitude.
-	v = math.Max(v, bandMembership(lonD, latD, 280, 14, -55, 75))
-	// "Afro-Eurasia": wide band near lon 45°.
-	v = math.Max(v, bandMembership(lonD, latD, 45, 30, -35, 75))
-	// "East Asia extension" near lon 105°.
-	v = math.Max(v, bandMembership(lonD, latD, 105, 18, 5, 72))
-	// "Australia" blob.
-	v = math.Max(v, blobMembership(lonD, latD, 133, -25, 20, 12))
-	// "Greenland" blob.
-	v = math.Max(v, blobMembership(lonD, latD, 318, 72, 14, 10))
-	return v
-}
-
-// bandMembership is positive inside a meridional land band centred at
-// lonC with half-width halfW (degrees), between latitudes latS and latN,
-// with a wavy coastline.
-func bandMembership(lonD, latD, lonC, halfW, latS, latN float64) float64 {
-	if latD < latS || latD > latN {
-		return -1
+	for k := range landBands {
+		if y.in[k] { // outside its latitudes a band's membership is -1
+			v = math.Max(v, y.band[k]-x.band[k])
+		}
 	}
-	dl := math.Abs(math.Mod(lonD-lonC+540, 360) - 180)
-	wavy := halfW * (1 + 0.25*math.Sin(latD/9) + 0.15*math.Cos(latD/5))
-	return wavy - dl
-}
-
-// blobMembership is positive inside an elliptical blob centred at
-// (lonC, latC) with semi-axes a (lon degrees) and b (lat degrees).
-func blobMembership(lonD, latD, lonC, latC, a, b float64) float64 {
-	dl := math.Mod(lonD-lonC+540, 360) - 180
-	dla := latD - latC
-	return 1 - (dl*dl/(a*a) + dla*dla/(b*b))
+	for k := range landBlobs {
+		v = math.Max(v, 1-(x.blob[k]+y.blob[k]))
+	}
+	return v
 }
 
 func squared(x float64) float64 { return x * x }

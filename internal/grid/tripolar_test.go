@@ -3,6 +3,7 @@ package grid
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/par"
@@ -227,7 +228,7 @@ func TestHaloExchangeMatchesGlobalReference(t *testing.T) {
 			global[idx] = float64(idx)*1.5 + 3
 		}
 		ranks := 0
-		for _, l := range blockLoads(g, tc.pbx, tc.pby) {
+		for _, l := range blockLoads(g, kmtSums(g), tc.pbx, tc.pby) {
 			if l > 0 {
 				ranks++
 			}
@@ -305,4 +306,65 @@ func TestGatherGlobalReassembles(t *testing.T) {
 			t.Error("non-root got data")
 		}
 	})
+}
+
+// pointDepth and pointLand are the bathymetry and land function as one
+// formula per point, the way they were written before NewTripolar took
+// their longitude and latitude factors once per column and row.
+func pointDepth(lon, lat float64) float64 {
+	if pointLand(lon, lat) > 0 {
+		return 0
+	}
+	ridge := math.Exp(-squared((math.Mod(lon+math.Pi, 2*math.Pi)-math.Pi)*2)) * 1500
+	base := 4200 + 800*math.Cos(3*lon)*math.Cos(2*lat)
+	d := base - ridge
+	if d < 100 {
+		d = 100
+	}
+	return d
+}
+
+func pointLand(lon, lat float64) float64 {
+	deg := 180 / math.Pi
+	lonD := lon * deg
+	latD := lat * deg
+	band := func(lonC, halfW, latS, latN float64) float64 {
+		if latD < latS || latD > latN {
+			return -1
+		}
+		dl := math.Abs(math.Mod(lonD-lonC+540, 360) - 180)
+		wavy := halfW * (1 + 0.25*math.Sin(latD/9) + 0.15*math.Cos(latD/5))
+		return wavy - dl
+	}
+	blob := func(lonC, latC, a, b float64) float64 {
+		dl := math.Mod(lonD-lonC+540, 360) - 180
+		dla := latD - latC
+		return 1 - (dl*dl/(a*a) + dla*dla/(b*b))
+	}
+	v := -1.0
+	if latD < -70 {
+		v = 1
+	}
+	v = math.Max(v, band(280, 14, -55, 75))
+	v = math.Max(v, band(45, 30, -35, 75))
+	v = math.Max(v, band(105, 18, 5, 72))
+	v = math.Max(v, blob(133, -25, 20, 12))
+	v = math.Max(v, blob(318, 72, 14, 10))
+	return v
+}
+
+// The separable land function and bathymetry must agree with the point
+// formulas to the bit everywhere, not only on the grids the goldens cover.
+func TestSeparableLandMatchesPointFormula(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for k := 0; k < 20000; k++ {
+		lon, lat := rng.Float64()*2*math.Pi, (rng.Float64()-0.5)*math.Pi
+		x, y := basinLonOf(lon), basinLatOf(lat)
+		if got, want := landFunction(x.land, y.land), pointLand(lon, lat); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("land function at (%v, %v): %v, point formula %v", lon, lat, got, want)
+		}
+		if got, want := analyticDepth(x, y), pointDepth(lon, lat); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("depth at (%v, %v): %v, point formula %v", lon, lat, got, want)
+		}
+	}
 }

@@ -124,6 +124,7 @@ func NewTripolarDecomp(g *Tripolar, c *par.Comm, halo int) (*TripolarDecomp, err
 	bestScore := -1
 	var bestPBX, bestPBY int
 	var bestLoads []int
+	sums := kmtSums(g)
 	for pbx := 1; pbx <= g.NX; pbx++ {
 		if g.NX%pbx != 0 || g.NX/pbx < halo {
 			continue
@@ -132,7 +133,7 @@ func NewTripolarDecomp(g *Tripolar, c *par.Comm, halo int) (*TripolarDecomp, err
 			if g.NY%pby != 0 || g.NY/pby < halo || pbx*pby < size {
 				continue
 			}
-			loads := blockLoads(g, pbx, pby)
+			loads := blockLoads(g, sums, pbx, pby)
 			nWet, maxLoad := 0, 0
 			for _, l := range loads {
 				if l > 0 {
@@ -170,7 +171,7 @@ func NewTripolarDecompLayout(g *Tripolar, c *par.Comm, pbx, pby, halo int) (*Tri
 	if g.NX/pbx < halo || g.NY/pby < halo {
 		return nil, fmt.Errorf("grid: halo %d exceeds local block %dx%d", halo, g.NX/pbx, g.NY/pby)
 	}
-	loads := blockLoads(g, pbx, pby)
+	loads := blockLoads(g, kmtSums(g), pbx, pby)
 	nWet := 0
 	for _, l := range loads {
 		if l > 0 {
@@ -183,15 +184,30 @@ func NewTripolarDecompLayout(g *Tripolar, c *par.Comm, pbx, pby, halo int) (*Tri
 	return newTripolarFromLayout(g, c, halo, pbx, pby, loads)
 }
 
-// blockLoads returns the per-block active-point count (ΣKMT) of a layout;
-// zero marks an all-land block.
-func blockLoads(g *Tripolar, pbx, pby int) []int {
-	bni, bnj := g.NX/pbx, g.NY/pby
-	loads := make([]int, pbx*pby)
+// kmtSums returns the summed-area table of g.KMT: entry j·(NX+1)+i is the
+// active-point count of columns < i in rows < j, so the load of any block is
+// four lookups and the layout search costs one pass over the grid.
+func kmtSums(g *Tripolar) []int {
+	w := g.NX + 1
+	sums := make([]int, (g.NY+1)*w)
 	for j := 0; j < g.NY; j++ {
-		by := j / bnj
 		for i := 0; i < g.NX; i++ {
-			loads[by*pbx+i/bni] += g.KMT[j*g.NX+i]
+			sums[(j+1)*w+i+1] = sums[(j+1)*w+i] + sums[j*w+i+1] - sums[j*w+i] + g.KMT[j*g.NX+i]
+		}
+	}
+	return sums
+}
+
+// blockLoads returns the per-block active-point count (ΣKMT) of a layout,
+// read from the grid's kmtSums; zero marks an all-land block.
+func blockLoads(g *Tripolar, sums []int, pbx, pby int) []int {
+	bni, bnj, w := g.NX/pbx, g.NY/pby, g.NX+1
+	loads := make([]int, pbx*pby)
+	for by := 0; by < pby; by++ {
+		j0, j1 := by*bnj*w, (by+1)*bnj*w
+		for bx := 0; bx < pbx; bx++ {
+			i0, i1 := bx*bni, (bx+1)*bni
+			loads[by*pbx+bx] = sums[j1+i1] - sums[j0+i1] - sums[j1+i0] + sums[j0+i0]
 		}
 	}
 	return loads

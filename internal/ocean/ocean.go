@@ -220,6 +220,9 @@ func New(g *grid.Tripolar, b *grid.TripolarDecomp, cfg Config, sp pp.Space) (*Oc
 func (o *Ocean) InitStratified() {
 	for k := 0; k < o.NL; k++ {
 		zc := o.G.LevelDepth[k] - o.dz[k]/2
+		// The level's decay factors once, each row's surface temperature
+		// once per level: a row is uniform across its wet columns.
+		decayT, sk := math.Exp(-zc/800), SRef-0.5*math.Exp(-zc/300)
 		for lj := -o.B.H; lj < o.B.NJ+o.B.H; lj++ {
 			jg := o.B.J0 + lj
 			lat := 0.0
@@ -230,17 +233,12 @@ func (o *Ocean) InitStratified() {
 			} else {
 				lat = o.G.Lat[0]
 			}
+			surfT := math.Max(-1, 28*math.Cos(lat)*math.Cos(lat)-2)
+			tk := -1 + (surfT+1)*decayT
 			for li := -o.B.H; li < o.B.NI+o.B.H; li++ {
-				idx := o.idx3(0, li, lj) // level 0 offset, then stride
-				_ = idx
-				i3 := (k*o.LNJ+(lj+o.B.H))*o.LNI + li + o.B.H
-				i2 := (lj+o.B.H)*o.LNI + li + o.B.H
-				if !o.maskT[i2] {
-					continue
+				if o.maskT[o.idx2(li, lj)] {
+					o.T[o.idx3(k, li, lj)], o.S[o.idx3(k, li, lj)] = tk, sk
 				}
-				surfT := math.Max(-1, 28*math.Cos(lat)*math.Cos(lat)-2)
-				o.T[i3] = -1 + (surfT+1)*math.Exp(-zc/800)
-				o.S[i3] = SRef - 0.5*math.Exp(-zc/300)
 			}
 		}
 	}
