@@ -1,9 +1,9 @@
 # Developer entry points. `make check` is the one local gate: vet, build,
 # the full race-enabled test suite (every package, not -short), ten extra
-# repetitions of par's receive-progress lap, five of the checkpoint
-# protocol's (capture on the step, commit on a writer goroutine), the
-# restart-decoder, group-scaled round-trip, store-manifest and serve-query
-# fuzz smokes, the audited CLI gate (conservation budget on four
+# repetitions of par's receive-progress lap and grid's halo tests, five
+# of the checkpoint protocol's (capture on the step, commit on a writer
+# goroutine), the restart-decoder, group-scaled round-trip, store-manifest
+# and serve-query fuzz smokes, the audited CLI gate (conservation budget on four
 # decomposed ranks), the one-day radiation-hold drift budget against the
 # every-step twin, the dycore
 # regrouping drift budget against the parent-arithmetic twin, the two-rank
@@ -40,9 +40,12 @@ race:
 	$(GO) test -race -timeout 45m ./...
 
 # -count 10: the poll-then-park receive has three phases a message can land
-# in, and which one a run exercises is up to the scheduler.
+# in, and which one a run exercises is up to the scheduler. grid rides along:
+# its halo plans reuse a send buffer two exchanges later, which is safe only
+# while every exchange sends one message to and receives one from each peer,
+# and a broken symmetry shows only under some interleavings.
 race-par:
-	$(GO) test -race ./internal/par -count 10
+	$(GO) test -race ./internal/par ./internal/grid -count 10
 
 # The checkpoint protocol under the race detector, five times over: the
 # writer goroutine commits each captured image while the model steps on, and

@@ -75,30 +75,68 @@ func TestIcosMeshGolden(t *testing.T) {
 	}
 }
 
+// icosView is what TestIcosDecompGolden pins: every list of the atmosphere
+// decomposition, none of its exchange scratch.
+type icosView struct {
+	owner                                           []int32
+	owned, ext, halo, comp, extE, recvE, verts, own []int
+	inExtCell, inExtEdge                            []bool
+	peers                                           []int
+	cellSend, cellRecv, edgeSend, edgeRecv          [][]int
+	ownedRanges                                     [][2]int
+}
+
+func icosViewOf(d *IcosDecomp) icosView {
+	return icosView{
+		d.owner, d.Owned, d.ExtCells, d.HaloCells, d.CompEdges, d.ExtEdges, d.RecvEdges, d.CompVerts, d.OwnEdges,
+		d.inExtCell, d.inExtEdge, d.Peers,
+		d.cells.route[0].send, d.cells.route[0].recv, d.edges.route[0].send, d.edges.route[0].recv,
+		d.ownedRanges,
+	}
+}
+
+// tripolarView is what TestTripolarGolden pins of an ocean decomposition:
+// its block geometry and its halo plan's peers and routes.
+type tripolarView struct {
+	I0, J0, NI, NJ, H, PBX, PBY, BNI, BNJ, bx, by int
+	rankOf                                        []int
+	ownedRanges                                   [][2]int
+	dryBlocks                                     []DryBlock
+	peers                                         []int
+	route                                         [2]haloRoute
+}
+
+func tripolarViewOf(d *TripolarDecomp) tripolarView {
+	return tripolarView{
+		d.I0, d.J0, d.NI, d.NJ, d.H, d.PBX, d.PBY, d.BNI, d.BNJ, d.bx, d.by,
+		d.rankOf, d.ownedRanges, d.dryBlocks, d.halo.peers, d.halo.route,
+	}
+}
+
 // Every list of the atmosphere decomposition — owner table, owned, halo and
-// edge sets, peers and the four exchange plans — on every rank, for 1–8
-// ranks on the level-3 and level-4 meshes the ladder runs.
+// edge sets, peers and the two exchange plans' lists — on every rank, for
+// 1–8 ranks on the level-3 and level-4 meshes the ladder runs.
 func TestIcosDecompGolden(t *testing.T) {
 	want := map[int][]string{
 		3: {
-			"1df2f0b047b69251",
-			"c2ae124574a47187",
-			"73de378c6cd3abaf",
-			"11bd0341b101e328",
-			"3dd30722b753b0c5",
-			"ce02abe82352cd38",
-			"addbef1fcf8adc33",
-			"bbe34cc26f1c2efd",
+			"fa2ec611d7e00611",
+			"5b7c418adc590787",
+			"3c4b50bdf877a96f",
+			"86bce947b31e42a8",
+			"498fb1efa3d08e85",
+			"69fc02faa4240ab8",
+			"a72933a1faeea5f3",
+			"dcdafdcc0db3e87d",
 		},
 		4: {
-			"2a71480f8a3aff72",
-			"230fac0e8c1702a7",
-			"ee9eec348963ab4e",
-			"61ecec4fc08b1012",
-			"839fd1950e62cdf5",
-			"3f011177022cd96e",
-			"1be157555075cc02",
-			"4cc910dbd03c60dd",
+			"8a599a786045bdb2",
+			"ad2c4e2d9276f6a7",
+			"c357523ef42eef8e",
+			"8df6b9b129da6f12",
+			"37d888e5b3947ab5",
+			"87fc394896b1f3ee",
+			"be7208aa9a763ec2",
+			"b309c554f2f7835d",
 		},
 	}
 	for level := 3; level <= 4; level++ {
@@ -107,7 +145,10 @@ func TestIcosDecompGolden(t *testing.T) {
 			ds := make([]any, ranks)
 			errs := make([]error, ranks)
 			par.Run(ranks, func(c *par.Comm) {
-				ds[c.Rank()], errs[c.Rank()] = NewIcosDecomp(m, c)
+				d, err := NewIcosDecomp(m, c)
+				if errs[c.Rank()] = err; err == nil {
+					ds[c.Rank()] = icosViewOf(d)
+				}
 			})
 			if errs[0] != nil {
 				t.Fatal(errs[0])
@@ -119,15 +160,16 @@ func TestIcosDecompGolden(t *testing.T) {
 	}
 }
 
-// The ocean grid and its block decomposition at the five ladder sizes, on
-// 1–4 ranks where a layout with that many wet blocks exists.
+// The ocean grid and its block decomposition and halo plan at the five
+// ladder sizes, on 1–4 ranks where a layout with that many wet blocks
+// exists.
 func TestTripolarGolden(t *testing.T) {
 	want := map[[2]int][]string{
-		{192, 96}: {"da3d9d21c86a9484", "4d6145473288343e", "ef40e341f00c602c", "17a1a892f90432de", "5806ddc4572284d5"},
-		{144, 72}: {"b00f548129d2a608", "d39d4fd530ffe0ce", "b25d5e1b8b772d10", "537b13677aae5086", "03c59f555150ce55"},
-		{96, 48}:  {"f9c31965aed34160", "1d50fc771c210190", "5420933efe74cbde", "786e3051ea3a09b4", "097136d53810f3ab"},
-		{72, 36}:  {"37e0270c5693c19e", "5b08552edcf3d9aa", "a149d4ed1fbd7fca", "f8e6495b0de3c086", "22f039f26e501675"},
-		{48, 24}:  {"0acdccc89c6ca2cd", "3ef0bbdbe127af33", "39b3ee5c83d2c335", "ff1802aaedd2f6f3", "949a259aadb4cf94"},
+		{192, 96}: {"da3d9d21c86a9484", "0adf1aa82be969d7", "ab3aaa2572e13725", "e208af35686d1a6f", "036a541223edda8a"},
+		{144, 72}: {"b00f548129d2a608", "74833a374d71d6d3", "65092c659278a959", "652a21d17cd2dadb", "2c1647ca073a30ba"},
+		{96, 48}:  {"f9c31965aed34160", "1a3543569be60b01", "bc89434033dd820b", "750b92de54881de1", "0f35f566986875dc"},
+		{72, 36}:  {"37e0270c5693c19e", "e17aa362c4043b5f", "cca8bbc68b6c0c03", "82f4caf723a9c903", "5f83232e2e6ce4da"},
+		{48, 24}:  {"0acdccc89c6ca2cd", "c7bda9564905b96e", "aabd18147e6f13cc", "c5f18feb1d6310de", "36e38e1021c39d73"},
 	}
 	for size, w := range want {
 		g, err := NewTripolar(size[0], size[1], 10)
@@ -139,7 +181,10 @@ func TestTripolarGolden(t *testing.T) {
 			ds := make([]any, ranks)
 			errs := make([]error, ranks)
 			par.Run(ranks, func(c *par.Comm) {
-				ds[c.Rank()], errs[c.Rank()] = NewTripolarDecomp(g, c, 1)
+				d, err := NewTripolarDecomp(g, c, 1)
+				if errs[c.Rank()] = err; err == nil {
+					ds[c.Rank()] = tripolarViewOf(d)
+				}
 			})
 			if errs[0] != nil {
 				got = append(got, errs[0].Error())

@@ -27,9 +27,25 @@ func (o *countingObs) get(name string) int64 {
 	return o.m[name]
 }
 
+// checkHaloCounters checks a plan's halo accounting after rounds exchanges
+// of one nlev-level scalar field: one message per peer per exchange, and
+// exactly 8 bytes per value its send lists ship.
+func checkHaloCounters(t *testing.T, rank int, ob *countingObs, pl *haloPlan, msgs, bytes string, rounds, nlev int) {
+	t.Helper()
+	if got, want := ob.get(msgs), int64(rounds*len(pl.peers)); got != want || want == 0 {
+		t.Errorf("rank %d: halo msgs %d, want %d (nonzero)", rank, got, want)
+	}
+	values := 0
+	for _, list := range pl.route[0].send {
+		values += nlev * len(list)
+	}
+	if got, want := ob.get(bytes), int64(8*rounds*values); got != want || want == 0 {
+		t.Errorf("rank %d: halo bytes %d, want %d (nonzero)", rank, got, want)
+	}
+}
+
 // TestIcosHaloCounters checks the atmosphere decomposition's halo
-// accounting over four cell exchanges: one message per peer per exchange,
-// and exactly 8 bytes per value shipped.
+// accounting over four cell exchanges.
 func TestIcosHaloCounters(t *testing.T) {
 	m := icosMesh(t, 2)
 	nc := m.NCells()
@@ -46,30 +62,20 @@ func TestIcosHaloCounters(t *testing.T) {
 		for i := 0; i < rounds; i++ {
 			d.ExchangeCells(fc, nlev)
 		}
-		if got, want := ob.get(ctrHaloMsgsAtm), int64(rounds*len(d.Peers)); got != want || want == 0 {
-			t.Errorf("rank %d: halo msgs %d, want %d (nonzero)", c.Rank(), got, want)
-		}
-		values := 0
-		for _, list := range d.cellSend {
-			values += nlev * len(list)
-		}
-		if got, want := ob.get(ctrHaloBytesAtm), int64(8*rounds*values); got != want || want == 0 {
-			t.Errorf("rank %d: halo bytes %d, want %d (nonzero)", c.Rank(), got, want)
-		}
+		checkHaloCounters(t, c.Rank(), ob, &d.cells, ctrHaloMsgsAtm, ctrHaloBytesAtm, rounds, nlev)
 	})
 }
 
 // TestTripolarHaloCounters checks the ocean decomposition's halo accounting
 // on a 2×2 layout (south boundary, fold, periodic x) over four scalar
-// exchanges: one message per live neighbour per exchange, and exactly 8
-// bytes per value shipped — H rows of NI values to each y neighbour and H
-// columns of the full local height to each x neighbour.
+// exchanges. Corners come straight from the diagonal block, so every block
+// has the other three as peers: 12 messages per exchange over the ranks.
 func TestTripolarHaloCounters(t *testing.T) {
 	g, err := NewTripolar(16, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const rounds = 4
+	const nlev, rounds = 2, 4
 	par.Run(4, func(c *par.Comm) {
 		d, err := NewTripolarDecompLayout(g, c, 2, 2, 2)
 		if err != nil {
@@ -78,29 +84,13 @@ func TestTripolarHaloCounters(t *testing.T) {
 		}
 		ob := newCountingObs()
 		d.SetObserver(ob)
-		f := d.Alloc()
+		f := make([]float64, nlev*d.LNI()*d.LNJ())
 		for i := 0; i < rounds; i++ {
-			d.Exchange(f)
+			d.ExchangeCells(f, nlev)
 		}
-		peers, values := 0, 0
-		for _, r := range []int{d.southRank, d.northRank} {
-			if r >= 0 {
-				peers, values = peers+1, values+d.H*d.NI
-			}
-		}
-		if d.atFold && d.foldRank >= 0 && d.foldRank != c.Rank() {
-			peers, values = peers+1, values+d.H*d.NI
-		}
-		for _, r := range []int{d.westRank, d.eastRank} {
-			if r >= 0 {
-				peers, values = peers+1, values+d.H*d.LNJ()
-			}
-		}
-		if got, want := ob.get(ctrHaloMsgsOcn), int64(rounds*peers); got != want || want == 0 {
-			t.Errorf("rank %d: halo msgs %d, want %d (nonzero)", c.Rank(), got, want)
-		}
-		if got, want := ob.get(ctrHaloBytesOcn), int64(8*rounds*values); got != want || want == 0 {
-			t.Errorf("rank %d: halo bytes %d, want %d (nonzero)", c.Rank(), got, want)
+		checkHaloCounters(t, c.Rank(), ob, &d.halo, ctrHaloMsgsOcn, ctrHaloBytesOcn, rounds, nlev)
+		if msgs := c.Allreduce(float64(len(d.halo.peers)), par.OpSum); msgs != 12 {
+			t.Errorf("2x2 layout sends %v messages per exchange over the ranks, want 12", msgs)
 		}
 	})
 }

@@ -63,29 +63,15 @@ type IcosDecomp struct {
 	inExtEdge []bool
 
 	// Symmetrized peer set (ascending): the union of every rank this rank
-	// exchanges cells or edges with in either direction. Each exchange call
-	// sends exactly one (possibly empty) message to, and receives exactly one
-	// from, every peer — the invariant that makes the two-deep parity buffer
-	// pipeline safe without a barrier.
+	// exchanges cells or edges with in either direction. Both plans run over
+	// it, so each exchange sends exactly one (possibly empty) message to,
+	// and receives exactly one from, every peer.
 	Peers []int
 
-	cellSend [][]int // per peer: owned cells to pack, ascending
-	cellRecv [][]int // per peer: halo cells to fill, ascending
-	edgeSend [][]int // per peer: computed edges to pack, ascending
-	edgeRecv [][]int // per peer: stale edges to fill, ascending
-
-	// Parity double buffers, per exchange class: an exchange alternates
-	// buffer sets, and a peer is guaranteed to have drained parity-p's
-	// previous message before this rank repacks it (its own call n+1 cannot
-	// have completed otherwise), so steady-state exchanges allocate nothing.
-	cellBuf [2][][]float64
-	edgeBuf [2][][]float64
-	cellPar int
-	edgePar int
+	cells haloPlan // owned boundary cells out, ring-1 halo cells in
+	edges haloPlan // computed edges out, RecvEdges in
 
 	ownedRanges [][2]int // Owned as {start, length} runs, cached for Decomp
-
-	obs HaloObserver
 }
 
 // IcosDecomp implements the shared Decomp contract (and EdgeDecomp for its
@@ -103,10 +89,10 @@ type HaloObserver interface {
 	AddCount(name string, delta int64)
 }
 
-// exchange message tags: disjoint from TripolarDecomp's 2000–2004 and
-// the coupler rearranger's 7100, so the concurrent schedule can run the
-// atmosphere halo on the driver goroutine while the ocean goroutine drains
-// its own halo traffic on the same mailboxes.
+// Halo plan tags: disjoint from TripolarDecomp's 2000 and the coupler
+// rearranger's 7100, so the concurrent schedule can run the atmosphere halo
+// on the driver goroutine while the ocean goroutine drains its own halo
+// traffic on the same mailboxes.
 const (
 	tagHaloCells = 6000
 	tagHaloEdges = 6001
@@ -137,8 +123,7 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 	// it to r, and both sides list it in ascending order, so the packed
 	// layouts agree.
 	var halo []int
-	cellSendTo := make([][]int, size)
-	cellRecvFrom := make([][]int, size)
+	cells := newRankRoute(size)
 	listed := make([]int, size) // per rank: c+1 of the last cell listed
 	for c := 0; c < nc; c++ {
 		oc := owner(c)
@@ -150,10 +135,10 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 			listed[r] = c + 1
 			if r == rank {
 				halo = append(halo, c)
-				cellRecvFrom[oc] = append(cellRecvFrom[oc], c)
+				cells.recvFrom[oc] = append(cells.recvFrom[oc], c)
 			}
 			if oc == rank {
-				cellSendTo[r] = append(cellSendTo[r], c)
+				cells.sendTo[r] = append(cells.sendTo[r], c)
 			}
 		}
 	}
@@ -209,8 +194,7 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 	// cells or one of their neighbours, so one ascending pass over the edges
 	// derives every rank's plan from the same data: symmetric and sorted by
 	// construction.
-	edgeSendTo := make([][]int, size)
-	edgeRecvFrom := make([][]int, size)
+	edges := newRankRoute(size)
 	seen := make([]int, size) // per rank: e+1 of the last edge it was met for
 	for e, ce := range mesh.CellsOnEdge {
 		src := owner(ce[0])
@@ -223,44 +207,19 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 				}
 				seen[r] = e + 1
 				if r == rank {
-					edgeRecvFrom[src] = append(edgeRecvFrom[src], e)
+					edges.recvFrom[src] = append(edges.recvFrom[src], e)
 				}
 				if src == rank {
-					edgeSendTo[r] = append(edgeSendTo[r], e)
+					edges.sendTo[r] = append(edges.sendTo[r], e)
 				}
 			}
 		}
 	}
 
-	// Symmetrize the peer set: one send and one receive per peer per
-	// exchange, empty messages allowed.
-	isPeer := make([]bool, size)
-	for r := 0; r < size; r++ {
-		if r == rank {
-			continue
-		}
-		if len(cellSendTo[r]) > 0 || len(cellRecvFrom[r]) > 0 ||
-			len(edgeSendTo[r]) > 0 || len(edgeRecvFrom[r]) > 0 {
-			isPeer[r] = true
-		}
-	}
-	// A peer in one direction must be a peer in the other: cells are
-	// symmetric by adjacency, edges need the explicit union. Every rank
-	// computes the same union because every list above is derived from
-	// rank-independent data.
-	for r := 0; r < size; r++ {
-		if isPeer[r] {
-			d.Peers = append(d.Peers, r)
-			d.cellSend = append(d.cellSend, cellSendTo[r])
-			d.cellRecv = append(d.cellRecv, cellRecvFrom[r])
-			d.edgeSend = append(d.edgeSend, edgeSendTo[r])
-			d.edgeRecv = append(d.edgeRecv, edgeRecvFrom[r])
-		}
-	}
-	for pb := 0; pb < 2; pb++ {
-		d.cellBuf[pb] = make([][]float64, len(d.Peers))
-		d.edgeBuf[pb] = make([][]float64, len(d.Peers))
-	}
+	// Cells are symmetric by adjacency, edges need the union with the cells.
+	d.Peers = symmetricPeers(rank, cells, edges)
+	d.cells = newHaloPlan(comm, tagHaloCells, d.Peers, cells, cells)
+	d.edges = newHaloPlan(comm, tagHaloEdges, d.Peers, edges, edges)
 	return d, nil
 }
 
@@ -315,7 +274,10 @@ func (d *IcosDecomp) NOwned() int { return len(d.Owned) }
 
 // SetObserver attaches the halo traffic counters:
 // cpl.halo.{msgs,bytes} with component="atm".
-func (d *IcosDecomp) SetObserver(o HaloObserver) { d.obs = o }
+func (d *IcosDecomp) SetObserver(o HaloObserver) {
+	d.cells.setObserver(o, ctrHaloMsgsAtm, ctrHaloBytesAtm)
+	d.edges.setObserver(o, ctrHaloMsgsAtm, ctrHaloBytesAtm)
+}
 
 // ExchangeCells fills the ring-1 halo of a cell-centred field of nlev-value
 // columns laid out [c*nlev + k]: each peer receives this rank's owned
@@ -323,9 +285,7 @@ func (d *IcosDecomp) SetObserver(o HaloObserver) { d.obs = o }
 // steady-state allocations; safe concurrently with the ocean's halo traffic
 // (disjoint tags).
 func (d *IcosDecomp) ExchangeCells(f []float64, nlev int) {
-	d.cellPar ^= 1
-	d.exchange(f, nlev, 0, nlev, d.M.NCells(), tagHaloCells, d.cellSend, d.cellRecv,
-		d.cellBuf[d.cellPar])
+	d.cells.exchange([]haloSlab{columns(f, nlev, 0, nlev, d.M.NCells())})
 }
 
 // ExchangeEdges fills the stale extended edges of an edge field of
@@ -338,52 +298,17 @@ func (d *IcosDecomp) ExchangeEdges(f []float64, nlev int) {
 // column, e.g. the lowest level after the physics' surface-drag projection:
 // the messages carry hi−lo values per edge.
 func (d *IcosDecomp) ExchangeEdgeLevels(f []float64, nlev, lo, hi int) {
-	d.edgePar ^= 1
-	d.exchange(f, nlev, lo, hi, d.M.NEdges(), tagHaloEdges, d.edgeSend, d.edgeRecv,
-		d.edgeBuf[d.edgePar])
+	d.edges.exchange([]haloSlab{columns(f, nlev, lo, hi, d.M.NEdges())})
 }
 
-// exchange ships levels [lo, hi) of the listed columns of an n-column field:
-// a peer's payload is each listed column's window in list order, packed and
-// unpacked as contiguous runs.
-func (d *IcosDecomp) exchange(f []float64, nlev, lo, hi, n, tag int, send, recv [][]int, bufs [][]float64) {
+// columns addresses levels [lo, hi) of an n-column field of nlev-value
+// columns as a plan field.
+func columns(f []float64, nlev, lo, hi, n int) haloSlab {
 	if len(f) < nlev*n || lo < 0 || hi > nlev || lo >= hi {
 		panic(fmt.Sprintf("grid: halo exchange of levels [%d, %d) on %d values, want ≥ %d in %d-level columns",
 			lo, hi, len(f), nlev*n, nlev))
 	}
-	w := hi - lo
-	var bytes int64
-	for pi, p := range d.Peers {
-		list := send[pi]
-		need := w * len(list)
-		buf := bufs[pi]
-		if cap(buf) < need {
-			buf = make([]float64, need)
-			bufs[pi] = buf
-		}
-		buf = buf[:need]
-		for i, idx := range list {
-			copy(buf[i*w:(i+1)*w], f[idx*nlev+lo:idx*nlev+hi])
-		}
-		par.SendF64(d.comm, p, tag, buf)
-		bytes += int64(8 * need)
-	}
-	for pi, p := range d.Peers {
-		list := recv[pi]
-		want := w * len(list)
-		msg := par.RecvF64(d.comm, p, tag)
-		if len(msg) != want {
-			// Assert: both sides derive the length from the same decomposition.
-			panic(fmt.Sprintf("grid: halo message from rank %d has %d values, want %d", p, len(msg), want))
-		}
-		for i, idx := range list {
-			copy(f[idx*nlev+lo:idx*nlev+hi], msg[i*w:(i+1)*w])
-		}
-	}
-	if d.obs != nil && len(d.Peers) > 0 {
-		d.obs.AddCount(ctrHaloMsgsAtm, int64(len(d.Peers)))
-		d.obs.AddCount(ctrHaloBytesAtm, bytes)
-	}
+	return haloSlab{data: f[lo:], ps: nlev, ks: 1, nlev: hi - lo}
 }
 
 // Unified per-component halo traffic counter names, in obs.Labeled's

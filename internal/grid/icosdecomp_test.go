@@ -227,13 +227,14 @@ func TestIcosDecompHaloSymmetry(t *testing.T) {
 				if ib < 0 {
 					t.Fatalf("ranks=%d: %d peers with %d but not vice versa", ranks, a, b)
 				}
-				if !equalInts(ds[a].cellSend[ia], ds[b].cellRecv[ib]) {
-					t.Fatalf("ranks=%d: cell plan %d→%d asymmetric: send %v recv %v",
-						ranks, a, b, ds[a].cellSend[ia], ds[b].cellRecv[ib])
-				}
-				if !equalInts(ds[a].edgeSend[ia], ds[b].edgeRecv[ib]) {
-					t.Fatalf("ranks=%d: edge plan %d→%d asymmetric: send %v recv %v",
-						ranks, a, b, ds[a].edgeSend[ia], ds[b].edgeRecv[ib])
+				for _, pl := range []struct {
+					name   string
+					da, db *haloPlan
+				}{{"cell", &ds[a].cells, &ds[b].cells}, {"edge", &ds[a].edges, &ds[b].edges}} {
+					send, recv := pl.da.route[0].send[ia], pl.db.route[0].recv[ib]
+					if !equalInts(send, recv) {
+						t.Fatalf("ranks=%d: %s plan %d→%d asymmetric: send %v recv %v", ranks, pl.name, a, b, send, recv)
+					}
 				}
 			}
 		}

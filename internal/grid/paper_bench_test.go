@@ -32,7 +32,7 @@ func BenchmarkAblationHaloWidth(b *testing.B) {
 					b.ResetTimer()
 				}
 				for i := 0; i < b.N; i++ {
-					blk.Exchange(f)
+					blk.ExchangeCells(f, 1)
 				}
 			})
 		})

@@ -170,16 +170,20 @@ func TestBlockValidation(t *testing.T) {
 	})
 }
 
-// globalIJ maps global coordinates, ghosts included, to the owned cell whose
-// value the halo exchange delivers there: periodic in x, zero-gradient at
-// the closed south, and across the fold row NY+r maps to row NY-1-r with
-// mirrored longitude.
-func globalIJ(g *Tripolar, i, j int) (int, int) {
+// globalSource maps global coordinates, ghosts included, to the owned cell
+// whose value the halo exchange delivers there: periodic in x,
+// zero-gradient at the closed south, and across the fold row NY+r a scalar
+// reads row NY-1-r at the mirrored longitude while a vector component reads
+// row NY-1 of its own longitude.
+func globalSource(g *Tripolar, i, j int, vec bool) (int, int) {
 	i = ((i % g.NX) + g.NX) % g.NX
 	if j < 0 {
 		j = 0
 	}
 	if j >= g.NY {
+		if vec {
+			return i, g.NY - 1
+		}
 		r := j - g.NY
 		j = g.NY - 1 - r
 		i = g.NX - 1 - i
@@ -187,92 +191,118 @@ func globalIJ(g *Tripolar, i, j int) (int, int) {
 	return i, j
 }
 
-// globalAt is the reference value of global field f at (i, j), ghosts
-// included.
-func globalAt(g *Tripolar, f []float64, i, j int) float64 {
-	i, j = globalIJ(g, i, j)
-	return f[j*g.NX+i]
+// haloCase is one drawn decomposition of the ghost test.
+type haloCase struct {
+	nx, ny, pbx, pby, halo int
+	dry                    []int // (bx, by) of a block dried out to land, if any
+}
+
+// haloCases returns the nine hand-picked layouts, then n seeded draws of
+// grid size, layout, halo width 1–2 and zero or one dried block.
+func haloCases(seed int64, n int) []haloCase {
+	cases := []haloCase{
+		{24, 12, 1, 1, 1, nil},
+		{24, 12, 2, 2, 1, nil},
+		{24, 12, 4, 1, 1, nil},
+		{24, 12, 1, 4, 1, nil},
+		{24, 12, 2, 3, 1, nil},
+		{24, 12, 2, 3, 2, nil},
+		{24, 12, 2, 2, 1, []int{0, 0}}, // dry south-west block
+		{24, 12, 3, 3, 1, []int{1, 1}}, // dry interior block
+		{24, 12, 2, 3, 1, []int{1, 2}}, // dry fold partner
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		tc := haloCase{pbx: 1 + rng.Intn(4), pby: 1 + rng.Intn(4), halo: 1 + rng.Intn(2)}
+		bni, bnj := tc.halo+rng.Intn(5), tc.halo+rng.Intn(4)
+		if tc.pbx*bni%2 != 0 {
+			bni++ // the fold needs an even NX
+		}
+		tc.nx, tc.ny = tc.pbx*bni, tc.pby*bnj
+		if rng.Intn(2) == 0 {
+			tc.dry = []int{rng.Intn(tc.pbx), rng.Intn(tc.pby)}
+		}
+		cases = append(cases, tc)
+	}
+	return cases
 }
 
 // TestHaloExchangeMatchesGlobalReference fills every owned cell of the live
-// ocean decomposition from one global field, exchanges, and checks every
-// ghost — south boundary, fold, periodic wrap and corners — against the
-// global reference. A ghost whose value comes from a land-eliminated block
-// must read 0, and so must an x ghost the exchange relays through one (the
-// x phase carries the corner ghosts from the x neighbour's own halo).
+// ocean decomposition from one global field, exchanges a scalar and a
+// vector field in one batch, and checks every ghost — south boundary, fold,
+// periodic wrap and corners — against globalSource. A ghost whose source
+// cell lies in a land-eliminated block must read 0.
 func TestHaloExchangeMatchesGlobalReference(t *testing.T) {
-	cases := []struct {
-		pbx, pby, halo int
-		dry            []int // (bx, by) of a block dried out to land, if any
-	}{
-		{pbx: 1, pby: 1, halo: 1},
-		{pbx: 2, pby: 2, halo: 1},
-		{pbx: 4, pby: 1, halo: 1},
-		{pbx: 1, pby: 4, halo: 1},
-		{pbx: 2, pby: 3, halo: 1},
-		{pbx: 2, pby: 3, halo: 2},
-		{pbx: 2, pby: 2, halo: 1, dry: []int{0, 0}}, // dry south-west block
-		{pbx: 3, pby: 3, halo: 1, dry: []int{1, 1}}, // dry interior block
-		{pbx: 2, pby: 3, halo: 1, dry: []int{1, 2}}, // dry fold partner
-	}
-	for _, tc := range cases {
-		g, err := NewTripolar(24, 12, 3)
+	for _, tc := range haloCases(37, 40) {
+		g, err := NewTripolar(tc.nx, tc.ny, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if tc.dry != nil {
-			g = tripolarWithDryBlock(t, 24, 12, 3, tc.pbx, tc.pby, tc.dry[0], tc.dry[1])
+			g = tripolarWithDryBlock(t, tc.nx, tc.ny, 3, tc.pbx, tc.pby, tc.dry[0], tc.dry[1])
 		}
-		global := make([]float64, g.NX*g.NY)
-		for idx := range global {
-			global[idx] = float64(idx)*1.5 + 3
-		}
+		bni, bnj := tc.nx/tc.pbx, tc.ny/tc.pby
+		loads := blockLoads(g, kmtSums(g), tc.pbx, tc.pby)
 		ranks := 0
-		for _, l := range blockLoads(g, kmtSums(g), tc.pbx, tc.pby) {
+		for _, l := range loads {
 			if l > 0 {
 				ranks++
 			}
 		}
-		if tc.dry == nil && ranks != tc.pbx*tc.pby {
-			t.Fatalf("layout %dx%d: the analytic mask dries a block", tc.pbx, tc.pby)
+		if ranks == 0 {
+			continue // the whole drawn grid is land
 		}
-		name := fmt.Sprintf("%dx%d/h%d/dry%v", tc.pbx, tc.pby, tc.halo, tc.dry)
+		dry := func(i, j int) bool { return loads[(j/bnj)*tc.pbx+i/bni] == 0 }
+		const nlev = 2
+		value := func(i, j, k int, vec bool) float64 {
+			if dry(i, j) {
+				return 0
+			}
+			v := float64(j*tc.nx+i)*1.5 + 3 + 1000*float64(k)
+			if vec {
+				v = -v
+			}
+			return v
+		}
+		name := fmt.Sprintf("%dx%d grid, %dx%d blocks, h%d, dry%v", tc.nx, tc.ny, tc.pbx, tc.pby, tc.halo, tc.dry)
 		par.Run(ranks, func(c *par.Comm) {
 			d, err := NewTripolarDecompLayout(g, c, tc.pbx, tc.pby, tc.halo)
 			if err != nil {
-				t.Error(err)
+				t.Errorf("%s: %v", name, err)
 				return
 			}
-			h, lni := d.H, d.LNI()
-			eliminated := func(bx, by int) bool {
-				bx = (bx + d.PBX) % d.PBX
-				return d.rankOf[by*d.PBX+bx] < 0
+			n2 := d.LNI() * d.LNJ()
+			fields := []HaloField{
+				{Data: make([]float64, nlev*n2), NLev: nlev},
+				{Data: make([]float64, n2), NLev: 1, Vec: true},
 			}
-			f := d.Alloc()
-			for i := range f {
-				f[i] = -999 // sentinel: every ghost must be overwritten
-			}
-			for lj := 0; lj < d.NJ; lj++ {
-				for li := 0; li < d.NI; li++ {
-					f[d.LIdx(li, lj)] = global[d.GIdx(li, lj)]
+			for _, f := range fields {
+				for i := range f.Data {
+					f.Data[i] = -999 // sentinel: every ghost must be overwritten
+				}
+				for k := 0; k < f.NLev; k++ {
+					for lj := 0; lj < d.NJ; lj++ {
+						for li := 0; li < d.NI; li++ {
+							f.Data[k*n2+d.LIdx(li, lj)] = value(d.I0+li, d.J0+lj, k, f.Vec)
+						}
+					}
 				}
 			}
-			d.Exchange(f)
-			for lj := -h; lj < d.NJ+h; lj++ {
-				for li := -h; li < d.NI+h; li++ {
-					gi, gj := d.I0+li, d.J0+lj
-					mi, mj := globalIJ(g, gi, gj)
-					want := global[mj*g.NX+mi]
-					if eliminated(mi/d.BNI, mj/d.BNJ) {
-						want = 0
-					}
-					if li < 0 && eliminated(d.bx-1, d.by) || li >= d.NI && eliminated(d.bx+1, d.by) {
-						want = 0
-					}
-					if got := f[(lj+h)*lni+li+h]; got != want {
-						t.Errorf("%s rank %d: ghost (%d,%d) global (%d,%d) = %v, want %v",
-							name, c.Rank(), li, lj, gi, gj, got, want)
-						return
+			d.ExchangeFields(fields)
+			h := d.H
+			for _, f := range fields {
+				for k := 0; k < f.NLev; k++ {
+					for lj := -h; lj < d.NJ+h; lj++ {
+						for li := -h; li < d.NI+h; li++ {
+							gi, gj := d.I0+li, d.J0+lj
+							si, sj := globalSource(g, gi, gj, f.Vec)
+							want := value(si, sj, k, f.Vec)
+							if got := f.Data[k*n2+(lj+h)*d.LNI()+li+h]; got != want {
+								t.Errorf("%s rank %d vec %v level %d: ghost (%d,%d) global (%d,%d) = %v, want %v",
+									name, c.Rank(), f.Vec, k, li, lj, gi, gj, got, want)
+								return
+							}
+						}
 					}
 				}
 			}

@@ -8,24 +8,30 @@ import (
 
 // TripolarDecomp is the 2D tripolar block decomposition of the ocean (and
 // sea-ice) grid: one uniform rectangular block per rank with halo storage,
-// periodic in x, closed at the south, folded at the tripolar north, with
-// two further capabilities:
+// and a halo plan built with it. The plan has one rule: every ghost (gi, gj)
+// takes the value of exactly one owned cell, or zero —
 //
-//   - land-block elimination: the layout search may choose a process grid
-//     with more blocks than ranks and leave the all-land blocks unassigned
-//     (the paper's non-ocean-point compaction applied to the partition
-//     itself). Halos facing an eliminated block are zero-filled, which is
-//     exact because every exchanged ocean/ice field is identically zero on
-//     land;
-//   - batched, split-phase halo exchange: StartExchange posts the y-phase
-//     sends for a whole batch of fields, FinishExchange drains them and runs
-//     the x phase, so the caller can overlap interior compute with the halo
-//     traffic (interior-first stepping).
+//   - x is periodic;
+//   - the closed south is zero-gradient: a ghost row gj < 0 takes row 0;
+//   - across the tripolar fold a scalar ghost (gi, gj ≥ NY) takes the
+//     mirrored cell (NX−1−gi, 2NY−1−gj), while a vector component takes
+//     (gi, NY−1), the free-slip wall of the staggered velocities;
+//   - a ghost is zero exactly when its source cell lies in a land-eliminated
+//     block. The layout search may choose a process grid with more blocks
+//     than ranks and leave the all-land blocks unassigned (the paper's
+//     non-ocean-point compaction applied to the partition itself); the zero
+//     is exact because every exchanged ocean/ice field is identically zero
+//     on land.
+//
+// Corners are ordinary entries from their owning peer, and ghosts whose
+// source this rank owns are local copies, so one rank sends nothing. The
+// exchange is batched and split-phase: StartExchange sends everything for a
+// batch of fields, FinishExchange receives and fills, and the caller may
+// compute on owned cells in between (interior-first stepping).
 //
 // It implements the shared Decomp contract, so core's coupler, budget,
 // restart, and snapshot paths treat the ocean exactly like the decomposed
-// atmosphere. One rank gets the 1×1 layout: the whole grid as one block whose
-// every boundary resolves locally.
+// atmosphere. One rank gets the 1×1 layout: the whole grid as one block.
 type TripolarDecomp struct {
 	G *Tripolar
 
@@ -41,31 +47,11 @@ type TripolarDecomp struct {
 	rankOf   []int // block (by*PBX+bx) -> owning rank; -1 = eliminated
 
 	comm *par.Comm
-
-	// Geometric neighbours (-1 = none assigned). southBoundary and atFold
-	// mark the physical boundaries; a -1 rank on an interior side means
-	// the neighbouring block was land-eliminated, so its halo stays zero
-	// — that block's exact field value.
-	southRank, northRank  int
-	westRank, eastRank    int
-	foldRank              int
-	southBoundary, atFold bool
-
-	// Per-parity, per-direction send staging. An exchange alternates
-	// buffer sets; a neighbour is guaranteed to have drained parity-p's
-	// previous message before this rank repacks it (its own exchange n+1
-	// cannot have completed otherwise), so steady-state exchanges
-	// allocate nothing.
-	sendBuf [2][nTriDir][]float64
-	parity  int
-	one     [1]HaloField // scratch for the single-field Exchange wrappers
+	halo haloPlan
+	slab []haloSlab // the batch in plan form, rebuilt by every exchange
 
 	ownedRanges [][2]int
 	dryBlocks   []DryBlock
-
-	obs       HaloObserver
-	pendMsgs  int64
-	pendBytes int64
 }
 
 // TripolarDecomp implements the shared Decomp contract.
@@ -80,36 +66,19 @@ type DryBlock struct {
 
 // HaloField describes one field of a batched halo exchange: NLev levels of
 // LNI()*LNJ() local storage laid out [k*LNI*LNJ + idx]. Vec marks velocity
-// components: the cell-centred fold mirroring is misaligned for staggered
-// fields, so they skip the fold message and take free-slip (zero-gradient)
-// copies of the top owned row instead (see ExchangeVec).
+// components, whose fold ghosts take the top owned row of their own column
+// (free slip) instead of the mirrored scalar image.
 type HaloField struct {
 	Data []float64
 	NLev int
 	Vec  bool
 }
 
-// Halo exchange message tags: disjoint from the icosahedral
-// decomposition's 6000–6001 and the coupler rearranger's 7100,
-// so the concurrent schedule can drain ocean halo traffic on the component
+// tagHaloOcn tags the ocean halo plan: disjoint from the icosahedral
+// decomposition's 6000–6001 and the coupler rearranger's 7100, so the
+// concurrent schedule can drain ocean halo traffic on the component
 // goroutine while the atmosphere exchanges on the driver.
-const (
-	tagTriSouth = 2000 + iota // carries a block's bottom owned rows, travelling south
-	tagTriNorth               // top owned rows, travelling north
-	tagTriWest                // west owned columns, travelling west
-	tagTriEast                // east owned columns, travelling east
-	tagTriFold                // top owned rows, crossing the fold
-)
-
-// Send-buffer direction slots.
-const (
-	dirSouth = iota
-	dirNorth
-	dirWest
-	dirEast
-	dirFold
-	nTriDir
-)
+const tagHaloOcn = 2000
 
 // NewTripolarDecomp partitions the grid over the communicator: it searches
 // the divisor layouts of the grid for a process-block grid whose wet-block
@@ -235,36 +204,68 @@ func newTripolarFromLayout(g *Tripolar, c *par.Comm, halo, pbx, pby int, loads [
 			})
 		}
 	}
-	d.finishGeometry()
-	return d, nil
-}
-
-// finishGeometry derives this rank's patch extents, neighbour ranks, and
-// cached owned ranges from the block assignment.
-func (d *TripolarDecomp) finishGeometry() {
 	d.I0, d.J0 = d.bx*d.BNI, d.by*d.BNJ
 	d.NI, d.NJ = d.BNI, d.BNJ
-
-	d.southRank, d.northRank, d.westRank, d.eastRank, d.foldRank = -1, -1, -1, -1, -1
-	d.southBoundary = d.by == 0
-	d.atFold = d.by == d.PBY-1
-	if !d.southBoundary {
-		d.southRank = d.rankOf[(d.by-1)*d.PBX+d.bx]
-	}
-	if !d.atFold {
-		d.northRank = d.rankOf[(d.by+1)*d.PBX+d.bx]
-	} else {
-		d.foldRank = d.rankOf[d.by*d.PBX+(d.PBX-1-d.bx)]
-	}
-	if d.PBX > 1 {
-		d.westRank = d.rankOf[d.by*d.PBX+(d.bx-1+d.PBX)%d.PBX]
-		d.eastRank = d.rankOf[d.by*d.PBX+(d.bx+1)%d.PBX]
-	}
-
 	d.ownedRanges = make([][2]int, 0, d.NJ)
 	for lj := 0; lj < d.NJ; lj++ {
 		d.ownedRanges = append(d.ownedRanges, [2]int{(d.J0+lj)*d.G.NX + d.I0, d.NI})
 	}
+	d.buildHalo()
+	return d, nil
+}
+
+// ghostSource returns the global cell whose value ghost (gi, gj) takes; gi
+// may lie outside [0, NX) and gj outside [0, NY).
+func (d *TripolarDecomp) ghostSource(gi, gj int, vec bool) (int, int) {
+	nx, ny := d.G.NX, d.G.NY
+	gi = (gi%nx + nx) % nx
+	switch {
+	case gj < 0:
+		gj = 0
+	case gj >= ny && vec:
+		gj = ny - 1
+	case gj >= ny:
+		gi, gj = nx-1-gi, 2*ny-1-gj
+	}
+	return gi, gj
+}
+
+// buildHalo derives the halo plan. Every rank walks the ghosts of every wet
+// block in the same order (blocks ascending, each block's local storage
+// row-major), so the entries one rank lists for a peer land in the same
+// positions as the peer's entries for it.
+func (d *TripolarDecomp) buildHalo() {
+	rank, size, h, nx := d.comm.Rank(), d.comm.Size(), d.H, d.G.NX
+	routes := [2]rankRoute{newRankRoute(size), newRankRoute(size)}
+	for b, r := range d.rankOf {
+		if r < 0 {
+			continue
+		}
+		bi0, bj0 := (b%d.PBX)*d.BNI, (b/d.PBX)*d.BNJ
+		for lj := -h; lj < d.BNJ+h; lj++ {
+			for li := -h; li < d.BNI+h; li++ {
+				if li >= 0 && li < d.BNI && lj >= 0 && lj < d.BNJ {
+					continue // owned
+				}
+				for v := range routes {
+					si, sj := d.ghostSource(bi0+li, bj0+lj, v == 1)
+					src, rt := d.Owner(sj*nx+si), &routes[v]
+					switch {
+					case r == rank && src == rank:
+						rt.dst = append(rt.dst, d.LIdx(li, lj))
+						rt.src = append(rt.src, d.LIdx(si-d.I0, sj-d.J0))
+					case r == rank && src < 0:
+						rt.zero = append(rt.zero, d.LIdx(li, lj))
+					case r == rank:
+						rt.recvFrom[src] = append(rt.recvFrom[src], d.LIdx(li, lj))
+					case src == rank:
+						rt.sendTo[r] = append(rt.sendTo[r], d.LIdx(si-d.I0, sj-d.J0))
+					}
+				}
+			}
+		}
+	}
+	d.halo = newHaloPlan(d.comm, tagHaloOcn, symmetricPeers(rank, routes[0], routes[1]), routes[0], routes[1])
 }
 
 // --- Block geometry ---
@@ -286,10 +287,7 @@ func (d *TripolarDecomp) LIdx(li, lj int) int { return (lj+d.H)*d.LNI() + li + d
 func (d *TripolarDecomp) GIdx(li, lj int) int { return (d.J0+lj)*d.G.NX + d.I0 + li }
 
 // AtNorthFold reports whether this block touches the folded northern row.
-func (d *TripolarDecomp) AtNorthFold() bool { return d.atFold }
-
-// AtSouth reports whether this block touches the closed southern boundary.
-func (d *TripolarDecomp) AtSouth() bool { return d.southBoundary }
+func (d *TripolarDecomp) AtNorthFold() bool { return d.by == d.PBY-1 }
 
 // DryBlocks returns the land-eliminated blocks (identical on every rank;
 // callers must not mutate).
@@ -326,7 +324,7 @@ func (d *TripolarDecomp) InExt(gi int) bool {
 			return true
 		}
 	}
-	return d.atFold && j >= d.G.NY-d.H && d.xNear(nx-1-i)
+	return d.AtNorthFold() && j >= d.G.NY-d.H && d.xNear(nx-1-i)
 }
 
 // xNear reports whether global column i is within H of the owned column
@@ -347,14 +345,14 @@ func (d *TripolarDecomp) OwnedRanges() [][2]int { return d.ownedRanges }
 
 // SetObserver attaches the halo traffic counters
 // (cpl.halo.{msgs,bytes} with component="ocn").
-func (d *TripolarDecomp) SetObserver(o HaloObserver) { d.obs = o }
+func (d *TripolarDecomp) SetObserver(o HaloObserver) {
+	d.halo.setObserver(o, ctrHaloMsgsOcn, ctrHaloBytesOcn)
+}
 
-// ExchangeCells implements Decomp: a batched scalar exchange of one
-// nlev-level field in local block layout.
+// ExchangeCells implements Decomp: the halo exchange of one nlev-level
+// scalar field in local block layout.
 func (d *TripolarDecomp) ExchangeCells(f []float64, nlev int) {
-	d.one[0] = HaloField{Data: f, NLev: nlev}
-	d.ExchangeFields(d.one[:])
-	d.one[0].Data = nil
+	d.ExchangeFields([]HaloField{{Data: f, NLev: nlev}})
 }
 
 // Gather implements Decomp: GatherGlobal on one level.
@@ -400,353 +398,35 @@ func (d *TripolarDecomp) GatherGlobal(f []float64) []float64 {
 
 // --- Halo exchange ---
 
-// Exchange fills the halo of a one-level scalar field (see ExchangeFields).
-// The single-field wrappers share scratch state and must not be called
-// concurrently with any other exchange on this decomposition.
-func (d *TripolarDecomp) Exchange(f []float64) {
-	d.one[0] = HaloField{Data: f, NLev: 1}
-	d.ExchangeFields(d.one[:])
-	d.one[0].Data = nil
-}
-
-// ExchangeVec fills the halo of a one-level velocity component field.
-func (d *TripolarDecomp) ExchangeVec(f []float64) {
-	d.one[0] = HaloField{Data: f, NLev: 1, Vec: true}
-	d.ExchangeFields(d.one[:])
-	d.one[0].Data = nil
-}
-
-// ExchangeFields fills the halos of a batch of fields in one split-phase
-// exchange: periodic in x, zero-gradient at the closed south, fold-mirrored
-// (scalar) or free-slip (vec) at the tripolar north, zero against
-// land-eliminated neighbours. All ranks must pass identical batch shapes
-// (field order, levels, vec flags); the halo values are identical to
-// per-field exchanges on any layout.
+// ExchangeFields fills the halos of a batch of fields in one exchange: one
+// message per peer carries every field. All ranks must pass identical batch
+// shapes (field order, levels, vec flags).
 func (d *TripolarDecomp) ExchangeFields(fields []HaloField) {
-	d.StartExchange(fields)
-	d.FinishExchange(fields)
+	d.halo.exchange(d.slabs(fields))
 }
 
-// StartExchange posts the y-phase sends of a batched exchange. Between
+// StartExchange packs and sends a batch's halo traffic. Between
 // StartExchange and FinishExchange the caller may compute on owned cells
 // (the messages are already packed) but must not write the fields' halo or
-// owned storage. Every StartExchange must be followed by exactly one
-// FinishExchange with the same batch.
+// owned storage, nor run another exchange on this decomposition. Every
+// StartExchange must be followed by exactly one FinishExchange with the same
+// batch.
 func (d *TripolarDecomp) StartExchange(fields []HaloField) {
-	d.parity ^= 1
-	if d.PBX == 1 && d.PBY == 1 {
-		return // single block: every boundary resolves locally in Finish
-	}
-	if d.southRank >= 0 {
-		d.send(d.southRank, tagTriSouth, d.packRows(fields, d.H, dirSouth, false))
-	}
-	if d.northRank >= 0 {
-		d.send(d.northRank, tagTriNorth, d.packRows(fields, d.NJ, dirNorth, false))
-	}
-	if d.atFold && d.foldRank >= 0 && d.foldRank != d.comm.Rank() && hasScalar(fields) {
-		// The packed buffer is the partner's top owned rows in natural
-		// column order; the receiver mirrors columns while unpacking.
-		d.send(d.foldRank, tagTriFold, d.packRows(fields, d.NJ, dirFold, true))
-	}
+	d.halo.start(d.slabs(fields))
 }
 
-// send ships one packed staging buffer and accrues the pending traffic
-// counters (flushed once per exchange).
-func (d *TripolarDecomp) send(dst, tag int, buf []float64) {
-	d.pendMsgs++
-	d.pendBytes += int64(8 * len(buf))
-	par.SendF64(d.comm, dst, tag, buf)
-}
-
-// FinishExchange drains the y-phase receives, applies the boundary fills,
-// runs the x phase (which carries the already-filled corner rows), and
-// applies the free-slip fold override to vec fields.
+// FinishExchange receives the batch's halo traffic and fills every ghost.
 func (d *TripolarDecomp) FinishExchange(fields []HaloField) {
-	lni, lnj, h := d.LNI(), d.LNJ(), d.H
-	n2 := lni * lnj
-
-	// --- Y direction: south ghost rows ---
-	switch {
-	case d.southRank >= 0:
-		d.unpackRows(fields, par.RecvF64(d.comm, d.southRank, tagTriNorth), 0)
-	case d.southBoundary:
-		// Closed south: zero-gradient full-row copies (the stale x halos
-		// they carry are overwritten by the x phase).
-		for _, f := range fields {
-			for k := 0; k < f.NLev; k++ {
-				base := k * n2
-				for r := 0; r < h; r++ {
-					copy(f.Data[base+r*lni:base+(r+1)*lni], f.Data[base+h*lni:base+(h+1)*lni])
-				}
-			}
-		}
-	default:
-		d.zeroRows(fields, 0) // eliminated south neighbour
-	}
-
-	// --- Y direction: north ghost rows (plain neighbour or fold) ---
-	switch {
-	case !d.atFold && d.northRank >= 0:
-		d.unpackRows(fields, par.RecvF64(d.comm, d.northRank, tagTriSouth), h+d.NJ)
-	case !d.atFold:
-		d.zeroRows(fields, h+d.NJ) // eliminated north neighbour
-	case d.foldRank == d.comm.Rank():
-		// Self-partnered fold: ghost row (NJ+r) takes the own owned row
-		// (NJ-1-r), columns mirrored. Vec fields skip the mirror — the
-		// free-slip override below fully overwrites their fold ghosts.
-		for _, f := range fields {
-			if f.Vec {
-				continue
-			}
-			for k := 0; k < f.NLev; k++ {
-				base := k * n2
-				for r := 0; r < h; r++ {
-					src := f.Data[base+(d.NJ+h-1-r)*lni : base+(d.NJ+h-r)*lni]
-					dst := f.Data[base+(h+d.NJ+r)*lni : base+(h+d.NJ+r+1)*lni]
-					for li := 0; li < d.NI; li++ {
-						dst[h+li] = src[h+d.NI-1-li]
-					}
-				}
-			}
-		}
-	case d.foldRank >= 0:
-		if hasScalar(fields) {
-			d.unpackFold(fields, par.RecvF64(d.comm, d.foldRank, tagTriFold))
-		}
-	default:
-		d.zeroRows(fields, h+d.NJ) // eliminated fold partner
-	}
-
-	// --- X direction (periodic), carries the corner ghosts ---
-	if d.PBX == 1 {
-		for _, f := range fields {
-			for k := 0; k < f.NLev; k++ {
-				base := k * n2
-				for j := 0; j < lnj; j++ {
-					row := f.Data[base+j*lni : base+(j+1)*lni]
-					copy(row[:h], row[d.NI:d.NI+h])
-					copy(row[h+d.NI:], row[h:2*h])
-				}
-			}
-		}
-	} else {
-		if d.westRank >= 0 {
-			d.send(d.westRank, tagTriWest, d.packCols(fields, h, dirWest))
-		}
-		if d.eastRank >= 0 {
-			d.send(d.eastRank, tagTriEast, d.packCols(fields, d.NI, dirEast))
-		}
-		if d.eastRank >= 0 {
-			d.unpackCols(fields, par.RecvF64(d.comm, d.eastRank, tagTriWest), h+d.NI)
-		} else {
-			d.zeroCols(fields, h+d.NI)
-		}
-		if d.westRank >= 0 {
-			d.unpackCols(fields, par.RecvF64(d.comm, d.westRank, tagTriEast), 0)
-		} else {
-			d.zeroCols(fields, 0)
-		}
-	}
-
-	// --- Free-slip fold override for vec fields: ghost rows take full
-	// copies (x halos included) of the top owned row ---
-	if d.atFold {
-		for _, f := range fields {
-			if !f.Vec {
-				continue
-			}
-			for k := 0; k < f.NLev; k++ {
-				base := k * n2
-				src := f.Data[base+(h+d.NJ-1)*lni : base+(h+d.NJ)*lni]
-				for r := 0; r < h; r++ {
-					copy(f.Data[base+(h+d.NJ+r)*lni:base+(h+d.NJ+r+1)*lni], src)
-				}
-			}
-		}
-	}
-
-	if d.obs != nil && d.pendMsgs > 0 {
-		d.obs.AddCount(ctrHaloMsgsOcn, d.pendMsgs)
-		d.obs.AddCount(ctrHaloBytesOcn, d.pendBytes)
-	}
-	d.pendMsgs, d.pendBytes = 0, 0
+	d.halo.finish(d.slabs(fields))
 }
 
-// hasScalar reports whether the batch carries any non-vec field (the fold
-// message is scalar-only; an all-vec batch sends none).
-func hasScalar(fields []HaloField) bool {
+// slabs addresses a batch's level planes as plan fields, in scratch reused
+// by every exchange.
+func (d *TripolarDecomp) slabs(fields []HaloField) []haloSlab {
+	n2 := d.LNI() * d.LNJ()
+	d.slab = d.slab[:0]
 	for _, f := range fields {
-		if !f.Vec {
-			return true
-		}
+		d.slab = append(d.slab, haloSlab{data: f.Data, ps: 1, ks: n2, nlev: f.NLev, vec: f.Vec})
 	}
-	return false
-}
-
-// packRows stages H rows starting at raw local row j0, owned columns only,
-// for every (matching) field and level, into the direction's parity buffer.
-func (d *TripolarDecomp) packRows(fields []HaloField, j0, dir int, scalarOnly bool) []float64 {
-	lni, h := d.LNI(), d.H
-	n2 := lni * d.LNJ()
-	need := 0
-	for _, f := range fields {
-		if scalarOnly && f.Vec {
-			continue
-		}
-		need += f.NLev * h * d.NI
-	}
-	buf := d.sendBuf[d.parity][dir]
-	if cap(buf) < need {
-		buf = make([]float64, need)
-		d.sendBuf[d.parity][dir] = buf
-	}
-	buf = buf[:need]
-	pos := 0
-	for _, f := range fields {
-		if scalarOnly && f.Vec {
-			continue
-		}
-		for k := 0; k < f.NLev; k++ {
-			base := k * n2
-			for r := 0; r < h; r++ {
-				start := base + (j0+r)*lni + h
-				copy(buf[pos:pos+d.NI], f.Data[start:start+d.NI])
-				pos += d.NI
-			}
-		}
-	}
-	return buf
-}
-
-// unpackRows writes a row-slab message back at raw local row j0, owned
-// columns only.
-func (d *TripolarDecomp) unpackRows(fields []HaloField, msg []float64, j0 int) {
-	lni, h := d.LNI(), d.H
-	n2 := lni * d.LNJ()
-	pos := 0
-	for _, f := range fields {
-		for k := 0; k < f.NLev; k++ {
-			base := k * n2
-			for r := 0; r < h; r++ {
-				start := base + (j0+r)*lni + h
-				copy(f.Data[start:start+d.NI], msg[pos:pos+d.NI])
-				pos += d.NI
-			}
-		}
-	}
-	if pos != len(msg) {
-		panic(fmt.Sprintf("grid: tripolar row message has %d values, want %d", len(msg), pos))
-	}
-}
-
-// unpackFold writes the fold partner's top-owned-row message into the fold
-// ghost rows: ghost row (NJ+r) takes the partner's owned row (NJ-1-r) with
-// columns mirrored (partner local column NI-1-li lands at li).
-func (d *TripolarDecomp) unpackFold(fields []HaloField, msg []float64) {
-	lni, h := d.LNI(), d.H
-	n2 := lni * d.LNJ()
-	pos := 0
-	for _, f := range fields {
-		if f.Vec {
-			continue
-		}
-		for k := 0; k < f.NLev; k++ {
-			base := k * n2
-			fieldStart := pos
-			for r := 0; r < h; r++ {
-				src := msg[fieldStart+(h-1-r)*d.NI : fieldStart+(h-r)*d.NI]
-				dst := f.Data[base+(h+d.NJ+r)*lni : base+(h+d.NJ+r+1)*lni]
-				for li := 0; li < d.NI; li++ {
-					dst[h+li] = src[d.NI-1-li]
-				}
-			}
-			pos += h * d.NI
-		}
-	}
-	if pos != len(msg) {
-		panic(fmt.Sprintf("grid: tripolar fold message has %d values, want %d", len(msg), pos))
-	}
-}
-
-// zeroRows zeroes H full rows starting at raw local row j0 — the fill
-// against land-eliminated neighbours, whose fields are identically zero.
-func (d *TripolarDecomp) zeroRows(fields []HaloField, j0 int) {
-	lni, h := d.LNI(), d.H
-	n2 := lni * d.LNJ()
-	for _, f := range fields {
-		for k := 0; k < f.NLev; k++ {
-			base := k * n2
-			zero := f.Data[base+j0*lni : base+(j0+h)*lni]
-			for i := range zero {
-				zero[i] = 0
-			}
-		}
-	}
-}
-
-// packCols stages H columns starting at raw local column i0, full local
-// height (ghost rows included, so corners travel), layout [j*H + r].
-func (d *TripolarDecomp) packCols(fields []HaloField, i0, dir int) []float64 {
-	lni, lnj, h := d.LNI(), d.LNJ(), d.H
-	n2 := lni * lnj
-	need := 0
-	for _, f := range fields {
-		need += f.NLev * h * lnj
-	}
-	buf := d.sendBuf[d.parity][dir]
-	if cap(buf) < need {
-		buf = make([]float64, need)
-		d.sendBuf[d.parity][dir] = buf
-	}
-	buf = buf[:need]
-	pos := 0
-	for _, f := range fields {
-		for k := 0; k < f.NLev; k++ {
-			base := k * n2
-			for j := 0; j < lnj; j++ {
-				for r := 0; r < h; r++ {
-					buf[pos] = f.Data[base+j*lni+i0+r]
-					pos++
-				}
-			}
-		}
-	}
-	return buf
-}
-
-// unpackCols writes a column-slab message back at raw local column i0.
-func (d *TripolarDecomp) unpackCols(fields []HaloField, msg []float64, i0 int) {
-	lni, lnj, h := d.LNI(), d.LNJ(), d.H
-	n2 := lni * lnj
-	pos := 0
-	for _, f := range fields {
-		for k := 0; k < f.NLev; k++ {
-			base := k * n2
-			for j := 0; j < lnj; j++ {
-				for r := 0; r < h; r++ {
-					f.Data[base+j*lni+i0+r] = msg[pos]
-					pos++
-				}
-			}
-		}
-	}
-	if pos != len(msg) {
-		panic(fmt.Sprintf("grid: tripolar column message has %d values, want %d", len(msg), pos))
-	}
-}
-
-// zeroCols zeroes H columns starting at raw local column i0, full height.
-func (d *TripolarDecomp) zeroCols(fields []HaloField, i0 int) {
-	lni, lnj, h := d.LNI(), d.LNJ(), d.H
-	n2 := lni * lnj
-	for _, f := range fields {
-		for k := 0; k < f.NLev; k++ {
-			base := k * n2
-			for j := 0; j < lnj; j++ {
-				for r := 0; r < h; r++ {
-					f.Data[base+j*lni+i0+r] = 0
-				}
-			}
-		}
-	}
+	return d.slab
 }

@@ -110,8 +110,9 @@ func TestTripolarLayoutSearchElimination(t *testing.T) {
 
 // The pole-fold halo: the ghost row above the folded boundary carries the
 // mirrored top row of the partner block — ghost (i, NY) equals owned
-// (NX-1-i, NY-1) — and the x-phase carries the fold values into the corner
-// ghosts. The south boundary is zero-gradient and x is periodic.
+// (NX-1-i, NY-1) — and so do the corner ghosts, whose mirrored source
+// lies in another block. The south boundary is zero-gradient and x is
+// periodic.
 func TestTripolarFoldHaloSymmetry(t *testing.T) {
 	g, err := NewTripolar(16, 8, 3)
 	if err != nil {
@@ -134,7 +135,7 @@ func TestTripolarFoldHaloSymmetry(t *testing.T) {
 				f[d.LIdx(li, lj)] = enc(d.GIdx(li, lj))
 			}
 		}
-		d.Exchange(f)
+		d.ExchangeCells(f, 1)
 
 		if !d.AtNorthFold() {
 			t.Fatal("2x1 layout block misses the fold")
@@ -147,8 +148,8 @@ func TestTripolarFoldHaloSymmetry(t *testing.T) {
 				t.Fatalf("fold ghost at li=%d: got %v, want %v", li, got, want)
 			}
 		}
-		// Fold corner ghosts arrive via the full-height x-phase: the west
-		// ghost of the fold row mirrors the west neighbour's eastmost column.
+		// Fold corner ghosts: the west ghost of the fold row mirrors the
+		// west neighbour's eastmost column.
 		wCol := (d.I0 - 1 + g.NX) % g.NX
 		if got, want := f[(h+d.NJ)*lni], enc((g.NY-1)*g.NX+(g.NX-1-wCol)); got != want {
 			t.Fatalf("fold west corner: got %v, want %v", got, want)
@@ -179,7 +180,7 @@ func TestTripolarFoldHaloSymmetry(t *testing.T) {
 				v[d.LIdx(li, lj)] = enc(d.GIdx(li, lj))
 			}
 		}
-		d.ExchangeVec(v)
+		d.ExchangeFields([]HaloField{{Data: v, NLev: 1, Vec: true}})
 		for x := 0; x < lni; x++ {
 			if v[(h+d.NJ)*lni+x] != v[(h+d.NJ-1)*lni+x] {
 				t.Fatalf("vec fold ghost at x=%d not free-slip", x)
@@ -203,7 +204,7 @@ func TestTripolarEliminatedNeighborZeroHalos(t *testing.T) {
 		for i := range f {
 			f[i] = 7
 		}
-		d.Exchange(f)
+		d.ExchangeCells(f, 1)
 		switch {
 		case d.I0 == 0 && d.J0 > 0:
 			// Block (0,1): its south neighbour is the dry block.
@@ -223,44 +224,49 @@ func TestTripolarEliminatedNeighborZeroHalos(t *testing.T) {
 	})
 }
 
-// TestTripolarExchangeZeroAllocs pins the batched halo exchange hot path to
-// zero steady-state allocations at 2 ranks — the real multi-rank path
-// through par.SendF64/RecvF64, not the 1×1 local resolution. AllocsPerRun
-// measures global mallocs, so the peer's matching exchanges must be
-// allocation-free too; it runs exactly runs+1 of them (AllocsPerRun's
-// warm-up call plus runs measured calls).
+// TestTripolarExchangeZeroAllocs pins the batched, split-phase halo
+// exchange to zero steady-state allocations on two layouts: 2×1, the real
+// multi-rank path through par.SendF64/RecvF64, and 1×1, where every ghost
+// is a local copy. AllocsPerRun measures global mallocs, so a peer's
+// matching exchanges must be allocation-free too; it runs exactly runs+1 of
+// them (AllocsPerRun's warm-up call plus runs measured calls).
 func TestTripolarExchangeZeroAllocs(t *testing.T) {
 	g, err := NewTripolar(16, 8, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const nlev, runs = 3, 20
-	par.Run(2, func(c *par.Comm) {
-		d, err := NewTripolarDecompLayout(g, c, 2, 1, 1)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		n2 := d.LNI() * d.LNJ()
-		fields := []HaloField{
-			{Data: make([]float64, nlev*n2), NLev: nlev},
-			{Data: make([]float64, nlev*n2), NLev: nlev, Vec: true},
-			{Data: make([]float64, n2), NLev: 1},
-		}
-		step := func() { d.ExchangeFields(fields) }
-		// Warm both parity buffer sets.
-		step()
-		step()
-		c.Barrier()
-		if c.Rank() == 0 {
-			if avg := testing.AllocsPerRun(runs, step); avg != 0 {
-				t.Errorf("halo exchange allocates %v per call in steady state, want 0", avg)
+	for _, layout := range [][2]int{{2, 1}, {1, 1}} {
+		par.Run(layout[0]*layout[1], func(c *par.Comm) {
+			d, err := NewTripolarDecompLayout(g, c, layout[0], layout[1], 1)
+			if err != nil {
+				t.Error(err)
+				return
 			}
-		} else {
-			for i := 0; i < runs+1; i++ {
-				step()
+			n2 := d.LNI() * d.LNJ()
+			fields := []HaloField{
+				{Data: make([]float64, nlev*n2), NLev: nlev},
+				{Data: make([]float64, nlev*n2), NLev: nlev, Vec: true},
+				{Data: make([]float64, n2), NLev: 1},
 			}
-		}
-		c.Barrier()
-	})
+			step := func() {
+				d.StartExchange(fields)
+				d.FinishExchange(fields)
+			}
+			// Warm both parity buffer sets.
+			step()
+			step()
+			c.Barrier()
+			if c.Rank() == 0 {
+				if avg := testing.AllocsPerRun(runs, step); avg != 0 {
+					t.Errorf("%dx%d: halo exchange allocates %v per call in steady state, want 0", layout[0], layout[1], avg)
+				}
+			} else {
+				for i := 0; i < runs+1; i++ {
+					step()
+				}
+			}
+			c.Barrier()
+		})
+	}
 }

@@ -1,6 +1,10 @@
 package ocean
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/grid"
+)
 
 // TracerContent returns the global volume integral of a tracer field
 // (Σ tr·vol over wet cells), reduced across ranks. Conserved by transport;
@@ -135,8 +139,11 @@ func (o *Ocean) MaxSurfaceSpeed() float64 {
 // (|f| below threshold) hold zero. The returned slice covers the owned
 // region in row-major order (NJ × NI).
 func (o *Ocean) SurfaceRossby() []float64 {
-	o.B.ExchangeVec(o.U[:o.LNI*o.LNJ])
-	o.B.ExchangeVec(o.V[:o.LNI*o.LNJ])
+	n2 := o.LNI * o.LNJ
+	o.B.ExchangeFields([]grid.HaloField{
+		{Data: o.U[:n2], NLev: 1, Vec: true},
+		{Data: o.V[:n2], NLev: 1, Vec: true},
+	})
 	out := make([]float64, o.B.NJ*o.B.NI)
 	const fMin = 1e-5
 	for lj := 0; lj < o.B.NJ; lj++ {

@@ -185,8 +185,7 @@ func New(g *grid.Tripolar, b *grid.TripolarDecomp, cfg Config, sp pp.Space) (*Oc
 			dp[b.LIdx(li, lj)] = g.Depth[gi]
 		}
 	}
-	b.Exchange(km)
-	b.Exchange(dp)
+	b.ExchangeFields([]grid.HaloField{{Data: km, NLev: 1}, {Data: dp, NLev: 1}})
 	for idx := range km {
 		o.kmt[idx] = int(km[idx])
 		o.depth[idx] = dp[idx]

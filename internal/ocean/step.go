@@ -203,7 +203,7 @@ func (o *Ocean) barotropicCycle(dt float64) {
 		c.bind(o.Eta, s.eta, o.Ubar, o.Vbar)
 		pp.Kernels.MustLaunch(hOcnContinuity, o.Sp, c)
 		o.Eta, s.eta = s.eta, o.Eta
-		o.B.Exchange(o.Eta)
+		o.B.ExchangeCells(o.Eta, 1)
 
 		// --- Momentum (backward): transports from the new η ---
 		copy(s.ubar, o.Ubar)

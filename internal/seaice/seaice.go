@@ -108,7 +108,7 @@ func New(g *grid.Tripolar, b *grid.TripolarDecomp, cfg Config) (*Model, error) {
 			}
 		}
 	}
-	b.Exchange(wetF)
+	b.ExchangeCells(wetF, 1)
 	for i, v := range wetF {
 		if v > 0.5 {
 			m.wet[i] = true
@@ -180,7 +180,7 @@ func (m *Model) Step() {
 	for i := range vol {
 		vol[i] = m.Conc[i] * m.Thick[i]
 	}
-	b.Exchange(vol)
+	b.ExchangeCells(vol, 1)
 
 	newConc := append([]float64(nil), m.Conc...)
 	newVol := append([]float64(nil), vol...)
