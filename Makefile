@@ -7,8 +7,7 @@
 # decomposed ranks), the one-day radiation-hold drift budget against the
 # every-step twin, the dycore
 # regrouping drift budget against the parent-arithmetic twin, the two-rank
-# resilient rollback lap, the degraded ensemble lap (one member permanently
-# failed, quorum 3/4), and a smoke lap of the repo's one benchmark (bench/:
+# resilient rollback lap, and a smoke lap of the repo's one benchmark (bench/:
 # every workload path once plus its own tests, no measurement — to measure,
 # run bench/run.sh as bench/README.md describes) and of every package
 # benchmark (one iteration each).
@@ -16,7 +15,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race race-par race-resilient budget budget-rad budget-dycore fuzz resilient ensemble check bench-smoke bench-atmos profile clean
+.PHONY: all build vet test race race-par race-resilient budget budget-rad budget-dycore fuzz resilient check bench-smoke bench-atmos profile clean
 
 all: check
 
@@ -85,10 +84,6 @@ resilient:
 	    -checkpoint-every 5 -restart-dir "$$dir" -faults 'nan@esm.step:21'; \
 	  rc=$$?; rm -rf "$$dir"; exit $$rc; }
 
-ensemble:
-	$(GO) run ./cmd/ensemble -members 4 -groups 2 -quorum 3 -attempts 2 -retries 1 \
-	  -member-faults '1=nan@esm.step:1:repeat' -expect-completed 3 -expect-quarantined 1
-
 # Also one pass of every package benchmark (the paper experiments' timing
 # generators, e.g. ./internal/aiphys's BenchmarkAIPhysicsSuite), so none of
 # them rots unrun.
@@ -119,7 +114,7 @@ profile:
 bench-atmos:
 	$(GO) test ./internal/atmos -run '^$$' -bench . -count 6 -cpu 1
 
-check: vet build race race-par race-resilient budget budget-rad budget-dycore fuzz resilient ensemble bench-smoke
+check: vet build race race-par race-resilient budget budget-rad budget-dycore fuzz resilient bench-smoke
 
 clean:
 	rm -rf .bench_build/

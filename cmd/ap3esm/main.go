@@ -43,6 +43,9 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run loop (all ranks, model assembly and reports excluded) to this file")
 	flag.Parse()
 
+	if *ranks < 1 {
+		log.Fatalf("-ranks must be at least 1, got %d", *ranks)
+	}
 	cfg, err := core.ConfigForLabel(*label)
 	if err != nil {
 		log.Fatal(err)
@@ -85,7 +88,7 @@ func main() {
 	}
 
 	start := time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC)
-	stop := start.Add(time.Duration(*days*24) * time.Hour)
+	stop := start.Add(time.Duration(*days * 24 * float64(time.Hour)))
 
 	fmt.Printf("AP3ESM %s (stands for %d km atm / %d km ocn): atm icos level %d, ocean %dx%dx%d, %d ranks, %s backend, %v, %s schedule\n",
 		cfg.Label, cfg.PaperAtmKm, cfg.PaperOcnKm, cfg.AtmLevel,

@@ -47,6 +47,9 @@ func main() {
 	if *store == "" {
 		log.Fatal("need -store DIR")
 	}
+	if *live && *ranks < 1 {
+		log.Fatalf("-ranks must be at least 1, got %d", *ranks)
+	}
 	sink, err := obs.OpenSink(*obsSpec)
 	if err != nil {
 		log.Fatal(err)

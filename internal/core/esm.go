@@ -304,7 +304,7 @@ func (e *ESM) Step() bool {
 		}
 	}
 	e.couplingSteps++
-	if f := fault.PointScoped(e.Comm.Member(), "esm.step", e.Comm.Rank()); f != nil && f.Kind == fault.NaN {
+	if f := fault.Point("esm.step", e.Comm.Rank()); f != nil && f.Kind == fault.NaN {
 		// Silent data corruption in a coupled prognostic field — the failure
 		// mode the per-step health guardrails exist to catch.
 		e.Ocn.T[e.ocnIdx2(0, 0)] = math.NaN()

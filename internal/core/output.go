@@ -97,18 +97,9 @@ func (e *ESM) assembleAtmField(fill func(c int, out []float64)) []float64 {
 
 // GlobalAtmPs assembles the global surface-pressure field. Collective: under
 // atmosphere decomposition only owned cells are live locally, so diagnostics
-// that scan the whole field (typhoon center finding, ensemble spread) must go
+// that scan the whole field (typhoon center finding) must go
 // through this gather rather than reading Atm.Ps directly.
 func (e *ESM) GlobalAtmPs() []float64 {
 	m := e.Atm
 	return e.assembleAtmField(func(c int, out []float64) { out[c] = m.Ps[c] })
-}
-
-// GlobalWind10m assembles the global 10 m wind components. Collective, like
-// GlobalAtmPs.
-func (e *ESM) GlobalWind10m() (u, v []float64) {
-	e.Atm.Wind10mInto(e.u10, e.v10)
-	u = e.assembleAtmField(func(c int, out []float64) { out[c] = e.u10[c] })
-	v = e.assembleAtmField(func(c int, out []float64) { out[c] = e.v10[c] })
-	return u, v
 }

@@ -30,29 +30,21 @@ type ResilientConfig struct {
 	NGroups         int           // pario subfile groups (default 1)
 	Backoff         time.Duration // base backoff, doubled per consecutive failure (default 10ms)
 
-	// Seed drives the backoff jitter deterministically. Every rank of a
-	// member passes the same seed, so the ranks draw identical delays and
-	// stay collectively in step, while co-scheduled members seeded
-	// differently spread their retries instead of thundering in lockstep.
+	// Seed drives the backoff jitter deterministically. Every rank passes
+	// the same seed, so the ranks draw identical delays and stay
+	// collectively in step.
 	Seed int64
-
-	// Member labels this run for fleet telemetry: when non-empty, every
-	// recovery.* counter is emitted twice — the plain series and the
-	// obs.Labeled `{member="..."}` series. (Fault-site scoping is separate:
-	// the esm.step/core.checkpoint sites consult the plan armed under the
-	// world's par.RunNamed member name.)
-	Member string
 
 	// OnCheckpoint, when non-nil, runs on every rank right after each
 	// checkpoint is captured, with e holding exactly the checkpointed state
-	// — the natural cadence for in-flight diagnostics (track fixes, spread
-	// inputs). The checkpoint's commit is still in flight: it is confirmed at
+	// — the natural cadence for in-flight diagnostics (track fixes, serving
+	// snapshots). The checkpoint's commit is still in flight: it is confirmed at
 	// the next checkpoint or at the end of the run, and one that fails is
 	// rolled back and replayed like any fault. It must be collective-safe:
 	// every rank calls it at the same step, so collective gathers
-	// (GlobalAtmPs, GlobalWind10m) are fine inside. Work re-done after a
-	// rollback re-invokes it for replayed checkpoints; callbacks must
-	// tolerate replayed steps.
+	// (GlobalAtmPs) are fine inside. Work re-done after a rollback
+	// re-invokes it for replayed checkpoints; callbacks must tolerate
+	// replayed steps.
 	OnCheckpoint func(e *ESM)
 }
 
@@ -148,9 +140,6 @@ func RunResilient(mk func() (*ESM, error), rc ResilientConfig) (*ESM, *Resilient
 			if err = settle(); err == nil {
 				rep.Steps = e.CouplingSteps()
 				e.obs.SetGauge("recovery.completed_steps", float64(rep.Steps))
-				if rc.Member != "" {
-					e.obs.SetGauge(obs.Labeled("recovery.completed_steps", "member", rc.Member), float64(rep.Steps))
-				}
 				return e, rep, nil
 			}
 		case e.CouplingSteps()%rc.CheckpointEvery == 0:
@@ -172,18 +161,16 @@ func RunResilient(mk func() (*ESM, error), rc ResilientConfig) (*ESM, *Resilient
 		_ = settle()
 		attempt++
 		ev := RecoveryEvent{Step: e.CouplingSteps(), Reason: err.Error(), Attempt: attempt}
-		e.countRecovery("recovery.rollbacks", rc.Member)
+		e.obs.AddCount("recovery.rollbacks", 1)
 		if attempt > rc.MaxRetries {
 			ev.Resumed = -1
 			rep.Recoveries = append(rep.Recoveries, ev)
-			e.countRecovery("recovery.giveups", rc.Member)
+			e.obs.AddCount("recovery.giveups", 1)
 			return e, rep, fmt.Errorf("core: giving up after %d recovery attempts: %w", attempt, err)
 		}
 		// Exponential backoff with deterministic jitter before retrying: the
-		// delay is drawn uniformly from [d/2, d] of the doubled base, so
-		// co-scheduled ensemble members (seeded differently) spread their
-		// retries instead of hammering the pool in lockstep, while the
-		// shared per-member seed keeps that member's ranks in step.
+		// delay is drawn uniformly from [d/2, d] of the doubled base, and the
+		// seed every rank shares keeps the ranks in step.
 		shift := attempt - 1
 		if shift > 6 {
 			shift = 6
@@ -206,23 +193,12 @@ func RunResilient(mk func() (*ESM, error), rc ResilientConfig) (*ESM, *Resilient
 	}
 }
 
-// countRecovery emits a recovery counter on the plain series and, when the
-// run is an ensemble member, on the obs.Labeled `{member="..."}` series.
-func (e *ESM) countRecovery(name, member string) {
-	e.obs.AddCount(name, 1)
-	if member != "" {
-		e.obs.AddCount(obs.Labeled(name, "member", member), 1)
-	}
-}
-
 // checkpointFault consults the "core.checkpoint" fault site at a checkpoint
-// boundary, scoped to the world's member name (like esm.step — fault scope
-// always follows the world, while rc.Member only labels telemetry). The
-// injected verdict is allreduced so a rank-targeted io-error rolls every
-// rank back together instead of desynchronizing the checkpoint.
+// boundary. The injected verdict is allreduced so a rank-targeted io-error
+// rolls every rank back together instead of desynchronizing the checkpoint.
 func (e *ESM) checkpointFault() error {
 	bad := 0.0
-	if f := fault.PointScoped(e.Comm.Member(), "core.checkpoint", e.Comm.Rank()); f != nil && f.Kind == fault.IOError {
+	if f := fault.Point("core.checkpoint", e.Comm.Rank()); f != nil && f.Kind == fault.IOError {
 		bad = 1
 	}
 	if e.Comm.Allreduce(bad, par.OpMax) != 0 {
@@ -322,13 +298,13 @@ func rollback(mk func() (*ESM, error), rc ResilientConfig, goodStep *int, prev *
 		return nil, fmt.Errorf("core: rebuilding model for rollback: %w", err)
 	}
 	if *goodStep < 0 {
-		prev.countRecovery("recovery.restarts_from_scratch", rc.Member)
+		prev.obs.AddCount("recovery.restarts_from_scratch", 1)
 		return fresh, nil
 	}
 	if rerr := fresh.ReadRestart(rc.Dir, rc.NGroups); rerr != nil {
 		// ReadRestart may have partially populated the model: rebuild again
 		// and fall back to the initial state.
-		prev.countRecovery("recovery.checkpoint_corrupt", rc.Member)
+		prev.obs.AddCount("recovery.checkpoint_corrupt", 1)
 		*goodStep = -1
 		fresh, err = mk()
 		if err != nil {
@@ -336,7 +312,7 @@ func rollback(mk func() (*ESM, error), rc ResilientConfig, goodStep *int, prev *
 		}
 		return fresh, nil
 	}
-	prev.countRecovery("recovery.restores", rc.Member)
+	prev.obs.AddCount("recovery.restores", 1)
 	return fresh, nil
 }
 

@@ -252,6 +252,44 @@ func TestRunResilientGivesUp(t *testing.T) {
 	})
 }
 
+// The chosen backoff is surfaced on the RecoveryEvent, lands inside
+// [base/2, base] of the doubled-per-attempt base, and is deterministic in
+// ResilientConfig.Seed — two runs with the same seed sleep identically, so
+// the ranks stay collectively in step.
+func TestRunResilientJitteredBackoff(t *testing.T) {
+	const base = 4 * time.Millisecond
+	run := func(seed int64) time.Duration {
+		plan, err := fault.Parse("nan@esm.step:5", 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fault.Arm(plan)
+		defer fault.Disarm()
+		var got time.Duration
+		par.Run(1, func(c *par.Comm) {
+			_, rep, err := RunResilient(mkESM(t, c), ResilientConfig{
+				Days: 8.0 / 180, CheckpointEvery: 4, MaxRetries: 3,
+				Dir: filepath.Join(t.TempDir(), "ck"), Backoff: base, Seed: seed,
+			})
+			if err != nil {
+				t.Fatalf("resilient run failed: %v", err)
+			}
+			if len(rep.Recoveries) != 1 {
+				t.Fatalf("recoveries %+v, want 1", rep.Recoveries)
+			}
+			got = rep.Recoveries[0].Backoff
+		})
+		return got
+	}
+	d1 := run(42)
+	if d1 < base/2 || d1 > base {
+		t.Fatalf("attempt-1 backoff %v outside [%v, %v]", d1, base/2, base)
+	}
+	if d2 := run(42); d2 != d1 {
+		t.Fatalf("same seed drew different delays: %v vs %v", d1, d2)
+	}
+}
+
 // healthClear is the fast path of Health: it must never clear a state
 // healthDiagnose would flag, and must clear a healthy model (or Health would
 // pay for both scans every step). Each guarded field is poked with values

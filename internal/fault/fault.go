@@ -26,13 +26,8 @@
 // hit is 1-based and counted per (site, rank), so multi-rank runs stay
 // deterministic: each rank sees its own call sequence.
 //
-// Plans arm at two levels. Arm installs the process-global plan (the
-// historical behaviour: ranks are goroutines in one process, so one plan
-// serves the whole miniature machine). ArmScoped installs a plan for one
-// named scope — an ensemble member world created with par.RunNamed — so
-// concurrent members each carry their own injection schedule; sites inside
-// a scoped world call PointScoped and consult the member's plan first, then
-// the global one.
+// Arm installs one process-global plan: ranks are goroutines in one
+// process, so one plan serves the whole miniature machine.
 package fault
 
 import (
@@ -99,9 +94,8 @@ func (in Injection) validate() error {
 
 // Plan is an armed schedule of injections plus the seeded RNG that makes
 // corruption positions reproducible. All methods are safe for concurrent use
-// by the rank goroutines — the RNG and the hit counters are guarded by one
-// mutex, so many member worlds can drive their own plans (and even share a
-// plan) inside one process without racing.
+// by the rank goroutines: the RNG and the hit counters are guarded by one
+// mutex.
 type Plan struct {
 	Seed int64
 
@@ -111,7 +105,6 @@ type Plan struct {
 	hits   map[string]int // "site|rank" -> Point calls seen
 	counts map[Kind]int
 	obs    Observer
-	member string // ensemble member label for the injected.* counters
 }
 
 // New builds a plan from explicit injections.
@@ -191,17 +184,6 @@ func (p *Plan) SetObserver(o Observer) {
 	p.mu.Unlock()
 }
 
-// SetMember attributes the plan's injections to an ensemble member: every
-// firing emits, next to the plain "fault.injected.<kind>" counter, the
-// labeled series `fault.injected.<kind>{member="<name>"}` (the canonical
-// obs.Labeled form, built locally so fault stays a leaf package), letting
-// fleet telemetry attribute faults to members.
-func (p *Plan) SetMember(name string) {
-	p.mu.Lock()
-	p.member = name
-	p.mu.Unlock()
-}
-
 // Counts returns how many times each kind has fired so far.
 func (p *Plan) Counts() map[Kind]int {
 	p.mu.Lock()
@@ -259,9 +241,6 @@ func (p *Plan) point(site string, rank int) *Fault {
 		p.counts[in.Kind]++
 		if p.obs != nil {
 			p.obs.AddCount("fault.injected."+string(in.Kind), 1)
-			if p.member != "" {
-				p.obs.AddCount("fault.injected."+string(in.Kind)+`{member="`+p.member+`"}`, 1)
-			}
 		}
 		return &Fault{Kind: in.Kind, Site: site, Rank: rank, Delay: in.Delay, plan: p}
 	}
@@ -274,132 +253,23 @@ func (p *Plan) randInt(n int) int {
 	return p.rng.Intn(n)
 }
 
-// armedSet is the immutable snapshot of every armed plan: the process-global
-// plan (the historical Arm/Disarm pair) plus the scope-keyed plans the
-// ensemble orchestrator arms per member world. Point loads one snapshot
-// atomically, so the disarmed fast path stays a single load and a nil check
-// while concurrent Arm/Disarm calls from member supervisors never race.
-type armedSet struct {
-	global *Plan
-	scoped map[string]*Plan
-}
+var armed atomic.Pointer[Plan]
 
-var (
-	armed atomic.Pointer[armedSet]
-	armMu sync.Mutex // serializes read-modify-write swaps of the snapshot
-)
+// Arm makes p the active process-global plan; a nil p disarms.
+func Arm(p *Plan) { armed.Store(p) }
 
-// rearm publishes a new snapshot under armMu; an empty snapshot is stored as
-// nil so the disarmed fast path keeps its shape.
-func rearm(mut func(next *armedSet)) {
-	armMu.Lock()
-	defer armMu.Unlock()
-	next := &armedSet{}
-	if cur := armed.Load(); cur != nil {
-		next.global = cur.global
-		next.scoped = make(map[string]*Plan, len(cur.scoped))
-		for k, v := range cur.scoped {
-			next.scoped[k] = v
-		}
-	}
-	mut(next)
-	if next.global == nil && len(next.scoped) == 0 {
-		armed.Store(nil)
-		return
-	}
-	armed.Store(next)
-}
+// Disarm deactivates the process-global plan.
+func Disarm() { armed.Store(nil) }
 
-// Arm makes p the active process-global plan: it matches every Point and
-// PointScoped call in the process.
-func Arm(p *Plan) { rearm(func(next *armedSet) { next.global = p }) }
-
-// Disarm deactivates the process-global plan; scoped plans stay armed.
-func Disarm() { rearm(func(next *armedSet) { next.global = nil }) }
-
-// Armed returns the active process-global plan, or nil.
-func Armed() *Plan {
-	s := armed.Load()
-	if s == nil {
-		return nil
-	}
-	return s.global
-}
-
-// ArmScoped arms p for one scope — an ensemble member world, identified by
-// the name its communicator was created with (par.RunNamed). Sites inside
-// that world consult the scoped plan first and then the global plan, so
-// per-member injection schedules coexist with a fleet-wide one. A nil p is
-// equivalent to DisarmScoped.
-func ArmScoped(scope string, p *Plan) {
-	if scope == "" {
-		Arm(p)
-		return
-	}
-	rearm(func(next *armedSet) {
-		if p == nil {
-			delete(next.scoped, scope)
-			return
-		}
-		if next.scoped == nil {
-			next.scoped = make(map[string]*Plan, 1)
-		}
-		next.scoped[scope] = p
-	})
-}
-
-// DisarmScoped withdraws the plan armed for one scope.
-func DisarmScoped(scope string) {
-	if scope == "" {
-		Disarm()
-		return
-	}
-	rearm(func(next *armedSet) { delete(next.scoped, scope) })
-}
-
-// ArmedScoped returns the plan armed for a scope, or nil.
-func ArmedScoped(scope string) *Plan {
-	s := armed.Load()
-	if s == nil {
-		return nil
-	}
-	return s.scoped[scope]
-}
-
-// Point is the injection hook compiled into fault sites that have no member
-// scope: it reports the fault scheduled for this call, or nil. rank is the
-// calling rank where known, AnyRank otherwise. With no plan armed this is
-// one atomic load.
+// Point is the injection hook compiled into fault sites: it reports the
+// fault scheduled for this call, or nil. rank is the calling rank where
+// known, AnyRank otherwise. With no plan armed this is one atomic load.
 func Point(site string, rank int) *Fault {
-	s := armed.Load()
-	if s == nil || s.global == nil {
+	p := armed.Load()
+	if p == nil {
 		return nil
 	}
-	return s.global.point(site, rank)
-}
-
-// PointScoped is the injection hook for sites that know which member world
-// they run inside (scope "" means none — the plain Point behaviour). The
-// scoped plan is consulted first; when it schedules nothing for this call
-// the global plan is consulted next, so both see and count the call — each
-// plan's hit counters advance independently, keeping per-member schedules
-// deterministic regardless of what the fleet-wide plan does.
-func PointScoped(scope, site string, rank int) *Fault {
-	s := armed.Load()
-	if s == nil {
-		return nil
-	}
-	if scope != "" {
-		if p := s.scoped[scope]; p != nil {
-			if f := p.point(site, rank); f != nil {
-				return f
-			}
-		}
-	}
-	if s.global == nil {
-		return nil
-	}
-	return s.global.point(site, rank)
+	return p.point(site, rank)
 }
 
 // Fault is one firing injection, handed to the site that must enact it.

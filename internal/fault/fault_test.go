@@ -3,6 +3,7 @@ package fault
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -158,5 +159,74 @@ func TestObserverCounters(t *testing.T) {
 	Point("s", 0)
 	if o.got["fault.injected.nan"] != 1 {
 		t.Errorf("observer counts %v", o.got)
+	}
+}
+
+type lockedObs struct {
+	mu sync.Mutex
+	n  map[string]int64
+}
+
+func (o *lockedObs) AddCount(name string, d int64) {
+	o.mu.Lock()
+	if o.n == nil {
+		o.n = make(map[string]int64)
+	}
+	o.n[name] += d
+	o.mu.Unlock()
+}
+
+// The -race lap of the plan's goroutine safety: rank goroutines hammer the
+// one armed plan concurrently — Point hits, the seeded RNG behind Corrupt,
+// Counts snapshots and Arm swaps all race against each other unless the
+// plan's mutex and the atomic pointer hold.
+func TestPlanConcurrentUse(t *testing.T) {
+	defer Disarm()
+	p, err := New(11,
+		Injection{Kind: Bitflip, Site: "pario.write", Hit: 3, Rank: AnyRank, Repeat: true},
+		Injection{Kind: Stall, Site: "par.send", Hit: 5, Rank: AnyRank, Repeat: true, Delay: time.Microsecond},
+		Injection{Kind: NaN, Site: "esm.step", Hit: 2, Rank: AnyRank, Repeat: true},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ob := &lockedObs{}
+	p.SetObserver(ob)
+	Arm(p)
+
+	const workers = 8
+	const iters = 400
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			buf := make([]byte, 64)
+			for i := 0; i < iters; i++ {
+				if f := Point("pario.write", w); f != nil {
+					f.Corrupt(buf)
+				}
+				if f := Point("par.send", w); f != nil {
+					f.Sleep()
+				}
+				Point("esm.step", w)
+				if i%64 == 0 {
+					p.Counts()
+					Arm(p)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	// Counters are per (site, rank), so every rank sees the same schedule.
+	got := p.Counts()
+	want := map[Kind]int{Bitflip: workers * (iters / 3), Stall: workers * (iters / 5), NaN: workers * (iters / 2)}
+	for k, n := range want {
+		if got[k] != n {
+			t.Errorf("%s fired %d times, want %d", k, got[k], n)
+		}
+	}
+	if ob.n["fault.injected.nan"] != int64(want[NaN]) {
+		t.Errorf("observer saw %d nan injections, want %d", ob.n["fault.injected.nan"], want[NaN])
 	}
 }

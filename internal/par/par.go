@@ -157,11 +157,6 @@ type commState struct {
 	// a silent deadlock (the stall-detection diagnostic).
 	wmu     sync.Mutex
 	waiting map[int]string
-
-	// member is the ensemble member label this world runs for ("" outside
-	// an ensemble): it scopes the fault-injection sites to the member's
-	// plan and attributes timeout blame dumps and counters to the member.
-	member string
 }
 
 func (cs *commState) setWaiting(rank int, desc string) {
@@ -232,31 +227,14 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks in the communicator.
 func (c *Comm) Size() int { return c.state.size }
 
-// Member returns the ensemble member label of the world this communicator
-// belongs to ("" outside a RunNamed world).
-func (c *Comm) Member() string { return c.state.member }
-
 // Run launches n ranks, each executing body with its world communicator, and
 // waits for all of them to finish. Panics in a rank are re-raised in the
 // caller so test failures surface.
-func Run(n int, body func(c *Comm)) { RunNamed(n, "", body) }
-
-// RunNamed is Run for a named member world: the ensemble orchestrator runs
-// each member attempt in its own world tagged with the member's label, which
-// (1) scopes the fault-injection sites inside the world to the member's
-// ArmScoped plan, (2) stamps TimeoutError blame dumps with the member, and
-// (3) names the communicator "world[<name>]" so who-waits diagnostics
-// identify the member. An empty name degenerates to Run exactly.
-func RunNamed(n int, name string, body func(c *Comm)) {
+func Run(n int, body func(c *Comm)) {
 	if n <= 0 {
 		panic(fmt.Sprintf("par: Run with non-positive size %d", n))
 	}
-	id := "world"
-	if name != "" {
-		id = "world[" + name + "]"
-	}
-	cs := newCommState(n, id)
-	cs.member = name
+	cs := newCommState(n, "world")
 	var wg sync.WaitGroup
 	panics := make([]any, n)
 	for r := 0; r < n; r++ {
@@ -290,11 +268,10 @@ func SendF64(c *Comm, dst int, tag int, data []float64) {
 		panic(fmt.Sprintf("par: SendF64 to invalid rank %d (size %d)", dst, c.state.size))
 	}
 	c.countP2PF64(&c.stats.SendMsgs, &c.stats.SendBytes, "par.send.msgs", "par.send.bytes", len(data))
-	if f := fault.PointScoped(c.state.member, "par.send", c.rank); f != nil && f.Kind == fault.Stall {
+	if f := fault.Point("par.send", c.rank); f != nil && f.Kind == fault.Stall {
 		// The message is lost in flight. Nothing on the receiving side times
-		// out: the receiver blocks, and the stall surfaces as the blocked
-		// rank in a BarrierTimeout who-waits dump or as the ensemble's
-		// wall-clock deadline expiring on the member.
+		// out: the receiver blocks, and the stall surfaces only as the
+		// blocked rank in a BarrierTimeout who-waits dump.
 		f.Sleep()
 		if c.obs != nil {
 			c.obs.AddCount("par.send.dropped", 1)
@@ -416,7 +393,6 @@ func (c *Comm) Split(color, key int) *Comm {
 				return es[i].rank < es[j].rank
 			})
 			st := newCommState(len(es), fmt.Sprintf("%s/split%d", cs.id, color))
-			st.member = cs.member
 			g.result[color] = st
 			m := make(map[int]int, len(es))
 			for newRank, e := range es {

@@ -13,43 +13,29 @@ import (
 // counts the event on the observer ("par.timeout.*").
 
 // TimeoutError reports a blocking operation that expired. WhoWaits is the
-// communicator-wide stall diagnostic at expiry time; Member is the ensemble
-// member label of the world the operation ran in ("" outside an ensemble),
-// so fleet telemetry attributes the stall to a member.
+// communicator-wide stall diagnostic at expiry time.
 type TimeoutError struct {
 	Op       string        // the operation that expired, e.g. "BarrierTimeout(40ms)"
 	Comm     string        // communicator id
 	Rank     int           // the rank that timed out
-	Member   string        // ensemble member label, "" outside a RunNamed world
 	Waited   time.Duration // the deadline that elapsed
 	WhoWaits string        // blocked ranks at expiry, "rank N: op; ..."
 }
 
 func (e *TimeoutError) Error() string {
-	if e.Member != "" {
-		return fmt.Sprintf("par: %s on rank %d of %s (member %s) timed out after %v [%s]",
-			e.Op, e.Rank, e.Comm, e.Member, e.Waited, e.WhoWaits)
-	}
 	return fmt.Sprintf("par: %s on rank %d of %s timed out after %v [%s]",
 		e.Op, e.Rank, e.Comm, e.Waited, e.WhoWaits)
 }
 
 func (c *Comm) timeout(op string, d time.Duration, counter string) *TimeoutError {
-	member := c.state.member
 	if c.obs != nil {
 		c.obs.AddCount(counter, 1)
 		c.obs.AddCount("par.timeout.total", 1)
-		if member != "" {
-			// The canonical obs.Labeled form, built locally because par may
-			// not import obs (obs reduces across par communicators).
-			c.obs.AddCount(counter+`{member="`+member+`"}`, 1)
-		}
 	}
 	return &TimeoutError{
 		Op:       op,
 		Comm:     c.state.id,
 		Rank:     c.rank,
-		Member:   member,
 		Waited:   d,
 		WhoWaits: c.state.whoWaits(),
 	}

@@ -89,42 +89,3 @@ func TestTimeoutCounters(t *testing.T) {
 		t.Errorf("counters %v", o.counts)
 	}
 }
-
-// A member world's timeouts carry the member label: in the error struct, in
-// its message, and as a labeled counter series next to the plain one.
-func TestTimeoutMemberAttribution(t *testing.T) {
-	o := &timeoutObs{counts: make(map[string]int64)}
-	RunNamed(2, "m03", func(c *Comm) {
-		if c.Member() != "m03" {
-			t.Errorf("Member() = %q inside RunNamed world", c.Member())
-		}
-		if c.Rank() != 0 {
-			return
-		}
-		c.SetObserver(o)
-		err := c.BarrierTimeout(10 * time.Millisecond)
-		var te *TimeoutError
-		if !errors.As(err, &te) {
-			t.Fatalf("got %v", err)
-		}
-		if te.Member != "m03" {
-			t.Errorf("TimeoutError.Member = %q, want m03", te.Member)
-		}
-		if !strings.Contains(te.Error(), "member m03") || !strings.Contains(te.Error(), "world[m03]") {
-			t.Errorf("message %q does not attribute the member", te.Error())
-		}
-	})
-	if o.counts[`par.timeout.barrier{member="m03"}`] != 1 || o.counts["par.timeout.barrier"] != 1 {
-		t.Errorf("labeled timeout counters %v", o.counts)
-	}
-}
-
-// Sub-communicators produced by Split inherit the member world's label.
-func TestSplitInheritsMember(t *testing.T) {
-	RunNamed(4, "m11", func(c *Comm) {
-		sub := c.Split(c.Rank()%2, c.Rank())
-		if sub.Member() != "m11" {
-			t.Errorf("split communicator lost the member label: %q", sub.Member())
-		}
-	})
-}

@@ -40,8 +40,8 @@ func TestRegistryCollisionAndDoubleRegistration(t *testing.T) {
 }
 
 // Registered kernels launched on an instrumented space report per-kernel
-// counts to that space's observer — the per-world accounting path used by
-// concurrent ensemble members, which cannot share the registry observer.
+// counts to that space's observer — the per-model accounting path the
+// coupled model uses (core wraps its space with pp.Instrument).
 func TestLaunchCountsOnInstrumentedSpace(t *testing.T) {
 	regObs, spObs := newRecordObserver(), newRecordObserver()
 	reg := NewRegistry()

@@ -95,9 +95,8 @@ func (r *Registry) MustRegister(name string, k Kernel) uint64 {
 
 // Launch dispatches the kernel registered under hash h on space s. The
 // per-kernel count goes to the registry's observer (if set) and, when s is
-// an Instrumented space, to that space's observer as well — so per-world
-// accounting works without sharing a global observer across concurrent
-// ensemble members.
+// an Instrumented space, to that space's observer as well — so a model's
+// launches are counted on its own observer without a registry-wide one.
 func (r *Registry) Launch(h uint64, s Space, args any) error {
 	r.mu.RLock()
 	e, ok := r.byHash[h]

@@ -180,20 +180,11 @@ func FindCenter(m *atmos.Model, at time.Time, searchKm float64) (Fix, error) {
 // FindCenterNear locates the storm as the minimum surface pressure within
 // windowKm of a previous fix — the standard tracker practice that keeps the
 // tracker locked on the storm when deeper synoptic lows exist elsewhere on
-// the globe. Valid only when the model's fields are globally live (replicated
-// runs); decomposed runs must assemble global fields collectively and call
-// FindCenterNearFields.
+// the globe. Valid only when the model's fields are globally live
+// (replicated runs).
 func FindCenterNear(m *atmos.Model, at time.Time, prev Fix, windowKm, searchKm float64) (Fix, error) {
+	mesh, ps := m.Mesh, m.Ps
 	u, v := m.Wind10m()
-	return FindCenterNearFields(m.Mesh, m.Ps, u, v, at, prev, windowKm, searchKm)
-}
-
-// FindCenterNearFields is FindCenterNear on pre-assembled global fields: ps
-// on cells, (u, v) the 10 m wind components on cells. It has no model
-// dependency, so an ensemble driver can gather the globals once (e.g. via
-// core.GlobalAtmPs / core.GlobalWind10m under atmosphere decomposition) and
-// track on rank 0 without touching stale halo cells.
-func FindCenterNearFields(mesh *grid.IcosMesh, ps, u, v []float64, at time.Time, prev Fix, windowKm, searchKm float64) (Fix, error) {
 	pcen := grid.FromLonLat(prev.LonDeg*math.Pi/180, prev.LatDeg*math.Pi/180)
 	window := windowKm * 1000 / grid.EarthRadius
 	best, at2 := math.Inf(1), -1
