@@ -10,12 +10,15 @@
 # resilient rollback lap, and a smoke lap of the repo's one benchmark (bench/:
 # every workload path once plus its own tests, no measurement — to measure,
 # run bench/run.sh as bench/README.md describes) and of every package
-# benchmark (one iteration each).
+# benchmark (one iteration each). Outside check: `make footprint` prints the
+# ladder's memory column, the live heap per atmosphere cell of each rung's
+# assembled model after one step, and `make profile` / `make bench-atmos`
+# say where the time goes.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race race-par race-resilient budget budget-rad budget-dycore fuzz resilient check bench-smoke bench-atmos profile clean
+.PHONY: all build vet test race race-par race-resilient budget budget-rad budget-dycore fuzz resilient check bench-smoke bench-atmos profile footprint clean
 
 all: check
 
@@ -105,6 +108,14 @@ profile:
 	    done ) && \
 	  $(GO) tool pprof -top -nodecount=15 "$$dir/ap3esm" "$$dir"/cpu[1-5].prof; \
 	  rc=$$?; rm -rf "$$dir"; exit $$rc; }
+
+# The ladder's memory column: BenchmarkAssemble's B/cell, the live heap of
+# each rung's model after assembly plus one step over its atmosphere cell
+# count. Live heap is deterministic to a few bytes, so one pass is enough.
+# Not part of check: bench-smoke already runs the benchmark once.
+footprint:
+	out=$$($(GO) test ./internal/core -run '^$$' -bench '^BenchmarkAssemble$$' -benchtime 1x) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | awk '/B\/cell/ { sub(/^BenchmarkAssemble\//, "", $$1); sub(/-[0-9]+$$/, "", $$1); printf "%-6s %6d B/cell\n", $$1, $$5 }'
 
 # The atmosphere's sizing benchmark (internal/atmos/step_bench_test.go): a
 # whole model step and the sweeps the dycore's layout work moves — the four

@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"runtime/pprof"
 	"time"
@@ -43,8 +44,9 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run loop (all ranks, model assembly and reports excluded) to this file")
 	flag.Parse()
 
-	if *ranks < 1 {
-		log.Fatalf("-ranks must be at least 1, got %d", *ranks)
+	length, err := checkFlags(*days, *ranks, *ckEvery, *maxRetries, *auditGate)
+	if err != nil {
+		log.Fatal(err)
 	}
 	cfg, err := core.ConfigForLabel(*label)
 	if err != nil {
@@ -88,7 +90,7 @@ func main() {
 	}
 
 	start := time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC)
-	stop := start.Add(time.Duration(*days * 24 * float64(time.Hour)))
+	stop := start.Add(length)
 
 	fmt.Printf("AP3ESM %s (stands for %d km atm / %d km ocn): atm icos level %d, ocean %dx%dx%d, %d ranks, %s backend, %v, %s schedule\n",
 		cfg.Label, cfg.PaperAtmKm, cfg.PaperOcnKm, cfg.AtmLevel,
@@ -211,6 +213,31 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+}
+
+// maxDays is the longest run a time.Duration holds, in whole days.
+const maxDays = math.MaxInt64 / int64(24*time.Hour)
+
+// checkFlags rejects the numeric flag values no run can honour, naming the
+// flag, and returns the run's length: -days must be a positive span a
+// time.Duration holds, -ranks at least 1, and -checkpoint-every,
+// -max-retries and -audit-gate not negative, 0 keeping its documented
+// meaning.
+func checkFlags(days float64, ranks, ckEvery, maxRetries int, auditGate float64) (time.Duration, error) {
+	ns := days * 24 * float64(time.Hour)
+	switch {
+	case !(ns >= 1 && days <= float64(maxDays)): // NaN fails both
+		return 0, fmt.Errorf("-days must be between one nanosecond and %d days, got %v", maxDays, days)
+	case ranks < 1:
+		return 0, fmt.Errorf("-ranks must be at least 1, got %d", ranks)
+	case ckEvery < 0:
+		return 0, fmt.Errorf("-checkpoint-every must be 0 (off) or positive, got %d", ckEvery)
+	case maxRetries < 0:
+		return 0, fmt.Errorf("-max-retries must be 0 or positive, got %d", maxRetries)
+	case !(auditGate >= 0): // NaN too
+		return 0, fmt.Errorf("-audit-gate must be 0 (report only) or positive, got %v", auditGate)
+	}
+	return time.Duration(ns), nil
 }
 
 // startCPUProfile begins one CPU profile for every rank goroutine once all

@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -47,8 +48,10 @@ func main() {
 	if *store == "" {
 		log.Fatal("need -store DIR")
 	}
-	if *live && *ranks < 1 {
-		log.Fatalf("-ranks must be at least 1, got %d", *ranks)
+	if *live {
+		if err := checkLiveFlags(*days, *ranks, *ckEvery); err != nil {
+			log.Fatal(err)
+		}
 	}
 	sink, err := obs.OpenSink(*obsSpec)
 	if err != nil {
@@ -107,6 +110,24 @@ func main() {
 			log.Fatal(err)
 		}
 	}
+}
+
+// maxDays is the longest run a time.Duration holds, in whole days.
+const maxDays = math.MaxInt64 / int64(24*time.Hour)
+
+// checkLiveFlags rejects the -live flag values no run can honour, naming the
+// flag, before the store is created: -days must be a positive span a
+// time.Duration holds, -ranks and -checkpoint-every at least 1.
+func checkLiveFlags(days float64, ranks, ckEvery int) error {
+	switch ns := days * 24 * float64(time.Hour); {
+	case !(ns >= 1 && days <= float64(maxDays)): // NaN fails both
+		return fmt.Errorf("-days must be between one nanosecond and %d days, got %v", maxDays, days)
+	case ranks < 1:
+		return fmt.Errorf("-ranks must be at least 1, got %d", ranks)
+	case ckEvery < 1:
+		return fmt.Errorf("-checkpoint-every must be at least 1, got %d", ckEvery)
+	}
+	return nil
 }
 
 // runLive starts the coupled run on a background goroutine, ingesting every

@@ -177,13 +177,14 @@ func TestWindSpeedBound(t *testing.T) {
 	}
 	for c := 0; c < mesh.NCells(); c++ {
 		clear(m.U)
-		for i, e := range mesh.EdgesOnCell[c] {
+		lo, hi := mesh.Slots(c)
+		for slot := lo; slot < hi; slot++ {
 			s := 1.0
-			if m.recon.weights[c][i].Dot(m.recon.east[c]) < 0 {
+			if m.recon.weight(slot).Dot(m.recon.east[c]) < 0 {
 				s = -1
 			}
 			for k := 0; k < m.NLev; k++ {
-				m.U[m.Idx(e, k)] = 250 * s
+				m.U[m.Idx(int(mesh.SlotEdge[slot]), k)] = 250 * s
 			}
 		}
 		check(fmt.Sprintf("field aimed at cell %d", c))

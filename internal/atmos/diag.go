@@ -162,7 +162,7 @@ func (m *Model) SurfaceVorticity() []float64 {
 	for v := 0; v < nv; v++ {
 		var circ float64
 		for j := 0; j < 3; j++ {
-			e := mesh.EdgesOnVertex[v][j]
+			e := int(mesh.EdgesOnVertex[v][j])
 			circ += float64(mesh.EdgeSignOnVtx[v][j]) * m.U[m.Idx(e, kb)] * mesh.Dc[e] * re
 		}
 		vortV[v] = circ / (mesh.AreaDual[v] * re * re)

@@ -123,8 +123,8 @@ func (r *parentStepper) dynamicsSubstep(dt float64) {
 		}
 	})
 	r.forCompEdges(func(e int) {
-		c1, c2 := mesh.CellsOnEdge[e][0], mesh.CellsOnEdge[e][1]
-		v1, v2 := mesh.VerticesOnEdge[e][0], mesh.VerticesOnEdge[e][1]
+		c1, c2 := int(mesh.CellsOnEdge[e][0]), int(mesh.CellsOnEdge[e][1])
+		v1, v2 := int(mesh.VerticesOnEdge[e][0]), int(mesh.VerticesOnEdge[e][1])
 		psd := lnPs[c2] - lnPs[c1]
 		t := r.tan[e]
 		for k := 0; k < nlev; k++ {
@@ -141,15 +141,15 @@ func (r *parentStepper) dynamicsSubstep(dt float64) {
 		var sum float64
 		for k := 0; k < nlev; k++ {
 			uLvl := r.u[k*ne : (k+1)*ne]
-			for j, e := range mesh.EdgesOnCell[c] {
-				sign := float64(mesh.EdgeSignOnCell[c][j])
+			for j, e := range mesh.EdgesOnCell(c) {
+				sign := float64(mesh.EdgeSignOnCell(c)[j])
 				u := uLvl[e]
 				// Upwind surface pressure.
 				var psUp float64
 				if sign*u >= 0 {
 					psUp = m.Ps[c]
 				} else {
-					psUp = m.Ps[mesh.CellsOnCell[c][j]]
+					psUp = m.Ps[int(mesh.CellsOnCell(c)[j])]
 				}
 				sum += sign * u * psUp * m.DSig[k] * mesh.Dv[e] * re
 			}
@@ -157,7 +157,7 @@ func (r *parentStepper) dynamicsSubstep(dt float64) {
 		dpsDt[c] = -sum / (mesh.AreaCell[c] * re * re)
 	})
 	r.forCompEdges(func(e int) {
-		c1, c2 := mesh.CellsOnEdge[e][0], mesh.CellsOnEdge[e][1]
+		c1, c2 := int(mesh.CellsOnEdge[e][0]), int(mesh.CellsOnEdge[e][1])
 		for k := 0; k < nlev; k++ {
 			u := r.u[k*ne+e]
 			var psUp float64
@@ -190,13 +190,15 @@ func (r *parentStepper) keDivLevel(c, k int) {
 	kn := k * mesh.NEdges()
 	re := grid.EarthRadius
 	var vx, vy, vz, d float64
-	for j, e := range mesh.EdgesOnCell[c] {
+	lo, hi := mesh.Slots(c)
+	for s := lo; s < hi; s++ {
+		e := int(mesh.SlotEdge[s])
 		uE := r.u[kn+e]
-		w := m.recon.weights[c][j]
+		w := m.recon.weight(s)
 		vx += w.X * uE
 		vy += w.Y * uE
 		vz += w.Z * uE
-		d += float64(mesh.EdgeSignOnCell[c][j]) * mesh.Dv[e] * uE * re
+		d += float64(mesh.SlotSign[s]) * mesh.Dv[e] * uE * re
 	}
 	ic := k*mesh.NCells() + c
 	r.vcx[ic], r.vcy[ic], r.vcz[ic] = vx, vy, vz
@@ -210,7 +212,7 @@ func (r *parentStepper) vortLevel(v, k int) {
 	re := grid.EarthRadius
 	var circ float64
 	for j, e := range mesh.EdgesOnVertex[v] {
-		circ += float64(mesh.EdgeSignOnVtx[v][j]) * mesh.Dc[e] * r.u[kn+e] * re
+		circ += float64(mesh.EdgeSignOnVtx[v][j]) * mesh.Dc[e] * r.u[kn+int(e)] * re
 	}
 	r.vort[k*mesh.NVertices()+v] = circ / r.dualRR[v]
 }
@@ -304,14 +306,14 @@ func (r *parentStepper) transport(x, psOld, out []float64) {
 		hdiv := make([]float64, nlev) // accumulated mass divergence per level (kg)
 		for k := 0; k < nlev; k++ {
 			dContent[k], hdiv[k] = 0, 0
-			for j, e := range mesh.EdgesOnCell[c] {
-				sign := float64(mesh.EdgeSignOnCell[c][j])
-				fm := sign * r.fluxEdge[k*ne+e] // kg leaving through e if > 0
+			for j, e := range mesh.EdgesOnCell(c) {
+				sign := float64(mesh.EdgeSignOnCell(c)[j])
+				fm := sign * r.fluxEdge[k*ne+int(e)] // kg leaving through e if > 0
 				var xUp float64
 				if fm >= 0 {
 					xUp = x[k*nc+c]
 				} else {
-					xUp = x[k*nc+mesh.CellsOnCell[c][j]]
+					xUp = x[k*nc+int(mesh.CellsOnCell(c)[j])]
 				}
 				dContent[k] -= fm * xUp
 				hdiv[k] -= fm

@@ -268,7 +268,8 @@ func (s *dyScratch) contEdge(i int) {
 	m := s.m
 	g := s.geo
 	nlev := g.nlev
-	ps1, ps2 := m.Ps[g.ec1[e]], m.Ps[g.ec2[e]]
+	ce := &g.mesh.CellsOnEdge[e]
+	ps1, ps2 := m.Ps[ce[0]], m.Ps[ce[1]]
 	dvm, dtG := m.Mesh.Dv[e]*g.re, s.eg.dtG
 	dsig := m.DSig[:nlev]
 	u := m.U[e*nlev : (e+1)*nlev][:len(dsig)]
@@ -294,9 +295,9 @@ func (s *dyScratch) contCell(i int) {
 	c := at(s.owned, i)
 	m := s.m
 	g := s.geo
-	lo, hi := g.ceStart[c], g.ceStart[c+1]
-	edges := g.ceEdge[lo:hi]
-	sgn := g.sgn[lo:hi][:len(edges)]
+	lo, hi := g.mesh.Slots(c)
+	edges := g.mesh.SlotEdge[lo:hi]
+	sgn := g.mesh.SlotSign[lo:hi][:len(edges)]
 	total := s.newU[:g.ne]
 	var sum float64
 	for j, e := range edges {
@@ -422,10 +423,10 @@ func (s *dyScratch) transport2(i int) {
 	for k := range dTh {
 		dTh[k], dQv[k], hdiv[k] = 0, 0, 0
 	}
-	lo, hi := g.ceStart[c], g.ceStart[c+1]
-	edges := g.ceEdge[lo:hi]
-	nbrs := g.ceNbr[lo:hi][:len(edges)]
-	sgn := g.sgn[lo:hi][:len(edges)]
+	lo, hi := g.mesh.Slots(c)
+	edges := g.mesh.SlotEdge[lo:hi]
+	nbrs := g.mesh.SlotCell[lo:hi][:len(edges)]
+	sgn := g.mesh.SlotSign[lo:hi][:len(edges)]
 	theta, newTheta, newQv := s.tracerFields()
 	th := theta[c*nlev : (c+1)*nlev][:nlev]
 	qv := m.Qv[c*nlev : (c+1)*nlev][:nlev]
@@ -603,7 +604,7 @@ func (m *Model) physicsStep(dt float64) {
 	kB := nlev - 1
 	m.sweep(s.comp, ne, func(i int) {
 		e := at(s.comp, i)
-		c1, c2 := mesh.CellsOnEdge[e][0], mesh.CellsOnEdge[e][1]
+		c1, c2 := int(mesh.CellsOnEdge[e][0]), int(mesh.CellsOnEdge[e][1])
 		n := m.recon.normal3[e]
 		add := func(c int) float64 {
 			vec := m.recon.east[c].Scale(duCell[c]).Add(m.recon.north[c].Scale(dvCell[c]))

@@ -30,31 +30,25 @@ var (
 	hAtmMomentum = pp.Kernels.MustRegister("atm.momentum", atmMomentumKernel)
 )
 
-// atmGeom is the mesh geometry the kernels read, flattened out of the
-// reconstructor and IcosMesh ragged arrays into contiguous per-slot tables
-// so the inner loops index raw storage, with every factor a loop would apply
-// per iteration folded in: the signed metric lengths carry the Earth radius,
-// the areas are reciprocals, and the edge tangent carries the ½ of the
-// two-cell mean (a power of two, so that fold is exact).
+// atmGeom is the mesh metric the kernels read, with every factor a loop
+// would apply per iteration folded in: the signed metric lengths carry the
+// Earth radius, the areas are reciprocals, and the edge tangent carries the
+// ½ of the two-cell mean (a power of two, so that fold is exact). It holds
+// float tables only; the kernels index them through the mesh's own int32
+// topology (cell slots, edge pairs, vertex triples), read in place.
 type atmGeom struct {
+	mesh             *grid.IcosMesh
 	nc, ne, nv, nlev int
 	re               float64
 
-	// Cell sweeps: ragged EdgesOnCell flattened to [ceStart[c], ceStart[c+1]).
-	ceStart    []int32   // [nc+1]
-	ceEdge     []int32   // per slot: edge index
-	ceNbr      []int32   // per slot: the cell across that edge
-	sgn        []int8    // per slot: ±1, +1 where the edge normal points out of the cell
-	wX, wY, wZ []float64 // per slot: reconstruction weight vector
-	sdv        []float64 // per slot: sign·Dv·re
+	// Cell sweeps, per IcosMesh slot.
+	wX, wY, wZ []float64 // reconstruction weight vector, the reconstructor's own tables
+	sdv        []float64 // sign·Dv·re
 	areaRR     []float64 // per cell: 1/((AreaCell·re)·re)
 	// Vertex sweeps: fixed degree 3.
-	veEdge []int32   // [3*nv]
 	sdc    []float64 // [3*nv]: sign·Dc·re
 	dualRR []float64 // per vertex: 1/((AreaDual·re)·re)
 	// Edge sweeps.
-	ec1, ec2   []int32   // cells on edge
-	ev1, ev2   []int32   // vertices on edge
 	tX, tY, tZ []float64 // half the edge tangent, ½·(mid × n̂) (ẑ×n̂ direction)
 }
 
@@ -88,50 +82,27 @@ func (eg *edgeGeomF) bindStep(dt, div4, kh float64) {
 func newAtmGeomF(mesh *grid.IcosMesh, r *reconstructor, nlev int) (*atmGeom, *edgeGeomF) {
 	nc, ne, nv := mesh.NCells(), mesh.NEdges(), mesh.NVertices()
 	re := grid.EarthRadius
-	g := &atmGeom{nc: nc, ne: ne, nv: nv, nlev: nlev, re: re}
+	g := &atmGeom{mesh: mesh, nc: nc, ne: ne, nv: nv, nlev: nlev, re: re,
+		wX: r.wX, wY: r.wY, wZ: r.wZ}
 
-	g.ceStart = make([]int32, nc+1)
-	for c := 0; c < nc; c++ {
-		g.ceStart[c+1] = g.ceStart[c] + int32(len(mesh.EdgesOnCell[c]))
+	g.sdv = make([]float64, len(mesh.SlotEdge))
+	for s, e := range mesh.SlotEdge {
+		g.sdv[s] = float64(mesh.SlotSign[s]) * mesh.Dv[e] * re
 	}
-	nslot := int(g.ceStart[nc])
-	g.ceEdge = make([]int32, nslot)
-	g.ceNbr = make([]int32, nslot)
-	g.sgn = make([]int8, nslot)
-	g.wX = make([]float64, nslot)
-	g.wY = make([]float64, nslot)
-	g.wZ = make([]float64, nslot)
-	g.sdv = make([]float64, nslot)
 	g.areaRR = make([]float64, nc)
-	for c := 0; c < nc; c++ {
-		o := int(g.ceStart[c])
-		for j, e := range mesh.EdgesOnCell[c] {
-			g.ceEdge[o+j] = int32(e)
-			g.ceNbr[o+j] = int32(mesh.CellsOnCell[c][j])
-			g.sgn[o+j] = int8(mesh.EdgeSignOnCell[c][j])
-			w := r.weights[c][j]
-			g.wX[o+j], g.wY[o+j], g.wZ[o+j] = w.X, w.Y, w.Z
-			g.sdv[o+j] = float64(mesh.EdgeSignOnCell[c][j]) * mesh.Dv[e] * re
-		}
+	for c := range g.areaRR {
 		g.areaRR[c] = 1 / (mesh.AreaCell[c] * re * re)
 	}
 
-	g.veEdge = make([]int32, 3*nv)
 	g.sdc = make([]float64, 3*nv)
 	g.dualRR = make([]float64, nv)
 	for v := 0; v < nv; v++ {
-		for j := 0; j < 3; j++ {
-			e := mesh.EdgesOnVertex[v][j]
-			g.veEdge[3*v+j] = int32(e)
+		for j, e := range mesh.EdgesOnVertex[v] {
 			g.sdc[3*v+j] = float64(mesh.EdgeSignOnVtx[v][j]) * mesh.Dc[e] * re
 		}
 		g.dualRR[v] = 1 / (mesh.AreaDual[v] * re * re)
 	}
 
-	g.ec1 = make([]int32, ne)
-	g.ec2 = make([]int32, ne)
-	g.ev1 = make([]int32, ne)
-	g.ev2 = make([]int32, ne)
 	g.tX = make([]float64, ne)
 	g.tY = make([]float64, ne)
 	g.tZ = make([]float64, ne)
@@ -142,10 +113,6 @@ func newAtmGeomF(mesh *grid.IcosMesh, r *reconstructor, nlev int) (*atmGeom, *ed
 		damp: make([]float64, ne),
 	}
 	for e := 0; e < ne; e++ {
-		g.ec1[e] = int32(mesh.CellsOnEdge[e][0])
-		g.ec2[e] = int32(mesh.CellsOnEdge[e][1])
-		g.ev1[e] = int32(mesh.VerticesOnEdge[e][0])
-		g.ev2[e] = int32(mesh.VerticesOnEdge[e][1])
 		t := mesh.EdgeMidpoint[e].Cross(r.normal3[e])
 		g.tX[e], g.tY[e], g.tZ[e] = 0.5*t.X, 0.5*t.Y, 0.5*t.Z
 		eg.rdcm[e] = 1 / (mesh.Dc[e] * re)
@@ -202,8 +169,8 @@ func (a *keDivArgs) cell(i int) {
 	c := at(a.cells, i)
 	g := a.g
 	nlev := g.nlev
-	lo, hi := g.ceStart[c], g.ceStart[c+1]
-	edges := g.ceEdge[lo:hi]
+	lo, hi := g.mesh.Slots(c)
+	edges := g.mesh.SlotEdge[lo:hi]
 	wX, wY, wZ, sdv := g.wX[lo:hi], g.wY[lo:hi], g.wZ[lo:hi], g.sdv[lo:hi]
 	wX, wY, wZ, sdv = wX[:len(edges)], wY[:len(edges)], wZ[:len(edges)], sdv[:len(edges)]
 	rArea := g.areaRR[c]
@@ -274,7 +241,8 @@ func (a *vortArgs) vertex(i int) {
 	v := at(a.verts, i)
 	g := a.g
 	nlev := g.nlev
-	e0, e1, e2 := int(g.veEdge[3*v]), int(g.veEdge[3*v+1]), int(g.veEdge[3*v+2])
+	ve := &g.mesh.EdgesOnVertex[v]
+	e0, e1, e2 := int(ve[0]), int(ve[1]), int(ve[2])
 	s0, s1, s2 := g.sdc[3*v], g.sdc[3*v+1], g.sdc[3*v+2]
 	rDual := g.dualRR[v]
 	out := a.vort[v*nlev : (v+1)*nlev]
@@ -335,8 +303,9 @@ func (a *momentumArgs) edge(i int) {
 	e := at(a.edges, i)
 	g := a.g
 	nlev := g.nlev
-	c1, c2 := int(g.ec1[e]), int(g.ec2[e])
-	v1, v2 := int(g.ev1[e]), int(g.ev2[e])
+	ce, ve := &g.mesh.CellsOnEdge[e], &g.mesh.VerticesOnEdge[e]
+	c1, c2 := int(ce[0]), int(ce[1])
+	v1, v2 := int(ve[0]), int(ve[1])
 	eg := a.eg
 	rdcm, rdvm := eg.rdcm[e], eg.rdvm[e]
 	f, damp, kh := eg.fE[e], eg.damp[e], eg.kh

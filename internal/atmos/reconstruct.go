@@ -13,9 +13,10 @@ import (
 // normals span its tangent plane.
 type reconstructor struct {
 	mesh *grid.IcosMesh
-	// For each cell, the 3×nEdges pseudo-inverse rows flattened:
-	// uVec(cell) = Σ_e w[cell][e] · u_e, with w a 3-vector per edge.
-	weights [][]grid.Vec3
+	// The 3×nEdges pseudo-inverse of each cell, one weight vector per
+	// IcosMesh slot: uVec(c) = Σ_s (wX, wY, wZ)[s] · u_SlotEdge[s]. The
+	// dycore's cell kernel reads the same tables.
+	wX, wY, wZ []float64
 	// normal3 is the unit normal direction of each edge (pointing c1→c2,
 	// tangent to the sphere at the edge midpoint).
 	normal3 []grid.Vec3
@@ -41,10 +42,10 @@ func newReconstructor(mesh *grid.IcosMesh) *reconstructor {
 	}
 
 	nc := mesh.NCells()
-	r.weights = make([][]grid.Vec3, nc)
+	ns := len(mesh.SlotEdge)
+	r.wX, r.wY, r.wZ = make([]float64, ns), make([]float64, ns), make([]float64, ns)
 	r.east = make([]grid.Vec3, nc)
 	r.north = make([]grid.Vec3, nc)
-	weights := make([]grid.Vec3, 2*ne) // every cell's rows, one per edge end
 	for c := 0; c < nc; c++ {
 		p := mesh.CellCenter[c]
 		lon, lat := mesh.LonCell[c], mesh.LatCell[c]
@@ -52,7 +53,8 @@ func newReconstructor(mesh *grid.IcosMesh) *reconstructor {
 		r.east[c] = grid.Vec3{X: -sinLon, Y: cosLon, Z: 0}
 		r.north[c] = grid.Vec3{X: -sinLat * cosLon, Y: -sinLat * sinLon, Z: cosLat}
 
-		edges := mesh.EdgesOnCell[c]
+		lo, hi := mesh.Slots(c)
+		edges := mesh.SlotEdge[lo:hi]
 		// Solve min Σ_e (v·n_e − u_e)² for v in the tangent plane at p:
 		// v = (Σ n nᵀ + λ p pᵀ)⁻¹ Σ n u — the p pᵀ term pins the radial
 		// component to zero.
@@ -76,19 +78,17 @@ func newReconstructor(mesh *grid.IcosMesh) *reconstructor {
 		a[1][0], a[2][0], a[2][1] = a[0][1], a[0][2], a[1][2]
 
 		inv := invert3(a)
-		w := weights[:len(edges):len(edges)]
-		weights = weights[len(edges):]
 		norm := 0.0
 		for i, e := range edges {
 			n := r.normal3[e]
-			w[i] = grid.Vec3{
+			w := grid.Vec3{
 				X: inv[0][0]*n.X + inv[0][1]*n.Y + inv[0][2]*n.Z,
 				Y: inv[1][0]*n.X + inv[1][1]*n.Y + inv[1][2]*n.Z,
 				Z: inv[2][0]*n.X + inv[2][1]*n.Y + inv[2][2]*n.Z,
 			}
-			norm += math.Sqrt(w[i].Dot(w[i]))
+			r.wX[lo+i], r.wY[lo+i], r.wZ[lo+i] = w.X, w.Y, w.Z
+			norm += math.Sqrt(w.Dot(w))
 		}
-		r.weights[c] = w
 		r.speedBound = math.Max(r.speedBound, norm)
 	}
 	// |Σ w_e u_e| ≤ Σ |w_e| |u_e|, and the (east, north) pair is a
@@ -125,11 +125,15 @@ func invert3(a [3][3]float64) [3][3]float64 {
 // a column-major edge field with nlev levels (u[e·nlev+k]).
 func (r *reconstructor) CellVector(u []float64, nlev, k, c int) grid.Vec3 {
 	var v grid.Vec3
-	for i, e := range r.mesh.EdgesOnCell[c] {
-		v = v.Add(r.weights[c][i].Scale(u[e*nlev+k]))
+	lo, hi := r.mesh.Slots(c)
+	for s := lo; s < hi; s++ {
+		v = v.Add(r.weight(s).Scale(u[int(r.mesh.SlotEdge[s])*nlev+k]))
 	}
 	return v
 }
+
+// weight returns slot s's weight vector.
+func (r *reconstructor) weight(s int) grid.Vec3 { return grid.Vec3{X: r.wX[s], Y: r.wY[s], Z: r.wZ[s]} }
 
 // CellUV reconstructs the zonal and meridional velocity components at cell c
 // on level k of a column-major edge field.

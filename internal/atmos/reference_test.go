@@ -110,7 +110,7 @@ func stepModelLoops(m *Model, dynamicsSubstep func(dt float64), tracerStep func(
 }
 
 // refStepper advances a Model with plain loops — level-major state and
-// scratch, one (row, level) body per call, the ragged mesh tables, one
+// scratch, one (row, level) body per call, the mesh's own slot tables, one
 // transport sweep per tracer, tv/φ integrated on every substep — in the
 // operand grouping of the live dycore (DESIGN.md "Operand grouping,
 // re-baselined at PR 24"), the oracle TestStepMatchesReferenceLoops steps the
@@ -237,7 +237,7 @@ func (r *refStepper) dynamicsSubstep(dt float64) {
 	// the surface pressure from the signed totals ---
 	dtG := dt / Gravity
 	r.forCompEdges(func(e int) {
-		c1, c2 := mesh.CellsOnEdge[e][0], mesh.CellsOnEdge[e][1]
+		c1, c2 := int(mesh.CellsOnEdge[e][0]), int(mesh.CellsOnEdge[e][1])
 		var total float64
 		for k := 0; k < nlev; k++ {
 			u := r.u[k*ne+e]
@@ -255,8 +255,8 @@ func (r *refStepper) dynamicsSubstep(dt float64) {
 	})
 	r.forOwnedCells(func(c int) {
 		var sum float64
-		for j, e := range mesh.EdgesOnCell[c] {
-			sum += float64(mesh.EdgeSignOnCell[c][j]) * r.total[e]
+		for j, e := range mesh.EdgesOnCell(c) {
+			sum += float64(mesh.EdgeSignOnCell(c)[j]) * r.total[e]
 		}
 		d := dt * (-sum * r.rArea[c])
 		m.Ps[c] += d
@@ -278,13 +278,15 @@ func (r *refStepper) keDivLevel(c, k int) {
 	nc, ne := mesh.NCells(), mesh.NEdges()
 	re := grid.EarthRadius
 	var vx, vy, vz, d float64
-	for j, e := range mesh.EdgesOnCell[c] {
+	lo, hi := mesh.Slots(c)
+	for s := lo; s < hi; s++ {
+		e := int(mesh.SlotEdge[s])
 		uE := r.u[k*ne+e]
-		w := m.recon.weights[c][j]
+		w := m.recon.weight(s)
 		vx += w.X * uE
 		vy += w.Y * uE
 		vz += w.Z * uE
-		d += float64(mesh.EdgeSignOnCell[c][j]) * mesh.Dv[e] * re * uE
+		d += float64(mesh.SlotSign[s]) * mesh.Dv[e] * re * uE
 	}
 	ic := k*nc + c
 	r.vcx[ic], r.vcy[ic], r.vcz[ic] = vx, vy, vz
@@ -298,7 +300,7 @@ func (r *refStepper) vortLevel(v, k int) {
 	re := grid.EarthRadius
 	var circ float64
 	for j, e := range mesh.EdgesOnVertex[v] {
-		circ += float64(mesh.EdgeSignOnVtx[v][j]) * mesh.Dc[e] * re * r.u[k*ne+e]
+		circ += float64(mesh.EdgeSignOnVtx[v][j]) * mesh.Dc[e] * re * r.u[k*ne+int(e)]
 	}
 	r.vort[k*nv+v] = circ * r.rDual[v]
 }
@@ -310,8 +312,8 @@ func (r *refStepper) momentumLevel(e, k int, dt float64) {
 	m := r.m
 	mesh := m.Mesh
 	nc, ne, nv := mesh.NCells(), mesh.NEdges(), mesh.NVertices()
-	c1, c2 := mesh.CellsOnEdge[e][0], mesh.CellsOnEdge[e][1]
-	v1, v2 := mesh.VerticesOnEdge[e][0], mesh.VerticesOnEdge[e][1]
+	c1, c2 := int(mesh.CellsOnEdge[e][0]), int(mesh.CellsOnEdge[e][1])
+	v1, v2 := int(mesh.VerticesOnEdge[e][0]), int(mesh.VerticesOnEdge[e][1])
 	ic1, ic2 := k*nc+c1, k*nc+c2
 	iv1, iv2 := k*nv+v1, k*nv+v2
 	t := r.halfT[e]
@@ -396,14 +398,14 @@ func (r *refStepper) transport(x, psOld, out []float64) {
 		dContent := make([]float64, nlev)
 		hdiv := make([]float64, nlev) // accumulated mass divergence per level (kg)
 		for k := 0; k < nlev; k++ {
-			for j, e := range mesh.EdgesOnCell[c] {
-				sign := float64(mesh.EdgeSignOnCell[c][j])
-				fm := sign * r.fluxEdge[k*ne+e] // kg leaving through e if > 0
+			for j, e := range mesh.EdgesOnCell(c) {
+				sign := float64(mesh.EdgeSignOnCell(c)[j])
+				fm := sign * r.fluxEdge[k*ne+int(e)] // kg leaving through e if > 0
 				var xUp float64
 				if fm >= 0 {
 					xUp = x[k*nc+c]
 				} else {
-					xUp = x[k*nc+mesh.CellsOnCell[c][j]]
+					xUp = x[k*nc+int(mesh.CellsOnCell(c)[j])]
 				}
 				dContent[k] -= fm * xUp
 				hdiv[k] -= fm

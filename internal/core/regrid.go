@@ -209,9 +209,9 @@ type cellWalk struct {
 
 func newCellWalk(mesh *grid.IcosMesh) cellWalk {
 	w := cellWalk{mesh, make([]float64, mesh.NCells())}
-	for c, es := range mesh.EdgesOnCell {
+	for c := range w.inner {
 		dc := math.Inf(1)
-		for _, e := range es {
+		for _, e := range mesh.EdgesOnCell(c) {
 			dc = min(dc, mesh.Dc[e])
 		}
 		w.inner[c] = math.Cos(0.49 * dc)
@@ -226,9 +226,9 @@ func (w cellWalk) nearest(p grid.Vec3, lat float64, c int) int {
 	best := p.Dot(w.mesh.CellCenter[c])
 	for best < w.inner[c] {
 		next, tie := c, false
-		for _, n := range w.mesh.CellsOnCell[c] {
+		for _, n := range w.mesh.CellsOnCell(c) {
 			if d := p.Dot(w.mesh.CellCenter[n]); d > best {
-				best, next = d, n
+				best, next = d, int(n)
 			} else if d == best {
 				tie = true
 			}
@@ -261,8 +261,8 @@ func (w cellWalk) firstOfTie(p grid.Vec3, lat float64, c int, best float64) int 
 	}
 	pick, tied := c, []int{c}
 	for k := 0; k < len(tied); k++ {
-		for _, n := range w.mesh.CellsOnCell[tied[k]] {
-			if p.Dot(w.mesh.CellCenter[n]) == best && !slices.Contains(tied, n) {
+		for _, nb := range w.mesh.CellsOnCell(tied[k]) {
+			if n := int(nb); p.Dot(w.mesh.CellCenter[n]) == best && !slices.Contains(tied, n) {
 				tied = append(tied, n)
 				if order(n) < order(pick) {
 					pick = n

@@ -348,20 +348,20 @@ func TestNearestAtmMatchesBruteForce(t *testing.T) {
 func TestWalkTieOrderMatchesBucketScan(t *testing.T) {
 	const n = 6
 	m := &grid.IcosMesh{
-		CellCenter:  make([]grid.Vec3, n),
-		LatCell:     make([]float64, n),
-		CellsOnCell: make([][]int, n),
-		EdgesOnCell: make([][]int, n),
-		Dc:          []float64{0.1},
+		CellCenter: make([]grid.Vec3, n),
+		LatCell:    make([]float64, n),
+		CellStart:  make([]int32, n+1),
+		SlotEdge:   make([]int32, n*(n-1)), // every slot on edge 0
+		Dc:         []float64{0.1},
 	}
 	for c := range m.CellCenter {
 		m.CellCenter[c] = grid.Vec3{X: 1}
-		m.EdgesOnCell[c] = []int{0}
 		for o := 0; o < n; o++ {
 			if o != c {
-				m.CellsOnCell[c] = append(m.CellsOnCell[c], o)
+				m.SlotCell = append(m.SlotCell, int32(o))
 			}
 		}
+		m.CellStart[c+1] = int32(len(m.SlotCell))
 	}
 	p := grid.Vec3{X: 0.8, Y: 0.6} // dot 0.8 with every centre
 	const lat, band = 0.3, math.Pi / 64

@@ -69,10 +69,43 @@ func TestIcosMeshGolden(t *testing.T) {
 		"548d9cfa14578d9a",
 	}
 	for level, w := range want {
-		if got := goldenOf(icosMesh(t, level)); got != w {
+		if got := goldenOf(icosMeshViewOf(icosMesh(t, level))); got != w {
 			t.Errorf("level %d: mesh hash %s, want %s", level, got, w)
 		}
 	}
+}
+
+// icosMeshView is what TestIcosMeshGolden pins: every array of the mesh in
+// the field order and nesting the hashes were recorded in, with the per-cell
+// lists cut out of the slot tables by the accessors. feedGolden writes an
+// int32 or int8 as it wrote an int, so the bytes hashed are the ones the
+// ragged tables gave.
+type icosMeshView struct {
+	Level                                        int
+	CellCenter, VertexPos, EdgeMidpoint          []Vec3
+	AreaCell, AreaDual, Dc, Dv, LatCell, LonCell []float64
+	CellsOnEdge, VerticesOnEdge                  [][2]int32
+	EdgesOnCell                                  [][]int32
+	EdgeSignOnCell                               [][]int8
+	CellsOnCell                                  [][]int32
+	EdgesOnVertex                                [][3]int32
+	EdgeSignOnVtx                                [][3]int8
+	CellsOnVertex                                [][3]int32
+}
+
+func icosMeshViewOf(m *IcosMesh) icosMeshView {
+	v := icosMeshView{
+		m.Level, m.CellCenter, m.VertexPos, m.EdgeMidpoint,
+		m.AreaCell, m.AreaDual, m.Dc, m.Dv, m.LatCell, m.LonCell,
+		m.CellsOnEdge, m.VerticesOnEdge, nil, nil, nil,
+		m.EdgesOnVertex, m.EdgeSignOnVtx, m.CellsOnVertex,
+	}
+	for c := range m.NCells() {
+		v.EdgesOnCell = append(v.EdgesOnCell, m.EdgesOnCell(c))
+		v.EdgeSignOnCell = append(v.EdgeSignOnCell, m.EdgeSignOnCell(c))
+		v.CellsOnCell = append(v.CellsOnCell, m.CellsOnCell(c))
+	}
+	return v
 }
 
 // icosView is what TestIcosDecompGolden pins: every list of the atmosphere

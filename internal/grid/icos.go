@@ -3,6 +3,7 @@ package grid
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // IcosMesh is a spherical centroidal mesh built by recursive bisection of
@@ -34,15 +35,19 @@ type IcosMesh struct {
 	LatCell      []float64 // [nCells]
 	LonCell      []float64 // [nCells]
 
-	// Topology.
-	CellsOnEdge    [][2]int // [nEdges] the two cells an edge separates
-	VerticesOnEdge [][2]int // [nEdges] the two dual nodes an edge connects
-	EdgesOnCell    [][]int  // [nCells] 5 or 6 edges, counterclockwise
-	EdgeSignOnCell [][]int  // +1 if the edge normal points out of the cell
-	CellsOnCell    [][]int  // [nCells] neighbouring cells across EdgesOnCell
-	EdgesOnVertex  [][3]int // [nVertices] the three edges meeting at a vertex
-	EdgeSignOnVtx  [][3]int // +1 if the edge's (v1→v2) tangent circulates ccw
-	CellsOnVertex  [][3]int // [nVertices] corner cells of the dual triangle
+	// Topology, each table stored once in the layout the kernels read.
+	// Cell c's edges are the slots [CellStart[c], CellStart[c+1]) of the
+	// three per-slot arrays, in ascending edge id; EdgesOnCell, CellsOnCell
+	// and EdgeSignOnCell return a cell's sub-slices.
+	CellStart      []int32    // [nCells+1]
+	SlotEdge       []int32    // [2·nEdges] the slot's edge
+	SlotCell       []int32    // [2·nEdges] the cell across that edge
+	SlotSign       []int8     // [2·nEdges] +1 if the edge normal points out of the cell
+	CellsOnEdge    [][2]int32 // [nEdges] the two cells an edge separates, lower id first
+	VerticesOnEdge [][2]int32 // [nEdges] the two dual nodes an edge connects
+	EdgesOnVertex  [][3]int32 // [nVertices] the three edges meeting at a vertex, ascending
+	EdgeSignOnVtx  [][3]int8  // +1 if the edge's (v1→v2) tangent circulates ccw
+	CellsOnVertex  [][3]int32 // [nVertices] corner cells of the dual triangle
 }
 
 // NCells returns the number of primal cells.
@@ -53,6 +58,27 @@ func (m *IcosMesh) NEdges() int { return len(m.CellsOnEdge) }
 
 // NVertices returns the number of dual (triangle) nodes.
 func (m *IcosMesh) NVertices() int { return len(m.VertexPos) }
+
+// Slots returns cell c's range [lo, hi) of the per-slot arrays.
+func (m *IcosMesh) Slots(c int) (lo, hi int) { return int(m.CellStart[c]), int(m.CellStart[c+1]) }
+
+// EdgesOnCell returns cell c's 5 or 6 edges in ascending id.
+func (m *IcosMesh) EdgesOnCell(c int) []int32 {
+	lo, hi := m.Slots(c)
+	return m.SlotEdge[lo:hi:hi]
+}
+
+// CellsOnCell returns the cells across cell c's edges, slot by slot.
+func (m *IcosMesh) CellsOnCell(c int) []int32 {
+	lo, hi := m.Slots(c)
+	return m.SlotCell[lo:hi:hi]
+}
+
+// EdgeSignOnCell returns the outward signs of cell c's edges, slot by slot.
+func (m *IcosMesh) EdgeSignOnCell(c int) []int8 {
+	lo, hi := m.Slots(c)
+	return m.SlotSign[lo:hi:hi]
+}
 
 // IcosCounts returns the closed-form element counts for refinement level l.
 func IcosCounts(level int) (cells, edges, vertices int64) {
@@ -192,7 +218,7 @@ func assemble(level int, nodes []Vec3, tris [][3]int) *IcosMesh {
 	// separates (lower id first) and the two triangles (dual nodes) it
 	// connects, numbered in the order the triangles first meet it.
 	sides := newSideTable(nCells)
-	cellsOnEdge := make([][2]int, 0, 3*nVerts/2)
+	cellsOnEdge := make([][2]int32, 0, 3*nVerts/2)
 	trisOnEdge := make([][2]int, 0, 3*nVerts/2)
 	for t, tri := range tris {
 		for s := 0; s < 3; s++ {
@@ -200,20 +226,20 @@ func assemble(level int, nodes []Vec3, tris [][3]int) *IcosMesh {
 			if id, fresh := sides.number(a, b, len(cellsOnEdge)); !fresh {
 				trisOnEdge[id][1] = t
 			} else {
-				cellsOnEdge = append(cellsOnEdge, [2]int{min(a, b), max(a, b)})
+				cellsOnEdge = append(cellsOnEdge, [2]int32{int32(min(a, b)), int32(max(a, b))})
 				trisOnEdge = append(trisOnEdge, [2]int{t, -1})
 			}
 		}
 	}
 	nEdges := len(cellsOnEdge)
 	m.CellsOnEdge = cellsOnEdge
-	m.VerticesOnEdge = make([][2]int, nEdges)
+	m.VerticesOnEdge = make([][2]int32, nEdges)
 	m.EdgeMidpoint = make([]Vec3, nEdges)
 	m.Dc = make([]float64, nEdges)
 	m.Dv = make([]float64, nEdges)
 
-	for e := range cellsOnEdge {
-		c1, c2 := cellsOnEdge[e][0], cellsOnEdge[e][1]
+	for e, ce := range cellsOnEdge {
+		c1, c2 := ce[0], ce[1]
 		t1, t2 := trisOnEdge[e][0], trisOnEdge[e][1]
 		// Orient (v1, v2) so that v1→v2 is 90° counterclockwise from c1→c2
 		// (the standard C-grid convention: positive normal from c1 to c2).
@@ -223,68 +249,58 @@ func assemble(level int, nodes []Vec3, tris [][3]int) *IcosMesh {
 		if mid.Cross(nrm).Dot(tan) < 0 {
 			t1, t2 = t2, t1
 		}
-		m.VerticesOnEdge[e] = [2]int{t1, t2}
+		m.VerticesOnEdge[e] = [2]int32{int32(t1), int32(t2)}
 		m.EdgeMidpoint[e] = mid
 		m.Dc[e] = GreatCircleDist(nodes[c1], nodes[c2])
 		m.Dv[e] = GreatCircleDist(m.VertexPos[t1], m.VertexPos[t2])
 	}
 
 	// Cell -> edges with outward signs, and neighbouring cells: the edges
-	// are visited in ascending order, so every cell's lists come out sorted
-	// by edge id, in three backing arrays cut at each cell's degree.
-	deg := make([]int, nCells+1)
+	// are visited in ascending order, so every cell's slots come out sorted
+	// by edge id.
+	m.CellStart = make([]int32, nCells+1)
 	for _, ce := range cellsOnEdge {
-		deg[ce[0]+1]++
-		deg[ce[1]+1]++
+		m.CellStart[ce[0]+1]++
+		m.CellStart[ce[1]+1]++
 	}
 	for c := 0; c < nCells; c++ {
-		deg[c+1] += deg[c] // now the offset of cell c's lists
+		m.CellStart[c+1] += m.CellStart[c]
 	}
-	edges, signs, nbrs := make([]int, 2*nEdges), make([]int, 2*nEdges), make([]int, 2*nEdges)
-	m.EdgesOnCell = make([][]int, nCells)
-	m.EdgeSignOnCell = make([][]int, nCells)
-	m.CellsOnCell = make([][]int, nCells)
-	for c := range m.EdgesOnCell {
-		lo, hi := deg[c], deg[c+1]
-		m.EdgesOnCell[c] = edges[lo:lo:hi]
-		m.EdgeSignOnCell[c] = signs[lo:lo:hi]
-		m.CellsOnCell[c] = nbrs[lo:lo:hi]
-	}
+	m.SlotEdge, m.SlotCell, m.SlotSign = make([]int32, 2*nEdges), make([]int32, 2*nEdges), make([]int8, 2*nEdges)
+	next := slices.Clone(m.CellStart[:nCells]) // per cell: its next free slot
 	for e, ce := range cellsOnEdge {
-		c1, c2 := ce[0], ce[1]
-		m.EdgesOnCell[c1] = append(m.EdgesOnCell[c1], e)
-		m.EdgeSignOnCell[c1] = append(m.EdgeSignOnCell[c1], +1) // normal c1→c2 is outward for c1
-		m.CellsOnCell[c1] = append(m.CellsOnCell[c1], c2)
-		m.EdgesOnCell[c2] = append(m.EdgesOnCell[c2], e)
-		m.EdgeSignOnCell[c2] = append(m.EdgeSignOnCell[c2], -1)
-		m.CellsOnCell[c2] = append(m.CellsOnCell[c2], c1)
+		for i, c := range ce {
+			s := next[c]
+			next[c]++
+			m.SlotEdge[s], m.SlotCell[s] = int32(e), ce[1-i]
+			m.SlotSign[s] = int8(1 - 2*i) // normal c1→c2 is outward for c1
+		}
 	}
 
 	// Vertex -> edges with circulation signs, and corner cells. The sign is
 	// +1 when the edge-normal direction (c1 → c2) advances counterclockwise
 	// around the vertex as seen from outside the sphere, so that summing
 	// sign·u_e·dc_e around the dual triangle is the discrete circulation.
-	m.EdgesOnVertex = make([][3]int, nVerts)
-	m.EdgeSignOnVtx = make([][3]int, nVerts)
-	m.CellsOnVertex = make([][3]int, nVerts)
+	m.EdgesOnVertex = make([][3]int32, nVerts)
+	m.EdgeSignOnVtx = make([][3]int8, nVerts)
+	m.CellsOnVertex = make([][3]int32, nVerts)
 	fill := make([]int, nVerts)
-	for e := range cellsOnEdge {
-		c1, c2 := cellsOnEdge[e][0], cellsOnEdge[e][1]
-		dir := nodes[c2].Sub(nodes[c1])
+	for e, ce := range cellsOnEdge {
+		dir := nodes[ce[1]].Sub(nodes[ce[0]])
 		for _, v := range m.VerticesOnEdge[e] {
 			p := m.VertexPos[v]
 			ccw := p.Cross(m.EdgeMidpoint[e].Sub(p))
-			sign := +1
+			sign := int8(+1)
 			if dir.Dot(ccw) < 0 {
 				sign = -1
 			}
-			m.EdgesOnVertex[v][fill[v]] = e
+			m.EdgesOnVertex[v][fill[v]] = int32(e)
 			m.EdgeSignOnVtx[v][fill[v]] = sign
 			fill[v]++
 		}
 	}
 	for t, tri := range tris {
-		m.CellsOnVertex[t] = tri
+		m.CellsOnVertex[t] = [3]int32{int32(tri[0]), int32(tri[1]), int32(tri[2])}
 	}
 	return m
 }

@@ -2,6 +2,8 @@ package grid
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -112,17 +114,17 @@ func TestMeshTopologyConsistency(t *testing.T) {
 	}
 	// Twelve pentagons, the rest hexagons.
 	pent := 0
-	for c := range m.EdgesOnCell {
-		switch len(m.EdgesOnCell[c]) {
+	for c := range m.NCells() {
+		switch len(m.EdgesOnCell(c)) {
 		case 5:
 			pent++
 		case 6:
 		default:
-			t.Fatalf("cell %d has %d edges", c, len(m.EdgesOnCell[c]))
+			t.Fatalf("cell %d has %d edges", c, len(m.EdgesOnCell(c)))
 		}
 		// Edge/cell cross-references agree.
-		for k, e := range m.EdgesOnCell[c] {
-			c1, c2 := m.CellsOnEdge[e][0], m.CellsOnEdge[e][1]
+		for k, e := range m.EdgesOnCell(c) {
+			c1, c2 := int(m.CellsOnEdge[e][0]), int(m.CellsOnEdge[e][1])
 			if c1 != c && c2 != c {
 				t.Fatalf("edge %d not incident to cell %d", e, c)
 			}
@@ -130,10 +132,10 @@ func TestMeshTopologyConsistency(t *testing.T) {
 			if c1 == c {
 				other = c2
 			}
-			if m.CellsOnCell[c][k] != other {
+			if int(m.CellsOnCell(c)[k]) != other {
 				t.Fatalf("CellsOnCell mismatch at cell %d slot %d", c, k)
 			}
-			sign := m.EdgeSignOnCell[c][k]
+			sign := m.EdgeSignOnCell(c)[k]
 			if (c1 == c && sign != 1) || (c2 == c && sign != -1) {
 				t.Fatalf("bad outward sign at cell %d edge %d", c, e)
 			}
@@ -144,8 +146,8 @@ func TestMeshTopologyConsistency(t *testing.T) {
 	}
 	// Every edge appears on exactly two cells and two vertices.
 	edgeCellCount := make([]int, m.NEdges())
-	for c := range m.EdgesOnCell {
-		for _, e := range m.EdgesOnCell[c] {
+	for c := range m.NCells() {
+		for _, e := range m.EdgesOnCell(c) {
 			edgeCellCount[e]++
 		}
 	}
@@ -163,6 +165,147 @@ func TestMeshTopologyConsistency(t *testing.T) {
 	for e, n := range edgeVtxCount {
 		if n != 2 {
 			t.Fatalf("edge %d on %d vertices", e, n)
+		}
+	}
+}
+
+// The cell slots, edge pairs and vertex triples are the triangulation, at
+// levels 0–5: checked against the triangles rebuilt here, so a kernel that
+// reads the tables in place reads the mesh. Every cell's slots are its
+// edges in ascending id; a slot's sign is +1 exactly when the cell is its
+// edge's first cell, and its neighbour is the edge's other cell; every
+// vertex's corner cells are its triangle, its edges are the triangle's
+// sides in ascending id, and each of those edges names it in
+// VerticesOnEdge.
+func TestCellSlotsAreTheMesh(t *testing.T) {
+	for level := 0; level <= 5; level++ {
+		m := icosMesh(t, level)
+		nodes, tris := icosahedron()
+		for l := 0; l < level; l++ {
+			nodes, tris = subdivide(nodes, tris)
+		}
+		nc, ne := m.NCells(), m.NEdges()
+		if len(nodes) != nc || len(tris) != m.NVertices() {
+			t.Fatalf("level %d: %d cells, %d vertices; triangulation has %d nodes, %d triangles",
+				level, nc, m.NVertices(), len(nodes), len(tris))
+		}
+		edgeOf := make(map[[2]int32]int32, ne)
+		for e, ce := range m.CellsOnEdge {
+			if ce[0] >= ce[1] {
+				t.Fatalf("level %d edge %d: cells %v not lower id first", level, e, ce)
+			}
+			edgeOf[ce] = int32(e)
+		}
+		// Each cell's edges and each edge's triangles, from the triangles' sides.
+		cellEdges := make([][]int32, nc)
+		edgeTris := make([][]int32, ne)
+		for v, tri := range tris {
+			var sides [3]int32
+			for s := range sides {
+				a, b := int32(tri[s]), int32(tri[(s+1)%3])
+				e, ok := edgeOf[[2]int32{min(a, b), max(a, b)}]
+				if !ok {
+					t.Fatalf("level %d: triangle side %d–%d is no edge", level, a, b)
+				}
+				sides[s] = e
+				edgeTris[e] = append(edgeTris[e], int32(v))
+				for _, c := range []int32{a, b} {
+					if !slices.Contains(cellEdges[c], e) {
+						cellEdges[c] = append(cellEdges[c], e)
+					}
+				}
+			}
+			slices.Sort(sides[:])
+			if m.EdgesOnVertex[v] != sides {
+				t.Fatalf("level %d vertex %d: edges %v, triangle sides %v", level, v, m.EdgesOnVertex[v], sides)
+			}
+			if want := [3]int32{int32(tri[0]), int32(tri[1]), int32(tri[2])}; m.CellsOnVertex[v] != want {
+				t.Fatalf("level %d vertex %d: corner cells %v, triangle %v", level, v, m.CellsOnVertex[v], want)
+			}
+			for j, e := range sides {
+				if ve := m.VerticesOnEdge[e]; ve[0] != int32(v) && ve[1] != int32(v) {
+					t.Fatalf("level %d vertex %d: edge %d joins vertices %v", level, v, e, ve)
+				}
+				if sg := m.EdgeSignOnVtx[v][j]; sg != 1 && sg != -1 {
+					t.Fatalf("level %d vertex %d: sign %d", level, v, sg)
+				}
+			}
+		}
+		for e, ts := range edgeTris {
+			slices.Sort(ts)
+			ve := m.VerticesOnEdge[e]
+			if len(ts) != 2 || min(ve[0], ve[1]) != ts[0] || max(ve[0], ve[1]) != ts[1] {
+				t.Fatalf("level %d edge %d: vertices %v, triangles %v", level, e, ve, ts)
+			}
+		}
+
+		if len(m.CellStart) != nc+1 || m.CellStart[0] != 0 || int(m.CellStart[nc]) != 2*ne ||
+			len(m.SlotEdge) != 2*ne || len(m.SlotCell) != 2*ne || len(m.SlotSign) != 2*ne {
+			t.Fatalf("level %d: slot tables sized %d/%d/%d/%d for %d cells, %d edges",
+				level, len(m.CellStart), len(m.SlotEdge), len(m.SlotCell), len(m.SlotSign), nc, ne)
+		}
+		for c, want := range cellEdges {
+			slices.Sort(want)
+			edges, nbrs, signs := m.EdgesOnCell(c), m.CellsOnCell(c), m.EdgeSignOnCell(c)
+			if !slices.Equal(edges, want) || len(nbrs) != len(want) || len(signs) != len(want) {
+				t.Fatalf("level %d cell %d: slots %v / %v / %v, edges %v", level, c, edges, nbrs, signs, want)
+			}
+			for j, e := range edges {
+				ce := m.CellsOnEdge[e]
+				want := int8(-1)
+				if ce[0] == int32(c) {
+					want = 1
+				}
+				if signs[j] != want {
+					t.Fatalf("level %d cell %d slot %d: sign %d, edge cells %v", level, c, j, signs[j], ce)
+				}
+				if other := ce[0] + ce[1] - int32(c); nbrs[j] != other {
+					t.Fatalf("level %d cell %d slot %d: neighbour %d, edge cells %v", level, c, j, nbrs[j], ce)
+				}
+			}
+		}
+	}
+}
+
+// topologyBytes is the heap behind v's integer tables: every slice, array
+// and nested slice whose innermost element is an integer, backing arrays and
+// inner slice headers counted, the top-level headers (which live in v) not.
+func topologyBytes(v reflect.Value) int {
+	isInt := func(t reflect.Type) bool {
+		for t.Kind() == reflect.Slice || t.Kind() == reflect.Array {
+			t = t.Elem()
+		}
+		return t.Kind() >= reflect.Int && t.Kind() <= reflect.Uint64
+	}
+	var backing func(s reflect.Value) int
+	backing = func(s reflect.Value) int {
+		n := s.Len() * int(s.Type().Elem().Size())
+		if s.Type().Elem().Kind() == reflect.Slice {
+			for i := range s.Len() {
+				n += backing(s.Index(i))
+			}
+		}
+		return n
+	}
+	n := 0
+	for i := range v.NumField() {
+		if f := v.Field(i); f.Kind() == reflect.Slice && isInt(f.Type()) {
+			n += backing(f)
+		}
+	}
+	return n
+}
+
+// The mesh's topology costs under 200 bytes per cell on the ladder's two
+// atmosphere levels (≈160 in int32 slot tables; ragged []int lists with a
+// slice header per cell were ≈456), so a second or wider copy fails here.
+func TestMeshTopologyBytesPerCell(t *testing.T) {
+	for _, level := range []int{3, 4} {
+		m := icosMesh(t, level)
+		perCell := float64(topologyBytes(reflect.ValueOf(*m))) / float64(m.NCells())
+		t.Logf("level %d: %.0f topology bytes per cell", level, perCell)
+		if perCell > 200 {
+			t.Errorf("level %d: mesh topology holds %.0f B per cell, want ≤ 200", level, perCell)
 		}
 	}
 }
@@ -235,10 +378,10 @@ func TestGlobalDivergenceIsZero(t *testing.T) {
 		u[e] = math.Sin(5*lon) + math.Cos(3*lat)
 	}
 	var total float64
-	for c := range m.EdgesOnCell {
+	for c := range m.NCells() {
 		var div float64
-		for k, e := range m.EdgesOnCell[c] {
-			div += float64(m.EdgeSignOnCell[c][k]) * u[e] * m.Dv[e]
+		for k, e := range m.EdgesOnCell(c) {
+			div += float64(m.EdgeSignOnCell(c)[k]) * u[e] * m.Dv[e]
 		}
 		total += div // area cancels: div_c = div/A_c, weight by A_c
 	}
@@ -307,7 +450,7 @@ func TestIcosMeshIsDelaunay(t *testing.T) {
 		for e, vs := range m.VerticesOnEdge {
 			ce := m.CellsOnEdge[e]
 			for k, v := range vs {
-				opp := -1
+				opp := int32(-1)
 				for _, c := range m.CellsOnVertex[vs[1-k]] {
 					if c != ce[0] && c != ce[1] {
 						opp = c

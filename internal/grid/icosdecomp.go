@@ -127,8 +127,8 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 	listed := make([]int, size) // per rank: c+1 of the last cell listed
 	for c := 0; c < nc; c++ {
 		oc := owner(c)
-		for _, nb := range mesh.CellsOnCell[c] {
-			r := owner(nb)
+		for _, nb := range mesh.CellsOnCell(c) {
+			r := owner(int(nb))
 			if r == oc || listed[r] == c+1 {
 				continue
 			}
@@ -153,13 +153,13 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 	// Edge sets for this rank.
 	inComp := make([]bool, ne)
 	for _, c := range d.Owned {
-		for _, e := range mesh.EdgesOnCell[c] {
+		for _, e := range mesh.EdgesOnCell(c) {
 			inComp[e] = true
 		}
 	}
 	d.inExtEdge = make([]bool, ne)
 	for _, c := range d.ExtCells {
-		for _, e := range mesh.EdgesOnCell[c] {
+		for _, e := range mesh.EdgesOnCell(c) {
 			d.inExtEdge[e] = true
 		}
 	}
@@ -173,7 +173,7 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 				d.RecvEdges = append(d.RecvEdges, e)
 			}
 		}
-		if owner(mesh.CellsOnEdge[e][0]) == rank {
+		if owner(int(mesh.CellsOnEdge[e][0])) == rank {
 			d.OwnEdges = append(d.OwnEdges, e)
 		}
 	}
@@ -197,11 +197,11 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 	edges := newRankRoute(size)
 	seen := make([]int, size) // per rank: e+1 of the last edge it was met for
 	for e, ce := range mesh.CellsOnEdge {
-		src := owner(ce[0])
-		seen[src], seen[owner(ce[1])] = e+1, e+1 // they compute e themselves
+		src := owner(int(ce[0]))
+		seen[src], seen[owner(int(ce[1]))] = e+1, e+1 // they compute e themselves
 		for _, c := range ce {
-			for _, nb := range mesh.CellsOnCell[c] {
-				r := owner(nb)
+			for _, nb := range mesh.CellsOnCell(int(c)) {
+				r := owner(int(nb))
 				if seen[r] == e+1 {
 					continue
 				}

@@ -86,7 +86,7 @@ func decompInvariants(t *testing.T, d *IcosDecomp, rank, size int) {
 		}
 		// Every halo cell is adjacent to an owned cell.
 		adj := false
-		for _, nb := range m.CellsOnCell[h] {
+		for _, nb := range m.CellsOnCell(h) {
 			if owned[nb] {
 				adj = true
 			}
@@ -97,8 +97,8 @@ func decompInvariants(t *testing.T, d *IcosDecomp, rank, size int) {
 	}
 	// Ring-1 closure: every neighbour of an owned cell is in ExtCells.
 	for _, c := range d.Owned {
-		for _, nb := range m.CellsOnCell[c] {
-			if !d.InExt(nb) {
+		for _, nb := range m.CellsOnCell(c) {
+			if !d.InExt(int(nb)) {
 				t.Fatalf("rank %d: neighbour %d of owned %d missing from ExtCells", rank, nb, c)
 			}
 		}
@@ -121,12 +121,12 @@ func decompInvariants(t *testing.T, d *IcosDecomp, rank, size int) {
 	}
 	for _, v := range d.CompVerts {
 		for _, e := range m.EdgesOnVertex[v] {
-			if !d.InExtEdge(e) {
+			if !d.InExtEdge(int(e)) {
 				t.Fatalf("rank %d: vertex %d stencil edge %d outside ExtEdges", rank, v, e)
 			}
 		}
 		for _, c := range m.CellsOnVertex[v] {
-			if !d.InExt(c) {
+			if !d.InExt(int(c)) {
 				t.Fatalf("rank %d: vertex %d stencil cell %d outside ExtCells", rank, v, c)
 			}
 		}
