@@ -44,7 +44,7 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run loop (all ranks, model assembly and reports excluded) to this file")
 	flag.Parse()
 
-	length, err := checkFlags(*days, *ranks, *ckEvery, *maxRetries, *auditGate)
+	length, err := checkFlags(*days, *ranks, *ckEvery, *maxRetries, *auditGate, *ckDir)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -130,7 +130,8 @@ func main() {
 				Days: *days, CheckpointEvery: *ckEvery, MaxRetries: *maxRetries,
 				Dir: *ckDir, NGroups: 1,
 			})
-			if c.Rank() == 0 {
+			// RunResilient returns no report when it fails before the run.
+			if rep != nil && c.Rank() == 0 {
 				for _, ev := range rep.Recoveries {
 					fmt.Printf("  recovery: step %d (%s), attempt %d, resumed from step %d\n",
 						ev.Step, ev.Reason, ev.Attempt, ev.Resumed)
@@ -218,12 +219,12 @@ func main() {
 // maxDays is the longest run a time.Duration holds, in whole days.
 const maxDays = math.MaxInt64 / int64(24*time.Hour)
 
-// checkFlags rejects the numeric flag values no run can honour, naming the
-// flag, and returns the run's length: -days must be a positive span a
-// time.Duration holds, -ranks at least 1, and -checkpoint-every,
-// -max-retries and -audit-gate not negative, 0 keeping its documented
-// meaning.
-func checkFlags(days float64, ranks, ckEvery, maxRetries int, auditGate float64) (time.Duration, error) {
+// checkFlags rejects the flag values no run can honour, naming the flag, and
+// returns the run's length: -days must be a positive span a time.Duration
+// holds, -ranks at least 1, and -checkpoint-every, -max-retries and
+// -audit-gate not negative, 0 keeping its documented meaning; checkpoints
+// need a -restart-dir.
+func checkFlags(days float64, ranks, ckEvery, maxRetries int, auditGate float64, ckDir string) (time.Duration, error) {
 	ns := days * 24 * float64(time.Hour)
 	switch {
 	case !(ns >= 1 && days <= float64(maxDays)): // NaN fails both
@@ -232,6 +233,8 @@ func checkFlags(days float64, ranks, ckEvery, maxRetries int, auditGate float64)
 		return 0, fmt.Errorf("-ranks must be at least 1, got %d", ranks)
 	case ckEvery < 0:
 		return 0, fmt.Errorf("-checkpoint-every must be 0 (off) or positive, got %d", ckEvery)
+	case ckEvery > 0 && ckDir == "":
+		return 0, fmt.Errorf("-restart-dir must name a directory when -checkpoint-every is on")
 	case maxRetries < 0:
 		return 0, fmt.Errorf("-max-retries must be 0 or positive, got %d", maxRetries)
 	case !(auditGate >= 0): // NaN too

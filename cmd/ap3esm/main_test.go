@@ -12,8 +12,9 @@ func TestCheckFlags(t *testing.T) {
 		days               float64
 		ranks, ck, retries int
 		gate               float64
+		dir                string
 	}
-	ok := flags{days: 1, ranks: 1, retries: 3}
+	ok := flags{days: 1, ranks: 1, retries: 3, dir: "restart"}
 	with := func(f func(*flags)) flags { g := ok; f(&g); return g }
 	for _, tc := range []struct {
 		name string
@@ -34,12 +35,14 @@ func TestCheckFlags(t *testing.T) {
 		{"days under a nanosecond", with(func(f *flags) { f.days = 1e-15 }), "-days"},
 		{"ranks zero", with(func(f *flags) { f.ranks = 0 }), "-ranks"},
 		{"checkpoint-every negative", with(func(f *flags) { f.ck = -2 }), "-checkpoint-every"},
+		{"restart-dir empty while checkpointing", with(func(f *flags) { f.ck, f.dir = 1, "" }), "-restart-dir"},
+		{"restart-dir empty, checkpoints off", with(func(f *flags) { f.dir = "" }), ""},
 		{"max-retries negative", with(func(f *flags) { f.retries = -1 }), "-max-retries"},
 		{"audit-gate negative", with(func(f *flags) { f.gate = -1 }), "-audit-gate"},
 		{"audit-gate NaN", with(func(f *flags) { f.gate = math.NaN() }), "-audit-gate"},
 	} {
 		in := tc.in
-		length, err := checkFlags(in.days, in.ranks, in.ck, in.retries, in.gate)
+		length, err := checkFlags(in.days, in.ranks, in.ck, in.retries, in.gate, in.dir)
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s: rejected: %v", tc.name, err)

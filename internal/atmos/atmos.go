@@ -10,9 +10,10 @@
 // Parallelism follows the paper's division of labour: the atmosphere's
 // heavy lifting is thread-level (OpenMP/SWGOMP on the CPEs), which the
 // reproduction expresses by running every mesh sweep through a pp execution
-// space; across ranks the mesh is partitioned by grid.IcosDecomp (SetDecomp),
-// each rank sweeping its owned cells plus a ring-1 halo and exchanging halos
-// at the substep boundaries, bit-for-bit the 1-rank answer.
+// space; across ranks the mesh is partitioned by grid.IcosDecomp (Decompose),
+// each rank storing and sweeping only its patch — its owned cells plus a
+// ring-1 halo — and exchanging halos at the substep boundaries, bit-for-bit
+// the 1-rank answer.
 //
 // Every 3-D field — state and dycore scratch — is column-major, level-inner
 // (Model.Idx), so the column loops that dominate the step read contiguous
@@ -70,7 +71,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// Model is the atmosphere state.
+// Model is the atmosphere state. Every per-cell, per-edge and per-vertex
+// array is laid out over Mesh: the whole globe on one rank, this rank's
+// patch (in local ids, see grid.IcosDecomp) once the model is decomposed.
 type Model struct {
 	Mesh *grid.IcosMesh
 	Cfg  Config
@@ -145,32 +148,56 @@ func (m *Model) radSkipped(c int) bool {
 	if m.radMask == nil || (m.radMarked && m.radMask[c]) {
 		return false
 	}
-	return !m.radOwned || (m.dec != nil && m.dec.Owner(c) != m.dec.Comm().Rank())
+	return !m.radOwned || (m.dec != nil && m.dec.Owner(int(m.Mesh.GlobalCell[c])) != m.dec.Comm().Rank())
 }
 
 // RadiationColumns returns the number of columns whose surface radiation
 // this model has diagnosed so far.
 func (m *Model) RadiationColumns() int { return int(m.radCols.Load()) }
 
-// SetDecomp switches the model to decomposed stepping: every sweep covers
-// only this rank's patch (owned cells plus the ring-1 halo required by the
-// stencils), with halo exchanges at the substep boundaries. A nil decomp —
-// the default, and the only valid state at 1 rank — keeps the original
-// global-array path verbatim, which the golden tests pin bit-for-bit.
-func (m *Model) SetDecomp(d *grid.IcosDecomp) { m.dec = d }
-
 // Decomp returns the active decomposition (nil when replicated).
 func (m *Model) Decomp() *grid.IcosDecomp { return m.dec }
 
-// Decompose partitions the mesh over the communicator and switches the
-// model to decomposed stepping, returning the partition behind the shared
+// Decompose partitions the mesh over the communicator and moves the model
+// onto this rank's patch, returning the partition behind the shared
 // grid.Decomp contract so callers never name the concrete icosahedral type.
+//
+// From then on Mesh is the patch and every array is indexed by local id:
+// the state, the surface fields, IsLand, the flux accumulators and a
+// radiation mask already given are re-indexed, the reconstructor is rebuilt
+// on the patch — from the global mesh's edge normals, which need both cells
+// of an edge, and with its global speed bound — and the dycore scratch is
+// dropped, to be rebuilt at patch size by the next step. Every sweep covers
+// the patch (owned cells plus the ring-1 halo the stencils need), with halo
+// exchanges at the substep boundaries; local ids ascend in global id, so
+// every row and every reduction sees its operands in the same order and the
+// answer is bit-for-bit the 1-rank one. The model keeps no reference to the
+// global mesh. Call it once, on every rank of c; a model that is never
+// decomposed — the 1-rank case — keeps the global arrays.
 func (m *Model) Decompose(c *par.Comm) (grid.Decomp, error) {
 	d, err := grid.NewIcosDecomp(m.Mesh, c)
 	if err != nil {
 		return nil, err
 	}
-	m.dec = d
+	p := d.Patch
+	cells, edges, nlev := p.GlobalCell, p.GlobalEdge, m.NLev
+	for _, f := range []*[]float64{&m.Ps, &m.SST, &m.IceFrac, &m.Precip, &m.TauX, &m.TauY, &m.SHF, &m.LHF, &m.GSW, &m.GLW} {
+		*f = grid.PatchColumns(*f, cells, 1)
+	}
+	m.T, m.Qv = grid.PatchColumns(m.T, cells, nlev), grid.PatchColumns(m.Qv, cells, nlev)
+	m.U = grid.PatchColumns(m.U, edges, nlev)
+	m.IsLand = grid.PatchColumns(m.IsLand, cells, 1)
+	if m.radMask != nil {
+		m.radMask = grid.PatchColumns(m.radMask, cells, 1)
+	}
+	if m.flux != nil {
+		m.flux.edge, m.flux.dps = grid.PatchColumns(m.flux.edge, edges, nlev), grid.PatchColumns(m.flux.dps, cells, 1)
+	}
+	bound := m.recon.speedBound
+	m.recon = newReconstructor(p, grid.PatchColumns(m.recon.normal3, edges, 1))
+	m.recon.speedBound = bound
+	m.dy, m.thFresh = nil, false
+	m.Mesh, m.dec = p, d
 	return d, nil
 }
 
@@ -227,7 +254,7 @@ func New(level, nlev int, cfg Config, sp pp.Space) (*Model, error) {
 		m.IsLand[c] = grid.IsLand(m.Mesh.LonCell[c], m.Mesh.LatCell[c])
 	}
 
-	m.recon = newReconstructor(mesh)
+	m.recon = newReconstructor(mesh, edgeNormals(mesh))
 	m.Physics = NewConventionalSuite(m)
 	m.InitBaroclinicRest()
 	return m, nil

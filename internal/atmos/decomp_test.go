@@ -1,9 +1,10 @@
 package atmos
 
 import (
+	"runtime"
 	"testing"
+	"weak"
 
-	"repro/internal/grid"
 	"repro/internal/par"
 )
 
@@ -30,23 +31,25 @@ func TestDecomposedMatchesReplicated(t *testing.T) {
 				t.Errorf("New: %v", err)
 				return
 			}
-			d, err := grid.NewIcosDecomp(m.Mesh, c)
-			if err != nil {
-				t.Errorf("NewIcosDecomp: %v", err)
+			if _, err := m.Decompose(c); err != nil {
+				t.Errorf("Decompose: %v", err)
 				return
 			}
-			m.SetDecomp(d)
+			d := m.Decomp()
 			for i := 0; i < modelSteps; i++ {
 				m.StepModel()
 			}
+			// The decomposed model holds its patch: global ids go through
+			// the patch's local ids.
 			for _, c2 := range d.Owned {
-				if m.Ps[c2] != ref.Ps[c2] {
-					t.Errorf("ranks=%d rank %d: Ps[%d] = %v, want %v", ranks, c.Rank(), c2, m.Ps[c2], ref.Ps[c2])
+				l := d.LocalCell(c2)
+				if m.Ps[l] != ref.Ps[c2] {
+					t.Errorf("ranks=%d rank %d: Ps[%d] = %v, want %v", ranks, c.Rank(), c2, m.Ps[l], ref.Ps[c2])
 					return
 				}
 				for k := 0; k < nlev; k++ {
 					i := m.Idx(c2, k)
-					if m.T[i] != ref.T[i] || m.Qv[i] != ref.Qv[i] {
+					if m.T[m.Idx(l, k)] != ref.T[i] || m.Qv[m.Idx(l, k)] != ref.Qv[i] {
 						t.Errorf("ranks=%d rank %d: T/Qv mismatch at cell %d lev %d", ranks, c.Rank(), c2, k)
 						return
 					}
@@ -55,7 +58,7 @@ func TestDecomposedMatchesReplicated(t *testing.T) {
 					{m.Precip, ref.Precip}, {m.TauX, ref.TauX}, {m.TauY, ref.TauY},
 					{m.SHF, ref.SHF}, {m.LHF, ref.LHF}, {m.GSW, ref.GSW}, {m.GLW, ref.GLW},
 				} {
-					if f[0][c2] != f[1][c2] {
+					if f[0][l] != f[1][c2] {
 						t.Errorf("ranks=%d rank %d: physics export mismatch at cell %d", ranks, c.Rank(), c2)
 						return
 					}
@@ -63,8 +66,8 @@ func TestDecomposedMatchesReplicated(t *testing.T) {
 			}
 			for _, e := range d.OwnEdges {
 				for k := 0; k < nlev; k++ {
-					if i := m.Idx(e, k); m.U[i] != ref.U[i] {
-						t.Errorf("ranks=%d rank %d: U[%d] lev %d = %v, want %v", ranks, c.Rank(), e, k, m.U[i], ref.U[i])
+					if i, l := m.Idx(e, k), m.Idx(d.LocalEdge(e), k); m.U[l] != ref.U[i] {
+						t.Errorf("ranks=%d rank %d: U[%d] lev %d = %v, want %v", ranks, c.Rank(), e, k, m.U[l], ref.U[i])
 						return
 					}
 				}
@@ -72,10 +75,70 @@ func TestDecomposedMatchesReplicated(t *testing.T) {
 			// The halo must mirror its owners bit-for-bit too — that is what
 			// makes the redundant physics columns safe.
 			for _, h := range d.HaloCells {
-				if m.Ps[h] != ref.Ps[h] {
-					t.Errorf("ranks=%d rank %d: halo Ps[%d] = %v, want %v", ranks, c.Rank(), h, m.Ps[h], ref.Ps[h])
+				if l := d.LocalCell(h); m.Ps[l] != ref.Ps[h] {
+					t.Errorf("ranks=%d rank %d: halo Ps[%d] = %v, want %v", ranks, c.Rank(), h, m.Ps[l], ref.Ps[h])
 					return
 				}
+			}
+		})
+	}
+}
+
+// TestDecomposedModelHoldsOnlyItsPatch checks what a decomposed model
+// stores: stepped once whole and once decomposed on 2, 4 and 8 ranks, every
+// per-cell, per-edge and per-vertex array of the model, its dycore scratch,
+// its metric tables and its reconstructor has the patch's length (times the
+// levels), and the global mesh the model was built on is garbage.
+func TestDecomposedModelHoldsOnlyItsPatch(t *testing.T) {
+	const level, nlev = 3, 4
+	for _, ranks := range []int{2, 4, 8} {
+		par.Run(ranks, func(c *par.Comm) {
+			m, err := New(level, nlev, DefaultConfig(), nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			m.StepModel() // the global scratch and flux accumulators exist
+			global := weak.Make(m.Mesh)
+			if _, err := m.Decompose(c); err != nil {
+				t.Error(err)
+				return
+			}
+			m.StepModel()
+			p := m.Mesh
+			nc, ne, nv, ns := p.NCells(), p.NEdges(), p.NVertices(), len(p.SlotEdge)
+			if nv < nc {
+				t.Errorf("rank %d: patch has %d vertices for %d cells; vort would be held at nc columns", c.Rank(), nv, nc)
+			}
+			s, g, eg, r := m.dy, m.dy.geo, m.dy.eg, m.recon
+			for _, a := range []struct {
+				name      string
+				got, want int
+			}{
+				{"Ps", len(m.Ps), nc}, {"T", len(m.T), nc * nlev}, {"Qv", len(m.Qv), nc * nlev}, {"U", len(m.U), ne * nlev},
+				{"SST", len(m.SST), nc}, {"IceFrac", len(m.IceFrac), nc}, {"IsLand", len(m.IsLand), nc},
+				{"Precip", len(m.Precip), nc}, {"TauX", len(m.TauX), nc}, {"TauY", len(m.TauY), nc},
+				{"SHF", len(m.SHF), nc}, {"LHF", len(m.LHF), nc}, {"GSW", len(m.GSW), nc}, {"GLW", len(m.GLW), nc},
+				{"flux.edge", len(m.flux.edge), ne * nlev}, {"flux.dps", len(m.flux.dps), nc},
+				{"dy.th", len(s.th), nc * nlev}, {"dy.lnPs", len(s.lnPs), nc}, {"dy.cd", len(s.cd), nc * nlev},
+				{"dy.vort", len(s.vort), nv * nlev}, {"dy.newU", len(s.newU), ne * nlev},
+				{"geo.wX", len(g.wX), ns}, {"geo.wY", len(g.wY), ns}, {"geo.wZ", len(g.wZ), ns}, {"geo.sdv", len(g.sdv), ns},
+				{"geo.areaRR", len(g.areaRR), nc}, {"geo.sdc", len(g.sdc), 3 * nv}, {"geo.dualRR", len(g.dualRR), nv},
+				{"geo.tX", len(g.tX), ne}, {"geo.tY", len(g.tY), ne}, {"geo.tZ", len(g.tZ), ne},
+				{"eg.rdcm", len(eg.rdcm), ne}, {"eg.rdvm", len(eg.rdvm), ne}, {"eg.fE", len(eg.fE), ne}, {"eg.damp", len(eg.damp), ne},
+				{"recon.wX", len(r.wX), ns}, {"recon.wY", len(r.wY), ns}, {"recon.wZ", len(r.wZ), ns},
+				{"recon.normal3", len(r.normal3), ne}, {"recon.east", len(r.east), nc}, {"recon.north", len(r.north), nc},
+			} {
+				if a.got != a.want {
+					t.Errorf("%d ranks, rank %d: %s has %d values, want the patch's %d", ranks, c.Rank(), a.name, a.got, a.want)
+				}
+			}
+			if g.mesh != p || r.mesh != p {
+				t.Errorf("rank %d: the metric tables or the reconstructor read a mesh other than the patch", c.Rank())
+			}
+			runtime.GC()
+			if global.Value() != nil {
+				t.Errorf("%d ranks, rank %d: the global mesh is still reachable after Decompose", ranks, c.Rank())
 			}
 		})
 	}

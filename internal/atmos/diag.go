@@ -86,19 +86,12 @@ func (m *Model) Wind10m() (u, v []float64) {
 
 // Wind10mInto fills caller-owned buffers with the lowest-level wind — the
 // allocation-free form the coupler's hot path uses. Decomposed, it fills the
-// extended patch (owned + halo), the cells whose edges are locally valid;
-// everything the surface-flux and coupling loops read lies inside it.
+// patch (owned + halo), whose edges are all locally valid; everything the
+// surface-flux and coupling loops read lies inside it.
 func (m *Model) Wind10mInto(u, v []float64) {
 	nlev := m.NLev
-	fill := func(c int) { u[c], v[c] = m.recon.CellUV(m.U, nlev, nlev-1, c) }
-	if m.dec == nil {
-		for c := 0; c < m.Mesh.NCells(); c++ {
-			fill(c)
-		}
-		return
-	}
-	for _, c := range m.dec.ExtCells {
-		fill(c)
+	for c := 0; c < m.Mesh.NCells(); c++ {
+		u[c], v[c] = m.recon.CellUV(m.U, nlev, nlev-1, c)
 	}
 }
 
@@ -131,7 +124,7 @@ func (m *Model) eachOwnedCell(fn func(c int)) {
 		}
 		return
 	}
-	for _, c := range m.dec.Owned {
+	for _, c := range m.dec.OwnedLocal {
 		fn(c)
 	}
 }

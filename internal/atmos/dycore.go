@@ -123,24 +123,26 @@ func (m *Model) RestoreState(steps int, edge, dps []float64) error {
 // Every mesh sweep runs over one of four iteration sets. Replicated (no
 // decomposition) each is the full index range, exactly the original
 // ParallelFor, so the 1-rank answer is bit-identical by construction;
-// decomposed, the sweep visits the listed subset through the same execution
-// space. Per-row arithmetic is identical either way, which is what makes the
-// decomposed answer rank-count-invariant bit-for-bit.
+// decomposed, each is a set of the patch's local ids, visited through the
+// same execution space. Per-row arithmetic is identical either way, which is
+// what makes the decomposed answer rank-count-invariant bit-for-bit.
 //
-//   - extended cells: owned plus the ring-1 halo. Cell diagnostics (tv, phi,
-//     ke, div, θ) and physics columns run here so that edge and ownership
-//     stencils never read a stale cell.
+//   - extended cells: owned plus the ring-1 halo — every cell of the patch.
+//     Cell diagnostics (tv, phi, ke, div, θ) and physics columns run here so
+//     that edge and ownership stencils never read a stale cell.
 //   - owned cells: prognostic writebacks (Ps, T, Qv) whose halo copies
-//     arrive by exchange.
+//     arrive by exchange (IcosDecomp.OwnedLocal).
 //   - computed edges: every edge with at least one owned endpoint. Adjacent
 //     ranks compute the shared boundary edges redundantly from identical
-//     inputs, so no edge-tendency exchange is needed.
-//   - computed vertices: the vertices of the computed edges; their three-cell
-//     and three-edge stencils stay inside the extended sets.
+//     inputs, so no edge-tendency exchange is needed
+//     (IcosDecomp.CompEdgesLocal).
+//   - computed vertices: the vertices of the computed edges — every vertex
+//     of the patch; their three-cell and three-edge stencils stay inside the
+//     extended sets.
 //
-// sweep launches a row body over such a set: the listed indices when
-// decomposed, the full range [0, n) when set is nil. The body resolves its
-// row with at(set, i).
+// sweep launches a row body over such a set: the listed indices when set is
+// non-nil, the full range [0, n) when it is nil. The body resolves its row
+// with at(set, i).
 func (m *Model) sweep(set []int, n int, body func(i int)) {
 	if set != nil {
 		n = len(set)
@@ -155,12 +157,12 @@ func at(set []int, i int) int {
 	return i
 }
 
-// bindSets refreshes the iteration sets from the model's current
-// decomposition.
+// bindSets takes the two iteration sets that are not the whole patch from
+// the model's decomposition (both nil when replicated).
 func (s *dyScratch) bindSets() {
-	s.ext, s.owned, s.comp, s.verts = nil, nil, nil, nil
+	s.owned, s.comp = nil, nil
 	if d := s.m.dec; d != nil {
-		s.ext, s.owned, s.comp, s.verts = d.ExtCells, d.Owned, d.CompEdges, d.CompVerts
+		s.owned, s.comp = d.OwnedLocal, d.CompEdgesLocal
 	}
 }
 
@@ -191,9 +193,9 @@ func (m *Model) dynamicsSubstep(dt float64) {
 	// callers write the exported fields between calls. ln(ps) changes every
 	// substep.
 	if m.thFresh {
-		m.sweep(s.ext, nc, s.lnPsF)
+		m.sweep(nil, nc, s.lnPsF)
 	} else {
-		m.sweep(s.ext, nc, s.thermoF)
+		m.sweep(nil, nc, s.thermoF)
 		m.thFresh = true
 		m.hydroSweeps++
 	}
@@ -214,9 +216,9 @@ func (m *Model) dynamicsSubstep(dt float64) {
 	for i := range s.newU {
 		s.newU[i] = 0
 	}
-	s.bKeDiv.u, s.bKeDiv.cells = m.U, s.ext
+	s.bKeDiv.u = m.U
 	pp.Kernels.MustLaunch(hAtmKeDiv, m.Sp, s.bKeDiv)
-	s.bVort.u, s.bVort.verts = m.U, s.verts
+	s.bVort.u = m.U
 	pp.Kernels.MustLaunch(hAtmVort, m.Sp, s.bVort)
 	s.bMom.u, s.bMom.newU, s.bMom.edges = m.U, s.newU, s.comp
 	pp.Kernels.MustLaunch(hAtmMomentum, m.Sp, s.bMom)
@@ -235,8 +237,7 @@ func (m *Model) dynamicsSubstep(dt float64) {
 
 // thermoCell fills one column of the virtual temperature and geopotential
 // at full levels and takes the cell's ln(ps) (lnPsCell).
-func (s *dyScratch) thermoCell(i int) {
-	c := at(s.ext, i)
+func (s *dyScratch) thermoCell(c int) {
 	m := s.m
 	nlev := s.geo.nlev
 	th := s.th[c*nlev : (c+1)*nlev]
@@ -254,8 +255,7 @@ func (s *dyScratch) thermoCell(i int) {
 // lnPsCell takes the cell's ln(ps), hoisted out of the per-edge momentum
 // loop: the same math.Log on the same input, so every edge reads identical
 // bits.
-func (s *dyScratch) lnPsCell(i int) {
-	c := at(s.ext, i)
+func (s *dyScratch) lnPsCell(c int) {
 	s.lnPs[c] = math.Log(s.m.Ps[c])
 }
 
@@ -329,9 +329,8 @@ func (m *Model) tracerStep() {
 		m.dec.ExchangeCells(m.flux.dps, 1)
 	}
 
-	// Pre-update masses: ps before this tracer window = Ps - accumulated dps.
-	// The full-range loop is kept in both modes: outside the extended patch
-	// the inputs are stale-but-finite and the result is never read.
+	// Pre-update masses: ps before this tracer window = Ps - accumulated dps,
+	// over the whole patch.
 	s := m.dyEnsure()
 	s.bindSets()
 	psOld := s.lnPs
@@ -341,7 +340,7 @@ func (m *Model) tracerStep() {
 
 	// θ on the extended patch, both tracers transported in one sweep, then
 	// θ mapped back to T at the new pressure.
-	m.sweep(s.ext, nc, s.thetaF)
+	m.sweep(nil, nc, s.thetaF)
 	m.sweep(s.owned, nc, s.transportF)
 	m.sweep(s.owned, nc, s.tracerStoreF)
 	if m.dec != nil {
@@ -369,8 +368,7 @@ func (s *dyScratch) tracerFields() (theta, newTheta, newQv []float64) {
 // thetaCell converts one column of T to θ at the window's old pressure. The
 // Exner function factorises, (σ_k·ps/P0)^κ = σ_k^κ · (ps/P0)^κ: the level
 // factors are tables and the column factor is one e^(±κ·ln(ps/P0)).
-func (s *dyScratch) thetaCell(i int) {
-	c := at(s.ext, i)
+func (s *dyScratch) thetaCell(c int) {
 	nlev := s.geo.nlev
 	theta, _, _ := s.tracerFields()
 	th := theta[c*nlev : (c+1)*nlev][:len(s.rsigK)]
@@ -542,8 +540,7 @@ func (m *Model) physicsStep(dt float64) {
 	// recomputed redundantly from inputs the exchanges keep bit-identical to
 	// their owners', so the column outputs (T, Qv, and the seven export
 	// fields) are halo-valid without any post-physics cell exchange.
-	m.sweep(s.ext, nc, func(i int) {
-		c := at(s.ext, i)
+	m.sweep(nil, nc, func(c int) {
 		cw := m.cols.get(nlev)
 		w := cw.lev
 		for i := 5 * nlev; i < len(w); i++ {

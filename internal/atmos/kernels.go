@@ -150,23 +150,14 @@ type keDivArgs struct {
 	u  []float64  // [ne*nlev] edge-normal velocity, edge-major model state
 	cd []cellDiag // [nc*nlev] (out)
 
-	cells []int // iteration set; nil sweeps every cell
-	rowF  func(i int)
-}
-
-func (a *keDivArgs) n() int {
-	if a.cells != nil {
-		return len(a.cells)
-	}
-	return a.g.nc
+	rowF func(c int) // every cell of the mesh (the patch, when decomposed)
 }
 
 // cell runs one column: v = Σ w_e·u_e, ke = ½|v|², div = (Σ s·Dv·re·u) over
 // the cell area. The cell's slots are walked once per pair of levels with
 // one set of accumulators per level; each level's accumulators start at
 // zero and add in edge order.
-func (a *keDivArgs) cell(i int) {
-	c := at(a.cells, i)
+func (a *keDivArgs) cell(c int) {
 	g := a.g
 	nlev := g.nlev
 	lo, hi := g.mesh.Slots(c)
@@ -213,7 +204,7 @@ func keDivKernel(s pp.Space, args any) {
 	if !ok {
 		panic("atmos: atm.kediv launched with wrong argument bundle")
 	}
-	s.ParallelFor(a.n(), a.rowF)
+	s.ParallelFor(a.g.nc, a.rowF)
 }
 
 // --- vertex vorticity ---
@@ -223,22 +214,13 @@ type vortArgs struct {
 	u    []float64 // [ne*nlev], edge-major
 	vort []float64 // [nv*nlev] (out), vertex-major
 
-	verts []int // iteration set; nil sweeps every vertex
-	rowF  func(i int)
-}
-
-func (a *vortArgs) n() int {
-	if a.verts != nil {
-		return len(a.verts)
-	}
-	return a.g.nv
+	rowF func(v int) // every vertex of the mesh (the patch, when decomposed)
 }
 
 // vertex accumulates the circulation over the vertex's three edges in +=
 // order (the leading 0 + t₀ matters for the sign of zero), the three edge
 // indices and sign·Dc·re loaded once for the whole column.
-func (a *vortArgs) vertex(i int) {
-	v := at(a.verts, i)
+func (a *vortArgs) vertex(v int) {
 	g := a.g
 	nlev := g.nlev
 	ve := &g.mesh.EdgesOnVertex[v]
@@ -263,7 +245,7 @@ func vortKernel(s pp.Space, args any) {
 	if !ok {
 		panic("atmos: atm.vort launched with wrong argument bundle")
 	}
-	s.ParallelFor(a.n(), a.rowF)
+	s.ParallelFor(a.g.nv, a.rowF)
 }
 
 // --- edge momentum update ---
@@ -361,11 +343,13 @@ func atmMomentumKernel(s pp.Space, args any) {
 // zero-filled) before the next substep reads it — so the work that runs only
 // there borrows it instead of holding arrays of its own: the continuity
 // edge totals take newU[:ne] ahead of its zero-fill; the tracer step takes
-// newU[:2·nlev·nc] and vort[:nlev·nc] (ne = 3nc−6, nv = 2nc−4) for θ and
-// the two transported fields, and lnPs for the window's old ps; the physics
-// step takes lnPs and vort[:nc] for the cell momentum tendencies. th is never
-// borrowed: it carries tv/φ from one substep to the next until T or qv
-// changes (Model.thFresh).
+// newU[:2·nlev·nc] and vort[:nlev·nc] for θ and the two transported fields,
+// and lnPs for the window's old ps; the physics step takes lnPs and
+// vort[:nc] for the cell momentum tendencies. (ne = 3nc−6 and nv = 2nc−4 on
+// the globe, and a patch has ne ≥ 2.5nc; vort is held at max(nv, nc)
+// columns for the patches of one or two owned cells, which have fewer
+// vertices than cells.) th is never borrowed: it carries tv/φ from one
+// substep to the next until T or qv changes (Model.thFresh).
 type dyScratch struct {
 	m   *Model
 	geo *atmGeom
@@ -380,17 +364,17 @@ type dyScratch struct {
 	th   []thermo   // [nc*nlev] thermodynamic diagnostics
 	lnPs []float64  // [nc]
 	cd   []cellDiag // [nc*nlev]
-	vort []float64  // [nv*nlev]
+	vort []float64  // [max(nv, nc)*nlev]
 	newU []float64  // [ne*nlev]
 
 	bKeDiv *keDivArgs
 	bVort  *vortArgs
 	bMom   *momentumArgs
 
-	// Iteration sets (see sweep): extended cells, owned cells, computed edges
-	// and vertices, refreshed from the model's decomposition at the top of
-	// each step; all nil when replicated.
-	ext, owned, comp, verts []int
+	// The iteration sets that are not the whole mesh (see sweep): owned
+	// cells and computed edges, refreshed from the model's decomposition at
+	// the top of each step; nil when replicated.
+	owned, comp []int
 
 	// The row bodies of dycore.go, bound once.
 	thermoF, lnPsF, contEdgeF, contCellF func(i int)
@@ -413,7 +397,7 @@ func (m *Model) dyEnsure() *dyScratch {
 		th:   make([]thermo, nc*nlev),
 		lnPs: make([]float64, nc),
 		cd:   make([]cellDiag, nc*nlev),
-		vort: make([]float64, nv*nlev),
+		vort: make([]float64, max(nv, nc)*nlev),
 		newU: make([]float64, ne*nlev),
 
 		lnMid:   make([]float64, nlev),

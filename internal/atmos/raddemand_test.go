@@ -3,7 +3,6 @@ package atmos
 import (
 	"testing"
 
-	"repro/internal/grid"
 	"repro/internal/par"
 )
 
@@ -85,24 +84,23 @@ func TestDemandRadiationSkipsHalo(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		d, err := grid.NewIcosDecomp(m.Mesh, c)
-		if err != nil {
+		if _, err := m.Decompose(c); err != nil {
 			t.Error(err)
 			return
 		}
-		m.SetDecomp(d)
+		d := m.Decomp()
 		mask := make([]bool, m.Mesh.NCells())
-		mask[d.HaloCells[0]] = true
+		mask[d.LocalCell(d.HaloCells[0])] = true
 		m.DemandRadiation(mask, true, true)
 		m.StepModel()
 		for _, cell := range d.Owned {
-			if m.GLW[cell] == 0 {
+			if m.GLW[d.LocalCell(cell)] == 0 {
 				t.Errorf("rank %d: owned cell %d not diagnosed", c.Rank(), cell)
 				return
 			}
 		}
 		for i, h := range d.HaloCells {
-			if diagnosed := m.GLW[h] != 0; diagnosed != (i == 0) {
+			if diagnosed := m.GLW[d.LocalCell(h)] != 0; diagnosed != (i == 0) {
 				t.Errorf("rank %d: halo cell %d diagnosed = %v, want %v", c.Rank(), h, diagnosed, i == 0)
 				return
 			}

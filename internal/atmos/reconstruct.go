@@ -28,19 +28,25 @@ type reconstructor struct {
 	speedBound float64
 }
 
-func newReconstructor(mesh *grid.IcosMesh) *reconstructor {
-	r := &reconstructor{mesh: mesh}
-	ne := mesh.NEdges()
-	r.normal3 = make([]grid.Vec3, ne)
-	for e := 0; e < ne; e++ {
+// edgeNormals returns each edge's unit normal (c1→c2, tangent at the edge
+// midpoint). It reads both cells of every edge, so a patch takes its normals
+// from the global mesh.
+func edgeNormals(mesh *grid.IcosMesh) []grid.Vec3 {
+	normal3 := make([]grid.Vec3, mesh.NEdges())
+	for e := range normal3 {
 		c1, c2 := mesh.CellsOnEdge[e][0], mesh.CellsOnEdge[e][1]
 		mid := mesh.EdgeMidpoint[e]
 		n := mesh.CellCenter[c2].Sub(mesh.CellCenter[c1])
 		// Project onto the tangent plane at the midpoint.
-		n = n.Sub(mid.Scale(n.Dot(mid))).Normalize()
-		r.normal3[e] = n
+		normal3[e] = n.Sub(mid.Scale(n.Dot(mid))).Normalize()
 	}
+	return normal3
+}
 
+// newReconstructor builds the per-slot weights of every cell of mesh from
+// the edge normals normal3 (edgeNormals).
+func newReconstructor(mesh *grid.IcosMesh, normal3 []grid.Vec3) *reconstructor {
+	r := &reconstructor{mesh: mesh, normal3: normal3}
 	nc := mesh.NCells()
 	ns := len(mesh.SlotEdge)
 	r.wX, r.wY, r.wZ = make([]float64, ns), make([]float64, ns), make([]float64, ns)
@@ -98,6 +104,12 @@ func newReconstructor(mesh *grid.IcosMesh) *reconstructor {
 	r.speedBound *= 1 + 1e-9
 	return r
 }
+
+// EdgeNormal returns edge e's unit normal, pointing from its first cell to
+// its second and tangent at the edge midpoint. A decomposed model holds it
+// for every edge of its patch, including edges whose other cell lies
+// outside the patch.
+func (m *Model) EdgeNormal(e int) grid.Vec3 { return m.recon.normal3[e] }
 
 // invert3 inverts a symmetric 3×3 matrix by cofactors.
 func invert3(a [3][3]float64) [3][3]float64 {

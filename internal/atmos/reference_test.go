@@ -12,13 +12,15 @@ import (
 )
 
 // rowSets runs plain row loops over the model's four iteration sets: the
-// listed indices when decomposed, [0, n) otherwise. Both test-only steppers —
-// the oracle below and the drift twin in drift_test.go — sweep through it.
+// listed local indices of the patch when decomposed, [0, n) otherwise (the
+// extended cells and computed vertices are the whole patch). Both test-only
+// steppers — the oracle below and the drift twin in drift_test.go — sweep
+// through it.
 type rowSets struct{ m *Model }
 
 func (r rowSets) sweepSet(set func(*grid.IcosDecomp) []int, n int, fn func(i int)) {
 	m := r.m
-	if m.dec == nil {
+	if m.dec == nil || set == nil {
 		m.Sp.ParallelFor(n, fn)
 		return
 	}
@@ -26,21 +28,17 @@ func (r rowSets) sweepSet(set func(*grid.IcosDecomp) []int, n int, fn func(i int
 	m.Sp.ParallelFor(len(idx), func(i int) { fn(idx[i]) })
 }
 
-func (r rowSets) forExtCells(fn func(c int)) {
-	r.sweepSet(func(d *grid.IcosDecomp) []int { return d.ExtCells }, r.m.Mesh.NCells(), fn)
-}
+func (r rowSets) forExtCells(fn func(c int)) { r.sweepSet(nil, r.m.Mesh.NCells(), fn) }
 
 func (r rowSets) forOwnedCells(fn func(c int)) {
-	r.sweepSet(func(d *grid.IcosDecomp) []int { return d.Owned }, r.m.Mesh.NCells(), fn)
+	r.sweepSet(func(d *grid.IcosDecomp) []int { return d.OwnedLocal }, r.m.Mesh.NCells(), fn)
 }
 
 func (r rowSets) forCompEdges(fn func(e int)) {
-	r.sweepSet(func(d *grid.IcosDecomp) []int { return d.CompEdges }, r.m.Mesh.NEdges(), fn)
+	r.sweepSet(func(d *grid.IcosDecomp) []int { return d.CompEdgesLocal }, r.m.Mesh.NEdges(), fn)
 }
 
-func (r rowSets) forCompVerts(fn func(v int)) {
-	r.sweepSet(func(d *grid.IcosDecomp) []int { return d.CompVerts }, r.m.Mesh.NVertices(), fn)
-}
+func (r rowSets) forCompVerts(fn func(v int)) { r.sweepSet(nil, r.m.Mesh.NVertices(), fn) }
 
 // levelState is a test stepper's private level-major copy of the model's
 // column-major 3-D state, so the steppers keep their plain level-major loops
@@ -568,17 +566,20 @@ func TestStepMatchesReferenceLoops(t *testing.T) {
 							return
 						}
 						for _, m := range []*Model{live, ref} {
-							d, err := grid.NewIcosDecomp(m.Mesh, c)
-							if err != nil {
-								t.Errorf("NewIcosDecomp: %v", err)
+							if _, err := m.Decompose(c); err != nil {
+								t.Errorf("Decompose: %v", err)
 								return
 							}
-							m.SetDecomp(d)
 						}
 						live.StepModel()
 						newRefStepper(ref).stepModel()
+						// Both models hold the same patch: compare in its local ids.
 						d := live.Decomp()
-						compare(t, live, ref, d.Owned, d.OwnEdges, d.CompEdges)
+						ownEdges := make([]int, len(d.OwnEdges))
+						for i, e := range d.OwnEdges {
+							ownEdges[i] = d.LocalEdge(e)
+						}
+						compare(t, live, ref, d.OwnedLocal, ownEdges, d.CompEdgesLocal)
 					})
 				})
 			}

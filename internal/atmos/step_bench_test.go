@@ -71,7 +71,7 @@ func BenchmarkStepModel(b *testing.B) {
 		for c := 0; c < nc; c++ {
 			s.lnPs[c] = m.Ps[c] - m.flux.dps[c]
 		}
-		m.sweep(s.ext, nc, s.thetaF)
+		m.sweep(nil, nc, s.thetaF)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			m.sweep(s.owned, nc, s.transportF)
@@ -83,13 +83,13 @@ func BenchmarkStepModel(b *testing.B) {
 	b.Run("thermo", func(b *testing.B) {
 		s.bindSets()
 		for i := 0; i < b.N; i++ {
-			m.sweep(s.ext, nc, s.thermoF)
+			m.sweep(nil, nc, s.thermoF)
 		}
 	})
 	b.Run("lnps", func(b *testing.B) {
 		s.bindSets()
 		for i := 0; i < b.N; i++ {
-			m.sweep(s.ext, nc, s.lnPsF)
+			m.sweep(nil, nc, s.lnPsF)
 		}
 	})
 }

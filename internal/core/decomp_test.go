@@ -15,12 +15,14 @@ import (
 // globalCoupledState assembles the rank-count-independent coupled state into
 // one flat global image: atmosphere Ps/T/Qv/U/SST plus the land stores.
 // On 1 rank the local arrays already are that image; decomposed, each rank
-// contributes exactly its owned cells, edges, and land slots to a zeroed
-// buffer and a sum-allreduce places every value once (the owned sets
-// partition their index spaces), so the result is bit-exact, not averaged.
+// contributes exactly its owned cells, edges, and land slots (read from its
+// patch through the local ids) to a zeroed buffer and a sum-allreduce places
+// every value once (the owned sets partition their index spaces), so the
+// result is bit-exact, not averaged.
 func globalCoupledState(e *ESM) []float64 {
 	m := e.Atm
-	nc, ne, nl := m.Mesh.NCells(), m.Mesh.NEdges(), m.NLev
+	nc64, ne64, _ := grid.IcosCounts(m.Mesh.Level)
+	nc, ne, nl := int(nc64), int(ne64), m.NLev
 	nT := len(e.Lnd.TSoil)
 	oPs := 0
 	oT := oPs + nc
@@ -41,21 +43,23 @@ func globalCoupledState(e *ESM) []float64 {
 		return buf
 	}
 	d := e.dec
+	ad := m.Decomp()
 	for _, r := range d.OwnedRanges() {
 		for c := r[0]; c < r[0]+r[1]; c++ {
-			buf[oPs+c] = m.Ps[c]
-			buf[oSST+c] = m.SST[c]
+			lc := ad.LocalCell(c)
+			buf[oPs+c] = m.Ps[lc]
+			buf[oSST+c] = m.SST[lc]
 			for k := 0; k < nl; k++ {
 				i := m.Idx(c, k)
-				buf[oT+i] = m.T[i]
-				buf[oQv+i] = m.Qv[i]
+				buf[oT+i] = m.T[m.Idx(lc, k)]
+				buf[oQv+i] = m.Qv[m.Idx(lc, k)]
 			}
 		}
 	}
 	for _, eg := range d.(grid.EdgeDecomp).OwnedEdgeList() {
 		for k := 0; k < nl; k++ {
 			i := m.Idx(eg, k)
-			buf[oU+i] = m.U[i]
+			buf[oU+i] = m.U[m.Idx(ad.LocalEdge(eg), k)]
 		}
 	}
 	for _, slot := range e.ownSlots {

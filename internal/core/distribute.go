@@ -44,20 +44,21 @@ type distState struct {
 	// Nearest-neighbour router over the global ocean-column space:
 	// src owner(gi) = atm owner of OcnToAtm[gi], dst owner(gi) = ocean block
 	// owner of column gi.
-	nnRouter *coupler.Router
-	nnSrcIdx []int // global ocean columns packed by this rank, ascending
-	nnSrc    *coupler.AttrVect
-	nnDst    *coupler.AttrVect
-	iceSrc   *coupler.AttrVect
-	iceDst   *coupler.AttrVect
+	nnRouter  *coupler.Router
+	nnSrcCell []int // per packed ocean column: its nearest atmosphere cell, a local id
+	nnSrc     *coupler.AttrVect
+	nnDst     *coupler.AttrVect
+	iceSrc    *coupler.AttrVect
+	iceDst    *coupler.AttrVect
 
 	// Conservative router over the global CSR-entry space: src owner(p) =
 	// atm owner of ConsCol[p], dst owner(p) = ocean block owner of the row
 	// (wet column) entry p belongs to. Nil unless -remap=cons.
-	consRouter *coupler.Router
-	consSrcIdx []int
-	consSrc    *coupler.AttrVect
-	consDst    *coupler.AttrVect
+	consRouter  *coupler.Router
+	consSrcIdx  []int // CSR entries packed by this rank, ascending
+	consSrcCell []int // per packed entry: its atmosphere cell, a local id
+	consSrc     *coupler.AttrVect
+	consDst     *coupler.AttrVect
 }
 
 // ocnColOwner returns the rank owning global ocean column gi under the 2D
@@ -69,8 +70,9 @@ func (e *ESM) ocnColOwner(gi int) int { return e.Ocn.B.Owner(gi) }
 // initDistribute builds the rearrange plans once at assembly. Both GSMaps of
 // each router are derived offline from rank-independent data, so every rank
 // computes identical maps with no communication (§5.2.4's offline path).
+// The atmosphere cells each rank packs from are kept as patch-local ids.
 func (e *ESM) initDistribute() error {
-	d := e.dec
+	d := e.Atm.Decomp()
 	c := e.Comm
 	n := c.Size()
 	nCol := e.Ocn.G.NX * e.Ocn.G.NY
@@ -95,7 +97,10 @@ func (e *ESM) initDistribute() error {
 	}
 	// The nearest-neighbour router is shared by the nn flux inputs and the
 	// ice forcing.
-	ds := &distState{nnRouter: rt, nnSrcIdx: srcMap.LocalIndices(c.Rank())}
+	ds := &distState{nnRouter: rt}
+	for _, gi := range srcMap.LocalIndices(c.Rank()) {
+		ds.nnSrcCell = append(ds.nnSrcCell, d.LocalCell(e.Rg.OcnToAtm[gi]))
+	}
 	if ds.nnSrc, err = coupler.NewAttrVect(nnFields, rt.NSrc); err != nil {
 		return err
 	}
@@ -139,6 +144,9 @@ func (e *ESM) initDistribute() error {
 		}
 		ds.consRouter = crt
 		ds.consSrcIdx = csrc.LocalIndices(c.Rank())
+		for _, p := range ds.consSrcIdx {
+			ds.consSrcCell = append(ds.consSrcCell, d.LocalCell(int(e.Rg.ConsCol[p])))
+		}
 		if ds.consSrc, err = coupler.NewAttrVect(consFields, crt.NSrc); err != nil {
 			return err
 		}
@@ -172,8 +180,7 @@ func (e *ESM) importNearestDistributed() {
 	pt, pq := ds.nnSrc.MustField("tair"), ds.nnSrc.MustField("qair")
 	psw, plw := ds.nnSrc.MustField("gsw"), ds.nnSrc.MustField("glw")
 	ppr := ds.nnSrc.MustField("precip")
-	for i, gi := range ds.nnSrcIdx {
-		ac := e.Rg.OcnToAtm[gi]
+	for i, ac := range ds.nnSrcCell {
 		pu[i], pv[i] = e.u10[ac], e.v10[ac]
 		pt[i], pq[i] = a.SurfaceAir(ac)
 		psw[i], plw[i] = a.GSW[ac], a.GLW[ac]
@@ -236,7 +243,7 @@ func (e *ESM) importConservativeDistributed() {
 	ptx, pty := ds.consSrc.MustField("taux"), ds.consSrc.MustField("tauy")
 	pqn, pem := ds.consSrc.MustField("qnet"), ds.consSrc.MustField("emp")
 	for i, p := range ds.consSrcIdx {
-		col := int(e.Rg.ConsCol[p])
+		col := ds.consSrcCell[i]
 		w := e.Rg.ConsW[p]
 		ptx[i] = w * f.taux[col]
 		pty[i] = w * f.tauy[col]
@@ -288,8 +295,7 @@ func (e *ESM) iceForcingDistributed() {
 	a.Wind10mInto(e.u10, e.v10)
 	pt := ds.iceSrc.MustField("tair")
 	pu, pv := ds.iceSrc.MustField("u10"), ds.iceSrc.MustField("v10")
-	for i, gi := range ds.nnSrcIdx {
-		ac := e.Rg.OcnToAtm[gi]
+	for i, ac := range ds.nnSrcCell {
 		pt[i], _ = a.SurfaceAir(ac)
 		pu[i], pv[i] = e.u10[ac], e.v10[ac]
 	}

@@ -71,7 +71,9 @@ type ESM struct {
 	// the icosahedral partition behind the shared Decomp contract, the
 	// distributed coupling rearrange state, the land slots this rank steps
 	// (extended patch) and audits (owned range), and the persistent 10 m
-	// wind buffers the surface loops fill in place.
+	// wind buffers the surface loops fill in place. Every per-atmosphere-cell
+	// buffer here (u10, v10, radLand, af) is laid out like the atmosphere's
+	// own arrays: over its patch, in local ids, when decomposed.
 	dec       grid.Decomp
 	dst       *distState
 	stepSlots []int
@@ -197,21 +199,17 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 			atm.IsLand[cell] = true
 		}
 	}
-	if opt.remap == RemapCons || opt.audit {
-		e.af = newAtmFluxes(atm.Mesh.NCells())
-	}
 	if opt.audit {
 		e.ledger = budget.NewLedger(ob)
 	}
 
 	// Atmosphere + land domain decomposition: partition the icosahedral
-	// cells into compact owned patches, register the halo-exchange plans
-	// with the atmosphere, split the land columns with the same ownership
-	// map (after Adopt, so adopted cells are partitioned too), and build
-	// the distributed-coupling routers. One rank leaves dec nil: the patch
-	// would be the whole mesh and every router a local copy.
-	e.u10 = make([]float64, atm.Mesh.NCells())
-	e.v10 = make([]float64, atm.Mesh.NCells())
+	// cells into compact owned patches and move the atmosphere onto this
+	// rank's (after the regridder and Adopt, which read the whole mesh and
+	// the global IsLand), split the land columns with the same ownership map
+	// (after Adopt, so adopted cells are partitioned too), and build the
+	// distributed-coupling routers. One rank leaves dec nil: the patch would
+	// be the whole mesh and every router a local copy.
 	if c.Size() > 1 {
 		d, err := atm.Decompose(c)
 		if err != nil {
@@ -231,8 +229,15 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 		}
 	}
 
-	e.radLand = make([]bool, atm.Mesh.NCells())
-	e.forLandStepped(func(c int) { e.radLand[c] = true })
+	// From here on atm.Mesh is what this rank stores: the patch, or the
+	// whole mesh on one rank.
+	nc := atm.Mesh.NCells()
+	if opt.remap == RemapCons || opt.audit {
+		e.af = newAtmFluxes(nc)
+	}
+	e.u10, e.v10 = make([]float64, nc), make([]float64, nc)
+	e.radLand = make([]bool, nc)
+	e.forLandStepped(func(_, lc int) { e.radLand[lc] = true })
 
 	// Ocean steps per ocean coupling interval.
 	ocnInterval := 86400.0 / float64(cfg.OcnCouplingsPerDay)
@@ -355,37 +360,57 @@ func (e *ESM) landStep() {
 	e.Atm.Wind10mInto(e.u10, e.v10)
 	u10, v10 := e.u10, e.v10
 	dt := 86400.0 / float64(e.Cfg.AtmCouplingsPerDay)
-	step := func(c int) {
-		tair, qair := e.Atm.SurfaceAir(c)
+	step := func(c, lc int) {
+		tair, qair := e.Atm.SurfaceAir(lc)
 		f := land.Forcing{
-			GSW:    e.Atm.GSW[c],
-			GLW:    e.Atm.GLW[c],
+			GSW:    e.Atm.GSW[lc],
+			GLW:    e.Atm.GLW[lc],
 			TAir:   tair,
 			QAir:   qair,
-			Wind:   math.Hypot(u10[c], v10[c]),
-			Precip: e.Atm.Precip[c],
-			PSfc:   e.Atm.Ps[c],
+			Wind:   math.Hypot(u10[lc], v10[lc]),
+			Precip: e.Atm.Precip[lc],
+			PSfc:   e.Atm.Ps[lc],
 		}
 		resp, err := e.Lnd.StepCell(c, f, dt)
 		if err == nil {
 			// The land skin temperature is the surface the atmosphere sees.
-			e.Atm.SST[c] = resp.TSkin
+			e.Atm.SST[lc] = resp.TSkin
 		}
 	}
 	e.forLandStepped(step)
 }
 
 // forLandStepped visits the atmosphere cells whose land column this rank
-// steps: every land cell on one rank, the extended patch's when decomposed.
-func (e *ESM) forLandStepped(fn func(c int)) {
-	if e.dec == nil {
+// steps — every land cell on one rank, the extended patch's when decomposed
+// — with each cell's global id c (the land model's) and its local id lc
+// (the atmosphere's).
+func (e *ESM) forLandStepped(fn func(c, lc int)) {
+	d := e.Atm.Decomp()
+	if d == nil {
 		for _, c := range e.Lnd.Cells {
-			fn(c)
+			fn(c, c)
 		}
 		return
 	}
 	for _, slot := range e.stepSlots {
-		fn(e.Lnd.Cells[slot])
+		c := e.Lnd.Cells[slot]
+		fn(c, d.LocalCell(c))
+	}
+}
+
+// forAtmOwned visits, in ascending global order, the atmosphere cells this
+// rank owns — every cell on one rank — with each cell's global id c and its
+// local id lc.
+func (e *ESM) forAtmOwned(fn func(c, lc int)) {
+	d := e.Atm.Decomp()
+	if d == nil {
+		for c := 0; c < e.Atm.Mesh.NCells(); c++ {
+			fn(c, c)
+		}
+		return
+	}
+	for i, c := range d.Owned {
+		fn(c, d.OwnedLocal[i])
 	}
 }
 
@@ -510,27 +535,19 @@ func (e *ESM) importNearest() {
 // conservative rows, damping coastal fluxes instead of breaking the
 // conservation identity.
 func (e *ESM) computeAtmFluxes() {
-	nc := e.Atm.Mesh.NCells()
 	e.Atm.Wind10mInto(e.u10, e.v10)
-	ranges := [][2]int{{0, nc}}
-	if e.dec != nil {
-		// Owned cells only: the flux parts feed the audit's owned-range
-		// partial sums and the conservative packer, both owner-indexed.
-		ranges = e.dec.OwnedRanges()
-	}
-	for _, rng := range ranges {
-		for c := rng[0]; c < rng[0]+rng[1]; c++ {
-			e.atmFluxCell(c)
-		}
-	}
+	// Owned cells only: the flux parts feed the audit's owned-range partial
+	// sums and the conservative packer, both owner-indexed.
+	e.forAtmOwned(e.atmFluxCell)
 }
 
-// atmFluxCell fills one atmosphere cell's flux parts (see computeAtmFluxes).
-func (e *ESM) atmFluxCell(c int) {
+// atmFluxCell fills the flux parts of the atmosphere cell with global id g
+// and local id c (see computeAtmFluxes).
+func (e *ESM) atmFluxCell(g, c int) {
 	a := e.Atm
 	u10, v10 := e.u10, e.v10
 	f := e.af
-	if a.IsLand[c] || e.Rg.AtmOverlapArea[c] == 0 {
+	if a.IsLand[c] || e.Rg.AtmOverlapArea[g] == 0 {
 		f.sw[c], f.lw[c], f.sens[c], f.lat[c], f.qnet[c] = 0, 0, 0, 0, 0
 		f.emp[c], f.taux[c], f.tauy[c] = 0, 0, 0
 		return
@@ -638,29 +655,29 @@ func (e *ESM) auditRecord() {
 		return
 	}
 	// Decomposed: atmosphere-side partials over this rank's owned cells (the
-	// owned ranges partition the mesh, so the sum over ranks reproduces the
+	// owned cells partition the mesh, so the sum over ranks reproduces the
 	// one-rank integrals up to summation order), batched with the
-	// ocean-side terms into one 16-term reduction.
+	// ocean-side terms into one 16-term reduction. The flux parts and the
+	// cell areas are the patch's (local ids), the overlap areas global.
 	var aSW, aLW, aSens, aLat, aCpl, aGross, aFW, aFWGross float64
-	for _, rng := range e.dec.OwnedRanges() {
-		for c := rng[0]; c < rng[0]+rng[1]; c++ {
-			ar := e.Rg.AtmOverlapArea[c]
-			if ar == 0 {
-				continue
-			}
-			aSW += ar * f.sw[c]
-			aLW += ar * f.lw[c]
-			aSens += ar * f.sens[c]
-			aLat += ar * f.lat[c]
-			aCpl += ar * f.qnet[c]
-			aGross += ar * math.Abs(f.qnet[c])
-			aFW += ar * f.emp[c]
-			aFWGross += ar * math.Abs(f.emp[c])
+	e.forAtmOwned(func(g, c int) {
+		ar := e.Rg.AtmOverlapArea[g]
+		if ar == 0 {
+			return
 		}
-	}
+		aSW += ar * f.sw[c]
+		aLW += ar * f.lw[c]
+		aSens += ar * f.sens[c]
+		aLat += ar * f.lat[c]
+		aCpl += ar * f.qnet[c]
+		aGross += ar * math.Abs(f.qnet[c])
+		aFW += ar * f.emp[c]
+		aFWGross += ar * math.Abs(f.emp[c])
+	})
 	var lndWater float64
+	d := e.Atm.Decomp()
 	for _, slot := range e.ownSlots {
-		c := e.Lnd.Cells[slot]
+		c := d.LocalCell(e.Lnd.Cells[slot])
 		lndWater += e.Lnd.Bucket[slot] * e.Atm.Mesh.AreaCell[c] *
 			grid.EarthRadius * grid.EarthRadius * rhoWater
 	}
@@ -723,13 +740,19 @@ func (e *ESM) refreshOceanSurface() {
 	e.iceGlobal = par.Bcast(e.Comm, 0, iceG)
 }
 
-// applySurfaceToAtmos maps the global ocean surface onto atmosphere cells.
+// applySurfaceToAtmos maps the global ocean surface onto the atmosphere
+// cells this rank holds.
 func (e *ESM) applySurfaceToAtmos() {
+	global := e.Atm.Mesh.GlobalCell // nil on one rank: local ids are global
 	for c := 0; c < e.Atm.Mesh.NCells(); c++ {
 		if e.Atm.IsLand[c] {
 			continue // land skin temperature is owned by the land model
 		}
-		oc := e.Rg.AtmToOcn[c]
+		g := c
+		if global != nil {
+			g = int(global[c])
+		}
+		oc := e.Rg.AtmToOcn[g]
 		if oc < 0 {
 			continue
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"repro/internal/par"
 	"repro/internal/pario"
 )
 
@@ -44,11 +43,11 @@ func (e *ESM) WriteSnapshot(path string) error {
 	// Atmosphere-cell diagnostics, assembled collectively (see
 	// assembleAtmField).
 	m := e.Atm
-	m.Wind10mInto(e.u10, e.v10)
-	speed := e.assembleAtmField(func(c int, out []float64) { out[c] = math.Hypot(e.u10[c], e.v10[c]) })
-	ps := e.assembleAtmField(func(c int, out []float64) { out[c] = m.Ps[c] })
-	precip := e.assembleAtmField(func(c int, out []float64) { out[c] = m.Precip[c] })
-	cloud := e.assembleAtmField(func(c int, out []float64) { out[c] = m.CloudProxy(c) })
+	speed := e.atmWindSpeed()
+	ps := e.assembleAtmField(m.Ps)
+	precip := e.assembleAtmField(m.Precip)
+	cloud := e.assembleAtmField(m.TotalCloudProxy())
+	lon, lat := e.assembleAtmField(m.Mesh.LonCell), e.assembleAtmField(m.Mesh.LatCell)
 
 	if e.Comm.Rank() == 0 {
 		whole := func(name string, data []float64) {
@@ -67,39 +66,36 @@ func (e *ESM) WriteSnapshot(path string) error {
 		whole("atm.cloud", cloud)
 		// Cell coordinates so a plotting tool can place the unstructured
 		// atmosphere values.
-		whole("atm.loncell", append([]float64(nil), m.Mesh.LonCell...))
-		whole("atm.latcell", append([]float64(nil), m.Mesh.LatCell...))
+		whole("atm.loncell", lon)
+		whole("atm.latcell", lat)
 	}
 	return pario.WriteSingleTo(e.Comm, path, fields, e.obs)
 }
 
-// assembleAtmField builds a global atmosphere-cell field. On one rank the
-// arrays already hold the global state and fill runs over all cells;
-// decomposed, each rank fills only its owned cells (halo and farther cells
-// are stale at multi-rank) and a sum-allreduce assembles the global field —
-// the owned ranges partition the mesh, so the sum places each value exactly
-// once. Collective in both cases.
-func (e *ESM) assembleAtmField(fill func(c int, out []float64)) []float64 {
-	out := make([]float64, e.Atm.Mesh.NCells())
-	if e.dec == nil {
-		for c := range out {
-			fill(c, out)
-		}
-		return out
+// assembleAtmField returns a fresh global copy of a one-value-per-cell
+// atmosphere field on rank 0, nil on the other ranks. On one rank the field
+// already is global; decomposed, each rank holds only its patch and the
+// owned cells are gathered onto rank 0 (grid.IcosDecomp.Gather). Collective
+// in both cases.
+func (e *ESM) assembleAtmField(f []float64) []float64 {
+	if d := e.Atm.Decomp(); d != nil {
+		return d.Gather(f)
 	}
-	for _, r := range e.dec.OwnedRanges() {
-		for c := r[0]; c < r[0]+r[1]; c++ {
-			fill(c, out)
-		}
-	}
-	return e.Comm.AllreduceSlice(out, par.OpSum)
+	return append([]float64(nil), f...)
 }
 
-// GlobalAtmPs assembles the global surface-pressure field. Collective: under
-// atmosphere decomposition only owned cells are live locally, so diagnostics
-// that scan the whole field (typhoon center finding) must go
-// through this gather rather than reading Atm.Ps directly.
-func (e *ESM) GlobalAtmPs() []float64 {
-	m := e.Atm
-	return e.assembleAtmField(func(c int, out []float64) { out[c] = m.Ps[c] })
+// atmWindSpeed assembles the 10 m wind speed (see assembleAtmField).
+func (e *ESM) atmWindSpeed() []float64 {
+	e.Atm.Wind10mInto(e.u10, e.v10)
+	speed := make([]float64, len(e.u10))
+	for c := range speed {
+		speed[c] = math.Hypot(e.u10[c], e.v10[c])
+	}
+	return e.assembleAtmField(speed)
 }
+
+// GlobalAtmPs assembles the global surface-pressure field on rank 0 (nil on
+// the other ranks). Collective: under atmosphere decomposition a rank holds
+// only its patch, so diagnostics that scan the whole field (typhoon center
+// finding) must go through this gather rather than reading Atm.Ps directly.
+func (e *ESM) GlobalAtmPs() []float64 { return e.assembleAtmField(e.Atm.Ps) }

@@ -11,22 +11,6 @@ import (
 	"repro/internal/pp"
 )
 
-// ownedAtmCells calls fn on every atmosphere cell this rank owns (all of
-// them on 1 rank).
-func ownedAtmCells(e *ESM, fn func(c int)) {
-	if e.dec == nil {
-		for c := 0; c < e.Atm.Mesh.NCells(); c++ {
-			fn(c)
-		}
-		return
-	}
-	for _, r := range e.dec.OwnedRanges() {
-		for c := r[0]; c < r[0]+r[1]; c++ {
-			fn(c)
-		}
-	}
-}
-
 // notRead fills the trace slots of cells a rank does not read at an
 // observation; GSW/GLW are never negative.
 const notRead = -1
@@ -66,14 +50,16 @@ func radTrace(t *testing.T, ranks int, sched Schedule, remap RemapMode, steps, r
 		if e == nil {
 			return
 		}
-		nc := e.Atm.Mesh.NCells()
+		// Traces are indexed by global cell; the atmosphere's arrays by the
+		// local id the readers pass alongside it.
+		nc := len(e.Rg.AtmToOcn)
 		var tr []float64
-		observe := func(e *ESM, readers func(func(c int))) {
+		observe := func(e *ESM, readers func(func(c, lc int))) {
 			obsv := make([]float64, 2*nc)
 			for i := range obsv {
 				obsv[i] = notRead
 			}
-			readers(func(cell int) { obsv[2*cell], obsv[2*cell+1] = e.Atm.GSW[cell], e.Atm.GLW[cell] })
+			readers(func(cell, lc int) { obsv[2*cell], obsv[2*cell+1] = e.Atm.GSW[lc], e.Atm.GLW[lc] })
 			tr = append(tr, obsv...)
 		}
 		for i := 0; i < steps; i++ {
@@ -93,18 +79,18 @@ func radTrace(t *testing.T, ranks int, sched Schedule, remap RemapMode, steps, r
 					t.Error(err)
 					return
 				}
-				same := func(cell int) {
-					if fresh.Atm.GSW[cell] != e.Atm.GSW[cell] || fresh.Atm.GLW[cell] != e.Atm.GLW[cell] {
+				same := func(cell, lc int) {
+					if fresh.Atm.GSW[lc] != e.Atm.GSW[lc] || fresh.Atm.GLW[lc] != e.Atm.GLW[lc] {
 						t.Errorf("rank %d cell %d: held GSW/GLW %v/%v restored as %v/%v", c.Rank(), cell,
-							e.Atm.GSW[cell], e.Atm.GLW[cell], fresh.Atm.GSW[cell], fresh.Atm.GLW[cell])
+							e.Atm.GSW[lc], e.Atm.GLW[lc], fresh.Atm.GSW[lc], fresh.Atm.GLW[lc])
 					}
 				}
-				ownedAtmCells(e, same)
+				e.forAtmOwned(same)
 				e.forLandStepped(same)
 				e = fresh
 			}
 			if e.Clock.Due("ocn") {
-				observe(e, func(fn func(int)) { ownedAtmCells(e, fn) })
+				observe(e, e.forAtmOwned)
 			}
 			if !e.Step() {
 				t.Errorf("clock exhausted at step %d", i)
@@ -241,7 +227,7 @@ func TestRadiationHoldDrift(t *testing.T) {
 			}
 			// What landStep has just read, in both models: the lag of the held
 			// flux behind the fresh one, over every step of the run.
-			held.forLandStepped(func(cell int) { lag.add(held.Atm.GLW[cell] - every.Atm.GLW[cell]) })
+			held.forLandStepped(func(_, cell int) { lag.add(held.Atm.GLW[cell] - every.Atm.GLW[cell]) })
 		}
 		// The run ends on a radiation step, so what is left between the two
 		// models' fluxes there is the drift of the state they are diagnosed from.
@@ -249,7 +235,7 @@ func TestRadiationHoldDrift(t *testing.T) {
 			t.Errorf("step %d is not a radiation step", steps)
 		}
 		var skin, glw, temp, ps rms
-		held.forLandStepped(func(cell int) {
+		held.forLandStepped(func(_, cell int) {
 			skin.add(held.Atm.SST[cell] - every.Atm.SST[cell])
 			glw.add(held.Atm.GLW[cell] - every.Atm.GLW[cell])
 		})

@@ -215,7 +215,8 @@ type restartLayout struct {
 // restartPart is one field's share of this rank's image. Ocean parts cover
 // rows [j0, j0+nj) × columns [i0, i0+ni) on nlev levels (dry: zeros, read
 // from no array); the others cover runs of the global index space, stride
-// values per index.
+// values per index, read from the array at the runs' local starts at (the
+// global starts when at is nil).
 type restartPart struct {
 	v      restartVar
 	global int
@@ -224,6 +225,7 @@ type restartPart struct {
 	dry                  bool
 
 	runs   [][2]int
+	at     []int
 	stride int
 }
 
@@ -262,34 +264,45 @@ func newRestartLayout(e *ESM) (*restartLayout, error) {
 		}
 	}
 
-	nc, ne, nlev, nslot := m.Mesh.NCells(), m.Mesh.NEdges(), m.NLev, len(e.Lnd.TSoil)
+	nc64, ne64, _ := grid.IcosCounts(m.Mesh.Level)
+	nc, ne, nlev, nslot := int(nc64), int(ne64), m.NLev, len(e.Lnd.TSoil)
 	cells, edges, slots := [][2]int{{0, nc}}, [][2]int{{0, ne}}, [][2]int{{0, nslot}}
+	var cellsAt, edgesAt []int
 	if e.dec != nil {
 		ed, ok := e.dec.(grid.EdgeDecomp)
 		if !ok {
 			return nil, fmt.Errorf("core: decomposed atmosphere restart requires an edge-aware decomposition, got %T", e.dec)
 		}
 		cells, edges, slots = e.dec.OwnedRanges(), grid.Runs(ed.OwnedEdgeList()), grid.Runs(e.ownSlots)
+		// The atmosphere holds its patch: a run of consecutive owned global
+		// ids is a run of consecutive local ids, starting at its first id's.
+		d := m.Decomp()
+		for _, r := range cells {
+			cellsAt = append(cellsAt, d.LocalCell(r[0]))
+		}
+		for _, r := range edges {
+			edgesAt = append(edgesAt, d.LocalEdge(r[0]))
+		}
 	}
-	runs := func(v restartVar, global int, rs [][2]int, stride int) {
-		l.parts = append(l.parts, restartPart{v: v, global: global, runs: rs, stride: stride})
+	runs := func(v restartVar, global int, rs [][2]int, at []int, stride int) {
+		l.parts = append(l.parts, restartPart{v: v, global: global, runs: rs, at: at, stride: stride})
 	}
 	for _, v := range atmCellVars {
-		runs(v, nc, cells, 1)
+		runs(v, nc, cells, cellsAt, 1)
 	}
 	for _, v := range atmColVars {
-		runs(v, nlev*nc, cells, nlev)
+		runs(v, nlev*nc, cells, cellsAt, nlev)
 	}
-	runs(atmUVar, nlev*ne, edges, nlev)
-	runs(atmFluxEdgeVar, nlev*ne, edges, nlev)
-	runs(atmFluxDpsVar, nc, cells, 1)
+	runs(atmUVar, nlev*ne, edges, edgesAt, nlev)
+	runs(atmFluxEdgeVar, nlev*ne, edges, edgesAt, nlev)
+	runs(atmFluxDpsVar, nc, cells, cellsAt, 1)
 	for _, v := range lndVars {
-		runs(v, nslot, slots, 1)
+		runs(v, nslot, slots, nil, 1)
 	}
 	if e.Comm.Rank() == 0 {
 		for _, v := range sfcVars {
 			n := len(v.arr(e))
-			runs(v, n, [][2]int{{0, n}}, 1)
+			runs(v, n, [][2]int{{0, n}}, nil, 1)
 		}
 	}
 	for i := range l.parts {
@@ -342,9 +355,13 @@ func (img *restartImage) capture(e *ESM) []pario.Field {
 			continue // flux accumulators before the first substep
 		}
 		if p.runs != nil {
-			for _, r := range p.runs {
-				lo, n := r[0]*p.stride, r[1]*p.stride
-				take(p, lo, arr[lo:lo+n])
+			for i, r := range p.runs {
+				from := r[0]
+				if p.at != nil {
+					from = p.at[i]
+				}
+				lo, n := from*p.stride, r[1]*p.stride
+				take(p, r[0]*p.stride, arr[lo:lo+n])
 			}
 			continue
 		}
@@ -389,22 +406,30 @@ func (e *ESM) ReadRestart(dir string, nGroups int) error {
 	atmSteps := int(meta[1])
 	ocnSteps := int(meta[2])
 
-	// --- Atmosphere + land (every rank restores the whole arrays) ---
+	// --- Atmosphere + land (every rank restores what it holds: the whole
+	// arrays on one rank, the atmosphere's patch when decomposed) ---
 	m := e.Atm
-	var whole []restartVar
-	for _, vs := range [][]restartVar{atmCellVars, atmColVars, {atmUVar}, lndVars} {
-		whole = append(whole, vs...)
-	}
-	for _, v := range whole {
-		f, err := need(v.name)
-		if err != nil {
-			return err
+	nc64, ne64, _ := grid.IcosCounts(m.Mesh.Level)
+	nc, ne, nlev := int(nc64), int(ne64), m.NLev
+	cells, edges := m.Mesh.GlobalCell, m.Mesh.GlobalEdge
+	for _, set := range []struct {
+		vs        []restartVar
+		ids       []int32 // the global ids of the local columns (nil: all)
+		n, stride int     // global columns, values per column
+	}{
+		{atmCellVars, cells, nc, 1}, {atmColVars, cells, nc, nlev},
+		{[]restartVar{atmUVar}, edges, ne, nlev}, {lndVars, nil, len(e.Lnd.TSoil), 1},
+	} {
+		for _, v := range set.vs {
+			f, err := need(v.name)
+			if err != nil {
+				return err
+			}
+			if len(f) != set.n*set.stride {
+				return fmt.Errorf("core: restart field %q has %d values, want %d", v.name, len(f), set.n*set.stride)
+			}
+			copy(v.arr(e), patchOf(f, set.ids, set.stride))
 		}
-		dst := v.arr(e)
-		if len(f) != len(dst) {
-			return fmt.Errorf("core: restart field %q has %d values, want %d", v.name, len(f), len(dst))
-		}
-		copy(dst, f)
 	}
 	// The surface caches are Bcast-shared across the rank goroutines (one
 	// backing array for all ranks), so restoring them in place would race
@@ -429,6 +454,9 @@ func (e *ESM) ReadRestart(dir string, nGroups int) error {
 	dps, dok := global["atm.fluxdps"]
 	if eok != dok {
 		return fmt.Errorf("core: restart has partial flux accumulators")
+	}
+	if eok && len(edge) == nlev*ne && len(dps) == nc {
+		edge, dps = patchOf(edge, edges, nlev), patchOf(dps, cells, 1)
 	}
 	if err := m.RestoreState(atmSteps, edge, dps); err != nil {
 		return fmt.Errorf("core: restart fields %q/\"atm.fluxdps\": %w", atmFluxEdgeField, err)
@@ -484,6 +512,15 @@ func (e *ESM) ReadRestart(dir string, nGroups int) error {
 		}
 	}
 	return nil
+}
+
+// patchOf returns a global field's share of the atmosphere's patch
+// (grid.PatchColumns); nil ids (one rank) return f itself.
+func patchOf(f []float64, ids []int32, stride int) []float64 {
+	if ids == nil {
+		return f
+	}
+	return grid.PatchColumns(f, ids, stride)
 }
 
 // RestartAt reports the simulated time of the restored checkpoint.

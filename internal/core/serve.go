@@ -1,10 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"repro/internal/statestore"
-)
+import "repro/internal/statestore"
 
 // Forecast-state capture for the serving layer: the coupled model hands
 // per-checkpoint surface state to a statestore.Ingester, whose side
@@ -21,8 +17,7 @@ import (
 // assembled snapshot and ok=true; the other ranks receive ok=false.
 func (e *ESM) CaptureServeSnapshot() (snap statestore.Snapshot, ok bool) {
 	ps := e.GlobalAtmPs()
-	e.Atm.Wind10mInto(e.u10, e.v10)
-	speed := e.assembleAtmField(func(c int, out []float64) { out[c] = math.Hypot(e.u10[c], e.v10[c]) })
+	speed := e.atmWindSpeed()
 
 	o := e.Ocn
 	b := o.B

@@ -35,9 +35,9 @@ type Decomp interface {
 	OwnedRanges() [][2]int
 
 	// ExchangeCells fills the halo of an nlev-level field held in the
-	// decomposition's local storage layout (global-length, one contiguous
-	// nlev-value column per cell, for the mesh decomposition; halo-padded
-	// block per level for the tripolar one).
+	// decomposition's local storage layout (the patch, one contiguous
+	// nlev-value column per local cell, for the mesh decomposition;
+	// halo-padded block per level for the tripolar one).
 	ExchangeCells(f []float64, nlev int)
 
 	// Gather assembles one level of a local field into the full global

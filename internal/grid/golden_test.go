@@ -119,11 +119,31 @@ type icosView struct {
 	ownedRanges                                     [][2]int
 }
 
+// icosViewOf reads the patch-local halo plans back through the patch's
+// global maps, so the view holds global ids only.
 func icosViewOf(d *IcosDecomp) icosView {
+	inExt := func(local []int32) []bool {
+		in := make([]bool, len(local))
+		for g, l := range local {
+			in[g] = l >= 0
+		}
+		return in
+	}
+	global := func(lists [][]int, ids []int32) [][]int {
+		out := make([][]int, len(lists))
+		for i, l := range lists {
+			for _, x := range l {
+				out[i] = append(out[i], int(ids[x]))
+			}
+		}
+		return out
+	}
+	p := d.Patch
 	return icosView{
 		d.owner, d.Owned, d.ExtCells, d.HaloCells, d.CompEdges, d.ExtEdges, d.RecvEdges, d.CompVerts, d.OwnEdges,
-		d.inExtCell, d.inExtEdge, d.Peers,
-		d.cells.route[0].send, d.cells.route[0].recv, d.edges.route[0].send, d.edges.route[0].recv,
+		inExt(d.localCell), inExt(d.localEdge), d.Peers,
+		global(d.cells.route[0].send, p.GlobalCell), global(d.cells.route[0].recv, p.GlobalCell),
+		global(d.edges.route[0].send, p.GlobalEdge), global(d.edges.route[0].recv, p.GlobalEdge),
 		d.ownedRanges,
 	}
 }

@@ -48,6 +48,11 @@ type IcosMesh struct {
 	EdgesOnVertex  [][3]int32 // [nVertices] the three edges meeting at a vertex, ascending
 	EdgeSignOnVtx  [][3]int8  // +1 if the edge's (v1→v2) tangent circulates ccw
 	CellsOnVertex  [][3]int32 // [nVertices] corner cells of the dual triangle
+
+	// A patch (IcosDecomp.Patch) is a sub-mesh numbered in ascending global
+	// id: its local cell, edge and vertex i is global GlobalCell[i],
+	// GlobalEdge[i], GlobalVertex[i]. A whole mesh leaves them nil.
+	GlobalCell, GlobalEdge, GlobalVertex []int32
 }
 
 // NCells returns the number of primal cells.
@@ -303,6 +308,95 @@ func assemble(level int, nodes []Vec3, tris [][3]int) *IcosMesh {
 		m.CellsOnVertex[t] = [3]int32{int32(tri[0]), int32(tri[1]), int32(tri[2])}
 	}
 	return m
+}
+
+// restrict extracts the sub-mesh over ascending global cell, edge and vertex
+// lists. lc and le map global cells and edges to their place in cells and
+// edges (−1 outside). Local ids keep the global order, so every cell's slots,
+// every edge pair and every vertex triple come out in the order the global
+// mesh holds them; a neighbour outside the sub-mesh is −1. Geometry is
+// copied per element: anything derived from two elements must be taken from
+// the global mesh before a neighbour drops out.
+func (m *IcosMesh) restrict(cells, edges, verts []int, lc, le []int32) *IcosMesh {
+	lv := localIDs(verts, m.NVertices())
+	gc, ge, gv := int32s(cells), int32s(edges), int32s(verts)
+	p := &IcosMesh{
+		Level:         m.Level,
+		CellCenter:    PatchColumns(m.CellCenter, gc, 1),
+		VertexPos:     PatchColumns(m.VertexPos, gv, 1),
+		EdgeMidpoint:  PatchColumns(m.EdgeMidpoint, ge, 1),
+		AreaCell:      PatchColumns(m.AreaCell, gc, 1),
+		AreaDual:      PatchColumns(m.AreaDual, gv, 1),
+		Dc:            PatchColumns(m.Dc, ge, 1),
+		Dv:            PatchColumns(m.Dv, ge, 1),
+		LatCell:       PatchColumns(m.LatCell, gc, 1),
+		LonCell:       PatchColumns(m.LonCell, gc, 1),
+		EdgeSignOnVtx: PatchColumns(m.EdgeSignOnVtx, gv, 1),
+		GlobalCell:    gc,
+		GlobalEdge:    ge,
+		GlobalVertex:  gv,
+	}
+	p.CellStart = make([]int32, len(cells)+1)
+	for i, c := range cells {
+		lo, hi := m.Slots(c)
+		p.CellStart[i+1] = p.CellStart[i] + int32(hi-lo)
+	}
+	ns := p.CellStart[len(cells)]
+	p.SlotEdge, p.SlotCell, p.SlotSign = make([]int32, ns), make([]int32, ns), make([]int8, ns)
+	for i, c := range cells {
+		lo, hi := m.Slots(c)
+		at := int(p.CellStart[i])
+		for s := lo; s < hi; s++ {
+			p.SlotEdge[at], p.SlotCell[at], p.SlotSign[at] = le[m.SlotEdge[s]], lc[m.SlotCell[s]], m.SlotSign[s]
+			at++
+		}
+	}
+	p.CellsOnEdge, p.VerticesOnEdge = make([][2]int32, len(edges)), make([][2]int32, len(edges))
+	for i, e := range edges {
+		ce, ve := m.CellsOnEdge[e], m.VerticesOnEdge[e]
+		p.CellsOnEdge[i] = [2]int32{lc[ce[0]], lc[ce[1]]}
+		p.VerticesOnEdge[i] = [2]int32{lv[ve[0]], lv[ve[1]]}
+	}
+	p.EdgesOnVertex, p.CellsOnVertex = make([][3]int32, len(verts)), make([][3]int32, len(verts))
+	for i, v := range verts {
+		for j := 0; j < 3; j++ {
+			p.EdgesOnVertex[i][j] = le[m.EdgesOnVertex[v][j]]
+			p.CellsOnVertex[i][j] = lc[m.CellsOnVertex[v][j]]
+		}
+	}
+	return p
+}
+
+// localIDs maps each of n global ids to its place in the ascending list ids,
+// or −1.
+func localIDs(ids []int, n int) []int32 {
+	l := make([]int32, n)
+	for i := range l {
+		l[i] = -1
+	}
+	for i, g := range ids {
+		l[g] = int32(i)
+	}
+	return l
+}
+
+// PatchColumns returns a global field's share of a patch: the columns of f,
+// n values each, at the patch's global ids (GlobalCell or GlobalEdge), in
+// local order.
+func PatchColumns[T any](f []T, ids []int32, n int) []T {
+	out := make([]T, n*len(ids))
+	for i, g := range ids {
+		copy(out[i*n:(i+1)*n], f[int(g)*n:(int(g)+1)*n])
+	}
+	return out
+}
+
+func int32s(ids []int) []int32 {
+	out := make([]int32, len(ids))
+	for i, id := range ids {
+		out[i] = int32(id)
+	}
+	return out
 }
 
 func lonlatOf(v Vec3) (lon, lat float64) { return lonLatPair(v) }

@@ -18,8 +18,20 @@ import (
 // by at most one for any rank count, dividing or not, and each rank's patch
 // is a compact cap or band of the sphere, so its ring-1 halo grows with the
 // patch perimeter (∝ √owned) rather than with the patch. The mesh's own
-// bisection-ordered numbering is left alone: fields stay in global layout
-// and a rank's owned cells are a scattered ascending id list, not a range.
+// bisection-ordered numbering is left alone, so a rank's owned cells are a
+// scattered ascending id list, not a range.
+//
+// Each rank stores only its patch: Patch is an ordinary IcosMesh over the
+// rank's ExtCells, ExtEdges and CompVerts, with local ids assigned in
+// ascending global id and GlobalCell/GlobalEdge/GlobalVertex mapping them
+// back. Ascending numbering keeps every cell's slot order, every owned-cell
+// reduction order and every halo message layout of the global numbering,
+// and a run of consecutive owned global ids is a run of consecutive local
+// ids. The halo plans and the two sweep lists OwnedLocal and CompEdgesLocal
+// are in local ids; the set lists below stay in global ids. The
+// decomposition keeps no reference to the global mesh, only O(nCells) and
+// O(nEdges) int32 tables: the owner of every cell and the local id of every
+// cell and edge.
 //
 // The stencil closure of the dycore fixes the derived sets:
 //
@@ -45,8 +57,8 @@ import (
 // send and receive lists of a pair agree without any negotiation traffic
 // (the MCT GSMap trick applied to the mesh halo).
 type IcosDecomp struct {
-	M    *IcosMesh
-	comm *par.Comm
+	Patch *IcosMesh // this rank's cells, edges and vertices, in local ids
+	comm  *par.Comm
 
 	owner []int32 // [nCells] owning rank, identical on every rank
 	Owned []int   // this rank's owned cells, ascending
@@ -59,8 +71,13 @@ type IcosDecomp struct {
 	CompVerts []int // vertices of CompEdges, ascending
 	OwnEdges  []int // edges with owned first cell, ascending
 
-	inExtCell []bool
-	inExtEdge []bool
+	// The sweep sets that are not the whole patch, in local ids: owned
+	// cells and computed edges, ascending.
+	OwnedLocal     []int
+	CompEdgesLocal []int
+
+	localCell []int32 // [nCells] local id of each global cell, −1 outside the patch
+	localEdge []int32 // [nEdges] local id of each global edge, −1 outside the patch
 
 	// Symmetrized peer set (ascending): the union of every rank this rank
 	// exchanges cells or edges with in either direction. Both plans run over
@@ -68,8 +85,8 @@ type IcosDecomp struct {
 	// and receives exactly one from, every peer.
 	Peers []int
 
-	cells haloPlan // owned boundary cells out, ring-1 halo cells in
-	edges haloPlan // computed edges out, RecvEdges in
+	cells haloPlan // owned boundary cells out, ring-1 halo cells in (local ids)
+	edges haloPlan // computed edges out, RecvEdges in (local ids)
 
 	ownedRanges [][2]int // Owned as {start, length} runs, cached for Decomp
 }
@@ -98,17 +115,18 @@ const (
 	tagHaloEdges = 6001
 )
 
-// NewIcosDecomp partitions the mesh across the communicator and precomputes
-// the halo sets and symmetric exchange plans. Every rank must call it
-// (collective only in the trivial sense: no traffic, identical offline
-// construction).
+// NewIcosDecomp partitions the mesh across the communicator, extracts this
+// rank's patch and precomputes the halo sets and symmetric exchange plans.
+// Every rank must call it (collective only in the trivial sense: no traffic,
+// identical offline construction). The decomposition keeps no reference to
+// mesh.
 func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 	size, rank := comm.Size(), comm.Rank()
 	nc := mesh.NCells()
 	if size > nc {
 		return nil, fmt.Errorf("grid: %d ranks exceed %d cells", size, nc)
 	}
-	d := &IcosDecomp{M: mesh, comm: comm, owner: rcbOwners(mesh.CellCenter, size)}
+	d := &IcosDecomp{comm: comm, owner: rcbOwners(mesh.CellCenter, size)}
 	for c, o := range d.owner {
 		if int(o) == rank {
 			d.Owned = append(d.Owned, c)
@@ -144,10 +162,6 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 	}
 	d.HaloCells = halo
 	d.ExtCells = mergeSorted(d.Owned, d.HaloCells)
-	d.inExtCell = make([]bool, nc)
-	for _, c := range d.ExtCells {
-		d.inExtCell[c] = true
-	}
 
 	ne := mesh.NEdges()
 	// Edge sets for this rank.
@@ -157,17 +171,17 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 			inComp[e] = true
 		}
 	}
-	d.inExtEdge = make([]bool, ne)
+	inExt := make([]bool, ne)
 	for _, c := range d.ExtCells {
 		for _, e := range mesh.EdgesOnCell(c) {
-			d.inExtEdge[e] = true
+			inExt[e] = true
 		}
 	}
 	for e := 0; e < ne; e++ {
 		if inComp[e] {
 			d.CompEdges = append(d.CompEdges, e)
 		}
-		if d.inExtEdge[e] {
+		if inExt[e] {
 			d.ExtEdges = append(d.ExtEdges, e)
 			if !inComp[e] {
 				d.RecvEdges = append(d.RecvEdges, e)
@@ -216,6 +230,17 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 		}
 	}
 
+	// The patch, and every list the model sweeps or exchanges in its local
+	// ids: ascending global lists stay ascending.
+	d.localCell, d.localEdge = localIDs(d.ExtCells, nc), localIDs(d.ExtEdges, ne)
+	d.Patch = mesh.restrict(d.ExtCells, d.ExtEdges, d.CompVerts, d.localCell, d.localEdge)
+	d.OwnedLocal = localized(d.Owned, d.localCell)
+	d.CompEdgesLocal = localized(d.CompEdges, d.localEdge)
+	for r := range cells.sendTo {
+		cells.sendTo[r], cells.recvFrom[r] = localized(cells.sendTo[r], d.localCell), localized(cells.recvFrom[r], d.localCell)
+		edges.sendTo[r], edges.recvFrom[r] = localized(edges.sendTo[r], d.localEdge), localized(edges.recvFrom[r], d.localEdge)
+	}
+
 	// Cells are symmetric by adjacency, edges need the union with the cells.
 	d.Peers = symmetricPeers(rank, cells, edges)
 	d.cells = newHaloPlan(comm, tagHaloCells, d.Peers, cells, cells)
@@ -223,11 +248,20 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 	return d, nil
 }
 
+// localized maps a list of global ids through a local-id table.
+func localized(ids []int, local []int32) []int {
+	out := make([]int, len(ids))
+	for i, g := range ids {
+		out[i] = int(local[g])
+	}
+	return out
+}
+
 // Comm implements Decomp.
 func (d *IcosDecomp) Comm() *par.Comm { return d.comm }
 
 // NGlobal implements Decomp: the global cell count.
-func (d *IcosDecomp) NGlobal() int { return d.M.NCells() }
+func (d *IcosDecomp) NGlobal() int { return len(d.owner) }
 
 // OwnedRanges implements Decomp: Owned as maximal {start, length} runs of
 // consecutive cell ids. The slice is cached; callers must not mutate it.
@@ -238,12 +272,12 @@ func (d *IcosDecomp) OwnedRanges() [][2]int { return d.ownedRanges }
 func (d *IcosDecomp) OwnedEdgeList() []int { return d.OwnEdges }
 
 // Gather implements Decomp: it assembles the owned cells of a one-level
-// global-layout cell field onto rank 0 (nil elsewhere). Each rank ships its
-// values in Owned (ascending) order, so one ascending pass over the owner
-// table puts every chunk back in place.
+// patch cell field onto rank 0 (nil elsewhere) as a global-layout array.
+// Each rank ships its values in Owned (ascending) order, so one ascending
+// pass over the owner table puts every chunk back in place.
 func (d *IcosDecomp) Gather(f []float64) []float64 {
-	chunk := make([]float64, len(d.Owned))
-	for i, c := range d.Owned {
+	chunk := make([]float64, len(d.OwnedLocal))
+	for i, c := range d.OwnedLocal {
 		chunk[i] = f[c]
 	}
 	chunks := par.Gather(d.comm, 0, chunk)
@@ -264,10 +298,16 @@ func (d *IcosDecomp) Owner(c int) int { return int(d.owner[c]) }
 
 // InExt reports whether cell c is in this rank's extended (owned + halo)
 // region.
-func (d *IcosDecomp) InExt(c int) bool { return d.inExtCell[c] }
+func (d *IcosDecomp) InExt(c int) bool { return d.localCell[c] >= 0 }
 
 // InExtEdge reports whether edge e is in this rank's extended edge set.
-func (d *IcosDecomp) InExtEdge(e int) bool { return d.inExtEdge[e] }
+func (d *IcosDecomp) InExtEdge(e int) bool { return d.localEdge[e] >= 0 }
+
+// LocalCell returns global cell c's id in the patch, or −1 outside it.
+func (d *IcosDecomp) LocalCell(c int) int { return int(d.localCell[c]) }
+
+// LocalEdge returns global edge e's id in the patch, or −1 outside it.
+func (d *IcosDecomp) LocalEdge(e int) int { return int(d.localEdge[e]) }
 
 // NOwned returns the number of owned cells.
 func (d *IcosDecomp) NOwned() int { return len(d.Owned) }
@@ -279,16 +319,16 @@ func (d *IcosDecomp) SetObserver(o HaloObserver) {
 	d.edges.setObserver(o, ctrHaloMsgsAtm, ctrHaloBytesAtm)
 }
 
-// ExchangeCells fills the ring-1 halo of a cell-centred field of nlev-value
-// columns laid out [c*nlev + k]: each peer receives this rank's owned
-// boundary columns and contributes the halo columns it owns. Zero
+// ExchangeCells fills the ring-1 halo of a patch cell field of nlev-value
+// columns laid out [c*nlev + k] by local id: each peer receives this rank's
+// owned boundary columns and contributes the halo columns it owns. Zero
 // steady-state allocations; safe concurrently with the ocean's halo traffic
 // (disjoint tags).
 func (d *IcosDecomp) ExchangeCells(f []float64, nlev int) {
-	d.cells.exchange([]haloSlab{columns(f, nlev, 0, nlev, d.M.NCells())})
+	d.cells.exchange([]haloSlab{columns(f, nlev, 0, nlev, d.Patch.NCells())})
 }
 
-// ExchangeEdges fills the stale extended edges of an edge field of
+// ExchangeEdges fills the stale extended edges of a patch edge field of
 // nlev-value columns laid out [e*nlev + k] from the edges' owning ranks.
 func (d *IcosDecomp) ExchangeEdges(f []float64, nlev int) {
 	d.ExchangeEdgeLevels(f, nlev, 0, nlev)
@@ -298,7 +338,7 @@ func (d *IcosDecomp) ExchangeEdges(f []float64, nlev int) {
 // column, e.g. the lowest level after the physics' surface-drag projection:
 // the messages carry hi−lo values per edge.
 func (d *IcosDecomp) ExchangeEdgeLevels(f []float64, nlev, lo, hi int) {
-	d.edges.exchange([]haloSlab{columns(f, nlev, lo, hi, d.M.NEdges())})
+	d.edges.exchange([]haloSlab{columns(f, nlev, lo, hi, d.Patch.NEdges())})
 }
 
 // columns addresses levels [lo, hi) of an n-column field of nlev-value
@@ -311,7 +351,7 @@ func columns(f []float64, nlev, lo, hi, n int) haloSlab {
 	return haloSlab{data: f[lo:], ps: nlev, ks: 1, nlev: hi - lo}
 }
 
-// Unified per-component halo traffic counter names, in obs.Labeled's
+// Unified per-component halo traffic counter names, in obs.SplitLabels'
 // canonical labeled form (spelled literally here: grid sits beside obs in
 // the dependency order and only sees the HaloObserver subset).
 const (

@@ -1,7 +1,9 @@
 package grid
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/par"
@@ -19,9 +21,8 @@ func icosMesh(t testing.TB, level int) *IcosMesh {
 // decompInvariants checks the structural contract of one rank's
 // decomposition: Owner, Owned, OwnedRanges and InExt describe one ownership,
 // and the derived halo/edge/vertex sets close the dycore's stencils.
-func decompInvariants(t *testing.T, d *IcosDecomp, rank, size int) {
+func decompInvariants(t *testing.T, m *IcosMesh, d *IcosDecomp, rank, size int) {
 	t.Helper()
-	m := d.M
 	nc := m.NCells()
 	// Owned is ascending and is exactly the cells Owner assigns to this rank.
 	owned := make([]bool, nc)
@@ -157,7 +158,7 @@ func TestIcosDecompPartitionProperty(t *testing.T) {
 					t.Errorf("NewIcosDecomp: %v", err)
 					return
 				}
-				decompInvariants(t, d, c.Rank(), ranks)
+				decompInvariants(t, m, d, c.Rank(), ranks)
 				ds[c.Rank()] = d
 			})
 			if t.Failed() {
@@ -231,7 +232,11 @@ func TestIcosDecompHaloSymmetry(t *testing.T) {
 					name   string
 					da, db *haloPlan
 				}{{"cell", &ds[a].cells, &ds[b].cells}, {"edge", &ds[a].edges, &ds[b].edges}} {
-					send, recv := pl.da.route[0].send[ia], pl.db.route[0].recv[ib]
+					// Each side lists its own patch's local ids: compare
+					// them as global ids.
+					cells := pl.da == &ds[a].cells
+					send := globalIDs(ds[a], pl.da.route[0].send[ia], cells)
+					recv := globalIDs(ds[b], pl.db.route[0].recv[ib], cells)
 					if !equalInts(send, recv) {
 						t.Fatalf("ranks=%d: %s plan %d→%d asymmetric: send %v recv %v", ranks, pl.name, a, b, send, recv)
 					}
@@ -239,6 +244,19 @@ func TestIcosDecompHaloSymmetry(t *testing.T) {
 			}
 		}
 	}
+}
+
+// globalIDs maps a list of d's patch-local cell (or edge) ids to global ids.
+func globalIDs(d *IcosDecomp, local []int, cells bool) []int {
+	ids := d.Patch.GlobalEdge
+	if cells {
+		ids = d.Patch.GlobalCell
+	}
+	out := make([]int, len(local))
+	for i, l := range local {
+		out[i] = int(ids[l])
+	}
+	return out
 }
 
 func equalInts(a, b []int) bool {
@@ -259,7 +277,6 @@ func equalInts(a, b []int) bool {
 // global field on every extended index.
 func TestIcosExchangeMatchesGlobal(t *testing.T) {
 	m := icosMesh(t, 2)
-	nc, ne := m.NCells(), m.NEdges()
 	const nlev = 3
 	cellVal := func(k, c int) float64 { return float64(k*10000+c) + 0.25 }
 	edgeVal := func(k, e int) float64 { return -float64(k*10000+e) - 0.75 }
@@ -270,8 +287,11 @@ func TestIcosExchangeMatchesGlobal(t *testing.T) {
 				t.Errorf("NewIcosDecomp: %v", err)
 				return
 			}
-			fc := make([]float64, nlev*nc)
-			fe := make([]float64, nlev*ne)
+			// The fields live on the patch; every global id goes through
+			// the patch's local ids.
+			lc, le := d.LocalCell, d.LocalEdge
+			fc := make([]float64, nlev*d.Patch.NCells())
+			fe := make([]float64, nlev*d.Patch.NEdges())
 			for i := range fc {
 				fc[i] = math.NaN()
 			}
@@ -280,23 +300,23 @@ func TestIcosExchangeMatchesGlobal(t *testing.T) {
 			}
 			for k := 0; k < nlev; k++ {
 				for _, cell := range d.Owned {
-					fc[cell*nlev+k] = cellVal(k, cell)
+					fc[lc(cell)*nlev+k] = cellVal(k, cell)
 				}
 				for _, e := range d.CompEdges {
-					fe[e*nlev+k] = edgeVal(k, e)
+					fe[le(e)*nlev+k] = edgeVal(k, e)
 				}
 			}
 			d.ExchangeCells(fc, nlev)
 			d.ExchangeEdges(fe, nlev)
 			for k := 0; k < nlev; k++ {
 				for _, cell := range d.ExtCells {
-					if got, want := fc[cell*nlev+k], cellVal(k, cell); got != want {
+					if got, want := fc[lc(cell)*nlev+k], cellVal(k, cell); got != want {
 						t.Errorf("ranks=%d rank %d: cell %d lev %d = %v, want %v", ranks, c.Rank(), cell, k, got, want)
 						return
 					}
 				}
 				for _, e := range d.ExtEdges {
-					if got, want := fe[e*nlev+k], edgeVal(k, e); got != want {
+					if got, want := fe[le(e)*nlev+k], edgeVal(k, e); got != want {
 						t.Errorf("ranks=%d rank %d: edge %d lev %d = %v, want %v", ranks, c.Rank(), e, k, got, want)
 						return
 					}
@@ -307,13 +327,13 @@ func TestIcosExchangeMatchesGlobal(t *testing.T) {
 			// and leaves the other levels alone.
 			for _, e := range d.RecvEdges {
 				for k := 0; k < nlev; k++ {
-					fe[e*nlev+k] = math.NaN()
+					fe[le(e)*nlev+k] = math.NaN()
 				}
 			}
 			d.ExchangeEdgeLevels(fe, nlev, 1, 2)
 			for _, e := range d.RecvEdges {
 				for k := 0; k < nlev; k++ {
-					if got := fe[e*nlev+k]; (k == 1) != (got == edgeVal(k, e)) {
+					if got := fe[le(e)*nlev+k]; (k == 1) != (got == edgeVal(k, e)) {
 						t.Errorf("ranks=%d rank %d: after the level-1 window, edge %d lev %d = %v", ranks, c.Rank(), e, k, got)
 						return
 					}
@@ -377,4 +397,218 @@ func TestIcosDecompTooManyRanks(t *testing.T) {
 			t.Errorf("13 ranks on 12 cells: want error")
 		}
 	})
+}
+
+// TestIcosPatchIsRestrictedMesh holds every rank's patch to its contract:
+// it is the global mesh restricted to ExtCells, ExtEdges and CompVerts,
+// numbered in ascending global id. Every slot, edge pair and vertex triple
+// maps through the patch's global maps to the global entry in the same
+// order, −1 exactly where the neighbour lies outside the patch; nothing a
+// model sweep reaches is −1; the halo plans are local and ascending; and the
+// copied geometry is the global mesh's, bit for bit.
+func TestIcosPatchIsRestrictedMesh(t *testing.T) {
+	type run struct{ level, ranks int }
+	var runs []run
+	for level := 2; level <= 4; level++ {
+		for ranks := 1; ranks <= 17; ranks++ {
+			runs = append(runs, run{level, ranks})
+		}
+	}
+	runs = append(runs, run{5, 2}, run{5, 8})
+	meshes := map[int]*IcosMesh{}
+	for _, r := range runs {
+		m := meshes[r.level]
+		if m == nil {
+			m = icosMesh(t, r.level)
+			meshes[r.level] = m
+		}
+		par.Run(r.ranks, func(c *par.Comm) {
+			d, err := NewIcosDecomp(m, c)
+			if err != nil {
+				t.Errorf("NewIcosDecomp: %v", err)
+				return
+			}
+			if err := patchInvariants(m, d); err != nil {
+				t.Errorf("level %d, %d ranks, rank %d: %v", r.level, r.ranks, c.Rank(), err)
+			}
+		})
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+}
+
+// patchInvariants checks one rank's patch against the global mesh m.
+func patchInvariants(m *IcosMesh, d *IcosDecomp) error {
+	p := d.Patch
+	// Local ids ascend in global id and cover exactly the patch's sets.
+	for _, ids := range []struct {
+		name   string
+		global []int32
+		want   []int
+	}{{"cells", p.GlobalCell, d.ExtCells}, {"edges", p.GlobalEdge, d.ExtEdges}, {"vertices", p.GlobalVertex, d.CompVerts}} {
+		if len(ids.global) != len(ids.want) {
+			return fmt.Errorf("%d local %s, want %d", len(ids.global), ids.name, len(ids.want))
+		}
+		for i, g := range ids.global {
+			if int(g) != ids.want[i] || (i > 0 && g <= ids.global[i-1]) {
+				return fmt.Errorf("local %s %d is global %d: not the ascending set", ids.name, i, g)
+			}
+		}
+	}
+	if p.NCells() != len(p.GlobalCell) || p.NEdges() != len(p.GlobalEdge) || p.NVertices() != len(p.GlobalVertex) {
+		return fmt.Errorf("patch holds %d/%d/%d elements for %d/%d/%d ids",
+			p.NCells(), p.NEdges(), p.NVertices(), len(p.GlobalCell), len(p.GlobalEdge), len(p.GlobalVertex))
+	}
+	// A local reference must name the global one, or be −1 exactly where
+	// the global one lies outside the patch.
+	inPatch := func(global []int32, g int32) bool {
+		_, ok := slices.BinarySearch(global, g)
+		return ok
+	}
+	same := func(what string, global []int32, local, g int32) error {
+		switch {
+		case local < 0 && inPatch(global, g):
+			return fmt.Errorf("%s is −1, but global %d is in the patch", what, g)
+		case local >= 0 && (int(local) >= len(global) || global[local] != g):
+			return fmt.Errorf("%s is local %d, want global %d", what, local, g)
+		}
+		return nil
+	}
+	for i, g := range p.GlobalCell {
+		lo, hi := p.Slots(i)
+		glo, ghi := m.Slots(int(g))
+		if hi-lo != ghi-glo {
+			return fmt.Errorf("cell %d has %d slots, global cell %d has %d", i, hi-lo, g, ghi-glo)
+		}
+		for j := 0; j < hi-lo; j++ {
+			s, gs := lo+j, glo+j
+			what := fmt.Sprintf("cell %d slot %d", i, j)
+			if err := same(what+" edge", p.GlobalEdge, p.SlotEdge[s], m.SlotEdge[gs]); err != nil {
+				return err
+			}
+			if err := same(what+" neighbour", p.GlobalCell, p.SlotCell[s], m.SlotCell[gs]); err != nil {
+				return err
+			}
+			if p.SlotSign[s] != m.SlotSign[gs] {
+				return fmt.Errorf("%s sign %d, want %d", what, p.SlotSign[s], m.SlotSign[gs])
+			}
+			// Every cell's edges are in the patch: the cell sweeps read them.
+			if p.SlotEdge[s] < 0 {
+				return fmt.Errorf("%s edge is −1", what)
+			}
+		}
+	}
+	for i, g := range p.GlobalEdge {
+		for j := 0; j < 2; j++ {
+			what := fmt.Sprintf("edge %d end %d", i, j)
+			if err := same(what+" cell", p.GlobalCell, p.CellsOnEdge[i][j], m.CellsOnEdge[g][j]); err != nil {
+				return err
+			}
+			if err := same(what+" vertex", p.GlobalVertex, p.VerticesOnEdge[i][j], m.VerticesOnEdge[g][j]); err != nil {
+				return err
+			}
+		}
+	}
+	for i, g := range p.GlobalVertex {
+		for j := 0; j < 3; j++ {
+			what := fmt.Sprintf("vertex %d corner %d", i, j)
+			if err := same(what+" edge", p.GlobalEdge, p.EdgesOnVertex[i][j], m.EdgesOnVertex[g][j]); err != nil {
+				return err
+			}
+			if err := same(what+" cell", p.GlobalCell, p.CellsOnVertex[i][j], m.CellsOnVertex[g][j]); err != nil {
+				return err
+			}
+			// Every vertex is a computed vertex: its stencil is in the patch.
+			if p.EdgesOnVertex[i][j] < 0 || p.CellsOnVertex[i][j] < 0 {
+				return fmt.Errorf("%s reaches outside the patch", what)
+			}
+		}
+		if p.EdgeSignOnVtx[i] != m.EdgeSignOnVtx[g] {
+			return fmt.Errorf("vertex %d signs %v, want %v", i, p.EdgeSignOnVtx[i], m.EdgeSignOnVtx[g])
+		}
+	}
+	// The two sweep lists are the global ones in local ids, and reach no −1.
+	for _, sw := range []struct {
+		name   string
+		local  []int
+		global []int
+		ids    []int32
+	}{{"OwnedLocal", d.OwnedLocal, d.Owned, p.GlobalCell}, {"CompEdgesLocal", d.CompEdgesLocal, d.CompEdges, p.GlobalEdge}} {
+		if len(sw.local) != len(sw.global) {
+			return fmt.Errorf("%s has %d entries, want %d", sw.name, len(sw.local), len(sw.global))
+		}
+		for i, l := range sw.local {
+			if int(sw.ids[l]) != sw.global[i] {
+				return fmt.Errorf("%s[%d] = local %d, want global %d", sw.name, i, l, sw.global[i])
+			}
+		}
+	}
+	for _, c := range d.OwnedLocal {
+		for _, nb := range p.CellsOnCell(c) {
+			if nb < 0 {
+				return fmt.Errorf("owned cell %d has a neighbour outside the patch", c)
+			}
+		}
+	}
+	for _, e := range d.CompEdgesLocal {
+		ce, ve := p.CellsOnEdge[e], p.VerticesOnEdge[e]
+		if min(ce[0], ce[1], ve[0], ve[1]) < 0 {
+			return fmt.Errorf("computed edge %d has cells %v, vertices %v", e, ce, ve)
+		}
+	}
+	// The halo plans list local ids, ascending.
+	for _, pl := range []struct {
+		name string
+		plan *haloPlan
+		n    int
+	}{{"cell", &d.cells, p.NCells()}, {"edge", &d.edges, p.NEdges()}} {
+		for pi := range pl.plan.peers {
+			for _, list := range [][]int{pl.plan.route[0].send[pi], pl.plan.route[0].recv[pi]} {
+				for i, x := range list {
+					if x < 0 || x >= pl.n || (i > 0 && x <= list[i-1]) {
+						return fmt.Errorf("%s plan list for peer %d: entry %d = %d, not local and ascending", pl.name, pl.plan.peers[pi], i, x)
+					}
+				}
+			}
+		}
+	}
+	// Geometry is copied per element, bit for bit.
+	vecs := func(name string, got, all []Vec3, ids []int32) error {
+		for i, g := range ids {
+			a, b := got[i], all[g]
+			if math.Float64bits(a.X) != math.Float64bits(b.X) || math.Float64bits(a.Y) != math.Float64bits(b.Y) ||
+				math.Float64bits(a.Z) != math.Float64bits(b.Z) {
+				return fmt.Errorf("%s[%d] = %v, global %d has %v", name, i, a, g, b)
+			}
+		}
+		return nil
+	}
+	floats := func(name string, got, all []float64, ids []int32) error {
+		for i, g := range ids {
+			if math.Float64bits(got[i]) != math.Float64bits(all[g]) {
+				return fmt.Errorf("%s[%d] = %v, global %d has %v", name, i, got[i], g, all[g])
+			}
+		}
+		return nil
+	}
+	for _, err := range []error{
+		vecs("CellCenter", p.CellCenter, m.CellCenter, p.GlobalCell),
+		vecs("VertexPos", p.VertexPos, m.VertexPos, p.GlobalVertex),
+		vecs("EdgeMidpoint", p.EdgeMidpoint, m.EdgeMidpoint, p.GlobalEdge),
+		floats("AreaCell", p.AreaCell, m.AreaCell, p.GlobalCell),
+		floats("AreaDual", p.AreaDual, m.AreaDual, p.GlobalVertex),
+		floats("Dc", p.Dc, m.Dc, p.GlobalEdge),
+		floats("Dv", p.Dv, m.Dv, p.GlobalEdge),
+		floats("LatCell", p.LatCell, m.LatCell, p.GlobalCell),
+		floats("LonCell", p.LonCell, m.LonCell, p.GlobalCell),
+	} {
+		if err != nil {
+			return err
+		}
+	}
+	if p.Level != m.Level {
+		return fmt.Errorf("patch level %d, mesh level %d", p.Level, m.Level)
+	}
+	return nil
 }

@@ -2,38 +2,12 @@ package obs
 
 import "strings"
 
-// Labeled renders a metric name with label pairs in the canonical form the
-// sinks understand: Labeled("cpl.halo.msgs", "component", "ocn") returns
-// `cpl.halo.msgs{component="ocn"}`. Labeled names index the registry as
-// ordinary strings — each label combination is its own series — and the
-// Prometheus renderer splits the label body back out so the base name stays
-// one metric family. kv must hold alternating keys and values.
-func Labeled(name string, kv ...string) string {
-	if len(kv) == 0 {
-		return name
-	}
-	if len(kv)%2 != 0 {
-		panic("obs: Labeled needs alternating key, value pairs")
-	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i := 0; i < len(kv); i += 2 {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(kv[i])
-		b.WriteString(`="`)
-		b.WriteString(kv[i+1])
-		b.WriteString(`"`)
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// SplitLabels separates a canonical labeled name produced by Labeled into
-// its base name and label body (without braces). Unlabeled names return the
-// name unchanged with an empty label body.
+// SplitLabels separates a canonical labeled name, name{key="value",...},
+// into its base name and label body (without braces). Labeled names index
+// the registry as ordinary strings — each label combination is its own
+// series — and the Prometheus renderer splits the label body back out so the
+// base name stays one metric family. Unlabeled names return the name
+// unchanged with an empty label body.
 func SplitLabels(name string) (base, labels string) {
 	i := strings.IndexByte(name, '{')
 	if i < 0 || !strings.HasSuffix(name, "}") {

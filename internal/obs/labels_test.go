@@ -5,31 +5,17 @@ import (
 	"testing"
 )
 
-func TestLabeledCanonicalFormAndSplit(t *testing.T) {
-	if got := Labeled("cpl.halo.msgs"); got != "cpl.halo.msgs" {
-		t.Errorf("no-label form = %q", got)
-	}
-	name := Labeled("cpl.halo.msgs", "component", "ocn")
-	if name != `cpl.halo.msgs{component="ocn"}` {
-		t.Errorf("canonical form = %q", name)
-	}
-	multi := Labeled("x", "a", "1", "b", "2")
-	if multi != `x{a="1",b="2"}` {
-		t.Errorf("multi-label form = %q", multi)
-	}
-	base, labels := SplitLabels(name)
-	if base != "cpl.halo.msgs" || labels != `component="ocn"` {
-		t.Errorf("SplitLabels = %q, %q", base, labels)
-	}
-	if b, l := SplitLabels("plain.name"); b != "plain.name" || l != "" {
-		t.Errorf("unlabeled split = %q, %q", b, l)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("odd kv accepted")
+func TestSplitLabels(t *testing.T) {
+	for _, tc := range []struct{ name, base, labels string }{
+		{`cpl.halo.msgs{component="ocn"}`, "cpl.halo.msgs", `component="ocn"`},
+		{`x{a="1",b="2"}`, "x", `a="1",b="2"`},
+		{"plain.name", "plain.name", ""},
+		{"unclosed{a=\"1\"", "unclosed{a=\"1\"", ""},
+	} {
+		if b, l := SplitLabels(tc.name); b != tc.base || l != tc.labels {
+			t.Errorf("SplitLabels(%q) = %q, %q; want %q, %q", tc.name, b, l, tc.base, tc.labels)
 		}
-	}()
-	Labeled("x", "key-without-value")
+	}
 }
 
 // The Prometheus renderer keeps labeled counters in one metric family: the
@@ -38,8 +24,8 @@ func TestLabeledCanonicalFormAndSplit(t *testing.T) {
 func TestPromRenderSplitsLabeledCounters(t *testing.T) {
 	sink := NewPromText()
 	o := New(3, sink)
-	o.AddCount(Labeled("cpl.halo.msgs", "component", "ocn"), 7)
-	o.AddCount(Labeled("cpl.halo.msgs", "component", "atm"), 5)
+	o.AddCount(`cpl.halo.msgs{component="ocn"}`, 7)
+	o.AddCount(`cpl.halo.msgs{component="atm"}`, 5)
 	o.FlushMetrics()
 	var b strings.Builder
 	sink.Render(&b)

@@ -249,8 +249,7 @@ func (p *PromSink) Close() error {
 
 // promName sanitizes a metric name into the Prometheus charset under the
 // ap3esm_ namespace: "par.send.bytes" -> "ap3esm_par_send_bytes". Labeled
-// names (see Labeled) must be split with SplitLabels first; promName only
-// sees base names.
+// names must be split with SplitLabels first; promName only sees base names.
 func promName(name string) string {
 	var b strings.Builder
 	b.WriteString("ap3esm_")

@@ -118,10 +118,7 @@ func Seed(m *atmos.Model, cfg SeedConfig) error {
 			continue
 		}
 		az = az.Normalize().Scale(sign)
-		c1, c2 := mesh.CellsOnEdge[e][0], mesh.CellsOnEdge[e][1]
-		nrm := mesh.CellCenter[c2].Sub(mesh.CellCenter[c1])
-		nrm = nrm.Sub(mid.Scale(nrm.Dot(mid))).Normalize()
-		proj := v * az.Dot(nrm)
+		proj := v * az.Dot(m.EdgeNormal(e))
 		for k := 0; k < m.NLev; k++ {
 			depth := float64(k+1) / float64(m.NLev) // stronger near the surface
 			m.U[m.Idx(e, k)] += proj * depth

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/atmos"
+	"repro/internal/par"
 	"repro/internal/pp"
 )
 
@@ -84,6 +85,46 @@ func TestSeedCreatesDepressionAndCyclone(t *testing.T) {
 	if vort[c] <= 0 {
 		t.Errorf("vorticity at center %v, want cyclonic (>0)", vort[c])
 	}
+}
+
+// A decomposed model holds only its patch, whose boundary edges lack a
+// cell: seeding it must give every patch edge and cell the whole model's
+// values.
+func TestSeedOnDecomposedModel(t *testing.T) {
+	whole := newModel(t, 3)
+	cfg := DoksuriSeed()
+	if err := Seed(whole, cfg); err != nil {
+		t.Fatal(err)
+	}
+	par.Run(3, func(c *par.Comm) {
+		m, err := atmos.New(3, 8, atmos.DefaultConfig(), pp.Serial{})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := m.Decompose(c); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := Seed(m, cfg); err != nil {
+			t.Error(err)
+			return
+		}
+		for i, g := range m.Mesh.GlobalEdge {
+			for k := 0; k < m.NLev; k++ {
+				if got, want := m.U[m.Idx(i, k)], whole.U[whole.Idx(int(g), k)]; got != want {
+					t.Errorf("rank %d: edge %d level %d: U %v, want %v", c.Rank(), g, k, got, want)
+					return
+				}
+			}
+		}
+		for i, g := range m.Mesh.GlobalCell {
+			if m.Ps[i] != whole.Ps[g] {
+				t.Errorf("rank %d: cell %d: Ps %v, want %v", c.Rank(), g, m.Ps[i], whole.Ps[g])
+				return
+			}
+		}
+	})
 }
 
 func TestSeededVortexSurvivesIntegration(t *testing.T) {
