@@ -19,7 +19,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/pp"
 	"repro/internal/precision"
 )
 
@@ -29,7 +28,6 @@ func main() {
 	label := flag.String("config", "25v10", "coupled configuration label (1v1, 3v2, 6v3, 10v5, 25v10)")
 	days := flag.Float64("days", 1, "simulated days to run")
 	ranks := flag.Int("ranks", 1, "process count (both the atmosphere/land and ocean/ice domains decompose over it)")
-	backend := flag.String("backend", "Serial", "execution space: Serial, Host, CPE")
 	mixed := flag.Bool("mixed", false, "run the dynamical cores in FP64/FP32 group-scaled mixed precision")
 	obsSpec := flag.String("obs", "off", "observability sink: off, mem, jsonl:PATH, prom:ADDR")
 	faults := flag.String("faults", "", "fault plan, e.g. 'io-error@pario.write:2;nan@esm.step:21' (see internal/fault)")
@@ -66,11 +64,6 @@ func main() {
 	if *mixed {
 		cfg.Policy = precision.Mixed
 	}
-	sp, err := pp.DefaultSpace(*backend)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	sink, err := obs.OpenSink(*obsSpec)
 	if err != nil {
 		log.Fatal(err)
@@ -92,9 +85,9 @@ func main() {
 	start := time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC)
 	stop := start.Add(length)
 
-	fmt.Printf("AP3ESM %s (stands for %d km atm / %d km ocn): atm icos level %d, ocean %dx%dx%d, %d ranks, %s backend, %v, %s schedule\n",
+	fmt.Printf("AP3ESM %s (stands for %d km atm / %d km ocn): atm icos level %d, ocean %dx%dx%d, %d ranks, %v, %s schedule\n",
 		cfg.Label, cfg.PaperAtmKm, cfg.PaperOcnKm, cfg.AtmLevel,
-		cfg.OcnNX, cfg.OcnNY, cfg.OcnNLev, *ranks, sp.Name(), cfg.Policy, sched)
+		cfg.OcnNX, cfg.OcnNY, cfg.OcnNLev, *ranks, cfg.Policy, sched)
 
 	par.Run(*ranks, func(c *par.Comm) {
 		var observer obs.Observer = obs.Nop{}
@@ -109,7 +102,6 @@ func main() {
 		mk := func() (*core.ESM, error) {
 			return core.NewWithOptions(cfg, c,
 				core.WithInterval(start, stop),
-				core.WithSpace(sp),
 				core.WithObserver(observer),
 				core.WithSchedule(sched),
 				core.WithRemap(remap),

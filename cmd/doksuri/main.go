@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/par"
-	"repro/internal/pp"
 	"repro/internal/typhoon"
 )
 
@@ -26,29 +25,23 @@ func main() {
 	label := flag.String("config", "10v5", "coupled configuration label")
 	hours := flag.Int("hours", 24, "forecast length in simulated hours")
 	track := flag.Bool("track", true, "print the track comparison (Fig 7)")
-	backend := flag.String("backend", "Host", "execution space: Serial, Host, CPE")
 	out := flag.String("out", "", "write a Fig 1-style surface snapshot (pario binary) to this path at the end")
 	flag.Parse()
 
-	// The storm is fixed every 6 simulated hours; a shorter forecast has no
-	// fix to diagnose or score.
-	if *hours < 6 {
-		log.Fatalf("-hours %d: the forecast needs at least 6 hours (one track fix)", *hours)
+	length, err := checkHours(*hours)
+	if err != nil {
+		log.Fatal(err)
 	}
 	cfg, err := core.ConfigForLabel(*label)
 	if err != nil {
 		log.Fatal(err)
 	}
-	sp, err := pp.DefaultSpace(*backend)
-	if err != nil {
-		log.Fatal(err)
-	}
 	best := typhoon.BestTrackDoksuri()
 	start := best[0].Time
-	stop := start.Add(time.Duration(*hours+1) * time.Hour)
+	stop := start.Add(length)
 
 	par.Run(1, func(c *par.Comm) {
-		e, err := core.NewWithOptions(cfg, c, core.WithInterval(start, stop), core.WithSpace(sp))
+		e, err := core.NewWithOptions(cfg, c, core.WithInterval(start, stop))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -118,4 +111,23 @@ func main() {
 			fmt.Printf("mean track error over the forecast: %.0f km\n", errKm)
 		}
 	})
+}
+
+// maxHours is the longest forecast whose run, one hour past the last fix,
+// a time.Duration holds.
+const maxHours = math.MaxInt64/int64(time.Hour) - 1
+
+// checkHours rejects a forecast length no run can honour, naming the flag,
+// and returns the run's length. The storm is fixed every 6 simulated hours,
+// so a shorter forecast has no fix to diagnose or score; a longer one than
+// maxHours would wrap the run's time.Duration and silently run a different
+// length.
+func checkHours(hours int) (time.Duration, error) {
+	switch {
+	case hours < 6:
+		return 0, fmt.Errorf("-hours must be at least 6 (one track fix), got %d", hours)
+	case int64(hours) > maxHours:
+		return 0, fmt.Errorf("-hours must be at most %d, got %d", maxHours, hours)
+	}
+	return time.Duration(hours+1) * time.Hour, nil
 }

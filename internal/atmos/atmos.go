@@ -158,9 +158,8 @@ func (m *Model) RadiationColumns() int { return int(m.radCols.Load()) }
 // Decomp returns the active decomposition (nil when replicated).
 func (m *Model) Decomp() *grid.IcosDecomp { return m.dec }
 
-// Decompose partitions the mesh over the communicator and moves the model
-// onto this rank's patch, returning the partition behind the shared
-// grid.Decomp contract so callers never name the concrete icosahedral type.
+// Decompose partitions the mesh over the communicator, moves the model onto
+// this rank's patch and returns the partition.
 //
 // From then on Mesh is the patch and every array is indexed by local id:
 // the state, the surface fields, IsLand, the flux accumulators and a
@@ -174,7 +173,7 @@ func (m *Model) Decomp() *grid.IcosDecomp { return m.dec }
 // answer is bit-for-bit the 1-rank one. The model keeps no reference to the
 // global mesh. Call it once, on every rank of c; a model that is never
 // decomposed — the 1-rank case — keeps the global arrays.
-func (m *Model) Decompose(c *par.Comm) (grid.Decomp, error) {
+func (m *Model) Decompose(c *par.Comm) (*grid.IcosDecomp, error) {
 	d, err := grid.NewIcosDecomp(m.Mesh, c)
 	if err != nil {
 		return nil, err

@@ -1,9 +1,10 @@
 // Package core assembles AP3ESM: the GRIST-substitute atmosphere, the
 // LICOM-substitute ocean, the CICE4-substitute sea ice, and the bucket land
-// model, coupled through the CPL7-substitute coupler's component contract,
-// clocks, and alarms. The five coupled configurations of Table 1 (1v1 …
-// 25v10) are scale-mapped onto runnable grids; the paper-scale element
-// counts are regenerated separately by the perfmodel package.
+// model, coupled by ESM.Step, which calls each component's import, step and
+// export directly on the CPL7-substitute coupler's clocks and alarms. The
+// five coupled configurations of Table 1 (1v1 … 25v10) are scale-mapped onto
+// runnable grids; the paper-scale element counts are regenerated separately
+// by the perfmodel package.
 package core
 
 import (

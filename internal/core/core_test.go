@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -76,6 +77,38 @@ func TestAssembleRejectsMoreRanksThanCells(t *testing.T) {
 			t.Errorf("rank %d: err = %v, want RanksExceedCellsError{%d, 12}", c.Rank(), err, ranks)
 		}
 	})
+}
+
+// The rank check precedes every grid: a rejected assembly allocates next to
+// nothing per rank, where building each rank's atmosphere and ocean first
+// would cost hundreds of kilobytes each (a whole model per rank, at a
+// -ranks just above the cell count).
+func TestRejectedAssemblyBuildsNoGrid(t *testing.T) {
+	cfg, err := ConfigForLabel("25v10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.AtmLevel = 2 // 162 cells
+	const ranks = 163
+	allocated := func(body func(c *par.Comm)) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		par.Run(ranks, body)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	base := allocated(func(*par.Comm) {})
+	got := allocated(func(c *par.Comm) {
+		var re *RanksExceedCellsError
+		if _, err := NewWithOptions(cfg, c); !errors.As(err, &re) {
+			t.Errorf("rank %d: err = %v, want RanksExceedCellsError", c.Rank(), err)
+		}
+	})
+	const perRank = 16 << 10
+	if got > base+ranks*perRank {
+		t.Errorf("rejected assembly allocated %d B over %d ranks (%d B for the bare run), want under %d B a rank",
+			got, ranks, base, perRank)
+	}
 }
 
 func TestRegridderMapsAreTotal(t *testing.T) {

@@ -32,7 +32,8 @@ func globalCoupledState(e *ESM) []float64 {
 	oTS := oSST + nc
 	oBk := oTS + nT
 	buf := make([]float64, oBk+nT)
-	if e.dec == nil {
+	ad := m.Decomp()
+	if ad == nil {
 		copy(buf[oPs:], m.Ps)
 		copy(buf[oT:], m.T)
 		copy(buf[oQv:], m.Qv)
@@ -42,9 +43,7 @@ func globalCoupledState(e *ESM) []float64 {
 		copy(buf[oBk:], e.Lnd.Bucket)
 		return buf
 	}
-	d := e.dec
-	ad := m.Decomp()
-	for _, r := range d.OwnedRanges() {
+	for _, r := range ad.OwnedRanges() {
 		for c := r[0]; c < r[0]+r[1]; c++ {
 			lc := ad.LocalCell(c)
 			buf[oPs+c] = m.Ps[lc]
@@ -56,7 +55,7 @@ func globalCoupledState(e *ESM) []float64 {
 			}
 		}
 	}
-	for _, eg := range d.(grid.EdgeDecomp).OwnedEdgeList() {
+	for _, eg := range ad.OwnEdges {
 		for k := 0; k < nl; k++ {
 			i := m.Idx(eg, k)
 			buf[oU+i] = m.U[m.Idx(ad.LocalEdge(eg), k)]
@@ -85,8 +84,8 @@ func runDecomp(t *testing.T, ranks int, sched Schedule, steps int) (state, eta [
 			t.Error(err)
 			return
 		}
-		if (e.dec != nil) != (ranks > 1) {
-			t.Errorf("%d ranks: decomposition active = %v", ranks, e.dec != nil)
+		if (e.Atm.Decomp() != nil) != (ranks > 1) {
+			t.Errorf("%d ranks: decomposition active = %v", ranks, e.Atm.Decomp() != nil)
 			return
 		}
 		for i := 0; i < steps; i++ {

@@ -22,13 +22,12 @@ import (
 // both task domains domain-decomposed — the ocean and sea ice over a 2D
 // tripolar block partition with land-block elimination (the paper's second
 // task domain), the atmosphere and land over an icosahedral cell partition
-// (the first) — both driven through the shared grid.Decomp contract. On one
-// rank the partitions are the whole grids, so the atmosphere side runs
-// global loops and local coupling look-ups instead of owned patches and
-// routers (dec == nil; DESIGN.md "Unified domain decomposition").
-// The component exchange contract, field names, coupling clock, and
-// per-component alarms follow CPL7 (§5.1.1): 180 atmosphere, 36 ocean,
-// and 180 sea-ice couplings per simulated day.
+// (the first). On one rank the partitions are the whole grids, so the
+// atmosphere is never decomposed and runs global loops and local coupling
+// look-ups instead of owned patches and routers (Atm.Decomp() == nil;
+// DESIGN.md "Unified domain decomposition").
+// The coupling clock and per-component alarms follow CPL7 (§5.1.1): 180
+// atmosphere, 36 ocean, and 180 sea-ice couplings per simulated day.
 type ESM struct {
 	Cfg  Config
 	Comm *par.Comm
@@ -67,14 +66,13 @@ type ESM struct {
 	ledger *budget.Ledger
 	af     *atmFluxes
 
-	// Atmosphere + land domain decomposition (nil / empty on one rank):
-	// the icosahedral partition behind the shared Decomp contract, the
-	// distributed coupling rearrange state, the land slots this rank steps
+	// Atmosphere + land domain decomposition (nil / empty on one rank; the
+	// icosahedral partition itself is Atm.Decomp()): the distributed
+	// coupling rearrange state, the land slots this rank steps
 	// (extended patch) and audits (owned range), and the persistent 10 m
 	// wind buffers the surface loops fill in place. Every per-atmosphere-cell
 	// buffer here (u10, v10, radLand, af) is laid out like the atmosphere's
 	// own arrays: over its patch, in local ids, when decomposed.
-	dec       grid.Decomp
 	dst       *distState
 	stepSlots []int
 	ownSlots  []int
@@ -114,6 +112,12 @@ func (e *RanksExceedCellsError) Error() string {
 
 // assemble builds the model from resolved options.
 func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
+	// Refuse a rank that would own no column from the closed-form count,
+	// before any rank builds a grid only to throw it away. A level outside
+	// the buildable range is left to atmos.New to reject.
+	if nc, _, _ := grid.IcosCounts(cfg.AtmLevel); cfg.AtmLevel >= 0 && int64(c.Size()) > nc {
+		return nil, &RanksExceedCellsError{Ranks: c.Size(), Cells: int(nc)}
+	}
 	start, stop := opt.start, opt.stop
 	sp, ob := opt.sp, opt.obs
 	if _, disabled := ob.(obs.Nop); !disabled {
@@ -129,9 +133,6 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 	g, err := grid.NewTripolar(cfg.OcnNX, cfg.OcnNY, cfg.OcnNLev)
 	if err != nil {
 		return nil, fmt.Errorf("core: ocean grid: %w", err)
-	}
-	if c.Size() > atm.Mesh.NCells() {
-		return nil, &RanksExceedCellsError{Ranks: c.Size(), Cells: atm.Mesh.NCells()}
 	}
 	// Ocean + sea-ice decomposition: a 2D tripolar block partition with
 	// land-block elimination (the 1×1 layout on one rank).
@@ -208,20 +209,18 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 	// rank's (after the regridder and Adopt, which read the whole mesh and
 	// the global IsLand), split the land columns with the same ownership map
 	// (after Adopt, so adopted cells are partitioned too), and build the
-	// distributed-coupling routers. One rank leaves dec nil: the patch would
-	// be the whole mesh and every router a local copy.
+	// distributed-coupling routers. One rank stays undecomposed: the patch
+	// would be the whole mesh and every router a local copy.
 	if c.Size() > 1 {
 		d, err := atm.Decompose(c)
 		if err != nil {
 			return nil, fmt.Errorf("core: atmosphere decomposition: %w", err)
 		}
 		d.SetObserver(ob)
-		e.dec = d
 		// Columns stepped (ext) against columns owned: the redundancy the
 		// partition costs this rank, on the record from assembly on.
-		patch := atm.Decomp()
-		ob.SetGauge("atm.decomp.owned", float64(patch.NOwned()))
-		ob.SetGauge("atm.decomp.ext", float64(len(patch.ExtCells)))
+		ob.SetGauge("atm.decomp.owned", float64(d.NOwned()))
+		ob.SetGauge("atm.decomp.ext", float64(len(d.ExtCells)))
 		e.stepSlots = lnd.Slots(d.InExt)
 		e.ownSlots = lnd.Slots(func(cell int) bool { return d.Owner(cell) == c.Rank() })
 		if err := e.initDistribute(); err != nil {
@@ -244,16 +243,6 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 	e.ocnStepsPer = int(math.Round(ocnInterval / ocn.Cfg.DtBaroclinic))
 	if e.ocnStepsPer < 1 {
 		e.ocnStepsPer = 1
-	}
-
-	// Validate the exchange contract once at init (the paper's naming and
-	// dimension-alignment checks).
-	if err := coupler.ValidateExchange([]coupler.Registration{
-		{Comp: &atmComp{e}, CouplingsPerDay: cfg.AtmCouplingsPerDay},
-		{Comp: &ocnComp{e}, CouplingsPerDay: cfg.OcnCouplingsPerDay},
-		{Comp: &iceComp{e}, CouplingsPerDay: cfg.IceCouplingsPerDay},
-	}); err != nil {
-		return nil, err
 	}
 
 	// Initial surface fields.
@@ -419,7 +408,7 @@ func (e *ESM) forAtmOwned(fn func(c, lc int)) {
 // arrives through the nearest-neighbour rearranger (no rank holds the whole
 // atmosphere); on one rank it is read from the local arrays.
 func (e *ESM) iceStep() {
-	if e.dec != nil {
+	if e.Atm.Decomp() != nil {
 		e.iceForcingDistributed()
 	} else {
 		ice := e.Ice
@@ -467,12 +456,13 @@ func (e *ESM) oceanImport() {
 	if e.af != nil {
 		e.computeAtmFluxes()
 	}
+	decomposed := e.Atm.Decomp() != nil
 	switch {
-	case e.remap == RemapCons && e.dec != nil:
+	case e.remap == RemapCons && decomposed:
 		e.importConservativeDistributed()
 	case e.remap == RemapCons:
 		e.importConservative()
-	case e.dec != nil:
+	case decomposed:
 		e.importNearestDistributed()
 	default:
 		e.importNearest()
@@ -629,7 +619,8 @@ func (e *ESM) auditRecord() {
 		}
 	}
 	const rhoWater = 1000.0
-	if e.dec == nil {
+	d := e.Atm.Decomp()
+	if d == nil {
 		for c, ar := range e.Rg.AtmOverlapArea {
 			if ar == 0 {
 				continue
@@ -675,7 +666,6 @@ func (e *ESM) auditRecord() {
 		aFWGross += ar * math.Abs(f.emp[c])
 	})
 	var lndWater float64
-	d := e.Atm.Decomp()
 	for _, slot := range e.ownSlots {
 		c := d.LocalCell(e.Lnd.Cells[slot])
 		lndWater += e.Lnd.Bucket[slot] * e.Atm.Mesh.AreaCell[c] *

@@ -268,15 +268,10 @@ func newRestartLayout(e *ESM) (*restartLayout, error) {
 	nc, ne, nlev, nslot := int(nc64), int(ne64), m.NLev, len(e.Lnd.TSoil)
 	cells, edges, slots := [][2]int{{0, nc}}, [][2]int{{0, ne}}, [][2]int{{0, nslot}}
 	var cellsAt, edgesAt []int
-	if e.dec != nil {
-		ed, ok := e.dec.(grid.EdgeDecomp)
-		if !ok {
-			return nil, fmt.Errorf("core: decomposed atmosphere restart requires an edge-aware decomposition, got %T", e.dec)
-		}
-		cells, edges, slots = e.dec.OwnedRanges(), grid.Runs(ed.OwnedEdgeList()), grid.Runs(e.ownSlots)
+	if d := m.Decomp(); d != nil {
+		cells, edges, slots = d.OwnedRanges(), grid.Runs(d.OwnEdges), grid.Runs(e.ownSlots)
 		// The atmosphere holds its patch: a run of consecutive owned global
 		// ids is a run of consecutive local ids, starting at its first id's.
-		d := m.Decomp()
 		for _, r := range cells {
 			cellsAt = append(cellsAt, d.LocalCell(r[0]))
 		}

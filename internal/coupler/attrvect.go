@@ -3,8 +3,7 @@
 // describing a decomposition, the Router built from two GSMaps, the
 // rearranger that moves distributed fields between decompositions (with the
 // baseline all-to-all and the optimized non-blocking point-to-point
-// implementations), coupling clocks with alarms, and the component
-// init/run/finalize + import/export contract.
+// implementations), and coupling clocks with alarms.
 package coupler
 
 import (

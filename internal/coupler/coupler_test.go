@@ -554,39 +554,3 @@ func TestClockValidation(t *testing.T) {
 		t.Error("non-divisor frequency accepted")
 	}
 }
-
-// fakeComp is a minimal Component for contract tests.
-type fakeComp struct {
-	name     string
-	exports  []string
-	imports  []string
-	ran      time.Duration
-	finalize bool
-}
-
-func (f *fakeComp) Name() string { return f.name }
-func (f *fakeComp) Init() (exp, imp []string, err error) {
-	return f.exports, f.imports, nil
-}
-func (f *fakeComp) Run(dt time.Duration) error { f.ran += dt; return nil }
-func (f *fakeComp) Export() (*AttrVect, error) { return NewAttrVect(f.exports, 1) }
-func (f *fakeComp) Import(av *AttrVect) error  { return nil }
-func (f *fakeComp) Finalize() error            { f.finalize = true; return nil }
-
-func TestValidateExchange(t *testing.T) {
-	atm := &fakeComp{name: "atm", exports: []string{"taux", "precip"}, imports: []string{"sst"}}
-	ocn := &fakeComp{name: "ocn", exports: []string{"sst"}, imports: []string{"taux"}}
-	if err := ValidateExchange([]Registration{{atm, 180}, {ocn, 36}}); err != nil {
-		t.Error(err)
-	}
-	// Missing export.
-	bad := &fakeComp{name: "ice", imports: []string{"nothing-exports-this"}}
-	if err := ValidateExchange([]Registration{{atm, 180}, {ocn, 36}, {bad, 180}}); err == nil {
-		t.Error("missing export accepted")
-	}
-	// Naming conflict: two exporters of the same field.
-	dup := &fakeComp{name: "lnd", exports: []string{"sst"}}
-	if err := ValidateExchange([]Registration{{ocn, 36}, {dup, 180}}); err == nil {
-		t.Error("naming conflict accepted")
-	}
-}

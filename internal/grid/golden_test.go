@@ -159,10 +159,16 @@ type tripolarView struct {
 	route                                         [2]haloRoute
 }
 
+// The owned rows are rebuilt from the block geometry as the {start, NI}
+// runs the decomposition once cached, so the recorded hashes still hold.
 func tripolarViewOf(d *TripolarDecomp) tripolarView {
+	rows := make([][2]int, 0, d.NJ)
+	for lj := 0; lj < d.NJ; lj++ {
+		rows = append(rows, [2]int{d.GIdx(0, lj), d.NI})
+	}
 	return tripolarView{
 		d.I0, d.J0, d.NI, d.NJ, d.H, d.PBX, d.PBY, d.BNI, d.BNJ, d.bx, d.by,
-		d.rankOf, d.ownedRanges, d.dryBlocks, d.halo.peers, d.halo.route,
+		d.rankOf, rows, d.dryBlocks, d.halo.peers, d.halo.route,
 	}
 }
 

@@ -88,16 +88,8 @@ type IcosDecomp struct {
 	cells haloPlan // owned boundary cells out, ring-1 halo cells in (local ids)
 	edges haloPlan // computed edges out, RecvEdges in (local ids)
 
-	ownedRanges [][2]int // Owned as {start, length} runs, cached for Decomp
+	ownedRanges [][2]int // Owned as {start, length} runs, cached
 }
-
-// IcosDecomp implements the shared Decomp contract (and EdgeDecomp for its
-// edge partition), so core's restart/snapshot/audit paths need no
-// mesh-specific type assertions.
-var (
-	_ Decomp     = (*IcosDecomp)(nil)
-	_ EdgeDecomp = (*IcosDecomp)(nil)
-)
 
 // HaloObserver is the instrumentation hook of the halo exchange — the
 // structural subset of obs.Observer the grid layer needs, declared locally
@@ -257,24 +249,17 @@ func localized(ids []int, local []int32) []int {
 	return out
 }
 
-// Comm implements Decomp.
+// Comm returns the communicator the decomposition spans.
 func (d *IcosDecomp) Comm() *par.Comm { return d.comm }
 
-// NGlobal implements Decomp: the global cell count.
-func (d *IcosDecomp) NGlobal() int { return len(d.owner) }
-
-// OwnedRanges implements Decomp: Owned as maximal {start, length} runs of
-// consecutive cell ids. The slice is cached; callers must not mutate it.
+// OwnedRanges returns Owned as maximal {start, length} runs of consecutive
+// cell ids. The slice is cached; callers must not mutate it.
 func (d *IcosDecomp) OwnedRanges() [][2]int { return d.ownedRanges }
 
-// OwnedEdgeList implements EdgeDecomp: the ascending edges whose first cell
-// is owned — a partition of the edge set across ranks.
-func (d *IcosDecomp) OwnedEdgeList() []int { return d.OwnEdges }
-
-// Gather implements Decomp: it assembles the owned cells of a one-level
-// patch cell field onto rank 0 (nil elsewhere) as a global-layout array.
-// Each rank ships its values in Owned (ascending) order, so one ascending
-// pass over the owner table puts every chunk back in place.
+// Gather assembles the owned cells of a one-level patch cell field onto
+// rank 0 (nil elsewhere) as a global-layout array. Collective. Each rank
+// ships its values in Owned (ascending) order, so one ascending pass over
+// the owner table puts every chunk back in place.
 func (d *IcosDecomp) Gather(f []float64) []float64 {
 	chunk := make([]float64, len(d.OwnedLocal))
 	for i, c := range d.OwnedLocal {

@@ -29,9 +29,7 @@ import (
 // batch of fields, FinishExchange receives and fills, and the caller may
 // compute on owned cells in between (interior-first stepping).
 //
-// It implements the shared Decomp contract, so core's coupler, budget,
-// restart, and snapshot paths treat the ocean exactly like the decomposed
-// atmosphere. One rank gets the 1×1 layout: the whole grid as one block.
+// One rank gets the 1×1 layout: the whole grid as one block.
 type TripolarDecomp struct {
 	G *Tripolar
 
@@ -50,12 +48,8 @@ type TripolarDecomp struct {
 	halo haloPlan
 	slab []haloSlab // the batch in plan form, rebuilt by every exchange
 
-	ownedRanges [][2]int
-	dryBlocks   []DryBlock
+	dryBlocks []DryBlock
 }
-
-// TripolarDecomp implements the shared Decomp contract.
-var _ Decomp = (*TripolarDecomp)(nil)
 
 // DryBlock is the geometry of one land-eliminated block — needed by restart
 // writers, which must cover the full global index space and therefore emit
@@ -206,10 +200,6 @@ func newTripolarFromLayout(g *Tripolar, c *par.Comm, halo, pbx, pby int, loads [
 	}
 	d.I0, d.J0 = d.bx*d.BNI, d.by*d.BNJ
 	d.NI, d.NJ = d.BNI, d.BNJ
-	d.ownedRanges = make([][2]int, 0, d.NJ)
-	for lj := 0; lj < d.NJ; lj++ {
-		d.ownedRanges = append(d.ownedRanges, [2]int{(d.J0+lj)*d.G.NX + d.I0, d.NI})
-	}
 	d.buildHalo()
 	return d, nil
 }
@@ -293,25 +283,17 @@ func (d *TripolarDecomp) AtNorthFold() bool { return d.by == d.PBY-1 }
 // callers must not mutate).
 func (d *TripolarDecomp) DryBlocks() []DryBlock { return d.dryBlocks }
 
-// --- Decomp contract ---
-
-// Comm implements Decomp.
-func (d *TripolarDecomp) Comm() *par.Comm { return d.comm }
-
-// NGlobal implements Decomp: the global surface point count.
-func (d *TripolarDecomp) NGlobal() int { return d.G.NX * d.G.NY }
-
-// Owner implements Decomp: ownership is geometric by block, so a land
-// column inside a wet block is owned by that block's rank, while columns of
-// eliminated blocks are owned by nobody (-1).
+// Owner returns the rank owning global column gi. Ownership is geometric
+// by block, so a land column inside a wet block is owned by that block's
+// rank, while columns of eliminated blocks are owned by nobody (-1).
 func (d *TripolarDecomp) Owner(gi int) int {
 	i, j := gi%d.G.NX, gi/d.G.NX
 	return d.rankOf[(j/d.BNJ)*d.PBX+i/d.BNI]
 }
 
-// InExt implements Decomp: whether the global cell's value is locally
-// available after an exchange — owned, inside the halo ring (periodic in
-// x), or a fold image row of a fold-touching block.
+// InExt reports whether the global cell's value is locally available after
+// an exchange — owned, inside the halo ring (periodic in x), or a fold image
+// row of a fold-touching block.
 func (d *TripolarDecomp) InExt(gi int) bool {
 	nx := d.G.NX
 	i, j := gi%nx, gi/nx
@@ -339,24 +321,17 @@ func (d *TripolarDecomp) xNear(i int) bool {
 	return dl <= d.H || dr <= d.H
 }
 
-// OwnedRanges implements Decomp: one {start, NI} run per owned row. Cached;
-// callers must not mutate.
-func (d *TripolarDecomp) OwnedRanges() [][2]int { return d.ownedRanges }
-
 // SetObserver attaches the halo traffic counters
 // (cpl.halo.{msgs,bytes} with component="ocn").
 func (d *TripolarDecomp) SetObserver(o HaloObserver) {
 	d.halo.setObserver(o, ctrHaloMsgsOcn, ctrHaloBytesOcn)
 }
 
-// ExchangeCells implements Decomp: the halo exchange of one nlev-level
-// scalar field in local block layout.
+// ExchangeCells is the halo exchange of one nlev-level scalar field in
+// local block layout.
 func (d *TripolarDecomp) ExchangeCells(f []float64, nlev int) {
 	d.ExchangeFields([]HaloField{{Data: f, NLev: nlev}})
 }
-
-// Gather implements Decomp: GatherGlobal on one level.
-func (d *TripolarDecomp) Gather(f []float64) []float64 { return d.GatherGlobal(f) }
 
 // AllreduceSum reduces a scalar over the decomposition's ranks.
 func (d *TripolarDecomp) AllreduceSum(v float64) float64 {

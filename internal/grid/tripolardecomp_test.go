@@ -26,9 +26,9 @@ func tripolarWithDryBlock(t *testing.T, nx, ny, nl, pbx, pby, bx, by int) *Tripo
 	return g
 }
 
-// The partition contract: the owned ranges of all ranks are disjoint and
+// The partition contract: the owned blocks of all ranks are disjoint and
 // together cover exactly the cells of the wet blocks; Owner agrees with the
-// ranges; elimination never drops a wet cell; and DryBlocks accounts for
+// blocks; elimination never drops a wet cell; and DryBlocks accounts for
 // every unowned cell.
 func TestTripolarPartitionProperties(t *testing.T) {
 	g := tripolarWithDryBlock(t, 24, 12, 4, 2, 2, 0, 0)
@@ -40,9 +40,9 @@ func TestTripolarPartitionProperties(t *testing.T) {
 		}
 		n := g.NX * g.NY
 		mine := make([]float64, n)
-		for _, r := range d.OwnedRanges() {
-			for k := 0; k < r[1]; k++ {
-				gi := r[0] + k
+		for lj := 0; lj < d.NJ; lj++ {
+			for li := 0; li < d.NI; li++ {
+				gi := d.GIdx(li, lj)
 				if d.Owner(gi) != c.Rank() {
 					t.Errorf("owned index %d reports Owner %d, not this rank %d", gi, d.Owner(gi), c.Rank())
 				}

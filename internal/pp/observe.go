@@ -5,13 +5,12 @@ package pp
 // (at the bottom of the dependency order) does not import obs.
 type Observer interface {
 	AddCount(name string, delta int64)
-	ObserveValue(name string, v float64)
 }
 
 // Instrumented wraps an execution space so every kernel launch and its
-// iteration count are reported — the per-backend invocation accounting the
-// paper's tile-profiling discussion (§5.3) builds on. The wrapper preserves
-// the inner space's name, concurrency, and scheduling.
+// iteration count are reported — the per-backend invocation accounting of
+// §5.3. The wrapper preserves the inner space's name, concurrency, and
+// scheduling.
 type Instrumented struct {
 	inner Space
 	o     Observer
@@ -29,9 +28,6 @@ func Instrument(s Space, o Observer) Space {
 	return &Instrumented{inner: s, o: o}
 }
 
-// Unwrap returns the underlying space.
-func (in *Instrumented) Unwrap() Space { return in.inner }
-
 // Name implements Space, transparently.
 func (in *Instrumented) Name() string { return in.inner.Name() }
 
@@ -44,24 +40,4 @@ func (in *Instrumented) ParallelFor(n int, f func(i int)) {
 	in.o.AddCount("pp.for.launches", 1)
 	in.o.AddCount("pp.for.iters", int64(n))
 	in.inner.ParallelFor(n, f)
-}
-
-// ParallelReduce implements Space.
-func (in *Instrumented) ParallelReduce(n int, identity float64, f func(i int) float64, join func(a, b float64) float64) float64 {
-	in.o.AddCount("pp.reduce.launches", 1)
-	in.o.AddCount("pp.reduce.iters", int64(n))
-	return in.inner.ParallelReduce(n, identity, f, join)
-}
-
-// Record publishes the profile into the observer: one histogram sample per
-// tile time (seconds) under name+".tile_seconds" and the max/mean imbalance
-// factor under name+".imbalance" — the tile-imbalance distribution of §5.3.
-func (s *TileStats) Record(o Observer, name string) {
-	if s == nil || o == nil {
-		return
-	}
-	for _, d := range s.PerTile {
-		o.ObserveValue(name+".tile_seconds", d.Seconds())
-	}
-	o.ObserveValue(name+".imbalance", s.Imbalance())
 }

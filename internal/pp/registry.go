@@ -3,9 +3,7 @@ package pp
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Kernel is a registered parallel kernel: it receives the execution space
@@ -19,13 +17,12 @@ import (
 type Kernel func(s Space, args any)
 
 // kernelEntry is one registered kernel. The observer metric name is
-// precomputed at registration and the launch counter is atomic, so Launch
-// does no allocation and takes no write lock on the hot path.
+// precomputed at registration, so Launch does no allocation and takes no
+// write lock on the hot path.
 type kernelEntry struct {
-	name     string
-	metric   string
-	k        Kernel
-	launches atomic.Int64
+	name   string
+	metric string
+	k      Kernel
 }
 
 // Registry maps kernel-name hashes to callbacks.
@@ -105,7 +102,6 @@ func (r *Registry) Launch(h uint64, s Space, args any) error {
 	if !ok {
 		return fmt.Errorf("pp: no kernel registered under hash %#x", h)
 	}
-	e.launches.Add(1)
 	if obs != nil {
 		obs.AddCount(e.metric, 1)
 	}
@@ -122,31 +118,4 @@ func (r *Registry) MustLaunch(h uint64, s Space, args any) {
 	if err := r.Launch(h, s, args); err != nil {
 		panic(err)
 	}
-}
-
-// LaunchByName is a convenience wrapper hashing the name first.
-func (r *Registry) LaunchByName(name string, s Space, args any) error {
-	return r.Launch(HashName(name), s, args)
-}
-
-// LaunchCount returns how many times the named kernel has been launched.
-func (r *Registry) LaunchCount(name string) int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if e, ok := r.byHash[HashName(name)]; ok {
-		return int(e.launches.Load())
-	}
-	return 0
-}
-
-// Names returns the registered kernel names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.byHash))
-	for _, e := range r.byHash {
-		out = append(out, e.name)
-	}
-	sort.Strings(out)
-	return out
 }
