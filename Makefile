@@ -111,15 +111,15 @@ profile:
 
 # The ladder's memory column: BenchmarkAssemble's B/cell, the live heap of
 # each rung's model after assembly plus one step, per rank per owned
-# atmosphere cell, on 1, 2 and 4 ranks (columns r1, r2, r4). Live heap is
+# atmosphere cell, on 1, 2, 4 and 8 ranks (columns r1, r2, r4, r8). Live heap is
 # deterministic to a few bytes, so one pass is enough. Not part of check:
 # bench-smoke already runs the benchmark once.
 footprint:
 	out=$$($(GO) test ./internal/core -run '^$$' -bench '^BenchmarkAssemble$$' -benchtime 1x) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | awk '/B\/cell/ { n = $$1; sub(/^BenchmarkAssemble\//, "", n); sub(/-[0-9]+$$/, "", n); split(n, p, "/"); \
 		if (!(p[1] in seen)) { seen[p[1]] = 1; order[++k] = p[1] } v[p[1], p[2]] = $$5 } \
-		END { printf "%-6s %8s %8s %8s  B/cell\n", "rung", "r1", "r2", "r4"; \
-		for (i = 1; i <= k; i++) printf "%-6s %8d %8d %8d\n", order[i], v[order[i], "r1"], v[order[i], "r2"], v[order[i], "r4"] }'
+		END { printf "%-6s %8s %8s %8s %8s  B/cell\n", "rung", "r1", "r2", "r4", "r8"; \
+		for (i = 1; i <= k; i++) printf "%-6s %8d %8d %8d %8d\n", order[i], v[order[i], "r1"], v[order[i], "r2"], v[order[i], "r4"], v[order[i], "r8"] }'
 
 # The atmosphere's sizing benchmark (internal/atmos/step_bench_test.go): a
 # whole model step and the sweeps the dycore's layout work moves — the four

@@ -18,7 +18,7 @@ import (
 func main() {
 	log.SetFlags(0)
 
-	m, err := atmos.New(3, 8, atmos.DefaultConfig(), pp.NewHost(0))
+	m, err := atmos.New(3, 8, atmos.DefaultConfig(), pp.Serial{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 )
 
 // BenchmarkAssemble times NewWithOptions in the benchmark's model options
-// (serial space, conservative remap, audit on) on 1, 2 and 4 ranks: every
+// (serial space, conservative remap, audit on) on 1, 2, 4 and 8 ranks: every
 // grid, decomposition, regridder and initial state, no step. Once the timing
 // is done it assembles one more model on every rank, steps it once, and
 // reports the live heap the ranks' models hold per owned atmosphere cell
@@ -27,7 +27,7 @@ import (
 // patch shows r2 falling toward r1 × ext/owned.
 func BenchmarkAssemble(b *testing.B) {
 	for _, cfg := range Configurations() {
-		for _, ranks := range []int{1, 2, 4} {
+		for _, ranks := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/r%d", cfg.Label, ranks), func(b *testing.B) {
 				nc, _, _ := grid.IcosCounts(cfg.AtmLevel)
 				par.Run(ranks, func(c *par.Comm) {

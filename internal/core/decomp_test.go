@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/coupler"
 	"repro/internal/grid"
 	"repro/internal/par"
 	"repro/internal/pario"
@@ -243,9 +244,12 @@ func TestDecompRestartRoundTrip(t *testing.T) {
 	}
 }
 
-// The distributed coupling hot path — pack, icos rearrange, consume — must
-// be allocation-free in steady state, in both remap modes. Rank 0 measures
-// while the peer drives the matching collectives the same number of times.
+// The distributed coupling hot path — pack, rearrange, consume — must be
+// allocation-free in steady state, in both remap modes: the flux import
+// alone, and the import alternating with the ice forcing, whose 3-field
+// vectors share the router (and its pack buffers) with the import's 4 or 7
+// fields. Rank 0 measures while the peer drives the matching collectives
+// the same number of times.
 func TestDistributedImportZeroAllocs(t *testing.T) {
 	cfg, err := ConfigForLabel("25v10")
 	if err != nil {
@@ -260,24 +264,94 @@ func TestDistributedImportZeroAllocs(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				// Steady state: grow every router pack buffer first.
-				for i := 0; i < 3; i++ {
+				both := func() {
+					e.iceForcingDistributed()
 					e.oceanImport()
 				}
-				c.Barrier()
-				if c.Rank() == 0 {
-					if allocs := testing.AllocsPerRun(runs, func() {
-						e.oceanImport()
-					}); allocs != 0 {
-						t.Errorf("%v import: %v allocs/op in steady state, want 0", remap, allocs)
+				for _, lap := range []struct {
+					name string
+					fn   func()
+				}{{"import", e.oceanImport}, {"ice+import", both}} {
+					// Steady state: grow every router pack buffer first.
+					for i := 0; i < 3; i++ {
+						lap.fn()
 					}
-				} else {
-					for i := 0; i < runs+1; i++ {
-						e.oceanImport()
+					c.Barrier()
+					if c.Rank() == 0 {
+						if allocs := testing.AllocsPerRun(runs, lap.fn); allocs != 0 {
+							t.Errorf("%v %s: %v allocs/op in steady state, want 0", remap, lap.name, allocs)
+						}
+					} else {
+						for i := 0; i < runs+1; i++ {
+							lap.fn()
+						}
 					}
+					c.Barrier()
 				}
-				c.Barrier()
 			})
 		})
+	}
+}
+
+// The decomposed coupling plan is sized by the atmosphere cells each ocean
+// rank reads, not by a global index space: every rank's router delivers
+// exactly one point per distinct cell its owned block reads (each owned
+// column's nearest cell; under RemapCons also its row's overlap cells), the
+// ranks pack as many points as they deliver, and no vector is built for a
+// field set the remap mode never rearranges.
+func TestCouplingPlanIsPerCell(t *testing.T) {
+	cfg, err := ConfigForLabel("25v10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, remap := range []RemapMode{RemapNN, RemapCons} {
+		for _, ranks := range []int{2, 4, 8} {
+			t.Run(fmt.Sprintf("%v/ranks=%d", remap, ranks), func(t *testing.T) {
+				ndst := make([]int, ranks)
+				par.Run(ranks, func(c *par.Comm) {
+					e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithRemap(remap))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					ds, b, rg := e.dst, e.Ocn.B, e.Rg
+					read := map[int32]bool{}
+					for lj := 0; lj < b.NJ; lj++ {
+						for li := 0; li < b.NI; li++ {
+							gi := b.GIdx(li, lj)
+							read[int32(rg.OcnToAtm[gi])] = true
+							if remap == RemapCons {
+								for _, ac := range rg.ConsCol[rg.ConsPtr[gi]:rg.ConsPtr[gi+1]] {
+									read[ac] = true
+								}
+							}
+						}
+					}
+					if ds.rt.NDst != len(read) {
+						t.Errorf("rank %d: router delivers %d points, its block reads %d cells", c.Rank(), ds.rt.NDst, len(read))
+					}
+					ndst[c.Rank()] = ds.rt.NDst
+					if nsrc, nd := c.AllreduceInt(ds.rt.NSrc), c.AllreduceInt(ds.rt.NDst); nsrc != nd {
+						t.Errorf("rank %d: ranks pack %d points, deliver %d", c.Rank(), nsrc, nd)
+					}
+					for _, v := range []struct {
+						name     string
+						src, dst *coupler.AttrVect
+						want     bool
+					}{
+						{"ice", ds.iceSrc, ds.iceDst, true},
+						{"cons", ds.consSrc, ds.consDst, remap == RemapCons},
+						{"nn", ds.nnSrc, ds.nnDst, remap == RemapNN},
+					} {
+						if (v.src != nil) != v.want || (v.dst != nil) != v.want {
+							t.Errorf("rank %d: %s vectors built = %v/%v, want %v", c.Rank(), v.name, v.src != nil, v.dst != nil, v.want)
+						}
+					}
+				})
+				if remap == RemapCons && ranks == 2 && (ndst[0] != 342 || ndst[1] != 317) {
+					t.Errorf("25v10 on 2 ranks delivers %v points, want [342 317]", ndst)
+				}
+			})
+		}
 	}
 }

@@ -209,8 +209,8 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 	// rank's (after the regridder and Adopt, which read the whole mesh and
 	// the global IsLand), split the land columns with the same ownership map
 	// (after Adopt, so adopted cells are partitioned too), and build the
-	// distributed-coupling routers. One rank stays undecomposed: the patch
-	// would be the whole mesh and every router a local copy.
+	// distributed-coupling router. One rank stays undecomposed: the patch
+	// would be the whole mesh and the router a local copy.
 	if c.Size() > 1 {
 		d, err := atm.Decompose(c)
 		if err != nil {
@@ -405,7 +405,7 @@ func (e *ESM) forAtmOwned(fn func(c, lc int)) {
 
 // iceStep imports atmosphere and ocean state into the ice model, steps it,
 // and refreshes the global ice fraction. Decomposed, the atmosphere forcing
-// arrives through the nearest-neighbour rearranger (no rank holds the whole
+// arrives through the coupling router (no rank holds the whole
 // atmosphere); on one rank it is read from the local arrays.
 func (e *ESM) iceStep() {
 	if e.Atm.Decomp() != nil {
@@ -481,41 +481,51 @@ func (e *ESM) oceanImport() {
 func (e *ESM) importNearest() {
 	o := e.Ocn
 	b := o.B
-	u10, v10 := e.Atm.Wind10m()
+	a := e.Atm
+	u10, v10 := a.Wind10m()
 	for lj := 0; lj < b.NJ; lj++ {
 		for li := 0; li < b.NI; li++ {
-			idx := b.LIdx(li, lj)
 			gi := b.GIdx(li, lj)
 			if !o.G.Mask[gi] {
 				continue
 			}
 			ac := e.Rg.OcnToAtm[gi]
-			open := 1 - e.Ice.Conc[idx]
-			sstK := o.T[idx] + 273.15
-			wind := math.Hypot(u10[ac], v10[ac])
-			tair, qair := e.Atm.SurfaceAir(ac)
-
-			// Momentum: bulk stress from the local wind, attenuated by ice.
-			o.TauX[idx] = rhoAirSfc * bulkCd * wind * u10[ac] * open
-			o.TauY[idx] = rhoAirSfc * bulkCd * wind * v10[ac] * open
-
-			// Turbulent heat fluxes against the ocean's own SST.
-			shf := rhoAirSfc * atmos.Cpd * bulkCh * wind * (sstK - tair)
-			evap := rhoAirSfc * bulkCe * wind * (qsatSea(sstK) - qair)
-			if evap < 0 {
-				evap = 0
-			}
-			lhf := atmos.LatVap * evap
-
-			qnet := (1-oceanAlbedo)*e.Atm.GSW[ac] +
-				oceanEmiss*(e.Atm.GLW[ac]-sigmaSB*sstK*sstK*sstK*sstK) -
-				shf - lhf
-			o.QHeat[idx] = qnet*open + e.Ice.FreezeHeat[idx]
-			// Freshwater: (evaporation − precipitation) concentrates salt.
-			emp := evap - e.Atm.Precip[ac]
-			o.FWFlux[idx] = ocean.SRef * emp / (ocean.Rho0 * firstLayerDepth(o))
+			tair, qair := a.SurfaceAir(ac)
+			e.nearestFluxes(b.LIdx(li, lj), u10[ac], v10[ac], tair, qair, a.GSW[ac], a.GLW[ac], a.Precip[ac])
 		}
 	}
+}
+
+// nearestFluxes sets the air–sea fluxes of the wet ocean column at local
+// index idx from its nearest atmosphere cell's 10 m wind (u, v), surface
+// air (tair, qair), held radiation (sw, lw) and precipitation. The one-rank
+// import passes local-array reads and the decomposed import the rearranged
+// ghost values, so both evaluate one expression.
+func (e *ESM) nearestFluxes(idx int, u, v, tair, qair, sw, lw, precip float64) {
+	o := e.Ocn
+	open := 1 - e.Ice.Conc[idx]
+	sstK := o.T[idx] + 273.15
+	wind := math.Hypot(u, v)
+
+	// Momentum: bulk stress from the local wind, attenuated by ice.
+	o.TauX[idx] = rhoAirSfc * bulkCd * wind * u * open
+	o.TauY[idx] = rhoAirSfc * bulkCd * wind * v * open
+
+	// Turbulent heat fluxes against the ocean's own SST.
+	shf := rhoAirSfc * atmos.Cpd * bulkCh * wind * (sstK - tair)
+	evap := rhoAirSfc * bulkCe * wind * (qsatSea(sstK) - qair)
+	if evap < 0 {
+		evap = 0
+	}
+	lhf := atmos.LatVap * evap
+
+	qnet := (1-oceanAlbedo)*sw +
+		oceanEmiss*(lw-sigmaSB*sstK*sstK*sstK*sstK) -
+		shf - lhf
+	o.QHeat[idx] = qnet*open + e.Ice.FreezeHeat[idx]
+	// Freshwater: (evaporation − precipitation) concentrates salt.
+	emp := evap - precip
+	o.FWFlux[idx] = ocean.SRef * emp / (ocean.Rho0 * firstLayerDepth(o))
 }
 
 // computeAtmFluxes fills the per-atmosphere-cell flux parts from the
@@ -719,13 +729,8 @@ func (e *ESM) ocnIdx2(li, lj int) int {
 // broadcasts them so every rank's atmosphere patch sees the same surface.
 func (e *ESM) refreshOceanSurface() {
 	b := e.Ocn.B
-	n2 := b.LNI() * b.LNJ()
-	sstLoc := make([]float64, n2)
-	copy(sstLoc, e.Ocn.T[:n2])
-	iceLoc := make([]float64, n2)
-	copy(iceLoc, e.Ice.Conc)
-	sstG := b.GatherGlobal(sstLoc)
-	iceG := b.GatherGlobal(iceLoc)
+	sstG := b.GatherGlobal(e.Ocn.T[:b.LNI()*b.LNJ()])
+	iceG := b.GatherGlobal(e.Ice.Conc)
 	e.sstGlobal = par.Bcast(e.Comm, 0, sstG)
 	e.iceGlobal = par.Bcast(e.Comm, 0, iceG)
 }

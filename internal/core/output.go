@@ -36,9 +36,7 @@ func (e *ESM) WriteSnapshot(path string) error {
 	roG := b.GatherGlobal(roLoc)
 	keG := b.GatherGlobal(keLoc)
 	sstG := b.GatherGlobal(o.T[:o.LNI*o.LNJ])
-	iceLoc := b.Alloc()
-	copy(iceLoc, e.Ice.Conc)
-	iceG := b.GatherGlobal(iceLoc)
+	iceG := b.GatherGlobal(e.Ice.Conc)
 
 	// Atmosphere-cell diagnostics, assembled collectively (see
 	// assembleAtmField).

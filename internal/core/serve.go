@@ -22,9 +22,7 @@ func (e *ESM) CaptureServeSnapshot() (snap statestore.Snapshot, ok bool) {
 	o := e.Ocn
 	b := o.B
 	sstG := b.GatherGlobal(o.T[:o.LNI*o.LNJ])
-	iceLoc := b.Alloc()
-	copy(iceLoc, e.Ice.Conc)
-	iceG := b.GatherGlobal(iceLoc)
+	iceG := b.GatherGlobal(e.Ice.Conc)
 
 	if e.Comm.Rank() != 0 {
 		return statestore.Snapshot{}, false

@@ -6,10 +6,7 @@
 // implementations), and coupling clocks with alarms.
 package coupler
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // AttrVect is MCT's fundamental distributed data type: a set of named
 // real-valued attributes over the local points of a decomposition. Storage
@@ -60,43 +57,5 @@ func (av *AttrVect) MustField(name string) []float64 {
 	return f
 }
 
-// HasField reports whether the attribute exists.
-func (av *AttrVect) HasField(name string) bool {
-	_, ok := av.index[name]
-	return ok
-}
-
 // NFields returns the attribute count.
 func (av *AttrVect) NFields() int { return len(av.Fields) }
-
-// Restrict returns a new AttrVect holding only the named fields, sharing no
-// storage. This implements the §5.2.4 optimization of dropping
-// communication variables that are registered in MCT but unused by GRIST
-// and LICOM: restricting before rearrangement shrinks message volume.
-func (av *AttrVect) Restrict(fields []string) (*AttrVect, error) {
-	out, err := NewAttrVect(fields, av.LSize)
-	if err != nil {
-		return nil, err
-	}
-	for _, f := range fields {
-		src, err := av.Field(f)
-		if err != nil {
-			return nil, err
-		}
-		copy(out.MustField(f), src)
-	}
-	return out, nil
-}
-
-// SharedFields returns the sorted intersection of two field lists — the
-// variables actually exchanged between a pair of components.
-func SharedFields(a, b *AttrVect) []string {
-	var out []string
-	for _, f := range a.Fields {
-		if b.HasField(f) {
-			out = append(out, f)
-		}
-	}
-	sort.Strings(out)
-	return out
-}

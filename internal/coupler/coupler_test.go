@@ -27,9 +27,6 @@ func TestAttrVectBasics(t *testing.T) {
 	if _, err := av.Field("nope"); err == nil {
 		t.Error("unknown field accepted")
 	}
-	if !av.HasField("taux") || av.HasField("zzz") {
-		t.Error("HasField wrong")
-	}
 }
 
 func TestAttrVectValidation(t *testing.T) {
@@ -38,34 +35,6 @@ func TestAttrVectValidation(t *testing.T) {
 	}
 	if _, err := NewAttrVect([]string{"a"}, -1); err == nil {
 		t.Error("negative size accepted")
-	}
-}
-
-func TestAttrVectRestrict(t *testing.T) {
-	av, _ := NewAttrVect([]string{"a", "b", "c"}, 4)
-	av.MustField("b")[2] = 5
-	r, err := av.Restrict([]string{"b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.NFields() != 1 || r.MustField("b")[2] != 5 {
-		t.Error("restrict lost data")
-	}
-	// Restricting shrinks the exchanged payload (§5.2.4).
-	if len(r.Data) >= len(av.Data) {
-		t.Error("no payload reduction")
-	}
-	if _, err := av.Restrict([]string{"zzz"}); err == nil {
-		t.Error("unknown field accepted")
-	}
-}
-
-func TestSharedFields(t *testing.T) {
-	a, _ := NewAttrVect([]string{"x", "y", "z"}, 1)
-	b, _ := NewAttrVect([]string{"y", "w", "x"}, 1)
-	got := SharedFields(a, b)
-	if !reflect.DeepEqual(got, []string{"x", "y"}) {
-		t.Errorf("shared = %v", got)
 	}
 }
 
