@@ -293,6 +293,31 @@ func TestDistributedImportZeroAllocs(t *testing.T) {
 	}
 }
 
+// The one-rank flux import reads the atmosphere's own arrays instead of a
+// router; it too must be allocation-free in steady state in both remap
+// modes, so its 10 m wind goes into the model's persistent buffers.
+func TestOneRankImportZeroAllocs(t *testing.T) {
+	cfg, err := ConfigForLabel("25v10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, remap := range []RemapMode{RemapNN, RemapCons} {
+		t.Run(remap.String(), func(t *testing.T) {
+			par.Run(1, func(c *par.Comm) {
+				e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithRemap(remap))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				e.oceanImport()
+				if allocs := testing.AllocsPerRun(20, e.oceanImport); allocs != 0 {
+					t.Errorf("%v: %v allocs/op in steady state, want 0", remap, allocs)
+				}
+			})
+		})
+	}
+}
+
 // The decomposed coupling plan is sized by the atmosphere cells each ocean
 // rank reads, not by a global index space: every rank's router delivers
 // exactly one point per distinct cell its owned block reads (each owned

@@ -482,7 +482,8 @@ func (e *ESM) importNearest() {
 	o := e.Ocn
 	b := o.B
 	a := e.Atm
-	u10, v10 := a.Wind10m()
+	a.Wind10mInto(e.u10, e.v10)
+	u10, v10 := e.u10, e.v10
 	for lj := 0; lj < b.NJ; lj++ {
 		for li := 0; li < b.NI; li++ {
 			gi := b.GIdx(li, lj)

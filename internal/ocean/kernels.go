@@ -190,14 +190,14 @@ type continuityArgs struct {
 	dtb, dy     float64
 	dx, dxSouth []float64 // per global row: DX[jg], DX at jg-1 (clamped)
 
-	depth                   []float64
-	eta, newEta, ubar, vbar []float64
+	depth           []float64
+	eta, ubar, vbar []float64
 
 	rowF func(lj int)
 }
 
-func (a *continuityArgs) bind(eta, newEta, ubar, vbar []float64) {
-	a.eta, a.newEta, a.ubar, a.vbar = eta, newEta, ubar, vbar
+func (a *continuityArgs) bind(eta, ubar, vbar []float64) {
+	a.eta, a.ubar, a.vbar = eta, ubar, vbar
 }
 
 func (a *continuityArgs) row(lj int) {
@@ -228,7 +228,7 @@ func (a *continuityArgs) row(lj int) {
 			fs = a.vbar[sIdx] * hs * dxS
 		}
 		area := dxT * a.dy
-		a.newEta[c] = a.eta[c] - a.dtb*(fe-fw+fn-fs)/area
+		a.eta[c] -= a.dtb * (fe - fw + fn - fs) / area
 	}
 }
 

@@ -106,14 +106,13 @@ type Ocean struct {
 }
 
 // stepScratch holds the persistent work arrays of the stepping hot path and
-// the kernel argument bundles the drivers bind before each launch. Step
-// parameters live on the bundles as explicit arguments — the struct-scratch
-// side channel (and its aliasing hazard) is gone.
+// the kernel argument bundles the drivers bind before each launch: three
+// level-sized and two surface-sized arrays, each written in a step before it
+// is read. Step parameters live on the bundles as explicit arguments.
 type stepScratch struct {
-	pr              []float64 // hydrostatic baroclinic pressure
-	u, v            []float64 // 3-D momentum double buffers
-	t, s            []float64 // tracer double buffers
-	eta, ubar, vbar []float64 // barotropic double buffers
+	w          []float64 // baroclinic pressure, then the tracer double buffer
+	u, v       []float64 // 3-D momentum double buffers
+	ubar, vbar []float64 // barotropic momentum double buffers (η steps in place)
 
 	// Bound kernel argument bundles.
 	mom   *momentumArgs

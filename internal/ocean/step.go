@@ -51,12 +51,9 @@ func (o *Ocean) scrEnsure() *stepScratch {
 	n2 := o.LNI * o.LNJ
 	n3 := o.NL * n2
 	s := &stepScratch{
-		pr:   make([]float64, n3),
+		w:    make([]float64, n3),
 		u:    make([]float64, n3),
 		v:    make([]float64, n3),
-		t:    make([]float64, n3),
-		s:    make([]float64, n3),
-		eta:  make([]float64, n2),
 		ubar: make([]float64, n2),
 		vbar: make([]float64, n2),
 	}
@@ -148,18 +145,18 @@ func (o *Ocean) baroclinicMomentum(dt float64) {
 	copy(s.v, o.V)
 	a := s.mom
 	a.dt = dt
-	a.bind(o.U, o.V, s.u, s.v, o.Eta, o.TauX, o.TauY, s.pr)
+	a.bind(o.U, o.V, s.u, s.v, o.Eta, o.TauX, o.TauY, s.w)
 	pp.Kernels.MustLaunch(hOcnMomentum, o.Sp, a)
 	o.U, s.u = s.u, o.U
 	o.V, s.v = s.v, o.V
 }
 
-// pressureCells integrates the hydrostatic baroclinic pressure p'(k) for the
-// local cells with raw local row in [j0, j1) and raw local column in
-// [i0, i1) — halo offsets included, not owned coordinates. The persistent
-// buffer is not zeroed between calls: the momentum kernel only reads pr at
-// wet faces, i.e. within the kmt range of both adjacent columns, and exactly
-// those entries are rewritten here every call.
+// pressureCells integrates the hydrostatic baroclinic pressure p'(k) into w
+// for the local cells with raw local row in [j0, j1) and raw local column in
+// [i0, i1) — halo offsets included, not owned coordinates. w holds a stale
+// tracer between steps: the momentum kernel only reads pr at wet faces, i.e.
+// within the kmt range of both adjacent columns, and exactly those entries
+// are rewritten here every call, in owned rows and all four halo strips.
 func (o *Ocean) pressureCells(s *stepScratch, j0, j1, i0, i1 int) {
 	n2 := o.LNI * o.LNJ
 	for j := j0; j < j1; j++ {
@@ -172,7 +169,7 @@ func (o *Ocean) pressureCells(s *stepScratch, j0, j1, i0, i1 int) {
 			for k := 0; k < o.kmt[idx]; k++ {
 				i3 := k*n2 + idx
 				acc += Gravity * Rho(o.T[i3], o.S[i3]) * o.dz[k]
-				s.pr[i3] = acc
+				s.w[i3] = acc
 			}
 		}
 	}
@@ -196,13 +193,11 @@ func (o *Ocean) barotropicCycle(dt float64) {
 		)
 		o.B.ExchangeFields(s.ex)
 
-		// --- Continuity (forward): η from the current transports ---
-		copy(s.eta, o.Eta)
+		// --- Continuity (forward): η from the current transports, in place ---
 		c := s.cont
 		c.dtb = dtb
-		c.bind(o.Eta, s.eta, o.Ubar, o.Vbar)
+		c.bind(o.Eta, o.Ubar, o.Vbar)
 		pp.Kernels.MustLaunch(hOcnContinuity, o.Sp, c)
-		o.Eta, s.eta = s.eta, o.Eta
 		o.B.ExchangeCells(o.Eta, 1)
 
 		// --- Momentum (backward): transports from the new η ---
@@ -236,10 +231,12 @@ func (o *Ocean) tracerStep(dt float64) {
 		grid.HaloField{Data: o.V, NLev: o.NL, Vec: true},
 	)
 	o.B.ExchangeFields(s.ex)
-	o.advectDiffuseInto(o.T, s.t, dt, o.QHeat, o.surfTDen())
-	o.T, s.t = s.t, o.T
-	o.advectDiffuseInto(o.S, s.s, dt, o.FWFlux, 1)
-	o.S, s.s = s.s, o.S
+	// w is the tracer double buffer: advectDiffuseInto overwrites it before
+	// the kernel runs, and S advects into the buffer T just left.
+	o.advectDiffuseInto(o.T, s.w, dt, o.QHeat, o.surfTDen())
+	o.T, s.w = s.w, o.T
+	o.advectDiffuseInto(o.S, s.w, dt, o.FWFlux, 1)
+	o.S, s.w = s.w, o.S
 }
 
 // surfTDen is the denominator turning the surface heat flux (W/m²) into a
