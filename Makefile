@@ -27,7 +27,10 @@ build:
 
 # bench/ is its own module, invisible to ./... from the root, and it calls
 # into par and grid: vet it too so a signature change there shows up here.
+# Any file gofmt would rewrite, in either module, fails the target too.
 vet:
+	@out=$$(gofmt -l $$($(GO) list -f '{{.Dir}}' ./...) bench | sort -u); \
+	  if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 	cd bench && $(GO) vet ./...
 

@@ -217,11 +217,11 @@ func TestMoistureConservationByTransport(t *testing.T) {
 	}
 	m.Ps[5] += 300
 	m.Ps[100] -= 300
-	q0 := m.TotalMoisture()
+	q0 := m.TotalMoistureLocal()
 	for s := 0; s < 8; s++ {
 		m.Step()
 	}
-	q1 := m.TotalMoisture()
+	q1 := m.TotalMoistureLocal()
 	if rel := math.Abs(q1-q0) / q0; rel > 1e-12 {
 		t.Errorf("moisture drift %.3e under pure transport", rel)
 	}
@@ -278,14 +278,14 @@ func TestPhysicsDrivesCirculation(t *testing.T) {
 
 func TestEvaporationAndPrecipitation(t *testing.T) {
 	m := newTestModel(t, 3, 8)
-	q0 := m.TotalMoisture()
+	q0 := m.TotalMoistureLocal()
 	for s := 0; s < 10*m.Cfg.PhysicsEvery; s++ {
 		m.Step()
 	}
 	// Ocean evaporation must have changed total moisture (in either
 	// direction once rain balances), and some precipitation must occur
 	// somewhere after saturation.
-	q1 := m.TotalMoisture()
+	q1 := m.TotalMoistureLocal()
 	if q0 == q1 {
 		t.Error("moisture never changed — surface hydrology inert")
 	}

@@ -17,21 +17,6 @@ func (m *Model) TotalMass() float64 {
 	return sum
 }
 
-// TotalMoisture returns the global water-vapour mass (kg), changed only by
-// evaporation and precipitation.
-func (m *Model) TotalMoisture() float64 {
-	nc := m.Mesh.NCells()
-	re2 := grid.EarthRadius * grid.EarthRadius
-	var sum float64
-	for c := 0; c < nc; c++ {
-		colMass := m.Ps[c] / Gravity * m.Mesh.AreaCell[c] * re2
-		for k, qv := range m.Columns(m.Qv, c, 1) {
-			sum += qv * colMass * m.DSig[k]
-		}
-	}
-	return sum
-}
-
 // MassWeightedTheta returns the global integral of potential temperature
 // times mass, the quantity the tracer transport conserves between physics
 // calls.
@@ -129,8 +114,9 @@ func (m *Model) eachOwnedCell(fn func(c int)) {
 	}
 }
 
-// TotalMoistureLocal returns the water-vapour mass over this rank's owned
-// cells; summed across ranks it equals TotalMoisture on a replicated run.
+// TotalMoistureLocal returns the water-vapour mass (kg) over this rank's
+// owned cells — the global total on a replicated model — changed only by
+// evaporation and precipitation.
 func (m *Model) TotalMoistureLocal() float64 {
 	re2 := grid.EarthRadius * grid.EarthRadius
 	var sum float64

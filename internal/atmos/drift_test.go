@@ -431,7 +431,7 @@ func TestDycoreRegroupingDrift(t *testing.T) {
 				t.Fatal(err)
 			}
 			perturb(m, seed)
-			mass0, theta0, qv0 := m.TotalMass(), m.MassWeightedTheta(), m.TotalMoisture()
+			mass0, theta0, qv0 := m.TotalMass(), m.MassWeightedTheta(), m.TotalMoistureLocal()
 			for i := 0; i < cfg.TracerEvery; i++ {
 				m.Step()
 			}
@@ -441,7 +441,7 @@ func TestDycoreRegroupingDrift(t *testing.T) {
 			}{
 				{"Σ area·ps", mass0, m.TotalMass()},
 				{"Σ M·θ", theta0, m.MassWeightedTheta()},
-				{"Σ M·qv", qv0, m.TotalMoisture()},
+				{"Σ M·qv", qv0, m.TotalMoistureLocal()},
 			} {
 				rel := math.Abs(q.now-q.before) / math.Abs(q.before)
 				t.Logf("seed %d: %s moved %.2e relative over one tracer window", seed, q.name, rel)

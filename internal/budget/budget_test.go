@@ -57,21 +57,21 @@ func TestLedgerRecordStreamsGauges(t *testing.T) {
 		UnmappedCells: 3,
 	})
 	want := map[string]float64{
-		"budget.heat.sw":        1,
-		"budget.heat.lw":        -2,
-		"budget.heat.sens":      -3,
-		"budget.heat.lat":       -4,
-		"budget.heat.atm_cpl":   -8,
-		"budget.heat.cpl_ocn":   -8,
-		"budget.heat.ice_ocn":   0.5,
-		"budget.heat.resid":     0,
-		"budget.fw.atm_cpl":     6,
-		"budget.fw.cpl_ocn":     6,
-		"budget.fw.resid":       0,
-		"budget.salt.cpl_ocn":   Interval{FWCplOcn: 6}.SaltCplOcn(),
-		"budget.store.ocn_heat": 1e22,
-		"budget.store.ocn_salt": 1e18,
-		"budget.store.ice_fw":   1e15,
+		"budget.heat.sw":         1,
+		"budget.heat.lw":         -2,
+		"budget.heat.sens":       -3,
+		"budget.heat.lat":        -4,
+		"budget.heat.atm_cpl":    -8,
+		"budget.heat.cpl_ocn":    -8,
+		"budget.heat.ice_ocn":    0.5,
+		"budget.heat.resid":      0,
+		"budget.fw.atm_cpl":      6,
+		"budget.fw.cpl_ocn":      6,
+		"budget.fw.resid":        0,
+		"budget.salt.cpl_ocn":    Interval{FWCplOcn: 6}.SaltCplOcn(),
+		"budget.store.ocn_heat":  1e22,
+		"budget.store.ocn_salt":  1e18,
+		"budget.store.ice_fw":    1e15,
 		"budget.store.lnd_water": 1e14,
 		"budget.store.atm_water": 1e13,
 		"budget.unmapped.cells":  3,

@@ -265,7 +265,7 @@ func TestDistributedImportZeroAllocs(t *testing.T) {
 					return
 				}
 				both := func() {
-					e.iceForcingDistributed()
+					e.iceForcing()
 					e.oceanImport()
 				}
 				for _, lap := range []struct {
@@ -293,9 +293,11 @@ func TestDistributedImportZeroAllocs(t *testing.T) {
 	}
 }
 
-// The one-rank flux import reads the atmosphere's own arrays instead of a
-// router; it too must be allocation-free in steady state in both remap
-// modes, so its 10 m wind goes into the model's persistent buffers.
+// The one-rank flux import and ice forcing read the atmosphere's own arrays
+// instead of a router; they too must be allocation-free in steady state in
+// both remap modes — the import alone, and the import alternating with the
+// ice forcing, which share the surface-air buffer — so the 10 m wind goes
+// into the model's persistent buffers.
 func TestOneRankImportZeroAllocs(t *testing.T) {
 	cfg, err := ConfigForLabel("25v10")
 	if err != nil {
@@ -309,27 +311,66 @@ func TestOneRankImportZeroAllocs(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				e.oceanImport()
-				if allocs := testing.AllocsPerRun(20, e.oceanImport); allocs != 0 {
-					t.Errorf("%v: %v allocs/op in steady state, want 0", remap, allocs)
+				both := func() {
+					e.iceForcing()
+					e.oceanImport()
+				}
+				for _, lap := range []struct {
+					name string
+					fn   func()
+				}{{"import", e.oceanImport}, {"ice+import", both}} {
+					lap.fn()
+					if allocs := testing.AllocsPerRun(20, lap.fn); allocs != 0 {
+						t.Errorf("%v %s: %v allocs/op in steady state, want 0", remap, lap.name, allocs)
+					}
 				}
 			})
 		})
 	}
 }
 
-// The decomposed coupling plan is sized by the atmosphere cells each ocean
-// rank reads, not by a global index space: every rank's router delivers
+// The coupling plan is sized by the atmosphere cells each ocean rank reads,
+// not by a global index space. Decomposed, every rank's router delivers
 // exactly one point per distinct cell its owned block reads (each owned
 // column's nearest cell; under RemapCons also its row's overlap cells), the
 // ranks pack as many points as they deliver, and no vector is built for a
-// field set the remap mode never rearranges.
+// field set the remap mode never rearranges. On one rank there is neither a
+// router nor a vector: the ghost ids are the regridder's own maps.
 func TestCouplingPlanIsPerCell(t *testing.T) {
 	cfg, err := ConfigForLabel("25v10")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, remap := range []RemapMode{RemapNN, RemapCons} {
+		t.Run(fmt.Sprintf("%v/ranks=1", remap), func(t *testing.T) {
+			par.Run(1, func(c *par.Comm) {
+				e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithRemap(remap))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ds, rg := e.dst, e.Rg
+				if ds.rt != nil {
+					t.Error("one rank builds a coupling router")
+				}
+				for _, v := range []*coupler.AttrVect{ds.iceSrc, ds.iceDst, ds.consSrc, ds.consDst, ds.nnSrc, ds.nnDst} {
+					if v != nil {
+						t.Error("one rank builds a coupling vector")
+					}
+				}
+				if len(ds.colRef) != len(rg.OcnToAtm) {
+					t.Fatalf("colRef has %d ids, OcnToAtm %d", len(ds.colRef), len(rg.OcnToAtm))
+				}
+				for gi, ac := range rg.OcnToAtm {
+					if int(ds.colRef[gi]) != ac {
+						t.Fatalf("colRef[%d] = %d, OcnToAtm %d", gi, ds.colRef[gi], ac)
+					}
+				}
+				if remap == RemapCons && (len(ds.consRef) != len(rg.ConsCol) || &ds.consRef[0] != &rg.ConsCol[0]) {
+					t.Error("consRef is not the regridder's ConsCol")
+				}
+			})
+		})
 		for _, ranks := range []int{2, 4, 8} {
 			t.Run(fmt.Sprintf("%v/ranks=%d", remap, ranks), func(t *testing.T) {
 				ndst := make([]int, ranks)

@@ -9,28 +9,34 @@ import (
 	"repro/internal/ocean"
 )
 
-// The distributed coupling path: with the atmosphere domain-decomposed, no
-// rank holds the whole atmosphere any more, so the atm→ocn side of the
-// coupler cannot read arbitrary atmosphere cells locally. The cells an
-// ocean rank reads are shipped to it instead, through one coupler.Router
-// over (ocean rank, atmosphere cell) pairs: for each ocean rank in rank
-// order, the distinct atmosphere cells its owned block reads, in ascending
-// global id — every owned column's nearest cell (OcnToAtm; dry columns too,
-// the ice forcing writes them all) and, under RemapCons, the overlap cells
-// (ConsCol) of its owned rows. A pair's source is the cell's atmosphere
-// owner, its destination the ocean rank, so the owner packs each owned
-// cell's value once per reading rank and a rank's destination vector holds
-// one point per cell it reads (its ghost cells):
+// The atm→ocn coupling: every owned ocean column reads its atmosphere
+// values through ghost ids, at every rank count — colRef holds one per
+// owned column (its nearest cell, OcnToAtm; dry columns too, the ice
+// forcing writes them all) and, under RemapCons, consRef one per CSR entry
+// of its row (its overlap cell, ConsCol). One import per remap mode and one
+// ice forcing read them:
 //
-//   - nearest-neighbour mode ships the 7 per-cell atmosphere inputs (u10,
-//     v10, tair, qair, gsw, glw, precip), and each owned wet column runs
-//     nearestFluxes, the one-rank import's bulk formula, on its nearest
-//     cell's ghost — bit-identical because it sees the same operands;
-//   - conservative mode ships the 4 per-cell flux parts, and each owned wet
-//     column sums its row with consRow, the row function ConsRemap uses,
-//     over ghost ids instead of global ids — again bit-identical;
-//   - the ice forcing (tair, u10, v10 at the nearest cell) ships a 3-field
-//     vector over the same router each base step.
+//   - nearest-neighbour mode reads the 7 per-cell atmosphere inputs (u10,
+//     v10, tair, qair, gsw, glw, precip) at each owned wet column's nearest
+//     cell and runs nearestFluxes, the bulk formula;
+//   - conservative mode reads the 4 per-cell flux parts and sums each owned
+//     wet column's row with consRow in ascending p;
+//   - the ice forcing reads tair, u10 and v10 at each column's nearest cell.
+//
+// Only where the ghost values come from depends on the rank count. On one
+// rank the atmosphere is not decomposed, a ghost id is the global cell id
+// and the values are the atmosphere's own arrays (plus the surface air,
+// filled per cell from SurfaceAir): no router, no vectors. Decomposed, no
+// rank holds the whole atmosphere, so the cells an ocean rank reads are
+// shipped to it through one coupler.Router over (ocean rank, atmosphere
+// cell) pairs: for each ocean rank in rank order, the distinct cells its
+// owned block reads, in ascending global id. A pair's source is the cell's
+// atmosphere owner, its destination the ocean rank, so the owner packs each
+// owned cell's value once per reading rank, a rank's destination vector
+// holds one point per cell it reads, and a ghost id is a point of that
+// vector. The owner packs the values the one-rank path reads, so every
+// rank count evaluates the same expressions on the same operands, bit for
+// bit.
 //
 // The plan is derived offline on every rank from the ocean block ownership
 // and the regridder, with no communication (§5.2.4's offline path). The
@@ -38,9 +44,9 @@ import (
 // broadcasts SST/ice), which keeps the ring-1 halo's SST valid for the
 // redundant physics columns without an extra exchange.
 //
-// All vectors are persistent, so the per-step pack/rearrange/consume cycle
-// is allocation-free in steady state (the rearranger's own guarantee plus
-// the preallocated AttrVects here).
+// All buffers and vectors are persistent, so the per-step fill/consume
+// cycle is allocation-free in steady state (the rearranger's own guarantee
+// plus the preallocated AttrVects here).
 
 var nnFields = []string{"u10", "v10", "tair", "qair", "gsw", "glw", "precip"}
 var iceFields = []string{"tair", "u10", "v10"}
@@ -48,22 +54,29 @@ var consFields = []string{"taux", "tauy", "qnet", "emp"}
 
 type distState struct {
 	// The router over the (ocean rank, atmosphere cell) pair space, and per
-	// pair this rank packs (ascending pair index) its cell, a local id.
+	// pair this rank packs (ascending pair index) its cell, a local id. Nil
+	// on one rank.
 	rt      *coupler.Router
 	srcCell []int32
 
-	// Ghost ids — points of the destination vectors, the cells this rank's
-	// ocean block reads in ascending global id: per owned column in block
-	// order its nearest cell, and per CSR entry of the owned rows in
-	// ascending p its overlap cell (nil unless RemapCons).
+	// Ghost ids: per owned column in block order its nearest cell, and per
+	// CSR entry of the owned rows in ascending p its overlap cell (nil
+	// unless RemapCons). Decomposed they are points of the destination
+	// vectors, the cells this rank's ocean block reads in ascending global
+	// id; on one rank they are global cell ids (consRef is Rg.ConsCol).
 	colRef  []int32
 	consRef []int32
 
-	// The rearranged field sets: ice forcing always, the conservative flux
-	// parts under RemapCons, the nearest-neighbour inputs under RemapNN.
+	// The rearranged field sets (nil on one rank): ice forcing always, the
+	// conservative flux parts under RemapCons, the nearest-neighbour inputs
+	// under RemapNN.
 	iceSrc, iceDst   *coupler.AttrVect
 	consSrc, consDst *coupler.AttrVect
 	nnSrc, nnDst     *coupler.AttrVect
+
+	// One rank: the surface air of every atmosphere cell (qair under
+	// RemapNN only), the ghost values the atmosphere holds no array for.
+	tair, qair []float64
 }
 
 // readCells returns, per ocean rank, the distinct atmosphere cells its owned
@@ -90,12 +103,30 @@ func (e *ESM) readCells(n int) [][]int32 {
 	return cells
 }
 
-// initDistribute builds the rearrange plan once at assembly. Both GSMaps
-// are derived from rank-independent data, so every rank computes identical
-// maps with no communication. The atmosphere cells this rank packs from are
-// kept as patch-local ids.
+// initDistribute builds the coupling plan once at assembly. On one rank the
+// ocean block is the whole grid, so the ghost ids are the regridder's own
+// maps. Decomposed, both GSMaps are derived from rank-independent data, so
+// every rank computes identical maps with no communication; the atmosphere
+// cells this rank packs from are kept as patch-local ids.
 func (e *ESM) initDistribute() error {
+	ds := &distState{}
+	e.dst = ds
 	d := e.Atm.Decomp()
+	rg := e.Rg
+	if d == nil {
+		ds.colRef = make([]int32, len(rg.OcnToAtm))
+		for gi, ac := range rg.OcnToAtm {
+			ds.colRef[gi] = int32(ac)
+		}
+		nc := e.Atm.Mesh.NCells()
+		ds.tair = make([]float64, nc)
+		if e.remap == RemapCons {
+			ds.consRef = rg.ConsCol
+		} else {
+			ds.qair = make([]float64, nc)
+		}
+		return nil
+	}
 	c := e.Comm
 	n, me := c.Size(), c.Rank()
 
@@ -115,7 +146,6 @@ func (e *ESM) initDistribute() error {
 	if err != nil {
 		return fmt.Errorf("core: coupling destination map: %w", err)
 	}
-	ds := &distState{}
 	if ds.rt, err = coupler.BuildRouter(c, srcMap, dstMap); err != nil {
 		return fmt.Errorf("core: coupling router: %w", err)
 	}
@@ -129,7 +159,7 @@ func (e *ESM) initDistribute() error {
 		i, _ := slices.BinarySearch(mine, cell)
 		return int32(i)
 	}
-	b, rg := e.Ocn.B, e.Rg
+	b := e.Ocn.B
 	for lj := 0; lj < b.NJ; lj++ {
 		for li := 0; li < b.NI; li++ {
 			gi := b.GIdx(li, lj)
@@ -152,11 +182,7 @@ func (e *ESM) initDistribute() error {
 	} else {
 		ds.nnSrc, ds.nnDst, err = ds.vectors(nnFields)
 	}
-	if err != nil {
-		return err
-	}
-	e.dst = ds
-	return nil
+	return err
 }
 
 // vectors allocates the source and destination vectors of one field set.
@@ -179,111 +205,139 @@ func (e *ESM) rearrange(src, dst *coupler.AttrVect, what string) {
 	}
 }
 
-// importNearestDistributed is importNearest with the atmosphere inputs
-// arriving by rearrange instead of by local-array lookup: each owned
-// column reads its nearest cell's ghost, so the bulk formulas see exactly
-// the operands the one-rank path reads.
-func (e *ESM) importNearestDistributed() {
+// nnGhosts returns the nearest-neighbour inputs by ghost id: 10 m wind,
+// surface air, held radiation and precipitation.
+func (e *ESM) nnGhosts() (u, v, tair, qair, sw, lw, precip []float64) {
 	ds := e.dst
 	a := e.Atm
 	a.Wind10mInto(e.u10, e.v10)
-	pu, pv := ds.nnSrc.MustField("u10"), ds.nnSrc.MustField("v10")
-	pt, pq := ds.nnSrc.MustField("tair"), ds.nnSrc.MustField("qair")
-	psw, plw := ds.nnSrc.MustField("gsw"), ds.nnSrc.MustField("glw")
-	ppr := ds.nnSrc.MustField("precip")
+	if ds.rt == nil {
+		for c := range ds.tair {
+			ds.tair[c], ds.qair[c] = a.SurfaceAir(c)
+		}
+		return e.u10, e.v10, ds.tair, ds.qair, a.GSW, a.GLW, a.Precip
+	}
+	src, dst := ds.nnSrc, ds.nnDst
+	pu, pv := src.MustField("u10"), src.MustField("v10")
+	pt, pq := src.MustField("tair"), src.MustField("qair")
+	psw, plw := src.MustField("gsw"), src.MustField("glw")
+	ppr := src.MustField("precip")
 	for i, ac := range ds.srcCell {
 		pu[i], pv[i] = e.u10[ac], e.v10[ac]
 		pt[i], pq[i] = a.SurfaceAir(int(ac))
 		psw[i], plw[i] = a.GSW[ac], a.GLW[ac]
 		ppr[i] = a.Precip[ac]
 	}
-	e.rearrange(ds.nnSrc, ds.nnDst, "nn")
+	e.rearrange(src, dst, "nn")
+	return dst.MustField("u10"), dst.MustField("v10"), dst.MustField("tair"), dst.MustField("qair"),
+		dst.MustField("gsw"), dst.MustField("glw"), dst.MustField("precip")
+}
 
+// consGhosts returns the conservative flux parts by ghost id.
+func (e *ESM) consGhosts() (taux, tauy, qnet, emp []float64) {
+	ds := e.dst
+	f := e.af
+	if ds.rt == nil {
+		return f.taux, f.tauy, f.qnet, f.emp
+	}
+	src, dst := ds.consSrc, ds.consDst
+	ptx, pty := src.MustField("taux"), src.MustField("tauy")
+	pqn, pem := src.MustField("qnet"), src.MustField("emp")
+	for i, ac := range ds.srcCell {
+		ptx[i], pty[i] = f.taux[ac], f.tauy[ac]
+		pqn[i], pem[i] = f.qnet[ac], f.emp[ac]
+	}
+	e.rearrange(src, dst, "cons")
+	return dst.MustField("taux"), dst.MustField("tauy"), dst.MustField("qnet"), dst.MustField("emp")
+}
+
+// iceGhosts returns the ice forcing by ghost id: surface air temperature
+// and 10 m wind.
+func (e *ESM) iceGhosts() (tair, u, v []float64) {
+	ds := e.dst
+	a := e.Atm
+	a.Wind10mInto(e.u10, e.v10)
+	if ds.rt == nil {
+		for c := range ds.tair {
+			ds.tair[c], _ = a.SurfaceAir(c)
+		}
+		return ds.tair, e.u10, e.v10
+	}
+	src, dst := ds.iceSrc, ds.iceDst
+	pt := src.MustField("tair")
+	pu, pv := src.MustField("u10"), src.MustField("v10")
+	for i, ac := range ds.srcCell {
+		pt[i], _ = a.SurfaceAir(int(ac))
+		pu[i], pv[i] = e.u10[ac], e.v10[ac]
+	}
+	e.rearrange(src, dst, "ice")
+	return dst.MustField("tair"), dst.MustField("u10"), dst.MustField("v10")
+}
+
+// importNearest computes the air–sea fluxes on the ocean grid: turbulent
+// fluxes use the atmosphere's lowest-level state at the nearest cell
+// together with the ocean's *own* SST, so coastal columns are never
+// contaminated by land skin temperatures. Spot-accurate, but the
+// area-integrated flux differs from what the atmosphere exports — the leak
+// the budget ledger measures and RemapCons closes.
+func (e *ESM) importNearest() {
+	u, v, tair, qair, sw, lw, precip := e.nnGhosts()
 	o := e.Ocn
 	b := o.B
-	du, dv := ds.nnDst.MustField("u10"), ds.nnDst.MustField("v10")
-	dt, dq := ds.nnDst.MustField("tair"), ds.nnDst.MustField("qair")
-	dsw, dlw := ds.nnDst.MustField("gsw"), ds.nnDst.MustField("glw")
-	dpr := ds.nnDst.MustField("precip")
 	for lj := 0; lj < b.NJ; lj++ {
 		for li := 0; li < b.NI; li++ {
 			if !o.G.Mask[b.GIdx(li, lj)] {
 				continue
 			}
-			p := ds.colRef[lj*b.NI+li] // colRef is in block order
-			e.nearestFluxes(b.LIdx(li, lj), du[p], dv[p], dt[p], dq[p], dsw[p], dlw[p], dpr[p])
+			p := e.dst.colRef[lj*b.NI+li] // colRef is in block order
+			e.nearestFluxes(b.LIdx(li, lj), u[p], v[p], tair[p], qair[p], sw[p], lw[p], precip[p])
 		}
 	}
 }
 
-// importConservativeDistributed delivers the conservative flux remap: each
-// rank ships the flux parts of its owned cells to the ocean ranks that read
-// them, and each owned wet ocean column sums its row with consRow over its
-// entries' ghost ids — the same weights, the same products and the same
-// ascending-p order as ConsRemap, so the result is bit-identical to the
-// one-rank remap.
-func (e *ESM) importConservativeDistributed() {
-	ds := e.dst
-	f := e.af
-	ptx, pty := ds.consSrc.MustField("taux"), ds.consSrc.MustField("tauy")
-	pqn, pem := ds.consSrc.MustField("qnet"), ds.consSrc.MustField("emp")
-	for i, ac := range ds.srcCell {
-		ptx[i], pty[i] = f.taux[ac], f.tauy[ac]
-		pqn[i], pem[i] = f.qnet[ac], f.emp[ac]
-	}
-	e.rearrange(ds.consSrc, ds.consDst, "cons")
-
+// importConservative delivers the per-atmosphere-cell flux parts to each
+// owned wet ocean column through the normalized overlap weights: each row
+// sums consRow over its entries' ghost ids, so the area-integrated flux the
+// ocean imports equals what the atmosphere exported to round-off. The
+// ice→ocean freeze heat is a local same-grid term added after the remap.
+func (e *ESM) importConservative() {
+	taux, tauy, qnet, emp := e.consGhosts()
 	o := e.Ocn
 	b := o.B
 	rg := e.Rg
 	h0 := firstLayerDepth(o)
-	dtx, dty := ds.consDst.MustField("taux"), ds.consDst.MustField("tauy")
-	dqn, dem := ds.consDst.MustField("qnet"), ds.consDst.MustField("emp")
 	pos := 0 // consRef is the owned rows' entries in block order
 	for lj := 0; lj < b.NJ; lj++ {
 		for li := 0; li < b.NI; li++ {
 			idx := b.LIdx(li, lj)
 			gi := b.GIdx(li, lj)
 			lo, hi := rg.ConsPtr[gi], rg.ConsPtr[gi+1]
-			w, ref := rg.ConsW[lo:hi], ds.consRef[pos:pos+int(hi-lo)]
+			w, ref := rg.ConsW[lo:hi], e.dst.consRef[pos:pos+int(hi-lo)]
 			pos += int(hi - lo)
 			if !o.G.Mask[gi] {
 				continue
 			}
-			o.TauX[idx] = consRow(w, ref, dtx)
-			o.TauY[idx] = consRow(w, ref, dty)
-			o.QHeat[idx] = consRow(w, ref, dqn) + e.Ice.FreezeHeat[idx]
-			o.FWFlux[idx] = ocean.SRef * consRow(w, ref, dem) / (ocean.Rho0 * h0)
+			o.TauX[idx] = consRow(w, ref, taux)
+			o.TauY[idx] = consRow(w, ref, tauy)
+			o.QHeat[idx] = consRow(w, ref, qnet) + e.Ice.FreezeHeat[idx]
+			o.FWFlux[idx] = ocean.SRef * consRow(w, ref, emp) / (ocean.Rho0 * h0)
 		}
 	}
 }
 
-// iceForcingDistributed routes the ice model's atmosphere forcing (air
-// temperature and 10 m wind at each column's nearest atmosphere cell)
-// through the coupling router, replacing iceStep's local lookups.
-func (e *ESM) iceForcingDistributed() {
-	ds := e.dst
-	a := e.Atm
-	a.Wind10mInto(e.u10, e.v10)
-	pt := ds.iceSrc.MustField("tair")
-	pu, pv := ds.iceSrc.MustField("u10"), ds.iceSrc.MustField("v10")
-	for i, ac := range ds.srcCell {
-		pt[i], _ = a.SurfaceAir(int(ac))
-		pu[i], pv[i] = e.u10[ac], e.v10[ac]
-	}
-	e.rearrange(ds.iceSrc, ds.iceDst, "ice")
-
+// iceForcing sets the ice model's atmosphere forcing (air temperature and
+// 10 m wind at each column's nearest atmosphere cell) and its SST.
+func (e *ESM) iceForcing() {
+	tair, u, v := e.iceGhosts()
 	ice := e.Ice
 	b := ice.B
-	dt := ds.iceDst.MustField("tair")
-	du, dv := ds.iceDst.MustField("u10"), ds.iceDst.MustField("v10")
 	for lj := 0; lj < b.NJ; lj++ {
 		for li := 0; li < b.NI; li++ {
 			idx := b.LIdx(li, lj)
-			p := ds.colRef[lj*b.NI+li]
-			ice.TAir[idx] = dt[p]
-			ice.WindU[idx] = du[p]
-			ice.WindV[idx] = dv[p]
+			p := e.dst.colRef[lj*b.NI+li]
+			ice.TAir[idx] = tair[p]
+			ice.WindU[idx] = u[p]
+			ice.WindV[idx] = v[p]
 			ice.SST[idx] = e.Ocn.T[e.ocnIdx2(li, lj)] + 273.15
 		}
 	}

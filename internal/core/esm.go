@@ -22,10 +22,10 @@ import (
 // both task domains domain-decomposed — the ocean and sea ice over a 2D
 // tripolar block partition with land-block elimination (the paper's second
 // task domain), the atmosphere and land over an icosahedral cell partition
-// (the first). On one rank the partitions are the whole grids, so the
-// atmosphere is never decomposed and runs global loops and local coupling
-// look-ups instead of owned patches and routers (Atm.Decomp() == nil;
-// DESIGN.md "Unified domain decomposition").
+// (the first). On one rank the partitions are the whole grids and the
+// atmosphere's storage stays replicated (Atm.Decomp() == nil), but the
+// coupling reads the same ghost tables as at any other rank count
+// (DESIGN.md "Unified domain decomposition").
 // The coupling clock and per-component alarms follow CPL7 (§5.1.1): 180
 // atmosphere, 36 ocean, and 180 sea-ice couplings per simulated day.
 type ESM struct {
@@ -66,11 +66,11 @@ type ESM struct {
 	ledger *budget.Ledger
 	af     *atmFluxes
 
-	// Atmosphere + land domain decomposition (nil / empty on one rank; the
-	// icosahedral partition itself is Atm.Decomp()): the distributed
-	// coupling rearrange state, the land slots this rank steps
-	// (extended patch) and audits (owned range), and the persistent 10 m
-	// wind buffers the surface loops fill in place. Every per-atmosphere-cell
+	// The coupling plan (ghost tables at every rank count, a router only
+	// when decomposed), the land slots this rank steps (extended patch) and
+	// audits (owned range) — empty on one rank, where the icosahedral
+	// partition Atm.Decomp() is nil — and the persistent 10 m wind buffers
+	// the surface loops fill in place. Every per-atmosphere-cell
 	// buffer here (u10, v10, radLand, af) is laid out like the atmosphere's
 	// own arrays: over its patch, in local ids, when decomposed.
 	dst       *distState
@@ -207,10 +207,9 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 	// Atmosphere + land domain decomposition: partition the icosahedral
 	// cells into compact owned patches and move the atmosphere onto this
 	// rank's (after the regridder and Adopt, which read the whole mesh and
-	// the global IsLand), split the land columns with the same ownership map
-	// (after Adopt, so adopted cells are partitioned too), and build the
-	// distributed-coupling router. One rank stays undecomposed: the patch
-	// would be the whole mesh and the router a local copy.
+	// the global IsLand) and split the land columns with the same ownership
+	// map (after Adopt, so adopted cells are partitioned too). One rank stays
+	// undecomposed: the patch would be the whole mesh.
 	if c.Size() > 1 {
 		d, err := atm.Decompose(c)
 		if err != nil {
@@ -223,9 +222,9 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 		ob.SetGauge("atm.decomp.ext", float64(len(d.ExtCells)))
 		e.stepSlots = lnd.Slots(d.InExt)
 		e.ownSlots = lnd.Slots(func(cell int) bool { return d.Owner(cell) == c.Rank() })
-		if err := e.initDistribute(); err != nil {
-			return nil, err
-		}
+	}
+	if err := e.initDistribute(); err != nil {
+		return nil, err
 	}
 
 	// From here on atm.Mesh is what this rank stores: the patch, or the
@@ -371,19 +370,26 @@ func (e *ESM) landStep() {
 
 // forLandStepped visits the atmosphere cells whose land column this rank
 // steps — every land cell on one rank, the extended patch's when decomposed
-// — with each cell's global id c (the land model's) and its local id lc
-// (the atmosphere's).
+// — with each cell's global id c and its local id lc.
 func (e *ESM) forLandStepped(fn func(c, lc int)) {
+	e.forLand(e.stepSlots, func(_, c, lc int) { fn(c, lc) })
+}
+
+// forLand visits the land columns of slots (stepSlots or ownSlots) — every
+// land column on one rank, where nothing is decomposed — with each slot,
+// its cell's global id c (the land model's) and its local id lc (the
+// atmosphere's).
+func (e *ESM) forLand(slots []int, fn func(slot, c, lc int)) {
 	d := e.Atm.Decomp()
 	if d == nil {
-		for _, c := range e.Lnd.Cells {
-			fn(c, c)
+		for slot, c := range e.Lnd.Cells {
+			fn(slot, c, c)
 		}
 		return
 	}
-	for _, slot := range e.stepSlots {
+	for _, slot := range slots {
 		c := e.Lnd.Cells[slot]
-		fn(c, d.LocalCell(c))
+		fn(slot, c, d.LocalCell(c))
 	}
 }
 
@@ -404,28 +410,9 @@ func (e *ESM) forAtmOwned(fn func(c, lc int)) {
 }
 
 // iceStep imports atmosphere and ocean state into the ice model, steps it,
-// and refreshes the global ice fraction. Decomposed, the atmosphere forcing
-// arrives through the coupling router (no rank holds the whole
-// atmosphere); on one rank it is read from the local arrays.
+// and refreshes the global ice fraction.
 func (e *ESM) iceStep() {
-	if e.Atm.Decomp() != nil {
-		e.iceForcingDistributed()
-	} else {
-		ice := e.Ice
-		b := ice.B
-		e.Atm.Wind10mInto(e.u10, e.v10)
-		for lj := 0; lj < b.NJ; lj++ {
-			for li := 0; li < b.NI; li++ {
-				idx := b.LIdx(li, lj)
-				gi := b.GIdx(li, lj)
-				ac := e.Rg.OcnToAtm[gi]
-				ice.TAir[idx], _ = e.Atm.SurfaceAir(ac)
-				ice.WindU[idx] = e.u10[ac]
-				ice.WindV[idx] = e.v10[ac]
-				ice.SST[idx] = e.Ocn.T[e.ocnIdx2(li, lj)] + 273.15
-			}
-		}
-	}
+	e.iceForcing()
 	e.Ice.Step()
 	e.refreshOceanSurface()
 	e.applySurfaceToAtmos()
@@ -456,15 +443,9 @@ func (e *ESM) oceanImport() {
 	if e.af != nil {
 		e.computeAtmFluxes()
 	}
-	decomposed := e.Atm.Decomp() != nil
-	switch {
-	case e.remap == RemapCons && decomposed:
-		e.importConservativeDistributed()
-	case e.remap == RemapCons:
+	if e.remap == RemapCons {
 		e.importConservative()
-	case decomposed:
-		e.importNearestDistributed()
-	default:
+	} else {
 		e.importNearest()
 	}
 	if e.ledger != nil {
@@ -472,36 +453,10 @@ func (e *ESM) oceanImport() {
 	}
 }
 
-// importNearest computes the air–sea fluxes on the ocean grid: turbulent
-// fluxes use the atmosphere's lowest-level state at the nearest cell
-// together with the ocean's *own* SST, so coastal columns are never
-// contaminated by land skin temperatures. Spot-accurate, but the
-// area-integrated flux differs from what the atmosphere exports — the leak
-// the budget ledger measures and RemapCons closes.
-func (e *ESM) importNearest() {
-	o := e.Ocn
-	b := o.B
-	a := e.Atm
-	a.Wind10mInto(e.u10, e.v10)
-	u10, v10 := e.u10, e.v10
-	for lj := 0; lj < b.NJ; lj++ {
-		for li := 0; li < b.NI; li++ {
-			gi := b.GIdx(li, lj)
-			if !o.G.Mask[gi] {
-				continue
-			}
-			ac := e.Rg.OcnToAtm[gi]
-			tair, qair := a.SurfaceAir(ac)
-			e.nearestFluxes(b.LIdx(li, lj), u10[ac], v10[ac], tair, qair, a.GSW[ac], a.GLW[ac], a.Precip[ac])
-		}
-	}
-}
-
 // nearestFluxes sets the air–sea fluxes of the wet ocean column at local
 // index idx from its nearest atmosphere cell's 10 m wind (u, v), surface
-// air (tair, qair), held radiation (sw, lw) and precipitation. The one-rank
-// import passes local-array reads and the decomposed import the rearranged
-// ghost values, so both evaluate one expression.
+// air (tair, qair), held radiation (sw, lw) and precipitation, read by
+// ghost id at any rank count.
 func (e *ESM) nearestFluxes(idx int, u, v, tair, qair, sw, lw, precip float64) {
 	o := e.Ocn
 	open := 1 - e.Ice.Conc[idx]
@@ -573,36 +528,10 @@ func (e *ESM) atmFluxCell(g, c int) {
 	f.tauy[c] = rhoAirSfc * bulkCd * wind * v10[c] * open
 }
 
-// importConservative delivers the per-atmosphere-cell flux parts to each
-// owned wet ocean column through the normalized overlap weights, so the
-// area-integrated flux the ocean imports equals what the atmosphere
-// exported to round-off. The ice→ocean freeze heat is a local same-grid
-// term added after the remap.
-func (e *ESM) importConservative() {
-	o := e.Ocn
-	b := o.B
-	f := e.af
-	h0 := firstLayerDepth(o)
-	for lj := 0; lj < b.NJ; lj++ {
-		for li := 0; li < b.NI; li++ {
-			idx := b.LIdx(li, lj)
-			gi := b.GIdx(li, lj)
-			if !o.G.Mask[gi] {
-				continue
-			}
-			o.TauX[idx] = e.Rg.ConsRemap(f.taux, gi)
-			o.TauY[idx] = e.Rg.ConsRemap(f.tauy, gi)
-			o.QHeat[idx] = e.Rg.ConsRemap(f.qnet, gi) + e.Ice.FreezeHeat[idx]
-			emp := e.Rg.ConsRemap(f.emp, gi)
-			o.FWFlux[idx] = ocean.SRef * emp / (ocean.Rho0 * h0)
-		}
-	}
-}
-
-// auditRecord tallies one coupling interval into the ledger. On one rank
-// every local sum already is the global integral. Decomposed, every term —
+// auditRecord tallies one coupling interval into the ledger. Every term —
 // both sides of every interface plus every store — is an owned-range
-// partial sum and travels in a single batched AllreduceSlice.
+// partial sum, and all of them travel in a single batched AllreduceSlice
+// (a copy on one rank).
 func (e *ESM) auditRecord() {
 	o := e.Ocn
 	b := o.B
@@ -629,38 +558,12 @@ func (e *ESM) auditRecord() {
 			iceHeat += area * e.Ice.FreezeHeat[idx]
 		}
 	}
+	// Atmosphere-side partials over this rank's owned cells (the owned cells
+	// partition the mesh, so the sum over ranks reproduces the one-rank
+	// integrals up to summation order), batched with the ocean-side terms
+	// into one 16-term reduction. The flux parts and the cell areas are the
+	// patch's (local ids), the overlap areas global.
 	const rhoWater = 1000.0
-	d := e.Atm.Decomp()
-	if d == nil {
-		for c, ar := range e.Rg.AtmOverlapArea {
-			if ar == 0 {
-				continue
-			}
-			iv.HeatSW += ar * f.sw[c]
-			iv.HeatLW += ar * f.lw[c]
-			iv.HeatSens += ar * f.sens[c]
-			iv.HeatLat += ar * f.lat[c]
-			iv.HeatAtmCpl += ar * f.qnet[c]
-			iv.HeatGross += ar * math.Abs(f.qnet[c])
-			iv.FWAtmCpl += ar * f.emp[c]
-			iv.FWGross += ar * math.Abs(f.emp[c])
-		}
-		iv.HeatCplOcn, iv.FWCplOcn, iv.HeatIceOcn = heatIn, fwIn, iceHeat
-		iv.OcnHeat, iv.OcnSalt = o.HeatContentLocal(), o.SaltContentLocal()
-		iv.IceFW = seaice.RhoIce * e.Ice.LocalVolume()
-		for slot, c := range e.Lnd.Cells {
-			iv.LndWater += e.Lnd.Bucket[slot] * e.Atm.Mesh.AreaCell[c] *
-				grid.EarthRadius * grid.EarthRadius * rhoWater
-		}
-		iv.AtmWater = e.Atm.TotalMoisture()
-		e.ledger.Record(iv)
-		return
-	}
-	// Decomposed: atmosphere-side partials over this rank's owned cells (the
-	// owned cells partition the mesh, so the sum over ranks reproduces the
-	// one-rank integrals up to summation order), batched with the
-	// ocean-side terms into one 16-term reduction. The flux parts and the
-	// cell areas are the patch's (local ids), the overlap areas global.
 	var aSW, aLW, aSens, aLat, aCpl, aGross, aFW, aFWGross float64
 	e.forAtmOwned(func(g, c int) {
 		ar := e.Rg.AtmOverlapArea[g]
@@ -677,11 +580,10 @@ func (e *ESM) auditRecord() {
 		aFWGross += ar * math.Abs(f.emp[c])
 	})
 	var lndWater float64
-	for _, slot := range e.ownSlots {
-		c := d.LocalCell(e.Lnd.Cells[slot])
+	e.forLand(e.ownSlots, func(slot, _, c int) {
 		lndWater += e.Lnd.Bucket[slot] * e.Atm.Mesh.AreaCell[c] *
 			grid.EarthRadius * grid.EarthRadius * rhoWater
-	}
+	})
 	sums := e.Comm.AllreduceSlice([]float64{
 		aSW, aLW, aSens, aLat, aCpl, aGross, aFW, aFWGross,
 		heatIn, fwIn, iceHeat,

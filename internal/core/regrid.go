@@ -184,18 +184,9 @@ func NewRegridder(mesh *grid.IcosMesh, g *grid.Tripolar) *Regridder {
 	return r
 }
 
-// ConsRemap returns the conservative overlap average of the
-// per-atmosphere-cell field src at global ocean column gi: one column per
-// call, so the caller's loop over its block allocates nothing.
-func (r *Regridder) ConsRemap(src []float64, gi int) float64 {
-	lo, hi := r.ConsPtr[gi], r.ConsPtr[gi+1]
-	return consRow(r.ConsW[lo:hi], r.ConsCol[lo:hi], src)
-}
-
 // consRow is one conservative remap row, Σ w[k]·src[col[k]] summed in
-// ascending k. ConsRemap passes global cell ids into a whole field and the
-// decomposed import ghost ids into the rearranged cells, so the one-rank
-// and the decomposed remap evaluate one expression on every architecture.
+// ascending k: the import passes a row's weights with its entries' ghost
+// ids and the ghost values, so every rank count evaluates one expression.
 func consRow(w []float64, col []int32, src []float64) float64 {
 	var acc float64
 	for k, c := range col {

@@ -423,7 +423,8 @@ func TestConsConservationIdentity(t *testing.T) {
 		if !g.Mask[idx] {
 			continue
 		}
-		ocnInt += g.Area[idx] * r.ConsRemap(q, idx)
+		lo, hi := r.ConsPtr[idx], r.ConsPtr[idx+1]
+		ocnInt += g.Area[idx] * consRow(r.ConsW[lo:hi], r.ConsCol[lo:hi], q)
 		wetArea += g.Area[idx]
 	}
 	for c, ar := range r.AtmOverlapArea {

@@ -187,7 +187,7 @@ func RunResilient(mk func() (*ESM, error), rc ResilientConfig) (*ESM, *Resilient
 		}
 		// Record Resumed only after rollback has settled where we actually
 		// resumed from: a corrupt checkpoint resets goodStep to scratch.
-		ev.Resumed = maxInt(goodStep, 0)
+		ev.Resumed = max(goodStep, 0)
 		rep.Recoveries = append(rep.Recoveries, ev)
 		e = fresh
 	}
@@ -488,11 +488,4 @@ func (e *ESM) healthDiagnose() error {
 		return err
 	}
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -36,7 +36,7 @@ func TestParseRoundTrip(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	for _, spec := range []string{
-		"io-error",                  // no site
+		"io-error",                 // no site
 		"io-error@pario.write",     // no hit
 		"io-error@pario.write:x",   // bad hit
 		"io-error@pario.write:0",   // hit < 1

@@ -59,17 +59,17 @@ func TestDecodeDamage(t *testing.T) {
 		{"empty", func(b []byte) []byte { return nil }, ErrTruncated},
 		{"magic flipped", flip(0), ErrCorrupt},
 		{"bad version", put32(4, 99), ErrCorrupt},
-		{"huge field count", put32(8, 1 << 30), ErrCorrupt},
+		{"huge field count", put32(8, 1<<30), ErrCorrupt},
 		{"header only", func(b []byte) []byte { return b[:12] }, ErrTruncated},
 		{"torn mid body", func(b []byte) []byte { return b[:len(b)/2] }, ErrTruncated},
 		{"trailer shaved", func(b []byte) []byte { return b[:len(b)-3] }, ErrTruncated},
-		{"name length bomb", put32(12, 1 << 20), ErrCorrupt},
+		{"name length bomb", put32(12, 1<<20), ErrCorrupt},
 		// Offset 12 starts the first field: 4 (name len) + 4 ("salt").
 		{"global size bomb", func(b []byte) []byte {
 			binary.LittleEndian.PutUint64(b[20:], 1<<40)
 			return b
 		}, ErrCorrupt},
-		{"field byte flipped", flip(40), ErrCorrupt},      // inside salt's chunk data
+		{"field byte flipped", flip(40), ErrCorrupt},          // inside salt's chunk data
 		{"last data byte", flip(len(valid) - 17), ErrCorrupt}, // inside temp, before its CRC
 		{"trailer crc flipped", flip(len(valid) - 1), ErrCorrupt},
 		{"trailer magic flipped", flip(len(valid) - 16), ErrTruncated},
