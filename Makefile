@@ -12,13 +12,14 @@
 # run bench/run.sh as bench/README.md describes) and of every package
 # benchmark (one iteration each). Outside check: `make footprint` prints the
 # ladder's memory column, the live heap per atmosphere cell of each rung's
-# assembled model after one step, and `make profile` / `make bench-atmos`
-# say where the time goes.
+# assembled model after one step, `make heapprofile` names the allocation
+# sites that hold it, and `make profile` / `make bench-atmos` say where the
+# time goes.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race race-par race-resilient budget budget-rad budget-dycore fuzz resilient check bench-smoke bench-atmos profile footprint clean
+.PHONY: all build vet test race race-par race-resilient budget budget-rad budget-dycore fuzz resilient check bench-smoke bench-atmos profile heapprofile footprint clean
 
 all: check
 
@@ -110,6 +111,18 @@ profile:
 	      "$$dir/ap3esm" -config 25v10 -days 0.75 -remap cons -cpuprofile "$$dir/cpu$$i.prof" >/dev/null || exit 1; \
 	    done ) && \
 	  $(GO) tool pprof -top -nodecount=15 "$$dir/ap3esm" "$$dir"/cpu[1-5].prof; \
+	  rc=$$?; rm -rf "$$dir"; exit $$rc; }
+
+# Which arrays hold the live heap: the benchmark's model configuration (25v10,
+# conservative remap, audit on, one rank) for 180 coupling steps with every
+# allocation recorded, and the top 15 allocation sites by in-use bytes at the
+# end of the run, the model still live. A heap claim names the arrays it
+# removes from this list. Not part of check.
+heapprofile:
+	dir=$$(mktemp -d) && { \
+	  $(GO) build -o "$$dir/ap3esm" ./cmd/ap3esm && \
+	  "$$dir/ap3esm" -config 25v10 -days 1 -remap cons -audit -memprofile "$$dir/heap.prof" >/dev/null && \
+	  $(GO) tool pprof -sample_index=inuse_space -top -nodecount=15 "$$dir/ap3esm" "$$dir/heap.prof"; \
 	  rc=$$?; rm -rf "$$dir"; exit $$rc; }
 
 # The ladder's memory column: BenchmarkAssemble's B/cell, the live heap of

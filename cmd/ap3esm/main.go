@@ -12,6 +12,7 @@ import (
 	"log"
 	"math"
 	"os"
+	"runtime"
 	"runtime/pprof"
 	"time"
 
@@ -40,6 +41,7 @@ func main() {
 	audit := flag.Bool("audit", false, "record the per-coupling-interval conservation budget and print the ledger report")
 	auditGate := flag.Float64("audit-gate", 0, "fail if the max relative heat/freshwater residual exceeds this (0 = report only; implies -audit)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run loop (all ranks, model assembly and reports excluded) to this file")
+	memProfile := flag.String("memprofile", "", "record every allocation and write the in-use heap profile at the end of the run, models still live, to this file")
 	flag.Parse()
 
 	length, err := checkFlags(*days, *ranks, *ckEvery, *maxRetries, *auditGate, *ckDir)
@@ -63,6 +65,10 @@ func main() {
 	}
 	if *mixed {
 		cfg.Policy = precision.Mixed
+	}
+	if *memProfile != "" {
+		// Before the first model allocation, so every live array is sampled.
+		runtime.MemProfileRate = 1
 	}
 	sink, err := obs.OpenSink(*obsSpec)
 	if err != nil {
@@ -152,6 +158,7 @@ func main() {
 			}
 		}
 		stopProfile()
+		writeHeapProfile(c, *memProfile, e)
 		if c.Rank() == 0 {
 			elapsed := time.Since(wall).Seconds()
 			sypd := (e.SimulatedSeconds() / elapsed) * 86400 / (365 * 86400)
@@ -263,4 +270,30 @@ func startCPUProfile(c *par.Comm, path string) (stop func()) {
 			}
 		}
 	}
+}
+
+// writeHeapProfile writes the in-use heap profile of the whole process —
+// every rank's model — once all ranks have left the run loop, while each
+// still holds its model e. Collective when path is set; with no path it
+// does nothing.
+func writeHeapProfile(c *par.Comm, path string, e *core.ESM) {
+	if path == "" {
+		return
+	}
+	c.Barrier()
+	if c.Rank() == 0 {
+		runtime.GC() // the profile's in-use figures are as of the last collection
+		f, err := os.Create(path)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := pprof.Lookup("heap").WriteTo(f, 0); err != nil {
+			log.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			log.Fatal(err)
+		}
+	}
+	c.Barrier()
+	runtime.KeepAlive(e)
 }

@@ -1,6 +1,7 @@
 package atmos
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"weak"
@@ -120,8 +121,8 @@ func TestDecomposedModelHoldsOnlyItsPatch(t *testing.T) {
 				{"Precip", len(m.Precip), nc}, {"TauX", len(m.TauX), nc}, {"TauY", len(m.TauY), nc},
 				{"SHF", len(m.SHF), nc}, {"LHF", len(m.LHF), nc}, {"GSW", len(m.GSW), nc}, {"GLW", len(m.GLW), nc},
 				{"flux.edge", len(m.flux.edge), ne * nlev}, {"flux.dps", len(m.flux.dps), nc},
-				{"dy.th", len(s.th), nc * nlev}, {"dy.lnPs", len(s.lnPs), nc}, {"dy.cd", len(s.cd), nc * nlev},
-				{"dy.vort", len(s.vort), nv * nlev}, {"dy.newU", len(s.newU), ne * nlev},
+				{"dy.th", len(s.th), nc * nlev}, {"dy.lnPs", len(s.lnPs), nc}, {"dy.cd", len(s.cd), nc * nlev * cdW},
+				{"dy.vort", len(s.vort), nv * nlev},
 				{"geo.wX", len(g.wX), ns}, {"geo.wY", len(g.wY), ns}, {"geo.wZ", len(g.wZ), ns}, {"geo.sdv", len(g.sdv), ns},
 				{"geo.areaRR", len(g.areaRR), nc}, {"geo.sdc", len(g.sdc), 3 * nv}, {"geo.dualRR", len(g.dualRR), nv},
 				{"geo.tX", len(g.tX), ne}, {"geo.tY", len(g.tY), ne}, {"geo.tZ", len(g.tZ), ne},
@@ -139,6 +140,60 @@ func TestDecomposedModelHoldsOnlyItsPatch(t *testing.T) {
 			runtime.GC()
 			if global.Value() != nil {
 				t.Errorf("%d ranks, rank %d: the global mesh is still reachable after Decompose", ranks, c.Rank())
+			}
+		})
+	}
+}
+
+// The dycore advances U in place: its scratch holds no edge-sized level
+// array, U keeps one backing array across model steps, and the level-sized
+// scratch is th, the cell diagnostics and the vorticity, which the
+// continuity, tracer and physics steps borrow (the dyScratch comment). A
+// kernel that needs another whole-field work array must change this count
+// on purpose: at nlev 8 each edge-sized array is 192 B of live heap per
+// atmosphere cell. Whole and decomposed on 2 ranks.
+func TestDycoreScratchFootprint(t *testing.T) {
+	const level, nlev = 3, 8
+	for _, ranks := range []int{1, 2} {
+		par.Run(ranks, func(c *par.Comm) {
+			m, err := New(level, nlev, DefaultConfig(), nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if ranks > 1 {
+				if _, err := m.Decompose(c); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			m.StepModel() // the scratch exists
+			u0 := &m.U[0]
+			m.StepModel()
+			if &m.U[0] != u0 {
+				t.Errorf("%d ranks, rank %d: StepModel moved U to another backing array", ranks, c.Rank())
+			}
+			p := m.Mesh
+			nc, ne, nv := p.NCells(), p.NEdges(), p.NVertices()
+			var values int // float64 values in level-sized scratch
+			s := reflect.ValueOf(m.dy).Elem()
+			for i := 0; i < s.NumField(); i++ {
+				f := s.Field(i)
+				if f.Kind() != reflect.Slice || f.Type().Elem().Kind() == reflect.Int {
+					continue // the iteration sets alias the decomposition's lists
+				}
+				n := f.Len() * int(f.Type().Elem().Size()) / 8
+				if n == ne*nlev {
+					t.Errorf("%d ranks, rank %d: scratch field %s holds ne·nlev = %d values",
+						ranks, c.Rank(), s.Type().Field(i).Name, n)
+				}
+				if n >= nc*nlev {
+					values += n
+				}
+			}
+			if want := (2+cdW)*nc*nlev + max(nv, nc)*nlev; values != want {
+				t.Errorf("%d ranks, rank %d: level-sized scratch holds %d values, want th + cd + vort = %d",
+					ranks, c.Rank(), values, want)
 			}
 		})
 	}

@@ -205,27 +205,22 @@ func (m *Model) dynamicsSubstep(dt float64) {
 	// upwind ps, evaluated with the *pre-update* velocity for consistency
 	// with the accumulated tracer fluxes. It runs ahead of the kernels — it
 	// reads only the pre-update U and Ps, and ln(ps) is already taken — so
-	// the edge pass can park its column totals in newU before that is
-	// zero-filled. Edge flux accumulation runs over edges (each edge once);
+	// the edge pass can park its column totals in cd before atm.kediv fills
+	// it. Edge flux accumulation runs over edges (each edge once);
 	// decomposed, every edge of an owned cell is a computed edge, so the totals
 	// the cell gather sums and the tracer step's accumulators are locally valid.
 	m.sweep(s.comp, ne, s.contEdgeF)
 	m.sweep(s.owned, nc, s.contCellF)
 
 	// --- Cell diagnostics, vorticity, momentum: registered kernels ---
-	for i := range s.newU {
-		s.newU[i] = 0
-	}
+	// The first two read U and finish before momentum advances it in place.
 	s.bKeDiv.u = m.U
 	pp.Kernels.MustLaunch(hAtmKeDiv, m.Sp, s.bKeDiv)
 	s.bVort.u = m.U
 	pp.Kernels.MustLaunch(hAtmVort, m.Sp, s.bVort)
-	s.bMom.u, s.bMom.newU, s.bMom.edges = m.U, s.newU, s.comp
+	s.bMom.u, s.bMom.edges = m.U, s.comp
 	pp.Kernels.MustLaunch(hAtmMomentum, m.Sp, s.bMom)
-	s.bKeDiv.u, s.bVort.u, s.bMom.u, s.bMom.newU = nil, nil, nil, nil
-	// Publish: swap the persistent scratch in (the retired array becomes
-	// next substep's scratch).
-	m.U, s.newU = s.newU, m.U
+	s.bKeDiv.u, s.bVort.u, s.bMom.u = nil, nil, nil
 	if m.dec != nil {
 		// Halo barrier: refresh Ps on the ring-1 halo and U on the extended
 		// edges the neighbours own, so the next substep's stencils read the
@@ -262,7 +257,7 @@ func (s *dyScratch) lnPsCell(c int) {
 // contEdge selects one edge's upwind ps once per level and forms the level's
 // mass-flux term u·psUp·Δσ·Dv·re (unsigned — positive c1→c2): times dt/g it
 // joins the tracer window's accumulated flux, and the terms' column total,
-// parked in newU[:ne], is all the two adjacent cells' ps tendencies need.
+// parked in cd[:ne], is all the two adjacent cells' ps tendencies need.
 func (s *dyScratch) contEdge(i int) {
 	e := at(s.comp, i)
 	m := s.m
@@ -285,7 +280,7 @@ func (s *dyScratch) contEdge(i int) {
 		total += term
 		acc[k] += dtG * term // kg through the edge over the substep
 	}
-	s.newU[e] = total
+	s.cd[e] = total
 }
 
 // contCell gathers a cell's signed edge totals into its surface-pressure
@@ -298,7 +293,7 @@ func (s *dyScratch) contCell(i int) {
 	lo, hi := g.mesh.Slots(c)
 	edges := g.mesh.SlotEdge[lo:hi]
 	sgn := g.mesh.SlotSign[lo:hi][:len(edges)]
-	total := s.newU[:g.ne]
+	total := s.cd[:g.ne]
 	var sum float64
 	for j, e := range edges {
 		sum += float64(sgn[j]) * total[e]
@@ -359,10 +354,10 @@ func (m *Model) tracerStep() {
 
 // tracerFields are the tracer step's three column-major whole fields — θ at
 // the window's old pressure, transported θ, transported qv — borrowed from
-// dycore scratch that is dead between substeps.
+// the cell diagnostics, which are dead between substeps.
 func (s *dyScratch) tracerFields() (theta, newTheta, newQv []float64) {
 	n := s.geo.nlev * s.geo.nc
-	return s.newU[:n], s.newU[n : 2*n], s.vort[:n]
+	return s.cd[:n], s.cd[n : 2*n], s.cd[2*n : 3*n]
 }
 
 // thetaCell converts one column of T to θ at the window's old pressure. The

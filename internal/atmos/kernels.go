@@ -125,14 +125,19 @@ func newAtmGeomF(mesh *grid.IcosMesh, r *reconstructor, nlev int) (*atmGeom, *ed
 
 // --- cell diagnostics: reconstruction, kinetic energy, divergence ---
 
-// cellDiag is one (cell, level) of the cell diagnostics the momentum kernel
-// reads together: the reconstructed tangent-plane velocity, its kinetic
-// energy, and the divergence. Dycore scratch is cell-major, level-inner
-// (index c·nlev+k) like the model state, so an edge update streams two
-// contiguous columns.
-type cellDiag struct {
-	vx, vy, vz, ke, div float64
-}
+// The cell diagnostics the momentum kernel reads together are cdW values per
+// (cell, level) of one flat slab: the reconstructed tangent-plane velocity
+// (vx, vy, vz), its kinetic energy, and the divergence, at (c·nlev+k)·cdW
+// plus the offsets below. Dycore scratch is cell-major, level-inner like the
+// model state, so an edge update streams two contiguous columns.
+const (
+	cdVx = iota
+	cdVy
+	cdVz
+	cdKe
+	cdDiv
+	cdW
+)
 
 // thermo is one (cell, level) of the float64 thermodynamic diagnostics:
 // geopotential and virtual temperature at the full level.
@@ -147,8 +152,8 @@ type thermo struct {
 // reuse is bit-identical to the original nested calls.
 type keDivArgs struct {
 	g  *atmGeom
-	u  []float64  // [ne*nlev] edge-normal velocity, edge-major model state
-	cd []cellDiag // [nc*nlev] (out)
+	u  []float64 // [ne*nlev] edge-normal velocity, edge-major model state
+	cd []float64 // [nc*nlev*cdW] (out)
 
 	rowF func(c int) // every cell of the mesh (the patch, when decomposed)
 }
@@ -165,7 +170,7 @@ func (a *keDivArgs) cell(c int) {
 	wX, wY, wZ, sdv := g.wX[lo:hi], g.wY[lo:hi], g.wZ[lo:hi], g.sdv[lo:hi]
 	wX, wY, wZ, sdv = wX[:len(edges)], wY[:len(edges)], wZ[:len(edges)], sdv[:len(edges)]
 	rArea := g.areaRR[c]
-	out := a.cd[c*nlev : (c+1)*nlev]
+	out := a.cd[c*nlev*cdW : (c+1)*nlev*cdW]
 	u := a.u
 	half := 0.5
 	k := 0
@@ -183,8 +188,8 @@ func (a *keDivArgs) cell(c int) {
 			vz1 += wZ[j] * uE1
 			d1 += sdv[j] * uE1
 		}
-		out[k] = cellDiag{vx0, vy0, vz0, half * (vx0*vx0 + vy0*vy0 + vz0*vz0), d0 * rArea}
-		out[k+1] = cellDiag{vx1, vy1, vz1, half * (vx1*vx1 + vy1*vy1 + vz1*vz1), d1 * rArea}
+		*(*[cdW]float64)(out[k*cdW:]) = [cdW]float64{vx0, vy0, vz0, half * (vx0*vx0 + vy0*vy0 + vz0*vz0), d0 * rArea}
+		*(*[cdW]float64)(out[(k+1)*cdW:]) = [cdW]float64{vx1, vy1, vz1, half * (vx1*vx1 + vy1*vy1 + vz1*vz1), d1 * rArea}
 	}
 	if k < nlev {
 		var vx, vy, vz, d float64
@@ -195,7 +200,7 @@ func (a *keDivArgs) cell(c int) {
 			vz += wZ[j] * uE
 			d += sdv[j] * uE
 		}
-		out[k] = cellDiag{vx, vy, vz, half * (vx*vx + vy*vy + vz*vz), d * rArea}
+		*(*[cdW]float64)(out[k*cdW:]) = [cdW]float64{vx, vy, vz, half * (vx*vx + vy*vy + vz*vz), d * rArea}
 	}
 }
 
@@ -258,11 +263,11 @@ type momentumArgs struct {
 	g  *atmGeom
 	eg *edgeGeomF
 
-	u, newU []float64  // [ne*nlev], edge-major
-	cd      []cellDiag // [nc*nlev] from atm.kediv
-	vort    []float64  // [nv*nlev] from atm.vort
-	th      []thermo   // [nc*nlev]
-	lnPs    []float64  // per-cell ln(ps), hoisted out of the edge loop
+	u    []float64 // [ne*nlev], edge-major, advanced in place
+	cd   []float64 // [nc*nlev*cdW] from atm.kediv
+	vort []float64 // [nv*nlev] from atm.vort
+	th   []thermo  // [nc*nlev]
+	lnPs []float64 // per-cell ln(ps), hoisted out of the edge loop
 
 	edges []int // iteration set; nil sweeps every edge
 	rowF  func(i int)
@@ -281,6 +286,8 @@ func (a *momentumArgs) n() int {
 // endpoint and vertex columns are sliced once; the level loop never divides.
 // Each of the three gradient terms is rounded on its own (the float64
 // conversions) before it joins du, so no compiler may fuse it into du's sum.
+// The update advances the edge's column of U in place (the dyScratch
+// comment says why that is exact).
 func (a *momentumArgs) edge(i int) {
 	e := at(a.edges, i)
 	g := a.g
@@ -295,29 +302,29 @@ func (a *momentumArgs) edge(i int) {
 	tx, ty, tz := g.tX[e], g.tY[e], g.tZ[e]
 	dt := eg.dt
 	// Re-slicing every column to the common length lets the compiler drop
-	// the per-level bounds checks.
-	cd1 := a.cd[c1*nlev : (c1+1)*nlev]
-	cd2 := a.cd[c2*nlev : (c2+1)*nlev][:len(cd1)]
-	th1 := a.th[c1*nlev : (c1+1)*nlev][:len(cd1)]
-	th2 := a.th[c2*nlev : (c2+1)*nlev][:len(cd1)]
-	w1 := a.vort[v1*nlev : (v1+1)*nlev][:len(cd1)]
-	w2 := a.vort[v2*nlev : (v2+1)*nlev][:len(cd1)]
-	u := a.u[e*nlev : (e+1)*nlev][:len(cd1)]
-	newU := a.newU[e*nlev : (e+1)*nlev][:len(cd1)]
-	for k := range cd1 {
-		p1, p2 := &cd1[k], &cd2[k]
+	// the per-level bounds checks; a level's cell diagnostics are taken as
+	// one [cdW]float64, one check each.
+	th1 := a.th[c1*nlev : (c1+1)*nlev]
+	th2 := a.th[c2*nlev : (c2+1)*nlev][:len(th1)]
+	w1 := a.vort[v1*nlev : (v1+1)*nlev][:len(th1)]
+	w2 := a.vort[v2*nlev : (v2+1)*nlev][:len(th1)]
+	u := a.u[e*nlev : (e+1)*nlev][:len(th1)]
+	cd1 := a.cd[c1*nlev*cdW : (c1+1)*nlev*cdW]
+	cd2 := a.cd[c2*nlev*cdW : (c2+1)*nlev*cdW]
+	for k := range th1 {
+		p1, p2 := (*[cdW]float64)(cd1[k*cdW:]), (*[cdW]float64)(cd2[k*cdW:])
 		t1, t2 := &th1[k], &th2[k]
 		// Tangential wind: the two stored cell vectors summed, on the half tangent.
-		ut := (p1.vx+p2.vx)*tx + (p1.vy+p2.vy)*ty + (p1.vz+p2.vz)*tz
+		ut := (p1[cdVx]+p2[cdVx])*tx + (p1[cdVy]+p2[cdVy])*ty + (p1[cdVz]+p2[cdVz])*tz
 		eta := f + 0.5*(w1[k]+w2[k])
 		du := eta * ut
 		tvb := 0.5 * (t1.tv + t2.tv)
-		du -= float64((p2.ke - p1.ke + t2.phi - t1.phi + Rd*tvb*psd) * rdcm)
-		dd := p2.div - p1.div
+		du -= float64((p2[cdKe] - p1[cdKe] + t2.phi - t1.phi + Rd*tvb*psd) * rdcm)
+		dd := p2[cdDiv] - p1[cdDiv]
 		du += float64(damp * dd)
 		lap := dd*rdcm - (w2[k]-w1[k])*rdvm
 		du += float64(kh * lap)
-		newU[k] = u[k] + dt*du
+		u[k] += dt * du
 	}
 }
 
@@ -334,22 +341,30 @@ func atmMomentumKernel(s pp.Space, args any) {
 // dyScratch is the persistent per-model dycore state: the arrays the
 // original dynamicsSubstep allocated per call, the geometry tables, the
 // pre-bound kernel argument bundles, and the row bodies of dycore.go bound
-// once as method values (so a substep allocates no
-// closure). The externally visible buffer newU is zero-filled each substep
-// so decomposed runs see exactly the fresh-allocation semantics the
-// rank-invariance test pins.
+// once as method values (so a substep allocates no closure).
 //
-// Every scratch array but th is dead between substeps — each is rebuilt (or
-// zero-filled) before the next substep reads it — so the work that runs only
-// there borrows it instead of holding arrays of its own: the continuity
-// edge totals take newU[:ne] ahead of its zero-fill; the tracer step takes
-// newU[:2·nlev·nc] and vort[:nlev·nc] for θ and the two transported fields,
-// and lnPs for the window's old ps; the physics step takes lnPs and
-// vort[:nc] for the cell momentum tendencies. (ne = 3nc−6 and nv = 2nc−4 on
-// the globe, and a patch has ne ≥ 2.5nc; vort is held at max(nv, nc)
-// columns for the patches of one or two owned cells, which have fewer
-// vertices than cells.) th is never borrowed: it carries tv/φ from one
-// substep to the next until T or qv changes (Model.thFresh).
+// atm.momentum advances U in place, so the dycore holds no second velocity
+// array: an edge's update reads U only in its own column, and its other
+// inputs (cd, vort, th, lnPs) are complete before the launch. Decomposed,
+// every patch edge is either computed or received by the exchange that ends
+// the substep, so no stale edge survives it.
+//
+// Every scratch array but th is dead between substeps — each is rebuilt
+// before the next substep reads it — so the work that runs only there
+// borrows it instead of holding arrays of its own:
+//
+//   - continuity parks its edge totals in cd[:ne], between contEdge and
+//     contCell, before atm.kediv fills cd;
+//   - the tracer step takes θ, transported θ and transported qv from
+//     cd[:3·nlev·nc], and lnPs for the window's old ps;
+//   - the physics step takes lnPs and vort[:nc] for the cell momentum
+//     tendencies.
+//
+// cd holds cdW·nlev·nc ≥ 10·nc values (nlev ≥ 2), more than the edges of
+// any patch (at most 6 per cell) or the tracer's three fields. vort is held
+// at max(nv, nc) columns for the patches of one or two owned cells, which
+// have fewer vertices than cells. th is never borrowed: it carries tv/φ
+// from one substep to the next until T or qv changes (Model.thFresh).
 type dyScratch struct {
 	m   *Model
 	geo *atmGeom
@@ -361,11 +376,10 @@ type dyScratch struct {
 	lnMid, lnLayer []float64
 	sigK, rsigK    []float64
 
-	th   []thermo   // [nc*nlev] thermodynamic diagnostics
-	lnPs []float64  // [nc]
-	cd   []cellDiag // [nc*nlev]
-	vort []float64  // [max(nv, nc)*nlev]
-	newU []float64  // [ne*nlev]
+	th   []thermo  // [nc*nlev] thermodynamic diagnostics
+	lnPs []float64 // [nc]
+	cd   []float64 // [nc*nlev*cdW] cell diagnostics
+	vort []float64 // [max(nv, nc)*nlev]
 
 	bKeDiv *keDivArgs
 	bVort  *vortArgs
@@ -387,7 +401,7 @@ func (m *Model) dyEnsure() *dyScratch {
 		return m.dy
 	}
 	mesh := m.Mesh
-	nc, ne, nv := mesh.NCells(), mesh.NEdges(), mesh.NVertices()
+	nc, nv := mesh.NCells(), mesh.NVertices()
 	nlev := m.NLev
 	geo, eg := newAtmGeomF(mesh, m.recon, nlev)
 	s := &dyScratch{
@@ -396,9 +410,8 @@ func (m *Model) dyEnsure() *dyScratch {
 		eg:   eg,
 		th:   make([]thermo, nc*nlev),
 		lnPs: make([]float64, nc),
-		cd:   make([]cellDiag, nc*nlev),
+		cd:   make([]float64, nc*nlev*cdW),
 		vort: make([]float64, max(nv, nc)*nlev),
-		newU: make([]float64, ne*nlev),
 
 		lnMid:   make([]float64, nlev),
 		lnLayer: make([]float64, nlev),

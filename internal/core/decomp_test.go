@@ -297,7 +297,11 @@ func TestDistributedImportZeroAllocs(t *testing.T) {
 // instead of a router; they too must be allocation-free in steady state in
 // both remap modes — the import alone, and the import alternating with the
 // ice forcing, which share the surface-air buffer — so the 10 m wind goes
-// into the model's persistent buffers.
+// into the model's persistent buffers. With the audit on as well: its
+// sixteen partial sums reduce between two persistent buffers, a copy on one
+// rank. (The ledger's history grows by append, geometrically: a few
+// reallocations over 20 records, which AllocsPerRun's whole-number mean
+// reads as 0.)
 func TestOneRankImportZeroAllocs(t *testing.T) {
 	cfg, err := ConfigForLabel("25v10")
 	if err != nil {
@@ -305,26 +309,28 @@ func TestOneRankImportZeroAllocs(t *testing.T) {
 	}
 	for _, remap := range []RemapMode{RemapNN, RemapCons} {
 		t.Run(remap.String(), func(t *testing.T) {
-			par.Run(1, func(c *par.Comm) {
-				e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithRemap(remap))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				both := func() {
-					e.iceForcing()
-					e.oceanImport()
-				}
-				for _, lap := range []struct {
-					name string
-					fn   func()
-				}{{"import", e.oceanImport}, {"ice+import", both}} {
-					lap.fn()
-					if allocs := testing.AllocsPerRun(20, lap.fn); allocs != 0 {
-						t.Errorf("%v %s: %v allocs/op in steady state, want 0", remap, lap.name, allocs)
+			for _, audit := range []bool{false, true} {
+				par.Run(1, func(c *par.Comm) {
+					e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithRemap(remap), WithAudit(audit))
+					if err != nil {
+						t.Error(err)
+						return
 					}
-				}
-			})
+					both := func() {
+						e.iceForcing()
+						e.oceanImport()
+					}
+					for _, lap := range []struct {
+						name string
+						fn   func()
+					}{{"import", e.oceanImport}, {"ice+import", both}} {
+						lap.fn()
+						if allocs := testing.AllocsPerRun(20, lap.fn); allocs != 0 {
+							t.Errorf("%v %s (audit %v): %v allocs/op in steady state, want 0", remap, lap.name, audit, allocs)
+						}
+					}
+				})
+			}
 		})
 	}
 }

@@ -59,12 +59,13 @@ type ESM struct {
 	overlapN   int
 
 	// Flux remap mode, the conservation-audit ledger (nil when auditing is
-	// off), and the persistent per-atmosphere-cell flux-part buffers used by
-	// the conservative remap and the audit's export-side integrals (nil when
-	// neither needs them).
-	remap  RemapMode
-	ledger *budget.Ledger
-	af     *atmFluxes
+	// off) with its reduction's partial sums and totals, and the persistent
+	// per-atmosphere-cell flux-part buffers used by the conservative remap
+	// and the audit's export-side integrals (nil when neither needs them).
+	remap               RemapMode
+	ledger              *budget.Ledger
+	auditPart, auditSum [auditTerms]float64
+	af                  *atmFluxes
 
 	// The coupling plan (ghost tables at every rank count, a router only
 	// when decomposed), the land slots this rank steps (extended patch) and
@@ -528,10 +529,13 @@ func (e *ESM) atmFluxCell(g, c int) {
 	f.tauy[c] = rhoAirSfc * bulkCd * wind * v10[c] * open
 }
 
+// auditTerms is the number of partial sums auditRecord reduces.
+const auditTerms = 16
+
 // auditRecord tallies one coupling interval into the ledger. Every term —
 // both sides of every interface plus every store — is an owned-range
-// partial sum, and all of them travel in a single batched AllreduceSlice
-// (a copy on one rank).
+// partial sum, and all of them travel in a single batched reduction between
+// two persistent buffers (a copy on one rank, which allocates nothing).
 func (e *ESM) auditRecord() {
 	o := e.Ocn
 	b := o.B
@@ -584,12 +588,14 @@ func (e *ESM) auditRecord() {
 		lndWater += e.Lnd.Bucket[slot] * e.Atm.Mesh.AreaCell[c] *
 			grid.EarthRadius * grid.EarthRadius * rhoWater
 	})
-	sums := e.Comm.AllreduceSlice([]float64{
+	e.auditPart = [auditTerms]float64{
 		aSW, aLW, aSens, aLat, aCpl, aGross, aFW, aFWGross,
 		heatIn, fwIn, iceHeat,
 		o.HeatContentLocal(), o.SaltContentLocal(), e.Ice.LocalVolume(),
 		lndWater, e.Atm.TotalMoistureLocal(),
-	}, par.OpSum)
+	}
+	sums := &e.auditSum
+	e.Comm.AllreduceSliceInto(sums[:], e.auditPart[:], par.OpSum)
 	iv.HeatSW, iv.HeatLW, iv.HeatSens, iv.HeatLat = sums[0], sums[1], sums[2], sums[3]
 	iv.HeatAtmCpl, iv.HeatGross, iv.FWAtmCpl, iv.FWGross = sums[4], sums[5], sums[6], sums[7]
 	iv.HeatCplOcn, iv.FWCplOcn, iv.HeatIceOcn = sums[8], sums[9], sums[10]

@@ -120,6 +120,48 @@ func decompInvariants(t *testing.T, m *IcosMesh, d *IcosDecomp, rank, size int) 
 			t.Fatalf("rank %d: RecvEdge %d not in ExtEdges", rank, e)
 		}
 	}
+	// ExtEdges is the disjoint union of CompEdges and RecvEdges, and the
+	// edge plan receives every RecvEdge exactly once and nothing else: after
+	// ExchangeEdges every patch edge holds a value computed this substep,
+	// which is what lets the dycore advance U in place.
+	comp := make([]bool, m.NEdges())
+	for _, e := range d.CompEdges {
+		comp[e] = true
+		if !d.InExtEdge(e) {
+			t.Fatalf("rank %d: CompEdge %d not in ExtEdges", rank, e)
+		}
+	}
+	if len(d.ExtEdges) != len(d.CompEdges)+len(d.RecvEdges) {
+		t.Fatalf("rank %d: |ExtEdges| %d != |CompEdges| %d + |RecvEdges| %d",
+			rank, len(d.ExtEdges), len(d.CompEdges), len(d.RecvEdges))
+	}
+	for _, e := range d.RecvEdges {
+		if comp[e] {
+			t.Fatalf("rank %d: edge %d is both computed and received", rank, e)
+		}
+	}
+	for v, rt := range d.edges.route {
+		received := make([]int, m.NEdges())
+		for _, list := range rt.recv {
+			for _, le := range list {
+				received[d.Patch.GlobalEdge[le]]++
+			}
+		}
+		if len(rt.dst) != 0 || len(rt.zero) != 0 {
+			t.Fatalf("rank %d: edge route %d copies or zeroes %d/%d points", rank, v, len(rt.dst), len(rt.zero))
+		}
+		for _, e := range d.RecvEdges {
+			if received[e] != 1 {
+				t.Fatalf("rank %d: edge route %d receives RecvEdge %d %d times", rank, v, e, received[e])
+			}
+			received[e] = 0
+		}
+		for e, n := range received {
+			if n != 0 {
+				t.Fatalf("rank %d: edge route %d receives edge %d, which is not a RecvEdge", rank, v, e)
+			}
+		}
+	}
 	for _, v := range d.CompVerts {
 		for _, e := range m.EdgesOnVertex[v] {
 			if !d.InExtEdge(int(e)) {

@@ -25,9 +25,9 @@ var (
 // Bcast distributes root's value to all ranks and returns it.
 func Bcast[T any](c *Comm, root int, v T) T {
 	if c.rank == root {
-		c.countCollective("bcast", any(v))
+		c.countCollective("par.collective.bcast", any(v))
 	} else {
-		c.countCollective("bcast", nil)
+		c.countCollective("par.collective.bcast", nil)
 	}
 	all := c.exchange(any(v))
 	out, ok := all[root].(T)
@@ -40,7 +40,7 @@ func Bcast[T any](c *Comm, root int, v T) T {
 // Allreduce reduces one float64 per rank with op and returns the result on
 // every rank. Reduction order is fixed by rank, so results are deterministic.
 func (c *Comm) Allreduce(v float64, op Op) float64 {
-	c.countCollective("allreduce", v)
+	c.countCollective("par.collective.allreduce", v)
 	all := c.exchange(v)
 	acc := all[0].(float64)
 	for _, x := range all[1:] {
@@ -52,26 +52,46 @@ func (c *Comm) Allreduce(v float64, op Op) float64 {
 // AllreduceSlice element-wise reduces equal-length slices across ranks.
 // The returned slice is freshly allocated on every rank.
 func (c *Comm) AllreduceSlice(v []float64, op Op) []float64 {
-	c.countCollective("allreduce", v)
+	out := make([]float64, len(v))
+	c.AllreduceSliceInto(out, v, op)
+	return out
+}
+
+// AllreduceSliceInto element-wise reduces equal-length slices across ranks
+// into dst, which must be as long as v and must not overlap it; v is the
+// caller's again when the call returns. On one rank the reduction is a copy
+// and allocates nothing; it still counts as one collective.
+func (c *Comm) AllreduceSliceInto(dst, v []float64, op Op) {
+	if len(dst) != len(v) {
+		panic(fmt.Sprintf("par: AllreduceSliceInto into %d values from %d", len(dst), len(v)))
+	}
+	c.countCollectiveBytes("par.collective.allreduce", int64(8*len(v)))
+	if c.state.size == 1 {
+		copy(dst, v)
+		return
+	}
 	all := c.exchange(v)
-	first := all[0].([]float64)
-	out := make([]float64, len(first))
-	copy(out, first)
-	for r := 1; r < len(all); r++ {
-		x := all[r].([]float64)
-		if len(x) != len(out) {
-			panic(fmt.Sprintf("par: AllreduceSlice length mismatch: rank 0 has %d, rank %d has %d", len(out), r, len(x)))
+	for r, a := range all {
+		x := a.([]float64)
+		if len(x) != len(dst) {
+			panic(fmt.Sprintf("par: AllreduceSlice length mismatch: rank %d has %d, rank %d has %d", c.rank, len(dst), r, len(x)))
 		}
-		for i := range out {
-			out[i] = op(out[i], x[i])
+		if r == 0 {
+			copy(dst, x)
+			continue
+		}
+		for i := range dst {
+			dst[i] = op(dst[i], x[i])
 		}
 	}
-	return out
+	// The other ranks read v after the exchange: none returns until all
+	// have reduced, so no caller refills its v under a peer's reduction.
+	c.Barrier()
 }
 
 // AllreduceInt reduces one int per rank with integer addition.
 func (c *Comm) AllreduceInt(v int) int {
-	c.countCollective("allreduce", v)
+	c.countCollective("par.collective.allreduce", v)
 	all := c.exchange(v)
 	sum := 0
 	for _, x := range all {
@@ -82,7 +102,7 @@ func (c *Comm) AllreduceInt(v int) int {
 
 // Gather collects one value per rank at root; non-root ranks receive nil.
 func Gather[T any](c *Comm, root int, v T) []T {
-	c.countCollective("gather", any(v))
+	c.countCollective("par.collective.gather", any(v))
 	all := c.exchange(any(v))
 	if c.rank != root {
 		return nil
@@ -96,7 +116,7 @@ func Gather[T any](c *Comm, root int, v T) []T {
 
 // Allgather collects one value per rank on every rank, ordered by rank.
 func Allgather[T any](c *Comm, v T) []T {
-	c.countCollective("allgather", any(v))
+	c.countCollective("par.collective.allgather", any(v))
 	all := c.exchange(any(v))
 	out := make([]T, len(all))
 	for i, x := range all {
@@ -113,7 +133,7 @@ func (c *Comm) AlltoallvF64(send [][]float64) [][]float64 {
 	if len(send) != c.state.size {
 		panic(fmt.Sprintf("par: AlltoallvF64 needs %d blocks, got %d", c.state.size, len(send)))
 	}
-	c.countCollective("alltoall", send)
+	c.countCollective("par.collective.alltoall", send)
 	all := c.exchange(send)
 	out := make([][]float64, c.state.size)
 	for src, x := range all {

@@ -51,15 +51,23 @@ func (c *Comm) countP2PF64(msgs, bytes *atomic.Int64, msgName, byteName string, 
 }
 
 // countCollective records one collective invocation and this rank's
-// contributed payload.
-func (c *Comm) countCollective(op string, payload any) {
-	n := payloadBytes(payload)
+// contributed payload under the collective's own counter name
+// (par.collective.<op>), which callers pass whole so no count builds a
+// string.
+func (c *Comm) countCollective(name string, payload any) {
+	c.countCollectiveBytes(name, payloadBytes(payload))
+}
+
+// countCollectiveBytes records one collective invocation contributing n
+// bytes. Typed paths call it with the size, so their payload is never boxed
+// into countCollective's `any`.
+func (c *Comm) countCollectiveBytes(name string, n int64) {
 	c.stats.Collectives.Add(1)
 	c.stats.CollectiveBytes.Add(n)
 	if c.obs != nil {
 		c.obs.AddCount("par.collective.calls", 1)
 		c.obs.AddCount("par.collective.bytes", n)
-		c.obs.AddCount("par.collective."+op, 1)
+		c.obs.AddCount(name, 1)
 	}
 }
 
