@@ -13,8 +13,8 @@
 # benchmark (one iteration each). Outside check: `make footprint` prints the
 # ladder's memory column, the live heap per atmosphere cell of each rung's
 # assembled model after one step, `make heapprofile` names the allocation
-# sites that hold it, and `make profile` / `make bench-atmos` say where the
-# time goes.
+# sites that hold it on one rank and on two, and `make profile` / `make
+# bench-atmos` say where the time goes.
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -114,15 +114,19 @@ profile:
 	  rc=$$?; rm -rf "$$dir"; exit $$rc; }
 
 # Which arrays hold the live heap: the benchmark's model configuration (25v10,
-# conservative remap, audit on, one rank) for 180 coupling steps with every
-# allocation recorded, and the top 15 allocation sites by in-use bytes at the
-# end of the run, the model still live. A heap claim names the arrays it
-# removes from this list. Not part of check.
+# conservative remap, audit on) for 180 coupling steps with every allocation
+# recorded, and the top 15 allocation sites by in-use bytes at the end of the
+# run, the model still live — once on one rank (coupled_r1) and once on two
+# (coupled_r2, both ranks' models in one heap). A heap claim names the arrays
+# it removes from these lists. Not part of check.
 heapprofile:
 	dir=$$(mktemp -d) && { \
 	  $(GO) build -o "$$dir/ap3esm" ./cmd/ap3esm && \
-	  "$$dir/ap3esm" -config 25v10 -days 1 -remap cons -audit -memprofile "$$dir/heap.prof" >/dev/null && \
-	  $(GO) tool pprof -sample_index=inuse_space -top -nodecount=15 "$$dir/ap3esm" "$$dir/heap.prof"; \
+	  ( for r in 1 2; do \
+	      echo "coupled_r$$r: -ranks $$r" && \
+	      "$$dir/ap3esm" -config 25v10 -days 1 -ranks $$r -remap cons -audit -memprofile "$$dir/heap$$r.prof" >/dev/null && \
+	      $(GO) tool pprof -sample_index=inuse_space -top -nodecount=15 "$$dir/ap3esm" "$$dir/heap$$r.prof" || exit 1; \
+	    done ); \
 	  rc=$$?; rm -rf "$$dir"; exit $$rc; }
 
 # The ladder's memory column: BenchmarkAssemble's B/cell, the live heap of

@@ -168,7 +168,7 @@ func main() {
 		if d := e.Atm.Decomp(); d != nil {
 			// Physics and cell diagnostics run on ext = owned + ring-1 halo,
 			// so ext/owned is the redundant-column factor of the partition.
-			worst := c.Allreduce(float64(len(d.ExtCells))/float64(d.NOwned()), par.OpMax)
+			worst := c.Allreduce(float64(d.Patch.NCells())/float64(d.NOwned()), par.OpMax)
 			if c.Rank() == 0 {
 				fmt.Printf("atmosphere partition: max ext/owned %.2f over %d ranks\n", worst, c.Size())
 			}

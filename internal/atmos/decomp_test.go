@@ -6,8 +6,21 @@ import (
 	"testing"
 	"weak"
 
+	"repro/internal/grid"
 	"repro/internal/par"
 )
+
+// haloCells returns the ring-1 halo of rank's decomposition d in global ids,
+// ascending: the patch cells another rank owns.
+func haloCells(d *grid.IcosDecomp, rank int) []int {
+	var out []int
+	for _, g := range d.Patch.GlobalCell {
+		if d.Owner(int(g)) != rank {
+			out = append(out, int(g))
+		}
+	}
+	return out
+}
 
 // TestDecomposedMatchesReplicated pins the tentpole equivalence at the
 // component level: a decomposed atmosphere stepped on 2 and 4 ranks produces
@@ -65,7 +78,7 @@ func TestDecomposedMatchesReplicated(t *testing.T) {
 					}
 				}
 			}
-			for _, e := range d.OwnEdges {
+			for _, e := range d.OwnEdges() {
 				for k := 0; k < nlev; k++ {
 					if i, l := m.Idx(e, k), m.Idx(d.LocalEdge(e), k); m.U[l] != ref.U[i] {
 						t.Errorf("ranks=%d rank %d: U[%d] lev %d = %v, want %v", ranks, c.Rank(), e, k, m.U[l], ref.U[i])
@@ -75,7 +88,7 @@ func TestDecomposedMatchesReplicated(t *testing.T) {
 			}
 			// The halo must mirror its owners bit-for-bit too — that is what
 			// makes the redundant physics columns safe.
-			for _, h := range d.HaloCells {
+			for _, h := range haloCells(d, c.Rank()) {
 				if l := d.LocalCell(h); m.Ps[l] != ref.Ps[h] {
 					t.Errorf("ranks=%d rank %d: halo Ps[%d] = %v, want %v", ranks, c.Rank(), h, m.Ps[l], ref.Ps[h])
 					return

@@ -89,8 +89,9 @@ func TestDemandRadiationSkipsHalo(t *testing.T) {
 			return
 		}
 		d := m.Decomp()
+		halo := haloCells(d, c.Rank())
 		mask := make([]bool, m.Mesh.NCells())
-		mask[d.LocalCell(d.HaloCells[0])] = true
+		mask[d.LocalCell(halo[0])] = true
 		m.DemandRadiation(mask, true, true)
 		m.StepModel()
 		for _, cell := range d.Owned {
@@ -99,7 +100,7 @@ func TestDemandRadiationSkipsHalo(t *testing.T) {
 				return
 			}
 		}
-		for i, h := range d.HaloCells {
+		for i, h := range halo {
 			if diagnosed := m.GLW[d.LocalCell(h)] != 0; diagnosed != (i == 0) {
 				t.Errorf("rank %d: halo cell %d diagnosed = %v, want %v", c.Rank(), h, diagnosed, i == 0)
 				return

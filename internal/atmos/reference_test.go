@@ -575,8 +575,8 @@ func TestStepMatchesReferenceLoops(t *testing.T) {
 						newRefStepper(ref).stepModel()
 						// Both models hold the same patch: compare in its local ids.
 						d := live.Decomp()
-						ownEdges := make([]int, len(d.OwnEdges))
-						for i, e := range d.OwnEdges {
+						ownEdges := d.OwnEdges()
+						for i, e := range ownEdges {
 							ownEdges[i] = d.LocalEdge(e)
 						}
 						compare(t, live, ref, d.OwnedLocal, ownEdges, d.CompEdgesLocal)

@@ -10,8 +10,9 @@
 // The package is pure bookkeeping: the driver (internal/core) computes the
 // terms — the ocean-side sums already reduced across ranks, the
 // atmosphere-side sums replicated — and hands one Interval per ocean
-// coupling to Ledger.Record, which derives the residuals and streams every
-// term through the observer's gauges.
+// coupling to Ledger.Record, which derives the residuals, streams every
+// term through the observer's gauges and folds the interval into the run's
+// summary; the ledger keeps only a fixed window of recent intervals.
 package budget
 
 import (
@@ -88,20 +89,39 @@ func relResid(export, imported, gross float64) float64 {
 	return diff / scale
 }
 
-// Ledger accumulates the per-interval records of one run and streams them
-// through the observer's gauges as they arrive.
+// Window is the number of most recent intervals a Ledger keeps for
+// Intervals, Last and Report. Summary covers every interval recorded.
+const Window = 64
+
+// Ledger streams each interval's terms through the observer's gauges as it
+// arrives, keeps the last Window intervals in a ring allocated once, and
+// folds every interval into running Summary terms, in record order — the
+// order a walk over all of them would take, so the sums keep their bits. A
+// ledger's memory does not grow with the length of the run, and Record
+// allocates nothing.
 type Ledger struct {
-	obs Observer // nil disables streaming
-	ivs []Interval
+	obs    Observer   // nil disables streaming
+	recent []Interval // interval i at recent[i%Window]
+	run    Summary    // N, maxima, UnmappedCells and the sums of the means
 }
 
 // NewLedger builds a ledger streaming to ob (nil keeps records only).
-func NewLedger(ob Observer) *Ledger { return &Ledger{obs: ob} }
+func NewLedger(ob Observer) *Ledger { return &Ledger{obs: ob, recent: make([]Interval, Window)} }
 
-// Record appends one interval and publishes its terms as gauges.
+// Record adds one interval and publishes its terms as gauges.
 func (l *Ledger) Record(iv Interval) {
-	iv.Index = len(l.ivs)
-	l.ivs = append(l.ivs, iv)
+	s := &l.run
+	iv.Index = s.N
+	l.recent[s.N%Window] = iv
+	s.N++
+	hr, fr := iv.HeatResid(), iv.FWResid()
+	s.MaxHeatResid = math.Max(s.MaxHeatResid, hr)
+	s.MaxFWResid = math.Max(s.MaxFWResid, fr)
+	s.MeanHeatResid += hr
+	s.MeanFWResid += fr
+	s.HeatAtmCplMean += iv.HeatAtmCpl
+	s.FWAtmCplMean += iv.FWAtmCpl
+	s.UnmappedCells = iv.UnmappedCells
 	if l.obs == nil {
 		return
 	}
@@ -112,10 +132,10 @@ func (l *Ledger) Record(iv Interval) {
 	l.obs.SetGauge("budget.heat.atm_cpl", iv.HeatAtmCpl)
 	l.obs.SetGauge("budget.heat.cpl_ocn", iv.HeatCplOcn)
 	l.obs.SetGauge("budget.heat.ice_ocn", iv.HeatIceOcn)
-	l.obs.SetGauge("budget.heat.resid", iv.HeatResid())
+	l.obs.SetGauge("budget.heat.resid", hr)
 	l.obs.SetGauge("budget.fw.atm_cpl", iv.FWAtmCpl)
 	l.obs.SetGauge("budget.fw.cpl_ocn", iv.FWCplOcn)
-	l.obs.SetGauge("budget.fw.resid", iv.FWResid())
+	l.obs.SetGauge("budget.fw.resid", fr)
 	l.obs.SetGauge("budget.salt.cpl_ocn", iv.SaltCplOcn())
 	l.obs.SetGauge("budget.store.ocn_heat", iv.OcnHeat)
 	l.obs.SetGauge("budget.store.ocn_salt", iv.OcnSalt)
@@ -125,8 +145,26 @@ func (l *Ledger) Record(iv Interval) {
 	l.obs.SetGauge("budget.unmapped.cells", float64(iv.UnmappedCells))
 }
 
-// Intervals returns the recorded intervals in order.
-func (l *Ledger) Intervals() []Interval { return l.ivs }
+// kept returns the index of the oldest interval the ledger still holds.
+func (l *Ledger) kept() int { return max(0, l.run.N-Window) }
+
+// Intervals returns the intervals the ledger holds, the last Window
+// recorded, oldest first, in a new slice.
+func (l *Ledger) Intervals() []Interval {
+	out := make([]Interval, 0, l.run.N-l.kept())
+	for i := l.kept(); i < l.run.N; i++ {
+		out = append(out, l.recent[i%Window])
+	}
+	return out
+}
+
+// Last returns the most recent interval, and false before the first.
+func (l *Ledger) Last() (Interval, bool) {
+	if l.run.N == 0 {
+		return Interval{}, false
+	}
+	return l.recent[(l.run.N-1)%Window], true
+}
 
 // Summary condenses a run's records into the closure verdict.
 type Summary struct {
@@ -137,21 +175,12 @@ type Summary struct {
 	HeatAtmCplMean, FWAtmCplMean float64 // mean interface transports
 }
 
-// Summary reduces the recorded intervals.
+// Summary reduces every interval recorded, the ones the window no longer
+// holds included.
 func (l *Ledger) Summary() Summary {
-	s := Summary{N: len(l.ivs)}
+	s := l.run
 	if s.N == 0 {
 		return s
-	}
-	for _, iv := range l.ivs {
-		hr, fr := iv.HeatResid(), iv.FWResid()
-		s.MaxHeatResid = math.Max(s.MaxHeatResid, hr)
-		s.MaxFWResid = math.Max(s.MaxFWResid, fr)
-		s.MeanHeatResid += hr
-		s.MeanFWResid += fr
-		s.HeatAtmCplMean += iv.HeatAtmCpl
-		s.FWAtmCplMean += iv.FWAtmCpl
-		s.UnmappedCells = iv.UnmappedCells
 	}
 	n := float64(s.N)
 	s.MeanHeatResid /= n
@@ -161,18 +190,28 @@ func (l *Ledger) Summary() Summary {
 	return s
 }
 
-// Report formats the full ledger: one line per interval with the interface
-// terms and residuals, the per-interval storage changes, and the summary.
+// Report formats the ledger: one line per interval it holds with the
+// interface terms, residuals and storage changes, and the summary of the
+// whole run. Once the run outgrows the window, the oldest interval held
+// only anchors the next line's storage changes, and a line counts the
+// intervals not shown.
 func (l *Ledger) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%4s  %13s %13s %10s  |%13s %13s %10s  |%11s %11s\n",
 		"int", "heat atm→cpl", "heat cpl→ocn", "resid",
 		"fw atm→cpl", "fw cpl→ocn", "resid", "Δocn heat", "Δice fw")
-	for i, iv := range l.ivs {
+	first := l.kept()
+	if first > 0 {
+		first++
+		fmt.Fprintf(&b, "%4s  (%d earlier intervals not shown)\n", "…", first)
+	}
+	for i := first; i < l.run.N; i++ {
+		iv := l.recent[i%Window]
 		dHeat, dIce := 0.0, 0.0
 		if i > 0 {
-			dHeat = iv.OcnHeat - l.ivs[i-1].OcnHeat
-			dIce = iv.IceFW - l.ivs[i-1].IceFW
+			prev := l.recent[(i-1)%Window]
+			dHeat = iv.OcnHeat - prev.OcnHeat
+			dIce = iv.IceFW - prev.IceFW
 		}
 		fmt.Fprintf(&b, "%4d  %13.5e %13.5e %10.2e  |%13.5e %13.5e %10.2e  |%11.3e %11.3e\n",
 			iv.Index, iv.HeatAtmCpl, iv.HeatCplOcn, iv.HeatResid(),

@@ -1,6 +1,7 @@
 package budget
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -134,5 +135,72 @@ func TestSummaryAndReport(t *testing.T) {
 	cmp := FormatComparison(s, s)
 	if !strings.Contains(cmp, "nn") || !strings.Contains(cmp, "cons") {
 		t.Errorf("FormatComparison missing rows:\n%s", cmp)
+	}
+}
+
+// A long run keeps at most the window: 10 000 records hold Window
+// intervals, the last ones in order, while Summary still covers all of
+// them, bit for bit equal to a walk over every record in record order,
+// and Record allocates nothing.
+func TestLedgerWindowKeepsSummaryExact(t *testing.T) {
+	const n = 10000
+	iv := func(i int) Interval {
+		x := float64(i)
+		return Interval{
+			HeatAtmCpl: 1e15 + x*1e9, HeatCplOcn: 1e15 + x*1e9 + math.Sin(x)*1e4, HeatGross: 2e15 + x,
+			FWAtmCpl: 1e6 + x, FWCplOcn: 1e6 + x + math.Cos(x), FWGross: 3e6,
+			OcnHeat: x * x, IceFW: -x, UnmappedCells: i % 7,
+		}
+	}
+	l := NewLedger(&fakeObs{})
+	var want Summary
+	for i := 0; i < n; i++ {
+		v := iv(i)
+		l.Record(v)
+		hr, fr := v.HeatResid(), v.FWResid()
+		want.N++
+		want.MaxHeatResid = math.Max(want.MaxHeatResid, hr)
+		want.MaxFWResid = math.Max(want.MaxFWResid, fr)
+		want.MeanHeatResid += hr
+		want.MeanFWResid += fr
+		want.HeatAtmCplMean += v.HeatAtmCpl
+		want.FWAtmCplMean += v.FWAtmCpl
+		want.UnmappedCells = v.UnmappedCells
+	}
+	want.MeanHeatResid /= n
+	want.MeanFWResid /= n
+	want.HeatAtmCplMean /= n
+	want.FWAtmCplMean /= n
+	if got := l.Summary(); got != want {
+		t.Errorf("Summary after %d records = %+v, want %+v", n, got, want)
+	}
+
+	ivs := l.Intervals()
+	if len(ivs) != Window {
+		t.Fatalf("ledger holds %d intervals after %d records, want %d", len(ivs), n, Window)
+	}
+	for k, got := range ivs {
+		i := n - Window + k
+		w := iv(i)
+		w.Index = i
+		if got != w {
+			t.Fatalf("held interval %d = %+v, want record %d", k, got, i)
+		}
+	}
+	if last, ok := l.Last(); !ok || last.Index != n-1 {
+		t.Errorf("Last = %+v, %v; want record %d", last, ok, n-1)
+	}
+	rep := l.Report()
+	if !strings.Contains(rep, fmt.Sprintf("(%d earlier intervals not shown)", n-Window+1)) ||
+		!strings.Contains(rep, fmt.Sprintf("intervals %d ", n)) {
+		t.Errorf("Report of a run past the window:\n%s", rep)
+	}
+	if lines := strings.Count(rep, "\n"); lines != 1+1+(Window-1)+2 {
+		t.Errorf("Report has %d lines, want a header, the count, %d intervals and the summary", lines, Window-1)
+	}
+
+	v := iv(0)
+	if allocs := testing.AllocsPerRun(2*Window, func() { l.Record(v) }); allocs != 0 {
+		t.Errorf("Record allocates %v per call", allocs)
 	}
 }

@@ -118,6 +118,7 @@ func TestUnmappedCellsRoutedToLand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unmapped := regridderFor(t, cfg).Unmapped
 	par.Run(1, func(c *par.Comm) {
 		e, err := NewWithOptions(cfg, c, WithAudit(true))
 		if err != nil {
@@ -128,7 +129,7 @@ func TestUnmappedCellsRoutedToLand(t *testing.T) {
 		for _, cell := range e.Lnd.Cells {
 			owned[cell] = true
 		}
-		for _, cell := range e.Rg.Unmapped {
+		for _, cell := range unmapped {
 			if !e.Atm.IsLand[cell] {
 				t.Errorf("unmapped cell %d not flagged as land", cell)
 			}
@@ -143,7 +144,7 @@ func TestUnmappedCellsRoutedToLand(t *testing.T) {
 		if len(ivs) == 0 {
 			t.Fatal("no audited intervals")
 		}
-		if got, want := ivs[0].UnmappedCells, len(e.Rg.Unmapped); got != want {
+		if got, want := ivs[0].UnmappedCells, len(unmapped); got != want {
 			t.Errorf("audited unmapped count %d, want %d", got, want)
 		}
 	})

@@ -122,11 +122,11 @@ func TestRegridderMapsAreTotal(t *testing.T) {
 	}
 	wet := 0
 	for c, oc := range r.AtmToOcn {
-		if oc >= len(g.Mask) {
+		if oc >= g.NX*g.NY {
 			t.Fatalf("atm cell %d maps out of range", c)
 		}
 		if oc >= 0 {
-			if !g.Mask[oc] {
+			if !g.Wet(oc) {
 				t.Fatalf("atm cell %d maps to land column", c)
 			}
 			wet++
@@ -366,7 +366,7 @@ func TestTyphoonColdWakeMechanisms(t *testing.T) {
 			for lj := 0; lj < b.NJ; lj++ {
 				for li := 0; li < b.NI; li++ {
 					gi := b.GIdx(li, lj)
-					if !g.Mask[gi] {
+					if !g.Wet(gi) {
 						continue
 					}
 					j, i2 := gi/g.NX, gi%g.NX
@@ -424,7 +424,7 @@ func TestTyphoonColdWakeMechanisms(t *testing.T) {
 			for lj := 0; lj < b.NJ; lj++ {
 				for li := 0; li < b.NI; li++ {
 					gi := b.GIdx(li, lj)
-					if !g.Mask[gi] {
+					if !g.Wet(gi) {
 						continue
 					}
 					j, i2 := gi/g.NX, gi%g.NX

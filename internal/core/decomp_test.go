@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -56,13 +58,13 @@ func globalCoupledState(e *ESM) []float64 {
 			}
 		}
 	}
-	for _, eg := range ad.OwnEdges {
+	for _, eg := range ad.OwnEdges() {
 		for k := 0; k < nl; k++ {
 			i := m.Idx(eg, k)
 			buf[oU+i] = m.U[m.Idx(ad.LocalEdge(eg), k)]
 		}
 	}
-	for _, slot := range e.ownSlots {
+	for _, slot := range e.ownSlots.slot {
 		buf[oTS+slot] = e.Lnd.TSoil[slot]
 		buf[oBk+slot] = e.Lnd.Bucket[slot]
 	}
@@ -299,9 +301,10 @@ func TestDistributedImportZeroAllocs(t *testing.T) {
 // ice forcing, which share the surface-air buffer — so the 10 m wind goes
 // into the model's persistent buffers. With the audit on as well: its
 // sixteen partial sums reduce between two persistent buffers, a copy on one
-// rank. (The ledger's history grows by append, geometrically: a few
-// reallocations over 20 records, which AllocsPerRun's whole-number mean
-// reads as 0.)
+// rank, and the ledger records into a window it allocated once. The count
+// is exact — the heap's allocation counter over 100 calls must not move —
+// because AllocsPerRun's whole-number mean reads a few reallocations in 20
+// calls as 0.
 func TestOneRankImportZeroAllocs(t *testing.T) {
 	cfg, err := ConfigForLabel("25v10")
 	if err != nil {
@@ -324,9 +327,10 @@ func TestOneRankImportZeroAllocs(t *testing.T) {
 						name string
 						fn   func()
 					}{{"import", e.oceanImport}, {"ice+import", both}} {
+						const runs = 100
 						lap.fn()
-						if allocs := testing.AllocsPerRun(20, lap.fn); allocs != 0 {
-							t.Errorf("%v %s (audit %v): %v allocs/op in steady state, want 0", remap, lap.name, audit, allocs)
+						if allocs := mallocs(runs, lap.fn); allocs != 0 {
+							t.Errorf("%v %s (audit %v): %d allocations in %d calls in steady state, want 0", remap, lap.name, audit, allocs, runs)
 						}
 					}
 				})
@@ -335,18 +339,33 @@ func TestOneRankImportZeroAllocs(t *testing.T) {
 	}
 }
 
+// mallocs counts the heap allocations of n calls of fn exactly, on one P as
+// testing.AllocsPerRun counts them, but without averaging them away.
+func mallocs(n int, fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
 // The coupling plan is sized by the atmosphere cells each ocean rank reads,
 // not by a global index space. Decomposed, every rank's router delivers
 // exactly one point per distinct cell its owned block reads (each owned
 // column's nearest cell; under RemapCons also its row's overlap cells), the
 // ranks pack as many points as they deliver, and no vector is built for a
 // field set the remap mode never rearranges. On one rank there is neither a
-// router nor a vector: the ghost ids are the regridder's own maps.
+// router nor a vector: the conservative rows and overlap areas are the
+// regridder's own arrays, and the ghost ids its maps narrowed to int32.
 func TestCouplingPlanIsPerCell(t *testing.T) {
 	cfg, err := ConfigForLabel("25v10")
 	if err != nil {
 		t.Fatal(err)
 	}
+	rg := regridderFor(t, cfg)
 	for _, remap := range []RemapMode{RemapNN, RemapCons} {
 		t.Run(fmt.Sprintf("%v/ranks=1", remap), func(t *testing.T) {
 			par.Run(1, func(c *par.Comm) {
@@ -355,7 +374,7 @@ func TestCouplingPlanIsPerCell(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				ds, rg := e.dst, e.Rg
+				ds := e.dst
 				if ds.rt != nil {
 					t.Error("one rank builds a coupling router")
 				}
@@ -372,8 +391,24 @@ func TestCouplingPlanIsPerCell(t *testing.T) {
 						t.Fatalf("colRef[%d] = %d, OcnToAtm %d", gi, ds.colRef[gi], ac)
 					}
 				}
-				if remap == RemapCons && (len(ds.consRef) != len(rg.ConsCol) || &ds.consRef[0] != &rg.ConsCol[0]) {
-					t.Error("consRef is not the regridder's ConsCol")
+				if remap == RemapCons && (!slices.Equal(ds.consRef, rg.ConsCol) || !slices.Equal(ds.consW, rg.ConsW) || !slices.Equal(ds.consPtr, rg.ConsPtr)) {
+					t.Error("consRef, consW and consPtr are not the regridder's ConsCol, ConsW and ConsPtr")
+				}
+				if !slices.Equal(ds.overlap, rg.AtmOverlapArea) {
+					t.Error("overlap is not the regridder's AtmOverlapArea")
+				}
+				// The assembled regridder is gone; a plan built from rg must
+				// share rg's arrays rather than copy them.
+				if err := e.initDistribute(rg); err != nil {
+					t.Error(err)
+					return
+				}
+				ds = e.dst
+				if &ds.overlap[0] != &rg.AtmOverlapArea[0] {
+					t.Error("overlap copies the regridder's AtmOverlapArea")
+				}
+				if remap == RemapCons && (&ds.consRef[0] != &rg.ConsCol[0] || &ds.consW[0] != &rg.ConsW[0] || &ds.consPtr[0] != &rg.ConsPtr[0]) {
+					t.Error("consRef, consW and consPtr copy the regridder's ConsCol, ConsW and ConsPtr")
 				}
 			})
 		})
@@ -386,7 +421,7 @@ func TestCouplingPlanIsPerCell(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					ds, b, rg := e.dst, e.Ocn.B, e.Rg
+					ds, b := e.dst, e.Ocn.B
 					read := map[int32]bool{}
 					for lj := 0; lj < b.NJ; lj++ {
 						for li := 0; li < b.NI; li++ {

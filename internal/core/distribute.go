@@ -13,8 +13,8 @@ import (
 // values through ghost ids, at every rank count — colRef holds one per
 // owned column (its nearest cell, OcnToAtm; dry columns too, the ice
 // forcing writes them all) and, under RemapCons, consRef one per CSR entry
-// of its row (its overlap cell, ConsCol). One import per remap mode and one
-// ice forcing read them:
+// of its row (its overlap cell, ConsCol, beside its weight in consW). One
+// import per remap mode and one ice forcing read them:
 //
 //   - nearest-neighbour mode reads the 7 per-cell atmosphere inputs (u10,
 //     v10, tair, qair, gsw, glw, precip) at each owned wet column's nearest
@@ -40,8 +40,11 @@ import (
 //
 // The plan is derived offline on every rank from the ocean block ownership
 // and the regridder, with no communication (§5.2.4's offline path). The
-// ocn→atm surface return stays replicated (refreshOceanSurface gathers and
-// broadcasts SST/ice), which keeps the ring-1 halo's SST valid for the
+// regridder covers both whole grids, so assembly builds it, copies out the
+// rows of the owned ocean columns and the atmosphere cells of the patch,
+// and drops it: a decomposed rank holds no regridder table of global size.
+// The ocn→atm surface return stays replicated (refreshOceanSurface gathers
+// and broadcasts SST/ice), which keeps the ring-1 halo's SST valid for the
 // redundant physics columns without an extra exchange.
 //
 // All buffers and vectors are persistent, so the per-step fill/consume
@@ -63,9 +66,24 @@ type distState struct {
 	// CSR entry of the owned rows in ascending p its overlap cell (nil
 	// unless RemapCons). Decomposed they are points of the destination
 	// vectors, the cells this rank's ocean block reads in ascending global
-	// id; on one rank they are global cell ids (consRef is Rg.ConsCol).
+	// id; on one rank they are global cell ids.
 	colRef  []int32
 	consRef []int32
+
+	// The owned rows of the conservative weights (nil unless RemapCons):
+	// owned column k in block order has entries [consPtr[k], consPtr[k+1])
+	// of consRef and consW. On one rank consRef, consW and consPtr are the
+	// regridder's ConsCol, ConsW and ConsPtr.
+	consW   []float64
+	consPtr []int32
+
+	// Per atmosphere cell this rank holds, by local id: its nearest wet
+	// ocean column (AtmToOcn, −1 where none is reachable) and its overlap
+	// area Ã_c (AtmOverlapArea, the regridder's own on one rank). unmapped
+	// counts the regridder's Unmapped cells, for the audit.
+	atmOcn   []int32
+	overlap  []float64
+	unmapped int
 
 	// The rearranged field sets (nil on one rank): ice forcing always, the
 	// conservative flux parts under RemapCons, the nearest-neighbour inputs
@@ -83,9 +101,8 @@ type distState struct {
 // block reads, ascending: each owned column's nearest cell and, under
 // RemapCons, the overlap cells of its row. Columns of land-eliminated
 // blocks belong to no rank and are read by none.
-func (e *ESM) readCells(n int) [][]int32 {
+func (e *ESM) readCells(rg *Regridder, n int) [][]int32 {
 	cells := make([][]int32, n)
-	rg := e.Rg
 	for gi, ac := range rg.OcnToAtm {
 		q := e.Ocn.B.Owner(gi)
 		if q < 0 {
@@ -103,25 +120,29 @@ func (e *ESM) readCells(n int) [][]int32 {
 	return cells
 }
 
-// initDistribute builds the coupling plan once at assembly. On one rank the
-// ocean block is the whole grid, so the ghost ids are the regridder's own
-// maps. Decomposed, both GSMaps are derived from rank-independent data, so
-// every rank computes identical maps with no communication; the atmosphere
-// cells this rank packs from are kept as patch-local ids.
-func (e *ESM) initDistribute() error {
-	ds := &distState{}
+// initDistribute builds the coupling plan once at assembly from the
+// regridder rg, which it does not keep. On one rank the ocean block is the
+// whole grid, so the ghost ids and rows are the regridder's own maps.
+// Decomposed, both GSMaps are derived from rank-independent data, so every
+// rank computes identical maps with no communication; the atmosphere cells
+// this rank packs from are kept as patch-local ids.
+func (e *ESM) initDistribute(rg *Regridder) error {
+	ds := &distState{unmapped: len(rg.Unmapped)}
 	e.dst = ds
 	d := e.Atm.Decomp()
-	rg := e.Rg
 	if d == nil {
-		ds.colRef = make([]int32, len(rg.OcnToAtm))
+		nc := e.Atm.Mesh.NCells()
+		ds.colRef, ds.atmOcn = make([]int32, len(rg.OcnToAtm)), make([]int32, nc)
 		for gi, ac := range rg.OcnToAtm {
 			ds.colRef[gi] = int32(ac)
 		}
-		nc := e.Atm.Mesh.NCells()
+		for c, gi := range rg.AtmToOcn {
+			ds.atmOcn[c] = int32(gi)
+		}
+		ds.overlap = rg.AtmOverlapArea
 		ds.tair = make([]float64, nc)
 		if e.remap == RemapCons {
-			ds.consRef = rg.ConsCol
+			ds.consRef, ds.consW, ds.consPtr = rg.ConsCol, rg.ConsW, rg.ConsPtr
 		} else {
 			ds.qair = make([]float64, nc)
 		}
@@ -132,7 +153,7 @@ func (e *ESM) initDistribute() error {
 
 	// Pair k in [off[q], off[q+1]) is (ocean rank q, atmosphere cell
 	// pairCell[k]).
-	cells := e.readCells(n)
+	cells := e.readCells(rg, n)
 	off := make([]int, n+1)
 	for q, cs := range cells {
 		off[q+1] = off[q] + len(cs)
@@ -154,25 +175,38 @@ func (e *ESM) initDistribute() error {
 		ds.srcCell = append(ds.srcCell, int32(d.LocalCell(int(pairCell[k]))))
 	}
 
+	global := e.Atm.Mesh.GlobalCell
+	ds.atmOcn, ds.overlap = make([]int32, len(global)), make([]float64, len(global))
+	for lc, g := range global {
+		ds.atmOcn[lc], ds.overlap[lc] = int32(rg.AtmToOcn[g]), rg.AtmOverlapArea[g]
+	}
+
 	mine := cells[me]
 	ghost := func(cell int32) int32 {
 		i, _ := slices.BinarySearch(mine, cell)
 		return int32(i)
 	}
 	b := e.Ocn.B
+	if e.remap == RemapCons {
+		ds.consPtr = []int32{0}
+	}
 	for lj := 0; lj < b.NJ; lj++ {
 		for li := 0; li < b.NI; li++ {
 			gi := b.GIdx(li, lj)
 			ds.colRef = append(ds.colRef, ghost(int32(rg.OcnToAtm[gi])))
 			if e.remap == RemapCons {
-				for _, cell := range rg.ConsCol[rg.ConsPtr[gi]:rg.ConsPtr[gi+1]] {
+				lo, hi := rg.ConsPtr[gi], rg.ConsPtr[gi+1]
+				for _, cell := range rg.ConsCol[lo:hi] {
 					ds.consRef = append(ds.consRef, ghost(cell))
 				}
+				ds.consW = append(ds.consW, rg.ConsW[lo:hi]...)
+				ds.consPtr = append(ds.consPtr, int32(len(ds.consRef)))
 			}
 		}
 	}
 	// Held for the run: shed the spare capacity append growth left.
 	ds.colRef, ds.consRef = slices.Clone(ds.colRef), slices.Clone(ds.consRef)
+	ds.consW, ds.consPtr = slices.Clone(ds.consW), slices.Clone(ds.consPtr)
 
 	if ds.iceSrc, ds.iceDst, err = ds.vectors(iceFields); err != nil {
 		return err
@@ -286,7 +320,7 @@ func (e *ESM) importNearest() {
 	b := o.B
 	for lj := 0; lj < b.NJ; lj++ {
 		for li := 0; li < b.NI; li++ {
-			if !o.G.Mask[b.GIdx(li, lj)] {
+			if !o.Wet(li, lj) {
 				continue
 			}
 			p := e.dst.colRef[lj*b.NI+li] // colRef is in block order
@@ -302,21 +336,19 @@ func (e *ESM) importNearest() {
 // ice→ocean freeze heat is a local same-grid term added after the remap.
 func (e *ESM) importConservative() {
 	taux, tauy, qnet, emp := e.consGhosts()
+	ds := e.dst
 	o := e.Ocn
 	b := o.B
-	rg := e.Rg
 	h0 := firstLayerDepth(o)
-	pos := 0 // consRef is the owned rows' entries in block order
 	for lj := 0; lj < b.NJ; lj++ {
 		for li := 0; li < b.NI; li++ {
-			idx := b.LIdx(li, lj)
-			gi := b.GIdx(li, lj)
-			lo, hi := rg.ConsPtr[gi], rg.ConsPtr[gi+1]
-			w, ref := rg.ConsW[lo:hi], e.dst.consRef[pos:pos+int(hi-lo)]
-			pos += int(hi - lo)
-			if !o.G.Mask[gi] {
+			if !o.Wet(li, lj) {
 				continue
 			}
+			idx := b.LIdx(li, lj)
+			k := lj*b.NI + li // the owned rows are in block order
+			lo, hi := ds.consPtr[k], ds.consPtr[k+1]
+			w, ref := ds.consW[lo:hi], ds.consRef[lo:hi]
 			o.TauX[idx] = consRow(w, ref, taux)
 			o.TauY[idx] = consRow(w, ref, tauy)
 			o.QHeat[idx] = consRow(w, ref, qnet) + e.Ice.FreezeHeat[idx]

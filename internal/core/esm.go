@@ -36,7 +36,6 @@ type ESM struct {
 	Ocn *ocean.Ocean
 	Ice *seaice.Model
 	Lnd *land.Model
-	Rg  *Regridder
 
 	Clock *coupler.Clock
 
@@ -75,8 +74,8 @@ type ESM struct {
 	// buffer here (u10, v10, radLand, af) is laid out like the atmosphere's
 	// own arrays: over its patch, in local ids, when decomposed.
 	dst       *distState
-	stepSlots []int
-	ownSlots  []int
+	stepSlots landSlots
+	ownSlots  landSlots
 	u10, v10  []float64
 
 	// radLand marks the cells landStep forces on this rank — the readers of
@@ -183,7 +182,6 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 	e := &ESM{
 		Cfg: cfg, Comm: c,
 		Atm: atm, Ocn: ocn, Ice: ice, Lnd: lnd,
-		Rg:       NewRegridder(atm.Mesh, g),
 		Clock:    clk,
 		obs:      ob,
 		schedule: opt.schedule,
@@ -194,10 +192,13 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 	// Route the unmapped atmosphere cells — non-land cells whose spiral
 	// search found no wet ocean column — to the land model so their surface
 	// exchange is never silently dropped: the land model adopts them and the
-	// atmosphere treats them as land columns.
-	if len(e.Rg.Unmapped) > 0 {
-		lnd.Adopt(atm.Mesh, e.Rg.Unmapped)
-		for _, cell := range e.Rg.Unmapped {
+	// atmosphere treats them as land columns. The regridder covers both
+	// whole grids: initDistribute copies out what this rank reads of it,
+	// and it is dropped with assembly.
+	rg := NewRegridder(atm.Mesh, g)
+	if len(rg.Unmapped) > 0 {
+		lnd.Adopt(atm.Mesh, rg.Unmapped)
+		for _, cell := range rg.Unmapped {
 			atm.IsLand[cell] = true
 		}
 	}
@@ -220,11 +221,11 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 		// Columns stepped (ext) against columns owned: the redundancy the
 		// partition costs this rank, on the record from assembly on.
 		ob.SetGauge("atm.decomp.owned", float64(d.NOwned()))
-		ob.SetGauge("atm.decomp.ext", float64(len(d.ExtCells)))
-		e.stepSlots = lnd.Slots(d.InExt)
-		e.ownSlots = lnd.Slots(func(cell int) bool { return d.Owner(cell) == c.Rank() })
+		ob.SetGauge("atm.decomp.ext", float64(d.Patch.NCells()))
+		e.stepSlots = newLandSlots(lnd, d, d.InExt)
+		e.ownSlots = newLandSlots(lnd, d, func(cell int) bool { return d.Owner(cell) == c.Rank() })
 	}
-	if err := e.initDistribute(); err != nil {
+	if err := e.initDistribute(rg); err != nil {
 		return nil, err
 	}
 
@@ -376,21 +377,37 @@ func (e *ESM) forLandStepped(fn func(c, lc int)) {
 	e.forLand(e.stepSlots, func(_, c, lc int) { fn(c, lc) })
 }
 
+// landSlots lists the land columns a decomposed rank visits: their slots,
+// ascending, and each slot's atmosphere cell's local id, looked up once at
+// assembly.
+type landSlots struct {
+	slot  []int
+	local []int32
+}
+
+// newLandSlots lists the land slots whose cells satisfy pred.
+func newLandSlots(lnd *land.Model, d *grid.IcosDecomp, pred func(cell int) bool) landSlots {
+	ls := landSlots{slot: lnd.Slots(pred)}
+	ls.local = make([]int32, len(ls.slot))
+	for i, slot := range ls.slot {
+		ls.local[i] = int32(d.LocalCell(lnd.Cells[slot]))
+	}
+	return ls
+}
+
 // forLand visits the land columns of slots (stepSlots or ownSlots) — every
 // land column on one rank, where nothing is decomposed — with each slot,
 // its cell's global id c (the land model's) and its local id lc (the
 // atmosphere's).
-func (e *ESM) forLand(slots []int, fn func(slot, c, lc int)) {
-	d := e.Atm.Decomp()
-	if d == nil {
+func (e *ESM) forLand(slots landSlots, fn func(slot, c, lc int)) {
+	if e.Atm.Decomp() == nil {
 		for slot, c := range e.Lnd.Cells {
 			fn(slot, c, c)
 		}
 		return
 	}
-	for _, slot := range slots {
-		c := e.Lnd.Cells[slot]
-		fn(slot, c, d.LocalCell(c))
+	for i, slot := range slots.slot {
+		fn(slot, e.Lnd.Cells[slot], int(slots.local[i]))
 	}
 }
 
@@ -498,13 +515,13 @@ func (e *ESM) computeAtmFluxes() {
 	e.forAtmOwned(e.atmFluxCell)
 }
 
-// atmFluxCell fills the flux parts of the atmosphere cell with global id g
-// and local id c (see computeAtmFluxes).
-func (e *ESM) atmFluxCell(g, c int) {
+// atmFluxCell fills the flux parts of the atmosphere cell with local id c
+// (see computeAtmFluxes).
+func (e *ESM) atmFluxCell(_, c int) {
 	a := e.Atm
 	u10, v10 := e.u10, e.v10
 	f := e.af
-	if a.IsLand[c] || e.Rg.AtmOverlapArea[g] == 0 {
+	if a.IsLand[c] || e.dst.overlap[c] == 0 {
 		f.sw[c], f.lw[c], f.sens[c], f.lat[c], f.qnet[c] = 0, 0, 0, 0, 0
 		f.emp[c], f.taux[c], f.tauy[c] = 0, 0, 0
 		return
@@ -542,7 +559,7 @@ func (e *ESM) auditRecord() {
 	f := e.af
 	iv := budget.Interval{
 		Seconds:       86400 / float64(e.Cfg.OcnCouplingsPerDay),
-		UnmappedCells: len(e.Rg.Unmapped),
+		UnmappedCells: e.dst.unmapped,
 	}
 	// Ocean-side: undo the freshwater flux scaling to recover the delivered
 	// E−P, and split the same-grid ice→ocean heat out of QHeat so the
@@ -551,12 +568,11 @@ func (e *ESM) auditRecord() {
 	var heatIn, fwIn, iceHeat float64
 	for lj := 0; lj < b.NJ; lj++ {
 		for li := 0; li < b.NI; li++ {
-			idx := b.LIdx(li, lj)
-			gi := b.GIdx(li, lj)
-			if !o.G.Mask[gi] {
+			if !o.Wet(li, lj) {
 				continue
 			}
-			area := o.G.Area[gi]
+			idx := b.LIdx(li, lj)
+			area := o.G.CellArea(b.J0 + lj)
 			heatIn += area * (o.QHeat[idx] - e.Ice.FreezeHeat[idx])
 			fwIn += area * o.FWFlux[idx] * empScale
 			iceHeat += area * e.Ice.FreezeHeat[idx]
@@ -565,12 +581,12 @@ func (e *ESM) auditRecord() {
 	// Atmosphere-side partials over this rank's owned cells (the owned cells
 	// partition the mesh, so the sum over ranks reproduces the one-rank
 	// integrals up to summation order), batched with the ocean-side terms
-	// into one 16-term reduction. The flux parts and the cell areas are the
-	// patch's (local ids), the overlap areas global.
+	// into one 16-term reduction. The flux parts, the cell areas and the
+	// overlap areas are the patch's (local ids).
 	const rhoWater = 1000.0
 	var aSW, aLW, aSens, aLat, aCpl, aGross, aFW, aFWGross float64
-	e.forAtmOwned(func(g, c int) {
-		ar := e.Rg.AtmOverlapArea[g]
+	e.forAtmOwned(func(_, c int) {
+		ar := e.dst.overlap[c]
 		if ar == 0 {
 			return
 		}
@@ -647,16 +663,10 @@ func (e *ESM) refreshOceanSurface() {
 // applySurfaceToAtmos maps the global ocean surface onto the atmosphere
 // cells this rank holds.
 func (e *ESM) applySurfaceToAtmos() {
-	global := e.Atm.Mesh.GlobalCell // nil on one rank: local ids are global
-	for c := 0; c < e.Atm.Mesh.NCells(); c++ {
+	for c, oc := range e.dst.atmOcn {
 		if e.Atm.IsLand[c] {
 			continue // land skin temperature is owned by the land model
 		}
-		g := c
-		if global != nil {
-			g = int(global[c])
-		}
-		oc := e.Rg.AtmToOcn[g]
 		if oc < 0 {
 			continue
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/pp"
@@ -52,7 +53,8 @@ func radTrace(t *testing.T, ranks int, sched Schedule, remap RemapMode, steps, r
 		}
 		// Traces are indexed by global cell; the atmosphere's arrays by the
 		// local id the readers pass alongside it.
-		nc := len(e.Rg.AtmToOcn)
+		nc64, _, _ := grid.IcosCounts(e.Atm.Mesh.Level)
+		nc := int(nc64)
 		var tr []float64
 		observe := func(e *ESM, readers func(func(c, lc int))) {
 			obsv := make([]float64, 2*nc)

@@ -60,7 +60,11 @@ const consSub = 4
 // the ocean's tripolar grid, the role MCT's sparse matrix interpolation
 // plays in CPL7: the nearest-neighbour maps in both directions, and the
 // first-order conservative overlap weights used by RemapCons and by the
-// budget ledger's atmosphere-side interface integrals.
+// budget ledger's atmosphere-side interface integrals. Its tables cover
+// both whole grids, so the model does not keep it: assembly builds it,
+// copies the rows of the owned ocean columns and the entries of the
+// patch's atmosphere cells into the coupling plan (initDistribute), and
+// drops it.
 type Regridder struct {
 	// OcnToAtm[i] is the atmosphere cell nearest to global ocean column i.
 	OcnToAtm []int
@@ -101,6 +105,7 @@ func NewRegridder(mesh *grid.IcosMesh, g *grid.Tripolar) *Regridder {
 		AtmOverlapArea: make([]float64, mesh.NCells()),
 	}
 	walk := newCellWalk(mesh)
+	wet := wetMask(g)
 
 	// Query points: each ocean column's consSub×consSub lattice of samples
 	// and its centre (the last offset). FromLonLat is separable, so the
@@ -143,7 +148,7 @@ func NewRegridder(mesh *grid.IcosMesh, g *grid.Tripolar) *Regridder {
 			c = walk.nearest(at(i, consSub, consSub), g.Lat[j], c)
 			r.OcnToAtm[idx] = c
 			cs, row := c, len(r.ConsCol)
-			for t := 0; t < consSub && g.Mask[idx]; t++ {
+			for t := 0; t < consSub && wet[idx]; t++ {
 				for s := 0; s < consSub; s++ {
 					cs = walk.nearest(at(i, s, t), latS[t], cs)
 					h := slices.Index(r.ConsCol[row:], int32(cs))
@@ -155,7 +160,7 @@ func NewRegridder(mesh *grid.IcosMesh, g *grid.Tripolar) *Regridder {
 				}
 			}
 			for p := row; p < len(r.ConsCol); p++ {
-				r.AtmOverlapArea[r.ConsCol[p]] += r.ConsW[p] * g.Area[idx]
+				r.AtmOverlapArea[r.ConsCol[p]] += r.ConsW[p] * g.CellArea(j)
 			}
 			r.ConsPtr[idx+1] = int32(len(r.ConsCol))
 		}
@@ -170,11 +175,11 @@ func NewRegridder(mesh *grid.IcosMesh, g *grid.Tripolar) *Regridder {
 		}
 		i := min(max(int(lon/(2*math.Pi)*float64(g.NX)), 0), g.NX-1)
 		idx := nearestLatRow(g, lat)*g.NX + i
-		if g.Mask[idx] {
+		if wet[idx] {
 			r.AtmToOcn[c] = idx
 			continue
 		}
-		r.AtmToOcn[c] = spiralWet(g, i, idx/g.NX, 6)
+		r.AtmToOcn[c] = spiralWet(g, wet, i, idx/g.NX, 6)
 		if r.AtmToOcn[c] < 0 && !grid.IsLand(lon, lat) {
 			// Non-land cell with no reachable wet column: the driver routes
 			// its surface exchange to the land model instead of dropping it.
@@ -286,10 +291,20 @@ func nearestLatRow(g *grid.Tripolar, lat float64) int {
 	return j
 }
 
-// spiralWet searches outward for the nearest wet column; -1 if none within
-// the ring limit (deep-inland atmosphere cells, served by the land model).
-// Ring r is scanned row by row, south to north, west to east.
-func spiralWet(g *grid.Tripolar, i0, j0, rings int) int {
+// wetMask returns the grid's land mask per column: the regridder probes a
+// column many times over, and the grid itself stores no mask.
+func wetMask(g *grid.Tripolar) []bool {
+	wet := make([]bool, g.NX*g.NY)
+	for gi := range wet {
+		wet[gi] = g.Wet(gi)
+	}
+	return wet
+}
+
+// spiralWet searches outward for the nearest wet column of the mask wet; -1
+// if none within the ring limit (deep-inland atmosphere cells, served by the
+// land model). Ring r is scanned row by row, south to north, west to east.
+func spiralWet(g *grid.Tripolar, wet []bool, i0, j0, rings int) int {
 	for r := 1; r <= rings; r++ {
 		for dj := -r; dj <= r; dj++ {
 			j := j0 + dj
@@ -302,7 +317,7 @@ func spiralWet(g *grid.Tripolar, i0, j0, rings int) int {
 			}
 			for di := -r; di <= r; di += step {
 				i := ((i0+di)%g.NX + g.NX) % g.NX
-				if g.Mask[j*g.NX+i] {
+				if wet[j*g.NX+i] {
 					return j*g.NX + i
 				}
 			}

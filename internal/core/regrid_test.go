@@ -27,6 +27,21 @@ func TestParseRemap(t *testing.T) {
 	}
 }
 
+// regridderFor builds the regridder assembly builds for cfg and drops: the
+// same grids give the same maps.
+func regridderFor(t *testing.T, cfg Config) *Regridder {
+	t.Helper()
+	mesh, err := grid.NewIcosMesh(cfg.AtmLevel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := grid.NewTripolar(cfg.OcnNX, cfg.OcnNY, cfg.OcnNLev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewRegridder(mesh, g)
+}
+
 // bucketScan is the nearest-cell query NewRegridder made before the
 // Delaunay walk: a scan of 64 latitude buckets outward from the query's for
 // the largest dot product, O(√cells) per query with a math.Cos per ring,
@@ -121,7 +136,7 @@ func bucketRegridder(mesh *grid.IcosMesh, g *grid.Tripolar) *Regridder {
 	for j := 0; j < g.NY; j++ {
 		for i := 0; i < g.NX; i++ {
 			idx := j*g.NX + i
-			if !g.Mask[idx] {
+			if !g.Wet(idx) {
 				r.ConsPtr[idx+1] = r.ConsPtr[idx]
 				continue
 			}
@@ -150,7 +165,7 @@ func bucketRegridder(mesh *grid.IcosMesh, g *grid.Tripolar) *Regridder {
 				w := float64(hitCounts[h]) / (consSub * consSub)
 				r.ConsCol = append(r.ConsCol, int32(hitCells[h]))
 				r.ConsW = append(r.ConsW, w)
-				r.AtmOverlapArea[hitCells[h]] += w * g.Area[idx]
+				r.AtmOverlapArea[hitCells[h]] += w * g.CellArea(j)
 			}
 			r.ConsPtr[idx+1] = r.ConsPtr[idx] + int32(nHit)
 		}
@@ -158,6 +173,7 @@ func bucketRegridder(mesh *grid.IcosMesh, g *grid.Tripolar) *Regridder {
 
 	// Atmosphere cells → nearest wet ocean column (grid-aligned lookup with
 	// a spiral search for coastal cells whose nearest column is land).
+	wet := wetMask(g)
 	for c := 0; c < mesh.NCells(); c++ {
 		lon, lat := mesh.LonCell[c], mesh.LatCell[c]
 		if lon < 0 {
@@ -167,11 +183,11 @@ func bucketRegridder(mesh *grid.IcosMesh, g *grid.Tripolar) *Regridder {
 		i = min(max(i, 0), g.NX-1)
 		j := scanLatRow(g, lat)
 		idx := j*g.NX + i
-		if g.Mask[idx] {
+		if wet[idx] {
 			r.AtmToOcn[c] = idx
 			continue
 		}
-		r.AtmToOcn[c] = spiralWet(g, i, j, 6)
+		r.AtmToOcn[c] = spiralWet(g, wet, i, j, 6)
 		if r.AtmToOcn[c] < 0 && !grid.IsLand(lon, lat) {
 			// Non-land cell with no reachable wet column: the driver routes
 			// its surface exchange to the land model instead of dropping it.
@@ -386,7 +402,7 @@ func TestConsWeightsNormalized(t *testing.T) {
 	mesh, _ := grid.NewIcosMesh(3)
 	g, _ := grid.NewTripolar(48, 24, 5)
 	r := NewRegridder(mesh, g)
-	for idx := range g.Mask {
+	for idx := range g.NX * g.NY {
 		var sum float64
 		for p := r.ConsPtr[idx]; p < r.ConsPtr[idx+1]; p++ {
 			if r.ConsW[p] <= 0 || r.ConsW[p] > 1 {
@@ -394,7 +410,7 @@ func TestConsWeightsNormalized(t *testing.T) {
 			}
 			sum += r.ConsW[p]
 		}
-		if g.Mask[idx] {
+		if g.Wet(idx) {
 			if sum != 1.0 {
 				t.Fatalf("wet column %d: weights sum to %.17g, want exactly 1", idx, sum)
 			}
@@ -419,13 +435,14 @@ func TestConsConservationIdentity(t *testing.T) {
 		q[c] = 250*math.Sin(3*mesh.LonCell[c])*math.Cos(2*mesh.LatCell[c]) - 40
 	}
 	var ocnInt, atmInt, gross, wetArea, overlapArea float64
-	for idx := range g.Mask {
-		if !g.Mask[idx] {
+	for idx := range g.NX * g.NY {
+		if !g.Wet(idx) {
 			continue
 		}
 		lo, hi := r.ConsPtr[idx], r.ConsPtr[idx+1]
-		ocnInt += g.Area[idx] * consRow(r.ConsW[lo:hi], r.ConsCol[lo:hi], q)
-		wetArea += g.Area[idx]
+		area := g.CellArea(idx / g.NX)
+		ocnInt += area * consRow(r.ConsW[lo:hi], r.ConsCol[lo:hi], q)
+		wetArea += area
 	}
 	for c, ar := range r.AtmOverlapArea {
 		atmInt += ar * q[c]
@@ -507,7 +524,7 @@ func TestUnmappedDetectsInlandCells(t *testing.T) {
 				continue
 			}
 			i := ((i0+di)%g.NX + g.NX) % g.NX
-			g.Mask[j*g.NX+i] = false
+			g.SetLand(j*g.NX + i)
 		}
 	}
 	r := NewRegridder(mesh, g)

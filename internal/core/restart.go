@@ -269,7 +269,7 @@ func newRestartLayout(e *ESM) (*restartLayout, error) {
 	cells, edges, slots := [][2]int{{0, nc}}, [][2]int{{0, ne}}, [][2]int{{0, nslot}}
 	var cellsAt, edgesAt []int
 	if d := m.Decomp(); d != nil {
-		cells, edges, slots = d.OwnedRanges(), grid.Runs(d.OwnEdges), grid.Runs(e.ownSlots)
+		cells, edges, slots = d.OwnedRanges(), grid.Runs(d.OwnEdges()), grid.Runs(e.ownSlots.slot)
 		// The atmosphere holds its patch: a run of consecutive owned global
 		// ids is a run of consecutive local ids, starting at its first id's.
 		for _, r := range cells {

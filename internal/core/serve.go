@@ -42,9 +42,8 @@ func (e *ESM) CaptureServeSnapshot() (snap statestore.Snapshot, ok bool) {
 		// fields keeps the store schema fixed; before the first audited
 		// interval both residuals are simply zero.
 		var heat, fw float64
-		if ivs := l.Intervals(); len(ivs) > 0 {
-			heat = ivs[len(ivs)-1].HeatResid()
-			fw = ivs[len(ivs)-1].FWResid()
+		if iv, ok := l.Last(); ok {
+			heat, fw = iv.HeatResid(), iv.FWResid()
 		}
 		snap.Fields = append(snap.Fields,
 			statestore.Field{Name: statestore.HeatResidField, Data: []float64{heat}},

@@ -95,10 +95,13 @@ type icosMeshView struct {
 
 func icosMeshViewOf(m *IcosMesh) icosMeshView {
 	v := icosMeshView{
-		m.Level, m.CellCenter, m.VertexPos, m.EdgeMidpoint,
+		m.Level, m.CellCenter, make([]Vec3, m.NVertices()), m.EdgeMidpoint,
 		m.AreaCell, m.AreaDual, m.Dc, m.Dv, m.LatCell, m.LonCell,
 		m.CellsOnEdge, m.VerticesOnEdge, nil, nil, nil,
 		m.EdgesOnVertex, m.EdgeSignOnVtx, m.CellsOnVertex,
+	}
+	for vx := range v.VertexPos {
+		v.VertexPos[vx] = m.VertexPos(vx)
 	}
 	for c := range m.NCells() {
 		v.EdgesOnCell = append(v.EdgesOnCell, m.EdgesOnCell(c))
@@ -120,14 +123,15 @@ type icosView struct {
 }
 
 // icosViewOf reads the patch-local halo plans back through the patch's
-// global maps, so the view holds global ids only.
-func icosViewOf(d *IcosDecomp) icosView {
-	inExt := func(local []int32) []bool {
-		in := make([]bool, len(local))
-		for g, l := range local {
-			in[g] = l >= 0
+// global maps, so the view holds global ids only; the derived sets and the
+// membership tables of the mesh m's cells and edges come from the methods.
+func icosViewOf(d *IcosDecomp, m *IcosMesh) icosView {
+	inExt := func(n int, in func(int) bool) []bool {
+		out := make([]bool, n)
+		for g := range out {
+			out[g] = in(g)
 		}
-		return in
+		return out
 	}
 	global := func(lists [][]int, ids []int32) [][]int {
 		out := make([][]int, len(lists))
@@ -140,12 +144,38 @@ func icosViewOf(d *IcosDecomp) icosView {
 	}
 	p := d.Patch
 	return icosView{
-		d.owner, d.Owned, d.ExtCells, d.HaloCells, d.CompEdges, d.ExtEdges, d.RecvEdges, d.CompVerts, d.OwnEdges,
-		inExt(d.localCell), inExt(d.localEdge), d.Peers,
+		d.owner, d.Owned, extCells(d), haloCells(d), compEdges(d), extEdges(d), recvEdges(d), compVerts(d), d.OwnEdges(),
+		inExt(m.NCells(), d.InExt), inExt(m.NEdges(), d.InExtEdge), d.Peers,
 		global(d.cells.route[0].send, p.GlobalCell), global(d.cells.route[0].recv, p.GlobalCell),
 		global(d.edges.route[0].send, p.GlobalEdge), global(d.edges.route[0].recv, p.GlobalEdge),
 		d.ownedRanges,
 	}
+}
+
+// tripolarGridView is what TestTripolarGolden pins of the ocean grid: its
+// fields in the order the hashes were recorded in, with the per-column
+// areas and bathymetry the grid once stored read back through CellArea and
+// Column.
+type tripolarGridView struct {
+	NX, NY, NLevel int
+	Lon, Lat, DX   []float64
+	DY             float64
+	Area           []float64
+	Mask           []bool
+	Depth          []float64
+	KMT            []int
+	LevelDepth     []float64
+}
+
+func tripolarGridViewOf(g *Tripolar) tripolarGridView {
+	v := tripolarGridView{NX: g.NX, NY: g.NY, NLevel: g.NLevel, Lon: g.Lon, Lat: g.Lat, DX: g.DX, DY: g.DY, LevelDepth: g.LevelDepth}
+	n := g.NX * g.NY
+	v.Area, v.Mask, v.Depth, v.KMT = make([]float64, n), make([]bool, n), make([]float64, n), make([]int, n)
+	for gi := range n {
+		v.Area[gi] = g.CellArea(gi / g.NX)
+		v.Mask[gi], v.Depth[gi], v.KMT[gi] = g.Column(gi)
+	}
+	return v
 }
 
 // tripolarView is what TestTripolarGolden pins of an ocean decomposition:
@@ -206,7 +236,7 @@ func TestIcosDecompGolden(t *testing.T) {
 			par.Run(ranks, func(c *par.Comm) {
 				d, err := NewIcosDecomp(m, c)
 				if errs[c.Rank()] = err; err == nil {
-					ds[c.Rank()] = icosViewOf(d)
+					ds[c.Rank()] = icosViewOf(d, m)
 				}
 			})
 			if errs[0] != nil {
@@ -235,7 +265,7 @@ func TestTripolarGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := []string{goldenOf(g)}
+		got := []string{goldenOf(tripolarGridViewOf(g))}
 		for ranks := 1; ranks <= 4; ranks++ {
 			ds := make([]any, ranks)
 			errs := make([]error, ranks)

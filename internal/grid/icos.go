@@ -26,7 +26,6 @@ type IcosMesh struct {
 
 	// Geometry (unit sphere).
 	CellCenter   []Vec3    // [nCells]
-	VertexPos    []Vec3    // [nVertices] triangle circumcenters
 	EdgeMidpoint []Vec3    // [nEdges]
 	AreaCell     []float64 // [nCells] steradians; sums to 4π
 	AreaDual     []float64 // [nVertices] spherical triangle areas; sums to 4π
@@ -62,7 +61,16 @@ func (m *IcosMesh) NCells() int { return len(m.CellCenter) }
 func (m *IcosMesh) NEdges() int { return len(m.CellsOnEdge) }
 
 // NVertices returns the number of dual (triangle) nodes.
-func (m *IcosMesh) NVertices() int { return len(m.VertexPos) }
+func (m *IcosMesh) NVertices() int { return len(m.CellsOnVertex) }
+
+// VertexPos returns dual node v's position, the circumcenter of its dual
+// triangle's corner cells — computed, not stored: nothing after assembly
+// reads it in a loop. On a patch every vertex's corner cells are in the
+// patch (the CompVerts closure), so it works there too.
+func (m *IcosMesh) VertexPos(v int) Vec3 {
+	cv := m.CellsOnVertex[v]
+	return Circumcenter(m.CellCenter[cv[0]], m.CellCenter[cv[1]], m.CellCenter[cv[2]])
+}
 
 // Slots returns cell c's range [lo, hi) of the per-slot arrays.
 func (m *IcosMesh) Slots(c int) (lo, hi int) { return int(m.CellStart[c]), int(m.CellStart[c+1]) }
@@ -196,19 +204,20 @@ func assemble(level int, nodes []Vec3, tris [][3]int) *IcosMesh {
 	m := &IcosMesh{
 		Level:      level,
 		CellCenter: nodes,
-		VertexPos:  make([]Vec3, nVerts),
 		AreaDual:   make([]float64, nVerts),
 		AreaCell:   make([]float64, nCells),
 		LatCell:    make([]float64, nCells),
 		LonCell:    make([]float64, nCells),
 	}
 
-	// Dual nodes: triangle circumcenters and areas. Cell areas by the
-	// barycentric split (one third of each incident triangle), which
-	// conserves total sphere area exactly.
+	// Dual nodes: triangle circumcenters (held while the mesh is built,
+	// then left to VertexPos) and areas. Cell areas by the barycentric split
+	// (one third of each incident triangle), which conserves total sphere
+	// area exactly.
+	vertexPos := make([]Vec3, nVerts)
 	for t, tri := range tris {
 		a, b, c := nodes[tri[0]], nodes[tri[1]], nodes[tri[2]]
-		m.VertexPos[t] = Circumcenter(a, b, c)
+		vertexPos[t] = Circumcenter(a, b, c)
 		area := SphericalTriangleArea(a, b, c)
 		m.AreaDual[t] = area
 		for _, n := range tri {
@@ -249,7 +258,7 @@ func assemble(level int, nodes []Vec3, tris [][3]int) *IcosMesh {
 		// Orient (v1, v2) so that v1→v2 is 90° counterclockwise from c1→c2
 		// (the standard C-grid convention: positive normal from c1 to c2).
 		nrm := nodes[c2].Sub(nodes[c1])
-		tan := m.VertexPos[t2].Sub(m.VertexPos[t1])
+		tan := vertexPos[t2].Sub(vertexPos[t1])
 		mid := nodes[c1].Add(nodes[c2]).Normalize()
 		if mid.Cross(nrm).Dot(tan) < 0 {
 			t1, t2 = t2, t1
@@ -257,7 +266,7 @@ func assemble(level int, nodes []Vec3, tris [][3]int) *IcosMesh {
 		m.VerticesOnEdge[e] = [2]int32{int32(t1), int32(t2)}
 		m.EdgeMidpoint[e] = mid
 		m.Dc[e] = GreatCircleDist(nodes[c1], nodes[c2])
-		m.Dv[e] = GreatCircleDist(m.VertexPos[t1], m.VertexPos[t2])
+		m.Dv[e] = GreatCircleDist(vertexPos[t1], vertexPos[t2])
 	}
 
 	// Cell -> edges with outward signs, and neighbouring cells: the edges
@@ -293,7 +302,7 @@ func assemble(level int, nodes []Vec3, tris [][3]int) *IcosMesh {
 	for e, ce := range cellsOnEdge {
 		dir := nodes[ce[1]].Sub(nodes[ce[0]])
 		for _, v := range m.VerticesOnEdge[e] {
-			p := m.VertexPos[v]
+			p := vertexPos[v]
 			ccw := p.Cross(m.EdgeMidpoint[e].Sub(p))
 			sign := int8(+1)
 			if dir.Dot(ccw) < 0 {
@@ -323,7 +332,6 @@ func (m *IcosMesh) restrict(cells, edges, verts []int, lc, le []int32) *IcosMesh
 	p := &IcosMesh{
 		Level:         m.Level,
 		CellCenter:    PatchColumns(m.CellCenter, gc, 1),
-		VertexPos:     PatchColumns(m.VertexPos, gv, 1),
 		EdgeMidpoint:  PatchColumns(m.EdgeMidpoint, ge, 1),
 		AreaCell:      PatchColumns(m.AreaCell, gc, 1),
 		AreaDual:      PatchColumns(m.AreaDual, gv, 1),

@@ -321,8 +321,8 @@ func TestMeshGeometryPositive(t *testing.T) {
 		}
 	}
 	// Unit-vector invariants.
-	for _, p := range m.VertexPos {
-		if math.Abs(p.Norm()-1) > 1e-12 {
+	for v := range m.NVertices() {
+		if math.Abs(m.VertexPos(v).Norm()-1) > 1e-12 {
 			t.Fatal("vertex not on unit sphere")
 		}
 	}
@@ -459,7 +459,7 @@ func TestIcosMeshIsDelaunay(t *testing.T) {
 				if opp < 0 {
 					t.Fatalf("level %d edge %d: no opposite corner", level, e)
 				}
-				cc := m.VertexPos[v]
+				cc := m.VertexPos(int(v))
 				r := cc.Dot(m.CellCenter[ce[0]]) // the circumcircle's cos-radius
 				margin = min(margin, r-cc.Dot(m.CellCenter[opp]))
 			}

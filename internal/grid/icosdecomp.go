@@ -3,6 +3,7 @@ package grid
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/par"
@@ -28,12 +29,16 @@ import (
 // reduction order and every halo message layout of the global numbering,
 // and a run of consecutive owned global ids is a run of consecutive local
 // ids. The halo plans and the two sweep lists OwnedLocal and CompEdgesLocal
-// are in local ids; the set lists below stay in global ids. The
-// decomposition keeps no reference to the global mesh, only O(nCells) and
-// O(nEdges) int32 tables: the owner of every cell and the local id of every
-// cell and edge.
+// are in local ids. The decomposition keeps no reference to the global
+// mesh, and of global size only the owner table, which Gather and Owner
+// read. The sets below are no stored lists: ExtCells, ExtEdges and CompVerts
+// are the patch's own cells, edges and vertices, CompEdges and RecvEdges
+// split the patch's edges by CompEdgesLocal, HaloCells are the patch cells
+// the owner table gives to another rank, and OwnEdges derives the restart
+// partition on demand. LocalCell/LocalEdge are binary searches over the
+// patch's ascending global ids (set-up and restart read them, no step does).
 //
-// The stencil closure of the dycore fixes the derived sets:
+// The stencil closure of the dycore fixes the patch:
 //
 //   - ExtCells: owned cells plus the first ring of neighbours (HaloCells) —
 //     where cell-centred diagnostics (tv, phi, ke, div, θ) and the
@@ -63,21 +68,10 @@ type IcosDecomp struct {
 	owner []int32 // [nCells] owning rank, identical on every rank
 	Owned []int   // this rank's owned cells, ascending
 
-	ExtCells  []int // owned ∪ ring-1 halo, ascending
-	HaloCells []int // ring-1 halo only, ascending
-	CompEdges []int // edges with ≥1 owned endpoint, ascending
-	ExtEdges  []int // edges of ExtCells, ascending
-	RecvEdges []int // ExtEdges \ CompEdges, ascending
-	CompVerts []int // vertices of CompEdges, ascending
-	OwnEdges  []int // edges with owned first cell, ascending
-
 	// The sweep sets that are not the whole patch, in local ids: owned
 	// cells and computed edges, ascending.
 	OwnedLocal     []int
 	CompEdgesLocal []int
-
-	localCell []int32 // [nCells] local id of each global cell, −1 outside the patch
-	localEdge []int32 // [nEdges] local id of each global edge, −1 outside the patch
 
 	// Symmetrized peer set (ascending): the union of every rank this rank
 	// exchanges cells or edges with in either direction. Both plans run over
@@ -152,11 +146,12 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 			}
 		}
 	}
-	d.HaloCells = halo
-	d.ExtCells = mergeSorted(d.Owned, d.HaloCells)
+	extCells := mergeSorted(d.Owned, halo)
 
+	// The edge sets, ascending: computed edges (an owned endpoint),
+	// extended edges (an edge of an extended cell) and the vertices of the
+	// computed edges.
 	ne := mesh.NEdges()
-	// Edge sets for this rank.
 	inComp := make([]bool, ne)
 	for _, c := range d.Owned {
 		for _, e := range mesh.EdgesOnCell(c) {
@@ -164,33 +159,27 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 		}
 	}
 	inExt := make([]bool, ne)
-	for _, c := range d.ExtCells {
+	for _, c := range extCells {
 		for _, e := range mesh.EdgesOnCell(c) {
 			inExt[e] = true
 		}
 	}
+	var compEdges, extEdges []int
+	inCompVert := make([]bool, mesh.NVertices())
 	for e := 0; e < ne; e++ {
 		if inComp[e] {
-			d.CompEdges = append(d.CompEdges, e)
+			compEdges = append(compEdges, e)
+			inCompVert[mesh.VerticesOnEdge[e][0]] = true
+			inCompVert[mesh.VerticesOnEdge[e][1]] = true
 		}
 		if inExt[e] {
-			d.ExtEdges = append(d.ExtEdges, e)
-			if !inComp[e] {
-				d.RecvEdges = append(d.RecvEdges, e)
-			}
-		}
-		if owner(int(mesh.CellsOnEdge[e][0])) == rank {
-			d.OwnEdges = append(d.OwnEdges, e)
+			extEdges = append(extEdges, e)
 		}
 	}
-	inCompVert := make([]bool, mesh.NVertices())
-	for _, e := range d.CompEdges {
-		inCompVert[mesh.VerticesOnEdge[e][0]] = true
-		inCompVert[mesh.VerticesOnEdge[e][1]] = true
-	}
-	for v := range inCompVert {
-		if inCompVert[v] {
-			d.CompVerts = append(d.CompVerts, v)
+	var compVerts []int
+	for v, in := range inCompVert {
+		if in {
+			compVerts = append(compVerts, v)
 		}
 	}
 
@@ -223,14 +212,15 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 	}
 
 	// The patch, and every list the model sweeps or exchanges in its local
-	// ids: ascending global lists stay ascending.
-	d.localCell, d.localEdge = localIDs(d.ExtCells, nc), localIDs(d.ExtEdges, ne)
-	d.Patch = mesh.restrict(d.ExtCells, d.ExtEdges, d.CompVerts, d.localCell, d.localEdge)
-	d.OwnedLocal = localized(d.Owned, d.localCell)
-	d.CompEdgesLocal = localized(d.CompEdges, d.localEdge)
+	// ids: ascending global lists stay ascending. The global-size local-id
+	// tables live only while the patch is cut out.
+	localCell, localEdge := localIDs(extCells, nc), localIDs(extEdges, ne)
+	d.Patch = mesh.restrict(extCells, extEdges, compVerts, localCell, localEdge)
+	d.OwnedLocal = localized(d.Owned, localCell)
+	d.CompEdgesLocal = localized(compEdges, localEdge)
 	for r := range cells.sendTo {
-		cells.sendTo[r], cells.recvFrom[r] = localized(cells.sendTo[r], d.localCell), localized(cells.recvFrom[r], d.localCell)
-		edges.sendTo[r], edges.recvFrom[r] = localized(edges.sendTo[r], d.localEdge), localized(edges.recvFrom[r], d.localEdge)
+		cells.sendTo[r], cells.recvFrom[r] = localized(cells.sendTo[r], localCell), localized(cells.recvFrom[r], localCell)
+		edges.sendTo[r], edges.recvFrom[r] = localized(edges.sendTo[r], localEdge), localized(edges.recvFrom[r], localEdge)
 	}
 
 	// Cells are symmetric by adjacency, edges need the union with the cells.
@@ -281,18 +271,39 @@ func (d *IcosDecomp) Gather(f []float64) []float64 {
 // Owner returns the rank owning cell c.
 func (d *IcosDecomp) Owner(c int) int { return int(d.owner[c]) }
 
+// OwnEdges returns the edges whose first cell is owned, ascending: the
+// edges this rank writes to a restart.
+func (d *IcosDecomp) OwnEdges() []int {
+	var out []int
+	p := d.Patch
+	for le, e := range p.GlobalEdge {
+		if c := p.CellsOnEdge[le][0]; c >= 0 && d.Owner(int(p.GlobalCell[c])) == d.comm.Rank() {
+			out = append(out, int(e))
+		}
+	}
+	return out
+}
+
 // InExt reports whether cell c is in this rank's extended (owned + halo)
 // region.
-func (d *IcosDecomp) InExt(c int) bool { return d.localCell[c] >= 0 }
+func (d *IcosDecomp) InExt(c int) bool { return d.LocalCell(c) >= 0 }
 
 // InExtEdge reports whether edge e is in this rank's extended edge set.
-func (d *IcosDecomp) InExtEdge(e int) bool { return d.localEdge[e] >= 0 }
+func (d *IcosDecomp) InExtEdge(e int) bool { return d.LocalEdge(e) >= 0 }
 
 // LocalCell returns global cell c's id in the patch, or −1 outside it.
-func (d *IcosDecomp) LocalCell(c int) int { return int(d.localCell[c]) }
+func (d *IcosDecomp) LocalCell(c int) int { return localOf(d.Patch.GlobalCell, c) }
 
 // LocalEdge returns global edge e's id in the patch, or −1 outside it.
-func (d *IcosDecomp) LocalEdge(e int) int { return int(d.localEdge[e]) }
+func (d *IcosDecomp) LocalEdge(e int) int { return localOf(d.Patch.GlobalEdge, e) }
+
+// localOf returns the place of global id g in the ascending list ids, or −1.
+func localOf(ids []int32, g int) int {
+	if i, ok := slices.BinarySearch(ids, int32(g)); ok {
+		return i
+	}
+	return -1
+}
 
 // NOwned returns the number of owned cells.
 func (d *IcosDecomp) NOwned() int { return len(d.Owned) }

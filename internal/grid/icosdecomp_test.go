@@ -18,6 +18,61 @@ func icosMesh(t testing.TB, level int) *IcosMesh {
 	return m
 }
 
+// The global-id sets of IcosDecomp's doc comment, derived from the patch,
+// the sweep lists and the owner table; each is ascending. The decomposition
+// stores none of them.
+
+// extCells is the owned cells plus the ring-1 halo: the patch's cells.
+func extCells(d *IcosDecomp) []int { return ints(d.Patch.GlobalCell) }
+
+// haloCells is the ring-1 halo only.
+func haloCells(d *IcosDecomp) []int {
+	var out []int
+	for _, c := range d.Patch.GlobalCell {
+		if d.Owner(int(c)) != d.comm.Rank() {
+			out = append(out, int(c))
+		}
+	}
+	return out
+}
+
+// extEdges is the edges of the extended cells: the patch's edges.
+func extEdges(d *IcosDecomp) []int { return ints(d.Patch.GlobalEdge) }
+
+// compEdges is the edges with at least one owned endpoint.
+func compEdges(d *IcosDecomp) []int {
+	out := make([]int, len(d.CompEdgesLocal))
+	for i, le := range d.CompEdgesLocal {
+		out[i] = int(d.Patch.GlobalEdge[le])
+	}
+	return out
+}
+
+// recvEdges is extEdges \ compEdges: the edges this rank receives.
+func recvEdges(d *IcosDecomp) []int {
+	var out []int
+	comp := d.CompEdgesLocal
+	for le, e := range d.Patch.GlobalEdge {
+		if len(comp) > 0 && comp[0] == le {
+			comp = comp[1:]
+			continue
+		}
+		out = append(out, int(e))
+	}
+	return out
+}
+
+// compVerts is the vertices of the computed edges: the patch's vertices.
+func compVerts(d *IcosDecomp) []int { return ints(d.Patch.GlobalVertex) }
+
+func ints(ids []int32) []int {
+	out := make([]int, len(ids))
+	for i, id := range ids {
+		out[i] = int(id)
+	}
+	return out
+}
+
 // decompInvariants checks the structural contract of one rank's
 // decomposition: Owner, Owned, OwnedRanges and InExt describe one ownership,
 // and the derived halo/edge/vertex sets close the dycore's stencils.
@@ -64,13 +119,14 @@ func decompInvariants(t *testing.T, m *IcosMesh, d *IcosDecomp, rank, size int) 
 	}
 	// ExtCells = owned ∪ halo, ascending, halo disjoint from owned, and
 	// InExt is its membership test.
-	for i := 1; i < len(d.ExtCells); i++ {
-		if d.ExtCells[i] <= d.ExtCells[i-1] {
+	ext := extCells(d)
+	for i := 1; i < len(ext); i++ {
+		if ext[i] <= ext[i-1] {
 			t.Fatalf("rank %d: ExtCells not strictly ascending at %d", rank, i)
 		}
 	}
-	if len(d.ExtCells) != d.NOwned()+len(d.HaloCells) {
-		t.Fatalf("rank %d: |ExtCells| %d != owned %d + halo %d", rank, len(d.ExtCells), d.NOwned(), len(d.HaloCells))
+	if len(extCells(d)) != d.NOwned()+len(haloCells(d)) {
+		t.Fatalf("rank %d: |ExtCells| %d != owned %d + halo %d", rank, len(extCells(d)), d.NOwned(), len(haloCells(d)))
 	}
 	nExt := 0
 	for c := 0; c < nc; c++ {
@@ -78,10 +134,10 @@ func decompInvariants(t *testing.T, m *IcosMesh, d *IcosDecomp, rank, size int) 
 			nExt++
 		}
 	}
-	if nExt != len(d.ExtCells) {
-		t.Fatalf("rank %d: InExt holds for %d cells, |ExtCells| = %d", rank, nExt, len(d.ExtCells))
+	if nExt != len(extCells(d)) {
+		t.Fatalf("rank %d: InExt holds for %d cells, |ExtCells| = %d", rank, nExt, len(extCells(d)))
 	}
-	for _, h := range d.HaloCells {
+	for _, h := range haloCells(d) {
 		if owned[h] || !d.InExt(h) {
 			t.Fatalf("rank %d: halo cell %d owned or not InExt", rank, h)
 		}
@@ -107,12 +163,12 @@ func decompInvariants(t *testing.T, m *IcosMesh, d *IcosDecomp, rank, size int) 
 	// CompEdges are exactly the edges with an owned endpoint; RecvEdges are
 	// the extended edges without one; CompVerts' stencils stay inside the
 	// extended sets (the no-vertex-exchange guarantee).
-	for _, e := range d.CompEdges {
+	for _, e := range compEdges(d) {
 		if !owned[m.CellsOnEdge[e][0]] && !owned[m.CellsOnEdge[e][1]] {
 			t.Fatalf("rank %d: CompEdge %d has no owned endpoint", rank, e)
 		}
 	}
-	for _, e := range d.RecvEdges {
+	for _, e := range recvEdges(d) {
 		if owned[m.CellsOnEdge[e][0]] || owned[m.CellsOnEdge[e][1]] {
 			t.Fatalf("rank %d: RecvEdge %d has an owned endpoint", rank, e)
 		}
@@ -125,17 +181,17 @@ func decompInvariants(t *testing.T, m *IcosMesh, d *IcosDecomp, rank, size int) 
 	// ExchangeEdges every patch edge holds a value computed this substep,
 	// which is what lets the dycore advance U in place.
 	comp := make([]bool, m.NEdges())
-	for _, e := range d.CompEdges {
+	for _, e := range compEdges(d) {
 		comp[e] = true
 		if !d.InExtEdge(e) {
 			t.Fatalf("rank %d: CompEdge %d not in ExtEdges", rank, e)
 		}
 	}
-	if len(d.ExtEdges) != len(d.CompEdges)+len(d.RecvEdges) {
+	if len(extEdges(d)) != len(compEdges(d))+len(recvEdges(d)) {
 		t.Fatalf("rank %d: |ExtEdges| %d != |CompEdges| %d + |RecvEdges| %d",
-			rank, len(d.ExtEdges), len(d.CompEdges), len(d.RecvEdges))
+			rank, len(extEdges(d)), len(compEdges(d)), len(recvEdges(d)))
 	}
-	for _, e := range d.RecvEdges {
+	for _, e := range recvEdges(d) {
 		if comp[e] {
 			t.Fatalf("rank %d: edge %d is both computed and received", rank, e)
 		}
@@ -150,7 +206,7 @@ func decompInvariants(t *testing.T, m *IcosMesh, d *IcosDecomp, rank, size int) 
 		if len(rt.dst) != 0 || len(rt.zero) != 0 {
 			t.Fatalf("rank %d: edge route %d copies or zeroes %d/%d points", rank, v, len(rt.dst), len(rt.zero))
 		}
-		for _, e := range d.RecvEdges {
+		for _, e := range recvEdges(d) {
 			if received[e] != 1 {
 				t.Fatalf("rank %d: edge route %d receives RecvEdge %d %d times", rank, v, e, received[e])
 			}
@@ -162,7 +218,7 @@ func decompInvariants(t *testing.T, m *IcosMesh, d *IcosDecomp, rank, size int) 
 			}
 		}
 	}
-	for _, v := range d.CompVerts {
+	for _, v := range compVerts(d) {
 		for _, e := range m.EdgesOnVertex[v] {
 			if !d.InExtEdge(int(e)) {
 				t.Fatalf("rank %d: vertex %d stencil edge %d outside ExtEdges", rank, v, e)
@@ -218,12 +274,12 @@ func TestIcosDecompPartitionProperty(t *testing.T) {
 				for _, c := range d.Owned {
 					timesOwned[c]++
 				}
-				edges += len(d.OwnEdges)
+				edges += len(d.OwnEdges())
 				minOwned = min(minOwned, d.NOwned())
 				maxOwned = max(maxOwned, d.NOwned())
-				if bound := haloBoundA*math.Sqrt(float64(d.NOwned())) + haloBoundB; float64(len(d.HaloCells)) > bound {
+				if bound := haloBoundA*math.Sqrt(float64(d.NOwned())) + haloBoundB; float64(len(haloCells(d))) > bound {
 					t.Errorf("level %d ranks %d rank %d: halo %d cells for %d owned exceeds %.1f — partition not compact",
-						level, ranks, r, len(d.HaloCells), d.NOwned(), bound)
+						level, ranks, r, len(haloCells(d)), d.NOwned(), bound)
 				}
 			}
 			for c, n := range timesOwned {
@@ -344,20 +400,20 @@ func TestIcosExchangeMatchesGlobal(t *testing.T) {
 				for _, cell := range d.Owned {
 					fc[lc(cell)*nlev+k] = cellVal(k, cell)
 				}
-				for _, e := range d.CompEdges {
+				for _, e := range compEdges(d) {
 					fe[le(e)*nlev+k] = edgeVal(k, e)
 				}
 			}
 			d.ExchangeCells(fc, nlev)
 			d.ExchangeEdges(fe, nlev)
 			for k := 0; k < nlev; k++ {
-				for _, cell := range d.ExtCells {
+				for _, cell := range extCells(d) {
 					if got, want := fc[lc(cell)*nlev+k], cellVal(k, cell); got != want {
 						t.Errorf("ranks=%d rank %d: cell %d lev %d = %v, want %v", ranks, c.Rank(), cell, k, got, want)
 						return
 					}
 				}
-				for _, e := range d.ExtEdges {
+				for _, e := range extEdges(d) {
 					if got, want := fe[le(e)*nlev+k], edgeVal(k, e); got != want {
 						t.Errorf("ranks=%d rank %d: edge %d lev %d = %v, want %v", ranks, c.Rank(), e, k, got, want)
 						return
@@ -367,13 +423,13 @@ func TestIcosExchangeMatchesGlobal(t *testing.T) {
 
 			// A level window refreshes that window of every received column
 			// and leaves the other levels alone.
-			for _, e := range d.RecvEdges {
+			for _, e := range recvEdges(d) {
 				for k := 0; k < nlev; k++ {
 					fe[le(e)*nlev+k] = math.NaN()
 				}
 			}
 			d.ExchangeEdgeLevels(fe, nlev, 1, 2)
-			for _, e := range d.RecvEdges {
+			for _, e := range recvEdges(d) {
 				for k := 0; k < nlev; k++ {
 					if got := fe[le(e)*nlev+k]; (k == 1) != (got == edgeVal(k, e)) {
 						t.Errorf("ranks=%d rank %d: after the level-1 window, edge %d lev %d = %v", ranks, c.Rank(), e, k, got)
@@ -483,12 +539,36 @@ func TestIcosPatchIsRestrictedMesh(t *testing.T) {
 // patchInvariants checks one rank's patch against the global mesh m.
 func patchInvariants(m *IcosMesh, d *IcosDecomp) error {
 	p := d.Patch
-	// Local ids ascend in global id and cover exactly the patch's sets.
+	// Local ids ascend in global id and cover exactly the patch's sets, as
+	// the global mesh and the owner table define them: the owned cells and
+	// their neighbours, the edges of those cells, and the vertices of the
+	// edges with an owned endpoint.
+	mine := func(c int32) bool { return d.Owner(int(c)) == d.comm.Rank() }
+	var extCells, extEdges, compVerts []int
+	for c := range m.NCells() {
+		if mine(int32(c)) || slices.ContainsFunc(m.CellsOnCell(c), mine) {
+			extCells = append(extCells, c)
+		}
+	}
+	inExt := func(c int32) bool {
+		_, ok := slices.BinarySearch(extCells, int(c))
+		return ok
+	}
+	for e, ce := range m.CellsOnEdge {
+		if inExt(ce[0]) || inExt(ce[1]) {
+			extEdges = append(extEdges, e)
+		}
+	}
+	for v, ev := range m.EdgesOnVertex {
+		if slices.ContainsFunc(ev[:], func(e int32) bool { return slices.ContainsFunc(m.CellsOnEdge[e][:], mine) }) {
+			compVerts = append(compVerts, v)
+		}
+	}
 	for _, ids := range []struct {
 		name   string
 		global []int32
 		want   []int
-	}{{"cells", p.GlobalCell, d.ExtCells}, {"edges", p.GlobalEdge, d.ExtEdges}, {"vertices", p.GlobalVertex, d.CompVerts}} {
+	}{{"cells", p.GlobalCell, extCells}, {"edges", p.GlobalEdge, extEdges}, {"vertices", p.GlobalVertex, compVerts}} {
 		if len(ids.global) != len(ids.want) {
 			return fmt.Errorf("%d local %s, want %d", len(ids.global), ids.name, len(ids.want))
 		}
@@ -576,7 +656,7 @@ func patchInvariants(m *IcosMesh, d *IcosDecomp) error {
 		local  []int
 		global []int
 		ids    []int32
-	}{{"OwnedLocal", d.OwnedLocal, d.Owned, p.GlobalCell}, {"CompEdgesLocal", d.CompEdgesLocal, d.CompEdges, p.GlobalEdge}} {
+	}{{"OwnedLocal", d.OwnedLocal, d.Owned, p.GlobalCell}, {"CompEdgesLocal", d.CompEdgesLocal, compEdges(d), p.GlobalEdge}} {
 		if len(sw.local) != len(sw.global) {
 			return fmt.Errorf("%s has %d entries, want %d", sw.name, len(sw.local), len(sw.global))
 		}
@@ -636,7 +716,7 @@ func patchInvariants(m *IcosMesh, d *IcosDecomp) error {
 	}
 	for _, err := range []error{
 		vecs("CellCenter", p.CellCenter, m.CellCenter, p.GlobalCell),
-		vecs("VertexPos", p.VertexPos, m.VertexPos, p.GlobalVertex),
+		vecs("VertexPos", vertexPositions(p), vertexPositions(m), p.GlobalVertex),
 		vecs("EdgeMidpoint", p.EdgeMidpoint, m.EdgeMidpoint, p.GlobalEdge),
 		floats("AreaCell", p.AreaCell, m.AreaCell, p.GlobalCell),
 		floats("AreaDual", p.AreaDual, m.AreaDual, p.GlobalVertex),
@@ -653,4 +733,13 @@ func patchInvariants(m *IcosMesh, d *IcosDecomp) error {
 		return fmt.Errorf("patch level %d, mesh level %d", p.Level, m.Level)
 	}
 	return nil
+}
+
+// vertexPositions returns VertexPos of every vertex of m.
+func vertexPositions(m *IcosMesh) []Vec3 {
+	out := make([]Vec3, m.NVertices())
+	for v := range out {
+		out[v] = m.VertexPos(v)
+	}
+	return out
 }

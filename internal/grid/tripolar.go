@@ -15,6 +15,12 @@ import (
 // Cell (i, j) has center longitude Lon[i], latitude Lat[j], i fastest.
 // The analytic land mask produces ≈71 % ocean coverage, matching the
 // motivation for the non-ocean-point exclusion optimization (§5.2.2).
+//
+// The grid stores O(NX+NY) values, never one per column: a cell's area is
+// its row's DX·DY (CellArea), and the land mask, depth and level count of a
+// column come from the separable analytic bathymetry, whose per-column and
+// per-row factors the grid keeps (Column). Every rank builds its own grid,
+// so a per-column table here would be paid once per rank.
 type Tripolar struct {
 	NX, NY int
 	NLevel int
@@ -25,19 +31,14 @@ type Tripolar struct {
 	DX []float64 // [NY] zonal cell width in metres at each latitude row
 	DY float64   // meridional cell height in metres (uniform)
 
-	Area []float64 // [NY*NX] cell areas in m²
-
-	// Mask is true where the surface cell is ocean.
-	Mask []bool // [NY*NX]
-
-	// Depth is the analytic bathymetry in metres (0 on land).
-	Depth []float64 // [NY*NX]
-
-	// KMT is the number of active vertical levels in each column (0 on land).
-	KMT []int // [NY*NX]
-
 	// LevelDepth[k] is the depth of the bottom of level k in metres.
 	LevelDepth []float64 // [NLevel]
+
+	// The bathymetry's factors of each column's longitude and each row's
+	// latitude, and the columns SetLand turned into land.
+	cols []basinLon // [NX]
+	rows []basinLat // [NY]
+	land map[int]bool
 }
 
 // LICOMConfig is one row of the LICOM resolution catalog (Table 1): the
@@ -102,36 +103,49 @@ func NewTripolar(nx, ny, nlevel int) (*Tripolar, error) {
 	}
 	g.DY = dlat * EarthRadius
 	g.DX = make([]float64, ny)
-	g.Area = make([]float64, nx*ny)
 	dlon := 2 * math.Pi / float64(nx)
-	for j := range g.Lat {
-		g.DX[j] = dlon * EarthRadius * math.Cos(g.Lat[j])
-		for i := 0; i < nx; i++ {
-			g.Area[j*nx+i] = g.DX[j] * g.DY
-		}
+	g.rows = make([]basinLat, ny)
+	for j, lat := range g.Lat {
+		g.DX[j] = dlon * EarthRadius * math.Cos(lat)
+		g.rows[j] = basinLatOf(lat)
 	}
-
-	g.LevelDepth = stretchedLevels(nlevel)
-	g.Mask = make([]bool, nx*ny)
-	g.Depth = make([]float64, nx*ny)
-	g.KMT = make([]int, nx*ny)
-	cols := make([]basinLon, nx)
+	g.cols = make([]basinLon, nx)
 	for i, lon := range g.Lon {
-		cols[i] = basinLonOf(lon)
+		g.cols[i] = basinLonOf(lon)
 	}
-	for j := 0; j < ny; j++ {
-		row := basinLatOf(g.Lat[j])
-		for i := 0; i < nx; i++ {
-			d := analyticDepth(cols[i], row)
-			idx := j*nx + i
-			if d > 0 {
-				g.Mask[idx] = true
-				g.Depth[idx] = d
-				g.KMT[idx] = levelsFor(d, g.LevelDepth)
-			}
-		}
-	}
+	g.LevelDepth = stretchedLevels(nlevel)
 	return g, nil
+}
+
+// CellArea returns the area in m² of each cell of row j.
+func (g *Tripolar) CellArea(j int) float64 { return g.DX[j] * g.DY }
+
+// Column returns whether surface column gi is ocean, its analytic depth in
+// metres and its number of active vertical levels (false, 0, 0 on land).
+func (g *Tripolar) Column(gi int) (wet bool, depth float64, kmt int) {
+	if g.land[gi] {
+		return false, 0, 0
+	}
+	d := analyticDepth(g.cols[gi%g.NX], g.rows[gi/g.NX])
+	if d <= 0 {
+		return false, 0, 0
+	}
+	return true, d, levelsFor(d, g.LevelDepth)
+}
+
+// Wet reports whether surface column gi is ocean.
+func (g *Tripolar) Wet(gi int) bool {
+	wet, _, _ := g.Column(gi)
+	return wet
+}
+
+// SetLand turns column gi into land: tests dry out whole blocks (land-block
+// elimination) and regions (unmapped atmosphere cells) with it.
+func (g *Tripolar) SetLand(gi int) {
+	if g.land == nil {
+		g.land = map[int]bool{}
+	}
+	g.land[gi] = true
 }
 
 // stretchedLevels returns bottom depths for nlevel vertical levels with the
@@ -272,11 +286,11 @@ func landFunction(x landLon, y landLat) float64 {
 	}
 	for k := range landBands {
 		if y.in[k] { // outside its latitudes a band's membership is -1
-			v = math.Max(v, y.band[k]-x.band[k])
+			v = max(v, y.band[k]-x.band[k])
 		}
 	}
 	for k := range landBlobs {
-		v = math.Max(v, 1-(x.blob[k]+y.blob[k]))
+		v = max(v, 1-(x.blob[k]+y.blob[k]))
 	}
 	return v
 }
@@ -287,9 +301,10 @@ func squared(x float64) float64 { return x * x }
 // by ocean.
 func (g *Tripolar) OceanFraction() float64 {
 	var ocean, total float64
-	for idx, a := range g.Area {
+	for idx := 0; idx < g.NX*g.NY; idx++ {
+		a := g.CellArea(idx / g.NX)
 		total += a
-		if g.Mask[idx] {
+		if g.Wet(idx) {
 			ocean += a
 		}
 	}
@@ -300,7 +315,8 @@ func (g *Tripolar) OceanFraction() float64 {
 // total 3-D points (NX·NY·NLevel); their ratio drives the ≈30 % resource
 // saving of the non-ocean-point exclusion.
 func (g *Tripolar) ActivePoints3D() (active, total int64) {
-	for _, k := range g.KMT {
+	for idx := 0; idx < g.NX*g.NY; idx++ {
+		_, _, k := g.Column(idx)
 		active += int64(k)
 	}
 	return active, int64(g.NX) * int64(g.NY) * int64(g.NLevel)

@@ -14,7 +14,7 @@ func TestTripolarConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Lon) != 72 || len(g.Lat) != 36 || len(g.Mask) != 72*36 {
+	if len(g.Lon) != 72 || len(g.Lat) != 36 || len(g.DX) != 36 {
 		t.Fatal("extent mismatch")
 	}
 	// Latitudes run south to north inside (southLat, π/2).
@@ -58,17 +58,18 @@ func TestOceanFractionNearSeventyOnePercent(t *testing.T) {
 
 func TestMaskConsistentWithKMTAndDepth(t *testing.T) {
 	g, _ := NewTripolar(144, 72, 30)
-	for idx := range g.Mask {
-		if g.Mask[idx] {
-			if g.Depth[idx] <= 0 || g.KMT[idx] < 1 {
-				t.Fatalf("ocean point %d: depth=%v kmt=%d", idx, g.Depth[idx], g.KMT[idx])
+	for idx := range g.NX * g.NY {
+		wet, depth, kmt := g.Column(idx)
+		if wet {
+			if depth <= 0 || kmt < 1 {
+				t.Fatalf("ocean point %d: depth=%v kmt=%d", idx, depth, kmt)
 			}
-			if g.KMT[idx] > g.NLevel {
+			if kmt > g.NLevel {
 				t.Fatalf("kmt exceeds nlevel at %d", idx)
 			}
 		} else {
-			if g.Depth[idx] != 0 || g.KMT[idx] != 0 {
-				t.Fatalf("land point %d: depth=%v kmt=%d", idx, g.Depth[idx], g.KMT[idx])
+			if depth != 0 || kmt != 0 {
+				t.Fatalf("land point %d: depth=%v kmt=%d", idx, depth, kmt)
 			}
 		}
 	}

@@ -147,7 +147,7 @@ func NewTripolarDecompLayout(g *Tripolar, c *par.Comm, pbx, pby, halo int) (*Tri
 	return newTripolarFromLayout(g, c, halo, pbx, pby, loads)
 }
 
-// kmtSums returns the summed-area table of g.KMT: entry j·(NX+1)+i is the
+// kmtSums returns the summed-area table of the columns' level counts: entry j·(NX+1)+i is the
 // active-point count of columns < i in rows < j, so the load of any block is
 // four lookups and the layout search costs one pass over the grid.
 func kmtSums(g *Tripolar) []int {
@@ -155,7 +155,8 @@ func kmtSums(g *Tripolar) []int {
 	sums := make([]int, (g.NY+1)*w)
 	for j := 0; j < g.NY; j++ {
 		for i := 0; i < g.NX; i++ {
-			sums[(j+1)*w+i+1] = sums[(j+1)*w+i] + sums[j*w+i+1] - sums[j*w+i] + g.KMT[j*g.NX+i]
+			_, _, kmt := g.Column(j*g.NX + i)
+			sums[(j+1)*w+i+1] = sums[(j+1)*w+i] + sums[j*w+i+1] - sums[j*w+i] + kmt
 		}
 	}
 	return sums

@@ -17,10 +17,7 @@ func tripolarWithDryBlock(t *testing.T, nx, ny, nl, pbx, pby, bx, by int) *Tripo
 	bni, bnj := nx/pbx, ny/pby
 	for j := by * bnj; j < (by+1)*bnj; j++ {
 		for i := bx * bni; i < (bx+1)*bni; i++ {
-			gi := j*nx + i
-			g.Mask[gi] = false
-			g.KMT[gi] = 0
-			g.Depth[gi] = 0
+			g.SetLand(j*nx + i)
 		}
 	}
 	return g
@@ -57,7 +54,7 @@ func TestTripolarPartitionProperties(t *testing.T) {
 		for gi, cnt := range owners {
 			switch {
 			case cnt == 0:
-				if g.KMT[gi] > 0 {
+				if g.Wet(gi) {
 					t.Fatalf("wet cell %d dropped by land-block elimination", gi)
 				}
 				if pe := d.Owner(gi); pe != -1 {
@@ -101,7 +98,7 @@ func TestTripolarLayoutSearchElimination(t *testing.T) {
 			return
 		}
 		for gi := 0; gi < g.NX*g.NY; gi++ {
-			if g.KMT[gi] > 0 && d.Owner(gi) < 0 {
+			if g.Wet(gi) && d.Owner(gi) < 0 {
 				t.Fatalf("wet cell %d unowned under the searched %dx%d layout", gi, d.PBX, d.PBY)
 			}
 		}

@@ -159,7 +159,8 @@ func BalancedOwner(g *grid.Tripolar, nranks int) *ColumnOwner {
 		co.Owner[i] = -1
 	}
 	var totalWork int64
-	for _, k := range g.KMT {
+	for idx := 0; idx < g.NX*g.NY; idx++ {
+		_, _, k := g.Column(idx)
 		totalWork += int64(k)
 	}
 	perRank := float64(totalWork) / float64(nranks)
@@ -172,11 +173,12 @@ func BalancedOwner(g *grid.Tripolar, nranks int) *ColumnOwner {
 				i = g.NX - 1 - ii // snake order keeps ranks spatially compact
 			}
 			idx := j*g.NX + i
-			if g.KMT[idx] == 0 {
+			_, _, k := g.Column(idx)
+			if k == 0 {
 				continue
 			}
 			co.Owner[idx] = rank
-			acc += float64(g.KMT[idx])
+			acc += float64(k)
 			if acc >= perRank*float64(rank+1) && rank < nranks-1 {
 				rank++
 			}
@@ -192,7 +194,8 @@ func (co *ColumnOwner) LoadImbalance(g *grid.Tripolar) float64 {
 	work := make([]int64, co.NRanks)
 	for idx, pe := range co.Owner {
 		if pe >= 0 {
-			work[pe] += int64(g.KMT[idx])
+			_, _, k := g.Column(idx)
+			work[pe] += int64(k)
 		}
 	}
 	var max, sum int64

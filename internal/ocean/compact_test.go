@@ -32,10 +32,7 @@ func TestCompactionComposesWithBlockPartition(t *testing.T) {
 				// Dry out block (0,0) of the 2x2 layout.
 				for j := 0; j < 12; j++ {
 					for i := 0; i < 24; i++ {
-						gi := j*g.NX + i
-						g.Mask[gi] = false
-						g.KMT[gi] = 0
-						g.Depth[gi] = 0
+						g.SetLand(j*g.NX + i)
 					}
 				}
 			}
@@ -68,7 +65,7 @@ func TestCompactionComposesWithBlockPartition(t *testing.T) {
 				// Land never gets a slot; every wet owned cell does.
 				for lj := 0; lj < b.NJ; lj++ {
 					for li := 0; li < b.NI; li++ {
-						wet := g.KMT[b.GIdx(li, lj)] > 0
+						wet := g.Wet(b.GIdx(li, lj))
 						if (f2c[lj*b.NI+li] >= 0) != wet {
 							t.Fatalf("compact map/mask mismatch at local (%d,%d)", li, lj)
 						}
@@ -86,7 +83,7 @@ func TestCompactionComposesWithBlockPartition(t *testing.T) {
 				ref := o.GatherSurface(o.T[:o.LNI*o.LNJ])
 				if c.Rank() == 0 {
 					for gi := range ref {
-						if g.KMT[gi] == 0 {
+						if !g.Wet(gi) {
 							if global[gi] != 0 {
 								t.Fatalf("land column %d scattered %v", gi, global[gi])
 							}

@@ -180,8 +180,9 @@ func New(g *grid.Tripolar, b *grid.TripolarDecomp, cfg Config, sp pp.Space) (*Oc
 	for lj := 0; lj < b.NJ; lj++ {
 		for li := 0; li < b.NI; li++ {
 			gi := b.GIdx(li, lj)
-			km[b.LIdx(li, lj)] = float64(g.KMT[gi])
-			dp[b.LIdx(li, lj)] = g.Depth[gi]
+			_, depth, kmt := g.Column(gi)
+			km[b.LIdx(li, lj)] = float64(kmt)
+			dp[b.LIdx(li, lj)] = depth
 		}
 	}
 	b.ExchangeFields([]grid.HaloField{{Data: km, NLev: 1}, {Data: dp, NLev: 1}})
@@ -247,6 +248,9 @@ func (o *Ocean) InitStratified() {
 func Rho(t, s float64) float64 {
 	return Rho0 * (-AlphaT*(t-TRef) + BetaS*(s-SRef))
 }
+
+// Wet reports whether the owned column (li, lj) of the block is ocean.
+func (o *Ocean) Wet(li, lj int) bool { return o.maskT[o.idx2(li, lj)] }
 
 // Steps returns how many baroclinic steps have run.
 func (o *Ocean) Steps() int { return o.steps }

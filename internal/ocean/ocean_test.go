@@ -369,7 +369,7 @@ func TestBalancedOwnerImprovesLoadBalance(t *testing.T) {
 	}
 	// Every wet column owned, every land column unowned.
 	for idx, pe := range bal.Owner {
-		if (g.KMT[idx] > 0) != (pe >= 0) {
+		if g.Wet(idx) != (pe >= 0) {
 			t.Fatalf("ownership/mask mismatch at %d", idx)
 		}
 		if pe >= p {

@@ -86,7 +86,7 @@ func New(g *grid.Tripolar, b *grid.TripolarDecomp, cfg Config) (*Model, error) {
 		for li := 0; li < b.NI; li++ {
 			idx := b.LIdx(li, lj)
 			gi := b.GIdx(li, lj)
-			m.wet[idx] = g.Mask[gi]
+			m.wet[idx] = g.Wet(gi)
 			if !m.wet[idx] {
 				continue
 			}
