@@ -98,12 +98,11 @@ type Model struct {
 	IceFrac []float64 // sea-ice fraction [nCells]
 	IsLand  []bool    // land mask on atmosphere cells [nCells]
 
-	// Physics outputs accumulated for export.
+	// Physics outputs a later step reads: the land step and the air–sea
+	// flux import read all three. The surface stress and heat fluxes are
+	// recomputed where they are consumed (the land model, the coupler's
+	// bulk formulas), so the physics keeps none of them.
 	Precip []float64 // precipitation rate [nCells], kg/m²/s
-	TauX   []float64 // surface zonal wind stress on cells, N/m²
-	TauY   []float64
-	SHF    []float64 // sensible heat flux to the surface owner (atm→sfc positive down)
-	LHF    []float64 // latent heat flux
 	GSW    []float64 // downward shortwave at surface (radiation diagnosis output)
 	GLW    []float64 // downward longwave
 
@@ -180,7 +179,7 @@ func (m *Model) Decompose(c *par.Comm) (*grid.IcosDecomp, error) {
 	}
 	p := d.Patch
 	cells, edges, nlev := p.GlobalCell, p.GlobalEdge, m.NLev
-	for _, f := range []*[]float64{&m.Ps, &m.SST, &m.IceFrac, &m.Precip, &m.TauX, &m.TauY, &m.SHF, &m.LHF, &m.GSW, &m.GLW} {
+	for _, f := range []*[]float64{&m.Ps, &m.SST, &m.IceFrac, &m.Precip, &m.GSW, &m.GLW} {
 		*f = grid.PatchColumns(*f, cells, 1)
 	}
 	m.T, m.Qv = grid.PatchColumns(m.T, cells, nlev), grid.PatchColumns(m.Qv, cells, nlev)
@@ -242,10 +241,6 @@ func New(level, nlev int, cfg Config, sp pp.Space) (*Model, error) {
 	m.IceFrac = make([]float64, nc)
 	m.IsLand = make([]bool, nc)
 	m.Precip = make([]float64, nc)
-	m.TauX = make([]float64, nc)
-	m.TauY = make([]float64, nc)
-	m.SHF = make([]float64, nc)
-	m.LHF = make([]float64, nc)
 	m.GSW = make([]float64, nc)
 	m.GLW = make([]float64, nc)
 

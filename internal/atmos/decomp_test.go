@@ -69,8 +69,7 @@ func TestDecomposedMatchesReplicated(t *testing.T) {
 					}
 				}
 				for _, f := range [][2][]float64{
-					{m.Precip, ref.Precip}, {m.TauX, ref.TauX}, {m.TauY, ref.TauY},
-					{m.SHF, ref.SHF}, {m.LHF, ref.LHF}, {m.GSW, ref.GSW}, {m.GLW, ref.GLW},
+					{m.Precip, ref.Precip}, {m.GSW, ref.GSW}, {m.GLW, ref.GLW},
 				} {
 					if f[0][l] != f[1][c2] {
 						t.Errorf("ranks=%d rank %d: physics export mismatch at cell %d", ranks, c.Rank(), c2)
@@ -131,8 +130,7 @@ func TestDecomposedModelHoldsOnlyItsPatch(t *testing.T) {
 			}{
 				{"Ps", len(m.Ps), nc}, {"T", len(m.T), nc * nlev}, {"Qv", len(m.Qv), nc * nlev}, {"U", len(m.U), ne * nlev},
 				{"SST", len(m.SST), nc}, {"IceFrac", len(m.IceFrac), nc}, {"IsLand", len(m.IsLand), nc},
-				{"Precip", len(m.Precip), nc}, {"TauX", len(m.TauX), nc}, {"TauY", len(m.TauY), nc},
-				{"SHF", len(m.SHF), nc}, {"LHF", len(m.LHF), nc}, {"GSW", len(m.GSW), nc}, {"GLW", len(m.GLW), nc},
+				{"Precip", len(m.Precip), nc}, {"GSW", len(m.GSW), nc}, {"GLW", len(m.GLW), nc},
 				{"flux.edge", len(m.flux.edge), ne * nlev}, {"flux.dps", len(m.flux.dps), nc},
 				{"dy.th", len(s.th), nc * nlev}, {"dy.lnPs", len(s.lnPs), nc}, {"dy.cd", len(s.cd), nc * nlev * cdW},
 				{"dy.vort", len(s.vort), nv * nlev},

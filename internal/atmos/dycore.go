@@ -571,14 +571,10 @@ func (m *Model) physicsStep(dt float64) {
 		}
 		// Lowest-level momentum tendency represents surface drag; store the
 		// cell tendency for edge projection of the whole column via the
-		// lowest level (dominant), and the fluxes for export.
+		// lowest level (dominant), and the precipitation for export.
 		duCell[c] = out.DU[nlev-1]
 		dvCell[c] = out.DV[nlev-1]
 		m.Precip[c] = out.Precip
-		m.TauX[c] = out.TauX
-		m.TauY[c] = out.TauY
-		m.SHF[c] = out.SHF
-		m.LHF[c] = out.LHF
 		if !in.SkipRad {
 			m.GSW[c] = out.GSW
 			m.GLW[c] = out.GLW

@@ -29,8 +29,6 @@ type ColumnOut struct {
 	DT, DQ, DU, DV []float64 // tendencies per level, per second
 	GSW, GLW       float64   // downward shortwave/longwave at the surface, W/m²
 	Precip         float64   // precipitation rate, kg/m²/s
-	TauX, TauY     float64   // surface wind stress, N/m²
-	SHF, LHF       float64   // sensible/latent heat flux, W/m² (positive up)
 }
 
 // Suite is the pluggable physics parameterization suite.
@@ -159,14 +157,9 @@ func (s *ConventionalSuite) Column(in ColumnIn, dt float64, out *ColumnOut) {
 	// The skin temperature is the ocean SST, the ice surface, or the land
 	// model's soil temperature, whichever owns the cell.
 	tSfc := in.TSkin
-	// Wind stress (on the atmosphere: deceleration; exported as stress on
-	// the surface).
-	out.TauX = rhoSfc * s.Cd * wind * in.U[kb]
-	out.TauY = rhoSfc * s.Cd * wind * in.V[kb]
 	// Sensible heat flux (positive = surface heats the atmosphere when the
 	// surface is warmer).
 	shf := rhoSfc * Cpd * s.Ch * wind * (tSfc - in.T[kb])
-	out.SHF = shf
 	// The lowest layer warms/cools accordingly: flux divided by layer mass.
 	layerMass := ps * s.m.DSig[kb] / Gravity
 	out.DT[kb] += shf / (Cpd * layerMass)
@@ -180,7 +173,6 @@ func (s *ConventionalSuite) Column(in ColumnIn, dt float64, out *ColumnOut) {
 			evap = 0
 		}
 		out.DQ[kb] += evap / layerMass
-		out.LHF = LatVap * evap
 	}
 
 	// --- Large-scale condensation with latent heating ---

@@ -37,11 +37,11 @@ func restartHash(t *testing.T, e *ESM) string {
 // (land routing, remap weights, surface fields).
 func TestAssembledStateGolden(t *testing.T) {
 	want := map[string][2]string{
-		"1v1":   {"d6e07d2ab7db20bb", "3842110c734cb487"},
-		"3v2":   {"f7cfb1dfb514314f", "dc7e0dd6af9cf919"},
-		"6v3":   {"a9a94513117b18f6", "8915a6fd57ca9f6e"},
-		"10v5":  {"e0bc4cb60d06684c", "4ccab254b34b6cf8"},
-		"25v10": {"c73b4179a1e3f47e", "d85dbe1b9e7368c8"},
+		"1v1":   {"102e7a6a73b1e80f", "f1c863972e6036db"},
+		"3v2":   {"5c8a29d33a5421a6", "f7e666fdab910e45"},
+		"6v3":   {"ebdda1304b474815", "461ca6cd5c0e9db2"},
+		"10v5":  {"283fd698d237260d", "f7414b2790a97d96"},
+		"25v10": {"f24c476b6c4d3d9f", "98a25a6cb660fce8"},
 	}
 	for _, cfg := range Configurations() {
 		par.Run(1, func(c *par.Comm) {

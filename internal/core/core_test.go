@@ -207,27 +207,36 @@ func TestAirSeaCouplingTransfersMomentum(t *testing.T) {
 	})
 }
 
+// The surface the atmosphere reads — the exported SST and ice fraction, and
+// the land skin temperature — on one rank and on four.
 func TestCoupledSerialParallelAgreement(t *testing.T) {
-	run := func(n int) []float64 {
-		var sst []float64
+	run := func(n int) (sst, ice []float64) {
 		par.Run(n, func(c *par.Comm) {
 			e := newESM(t, "25v10", c, 1)
 			e.RunDays(0.1)
-			out := par.Bcast(c, 0, e.sstGlobal)
+			s, i := e.Atm.SST, e.Atm.IceFrac
+			if d := e.Atm.Decomp(); d != nil {
+				s, i = d.Gather(s), d.Gather(i)
+			}
 			if c.Rank() == 0 {
-				sst = out
+				sst, ice = s, i
 			}
 		})
-		return sst
+		return sst, ice
 	}
-	ref := run(1)
-	got := run(4)
-	if len(ref) == 0 || len(got) != len(ref) {
-		t.Fatal("missing SST")
-	}
-	for i := range ref {
-		if math.Abs(ref[i]-got[i]) > 1e-10 {
-			t.Fatalf("SST[%d]: serial %v vs 4 ranks %v", i, ref[i], got[i])
+	refSST, refIce := run(1)
+	gotSST, gotIce := run(4)
+	for _, f := range []struct {
+		name     string
+		ref, got []float64
+	}{{"Atm.SST", refSST, gotSST}, {"Atm.IceFrac", refIce, gotIce}} {
+		if len(f.ref) == 0 || len(f.got) != len(f.ref) {
+			t.Fatalf("missing %s", f.name)
+		}
+		for i := range f.ref {
+			if math.Abs(f.ref[i]-f.got[i]) > 1e-10 {
+				t.Fatalf("%s[%d]: serial %v vs 4 ranks %v", f.name, i, f.ref[i], f.got[i])
+			}
 		}
 	}
 }

@@ -98,7 +98,7 @@ func runDecomp(t *testing.T, ranks int, sched Schedule, steps int) (state, eta [
 			}
 		}
 		st := globalCoupledState(e)
-		out := e.Ocn.GatherSurface(e.Ocn.Eta)
+		out := e.Ocn.B.GatherGlobal(e.Ocn.Eta)
 		if c.Rank() == 0 {
 			state, eta = st, out
 			s := e.Budget().Summary()

@@ -43,9 +43,10 @@ import (
 // regridder covers both whole grids, so assembly builds it, copies out the
 // rows of the owned ocean columns and the atmosphere cells of the patch,
 // and drops it: a decomposed rank holds no regridder table of global size.
-// The ocn→atm surface return stays replicated (refreshOceanSurface gathers
-// and broadcasts SST/ice), which keeps the ring-1 halo's SST valid for the
-// redundant physics columns without an extra exchange.
+// The ocn→atm surface return stays replicated (exportSurface gathers and
+// broadcasts SST/ice for the call and keeps only what the atmosphere patch
+// reads), which keeps the ring-1 halo's SST valid for the redundant
+// physics columns without an extra exchange.
 //
 // All buffers and vectors are persistent, so the per-step fill/consume
 // cycle is allocation-free in steady state (the rearranger's own guarantee

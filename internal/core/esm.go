@@ -39,11 +39,6 @@ type ESM struct {
 
 	Clock *coupler.Clock
 
-	// Global surface fields shared with the atmosphere (identical on all
-	// ranks after each coupling).
-	sstGlobal []float64
-	iceGlobal []float64
-
 	obs obs.Observer
 
 	couplingSteps int
@@ -237,7 +232,7 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 	}
 	e.u10, e.v10 = make([]float64, nc), make([]float64, nc)
 	e.radLand = make([]bool, nc)
-	e.forLandStepped(func(_, lc int) { e.radLand[lc] = true })
+	e.forLand(e.stepSlots, func(_, lc int) { e.radLand[lc] = true })
 
 	// Ocean steps per ocean coupling interval.
 	ocnInterval := 86400.0 / float64(cfg.OcnCouplingsPerDay)
@@ -247,10 +242,7 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 	}
 
 	// Initial surface fields.
-	e.sstGlobal = make([]float64, g.NX*g.NY)
-	e.iceGlobal = make([]float64, g.NX*g.NY)
-	e.refreshOceanSurface()
-	e.applySurfaceToAtmos()
+	e.exportSurface()
 	return e, nil
 }
 
@@ -350,7 +342,7 @@ func (e *ESM) landStep() {
 	e.Atm.Wind10mInto(e.u10, e.v10)
 	u10, v10 := e.u10, e.v10
 	dt := 86400.0 / float64(e.Cfg.AtmCouplingsPerDay)
-	step := func(c, lc int) {
+	e.forLand(e.stepSlots, func(slot, lc int) {
 		tair, qair := e.Atm.SurfaceAir(lc)
 		f := land.Forcing{
 			GSW:    e.Atm.GSW[lc],
@@ -361,20 +353,9 @@ func (e *ESM) landStep() {
 			Precip: e.Atm.Precip[lc],
 			PSfc:   e.Atm.Ps[lc],
 		}
-		resp, err := e.Lnd.StepCell(c, f, dt)
-		if err == nil {
-			// The land skin temperature is the surface the atmosphere sees.
-			e.Atm.SST[lc] = resp.TSkin
-		}
-	}
-	e.forLandStepped(step)
-}
-
-// forLandStepped visits the atmosphere cells whose land column this rank
-// steps — every land cell on one rank, the extended patch's when decomposed
-// — with each cell's global id c and its local id lc.
-func (e *ESM) forLandStepped(fn func(c, lc int)) {
-	e.forLand(e.stepSlots, func(_, c, lc int) { fn(c, lc) })
+		// The land skin temperature is the surface the atmosphere sees.
+		e.Atm.SST[lc] = e.Lnd.StepSlot(slot, f, dt).TSkin
+	})
 }
 
 // landSlots lists the land columns a decomposed rank visits: their slots,
@@ -395,19 +376,19 @@ func newLandSlots(lnd *land.Model, d *grid.IcosDecomp, pred func(cell int) bool)
 	return ls
 }
 
-// forLand visits the land columns of slots (stepSlots or ownSlots) — every
-// land column on one rank, where nothing is decomposed — with each slot,
-// its cell's global id c (the land model's) and its local id lc (the
-// atmosphere's).
-func (e *ESM) forLand(slots landSlots, fn func(slot, c, lc int)) {
+// forLand visits the land columns of slots — stepSlots, the columns this
+// rank steps, or ownSlots, the columns it audits; every land column on one
+// rank, where nothing is decomposed — with each slot and its atmosphere
+// cell's local id lc.
+func (e *ESM) forLand(slots landSlots, fn func(slot, lc int)) {
 	if e.Atm.Decomp() == nil {
 		for slot, c := range e.Lnd.Cells {
-			fn(slot, c, c)
+			fn(slot, c)
 		}
 		return
 	}
 	for i, slot := range slots.slot {
-		fn(slot, e.Lnd.Cells[slot], int(slots.local[i]))
+		fn(slot, int(slots.local[i]))
 	}
 }
 
@@ -428,12 +409,11 @@ func (e *ESM) forAtmOwned(fn func(c, lc int)) {
 }
 
 // iceStep imports atmosphere and ocean state into the ice model, steps it,
-// and refreshes the global ice fraction.
+// and exports the new ocean surface to the atmosphere.
 func (e *ESM) iceStep() {
 	e.iceForcing()
 	e.Ice.Step()
-	e.refreshOceanSurface()
-	e.applySurfaceToAtmos()
+	e.exportSurface()
 }
 
 // Bulk air–sea flux constants, shared by the ocean-grid (nearest) and
@@ -600,7 +580,7 @@ func (e *ESM) auditRecord() {
 		aFWGross += ar * math.Abs(f.emp[c])
 	})
 	var lndWater float64
-	e.forLand(e.ownSlots, func(slot, _, c int) {
+	e.forLand(e.ownSlots, func(slot, c int) {
 		lndWater += e.Lnd.Bucket[slot] * e.Atm.Mesh.AreaCell[c] *
 			grid.EarthRadius * grid.EarthRadius * rhoWater
 	})
@@ -650,19 +630,17 @@ func (e *ESM) ocnIdx2(li, lj int) int {
 	return (lj+e.Ocn.B.H)*e.Ocn.B.LNI() + li + e.Ocn.B.H
 }
 
-// refreshOceanSurface gathers SST and ice fraction into global arrays and
-// broadcasts them so every rank's atmosphere patch sees the same surface.
-func (e *ESM) refreshOceanSurface() {
+// exportSurface is the ocean's export to the atmosphere: it gathers SST
+// and ice fraction into global arrays, broadcasts them so every rank's
+// atmosphere patch sees the same surface, and maps them onto the
+// atmosphere cells this rank holds. The global arrays live for the call
+// only: Atm.SST and Atm.IceFrac are the surface a later step reads.
+func (e *ESM) exportSurface() {
 	b := e.Ocn.B
 	sstG := b.GatherGlobal(e.Ocn.T[:b.LNI()*b.LNJ()])
 	iceG := b.GatherGlobal(e.Ice.Conc)
-	e.sstGlobal = par.Bcast(e.Comm, 0, sstG)
-	e.iceGlobal = par.Bcast(e.Comm, 0, iceG)
-}
-
-// applySurfaceToAtmos maps the global ocean surface onto the atmosphere
-// cells this rank holds.
-func (e *ESM) applySurfaceToAtmos() {
+	sst := par.Bcast(e.Comm, 0, sstG)
+	ice := par.Bcast(e.Comm, 0, iceG)
 	for c, oc := range e.dst.atmOcn {
 		if e.Atm.IsLand[c] {
 			continue // land skin temperature is owned by the land model
@@ -670,8 +648,8 @@ func (e *ESM) applySurfaceToAtmos() {
 		if oc < 0 {
 			continue
 		}
-		e.Atm.SST[c] = e.sstGlobal[oc] + 273.15
-		e.Atm.IceFrac[c] = e.iceGlobal[oc]
+		e.Atm.SST[c] = sst[oc] + 273.15
+		e.Atm.IceFrac[c] = ice[oc]
 	}
 }
 

@@ -14,8 +14,6 @@ import (
 // length, as "package.Type.field", each with the reason it is global.
 var globalTables = map[string]string{
 	"grid.IcosDecomp.owner": "the owner of every atmosphere cell: Gather places every rank's chunk by it, and the atmosphere's radSkipped reads a halo cell's owner every step",
-	"core.ESM.sstGlobal":    "the gathered and broadcast SST the atmosphere patch reads through atmOcn; a per-cell router would add about as many vector bytes as it frees",
-	"core.ESM.iceGlobal":    "the gathered and broadcast ice fraction, held beside sstGlobal for the same reason",
 }
 
 // A decomposed rank holds only its own tables. Everything reachable from

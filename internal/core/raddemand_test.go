@@ -29,6 +29,12 @@ const notRead = -1
 // freshly assembled model, and checks that the held GSW/GLW of every reader
 // on the rank — owned cells and land-stepped halo cells — came back exactly
 // as they were written.
+// landStepped visits the cells whose land column e steps with each cell's
+// global id c and its local id lc.
+func landStepped(e *ESM, fn func(c, lc int)) {
+	e.forLand(e.stepSlots, func(slot, lc int) { fn(e.Lnd.Cells[slot], lc) })
+}
+
 func radTrace(t *testing.T, ranks int, sched Schedule, remap RemapMode, steps, restartAt int) (traces [][]float64, state []float64) {
 	t.Helper()
 	cfg, err := ConfigForLabel("25v10")
@@ -88,7 +94,7 @@ func radTrace(t *testing.T, ranks int, sched Schedule, remap RemapMode, steps, r
 					}
 				}
 				e.forAtmOwned(same)
-				e.forLandStepped(same)
+				landStepped(e, same)
 				e = fresh
 			}
 			if e.Clock.Due("ocn") {
@@ -98,7 +104,7 @@ func radTrace(t *testing.T, ranks int, sched Schedule, remap RemapMode, steps, r
 				t.Errorf("clock exhausted at step %d", i)
 				return
 			}
-			observe(e, e.forLandStepped)
+			observe(e, func(fn func(c, lc int)) { landStepped(e, fn) })
 		}
 		traces[c.Rank()] = tr
 
@@ -229,7 +235,7 @@ func TestRadiationHoldDrift(t *testing.T) {
 			}
 			// What landStep has just read, in both models: the lag of the held
 			// flux behind the fresh one, over every step of the run.
-			held.forLandStepped(func(_, cell int) { lag.add(held.Atm.GLW[cell] - every.Atm.GLW[cell]) })
+			held.forLand(held.stepSlots, func(_, cell int) { lag.add(held.Atm.GLW[cell] - every.Atm.GLW[cell]) })
 		}
 		// The run ends on a radiation step, so what is left between the two
 		// models' fluxes there is the drift of the state they are diagnosed from.
@@ -237,7 +243,7 @@ func TestRadiationHoldDrift(t *testing.T) {
 			t.Errorf("step %d is not a radiation step", steps)
 		}
 		var skin, glw, temp, ps rms
-		held.forLandStepped(func(_, cell int) {
+		held.forLand(held.stepSlots, func(_, cell int) {
 			skin.add(held.Atm.SST[cell] - every.Atm.SST[cell])
 			glw.add(held.Atm.GLW[cell] - every.Atm.GLW[cell])
 		})

@@ -145,10 +145,6 @@ var (
 		{"ocn.eta", func(e *ESM) []float64 { return e.Ocn.Eta }},
 		{"ocn.ubar", func(e *ESM) []float64 { return e.Ocn.Ubar }},
 		{"ocn.vbar", func(e *ESM) []float64 { return e.Ocn.Vbar }},
-		{"ocn.taux", func(e *ESM) []float64 { return e.Ocn.TauX }},
-		{"ocn.tauy", func(e *ESM) []float64 { return e.Ocn.TauY }},
-		{"ocn.qheat", func(e *ESM) []float64 { return e.Ocn.QHeat }},
-		{"ocn.fw", func(e *ESM) []float64 { return e.Ocn.FWFlux }},
 		{"ice.conc", func(e *ESM) []float64 { return e.Ice.Conc }},
 		{"ice.thick", func(e *ESM) []float64 { return e.Ice.Thick }},
 		{"ice.freezeheat", func(e *ESM) []float64 { return e.Ice.FreezeHeat }},
@@ -161,10 +157,6 @@ var (
 		{"atm.gsw", func(e *ESM) []float64 { return e.Atm.GSW }},
 		{"atm.glw", func(e *ESM) []float64 { return e.Atm.GLW }},
 		{"atm.precip", func(e *ESM) []float64 { return e.Atm.Precip }},
-		{"atm.taux", func(e *ESM) []float64 { return e.Atm.TauX }},
-		{"atm.tauy", func(e *ESM) []float64 { return e.Atm.TauY }},
-		{"atm.shf", func(e *ESM) []float64 { return e.Atm.SHF }},
-		{"atm.lhf", func(e *ESM) []float64 { return e.Atm.LHF }},
 	}
 	// Whole cell columns.
 	atmColVars = []restartVar{
@@ -179,14 +171,10 @@ var (
 		{"lnd.tsoil", func(e *ESM) []float64 { return e.Lnd.TSoil }},
 		{"lnd.bucket", func(e *ESM) []float64 { return e.Lnd.Bucket }},
 	}
-	// Held identically by every rank; rank 0 writes them.
-	sfcVars = []restartVar{
-		{"sfc.sstglobal", func(e *ESM) []float64 { return e.sstGlobal }},
-		{"sfc.iceglobal", func(e *ESM) []float64 { return e.iceGlobal }},
-		{metaField, func(e *ESM) []float64 {
-			return []float64{float64(e.couplingSteps), float64(e.Atm.Steps()), float64(e.Ocn.Steps())}
-		}},
-	}
+	// The step counters, held identically by every rank; rank 0 writes them.
+	metaVar = restartVar{metaField, func(e *ESM) []float64 {
+		return []float64{float64(e.couplingSteps), float64(e.Atm.Steps()), float64(e.Ocn.Steps())}
+	}}
 )
 
 // restartLayout is which restart chunks this rank contributes, derived once
@@ -295,10 +283,8 @@ func newRestartLayout(e *ESM) (*restartLayout, error) {
 		runs(v, nslot, slots, nil, 1)
 	}
 	if e.Comm.Rank() == 0 {
-		for _, v := range sfcVars {
-			n := len(v.arr(e))
-			runs(v, n, [][2]int{{0, n}}, nil, 1)
-		}
+		n := len(metaVar.arr(e))
+		runs(metaVar, n, [][2]int{{0, n}}, nil, 1)
 	}
 	for i := range l.parts {
 		if !l.parts[i].dry {
@@ -382,6 +368,13 @@ func (e *ESM) ReadRestart(dir string, nGroups int) error {
 	if err != nil {
 		return err
 	}
+	return e.restore(global)
+}
+
+// restore loads a restart set's global fields, by name, into a freshly
+// constructed ESM (see ReadRestart). Fields the model no longer reads are
+// ignored, so a set written before they were retired still loads.
+func (e *ESM) restore(global map[string][]float64) error {
 	need := func(name string) ([]float64, error) {
 		f, ok := global[name]
 		if !ok {
@@ -425,25 +418,6 @@ func (e *ESM) ReadRestart(dir string, nGroups int) error {
 			}
 			copy(v.arr(e), patchOf(f, set.ids, set.stride))
 		}
-	}
-	// The surface caches are Bcast-shared across the rank goroutines (one
-	// backing array for all ranks), so restoring them in place would race
-	// when every rank reads the checkpoint; each rank installs a private
-	// copy instead, and the next coupling Bcast re-shares them.
-	for _, spec := range []struct {
-		name string
-		dst  *[]float64
-	}{
-		{"sfc.sstglobal", &e.sstGlobal}, {"sfc.iceglobal", &e.iceGlobal},
-	} {
-		f, err := need(spec.name)
-		if err != nil {
-			return err
-		}
-		if len(f) != len(*spec.dst) {
-			return fmt.Errorf("core: restart field %q has %d values, want %d", spec.name, len(f), len(*spec.dst))
-		}
-		*spec.dst = append([]float64(nil), f...)
 	}
 	edge, eok := global[atmFluxEdgeField]
 	dps, dok := global["atm.fluxdps"]

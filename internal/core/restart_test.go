@@ -1,12 +1,17 @@
 package core
 
 import (
+	"fmt"
+	"maps"
+	"math"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/grid"
 	"repro/internal/par"
 	"repro/internal/pario"
 	"repro/internal/pp"
@@ -128,7 +133,7 @@ func TestRestartAcrossRankCounts(t *testing.T) {
 		for i := 0; i < stepsB; i++ {
 			e.Step()
 		}
-		ref = e.Ocn.GatherSurface(e.Ocn.Eta)
+		ref = e.Ocn.B.GatherGlobal(e.Ocn.Eta)
 	})
 
 	var got []float64
@@ -143,7 +148,7 @@ func TestRestartAcrossRankCounts(t *testing.T) {
 		for i := 0; i < stepsB; i++ {
 			e.Step()
 		}
-		out := e.Ocn.GatherSurface(e.Ocn.Eta)
+		out := e.Ocn.B.GatherGlobal(e.Ocn.Eta)
 		if c.Rank() == 0 {
 			got = out
 		}
@@ -173,6 +178,106 @@ func TestRestartErrors(t *testing.T) {
 		}
 		if err := e.ReadRestart(dir, 1); err == nil {
 			t.Error("restart into non-fresh model accepted")
+		}
+		// A set that lacks a field the model reads is refused by the
+		// field's name. The flux accumulators go missing only as a pair.
+		global, err := pario.ReadGlobal(pario.SubfilePaths(dir, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, _ := NewWithOptions(cfg, c, WithInterval(start, start.Add(time.Hour)), WithSpace(pp.Serial{}))
+		for name := range global {
+			if name == atmFluxEdgeField || name == "atm.fluxdps" {
+				continue
+			}
+			lacking := maps.Clone(global)
+			delete(lacking, name)
+			err := fresh.restore(lacking)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) {
+				t.Errorf("set without %s: restore returned %v, want an error naming it", name, err)
+			}
+		}
+	})
+}
+
+// A restart set written before ten fields were retired as state no later
+// step reads — today's set plus those fields at their global lengths —
+// restores to the state, bit for bit, of the set without them, and steps on
+// identically: the retired fields are ignored, whatever they hold.
+func TestRetiredCheckpointFieldsIgnored(t *testing.T) {
+	start := time.Date(2023, 7, 21, 0, 0, 0, 0, time.UTC)
+	cfg, _ := ConfigForLabel("25v10")
+	nc64, _, _ := grid.IcosCounts(cfg.AtmLevel)
+	nc, n2 := int(nc64), cfg.OcnNX*cfg.OcnNY
+	retired := map[string]int{
+		"atm.taux": nc, "atm.tauy": nc, "atm.shf": nc, "atm.lhf": nc,
+		"ocn.taux": n2, "ocn.tauy": n2, "ocn.qheat": n2, "ocn.fw": n2,
+		"sfc.sstglobal": n2, "sfc.iceglobal": n2,
+	}
+	par.Run(1, func(c *par.Comm) {
+		mk := func() *ESM {
+			e, err := NewWithOptions(cfg, c, WithInterval(start, start.Add(24*time.Hour)), WithSpace(pp.Serial{}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
+		e := mk()
+		for i := 0; i < 7; i++ {
+			e.Step()
+		}
+		dir, old := t.TempDir(), t.TempDir()
+		if err := e.WriteRestart(dir, 1); err != nil {
+			t.Fatal(err)
+		}
+		global, err := pario.ReadGlobal(pario.SubfilePaths(dir, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields []pario.Field
+		for name, data := range global {
+			fields = append(fields, pario.Field{Name: name, Global: len(data), Data: data})
+		}
+		for name, n := range retired {
+			if _, ok := global[name]; ok {
+				t.Fatalf("today's set writes retired field %s", name)
+			}
+			junk := make([]float64, n)
+			for i := range junk {
+				junk[i] = math.NaN()
+				if i%2 == 1 {
+					junk[i] = 1e30 * float64(i)
+				}
+			}
+			fields = append(fields, pario.Field{Name: name, Global: n, Data: junk})
+		}
+		if err := pario.WriteSubfiles(c, old, 1, fields); err != nil {
+			t.Fatal(err)
+		}
+
+		want, got := mk(), mk()
+		if err := want.ReadRestart(dir, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.ReadRestart(old, 1); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i <= 5; i++ {
+			if i > 0 {
+				want.Step()
+				got.Step()
+			}
+			if h, w := restartHash(t, got), restartHash(t, want); h != w {
+				t.Fatalf("%d steps after restoring: state hash %s with the retired fields, %s without", i, h, w)
+			}
+			for _, f := range [][2][]float64{
+				{got.Ocn.TauX, want.Ocn.TauX}, {got.Ocn.TauY, want.Ocn.TauY},
+				{got.Ocn.QHeat, want.Ocn.QHeat}, {got.Ocn.FWFlux, want.Ocn.FWFlux},
+			} {
+				if !slices.Equal(f[0], f[1]) {
+					t.Fatalf("%d steps after restoring: the ocean's surface forcing differs with the retired fields", i)
+				}
+			}
 		}
 	})
 }

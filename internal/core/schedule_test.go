@@ -36,7 +36,6 @@ func snapshotState(e *ESM) []float64 {
 		e.Atm.U, e.Atm.T, e.Atm.Qv, e.Atm.Ps, e.Atm.SST, e.Atm.IceFrac, e.Atm.Precip,
 		e.Ice.Conc, e.Ice.Thick,
 		e.Lnd.TSoil, e.Lnd.Bucket,
-		e.sstGlobal,
 	} {
 		s = append(s, f...)
 	}
@@ -136,7 +135,7 @@ func TestConcScheduleRaceStress(t *testing.T) {
 				t.Errorf("clock exhausted at step %d", i)
 				return
 			}
-			copy(sv.MustField("sst"), e.sstGlobal)
+			copy(sv.MustField("sst"), e.Atm.SST)
 			if err := coupler.RearrangeInto(c, r, sv, dv, coupler.ModeP2P, nil); err != nil {
 				t.Error(err)
 				return

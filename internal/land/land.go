@@ -50,12 +50,6 @@ type Model struct {
 
 	TSoil  []float64 // soil temperature per land cell, K
 	Bucket []float64 // soil water per land cell, m
-
-	// Diagnostics of the last step.
-	Runoff []float64 // m/s
-	Evap   []float64 // kg/m²/s
-
-	index map[int]int // atmosphere cell -> local slot
 }
 
 // New builds the land model for the land cells of an icosahedral mesh.
@@ -63,23 +57,23 @@ func New(mesh *grid.IcosMesh, cfg Config) (*Model, error) {
 	if cfg.ExchCoeff <= 0 || cfg.DrainTime <= 0 {
 		return nil, fmt.Errorf("land: non-positive parameters")
 	}
-	m := &Model{Cfg: cfg, index: make(map[int]int)}
+	m := &Model{Cfg: cfg}
 	for c := 0; c < mesh.NCells(); c++ {
 		if grid.IsLand(mesh.LonCell[c], mesh.LatCell[c]) {
-			m.index[c] = len(m.Cells)
-			m.Cells = append(m.Cells, c)
-			lat := mesh.LatCell[c]
-			m.TSoil = append(m.TSoil, 273.15+25*math.Cos(lat)*math.Cos(lat))
-			m.Bucket = append(m.Bucket, bucketCap/2)
+			m.add(mesh, c)
 		}
 	}
-	m.Runoff = make([]float64, len(m.Cells))
-	m.Evap = make([]float64, len(m.Cells))
 	return m, nil
 }
 
-// NLand returns the number of land cells.
-func (m *Model) NLand() int { return len(m.Cells) }
+// add appends a land column for atmosphere cell c with the analytic
+// initial state.
+func (m *Model) add(mesh *grid.IcosMesh, c int) {
+	m.Cells = append(m.Cells, c)
+	lat := mesh.LatCell[c]
+	m.TSoil = append(m.TSoil, 273.15+25*math.Cos(lat)*math.Cos(lat))
+	m.Bucket = append(m.Bucket, bucketCap/2)
+}
 
 // Adopt takes ownership of additional atmosphere cells — the coupler's
 // unmapped cells, whose spiral search found no wet ocean column — so their
@@ -87,17 +81,15 @@ func (m *Model) NLand() int { return len(m.Cells) }
 // Already-owned cells are skipped; adopted cells get the same analytic
 // initial state as native land cells.
 func (m *Model) Adopt(mesh *grid.IcosMesh, cells []int) {
+	owned := make(map[int]bool, len(m.Cells)+len(cells))
+	for _, c := range m.Cells {
+		owned[c] = true
+	}
 	for _, c := range cells {
-		if _, ok := m.index[c]; ok {
-			continue
+		if !owned[c] {
+			owned[c] = true
+			m.add(mesh, c)
 		}
-		m.index[c] = len(m.Cells)
-		m.Cells = append(m.Cells, c)
-		lat := mesh.LatCell[c]
-		m.TSoil = append(m.TSoil, 273.15+25*math.Cos(lat)*math.Cos(lat))
-		m.Bucket = append(m.Bucket, bucketCap/2)
-		m.Runoff = append(m.Runoff, 0)
-		m.Evap = append(m.Evap, 0)
 	}
 }
 
@@ -113,16 +105,6 @@ func (m *Model) Slots(pred func(cell int) bool) []int {
 		}
 	}
 	return out
-}
-
-// TotalWaterAt returns the bucket water summed over the given slots, the
-// partial sum a decomposed budget audit contributes before its allreduce.
-func (m *Model) TotalWaterAt(slots []int) float64 {
-	var s float64
-	for _, slot := range slots {
-		s += m.Bucket[slot]
-	}
-	return s
 }
 
 // Forcing is the per-cell atmospheric input for one land step.
@@ -144,15 +126,24 @@ type Response struct {
 	Evap  float64 // kg/m²/s
 }
 
-// StepCell advances one land cell by dt under the given forcing and returns
-// its response. Surface energy balance: absorbed SW + incoming LW − emitted
-// LW − sensible − latent heats the soil slab; the bucket gains rain and
-// loses evaporation and slow drainage.
+// StepCell advances the land column of atmosphere cell atmCell (see
+// StepSlot), and rejects a cell the model has no column for. It searches
+// Cells for the slot; a driver that steps every column steps by slot.
 func (m *Model) StepCell(atmCell int, f Forcing, dt float64) (Response, error) {
-	slot, ok := m.index[atmCell]
-	if !ok {
-		return Response{}, fmt.Errorf("land: cell %d is not a land cell", atmCell)
+	for slot, c := range m.Cells {
+		if c == atmCell {
+			return m.StepSlot(slot, f, dt), nil
+		}
 	}
+	return Response{}, fmt.Errorf("land: cell %d is not a land cell", atmCell)
+}
+
+// StepSlot advances land column slot by dt under the given forcing and
+// returns its response. Surface energy balance: absorbed SW + incoming LW −
+// emitted LW − sensible − latent heats the soil slab; the bucket gains rain
+// and loses evaporation and slow drainage, and spills what exceeds its
+// capacity.
+func (m *Model) StepSlot(slot int, f Forcing, dt float64) Response {
 	ts := m.TSoil[slot]
 
 	// Turbulent fluxes with the current skin temperature.
@@ -175,25 +166,20 @@ func (m *Model) StepCell(atmCell int, f Forcing, dt float64) (Response, error) {
 	net := absorbed - emitted - shf - lhf
 	m.TSoil[slot] = ts + dt*net/(soilHeatCap*soilDepth)
 
-	// Bucket hydrology: rain in, evaporation and drainage out, spill to
-	// runoff at capacity.
+	// Bucket hydrology: rain in, evaporation and drainage out, spill at
+	// capacity.
 	w := m.Bucket[slot]
 	w += dt * (f.Precip/1000 - evap/1000) // kg/m²/s → m/s of water
-	drain := w / m.Cfg.DrainTime * dt
-	w -= drain
-	runoff := drain / dt
+	w -= w / m.Cfg.DrainTime * dt
 	if w > bucketCap {
-		runoff += (w - bucketCap) / dt
 		w = bucketCap
 	}
 	if w < 0 {
 		w = 0
 	}
 	m.Bucket[slot] = w
-	m.Runoff[slot] = runoff
-	m.Evap[slot] = evap
 
-	return Response{TSkin: m.TSoil[slot], SHF: shf, LHF: lhf, Evap: evap}, nil
+	return Response{TSkin: m.TSoil[slot], SHF: shf, LHF: lhf, Evap: evap}
 }
 
 // MeanSoilTemp returns the mean soil temperature (K).

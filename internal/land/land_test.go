@@ -22,10 +22,10 @@ func newLand(t *testing.T) (*Model, *grid.IcosMesh) {
 
 func TestLandCellsMatchMask(t *testing.T) {
 	m, mesh := newLand(t)
-	if m.NLand() == 0 {
+	if len(m.Cells) == 0 {
 		t.Fatal("no land cells")
 	}
-	frac := float64(m.NLand()) / float64(mesh.NCells())
+	frac := float64(len(m.Cells)) / float64(mesh.NCells())
 	if frac < 0.15 || frac > 0.45 {
 		t.Errorf("land fraction %.2f, want ~0.29", frac)
 	}
@@ -63,14 +63,26 @@ func sunnyForcing() Forcing {
 	}
 }
 
+// StepCell steps the column of a land cell, the one StepSlot steps.
+func TestStepCellStepsItsSlot(t *testing.T) {
+	m, _ := newLand(t)
+	slot := len(m.Cells) / 2
+	r, err := m.StepCell(m.Cells[slot], sunnyForcing(), 600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, w := m.TSoil[slot], m.Bucket[slot]
+	ref, _ := newLand(t)
+	if got := ref.StepSlot(slot, sunnyForcing(), 600); got != r || ref.TSoil[slot] != ts || ref.Bucket[slot] != w {
+		t.Errorf("StepCell: %+v, T %v, bucket %v; StepSlot: %+v, T %v, bucket %v", r, ts, w, got, ref.TSoil[slot], ref.Bucket[slot])
+	}
+}
+
 func TestStrongSunWarmsSoil(t *testing.T) {
 	m, _ := newLand(t)
-	c := m.Cells[0]
 	t0 := m.TSoil[0]
 	for i := 0; i < 48; i++ {
-		if _, err := m.StepCell(c, sunnyForcing(), 1800); err != nil {
-			t.Fatal(err)
-		}
+		m.StepSlot(0, sunnyForcing(), 1800)
 	}
 	if m.TSoil[0] <= t0 {
 		t.Errorf("soil did not warm under 600 W/m²: %v -> %v", t0, m.TSoil[0])
@@ -82,13 +94,12 @@ func TestStrongSunWarmsSoil(t *testing.T) {
 
 func TestNoSunCoolsSoil(t *testing.T) {
 	m, _ := newLand(t)
-	c := m.Cells[0]
 	f := sunnyForcing()
 	f.GSW = 0
 	f.GLW = 200
 	t0 := m.TSoil[0]
 	for i := 0; i < 48; i++ {
-		m.StepCell(c, f, 1800)
+		m.StepSlot(0, f, 1800)
 	}
 	if m.TSoil[0] >= t0 {
 		t.Errorf("soil did not cool at night: %v -> %v", t0, m.TSoil[0])
@@ -99,15 +110,11 @@ func TestEnergyBalanceEquilibrium(t *testing.T) {
 	// Under fixed forcing the slab must approach a steady state where
 	// absorbed ≈ emitted + turbulent fluxes.
 	m, _ := newLand(t)
-	c := m.Cells[0]
 	f := sunnyForcing()
 	for i := 0; i < 5000; i++ {
-		m.StepCell(c, f, 3600)
+		m.StepSlot(0, f, 3600)
 	}
-	r, err := m.StepCell(c, f, 3600)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := m.StepSlot(0, f, 3600)
 	cfg := m.Cfg
 	absorbed := (1-cfg.Albedo)*f.GSW + cfg.Emissivity*f.GLW
 	emitted := cfg.Emissivity * 5.670e-8 * math.Pow(r.TSkin, 4)
@@ -119,30 +126,28 @@ func TestEnergyBalanceEquilibrium(t *testing.T) {
 
 func TestBucketHydrology(t *testing.T) {
 	m, _ := newLand(t)
-	c := m.Cells[0]
 	slot := 0
-	// Heavy rain fills the bucket and eventually produces runoff.
+	// Heavy rain fills the bucket to capacity and never past it: the
+	// excess spills.
 	f := sunnyForcing()
 	f.GSW = 0
 	f.Precip = 1e-3 // kg/m²/s = 3.6 mm/h
-	var sawRunoff bool
+	var full bool
 	for i := 0; i < 200; i++ {
-		m.StepCell(c, f, 3600)
-		if m.Runoff[slot] > 0 {
-			sawRunoff = true
+		m.StepSlot(slot, f, 3600)
+		if m.Bucket[slot] > bucketCap {
+			t.Fatalf("step %d: bucket %v past capacity %v", i, m.Bucket[slot], bucketCap)
 		}
-		if m.Bucket[slot] > bucketCap+1e-12 {
-			t.Fatal("bucket exceeded capacity")
-		}
+		full = full || m.Bucket[slot] == bucketCap
 	}
-	if !sawRunoff {
-		t.Error("no runoff under sustained heavy rain")
+	if !full {
+		t.Errorf("bucket %v never filled to capacity %v under sustained heavy rain", m.Bucket[slot], bucketCap)
 	}
 	// Drought: bucket drains, beta limits evaporation.
 	f.Precip = 0
 	f.GSW = 700
 	for i := 0; i < 3000; i++ {
-		m.StepCell(c, f, 3600)
+		m.StepSlot(slot, f, 3600)
 	}
 	if m.Bucket[slot] > bucketCap/4 {
 		t.Errorf("bucket did not dry: %v", m.Bucket[slot])
@@ -154,17 +159,16 @@ func TestBucketHydrology(t *testing.T) {
 
 func TestEvaporationRequiresWaterAndWind(t *testing.T) {
 	m, _ := newLand(t)
-	c := m.Cells[0]
 	slot := 0
 	m.Bucket[slot] = 0
-	r, _ := m.StepCell(c, sunnyForcing(), 600)
+	r := m.StepSlot(slot, sunnyForcing(), 600)
 	if r.Evap != 0 {
 		t.Errorf("evaporation %v from empty bucket", r.Evap)
 	}
 	m.Bucket[slot] = bucketCap
 	f := sunnyForcing()
 	f.Wind = 0
-	r, _ = m.StepCell(c, f, 600)
+	r = m.StepSlot(slot, f, 600)
 	if r.Evap != 0 {
 		t.Errorf("evaporation %v with no wind", r.Evap)
 	}
@@ -183,7 +187,7 @@ func TestDiagnostics(t *testing.T) {
 // Slots partitions the land columns under any cell-ownership predicate: the
 // per-owner slot lists are disjoint, ascending, and together cover every
 // slot exactly once — including cells adopted after construction, whose
-// slots are appended out of cell order.
+// slots are appended out of cell order, each once.
 func TestSlotsPartition(t *testing.T) {
 	m, mesh := newLand(t)
 	// Adopt a few non-land cells so the slot list is not cell-sorted.
@@ -193,11 +197,16 @@ func TestSlotsPartition(t *testing.T) {
 			extra = append(extra, c)
 		}
 	}
-	m.Adopt(mesh, extra)
+	// A cell already owned, or listed twice, is adopted once.
+	n := len(m.Cells)
+	m.Adopt(mesh, append(extra, extra[0], m.Cells[0]))
+	if got := len(m.Cells) - n; got != len(extra) {
+		t.Fatalf("Adopt added %d columns for %d new cells", got, len(extra))
+	}
 
 	const owners = 3
 	owner := func(cell int) int { return cell % owners }
-	seen := make([]int, m.NLand())
+	seen := make([]int, len(m.Cells))
 	for o := 0; o < owners; o++ {
 		slots := m.Slots(func(cell int) bool { return owner(cell) == o })
 		prev := -1
@@ -216,27 +225,5 @@ func TestSlotsPartition(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("slot %d covered %d times, want exactly once", s, n)
 		}
-	}
-}
-
-// TotalWaterAt over an ownership partition recovers TotalWater: exactly for
-// the trivial partition, and to summation-order round-off when the partials
-// are reduced across owners — the decomposed budget audit's contract.
-func TestTotalWaterAtPartition(t *testing.T) {
-	m, _ := newLand(t)
-	// Perturb the buckets so the test is not summing identical values.
-	for s := range m.Bucket {
-		m.Bucket[s] = 0.01 + 0.001*float64(s%17)
-	}
-	all := m.Slots(func(int) bool { return true })
-	if got, want := m.TotalWaterAt(all), m.TotalWater(); got != want {
-		t.Fatalf("TotalWaterAt(all) = %v, TotalWater = %v", got, want)
-	}
-	var sum float64
-	for o := 0; o < 4; o++ {
-		sum += m.TotalWaterAt(m.Slots(func(cell int) bool { return cell%4 == o }))
-	}
-	if want := m.TotalWater(); math.Abs(sum-want) > 1e-12*math.Abs(want) {
-		t.Fatalf("partitioned sum %v, total %v", sum, want)
 	}
 }

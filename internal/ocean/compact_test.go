@@ -80,7 +80,7 @@ func TestCompactionComposesWithBlockPartition(t *testing.T) {
 					scatter[gi] = o.T[o.idx2(cl[0], cl[1])]
 				}
 				global := c.AllreduceSlice(scatter, par.OpSum)
-				ref := o.GatherSurface(o.T[:o.LNI*o.LNJ])
+				ref := o.B.GatherGlobal(o.T[:o.LNI*o.LNJ])
 				if c.Rank() == 0 {
 					for gi := range ref {
 						if !g.Wet(gi) {

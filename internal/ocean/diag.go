@@ -166,12 +166,6 @@ func (o *Ocean) SurfaceRossby() []float64 {
 	return out
 }
 
-// GatherSurface assembles the owned part of a local 2-D field into a global
-// array on rank 0 (nil elsewhere), for output and plotting.
-func (o *Ocean) GatherSurface(f []float64) []float64 {
-	return o.B.GatherGlobal(f)
-}
-
 // surfaceOwned extracts the owned region (NJ × NI) of the surface level of
 // a local field (2-D, or level 0 of a 3-D field).
 func (o *Ocean) surfaceOwned(f []float64) []float64 {
@@ -179,17 +173,6 @@ func (o *Ocean) surfaceOwned(f []float64) []float64 {
 	for lj := 0; lj < o.B.NJ; lj++ {
 		for li := 0; li < o.B.NI; li++ {
 			out[lj*o.B.NI+li] = f[o.idx2(li, lj)]
-		}
-	}
-	return out
-}
-
-// SurfaceTemperature returns the local owned-region SST (NJ × NI).
-func (o *Ocean) SurfaceTemperature() []float64 {
-	out := make([]float64, o.B.NJ*o.B.NI)
-	for lj := 0; lj < o.B.NJ; lj++ {
-		for li := 0; li < o.B.NI; li++ {
-			out[lj*o.B.NI+li] = o.T[o.idx2(li, lj)]
 		}
 	}
 	return out

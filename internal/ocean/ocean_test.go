@@ -281,8 +281,8 @@ func TestSerialParallelEquivalence(t *testing.T) {
 			for s := 0; s < 3; s++ {
 				o.Step()
 			}
-			tg := o.GatherSurface(o.T[:o.LNI*o.LNJ])
-			eg := o.GatherSurface(o.Eta)
+			tg := o.B.GatherGlobal(o.T[:o.LNI*o.LNJ])
+			eg := o.B.GatherGlobal(o.Eta)
 			if c.Rank() == 0 {
 				tGlob, etaGlob = tg, eg
 			}
