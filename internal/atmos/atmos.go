@@ -163,8 +163,9 @@ func (m *Model) Decomp() *grid.IcosDecomp { return m.dec }
 // From then on Mesh is the patch and every array is indexed by local id:
 // the state, the surface fields, IsLand, the flux accumulators and a
 // radiation mask already given are re-indexed, the reconstructor is rebuilt
-// on the patch — from the global mesh's edge normals, which need both cells
-// of an edge, and with its global speed bound — and the dycore scratch is
+// on the patch — from the global mesh's edge frame (normals, tangents and
+// Coriolis), which needs both cells of an edge, and with its global speed
+// bound — and the dycore scratch is
 // dropped, to be rebuilt at patch size by the next step. Every sweep covers
 // the patch (owned cells plus the ring-1 halo the stencils need), with halo
 // exchanges at the substep boundaries; local ids ascend in global id, so
@@ -192,7 +193,7 @@ func (m *Model) Decompose(c *par.Comm) (*grid.IcosDecomp, error) {
 		m.flux.edge, m.flux.dps = grid.PatchColumns(m.flux.edge, edges, nlev), grid.PatchColumns(m.flux.dps, cells, 1)
 	}
 	bound := m.recon.speedBound
-	m.recon = newReconstructor(p, grid.PatchColumns(m.recon.normal3, edges, 1))
+	m.recon = newReconstructor(p, m.recon.edgeFrame.patch(edges))
 	m.recon.speedBound = bound
 	m.dy, m.thFresh = nil, false
 	m.Mesh, m.dec = p, d
@@ -248,7 +249,7 @@ func New(level, nlev int, cfg Config, sp pp.Space) (*Model, error) {
 		m.IsLand[c] = grid.IsLand(m.Mesh.LonCell[c], m.Mesh.LatCell[c])
 	}
 
-	m.recon = newReconstructor(mesh, edgeNormals(mesh))
+	m.recon = newReconstructor(mesh, edgeFrameOf(mesh))
 	m.Physics = NewConventionalSuite(m)
 	m.InitBaroclinicRest()
 	return m, nil

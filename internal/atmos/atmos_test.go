@@ -129,7 +129,7 @@ func TestReconstructionZonalFlow(t *testing.T) {
 	// Solid-body zonal flow: velocity = Ω×r with Ω = ẑ; normal component
 	// at each edge.
 	for e := 0; e < ne; e++ {
-		mid := mesh.EdgeMidpoint[e]
+		mid := mesh.EdgeMidpoint(e)
 		vel := grid.Vec3{X: -mid.Y, Y: mid.X, Z: 0}
 		u[e] = vel.Dot(m.recon.normal3[e])
 	}

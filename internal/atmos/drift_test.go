@@ -63,9 +63,9 @@ func newParentStepper(m *Model) *parentStepper {
 	for e := 0; e < ne; e++ {
 		r.dcm[e] = mesh.Dc[e] * re
 		r.dvm[e] = mesh.Dv[e] * re
-		_, lat := grid.LonLat(mesh.EdgeMidpoint[e])
+		_, lat := grid.LonLat(mesh.EdgeMidpoint(e))
 		r.fE[e] = 2 * 7.292e-5 * math.Sin(lat)
-		r.tan[e] = mesh.EdgeMidpoint[e].Cross(m.recon.normal3[e])
+		r.tan[e] = mesh.EdgeMidpoint(e).Cross(m.recon.normal3[e])
 	}
 	for k := 0; k < nlev; k++ {
 		sTop, sBot := m.sigInt(k), m.sigInt(k+1)

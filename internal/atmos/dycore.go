@@ -521,91 +521,113 @@ func (p colPool) put(w *colWork) {
 }
 
 // physicsStep runs the pluggable suite column by column and applies its
-// tendencies; cell-vector momentum tendencies project back onto edges.
+// tendencies; cell-vector momentum tendencies project back onto edges. The
+// two sweeps' row bodies are bound once (dyScratch), with the step's dt
+// beside them.
 func (m *Model) physicsStep(dt float64) {
 	mesh := m.Mesh
 	nc, ne := mesh.NCells(), mesh.NEdges()
-	nlev := m.NLev
 
 	s := m.dyEnsure()
 	s.bindSets()
-	duCell, dvCell := s.lnPs, s.vort[:nc]
+	s.physDt = dt
 
 	// Physics columns run on the extended patch: the halo columns are
 	// recomputed redundantly from inputs the exchanges keep bit-identical to
 	// their owners', so the column outputs (T, Qv, and the seven export
 	// fields) are halo-valid without any post-physics cell exchange.
-	m.sweep(nil, nc, func(c int) {
-		cw := m.cols.get(nlev)
-		w := cw.lev
-		for i := 5 * nlev; i < len(w); i++ {
-			w[i] = 0 // the suite accumulates into the tendencies; the inputs are assigned below
-		}
-		in := ColumnIn{
-			U: w[0:nlev], V: w[nlev : 2*nlev],
-			T: w[2*nlev : 3*nlev], Q: w[3*nlev : 4*nlev],
-			P:       w[4*nlev : 5*nlev],
-			Lat:     mesh.LatCell[c],
-			TSkin:   m.SST[c],
-			CosZ:    m.cosZenith(c),
-			Land:    m.IsLand[c],
-			Ice:     m.IceFrac[c],
-			SkipRad: m.radSkipped(c),
-		}
-		t, qv := m.Columns(m.T, c, 1), m.Columns(m.Qv, c, 1)
-		for k := 0; k < nlev; k++ {
-			in.U[k], in.V[k] = m.recon.CellUV(m.U, nlev, k, c)
-			in.T[k] = t[k]
-			in.Q[k] = qv[k]
-			in.P[k] = m.Sig[k] * m.Ps[c]
-		}
-		out := &cw.out
-		*out = ColumnOut{
-			DT: w[5*nlev : 6*nlev], DQ: w[6*nlev : 7*nlev],
-			DU: w[7*nlev : 8*nlev], DV: w[8*nlev : 9*nlev],
-		}
-		m.Physics.Column(in, dt, out)
-		for k := 0; k < nlev; k++ {
-			t[k] += dt * out.DT[k]
-			qv[k] = math.Max(qv[k]+dt*out.DQ[k], 0)
-		}
-		// Lowest-level momentum tendency represents surface drag; store the
-		// cell tendency for edge projection of the whole column via the
-		// lowest level (dominant), and the precipitation for export.
-		duCell[c] = out.DU[nlev-1]
-		dvCell[c] = out.DV[nlev-1]
-		m.Precip[c] = out.Precip
-		if !in.SkipRad {
-			m.GSW[c] = out.GSW
-			m.GLW[c] = out.GLW
-			m.radCols.Add(1)
-		}
-
-		// Upper-level momentum tendencies applied through the cell pair
-		// averaging below need per-level storage; the conventional and AI
-		// suites only produce boundary-layer drag, so the lowest level
-		// carries the signal.
-		m.cols.put(cw)
-	})
+	m.sweep(nil, nc, s.physColumnF)
 
 	// Project the boundary-layer momentum tendency onto lowest-level edges.
-	kB := nlev - 1
-	m.sweep(s.comp, ne, func(i int) {
-		e := at(s.comp, i)
-		c1, c2 := int(mesh.CellsOnEdge[e][0]), int(mesh.CellsOnEdge[e][1])
-		n := m.recon.normal3[e]
-		add := func(c int) float64 {
-			vec := m.recon.east[c].Scale(duCell[c]).Add(m.recon.north[c].Scale(dvCell[c]))
-			return vec.Dot(n)
-		}
-		m.U[m.Idx(e, kB)] += dt * 0.5 * (add(c1) + add(c2))
-	})
+	m.sweep(s.comp, ne, s.dragEdgeF)
 	if m.dec != nil {
 		// Only the lowest level changed; exchange just that level of each
 		// column to refresh the received extended edges the projection left
 		// stale.
-		m.dec.ExchangeEdgeLevels(m.U, nlev, kB, kB+1)
+		kB := m.NLev - 1
+		m.dec.ExchangeEdgeLevels(m.U, m.NLev, kB, kB+1)
 	}
+}
+
+// physCells returns the physics step's per-cell momentum tendency of the
+// lowest level, (du, dv), in the scratch the tracer step does not hold.
+func (s *dyScratch) physCells() (duCell, dvCell []float64) {
+	return s.lnPs, s.vort[:s.m.Mesh.NCells()]
+}
+
+// physColumn runs the suite on cell c and applies its tendencies.
+func (s *dyScratch) physColumn(c int) {
+	m := s.m
+	mesh := m.Mesh
+	nlev := m.NLev
+	dt := s.physDt
+	duCell, dvCell := s.physCells()
+	cw := m.cols.get(nlev)
+	w := cw.lev
+	for i := 5 * nlev; i < len(w); i++ {
+		w[i] = 0 // the suite accumulates into the tendencies; the inputs are assigned below
+	}
+	in := ColumnIn{
+		U: w[0:nlev], V: w[nlev : 2*nlev],
+		T: w[2*nlev : 3*nlev], Q: w[3*nlev : 4*nlev],
+		P:       w[4*nlev : 5*nlev],
+		Lat:     mesh.LatCell[c],
+		TSkin:   m.SST[c],
+		CosZ:    m.cosZenith(c),
+		Land:    m.IsLand[c],
+		Ice:     m.IceFrac[c],
+		SkipRad: m.radSkipped(c),
+	}
+	t, qv := m.Columns(m.T, c, 1), m.Columns(m.Qv, c, 1)
+	for k := 0; k < nlev; k++ {
+		in.U[k], in.V[k] = m.recon.CellUV(m.U, nlev, k, c)
+		in.T[k] = t[k]
+		in.Q[k] = qv[k]
+		in.P[k] = m.Sig[k] * m.Ps[c]
+	}
+	out := &cw.out
+	*out = ColumnOut{
+		DT: w[5*nlev : 6*nlev], DQ: w[6*nlev : 7*nlev],
+		DU: w[7*nlev : 8*nlev], DV: w[8*nlev : 9*nlev],
+	}
+	m.Physics.Column(in, dt, out)
+	for k := 0; k < nlev; k++ {
+		t[k] += dt * out.DT[k]
+		qv[k] = math.Max(qv[k]+dt*out.DQ[k], 0)
+	}
+	// Lowest-level momentum tendency represents surface drag; store the
+	// cell tendency for edge projection of the whole column via the
+	// lowest level (dominant), and the precipitation for export.
+	duCell[c] = out.DU[nlev-1]
+	dvCell[c] = out.DV[nlev-1]
+	m.Precip[c] = out.Precip
+	if !in.SkipRad {
+		m.GSW[c] = out.GSW
+		m.GLW[c] = out.GLW
+		m.radCols.Add(1)
+	}
+
+	// Upper-level momentum tendencies applied through the cell pair
+	// averaging below need per-level storage; the conventional and AI
+	// suites only produce boundary-layer drag, so the lowest level
+	// carries the signal.
+	m.cols.put(cw)
+}
+
+// dragEdge projects the cell drag tendency onto computed edge i's lowest
+// level.
+func (s *dyScratch) dragEdge(i int) {
+	m := s.m
+	mesh := m.Mesh
+	duCell, dvCell := s.physCells()
+	e := at(s.comp, i)
+	c1, c2 := int(mesh.CellsOnEdge[e][0]), int(mesh.CellsOnEdge[e][1])
+	n := m.recon.normal3[e]
+	add := func(c int) float64 {
+		vec := m.recon.east[c].Scale(duCell[c]).Add(m.recon.north[c].Scale(dvCell[c]))
+		return vec.Dot(n)
+	}
+	m.U[m.Idx(e, m.NLev-1)] += s.physDt * 0.5 * (add(c1) + add(c2))
 }
 
 // cosZenith returns the diurnally-averaged cosine of the solar zenith angle

@@ -49,7 +49,7 @@ type atmGeom struct {
 	sdc    []float64 // [3*nv]: sign·Dc·re
 	dualRR []float64 // per vertex: 1/((AreaDual·re)·re)
 	// Edge sweeps.
-	tX, tY, tZ []float64 // half the edge tangent, ½·(mid × n̂) (ẑ×n̂ direction)
+	tX, tY, tZ []float64 // half the edge tangent, ½·(mid × n̂) (ẑ×n̂ direction), the edge frame's
 }
 
 // edgeGeomF is the per-edge geometry of the momentum kernel: the reciprocal
@@ -57,7 +57,7 @@ type atmGeom struct {
 // divergence-damping coefficient.
 type edgeGeomF struct {
 	rdcm, rdvm []float64 // 1/(Dc·re), 1/(Dv·re)
-	fE         []float64 // 2Ω·sin(lat) at the edge midpoint
+	fE         []float64 // 2Ω·sin(lat) at the edge midpoint, the edge frame's
 
 	damp           []float64 // Div4·(Dc·re)²/dt · 1/(Dc·re), rebuilt when dt or Div4 changes
 	dampDt, dampD4 float64
@@ -103,22 +103,16 @@ func newAtmGeomF(mesh *grid.IcosMesh, r *reconstructor, nlev int) (*atmGeom, *ed
 		g.dualRR[v] = 1 / (mesh.AreaDual[v] * re * re)
 	}
 
-	g.tX = make([]float64, ne)
-	g.tY = make([]float64, ne)
-	g.tZ = make([]float64, ne)
+	g.tX, g.tY, g.tZ = r.tX, r.tY, r.tZ
 	eg := &edgeGeomF{
 		rdcm: make([]float64, ne),
 		rdvm: make([]float64, ne),
-		fE:   make([]float64, ne),
+		fE:   r.fE,
 		damp: make([]float64, ne),
 	}
 	for e := 0; e < ne; e++ {
-		t := mesh.EdgeMidpoint[e].Cross(r.normal3[e])
-		g.tX[e], g.tY[e], g.tZ[e] = 0.5*t.X, 0.5*t.Y, 0.5*t.Z
 		eg.rdcm[e] = 1 / (mesh.Dc[e] * re)
 		eg.rdvm[e] = 1 / (mesh.Dv[e] * re)
-		_, latE := grid.LonLat(mesh.EdgeMidpoint[e])
-		eg.fE[e] = 2 * 7.292e-5 * math.Sin(latE)
 	}
 	return g, eg
 }
@@ -390,9 +384,11 @@ type dyScratch struct {
 	// the top of each step; nil when replicated.
 	owned, comp []int
 
-	// The row bodies of dycore.go, bound once.
+	// The row bodies of dycore.go, bound once, and the physics step's dt.
 	thermoF, lnPsF, contEdgeF, contCellF func(i int)
 	thetaF, transportF, tracerStoreF     func(i int)
+	physColumnF, dragEdgeF               func(i int)
+	physDt                               float64
 }
 
 // dyEnsure builds the scratch on first use.
@@ -433,6 +429,7 @@ func (m *Model) dyEnsure() *dyScratch {
 	s.bMom.rowF = s.bMom.edge
 	s.thermoF, s.lnPsF, s.contEdgeF, s.contCellF = s.thermoCell, s.lnPsCell, s.contEdge, s.contCell
 	s.thetaF, s.transportF, s.tracerStoreF = s.thetaCell, s.transport2, s.tracerStore
+	s.physColumnF, s.dragEdgeF = s.physColumn, s.dragEdge
 	m.dy = s
 	return s
 }

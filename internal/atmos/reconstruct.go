@@ -17,9 +17,8 @@ type reconstructor struct {
 	// IcosMesh slot: uVec(c) = Σ_s (wX, wY, wZ)[s] · u_SlotEdge[s]. The
 	// dycore's cell kernel reads the same tables.
 	wX, wY, wZ []float64
-	// normal3 is the unit normal direction of each edge (pointing c1→c2,
-	// tangent to the sphere at the edge midpoint).
-	normal3 []grid.Vec3
+	// The per-edge frame: unit normals, half tangents and Coriolis.
+	edgeFrame
 	// east and north are the local unit vectors at each cell center, used
 	// to express reconstructed vectors as (zonal, meridional) components.
 	east, north []grid.Vec3
@@ -28,25 +27,54 @@ type reconstructor struct {
 	speedBound float64
 }
 
-// edgeNormals returns each edge's unit normal (c1→c2, tangent at the edge
-// midpoint). It reads both cells of every edge, so a patch takes its normals
-// from the global mesh.
-func edgeNormals(mesh *grid.IcosMesh) []grid.Vec3 {
-	normal3 := make([]grid.Vec3, mesh.NEdges())
-	for e := range normal3 {
+// edgeFrame is the geometry of each edge at its midpoint: the unit normal
+// normal3 (c1→c2, tangent to the sphere), half the tangent ½·(mid × n̂) in
+// tX, tY, tZ (the momentum kernel's), and the Coriolis parameter fE =
+// 2Ω·sin(lat). It reads both cells of every edge, so a patch takes its
+// frame from the global mesh (patch).
+type edgeFrame struct {
+	normal3    []grid.Vec3
+	tX, tY, tZ []float64
+	fE         []float64
+}
+
+// edgeFrameOf computes the frame of every edge of a whole mesh.
+func edgeFrameOf(mesh *grid.IcosMesh) edgeFrame {
+	ne := mesh.NEdges()
+	f := edgeFrame{
+		normal3: make([]grid.Vec3, ne),
+		tX:      make([]float64, ne), tY: make([]float64, ne), tZ: make([]float64, ne),
+		fE: make([]float64, ne),
+	}
+	for e := range f.normal3 {
 		c1, c2 := mesh.CellsOnEdge[e][0], mesh.CellsOnEdge[e][1]
-		mid := mesh.EdgeMidpoint[e]
+		mid := mesh.EdgeMidpoint(e)
 		n := mesh.CellCenter[c2].Sub(mesh.CellCenter[c1])
 		// Project onto the tangent plane at the midpoint.
-		normal3[e] = n.Sub(mid.Scale(n.Dot(mid))).Normalize()
+		f.normal3[e] = n.Sub(mid.Scale(n.Dot(mid))).Normalize()
+		t := mid.Cross(f.normal3[e])
+		f.tX[e], f.tY[e], f.tZ[e] = 0.5*t.X, 0.5*t.Y, 0.5*t.Z
+		_, latE := grid.LonLat(mid)
+		f.fE[e] = 2 * 7.292e-5 * math.Sin(latE)
 	}
-	return normal3
+	return f
+}
+
+// patch returns the frame of the global edges ids, in their order.
+func (f edgeFrame) patch(ids []int32) edgeFrame {
+	return edgeFrame{
+		normal3: grid.PatchColumns(f.normal3, ids, 1),
+		tX:      grid.PatchColumns(f.tX, ids, 1),
+		tY:      grid.PatchColumns(f.tY, ids, 1),
+		tZ:      grid.PatchColumns(f.tZ, ids, 1),
+		fE:      grid.PatchColumns(f.fE, ids, 1),
+	}
 }
 
 // newReconstructor builds the per-slot weights of every cell of mesh from
-// the edge normals normal3 (edgeNormals).
-func newReconstructor(mesh *grid.IcosMesh, normal3 []grid.Vec3) *reconstructor {
-	r := &reconstructor{mesh: mesh, normal3: normal3}
+// the edge frame (edgeFrameOf, or its patch), which it keeps.
+func newReconstructor(mesh *grid.IcosMesh, frame edgeFrame) *reconstructor {
+	r := &reconstructor{mesh: mesh, edgeFrame: frame}
 	nc := mesh.NCells()
 	ns := len(mesh.SlotEdge)
 	r.wX, r.wY, r.wZ = make([]float64, ns), make([]float64, ns), make([]float64, ns)

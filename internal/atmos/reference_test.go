@@ -167,9 +167,15 @@ func newRefStepper(m *Model) *refStepper {
 		r.dvm[e] = mesh.Dv[e] * re
 		r.rdcm[e] = 1 / (mesh.Dc[e] * re)
 		r.rdvm[e] = 1 / (mesh.Dv[e] * re)
-		_, lat := grid.LonLat(mesh.EdgeMidpoint[e])
+		if ce := mesh.CellsOnEdge[e]; ce[0] < 0 || ce[1] < 0 {
+			// A patch edge without its outer cell has no midpoint here, and
+			// no sweep reads its Coriolis or tangent: it has no owned cell,
+			// so it is received, never computed. Left zero.
+			continue
+		}
+		_, lat := grid.LonLat(mesh.EdgeMidpoint(e))
 		r.fE[e] = 2 * 7.292e-5 * math.Sin(lat)
-		r.halfT[e] = mesh.EdgeMidpoint[e].Cross(m.recon.normal3[e]).Scale(0.5)
+		r.halfT[e] = mesh.EdgeMidpoint(e).Cross(m.recon.normal3[e]).Scale(0.5)
 	}
 	for k := 0; k < nlev; k++ {
 		sTop, sBot := m.sigInt(k), m.sigInt(k+1)

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/coupler"
 	"repro/internal/grid"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/pario"
 	"repro/internal/pp"
@@ -399,7 +400,7 @@ func TestCouplingPlanIsPerCell(t *testing.T) {
 				}
 				// The assembled regridder is gone; a plan built from rg must
 				// share rg's arrays rather than copy them.
-				if err := e.initDistribute(rg); err != nil {
+				if err := e.initDistribute(rg, e.Atm.Mesh); err != nil {
 					t.Error(err)
 					return
 				}
@@ -458,6 +459,163 @@ func TestCouplingPlanIsPerCell(t *testing.T) {
 				if remap == RemapCons && ranks == 2 && (ndst[0] != 342 || ndst[1] != 317) {
 					t.Errorf("25v10 on 2 ranks delivers %v points, want [342 317]", ndst)
 				}
+			})
+		}
+	}
+}
+
+// The ocn→atm surface return is sized by the ocean columns each atmosphere
+// patch reads, not by the ocean grid. Decomposed, every rank's surface
+// router delivers exactly one point per distinct column its patch reads
+// (each non-land cell's nearest wet column, the ring-1 halo included), the
+// ranks pack as many points as they deliver, and every delivered point is
+// some cell's ghost id. On one rank there is neither a router nor a vector:
+// a cell's ghost id is its column's ocean-local index, into Ocn.T's surface
+// level and Ice.Conc themselves.
+func TestSurfaceReturnPlanIsPerCell(t *testing.T) {
+	cfg, err := ConfigForLabel("25v10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg := regridderFor(t, cfg)
+	// read returns the ocean column atmosphere cell lc of e reads, or −1.
+	read := func(e *ESM, lc int) int {
+		g := lc
+		if e.Atm.Decomp() != nil {
+			g = int(e.Atm.Mesh.GlobalCell[lc])
+		}
+		if e.Atm.IsLand[lc] {
+			return -1
+		}
+		return rg.AtmToOcn[g]
+	}
+	for _, remap := range []RemapMode{RemapNN, RemapCons} {
+		t.Run(fmt.Sprintf("%v/ranks=1", remap), func(t *testing.T) {
+			par.Run(1, func(c *par.Comm) {
+				e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithRemap(remap))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				ds, b := e.dst, e.Ocn.B
+				if ds.sfcRt != nil || ds.sfcSrc != nil || ds.sfcDst != nil || ds.sfcCol != nil {
+					t.Error("one rank builds a surface router, vector or pack list")
+				}
+				if len(ds.atmOcn) != e.Atm.Mesh.NCells() {
+					t.Fatalf("atmOcn has %d ids for %d cells", len(ds.atmOcn), e.Atm.Mesh.NCells())
+				}
+				for lc, p := range ds.atmOcn {
+					want := int32(-1)
+					if gi := read(e, lc); gi >= 0 {
+						want = int32(b.LIdx(gi%cfg.OcnNX, gi/cfg.OcnNX))
+					}
+					if p != want {
+						t.Fatalf("atmOcn[%d] = %d, want ocean-local index %d", lc, p, want)
+					}
+				}
+			})
+		})
+		for _, ranks := range []int{2, 4, 8} {
+			t.Run(fmt.Sprintf("%v/ranks=%d", remap, ranks), func(t *testing.T) {
+				par.Run(ranks, func(c *par.Comm) {
+					e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithRemap(remap))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					ds := e.dst
+					cols := map[int]bool{}
+					ghosts := map[int32]bool{}
+					for lc, p := range ds.atmOcn {
+						gi := read(e, lc)
+						if (p >= 0) != (gi >= 0) {
+							t.Errorf("rank %d: cell %d has ghost id %d, reads column %d", c.Rank(), lc, p, gi)
+						}
+						if gi >= 0 {
+							cols[gi] = true
+							ghosts[p] = true
+						}
+					}
+					if ds.sfcRt.NDst != len(cols) {
+						t.Errorf("rank %d: surface router delivers %d points, its patch reads %d columns", c.Rank(), ds.sfcRt.NDst, len(cols))
+					}
+					if len(ghosts) != ds.sfcRt.NDst {
+						t.Errorf("rank %d: %d of %d delivered points are read", c.Rank(), len(ghosts), ds.sfcRt.NDst)
+					}
+					if len(ds.sfcCol) != ds.sfcRt.NSrc || ds.sfcSrc.LSize != ds.sfcRt.NSrc || ds.sfcDst.LSize != ds.sfcRt.NDst {
+						t.Errorf("rank %d: pack list %d and vectors %d/%d, router %d/%d", c.Rank(),
+							len(ds.sfcCol), ds.sfcSrc.LSize, ds.sfcDst.LSize, ds.sfcRt.NSrc, ds.sfcRt.NDst)
+					}
+					if nsrc, nd := c.AllreduceInt(ds.sfcRt.NSrc), c.AllreduceInt(ds.sfcRt.NDst); nsrc != nd {
+						t.Errorf("rank %d: ranks pack %d points, deliver %d", c.Rank(), nsrc, nd)
+					}
+				})
+			})
+		}
+	}
+}
+
+// A coupled step allocates nothing in steady state, at one rank and at
+// two, in both remap modes with the audit on: the surface return rides a
+// router with persistent vectors, the ice reads its forcing in place, the
+// clock rings into its own slice, every sweep body is bound once, and the
+// audit's reduction reads the peers' partial sums in place. The model is
+// measured without an observer (obs.Nop): a recording observer's spans are
+// its own allocations, not the model's. The count is exact and
+// process-wide — the heap's allocation counter over a window of steps that
+// spans two ocean couplings must not move — so at two ranks it covers both
+// ranks' goroutines, rank 0 reading the counter between barriers. It runs
+// on one P, as testing.AllocsPerRun does, after a collection and a few
+// steps more: a blocked goroutine's wait record comes from a per-P cache
+// that every collection empties, and that is the runtime's allocation, not
+// the model's.
+func TestCoupledStepZeroAllocs(t *testing.T) {
+	cfg, err := ConfigForLabel("25v10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, remap := range []RemapMode{RemapNN, RemapCons} {
+		for _, ranks := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%v/ranks=%d", remap, ranks), func(t *testing.T) {
+				const warm, window = 10, 10
+				par.Run(ranks, func(c *par.Comm) {
+					e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithRemap(remap), WithAudit(true), WithObserver(obs.Nop{}))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for i := 0; i < warm; i++ {
+						if i == warm/2 {
+							c.Barrier()
+							if c.Rank() == 0 {
+								runtime.GC()
+							}
+							c.Barrier()
+						}
+						e.Step()
+					}
+					var before, after runtime.MemStats
+					c.Barrier()
+					if c.Rank() == 0 {
+						runtime.ReadMemStats(&before)
+					}
+					c.Barrier()
+					for i := 0; i < window; i++ {
+						if !e.Step() {
+							t.Error("the clock stopped inside the window")
+							return
+						}
+					}
+					c.Barrier()
+					if c.Rank() == 0 {
+						runtime.ReadMemStats(&after)
+						if n := after.Mallocs - before.Mallocs; n != 0 {
+							t.Errorf("%d allocations in %d coupled steps on %d ranks, want 0", n, window, ranks)
+						}
+					}
+					c.Barrier()
+				})
 			})
 		}
 	}

@@ -6,47 +6,56 @@ import (
 	"sort"
 
 	"repro/internal/coupler"
+	"repro/internal/grid"
 	"repro/internal/ocean"
+	"repro/internal/par"
+	"repro/internal/seaice"
 )
 
-// The atm→ocn coupling: every owned ocean column reads its atmosphere
-// values through ghost ids, at every rank count — colRef holds one per
-// owned column (its nearest cell, OcnToAtm; dry columns too, the ice
-// forcing writes them all) and, under RemapCons, consRef one per CSR entry
-// of its row (its overlap cell, ConsCol, beside its weight in consW). One
-// import per remap mode and one ice forcing read them:
+// The coupling runs both ways through ghost ids, at every rank count.
+//
+// atm→ocn: every owned ocean column reads its atmosphere values through
+// ghost ids — colRef holds one per owned column (its nearest cell,
+// OcnToAtm; dry columns too) and, under RemapCons, consRef one per CSR
+// entry of its row (its overlap cell, ConsCol, beside its weight in consW).
+// One import per remap mode and the ice's bound Forcing read them:
 //
 //   - nearest-neighbour mode reads the 7 per-cell atmosphere inputs (u10,
 //     v10, tair, qair, gsw, glw, precip) at each owned wet column's nearest
 //     cell and runs nearestFluxes, the bulk formula;
 //   - conservative mode reads the 4 per-cell flux parts and sums each owned
 //     wet column's row with consRow in ascending p;
-//   - the ice forcing reads tair, u10 and v10 at each column's nearest cell.
+//   - the sea ice reads tair, u10 and v10 at each column's nearest cell.
+//
+// ocn→atm: every atmosphere cell this rank holds, the ring-1 halo included,
+// reads its ocean column's SST and ice concentration through atmOcn, its
+// ghost id (−1 for a land cell, whose surface is the land model's, and for
+// a cell with no reachable wet column), so the halo's surface is valid for
+// the redundant physics columns without an atmosphere exchange.
 //
 // Only where the ghost values come from depends on the rank count. On one
-// rank the atmosphere is not decomposed, a ghost id is the global cell id
-// and the values are the atmosphere's own arrays (plus the surface air,
-// filled per cell from SurfaceAir): no router, no vectors. Decomposed, no
-// rank holds the whole atmosphere, so the cells an ocean rank reads are
-// shipped to it through one coupler.Router over (ocean rank, atmosphere
-// cell) pairs: for each ocean rank in rank order, the distinct cells its
-// owned block reads, in ascending global id. A pair's source is the cell's
-// atmosphere owner, its destination the ocean rank, so the owner packs each
-// owned cell's value once per reading rank, a rank's destination vector
-// holds one point per cell it reads, and a ghost id is a point of that
-// vector. The owner packs the values the one-rank path reads, so every
-// rank count evaluates the same expressions on the same operands, bit for
-// bit.
+// rank nothing is decomposed and there is no router and no vector: an
+// atm→ocn ghost id is the global cell id and the values are the
+// atmosphere's own arrays (plus the surface air, filled per cell from
+// SurfaceAir); an ocn→atm ghost id is the column's ocean-local index and the
+// values are Ocn.T's surface level and Ice.Conc. Decomposed, each direction
+// has one coupler.Router over (reading rank, point) pairs: for each rank in
+// rank order, the distinct points it reads, ascending — the atmosphere
+// cells its owned ocean block reads (whose source is the cell's atmosphere
+// owner), and the ocean columns its atmosphere patch reads (whose source is
+// the column's ocean owner). The owner packs each point's value once per
+// reading rank, a rank's destination vector holds one point per point it
+// reads, and a ghost id is a place in that vector. The owner packs the
+// values the one-rank path reads, so every rank count evaluates the same
+// expressions on the same operands, bit for bit.
 //
-// The plan is derived offline on every rank from the ocean block ownership
-// and the regridder, with no communication (§5.2.4's offline path). The
-// regridder covers both whole grids, so assembly builds it, copies out the
-// rows of the owned ocean columns and the atmosphere cells of the patch,
-// and drops it: a decomposed rank holds no regridder table of global size.
-// The ocn→atm surface return stays replicated (exportSurface gathers and
-// broadcasts SST/ice for the call and keeps only what the atmosphere patch
-// reads), which keeps the ring-1 halo's SST valid for the redundant
-// physics columns without an extra exchange.
+// The plan is derived offline on every rank from the ocean block ownership,
+// the atmosphere owner table, the whole mesh's adjacency and the
+// regridder, with no communication (§5.2.4's offline path). The regridder
+// and the whole mesh cover both whole grids, so assembly builds the plan,
+// copies out the rows of the owned ocean columns and the atmosphere cells
+// of the patch, and drops both: a decomposed rank holds no table of global
+// size.
 //
 // All buffers and vectors are persistent, so the per-step fill/consume
 // cycle is allocation-free in steady state (the rearranger's own guarantee
@@ -55,6 +64,7 @@ import (
 var nnFields = []string{"u10", "v10", "tair", "qair", "gsw", "glw", "precip"}
 var iceFields = []string{"tair", "u10", "v10"}
 var consFields = []string{"taux", "tauy", "qnet", "emp"}
+var sfcFields = []string{"sst", "ice"}
 
 type distState struct {
 	// The router over the (ocean rank, atmosphere cell) pair space, and per
@@ -78,13 +88,21 @@ type distState struct {
 	consW   []float64
 	consPtr []int32
 
-	// Per atmosphere cell this rank holds, by local id: its nearest wet
-	// ocean column (AtmToOcn, −1 where none is reachable) and its overlap
-	// area Ã_c (AtmOverlapArea, the regridder's own on one rank). unmapped
-	// counts the regridder's Unmapped cells, for the audit.
+	// Per atmosphere cell this rank holds, by local id: the ocn→atm ghost
+	// id of its nearest wet ocean column (AtmToOcn; −1 for land and where
+	// none is reachable) and its overlap area Ã_c (AtmOverlapArea, the
+	// regridder's own on one rank). unmapped counts the regridder's Unmapped
+	// cells, for the audit.
 	atmOcn   []int32
 	overlap  []float64
 	unmapped int
+
+	// The ocn→atm router over the (atmosphere rank, ocean column) pair
+	// space, per pair this rank packs (ascending pair index) its column's
+	// ocean-local index, and the SST/ice vectors. Nil on one rank.
+	sfcRt          *coupler.Router
+	sfcCol         []int32
+	sfcSrc, sfcDst *coupler.AttrVect
 
 	// The rearranged field sets (nil on one rank): ice forcing always, the
 	// conservative flux parts under RemapCons, the nearest-neighbour inputs
@@ -121,15 +139,82 @@ func (e *ESM) readCells(rg *Regridder, n int) [][]int32 {
 	return cells
 }
 
+// surfaceReads returns, per atmosphere rank, the distinct ocean columns its
+// patch reads, ascending: the column sfc[c] (−1: none) of every cell c the
+// rank owns or neighbours, its grid.IcosDecomp ExtCells, from the whole
+// mesh and the atmosphere owner table.
+func surfaceReads(mesh *grid.IcosMesh, owner func(c int) int, sfc []int, n int) [][]int32 {
+	cols := make([][]int32, n)
+	for c, gi := range sfc {
+		if gi < 0 {
+			continue
+		}
+		r := owner(c)
+		cols[r] = append(cols[r], int32(gi))
+		for _, nb := range mesh.CellsOnCell(c) {
+			if q := owner(int(nb)); q != r {
+				cols[q] = append(cols[q], int32(gi))
+			}
+		}
+	}
+	for q, cs := range cols {
+		slices.Sort(cs)
+		cols[q] = slices.Compact(cs)
+	}
+	return cols
+}
+
+// pairRouter builds the router over the (reading rank, point) pair space
+// of reads — pair k in [off[q], off[q+1]) is (rank q, point reads[q][k −
+// off[q]]), sourced by owner(point) — and returns it with the points this
+// rank packs, in ascending pair order. Both GSMaps are derived from
+// rank-independent data, so every rank computes identical maps with no
+// communication.
+func pairRouter(c *par.Comm, reads [][]int32, owner func(pt int) int, what string) (*coupler.Router, []int32, error) {
+	n := c.Size()
+	off := make([]int, n+1)
+	for q, ps := range reads {
+		off[q+1] = off[q] + len(ps)
+	}
+	pairs := slices.Concat(reads...)
+	srcMap, err := coupler.OfflineGSMap(func(k int) int { return owner(int(pairs[k])) }, len(pairs), n)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: %s source map: %w", what, err)
+	}
+	dstMap, err := coupler.OfflineGSMap(func(k int) int { return sort.SearchInts(off, k+1) - 1 }, len(pairs), n)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: %s destination map: %w", what, err)
+	}
+	rt, err := coupler.BuildRouter(c, srcMap, dstMap)
+	if err != nil {
+		return nil, nil, fmt.Errorf("core: %s router: %w", what, err)
+	}
+	src := make([]int32, 0, rt.NSrc)
+	for _, k := range srcMap.LocalIndices(c.Rank()) {
+		src = append(src, pairs[k])
+	}
+	return rt, src, nil
+}
+
+// ghostOf returns point's place in the ascending list reads, its ghost id.
+func ghostOf(reads []int32, point int32) int32 {
+	i, _ := slices.BinarySearch(reads, point)
+	return int32(i)
+}
+
 // initDistribute builds the coupling plan once at assembly from the
-// regridder rg, which it does not keep. On one rank the ocean block is the
-// whole grid, so the ghost ids and rows are the regridder's own maps.
-// Decomposed, both GSMaps are derived from rank-independent data, so every
-// rank computes identical maps with no communication; the atmosphere cells
-// this rank packs from are kept as patch-local ids.
-func (e *ESM) initDistribute(rg *Regridder) error {
+// regridder rg, whose AtmToOcn assembly has masked to −1 on land cells,
+// and the whole atmosphere mesh, which a decomposed rank reads for the
+// other ranks' patches; it keeps neither. On one rank the ocean block is
+// the whole grid, so the atm→ocn ghost ids and rows are the regridder's own
+// maps. It binds the ice model's Forcing to the ghost values.
+func (e *ESM) initDistribute(rg *Regridder, mesh *grid.IcosMesh) error {
 	ds := &distState{unmapped: len(rg.Unmapped)}
 	e.dst = ds
+	b := e.Ocn.B
+	ocnLocal := func(gi int) int32 {
+		return int32(b.LIdx(gi%b.G.NX-b.I0, gi/b.G.NX-b.J0))
+	}
 	d := e.Atm.Decomp()
 	if d == nil {
 		nc := e.Atm.Mesh.NCells()
@@ -138,7 +223,10 @@ func (e *ESM) initDistribute(rg *Regridder) error {
 			ds.colRef[gi] = int32(ac)
 		}
 		for c, gi := range rg.AtmToOcn {
-			ds.atmOcn[c] = int32(gi)
+			ds.atmOcn[c] = -1
+			if gi >= 0 {
+				ds.atmOcn[c] = ocnLocal(gi)
+			}
 		}
 		ds.overlap = rg.AtmOverlapArea
 		ds.tair = make([]float64, nc)
@@ -147,58 +235,53 @@ func (e *ESM) initDistribute(rg *Regridder) error {
 		} else {
 			ds.qair = make([]float64, nc)
 		}
+		e.bindIceForcing()
 		return nil
 	}
 	c := e.Comm
 	n, me := c.Size(), c.Rank()
 
-	// Pair k in [off[q], off[q+1]) is (ocean rank q, atmosphere cell
-	// pairCell[k]).
+	// atm→ocn: pairs (ocean rank, atmosphere cell), packed by patch-local id.
 	cells := e.readCells(rg, n)
-	off := make([]int, n+1)
-	for q, cs := range cells {
-		off[q+1] = off[q] + len(cs)
+	var err error
+	if ds.rt, ds.srcCell, err = pairRouter(c, cells, d.Owner, "coupling"); err != nil {
+		return err
 	}
-	pairCell := slices.Concat(cells...)
-	srcMap, err := coupler.OfflineGSMap(func(k int) int { return d.Owner(int(pairCell[k])) }, len(pairCell), n)
-	if err != nil {
-		return fmt.Errorf("core: coupling source map: %w", err)
+	for i, cell := range ds.srcCell {
+		ds.srcCell[i] = int32(d.LocalCell(int(cell)))
 	}
-	dstMap, err := coupler.OfflineGSMap(func(k int) int { return sort.SearchInts(off, k+1) - 1 }, len(pairCell), n)
-	if err != nil {
-		return fmt.Errorf("core: coupling destination map: %w", err)
+
+	// ocn→atm: pairs (atmosphere rank, ocean column), packed by ocean-local
+	// index.
+	cols := surfaceReads(mesh, d.Owner, rg.AtmToOcn, n)
+	if ds.sfcRt, ds.sfcCol, err = pairRouter(c, cols, b.Owner, "surface return"); err != nil {
+		return err
 	}
-	if ds.rt, err = coupler.BuildRouter(c, srcMap, dstMap); err != nil {
-		return fmt.Errorf("core: coupling router: %w", err)
-	}
-	ds.srcCell = make([]int32, 0, ds.rt.NSrc)
-	for _, k := range srcMap.LocalIndices(me) {
-		ds.srcCell = append(ds.srcCell, int32(d.LocalCell(int(pairCell[k]))))
+	for i, gi := range ds.sfcCol {
+		ds.sfcCol[i] = ocnLocal(int(gi))
 	}
 
 	global := e.Atm.Mesh.GlobalCell
 	ds.atmOcn, ds.overlap = make([]int32, len(global)), make([]float64, len(global))
 	for lc, g := range global {
-		ds.atmOcn[lc], ds.overlap[lc] = int32(rg.AtmToOcn[g]), rg.AtmOverlapArea[g]
+		ds.atmOcn[lc], ds.overlap[lc] = -1, rg.AtmOverlapArea[g]
+		if gi := rg.AtmToOcn[g]; gi >= 0 {
+			ds.atmOcn[lc] = ghostOf(cols[me], int32(gi))
+		}
 	}
 
 	mine := cells[me]
-	ghost := func(cell int32) int32 {
-		i, _ := slices.BinarySearch(mine, cell)
-		return int32(i)
-	}
-	b := e.Ocn.B
 	if e.remap == RemapCons {
 		ds.consPtr = []int32{0}
 	}
 	for lj := 0; lj < b.NJ; lj++ {
 		for li := 0; li < b.NI; li++ {
 			gi := b.GIdx(li, lj)
-			ds.colRef = append(ds.colRef, ghost(int32(rg.OcnToAtm[gi])))
+			ds.colRef = append(ds.colRef, ghostOf(mine, int32(rg.OcnToAtm[gi])))
 			if e.remap == RemapCons {
 				lo, hi := rg.ConsPtr[gi], rg.ConsPtr[gi+1]
 				for _, cell := range rg.ConsCol[lo:hi] {
-					ds.consRef = append(ds.consRef, ghost(cell))
+					ds.consRef = append(ds.consRef, ghostOf(mine, cell))
 				}
 				ds.consW = append(ds.consW, rg.ConsW[lo:hi]...)
 				ds.consPtr = append(ds.consPtr, int32(len(ds.consRef)))
@@ -209,33 +292,42 @@ func (e *ESM) initDistribute(rg *Regridder) error {
 	ds.colRef, ds.consRef = slices.Clone(ds.colRef), slices.Clone(ds.consRef)
 	ds.consW, ds.consPtr = slices.Clone(ds.consW), slices.Clone(ds.consPtr)
 
-	if ds.iceSrc, ds.iceDst, err = ds.vectors(iceFields); err != nil {
+	if ds.iceSrc, ds.iceDst, err = vectors(iceFields, ds.rt); err != nil {
 		return err
 	}
 	if e.remap == RemapCons {
-		ds.consSrc, ds.consDst, err = ds.vectors(consFields)
+		ds.consSrc, ds.consDst, err = vectors(consFields, ds.rt)
 	} else {
-		ds.nnSrc, ds.nnDst, err = ds.vectors(nnFields)
+		ds.nnSrc, ds.nnDst, err = vectors(nnFields, ds.rt)
 	}
-	return err
+	if err != nil {
+		return err
+	}
+	if ds.sfcSrc, ds.sfcDst, err = vectors(sfcFields, ds.sfcRt); err != nil {
+		return err
+	}
+	e.bindIceForcing()
+	return nil
 }
 
-// vectors allocates the source and destination vectors of one field set.
-func (ds *distState) vectors(fields []string) (src, dst *coupler.AttrVect, err error) {
-	if src, err = coupler.NewAttrVect(fields, ds.rt.NSrc); err != nil {
+// vectors allocates the source and destination vectors of one field set
+// on router rt.
+func vectors(fields []string, rt *coupler.Router) (src, dst *coupler.AttrVect, err error) {
+	if src, err = coupler.NewAttrVect(fields, rt.NSrc); err != nil {
 		return nil, nil, err
 	}
-	dst, err = coupler.NewAttrVect(fields, ds.rt.NDst)
+	dst, err = coupler.NewAttrVect(fields, rt.NDst)
 	return src, dst, err
 }
 
-// rearrange ships one packed field set to the ocean ranks that read it.
-func (e *ESM) rearrange(src, dst *coupler.AttrVect, what string) {
+// rearrange ships one packed field set through router rt to the ranks that
+// read it.
+func (e *ESM) rearrange(rt *coupler.Router, src, dst *coupler.AttrVect, what string) {
 	var o coupler.Observer
 	if ob, ok := e.obs.(coupler.Observer); ok {
 		o = ob
 	}
-	if err := coupler.RearrangeInto(e.Comm, e.dst.rt, src, dst, coupler.ModeP2P, o); err != nil {
+	if err := coupler.RearrangeInto(e.Comm, rt, src, dst, coupler.ModeP2P, o); err != nil {
 		panic(fmt.Sprintf("core: %s rearrange: %v", what, err))
 	}
 }
@@ -263,7 +355,7 @@ func (e *ESM) nnGhosts() (u, v, tair, qair, sw, lw, precip []float64) {
 		psw[i], plw[i] = a.GSW[ac], a.GLW[ac]
 		ppr[i] = a.Precip[ac]
 	}
-	e.rearrange(src, dst, "nn")
+	e.rearrange(ds.rt, src, dst, "nn")
 	return dst.MustField("u10"), dst.MustField("v10"), dst.MustField("tair"), dst.MustField("qair"),
 		dst.MustField("gsw"), dst.MustField("glw"), dst.MustField("precip")
 }
@@ -282,13 +374,29 @@ func (e *ESM) consGhosts() (taux, tauy, qnet, emp []float64) {
 		ptx[i], pty[i] = f.taux[ac], f.tauy[ac]
 		pqn[i], pem[i] = f.qnet[ac], f.emp[ac]
 	}
-	e.rearrange(src, dst, "cons")
+	e.rearrange(ds.rt, src, dst, "cons")
 	return dst.MustField("taux"), dst.MustField("tauy"), dst.MustField("qnet"), dst.MustField("emp")
 }
 
-// iceGhosts returns the ice forcing by ghost id: surface air temperature
-// and 10 m wind.
-func (e *ESM) iceGhosts() (tair, u, v []float64) {
+// bindIceForcing points the ice model's Forcing at the ice ghost values —
+// surface air temperature and 10 m wind by ghost id through colRef — and at
+// the ocean's temperature field for the SST. The ghost arrays are
+// persistent, so iceForcing refreshes what the binding reads.
+func (e *ESM) bindIceForcing() {
+	ds := e.dst
+	f := seaice.Forcing{Ref: ds.colRef, OcnT: &e.Ocn.T}
+	if ds.rt == nil {
+		f.TAir, f.U, f.V = ds.tair, e.u10, e.v10
+	} else {
+		f.TAir, f.U, f.V = ds.iceDst.MustField("tair"), ds.iceDst.MustField("u10"), ds.iceDst.MustField("v10")
+	}
+	e.Ice.Forcing = f
+}
+
+// iceForcing refreshes the ice ghost values the ice model's Forcing reads:
+// surface air temperature and 10 m wind, the atmosphere's own on one rank,
+// rearranged from their owners when decomposed.
+func (e *ESM) iceForcing() {
 	ds := e.dst
 	a := e.Atm
 	a.Wind10mInto(e.u10, e.v10)
@@ -296,7 +404,7 @@ func (e *ESM) iceGhosts() (tair, u, v []float64) {
 		for c := range ds.tair {
 			ds.tair[c], _ = a.SurfaceAir(c)
 		}
-		return ds.tair, e.u10, e.v10
+		return
 	}
 	src, dst := ds.iceSrc, ds.iceDst
 	pt := src.MustField("tair")
@@ -305,8 +413,26 @@ func (e *ESM) iceGhosts() (tair, u, v []float64) {
 		pt[i], _ = a.SurfaceAir(int(ac))
 		pu[i], pv[i] = e.u10[ac], e.v10[ac]
 	}
-	e.rearrange(src, dst, "ice")
-	return dst.MustField("tair"), dst.MustField("u10"), dst.MustField("v10")
+	e.rearrange(ds.rt, src, dst, "ice")
+}
+
+// surfaceGhosts returns the ocean surface by ocn→atm ghost id: the surface
+// temperature (°C) and the ice concentration — the ocean's and the ice's
+// own arrays on one rank, rearranged from the column owners when
+// decomposed.
+func (e *ESM) surfaceGhosts() (sst, ice []float64) {
+	ds := e.dst
+	if ds.sfcRt == nil {
+		b := e.Ocn.B
+		return e.Ocn.T[:b.LNI()*b.LNJ()], e.Ice.Conc
+	}
+	src, dst := ds.sfcSrc, ds.sfcDst
+	ps, pi := src.MustField("sst"), src.MustField("ice")
+	for i, idx := range ds.sfcCol {
+		ps[i], pi[i] = e.Ocn.T[idx], e.Ice.Conc[idx]
+	}
+	e.rearrange(ds.sfcRt, src, dst, "surface")
+	return dst.MustField("sst"), dst.MustField("ice")
 }
 
 // importNearest computes the air–sea fluxes on the ocean grid: turbulent
@@ -354,24 +480,6 @@ func (e *ESM) importConservative() {
 			o.TauY[idx] = consRow(w, ref, tauy)
 			o.QHeat[idx] = consRow(w, ref, qnet) + e.Ice.FreezeHeat[idx]
 			o.FWFlux[idx] = ocean.SRef * consRow(w, ref, emp) / (ocean.Rho0 * h0)
-		}
-	}
-}
-
-// iceForcing sets the ice model's atmosphere forcing (air temperature and
-// 10 m wind at each column's nearest atmosphere cell) and its SST.
-func (e *ESM) iceForcing() {
-	tair, u, v := e.iceGhosts()
-	ice := e.Ice
-	b := ice.B
-	for lj := 0; lj < b.NJ; lj++ {
-		for li := 0; li < b.NI; li++ {
-			idx := b.LIdx(li, lj)
-			p := e.dst.colRef[lj*b.NI+li]
-			ice.TAir[idx] = tair[p]
-			ice.WindU[idx] = u[p]
-			ice.WindV[idx] = v[p]
-			ice.SST[idx] = e.Ocn.T[e.ocnIdx2(li, lj)] + 273.15
 		}
 	}
 }

@@ -197,6 +197,13 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 			atm.IsLand[cell] = true
 		}
 	}
+	// A land cell's surface is the land model's skin temperature: it reads
+	// no ocean column.
+	for cell, land := range atm.IsLand {
+		if land {
+			rg.AtmToOcn[cell] = -1
+		}
+	}
 	if opt.audit {
 		e.ledger = budget.NewLedger(ob)
 	}
@@ -206,7 +213,9 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 	// rank's (after the regridder and Adopt, which read the whole mesh and
 	// the global IsLand) and split the land columns with the same ownership
 	// map (after Adopt, so adopted cells are partitioned too). One rank stays
-	// undecomposed: the patch would be the whole mesh.
+	// undecomposed: the patch would be the whole mesh. The whole mesh lives
+	// on in mesh until the coupling plan has read every rank's patch from it.
+	mesh := atm.Mesh
 	if c.Size() > 1 {
 		d, err := atm.Decompose(c)
 		if err != nil {
@@ -220,17 +229,17 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 		e.stepSlots = newLandSlots(lnd, d, d.InExt)
 		e.ownSlots = newLandSlots(lnd, d, func(cell int) bool { return d.Owner(cell) == c.Rank() })
 	}
-	if err := e.initDistribute(rg); err != nil {
-		return nil, err
-	}
 
 	// From here on atm.Mesh is what this rank stores: the patch, or the
 	// whole mesh on one rank.
 	nc := atm.Mesh.NCells()
+	e.u10, e.v10 = make([]float64, nc), make([]float64, nc)
+	if err := e.initDistribute(rg, mesh); err != nil {
+		return nil, err
+	}
 	if opt.remap == RemapCons || opt.audit {
 		e.af = newAtmFluxes(nc)
 	}
-	e.u10, e.v10 = make([]float64, nc), make([]float64, nc)
 	e.radLand = make([]bool, nc)
 	e.forLand(e.stepSlots, func(_, lc int) { e.radLand[lc] = true })
 
@@ -408,8 +417,8 @@ func (e *ESM) forAtmOwned(fn func(c, lc int)) {
 	}
 }
 
-// iceStep imports atmosphere and ocean state into the ice model, steps it,
-// and exports the new ocean surface to the atmosphere.
+// iceStep refreshes the atmosphere values the ice model's Forcing reads,
+// steps the ice, and exports the new ocean surface to the atmosphere.
 func (e *ESM) iceStep() {
 	e.iceForcing()
 	e.Ice.Step()
@@ -630,26 +639,18 @@ func (e *ESM) ocnIdx2(li, lj int) int {
 	return (lj+e.Ocn.B.H)*e.Ocn.B.LNI() + li + e.Ocn.B.H
 }
 
-// exportSurface is the ocean's export to the atmosphere: it gathers SST
-// and ice fraction into global arrays, broadcasts them so every rank's
-// atmosphere patch sees the same surface, and maps them onto the
-// atmosphere cells this rank holds. The global arrays live for the call
-// only: Atm.SST and Atm.IceFrac are the surface a later step reads.
+// exportSurface is the ocean's export to the atmosphere: every atmosphere
+// cell this rank holds that reads an ocean column — its ring-1 halo
+// included — takes that column's SST and ice fraction through its ghost
+// id. Atm.SST and Atm.IceFrac are the surface a later step reads.
 func (e *ESM) exportSurface() {
-	b := e.Ocn.B
-	sstG := b.GatherGlobal(e.Ocn.T[:b.LNI()*b.LNJ()])
-	iceG := b.GatherGlobal(e.Ice.Conc)
-	sst := par.Bcast(e.Comm, 0, sstG)
-	ice := par.Bcast(e.Comm, 0, iceG)
-	for c, oc := range e.dst.atmOcn {
-		if e.Atm.IsLand[c] {
-			continue // land skin temperature is owned by the land model
+	sst, ice := e.surfaceGhosts()
+	for c, p := range e.dst.atmOcn {
+		if p < 0 {
+			continue // land (the land model's skin temperature) or no reachable column
 		}
-		if oc < 0 {
-			continue
-		}
-		e.Atm.SST[c] = sst[oc] + 273.15
-		e.Atm.IceFrac[c] = ice[oc]
+		e.Atm.SST[c] = sst[p] + 273.15
+		e.Atm.IceFrac[c] = ice[p]
 	}
 }
 

@@ -14,7 +14,9 @@ import (
 // a two-rank quickstart-config run into a shared JSONL sink must produce
 // span events for every component section on every rank, plus nonzero par
 // traffic counters and each rank's atm.decomp.{owned,ext} partition gauges
-// after FlushMetrics.
+// after FlushMetrics. The run is audited: the audit's reduction is the one
+// collective a coupled step makes (the coupling itself is point-to-point),
+// so the collective counter has something to count.
 func TestObservedRun(t *testing.T) {
 	cfg, err := ConfigForLabel("25v10")
 	if err != nil {
@@ -31,6 +33,7 @@ func TestObservedRun(t *testing.T) {
 		e, err := NewWithOptions(cfg, c,
 			WithInterval(start, start.Add(24*time.Hour)),
 			WithSpace(pp.NewHost(0)),
+			WithAudit(true),
 			WithObserver(o))
 		if err != nil {
 			t.Error(err)

@@ -422,7 +422,11 @@ func (e *ESM) restore(global map[string][]float64) error {
 	edge, eok := global[atmFluxEdgeField]
 	dps, dok := global["atm.fluxdps"]
 	if eok != dok {
-		return fmt.Errorf("core: restart has partial flux accumulators")
+		missing := atmFluxEdgeField
+		if eok {
+			missing = "atm.fluxdps"
+		}
+		return fmt.Errorf("core: restart has one flux accumulator but is missing field %q", missing)
 	}
 	if eok && len(edge) == nlev*ne && len(dps) == nc {
 		edge, dps = patchOf(edge, edges, nlev), patchOf(dps, cells, 1)

@@ -180,7 +180,8 @@ func TestRestartErrors(t *testing.T) {
 			t.Error("restart into non-fresh model accepted")
 		}
 		// A set that lacks a field the model reads is refused by the
-		// field's name. The flux accumulators go missing only as a pair.
+		// field's name. The flux accumulators may go missing as a pair (a
+		// checkpoint between tracer steps); one alone is named.
 		global, err := pario.ReadGlobal(pario.SubfilePaths(dir, 1))
 		if err != nil {
 			t.Fatal(err)
@@ -189,6 +190,17 @@ func TestRestartErrors(t *testing.T) {
 		for name := range global {
 			if name == atmFluxEdgeField || name == "atm.fluxdps" {
 				continue
+			}
+			lacking := maps.Clone(global)
+			delete(lacking, name)
+			err := fresh.restore(lacking)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) {
+				t.Errorf("set without %s: restore returned %v, want an error naming it", name, err)
+			}
+		}
+		for _, name := range []string{atmFluxEdgeField, "atm.fluxdps"} {
+			if _, ok := global[name]; !ok {
+				t.Fatalf("the set holds no %s", name)
 			}
 			lacking := maps.Clone(global)
 			delete(lacking, name)

@@ -16,7 +16,8 @@ type Clock struct {
 	Stop    time.Time
 	Step    time.Duration // base coupling step
 
-	alarms map[string]*Alarm
+	alarms  map[string]*Alarm
+	ringing []string // Advance's result, reused
 }
 
 // Alarm rings every Period of simulated time from the clock start.
@@ -67,21 +68,22 @@ func (c *Clock) AddAlarm(name string, period time.Duration) error {
 // Advance moves the clock one coupling step and returns the names of alarms
 // ringing at the *beginning* of the new interval (a component whose alarm
 // rings integrates forward over its period). Returns false when the clock
-// has reached its stop time.
+// has reached its stop time. The returned slice is the clock's own and
+// valid until the next Advance, so a step allocates nothing.
 func (c *Clock) Advance() ([]string, bool) {
 	if !c.Current.Before(c.Stop) {
 		return nil, false
 	}
-	var ringing []string
+	c.ringing = c.ringing[:0]
 	for _, a := range c.alarms {
 		if !a.next.After(c.Current) {
-			ringing = append(ringing, a.Name)
+			c.ringing = append(c.ringing, a.Name)
 			a.next = a.next.Add(a.Period)
 		}
 	}
 	c.Current = c.Current.Add(c.Step)
-	sortStrings(ringing)
-	return ringing, true
+	sortStrings(c.ringing)
+	return c.ringing, true
 }
 
 // Due reports whether the named alarm would ring on the next Advance. It is

@@ -95,13 +95,16 @@ type icosMeshView struct {
 
 func icosMeshViewOf(m *IcosMesh) icosMeshView {
 	v := icosMeshView{
-		m.Level, m.CellCenter, make([]Vec3, m.NVertices()), m.EdgeMidpoint,
+		m.Level, m.CellCenter, make([]Vec3, m.NVertices()), make([]Vec3, m.NEdges()),
 		m.AreaCell, m.AreaDual, m.Dc, m.Dv, m.LatCell, m.LonCell,
 		m.CellsOnEdge, m.VerticesOnEdge, nil, nil, nil,
 		m.EdgesOnVertex, m.EdgeSignOnVtx, m.CellsOnVertex,
 	}
 	for vx := range v.VertexPos {
 		v.VertexPos[vx] = m.VertexPos(vx)
+	}
+	for e := range v.EdgeMidpoint {
+		v.EdgeMidpoint[e] = m.EdgeMidpoint(e)
 	}
 	for c := range m.NCells() {
 		v.EdgesOnCell = append(v.EdgesOnCell, m.EdgesOnCell(c))

@@ -25,14 +25,13 @@ type IcosMesh struct {
 	Level int
 
 	// Geometry (unit sphere).
-	CellCenter   []Vec3    // [nCells]
-	EdgeMidpoint []Vec3    // [nEdges]
-	AreaCell     []float64 // [nCells] steradians; sums to 4π
-	AreaDual     []float64 // [nVertices] spherical triangle areas; sums to 4π
-	Dc           []float64 // [nEdges] arc distance between the two cell centers
-	Dv           []float64 // [nEdges] arc distance between the two vertices
-	LatCell      []float64 // [nCells]
-	LonCell      []float64 // [nCells]
+	CellCenter []Vec3    // [nCells]
+	AreaCell   []float64 // [nCells] steradians; sums to 4π
+	AreaDual   []float64 // [nVertices] spherical triangle areas; sums to 4π
+	Dc         []float64 // [nEdges] arc distance between the two cell centers
+	Dv         []float64 // [nEdges] arc distance between the two vertices
+	LatCell    []float64 // [nCells]
+	LonCell    []float64 // [nCells]
 
 	// Topology, each table stored once in the layout the kernels read.
 	// Cell c's edges are the slots [CellStart[c], CellStart[c+1]) of the
@@ -70,6 +69,15 @@ func (m *IcosMesh) NVertices() int { return len(m.CellsOnVertex) }
 func (m *IcosMesh) VertexPos(v int) Vec3 {
 	cv := m.CellsOnVertex[v]
 	return Circumcenter(m.CellCenter[cv[0]], m.CellCenter[cv[1]], m.CellCenter[cv[2]])
+}
+
+// EdgeMidpoint returns edge e's midpoint, the normalized sum of its two
+// cell centers — computed, not stored: only set-up reads it. It needs both
+// cells, so on a patch it serves only edges whose cells are both in the
+// patch; a patch's per-edge geometry is taken from the whole mesh.
+func (m *IcosMesh) EdgeMidpoint(e int) Vec3 {
+	ce := m.CellsOnEdge[e]
+	return m.CellCenter[ce[0]].Add(m.CellCenter[ce[1]]).Normalize()
 }
 
 // Slots returns cell c's range [lo, hi) of the per-slot arrays.
@@ -248,7 +256,6 @@ func assemble(level int, nodes []Vec3, tris [][3]int) *IcosMesh {
 	nEdges := len(cellsOnEdge)
 	m.CellsOnEdge = cellsOnEdge
 	m.VerticesOnEdge = make([][2]int32, nEdges)
-	m.EdgeMidpoint = make([]Vec3, nEdges)
 	m.Dc = make([]float64, nEdges)
 	m.Dv = make([]float64, nEdges)
 
@@ -259,12 +266,11 @@ func assemble(level int, nodes []Vec3, tris [][3]int) *IcosMesh {
 		// (the standard C-grid convention: positive normal from c1 to c2).
 		nrm := nodes[c2].Sub(nodes[c1])
 		tan := vertexPos[t2].Sub(vertexPos[t1])
-		mid := nodes[c1].Add(nodes[c2]).Normalize()
+		mid := m.EdgeMidpoint(e)
 		if mid.Cross(nrm).Dot(tan) < 0 {
 			t1, t2 = t2, t1
 		}
 		m.VerticesOnEdge[e] = [2]int32{int32(t1), int32(t2)}
-		m.EdgeMidpoint[e] = mid
 		m.Dc[e] = GreatCircleDist(nodes[c1], nodes[c2])
 		m.Dv[e] = GreatCircleDist(vertexPos[t1], vertexPos[t2])
 	}
@@ -303,7 +309,7 @@ func assemble(level int, nodes []Vec3, tris [][3]int) *IcosMesh {
 		dir := nodes[ce[1]].Sub(nodes[ce[0]])
 		for _, v := range m.VerticesOnEdge[e] {
 			p := vertexPos[v]
-			ccw := p.Cross(m.EdgeMidpoint[e].Sub(p))
+			ccw := p.Cross(m.EdgeMidpoint(e).Sub(p))
 			sign := int8(+1)
 			if dir.Dot(ccw) < 0 {
 				sign = -1
@@ -332,7 +338,6 @@ func (m *IcosMesh) restrict(cells, edges, verts []int, lc, le []int32) *IcosMesh
 	p := &IcosMesh{
 		Level:         m.Level,
 		CellCenter:    PatchColumns(m.CellCenter, gc, 1),
-		EdgeMidpoint:  PatchColumns(m.EdgeMidpoint, ge, 1),
 		AreaCell:      PatchColumns(m.AreaCell, gc, 1),
 		AreaDual:      PatchColumns(m.AreaDual, gv, 1),
 		Dc:            PatchColumns(m.Dc, ge, 1),

@@ -374,7 +374,7 @@ func TestGlobalDivergenceIsZero(t *testing.T) {
 	}
 	u := make([]float64, m.NEdges())
 	for e := range u {
-		lon, lat := LonLat(m.EdgeMidpoint[e])
+		lon, lat := LonLat(m.EdgeMidpoint(e))
 		u[e] = math.Sin(5*lon) + math.Cos(3*lat)
 	}
 	var total float64

@@ -717,7 +717,6 @@ func patchInvariants(m *IcosMesh, d *IcosDecomp) error {
 	for _, err := range []error{
 		vecs("CellCenter", p.CellCenter, m.CellCenter, p.GlobalCell),
 		vecs("VertexPos", vertexPositions(p), vertexPositions(m), p.GlobalVertex),
-		vecs("EdgeMidpoint", p.EdgeMidpoint, m.EdgeMidpoint, p.GlobalEdge),
 		floats("AreaCell", p.AreaCell, m.AreaCell, p.GlobalCell),
 		floats("AreaDual", p.AreaDual, m.AreaDual, p.GlobalVertex),
 		floats("Dc", p.Dc, m.Dc, p.GlobalEdge),
@@ -727,6 +726,17 @@ func patchInvariants(m *IcosMesh, d *IcosDecomp) error {
 	} {
 		if err != nil {
 			return err
+		}
+	}
+	// A midpoint is computed from the edge's two cells: a patch edge that
+	// has both gives the global edge's, bit for bit.
+	for le, ce := range p.CellsOnEdge {
+		if ce[0] < 0 || ce[1] < 0 {
+			continue
+		}
+		g := p.GlobalEdge[le]
+		if err := vecs("EdgeMidpoint", []Vec3{p.EdgeMidpoint(le)}, []Vec3{m.EdgeMidpoint(int(g))}, []int32{0}); err != nil {
+			return fmt.Errorf("edge %d (global %d): %w", le, g, err)
 		}
 	}
 	if p.Level != m.Level {

@@ -544,3 +544,15 @@ func TestOceanPPBackendEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// surfaceOwned extracts the owned region (NJ × NI) of the surface level of
+// a local field (2-D, or level 0 of a 3-D field).
+func (o *Ocean) surfaceOwned(f []float64) []float64 {
+	out := make([]float64, o.B.NJ*o.B.NI)
+	for lj := 0; lj < o.B.NJ; lj++ {
+		for li := 0; li < o.B.NI; li++ {
+			out[lj*o.B.NI+li] = f[o.idx2(li, lj)]
+		}
+	}
+	return out
+}

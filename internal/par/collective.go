@@ -59,20 +59,36 @@ func (c *Comm) AllreduceSlice(v []float64, op Op) []float64 {
 
 // AllreduceSliceInto element-wise reduces equal-length slices across ranks
 // into dst, which must be as long as v and must not overlap it; v is the
-// caller's again when the call returns. On one rank the reduction is a copy
-// and allocates nothing; it still counts as one collective.
+// caller's again when the call returns. It allocates nothing: every rank
+// reads the others' v in place (on one rank the reduction is a copy; it
+// still counts as one collective).
 func (c *Comm) AllreduceSliceInto(dst, v []float64, op Op) {
 	if len(dst) != len(v) {
 		panic(fmt.Sprintf("par: AllreduceSliceInto into %d values from %d", len(dst), len(v)))
 	}
 	c.countCollectiveBytes("par.collective.allreduce", int64(8*len(v)))
-	if c.state.size == 1 {
+	cs := c.state
+	if cs.size == 1 {
 		copy(dst, v)
 		return
 	}
-	all := c.exchange(v)
-	for r, a := range all {
-		x := a.([]float64)
+	cs.setWaiting(c.rank, "collective exchange")
+	cs.smu.Lock()
+	gen := cs.sgen
+	cs.fslots[c.rank] = v
+	cs.sdone++
+	if cs.sdone == cs.size {
+		cs.sdone = 0
+		cs.sgen++
+		cs.scond.Broadcast()
+	} else {
+		for gen == cs.sgen {
+			cs.scond.Wait()
+		}
+	}
+	cs.smu.Unlock()
+	cs.clearWaiting(c.rank)
+	for r, x := range cs.fslots {
 		if len(x) != len(dst) {
 			panic(fmt.Sprintf("par: AllreduceSlice length mismatch: rank %d has %d, rank %d has %d", c.rank, len(dst), r, len(x)))
 		}
@@ -84,8 +100,9 @@ func (c *Comm) AllreduceSliceInto(dst, v []float64, op Op) {
 			dst[i] = op(dst[i], x[i])
 		}
 	}
-	// The other ranks read v after the exchange: none returns until all
-	// have reduced, so no caller refills its v under a peer's reduction.
+	// The other ranks read v and the slots after the exchange: none returns
+	// until all have reduced, so no caller refills its v, nor a later
+	// collective a slot, under a peer's reduction.
 	c.Barrier()
 }
 

@@ -139,12 +139,14 @@ type commState struct {
 	bcnt  int
 	bgen  int
 
-	// shared scratch for collectives: one slot per rank, reset by generation.
-	smu   sync.Mutex
-	scond *sync.Cond
-	slots []any
-	sdone int
-	sgen  int
+	// shared scratch for collectives: one slot per rank, reset by generation
+	// (fslots: the float slices AllreduceSliceInto reads in place).
+	smu    sync.Mutex
+	scond  *sync.Cond
+	slots  []any
+	fslots [][]float64
+	sdone  int
+	sgen   int
 
 	// communicator id, used to derive deterministic split ids.
 	id      string
@@ -200,6 +202,7 @@ func newCommState(size int, id string) *commState {
 		size:    size,
 		boxes:   make([]*mailbox, size),
 		slots:   make([]any, size),
+		fslots:  make([][]float64, size),
 		id:      id,
 		splits:  make(map[string]*commState),
 		gathers: make(map[string]*splitGather),

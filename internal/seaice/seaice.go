@@ -7,6 +7,13 @@
 // it imports air temperature and ocean state, exports ice fraction and the
 // fluxes that modulate air–sea exchange — and applies the same
 // non-ocean-point exclusion as the ocean (§5.2.2).
+//
+// The import is read in place. The driver binds a Forcing once: per owned
+// column, a ghost id into its surface air temperature and 10 m wind arrays,
+// and the ocean's own temperature field for the SST. Before every
+// Step it refreshes the values those arrays hold; Step copies nothing in.
+// The winds are read at owned columns only, so the drift's halo exchange
+// carries just the concentration and thickness.
 package seaice
 
 import (
@@ -54,16 +61,27 @@ type Model struct {
 	Conc  []float64 // ice concentration, 0–1
 	Thick []float64 // mean thickness over the ice-covered fraction, m
 
-	// Imports (set before Step).
-	TAir  []float64 // surface air temperature, K
-	SST   []float64 // sea surface temperature, K
-	WindU []float64 // 10 m wind components
-	WindV []float64
+	// Import, bound before the first Step.
+	Forcing Forcing
 
 	// Exports (valid after Step).
 	FreezeHeat []float64 // heat given to the ocean by freezing (negative = extracted), W/m²
 
 	wet []bool
+
+	// Drift scratch: the volume Conc·Thick and the new concentration.
+	vol, newConc []float64
+}
+
+// Forcing is the ice's import, read where it lives: owned column (li, lj)
+// reads its surface air temperature (K) and 10 m wind (m/s) at ghost id
+// Ref[lj·NI+li] of TAir, U and V, and its SST from the ocean's temperature
+// field (°C, surface level first) at the column's local index. OcnT points
+// at the field, so Step reads whichever array the ocean holds by then.
+type Forcing struct {
+	Ref        []int32
+	TAir, U, V []float64
+	OcnT       *[]float64
 }
 
 // New builds the ice model on the block with an initial polar ice cap.
@@ -75,10 +93,9 @@ func New(g *grid.Tripolar, b *grid.TripolarDecomp, cfg Config) (*Model, error) {
 	m := &Model{
 		G: g, B: b, Cfg: cfg,
 		Conc: make([]float64, n), Thick: make([]float64, n),
-		TAir: make([]float64, n), SST: make([]float64, n),
-		WindU: make([]float64, n), WindV: make([]float64, n),
 		FreezeHeat: make([]float64, n),
 		wet:        make([]bool, n),
+		vol:        make([]float64, n), newConc: make([]float64, n),
 	}
 	for lj := 0; lj < b.NJ; lj++ {
 		jg := b.J0 + lj
@@ -95,8 +112,6 @@ func New(g *grid.Tripolar, b *grid.TripolarDecomp, cfg Config) (*Model, error) {
 				m.Conc[idx] = 0.9
 				m.Thick[idx] = 1.5
 			}
-			m.TAir[idx] = 273.15 + 25*math.Cos(lat)*math.Cos(lat)
-			m.SST[idx] = math.Max(freezePoint, 273.15+27*math.Cos(lat)*math.Cos(lat))
 		}
 	}
 	// Wet mask in halos.
@@ -122,6 +137,7 @@ func New(g *grid.Tripolar, b *grid.TripolarDecomp, cfg Config) (*Model, error) {
 func (m *Model) Step() {
 	dt := m.Cfg.Dt
 	b := m.B
+	in := &m.Forcing
 
 	// --- Thermodynamics ---
 	for lj := 0; lj < b.NJ; lj++ {
@@ -131,8 +147,8 @@ func (m *Model) Step() {
 				continue
 			}
 			m.FreezeHeat[idx] = 0
-			tAir := m.TAir[idx]
-			sst := m.SST[idx]
+			tAir := in.TAir[in.Ref[lj*b.NI+li]]
+			sst := (*in.OcnT)[idx] + 273.15
 
 			if m.Conc[idx] > m.Cfg.MinConc {
 				// Conductive growth/melt through the slab: flux ∝ (Tf−Ta)/h.
@@ -168,22 +184,19 @@ func (m *Model) Step() {
 	}
 
 	// --- Free drift: upwind transport of concentration and volume by a
-	// fraction of the surface wind ---
+	// fraction of the surface wind. The volume is formed on the halo too,
+	// from the just-exchanged concentration and thickness: the bits an
+	// exchange of it would deliver. Nothing reads Thick again until the
+	// final loop, so the new volume goes there in place. ---
 	b.ExchangeFields([]grid.HaloField{
 		{Data: m.Conc, NLev: 1},
 		{Data: m.Thick, NLev: 1},
-		{Data: m.WindU, NLev: 1, Vec: true},
-		{Data: m.WindV, NLev: 1, Vec: true},
 	})
 
-	vol := make([]float64, len(m.Conc))
+	vol, newConc := m.vol, m.newConc
 	for i := range vol {
 		vol[i] = m.Conc[i] * m.Thick[i]
 	}
-	b.ExchangeCells(vol, 1)
-
-	newConc := append([]float64(nil), m.Conc...)
-	newVol := append([]float64(nil), vol...)
 	for lj := 0; lj < b.NJ; lj++ {
 		jg := b.J0 + lj
 		dx := m.G.DX[jg]
@@ -193,8 +206,9 @@ func (m *Model) Step() {
 			if !m.wet[idx] {
 				continue
 			}
-			ui := m.Cfg.DriftCoeff * m.WindU[idx]
-			vi := m.Cfg.DriftCoeff * m.WindV[idx]
+			p := in.Ref[lj*b.NI+li]
+			ui := m.Cfg.DriftCoeff * in.U[p]
+			vi := m.Cfg.DriftCoeff * in.V[p]
 			// First-order upwind gradients, masked at coasts.
 			adv := func(f []float64) float64 {
 				var d float64
@@ -219,7 +233,7 @@ func (m *Model) Step() {
 			if nv < 0 {
 				nv = 0
 			}
-			newVol[idx] = nv
+			m.Thick[idx] = nv
 		}
 	}
 	for lj := 0; lj < b.NJ; lj++ {
@@ -230,7 +244,7 @@ func (m *Model) Step() {
 			}
 			m.Conc[idx] = newConc[idx]
 			if newConc[idx] > m.Cfg.MinConc {
-				m.Thick[idx] = math.Min(newVol[idx]/newConc[idx], maxThick)
+				m.Thick[idx] = math.Min(m.Thick[idx]/newConc[idx], maxThick)
 			} else {
 				m.Conc[idx] = 0
 				m.Thick[idx] = 0

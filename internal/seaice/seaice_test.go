@@ -29,6 +29,40 @@ func withIce(t *testing.T, nx, ny int, f func(m *Model)) {
 	})
 }
 
+// force binds a forcing that gives every owned column of m the air
+// temperature (K), SST (K) and 10 m wind that fn returns for its latitude.
+func force(m *Model, fn func(lat float64) (tAir, sst, u, v float64)) {
+	b := m.B
+	n := b.NI * b.NJ
+	in := Forcing{
+		Ref:  make([]int32, n),
+		TAir: make([]float64, n), U: make([]float64, n), V: make([]float64, n),
+	}
+	ocnT := make([]float64, len(m.Conc))
+	in.OcnT = &ocnT
+	for lj := 0; lj < b.NJ; lj++ {
+		for li := 0; li < b.NI; li++ {
+			k := lj*b.NI + li
+			var sst float64
+			in.Ref[k] = int32(k)
+			in.TAir[k], sst, in.U[k], in.V[k] = fn(m.G.Lat[b.J0+lj])
+			ocnT[b.LIdx(li, lj)] = sst - 273.15
+		}
+	}
+	m.Forcing = in
+}
+
+// uniform binds the same forcing everywhere.
+func uniform(m *Model, tAir, sst, u, v float64) {
+	force(m, func(float64) (float64, float64, float64, float64) { return tAir, sst, u, v })
+}
+
+// warmSST is the cap-free ocean the model used to start from: freezing at
+// the poles, 27 °C at the equator.
+func warmSST(lat float64) float64 {
+	return math.Max(freezePoint, 273.15+27*math.Cos(lat)*math.Cos(lat))
+}
+
 func TestValidation(t *testing.T) {
 	g, _ := grid.NewTripolar(24, 12, 3)
 	par.Run(1, func(c *par.Comm) {
@@ -64,10 +98,7 @@ func TestColdAirGrowsIceWarmAirMeltsIt(t *testing.T) {
 	withIce(t, 48, 24, func(m *Model) {
 		v0 := m.IceVolume()
 		// Deep freeze everywhere.
-		for i := range m.TAir {
-			m.TAir[i] = 250
-			m.SST[i] = freezePoint
-		}
+		uniform(m, 250, freezePoint, 0, 0)
 		for s := 0; s < 48; s++ {
 			m.Step()
 		}
@@ -76,10 +107,7 @@ func TestColdAirGrowsIceWarmAirMeltsIt(t *testing.T) {
 			t.Errorf("ice did not grow in deep freeze: %v -> %v", v0, v1)
 		}
 		// Tropical heat melts it back.
-		for i := range m.TAir {
-			m.TAir[i] = 300
-			m.SST[i] = 290
-		}
+		uniform(m, 300, 290, 0, 0)
 		for s := 0; s < 400; s++ {
 			m.Step()
 		}
@@ -92,11 +120,7 @@ func TestColdAirGrowsIceWarmAirMeltsIt(t *testing.T) {
 
 func TestConcentrationBounds(t *testing.T) {
 	withIce(t, 48, 24, func(m *Model) {
-		for i := range m.TAir {
-			m.TAir[i] = 255
-			m.WindU[i] = 8
-			m.WindV[i] = -3
-		}
+		force(m, func(lat float64) (float64, float64, float64, float64) { return 255, warmSST(lat), 8, -3 })
 		for s := 0; s < 100; s++ {
 			m.Step()
 		}
@@ -120,9 +144,8 @@ func TestNewIceFormsInFreezingOpenWater(t *testing.T) {
 		for i := range m.Conc {
 			m.Conc[i] = 0
 			m.Thick[i] = 0
-			m.TAir[i] = 260
-			m.SST[i] = freezePoint - 0.1
 		}
+		uniform(m, 260, freezePoint-0.1, 0, 0)
 		m.Step()
 		if m.IceArea() <= 0 {
 			t.Error("no new ice formed in freezing water")
@@ -143,11 +166,7 @@ func TestNewIceFormsInFreezingOpenWater(t *testing.T) {
 func TestDriftMovesIce(t *testing.T) {
 	withIce(t, 48, 24, func(m *Model) {
 		// Neutral thermodynamics, strong steady wind: the cap edge advects.
-		for i := range m.TAir {
-			m.TAir[i] = freezePoint
-			m.SST[i] = freezePoint
-			m.WindU[i] = 10
-		}
+		uniform(m, freezePoint, freezePoint, 10, 0)
 		before := append([]float64(nil), m.Conc...)
 		for s := 0; s < 20; s++ {
 			m.Step()
@@ -180,10 +199,7 @@ func TestParallelSerialIceAgreement(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			for i := range m.WindU {
-				m.WindU[i] = 6
-				m.TAir[i] = 258
-			}
+			force(m, func(lat float64) (float64, float64, float64, float64) { return 258, warmSST(lat), 6, 0 })
 			for s := 0; s < 5; s++ {
 				m.Step()
 			}

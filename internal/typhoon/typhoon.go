@@ -66,6 +66,8 @@ func DoksuriSeed() SeedConfig {
 // Seed plants a warm-core, gradient-balanced Holland-profile vortex in the
 // atmosphere model: a surface pressure depression, cyclonic tangential
 // winds on every level (decaying upward), and optionally a moistened core.
+// On a decomposed model every rank must call it: the patch's received
+// edges are refreshed from their senders.
 func Seed(m *atmos.Model, cfg SeedConfig) error {
 	if cfg.DeltaPs <= 0 || cfg.RadiusKm <= 0 {
 		return fmt.Errorf("typhoon: non-positive vortex parameters")
@@ -104,7 +106,10 @@ func Seed(m *atmos.Model, cfg SeedConfig) error {
 	// decaying with height.
 	vmax := math.Sqrt(cfg.DeltaPs / 1.15) // rough gradient-wind scale
 	for e := 0; e < ne; e++ {
-		mid := mesh.EdgeMidpoint[e]
+		if ce := mesh.CellsOnEdge[e]; ce[0] < 0 || ce[1] < 0 {
+			continue // a patch edge without its outer cell: seeded by its sender (below)
+		}
+		mid := mesh.EdgeMidpoint(e)
 		r := grid.GreatCircleDist(mid, center)
 		if r > 8*rm || r < 1e-9 {
 			continue
@@ -123,6 +128,12 @@ func Seed(m *atmos.Model, cfg SeedConfig) error {
 			depth := float64(k+1) / float64(m.NLev) // stronger near the surface
 			m.U[m.Idx(e, k)] += proj * depth
 		}
+	}
+	if d := m.Decomp(); d != nil {
+		// The edges a patch receives include those without their outer
+		// cell, whose midpoint only the sending rank can form: take the
+		// seeded values from it.
+		d.ExchangeEdges(m.U, m.NLev)
 	}
 	return nil
 }
