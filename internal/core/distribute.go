@@ -381,10 +381,12 @@ func (e *ESM) consGhosts() (taux, tauy, qnet, emp []float64) {
 // bindIceForcing points the ice model's Forcing at the ice ghost values —
 // surface air temperature and 10 m wind by ghost id through colRef — and at
 // the ocean's temperature field for the SST. The ghost arrays are
-// persistent, so iceForcing refreshes what the binding reads.
+// persistent, so iceForcing refreshes what the binding reads; the ocean
+// steps T in place and a restart copies into it, so the SST slice stays
+// the ocean's.
 func (e *ESM) bindIceForcing() {
 	ds := e.dst
-	f := seaice.Forcing{Ref: ds.colRef, OcnT: &e.Ocn.T}
+	f := seaice.Forcing{Ref: ds.colRef, OcnT: e.Ocn.T}
 	if ds.rt == nil {
 		f.TAir, f.U, f.V = ds.tair, e.u10, e.v10
 	} else {

@@ -91,6 +91,11 @@ func TestRestartBitIdentical(t *testing.T) {
 		if e.RestartAt() != start.Add(stepsA*8*time.Minute) {
 			t.Fatalf("restored clock %v", e.RestartAt())
 		}
+		// The ice's SST is the slice bound at assembly: the restart must
+		// have copied into Ocn.T, not replaced it.
+		if &e.Ice.Forcing.OcnT[0] != &e.Ocn.T[0] {
+			t.Fatal("after the restart the ice's SST reads another array than Ocn.T")
+		}
 		for i := 0; i < stepsB; i++ {
 			e.Step()
 		}

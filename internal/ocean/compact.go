@@ -93,23 +93,19 @@ func (c *Compacted) WorkSaving3D() float64 {
 	return 1 - float64(active)/float64(total)
 }
 
-// AdvectDiffuse runs the identical tracer kernel over the packed columns
-// only. Results are bit-identical to Ocean.advectDiffuse because the same
-// per-column update (advectColumn, the single kernel source) runs on the
-// same inputs; land cells hold zeros in both. surf/surfDen are the surface
-// forcing field and its constant denominator, as in advectDiffuse.
+// AdvectDiffuse runs the identical tracer update over the packed columns
+// only. Results are bit-identical to Ocean.advectDiffuse and to the stepping
+// kernel because the same per-cell update (advectCell, the single kernel
+// source) runs on the same inputs; land cells hold zeros in all of them.
+// surf/surfDen are the surface forcing field and its constant denominator,
+// as in advectDiffuse.
 func (c *Compacted) AdvectDiffuse(tr []float64, dt float64, surf []float64, surfDen float64) []float64 {
 	out := make([]float64, len(tr))
 	copy(out, tr)
-	// A private copy of the bound bundle: the packed sweep must not race the
-	// stepping hot path's argument state.
-	a := *c.o.scrEnsure().adv
-	a.tr, a.out, a.dt = tr, out, dt
-	a.u, a.v = c.o.U, c.o.V
-	a.surf, a.surfDen = surf, surfDen
+	a := c.o.sweepArgs(tr, dt, surf, surfDen)
 	c.o.Sp.ParallelFor(len(c.cols), func(i int) {
 		cl := c.cols[i]
-		advectColumn(&a, cl[0], cl[1])
+		advectColumn(&a, out, c.o.idx2(cl[0], cl[1]), c.o.B.J0+cl[1])
 	})
 	return out
 }

@@ -30,10 +30,11 @@ type kernGeom struct {
 	J0       int // global row of owned row 0
 	NY       int // global rows
 	n2       int // LNI*LNJ, the level stride
+	kTop     int // levels any owned column reaches: the deepest kmt
 }
 
 // idx2 is the local 2-D offset of owned cell (li, lj).
-func (g kernGeom) idx2(li, lj int) int { return (lj+g.H)*g.LNI + li + g.H }
+func (g *kernGeom) idx2(li, lj int) int { return (lj+g.H)*g.LNI + li + g.H }
 
 // lap is the 5-point Laplacian at flat offset i3.
 func lap(f []float64, i3, lni int, dx, dy float64) float64 {
@@ -62,10 +63,13 @@ func maxFloat(a, b float64) float64 {
 
 // momentumArgs carries everything the baroclinic momentum kernel reads and
 // writes — step parameters are explicit arguments, replacing the former
-// struct-scratch side channel. Views bind the caller-owned 3-D state.
+// struct-scratch side channel. Views bind the caller-owned 3-D state, which
+// the kernel advances in place a level at a time through three
+// surface-sized planes.
 type momentumArgs struct {
 	g   kernGeom
 	kmt []int
+	dz  []float64
 
 	dt, dy, grav, ah, bdrag float64
 	rhoDz0                  float64   // Rho0*dz[0]
@@ -73,74 +77,86 @@ type momentumArgs struct {
 	cor, corMid             []float64 // per global row: f, 0.5*(f+f_north)
 	dx, rhoDx               []float64 // per global row: DX, Rho0*DX
 
-	pr               []float64 // hydrostatic pressure integral
-	u, v, newU, newV pp.View3
-	eta, tauX, tauY  []float64
+	u, v            pp.View3  // state, read at level k and rewritten there
+	t, s            []float64 // tracers, read by the pressure integral
+	eta, tauX, tauY []float64
+
+	// Surface-sized planes: the hydrostatic pressure integral through level
+	// k, and level k's new U and V until every row of the level is done.
+	pr, pu, pv []float64
+	k          int // the level the row body updates
 
 	rowF func(lj int) // bound once; launched via s.ParallelFor
 }
 
-func (a *momentumArgs) bind(u, v, newU, newV, eta, tauX, tauY, pr []float64) {
-	g := a.g
+func (a *momentumArgs) bind(u, v, t, s, eta, tauX, tauY, pr, pu, pv []float64) {
+	g := &a.g
 	a.u = pp.BindView3("ocn.u", u, g.NL, g.LNJ, g.LNI)
 	a.v = pp.BindView3("ocn.v", v, g.NL, g.LNJ, g.LNI)
-	a.newU = pp.BindView3("ocn.newU", newU, g.NL, g.LNJ, g.LNI)
-	a.newV = pp.BindView3("ocn.newV", newV, g.NL, g.LNJ, g.LNI)
-	a.eta, a.tauX, a.tauY, a.pr = eta, tauX, tauY, pr
+	a.t, a.s = t, s
+	a.eta, a.tauX, a.tauY = eta, tauX, tauY
+	a.pr, a.pu, a.pv = pr, pu, pv
 }
 
-// row updates one owned row. The level loop is split per face — wetness is
-// monotone in k (wet exactly for k < min(kmt) of the adjacent columns), so
-// each face sweeps a branch-bounded range, unrolled 2-way. U- and V-face
-// updates write disjoint outputs from pure inputs, so the face-major order
-// is bit-identical to the original level-major order.
+// addPressure adds level k's layer to the hydrostatic integral of every wet
+// local cell, halos included, so pr holds each column's sum through level
+// k, added top-down. The row body reads pr only at wet faces, i.e. where
+// both adjacent columns reach level k, and those entries are current.
+func (a *momentumArgs) addPressure(k int) {
+	g := &a.g
+	off := k * g.n2
+	dzk := a.dz[k]
+	for c, kc := range a.kmt {
+		if kc > k {
+			a.pr[c] += a.grav * Rho(a.t[off+c], a.s[off+c]) * dzk
+		}
+	}
+}
+
+// row updates level a.k of one owned row into the planes pu and pv, which it
+// first fills with the row's current values so dry faces keep theirs. It
+// reads only level k of U, V and the pressure, so no row reads another's
+// output. U- and V-face updates write disjoint outputs from pure inputs, so
+// the per-level order is bit-identical to a per-column one.
 func (a *momentumArgs) row(lj int) {
-	g := a.g
-	u, v := a.u.Data, a.v.Data
+	g := &a.g
+	k := a.k
+	off := k * g.n2
+	rs := (lj + g.H) * g.LNI
+	copy(a.pu[rs:rs+g.LNI], a.u.Data[off+rs:off+rs+g.LNI])
+	copy(a.pv[rs:rs+g.LNI], a.v.Data[off+rs:off+rs+g.LNI])
 	jg := g.J0 + lj
 	f := a.cor[jg]
 	fm := a.corMid[jg]
 	dxT := a.dx[jg]
 	rhoDx := a.rhoDx[jg]
 	vWetRow := jg != g.NY-1
-	for li := 0; li < g.NI; li++ {
-		c := g.idx2(li, lj)
-		e := c + 1
-		n := c + g.LNI
+	for c := rs + g.H; c < rs+g.H+g.NI; c++ {
 		kc := a.kmt[c]
-		if kU := minInt(kc, a.kmt[e]); kU > 0 {
-			k := 0
-			for ; k+1 < kU; k += 2 {
-				a.uFace(u, c, e, k, kU, f, dxT, rhoDx)
-				a.uFace(u, c, e, k+1, kU, f, dxT, rhoDx)
-			}
-			if k < kU {
-				a.uFace(u, c, e, k, kU, f, dxT, rhoDx)
-			}
+		if kc <= k {
+			continue
 		}
-		if kV := minInt(kc, a.kmt[n]); vWetRow && kV > 0 {
-			k := 0
-			for ; k+1 < kV; k += 2 {
-				a.vFace(v, c, n, k, kV, dxT, fm)
-				a.vFace(v, c, n, k+1, kV, dxT, fm)
-			}
-			if k < kV {
-				a.vFace(v, c, n, k, kV, dxT, fm)
-			}
+		if kU := minInt(kc, a.kmt[c+1]); kU > k {
+			a.uFace(c, k, kU, f, dxT, rhoDx)
+		}
+		if kV := minInt(kc, a.kmt[c+g.LNI]); vWetRow && kV > k {
+			a.vFace(c, k, kV, dxT, fm)
 		}
 	}
 }
 
 // uFace updates the U point east of cell c at level k (k < kU, the wet
-// range). Arithmetic is the exact transcription of the scalar original.
-func (a *momentumArgs) uFace(u []float64, c, e, k, kU int, f, dxT, rhoDx float64) {
-	g := a.g
-	v := a.v.Data
+// range) into pu. Arithmetic is the exact transcription of the scalar
+// original.
+func (a *momentumArgs) uFace(c, k, kU int, f, dxT, rhoDx float64) {
+	g := &a.g
+	u, v := a.u.Data, a.v.Data
+	e := c + 1
 	i3 := k*g.n2 + c
 	vav := 0.25 * (v[i3] + v[i3+1] + v[i3-g.LNI] + v[i3-g.LNI+1])
 	du := f * vav
 	du -= a.grav * (a.eta[e] - a.eta[c]) / dxT
-	du -= (a.pr[k*g.n2+e] - a.pr[k*g.n2+c]) / rhoDx
+	du -= (a.pr[e] - a.pr[c]) / rhoDx
 	du += a.ah * lap(u, i3, g.LNI, dxT, a.dy)
 	if k == 0 {
 		tau := 0.5 * (a.tauX[c] + a.tauX[e])
@@ -149,18 +165,19 @@ func (a *momentumArgs) uFace(u []float64, c, e, k, kU int, f, dxT, rhoDx float64
 	if k == kU-1 {
 		du -= a.bdrag * u[i3]
 	}
-	a.newU.Data[i3] = u[i3] + a.dt*du
+	a.pu[c] = u[i3] + a.dt*du
 }
 
-// vFace updates the V point north of cell c at level k (k < kV).
-func (a *momentumArgs) vFace(v []float64, c, n, k, kV int, dxT, fm float64) {
-	g := a.g
-	u := a.u.Data
+// vFace updates the V point north of cell c at level k (k < kV) into pv.
+func (a *momentumArgs) vFace(c, k, kV int, dxT, fm float64) {
+	g := &a.g
+	u, v := a.u.Data, a.v.Data
+	n := c + g.LNI
 	i3 := k*g.n2 + c
-	uav := 0.25 * (u[i3] + u[i3-1] + u[k*g.n2+n] + u[k*g.n2+n-1])
+	uav := 0.25 * (u[i3] + u[i3-1] + u[i3+g.LNI] + u[i3+g.LNI-1])
 	dv := -fm * uav
 	dv -= a.grav * (a.eta[n] - a.eta[c]) / a.dy
-	dv -= (a.pr[k*g.n2+n] - a.pr[k*g.n2+c]) / a.rhoDy
+	dv -= (a.pr[n] - a.pr[c]) / a.rhoDy
 	dv += a.ah * lap(v, i3, g.LNI, dxT, a.dy)
 	if k == 0 {
 		tau := 0.5 * (a.tauY[c] + a.tauY[n])
@@ -169,15 +186,29 @@ func (a *momentumArgs) vFace(v []float64, c, n, k, kV int, dxT, fm float64) {
 	if k == kV-1 {
 		dv -= a.bdrag * v[i3]
 	}
-	a.newV.Data[i3] = v[i3] + a.dt*dv
+	a.pv[c] = v[i3] + a.dt*dv
 }
 
+// momentumKernel advances U and V in place, top level first. Level k's
+// pressure is added to the integral, every owned row computes its new U and
+// V into the planes from the old level k, and only then are the owned rows
+// written back: the next level reads none of them.
 func momentumKernel(s pp.Space, args any) {
 	a, ok := args.(*momentumArgs)
 	if !ok {
 		panic("ocean: momentum kernel launched with foreign args")
 	}
-	s.ParallelFor(a.g.NJ, a.rowF)
+	g := &a.g
+	lo, hi := g.H*g.LNI, (g.H+g.NJ)*g.LNI
+	clear(a.pr)
+	for k := 0; k < g.kTop; k++ {
+		a.k = k
+		a.addPressure(k)
+		s.ParallelFor(g.NJ, a.rowF)
+		off := k * g.n2
+		copy(a.u.Data[off+lo:off+hi], a.pu[lo:hi])
+		copy(a.v.Data[off+lo:off+hi], a.pv[lo:hi])
+	}
 }
 
 // --- barotropic continuity ---
@@ -201,7 +232,7 @@ func (a *continuityArgs) bind(eta, ubar, vbar []float64) {
 }
 
 func (a *continuityArgs) row(lj int) {
-	g := a.g
+	g := &a.g
 	jg := g.J0 + lj
 	dxT := a.dx[jg]
 	dxS := a.dxSouth[jg]
@@ -263,7 +294,7 @@ func (a *btMomentumArgs) bind(eta, ubar, vbar, newUbar, newVbar, tauX, tauY []fl
 }
 
 func (a *btMomentumArgs) row(lj int) {
-	g := a.g
+	g := &a.g
 	jg := g.J0 + lj
 	f := a.cor[jg]
 	dxT := a.dx[jg]
@@ -312,7 +343,7 @@ type splitArgs struct {
 }
 
 func (a *splitArgs) row(lj int) {
-	g := a.g
+	g := &a.g
 	for li := 0; li < g.NI; li++ {
 		c := g.idx2(li, lj)
 		imposeMeanCol(a.u, a.ubar, a.dz, c, minInt(a.kmt[c], a.kmt[c+1]), g.n2)
@@ -348,17 +379,16 @@ func splitKernel(s pp.Space, args any) {
 // --- tracer advection–diffusion ---
 
 type advectArgs struct {
-	g     kernGeom
-	kmt   []int
-	maskT []bool
+	g   kernGeom
+	kmt []int
 
 	dt          float64
 	dy, kh, kv  float64
 	dx, dxSouth []float64
 	dz          []float64
 
-	u, v    []float64
-	tr, out []float64
+	u, v []float64
+	tr   []float64 // the tracer, advanced in place by the kernel
 
 	// Surface forcing as an explicit field + denominator — the former
 	// surf(c) closure evaluated QHeat[c]/(Rho0*Cp*dz0); the denominator is
@@ -366,81 +396,126 @@ type advectArgs struct {
 	surf    []float64
 	surfDen float64
 
+	// Surface-sized planes of the kernel's level pipeline: cur receives
+	// level k, prev holds level k−1 until its last reader, level k, is done.
+	cur, prev []float64
+	k         int // the level the row body updates
+
 	rowF func(lj int)
 }
 
+func (a *advectArgs) bind(tr, surf []float64, surfDen float64, u, v, cur, prev []float64) {
+	a.tr, a.surf, a.surfDen = tr, surf, surfDen
+	a.u, a.v, a.cur, a.prev = u, v, cur, prev
+}
+
+// row computes level a.k of one owned row into cur, then writes level k−1
+// of the same row back from prev: level k reads level k−1 only in its own
+// column, and level k−1's horizontal neighbours were all read by the pass
+// that computed it.
 func (a *advectArgs) row(lj int) {
-	g := a.g
-	for li := 0; li < g.NI; li++ {
-		if a.maskT[g.idx2(li, lj)] {
-			advectColumn(a, li, lj)
+	g := &a.g
+	k := a.k
+	rs := (lj+g.H)*g.LNI + g.H
+	off := k * g.n2
+	copy(a.cur[rs:rs+g.NI], a.tr[off+rs:off+rs+g.NI])
+	jg := g.J0 + lj
+	for c := rs; c < rs+g.NI; c++ {
+		if a.kmt[c] > k {
+			a.cur[c] = advectCell(a, k, c, jg)
 		}
+	}
+	if k > 0 {
+		copy(a.tr[off-g.n2+rs:off-g.n2+rs+g.NI], a.prev[rs:rs+g.NI])
 	}
 }
 
-// advectColumn applies the conservative advection–diffusion update to every
-// active level of one wet column. It is the single source shared by the
-// full-grid row kernel and the compacted wet-column sweep (§5.2.2), which
-// must agree bit for bit.
-func advectColumn(a *advectArgs, li, lj int) {
-	g := a.g
+// advectCell returns the conservative advection–diffusion update of the
+// tracer at level k of wet cell c (k < kmt[c]) in global row jg. It is the
+// single source shared by the level-pipelined row kernel and the per-column
+// sweeps (the full-grid one and the compacted wet-column one of §5.2.2),
+// which must agree bit for bit. Fluxes are evaluated once per face from the
+// cell pair it separates, so the sum of tracer content changes only through
+// the (zero) boundary and the surface forcing — the conservation property
+// the tests assert.
+func advectCell(a *advectArgs, k, c, jg int) float64 {
+	g := &a.g
 	n2 := g.n2
-	jg := g.J0 + lj
 	dxT := a.dx[jg]
 	dy := a.dy
-	area := dxT * dy
-	c := g.idx2(li, lj)
+	dzk := a.dz[k]
 	kc := a.kmt[c]
 	tr := a.tr
-	vWetRow := jg != g.NY-1
-	for k := 0; k < kc; k++ {
-		i3 := k*n2 + c
-		vol := area * a.dz[k]
-		var div float64
+	i3 := k*n2 + c
+	vol := dxT * dy * dzk
+	var div float64
 
-		// East face flux (positive = out of this cell).
-		if kc > k && a.kmt[c+1] > k {
-			div += faceFlux(a.u[i3], tr[i3], tr[i3+1], dy*a.dz[k], a.kh, dxT)
-		}
-		// West face (owned by the western cell; recompute mirrored).
-		if a.kmt[c-1] > k && kc > k {
-			div -= faceFlux(a.u[i3-1], tr[i3-1], tr[i3], dy*a.dz[k], a.kh, dxT)
-		}
-		// North face.
-		if vWetRow && kc > k && a.kmt[c+g.LNI] > k {
-			div += faceFlux(a.v[i3], tr[i3], tr[i3+g.LNI], dxT*a.dz[k], a.kh, dy)
-		}
-		// South face (closed at the southern wall).
-		if jg != 0 && a.kmt[c-g.LNI] > k && kc > k {
-			div -= faceFlux(a.v[i3-g.LNI], tr[i3-g.LNI], tr[i3], a.dxSouth[jg]*a.dz[k], a.kh, dy)
-		}
+	// East face flux (positive = out of this cell).
+	if a.kmt[c+1] > k {
+		div += faceFlux(a.u[i3], tr[i3], tr[i3+1], dy*dzk, a.kh, dxT)
+	}
+	// West face (owned by the western cell; recompute mirrored).
+	if a.kmt[c-1] > k {
+		div -= faceFlux(a.u[i3-1], tr[i3-1], tr[i3], dy*dzk, a.kh, dxT)
+	}
+	// North face (closed at the northern fold row).
+	if jg != g.NY-1 && a.kmt[c+g.LNI] > k {
+		div += faceFlux(a.v[i3], tr[i3], tr[i3+g.LNI], dxT*dzk, a.kh, dy)
+	}
+	// South face (closed at the southern wall).
+	if jg != 0 && a.kmt[c-g.LNI] > k {
+		div -= faceFlux(a.v[i3-g.LNI], tr[i3-g.LNI], tr[i3], a.dxSouth[jg]*dzk, a.kh, dy)
+	}
 
-		upd := tr[i3] - a.dt*div/vol
+	upd := tr[i3] - a.dt*div/vol
 
-		// Explicit vertical diffusion in flux form: the flux through
-		// the interface between levels k-1 and k uses the interface
-		// spacing, so content moves between layers without loss.
-		if k > 0 {
-			dzw := 0.5 * (a.dz[k-1] + a.dz[k])
-			upd += a.dt * a.kv * (tr[i3-n2] - tr[i3]) / (dzw * a.dz[k])
-		}
-		if k < kc-1 {
-			dzw := 0.5 * (a.dz[k] + a.dz[k+1])
-			upd += a.dt * a.kv * (tr[i3+n2] - tr[i3]) / (dzw * a.dz[k])
-		}
-		if k == 0 {
-			upd += a.dt * (a.surf[c] / a.surfDen)
-		}
-		a.out[i3] = upd
+	// Explicit vertical diffusion in flux form: the flux through the
+	// interface between levels k-1 and k uses the interface spacing, so
+	// content moves between layers without loss.
+	if k > 0 {
+		dzw := 0.5 * (a.dz[k-1] + dzk)
+		upd += a.dt * a.kv * (tr[i3-n2] - tr[i3]) / (dzw * dzk)
+	}
+	if k < kc-1 {
+		dzw := 0.5 * (dzk + a.dz[k+1])
+		upd += a.dt * a.kv * (tr[i3+n2] - tr[i3]) / (dzw * dzk)
+	}
+	if k == 0 {
+		upd += a.dt * (a.surf[c] / a.surfDen)
+	}
+	return upd
+}
+
+// advectColumn writes the update of every active level of wet column c in
+// global row jg into out — the per-column walk over advectCell.
+func advectColumn(a *advectArgs, out []float64, c, jg int) {
+	for k := 0; k < a.kmt[c]; k++ {
+		out[k*a.g.n2+c] = advectCell(a, k, c, jg)
 	}
 }
 
+// advectKernel advances the bound tracer in place, a level behind: pass k
+// computes level k into one plane and writes level k−1 back from the
+// other, and the deepest level is written back after the last pass.
 func advectKernel(s pp.Space, args any) {
 	a, ok := args.(*advectArgs)
 	if !ok {
 		panic("ocean: advect kernel launched with foreign args")
 	}
-	s.ParallelFor(a.g.NJ, a.rowF)
+	g := &a.g
+	for k := 0; k < g.kTop; k++ {
+		a.k = k
+		s.ParallelFor(g.NJ, a.rowF)
+		a.cur, a.prev = a.prev, a.cur
+	}
+	if g.kTop == 0 {
+		return
+	}
+	off := (g.kTop - 1) * g.n2
+	for lj := 0; lj < g.NJ; lj++ {
+		rs := (lj+g.H)*g.LNI + g.H
+		copy(a.tr[off+rs:off+rs+g.NI], a.prev[rs:rs+g.NI])
+	}
 }
 
 // faceFlux returns the combined upwind-advective and diffusive tracer flux

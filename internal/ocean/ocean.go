@@ -8,8 +8,9 @@
 //
 // The model runs distributed over a grid.TripolarDecomp (one 2-D block per
 // rank; a 1×1 layout is the serial case), exchanges halos through the par
-// runtime in batched split-phase calls that overlap with interior compute,
-// executes its kernels through a pp execution space, honours the FP64 /
+// runtime in batched calls (one message per peer for every field of a
+// phase), steps its 3-D state in place a level at a time, executes its
+// kernels through a pp execution space, honours the FP64 /
 // group-scaled-FP32 precision policy of §5.2.3, and supports the 3-D
 // non-ocean-point exclusion of §5.2.2 via the compact subpackage types.
 package ocean
@@ -97,22 +98,29 @@ type Ocean struct {
 
 	steps int
 
-	// Persistent stepping scratch (lazily built on the first Step) holding
-	// the double buffers and the bound kernel argument bundles, so
-	// steady-state stepping performs zero heap allocations: buffers are
-	// swapped instead of reallocated, bundles are built once and their
-	// per-step parameters assigned in place.
+	// Persistent stepping scratch (lazily built on the first Step): the
+	// level planes and the bound kernel argument bundles, so steady-state
+	// stepping performs zero heap allocations. The prognostic arrays are
+	// advanced in place and never replaced.
 	scr *stepScratch
 }
 
 // stepScratch holds the persistent work arrays of the stepping hot path and
 // the kernel argument bundles the drivers bind before each launch: three
-// level-sized and two surface-sized arrays, each written in a step before it
-// is read. Step parameters live on the bundles as explicit arguments.
+// surface-sized planes and no level-sized array, each written in a step
+// before it is read. The kernels step U, V, T and S a level at a time, and
+// a level's slab is all a plane has to hold. Step parameters live on the
+// bundles as explicit arguments.
+//
+// Who borrows which plane, in step order:
+//
+//	phase                  pr                  ubar          vbar
+//	baroclinic momentum    pressure integral   level's new U level's new V
+//	barotropic subcycle    —                   Ubar buffer   Vbar buffer
+//	tracers (T, then S)    —                   level plane   level plane
 type stepScratch struct {
-	w          []float64 // baroclinic pressure, then the tracer double buffer
-	u, v       []float64 // 3-D momentum double buffers
-	ubar, vbar []float64 // barotropic momentum double buffers (η steps in place)
+	pr         []float64 // hydrostatic pressure through the current level
+	ubar, vbar []float64 // barotropic double buffers (η steps in place)
 
 	// Bound kernel argument bundles.
 	mom   *momentumArgs
@@ -122,8 +130,8 @@ type stepScratch struct {
 	adv   *advectArgs
 
 	// ex is the reusable halo-batch descriptor slice: each exchange site
-	// rebuilds it in place (the state arrays swap with the double buffers
-	// every step) without allocating.
+	// rebuilds it in place without allocating (Ubar/Vbar swap with their
+	// double buffers every barotropic substep).
 	ex []grid.HaloField
 }
 

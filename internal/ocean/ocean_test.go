@@ -515,9 +515,13 @@ func TestRhoEOS(t *testing.T) {
 	}
 }
 
+// The kernels step U, V, T and S level by level in place; a backend that
+// ran a level's rows out of order or concurrently must still give every
+// level of every owned field, and η, bit for bit.
 func TestOceanPPBackendEquivalence(t *testing.T) {
-	run := func(sp pp.Space) []float64 {
-		var out []float64
+	type state struct{ u, v, t, s, eta []float64 }
+	run := func(sp pp.Space) state {
+		var out state
 		g, _ := grid.NewTripolar(48, 24, 5)
 		par.Run(1, func(c *par.Comm) {
 			b, _ := grid.NewTripolarDecomp(g, c, 1)
@@ -525,24 +529,43 @@ func TestOceanPPBackendEquivalence(t *testing.T) {
 			for lj := 0; lj < b.NJ; lj++ {
 				for li := 0; li < b.NI; li++ {
 					o.TauX[o.idx2(li, lj)] = 0.07
+					o.QHeat[o.idx2(li, lj)] = 120 * math.Sin(float64(li+lj))
 				}
 			}
 			for s := 0; s < 3; s++ {
 				o.Step()
 			}
-			out = o.surfaceOwned(o.T)
+			out = state{o.ownedLevels(o.U), o.ownedLevels(o.V), o.ownedLevels(o.T), o.ownedLevels(o.S), o.surfaceOwned(o.Eta)}
 		})
 		return out
 	}
 	ref := run(pp.Serial{})
 	for _, sp := range []pp.Space{pp.NewHost(4), pp.NewCPE(8)} {
 		got := run(sp)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("%s: T[%d] = %v vs serial %v", sp.Name(), i, got[i], ref[i])
+		for _, f := range []struct {
+			name      string
+			want, got []float64
+		}{
+			{"U", ref.u, got.u}, {"V", ref.v, got.v}, {"T", ref.t, got.t}, {"S", ref.s, got.s}, {"Eta", ref.eta, got.eta},
+		} {
+			for i := range f.want {
+				if math.Float64bits(f.got[i]) != math.Float64bits(f.want[i]) {
+					t.Fatalf("%s: %s[%d] = %v vs serial %v", sp.Name(), f.name, i, f.got[i], f.want[i])
+				}
 			}
 		}
 	}
+}
+
+// ownedLevels extracts the owned region (NJ × NI) of every level of a local
+// 3-D field, level after level.
+func (o *Ocean) ownedLevels(f []float64) []float64 {
+	n2 := o.LNI * o.LNJ
+	var out []float64
+	for k := 0; k < o.NL; k++ {
+		out = append(out, o.surfaceOwned(f[k*n2:(k+1)*n2])...)
+	}
+	return out
 }
 
 // surfaceOwned extracts the owned region (NJ × NI) of the surface level of

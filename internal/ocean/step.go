@@ -12,7 +12,10 @@ import (
 // under the mixed-precision policy.
 //
 // The numerics live in kernels.go as registered pp kernels; Step and its
-// phase drivers only bind views, run halo exchanges, and launch.
+// phase drivers only bind views, run halo exchanges, and launch. U, V, T and
+// S are advanced in their own arrays, a level at a time through
+// surface-sized planes, so a slice taken of them before a step (the sea
+// ice's SST) stays the state after it.
 //
 // After the first call warms the persistent scratch buffers, Step performs
 // zero heap allocations in the default (FP64, no Ri mixing) configuration
@@ -49,11 +52,8 @@ func (o *Ocean) scrEnsure() *stepScratch {
 		return o.scr
 	}
 	n2 := o.LNI * o.LNJ
-	n3 := o.NL * n2
 	s := &stepScratch{
-		w:    make([]float64, n3),
-		u:    make([]float64, n3),
-		v:    make([]float64, n3),
+		pr:   make([]float64, n2),
 		ubar: make([]float64, n2),
 		vbar: make([]float64, n2),
 	}
@@ -62,6 +62,11 @@ func (o *Ocean) scrEnsure() *stepScratch {
 		NI: o.B.NI, NJ: o.B.NJ,
 		NL: o.NL, H: o.B.H, J0: o.B.J0, NY: o.G.NY,
 		n2: n2,
+	}
+	for lj := 0; lj < o.B.NJ; lj++ {
+		for li := 0; li < o.B.NI; li++ {
+			geo.kTop = max(geo.kTop, o.kmt[o.idx2(li, lj)])
+		}
 	}
 	// Per-global-row geometry, precomputed with the same float64 operations
 	// the scalar kernels performed inline, so reading the tables back is
@@ -78,7 +83,7 @@ func (o *Ocean) scrEnsure() *stepScratch {
 	}
 
 	s.mom = &momentumArgs{
-		g: geo, kmt: o.kmt,
+		g: geo, kmt: o.kmt, dz: o.dz,
 		dy: o.G.DY, grav: Gravity, ah: o.Cfg.AH, bdrag: o.Cfg.BottomDrag,
 		rhoDz0: Rho0 * o.dz[0], rhoDy: Rho0 * o.G.DY,
 		cor: cor, corMid: corMid, dx: o.G.DX, rhoDx: rhoDx,
@@ -101,7 +106,7 @@ func (o *Ocean) scrEnsure() *stepScratch {
 	}
 	s.split.rowF = s.split.row
 	s.adv = &advectArgs{
-		g: geo, kmt: o.kmt, maskT: o.maskT,
+		g: geo, kmt: o.kmt,
 		dy: o.G.DY, kh: o.Cfg.KH, kv: o.Cfg.KV,
 		dx: o.G.DX, dxSouth: dxSouth, dz: o.dz,
 	}
@@ -113,10 +118,12 @@ func (o *Ocean) scrEnsure() *stepScratch {
 
 // baroclinicMomentum applies Coriolis, surface-slope and baroclinic
 // pressure gradients, wind stress, Laplacian viscosity, and bottom drag to
-// the 3-D velocity.
+// the 3-D velocity, in place. Its two level planes borrow the barotropic
+// buffers ubar/vbar, which barotropicCycle fills before it reads them.
 func (o *Ocean) baroclinicMomentum(dt float64) {
 	s := o.scrEnsure()
-	// One batched split-phase exchange for the whole baroclinic state. Wind
+	// One batched exchange for the whole baroclinic state: the pressure
+	// integral reads T/S in every halo cell a wet face touches, and wind
 	// stress is face-averaged, so its halo must be current; it changes every
 	// coupling interval through Import.
 	s.ex = append(s.ex[:0],
@@ -128,51 +135,11 @@ func (o *Ocean) baroclinicMomentum(dt float64) {
 		grid.HaloField{Data: o.TauX, NLev: 1, Vec: true},
 		grid.HaloField{Data: o.TauY, NLev: 1, Vec: true},
 	)
-	o.B.StartExchange(s.ex)
-	// Interior-first overlap: the owned-cell pressure integral only reads
-	// owned T/S, which StartExchange never touches, so it runs while halo
-	// messages are in flight. Halo columns are integrated after Finish —
-	// the same values the all-at-once sweep would produce.
-	h := o.B.H
-	o.pressureCells(s, h, h+o.B.NJ, h, h+o.B.NI)
-	o.B.FinishExchange(s.ex)
-	o.pressureCells(s, 0, h, 0, o.LNI)               // south halo rows
-	o.pressureCells(s, h+o.B.NJ, o.LNJ, 0, o.LNI)    // north halo rows
-	o.pressureCells(s, h, h+o.B.NJ, 0, h)            // west halo columns
-	o.pressureCells(s, h, h+o.B.NJ, h+o.B.NI, o.LNI) // east halo columns
-
-	copy(s.u, o.U)
-	copy(s.v, o.V)
+	o.B.ExchangeFields(s.ex)
 	a := s.mom
 	a.dt = dt
-	a.bind(o.U, o.V, s.u, s.v, o.Eta, o.TauX, o.TauY, s.w)
+	a.bind(o.U, o.V, o.T, o.S, o.Eta, o.TauX, o.TauY, s.pr, s.ubar, s.vbar)
 	pp.Kernels.MustLaunch(hOcnMomentum, o.Sp, a)
-	o.U, s.u = s.u, o.U
-	o.V, s.v = s.v, o.V
-}
-
-// pressureCells integrates the hydrostatic baroclinic pressure p'(k) into w
-// for the local cells with raw local row in [j0, j1) and raw local column in
-// [i0, i1) — halo offsets included, not owned coordinates. w holds a stale
-// tracer between steps: the momentum kernel only reads pr at wet faces, i.e.
-// within the kmt range of both adjacent columns, and exactly those entries
-// are rewritten here every call, in owned rows and all four halo strips.
-func (o *Ocean) pressureCells(s *stepScratch, j0, j1, i0, i1 int) {
-	n2 := o.LNI * o.LNJ
-	for j := j0; j < j1; j++ {
-		for i := i0; i < i1; i++ {
-			idx := j*o.LNI + i
-			if !o.maskT[idx] {
-				continue
-			}
-			acc := 0.0
-			for k := 0; k < o.kmt[idx]; k++ {
-				i3 := k*n2 + idx
-				acc += Gravity * Rho(o.T[i3], o.S[i3]) * o.dz[k]
-				s.w[i3] = acc
-			}
-		}
-	}
 }
 
 // barotropicCycle subcycles the 2-D free-surface equations with the
@@ -219,9 +186,11 @@ func (o *Ocean) barotropicCycle(dt float64) {
 
 // tracerStep advances temperature and salinity with conservative upwind
 // flux-form advection, Laplacian diffusion, explicit vertical diffusion,
-// and the surface heat / freshwater forcing. The flux-form update telescopes
-// exactly, which is what keeps the 1e-10 conservation audit closed; under
-// the -mixed policy it still runs in float64 on the quantized state.
+// and the surface heat / freshwater forcing, each in place through two
+// planes borrowed from the barotropic buffers. The flux-form update
+// telescopes exactly, which is what keeps the 1e-10 conservation audit
+// closed; under the -mixed policy it still runs in float64 on the quantized
+// state.
 func (o *Ocean) tracerStep(dt float64) {
 	s := o.scrEnsure()
 	s.ex = append(s.ex[:0],
@@ -231,12 +200,12 @@ func (o *Ocean) tracerStep(dt float64) {
 		grid.HaloField{Data: o.V, NLev: o.NL, Vec: true},
 	)
 	o.B.ExchangeFields(s.ex)
-	// w is the tracer double buffer: advectDiffuseInto overwrites it before
-	// the kernel runs, and S advects into the buffer T just left.
-	o.advectDiffuseInto(o.T, s.w, dt, o.QHeat, o.surfTDen())
-	o.T, s.w = s.w, o.T
-	o.advectDiffuseInto(o.S, s.w, dt, o.FWFlux, 1)
-	o.S, s.w = s.w, o.S
+	a := s.adv
+	a.dt = dt
+	a.bind(o.T, o.QHeat, o.surfTDen(), o.U, o.V, s.ubar, s.vbar)
+	pp.Kernels.MustLaunch(hOcnAdvect, o.Sp, a)
+	a.bind(o.S, o.FWFlux, 1, o.U, o.V, s.ubar, s.vbar)
+	pp.Kernels.MustLaunch(hOcnAdvect, o.Sp, a)
 }
 
 // surfTDen is the denominator turning the surface heat flux (W/m²) into a
@@ -244,29 +213,30 @@ func (o *Ocean) tracerStep(dt float64) {
 // surfaceTForcing closure evaluated per cell.
 func (o *Ocean) surfTDen() float64 { return Rho0 * Cp * o.dz[0] }
 
-// advectDiffuse computes one conservative tracer update into a fresh slice.
-// It is the allocating convenience form kept for the compact-sweep
-// comparisons; the stepping hot path uses advectDiffuseInto. surf is the
-// per-cell surface forcing field and surfDen its constant denominator
-// (pass 1 for none).
+// advectDiffuse computes one conservative tracer update of tr into a fresh
+// slice (entries it does not update keep their input values), walking
+// every owned wet column through the kernel's own per-cell body. It is the
+// allocating form kept for the compact-sweep comparisons; the stepping hot
+// path advances T and S in place. surf is the per-cell surface forcing
+// field and surfDen its constant denominator (pass 1 for none).
 func (o *Ocean) advectDiffuse(tr []float64, dt float64, surf []float64, surfDen float64) []float64 {
 	out := make([]float64, len(tr))
-	o.advectDiffuseInto(tr, out, dt, surf, surfDen)
+	copy(out, tr)
+	a := o.sweepArgs(tr, dt, surf, surfDen)
+	o.Sp.ParallelFor(o.B.NJ, func(lj int) {
+		for li := 0; li < o.B.NI; li++ {
+			advectColumn(&a, out, o.idx2(li, lj), o.B.J0+lj)
+		}
+	})
 	return out
 }
 
-// advectDiffuseInto computes one conservative tracer update from tr into
-// out (len(out) == len(tr); non-updated entries keep their input values).
-// Fluxes are evaluated once per face from the cell pair it separates, so
-// the sum of tracer content changes only through the (zero) boundary and
-// the surface forcing — the conservation property the tests assert.
-func (o *Ocean) advectDiffuseInto(tr, out []float64, dt float64, surf []float64, surfDen float64) {
-	copy(out, tr)
-	s := o.scrEnsure()
-	a := s.adv
-	a.tr, a.out, a.dt = tr, out, dt
-	a.u, a.v = o.U, o.V
-	a.surf, a.surfDen = surf, surfDen
-	pp.Kernels.MustLaunch(hOcnAdvect, o.Sp, a)
-	a.tr, a.out, a.surf = nil, nil, nil
+// sweepArgs returns a private copy of the bound tracer bundle set up for a
+// per-column sweep of tr: the sweep must not race the stepping hot path's
+// argument state.
+func (o *Ocean) sweepArgs(tr []float64, dt float64, surf []float64, surfDen float64) advectArgs {
+	a := *o.scrEnsure().adv
+	a.dt = dt
+	a.bind(tr, surf, surfDen, o.U, o.V, nil, nil)
+	return a
 }

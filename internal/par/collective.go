@@ -83,7 +83,7 @@ func (c *Comm) AllreduceSliceInto(dst, v []float64, op Op) {
 		cs.scond.Broadcast()
 	} else {
 		for gen == cs.sgen {
-			cs.scond.Wait()
+			cs.park(&cs.smu, cs.scond)
 		}
 	}
 	cs.smu.Unlock()

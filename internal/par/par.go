@@ -25,6 +25,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -43,10 +44,11 @@ type mailbox struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	queue []message
+	cs    *commState // the communicator it belongs to
 }
 
-func newMailbox() *mailbox {
-	mb := &mailbox{}
+func newMailbox(cs *commState) *mailbox {
+	mb := &mailbox{cs: cs}
 	mb.cond = sync.NewCond(&mb.mu)
 	return mb
 }
@@ -95,12 +97,12 @@ func (mb *mailbox) take(src, tag int) message {
 		return m
 	}
 	mb.mu.Lock()
-	defer mb.mu.Unlock()
 	for {
 		if m, ok := mb.pop(src, tag); ok {
+			mb.mu.Unlock()
 			return m
 		}
-		mb.cond.Wait()
+		mb.cs.park(&mb.mu, mb.cond)
 	}
 }
 
@@ -127,11 +129,107 @@ func (mb *mailbox) tryTake(src, tag int) (message, bool) {
 	return mb.pop(src, tag)
 }
 
+// world is what every communicator of one Run shares: the abort a rank's
+// panic raises. A rank that panics while its peers block in a receive, a
+// barrier, a collective or a Split would otherwise leave them waiting for
+// it forever, and Run waiting for them. To wake them, the world lists the
+// communicators that have a waiter parked right now — an intrusive list,
+// so parking allocates nothing, and a communicator nobody waits on (say,
+// one split per checkpoint write) is not held.
+type world struct {
+	mu     sync.Mutex
+	parked *commState // head of the communicators with parked waiters
+	abort  atomic.Pointer[abortError]
+}
+
+// abortError is the panic a rank raises when a peer's panic aborts the
+// world while it waits, or before it would: it names the rank that panicked
+// first and what it panicked with, so even where it escapes Run (in a
+// goroutine a rank started) it points at the root cause.
+type abortError struct {
+	rank  int // the rank whose panic aborted the world
+	cause any // what it panicked with
+}
+
+func (e *abortError) Error() string {
+	return fmt.Sprintf("par: aborted: rank %d panicked: %v", e.rank, e.cause)
+}
+
+// fail aborts the world on rank's panic p, unless it is already aborted,
+// and wakes every parked waiter. The list is copied before any waiter's
+// lock is taken: a waiter takes the world's lock while holding its own.
+func (w *world) fail(rank int, p any) {
+	if !w.abort.CompareAndSwap(nil, &abortError{rank: rank, cause: p}) {
+		return
+	}
+	var parked []*commState
+	w.mu.Lock()
+	for cs := w.parked; cs != nil; cs = cs.next {
+		parked = append(parked, cs)
+	}
+	w.mu.Unlock()
+	for _, cs := range parked {
+		cs.wake()
+	}
+}
+
+// park waits on cond, whose lock mu the caller holds, unless the world is
+// aborted: then it releases mu and panics with the abort. The waiter lists
+// its communicator before it checks the abort, so an abort either sees it
+// listed — and its wake-up, which needs mu, comes after cond.Wait has
+// released it — or was raised before the check.
+func (cs *commState) park(mu sync.Locker, cond *sync.Cond) {
+	w := cs.w
+	w.mu.Lock()
+	if cs.nparked == 0 {
+		cs.next = w.parked
+		if cs.next != nil {
+			cs.next.prev = cs
+		}
+		w.parked = cs
+	}
+	cs.nparked++
+	w.mu.Unlock()
+	if err := w.abort.Load(); err != nil {
+		cs.unpark()
+		mu.Unlock()
+		panic(err)
+	}
+	cond.Wait()
+	cs.unpark()
+}
+
+// unpark takes one parked waiter off the communicator's count, and the
+// communicator off the world's list when it was the last.
+func (cs *commState) unpark() {
+	w := cs.w
+	w.mu.Lock()
+	if cs.nparked--; cs.nparked == 0 {
+		if cs.prev != nil {
+			cs.prev.next = cs.next
+		} else {
+			w.parked = cs.next
+		}
+		if cs.next != nil {
+			cs.next.prev = cs.prev
+		}
+		cs.prev, cs.next = nil, nil
+	}
+	w.mu.Unlock()
+}
+
 // commState is the shared state of one communicator: mailboxes for every
 // member rank plus reusable synchronization structures for collectives.
 type commState struct {
 	size  int
 	boxes []*mailbox
+
+	// w is the Run this communicator belongs to; nparked counts its parked
+	// waiters, and prev/next link it into w's list while that is non-zero
+	// (all three guarded by w.mu).
+	w          *world
+	nparked    int
+	prev, next *commState
 
 	// barrier
 	bmu   sync.Mutex
@@ -197,9 +295,10 @@ func (cs *commState) whoWaits() string {
 	return out
 }
 
-func newCommState(size int, id string) *commState {
+func newCommState(w *world, size int, id string) *commState {
 	cs := &commState{
 		size:    size,
+		w:       w,
 		boxes:   make([]*mailbox, size),
 		slots:   make([]any, size),
 		fslots:  make([][]float64, size),
@@ -209,11 +308,33 @@ func newCommState(size int, id string) *commState {
 		waiting: make(map[int]string),
 	}
 	for i := range cs.boxes {
-		cs.boxes[i] = newMailbox()
+		cs.boxes[i] = newMailbox(cs)
 	}
 	cs.bcond = sync.NewCond(&cs.bmu)
 	cs.scond = sync.NewCond(&cs.smu)
 	return cs
+}
+
+// wake broadcasts every condition the communicator's waiters park on.
+func (cs *commState) wake() {
+	for _, mb := range cs.boxes {
+		mb.mu.Lock()
+		mb.cond.Broadcast()
+		mb.mu.Unlock()
+	}
+	cs.bmu.Lock()
+	cs.bcond.Broadcast()
+	cs.bmu.Unlock()
+	cs.smu.Lock()
+	cs.scond.Broadcast()
+	cs.smu.Unlock()
+	cs.splitMu.Lock()
+	for _, g := range cs.gathers {
+		g.mu.Lock()
+		g.cond.Broadcast()
+		g.mu.Unlock()
+	}
+	cs.splitMu.Unlock()
 }
 
 // Comm is one rank's handle onto a communicator.
@@ -231,32 +352,34 @@ func (c *Comm) Rank() int { return c.rank }
 func (c *Comm) Size() int { return c.state.size }
 
 // Run launches n ranks, each executing body with its world communicator, and
-// waits for all of them to finish. Panics in a rank are re-raised in the
-// caller so test failures surface.
+// waits for all of them to finish. A panic in a rank aborts the world: every
+// peer blocked in a receive, a barrier, a collective or a Split — on the
+// world or on any communicator split from it — wakes and unwinds, as does
+// a peer that blocks later. Run then re-raises the
+// first panic in the caller as "par: rank N panicked: …", so test failures
+// surface instead of hanging.
 func Run(n int, body func(c *Comm)) {
 	if n <= 0 {
 		panic(fmt.Sprintf("par: Run with non-positive size %d", n))
 	}
-	cs := newCommState(n, "world")
+	w := &world{}
+	cs := newCommState(w, n, "world")
 	var wg sync.WaitGroup
-	panics := make([]any, n)
 	for r := 0; r < n; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
 			defer func() {
 				if p := recover(); p != nil {
-					panics[rank] = p
+					w.fail(rank, p)
 				}
 			}()
 			body(&Comm{state: cs, rank: rank, stats: &CommStats{}})
 		}(r)
 	}
 	wg.Wait()
-	for r, p := range panics {
-		if p != nil {
-			panic(fmt.Sprintf("par: rank %d panicked: %v", r, p))
-		}
+	if err := w.abort.Load(); err != nil {
+		panic(fmt.Sprintf("par: rank %d panicked: %v", err.rank, err.cause))
 	}
 }
 
@@ -312,7 +435,7 @@ func (c *Comm) Barrier() {
 		return
 	}
 	for gen == cs.bgen {
-		cs.bcond.Wait()
+		cs.park(&cs.bmu, cs.bcond)
 	}
 	cs.bmu.Unlock()
 }
@@ -334,7 +457,7 @@ func (c *Comm) exchange(v any) []any {
 		cs.scond.Broadcast()
 	} else {
 		for gen == cs.sgen {
-			cs.scond.Wait()
+			cs.park(&cs.smu, cs.scond)
 		}
 	}
 	out := make([]any, cs.size)
@@ -375,6 +498,7 @@ func (c *Comm) Split(color, key int) *Comm {
 	}
 	cs.splitMu.Unlock()
 
+	cs.setWaiting(c.rank, "Split")
 	g.mu.Lock()
 	g.entries = append(g.entries, splitEntry{rank: c.rank, color: color, key: key})
 	g.done++
@@ -395,7 +519,7 @@ func (c *Comm) Split(color, key int) *Comm {
 				}
 				return es[i].rank < es[j].rank
 			})
-			st := newCommState(len(es), fmt.Sprintf("%s/split%d", cs.id, color))
+			st := newCommState(cs.w, len(es), fmt.Sprintf("%s/split%d", cs.id, color))
 			g.result[color] = st
 			m := make(map[int]int, len(es))
 			for newRank, e := range es {
@@ -407,7 +531,7 @@ func (c *Comm) Split(color, key int) *Comm {
 		g.cond.Broadcast()
 	} else {
 		for !g.ready {
-			g.cond.Wait()
+			cs.park(&g.mu, g.cond)
 		}
 	}
 	var out *Comm
@@ -425,6 +549,7 @@ func (c *Comm) Split(color, key int) *Comm {
 		g.ranks = nil
 	}
 	g.mu.Unlock()
+	cs.clearWaiting(c.rank)
 	c.Barrier()
 	return out
 }

@@ -1,11 +1,15 @@
 package par
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestRunLaunchesAllRanks(t *testing.T) {
@@ -349,6 +353,69 @@ func TestRankPanicPropagates(t *testing.T) {
 			panic("boom")
 		}
 	})
+}
+
+// A rank that panics while its peers block must end the run, not hang it:
+// every peer wakes, whether it waits in a receive, a barrier, a collective
+// or a Split, on the world or on a communicator split from it, and Run
+// re-raises the panicking rank's own panic, not a woken peer's.
+func TestRankPanicWakesBlockedPeers(t *testing.T) {
+	const culprit = 1
+	waits := []struct {
+		name string
+		wait func(c, sub *Comm)
+	}{
+		{"RecvF64", func(c, _ *Comm) { RecvF64(c, culprit, 7) }},
+		{"Barrier", func(c, _ *Comm) { c.Barrier() }},
+		{"Allreduce", func(c, _ *Comm) { c.Allreduce(1, OpSum) }},
+		{"AllreduceSliceInto", func(c, _ *Comm) { c.AllreduceSliceInto(make([]float64, 2), []float64{1, 2}, OpSum) }},
+		{"Split", func(c, _ *Comm) { c.Split(0, c.Rank()) }},
+		{"split/Barrier", func(_, sub *Comm) { sub.Barrier() }},
+		{"split/RecvF64", func(_, sub *Comm) { RecvF64(sub, culprit, 7) }},
+	}
+	for _, n := range []int{2, 4, 8} {
+		for _, w := range waits {
+			t.Run(fmt.Sprintf("ranks=%d/%s", n, w.name), func(t *testing.T) {
+				done := make(chan any)
+				go func() {
+					defer func() { done <- recover() }()
+					Run(n, func(c *Comm) {
+						sub := c.Split(0, c.Rank())
+						if c.Rank() != culprit {
+							w.wait(c, sub)
+							t.Errorf("rank %d returned from %s although rank %d never joined", c.Rank(), w.name, culprit)
+							return
+						}
+						// Panic only once every peer has announced its wait
+						// on the communicator it waits on.
+						cs := c.state
+						if strings.HasPrefix(w.name, "split/") {
+							cs = sub.state
+						}
+						for waiters(cs) < n-1 {
+							runtime.Gosched()
+						}
+						panic("boom")
+					})
+				}()
+				select {
+				case p := <-done:
+					if want := fmt.Sprintf("par: rank %d panicked: boom", culprit); p != want {
+						t.Errorf("Run panicked with %v, want %q", p, want)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("Run still waiting 5 s after a rank panicked")
+				}
+			})
+		}
+	}
+}
+
+// waiters counts the ranks announced as blocked on cs.
+func waiters(cs *commState) int {
+	cs.wmu.Lock()
+	defer cs.wmu.Unlock()
+	return len(cs.waiting)
 }
 
 func TestSendInvalidRankPanics(t *testing.T) {

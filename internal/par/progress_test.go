@@ -34,7 +34,7 @@ func queued(mb *mailbox) int {
 func msg(i int) message { return message{src: 0, tag: 5, f64: []float64{float64(i)}} }
 
 func TestTakeBeforePoll(t *testing.T) {
-	mb := newMailbox()
+	mb := newCommState(&world{}, 1, "world").boxes[0]
 	for i := 1; i <= 3; i++ {
 		mb.put(msg(i))
 	}
@@ -49,7 +49,7 @@ func TestTakeBeforePoll(t *testing.T) {
 }
 
 func TestTakeDuringPoll(t *testing.T) {
-	mb := newMailbox()
+	mb := newCommState(&world{}, 1, "world").boxes[0]
 	started := make(chan struct{})
 	first := make(chan message)
 	go func() {

@@ -76,7 +76,7 @@ func (c *Comm) BarrierTimeout(d time.Duration) error {
 			cs.bcond.Broadcast()
 			cs.bmu.Unlock()
 		})
-		cs.bcond.Wait()
+		cs.park(&cs.bmu, cs.bcond)
 		t.Stop()
 	}
 	cs.bmu.Unlock()

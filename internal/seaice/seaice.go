@@ -76,12 +76,13 @@ type Model struct {
 // Forcing is the ice's import, read where it lives: owned column (li, lj)
 // reads its surface air temperature (K) and 10 m wind (m/s) at ghost id
 // Ref[lj·NI+li] of TAir, U and V, and its SST from the ocean's temperature
-// field (°C, surface level first) at the column's local index. OcnT points
-// at the field, so Step reads whichever array the ocean holds by then.
+// field (°C, surface level first) at the column's local index. OcnT is the
+// ocean's own array: the ocean advances T in place, so the slice bound once
+// reads the current SST at every Step.
 type Forcing struct {
 	Ref        []int32
 	TAir, U, V []float64
-	OcnT       *[]float64
+	OcnT       []float64
 }
 
 // New builds the ice model on the block with an initial polar ice cap.
@@ -148,7 +149,7 @@ func (m *Model) Step() {
 			}
 			m.FreezeHeat[idx] = 0
 			tAir := in.TAir[in.Ref[lj*b.NI+li]]
-			sst := (*in.OcnT)[idx] + 273.15
+			sst := in.OcnT[idx] + 273.15
 
 			if m.Conc[idx] > m.Cfg.MinConc {
 				// Conductive growth/melt through the slab: flux ∝ (Tf−Ta)/h.

@@ -37,16 +37,15 @@ func force(m *Model, fn func(lat float64) (tAir, sst, u, v float64)) {
 	in := Forcing{
 		Ref:  make([]int32, n),
 		TAir: make([]float64, n), U: make([]float64, n), V: make([]float64, n),
+		OcnT: make([]float64, len(m.Conc)),
 	}
-	ocnT := make([]float64, len(m.Conc))
-	in.OcnT = &ocnT
 	for lj := 0; lj < b.NJ; lj++ {
 		for li := 0; li < b.NI; li++ {
 			k := lj*b.NI + li
 			var sst float64
 			in.Ref[k] = int32(k)
 			in.TAir[k], sst, in.U[k], in.V[k] = fn(m.G.Lat[b.J0+lj])
-			ocnT[b.LIdx(li, lj)] = sst - 273.15
+			in.OcnT[b.LIdx(li, lj)] = sst - 273.15
 		}
 	}
 	m.Forcing = in
