@@ -11,8 +11,9 @@
 # every workload path once plus its own tests, no measurement — to measure,
 # run bench/run.sh as bench/README.md describes) and of every package
 # benchmark (one iteration each). Outside check: `make footprint` prints the
-# ladder's memory column, the live heap per atmosphere cell of each rung's
-# assembled model after one step, `make heapprofile` names the allocation
+# ladder's memory columns, the live heap per atmosphere cell of each rung's
+# assembled model after one step and the bytes its assembly allocates per
+# rank, `make heapprofile` names the allocation
 # sites that hold it on one rank and on two, and `make profile` / `make
 # bench-atmos` say where the time goes.
 
@@ -137,9 +138,12 @@ heapprofile:
 footprint:
 	out=$$($(GO) test ./internal/core -run '^$$' -bench '^BenchmarkAssemble$$' -benchtime 1x) || { echo "$$out"; exit 1; }; \
 	echo "$$out" | awk '/B\/cell/ { n = $$1; sub(/^BenchmarkAssemble\//, "", n); sub(/-[0-9]+$$/, "", n); split(n, p, "/"); \
-		if (!(p[1] in seen)) { seen[p[1]] = 1; order[++k] = p[1] } v[p[1], p[2]] = $$5 } \
-		END { printf "%-6s %8s %8s %8s %8s  B/cell\n", "rung", "r1", "r2", "r4", "r8"; \
-		for (i = 1; i <= k; i++) printf "%-6s %8d %8d %8d %8d\n", order[i], v[order[i], "r1"], v[order[i], "r2"], v[order[i], "r4"], v[order[i], "r8"] }'
+		if (!(p[1] in seen)) { seen[p[1]] = 1; order[++k] = p[1] } \
+		for (i = 2; i <= NF; i++) { if ($$i == "B/cell") v[p[1], p[2]] = $$(i-1); if ($$i == "setupB/rank") s[p[1], p[2]] = $$(i-1) } } \
+		END { printf "%-6s %8s %8s %8s %8s  B/cell (live, after one step)\n", "rung", "r1", "r2", "r4", "r8"; \
+		for (i = 1; i <= k; i++) printf "%-6s %8d %8d %8d %8d\n", order[i], v[order[i], "r1"], v[order[i], "r2"], v[order[i], "r4"], v[order[i], "r8"]; \
+		printf "\n%-6s %8s %8s %8s %8s  setupB/rank (allocated by assembly)\n", "rung", "r1", "r2", "r4", "r8"; \
+		for (i = 1; i <= k; i++) printf "%-6s %8d %8d %8d %8d\n", order[i], s[order[i], "r1"], s[order[i], "r2"], s[order[i], "r4"], s[order[i], "r8"] }'
 
 # The atmosphere's sizing benchmark (internal/atmos/step_bench_test.go): a
 # whole model step and the sweeps the dycore's layout work moves — the four

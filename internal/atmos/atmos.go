@@ -10,10 +10,10 @@
 // Parallelism follows the paper's division of labour: the atmosphere's
 // heavy lifting is thread-level (OpenMP/SWGOMP on the CPEs), which the
 // reproduction expresses by running every mesh sweep through a pp execution
-// space; across ranks the mesh is partitioned by grid.IcosDecomp (Decompose),
-// each rank storing and sweeping only its patch — its owned cells plus a
-// ring-1 halo — and exchanging halos at the substep boundaries, bit-for-bit
-// the 1-rank answer.
+// space; across ranks the mesh is partitioned by grid.IcosDecomp (NewPatch),
+// each rank building, storing and sweeping only its patch — its owned cells
+// plus a ring-1 halo — and exchanging halos at the substep boundaries,
+// bit-for-bit the 1-rank answer.
 //
 // Every 3-D field — state and dycore scratch — is column-major, level-inner
 // (Model.Idx), so the column loops that dominate the step read contiguous
@@ -72,8 +72,9 @@ func DefaultConfig() Config {
 }
 
 // Model is the atmosphere state. Every per-cell, per-edge and per-vertex
-// array is laid out over Mesh: the whole globe on one rank, this rank's
-// patch (in local ids, see grid.IcosDecomp) once the model is decomposed.
+// array is laid out over Mesh: the whole globe on one rank (New), this
+// rank's patch (in local ids, see grid.IcosDecomp) when decomposed
+// (NewPatch).
 type Model struct {
 	Mesh *grid.IcosMesh
 	Cfg  Config
@@ -147,7 +148,7 @@ func (m *Model) radSkipped(c int) bool {
 	if m.radMask == nil || (m.radMarked && m.radMask[c]) {
 		return false
 	}
-	return !m.radOwned || (m.dec != nil && m.dec.Owner(int(m.Mesh.GlobalCell[c])) != m.dec.Comm().Rank())
+	return !m.radOwned || (m.dec != nil && !m.dec.Owns(c))
 }
 
 // RadiationColumns returns the number of columns whose surface radiation
@@ -157,65 +158,61 @@ func (m *Model) RadiationColumns() int { return int(m.radCols.Load()) }
 // Decomp returns the active decomposition (nil when replicated).
 func (m *Model) Decomp() *grid.IcosDecomp { return m.dec }
 
-// Decompose partitions the mesh over the communicator, moves the model onto
-// this rank's patch and returns the partition.
-//
-// From then on Mesh is the patch and every array is indexed by local id:
-// the state, the surface fields, IsLand, the flux accumulators and a
-// radiation mask already given are re-indexed, the reconstructor is rebuilt
-// on the patch — from the global mesh's edge frame (normals, tangents and
-// Coriolis), which needs both cells of an edge, and with its global speed
-// bound — and the dycore scratch is
-// dropped, to be rebuilt at patch size by the next step. Every sweep covers
-// the patch (owned cells plus the ring-1 halo the stencils need), with halo
-// exchanges at the substep boundaries; local ids ascend in global id, so
-// every row and every reduction sees its operands in the same order and the
-// answer is bit-for-bit the 1-rank one. The model keeps no reference to the
-// global mesh. Call it once, on every rank of c; a model that is never
-// decomposed — the 1-rank case — keeps the global arrays.
-func (m *Model) Decompose(c *par.Comm) (*grid.IcosDecomp, error) {
-	d, err := grid.NewIcosDecomp(m.Mesh, c)
-	if err != nil {
-		return nil, err
-	}
-	p := d.Patch
-	cells, edges, nlev := p.GlobalCell, p.GlobalEdge, m.NLev
-	for _, f := range []*[]float64{&m.Ps, &m.SST, &m.IceFrac, &m.Precip, &m.GSW, &m.GLW} {
-		*f = grid.PatchColumns(*f, cells, 1)
-	}
-	m.T, m.Qv = grid.PatchColumns(m.T, cells, nlev), grid.PatchColumns(m.Qv, cells, nlev)
-	m.U = grid.PatchColumns(m.U, edges, nlev)
-	m.IsLand = grid.PatchColumns(m.IsLand, cells, 1)
-	if m.radMask != nil {
-		m.radMask = grid.PatchColumns(m.radMask, cells, 1)
-	}
-	if m.flux != nil {
-		m.flux.edge, m.flux.dps = grid.PatchColumns(m.flux.edge, edges, nlev), grid.PatchColumns(m.flux.dps, cells, 1)
-	}
-	bound := m.recon.speedBound
-	m.recon = newReconstructor(p, m.recon.edgeFrame.patch(edges))
-	m.recon.speedBound = bound
-	m.dy, m.thFresh = nil, false
-	m.Mesh, m.dec = p, d
-	return d, nil
-}
-
-// New builds the model at the given mesh refinement level with nlev levels.
+// New builds the whole-globe model at the given mesh refinement level with
+// nlev levels: the one-rank model, which nothing decomposes.
 func New(level, nlev int, cfg Config, sp pp.Space) (*Model, error) {
-	if nlev < 2 {
-		return nil, fmt.Errorf("atmos: need at least 2 levels, got %d", nlev)
-	}
-	if !(cfg.DtDycore > 0) || cfg.TracerEvery <= 0 || cfg.PhysicsEvery <= 0 {
-		return nil, fmt.Errorf("atmos: DtDycore, TracerEvery and PhysicsEvery must be positive, got %v, %d and %d",
-			cfg.DtDycore, cfg.TracerEvery, cfg.PhysicsEvery)
-	}
-	if cfg.Policy == precision.Mixed && cfg.PrecGroup <= 0 {
-		return nil, fmt.Errorf("atmos: the Mixed policy quantizes in groups of PrecGroup values, got %d", cfg.PrecGroup)
+	if err := checkConfig(nlev, cfg); err != nil {
+		return nil, err
 	}
 	mesh, err := grid.NewIcosMesh(level)
 	if err != nil {
 		return nil, err
 	}
+	return newModel(mesh, mesh, nlev, cfg, sp), nil
+}
+
+// NewPatch builds the model on this rank's patch of the whole mesh, d.Patch
+// (grid.NewPatchDecomp of mesh): the state, the surface fields, IsLand and
+// the reconstructor exist for the patch only, indexed by local id. The
+// edge frame (normals, tangents and Coriolis) needs both cells of an edge,
+// so it is taken from the whole mesh for the patch's edges; the speed bound
+// is the largest over every rank's patch, one reduction over d's
+// communicator, so it is the whole mesh's. Every sweep covers the patch
+// (owned cells plus the ring-1 halo the stencils need), with halo exchanges
+// at the substep boundaries; local ids ascend in global id, so every row and
+// every reduction sees its operands in the same order and the answer is
+// bit-for-bit the one-rank one. The model keeps no reference to mesh.
+// Collective over d's communicator.
+func NewPatch(mesh *grid.IcosMesh, d *grid.IcosDecomp, nlev int, cfg Config, sp pp.Space) (*Model, error) {
+	if err := checkConfig(nlev, cfg); err != nil {
+		return nil, err
+	}
+	m := newModel(d.Patch, mesh, nlev, cfg, sp)
+	m.dec = d
+	// Rounding is monotone, so the largest widened bound is the widened
+	// largest bound.
+	m.recon.speedBound = d.Comm().Allreduce(m.recon.speedBound, par.OpMax)
+	return m, nil
+}
+
+// checkConfig rejects a level count or step configuration no model runs.
+func checkConfig(nlev int, cfg Config) error {
+	if nlev < 2 {
+		return fmt.Errorf("atmos: need at least 2 levels, got %d", nlev)
+	}
+	if !(cfg.DtDycore > 0) || cfg.TracerEvery <= 0 || cfg.PhysicsEvery <= 0 {
+		return fmt.Errorf("atmos: DtDycore, TracerEvery and PhysicsEvery must be positive, got %v, %d and %d",
+			cfg.DtDycore, cfg.TracerEvery, cfg.PhysicsEvery)
+	}
+	if cfg.Policy == precision.Mixed && cfg.PrecGroup <= 0 {
+		return fmt.Errorf("atmos: the Mixed policy quantizes in groups of PrecGroup values, got %d", cfg.PrecGroup)
+	}
+	return nil
+}
+
+// newModel builds the model at rest (InitBaroclinicRest) over mesh, the
+// whole mesh or a patch of it, taking its edges' frame from whole.
+func newModel(mesh, whole *grid.IcosMesh, nlev int, cfg Config, sp pp.Space) *Model {
 	if sp == nil {
 		sp = pp.Serial{}
 	}
@@ -249,10 +246,10 @@ func New(level, nlev int, cfg Config, sp pp.Space) (*Model, error) {
 		m.IsLand[c] = grid.IsLand(m.Mesh.LonCell[c], m.Mesh.LatCell[c])
 	}
 
-	m.recon = newReconstructor(mesh, edgeFrameOf(mesh))
+	m.recon = newReconstructor(mesh, edgeFrameOf(whole, mesh.GlobalEdge))
 	m.Physics = NewConventionalSuite(m)
 	m.InitBaroclinicRest()
-	return m, nil
+	return m
 }
 
 // InitBaroclinicRest sets the canonical initial condition: a resting

@@ -10,16 +10,48 @@ import (
 	"repro/internal/par"
 )
 
-// haloCells returns the ring-1 halo of rank's decomposition d in global ids,
-// ascending: the patch cells another rank owns.
-func haloCells(d *grid.IcosDecomp, rank int) []int {
+// haloCells returns the ring-1 halo of the decomposition d in global ids,
+// ascending: the patch cells this rank does not own.
+func haloCells(d *grid.IcosDecomp) []int {
 	var out []int
-	for _, g := range d.Patch.GlobalCell {
-		if d.Owner(int(g)) != rank {
+	for lc, g := range d.Patch.GlobalCell {
+		if !d.Owns(lc) {
 			out = append(out, int(g))
 		}
 	}
 	return out
+}
+
+// patchModel builds the model on c's rank's patch of the level's mesh.
+func patchModel(level, nlev int, cfg Config, c *par.Comm) (*Model, error) {
+	mesh, err := grid.NewIcosMesh(level)
+	if err != nil {
+		return nil, err
+	}
+	d, err := grid.NewPatchDecomp(mesh, grid.IcosOwners(mesh, c.Size()), c)
+	if err != nil {
+		return nil, err
+	}
+	return NewPatch(mesh, d, nlev, cfg, nil)
+}
+
+// patchOf builds c's rank's patch model of whole's mesh and copies whole's
+// prognostic state into it by global id: whole decomposed as it stands.
+func patchOf(whole *Model, c *par.Comm) (*Model, error) {
+	d, err := grid.NewPatchDecomp(whole.Mesh, grid.IcosOwners(whole.Mesh, c.Size()), c)
+	if err != nil {
+		return nil, err
+	}
+	m, err := NewPatch(whole.Mesh, d, whole.NLev, whole.Cfg, whole.Sp)
+	if err != nil {
+		return nil, err
+	}
+	p := m.Mesh
+	copy(m.Ps, grid.PatchColumns(whole.Ps, p.GlobalCell, 1))
+	copy(m.T, grid.PatchColumns(whole.T, p.GlobalCell, m.NLev))
+	copy(m.Qv, grid.PatchColumns(whole.Qv, p.GlobalCell, m.NLev))
+	copy(m.U, grid.PatchColumns(whole.U, p.GlobalEdge, m.NLev))
+	return m, nil
 }
 
 // TestDecomposedMatchesReplicated pins the tentpole equivalence at the
@@ -40,13 +72,9 @@ func TestDecomposedMatchesReplicated(t *testing.T) {
 
 	for _, ranks := range []int{2, 4} {
 		par.Run(ranks, func(c *par.Comm) {
-			m, err := New(level, nlev, cfg, nil)
+			m, err := patchModel(level, nlev, cfg, c)
 			if err != nil {
-				t.Errorf("New: %v", err)
-				return
-			}
-			if _, err := m.Decompose(c); err != nil {
-				t.Errorf("Decompose: %v", err)
+				t.Errorf("patchModel: %v", err)
 				return
 			}
 			d := m.Decomp()
@@ -87,7 +115,7 @@ func TestDecomposedMatchesReplicated(t *testing.T) {
 			}
 			// The halo must mirror its owners bit-for-bit too — that is what
 			// makes the redundant physics columns safe.
-			for _, h := range haloCells(d, c.Rank()) {
+			for _, h := range haloCells(d) {
 				if l := d.LocalCell(h); m.Ps[l] != ref.Ps[h] {
 					t.Errorf("ranks=%d rank %d: halo Ps[%d] = %v, want %v", ranks, c.Rank(), h, m.Ps[l], ref.Ps[h])
 					return
@@ -98,25 +126,32 @@ func TestDecomposedMatchesReplicated(t *testing.T) {
 }
 
 // TestDecomposedModelHoldsOnlyItsPatch checks what a decomposed model
-// stores: stepped once whole and once decomposed on 2, 4 and 8 ranks, every
+// stores: built on its patch and stepped on 2, 4 and 8 ranks, every
 // per-cell, per-edge and per-vertex array of the model, its dycore scratch,
 // its metric tables and its reconstructor has the patch's length (times the
-// levels), and the global mesh the model was built on is garbage.
+// levels), and the whole mesh the model was built from is garbage.
 func TestDecomposedModelHoldsOnlyItsPatch(t *testing.T) {
 	const level, nlev = 3, 4
 	for _, ranks := range []int{2, 4, 8} {
 		par.Run(ranks, func(c *par.Comm) {
-			m, err := New(level, nlev, DefaultConfig(), nil)
+			mesh, err := grid.NewIcosMesh(level)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			m.StepModel() // the global scratch and flux accumulators exist
-			global := weak.Make(m.Mesh)
-			if _, err := m.Decompose(c); err != nil {
+			global := weak.Make(mesh)
+			d, err := grid.NewPatchDecomp(mesh, grid.IcosOwners(mesh, ranks), c)
+			if err != nil {
 				t.Error(err)
 				return
 			}
+			m, err := NewPatch(mesh, d, nlev, DefaultConfig(), nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mesh = nil
+			m.StepModel() // the scratch and flux accumulators exist
 			m.StepModel()
 			p := m.Mesh
 			nc, ne, nv, ns := p.NCells(), p.NEdges(), p.NVertices(), len(p.SlotEdge)
@@ -150,7 +185,7 @@ func TestDecomposedModelHoldsOnlyItsPatch(t *testing.T) {
 			}
 			runtime.GC()
 			if global.Value() != nil {
-				t.Errorf("%d ranks, rank %d: the global mesh is still reachable after Decompose", ranks, c.Rank())
+				t.Errorf("%d ranks, rank %d: the whole mesh is still reachable from the patch model", ranks, c.Rank())
 			}
 		})
 	}
@@ -168,15 +203,12 @@ func TestDycoreScratchFootprint(t *testing.T) {
 	for _, ranks := range []int{1, 2} {
 		par.Run(ranks, func(c *par.Comm) {
 			m, err := New(level, nlev, DefaultConfig(), nil)
+			if ranks > 1 {
+				m, err = patchModel(level, nlev, DefaultConfig(), c)
+			}
 			if err != nil {
 				t.Error(err)
 				return
-			}
-			if ranks > 1 {
-				if _, err := m.Decompose(c); err != nil {
-					t.Error(err)
-					return
-				}
 			}
 			m.StepModel() // the scratch exists
 			u0 := &m.U[0]

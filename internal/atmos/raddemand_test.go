@@ -79,17 +79,13 @@ func TestDemandRadiation(t *testing.T) {
 func TestDemandRadiationSkipsHalo(t *testing.T) {
 	const level, nlev = 2, 6
 	par.Run(2, func(c *par.Comm) {
-		m, err := New(level, nlev, DefaultConfig(), nil)
+		m, err := patchModel(level, nlev, DefaultConfig(), c)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if _, err := m.Decompose(c); err != nil {
-			t.Error(err)
-			return
-		}
 		d := m.Decomp()
-		halo := haloCells(d, c.Rank())
+		halo := haloCells(d)
 		mask := make([]bool, m.Mesh.NCells())
 		mask[d.LocalCell(halo[0])] = true
 		m.DemandRadiation(mask, true, true)

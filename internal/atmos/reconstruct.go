@@ -31,48 +31,45 @@ type reconstructor struct {
 // normal3 (c1→c2, tangent to the sphere), half the tangent ½·(mid × n̂) in
 // tX, tY, tZ (the momentum kernel's), and the Coriolis parameter fE =
 // 2Ω·sin(lat). It reads both cells of every edge, so a patch takes its
-// frame from the global mesh (patch).
+// frame from the whole mesh (edgeFrameOf with the patch's GlobalEdge).
 type edgeFrame struct {
 	normal3    []grid.Vec3
 	tX, tY, tZ []float64
 	fE         []float64
 }
 
-// edgeFrameOf computes the frame of every edge of a whole mesh.
-func edgeFrameOf(mesh *grid.IcosMesh) edgeFrame {
+// edgeFrameOf computes the frame of the edges ids of a whole mesh, in their
+// order: every edge when ids is nil (a whole mesh's GlobalEdge).
+func edgeFrameOf(mesh *grid.IcosMesh, ids []int32) edgeFrame {
 	ne := mesh.NEdges()
+	if ids != nil {
+		ne = len(ids)
+	}
 	f := edgeFrame{
 		normal3: make([]grid.Vec3, ne),
 		tX:      make([]float64, ne), tY: make([]float64, ne), tZ: make([]float64, ne),
 		fE: make([]float64, ne),
 	}
-	for e := range f.normal3 {
+	for i := range f.normal3 {
+		e := i
+		if ids != nil {
+			e = int(ids[i])
+		}
 		c1, c2 := mesh.CellsOnEdge[e][0], mesh.CellsOnEdge[e][1]
 		mid := mesh.EdgeMidpoint(e)
 		n := mesh.CellCenter[c2].Sub(mesh.CellCenter[c1])
 		// Project onto the tangent plane at the midpoint.
-		f.normal3[e] = n.Sub(mid.Scale(n.Dot(mid))).Normalize()
-		t := mid.Cross(f.normal3[e])
-		f.tX[e], f.tY[e], f.tZ[e] = 0.5*t.X, 0.5*t.Y, 0.5*t.Z
+		f.normal3[i] = n.Sub(mid.Scale(n.Dot(mid))).Normalize()
+		t := mid.Cross(f.normal3[i])
+		f.tX[i], f.tY[i], f.tZ[i] = 0.5*t.X, 0.5*t.Y, 0.5*t.Z
 		_, latE := grid.LonLat(mid)
-		f.fE[e] = 2 * 7.292e-5 * math.Sin(latE)
+		f.fE[i] = 2 * 7.292e-5 * math.Sin(latE)
 	}
 	return f
 }
 
-// patch returns the frame of the global edges ids, in their order.
-func (f edgeFrame) patch(ids []int32) edgeFrame {
-	return edgeFrame{
-		normal3: grid.PatchColumns(f.normal3, ids, 1),
-		tX:      grid.PatchColumns(f.tX, ids, 1),
-		tY:      grid.PatchColumns(f.tY, ids, 1),
-		tZ:      grid.PatchColumns(f.tZ, ids, 1),
-		fE:      grid.PatchColumns(f.fE, ids, 1),
-	}
-}
-
 // newReconstructor builds the per-slot weights of every cell of mesh from
-// the edge frame (edgeFrameOf, or its patch), which it keeps.
+// the edge frame of its edges (edgeFrameOf), which it keeps.
 func newReconstructor(mesh *grid.IcosMesh, frame edgeFrame) *reconstructor {
 	r := &reconstructor{mesh: mesh, edgeFrame: frame}
 	nc := mesh.NCells()

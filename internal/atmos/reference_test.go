@@ -566,16 +566,20 @@ func TestStepMatchesReferenceLoops(t *testing.T) {
 			for seed := int64(0); seed < 3; seed++ {
 				t.Run(fmt.Sprintf("ranks%d/nlev%d/seed%d", ranks, nlev, seed), func(t *testing.T) {
 					par.Run(ranks, func(c *par.Comm) {
-						live, ref, err := modelPair(level, nlev, nil, seed)
+						wholeLive, wholeRef, err := modelPair(level, nlev, nil, seed)
 						if err != nil { // unreachable, and may not t.Fatal from a rank goroutine
 							t.Error(err)
 							return
 						}
-						for _, m := range []*Model{live, ref} {
-							if _, err := m.Decompose(c); err != nil {
-								t.Errorf("Decompose: %v", err)
-								return
-							}
+						live, err := patchOf(wholeLive, c)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						ref, err := patchOf(wholeRef, c)
+						if err != nil {
+							t.Error(err)
+							return
 						}
 						live.StepModel()
 						newRefStepper(ref).stepModel()

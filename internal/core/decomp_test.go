@@ -27,7 +27,7 @@ func globalCoupledState(e *ESM) []float64 {
 	m := e.Atm
 	nc64, ne64, _ := grid.IcosCounts(m.Mesh.Level)
 	nc, ne, nl := int(nc64), int(ne64), m.NLev
-	nT := len(e.Lnd.TSoil)
+	nT := e.lnd.total
 	oPs := 0
 	oT := oPs + nc
 	oQv := oT + nl*nc
@@ -65,9 +65,10 @@ func globalCoupledState(e *ESM) []float64 {
 			buf[oU+i] = m.U[m.Idx(ad.LocalEdge(eg), k)]
 		}
 	}
-	for _, slot := range e.ownSlots.slot {
-		buf[oTS+slot] = e.Lnd.TSoil[slot]
-		buf[oBk+slot] = e.Lnd.Bucket[slot]
+	for _, slot := range e.lnd.own {
+		g := int(e.lnd.slot[slot])
+		buf[oTS+g] = e.Lnd.TSoil[slot]
+		buf[oBk+g] = e.Lnd.Bucket[slot]
 	}
 	return e.Comm.AllreduceSlice(buf, par.OpSum)
 }
@@ -400,7 +401,7 @@ func TestCouplingPlanIsPerCell(t *testing.T) {
 				}
 				// The assembled regridder is gone; a plan built from rg must
 				// share rg's arrays rather than copy them.
-				if err := e.initDistribute(rg, e.Atm.Mesh); err != nil {
+				if err := e.initDistribute(rg); err != nil {
 					t.Error(err)
 					return
 				}

@@ -2,13 +2,9 @@ package core
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 
 	"repro/internal/coupler"
-	"repro/internal/grid"
 	"repro/internal/ocean"
-	"repro/internal/par"
 	"repro/internal/seaice"
 )
 
@@ -49,13 +45,11 @@ import (
 // values the one-rank path reads, so every rank count evaluates the same
 // expressions on the same operands, bit for bit.
 //
-// The plan is derived offline on every rank from the ocean block ownership,
-// the atmosphere owner table, the whole mesh's adjacency and the
-// regridder, with no communication (§5.2.4's offline path). The regridder
-// and the whole mesh cover both whole grids, so assembly builds the plan,
-// copies out the rows of the owned ocean columns and the atmosphere cells
-// of the patch, and drops both: a decomposed rank holds no table of global
-// size.
+// One rank's plan is the regridder's own maps (initDistribute). A
+// decomposed rank derives its plan from its own reads alone — the rows of
+// its owned ocean block and the nearest columns of its patch — and learns
+// who reads what from it in one set-up exchange (assemblePatch); no rank
+// holds another's reads or any table of global size.
 //
 // All buffers and vectors are persistent, so the per-step fill/consume
 // cycle is allocation-free in steady state (the rearranger's own guarantee
@@ -90,9 +84,10 @@ type distState struct {
 
 	// Per atmosphere cell this rank holds, by local id: the ocn→atm ghost
 	// id of its nearest wet ocean column (AtmToOcn; −1 for land and where
-	// none is reachable) and its overlap area Ã_c (AtmOverlapArea, the
-	// regridder's own on one rank). unmapped counts the regridder's Unmapped
-	// cells, for the audit.
+	// none is reachable) and its overlap area Ã_c (AtmOverlapArea: the
+	// regridder's own on one rank; decomposed, 0 on the halo: the flux
+	// parts and the audit read owned cells only).
+	// unmapped counts the model's unmapped cells, for the audit.
 	atmOcn   []int32
 	overlap  []float64
 	unmapped int
@@ -116,195 +111,32 @@ type distState struct {
 	tair, qair []float64
 }
 
-// readCells returns, per ocean rank, the distinct atmosphere cells its owned
-// block reads, ascending: each owned column's nearest cell and, under
-// RemapCons, the overlap cells of its row. Columns of land-eliminated
-// blocks belong to no rank and are read by none.
-func (e *ESM) readCells(rg *Regridder, n int) [][]int32 {
-	cells := make([][]int32, n)
-	for gi, ac := range rg.OcnToAtm {
-		q := e.Ocn.B.Owner(gi)
-		if q < 0 {
-			continue
-		}
-		cells[q] = append(cells[q], int32(ac))
-		if e.remap == RemapCons {
-			cells[q] = append(cells[q], rg.ConsCol[rg.ConsPtr[gi]:rg.ConsPtr[gi+1]]...)
-		}
-	}
-	for q, cs := range cells {
-		slices.Sort(cs)
-		cells[q] = slices.Compact(cs)
-	}
-	return cells
-}
-
-// surfaceReads returns, per atmosphere rank, the distinct ocean columns its
-// patch reads, ascending: the column sfc[c] (−1: none) of every cell c the
-// rank owns or neighbours, its grid.IcosDecomp ExtCells, from the whole
-// mesh and the atmosphere owner table.
-func surfaceReads(mesh *grid.IcosMesh, owner func(c int) int, sfc []int, n int) [][]int32 {
-	cols := make([][]int32, n)
-	for c, gi := range sfc {
-		if gi < 0 {
-			continue
-		}
-		r := owner(c)
-		cols[r] = append(cols[r], int32(gi))
-		for _, nb := range mesh.CellsOnCell(c) {
-			if q := owner(int(nb)); q != r {
-				cols[q] = append(cols[q], int32(gi))
-			}
-		}
-	}
-	for q, cs := range cols {
-		slices.Sort(cs)
-		cols[q] = slices.Compact(cs)
-	}
-	return cols
-}
-
-// pairRouter builds the router over the (reading rank, point) pair space
-// of reads — pair k in [off[q], off[q+1]) is (rank q, point reads[q][k −
-// off[q]]), sourced by owner(point) — and returns it with the points this
-// rank packs, in ascending pair order. Both GSMaps are derived from
-// rank-independent data, so every rank computes identical maps with no
-// communication.
-func pairRouter(c *par.Comm, reads [][]int32, owner func(pt int) int, what string) (*coupler.Router, []int32, error) {
-	n := c.Size()
-	off := make([]int, n+1)
-	for q, ps := range reads {
-		off[q+1] = off[q] + len(ps)
-	}
-	pairs := slices.Concat(reads...)
-	srcMap, err := coupler.OfflineGSMap(func(k int) int { return owner(int(pairs[k])) }, len(pairs), n)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: %s source map: %w", what, err)
-	}
-	dstMap, err := coupler.OfflineGSMap(func(k int) int { return sort.SearchInts(off, k+1) - 1 }, len(pairs), n)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: %s destination map: %w", what, err)
-	}
-	rt, err := coupler.BuildRouter(c, srcMap, dstMap)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: %s router: %w", what, err)
-	}
-	src := make([]int32, 0, rt.NSrc)
-	for _, k := range srcMap.LocalIndices(c.Rank()) {
-		src = append(src, pairs[k])
-	}
-	return rt, src, nil
-}
-
-// ghostOf returns point's place in the ascending list reads, its ghost id.
-func ghostOf(reads []int32, point int32) int32 {
-	i, _ := slices.BinarySearch(reads, point)
-	return int32(i)
-}
-
-// initDistribute builds the coupling plan once at assembly from the
-// regridder rg, whose AtmToOcn assembly has masked to −1 on land cells,
-// and the whole atmosphere mesh, which a decomposed rank reads for the
-// other ranks' patches; it keeps neither. On one rank the ocean block is
-// the whole grid, so the atm→ocn ghost ids and rows are the regridder's own
-// maps. It binds the ice model's Forcing to the ghost values.
-func (e *ESM) initDistribute(rg *Regridder, mesh *grid.IcosMesh) error {
+// initDistribute builds one rank's coupling plan from the regridder rg of
+// both whole grids, whose AtmToOcn assembly has masked to −1 on land cells:
+// the ocean block is the whole grid, so the atm→ocn ghost ids and rows are
+// the regridder's own maps. It binds the ice model's Forcing to the ghost
+// values. A decomposed rank builds its plan in assemblePatch.
+func (e *ESM) initDistribute(rg *Regridder) error {
 	ds := &distState{unmapped: len(rg.Unmapped)}
 	e.dst = ds
+	nc := e.Atm.Mesh.NCells()
+	ds.colRef, ds.atmOcn = make([]int32, len(rg.OcnToAtm)), make([]int32, nc)
+	for gi, ac := range rg.OcnToAtm {
+		ds.colRef[gi] = int32(ac)
+	}
 	b := e.Ocn.B
-	ocnLocal := func(gi int) int32 {
-		return int32(b.LIdx(gi%b.G.NX-b.I0, gi/b.G.NX-b.J0))
-	}
-	d := e.Atm.Decomp()
-	if d == nil {
-		nc := e.Atm.Mesh.NCells()
-		ds.colRef, ds.atmOcn = make([]int32, len(rg.OcnToAtm)), make([]int32, nc)
-		for gi, ac := range rg.OcnToAtm {
-			ds.colRef[gi] = int32(ac)
-		}
-		for c, gi := range rg.AtmToOcn {
-			ds.atmOcn[c] = -1
-			if gi >= 0 {
-				ds.atmOcn[c] = ocnLocal(gi)
-			}
-		}
-		ds.overlap = rg.AtmOverlapArea
-		ds.tair = make([]float64, nc)
-		if e.remap == RemapCons {
-			ds.consRef, ds.consW, ds.consPtr = rg.ConsCol, rg.ConsW, rg.ConsPtr
-		} else {
-			ds.qair = make([]float64, nc)
-		}
-		e.bindIceForcing()
-		return nil
-	}
-	c := e.Comm
-	n, me := c.Size(), c.Rank()
-
-	// atm→ocn: pairs (ocean rank, atmosphere cell), packed by patch-local id.
-	cells := e.readCells(rg, n)
-	var err error
-	if ds.rt, ds.srcCell, err = pairRouter(c, cells, d.Owner, "coupling"); err != nil {
-		return err
-	}
-	for i, cell := range ds.srcCell {
-		ds.srcCell[i] = int32(d.LocalCell(int(cell)))
-	}
-
-	// ocn→atm: pairs (atmosphere rank, ocean column), packed by ocean-local
-	// index.
-	cols := surfaceReads(mesh, d.Owner, rg.AtmToOcn, n)
-	if ds.sfcRt, ds.sfcCol, err = pairRouter(c, cols, b.Owner, "surface return"); err != nil {
-		return err
-	}
-	for i, gi := range ds.sfcCol {
-		ds.sfcCol[i] = ocnLocal(int(gi))
-	}
-
-	global := e.Atm.Mesh.GlobalCell
-	ds.atmOcn, ds.overlap = make([]int32, len(global)), make([]float64, len(global))
-	for lc, g := range global {
-		ds.atmOcn[lc], ds.overlap[lc] = -1, rg.AtmOverlapArea[g]
-		if gi := rg.AtmToOcn[g]; gi >= 0 {
-			ds.atmOcn[lc] = ghostOf(cols[me], int32(gi))
+	for c, gi := range rg.AtmToOcn {
+		ds.atmOcn[c] = -1
+		if gi >= 0 {
+			ds.atmOcn[c] = int32(b.LIdx(gi%b.G.NX-b.I0, gi/b.G.NX-b.J0))
 		}
 	}
-
-	mine := cells[me]
+	ds.overlap = rg.AtmOverlapArea
+	ds.tair = make([]float64, nc)
 	if e.remap == RemapCons {
-		ds.consPtr = []int32{0}
-	}
-	for lj := 0; lj < b.NJ; lj++ {
-		for li := 0; li < b.NI; li++ {
-			gi := b.GIdx(li, lj)
-			ds.colRef = append(ds.colRef, ghostOf(mine, int32(rg.OcnToAtm[gi])))
-			if e.remap == RemapCons {
-				lo, hi := rg.ConsPtr[gi], rg.ConsPtr[gi+1]
-				for _, cell := range rg.ConsCol[lo:hi] {
-					ds.consRef = append(ds.consRef, ghostOf(mine, cell))
-				}
-				ds.consW = append(ds.consW, rg.ConsW[lo:hi]...)
-				ds.consPtr = append(ds.consPtr, int32(len(ds.consRef)))
-			}
-		}
-	}
-	// Held for the run: shed the spare capacity append growth left.
-	ds.colRef, ds.consRef = slices.Clone(ds.colRef), slices.Clone(ds.consRef)
-	ds.consW, ds.consPtr = slices.Clone(ds.consW), slices.Clone(ds.consPtr)
-
-	if ds.iceSrc, ds.iceDst, err = vectors(iceFields, ds.rt); err != nil {
-		return err
-	}
-	if e.remap == RemapCons {
-		ds.consSrc, ds.consDst, err = vectors(consFields, ds.rt)
+		ds.consRef, ds.consW, ds.consPtr = rg.ConsCol, rg.ConsW, rg.ConsPtr
 	} else {
-		ds.nnSrc, ds.nnDst, err = vectors(nnFields, ds.rt)
-	}
-	if err != nil {
-		return err
-	}
-	if ds.sfcSrc, ds.sfcDst, err = vectors(sfcFields, ds.sfcRt); err != nil {
-		return err
+		ds.qair = make([]float64, nc)
 	}
 	e.bindIceForcing()
 	return nil

@@ -62,16 +62,14 @@ type ESM struct {
 	af                  *atmFluxes
 
 	// The coupling plan (ghost tables at every rank count, a router only
-	// when decomposed), the land slots this rank steps (extended patch) and
-	// audits (owned range) — empty on one rank, where the icosahedral
-	// partition Atm.Decomp() is nil — and the persistent 10 m wind buffers
-	// the surface loops fill in place. Every per-atmosphere-cell
-	// buffer here (u10, v10, radLand, af) is laid out like the atmosphere's
-	// own arrays: over its patch, in local ids, when decomposed.
-	dst       *distState
-	stepSlots landSlots
-	ownSlots  landSlots
-	u10, v10  []float64
+	// when decomposed), the land columns' place in the model's whole set
+	// (see landCols), and the persistent 10 m wind buffers the surface loops
+	// fill in place. Every per-atmosphere-cell buffer here (u10, v10,
+	// radLand, af) is laid out like the atmosphere's own arrays: over its
+	// patch, in local ids, when decomposed.
+	dst      *distState
+	lnd      landCols
+	u10, v10 []float64
 
 	// radLand marks the cells landStep forces on this rank — the readers of
 	// held surface radiation, halo cells included (see atmosphereStep).
@@ -121,7 +119,25 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 		c.SetObserver(ob)
 		sp = pp.Instrument(sp, ob)
 	}
-	atm, err := atmos.New(cfg.AtmLevel, cfg.AtmNLev, cfg.AtmCfg, sp)
+	// The atmosphere: the whole globe on one rank. Decomposed, a rank
+	// builds the whole mesh's topology and the owner table first, then its
+	// patch (grid.NewPatchDecomp) and the atmosphere on it; the whole mesh
+	// and the owner table live on only until the coupling plan is built.
+	var (
+		atm   *atmos.Model
+		mesh  *grid.IcosMesh
+		owner []int32
+		d     *grid.IcosDecomp
+		err   error
+	)
+	if c.Size() == 1 {
+		atm, err = atmos.New(cfg.AtmLevel, cfg.AtmNLev, cfg.AtmCfg, sp)
+	} else if mesh, err = grid.NewIcosMesh(cfg.AtmLevel); err == nil {
+		owner = grid.IcosOwners(mesh, c.Size())
+		if d, err = grid.NewPatchDecomp(mesh, owner, c); err == nil {
+			atm, err = atmos.NewPatch(mesh, d, cfg.AtmNLev, cfg.AtmCfg, sp)
+		}
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: atmosphere: %w", err)
 	}
@@ -146,6 +162,7 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: sea ice: %w", err)
 	}
+	// The land columns of the cells the atmosphere holds, in its ids.
 	lnd, err := land.New(atm.Mesh, land.DefaultConfig())
 	if err != nil {
 		return nil, fmt.Errorf("core: land: %w", err)
@@ -184,64 +201,32 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 		remap:    opt.remap,
 	}
 
-	// Route the unmapped atmosphere cells — non-land cells whose spiral
-	// search found no wet ocean column — to the land model so their surface
-	// exchange is never silently dropped: the land model adopts them and the
-	// atmosphere treats them as land columns. The regridder covers both
-	// whole grids: initDistribute copies out what this rank reads of it,
-	// and it is dropped with assembly.
-	rg := NewRegridder(atm.Mesh, g)
-	if len(rg.Unmapped) > 0 {
-		lnd.Adopt(atm.Mesh, rg.Unmapped)
-		for _, cell := range rg.Unmapped {
-			atm.IsLand[cell] = true
-		}
-	}
-	// A land cell's surface is the land model's skin temperature: it reads
-	// no ocean column.
-	for cell, land := range atm.IsLand {
-		if land {
-			rg.AtmToOcn[cell] = -1
-		}
-	}
 	if opt.audit {
 		e.ledger = budget.NewLedger(ob)
 	}
 
-	// Atmosphere + land domain decomposition: partition the icosahedral
-	// cells into compact owned patches and move the atmosphere onto this
-	// rank's (after the regridder and Adopt, which read the whole mesh and
-	// the global IsLand) and split the land columns with the same ownership
-	// map (after Adopt, so adopted cells are partitioned too). One rank stays
-	// undecomposed: the patch would be the whole mesh. The whole mesh lives
-	// on in mesh until the coupling plan has read every rank's patch from it.
-	mesh := atm.Mesh
-	if c.Size() > 1 {
-		d, err := atm.Decompose(c)
-		if err != nil {
-			return nil, fmt.Errorf("core: atmosphere decomposition: %w", err)
+	// The land columns' place in the whole set and the coupling plan.
+	nc := atm.Mesh.NCells()
+	e.u10, e.v10 = make([]float64, nc), make([]float64, nc)
+	if d == nil {
+		if err := e.assembleWhole(g); err != nil {
+			return nil, err
 		}
+	} else {
 		d.SetObserver(ob)
 		// Columns stepped (ext) against columns owned: the redundancy the
 		// partition costs this rank, on the record from assembly on.
 		ob.SetGauge("atm.decomp.owned", float64(d.NOwned()))
 		ob.SetGauge("atm.decomp.ext", float64(d.Patch.NCells()))
-		e.stepSlots = newLandSlots(lnd, d, d.InExt)
-		e.ownSlots = newLandSlots(lnd, d, func(cell int) bool { return d.Owner(cell) == c.Rank() })
-	}
-
-	// From here on atm.Mesh is what this rank stores: the patch, or the
-	// whole mesh on one rank.
-	nc := atm.Mesh.NCells()
-	e.u10, e.v10 = make([]float64, nc), make([]float64, nc)
-	if err := e.initDistribute(rg, mesh); err != nil {
-		return nil, err
+		if err := e.assemblePatch(mesh, owner, g); err != nil {
+			return nil, err
+		}
 	}
 	if opt.remap == RemapCons || opt.audit {
 		e.af = newAtmFluxes(nc)
 	}
 	e.radLand = make([]bool, nc)
-	e.forLand(e.stepSlots, func(_, lc int) { e.radLand[lc] = true })
+	e.forLand(func(_, lc int) { e.radLand[lc] = true })
 
 	// Ocean steps per ocean coupling interval.
 	ocnInterval := 86400.0 / float64(cfg.OcnCouplingsPerDay)
@@ -342,16 +327,17 @@ func (e *ESM) atmosphereStep() {
 	e.landStep()
 }
 
-// landStep runs the direct atmosphere ↔ land exchange on land cells. One
-// rank steps every land column. Decomposed, each rank steps the land columns
-// of its extended patch: owned cells for real, halo cells redundantly — the
-// halo's atmosphere forcing is bit-identical to the owner's, so the skin
-// temperature the redundant physics columns read matches the owner exactly.
+// landStep runs the direct atmosphere ↔ land exchange on every land column
+// this rank holds. One rank holds every land column. Decomposed, a rank
+// holds the land columns of its extended patch: owned cells for real, halo
+// cells redundantly — the halo's atmosphere forcing is bit-identical to the
+// owner's, so the skin temperature the redundant physics columns read
+// matches the owner exactly.
 func (e *ESM) landStep() {
 	e.Atm.Wind10mInto(e.u10, e.v10)
 	u10, v10 := e.u10, e.v10
 	dt := 86400.0 / float64(e.Cfg.AtmCouplingsPerDay)
-	e.forLand(e.stepSlots, func(slot, lc int) {
+	e.forLand(func(slot, lc int) {
 		tair, qair := e.Atm.SurfaceAir(lc)
 		f := land.Forcing{
 			GSW:    e.Atm.GSW[lc],
@@ -367,37 +353,25 @@ func (e *ESM) landStep() {
 	})
 }
 
-// landSlots lists the land columns a decomposed rank visits: their slots,
-// ascending, and each slot's atmosphere cell's local id, looked up once at
-// assembly.
-type landSlots struct {
-	slot  []int
-	local []int32
-}
-
-// newLandSlots lists the land slots whose cells satisfy pred.
-func newLandSlots(lnd *land.Model, d *grid.IcosDecomp, pred func(cell int) bool) landSlots {
-	ls := landSlots{slot: lnd.Slots(pred)}
-	ls.local = make([]int32, len(ls.slot))
-	for i, slot := range ls.slot {
-		ls.local[i] = int32(d.LocalCell(lnd.Cells[slot]))
+// forLand visits the land columns this rank holds, with each slot and its
+// atmosphere cell's local id lc.
+func (e *ESM) forLand(fn func(slot, lc int)) {
+	for slot, lc := range e.Lnd.Cells {
+		fn(slot, lc)
 	}
-	return ls
 }
 
-// forLand visits the land columns of slots — stepSlots, the columns this
-// rank steps, or ownSlots, the columns it audits; every land column on one
-// rank, where nothing is decomposed — with each slot and its atmosphere
-// cell's local id lc.
-func (e *ESM) forLand(slots landSlots, fn func(slot, lc int)) {
+// forOwnLand visits, in ascending slot, the land columns whose cell this
+// rank owns — every column on one rank — with each slot and its
+// atmosphere cell's local id lc: the columns it audits and writes to a
+// restart.
+func (e *ESM) forOwnLand(fn func(slot, lc int)) {
 	if e.Atm.Decomp() == nil {
-		for slot, c := range e.Lnd.Cells {
-			fn(slot, c)
-		}
+		e.forLand(fn)
 		return
 	}
-	for i, slot := range slots.slot {
-		fn(slot, int(slots.local[i]))
+	for _, slot := range e.lnd.own {
+		fn(slot, e.Lnd.Cells[slot])
 	}
 }
 
@@ -589,7 +563,7 @@ func (e *ESM) auditRecord() {
 		aFWGross += ar * math.Abs(f.emp[c])
 	})
 	var lndWater float64
-	e.forLand(e.ownSlots, func(slot, c int) {
+	e.forOwnLand(func(slot, c int) {
 		lndWater += e.Lnd.Bucket[slot] * e.Atm.Mesh.AreaCell[c] *
 			grid.EarthRadius * grid.EarthRadius * rhoWater
 	})

@@ -61,13 +61,14 @@ const consSub = 4
 // plays in CPL7: the nearest-neighbour maps in both directions, and the
 // first-order conservative overlap weights used by RemapCons and by the
 // budget ledger's atmosphere-side interface integrals. Its tables cover
-// both whole grids, so the model does not keep it: assembly builds it,
-// copies the rows of the owned ocean columns and the entries of the
-// patch's atmosphere cells into the coupling plan (initDistribute), and
-// drops it.
+// both whole grids: one rank's assembly builds it and hands its arrays to
+// the coupling plan (initDistribute); a decomposed rank builds no
+// Regridder, only the rows of its own ocean block and the nearest columns
+// of its own patch (assemblePatch), with the same functions.
 type Regridder struct {
-	// OcnToAtm[i] is the atmosphere cell nearest to global ocean column i.
-	OcnToAtm []int
+	// The rows of every ocean column, by global column index: OcnToAtm,
+	// ConsPtr, ConsCol and ConsW.
+	remapRows
 	// AtmToOcn[c] is the global ocean column nearest to atmosphere cell c,
 	// or -1 when no wet column is reachable (the cell is served by the land
 	// model instead).
@@ -78,14 +79,6 @@ type Regridder struct {
 	// analytic continents at fine ocean resolutions). The driver routes
 	// these to the land model explicitly so their fluxes are never dropped.
 	Unmapped []int
-
-	// Conservative overlap weights in CSR layout over ocean columns: wet
-	// column i overlaps atmosphere cells ConsCol[ConsPtr[i]:ConsPtr[i+1]]
-	// with normalized weights ConsW summing to exactly 1 per row. Dry
-	// columns have empty rows.
-	ConsPtr []int32
-	ConsCol []int32
-	ConsW   []float64
 
 	// AtmOverlapArea[c] = Ã_c = Σ_i ŵ_ic·A_i is the ocean area (m²) that
 	// atmosphere cell c covers through the overlap weights — the
@@ -99,13 +92,54 @@ type Regridder struct {
 // overlap weights, each nearest-cell query a short walk from the last answer.
 func NewRegridder(mesh *grid.IcosMesh, g *grid.Tripolar) *Regridder {
 	r := &Regridder{
-		OcnToAtm:       make([]int, g.NX*g.NY),
 		AtmToOcn:       make([]int, mesh.NCells()),
-		ConsPtr:        make([]int32, g.NX*g.NY+1),
 		AtmOverlapArea: make([]float64, mesh.NCells()),
 	}
-	walk := newCellWalk(mesh)
 	wet := wetMask(g)
+	r.remapRows = newRemapRows(newCellWalk(mesh), g, wet, 0, 0, g.NX, g.NY,
+		func(cell int32, _ int, area float64) { r.AtmOverlapArea[cell] += area })
+
+	// Atmosphere cells → nearest wet ocean column.
+	for c := 0; c < mesh.NCells(); c++ {
+		lon, lat := mesh.LonCell[c], mesh.LatCell[c]
+		r.AtmToOcn[c] = nearestWet(g, wet, lon, lat)
+		if r.AtmToOcn[c] < 0 && !grid.IsLand(lon, lat) {
+			// Non-land cell with no reachable wet column: the driver routes
+			// its surface exchange to the land model instead of dropping it.
+			r.Unmapped = append(r.Unmapped, c)
+		}
+	}
+	return r
+}
+
+// remapRows are the ocean side of the remap for a block of ocean columns,
+// in block order (rows south to north, columns west to east): each
+// column's nearest atmosphere cell, and the CSR rows of the conservative
+// overlap weights.
+type remapRows struct {
+	// OcnToAtm[i] is the atmosphere cell nearest to ocean column i.
+	OcnToAtm []int
+
+	// Conservative overlap weights in CSR layout over ocean columns: wet
+	// column i overlaps atmosphere cells ConsCol[ConsPtr[i]:ConsPtr[i+1]]
+	// with normalized weights ConsW summing to exactly 1 per row. Dry
+	// columns have empty rows.
+	ConsPtr []int32
+	ConsCol []int32
+	ConsW   []float64
+}
+
+// newRemapRows builds the rows of the ocean columns [i0, i0+ni) ×
+// [j0, j0+nj) of g (wet: its land mask) and hands overlap every CSR entry's
+// term of the overlap areas, Ã_c += ŵ_ic·A_i: its atmosphere cell c, its
+// global column i and ŵ_ic·A_i, in block order. The walk finds each cell
+// exactly from any start, so a block's rows are the whole grid's rows of
+// its columns, bit for bit.
+func newRemapRows(walk cellWalk, g *grid.Tripolar, wet []bool, i0, j0, ni, nj int, overlap func(cell int32, gi int, area float64)) remapRows {
+	r := remapRows{
+		OcnToAtm: make([]int, 0, ni*nj),
+		ConsPtr:  make([]int32, 1, ni*nj+1),
+	}
 
 	// Query points: each ocean column's consSub×consSub lattice of samples
 	// and its centre (the last offset). FromLonLat is separable, so the
@@ -119,8 +153,8 @@ func NewRegridder(mesh *grid.IcosMesh, g *grid.Tripolar) *Regridder {
 	if g.NY > 1 {
 		dlat = g.Lat[1] - g.Lat[0]
 	}
-	cosLon, sinLon := make([]float64, g.NX*nSub), make([]float64, g.NX*nSub)
-	for i, lon := range g.Lon {
+	cosLon, sinLon := make([]float64, ni*nSub), make([]float64, ni*nSub)
+	for i, lon := range g.Lon[i0 : i0+ni] {
 		for s, o := range off {
 			cosLon[i*nSub+s], sinLon[i*nSub+s] = math.Cos(lon+o*dlon), math.Sin(lon+o*dlon)
 		}
@@ -138,15 +172,15 @@ func NewRegridder(mesh *grid.IcosMesh, g *grid.Tripolar) *Regridder {
 	// damps the delivered flux rather than breaking the conservation
 	// identity.
 	c := 0
-	for j := 0; j < g.NY; j++ {
+	for j := j0; j < j0+nj; j++ {
 		for t, o := range off {
 			latS[t] = g.Lat[j] + o*dlat
 			cosLat[t], sinLat[t] = math.Cos(latS[t]), math.Sin(latS[t])
 		}
-		for i := 0; i < g.NX; i++ {
-			idx := j*g.NX + i
+		for i := 0; i < ni; i++ {
+			idx := j*g.NX + i0 + i
 			c = walk.nearest(at(i, consSub, consSub), g.Lat[j], c)
-			r.OcnToAtm[idx] = c
+			r.OcnToAtm = append(r.OcnToAtm, c)
 			cs, row := c, len(r.ConsCol)
 			for t := 0; t < consSub && wet[idx]; t++ {
 				for s := 0; s < consSub; s++ {
@@ -160,33 +194,28 @@ func NewRegridder(mesh *grid.IcosMesh, g *grid.Tripolar) *Regridder {
 				}
 			}
 			for p := row; p < len(r.ConsCol); p++ {
-				r.AtmOverlapArea[r.ConsCol[p]] += r.ConsW[p] * g.CellArea(j)
+				overlap(r.ConsCol[p], idx, r.ConsW[p]*g.CellArea(j))
 			}
-			r.ConsPtr[idx+1] = int32(len(r.ConsCol))
-		}
-	}
-
-	// Atmosphere cells → nearest wet ocean column (grid-aligned lookup with
-	// a spiral search for coastal cells whose nearest column is land).
-	for c := 0; c < mesh.NCells(); c++ {
-		lon, lat := mesh.LonCell[c], mesh.LatCell[c]
-		if lon < 0 {
-			lon += 2 * math.Pi
-		}
-		i := min(max(int(lon/(2*math.Pi)*float64(g.NX)), 0), g.NX-1)
-		idx := nearestLatRow(g, lat)*g.NX + i
-		if wet[idx] {
-			r.AtmToOcn[c] = idx
-			continue
-		}
-		r.AtmToOcn[c] = spiralWet(g, wet, i, idx/g.NX, 6)
-		if r.AtmToOcn[c] < 0 && !grid.IsLand(lon, lat) {
-			// Non-land cell with no reachable wet column: the driver routes
-			// its surface exchange to the land model instead of dropping it.
-			r.Unmapped = append(r.Unmapped, c)
+			r.ConsPtr = append(r.ConsPtr, int32(len(r.ConsCol)))
 		}
 	}
 	return r
+}
+
+// nearestWet returns the wet ocean column (wet: g's land mask) nearest the
+// point (lon, lat) — a grid-aligned lookup with a spiral search for a
+// coastal point whose own column is land — or −1 when none is within
+// reach.
+func nearestWet(g *grid.Tripolar, wet []bool, lon, lat float64) int {
+	if lon < 0 {
+		lon += 2 * math.Pi
+	}
+	i := min(max(int(lon/(2*math.Pi)*float64(g.NX)), 0), g.NX-1)
+	idx := nearestLatRow(g, lat)*g.NX + i
+	if wet[idx] {
+		return idx
+	}
+	return spiralWet(g, wet, i, idx/g.NX, 6)
 }
 
 // consRow is one conservative remap row, Σ w[k]·src[col[k]] summed in

@@ -104,7 +104,7 @@ func bucketScan(mesh *grid.IcosMesh) func(p grid.Vec3, lat float64) int {
 // for bit, ties included.
 func bucketRegridder(mesh *grid.IcosMesh, g *grid.Tripolar) *Regridder {
 	r := &Regridder{
-		OcnToAtm:       make([]int, g.NX*g.NY),
+		remapRows:      remapRows{OcnToAtm: make([]int, g.NX*g.NY)},
 		AtmToOcn:       make([]int, mesh.NCells()),
 		AtmOverlapArea: make([]float64, mesh.NCells()),
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/grid"
@@ -253,18 +254,27 @@ func newRestartLayout(e *ESM) (*restartLayout, error) {
 	}
 
 	nc64, ne64, _ := grid.IcosCounts(m.Mesh.Level)
-	nc, ne, nlev, nslot := int(nc64), int(ne64), m.NLev, len(e.Lnd.TSoil)
+	nc, ne, nlev, nslot := int(nc64), int(ne64), m.NLev, e.lnd.total
 	cells, edges, slots := [][2]int{{0, nc}}, [][2]int{{0, ne}}, [][2]int{{0, nslot}}
-	var cellsAt, edgesAt []int
+	var cellsAt, edgesAt, slotsAt []int
 	if d := m.Decomp(); d != nil {
-		cells, edges, slots = d.OwnedRanges(), grid.Runs(d.OwnEdges()), grid.Runs(e.ownSlots.slot)
-		// The atmosphere holds its patch: a run of consecutive owned global
-		// ids is a run of consecutive local ids, starting at its first id's.
+		own := make([]int, len(e.lnd.own))
+		for i, slot := range e.lnd.own {
+			own[i] = int(e.lnd.slot[slot])
+		}
+		cells, edges, slots = d.OwnedRanges(), grid.Runs(d.OwnEdges()), grid.Runs(own)
+		// The atmosphere holds its patch and the land its patch's columns: a
+		// run of consecutive owned global ids is a run of consecutive local
+		// ids, starting at its first id's.
 		for _, r := range cells {
 			cellsAt = append(cellsAt, d.LocalCell(r[0]))
 		}
 		for _, r := range edges {
 			edgesAt = append(edgesAt, d.LocalEdge(r[0]))
+		}
+		for _, r := range slots {
+			i, _ := slices.BinarySearch(own, r[0])
+			slotsAt = append(slotsAt, e.lnd.own[i])
 		}
 	}
 	runs := func(v restartVar, global int, rs [][2]int, at []int, stride int) {
@@ -280,7 +290,7 @@ func newRestartLayout(e *ESM) (*restartLayout, error) {
 	runs(atmFluxEdgeVar, nlev*ne, edges, edgesAt, nlev)
 	runs(atmFluxDpsVar, nc, cells, cellsAt, 1)
 	for _, v := range lndVars {
-		runs(v, nslot, slots, nil, 1)
+		runs(v, nslot, slots, slotsAt, 1)
 	}
 	if e.Comm.Rank() == 0 {
 		n := len(metaVar.arr(e))
@@ -395,18 +405,19 @@ func (e *ESM) restore(global map[string][]float64) error {
 	ocnSteps := int(meta[2])
 
 	// --- Atmosphere + land (every rank restores what it holds: the whole
-	// arrays on one rank, the atmosphere's patch when decomposed) ---
+	// arrays on one rank, the atmosphere's patch and its land columns when
+	// decomposed) ---
 	m := e.Atm
 	nc64, ne64, _ := grid.IcosCounts(m.Mesh.Level)
 	nc, ne, nlev := int(nc64), int(ne64), m.NLev
 	cells, edges := m.Mesh.GlobalCell, m.Mesh.GlobalEdge
 	for _, set := range []struct {
 		vs        []restartVar
-		ids       []int32 // the global ids of the local columns (nil: all)
+		ids       []int32 // the global ids or slots of the local columns (nil: all)
 		n, stride int     // global columns, values per column
 	}{
 		{atmCellVars, cells, nc, 1}, {atmColVars, cells, nc, nlev},
-		{[]restartVar{atmUVar}, edges, ne, nlev}, {lndVars, nil, len(e.Lnd.TSoil), 1},
+		{[]restartVar{atmUVar}, edges, ne, nlev}, {lndVars, e.lnd.slot, e.lnd.total, 1},
 	} {
 		for _, v := range set.vs {
 			f, err := need(v.name)

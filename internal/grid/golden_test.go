@@ -129,10 +129,10 @@ type icosView struct {
 // global maps, so the view holds global ids only; the derived sets and the
 // membership tables of the mesh m's cells and edges come from the methods.
 func icosViewOf(d *IcosDecomp, m *IcosMesh) icosView {
-	inExt := func(n int, in func(int) bool) []bool {
+	inExt := func(n int, local func(int) int) []bool {
 		out := make([]bool, n)
 		for g := range out {
-			out[g] = in(g)
+			out[g] = local(g) >= 0
 		}
 		return out
 	}
@@ -148,7 +148,7 @@ func icosViewOf(d *IcosDecomp, m *IcosMesh) icosView {
 	p := d.Patch
 	return icosView{
 		d.owner, d.Owned, extCells(d), haloCells(d), compEdges(d), extEdges(d), recvEdges(d), compVerts(d), d.OwnEdges(),
-		inExt(m.NCells(), d.InExt), inExt(m.NEdges(), d.InExtEdge), d.Peers,
+		inExt(m.NCells(), d.LocalCell), inExt(m.NEdges(), d.LocalEdge), d.Peers,
 		global(d.cells.route[0].send, p.GlobalCell), global(d.cells.route[0].recv, p.GlobalCell),
 		global(d.edges.route[0].send, p.GlobalEdge), global(d.edges.route[0].recv, p.GlobalEdge),
 		d.ownedRanges,

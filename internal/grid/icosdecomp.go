@@ -1,10 +1,10 @@
 package grid
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/par"
 )
@@ -30,13 +30,16 @@ import (
 // and a run of consecutive owned global ids is a run of consecutive local
 // ids. The halo plans and the two sweep lists OwnedLocal and CompEdgesLocal
 // are in local ids. The decomposition keeps no reference to the global
-// mesh, and of global size only the owner table, which Gather and Owner
-// read. The sets below are no stored lists: ExtCells, ExtEdges and CompVerts
-// are the patch's own cells, edges and vertices, CompEdges and RecvEdges
-// split the patch's edges by CompEdgesLocal, HaloCells are the patch cells
-// the owner table gives to another rank, and OwnEdges derives the restart
-// partition on demand. LocalCell/LocalEdge are binary searches over the
-// patch's ascending global ids (set-up and restart read them, no step does).
+// mesh and nothing of global size: which patch cells this rank owns is a
+// patch-local flag (Owns), and Gather places every rank's chunk by the
+// owned ids that travel with it. Only the standalone NewIcosDecomp also
+// keeps the owner table of the whole mesh, which Owner reads. The sets
+// below are no stored lists: ExtCells, ExtEdges and CompVerts are the
+// patch's own cells, edges and vertices, CompEdges and RecvEdges split the
+// patch's edges by CompEdgesLocal, HaloCells are the patch cells this rank
+// does not own, and OwnEdges derives the restart partition on demand.
+// LocalCell/LocalEdge are binary searches over the patch's ascending global
+// ids (set-up and restart read them, no step does).
 //
 // The stencil closure of the dycore fixes the patch:
 //
@@ -58,14 +61,16 @@ import (
 //     set, used for restart writes.
 //
 // The exchange plans are built offline and symmetrically: every rank derives
-// every rank's halo from the same mesh and the same ownership rule, so the
+// every rank's halo from the same mesh and the same owner table, so the
 // send and receive lists of a pair agree without any negotiation traffic
-// (the MCT GSMap trick applied to the mesh halo).
+// (the MCT GSMap trick applied to the mesh halo). The whole mesh and the
+// owner table are read only while the decomposition is built.
 type IcosDecomp struct {
 	Patch *IcosMesh // this rank's cells, edges and vertices, in local ids
 	comm  *par.Comm
 
-	owner []int32 // [nCells] owning rank, identical on every rank
+	own   []bool  // per patch cell: owned by this rank
+	owner []int32 // NewIcosDecomp only: the owning rank of every cell of the mesh
 	Owned []int   // this rank's owned cells, ascending
 
 	// The sweep sets that are not the whole patch, in local ids: owned
@@ -101,26 +106,52 @@ const (
 	tagHaloEdges = 6001
 )
 
-// NewIcosDecomp partitions the mesh across the communicator, extracts this
-// rank's patch and precomputes the halo sets and symmetric exchange plans.
-// Every rank must call it (collective only in the trivial sense: no traffic,
-// identical offline construction). The decomposition keeps no reference to
-// mesh.
+// IcosOwners partitions the mesh's cells over size ranks (rcbOwners): the
+// owning rank of every cell, identical on every rank. A model's set-up
+// holds it only while it builds the decomposition and the coupling plan.
+func IcosOwners(mesh *IcosMesh, size int) []int32 { return rcbOwners(mesh.CellCenter, size) }
+
+// NewIcosDecomp partitions the mesh across the communicator (IcosOwners)
+// and builds this rank's decomposition of it (NewPatchDecomp), keeping the
+// owner table so that Owner answers for every cell of the mesh: the
+// standalone form, for code that partitions a mesh on its own. Every rank
+// must call it.
 func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
+	if comm.Size() > mesh.NCells() {
+		return nil, fmt.Errorf("grid: %d ranks exceed %d cells", comm.Size(), mesh.NCells())
+	}
+	owner := IcosOwners(mesh, comm.Size())
+	d, err := NewPatchDecomp(mesh, owner, comm)
+	if err != nil {
+		return nil, err
+	}
+	d.owner = owner
+	return d, nil
+}
+
+// NewPatchDecomp extracts this rank's patch of the mesh under the owner
+// table owner (IcosOwners over the communicator's size) and precomputes the
+// halo sets and symmetric exchange plans. Every rank must call it
+// (collective only in the trivial sense: no traffic, identical offline
+// construction). The decomposition keeps no reference to mesh or owner.
+func NewPatchDecomp(mesh *IcosMesh, owner []int32, comm *par.Comm) (*IcosDecomp, error) {
 	size, rank := comm.Size(), comm.Rank()
 	nc := mesh.NCells()
 	if size > nc {
 		return nil, fmt.Errorf("grid: %d ranks exceed %d cells", size, nc)
 	}
-	d := &IcosDecomp{comm: comm, owner: rcbOwners(mesh.CellCenter, size)}
-	for c, o := range d.owner {
+	if len(owner) != nc {
+		return nil, fmt.Errorf("grid: owner table of %d cells for a mesh of %d", len(owner), nc)
+	}
+	d := &IcosDecomp{comm: comm}
+	for c, o := range owner {
 		if int(o) == rank {
 			d.Owned = append(d.Owned, c)
 		}
 	}
 	d.ownedRanges = Runs(d.Owned)
 
-	owner := d.Owner
+	ownerOf := func(c int) int { return int(owner[c]) }
 	// Ring-1 halo cells and the cell exchange plan, from one ascending pass
 	// over the cells, so every list is sorted by construction. Cell c is in
 	// rank r's halo when r owns a neighbour of c but not c; its owner sends
@@ -130,9 +161,9 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 	cells := newRankRoute(size)
 	listed := make([]int, size) // per rank: c+1 of the last cell listed
 	for c := 0; c < nc; c++ {
-		oc := owner(c)
+		oc := ownerOf(c)
 		for _, nb := range mesh.CellsOnCell(c) {
-			r := owner(int(nb))
+			r := ownerOf(int(nb))
 			if r == oc || listed[r] == c+1 {
 				continue
 			}
@@ -150,38 +181,26 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 
 	// The edge sets, ascending: computed edges (an owned endpoint),
 	// extended edges (an edge of an extended cell) and the vertices of the
-	// computed edges.
-	ne := mesh.NEdges()
-	inComp := make([]bool, ne)
+	// computed edges, each read off a mark table in one ascending pass.
+	ne, nv := mesh.NEdges(), mesh.NVertices()
+	const inComp, inExt = 1, 2
+	mark := make([]uint8, max(ne, nv))
 	for _, c := range d.Owned {
 		for _, e := range mesh.EdgesOnCell(c) {
-			inComp[e] = true
+			mark[e] |= inComp
 		}
 	}
-	inExt := make([]bool, ne)
 	for _, c := range extCells {
 		for _, e := range mesh.EdgesOnCell(c) {
-			inExt[e] = true
+			mark[e] |= inExt
 		}
 	}
-	var compEdges, extEdges []int
-	inCompVert := make([]bool, mesh.NVertices())
-	for e := 0; e < ne; e++ {
-		if inComp[e] {
-			compEdges = append(compEdges, e)
-			inCompVert[mesh.VerticesOnEdge[e][0]] = true
-			inCompVert[mesh.VerticesOnEdge[e][1]] = true
-		}
-		if inExt[e] {
-			extEdges = append(extEdges, e)
-		}
+	compEdges, extEdges := marked(mark[:ne], inComp), marked(mark[:ne], inExt)
+	clear(mark)
+	for _, e := range compEdges {
+		mark[mesh.VerticesOnEdge[e][0]], mark[mesh.VerticesOnEdge[e][1]] = inComp, inComp
 	}
-	var compVerts []int
-	for v, in := range inCompVert {
-		if in {
-			compVerts = append(compVerts, v)
-		}
-	}
+	compVerts := marked(mark[:nv], inComp)
 
 	// Edge exchange plan: rank r's RecvEdges are the edges of r's ExtCells
 	// with no endpoint owned by r; each is sent by the owner of its first
@@ -192,11 +211,11 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 	edges := newRankRoute(size)
 	seen := make([]int, size) // per rank: e+1 of the last edge it was met for
 	for e, ce := range mesh.CellsOnEdge {
-		src := owner(int(ce[0]))
-		seen[src], seen[owner(int(ce[1]))] = e+1, e+1 // they compute e themselves
+		src := ownerOf(int(ce[0]))
+		seen[src], seen[ownerOf(int(ce[1]))] = e+1, e+1 // they compute e themselves
 		for _, c := range ce {
 			for _, nb := range mesh.CellsOnCell(int(c)) {
-				r := owner(int(nb))
+				r := ownerOf(int(nb))
 				if seen[r] == e+1 {
 					continue
 				}
@@ -217,6 +236,10 @@ func NewIcosDecomp(mesh *IcosMesh, comm *par.Comm) (*IcosDecomp, error) {
 	localCell, localEdge := localIDs(extCells, nc), localIDs(extEdges, ne)
 	d.Patch = mesh.restrict(extCells, extEdges, compVerts, localCell, localEdge)
 	d.OwnedLocal = localized(d.Owned, localCell)
+	d.own = make([]bool, len(extCells))
+	for _, lc := range d.OwnedLocal {
+		d.own[lc] = true
+	}
 	d.CompEdgesLocal = localized(compEdges, localEdge)
 	for r := range cells.sendTo {
 		cells.sendTo[r], cells.recvFrom[r] = localized(cells.sendTo[r], localCell), localized(cells.recvFrom[r], localCell)
@@ -239,6 +262,23 @@ func localized(ids []int, local []int32) []int {
 	return out
 }
 
+// marked returns, ascending, the ids whose mark has the bit set.
+func marked(mark []uint8, bit uint8) []int {
+	n := 0
+	for _, m := range mark {
+		if m&bit != 0 {
+			n++
+		}
+	}
+	out := make([]int, 0, n)
+	for id, m := range mark {
+		if m&bit != 0 {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 // Comm returns the communicator the decomposition spans.
 func (d *IcosDecomp) Comm() *par.Comm { return d.comm }
 
@@ -246,30 +286,46 @@ func (d *IcosDecomp) Comm() *par.Comm { return d.comm }
 // cell ids. The slice is cached; callers must not mutate it.
 func (d *IcosDecomp) OwnedRanges() [][2]int { return d.ownedRanges }
 
+// ownedChunk is one rank's share of a Gather: its owned cells' values and
+// their global ids.
+type ownedChunk struct {
+	ids  []int
+	vals []float64
+}
+
 // Gather assembles the owned cells of a one-level patch cell field onto
 // rank 0 (nil elsewhere) as a global-layout array. Collective. Each rank
-// ships its values in Owned (ascending) order, so one ascending pass over
-// the owner table puts every chunk back in place.
+// ships its values with its owned ids, which put every chunk in place; the
+// owned sets partition the mesh, so together they cover it.
 func (d *IcosDecomp) Gather(f []float64) []float64 {
 	chunk := make([]float64, len(d.OwnedLocal))
 	for i, c := range d.OwnedLocal {
 		chunk[i] = f[c]
 	}
-	chunks := par.Gather(d.comm, 0, chunk)
+	chunks := par.Gather(d.comm, 0, ownedChunk{d.Owned, chunk})
 	if d.comm.Rank() != 0 {
 		return nil
 	}
-	out := make([]float64, len(d.owner))
-	next := make([]int, len(chunks))
-	for c, o := range d.owner {
-		out[c] = chunks[o][next[o]]
-		next[o]++
+	n := 0
+	for _, ch := range chunks {
+		n += len(ch.ids)
+	}
+	out := make([]float64, n)
+	for _, ch := range chunks {
+		for i, c := range ch.ids {
+			out[c] = ch.vals[i]
+		}
 	}
 	return out
 }
 
-// Owner returns the rank owning cell c.
+// Owner returns the rank owning cell c. Only a decomposition built by
+// NewIcosDecomp holds the owner table it reads; a model's (NewPatchDecomp)
+// knows its own cells only (Owns).
 func (d *IcosDecomp) Owner(c int) int { return int(d.owner[c]) }
+
+// Owns reports whether this rank owns the patch cell with local id lc.
+func (d *IcosDecomp) Owns(lc int) bool { return d.own[lc] }
 
 // OwnEdges returns the edges whose first cell is owned, ascending: the
 // edges this rank writes to a restart.
@@ -277,19 +333,12 @@ func (d *IcosDecomp) OwnEdges() []int {
 	var out []int
 	p := d.Patch
 	for le, e := range p.GlobalEdge {
-		if c := p.CellsOnEdge[le][0]; c >= 0 && d.Owner(int(p.GlobalCell[c])) == d.comm.Rank() {
+		if c := p.CellsOnEdge[le][0]; c >= 0 && d.own[c] {
 			out = append(out, int(e))
 		}
 	}
 	return out
 }
-
-// InExt reports whether cell c is in this rank's extended (owned + halo)
-// region.
-func (d *IcosDecomp) InExt(c int) bool { return d.LocalCell(c) >= 0 }
-
-// InExtEdge reports whether edge e is in this rank's extended edge set.
-func (d *IcosDecomp) InExtEdge(e int) bool { return d.LocalEdge(e) >= 0 }
 
 // LocalCell returns global cell c's id in the patch, or −1 outside it.
 func (d *IcosDecomp) LocalCell(c int) int { return localOf(d.Patch.GlobalCell, c) }
@@ -365,12 +414,12 @@ const (
 // keeps every rank within one point of pts/size at any depth.
 func rcbOwners(pts []Vec3, size int) []int32 {
 	owner := make([]int32, len(pts))
-	ids := make([]int, len(pts))
+	ids := make([]int32, len(pts))
 	for i := range ids {
-		ids[i] = i
+		ids[i] = int32(i)
 	}
-	var split func(ids []int, r0, n int)
-	split = func(ids []int, r0, n int) {
+	var split func(ids []int32, r0, n int)
+	split = func(ids []int32, r0, n int) {
 		if n == 1 {
 			for _, id := range ids {
 				owner[id] = int32(r0)
@@ -391,9 +440,8 @@ func rcbOwners(pts []Vec3, size int) []int32 {
 		if ext.Z > widest {
 			axis = func(p Vec3) float64 { return p.Z }
 		}
-		sort.Slice(ids, func(i, j int) bool {
-			a, b := axis(pts[ids[i]]), axis(pts[ids[j]])
-			return a < b || (a == b && ids[i] < ids[j])
+		slices.SortFunc(ids, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(axis(pts[a]), axis(pts[b])), cmp.Compare(a, b))
 		})
 		nl := n / 2
 		cut := len(ids) * nl / n

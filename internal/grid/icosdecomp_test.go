@@ -3,6 +3,7 @@ package grid
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -19,7 +20,7 @@ func icosMesh(t testing.TB, level int) *IcosMesh {
 }
 
 // The global-id sets of IcosDecomp's doc comment, derived from the patch,
-// the sweep lists and the owner table; each is ascending. The decomposition
+// the sweep lists and the owner flag; each is ascending. The decomposition
 // stores none of them.
 
 // extCells is the owned cells plus the ring-1 halo: the patch's cells.
@@ -28,8 +29,8 @@ func extCells(d *IcosDecomp) []int { return ints(d.Patch.GlobalCell) }
 // haloCells is the ring-1 halo only.
 func haloCells(d *IcosDecomp) []int {
 	var out []int
-	for _, c := range d.Patch.GlobalCell {
-		if d.Owner(int(c)) != d.comm.Rank() {
+	for lc, c := range d.Patch.GlobalCell {
+		if !d.Owns(lc) {
 			out = append(out, int(c))
 		}
 	}
@@ -74,7 +75,7 @@ func ints(ids []int32) []int {
 }
 
 // decompInvariants checks the structural contract of one rank's
-// decomposition: Owner, Owned, OwnedRanges and InExt describe one ownership,
+// decomposition: Owner, Owned, OwnedRanges and LocalCell describe one ownership,
 // and the derived halo/edge/vertex sets close the dycore's stencils.
 func decompInvariants(t *testing.T, m *IcosMesh, d *IcosDecomp, rank, size int) {
 	t.Helper()
@@ -98,8 +99,8 @@ func decompInvariants(t *testing.T, m *IcosMesh, d *IcosDecomp, rank, size int) 
 		if owned[c] != (o == rank) {
 			t.Fatalf("rank %d: Owner(%d)=%d disagrees with Owned", rank, c, o)
 		}
-		if owned[c] && !d.InExt(c) {
-			t.Fatalf("rank %d: owned cell %d not InExt", rank, c)
+		if owned[c] && d.LocalCell(c) < 0 {
+			t.Fatalf("rank %d: owned cell %d not in the patch", rank, c)
 		}
 	}
 	// OwnedRanges is Owned as maximal ascending runs.
@@ -118,7 +119,7 @@ func decompInvariants(t *testing.T, m *IcosMesh, d *IcosDecomp, rank, size int) 
 		t.Fatalf("rank %d: OwnedRanges expand to %d cells, Owned has %d", rank, len(fromRuns), len(d.Owned))
 	}
 	// ExtCells = owned ∪ halo, ascending, halo disjoint from owned, and
-	// InExt is its membership test.
+	// LocalCell ≥ 0 is its membership test.
 	ext := extCells(d)
 	for i := 1; i < len(ext); i++ {
 		if ext[i] <= ext[i-1] {
@@ -130,16 +131,16 @@ func decompInvariants(t *testing.T, m *IcosMesh, d *IcosDecomp, rank, size int) 
 	}
 	nExt := 0
 	for c := 0; c < nc; c++ {
-		if d.InExt(c) {
+		if d.LocalCell(c) >= 0 {
 			nExt++
 		}
 	}
 	if nExt != len(extCells(d)) {
-		t.Fatalf("rank %d: InExt holds for %d cells, |ExtCells| = %d", rank, nExt, len(extCells(d)))
+		t.Fatalf("rank %d: LocalCell places %d cells, |ExtCells| = %d", rank, nExt, len(extCells(d)))
 	}
 	for _, h := range haloCells(d) {
-		if owned[h] || !d.InExt(h) {
-			t.Fatalf("rank %d: halo cell %d owned or not InExt", rank, h)
+		if owned[h] || d.LocalCell(h) < 0 {
+			t.Fatalf("rank %d: halo cell %d owned or not in the patch", rank, h)
 		}
 		// Every halo cell is adjacent to an owned cell.
 		adj := false
@@ -155,7 +156,7 @@ func decompInvariants(t *testing.T, m *IcosMesh, d *IcosDecomp, rank, size int) 
 	// Ring-1 closure: every neighbour of an owned cell is in ExtCells.
 	for _, c := range d.Owned {
 		for _, nb := range m.CellsOnCell(c) {
-			if !d.InExt(int(nb)) {
+			if d.LocalCell(int(nb)) < 0 {
 				t.Fatalf("rank %d: neighbour %d of owned %d missing from ExtCells", rank, nb, c)
 			}
 		}
@@ -172,7 +173,7 @@ func decompInvariants(t *testing.T, m *IcosMesh, d *IcosDecomp, rank, size int) 
 		if owned[m.CellsOnEdge[e][0]] || owned[m.CellsOnEdge[e][1]] {
 			t.Fatalf("rank %d: RecvEdge %d has an owned endpoint", rank, e)
 		}
-		if !d.InExtEdge(e) {
+		if d.LocalEdge(e) < 0 {
 			t.Fatalf("rank %d: RecvEdge %d not in ExtEdges", rank, e)
 		}
 	}
@@ -183,7 +184,7 @@ func decompInvariants(t *testing.T, m *IcosMesh, d *IcosDecomp, rank, size int) 
 	comp := make([]bool, m.NEdges())
 	for _, e := range compEdges(d) {
 		comp[e] = true
-		if !d.InExtEdge(e) {
+		if d.LocalEdge(e) < 0 {
 			t.Fatalf("rank %d: CompEdge %d not in ExtEdges", rank, e)
 		}
 	}
@@ -220,12 +221,12 @@ func decompInvariants(t *testing.T, m *IcosMesh, d *IcosDecomp, rank, size int) 
 	}
 	for _, v := range compVerts(d) {
 		for _, e := range m.EdgesOnVertex[v] {
-			if !d.InExtEdge(int(e)) {
+			if d.LocalEdge(int(e)) < 0 {
 				t.Fatalf("rank %d: vertex %d stencil edge %d outside ExtEdges", rank, v, e)
 			}
 		}
 		for _, c := range m.CellsOnVertex[v] {
-			if !d.InExt(int(c)) {
+			if d.LocalCell(int(c)) < 0 {
 				t.Fatalf("rank %d: vertex %d stencil cell %d outside ExtCells", rank, v, c)
 			}
 		}
@@ -752,4 +753,54 @@ func vertexPositions(m *IcosMesh) []Vec3 {
 		out[v] = m.VertexPos(v)
 	}
 	return out
+}
+
+// A model's decomposition (NewPatchDecomp) is the standalone one without
+// its owner table: every list, set and plan agrees, its patch-local flag
+// says which patch cells Owner gives to this rank, and Gather places every
+// rank's owned values without a table.
+func TestPatchDecompKeepsNoOwnerTable(t *testing.T) {
+	for level := 2; level <= 3; level++ {
+		m := icosMesh(t, level)
+		for ranks := 1; ranks <= 5; ranks++ {
+			par.Run(ranks, func(c *par.Comm) {
+				full, err := NewIcosDecomp(m, c)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				d, err := NewPatchDecomp(m, IcosOwners(m, ranks), c)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if d.owner != nil {
+					t.Errorf("level %d, %d ranks: NewPatchDecomp keeps an owner table", level, ranks)
+				}
+				want := icosViewOf(full, m)
+				want.owner = nil
+				if !reflect.DeepEqual(icosViewOf(d, m), want) {
+					t.Errorf("level %d, %d ranks, rank %d: NewPatchDecomp's lists differ from NewIcosDecomp's", level, ranks, c.Rank())
+				}
+				for lc, g := range d.Patch.GlobalCell {
+					if d.Owns(lc) != (full.Owner(int(g)) == c.Rank()) {
+						t.Errorf("level %d, %d ranks, rank %d: Owns(%d) = %v for cell %d of rank %d", level, ranks, c.Rank(), lc, d.Owns(lc), g, full.Owner(int(g)))
+						return
+					}
+				}
+				f := make([]float64, d.Patch.NCells())
+				for lc, g := range d.Patch.GlobalCell {
+					f[lc] = float64(g)
+				}
+				if out := d.Gather(f); c.Rank() == 0 {
+					for g, v := range out {
+						if v != float64(g) || len(out) != m.NCells() {
+							t.Errorf("level %d, %d ranks: Gather puts %v at cell %d of %d", level, ranks, v, g, len(out))
+							return
+						}
+					}
+				}
+			})
+		}
+	}
 }

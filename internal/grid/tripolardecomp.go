@@ -25,9 +25,8 @@ import (
 //
 // Corners are ordinary entries from their owning peer, and ghosts whose
 // source this rank owns are local copies, so one rank sends nothing. The
-// exchange is batched and split-phase: StartExchange sends everything for a
-// batch of fields, FinishExchange receives and fills, and the caller may
-// compute on owned cells in between (interior-first stepping).
+// exchange is batched: ExchangeFields sends one message per peer carrying
+// every field of a batch.
 //
 // One rank gets the 1×1 layout: the whole grid as one block.
 type TripolarDecomp struct {
@@ -86,7 +85,6 @@ func NewTripolarDecomp(g *Tripolar, c *par.Comm, halo int) (*TripolarDecomp, err
 	size := c.Size()
 	bestScore := -1
 	var bestPBX, bestPBY int
-	var bestLoads []int
 	sums := kmtSums(g)
 	for pbx := 1; pbx <= g.NX; pbx++ {
 		if g.NX%pbx != 0 || g.NX/pbx < halo {
@@ -96,21 +94,18 @@ func NewTripolarDecomp(g *Tripolar, c *par.Comm, halo int) (*TripolarDecomp, err
 			if g.NY%pby != 0 || g.NY/pby < halo || pbx*pby < size {
 				continue
 			}
-			loads := blockLoads(g, sums, pbx, pby)
 			nWet, maxLoad := 0, 0
-			for _, l := range loads {
+			eachBlockLoad(g, sums, pbx, pby, func(_, l int) {
 				if l > 0 {
 					nWet++
-					if l > maxLoad {
-						maxLoad = l
-					}
+					maxLoad = max(maxLoad, l)
 				}
-			}
+			})
 			if nWet != size {
 				continue
 			}
 			if bestScore < 0 || maxLoad < bestScore {
-				bestScore, bestPBX, bestPBY, bestLoads = maxLoad, pbx, pby, loads
+				bestScore, bestPBX, bestPBY = maxLoad, pbx, pby
 			}
 		}
 	}
@@ -118,7 +113,7 @@ func NewTripolarDecomp(g *Tripolar, c *par.Comm, halo int) (*TripolarDecomp, err
 		return nil, fmt.Errorf("grid: no block layout of the %dx%d tripolar grid has exactly %d wet blocks (halo %d)",
 			g.NX, g.NY, size, halo)
 	}
-	return newTripolarFromLayout(g, c, halo, bestPBX, bestPBY, bestLoads)
+	return newTripolarFromLayout(g, c, halo, bestPBX, bestPBY, blockLoads(g, sums, bestPBX, bestPBY))
 }
 
 // NewTripolarDecompLayout builds the decomposition on an explicit
@@ -165,16 +160,22 @@ func kmtSums(g *Tripolar) []int {
 // blockLoads returns the per-block active-point count (ΣKMT) of a layout,
 // read from the grid's kmtSums; zero marks an all-land block.
 func blockLoads(g *Tripolar, sums []int, pbx, pby int) []int {
-	bni, bnj, w := g.NX/pbx, g.NY/pby, g.NX+1
 	loads := make([]int, pbx*pby)
+	eachBlockLoad(g, sums, pbx, pby, func(bi, l int) { loads[bi] = l })
+	return loads
+}
+
+// eachBlockLoad calls fn with every block's index and load, the layout
+// search's pass that stores none of them.
+func eachBlockLoad(g *Tripolar, sums []int, pbx, pby int, fn func(bi, load int)) {
+	bni, bnj, w := g.NX/pbx, g.NY/pby, g.NX+1
 	for by := 0; by < pby; by++ {
 		j0, j1 := by*bnj*w, (by+1)*bnj*w
 		for bx := 0; bx < pbx; bx++ {
 			i0, i1 := bx*bni, (bx+1)*bni
-			loads[by*pbx+bx] = sums[j1+i1] - sums[j0+i1] - sums[j1+i0] + sums[j0+i0]
+			fn(by*pbx+bx, sums[j1+i1]-sums[j0+i1]-sums[j1+i0]+sums[j0+i0])
 		}
 	}
-	return loads
 }
 
 func newTripolarFromLayout(g *Tripolar, c *par.Comm, halo, pbx, pby int, loads []int) (*TripolarDecomp, error) {
@@ -379,21 +380,6 @@ func (d *TripolarDecomp) GatherGlobal(f []float64) []float64 {
 // shapes (field order, levels, vec flags).
 func (d *TripolarDecomp) ExchangeFields(fields []HaloField) {
 	d.halo.exchange(d.slabs(fields))
-}
-
-// StartExchange packs and sends a batch's halo traffic. Between
-// StartExchange and FinishExchange the caller may compute on owned cells
-// (the messages are already packed) but must not write the fields' halo or
-// owned storage, nor run another exchange on this decomposition. Every
-// StartExchange must be followed by exactly one FinishExchange with the same
-// batch.
-func (d *TripolarDecomp) StartExchange(fields []HaloField) {
-	d.halo.start(d.slabs(fields))
-}
-
-// FinishExchange receives the batch's halo traffic and fills every ghost.
-func (d *TripolarDecomp) FinishExchange(fields []HaloField) {
-	d.halo.finish(d.slabs(fields))
 }
 
 // slabs addresses a batch's level planes as plan fields, in scratch reused

@@ -221,7 +221,7 @@ func TestTripolarEliminatedNeighborZeroHalos(t *testing.T) {
 	})
 }
 
-// TestTripolarExchangeZeroAllocs pins the batched, split-phase halo
+// TestTripolarExchangeZeroAllocs pins the batched halo
 // exchange to zero steady-state allocations on two layouts: 2×1, the real
 // multi-rank path through par.SendF64/RecvF64, and 1×1, where every ghost
 // is a local copy. AllocsPerRun measures global mallocs, so a peer's
@@ -246,10 +246,7 @@ func TestTripolarExchangeZeroAllocs(t *testing.T) {
 				{Data: make([]float64, nlev*n2), NLev: nlev, Vec: true},
 				{Data: make([]float64, n2), NLev: 1},
 			}
-			step := func() {
-				d.StartExchange(fields)
-				d.FinishExchange(fields)
-			}
+			step := func() { d.ExchangeFields(fields) }
 			// Warm both parity buffer sets.
 			step()
 			step()

@@ -43,7 +43,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// Model is the land state over the atmosphere's land cells.
+// Model is the land state over the atmosphere's land cells: every one of
+// them on one rank, a decomposed rank's patch's, in the ids of the mesh the
+// model is built on.
 type Model struct {
 	Cfg   Config
 	Cells []int // atmosphere cell indices that are land
@@ -94,9 +96,8 @@ func (m *Model) Adopt(mesh *grid.IcosMesh, cells []int) {
 }
 
 // Slots returns the local slot indices (ascending) of the cells satisfying
-// pred — how a decomposed driver partitions the land columns with the
-// atmosphere's ownership map: it steps the slots of its extended patch and
-// audits the slots of its owned range.
+// pred — how a decomposed driver picks, among its patch's land columns, the
+// ones whose cell it owns: it audits and writes those.
 func (m *Model) Slots(pred func(cell int) bool) []int {
 	var out []int
 	for slot, c := range m.Cells {

@@ -464,6 +464,12 @@ func (c *Comm) exchange(v any) []any {
 	copy(out, cs.slots)
 	cs.smu.Unlock()
 	c.Barrier() // ensure slots are not overwritten by a subsequent collective
+	// Every rank has its copy: the communicator keeps no reference to the
+	// payload (a set-up exchange's tables would otherwise stay live until
+	// the next collective).
+	cs.smu.Lock()
+	cs.slots[c.rank] = nil
+	cs.smu.Unlock()
 	return out
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"weak"
 )
 
 func TestRunLaunchesAllRanks(t *testing.T) {
@@ -206,6 +207,27 @@ func TestAlltoall(t *testing.T) {
 				t.Errorf("from %d got %v, want [%v]", s, v, want)
 			}
 		}
+	})
+}
+
+// A collective keeps no reference to its payload once it returns: the
+// tables a rank sends in a set-up exchange are garbage as soon as the
+// receivers drop their blocks, not at the next collective.
+func TestCollectiveHoldsNoPayload(t *testing.T) {
+	Run(2, func(c *Comm) {
+		send := [][]float64{make([]float64, 1<<12), make([]float64, 1<<12)}
+		sent := weak.Make(&send[0][0])
+		got := c.AlltoallvF64(send)
+		send, got = nil, nil
+		c.Barrier()
+		if c.Rank() == 0 {
+			runtime.GC()
+		}
+		c.Barrier()
+		if sent.Value() != nil {
+			t.Errorf("rank %d: the exchanged payload is still reachable after the collective", c.Rank())
+		}
+		runtime.KeepAlive(got)
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/atmos"
+	"repro/internal/grid"
 	"repro/internal/par"
 	"repro/internal/pp"
 )
@@ -97,12 +98,18 @@ func TestSeedOnDecomposedModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	par.Run(3, func(c *par.Comm) {
-		m, err := atmos.New(3, 8, atmos.DefaultConfig(), pp.Serial{})
+		mesh, err := grid.NewIcosMesh(3)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if _, err := m.Decompose(c); err != nil {
+		d, err := grid.NewPatchDecomp(mesh, grid.IcosOwners(mesh, c.Size()), c)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		m, err := atmos.NewPatch(mesh, d, 8, atmos.DefaultConfig(), pp.Serial{})
+		if err != nil {
 			t.Error(err)
 			return
 		}
