@@ -63,7 +63,7 @@ race-resilient:
 	$(GO) test -race -count 5 -timeout 45m -run 'Resilient|Restart|ServeLive' ./internal/core
 
 budget:
-	$(GO) run ./cmd/ap3esm -config 25v10 -days 0.31 -ranks 4 -schedule conc -remap cons -audit-gate 1e-10
+	$(GO) run ./cmd/ap3esm -config 25v10 -days 0.31 -ranks 4 -schedule conc -audit-gate 1e-10
 
 # One simulated day of the model beside a twin that diagnoses surface
 # radiation on every column every step: what holding GSW/GLW over the
@@ -88,7 +88,7 @@ fuzz:
 
 resilient:
 	dir=$$(mktemp -d) && { \
-	  $(GO) run ./cmd/ap3esm -config 25v10 -days 0.31 -ranks 2 -remap cons \
+	  $(GO) run ./cmd/ap3esm -config 25v10 -days 0.31 -ranks 2 \
 	    -checkpoint-every 5 -restart-dir "$$dir" -faults 'nan@esm.step:21'; \
 	  rc=$$?; rm -rf "$$dir"; exit $$rc; }
 
@@ -109,15 +109,15 @@ profile:
 	dir=$$(mktemp -d) && { \
 	  $(GO) build -o "$$dir/ap3esm" ./cmd/ap3esm && \
 	  ( for i in 1 2 3 4 5; do \
-	      "$$dir/ap3esm" -config 25v10 -days 0.75 -remap cons -cpuprofile "$$dir/cpu$$i.prof" >/dev/null || exit 1; \
+	      "$$dir/ap3esm" -config 25v10 -days 0.75 -cpuprofile "$$dir/cpu$$i.prof" >/dev/null || exit 1; \
 	    done ) && \
 	  $(GO) tool pprof -top -nodecount=15 "$$dir/ap3esm" "$$dir"/cpu[1-5].prof; \
 	  rc=$$?; rm -rf "$$dir"; exit $$rc; }
 
 # Which arrays hold the live heap: the benchmark's model configuration (25v10,
-# conservative remap, audit on) for 180 coupling steps with every allocation
-# recorded, and the top 15 allocation sites by in-use bytes at the end of the
-# run, the model still live — once on one rank (coupled_r1) and once on two
+# audit on) for 180 coupling steps with every allocation recorded, and the
+# top 15 allocation sites by in-use bytes at the end of the run, the model
+# still live — once on one rank (coupled_r1) and once on two
 # (coupled_r2, both ranks' models in one heap). A heap claim names the arrays
 # it removes from these lists. Not part of check.
 heapprofile:
@@ -125,7 +125,7 @@ heapprofile:
 	  $(GO) build -o "$$dir/ap3esm" ./cmd/ap3esm && \
 	  ( for r in 1 2; do \
 	      echo "coupled_r$$r: -ranks $$r" && \
-	      "$$dir/ap3esm" -config 25v10 -days 1 -ranks $$r -remap cons -audit -memprofile "$$dir/heap$$r.prof" >/dev/null && \
+	      "$$dir/ap3esm" -config 25v10 -days 1 -ranks $$r -audit -memprofile "$$dir/heap$$r.prof" >/dev/null && \
 	      $(GO) tool pprof -sample_index=inuse_space -top -nodecount=15 "$$dir/ap3esm" "$$dir/heap$$r.prof" || exit 1; \
 	    done ); \
 	  rc=$$?; rm -rf "$$dir"; exit $$rc; }

@@ -3,7 +3,7 @@
 // and the measured SYPD.
 //
 //	ap3esm -config 25v10 -days 1 -ranks 2 -schedule conc
-//	ap3esm -config 25v10 -days 1 -remap cons -mixed   # §5.2.3 group-scaled FP32 state
+//	ap3esm -config 25v10 -days 1 -mixed   # §5.2.3 group-scaled FP32 state
 package main
 
 import (
@@ -37,7 +37,6 @@ func main() {
 	ckDir := flag.String("restart-dir", "restart", "restart-set directory for -checkpoint-every")
 	maxRetries := flag.Int("max-retries", 3, "consecutive failed recoveries before giving up")
 	schedName := flag.String("schedule", "seq", "component schedule: seq (sequential groups) or conc (overlapped ocean/atmosphere)")
-	remapName := flag.String("remap", "nn", "air-sea flux remap: nn (nearest-neighbour) or cons (first-order conservative)")
 	audit := flag.Bool("audit", false, "record the per-coupling-interval conservation budget and print the ledger report")
 	auditGate := flag.Float64("audit-gate", 0, "fail if the max relative heat/freshwater residual exceeds this (0 = report only; implies -audit)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run loop (all ranks, model assembly and reports excluded) to this file")
@@ -53,10 +52,6 @@ func main() {
 		log.Fatal(err)
 	}
 	sched, err := core.ParseSchedule(*schedName)
-	if err != nil {
-		log.Fatal(err)
-	}
-	remap, err := core.ParseRemap(*remapName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -110,7 +105,6 @@ func main() {
 				core.WithInterval(start, stop),
 				core.WithObserver(observer),
 				core.WithSchedule(sched),
-				core.WithRemap(remap),
 				core.WithAudit(*audit))
 		}
 		e, err := mk()
@@ -179,7 +173,7 @@ func main() {
 			// rank agrees on the gate verdict.
 			s := l.Summary()
 			if c.Rank() == 0 {
-				fmt.Printf("conservation budget (%s remap):\n%s", remap, l.Report())
+				fmt.Printf("conservation budget:\n%s", l.Report())
 			}
 			if g := *auditGate; g > 0 && (s.MaxHeatResid > g || s.MaxFWResid > g) {
 				log.Fatalf("budget gate: max residual heat %.3e / fw %.3e exceeds %.1e",

@@ -4,8 +4,8 @@
 // the storage held inside each component, and the relative residual between
 // what the atmosphere exported and what the ocean imported. Budget closure
 // is what makes multi-decade coupled runs trustworthy (§5.1.1): under the
-// conservative remap the residual must close to round-off, and under the
-// nearest-neighbour remap the ledger measures the systematic leak.
+// conservative remap the residual must close to round-off, and any leak a
+// coupling change opens shows in it.
 //
 // The package is pure bookkeeping: the driver (internal/core) computes the
 // terms — the ocean-side sums already reduced across ranks, the
@@ -221,21 +221,5 @@ func (l *Ledger) Report() string {
 	fmt.Fprintf(&b, "intervals %d  unmapped cells %d\n", s.N, s.UnmappedCells)
 	fmt.Fprintf(&b, "heat resid: max %.3e  mean %.3e   fw resid: max %.3e  mean %.3e\n",
 		s.MaxHeatResid, s.MeanHeatResid, s.MaxFWResid, s.MeanFWResid)
-	return b.String()
-}
-
-// FormatComparison renders the nearest-vs-conservative table row pair the
-// tables command prints: the demonstration that the nearest-mode residual is
-// nonzero while the conservative mode closes to round-off.
-func FormatComparison(nn, cons Summary) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-6s %9s  %12s %12s  %12s %12s  %9s\n",
-		"remap", "intervals", "heat max", "heat mean", "fw max", "fw mean", "unmapped")
-	row := func(name string, s Summary) {
-		fmt.Fprintf(&b, "%-6s %9d  %12.3e %12.3e  %12.3e %12.3e  %9d\n",
-			name, s.N, s.MaxHeatResid, s.MeanHeatResid, s.MaxFWResid, s.MeanFWResid, s.UnmappedCells)
-	}
-	row("nn", nn)
-	row("cons", cons)
 	return b.String()
 }

@@ -131,11 +131,6 @@ func TestSummaryAndReport(t *testing.T) {
 	if !strings.Contains(rep, "3.000e+00") || !strings.Contains(rep, "-1.000e+00") {
 		t.Errorf("Report missing storage deltas:\n%s", rep)
 	}
-
-	cmp := FormatComparison(s, s)
-	if !strings.Contains(cmp, "nn") || !strings.Contains(cmp, "cons") {
-		t.Errorf("FormatComparison missing rows:\n%s", cmp)
-	}
 }
 
 // A long run keeps at most the window: 10 000 records hold Window

@@ -37,7 +37,7 @@ func BenchmarkAssemble(b *testing.B) {
 				par.Run(ranks, func(c *par.Comm) {
 					assemble := func() (*ESM, error) {
 						return NewWithOptions(cfg, c, WithSpace(pp.Serial{}),
-							WithRemap(RemapCons), WithAudit(true))
+							WithAudit(true))
 					}
 					for i := 0; i < b.N; i++ {
 						if _, err := assemble(); err != nil {
@@ -106,7 +106,7 @@ func setupAlloc(tb testing.TB, cfg Config, ranks int) float64 {
 			alloc = totalAlloc()
 		}
 		c.Barrier()
-		if _, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithRemap(RemapCons), WithAudit(true)); err != nil {
+		if _, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithAudit(true)); err != nil {
 			tb.Error(err) // on the rank goroutine: no Fatal, and the barrier below still meets
 		}
 		c.Barrier()

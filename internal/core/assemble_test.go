@@ -45,7 +45,7 @@ func TestAssembledStateGolden(t *testing.T) {
 	}
 	for _, cfg := range Configurations() {
 		par.Run(1, func(c *par.Comm) {
-			e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithRemap(RemapCons), WithAudit(true))
+			e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithAudit(true))
 			if err != nil {
 				t.Error(err)
 				return

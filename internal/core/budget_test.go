@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/budget"
+	"repro/internal/grid"
 	"repro/internal/par"
 	"repro/internal/pp"
 )
@@ -12,7 +14,7 @@ import (
 // runAudited advances a fresh audited model 50 base steps (10 ocean
 // couplings at 25v10) and returns each rank's ledger summary and state
 // snapshot.
-func runAudited(t *testing.T, ranks int, sched Schedule, remap RemapMode) ([]budget.Summary, [][]float64) {
+func runAudited(t *testing.T, ranks int, sched Schedule) ([]budget.Summary, [][]float64) {
 	t.Helper()
 	cfg, err := ConfigForLabel("25v10")
 	if err != nil {
@@ -23,7 +25,7 @@ func runAudited(t *testing.T, ranks int, sched Schedule, remap RemapMode) ([]bud
 	snaps := make([][]float64, ranks)
 	par.Run(ranks, func(c *par.Comm) {
 		e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}),
-			WithSchedule(sched), WithRemap(remap), WithAudit(true))
+			WithSchedule(sched), WithAudit(true))
 		if err != nil {
 			t.Error(err)
 			return
@@ -50,7 +52,7 @@ func TestConsBudgetCloses(t *testing.T) {
 		var ref [][]float64
 		for _, sched := range []Schedule{ScheduleSeq, ScheduleConc} {
 			t.Run(fmt.Sprintf("ranks=%d/%v", ranks, sched), func(t *testing.T) {
-				sums, snaps := runAudited(t, ranks, sched, RemapCons)
+				sums, snaps := runAudited(t, ranks, sched)
 				for rank, s := range sums {
 					if s.N < 10 {
 						t.Fatalf("rank %d: only %d audited intervals", rank, s.N)
@@ -88,64 +90,91 @@ func TestConsBudgetCloses(t *testing.T) {
 	}
 }
 
-// Regression pin for the bug this PR fixes: the nearest-neighbour flux path
-// leaks — its audited heat residual is systematically nonzero (orders of
-// magnitude above round-off), while the conservative path on the same run
-// closes. If nn ever closes to round-off, the pin below should be revisited
-// (it would mean the flux paths were unified).
-func TestNNBudgetLeakPinned(t *testing.T) {
-	nn, _ := runAudited(t, 1, ScheduleSeq, RemapNN)
-	cons, _ := runAudited(t, 1, ScheduleSeq, RemapCons)
-	// Empirically the 25v10 nn leak is ~1e-2 relative for heat and fw; pin
-	// two orders below so physics drift doesn't flake the test.
-	if nn[0].MaxHeatResid < 1e-4 {
-		t.Errorf("nn max heat residual %.3e unexpectedly small — leak gone?", nn[0].MaxHeatResid)
-	}
-	if nn[0].MaxFWResid < 1e-4 {
-		t.Errorf("nn max fw residual %.3e unexpectedly small — leak gone?", nn[0].MaxFWResid)
-	}
-	if cons[0].MaxHeatResid >= nn[0].MaxHeatResid {
-		t.Errorf("cons heat residual %.3e not below nn %.3e",
-			cons[0].MaxHeatResid, nn[0].MaxHeatResid)
+// dryTropics turns the 18 ocean rows about the equator into land, which
+// leaves the 25v10 atmosphere cells there with no wet column in reach: the
+// model's unmapped cells.
+func dryTropics(cfg Config, g *grid.Tripolar) {
+	for j := cfg.OcnNY/2 - 9; j < cfg.OcnNY/2+9; j++ {
+		for i := 0; i < cfg.OcnNX; i++ {
+			g.SetLand(j*cfg.OcnNX + i)
+		}
 	}
 }
 
 // Unmapped atmosphere cells must be fully routed: flagged as land for the
-// atmosphere's surface physics, owned by the land model, and counted by the
-// audit — never dropped.
+// atmosphere's surface physics, adopted by the land model of the rank that
+// holds them, and counted by the audit on every rank — never dropped. The
+// model's ocean is dried about the equator (dryTropics), so it has some.
 func TestUnmappedCellsRoutedToLand(t *testing.T) {
 	cfg, err := ConfigForLabel("25v10")
 	if err != nil {
 		t.Fatal(err)
 	}
-	unmapped := regridderFor(t, cfg).Unmapped
-	par.Run(1, func(c *par.Comm) {
-		e, err := NewWithOptions(cfg, c, WithAudit(true))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		owned := make(map[int]bool, len(e.Lnd.Cells))
-		for _, cell := range e.Lnd.Cells {
-			owned[cell] = true
-		}
-		for _, cell := range unmapped {
-			if !e.Atm.IsLand[cell] {
-				t.Errorf("unmapped cell %d not flagged as land", cell)
+	mesh, err := grid.NewIcosMesh(cfg.AtmLevel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := grid.NewTripolar(cfg.OcnNX, cfg.OcnNY, cfg.OcnNLev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dryTropics(cfg, g)
+	unmapped := NewRegridder(mesh, g).Unmapped
+	if len(unmapped) == 0 {
+		t.Fatal("the dried tropics leave no unmapped cell: the test exercises no adoption")
+	}
+	dry := func(o *options) { o.dry = func(g *grid.Tripolar) { dryTropics(cfg, g) } }
+	for _, ranks := range []int{1, 2} {
+		t.Run(fmt.Sprintf("ranks=%d", ranks), func(t *testing.T) {
+			held := make([][]int, ranks) // per rank, the unmapped cells it owns
+			par.Run(ranks, func(c *par.Comm) {
+				e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithAudit(true), dry)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				global := func(lc int) int {
+					if e.Atm.Decomp() == nil {
+						return lc
+					}
+					return int(e.Atm.Mesh.GlobalCell[lc])
+				}
+				adopted := map[int]bool{}
+				for _, lc := range e.Lnd.Cells {
+					adopted[global(lc)] = true
+				}
+				e.forAtmOwned(func(cell, lc int) {
+					if !slices.Contains(unmapped, cell) {
+						return
+					}
+					held[c.Rank()] = append(held[c.Rank()], cell)
+					if !e.Atm.IsLand[lc] {
+						t.Errorf("rank %d: unmapped cell %d not flagged as land", c.Rank(), cell)
+					}
+					if !adopted[cell] {
+						t.Errorf("rank %d: unmapped cell %d not adopted by the land model", c.Rank(), cell)
+					}
+				})
+				for i := 0; i < 5; i++ {
+					if !e.Step() {
+						t.Errorf("clock exhausted at step %d", i)
+						return
+					}
+				}
+				ivs := e.Budget().Intervals()
+				if len(ivs) == 0 {
+					t.Error("no audited intervals")
+					return
+				}
+				if got, want := ivs[0].UnmappedCells, len(unmapped); got != want {
+					t.Errorf("rank %d: audited unmapped count %d, want %d", c.Rank(), got, want)
+				}
+			})
+			all := slices.Concat(held...)
+			slices.Sort(all)
+			if !slices.Equal(all, unmapped) {
+				t.Errorf("the ranks own unmapped cells %v, the regridder lists %v", all, unmapped)
 			}
-			if !owned[cell] {
-				t.Errorf("unmapped cell %d not adopted by the land model", cell)
-			}
-		}
-		for i := 0; i < 5; i++ {
-			e.Step()
-		}
-		ivs := e.Budget().Intervals()
-		if len(ivs) == 0 {
-			t.Fatal("no audited intervals")
-		}
-		if got, want := ivs[0].UnmappedCells, len(unmapped); got != want {
-			t.Errorf("audited unmapped count %d, want %d", got, want)
-		}
-	})
+		})
+	}
 }

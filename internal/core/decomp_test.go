@@ -84,7 +84,7 @@ func runDecomp(t *testing.T, ranks int, sched Schedule, steps int) (state, eta [
 	}
 	par.Run(ranks, func(c *par.Comm) {
 		e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}),
-			WithSchedule(sched), WithRemap(RemapCons), WithAudit(true))
+			WithSchedule(sched), WithAudit(true))
 		if err != nil {
 			t.Error(err)
 			return
@@ -249,21 +249,70 @@ func TestDecompRestartRoundTrip(t *testing.T) {
 }
 
 // The distributed coupling hot path — pack, rearrange, consume — must be
-// allocation-free in steady state, in both remap modes: the flux import
-// alone, and the import alternating with the ice forcing, whose 3-field
-// vectors share the router (and its pack buffers) with the import's 4 or 7
-// fields. Rank 0 measures while the peer drives the matching collectives
-// the same number of times.
+// allocation-free in steady state: the flux import alone, and the import
+// alternating with the ice forcing, whose 3-field vectors share the router
+// (and its pack buffers) with the import's 4 fields. Rank 0 measures while
+// the peer drives the matching collectives the same number of times.
 func TestDistributedImportZeroAllocs(t *testing.T) {
 	cfg, err := ConfigForLabel("25v10")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, remap := range []RemapMode{RemapNN, RemapCons} {
-		t.Run(remap.String(), func(t *testing.T) {
-			const runs = 20
-			par.Run(2, func(c *par.Comm) {
-				e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithRemap(remap))
+	t.Run("cons", func(t *testing.T) {
+		const runs = 20
+		par.Run(2, func(c *par.Comm) {
+			e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			both := func() {
+				e.iceForcing()
+				e.oceanImport()
+			}
+			for _, lap := range []struct {
+				name string
+				fn   func()
+			}{{"import", e.oceanImport}, {"ice+import", both}} {
+				// Steady state: grow every router pack buffer first.
+				for i := 0; i < 3; i++ {
+					lap.fn()
+				}
+				c.Barrier()
+				if c.Rank() == 0 {
+					if allocs := testing.AllocsPerRun(runs, lap.fn); allocs != 0 {
+						t.Errorf("%s: %v allocs/op in steady state, want 0", lap.name, allocs)
+					}
+				} else {
+					for i := 0; i < runs+1; i++ {
+						lap.fn()
+					}
+				}
+				c.Barrier()
+			}
+		})
+	})
+}
+
+// The one-rank flux import and ice forcing read the atmosphere's own arrays
+// instead of a router; they too must be allocation-free in steady state —
+// the import alone, and the import alternating with the ice forcing, which
+// share the 10 m wind buffers — so the wind goes into the model's
+// persistent buffers. With the audit on as well: its
+// sixteen partial sums reduce between two persistent buffers, a copy on one
+// rank, and the ledger records into a window it allocated once. The count
+// is exact — the heap's allocation counter over 100 calls must not move —
+// because AllocsPerRun's whole-number mean reads a few reallocations in 20
+// calls as 0.
+func TestOneRankImportZeroAllocs(t *testing.T) {
+	cfg, err := ConfigForLabel("25v10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Run("cons", func(t *testing.T) {
+		for _, audit := range []bool{false, true} {
+			par.Run(1, func(c *par.Comm) {
+				e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithAudit(audit))
 				if err != nil {
 					t.Error(err)
 					return
@@ -276,69 +325,15 @@ func TestDistributedImportZeroAllocs(t *testing.T) {
 					name string
 					fn   func()
 				}{{"import", e.oceanImport}, {"ice+import", both}} {
-					// Steady state: grow every router pack buffer first.
-					for i := 0; i < 3; i++ {
-						lap.fn()
+					const runs = 100
+					lap.fn()
+					if allocs := mallocs(runs, lap.fn); allocs != 0 {
+						t.Errorf("%s (audit %v): %d allocations in %d calls in steady state, want 0", lap.name, audit, allocs, runs)
 					}
-					c.Barrier()
-					if c.Rank() == 0 {
-						if allocs := testing.AllocsPerRun(runs, lap.fn); allocs != 0 {
-							t.Errorf("%v %s: %v allocs/op in steady state, want 0", remap, lap.name, allocs)
-						}
-					} else {
-						for i := 0; i < runs+1; i++ {
-							lap.fn()
-						}
-					}
-					c.Barrier()
 				}
 			})
-		})
-	}
-}
-
-// The one-rank flux import and ice forcing read the atmosphere's own arrays
-// instead of a router; they too must be allocation-free in steady state in
-// both remap modes — the import alone, and the import alternating with the
-// ice forcing, which share the surface-air buffer — so the 10 m wind goes
-// into the model's persistent buffers. With the audit on as well: its
-// sixteen partial sums reduce between two persistent buffers, a copy on one
-// rank, and the ledger records into a window it allocated once. The count
-// is exact — the heap's allocation counter over 100 calls must not move —
-// because AllocsPerRun's whole-number mean reads a few reallocations in 20
-// calls as 0.
-func TestOneRankImportZeroAllocs(t *testing.T) {
-	cfg, err := ConfigForLabel("25v10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, remap := range []RemapMode{RemapNN, RemapCons} {
-		t.Run(remap.String(), func(t *testing.T) {
-			for _, audit := range []bool{false, true} {
-				par.Run(1, func(c *par.Comm) {
-					e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithRemap(remap), WithAudit(audit))
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					both := func() {
-						e.iceForcing()
-						e.oceanImport()
-					}
-					for _, lap := range []struct {
-						name string
-						fn   func()
-					}{{"import", e.oceanImport}, {"ice+import", both}} {
-						const runs = 100
-						lap.fn()
-						if allocs := mallocs(runs, lap.fn); allocs != 0 {
-							t.Errorf("%v %s (audit %v): %d allocations in %d calls in steady state, want 0", remap, lap.name, audit, allocs, runs)
-						}
-					}
-				})
-			}
-		})
-	}
+		}
+	})
 }
 
 // mallocs counts the heap allocations of n calls of fn exactly, on one P as
@@ -357,111 +352,106 @@ func mallocs(n int, fn func()) uint64 {
 // The coupling plan is sized by the atmosphere cells each ocean rank reads,
 // not by a global index space. Decomposed, every rank's router delivers
 // exactly one point per distinct cell its owned block reads (each owned
-// column's nearest cell; under RemapCons also its row's overlap cells), the
-// ranks pack as many points as they deliver, and no vector is built for a
-// field set the remap mode never rearranges. On one rank there is neither a
-// router nor a vector: the conservative rows and overlap areas are the
-// regridder's own arrays, and the ghost ids its maps narrowed to int32.
+// column's nearest cell and its row's overlap cells), the ranks pack as
+// many points as they deliver, and the two field sets it rearranges, the
+// ice forcing and the conservative flux parts, have their vectors. On one
+// rank there is neither a router nor a vector: the conservative rows and
+// overlap areas are the regridder's own arrays, and the ghost ids its maps
+// narrowed to int32.
 func TestCouplingPlanIsPerCell(t *testing.T) {
 	cfg, err := ConfigForLabel("25v10")
 	if err != nil {
 		t.Fatal(err)
 	}
 	rg := regridderFor(t, cfg)
-	for _, remap := range []RemapMode{RemapNN, RemapCons} {
-		t.Run(fmt.Sprintf("%v/ranks=1", remap), func(t *testing.T) {
-			par.Run(1, func(c *par.Comm) {
-				e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithRemap(remap))
+	t.Run("cons/ranks=1", func(t *testing.T) {
+		par.Run(1, func(c *par.Comm) {
+			e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ds := e.dst
+			if ds.rt != nil {
+				t.Error("one rank builds a coupling router")
+			}
+			for _, v := range []*coupler.AttrVect{ds.iceSrc, ds.iceDst, ds.consSrc, ds.consDst} {
+				if v != nil {
+					t.Error("one rank builds a coupling vector")
+				}
+			}
+			if len(ds.colRef) != len(rg.OcnToAtm) {
+				t.Fatalf("colRef has %d ids, OcnToAtm %d", len(ds.colRef), len(rg.OcnToAtm))
+			}
+			for gi, ac := range rg.OcnToAtm {
+				if int(ds.colRef[gi]) != ac {
+					t.Fatalf("colRef[%d] = %d, OcnToAtm %d", gi, ds.colRef[gi], ac)
+				}
+			}
+			if !slices.Equal(ds.consRef, rg.ConsCol) || !slices.Equal(ds.consW, rg.ConsW) || !slices.Equal(ds.consPtr, rg.ConsPtr) {
+				t.Error("consRef, consW and consPtr are not the regridder's ConsCol, ConsW and ConsPtr")
+			}
+			if !slices.Equal(ds.overlap, rg.AtmOverlapArea) {
+				t.Error("overlap is not the regridder's AtmOverlapArea")
+			}
+			// The assembled regridder is gone; a plan built from rg must
+			// share rg's arrays rather than copy them.
+			if err := e.initDistribute(rg); err != nil {
+				t.Error(err)
+				return
+			}
+			ds = e.dst
+			if &ds.overlap[0] != &rg.AtmOverlapArea[0] {
+				t.Error("overlap copies the regridder's AtmOverlapArea")
+			}
+			if &ds.consRef[0] != &rg.ConsCol[0] || &ds.consW[0] != &rg.ConsW[0] || &ds.consPtr[0] != &rg.ConsPtr[0] {
+				t.Error("consRef, consW and consPtr copy the regridder's ConsCol, ConsW and ConsPtr")
+			}
+		})
+	})
+	for _, ranks := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("cons/ranks=%d", ranks), func(t *testing.T) {
+			ndst := make([]int, ranks)
+			par.Run(ranks, func(c *par.Comm) {
+				e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}))
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				ds := e.dst
-				if ds.rt != nil {
-					t.Error("one rank builds a coupling router")
-				}
-				for _, v := range []*coupler.AttrVect{ds.iceSrc, ds.iceDst, ds.consSrc, ds.consDst, ds.nnSrc, ds.nnDst} {
-					if v != nil {
-						t.Error("one rank builds a coupling vector")
+				ds, b := e.dst, e.Ocn.B
+				read := map[int32]bool{}
+				for lj := 0; lj < b.NJ; lj++ {
+					for li := 0; li < b.NI; li++ {
+						gi := b.GIdx(li, lj)
+						read[int32(rg.OcnToAtm[gi])] = true
+						for _, ac := range rg.ConsCol[rg.ConsPtr[gi]:rg.ConsPtr[gi+1]] {
+							read[ac] = true
+						}
 					}
 				}
-				if len(ds.colRef) != len(rg.OcnToAtm) {
-					t.Fatalf("colRef has %d ids, OcnToAtm %d", len(ds.colRef), len(rg.OcnToAtm))
+				if ds.rt.NDst != len(read) {
+					t.Errorf("rank %d: router delivers %d points, its block reads %d cells", c.Rank(), ds.rt.NDst, len(read))
 				}
-				for gi, ac := range rg.OcnToAtm {
-					if int(ds.colRef[gi]) != ac {
-						t.Fatalf("colRef[%d] = %d, OcnToAtm %d", gi, ds.colRef[gi], ac)
+				ndst[c.Rank()] = ds.rt.NDst
+				if nsrc, nd := c.AllreduceInt(ds.rt.NSrc), c.AllreduceInt(ds.rt.NDst); nsrc != nd {
+					t.Errorf("rank %d: ranks pack %d points, deliver %d", c.Rank(), nsrc, nd)
+				}
+				for _, v := range []struct {
+					name     string
+					src, dst *coupler.AttrVect
+				}{
+					{"ice", ds.iceSrc, ds.iceDst},
+					{"cons", ds.consSrc, ds.consDst},
+				} {
+					if v.src == nil || v.dst == nil {
+						t.Errorf("rank %d: %s vectors built = %v/%v, want true", c.Rank(), v.name, v.src != nil, v.dst != nil)
 					}
-				}
-				if remap == RemapCons && (!slices.Equal(ds.consRef, rg.ConsCol) || !slices.Equal(ds.consW, rg.ConsW) || !slices.Equal(ds.consPtr, rg.ConsPtr)) {
-					t.Error("consRef, consW and consPtr are not the regridder's ConsCol, ConsW and ConsPtr")
-				}
-				if !slices.Equal(ds.overlap, rg.AtmOverlapArea) {
-					t.Error("overlap is not the regridder's AtmOverlapArea")
-				}
-				// The assembled regridder is gone; a plan built from rg must
-				// share rg's arrays rather than copy them.
-				if err := e.initDistribute(rg); err != nil {
-					t.Error(err)
-					return
-				}
-				ds = e.dst
-				if &ds.overlap[0] != &rg.AtmOverlapArea[0] {
-					t.Error("overlap copies the regridder's AtmOverlapArea")
-				}
-				if remap == RemapCons && (&ds.consRef[0] != &rg.ConsCol[0] || &ds.consW[0] != &rg.ConsW[0] || &ds.consPtr[0] != &rg.ConsPtr[0]) {
-					t.Error("consRef, consW and consPtr copy the regridder's ConsCol, ConsW and ConsPtr")
 				}
 			})
+			if ranks == 2 && (ndst[0] != 342 || ndst[1] != 317) {
+				t.Errorf("25v10 on 2 ranks delivers %v points, want [342 317]", ndst)
+			}
 		})
-		for _, ranks := range []int{2, 4, 8} {
-			t.Run(fmt.Sprintf("%v/ranks=%d", remap, ranks), func(t *testing.T) {
-				ndst := make([]int, ranks)
-				par.Run(ranks, func(c *par.Comm) {
-					e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithRemap(remap))
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					ds, b := e.dst, e.Ocn.B
-					read := map[int32]bool{}
-					for lj := 0; lj < b.NJ; lj++ {
-						for li := 0; li < b.NI; li++ {
-							gi := b.GIdx(li, lj)
-							read[int32(rg.OcnToAtm[gi])] = true
-							if remap == RemapCons {
-								for _, ac := range rg.ConsCol[rg.ConsPtr[gi]:rg.ConsPtr[gi+1]] {
-									read[ac] = true
-								}
-							}
-						}
-					}
-					if ds.rt.NDst != len(read) {
-						t.Errorf("rank %d: router delivers %d points, its block reads %d cells", c.Rank(), ds.rt.NDst, len(read))
-					}
-					ndst[c.Rank()] = ds.rt.NDst
-					if nsrc, nd := c.AllreduceInt(ds.rt.NSrc), c.AllreduceInt(ds.rt.NDst); nsrc != nd {
-						t.Errorf("rank %d: ranks pack %d points, deliver %d", c.Rank(), nsrc, nd)
-					}
-					for _, v := range []struct {
-						name     string
-						src, dst *coupler.AttrVect
-						want     bool
-					}{
-						{"ice", ds.iceSrc, ds.iceDst, true},
-						{"cons", ds.consSrc, ds.consDst, remap == RemapCons},
-						{"nn", ds.nnSrc, ds.nnDst, remap == RemapNN},
-					} {
-						if (v.src != nil) != v.want || (v.dst != nil) != v.want {
-							t.Errorf("rank %d: %s vectors built = %v/%v, want %v", c.Rank(), v.name, v.src != nil, v.dst != nil, v.want)
-						}
-					}
-				})
-				if remap == RemapCons && ranks == 2 && (ndst[0] != 342 || ndst[1] != 317) {
-					t.Errorf("25v10 on 2 ranks delivers %v points, want [342 317]", ndst)
-				}
-			})
-		}
 	}
 }
 
@@ -490,74 +480,73 @@ func TestSurfaceReturnPlanIsPerCell(t *testing.T) {
 		}
 		return rg.AtmToOcn[g]
 	}
-	for _, remap := range []RemapMode{RemapNN, RemapCons} {
-		t.Run(fmt.Sprintf("%v/ranks=1", remap), func(t *testing.T) {
-			par.Run(1, func(c *par.Comm) {
-				e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithRemap(remap))
+	t.Run("cons/ranks=1", func(t *testing.T) {
+		par.Run(1, func(c *par.Comm) {
+			e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ds, b := e.dst, e.Ocn.B
+			if ds.sfcRt != nil || ds.sfcSrc != nil || ds.sfcDst != nil || ds.sfcCol != nil {
+				t.Error("one rank builds a surface router, vector or pack list")
+			}
+			if len(ds.atmOcn) != e.Atm.Mesh.NCells() {
+				t.Fatalf("atmOcn has %d ids for %d cells", len(ds.atmOcn), e.Atm.Mesh.NCells())
+			}
+			for lc, p := range ds.atmOcn {
+				want := int32(-1)
+				if gi := read(e, lc); gi >= 0 {
+					want = int32(b.LIdx(gi%cfg.OcnNX, gi/cfg.OcnNX))
+				}
+				if p != want {
+					t.Fatalf("atmOcn[%d] = %d, want ocean-local index %d", lc, p, want)
+				}
+			}
+		})
+	})
+	for _, ranks := range []int{2, 4, 8} {
+		t.Run(fmt.Sprintf("cons/ranks=%d", ranks), func(t *testing.T) {
+			par.Run(ranks, func(c *par.Comm) {
+				e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}))
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				ds, b := e.dst, e.Ocn.B
-				if ds.sfcRt != nil || ds.sfcSrc != nil || ds.sfcDst != nil || ds.sfcCol != nil {
-					t.Error("one rank builds a surface router, vector or pack list")
-				}
-				if len(ds.atmOcn) != e.Atm.Mesh.NCells() {
-					t.Fatalf("atmOcn has %d ids for %d cells", len(ds.atmOcn), e.Atm.Mesh.NCells())
-				}
+				ds := e.dst
+				cols := map[int]bool{}
+				ghosts := map[int32]bool{}
 				for lc, p := range ds.atmOcn {
-					want := int32(-1)
-					if gi := read(e, lc); gi >= 0 {
-						want = int32(b.LIdx(gi%cfg.OcnNX, gi/cfg.OcnNX))
+					gi := read(e, lc)
+					if (p >= 0) != (gi >= 0) {
+						t.Errorf("rank %d: cell %d has ghost id %d, reads column %d", c.Rank(), lc, p, gi)
 					}
-					if p != want {
-						t.Fatalf("atmOcn[%d] = %d, want ocean-local index %d", lc, p, want)
+					if gi >= 0 {
+						cols[gi] = true
+						ghosts[p] = true
 					}
+				}
+				if ds.sfcRt.NDst != len(cols) {
+					t.Errorf("rank %d: surface router delivers %d points, its patch reads %d columns", c.Rank(), ds.sfcRt.NDst, len(cols))
+				}
+				if len(ghosts) != ds.sfcRt.NDst {
+					t.Errorf("rank %d: %d of %d delivered points are read", c.Rank(), len(ghosts), ds.sfcRt.NDst)
+				}
+				if len(ds.sfcCol) != ds.sfcRt.NSrc || ds.sfcSrc.LSize != ds.sfcRt.NSrc || ds.sfcDst.LSize != ds.sfcRt.NDst {
+					t.Errorf("rank %d: pack list %d and vectors %d/%d, router %d/%d", c.Rank(),
+						len(ds.sfcCol), ds.sfcSrc.LSize, ds.sfcDst.LSize, ds.sfcRt.NSrc, ds.sfcRt.NDst)
+				}
+				if nsrc, nd := c.AllreduceInt(ds.sfcRt.NSrc), c.AllreduceInt(ds.sfcRt.NDst); nsrc != nd {
+					t.Errorf("rank %d: ranks pack %d points, deliver %d", c.Rank(), nsrc, nd)
 				}
 			})
 		})
-		for _, ranks := range []int{2, 4, 8} {
-			t.Run(fmt.Sprintf("%v/ranks=%d", remap, ranks), func(t *testing.T) {
-				par.Run(ranks, func(c *par.Comm) {
-					e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithRemap(remap))
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					ds := e.dst
-					cols := map[int]bool{}
-					ghosts := map[int32]bool{}
-					for lc, p := range ds.atmOcn {
-						gi := read(e, lc)
-						if (p >= 0) != (gi >= 0) {
-							t.Errorf("rank %d: cell %d has ghost id %d, reads column %d", c.Rank(), lc, p, gi)
-						}
-						if gi >= 0 {
-							cols[gi] = true
-							ghosts[p] = true
-						}
-					}
-					if ds.sfcRt.NDst != len(cols) {
-						t.Errorf("rank %d: surface router delivers %d points, its patch reads %d columns", c.Rank(), ds.sfcRt.NDst, len(cols))
-					}
-					if len(ghosts) != ds.sfcRt.NDst {
-						t.Errorf("rank %d: %d of %d delivered points are read", c.Rank(), len(ghosts), ds.sfcRt.NDst)
-					}
-					if len(ds.sfcCol) != ds.sfcRt.NSrc || ds.sfcSrc.LSize != ds.sfcRt.NSrc || ds.sfcDst.LSize != ds.sfcRt.NDst {
-						t.Errorf("rank %d: pack list %d and vectors %d/%d, router %d/%d", c.Rank(),
-							len(ds.sfcCol), ds.sfcSrc.LSize, ds.sfcDst.LSize, ds.sfcRt.NSrc, ds.sfcRt.NDst)
-					}
-					if nsrc, nd := c.AllreduceInt(ds.sfcRt.NSrc), c.AllreduceInt(ds.sfcRt.NDst); nsrc != nd {
-						t.Errorf("rank %d: ranks pack %d points, deliver %d", c.Rank(), nsrc, nd)
-					}
-				})
-			})
-		}
 	}
+
 }
 
 // A coupled step allocates nothing in steady state, at one rank and at
-// two, in both remap modes with the audit on: the surface return rides a
+// two, with the audit on: the surface return rides a
 // router with persistent vectors, the ice reads its forcing in place, the
 // clock rings into its own slice, every sweep body is bound once, and the
 // audit's reduction reads the peers' partial sums in place. The model is
@@ -576,48 +565,47 @@ func TestCoupledStepZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, remap := range []RemapMode{RemapNN, RemapCons} {
-		for _, ranks := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%v/ranks=%d", remap, ranks), func(t *testing.T) {
-				const warm, window = 10, 10
-				par.Run(ranks, func(c *par.Comm) {
-					e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithRemap(remap), WithAudit(true), WithObserver(obs.Nop{}))
-					if err != nil {
-						t.Error(err)
+	for _, ranks := range []int{1, 2} {
+		t.Run(fmt.Sprintf("cons/ranks=%d", ranks), func(t *testing.T) {
+			const warm, window = 10, 10
+			par.Run(ranks, func(c *par.Comm) {
+				e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithAudit(true), WithObserver(obs.Nop{}))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < warm; i++ {
+					if i == warm/2 {
+						c.Barrier()
+						if c.Rank() == 0 {
+							runtime.GC()
+						}
+						c.Barrier()
+					}
+					e.Step()
+				}
+				var before, after runtime.MemStats
+				c.Barrier()
+				if c.Rank() == 0 {
+					runtime.ReadMemStats(&before)
+				}
+				c.Barrier()
+				for i := 0; i < window; i++ {
+					if !e.Step() {
+						t.Error("the clock stopped inside the window")
 						return
 					}
-					for i := 0; i < warm; i++ {
-						if i == warm/2 {
-							c.Barrier()
-							if c.Rank() == 0 {
-								runtime.GC()
-							}
-							c.Barrier()
-						}
-						e.Step()
+				}
+				c.Barrier()
+				if c.Rank() == 0 {
+					runtime.ReadMemStats(&after)
+					if n := after.Mallocs - before.Mallocs; n != 0 {
+						t.Errorf("%d allocations in %d coupled steps on %d ranks, want 0", n, window, ranks)
 					}
-					var before, after runtime.MemStats
-					c.Barrier()
-					if c.Rank() == 0 {
-						runtime.ReadMemStats(&before)
-					}
-					c.Barrier()
-					for i := 0; i < window; i++ {
-						if !e.Step() {
-							t.Error("the clock stopped inside the window")
-							return
-						}
-					}
-					c.Barrier()
-					if c.Rank() == 0 {
-						runtime.ReadMemStats(&after)
-						if n := after.Mallocs - before.Mallocs; n != 0 {
-							t.Errorf("%d allocations in %d coupled steps on %d ranks, want 0", n, window, ranks)
-						}
-					}
-					c.Barrier()
-				})
+				}
+				c.Barrier()
 			})
-		}
+		})
 	}
+
 }

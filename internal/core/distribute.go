@@ -12,16 +12,13 @@ import (
 //
 // atm→ocn: every owned ocean column reads its atmosphere values through
 // ghost ids — colRef holds one per owned column (its nearest cell,
-// OcnToAtm; dry columns too) and, under RemapCons, consRef one per CSR
-// entry of its row (its overlap cell, ConsCol, beside its weight in consW).
-// One import per remap mode and the ice's bound Forcing read them:
+// OcnToAtm; dry columns too) and consRef one per CSR entry of its row (its
+// overlap cell, ConsCol, beside its weight in consW). Two readers use them:
 //
-//   - nearest-neighbour mode reads the 7 per-cell atmosphere inputs (u10,
-//     v10, tair, qair, gsw, glw, precip) at each owned wet column's nearest
-//     cell and runs nearestFluxes, the bulk formula;
-//   - conservative mode reads the 4 per-cell flux parts and sums each owned
-//     wet column's row with consRow in ascending p;
-//   - the sea ice reads tair, u10 and v10 at each column's nearest cell.
+//   - importConservative reads the 4 per-cell flux parts through consRef
+//     and sums each owned wet column's row with consRow in ascending p;
+//   - the sea ice's bound Forcing reads tair, u10 and v10 at each column's
+//     nearest cell through colRef.
 //
 // ocn→atm: every atmosphere cell this rank holds, the ring-1 halo included,
 // reads its ocean column's SST and ice concentration through atmOcn, its
@@ -32,18 +29,18 @@ import (
 // Only where the ghost values come from depends on the rank count. On one
 // rank nothing is decomposed and there is no router and no vector: an
 // atm→ocn ghost id is the global cell id and the values are the
-// atmosphere's own arrays (plus the surface air, filled per cell from
-// SurfaceAir); an ocn→atm ghost id is the column's ocean-local index and the
-// values are Ocn.T's surface level and Ice.Conc. Decomposed, each direction
-// has one coupler.Router over (reading rank, point) pairs: for each rank in
-// rank order, the distinct points it reads, ascending — the atmosphere
-// cells its owned ocean block reads (whose source is the cell's atmosphere
-// owner), and the ocean columns its atmosphere patch reads (whose source is
-// the column's ocean owner). The owner packs each point's value once per
-// reading rank, a rank's destination vector holds one point per point it
-// reads, and a ghost id is a place in that vector. The owner packs the
-// values the one-rank path reads, so every rank count evaluates the same
-// expressions on the same operands, bit for bit.
+// atmosphere's own arrays (plus the surface air temperature, filled per
+// cell from SurfaceAir); an ocn→atm ghost id is the column's ocean-local
+// index and the values are Ocn.T's surface level and Ice.Conc. Decomposed,
+// each direction has one coupler.Router over (reading rank, point) pairs:
+// for each rank in rank order, the distinct points it reads, ascending —
+// the atmosphere cells its owned ocean block reads (whose source is the
+// cell's atmosphere owner), and the ocean columns its atmosphere patch
+// reads (whose source is the column's ocean owner). The owner packs each
+// point's value once per reading rank, a rank's destination vector holds
+// one point per point it reads, and a ghost id is a place in that vector.
+// The owner packs the values the one-rank path reads, so every rank count
+// evaluates the same expressions on the same operands, bit for bit.
 //
 // One rank's plan is the regridder's own maps (initDistribute). A
 // decomposed rank derives its plan from its own reads alone — the rows of
@@ -55,7 +52,6 @@ import (
 // cycle is allocation-free in steady state (the rearranger's own guarantee
 // plus the preallocated AttrVects here).
 
-var nnFields = []string{"u10", "v10", "tair", "qair", "gsw", "glw", "precip"}
 var iceFields = []string{"tair", "u10", "v10"}
 var consFields = []string{"taux", "tauy", "qnet", "emp"}
 var sfcFields = []string{"sst", "ice"}
@@ -68,17 +64,17 @@ type distState struct {
 	srcCell []int32
 
 	// Ghost ids: per owned column in block order its nearest cell, and per
-	// CSR entry of the owned rows in ascending p its overlap cell (nil
-	// unless RemapCons). Decomposed they are points of the destination
-	// vectors, the cells this rank's ocean block reads in ascending global
-	// id; on one rank they are global cell ids.
+	// CSR entry of the owned rows in ascending p its overlap cell.
+	// Decomposed they are points of the destination vectors, the cells this
+	// rank's ocean block reads in ascending global id; on one rank they are
+	// global cell ids.
 	colRef  []int32
 	consRef []int32
 
-	// The owned rows of the conservative weights (nil unless RemapCons):
-	// owned column k in block order has entries [consPtr[k], consPtr[k+1])
-	// of consRef and consW. On one rank consRef, consW and consPtr are the
-	// regridder's ConsCol, ConsW and ConsPtr.
+	// The owned rows of the conservative weights: owned column k in block
+	// order has entries [consPtr[k], consPtr[k+1]) of consRef and consW. On
+	// one rank consRef, consW and consPtr are the regridder's ConsCol, ConsW
+	// and ConsPtr.
 	consW   []float64
 	consPtr []int32
 
@@ -99,16 +95,14 @@ type distState struct {
 	sfcCol         []int32
 	sfcSrc, sfcDst *coupler.AttrVect
 
-	// The rearranged field sets (nil on one rank): ice forcing always, the
-	// conservative flux parts under RemapCons, the nearest-neighbour inputs
-	// under RemapNN.
+	// The rearranged field sets (nil on one rank): the ice forcing and the
+	// conservative flux parts.
 	iceSrc, iceDst   *coupler.AttrVect
 	consSrc, consDst *coupler.AttrVect
-	nnSrc, nnDst     *coupler.AttrVect
 
-	// One rank: the surface air of every atmosphere cell (qair under
-	// RemapNN only), the ghost values the atmosphere holds no array for.
-	tair, qair []float64
+	// One rank: the surface air temperature of every atmosphere cell, the
+	// ghost values the atmosphere holds no array for.
+	tair []float64
 }
 
 // initDistribute builds one rank's coupling plan from the regridder rg of
@@ -133,11 +127,7 @@ func (e *ESM) initDistribute(rg *Regridder) error {
 	}
 	ds.overlap = rg.AtmOverlapArea
 	ds.tair = make([]float64, nc)
-	if e.remap == RemapCons {
-		ds.consRef, ds.consW, ds.consPtr = rg.ConsCol, rg.ConsW, rg.ConsPtr
-	} else {
-		ds.qair = make([]float64, nc)
-	}
+	ds.consRef, ds.consW, ds.consPtr = rg.ConsCol, rg.ConsW, rg.ConsPtr
 	e.bindIceForcing()
 	return nil
 }
@@ -162,34 +152,6 @@ func (e *ESM) rearrange(rt *coupler.Router, src, dst *coupler.AttrVect, what str
 	if err := coupler.RearrangeInto(e.Comm, rt, src, dst, coupler.ModeP2P, o); err != nil {
 		panic(fmt.Sprintf("core: %s rearrange: %v", what, err))
 	}
-}
-
-// nnGhosts returns the nearest-neighbour inputs by ghost id: 10 m wind,
-// surface air, held radiation and precipitation.
-func (e *ESM) nnGhosts() (u, v, tair, qair, sw, lw, precip []float64) {
-	ds := e.dst
-	a := e.Atm
-	a.Wind10mInto(e.u10, e.v10)
-	if ds.rt == nil {
-		for c := range ds.tair {
-			ds.tair[c], ds.qair[c] = a.SurfaceAir(c)
-		}
-		return e.u10, e.v10, ds.tair, ds.qair, a.GSW, a.GLW, a.Precip
-	}
-	src, dst := ds.nnSrc, ds.nnDst
-	pu, pv := src.MustField("u10"), src.MustField("v10")
-	pt, pq := src.MustField("tair"), src.MustField("qair")
-	psw, plw := src.MustField("gsw"), src.MustField("glw")
-	ppr := src.MustField("precip")
-	for i, ac := range ds.srcCell {
-		pu[i], pv[i] = e.u10[ac], e.v10[ac]
-		pt[i], pq[i] = a.SurfaceAir(int(ac))
-		psw[i], plw[i] = a.GSW[ac], a.GLW[ac]
-		ppr[i] = a.Precip[ac]
-	}
-	e.rearrange(ds.rt, src, dst, "nn")
-	return dst.MustField("u10"), dst.MustField("v10"), dst.MustField("tair"), dst.MustField("qair"),
-		dst.MustField("gsw"), dst.MustField("glw"), dst.MustField("precip")
 }
 
 // consGhosts returns the conservative flux parts by ghost id.
@@ -269,31 +231,11 @@ func (e *ESM) surfaceGhosts() (sst, ice []float64) {
 	return dst.MustField("sst"), dst.MustField("ice")
 }
 
-// importNearest computes the air–sea fluxes on the ocean grid: turbulent
-// fluxes use the atmosphere's lowest-level state at the nearest cell
-// together with the ocean's *own* SST, so coastal columns are never
-// contaminated by land skin temperatures. Spot-accurate, but the
-// area-integrated flux differs from what the atmosphere exports — the leak
-// the budget ledger measures and RemapCons closes.
-func (e *ESM) importNearest() {
-	u, v, tair, qair, sw, lw, precip := e.nnGhosts()
-	o := e.Ocn
-	b := o.B
-	for lj := 0; lj < b.NJ; lj++ {
-		for li := 0; li < b.NI; li++ {
-			if !o.Wet(li, lj) {
-				continue
-			}
-			p := e.dst.colRef[lj*b.NI+li] // colRef is in block order
-			e.nearestFluxes(b.LIdx(li, lj), u[p], v[p], tair[p], qair[p], sw[p], lw[p], precip[p])
-		}
-	}
-}
-
 // importConservative delivers the per-atmosphere-cell flux parts to each
-// owned wet ocean column through the normalized overlap weights: each row
-// sums consRow over its entries' ghost ids, so the area-integrated flux the
-// ocean imports equals what the atmosphere exported to round-off. The
+// owned wet ocean column through the normalized overlap weights — MCT's
+// conservative sparse-matrix interpolation (§5.1.1): each row sums consRow
+// over its entries' ghost ids, so the area-integrated flux the ocean
+// imports equals what the atmosphere exported to round-off. The
 // ice→ocean freeze heat is a local same-grid term added after the remap.
 func (e *ESM) importConservative() {
 	taux, tauy, qnet, emp := e.consGhosts()

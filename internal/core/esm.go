@@ -52,11 +52,10 @@ type ESM struct {
 	overlapSum float64
 	overlapN   int
 
-	// Flux remap mode, the conservation-audit ledger (nil when auditing is
-	// off) with its reduction's partial sums and totals, and the persistent
-	// per-atmosphere-cell flux-part buffers used by the conservative remap
-	// and the audit's export-side integrals (nil when neither needs them).
-	remap               RemapMode
+	// The conservation-audit ledger (nil when auditing is off) with its
+	// reduction's partial sums and totals, and the persistent
+	// per-atmosphere-cell flux-part buffers the conservative remap and the
+	// audit's export-side integrals read.
 	ledger              *budget.Ledger
 	auditPart, auditSum [auditTerms]float64
 	af                  *atmFluxes
@@ -145,6 +144,9 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: ocean grid: %w", err)
 	}
+	if opt.dry != nil {
+		opt.dry(g)
+	}
 	// Ocean + sea-ice decomposition: a 2D tripolar block partition with
 	// land-block elimination (the 1×1 layout on one rank).
 	blk, err := grid.NewTripolarDecomp(g, c, 1)
@@ -198,7 +200,6 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 		obs:      ob,
 		schedule: opt.schedule,
 		ocnDone:  make(chan time.Duration, 1),
-		remap:    opt.remap,
 	}
 
 	if opt.audit {
@@ -222,9 +223,7 @@ func assemble(cfg Config, c *par.Comm, opt options) (*ESM, error) {
 			return nil, err
 		}
 	}
-	if opt.remap == RemapCons || opt.audit {
-		e.af = newAtmFluxes(nc)
-	}
+	e.af = newAtmFluxes(nc)
 	e.radLand = make([]bool, nc)
 	e.forLand(func(_, lc int) { e.radLand[lc] = true })
 
@@ -399,8 +398,7 @@ func (e *ESM) iceStep() {
 	e.exportSurface()
 }
 
-// Bulk air–sea flux constants, shared by the ocean-grid (nearest) and
-// atmosphere-grid (conservative) flux computations.
+// Bulk air–sea flux constants of the per-atmosphere-cell flux parts.
 const (
 	oceanAlbedo = 0.07
 	oceanEmiss  = 0.97
@@ -416,53 +414,16 @@ const (
 // it reads from the atmosphere and ice is the state exported at the end of
 // the previous base step, so it runs before the groups advance (on the
 // driver goroutine under both schedules, which also makes the audit's
-// collectives safe). RemapNN computes fluxes on the ocean grid from the
-// nearest atmosphere cell; RemapCons computes them per atmosphere cell and
-// delivers the conservative overlap average. When auditing, the ledger
-// records the interval's interface and storage terms afterwards.
+// collectives safe). It computes the fluxes per atmosphere cell and
+// delivers each ocean column their conservative overlap average. When
+// auditing, the ledger records the interval's interface and storage terms
+// afterwards.
 func (e *ESM) oceanImport() {
-	if e.af != nil {
-		e.computeAtmFluxes()
-	}
-	if e.remap == RemapCons {
-		e.importConservative()
-	} else {
-		e.importNearest()
-	}
+	e.computeAtmFluxes()
+	e.importConservative()
 	if e.ledger != nil {
 		e.auditRecord()
 	}
-}
-
-// nearestFluxes sets the air–sea fluxes of the wet ocean column at local
-// index idx from its nearest atmosphere cell's 10 m wind (u, v), surface
-// air (tair, qair), held radiation (sw, lw) and precipitation, read by
-// ghost id at any rank count.
-func (e *ESM) nearestFluxes(idx int, u, v, tair, qair, sw, lw, precip float64) {
-	o := e.Ocn
-	open := 1 - e.Ice.Conc[idx]
-	sstK := o.T[idx] + 273.15
-	wind := math.Hypot(u, v)
-
-	// Momentum: bulk stress from the local wind, attenuated by ice.
-	o.TauX[idx] = rhoAirSfc * bulkCd * wind * u * open
-	o.TauY[idx] = rhoAirSfc * bulkCd * wind * v * open
-
-	// Turbulent heat fluxes against the ocean's own SST.
-	shf := rhoAirSfc * atmos.Cpd * bulkCh * wind * (sstK - tair)
-	evap := rhoAirSfc * bulkCe * wind * (qsatSea(sstK) - qair)
-	if evap < 0 {
-		evap = 0
-	}
-	lhf := atmos.LatVap * evap
-
-	qnet := (1-oceanAlbedo)*sw +
-		oceanEmiss*(lw-sigmaSB*sstK*sstK*sstK*sstK) -
-		shf - lhf
-	o.QHeat[idx] = qnet*open + e.Ice.FreezeHeat[idx]
-	// Freshwater: (evaporation − precipitation) concentrates salt.
-	emp := evap - precip
-	o.FWFlux[idx] = ocean.SRef * emp / (ocean.Rho0 * firstLayerDepth(o))
 }
 
 // computeAtmFluxes fills the per-atmosphere-cell flux parts from the

@@ -43,7 +43,7 @@ func TestRankHoldsNoGlobalTable(t *testing.T) {
 		t.Run(fmt.Sprintf("ranks=%d", ranks), func(t *testing.T) {
 			found := make([][]string, ranks)
 			par.Run(ranks, func(c *par.Comm) {
-				e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithRemap(RemapCons), WithAudit(true))
+				e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithAudit(true))
 				if err != nil {
 					t.Error(err)
 					return

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"repro/internal/grid"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/pp"
@@ -14,8 +15,11 @@ type options struct {
 	sp          pp.Space
 	obs         obs.Observer
 	schedule    Schedule
-	remap       RemapMode
 	audit       bool
+
+	// dry, when set, edits the ocean grid's land mask before any component
+	// reads it: the tests' way to give the model unmapped atmosphere cells.
+	dry func(g *grid.Tripolar)
 }
 
 // Option configures model assembly.
@@ -49,12 +53,19 @@ func WithSchedule(s Schedule) Option {
 	return func(opt *options) { opt.schedule = s }
 }
 
-// WithRemap selects the air–sea flux remap mode: RemapNN (default, the
-// historical nearest-neighbour delivery) or RemapCons (first-order
-// conservative overlap weights, closing the coupled heat and freshwater
-// budgets to round-off).
-func WithRemap(m RemapMode) Option {
-	return func(opt *options) { opt.remap = m }
+// RemapMode has one value, RemapCons, and WithRemap selects nothing: the
+// first-order conservative remap is the model's only air–sea flux path.
+// Both are a compatibility shim for the benchmark module (bench/), their
+// only caller; they go when its next revision (ROADMAP item 5(a)) drops
+// its three WithRemap(RemapCons) calls.
+type RemapMode struct{}
+
+// RemapCons names the model's air–sea flux remap (see RemapMode).
+var RemapCons RemapMode
+
+// WithRemap leaves the model as it is (see RemapMode).
+func WithRemap(RemapMode) Option {
+	return func(*options) {}
 }
 
 // WithAudit enables the conservation-audit ledger: every ocean coupling

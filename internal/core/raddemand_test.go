@@ -41,7 +41,7 @@ func landStepped(e *ESM, fn func(c, lc int)) {
 	})
 }
 
-func radTrace(t *testing.T, ranks int, sched Schedule, remap RemapMode, steps, restartAt int) (traces [][]float64, state []float64) {
+func radTrace(t *testing.T, ranks int, sched Schedule, steps, restartAt int) (traces [][]float64, state []float64) {
 	t.Helper()
 	cfg, err := ConfigForLabel("25v10")
 	if err != nil {
@@ -53,7 +53,7 @@ func radTrace(t *testing.T, ranks int, sched Schedule, remap RemapMode, steps, r
 	par.Run(ranks, func(c *par.Comm) {
 		build := func() *ESM {
 			e, err := NewWithOptions(cfg, c, WithInterval(start, start.Add(24*time.Hour)),
-				WithSpace(pp.Serial{}), WithSchedule(sched), WithRemap(remap), WithAudit(true))
+				WithSpace(pp.Serial{}), WithSchedule(sched), WithAudit(true))
 			if err != nil {
 				t.Error(err)
 			}
@@ -130,9 +130,7 @@ func radTrace(t *testing.T, ranks int, sched Schedule, remap RemapMode, steps, r
 		}
 		if c.Rank() == 0 {
 			state = st
-			// The nearest-neighbour remap leaks by construction; the ledger
-			// measures it, the conservative remap closes it.
-			if s := e.Budget().Summary(); remap == RemapCons && (s.N == 0 || s.MaxHeatResid > 1e-10 || s.MaxFWResid > 1e-10) {
+			if s := e.Budget().Summary(); s.N == 0 || s.MaxHeatResid > 1e-10 || s.MaxFWResid > 1e-10 {
 				t.Errorf("audit residuals %.3e/%.3e over %d intervals exceed the 1e-10 gate", s.MaxHeatResid, s.MaxFWResid, s.N)
 			}
 		}
@@ -141,9 +139,9 @@ func radTrace(t *testing.T, ranks int, sched Schedule, remap RemapMode, steps, r
 }
 
 // The contract of the radiation step: every rank, schedule and restart sees
-// the same held values. Against the 1-rank sequential run of the same remap,
-// every GSW/GLW value a reader consumes and the final coupled state are
-// bit-identical at 1, 2 and 4 ranks under both schedules and both remaps, and
+// the same held values. Against the 1-rank sequential run, every GSW/GLW
+// value a reader consumes and the final coupled state are bit-identical at
+// 1, 2 and 4 ranks under both schedules, with the audit closed to 1e-10, and
 // across a checkpoint written in the middle of a hold — when every reader,
 // the land columns of a rank's halo included, lives on a diagnosis two steps
 // old that only the restart file carries.
@@ -153,53 +151,44 @@ func TestRadiationDemandBitForBit(t *testing.T) {
 	if testing.Short() {
 		counts = []int{1, 2}
 	}
-	type reference struct {
-		trace, state []float64
-	}
-	refs := map[RemapMode]reference{}
-	for _, remap := range []RemapMode{RemapNN, RemapCons} {
-		tr, st := radTrace(t, 1, ScheduleSeq, remap, steps, 0)
-		if len(tr[0]) == 0 || len(st) == 0 {
-			t.Fatalf("%v: empty reference run", remap)
-		}
-		refs[remap] = reference{tr[0], st}
+	traces, refState := radTrace(t, 1, ScheduleSeq, steps, 0)
+	refTrace := traces[0]
+	if len(refTrace) == 0 || len(refState) == 0 {
+		t.Fatal("empty reference run")
 	}
 	for _, ranks := range counts {
 		for _, sched := range []Schedule{ScheduleSeq, ScheduleConc} {
-			for _, remap := range []RemapMode{RemapNN, RemapCons} {
-				t.Run(fmt.Sprintf("ranks=%d/%v/%v", ranks, sched, remap), func(t *testing.T) {
-					ref := refs[remap]
-					got, state := radTrace(t, ranks, sched, remap, steps, restartAt)
-					read := make([]bool, len(ref.trace))
-					for r := range got {
-						if len(got[r]) != len(ref.trace) {
-							t.Fatalf("rank %d: trace length %d, reference %d", r, len(got[r]), len(ref.trace))
+			t.Run(fmt.Sprintf("ranks=%d/%v/cons", ranks, sched), func(t *testing.T) {
+				got, state := radTrace(t, ranks, sched, steps, restartAt)
+				read := make([]bool, len(refTrace))
+				for r := range got {
+					if len(got[r]) != len(refTrace) {
+						t.Fatalf("rank %d: trace length %d, reference %d", r, len(got[r]), len(refTrace))
+					}
+					for i, v := range got[r] {
+						if v == notRead {
+							continue
 						}
-						for i, v := range got[r] {
-							if v == notRead {
-								continue
-							}
-							read[i] = true
-							if v != ref.trace[i] {
-								t.Fatalf("rank %d: trace[%d] = %v, 1-rank reference %v", r, i, v, ref.trace[i])
-							}
+						read[i] = true
+						if v != refTrace[i] {
+							t.Fatalf("rank %d: trace[%d] = %v, 1-rank reference %v", r, i, v, refTrace[i])
 						}
 					}
-					for i, v := range ref.trace {
-						if v != notRead && !read[i] {
-							t.Fatalf("trace[%d]: the reference reads a value no rank read", i)
-						}
+				}
+				for i, v := range refTrace {
+					if v != notRead && !read[i] {
+						t.Fatalf("trace[%d]: the reference reads a value no rank read", i)
 					}
-					if len(state) != len(ref.state) {
-						t.Fatalf("final state has %d values, reference %d", len(state), len(ref.state))
+				}
+				if len(state) != len(refState) {
+					t.Fatalf("final state has %d values, reference %d", len(state), len(refState))
+				}
+				for i := range state {
+					if state[i] != refState[i] {
+						t.Fatalf("final state[%d] = %v, 1-rank reference %v", i, state[i], refState[i])
 					}
-					for i := range state {
-						if state[i] != ref.state[i] {
-							t.Fatalf("final state[%d] = %v, 1-rank reference %v", i, state[i], ref.state[i])
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -222,7 +211,7 @@ func TestRadiationHoldDrift(t *testing.T) {
 	steps := cfg.AtmCouplingsPerDay
 	par.Run(1, func(c *par.Comm) {
 		build := func() *ESM {
-			e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithRemap(RemapCons), WithAudit(true))
+			e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithAudit(true))
 			if err != nil {
 				t.Error(err)
 			}

@@ -1,54 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sort"
 
 	"repro/internal/grid"
 )
-
-// RemapMode selects how the coupler remaps air–sea fluxes between the
-// atmosphere's icosahedral mesh and the ocean's tripolar grid.
-type RemapMode int
-
-const (
-	// RemapNN delivers each ocean column the flux computed from its nearest
-	// atmosphere cell — the historical mode. Fast and exactly invertible in
-	// spot checks, but the area-integrated flux the atmosphere exports is
-	// not the flux the ocean imports: the budget ledger reports the leak.
-	RemapNN RemapMode = iota
-	// RemapCons delivers first-order conservative fluxes: each wet ocean
-	// cell receives the normalized-overlap-weighted average of the
-	// per-atmosphere-cell fluxes, so the area integral is preserved to
-	// round-off — MCT's conservative sparse-matrix interpolation (§5.1.1).
-	RemapCons
-)
-
-// String implements fmt.Stringer.
-func (m RemapMode) String() string {
-	switch m {
-	case RemapNN:
-		return "nn"
-	case RemapCons:
-		return "cons"
-	default:
-		return fmt.Sprintf("RemapMode(%d)", int(m))
-	}
-}
-
-// ParseRemap maps the -remap flag values onto RemapMode.
-func ParseRemap(name string) (RemapMode, error) {
-	switch name {
-	case "nn":
-		return RemapNN, nil
-	case "cons":
-		return RemapCons, nil
-	default:
-		return 0, fmt.Errorf("core: unknown remap mode %q (want nn or cons)", name)
-	}
-}
 
 // consSub is the per-axis subsample count of the conservative overlap
 // construction: each ocean cell is probed on a consSub×consSub lattice, so
@@ -59,12 +17,13 @@ const consSub = 4
 // Regridder holds the maps between the atmosphere's icosahedral mesh and
 // the ocean's tripolar grid, the role MCT's sparse matrix interpolation
 // plays in CPL7: the nearest-neighbour maps in both directions, and the
-// first-order conservative overlap weights used by RemapCons and by the
-// budget ledger's atmosphere-side interface integrals. Its tables cover
-// both whole grids: one rank's assembly builds it and hands its arrays to
-// the coupling plan (initDistribute); a decomposed rank builds no
-// Regridder, only the rows of its own ocean block and the nearest columns
-// of its own patch (assemblePatch), with the same functions.
+// first-order conservative overlap weights used by the air–sea flux remap
+// and by the budget ledger's atmosphere-side interface integrals. Its
+// tables cover both whole grids: one rank's assembly builds it and hands
+// its arrays to the coupling plan (initDistribute); a decomposed rank
+// builds no Regridder, only the rows of its own ocean block and the
+// nearest columns of its own patch (assemblePatch), with the same
+// functions.
 type Regridder struct {
 	// The rows of every ocean column, by global column index: OcnToAtm,
 	// ConsPtr, ConsCol and ConsW.
@@ -84,7 +43,7 @@ type Regridder struct {
 	// atmosphere cell c covers through the overlap weights — the
 	// atmosphere-side interface areas of the budget ledger. Its total equals
 	// the wet ocean area exactly up to summation round-off, which is what
-	// makes the conservative mode's export and import integrals agree.
+	// makes the conservative remap's export and import integrals agree.
 	AtmOverlapArea []float64
 }
 

@@ -9,24 +9,6 @@ import (
 	"repro/internal/grid"
 )
 
-func TestParseRemap(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want RemapMode
-	}{{"nn", RemapNN}, {"cons", RemapCons}} {
-		got, err := ParseRemap(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseRemap(%q) = %v, %v", tc.in, got, err)
-		}
-		if got.String() != tc.in {
-			t.Errorf("%v.String() = %q, want %q", got, got.String(), tc.in)
-		}
-	}
-	if _, err := ParseRemap("bilinear"); err == nil {
-		t.Error("unknown remap mode accepted")
-	}
-}
-
 // regridderFor builds the regridder assembly builds for cfg and drops: the
 // same grids give the same maps.
 func regridderFor(t *testing.T, cfg Config) *Regridder {

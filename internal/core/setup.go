@@ -137,16 +137,14 @@ func (e *ESM) assemblePatch(mesh *grid.IcosMesh, owner []int32, g *grid.Tripolar
 	})
 
 	// This rank's reads, ascending: the atmosphere cells its ocean block
-	// reads — each column's nearest cell and, under RemapCons, its row's
-	// overlap cells — and the ocean columns its patch reads.
+	// reads — each column's nearest cell and its row's overlap cells — and
+	// the ocean columns its patch reads.
 	cellGhost, colGhost := make([]int32, mesh.NCells()), make([]int32, nCol)
 	for _, ac := range rows.OcnToAtm {
 		cellGhost[ac] = 1
 	}
-	if e.remap == RemapCons {
-		for _, ac := range rows.ConsCol {
-			cellGhost[ac] = 1
-		}
+	for _, ac := range rows.ConsCol {
+		cellGhost[ac] = 1
 	}
 	for _, gi := range col {
 		if gi >= 0 {
@@ -232,25 +230,18 @@ func (e *ESM) assemblePatch(mesh *grid.IcosMesh, owner []int32, g *grid.Tripolar
 	for k, ac := range rows.OcnToAtm {
 		ds.colRef[k] = cellGhost[ac]
 	}
-	if e.remap == RemapCons {
-		ds.consRef = make([]int32, len(rows.ConsCol))
-		for i, ac := range rows.ConsCol {
-			ds.consRef[i] = cellGhost[ac]
-		}
-		// Held for the run: shed the spare capacity append growth left.
-		ds.consW, ds.consPtr = slices.Clone(rows.ConsW), rows.ConsPtr
+	ds.consRef = make([]int32, len(rows.ConsCol))
+	for i, ac := range rows.ConsCol {
+		ds.consRef[i] = cellGhost[ac]
 	}
+	// Held for the run: shed the spare capacity append growth left.
+	ds.consW, ds.consPtr = slices.Clone(rows.ConsW), rows.ConsPtr
 
 	var err error
 	if ds.iceSrc, ds.iceDst, err = vectors(iceFields, ds.rt); err != nil {
 		return err
 	}
-	if e.remap == RemapCons {
-		ds.consSrc, ds.consDst, err = vectors(consFields, ds.rt)
-	} else {
-		ds.nnSrc, ds.nnDst, err = vectors(nnFields, ds.rt)
-	}
-	if err != nil {
+	if ds.consSrc, ds.consDst, err = vectors(consFields, ds.rt); err != nil {
 		return err
 	}
 	if ds.sfcSrc, ds.sfcDst, err = vectors(sfcFields, ds.sfcRt); err != nil {

@@ -32,11 +32,7 @@ func TestPatchLandNumberingMatchesWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j := cfg.OcnNY/2 - 9; j < cfg.OcnNY/2+9; j++ {
-		for i := 0; i < cfg.OcnNX; i++ {
-			g.SetLand(j*cfg.OcnNX + i)
-		}
-	}
+	dryTropics(cfg, g)
 	rg := NewRegridder(mesh, g)
 	if len(rg.Unmapped) == 0 {
 		t.Fatal("the dried tropics leave no unmapped cell: the test exercises no adoption")

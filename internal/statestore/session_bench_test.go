@@ -44,7 +44,7 @@ func capturedSnapshots(b *testing.B) []statestore.Snapshot {
 		par.Run(1, func(c *par.Comm) {
 			e, err := core.NewWithOptions(cfg, c,
 				core.WithInterval(start, start.Add(240*time.Hour)),
-				core.WithSpace(pp.Serial{}), core.WithRemap(core.RemapCons),
+				core.WithSpace(pp.Serial{}),
 				core.WithAudit(true), core.WithObserver(obs.Nop{}))
 			if err != nil {
 				captured.err = err
