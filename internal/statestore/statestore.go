@@ -91,16 +91,10 @@ type Observer interface {
 	ObserveValue(name string, v float64)
 }
 
-// count / gauge / observe are the nil-safe observer helpers.
+// count and observe are the nil-safe observer helpers.
 func count(o Observer, name string, d int64) {
 	if o != nil {
 		o.AddCount(name, d)
-	}
-}
-
-func gauge(o Observer, name string, v float64) {
-	if o != nil {
-		o.SetGauge(name, v)
 	}
 }
 
