@@ -52,6 +52,25 @@ func TestUnknownExperimentListsValidIDs(t *testing.T) {
 // rows of DESIGN.md §4 whose regeneration target is this command, in the
 // order the table lists them.
 func TestDefaultIDsMatchDesignIndex(t *testing.T) {
+	var ids []string
+	for _, row := range designIndex(t) {
+		id, target := row[0], row[1]
+		if !strings.Contains(target, "`cmd/tables") {
+			continue
+		}
+		if want := "`cmd/tables -exp " + id + "`"; target != want {
+			t.Errorf("row %s names %s, want %s", id, target, want)
+		}
+		ids = append(ids, id)
+	}
+	if got := experimentIDs(); !reflect.DeepEqual(got, ids) {
+		t.Errorf("default IDs %v, DESIGN.md §4 rows for cmd/tables %v", got, ids)
+	}
+}
+
+// designIndex returns the rows of DESIGN.md §4's per-experiment table, in
+// order, each as its ID and its regeneration target.
+func designIndex(t *testing.T) [][2]string {
 	doc, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
@@ -61,23 +80,26 @@ func TestDefaultIDsMatchDesignIndex(t *testing.T) {
 		t.Fatal("DESIGN.md has no §4")
 	}
 	sec, _, _ = strings.Cut(sec, "\n## ")
-	var ids []string
+	var rows [][2]string
 	for _, line := range strings.Split(sec, "\n") {
 		cells := strings.Split(line, "|")
 		if len(cells) < 3 {
 			continue
 		}
-		target := strings.TrimSpace(cells[len(cells)-2])
-		if !strings.Contains(target, "`cmd/tables") {
+		id := strings.TrimSpace(cells[1])
+		if id == "ID" || strings.HasPrefix(id, "---") {
 			continue
 		}
-		id := strings.TrimSpace(cells[1])
-		if want := "`cmd/tables -exp " + id + "`"; target != want {
-			t.Errorf("row %s names %s, want %s", id, target, want)
-		}
-		ids = append(ids, id)
+		rows = append(rows, [2]string{id, strings.TrimSpace(cells[len(cells)-2])})
 	}
-	if got := experimentIDs(); !reflect.DeepEqual(got, ids) {
-		t.Errorf("default IDs %v, DESIGN.md §4 rows for cmd/tables %v", got, ids)
+	return rows
+}
+
+// designIDs returns the set of DESIGN.md §4 experiment IDs.
+func designIDs(t *testing.T) map[string]bool {
+	ids := map[string]bool{}
+	for _, row := range designIndex(t) {
+		ids[row[0]] = true
 	}
+	return ids
 }

@@ -235,12 +235,15 @@ func TestPaperScaleParameterCount(t *testing.T) {
 	if n < 3.5e5 || n > 6.5e5 {
 		t.Errorf("width-110 CNN has %d params, want ≈ 5e5", n)
 	}
-	if cnn.NumLayers() != 11 {
-		t.Errorf("layers = %d, want 11", cnn.NumLayers())
+	// The paper's "11-layer deep CNN": the input convolution and the five
+	// residual units' ten; the linear output head is not counted.
+	if layers := 1 + 2*len(cnn.resW); layers != 11 {
+		t.Errorf("layers = %d, want 11", layers)
 	}
+	// The "7-layer" MLP: input, five residual hidden layers, output.
 	mlp := NewRadiationNet(64, 30, rng)
-	if mlp.NumLayers() != 7 {
-		t.Errorf("MLP layers = %d, want 7", mlp.NumLayers())
+	if layers := 1 + len(mlp.hidden) + 1; layers != 7 {
+		t.Errorf("MLP layers = %d, want 7", layers)
 	}
 }
 

@@ -45,11 +45,6 @@ func NewTendencyNet(width, nlev int, rng *rand.Rand) *TendencyNet {
 	return n
 }
 
-// NumLayers returns the deep-CNN layer count — the input convolution plus
-// the five residual units' ten convolutions (the paper's "11-layer deep
-// CNN"); the linear output projection head is not counted.
-func (n *TendencyNet) NumLayers() int { return 1 + 5*2 }
-
 // tendencyTape records forward activations for backprop.
 type tendencyTape struct {
 	x       *Seq
@@ -145,9 +140,6 @@ func NewRadiationNet(width, nlev int, rng *rand.Rand) *RadiationNet {
 	}
 	return n
 }
-
-// NumLayers returns the dense layer count (the paper's "7-layer").
-func (n *RadiationNet) NumLayers() int { return 7 }
 
 type radiationTape struct {
 	x      []float32

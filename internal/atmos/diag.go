@@ -6,34 +6,6 @@ import (
 	"repro/internal/grid"
 )
 
-// TotalMass returns the global atmospheric mass (kg), conserved exactly by
-// the flux-form continuity equation.
-func (m *Model) TotalMass() float64 {
-	re2 := grid.EarthRadius * grid.EarthRadius
-	var sum float64
-	for c := 0; c < m.Mesh.NCells(); c++ {
-		sum += m.Ps[c] / Gravity * m.Mesh.AreaCell[c] * re2
-	}
-	return sum
-}
-
-// MassWeightedTheta returns the global integral of potential temperature
-// times mass, the quantity the tracer transport conserves between physics
-// calls.
-func (m *Model) MassWeightedTheta() float64 {
-	nc := m.Mesh.NCells()
-	re2 := grid.EarthRadius * grid.EarthRadius
-	var sum float64
-	for c := 0; c < nc; c++ {
-		colMass := m.Ps[c] / Gravity * m.Mesh.AreaCell[c] * re2
-		for k, t := range m.Columns(m.T, c, 1) {
-			theta := t * math.Pow(P0/(m.Sig[k]*m.Ps[c]), Kappa)
-			sum += theta * colMass * m.DSig[k]
-		}
-	}
-	return sum
-}
-
 // MaxWind returns the largest reconstructed wind speed at any cell on any
 // level (m/s) — the stability canary.
 func (m *Model) MaxWind() float64 {

@@ -142,7 +142,7 @@ func (r *parentStepper) dynamicsSubstep(dt float64) {
 		for k := 0; k < nlev; k++ {
 			uLvl := r.u[k*ne : (k+1)*ne]
 			for j, e := range mesh.EdgesOnCell(c) {
-				sign := float64(mesh.EdgeSignOnCell(c)[j])
+				sign := float64(edgeSigns(mesh, c)[j])
 				u := uLvl[e]
 				// Upwind surface pressure.
 				var psUp float64
@@ -307,7 +307,7 @@ func (r *parentStepper) transport(x, psOld, out []float64) {
 		for k := 0; k < nlev; k++ {
 			dContent[k], hdiv[k] = 0, 0
 			for j, e := range mesh.EdgesOnCell(c) {
-				sign := float64(mesh.EdgeSignOnCell(c)[j])
+				sign := float64(edgeSigns(mesh, c)[j])
 				fm := sign * r.fluxEdge[k*ne+int(e)] // kg leaving through e if > 0
 				var xUp float64
 				if fm >= 0 {
@@ -431,7 +431,7 @@ func TestDycoreRegroupingDrift(t *testing.T) {
 				t.Fatal(err)
 			}
 			perturb(m, seed)
-			mass0, theta0, qv0 := m.TotalMass(), m.MassWeightedTheta(), m.TotalMoistureLocal()
+			mass0, theta0, qv0 := totalMass(m), massWeightedTheta(m), m.TotalMoistureLocal()
 			for i := 0; i < cfg.TracerEvery; i++ {
 				m.Step()
 			}
@@ -439,8 +439,8 @@ func TestDycoreRegroupingDrift(t *testing.T) {
 				name        string
 				before, now float64
 			}{
-				{"Σ area·ps", mass0, m.TotalMass()},
-				{"Σ M·θ", theta0, m.MassWeightedTheta()},
+				{"Σ area·ps", mass0, totalMass(m)},
+				{"Σ M·θ", theta0, massWeightedTheta(m)},
 				{"Σ M·qv", qv0, m.TotalMoistureLocal()},
 			} {
 				rel := math.Abs(q.now-q.before) / math.Abs(q.before)

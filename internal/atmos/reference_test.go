@@ -260,7 +260,7 @@ func (r *refStepper) dynamicsSubstep(dt float64) {
 	r.forOwnedCells(func(c int) {
 		var sum float64
 		for j, e := range mesh.EdgesOnCell(c) {
-			sum += float64(mesh.EdgeSignOnCell(c)[j]) * r.total[e]
+			sum += float64(edgeSigns(mesh, c)[j]) * r.total[e]
 		}
 		d := dt * (-sum * r.rArea[c])
 		m.Ps[c] += d
@@ -403,7 +403,7 @@ func (r *refStepper) transport(x, psOld, out []float64) {
 		hdiv := make([]float64, nlev) // accumulated mass divergence per level (kg)
 		for k := 0; k < nlev; k++ {
 			for j, e := range mesh.EdgesOnCell(c) {
-				sign := float64(mesh.EdgeSignOnCell(c)[j])
+				sign := float64(edgeSigns(mesh, c)[j])
 				fm := sign * r.fluxEdge[k*ne+int(e)] // kg leaving through e if > 0
 				var xUp float64
 				if fm >= 0 {

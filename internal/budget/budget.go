@@ -89,8 +89,8 @@ func relResid(export, imported, gross float64) float64 {
 	return diff / scale
 }
 
-// Window is the number of most recent intervals a Ledger keeps for
-// Intervals, Last and Report. Summary covers every interval recorded.
+// Window is the number of most recent intervals a Ledger keeps for Last
+// and Report. Summary covers every interval recorded.
 const Window = 64
 
 // Ledger streams each interval's terms through the observer's gauges as it
@@ -147,16 +147,6 @@ func (l *Ledger) Record(iv Interval) {
 
 // kept returns the index of the oldest interval the ledger still holds.
 func (l *Ledger) kept() int { return max(0, l.run.N-Window) }
-
-// Intervals returns the intervals the ledger holds, the last Window
-// recorded, oldest first, in a new slice.
-func (l *Ledger) Intervals() []Interval {
-	out := make([]Interval, 0, l.run.N-l.kept())
-	for i := l.kept(); i < l.run.N; i++ {
-		out = append(out, l.recent[i%Window])
-	}
-	return out
-}
 
 // Last returns the most recent interval, and false before the first.
 func (l *Ledger) Last() (Interval, bool) {

@@ -85,11 +85,11 @@ func TestLedgerRecordStreamsGauges(t *testing.T) {
 			t.Errorf("gauge %q = %g, want %g", name, got, v)
 		}
 	}
-	if got := len(l.Intervals()); got != 1 {
-		t.Fatalf("Intervals len = %d", got)
+	if got := len(held(l)); got != 1 {
+		t.Fatalf("ledger holds %d intervals", got)
 	}
-	if l.Intervals()[0].Index != 0 {
-		t.Errorf("first interval index = %d", l.Intervals()[0].Index)
+	if held(l)[0].Index != 0 {
+		t.Errorf("first interval index = %d", held(l)[0].Index)
 	}
 	// A nil observer must be record-only, not a crash.
 	NewLedger(nil).Record(Interval{})
@@ -170,7 +170,7 @@ func TestLedgerWindowKeepsSummaryExact(t *testing.T) {
 		t.Errorf("Summary after %d records = %+v, want %+v", n, got, want)
 	}
 
-	ivs := l.Intervals()
+	ivs := held(l)
 	if len(ivs) != Window {
 		t.Fatalf("ledger holds %d intervals after %d records, want %d", len(ivs), n, Window)
 	}
@@ -198,4 +198,14 @@ func TestLedgerWindowKeepsSummaryExact(t *testing.T) {
 	if allocs := testing.AllocsPerRun(2*Window, func() { l.Record(v) }); allocs != 0 {
 		t.Errorf("Record allocates %v per call", allocs)
 	}
+}
+
+// held returns the intervals l holds, the last Window recorded, oldest
+// first.
+func held(l *Ledger) []Interval {
+	var out []Interval
+	for i := l.kept(); i < l.run.N; i++ {
+		out = append(out, l.recent[i%Window])
+	}
+	return out
 }

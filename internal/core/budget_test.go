@@ -161,12 +161,12 @@ func TestUnmappedCellsRoutedToLand(t *testing.T) {
 						return
 					}
 				}
-				ivs := e.Budget().Intervals()
-				if len(ivs) == 0 {
+				iv, ok := e.Budget().Last()
+				if !ok {
 					t.Error("no audited intervals")
 					return
 				}
-				if got, want := ivs[0].UnmappedCells, len(unmapped); got != want {
+				if got, want := iv.UnmappedCells, len(unmapped); got != want {
 					t.Errorf("rank %d: audited unmapped count %d, want %d", c.Rank(), got, want)
 				}
 			})

@@ -44,13 +44,10 @@ type ESM struct {
 	couplingSteps int
 	ocnStepsPer   int
 
-	// Component schedule state (see schedule.go): the schedule selector,
-	// the join channel of the ocean goroutine, and the overlap-fraction
-	// accumulator.
-	schedule   Schedule
-	ocnDone    chan time.Duration
-	overlapSum float64
-	overlapN   int
+	// Component schedule state (see schedule.go): the schedule selector
+	// and the join channel of the ocean goroutine.
+	schedule Schedule
+	ocnDone  chan time.Duration
 
 	// The conservation-audit ledger (nil when auditing is off) with its
 	// reduction's partial sums and totals, and the persistent

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/json"
+	"io"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -48,9 +51,20 @@ func TestObservedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	events, err := obs.ReadJSONL(path)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer f.Close()
+	var events []obs.Event
+	for dec := json.NewDecoder(f); ; {
+		var e obs.Event
+		if err := dec.Decode(&e); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, e)
 	}
 	spans := map[string]map[int]int{} // section -> rank -> count
 	counters := map[string]float64{}

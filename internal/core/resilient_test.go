@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/pp"
 	"repro/internal/typhoon"
@@ -79,6 +80,8 @@ func TestRunResilientRecoversBitForBit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fired := obs.New(0, nil)
+	plan.SetObserver(fired)
 	fault.Arm(plan)
 	defer fault.Disarm()
 	ckDir := filepath.Join(t.TempDir(), "ck")
@@ -105,8 +108,9 @@ func TestRunResilientRecoversBitForBit(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if c := plan.Counts(); c[fault.IOError] != 1 || c[fault.NaN] != 1 {
-		t.Errorf("fault counts %v", c)
+	if io, nan := fired.Registry().Counter("fault.injected.io-error").Value(),
+		fired.Registry().Counter("fault.injected.nan").Value(); io != 1 || nan != 1 {
+		t.Errorf("fault counts: io-error %d, nan %d", io, nan)
 	}
 
 	ref, got := readSet(t, refDir, 1), readSet(t, gotDir, 1)

@@ -5,7 +5,6 @@ import (
 	"math"
 	"os"
 	"slices"
-	"time"
 
 	"repro/internal/grid"
 	"repro/internal/obs"
@@ -506,6 +505,3 @@ func patchOf(f []float64, ids []int32, stride int) []float64 {
 	}
 	return grid.PatchColumns(f, ids, stride)
 }
-
-// RestartAt reports the simulated time of the restored checkpoint.
-func (e *ESM) RestartAt() time.Time { return e.Clock.Current }

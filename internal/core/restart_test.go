@@ -88,8 +88,8 @@ func TestRestartBitIdentical(t *testing.T) {
 		if e.CouplingSteps() != stepsA {
 			t.Fatalf("restored coupling steps %d", e.CouplingSteps())
 		}
-		if e.RestartAt() != start.Add(stepsA*8*time.Minute) {
-			t.Fatalf("restored clock %v", e.RestartAt())
+		if e.Clock.Current != start.Add(stepsA*8*time.Minute) {
+			t.Fatalf("restored clock %v", e.Clock.Current)
 		}
 		// The ice's SST is the slice bound at assembly: the restart must
 		// have copied into Ocn.T, not replaced it.

@@ -98,21 +98,8 @@ func (e *ESM) stepConcurrent(atmRings, iceRings bool) {
 		frac = float64(shorter) / float64(longer)
 	}
 	e.obs.SetGauge("cpl.overlap.frac", frac)
-	e.overlapSum += frac
-	e.overlapN++
 
 	if iceRings {
 		e.timed("ice", e.iceStep)
 	}
-}
-
-// OverlapFraction returns the mean atmosphere–ocean overlap fraction over
-// the concurrent couplings run so far (0 when none ran): per coupling, the
-// shorter group's wall time divided by the longer's, i.e. the share of the
-// critical path during which both groups were busy.
-func (e *ESM) OverlapFraction() float64 {
-	if e.overlapN == 0 {
-		return 0
-	}
-	return e.overlapSum / float64(e.overlapN)
 }

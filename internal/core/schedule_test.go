@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/coupler"
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/pp"
 )
@@ -118,7 +119,8 @@ func TestConcScheduleRaceStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	par.Run(p, func(c *par.Comm) {
-		e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithSchedule(ScheduleConc))
+		o := obs.New(c.Rank(), nil)
+		e, err := NewWithOptions(cfg, c, WithSpace(pp.Serial{}), WithSchedule(ScheduleConc), WithObserver(o))
 		if err != nil {
 			t.Error(err)
 			return
@@ -141,7 +143,7 @@ func TestConcScheduleRaceStress(t *testing.T) {
 				return
 			}
 		}
-		if f := e.OverlapFraction(); f <= 0 || f > 1 {
+		if f := o.Registry().Gauge("cpl.overlap.frac").Value(); f <= 0 || f > 1 {
 			t.Errorf("overlap fraction %v under the concurrent schedule, want in (0, 1]", f)
 		}
 	})

@@ -98,11 +98,6 @@ func (c *Clock) Due(name string) bool {
 // Done reports whether the clock reached its stop time.
 func (c *Clock) Done() bool { return !c.Current.Before(c.Stop) }
 
-// StepsTotal returns the number of coupling steps in the run.
-func (c *Clock) StepsTotal() int {
-	return int(c.Stop.Sub(c.Start) / c.Step)
-}
-
 func sortStrings(s []string) {
 	for i := 1; i < len(s); i++ {
 		for j := i; j > 0 && s[j] < s[j-1]; j-- {

@@ -131,17 +131,6 @@ func (m *GSMap) LocalIndices(pe int) []int {
 	return out
 }
 
-// LocalSize returns the number of points owned by a rank.
-func (m *GSMap) LocalSize(pe int) int {
-	n := 0
-	for _, s := range m.Segments {
-		if s.PE == pe {
-			n += s.Length
-		}
-	}
-	return n
-}
-
 // Bytes returns the in-memory footprint of the segment table — the quantity
 // that overflows a Sunway core group during online initialization at scale.
 func (m *GSMap) Bytes() int { return 24 * len(m.Segments) }

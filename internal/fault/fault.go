@@ -99,12 +99,11 @@ func (in Injection) validate() error {
 type Plan struct {
 	Seed int64
 
-	mu     sync.Mutex
-	rng    *rand.Rand
-	inj    []Injection
-	hits   map[string]int // "site|rank" -> Point calls seen
-	counts map[Kind]int
-	obs    Observer
+	mu   sync.Mutex
+	rng  *rand.Rand
+	inj  []Injection
+	hits map[string]int // "site|rank" -> Point calls seen
+	obs  Observer
 }
 
 // New builds a plan from explicit injections.
@@ -115,11 +114,10 @@ func New(seed int64, inj ...Injection) (*Plan, error) {
 		}
 	}
 	return &Plan{
-		Seed:   seed,
-		rng:    rand.New(rand.NewSource(seed)),
-		inj:    append([]Injection(nil), inj...),
-		hits:   make(map[string]int),
-		counts: make(map[Kind]int),
+		Seed: seed,
+		rng:  rand.New(rand.NewSource(seed)),
+		inj:  append([]Injection(nil), inj...),
+		hits: make(map[string]int),
 	}, nil
 }
 
@@ -184,20 +182,6 @@ func (p *Plan) SetObserver(o Observer) {
 	p.mu.Unlock()
 }
 
-// Counts returns how many times each kind has fired so far.
-func (p *Plan) Counts() map[Kind]int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[Kind]int, len(p.counts))
-	for k, v := range p.counts {
-		out[k] = v
-	}
-	return out
-}
-
-// Injections returns the scheduled injections (a copy).
-func (p *Plan) Injections() []Injection { return append([]Injection(nil), p.inj...) }
-
 // String renders the plan in the spec grammar, sorted for stable output.
 func (p *Plan) String() string {
 	entries := make([]string, 0, len(p.inj))
@@ -238,7 +222,6 @@ func (p *Plan) point(site string, rank int) *Fault {
 		} else if n != in.Hit {
 			continue
 		}
-		p.counts[in.Kind]++
 		if p.obs != nil {
 			p.obs.AddCount("fault.injected."+string(in.Kind), 1)
 		}

@@ -13,7 +13,7 @@ func TestParseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := p.Injections()
+	inj := p.inj
 	if len(inj) != 4 {
 		t.Fatalf("parsed %d injections", len(inj))
 	}
@@ -58,6 +58,8 @@ func TestPointFiresOnceAtHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ob := &lockedObs{}
+	p.SetObserver(ob)
 	Arm(p)
 	defer Disarm()
 	for i := 1; i <= 6; i++ {
@@ -69,8 +71,8 @@ func TestPointFiresOnceAtHit(t *testing.T) {
 	if Point("other", 0) != nil {
 		t.Error("unrelated site fired")
 	}
-	if c := p.Counts(); c[IOError] != 1 {
-		t.Errorf("counts %v", c)
+	if n := ob.n["fault.injected.io-error"]; n != 1 {
+		t.Errorf("io-error fired %d times", n)
 	}
 }
 
@@ -178,7 +180,7 @@ func (o *lockedObs) AddCount(name string, d int64) {
 
 // The -race lap of the plan's goroutine safety: rank goroutines hammer the
 // one armed plan concurrently — Point hits, the seeded RNG behind Corrupt,
-// Counts snapshots and Arm swaps all race against each other unless the
+// observer counts and Arm swaps all race against each other unless the
 // plan's mutex and the atomic pointer hold.
 func TestPlanConcurrentUse(t *testing.T) {
 	defer Disarm()
@@ -211,7 +213,6 @@ func TestPlanConcurrentUse(t *testing.T) {
 				}
 				Point("esm.step", w)
 				if i%64 == 0 {
-					p.Counts()
 					Arm(p)
 				}
 			}
@@ -219,14 +220,10 @@ func TestPlanConcurrentUse(t *testing.T) {
 	}
 	wg.Wait()
 	// Counters are per (site, rank), so every rank sees the same schedule.
-	got := p.Counts()
-	want := map[Kind]int{Bitflip: workers * (iters / 3), Stall: workers * (iters / 5), NaN: workers * (iters / 2)}
+	want := map[Kind]int64{Bitflip: workers * (iters / 3), Stall: workers * (iters / 5), NaN: workers * (iters / 2)}
 	for k, n := range want {
-		if got[k] != n {
-			t.Errorf("%s fired %d times, want %d", k, got[k], n)
+		if got := ob.n["fault.injected."+string(k)]; got != n {
+			t.Errorf("%s fired %d times, want %d", k, got, n)
 		}
-	}
-	if ob.n["fault.injected.nan"] != int64(want[NaN]) {
-		t.Errorf("observer saw %d nan injections, want %d", ob.n["fault.injected.nan"], want[NaN])
 	}
 }

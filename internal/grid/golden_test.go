@@ -101,14 +101,14 @@ func icosMeshViewOf(m *IcosMesh) icosMeshView {
 		m.EdgesOnVertex, m.EdgeSignOnVtx, m.CellsOnVertex,
 	}
 	for vx := range v.VertexPos {
-		v.VertexPos[vx] = m.VertexPos(vx)
+		v.VertexPos[vx] = vertexPos(m, vx)
 	}
 	for e := range v.EdgeMidpoint {
 		v.EdgeMidpoint[e] = m.EdgeMidpoint(e)
 	}
 	for c := range m.NCells() {
 		v.EdgesOnCell = append(v.EdgesOnCell, m.EdgesOnCell(c))
-		v.EdgeSignOnCell = append(v.EdgeSignOnCell, m.EdgeSignOnCell(c))
+		v.EdgeSignOnCell = append(v.EdgeSignOnCell, edgeSigns(m, c))
 		v.CellsOnCell = append(v.CellsOnCell, m.CellsOnCell(c))
 	}
 	return v

@@ -35,8 +35,8 @@ type IcosMesh struct {
 
 	// Topology, each table stored once in the layout the kernels read.
 	// Cell c's edges are the slots [CellStart[c], CellStart[c+1]) of the
-	// three per-slot arrays, in ascending edge id; EdgesOnCell, CellsOnCell
-	// and EdgeSignOnCell return a cell's sub-slices.
+	// three per-slot arrays, in ascending edge id; EdgesOnCell and
+	// CellsOnCell return a cell's sub-slices.
 	CellStart      []int32    // [nCells+1]
 	SlotEdge       []int32    // [2·nEdges] the slot's edge
 	SlotCell       []int32    // [2·nEdges] the cell across that edge
@@ -62,15 +62,6 @@ func (m *IcosMesh) NEdges() int { return len(m.CellsOnEdge) }
 // NVertices returns the number of dual (triangle) nodes.
 func (m *IcosMesh) NVertices() int { return len(m.CellsOnVertex) }
 
-// VertexPos returns dual node v's position, the circumcenter of its dual
-// triangle's corner cells — computed, not stored: nothing after assembly
-// reads it in a loop. On a patch every vertex's corner cells are in the
-// patch (the CompVerts closure), so it works there too.
-func (m *IcosMesh) VertexPos(v int) Vec3 {
-	cv := m.CellsOnVertex[v]
-	return Circumcenter(m.CellCenter[cv[0]], m.CellCenter[cv[1]], m.CellCenter[cv[2]])
-}
-
 // EdgeMidpoint returns edge e's midpoint, the normalized sum of its two
 // cell centers — computed, not stored: only set-up reads it. It needs both
 // cells, so on a patch it serves only edges whose cells are both in the
@@ -93,12 +84,6 @@ func (m *IcosMesh) EdgesOnCell(c int) []int32 {
 func (m *IcosMesh) CellsOnCell(c int) []int32 {
 	lo, hi := m.Slots(c)
 	return m.SlotCell[lo:hi:hi]
-}
-
-// EdgeSignOnCell returns the outward signs of cell c's edges, slot by slot.
-func (m *IcosMesh) EdgeSignOnCell(c int) []int8 {
-	lo, hi := m.Slots(c)
-	return m.SlotSign[lo:hi:hi]
 }
 
 // IcosCounts returns the closed-form element counts for refinement level l.
@@ -219,7 +204,7 @@ func assemble(level int, nodes []Vec3, tris [][3]int) *IcosMesh {
 	}
 
 	// Dual nodes: triangle circumcenters (held while the mesh is built,
-	// then left to VertexPos) and areas. Cell areas by the barycentric split
+	// not stored) and areas. Cell areas by the barycentric split
 	// (one third of each incident triangle), which conserves total sphere
 	// area exactly.
 	vertexPos := make([]Vec3, nVerts)
@@ -417,19 +402,6 @@ func lonlatOf(v Vec3) (lon, lat float64) { return lonLatPair(v) }
 func lonLatPair(v Vec3) (lon, lat float64) {
 	lon, lat = LonLat(v)
 	return
-}
-
-// MeanCellSpacingKm returns the mean distance between adjacent cell centers
-// in kilometres, the conventional "resolution" of the mesh.
-func (m *IcosMesh) MeanCellSpacingKm() float64 {
-	if len(m.Dc) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, d := range m.Dc {
-		sum += d
-	}
-	return sum / float64(len(m.Dc)) * EarthRadius / 1000
 }
 
 // GristLevelForRes maps the paper's nominal atmosphere resolutions (km) to

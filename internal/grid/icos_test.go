@@ -135,7 +135,7 @@ func TestMeshTopologyConsistency(t *testing.T) {
 			if int(m.CellsOnCell(c)[k]) != other {
 				t.Fatalf("CellsOnCell mismatch at cell %d slot %d", c, k)
 			}
-			sign := m.EdgeSignOnCell(c)[k]
+			sign := edgeSigns(m, c)[k]
 			if (c1 == c && sign != 1) || (c2 == c && sign != -1) {
 				t.Fatalf("bad outward sign at cell %d edge %d", c, e)
 			}
@@ -246,7 +246,7 @@ func TestCellSlotsAreTheMesh(t *testing.T) {
 		}
 		for c, want := range cellEdges {
 			slices.Sort(want)
-			edges, nbrs, signs := m.EdgesOnCell(c), m.CellsOnCell(c), m.EdgeSignOnCell(c)
+			edges, nbrs, signs := m.EdgesOnCell(c), m.CellsOnCell(c), edgeSigns(m, c)
 			if !slices.Equal(edges, want) || len(nbrs) != len(want) || len(signs) != len(want) {
 				t.Fatalf("level %d cell %d: slots %v / %v / %v, edges %v", level, c, edges, nbrs, signs, want)
 			}
@@ -322,13 +322,21 @@ func TestMeshGeometryPositive(t *testing.T) {
 	}
 	// Unit-vector invariants.
 	for v := range m.NVertices() {
-		if math.Abs(m.VertexPos(v).Norm()-1) > 1e-12 {
+		if math.Abs(vertexPos(m, v).Norm()-1) > 1e-12 {
 			t.Fatal("vertex not on unit sphere")
 		}
 	}
-	// Resolution decreases by ~2x per level.
+	// Resolution decreases by ~2x per level: the mean distance between
+	// adjacent cell centers halves.
+	mean := func(x []float64) float64 {
+		var sum float64
+		for _, v := range x {
+			sum += v
+		}
+		return sum / float64(len(x))
+	}
 	m2, _ := NewIcosMesh(2)
-	r2, r3 := m2.MeanCellSpacingKm(), m.MeanCellSpacingKm()
+	r2, r3 := mean(m2.Dc), mean(m.Dc)
 	if r2/r3 < 1.8 || r2/r3 > 2.2 {
 		t.Errorf("spacing ratio %v, want ~2", r2/r3)
 	}
@@ -381,7 +389,7 @@ func TestGlobalDivergenceIsZero(t *testing.T) {
 	for c := range m.NCells() {
 		var div float64
 		for k, e := range m.EdgesOnCell(c) {
-			div += float64(m.EdgeSignOnCell(c)[k]) * u[e] * m.Dv[e]
+			div += float64(edgeSigns(m, c)[k]) * u[e] * m.Dv[e]
 		}
 		total += div // area cancels: div_c = div/A_c, weight by A_c
 	}
@@ -459,7 +467,7 @@ func TestIcosMeshIsDelaunay(t *testing.T) {
 				if opp < 0 {
 					t.Fatalf("level %d edge %d: no opposite corner", level, e)
 				}
-				cc := m.VertexPos(int(v))
+				cc := vertexPos(m, int(v))
 				r := cc.Dot(m.CellCenter[ce[0]]) // the circumcircle's cos-radius
 				margin = min(margin, r-cc.Dot(m.CellCenter[opp]))
 			}
@@ -473,4 +481,17 @@ func TestIcosMeshIsDelaunay(t *testing.T) {
 		}
 		t.Logf("level %d: smallest empty-circle margin %.3g = %.3g·dc²", level, margin, margin/(dc*dc))
 	}
+}
+
+// vertexPos returns dual node v's position, the circumcenter of its dual
+// triangle's corner cells.
+func vertexPos(m *IcosMesh, v int) Vec3 {
+	cv := m.CellsOnVertex[v]
+	return Circumcenter(m.CellCenter[cv[0]], m.CellCenter[cv[1]], m.CellCenter[cv[2]])
+}
+
+// edgeSigns returns the outward signs of cell c's edges, slot by slot.
+func edgeSigns(m *IcosMesh, c int) []int8 {
+	lo, hi := m.Slots(c)
+	return m.SlotSign[lo:hi:hi]
 }

@@ -746,11 +746,11 @@ func patchInvariants(m *IcosMesh, d *IcosDecomp) error {
 	return nil
 }
 
-// vertexPositions returns VertexPos of every vertex of m.
+// vertexPositions returns vertexPos of every vertex of m.
 func vertexPositions(m *IcosMesh) []Vec3 {
 	out := make([]Vec3, m.NVertices())
 	for v := range out {
-		out[v] = m.VertexPos(v)
+		out[v] = vertexPos(m, v)
 	}
 	return out
 }

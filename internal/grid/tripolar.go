@@ -297,20 +297,6 @@ func landFunction(x landLon, y landLat) float64 {
 
 func squared(x float64) float64 { return x * x }
 
-// OceanFraction returns the area-weighted fraction of the surface covered
-// by ocean.
-func (g *Tripolar) OceanFraction() float64 {
-	var ocean, total float64
-	for idx := 0; idx < g.NX*g.NY; idx++ {
-		a := g.CellArea(idx / g.NX)
-		total += a
-		if g.Wet(idx) {
-			ocean += a
-		}
-	}
-	return ocean / total
-}
-
 // ActivePoints3D returns the number of wet 3-D grid points (Σ KMT) and the
 // total 3-D points (NX·NY·NLevel); their ratio drives the ≈30 % resource
 // saving of the non-ocean-point exclusion.
@@ -324,10 +310,6 @@ func (g *Tripolar) ActivePoints3D() (active, total int64) {
 
 // Index returns the flat surface index of column (i, j).
 func (g *Tripolar) Index(i, j int) int { return j*g.NX + i }
-
-// FoldPartner returns the longitude index this column exchanges with across
-// the northern fold: the tripolar closure maps i ↔ NX-1-i on the top row.
-func (g *Tripolar) FoldPartner(i int) int { return g.NX - 1 - i }
 
 // Coriolis returns the Coriolis parameter f = 2Ω sin(lat) at row j.
 func (g *Tripolar) Coriolis(j int) float64 {

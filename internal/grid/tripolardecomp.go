@@ -278,9 +278,6 @@ func (d *TripolarDecomp) LIdx(li, lj int) int { return (lj+d.H)*d.LNI() + li + d
 // GIdx converts owned-region coordinates to the flat global surface index.
 func (d *TripolarDecomp) GIdx(li, lj int) int { return (d.J0+lj)*d.G.NX + d.I0 + li }
 
-// AtNorthFold reports whether this block touches the folded northern row.
-func (d *TripolarDecomp) AtNorthFold() bool { return d.by == d.PBY-1 }
-
 // DryBlocks returns the land-eliminated blocks (identical on every rank;
 // callers must not mutate).
 func (d *TripolarDecomp) DryBlocks() []DryBlock { return d.dryBlocks }
@@ -291,36 +288,6 @@ func (d *TripolarDecomp) DryBlocks() []DryBlock { return d.dryBlocks }
 func (d *TripolarDecomp) Owner(gi int) int {
 	i, j := gi%d.G.NX, gi/d.G.NX
 	return d.rankOf[(j/d.BNJ)*d.PBX+i/d.BNI]
-}
-
-// InExt reports whether the global cell's value is locally available after
-// an exchange — owned, inside the halo ring (periodic in x), or a fold image
-// row of a fold-touching block.
-func (d *TripolarDecomp) InExt(gi int) bool {
-	nx := d.G.NX
-	i, j := gi%nx, gi/nx
-	if d.xNear(i) {
-		lo := d.J0 - d.H
-		if lo < 0 {
-			lo = 0
-		}
-		if j >= lo && j < d.J0+d.NJ+d.H && j < d.G.NY {
-			return true
-		}
-	}
-	return d.AtNorthFold() && j >= d.G.NY-d.H && d.xNear(nx-1-i)
-}
-
-// xNear reports whether global column i is within H of the owned column
-// range in periodic x.
-func (d *TripolarDecomp) xNear(i int) bool {
-	if i >= d.I0 && i < d.I0+d.NI {
-		return true
-	}
-	nx := d.G.NX
-	dl := (d.I0 - i + nx) % nx
-	dr := (i - (d.I0 + d.NI - 1) + nx) % nx
-	return dl <= d.H || dr <= d.H
 }
 
 // SetObserver attaches the halo traffic counters

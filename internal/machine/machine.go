@@ -71,20 +71,8 @@ func ORISE() *Machine {
 	}
 }
 
-// TotalCores returns the machine's full core count (Sunway OceanLight:
-// 41,932,800).
-func (m *Machine) TotalCores() int { return m.Nodes * m.CoresPerNode }
-
-// NodesForCores converts a core count to nodes, rounding up.
-func (m *Machine) NodesForCores(cores int) int {
-	return (cores + m.CoresPerNode - 1) / m.CoresPerNode
-}
-
 // CoresForNodes converts node count to cores.
 func (m *Machine) CoresForNodes(nodes int) int { return nodes * m.CoresPerNode }
-
-// RanksForNodes returns the number of MPI-style processes on that many nodes.
-func (m *Machine) RanksForNodes(nodes int) int { return nodes * m.RanksPerNode }
 
 // CrossSupernodeFraction estimates the fraction of halo traffic that must
 // traverse the oversubscribed uplinks when P ranks hold a 2-D block

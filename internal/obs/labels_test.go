@@ -22,7 +22,7 @@ func TestSplitLabels(t *testing.T) {
 // label body moves into the series' braces alongside the rank label, so the
 // unified cpl.halo.* counters render as one family with a component label.
 func TestPromRenderSplitsLabeledCounters(t *testing.T) {
-	sink := NewPromText()
+	sink := &PromSink{}
 	o := New(3, sink)
 	o.AddCount(`cpl.halo.msgs{component="ocn"}`, 7)
 	o.AddCount(`cpl.halo.msgs{component="atm"}`, 5)

@@ -94,13 +94,6 @@ func (m *MemorySink) Flush() error { return nil }
 // Close implements Sink.
 func (m *MemorySink) Close() error { return nil }
 
-// Events returns a copy of everything emitted so far.
-func (m *MemorySink) Events() []Event {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Event(nil), m.events...)
-}
-
 // JSONLSink appends one JSON object per event to a file — the event-log
 // sink a post-processing tool (or test) replays into timelines.
 type JSONLSink struct {
@@ -149,31 +142,6 @@ func (s *JSONLSink) Close() error {
 	return s.f.Close()
 }
 
-// ReadJSONL loads an event log written by JSONLSink — the read half of the
-// round-trip.
-func ReadJSONL(path string) ([]Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: %w", err)
-	}
-	defer f.Close()
-	var out []Event
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			return nil, fmt.Errorf("obs: bad event line %q: %w", line, err)
-		}
-		out = append(out, e)
-	}
-	return out, sc.Err()
-}
-
 // PromSink exposes the attached observers' registries in Prometheus text
 // exposition format. Metrics are pulled (rendered on demand from live
 // snapshots), so Emit is a no-op; an optional HTTP server answers
@@ -185,9 +153,6 @@ type PromSink struct {
 	srv  *http.Server
 	done chan struct{} // closed when the serve goroutine exits
 }
-
-// NewPromText returns a render-only Prometheus sink (no HTTP server).
-func NewPromText() *PromSink { return &PromSink{} }
 
 // NewPromSink starts an HTTP server on addr serving /metrics. addr may use
 // port 0 to pick a free port; Addr reports the bound address.

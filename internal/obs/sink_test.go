@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -17,17 +19,16 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := New(2, sink)
-	Timed(o, "ocn", func() { time.Sleep(time.Millisecond) })
+	sp := o.StartSpan("ocn")
+	time.Sleep(time.Millisecond)
+	sp.End()
 	o.AddCount("par.send.bytes", 4096)
 	o.FlushMetrics()
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	events, err := ReadJSONL(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := readJSONL(t, path)
 	var span, section, counter *Event
 	for i := range events {
 		e := &events[i]
@@ -51,29 +52,32 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadJSONLSkipsBlankAndRejectsGarbage(t *testing.T) {
-	dir := t.TempDir()
-	good := filepath.Join(dir, "good.jsonl")
-	sink, err := NewJSONLSink(good)
+// readJSONL decodes the event log a JSONLSink wrote to path.
+func readJSONL(t *testing.T, path string) []Event {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink.Emit(Event{Kind: "span", Name: "x"})
-	sink.Close()
-	if events, err := ReadJSONL(good); err != nil || len(events) != 1 {
-		t.Fatalf("good file: %v, %v", events, err)
-	}
-	if _, err := ReadJSONL(filepath.Join(dir, "missing.jsonl")); err == nil {
-		t.Fatal("missing file should error")
+	defer f.Close()
+	var out []Event
+	for dec := json.NewDecoder(f); ; {
+		var e Event
+		if err := dec.Decode(&e); err == io.EOF {
+			return out
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, e)
 	}
 }
 
 func TestPromRender(t *testing.T) {
-	sink := NewPromText()
+	sink := &PromSink{}
 	o0 := New(0, sink)
 	o1 := New(1, sink)
-	Timed(o0, "atm", func() {})
-	Timed(o1, "atm", func() {})
+	o0.StartSpan("atm").End()
+	o1.StartSpan("atm").End()
 	o0.AddCount("par.send.bytes", 100)
 	o1.AddCount("par.send.bytes", 200)
 	o0.SetGauge("pario.subfile.groups", 2)

@@ -64,10 +64,3 @@ func (s *Span) End() {
 		})
 	}
 }
-
-// Timed runs f inside a span on o — the one-line instrumentation helper.
-func Timed(o Observer, name string, f func()) {
-	sp := o.StartSpan(name)
-	f()
-	sp.End()
-}

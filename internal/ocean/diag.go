@@ -6,25 +6,6 @@ import (
 	"repro/internal/grid"
 )
 
-// TracerContent returns the global volume integral of a tracer field
-// (Σ tr·vol over wet cells), reduced across ranks. Conserved by transport;
-// changed only by surface forcing.
-func (o *Ocean) TracerContent(tr []float64) float64 {
-	n2 := o.LNI * o.LNJ
-	var local float64
-	for lj := 0; lj < o.B.NJ; lj++ {
-		jg := o.B.J0 + lj
-		area := o.G.DX[jg] * o.G.DY
-		for li := 0; li < o.B.NI; li++ {
-			c := o.idx2(li, lj)
-			for k := 0; k < o.kmt[c]; k++ {
-				local += tr[k*n2+c] * area * o.dz[k]
-			}
-		}
-	}
-	return o.B.AllreduceSum(local)
-}
-
 // HeatContentLocal returns this rank's contribution to the ocean heat
 // content, ρ₀·c_p·Σ T·vol over owned wet cells (J). No reduction: the budget
 // ledger batches the cross-rank sum with its other terms in one collective.

@@ -67,21 +67,6 @@ func (mc MixingConfig) InterfaceDiffusivity(ri float64) float64 {
 	return kv + mc.Background
 }
 
-// DiffusivityProfile returns the per-interface diffusivities of one wet
-// column (length kmt-1; interface i sits between levels i and i+1).
-func (o *Ocean) DiffusivityProfile(mc MixingConfig, li, lj int) []float64 {
-	c := o.idx2(li, lj)
-	kmt := o.kmt[c]
-	if kmt < 2 {
-		return nil
-	}
-	out := make([]float64, kmt-1)
-	for k := 1; k < kmt; k++ {
-		out[k-1] = mc.InterfaceDiffusivity(o.RichardsonNumber(c, k))
-	}
-	return out
-}
-
 // ApplyRiMixing runs one explicit Richardson-mixing step on T and S over
 // the owned wet columns. The explicit step is clipped to the diffusive
 // stability limit per interface, and the flux form conserves tracer content

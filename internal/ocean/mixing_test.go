@@ -83,8 +83,8 @@ func TestRiMixingConservesAndMixes(t *testing.T) {
 				}
 			}
 		}
-		t0 := o.TracerContent(o.T)
-		s0 := o.TracerContent(o.S)
+		t0 := tracerContent(o, o.T)
+		s0 := tracerContent(o, o.S)
 		// Measure a strongly stratified column's surface-bottom contrast.
 		var c int
 		for lj := 0; lj < o.B.NJ; lj++ {
@@ -105,10 +105,10 @@ func TestRiMixingConservesAndMixes(t *testing.T) {
 			t.Errorf("mixing sharpened the gradient: %v -> %v", before, after)
 		}
 		// Exact conservation.
-		if rel := math.Abs(o.TracerContent(o.T)-t0) / math.Abs(t0); rel > 1e-13 {
+		if rel := math.Abs(tracerContent(o, o.T)-t0) / math.Abs(t0); rel > 1e-13 {
 			t.Errorf("heat content drift %.2e", rel)
 		}
-		if rel := math.Abs(o.TracerContent(o.S)-s0) / math.Abs(s0); rel > 1e-13 {
+		if rel := math.Abs(tracerContent(o, o.S)-s0) / math.Abs(s0); rel > 1e-13 {
 			t.Errorf("salt content drift %.2e", rel)
 		}
 	})
@@ -118,20 +118,12 @@ func TestDiffusivityProfileShape(t *testing.T) {
 	runSerial(t, 48, 24, 8, DefaultConfig(), func(o *Ocean) {
 		for lj := 0; lj < o.B.NJ; lj++ {
 			for li := 0; li < o.B.NI; li++ {
+				// Interface k sits between levels k-1 and k of a wet column.
 				c := o.idx2(li, lj)
-				prof := o.DiffusivityProfile(DefaultMixing(), li, lj)
-				if o.kmt[c] < 2 {
-					if prof != nil {
-						t.Fatal("profile on land/shallow column")
-					}
-					continue
-				}
-				if len(prof) != o.kmt[c]-1 {
-					t.Fatalf("profile length %d for kmt %d", len(prof), o.kmt[c])
-				}
-				for _, kv := range prof {
+				for k := 1; k < o.kmt[c]; k++ {
+					kv := DefaultMixing().InterfaceDiffusivity(o.RichardsonNumber(c, k))
 					if kv <= 0 || math.IsNaN(kv) {
-						t.Fatal("bad diffusivity")
+						t.Fatalf("bad diffusivity %v at column %d interface %d", kv, c, k)
 					}
 				}
 			}
@@ -143,7 +135,7 @@ func TestRiMixingIntegratedInStep(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RiMixing = true
 	runSerial(t, 48, 24, 8, cfg, func(o *Ocean) {
-		t0 := o.TracerContent(o.T)
+		t0 := tracerContent(o, o.T)
 		for lj := 0; lj < o.B.NJ; lj++ {
 			for li := 0; li < o.B.NI; li++ {
 				o.TauX[o.idx2(li, lj)] = 0.15
@@ -156,7 +148,7 @@ func TestRiMixingIntegratedInStep(t *testing.T) {
 			t.Fatalf("unstable with Ri mixing: %v", v)
 		}
 		// Transport + mixing still conserve exactly (no surface forcing on T).
-		if rel := math.Abs(o.TracerContent(o.T)-t0) / math.Abs(t0); rel > 1e-12 {
+		if rel := math.Abs(tracerContent(o, o.T)-t0) / math.Abs(t0); rel > 1e-12 {
 			t.Errorf("heat drift %.2e with Ri mixing", rel)
 		}
 	})

@@ -130,8 +130,8 @@ func TestRestingOceanStaysAtRest(t *testing.T) {
 func TestTracerConservationWithoutForcing(t *testing.T) {
 	cfg := DefaultConfig()
 	runSerial(t, 48, 24, 8, cfg, func(o *Ocean) {
-		t0 := o.TracerContent(o.T)
-		s0 := o.TracerContent(o.S)
+		t0 := tracerContent(o, o.T)
+		s0 := tracerContent(o, o.S)
 		// Spin up some flow with wind so advection is non-trivial.
 		for lj := 0; lj < o.B.NJ; lj++ {
 			for li := 0; li < o.B.NI; li++ {
@@ -141,8 +141,8 @@ func TestTracerConservationWithoutForcing(t *testing.T) {
 		for s := 0; s < 10; s++ {
 			o.Step()
 		}
-		t1 := o.TracerContent(o.T)
-		s1 := o.TracerContent(o.S)
+		t1 := tracerContent(o, o.T)
+		s1 := tracerContent(o, o.S)
 		if rel := math.Abs(t1-t0) / math.Abs(t0); rel > 1e-12 {
 			t.Errorf("heat content drift %.3e", rel)
 		}
@@ -173,7 +173,7 @@ func TestVolumeConservation(t *testing.T) {
 
 func TestSurfaceHeatingWarmsOcean(t *testing.T) {
 	runSerial(t, 48, 24, 6, DefaultConfig(), func(o *Ocean) {
-		t0 := o.TracerContent(o.T)
+		t0 := tracerContent(o, o.T)
 		for lj := 0; lj < o.B.NJ; lj++ {
 			for li := 0; li < o.B.NI; li++ {
 				o.QHeat[o.idx2(li, lj)] = 200 // W/m²
@@ -182,7 +182,7 @@ func TestSurfaceHeatingWarmsOcean(t *testing.T) {
 		for s := 0; s < 5; s++ {
 			o.Step()
 		}
-		t1 := o.TracerContent(o.T)
+		t1 := tracerContent(o, o.T)
 		if t1 <= t0 {
 			t.Errorf("heat content did not rise: %v -> %v", t0, t1)
 		}
@@ -315,9 +315,9 @@ func TestCompactionConsistency(t *testing.T) {
 		for s := 0; s < 3; s++ {
 			o.Step() // develop structure
 		}
-		o.exchange3D(o.T, false)
-		o.exchange3D(o.U, true)
-		o.exchange3D(o.V, true)
+		o.B.ExchangeFields([]grid.HaloField{
+			{Data: o.T, NLev: o.NL}, {Data: o.U, NLev: o.NL, Vec: true}, {Data: o.V, NLev: o.NL, Vec: true},
+		})
 
 		full := o.advectDiffuse(o.T, o.Cfg.DtBaroclinic, o.QHeat, o.surfTDen())
 		comp := o.Compact().AdvectDiffuse(o.T, o.Cfg.DtBaroclinic, o.QHeat, o.surfTDen())
@@ -578,4 +578,23 @@ func (o *Ocean) surfaceOwned(f []float64) []float64 {
 		}
 	}
 	return out
+}
+
+// tracerContent returns the global volume integral of a tracer field
+// (Σ tr·vol over wet cells), reduced across ranks. Conserved by transport;
+// changed only by surface forcing.
+func tracerContent(o *Ocean, tr []float64) float64 {
+	n2 := o.LNI * o.LNJ
+	var local float64
+	for lj := 0; lj < o.B.NJ; lj++ {
+		jg := o.B.J0 + lj
+		area := o.G.DX[jg] * o.G.DY
+		for li := 0; li < o.B.NI; li++ {
+			c := o.idx2(li, lj)
+			for k := 0; k < o.kmt[c]; k++ {
+				local += tr[k*n2+c] * area * o.dz[k]
+			}
+		}
+	}
+	return o.B.AllreduceSum(local)
 }

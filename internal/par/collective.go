@@ -22,21 +22,6 @@ var (
 	}
 )
 
-// Bcast distributes root's value to all ranks and returns it.
-func Bcast[T any](c *Comm, root int, v T) T {
-	if c.rank == root {
-		c.countCollective("par.collective.bcast", any(v))
-	} else {
-		c.countCollective("par.collective.bcast", nil)
-	}
-	all := c.exchange(any(v))
-	out, ok := all[root].(T)
-	if !ok {
-		panic(fmt.Sprintf("par: Bcast type mismatch at root %d: %T", root, all[root]))
-	}
-	return out
-}
-
 // Allreduce reduces one float64 per rank with op and returns the result on
 // every rank. Reduction order is fixed by rank, so results are deterministic.
 func (c *Comm) Allreduce(v float64, op Op) float64 {

@@ -97,19 +97,6 @@ func TestBarrierReusable(t *testing.T) {
 	})
 }
 
-func TestBcast(t *testing.T) {
-	Run(5, func(c *Comm) {
-		v := -1
-		if c.Rank() == 2 {
-			v = 1234
-		}
-		got := Bcast(c, 2, v)
-		if got != 1234 {
-			t.Errorf("rank %d got %d", c.Rank(), got)
-		}
-	})
-}
-
 func TestAllreduce(t *testing.T) {
 	Run(6, func(c *Comm) {
 		sum := c.Allreduce(float64(c.Rank()+1), OpSum)

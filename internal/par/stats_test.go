@@ -72,20 +72,16 @@ func TestCollectiveTrafficCounters(t *testing.T) {
 			Run(ranks, func(c *Comm) {
 				c.Allreduce(1, OpSum)
 				c.AllreduceSlice([]float64{1, 2, 3}, OpMax)
-				Bcast(c, 0, make([]float64, 8))
 				Gather(c, 0, []float64{1})
 				Allgather(c, []float64{2})
 
 				st := c.Stats()
-				if got := st.Collectives.Load(); got != 5 {
-					t.Errorf("rank %d: Collectives = %d, want 5", c.Rank(), got)
+				if got := st.Collectives.Load(); got != 4 {
+					t.Errorf("rank %d: Collectives = %d, want 4", c.Rank(), got)
 				}
-				// Contributed bytes: allreduce 8, slice 24, bcast 64 on root
-				// only (others contribute nil), gather 8, allgather 8.
+				// Contributed bytes: allreduce 8, slice 24, gather 8,
+				// allgather 8.
 				want := int64(8 + 24 + 8 + 8)
-				if c.Rank() == 0 {
-					want += 64
-				}
 				if got := st.CollectiveBytes.Load(); got != want {
 					t.Errorf("rank %d: CollectiveBytes = %d, want %d", c.Rank(), got, want)
 				}

@@ -374,8 +374,8 @@ func TestFigure2SOTA(t *testing.T) {
 
 func TestMachineTopologyHelpers(t *testing.T) {
 	m := newModel(t)
-	if m.Sunway.TotalCores() != 41932800 {
-		t.Errorf("Sunway cores = %d", m.Sunway.TotalCores())
+	if n := m.Sunway.Nodes * m.Sunway.CoresPerNode; n != 41932800 {
+		t.Errorf("Sunway cores = %d", n)
 	}
 	if err := m.Sunway.Validate(); err != nil {
 		t.Error(err)

@@ -20,35 +20,6 @@ type ProjectedPoint struct {
 	Basis    string  // which calibrated curves the projection rests on
 }
 
-// ProjectComponent extrapolates a calibrated component curve to another
-// nominal resolution at the given core count. Only non-interpolated curves
-// support family scaling.
-func (m *Model) ProjectComponent(id string, resKm int, cores float64) (ProjectedPoint, error) {
-	c, err := m.Curve(id)
-	if err != nil {
-		return ProjectedPoint{}, err
-	}
-	var points float64
-	switch c.Component {
-	case "ATM":
-		points = atmPoints3D(resKm)
-	case "OCN":
-		points = ocnPoints3D(resKm)
-	default:
-		return ProjectedPoint{}, fmt.Errorf("perfmodel: cannot project component type %q", c.Component)
-	}
-	cv := c
-	if points != c.Points {
-		cv = c.ScaledTo(fmt.Sprintf("%s@%dkm", id, resKm), float64(resKm), points)
-	}
-	return ProjectedPoint{
-		Label: fmt.Sprintf("%s %d km at %.3g cores", c.Component, resKm, cores),
-		Cores: cores,
-		SYPD:  cv.SYPD(cores),
-		Basis: id,
-	}, nil
-}
-
 // ProjectCoupled composes a coupled configuration from family-scaled
 // component curves under the optimal two-domain concurrent layout, with the
 // coupler overhead implied by the calibrated 3v2 coupled curve.

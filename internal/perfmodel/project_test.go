@@ -2,34 +2,23 @@ package perfmodel
 
 import "testing"
 
+// The family scaling ProjectCoupled rests on: a calibrated component curve
+// scaled to another nominal resolution (Curve.ScaledTo).
 func TestProjectComponentMatchesCalibratedCurves(t *testing.T) {
 	m := newModel(t)
-	// Projecting a curve at its own resolution must reproduce it exactly.
-	p, err := m.ProjectComponent(CurveATM3CPE, 3, 17039360)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := m.MustCurve(CurveATM3CPE).SYPD(17039360)
-	if p.SYPD != want {
-		t.Errorf("self-projection %v != %v", p.SYPD, want)
+	atm3 := m.MustCurve(CurveATM3CPE)
+	// Scaling a curve to its own resolution must reproduce it exactly.
+	self := atm3.ScaledTo("atm3@3km", 3, atmPoints3D(3))
+	if got, want := self.SYPD(17039360), atm3.SYPD(17039360); got != want {
+		t.Errorf("self-projection %v != %v", got, want)
 	}
 	// Family-scaling the 3 km curve to 1 km must land near the calibrated
 	// 1 km curve (it was measured independently) — the cross-validation of
 	// the family-scaling assumption.
-	p1, err := m.ProjectComponent(CurveATM3CPE, 1, 34078270)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p1 := atm3.ScaledTo("atm3@1km", 1, atmPoints3D(1)).SYPD(34078270)
 	meas := m.MustCurve(CurveATM1CPE).SYPD(34078270) // 0.85
-	if p1.SYPD < meas/2 || p1.SYPD > meas*2 {
-		t.Errorf("1 km projection %v vs measured %v (family scaling off by >2x)", p1.SYPD, meas)
-	}
-	// Unknown curve and non-component curves rejected.
-	if _, err := m.ProjectComponent("nope", 3, 1e6); err == nil {
-		t.Error("unknown curve accepted")
-	}
-	if _, err := m.ProjectComponent(CurveESM3v2, 3, 1e6); err == nil {
-		t.Error("coupled curve accepted for component projection")
+	if p1 < meas/2 || p1 > meas*2 {
+		t.Errorf("1 km projection %v vs measured %v (family scaling off by >2x)", p1, meas)
 	}
 }
 
